@@ -2,10 +2,9 @@ package graphrnn
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // This file is the worker-pool fan-out under RunBatch: independent queries
@@ -16,12 +15,11 @@ import (
 // including HubLabel: the index's per-query scratch is pooled, so batch
 // workers share one HubLabelIndex freely.
 //
-// Batches are context-aware: dispatch stops once the batch context is
-// canceled (queued queries are marked, not run, and in-flight ones abandon
-// within one expansion step), FailFast turns the first error into a
-// batch-level cancellation, and PerQuery applies a deadline/budget to every
-// entry that carries none of its own. The deprecated per-shape *Batch
-// functions are thin shims over RunBatch.
+// Batches are context-aware: once the batch context is canceled, queued
+// queries fail upfront without page I/O and in-flight ones abandon within
+// one expansion step; FailFast turns the first error into a batch-level
+// cancellation, and PerQuery applies a deadline/budget to every entry that
+// carries none of its own.
 
 // BatchOptions configures batch execution.
 type BatchOptions struct {
@@ -31,7 +29,7 @@ type BatchOptions struct {
 	// actually used (Parallelism capped by the batch size).
 	Parallelism int
 	// FailFast cancels the remainder of the batch after the first
-	// failing query: queued entries report ErrCanceled without running.
+	// failing query: queued entries fail upfront with ErrCanceled.
 	FailFast bool
 	// PerQuery bounds every query of the batch individually (deadline
 	// and work budget), as if issued through its own embedded
@@ -65,166 +63,72 @@ func (o *BatchOptions) perQuery() *QueryOptions {
 
 func (o *BatchOptions) failFast() bool { return o != nil && o.FailFast }
 
-// RNNQuery is one node-resident batch entry of the deprecated per-shape
-// batch functions (RNNBatch, BichromaticRNNBatch); RunBatch takes full
-// Query values instead.
-type RNNQuery struct {
-	// Q is the query node.
-	Q NodeID
-	// K is the query depth (k >= 1).
-	K int
-	// Algo selects the processing strategy.
-	Algo Algorithm
-}
-
 // BatchResult pairs one query's answer with its error. On success Err is
 // nil; on an execution-control error (cancellation, deadline, budget)
-// Result may still carry the partial answer and its stats.
+// Result carries the partial answer and its stats, per the Run contract.
 type BatchResult struct {
 	Result *Result
 	Err    error
 }
 
-// batchCanceledErr marks an entry whose batch was canceled before the
-// entry started.
-func batchCanceledErr(ctx context.Context) error {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fmt.Errorf("%w: batch deadline passed before the query started", ErrDeadlineExceeded)
-	}
-	return fmt.Errorf("%w: batch canceled before the query started", ErrCanceled)
-}
-
-// runBatch fans indices 0..n-1 out over a worker pool under ctx and
-// returns the worker count used. Once ctx is canceled (externally, by a
-// batch deadline, or by FailFast) no further queries start: undispatched
-// entries are marked with a typed cancellation error.
-func runBatch(ctx context.Context, n, workers int, failFast bool, out []BatchResult, run func(ctx context.Context, i int)) int {
-	if n == 0 {
-		return 0
-	}
+// runBatch is RunBatch over any single-query engine (DB.Run, Sharded.Run):
+// it fans the queries out over a worker pool under ctx and tallies the
+// report. Once ctx is canceled (externally, by a batch deadline, or by
+// FailFast) every entry not yet started fails upfront in run, before any
+// page I/O, with the typed error and the empty partial Result of an
+// expired-at-start query.
+func runBatch(ctx context.Context, queries []Query, opt *BatchOptions, run func(context.Context, Query) (*Result, error)) *BatchReport {
+	start := time.Now()
+	n := len(queries)
+	rep := &BatchReport{Results: make([]BatchResult, n)}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	do := func(i int) {
-		if ctx.Err() != nil {
-			out[i] = BatchResult{Err: batchCanceledErr(ctx)}
-			return
+		q := queries[i]
+		if pq := opt.perQuery(); pq != nil && q.QueryOptions == (QueryOptions{}) {
+			q.QueryOptions = *pq
 		}
-		run(ctx, i)
-		if failFast && out[i].Err != nil {
+		r := &rep.Results[i]
+		r.Result, r.Err = run(ctx, q)
+		if r.Err != nil && opt.failFast() {
 			cancel()
 		}
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
+	if n > 0 {
+		rep.Workers = opt.workers(n)
+	}
+	if rep.Workers <= 1 {
+		for i := range queries {
 			do(i)
 		}
-		return 1
+	} else {
+		next := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(rep.Workers)
+		for w := 0; w < rep.Workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					do(i)
+				}
+			}()
+		}
+		for i := range queries {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				do(i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			// Stop feeding the pool; everything not yet dispatched is
-			// marked canceled without running.
-			for j := i; j < n; j++ {
-				out[j] = BatchResult{Err: batchCanceledErr(ctx)}
-			}
-			break dispatch
+	rep.Wall = time.Since(start)
+	for _, r := range rep.Results {
+		if r.Err != nil {
+			rep.Failed++
+		} else {
+			rep.Succeeded++
+		}
+		if r.Result != nil {
+			rep.Work.add(r.Result.Stats)
 		}
 	}
-	close(next)
-	wg.Wait()
-	return workers
-}
-
-// rnnQueries lifts the deprecated batch entries onto the declarative
-// surface, preserving the strict per-algorithm semantics.
-func rnnQueries(kind Kind, ps PointSet, sites PointSet, queries []RNNQuery) []Query {
-	qs := make([]Query, len(queries))
-	for i, q := range queries {
-		qs[i] = Query{
-			Kind: kind, Target: NodeLocation(q.Q), K: q.K,
-			Points: ps, Sites: sites, Algorithm: q.Algo, Strict: true,
-		}
-	}
-	return qs
-}
-
-// RNNBatch answers a slice of monochromatic RkNN queries over one point set
-// concurrently and returns one BatchResult per query, in input order, plus
-// the worker count used. Every query runs to completion: an invalid entry
-// (bad k, out-of-range node) reports its error in its own slot without
-// affecting the others. A nil or zero-parallelism opt uses GOMAXPROCS
-// workers.
-//
-// Deprecated: use [DB.RunBatch], whose BatchReport also carries aggregate
-// statistics.
-func (db *DB) RNNBatch(ps pointsArg, queries []RNNQuery, opt *BatchOptions) ([]BatchResult, int) {
-	return db.RNNBatchContext(context.Background(), ps, queries, opt)
-}
-
-// RNNBatchContext is RNNBatch under a batch context: cancel ctx (or set a
-// deadline on it) to stop the whole batch, opt.PerQuery to bound each
-// entry, opt.FailFast to abandon the rest after the first error.
-//
-// Deprecated: use [DB.RunBatch].
-func (db *DB) RNNBatchContext(ctx context.Context, ps pointsArg, queries []RNNQuery, opt *BatchOptions) ([]BatchResult, int) {
-	rep, _ := db.RunBatch(ctx, rnnQueries(KindRNN, ps, nil, queries), opt)
-	return rep.Results, rep.Workers
-}
-
-// BichromaticRNNBatch answers a slice of bichromatic RkNN queries over one
-// candidate/site pair concurrently, in input order.
-//
-// Deprecated: use [DB.RunBatch] with Queries of KindBichromatic.
-func (db *DB) BichromaticRNNBatch(cands, sites pointsArg, queries []RNNQuery, opt *BatchOptions) ([]BatchResult, int) {
-	return db.BichromaticRNNBatchContext(context.Background(), cands, sites, queries, opt)
-}
-
-// BichromaticRNNBatchContext is BichromaticRNNBatch under a batch context.
-//
-// Deprecated: use [DB.RunBatch].
-func (db *DB) BichromaticRNNBatchContext(ctx context.Context, cands, sites pointsArg, queries []RNNQuery, opt *BatchOptions) ([]BatchResult, int) {
-	rep, _ := db.RunBatch(ctx, rnnQueries(KindBichromatic, cands, sites, queries), opt)
-	return rep.Results, rep.Workers
-}
-
-// EdgeRNNQuery is one monochromatic batch entry over an edge-resident point
-// set, used by the deprecated EdgeRNNBatch.
-type EdgeRNNQuery struct {
-	Q    Location
-	K    int
-	Algo Algorithm
-}
-
-// EdgeRNNBatch answers a slice of edge-resident RkNN queries concurrently,
-// in input order.
-//
-// Deprecated: use [DB.RunBatch] with edge-resident Queries.
-func (db *DB) EdgeRNNBatch(ps edgeArg, queries []EdgeRNNQuery, opt *BatchOptions) ([]BatchResult, int) {
-	return db.EdgeRNNBatchContext(context.Background(), ps, queries, opt)
-}
-
-// EdgeRNNBatchContext is EdgeRNNBatch under a batch context.
-//
-// Deprecated: use [DB.RunBatch].
-func (db *DB) EdgeRNNBatchContext(ctx context.Context, ps edgeArg, queries []EdgeRNNQuery, opt *BatchOptions) ([]BatchResult, int) {
-	qs := make([]Query, len(queries))
-	for i, q := range queries {
-		qs[i] = Query{Kind: KindRNN, Target: q.Q, K: q.K, Points: ps, Algorithm: q.Algo, Strict: true}
-	}
-	rep, _ := db.RunBatch(ctx, qs, opt)
-	return rep.Results, rep.Workers
+	return rep
 }

@@ -127,7 +127,7 @@ func benchQueries(b *testing.B, algo func(*microEnv) graphrnn.Algorithm) {
 	for i := 0; i < b.N; i++ {
 		qp := e.queries[i%len(e.queries)]
 		qnode, _ := e.ps.NodeOf(qp)
-		if _, err := e.db.RNN(e.ps.Excluding(qp), qnode, 2, a); err != nil {
+		if _, err := e.db.Run(context.Background(), rnnQuery(e.ps.Excluding(qp), qnode, 2, a)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func BenchmarkQueryHubLabel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qp := e.queries[i%len(e.queries)]
 		qnode, _ := e.ps.NodeOf(qp)
-		if _, err := e.db.RNN(e.ps.Excluding(qp), qnode, 2, a); err != nil {
+		if _, err := e.db.Run(context.Background(), rnnQuery(e.ps.Excluding(qp), qnode, 2, a)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func BenchmarkBudgetedQueries(b *testing.B) {
 		{"budget5k", 5000},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			opt := &graphrnn.QueryOptions{
+			opt := graphrnn.QueryOptions{
 				Timeout: time.Minute,
 				Budget:  graphrnn.Budget{MaxNodes: bench.budget},
 			}
@@ -319,7 +319,7 @@ func BenchmarkBudgetedQueries(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, qp := range e.queries {
 					qnode, _ := e.ps.NodeOf(qp)
-					res, err := e.db.RNNContext(context.Background(), e.ps.Excluding(qp), qnode, 2, graphrnn.Eager(), opt)
+					res, err := e.db.Run(context.Background(), bounded(rnnQuery(e.ps.Excluding(qp), qnode, 2, graphrnn.Eager()), opt))
 					if err != nil && !graphrnn.IsExecErr(err) {
 						b.Fatal(err)
 					}
@@ -459,7 +459,7 @@ func benchQueriesParallel(b *testing.B, k int, algo graphrnn.Algorithm) {
 			qp := queries[i%len(queries)]
 			i++
 			qnode, _ := ps.NodeOf(qp)
-			if _, err := db.RNN(ps.Excluding(qp), qnode, k, algo); err != nil {
+			if _, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, k, algo)); err != nil {
 				// b.Fatal must not run on a RunParallel worker goroutine.
 				b.Error(err)
 				return
@@ -488,10 +488,10 @@ func BenchmarkRNNBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var queries []graphrnn.RNNQuery
+	var queries []graphrnn.Query
 	for _, qp := range ps.Points()[:64] {
 		qnode, _ := ps.NodeOf(qp)
-		queries = append(queries, graphrnn.RNNQuery{Q: qnode, K: 2, Algo: graphrnn.Eager()})
+		queries = append(queries, rnnQuery(ps, qnode, 2, graphrnn.Eager()))
 	}
 	for _, par := range []int{1, 4, 0} {
 		name := "serial"
@@ -505,8 +505,8 @@ func BenchmarkRNNBatch(b *testing.B) {
 			opt := &graphrnn.BatchOptions{Parallelism: par}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, _ := db.RNNBatch(ps, queries, opt)
-				for _, r := range results {
+				rep, _ := db.RunBatch(context.Background(), queries, opt)
+				for _, r := range rep.Results {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}
@@ -567,7 +567,7 @@ func BenchmarkLayoutAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				qp := queries[i%len(queries)]
 				qnode, _ := ps.NodeOf(qp)
-				if _, err := db.RNN(ps.Excluding(qp), qnode, 1, graphrnn.Eager()); err != nil {
+				if _, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, 1, graphrnn.Eager())); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,7 +41,7 @@ func newElasticPool() *BufferPool {
 // attach registers file under the pool's sizing policy: elastic pools grow
 // by the quota, fixed pools partition their capacity. quota may be
 // storage.NoCache to keep the tenant's pages out of the pool.
-func (bp *BufferPool) attach(name string, file storage.PagedFile, quota int) *storage.BufferManager {
+func (bp *BufferPool) attach(name string, file storage.PagedFile, quota int) *storage.Tenant {
 	if bp.elastic {
 		return bp.p.AttachGrowing(name, file, quota)
 	}

@@ -75,13 +75,6 @@
 //	GET  /healthz
 //	GET  /stats            shared buffer pool (per-tenant) + planner decisions
 //	                       + maintenance counters and repair state
-//
-// Deprecated endpoints, kept as shims over the same engine:
-//
-//	GET  /rnn?node=N&k=K[&algo=...][&timeout=50ms]
-//	POST /rnn/batch   {"queries":[{"node":N,"k":K,"algo":"eager"},...],
-//	                   "parallelism":0, "fail_fast":false}
-//	GET  /knn?node=N&k=K[&timeout=50ms]
 package main
 
 import (
@@ -94,7 +87,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,21 +231,13 @@ func toStatsJSON(s graphrnn.Stats) statsJSON {
 	}
 }
 
-type rnnResponse struct {
-	Node   graphrnn.NodeID    `json:"node"`
-	K      int                `json:"k"`
-	Algo   string             `json:"algo"`
-	Points []graphrnn.PointID `json:"points"`
-	Stats  statsJSON          `json:"stats"`
-}
-
 type errResponse struct {
 	Error string `json:"error"`
 }
 
 func (s *server) algorithm(name string) (graphrnn.Algorithm, error) {
 	switch name {
-	case "", "eager":
+	case "eager":
 		return graphrnn.Eager(), nil
 	case "lazy":
 		return graphrnn.Lazy(), nil
@@ -286,154 +270,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *server) fail(w http.ResponseWriter, code int, err error) {
 	s.errors.Add(1)
 	writeJSON(w, code, errResponse{Error: err.Error()})
-}
-
-func queryInts(r *http.Request) (node, k int, err error) {
-	node, err = strconv.Atoi(r.URL.Query().Get("node"))
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad or missing node parameter")
-	}
-	k = 1
-	if v := r.URL.Query().Get("k"); v != "" {
-		if k, err = strconv.Atoi(v); err != nil {
-			return 0, 0, fmt.Errorf("bad k parameter")
-		}
-	}
-	return node, k, nil
-}
-
-func (s *server) handleRNN(w http.ResponseWriter, r *http.Request) {
-	node, k, err := queryInts(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	algoName := r.URL.Query().Get("algo")
-	algo, err := s.algorithm(algoName)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	opt, err := s.queryOptions(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	res, err := s.db.RNNContext(r.Context(), s.ps, graphrnn.NodeID(node), k, algo, opt)
-	s.mu.RUnlock()
-	if err != nil {
-		s.failQuery(w, err)
-		return
-	}
-	s.served.Add(1)
-	points := res.Points
-	if points == nil {
-		points = []graphrnn.PointID{}
-	}
-	writeJSON(w, http.StatusOK, rnnResponse{
-		Node: graphrnn.NodeID(node), K: k, Algo: algo.String(),
-		Points: points, Stats: toStatsJSON(res.Stats),
-	})
-}
-
-type batchRequest struct {
-	Queries []struct {
-		Node int    `json:"node"`
-		K    int    `json:"k"`
-		Algo string `json:"algo"`
-	} `json:"queries"`
-	Parallelism int `json:"parallelism"`
-	// FailFast abandons the rest of the batch after the first error.
-	FailFast bool `json:"fail_fast"`
-}
-
-type batchEntry struct {
-	Points []graphrnn.PointID `json:"points,omitempty"`
-	Stats  *statsJSON         `json:"stats,omitempty"`
-	Error  string             `json:"error,omitempty"`
-}
-
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	queries := make([]graphrnn.RNNQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		algo, err := s.algorithm(q.Algo)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-		k := q.K
-		if k == 0 {
-			k = 1
-		}
-		queries[i] = graphrnn.RNNQuery{Q: graphrnn.NodeID(q.Node), K: k, Algo: algo}
-	}
-	var perQuery *graphrnn.QueryOptions
-	if s.queryTimeout > 0 {
-		perQuery = &graphrnn.QueryOptions{Timeout: s.queryTimeout}
-	}
-	s.mu.RLock()
-	results, workers := s.db.RNNBatchContext(r.Context(), s.ps, queries, &graphrnn.BatchOptions{
-		Parallelism: req.Parallelism,
-		FailFast:    req.FailFast,
-		PerQuery:    perQuery,
-	})
-	s.mu.RUnlock()
-	out := make([]batchEntry, len(results))
-	for i, res := range results {
-		if res.Err != nil {
-			out[i] = batchEntry{Error: res.Err.Error()}
-			continue
-		}
-		st := toStatsJSON(res.Result.Stats)
-		points := res.Result.Points
-		if points == nil {
-			points = []graphrnn.PointID{}
-		}
-		out[i] = batchEntry{Points: points, Stats: &st}
-	}
-	s.served.Add(int64(len(results)))
-	writeJSON(w, http.StatusOK, map[string]any{"results": out, "workers": workers})
-}
-
-type neighborJSON struct {
-	Point    graphrnn.PointID `json:"point"`
-	Distance float64          `json:"distance"`
-}
-
-func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	node, k, err := queryInts(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	opt, err := s.queryOptions(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	nbrs, err := s.db.KNNContext(r.Context(), s.ps, graphrnn.NodeID(node), k, opt)
-	s.mu.RUnlock()
-	if err != nil {
-		s.failQuery(w, err)
-		return
-	}
-	s.served.Add(1)
-	out := make([]neighborJSON, len(nbrs))
-	for i, n := range nbrs {
-		out[i] = neighborJSON{Point: n.P, Distance: n.Distance}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": node, "k": k, "neighbors": out})
 }
 
 type hubBuildRequest struct {
@@ -896,9 +732,6 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", srv.handleQuery)
-	mux.HandleFunc("/rnn", srv.handleRNN)
-	mux.HandleFunc("/rnn/batch", srv.handleBatch)
-	mux.HandleFunc("/knn", srv.handleKNN)
 	mux.HandleFunc("/mat/insert", srv.handleMatInsert)
 	mux.HandleFunc("/mat/delete", srv.handleMatDelete)
 	mux.HandleFunc("/index/hublabel", srv.handleHubBuild)

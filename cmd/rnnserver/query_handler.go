@@ -14,12 +14,10 @@ import (
 	"graphrnn"
 )
 
-// This file is the server half of the unified query API: one POST /query
-// endpoint accepting the same declarative request schema for every query
-// shape — a JSON object for a single query, a JSON array for a batch — and
-// echoing the planner's substrate decision in each response. The older
-// per-shape endpoints (/rnn, /rnn/batch, /knn) remain as deprecated HTTP
-// shims the way the Go entry points do.
+// This file is the server half of the query API: one POST /query endpoint
+// accepting the same declarative request schema for every query shape — a
+// JSON object for a single query, a JSON array for a batch — and echoing
+// the planner's substrate decision in each response.
 
 // maxQueryBody bounds a /query request body (a batch of a few thousand
 // entries fits comfortably; anything larger is abuse, not traffic).
@@ -217,6 +215,11 @@ func toPlanJSON(p graphrnn.Plan) planJSON {
 	return planJSON{Algorithm: p.Algorithm.String(), Fallback: p.Fallback, Reason: p.Reason}
 }
 
+type neighborJSON struct {
+	Point    graphrnn.PointID `json:"point"`
+	Distance float64          `json:"distance"`
+}
+
 // queryResponse is one answered query on the wire.
 type queryResponse struct {
 	Kind      string             `json:"kind"`
@@ -255,7 +258,7 @@ func (s *server) toQueryResponse(q graphrnn.Query, res *graphrnn.Result, err err
 // handleQuery serves POST /query: one declarative request object, or a JSON
 // array of them as a batch (?parallelism=, ?fail_fast= tune the fan-out).
 // Malformed JSON answers 400; a single query whose deadline passes answers
-// 504 like the older endpoints.
+// 504.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))

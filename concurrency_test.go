@@ -1,11 +1,13 @@
 package graphrnn_test
 
-// Concurrency coverage for the thread-safe query path: parallel RNN /
-// EdgeRNN / BichromaticRNN queries, on memory- and disk-backed DBs, across
-// all five algorithms, each checked against the serial brute-force answer.
-// Run with -race to exercise the scratch-pool and buffer-manager locking.
+// Concurrency coverage for the thread-safe query path: parallel
+// monochromatic, edge-resident and bichromatic queries, on memory- and
+// disk-backed DBs, across all five algorithms, each checked against the
+// serial brute-force answer. Run with -race to exercise the scratch-pool
+// and buffer-pool locking.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,6 +25,39 @@ func samePoints(got, want []graphrnn.PointID) bool {
 		}
 	}
 	return true
+}
+
+// The strict single-algorithm queries most tests issue: the named algorithm
+// runs or errors, never a planner fallback.
+
+func rnnQuery(ps graphrnn.PointSet, q graphrnn.NodeID, k int, algo graphrnn.Algorithm) graphrnn.Query {
+	return edgeRNNQuery(ps, graphrnn.NodeLocation(q), k, algo)
+}
+
+func edgeRNNQuery(ps graphrnn.PointSet, q graphrnn.Location, k int, algo graphrnn.Algorithm) graphrnn.Query {
+	return graphrnn.Query{Kind: graphrnn.KindRNN, Target: q, K: k, Points: ps, Algorithm: algo, Strict: true}
+}
+
+func biQuery(cands, sites graphrnn.PointSet, q graphrnn.NodeID, k int, algo graphrnn.Algorithm) graphrnn.Query {
+	return graphrnn.Query{Kind: graphrnn.KindBichromatic, Target: graphrnn.NodeLocation(q), K: k,
+		Points: cands, Sites: sites, Algorithm: algo, Strict: true}
+}
+
+func routeQuery(ps graphrnn.PointSet, route []graphrnn.NodeID, k int, algo graphrnn.Algorithm) graphrnn.Query {
+	return graphrnn.Query{Kind: graphrnn.KindContinuous, Route: route, K: k, Points: ps, Algorithm: algo, Strict: true}
+}
+
+// batch runs queries through RunBatch under a background context and
+// returns the per-query results and the worker count.
+func batch(db *graphrnn.DB, queries []graphrnn.Query, opt *graphrnn.BatchOptions) ([]graphrnn.BatchResult, int) {
+	rep, _ := db.RunBatch(context.Background(), queries, opt)
+	return rep.Results, rep.Workers
+}
+
+// bounded returns q under opt.
+func bounded(q graphrnn.Query, opt graphrnn.QueryOptions) graphrnn.Query {
+	q.QueryOptions = opt
+	return q
 }
 
 type concEnv struct {
@@ -86,7 +121,7 @@ func TestConcurrentRNN(t *testing.T) {
 				qnode, _ := e.ps.NodeOf(qp)
 				view := e.ps.Excluding(qp)
 				for _, k := range ks {
-					res, err := e.db.RNN(view, qnode, k, graphrnn.BruteForce())
+					res, err := e.db.Run(context.Background(), rnnQuery(view, qnode, k, graphrnn.BruteForce()))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -102,7 +137,7 @@ func TestConcurrentRNN(t *testing.T) {
 						go func(name string, algo graphrnn.Algorithm, qp graphrnn.PointID, k int) {
 							defer wg.Done()
 							qnode, _ := e.ps.NodeOf(qp)
-							res, err := e.db.RNN(e.ps.Excluding(qp), qnode, k, algo)
+							res, err := e.db.Run(context.Background(), rnnQuery(e.ps.Excluding(qp), qnode, k, algo))
 							if err != nil {
 								errc <- fmt.Errorf("%s q=%d k=%d: %w", name, qp, k, err)
 								return
@@ -158,7 +193,7 @@ func TestConcurrentEdgeRNN(t *testing.T) {
 			want := make(map[graphrnn.PointID][]graphrnn.PointID)
 			for _, qp := range queries {
 				qloc, _ := ps.LocationOf(qp)
-				res, err := db.EdgeRNN(ps.Excluding(qp), qloc, 2, graphrnn.BruteForce())
+				res, err := db.Run(context.Background(), edgeRNNQuery(ps.Excluding(qp), qloc, 2, graphrnn.BruteForce()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +214,7 @@ func TestConcurrentEdgeRNN(t *testing.T) {
 					go func(name string, algo graphrnn.Algorithm, qp graphrnn.PointID) {
 						defer wg.Done()
 						qloc, _ := ps.LocationOf(qp)
-						res, err := db.EdgeRNN(ps.Excluding(qp), qloc, 2, algo)
+						res, err := db.Run(context.Background(), edgeRNNQuery(ps.Excluding(qp), qloc, 2, algo))
 						if err != nil {
 							errc <- fmt.Errorf("%s q=%d: %w", name, qp, err)
 							return
@@ -231,7 +266,7 @@ func TestConcurrentBichromaticRNN(t *testing.T) {
 			qnodes := []graphrnn.NodeID{0, 7, 42, 99, 123, 200, 250, 399}
 			want := make(map[graphrnn.NodeID][]graphrnn.PointID)
 			for _, q := range qnodes {
-				res, err := db.BichromaticRNN(cands, sites, q, 2, graphrnn.BruteForce())
+				res, err := db.Run(context.Background(), biQuery(cands, sites, q, 2, graphrnn.BruteForce()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,7 +286,7 @@ func TestConcurrentBichromaticRNN(t *testing.T) {
 					wg.Add(1)
 					go func(name string, algo graphrnn.Algorithm, q graphrnn.NodeID) {
 						defer wg.Done()
-						res, err := db.BichromaticRNN(cands, sites, q, 2, algo)
+						res, err := db.Run(context.Background(), biQuery(cands, sites, q, 2, algo))
 						if err != nil {
 							errc <- fmt.Errorf("%s q=%d: %w", name, q, err)
 							return
@@ -297,7 +332,7 @@ func TestConcurrentIOStats(t *testing.T) {
 			qp := e.queries[i%len(e.queries)]
 			qnode, _ := e.ps.NodeOf(qp)
 			for j := 0; j < 20; j++ {
-				if _, err := e.db.RNN(e.ps.Excluding(qp), qnode, 2, graphrnn.Eager()); err != nil {
+				if _, err := e.db.Run(context.Background(), rnnQuery(e.ps.Excluding(qp), qnode, 2, graphrnn.Eager())); err != nil {
 					t.Error(err)
 					return
 				}
@@ -314,19 +349,19 @@ func TestConcurrentIOStats(t *testing.T) {
 // nodes.
 func TestRNNBatch(t *testing.T) {
 	e := newConcEnv(t, false)
-	var queries []graphrnn.RNNQuery
+	var queries []graphrnn.Query
 	var want [][]graphrnn.PointID
 	for _, qp := range e.queries {
 		qnode, _ := e.ps.NodeOf(qp)
-		res, err := e.db.RNN(e.ps, qnode, 2, graphrnn.BruteForce())
+		res, err := e.db.Run(context.Background(), rnnQuery(e.ps, qnode, 2, graphrnn.BruteForce()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries = append(queries, graphrnn.RNNQuery{Q: qnode, K: 2, Algo: graphrnn.Lazy()})
+		queries = append(queries, rnnQuery(e.ps, qnode, 2, graphrnn.Lazy()))
 		want = append(want, res.Points)
 	}
 	for _, par := range []int{0, 1, 4, 32} {
-		results, _ := e.db.RNNBatch(e.ps, queries, &graphrnn.BatchOptions{Parallelism: par})
+		results, _ := batch(e.db, queries, &graphrnn.BatchOptions{Parallelism: par})
 		if len(results) != len(queries) {
 			t.Fatalf("parallelism %d: %d results for %d queries", par, len(results), len(queries))
 		}
@@ -340,17 +375,17 @@ func TestRNNBatch(t *testing.T) {
 		}
 	}
 	// Nil options default to GOMAXPROCS.
-	if res, _ := e.db.RNNBatch(e.ps, queries[:2], nil); len(res) != 2 || res[0].Err != nil {
+	if res, _ := batch(e.db, queries[:2], nil); len(res) != 2 || res[0].Err != nil {
 		t.Fatalf("nil options batch = %+v", res)
 	}
 }
 
 func TestRNNBatchEmpty(t *testing.T) {
 	e := newConcEnv(t, false)
-	if res, _ := e.db.RNNBatch(e.ps, nil, nil); len(res) != 0 {
+	if res, _ := batch(e.db, nil, nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
-	if res, _ := e.db.RNNBatch(e.ps, []graphrnn.RNNQuery{}, &graphrnn.BatchOptions{Parallelism: 8}); len(res) != 0 {
+	if res, _ := batch(e.db, []graphrnn.Query{}, &graphrnn.BatchOptions{Parallelism: 8}); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 }
@@ -358,18 +393,18 @@ func TestRNNBatchEmpty(t *testing.T) {
 func TestRNNBatchErrorPropagation(t *testing.T) {
 	e := newConcEnv(t, false)
 	good, _ := e.ps.NodeOf(e.queries[0])
-	queries := []graphrnn.RNNQuery{
-		{Q: good, K: 1, Algo: graphrnn.Eager()},             // valid
-		{Q: good, K: 0, Algo: graphrnn.Eager()},             // bad k
-		{Q: 1 << 20, K: 1, Algo: graphrnn.Lazy()},           // out-of-range node
-		{Q: -1, K: 1, Algo: graphrnn.LazyEP()},              // negative node
-		{Q: good, K: 2, Algo: graphrnn.EagerM(nil)},         // missing materialization
-		{Q: good, K: 1, Algo: graphrnn.BruteForce()},        // valid
-		{Q: good, K: 2, Algo: graphrnn.EagerM(e.mat)},       // valid
-		{Q: 1 << 20, K: 0, Algo: graphrnn.BruteForce()},     // doubly invalid
-		{Q: good, K: 1 << 20, Algo: graphrnn.EagerM(e.mat)}, // k beyond MaxK
+	queries := []graphrnn.Query{
+		rnnQuery(e.ps, good, 1, graphrnn.Eager()),           // valid
+		rnnQuery(e.ps, good, 0, graphrnn.Eager()),           // bad k
+		rnnQuery(e.ps, 1<<20, 1, graphrnn.Lazy()),           // out-of-range node
+		rnnQuery(e.ps, -1, 1, graphrnn.LazyEP()),            // negative node
+		rnnQuery(e.ps, good, 2, graphrnn.EagerM(nil)),       // missing materialization
+		rnnQuery(e.ps, good, 1, graphrnn.BruteForce()),      // valid
+		rnnQuery(e.ps, good, 2, graphrnn.EagerM(e.mat)),     // valid
+		rnnQuery(e.ps, 1<<20, 0, graphrnn.BruteForce()),     // doubly invalid
+		rnnQuery(e.ps, good, 1<<20, graphrnn.EagerM(e.mat)), // k beyond MaxK
 	}
-	results, _ := e.db.RNNBatch(e.ps, queries, &graphrnn.BatchOptions{Parallelism: 4})
+	results, _ := batch(e.db, queries, &graphrnn.BatchOptions{Parallelism: 4})
 	wantErr := []bool{false, true, true, true, true, false, false, true, true}
 	for i, r := range results {
 		if wantErr[i] && r.Err == nil {
@@ -404,17 +439,17 @@ func TestBichromaticRNNBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	qnodes := []graphrnn.NodeID{0, 5, 50, 111, 224}
-	var queries []graphrnn.RNNQuery
+	var queries []graphrnn.Query
 	var want [][]graphrnn.PointID
 	for _, q := range qnodes {
-		res, err := db.BichromaticRNN(cands, sites, q, 1, graphrnn.BruteForce())
+		res, err := db.Run(context.Background(), biQuery(cands, sites, q, 1, graphrnn.BruteForce()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries = append(queries, graphrnn.RNNQuery{Q: q, K: 1, Algo: graphrnn.Lazy()})
+		queries = append(queries, biQuery(cands, sites, q, 1, graphrnn.Lazy()))
 		want = append(want, res.Points)
 	}
-	results, _ := db.BichromaticRNNBatch(cands, sites, queries, &graphrnn.BatchOptions{Parallelism: 3})
+	results, _ := batch(db, queries, &graphrnn.BatchOptions{Parallelism: 3})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -440,18 +475,18 @@ func TestEdgeRNNBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := ps.Points()[:5]
-	var queries []graphrnn.EdgeRNNQuery
+	var queries []graphrnn.Query
 	var want [][]graphrnn.PointID
 	for _, qp := range pts {
 		qloc, _ := ps.LocationOf(qp)
-		res, err := db.EdgeRNN(ps, qloc, 1, graphrnn.BruteForce())
+		res, err := db.Run(context.Background(), edgeRNNQuery(ps, qloc, 1, graphrnn.BruteForce()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries = append(queries, graphrnn.EdgeRNNQuery{Q: qloc, K: 1, Algo: graphrnn.Eager()})
+		queries = append(queries, edgeRNNQuery(ps, qloc, 1, graphrnn.Eager()))
 		want = append(want, res.Points)
 	}
-	results, _ := db.EdgeRNNBatch(ps, queries, &graphrnn.BatchOptions{Parallelism: 2})
+	results, _ := batch(db, queries, &graphrnn.BatchOptions{Parallelism: 2})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)

@@ -8,9 +8,8 @@ import (
 	"graphrnn/internal/exec"
 )
 
-// This file holds the execution-bound plumbing of the engine (QueryOptions,
-// Budget, the typed error taxonomy) plus the deprecated per-shape *Context
-// entry points, which are thin shims over Run.
+// This file holds the execution-bound plumbing of the engine: QueryOptions,
+// Budget and the typed error taxonomy.
 //
 // # Error taxonomy
 //
@@ -18,10 +17,8 @@ import (
 //	ErrDeadlineExceeded the context's or QueryOptions' deadline passed
 //	ErrBudgetExceeded   the query exhausted MaxNodes or MaxIOReads
 //
-// All three are returned wrapped; match them with errors.Is. Alongside the
-// error the query returns a partial *Result: the members confirmed and the
-// work counted up to the point it was abandoned. A query issued with an
-// already-expired deadline fails upfront, before any page I/O.
+// All three are returned wrapped; match them with errors.Is. DB.Run states
+// the partial-Result contract that accompanies them.
 //
 // Cancellation is polled on every main-expansion step and every
 // exec.CheckStride pops inside sub-expansions, so a canceled query returns
@@ -56,9 +53,8 @@ type Budget struct {
 	MaxIOReads int64
 }
 
-// QueryOptions bounds one query. Embedded in Query (the zero value applies
-// only the Run context's own cancellation/deadline); the deprecated
-// *Context entry points take it as a trailing pointer.
+// QueryOptions bounds one query. Embedded in Query; the zero value applies
+// only the Run context's own cancellation/deadline.
 type QueryOptions struct {
 	// Timeout, when positive, derives a per-query deadline from the
 	// context at query start (the tighter of the two deadlines wins).
@@ -67,19 +63,12 @@ type QueryOptions struct {
 	Budget Budget
 }
 
-// orZero dereferences the deprecated entry points' optional pointer form.
-func (o *QueryOptions) orZero() QueryOptions {
-	if o == nil {
-		return QueryOptions{}
-	}
-	return *o
-}
-
 // newExec builds the execution context of one query: the per-query
 // deadline, the budget, and the I/O counter hook of the DB's buffer pool.
-// It fails upfront — before the caller performs any page I/O — when the
-// deadline has already passed or the context is already canceled. cancel
-// must be called when the query finishes to release the timeout timer.
+// It fails upfront — before the caller performs any page I/O, and only with
+// a typed execution error — when the deadline has already passed or the
+// context is already canceled. cancel must be called when the query finishes
+// to release the timeout timer.
 func (db *DB) newExec(ctx context.Context, opt *QueryOptions) (ec *exec.Ctx, cancel func(), err error) {
 	cancel = func() {}
 	if opt != nil && opt.Timeout > 0 {
@@ -107,97 +96,4 @@ func (db *DB) newExec(ctx context.Context, opt *QueryOptions) (ec *exec.Ctx, can
 		return nil, nil, fmt.Errorf("%w: deadline already passed at query start", ErrDeadlineExceeded)
 	}
 	return ec, cancel, nil
-}
-
-// RNNContext is RNN under a context: the query stops with a typed error
-// (and a partial Result) when ctx is canceled, a deadline passes, or the
-// budget runs out.
-//
-// Deprecated: use [DB.Run]; Query embeds the QueryOptions.
-func (db *DB) RNNContext(ctx context.Context, ps pointsArg, q NodeID, k int, algo Algorithm, opt *QueryOptions) (*Result, error) {
-	return db.Run(ctx, Query{
-		Kind: KindRNN, Target: NodeLocation(q), K: k, Points: ps,
-		Algorithm: algo, Strict: true, QueryOptions: opt.orZero(),
-	})
-}
-
-// BichromaticRNNContext is BichromaticRNN under a context.
-//
-// Deprecated: use [DB.Run] with a Query of KindBichromatic.
-func (db *DB) BichromaticRNNContext(ctx context.Context, cands, sites pointsArg, q NodeID, k int, algo Algorithm, opt *QueryOptions) (*Result, error) {
-	return db.Run(ctx, Query{
-		Kind: KindBichromatic, Target: NodeLocation(q), K: k, Points: cands, Sites: sites,
-		Algorithm: algo, Strict: true, QueryOptions: opt.orZero(),
-	})
-}
-
-// ContinuousRNNContext is ContinuousRNN under a context.
-//
-// Deprecated: use [DB.Run] with a Query of KindContinuous.
-func (db *DB) ContinuousRNNContext(ctx context.Context, ps pointsArg, route []NodeID, k int, algo Algorithm, opt *QueryOptions) (*Result, error) {
-	return db.Run(ctx, Query{
-		Kind: KindContinuous, Route: route, K: k, Points: ps,
-		Algorithm: algo, Strict: true, QueryOptions: opt.orZero(),
-	})
-}
-
-// EdgeRNNContext is EdgeRNN under a context.
-//
-// Deprecated: use [DB.Run] with a Query of KindRNN over an edge-resident
-// Points set.
-func (db *DB) EdgeRNNContext(ctx context.Context, ps edgeArg, q Location, k int, algo Algorithm, opt *QueryOptions) (*Result, error) {
-	return db.Run(ctx, Query{
-		Kind: KindRNN, Target: q, K: k, Points: ps,
-		Algorithm: algo, Strict: true, QueryOptions: opt.orZero(),
-	})
-}
-
-// EdgeBichromaticRNNContext is EdgeBichromaticRNN under a context.
-//
-// Deprecated: use [DB.Run] with a Query of KindBichromatic over
-// edge-resident Points and Sites.
-func (db *DB) EdgeBichromaticRNNContext(ctx context.Context, cands, sites edgeArg, q Location, k int, algo Algorithm, opt *QueryOptions) (*Result, error) {
-	return db.Run(ctx, Query{
-		Kind: KindBichromatic, Target: q, K: k, Points: cands, Sites: sites,
-		Algorithm: algo, Strict: true, QueryOptions: opt.orZero(),
-	})
-}
-
-// EdgeContinuousRNNContext is EdgeContinuousRNN under a context.
-//
-// Deprecated: use [DB.Run] with a Query of KindContinuous over an
-// edge-resident Points set.
-func (db *DB) EdgeContinuousRNNContext(ctx context.Context, ps edgeArg, route []NodeID, k int, algo Algorithm, opt *QueryOptions) (*Result, error) {
-	return db.Run(ctx, Query{
-		Kind: KindContinuous, Route: route, K: k, Points: ps,
-		Algorithm: algo, Strict: true, QueryOptions: opt.orZero(),
-	})
-}
-
-// KNNContext is KNN under a context. On a typed execution error the
-// neighbors found so far are returned alongside it.
-//
-// Deprecated: use [DB.Run] with a Query of KindKNN.
-func (db *DB) KNNContext(ctx context.Context, ps pointsArg, n NodeID, k int, opt *QueryOptions) ([]Neighbor, error) {
-	res, err := db.Run(ctx, Query{
-		Kind: KindKNN, Target: NodeLocation(n), K: k, Points: ps, QueryOptions: opt.orZero(),
-	})
-	if res == nil {
-		return nil, err
-	}
-	return res.Neighbors, err
-}
-
-// EdgeKNNContext is EdgeKNN under a context.
-//
-// Deprecated: use [DB.Run] with a Query of KindKNN over an edge-resident
-// Points set.
-func (db *DB) EdgeKNNContext(ctx context.Context, ps edgeArg, q Location, k int, opt *QueryOptions) ([]Neighbor, error) {
-	res, err := db.Run(ctx, Query{
-		Kind: KindKNN, Target: q, K: k, Points: ps, QueryOptions: opt.orZero(),
-	})
-	if res == nil {
-		return nil, err
-	}
-	return res.Neighbors, err
 }

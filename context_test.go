@@ -77,7 +77,7 @@ func TestDeadlineMidExpansion(t *testing.T) {
 	for name, algo := range e.algos() {
 		t.Run(name, func(t *testing.T) {
 			// Baseline: the full query finishes and does real work.
-			full, err := e.db.RNN(view, qnode, 4, algo)
+			full, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 4, algo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,25 +85,40 @@ func TestDeadlineMidExpansion(t *testing.T) {
 			if fullWork < 1000 {
 				t.Fatalf("workload too small to interrupt: %d nodes", fullWork)
 			}
-			start := time.Now()
-			res, err := e.db.RNNContext(context.Background(), view, qnode, 4, algo,
-				&graphrnn.QueryOptions{Timeout: time.Millisecond})
-			elapsed := time.Since(start)
-			if err == nil {
-				t.Skip("query finished inside 1ms on this machine; nothing to interrupt")
-			}
-			if !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
-				t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-			}
-			if !graphrnn.IsExecErr(err) {
-				t.Fatalf("IsExecErr(%v) = false", err)
-			}
-			if res == nil {
-				t.Fatal("no partial result alongside the exec error")
-			}
-			work := res.Stats.NodesExpanded + res.Stats.NodesScanned
-			if work == 0 {
-				t.Fatal("partial stats empty: deadline did not land mid-flight")
+			// A deadline lands mid-flight only if it is shorter than the
+			// query and longer than the time to the query's first poll —
+			// neither is a given on a loaded (or a fast) box. A run that
+			// expired at start (empty partial result) says nothing about
+			// mid-flight behaviour and is retried with a doubled timeout;
+			// one that finished is retried with a halved one.
+			var elapsed time.Duration
+			var work int64
+			timeout := time.Millisecond
+			for attempt := 0; work == 0; attempt++ {
+				if attempt == 10 {
+					t.Skip("no deadline landed mid-flight in 10 attempts on this machine")
+				}
+				start := time.Now()
+				res, err := e.db.Run(context.Background(), bounded(rnnQuery(view, qnode, 4, algo), graphrnn.QueryOptions{Timeout: timeout}))
+				elapsed = time.Since(start)
+				if err == nil {
+					timeout /= 2
+					continue
+				}
+				if !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
+					t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+				}
+				if !graphrnn.IsExecErr(err) {
+					t.Fatalf("IsExecErr(%v) = false", err)
+				}
+				if res == nil {
+					t.Fatal("no partial result alongside the exec error")
+				}
+				work = res.Stats.NodesExpanded + res.Stats.NodesScanned
+				if work == 0 {
+					expiredAtStart(t, res)
+					timeout *= 2
+				}
 			}
 			if work >= fullWork {
 				t.Fatalf("interrupted query did all the work: %d >= %d", work, fullWork)
@@ -132,7 +147,7 @@ func TestCancelMidExpansion(t *testing.T) {
 					time.Sleep(500 * time.Microsecond)
 					cancel()
 				}()
-				res, err := e.db.RNNContext(ctx, view, qnode, 4, algo, nil)
+				res, err := e.db.Run(ctx, rnnQuery(view, qnode, 4, algo))
 				cancel()
 				if err == nil {
 					continue // finished before the cancel landed; retry
@@ -150,11 +165,11 @@ func TestCancelMidExpansion(t *testing.T) {
 			}
 			// The pooled scratch must be intact: the same query still
 			// answers correctly after the aborted runs.
-			want, err := e.db.RNN(view, qnode, 4, graphrnn.BruteForce())
+			want, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 4, graphrnn.BruteForce()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.db.RNN(view, qnode, 4, algo)
+			got, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 4, algo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +188,24 @@ func TestCancelMidExpansion(t *testing.T) {
 	}
 }
 
+// expiredAtStart asserts the partial Result of a query that was stopped
+// before it started: present, planned, and empty.
+func expiredAtStart(t *testing.T, res *graphrnn.Result) {
+	t.Helper()
+	if res == nil {
+		t.Fatal("no partial result alongside the exec error")
+	}
+	if res.Plan.Reason == "" {
+		t.Fatalf("partial result carries no plan: %+v", res.Plan)
+	}
+	if len(res.Points) != 0 || len(res.Neighbors) != 0 || res.Stats != (graphrnn.Stats{}) {
+		t.Fatalf("unstarted query reports work: %+v", res)
+	}
+}
+
 // TestExpiredDeadlineNoIO: a query issued with an already-expired deadline
-// fails upfront and performs no page I/O at all.
+// fails upfront and performs no page I/O at all — on Run, Stream and
+// RunBatch alike.
 func TestExpiredDeadlineNoIO(t *testing.T) {
 	e := newCtxEnv(t, true)
 	view, qnode := e.slowQuery(t)
@@ -182,21 +213,30 @@ func TestExpiredDeadlineNoIO(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for name, algo := range e.algos() {
-		res, err := e.db.RNNContext(ctx, view, qnode, 2, algo, nil)
+		res, err := e.db.Run(ctx, rnnQuery(view, qnode, 2, algo))
 		if !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
 			t.Fatalf("%s: err = %v, want ErrDeadlineExceeded", name, err)
 		}
-		if res != nil {
-			t.Fatalf("%s: result for an unstarted query", name)
+		expiredAtStart(t, res)
+		var streamErr error
+		for _, streamErr = range e.db.Stream(ctx, rnnQuery(view, qnode, 2, algo)) {
+		}
+		if !errors.Is(streamErr, graphrnn.ErrDeadlineExceeded) {
+			t.Fatalf("%s: stream ended with %v, want ErrDeadlineExceeded", name, streamErr)
 		}
 	}
+	rep, _ := e.db.RunBatch(ctx, []graphrnn.Query{rnnQuery(view, qnode, 2, graphrnn.Eager())}, nil)
+	if !errors.Is(rep.Results[0].Err, graphrnn.ErrDeadlineExceeded) {
+		t.Fatalf("batch entry: err = %v, want ErrDeadlineExceeded", rep.Results[0].Err)
+	}
+	expiredAtStart(t, rep.Results[0].Result)
 	// Hub-label lookups honor the expired deadline too.
 	idx, err := e.db.BuildHubLabelIndex(e.ps, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.db.BufferPool().ResetStats()
-	if _, err := e.db.RNNContext(ctx, view, qnode, 2, graphrnn.HubLabel(idx), nil); !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
+	if _, err := e.db.Run(ctx, rnnQuery(view, qnode, 2, graphrnn.HubLabel(idx))); !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
 		t.Fatalf("hub-label: err = %v, want ErrDeadlineExceeded", err)
 	}
 	if st := e.db.PoolStats(); st.Reads != 0 || st.Hits != 0 {
@@ -212,8 +252,7 @@ func TestBudgetExceeded(t *testing.T) {
 	for name, algo := range e.algos() {
 		t.Run(name, func(t *testing.T) {
 			const budget = 500
-			res, err := e.db.RNNContext(context.Background(), view, qnode, 4, algo,
-				&graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: budget}})
+			res, err := e.db.Run(context.Background(), bounded(rnnQuery(view, qnode, 4, algo), graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: budget}}))
 			if !errors.Is(err, graphrnn.ErrBudgetExceeded) {
 				t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 			}
@@ -232,8 +271,7 @@ func TestBudgetExceeded(t *testing.T) {
 		if err := disk.db.DropCache(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := disk.db.RNNContext(context.Background(), dview, dq, 4, graphrnn.Eager(),
-			&graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxIOReads: 4}})
+		res, err := disk.db.Run(context.Background(), bounded(rnnQuery(dview, dq, 4, graphrnn.Eager()), graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxIOReads: 4}}))
 		if !errors.Is(err, graphrnn.ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 		}
@@ -253,7 +291,7 @@ func TestHubLabelStatsAtPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	view, qnode := e.slowQuery(t)
-	res, err := e.db.RNN(view, qnode, 2, graphrnn.HubLabel(idx))
+	res, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 2, graphrnn.HubLabel(idx)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +302,7 @@ func TestHubLabelStatsAtPublicAPI(t *testing.T) {
 		t.Fatal("hub-label query reports zero LabelEntries at the public API")
 	}
 	// The Context variant carries them too.
-	res, err = e.db.RNNContext(context.Background(), view, qnode, 2, graphrnn.HubLabel(idx),
-		&graphrnn.QueryOptions{Timeout: time.Minute})
+	res, err = e.db.Run(context.Background(), bounded(rnnQuery(view, qnode, 2, graphrnn.HubLabel(idx)), graphrnn.QueryOptions{Timeout: time.Minute}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +339,7 @@ func TestSharedBufferPool(t *testing.T) {
 		qnode, _ := ps.NodeOf(qp)
 		view := ps.Excluding(qp)
 		for _, algo := range []graphrnn.Algorithm{graphrnn.Eager(), graphrnn.EagerM(mat), graphrnn.HubLabel(idx)} {
-			if _, err := db.RNN(view, qnode, 2, algo); err != nil {
+			if _, err := db.Run(context.Background(), rnnQuery(view, qnode, 2, algo)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -378,22 +415,22 @@ func TestBatchCancellationAndWorkers(t *testing.T) {
 	qnode, _ := e.ps.NodeOf(qp)
 
 	// Worker count is capped by the batch size.
-	queries := []graphrnn.RNNQuery{
-		{Q: qnode, K: 1, Algo: graphrnn.Eager()},
-		{Q: qnode, K: 2, Algo: graphrnn.Eager()},
+	queries := []graphrnn.Query{
+		rnnQuery(e.ps, qnode, 1, graphrnn.Eager()),
+		rnnQuery(e.ps, qnode, 2, graphrnn.Eager()),
 	}
-	if _, workers := e.db.RNNBatch(e.ps, queries, &graphrnn.BatchOptions{Parallelism: 8}); workers != 2 {
+	if _, workers := batch(e.db, queries, &graphrnn.BatchOptions{Parallelism: 8}); workers != 2 {
 		t.Fatalf("workers = %d, want 2 (capped by batch size)", workers)
 	}
 
 	// Fail-fast: an invalid entry cancels everything behind it.
-	ff := []graphrnn.RNNQuery{
-		{Q: qnode, K: 1, Algo: graphrnn.Eager()},
-		{Q: qnode, K: -1, Algo: graphrnn.Eager()}, // invalid: fails
-		{Q: qnode, K: 1, Algo: graphrnn.Eager()},
-		{Q: qnode, K: 2, Algo: graphrnn.Eager()},
+	ff := []graphrnn.Query{
+		rnnQuery(e.ps, qnode, 1, graphrnn.Eager()),
+		rnnQuery(e.ps, qnode, -1, graphrnn.Eager()), // invalid: fails
+		rnnQuery(e.ps, qnode, 1, graphrnn.Eager()),
+		rnnQuery(e.ps, qnode, 2, graphrnn.Eager()),
 	}
-	results, workers := e.db.RNNBatch(e.ps, ff, &graphrnn.BatchOptions{Parallelism: 1, FailFast: true})
+	results, workers := batch(e.db, ff, &graphrnn.BatchOptions{Parallelism: 1, FailFast: true})
 	if workers != 1 {
 		t.Fatalf("workers = %d, want 1", workers)
 	}
@@ -416,15 +453,16 @@ func TestBatchCancellationAndWorkers(t *testing.T) {
 	// A batch issued under a canceled context runs nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, _ = e.db.RNNBatchContext(ctx, e.ps, queries, &graphrnn.BatchOptions{Parallelism: 2})
-	for i, r := range results {
+	rep, _ := e.db.RunBatch(ctx, queries, &graphrnn.BatchOptions{Parallelism: 2})
+	for i, r := range rep.Results {
 		if !errors.Is(r.Err, graphrnn.ErrCanceled) {
 			t.Fatalf("entry %d of a canceled batch: err = %v", i, r.Err)
 		}
+		expiredAtStart(t, r.Result)
 	}
 
 	// Per-query budgets apply to every entry.
-	results, _ = e.db.RNNBatch(e.ps, []graphrnn.RNNQuery{{Q: qnode, K: 4, Algo: graphrnn.Eager()}},
+	results, _ = batch(e.db, []graphrnn.Query{rnnQuery(e.ps, qnode, 4, graphrnn.Eager())},
 		&graphrnn.BatchOptions{PerQuery: &graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 100}}})
 	if !errors.Is(results[0].Err, graphrnn.ErrBudgetExceeded) {
 		t.Fatalf("per-query budget: err = %v", results[0].Err)
@@ -435,23 +473,28 @@ func TestBatchCancellationAndWorkers(t *testing.T) {
 func TestKNNContext(t *testing.T) {
 	e := newCtxEnv(t, false)
 	_, qnode := e.slowQuery(t)
-	if _, err := e.db.KNNContext(context.Background(), e.ps, qnode, 4, nil); err != nil {
+	knn := func(k int) graphrnn.Query {
+		return graphrnn.Query{Kind: graphrnn.KindKNN, Target: graphrnn.NodeLocation(qnode), K: k, Points: e.ps}
+	}
+	if _, err := e.db.Run(context.Background(), knn(4)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := e.db.KNNContext(ctx, e.ps, qnode, 4, nil); !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
+	res, err := e.db.Run(ctx, knn(4))
+	if !errors.Is(err, graphrnn.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
-	_, err := e.db.KNNContext(context.Background(), e.ps, qnode, 24,
-		&graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 64}})
+	expiredAtStart(t, res)
+	_, err = e.db.Run(context.Background(), bounded(knn(24), graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 64}}))
 	if !errors.Is(err, graphrnn.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
-// TestEdgeContextVariants smoke-tests the unrestricted Context entry
-// points: budget errors surface and unbounded calls still match RNN.
+// TestEdgeContextVariants smoke-tests bounded edge-resident queries:
+// budget errors surface and a generous bound still matches the unbounded
+// answer.
 func TestEdgeContextVariants(t *testing.T) {
 	g, err := graphrnn.GenerateGrid(9, 2500, 4)
 	if err != nil {
@@ -466,20 +509,18 @@ func TestEdgeContextVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := graphrnn.NodeLocation(0)
-	want, err := db.EdgeRNN(ps, q, 2, graphrnn.Eager())
+	want, err := db.Run(context.Background(), edgeRNNQuery(ps, q, 2, graphrnn.Eager()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.EdgeRNNContext(context.Background(), ps, q, 2, graphrnn.Eager(),
-		&graphrnn.QueryOptions{Timeout: time.Minute})
+	got, err := db.Run(context.Background(), bounded(edgeRNNQuery(ps, q, 2, graphrnn.Eager()), graphrnn.QueryOptions{Timeout: time.Minute}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !samePoints(got.Points, want.Points) {
-		t.Fatalf("EdgeRNNContext %v != EdgeRNN %v", got.Points, want.Points)
+		t.Fatalf("bounded %v != unbounded %v", got.Points, want.Points)
 	}
-	res, err := db.EdgeRNNContext(context.Background(), ps, q, 4, graphrnn.Lazy(),
-		&graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 50}})
+	res, err := db.Run(context.Background(), bounded(edgeRNNQuery(ps, q, 4, graphrnn.Lazy()), graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 50}}))
 	if !errors.Is(err, graphrnn.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}

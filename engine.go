@@ -3,28 +3,29 @@ package graphrnn
 import (
 	"context"
 	"iter"
-	"time"
-
-	"graphrnn/internal/core"
-	"graphrnn/internal/exec"
 )
 
-// This file is the execution half of the unified query API: one engine
-// surface — Run for a single query, RunBatch for worker-pool fan-out,
-// Stream for incremental member delivery — executing any planned Query.
-// Every future cross-cutting feature (admission control, sharding, async
-// execution) plugs in here instead of multiplying per-shape entry points.
+// This file is the execution half of the query API: one engine surface —
+// Run for a single query, RunBatch for worker-pool fan-out, Stream for
+// incremental member delivery — executing any planned Query. Every
+// cross-cutting feature (admission control, sharding, async execution)
+// plugs in here.
 
 // Run executes one declarative query: it plans the substrate (see DB.Plan),
 // runs it under ctx plus the query's embedded QueryOptions, and returns the
 // answer with the planner's decision in Result.Plan.
 //
-// Cancellation, deadlines and budgets follow the engine contract of the
-// *Context era: a query abandoned mid-flight returns the partial Result
-// alongside a typed error (ErrCanceled / ErrDeadlineExceeded /
-// ErrBudgetExceeded; match with errors.Is or IsExecErr), and a query issued
-// with an already-expired deadline fails before any page I/O. A background
-// context with zero QueryOptions pays no bookkeeping at all.
+// A query stopped by cancellation, a deadline or a budget returns a typed
+// error (ErrCanceled / ErrDeadlineExceeded / ErrBudgetExceeded; match with
+// errors.Is or IsExecErr) and, always, a non-nil partial Result beside it:
+// the Plan, the members confirmed and the work counted up to the point it
+// was abandoned. A query whose deadline has already passed (or whose
+// context is already canceled) at the start fails before any page I/O, so
+// its partial Result carries the Plan, no members and zero Stats. Every
+// other error invalidates the answer and returns a nil Result. RunBatch
+// entries, Stream's terminal error and Sharded.Run follow the same
+// contract. A background context with zero QueryOptions pays no
+// bookkeeping at all.
 func (db *DB) Run(ctx context.Context, q Query) (*Result, error) {
 	pl, err := db.plan(q)
 	if err != nil {
@@ -32,7 +33,7 @@ func (db *DB) Run(ctx context.Context, q Query) (*Result, error) {
 	}
 	ec, cancel, err := db.newExec(ctx, &q.QueryOptions)
 	if err != nil {
-		return nil, err
+		return &Result{Plan: pl.plan}, err
 	}
 	defer cancel()
 	res, err := db.runPlanned(ec, &pl)
@@ -42,80 +43,19 @@ func (db *DB) Run(ctx context.Context, q Query) (*Result, error) {
 	return res, err
 }
 
-// runPlanned dispatches a planned query to its executor.
-func (db *DB) runPlanned(ec *exec.Ctx, pl *planned) (*Result, error) {
-	algo := pl.plan.Algorithm
-	switch pl.plan.Kind {
-	case KindRNN:
-		if pl.plan.Edge {
-			return db.runEdgeRNN(ec, pl.edge, pl.loc, pl.k, algo)
-		}
-		return db.runRNN(ec, pl.node, pl.qnode, pl.k, algo)
-	case KindBichromatic:
-		if pl.plan.Edge {
-			return db.runEdgeBichromaticRNN(ec, pl.edge, pl.esites, pl.loc, pl.k, algo)
-		}
-		return db.runBichromaticRNN(ec, pl.node, pl.nsites, pl.qnode, pl.k, algo)
-	case KindContinuous:
-		if pl.plan.Edge {
-			return db.runEdgeContinuousRNN(ec, pl.edge, pl.route, pl.k, algo)
-		}
-		return db.runContinuousRNN(ec, pl.node, pl.route, pl.k, algo)
-	default: // KindKNN, validated by plan
-		return db.runKNN(ec, pl)
-	}
-}
-
-// runKNN executes the forward search; on a typed execution error the
-// neighbors found so far ride along with it, like every other kind.
-func (db *DB) runKNN(ec *exec.Ctx, pl *planned) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	var out []core.PointDist
-	var err error
-	if pl.plan.Edge {
-		out, err = s.UKNN(pl.edge.v, pl.loc.toLoc(), pl.k)
-	} else {
-		out, err = s.KNN(pl.node.v, toNodeIDs([]NodeID{pl.qnode})[0], pl.k)
-	}
-	if err != nil && !exec.IsExecErr(err) {
-		return nil, err
-	}
-	return &Result{Neighbors: toNeighbors(out)}, err
-}
-
 // RunBatch executes a slice of declarative queries over a worker pool and
 // reports per-query results (input order), the worker count used, and
 // aggregate statistics. Entries are independent: each is planned and run as
 // if through Run, so one batch may mix kinds, shapes and substrates.
 //
-// Batches are context-aware: cancel ctx (or let its deadline pass) and
-// undispatched entries report a typed cancellation error without running;
-// opt.FailFast promotes the first error to a batch-level cancellation;
-// opt.PerQuery bounds every entry that does not carry its own embedded
-// QueryOptions. The error return is reserved for batch-level admission
+// Batches are context-aware: cancel ctx (or let its deadline pass) and the
+// entries not yet started fail upfront with the typed error, like any
+// expired-at-start query; opt.FailFast promotes the first error to a
+// batch-level cancellation; opt.PerQuery bounds every entry that does not
+// carry its own embedded QueryOptions. The error return is reserved for batch-level admission
 // failures (nil today); per-query errors land in their Results slots.
 func (db *DB) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) (*BatchReport, error) {
-	start := time.Now()
-	out := make([]BatchResult, len(queries))
-	workers := runBatch(ctx, len(queries), opt.workers(len(queries)), opt.failFast(), out, func(ctx context.Context, i int) {
-		q := queries[i]
-		if pq := opt.perQuery(); pq != nil && q.QueryOptions == (QueryOptions{}) {
-			q.QueryOptions = *pq
-		}
-		out[i].Result, out[i].Err = db.Run(ctx, q)
-	})
-	rep := &BatchReport{Results: out, Workers: workers, Wall: time.Since(start)}
-	for _, r := range out {
-		if r.Err != nil {
-			rep.Failed++
-		} else {
-			rep.Succeeded++
-		}
-		if r.Result != nil {
-			rep.Work.add(r.Result.Stats)
-		}
-	}
-	return rep, nil
+	return runBatch(ctx, queries, opt, db.Run), nil
 }
 
 // Stream executes one declarative query and yields each result member the

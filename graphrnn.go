@@ -25,7 +25,12 @@
 //	ps := db.NewNodePoints()
 //	ps.Place(0)
 //	ps.Place(3)
-//	res, _ := db.RNN(ps, 1, 1, graphrnn.Eager())
+//	res, _ := db.Run(ctx, graphrnn.Query{
+//		Kind:   graphrnn.KindRNN,
+//		Target: graphrnn.NodeLocation(1),
+//		K:      1,
+//		Points: ps,
+//	})
 //	// res.Points now holds the reverse nearest neighbors of node 1.
 //
 // The graph can be served from memory or from a paged disk file through an
@@ -169,12 +174,10 @@ type Options struct {
 
 // DB is a queryable RNN database over one graph. Queries are described by
 // a declarative Query value and executed through the engine surface — Run,
-// RunBatch, Stream — with the substrate resolved by the planner (Plan);
-// the per-shape, per-algorithm entry points (RNN, BichromaticRNN, ...) are
-// deprecated shims over it.
+// RunBatch, Stream — with the substrate resolved by the planner (Plan).
 //
-// A DB is safe for concurrent use: queries (Run / RunBatch / Stream and
-// every deprecated entry point) may run from any number of goroutines, on
+// A DB is safe for concurrent use: queries (Run / RunBatch / Stream) may
+// run from any number of goroutines, on
 // memory- and disk-backed DBs alike, and IOStats / ResetIOStats may be
 // called while queries are in flight. The exceptions are mutating
 // operations: building point sets (Place / Delete), materialization

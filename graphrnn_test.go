@@ -1,6 +1,7 @@
 package graphrnn_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	for _, algo := range []graphrnn.Algorithm{
 		graphrnn.Eager(), graphrnn.Lazy(), graphrnn.LazyEP(), graphrnn.BruteForce(),
 	} {
-		res, err := db.RNN(ps, 1, 1, algo)
+		res, err := db.Run(context.Background(), rnnQuery(ps, 1, 1, algo))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -73,7 +74,7 @@ func TestPublicAPIAllAlgorithmsAgree(t *testing.T) {
 			view := ps.Excluding(qp)
 			var want *graphrnn.Result
 			for i, algo := range algos {
-				got, err := db.RNN(view, qnode, k, algo)
+				got, err := db.Run(context.Background(), rnnQuery(view, qnode, k, algo))
 				if err != nil {
 					t.Fatalf("%v: %v", algo, err)
 				}
@@ -118,14 +119,14 @@ func TestPublicAPIEdgeQueries(t *testing.T) {
 	qp := ps.Points()[0]
 	qloc, _ := ps.LocationOf(qp)
 	view := ps.Excluding(qp)
-	want, err := db.EdgeRNN(view, qloc, 2, graphrnn.BruteForce())
+	want, err := db.Run(context.Background(), edgeRNNQuery(view, qloc, 2, graphrnn.BruteForce()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range []graphrnn.Algorithm{
 		graphrnn.Eager(), graphrnn.Lazy(), graphrnn.LazyEP(), graphrnn.EagerM(mat),
 	} {
-		got, err := db.EdgeRNN(view, qloc, 2, algo)
+		got, err := db.Run(context.Background(), edgeRNNQuery(view, qloc, 2, algo))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -135,7 +136,7 @@ func TestPublicAPIEdgeQueries(t *testing.T) {
 	}
 	// Continuous over a route.
 	route := db.RandomWalkRoute(15, 8)
-	if _, err := db.EdgeContinuousRNN(ps, route, 1, graphrnn.Eager()); err != nil {
+	if _, err := db.Run(context.Background(), routeQuery(ps, route, 1, graphrnn.Eager())); err != nil {
 		t.Fatal(err)
 	}
 	// Distance sanity.
@@ -158,7 +159,7 @@ func TestPublicAPIBichromatic(t *testing.T) {
 	if _, err := rivals.Place(6); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.BichromaticRNN(blocks, rivals, 0, 1, graphrnn.Eager())
+	res, err := db.Run(context.Background(), biQuery(blocks, rivals, 0, 1, graphrnn.Eager()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,8 @@ func TestPublicAPIMaintenance(t *testing.T) {
 	q := ps.Points()[0]
 	qnode, _ := ps.NodeOf(q)
 	view := ps.Excluding(q)
-	want, _ := db.RNN(view, qnode, 2, graphrnn.BruteForce())
-	got, err := db.RNN(view, qnode, 2, graphrnn.EagerM(mat))
+	want, _ := db.Run(context.Background(), rnnQuery(view, qnode, 2, graphrnn.BruteForce()))
+	got, err := db.Run(context.Background(), rnnQuery(view, qnode, 2, graphrnn.EagerM(mat)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestPublicAPIMaintenance(t *testing.T) {
 	if _, err := mat.DeletePoint(p); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = db.RNN(view, qnode, 2, graphrnn.EagerM(mat))
-	want, _ = db.RNN(view, qnode, 2, graphrnn.BruteForce())
+	got, _ = db.Run(context.Background(), rnnQuery(view, qnode, 2, graphrnn.EagerM(mat)))
+	want, _ = db.Run(context.Background(), rnnQuery(view, qnode, 2, graphrnn.BruteForce()))
 	if len(got.Points) != len(want.Points) {
 		t.Fatalf("after delete: eagerM = %v, brute = %v", got.Points, want.Points)
 	}
@@ -236,7 +237,14 @@ func TestPublicAPIKNN(t *testing.T) {
 	ps := db.NewNodePoints()
 	p0, _ := ps.Place(0)
 	p5, _ := ps.Place(5)
-	nn, err := db.KNN(ps, 1, 2)
+	knn := func(ps graphrnn.PointSet, q graphrnn.Location, k int) ([]graphrnn.Neighbor, error) {
+		res, err := db.Run(context.Background(), graphrnn.Query{Kind: graphrnn.KindKNN, Target: q, K: k, Points: ps})
+		if err != nil {
+			return nil, err
+		}
+		return res.Neighbors, nil
+	}
+	nn, err := knn(ps, graphrnn.NodeLocation(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +254,14 @@ func TestPublicAPIKNN(t *testing.T) {
 	// Edge-resident KNN.
 	eps := db.NewEdgePoints()
 	a, _ := eps.Place(2, 3, 0.25)
-	enn, err := db.EdgeKNN(eps, graphrnn.EdgeLocation(2, 3, 0.75), 1)
+	enn, err := knn(eps, graphrnn.EdgeLocation(2, 3, 0.75), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enn) != 1 || enn[0].P != a || enn[0].Distance != 0.5 {
 		t.Fatalf("EdgeKNN = %+v", enn)
 	}
-	if _, err := db.KNN(ps, 0, 0); err == nil {
+	if _, err := knn(ps, graphrnn.NodeLocation(0), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -275,11 +283,11 @@ func TestPublicAPILayouts(t *testing.T) {
 	psR, _ := random.PlaceRandomNodePoints(6, 25)
 	qp := psB.Points()[0]
 	qnode, _ := psB.NodeOf(qp)
-	rb, err := bfs.RNN(psB.Excluding(qp), qnode, 1, graphrnn.Eager())
+	rb, err := bfs.Run(context.Background(), rnnQuery(psB.Excluding(qp), qnode, 1, graphrnn.Eager()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := random.RNN(psR.Excluding(qp), qnode, 1, graphrnn.Eager())
+	rr, err := random.Run(context.Background(), rnnQuery(psR.Excluding(qp), qnode, 1, graphrnn.Eager()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +305,13 @@ func TestPublicAPIErrors(t *testing.T) {
 	g := buildLineGraph(t, 3)
 	db, _ := graphrnn.Open(g, nil)
 	ps := db.NewNodePoints()
-	if _, err := db.RNN(ps, 0, 0, graphrnn.Eager()); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(ps, 0, 0, graphrnn.Eager())); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := db.RNN(ps, 9, 1, graphrnn.Lazy()); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(ps, 9, 1, graphrnn.Lazy())); err == nil {
 		t.Fatal("bad node accepted")
 	}
-	if _, err := db.RNN(ps, 0, 1, graphrnn.EagerM(nil)); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(ps, 0, 1, graphrnn.EagerM(nil))); err == nil {
 		t.Fatal("EagerM(nil) accepted")
 	}
 	eps := db.NewEdgePoints()

@@ -396,40 +396,29 @@ func (h *HubLabelIndex) hiddenIn(v points.NodeView) (points.PointID, error) {
 	return h.idx.HiddenIn(v)
 }
 
-// runRNN executes a monochromatic query through the index under ec.
-func (h *HubLabelIndex) runRNN(ec *exec.Ctx, v points.NodeView, q NodeID, k int) (*core.Result, error) {
-	hidden, err := h.hiddenIn(v)
-	if err != nil {
-		return nil, err
-	}
-	pts, st, err := h.idx.RkNNExec(ec, graph.NodeID(q), k, hidden)
-	return hubResult(pts, st, err)
-}
-
-// runContinuous executes a route query through the index under ec.
-func (h *HubLabelIndex) runContinuous(ec *exec.Ctx, v points.NodeView, route []NodeID, k int) (*core.Result, error) {
-	hidden, err := h.hiddenIn(v)
-	if err != nil {
-		return nil, err
-	}
-	pts, st, err := h.idx.ContinuousRkNNExec(ec, toNodeIDs(route), k, hidden)
-	return hubResult(pts, st, err)
-}
-
-// runBichromatic executes a bichromatic query: sites come from the index,
-// candidates from the caller's view.
-func (h *HubLabelIndex) runBichromatic(ec *exec.Ctx, cands, sites points.NodeView, q NodeID, k int) (*core.Result, error) {
-	hiddenSite, err := h.hiddenIn(sites)
-	if err != nil {
-		return nil, err
-	}
-	pts, st, err := h.idx.BichromaticRkNNExec(ec, cands, graph.NodeID(q), k, hiddenSite)
-	return hubResult(pts, st, err)
-}
-
-// hubResult shapes a hub-label answer like a core result: on an
+// run executes a planned node-resident query through the index under ec.
+// The index answers over the set it tracks — the data set, or the sites of
+// a bichromatic query, whose candidates come from the caller's view. On an
 // execution-control error the partial stats ride along with it.
-func hubResult(pts []points.PointID, st hublabel.QueryStats, err error) (*core.Result, error) {
+func (h *HubLabelIndex) run(ec *exec.Ctx, pl *planned) (*core.Result, error) {
+	tracked := pl.node.v
+	if pl.plan.Kind == KindBichromatic {
+		tracked = pl.nsites.v
+	}
+	hidden, err := h.hiddenIn(tracked)
+	if err != nil {
+		return nil, err
+	}
+	var pts []points.PointID
+	var st hublabel.QueryStats
+	switch pl.plan.Kind {
+	case KindContinuous:
+		pts, st, err = h.idx.ContinuousRkNNExec(ec, toNodeIDs(pl.route), pl.k, hidden)
+	case KindBichromatic:
+		pts, st, err = h.idx.BichromaticRkNNExec(ec, pl.node.v, graph.NodeID(pl.qnode), pl.k, hidden)
+	default:
+		pts, st, err = h.idx.RkNNExec(ec, graph.NodeID(pl.qnode), pl.k, hidden)
+	}
 	if err != nil && !exec.IsExecErr(err) {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ package graphrnn_test
 // incremental maintenance, and concurrent batch queries (run with -race).
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -71,11 +72,11 @@ func TestHubLabelAgainstOracle(t *testing.T) {
 					qnode, _ := e.ps.NodeOf(qp)
 					view := e.ps.Excluding(qp)
 					for _, k := range []int{1, 2, 4} {
-						want, err := e.db.RNN(view, qnode, k, graphrnn.BruteForce())
+						want, err := e.db.Run(context.Background(), rnnQuery(view, qnode, k, graphrnn.BruteForce()))
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := e.db.RNN(view, qnode, k, algo)
+						got, err := e.db.Run(context.Background(), rnnQuery(view, qnode, k, algo))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -93,7 +94,7 @@ func TestHubLabelAgainstOracle(t *testing.T) {
 }
 
 // TestHubLabelContinuousAndBichromatic covers the route and bichromatic
-// entry points through the public dispatch.
+// kinds through the public dispatch.
 func TestHubLabelContinuousAndBichromatic(t *testing.T) {
 	g, err := graphrnn.GenerateRoadNetwork(111, 500)
 	if err != nil {
@@ -114,11 +115,11 @@ func TestHubLabelContinuousAndBichromatic(t *testing.T) {
 	algo := graphrnn.HubLabel(idx)
 	for trial := 0; trial < 8; trial++ {
 		route := db.RandomWalkRoute(int64(200+trial), 5)
-		want, err := db.ContinuousRNN(ps, route, 2, graphrnn.BruteForce())
+		want, err := db.Run(context.Background(), routeQuery(ps, route, 2, graphrnn.BruteForce()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.ContinuousRNN(ps, route, 2, algo)
+		got, err := db.Run(context.Background(), routeQuery(ps, route, 2, algo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +134,11 @@ func TestHubLabelContinuousAndBichromatic(t *testing.T) {
 	}
 	for _, q := range []graphrnn.NodeID{0, 17, 123, 321} {
 		for _, k := range []int{1, 3} {
-			want, err := db.BichromaticRNN(cands, ps, q, k, graphrnn.BruteForce())
+			want, err := db.Run(context.Background(), biQuery(cands, ps, q, k, graphrnn.BruteForce()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.BichromaticRNN(cands, ps, q, k, algo)
+			got, err := db.Run(context.Background(), biQuery(cands, ps, q, k, algo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +180,7 @@ func TestHubLabelPersistence(t *testing.T) {
 	var answers []answer
 	for q := 0; q < g.NumNodes(); q += 37 {
 		for _, k := range []int{1, 3} {
-			res, err := db.RNN(ps, graphrnn.NodeID(q), k, graphrnn.HubLabel(built))
+			res, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), k, graphrnn.HubLabel(built)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +210,7 @@ func TestHubLabelPersistence(t *testing.T) {
 		t.Fatalf("reopened index reports %d entries", reopened.LabelEntries())
 	}
 	for _, a := range answers {
-		res, err := db2.RNN(ps2, a.q, a.k, graphrnn.HubLabel(reopened))
+		res, err := db2.Run(context.Background(), rnnQuery(ps2, a.q, a.k, graphrnn.HubLabel(reopened)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestHubLabelPersistence(t *testing.T) {
 	}
 	defer again.Close()
 	for _, a := range answers[:6] {
-		res, err := db.RNN(ps, a.q, a.k, graphrnn.HubLabel(again))
+		res, err := db.Run(context.Background(), rnnQuery(ps, a.q, a.k, graphrnn.HubLabel(again)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +270,11 @@ func TestHubLabelMaintenance(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for q := 0; q < g.NumNodes(); q += 53 {
-			want, err := db.RNN(ps, graphrnn.NodeID(q), 2, graphrnn.BruteForce())
+			want, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), 2, graphrnn.BruteForce()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.RNN(ps, graphrnn.NodeID(q), 2, algo)
+			got, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), 2, algo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,11 +338,11 @@ func TestHubLabelInsertAfterTrailingDelete(t *testing.T) {
 		t.Fatalf("inserted point id = %d, want 10", p)
 	}
 	for q := 0; q < g.NumNodes(); q += 13 {
-		want, err := db.RNN(ps, graphrnn.NodeID(q), 2, graphrnn.BruteForce())
+		want, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), 2, graphrnn.BruteForce()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.RNN(ps, graphrnn.NodeID(q), 2, graphrnn.HubLabel(idx))
+		got, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), 2, graphrnn.HubLabel(idx)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,19 +374,19 @@ func TestHubLabelBatchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	algo := graphrnn.AlgorithmHubLabel(idx)
-	var queries []graphrnn.RNNQuery
+	var queries []graphrnn.Query
 	var want [][]graphrnn.PointID
 	for _, qp := range ps.Points() {
 		qnode, _ := ps.NodeOf(qp)
-		res, err := db.RNN(ps, qnode, 2, graphrnn.BruteForce())
+		res, err := db.Run(context.Background(), rnnQuery(ps, qnode, 2, graphrnn.BruteForce()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries = append(queries, graphrnn.RNNQuery{Q: qnode, K: 2, Algo: algo})
+		queries = append(queries, rnnQuery(ps, qnode, 2, algo))
 		want = append(want, res.Points)
 	}
 	for _, par := range []int{1, 4, 16} {
-		results, _ := db.RNNBatch(ps, queries, &graphrnn.BatchOptions{Parallelism: par})
+		results, _ := batch(db, queries, &graphrnn.BatchOptions{Parallelism: par})
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("parallelism %d query %d: %v", par, i, r.Err)
@@ -403,12 +404,12 @@ func TestHubLabelBatchConcurrent(t *testing.T) {
 		go func(qp graphrnn.PointID) {
 			defer wg.Done()
 			qnode, _ := ps.NodeOf(qp)
-			res, err := db.RNN(ps.Excluding(qp), qnode, 4, algo)
+			res, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, 4, algo))
 			if err != nil {
 				errc <- err
 				return
 			}
-			wantRes, err := db.RNN(ps.Excluding(qp), qnode, 4, graphrnn.BruteForce())
+			wantRes, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, 4, graphrnn.BruteForce()))
 			if err != nil {
 				errc <- err
 				return
@@ -443,10 +444,10 @@ func TestHubLabelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RNN(ps, 0, 1, graphrnn.HubLabel(nil)); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(ps, 0, 1, graphrnn.HubLabel(nil))); err == nil {
 		t.Fatal("nil index accepted")
 	}
-	if _, err := db.RNN(ps, 0, 3, graphrnn.HubLabel(idx)); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(ps, 0, 3, graphrnn.HubLabel(idx))); err == nil {
 		t.Fatal("k beyond MaxK accepted")
 	}
 	// A view over a different point set must be rejected — both when the
@@ -455,14 +456,14 @@ func TestHubLabelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RNN(other, 0, 1, graphrnn.HubLabel(idx)); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(other, 0, 1, graphrnn.HubLabel(idx))); err == nil {
 		t.Fatal("foreign point set accepted")
 	}
 	sameSize, err := db.PlaceRandomNodePoints(155, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RNN(sameSize, 0, 1, graphrnn.HubLabel(idx)); err == nil {
+	if _, err := db.Run(context.Background(), rnnQuery(sameSize, 0, 1, graphrnn.HubLabel(idx))); err == nil {
 		t.Fatal("same-size foreign point set accepted")
 	}
 	// Edge-resident queries are not supported by this substrate.
@@ -470,7 +471,7 @@ func TestHubLabelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.EdgeRNN(eps, graphrnn.NodeLocation(0), 1, graphrnn.HubLabel(idx)); err == nil {
+	if _, err := db.Run(context.Background(), edgeRNNQuery(eps, graphrnn.NodeLocation(0), 1, graphrnn.HubLabel(idx))); err == nil {
 		t.Fatal("edge-resident query accepted")
 	}
 }
@@ -511,11 +512,11 @@ func TestHubLabelParallelCompressed(t *testing.T) {
 				qnode, _ := e.ps.NodeOf(qp)
 				view := e.ps.Excluding(qp)
 				for _, k := range []int{1, 2, 4} {
-					want, err := base.db.RNN(base.ps.Excluding(qp), qnode, k, ref)
+					want, err := base.db.Run(context.Background(), rnnQuery(base.ps.Excluding(qp), qnode, k, ref))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.db.RNN(view, qnode, k, algo)
+					got, err := e.db.Run(context.Background(), rnnQuery(view, qnode, k, algo))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -599,18 +600,18 @@ func TestHubLabelRepairVsRebuild(t *testing.T) {
 	for _, qp := range ps.Points()[:12] {
 		qnode, _ := ps.NodeOf(qp)
 		for _, k := range []int{1, 2, 4} {
-			want, err := db.RNN(ps.Excluding(qp), qnode, k, rebuilt)
+			want, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, k, rebuilt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.RNN(ps.Excluding(qp), qnode, k, repaired)
+			got, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, k, repaired))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !samePoints(got.Points, want.Points) {
 				t.Fatalf("q=%d k=%d: repaired %v, rebuilt %v", qp, k, got.Points, want.Points)
 			}
-			oracle, err := db.RNN(ps.Excluding(qp), qnode, k, graphrnn.BruteForce())
+			oracle, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, k, graphrnn.BruteForce()))
 			if err != nil {
 				t.Fatal(err)
 			}

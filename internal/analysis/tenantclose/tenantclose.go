@@ -1,5 +1,5 @@
 // Package tenantclose checks the buffer-pool tenant lifecycle: a type that
-// holds a tenant handle (a *storage.Tenant / storage.BufferManager field,
+// holds a tenant handle (a *storage.Tenant field,
 // or a field of another holder type) must release it — every
 // BufferPool.Attach needs a reachable Detach, the invariant the PR-3
 // PagedEdgePoints leak violated.

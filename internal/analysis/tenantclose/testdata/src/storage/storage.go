@@ -1,6 +1,6 @@
 // Package storage is a minimal stand-in for the repo's buffer-pool
-// package: the analyzer recognizes Tenant (and the BufferManager alias)
-// by package-path suffix and type name.
+// package: the analyzer recognizes Tenant by package-path suffix and type
+// name.
 package storage
 
 type BufferPool struct {
@@ -11,9 +11,6 @@ type Tenant struct {
 	pool *BufferPool
 	name string
 }
-
-// BufferManager mirrors the repo's single-tenant compatibility alias.
-type BufferManager = Tenant
 
 func (p *BufferPool) Attach(name string) *Tenant {
 	t := &Tenant{pool: p, name: name}

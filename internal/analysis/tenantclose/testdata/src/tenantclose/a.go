@@ -80,14 +80,6 @@ func (c *IdempotentClose) Close() error {
 	return bm.Detach()
 }
 
-// --- the alias counts too ---------------------------------------------------
-
-type Managed struct {
-	bm *storage.BufferManager
-}
-
-func (m *Managed) Close() { m.bm.Detach() }
-
 // --- intra-package holder nesting + release through an accessor chain -------
 
 type Owner struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -81,11 +82,11 @@ func TestFig1bBichromaticExample(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"brute":  func() (*Result, error) { return s.BruteBichromatic(cands, view, c.qnode, 1) },
-			"eager":  func() (*Result, error) { return s.EagerBichromatic(cands, view, c.qnode, 1) },
-			"eagerM": func() (*Result, error) { return s.EagerMBichromatic(cands, view, mat, c.qnode, 1) },
-			"lazy":   func() (*Result, error) { return s.LazyBichromatic(cands, view, c.qnode, 1) },
-			"lazyEP": func() (*Result, error) { return s.LazyEPBichromatic(cands, view, c.qnode, 1) },
+			"brute":  func() (*Result, error) { return runBi(s, AlgoBrute, cands, view, nil, c.qnode, 1) },
+			"eager":  func() (*Result, error) { return runBi(s, AlgoEager, cands, view, nil, c.qnode, 1) },
+			"eagerM": func() (*Result, error) { return runBi(s, AlgoEagerM, cands, view, mat, c.qnode, 1) },
+			"lazy":   func() (*Result, error) { return runBi(s, AlgoLazy, cands, view, nil, c.qnode, 1) },
+			"lazyEP": func() (*Result, error) { return runBi(s, AlgoLazyEP, cands, view, nil, c.qnode, 1) },
 		} {
 			r, err := run()
 			if err != nil {
@@ -112,11 +113,11 @@ func TestFig1bBR2NN(t *testing.T) {
 	for _, qnode := range []graph.NodeID{0, 1, 2} {
 		qsite, _ := sites.PointAt(qnode)
 		view := points.ExcludeNode(sites, qsite)
-		want, err := s.BruteBichromatic(cands, view, qnode, 2)
+		want, err := runBi(s, AlgoBrute, cands, view, nil, qnode, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.EagerBichromatic(cands, view, qnode, 2)
+		got, err := runBi(s, AlgoEager, cands, view, nil, qnode, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +128,35 @@ func TestFig1bBR2NN(t *testing.T) {
 }
 
 // TestBichromaticAgreesWithBrute: all four algorithms against brute force
-// on random networks with independent random candidate/site sets.
+// on random networks with independent random candidate/site sets, plus a
+// float-tie network.
 func TestBichromaticAgreesWithBrute(t *testing.T) {
+	check := func(label string, g *graph.Graph, cands, sites *points.NodeSet, maxK, k int, qnode graph.NodeID) {
+		t.Helper()
+		s := NewSearcher(g)
+		mat, err := s.MatBuild(SeedsRestricted(sites), maxK, newMemMatFile(), 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runBi(s, AlgoBrute, cands, sites, nil, qnode, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			algo Algo
+		}{{"eager", AlgoEager}, {"eagerM", AlgoEagerM}, {"lazy", AlgoLazy}, {"lazyEP", AlgoLazyEP}} {
+			got, err := runBi(s, c.algo, cands, sites, mat, qnode, k)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !samePoints(want, got) {
+				t.Fatalf("%s %s=%s brute=%s (|V|=%d |P|=%d |Q|=%d k=%d q=%d)",
+					label, c.name, describe(got), describe(want), g.NumNodes(), cands.Len(), sites.Len(), k, qnode)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(60))
 	iters := 200
 	if testing.Short() {
@@ -137,37 +165,39 @@ func TestBichromaticAgreesWithBrute(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		n := 12 + rng.Intn(50)
 		g := randNet(t, rng, n, rng.Intn(3*n), 0.5)
-		s := NewSearcher(g)
 		cands := randPoints(t, rng, g, 1+rng.Intn(n/2))
 		sites := randPoints(t, rng, g, 1+rng.Intn(n/3))
 		maxK := 1 + rng.Intn(3)
 		k := 1 + rng.Intn(maxK)
-		mat, err := s.MatBuild(SeedsRestricted(sites), maxK, newMemMatFile(), 64, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qnode := graph.NodeID(rng.Intn(n))
+		check(fmt.Sprintf("iter %d", it), g, cands, sites, maxK, k, graph.NodeID(rng.Intn(n)))
+	}
 
-		want, err := s.BruteBichromatic(cands, sites, qnode, k)
-		if err != nil {
+	// The candidate on node 0 is exactly as far from the query (node 3) as
+	// from the site (node 6), so it is a member — but the main expansion
+	// sums its path to 0.6000000000000001 while the site's sums to 0.6:
+	// every "strictly closer" test must absorb that last bit.
+	b := graph.NewBuilder(7)
+	for _, e := range []struct {
+		u, v graph.NodeID
+		w    float64
+	}{{0, 1, 0.3}, {1, 2, 0.2}, {2, 3, 0.1}, {0, 4, 0.1}, {4, 5, 0.2}, {5, 6, 0.3}, {3, 6, 0.05}} {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
-		}
-		for name, run := range map[string]func() (*Result, error){
-			"eager":  func() (*Result, error) { return s.EagerBichromatic(cands, sites, qnode, k) },
-			"eagerM": func() (*Result, error) { return s.EagerMBichromatic(cands, sites, mat, qnode, k) },
-			"lazy":   func() (*Result, error) { return s.LazyBichromatic(cands, sites, qnode, k) },
-			"lazyEP": func() (*Result, error) { return s.LazyEPBichromatic(cands, sites, qnode, k) },
-		} {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("iter %d %s=%s brute=%s (|V|=%d |P|=%d |Q|=%d k=%d q=%d)",
-					it, name, describe(got), describe(want), n, cands.Len(), sites.Len(), k, qnode)
-			}
 		}
 	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := points.NewNodeSetFromNodes(7, []graph.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, err := points.NewNodeSetFromNodes(7, []graph.NodeID{6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("float tie", g, cands, sites, 1, 1, 3)
 }
 
 // TestBichromaticNoSites: with an empty site set every reachable candidate
@@ -178,14 +208,14 @@ func TestBichromaticNoSites(t *testing.T) {
 	s := NewSearcher(g)
 	cands := randPoints(t, rng, g, 8)
 	sites := points.NewNodeSet(g.NumNodes())
-	r, err := s.EagerBichromatic(cands, sites, 0, 1)
+	r, err := runBi(s, AlgoEager, cands, sites, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Points) != cands.Len() {
 		t.Fatalf("eager with no sites returned %d of %d candidates", len(r.Points), cands.Len())
 	}
-	rl, err := s.LazyBichromatic(cands, sites, 0, 1)
+	rl, err := runBi(s, AlgoLazy, cands, sites, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,39 +3,14 @@ package core
 import (
 	"math"
 
-	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
-// BruteRkNN answers a monochromatic RkNN query by running an unbounded
-// verification expansion from every data point: p is a member iff the query
-// is met before k other points strictly closer to p. It visits all data
-// points — exactly the naive strategy Section 3.1 argues against — and
-// serves as the correctness oracle for the entire test suite.
-func (s *Searcher) BruteRkNN(ps points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := s.checkQuery(qnode, k); err != nil {
-		return nil, err
-	}
-	return s.brute(ps, ps, true, singleTarget(qnode), k)
-}
-
-// BruteContinuous is the continuous (route) variant of BruteRkNN.
-func (s *Searcher) BruteContinuous(ps points.NodeView, route []graph.NodeID, k int) (*Result, error) {
-	if err := s.checkRoute(route, k); err != nil {
-		return nil, err
-	}
-	return s.brute(ps, ps, true, routeTarget(route), k)
-}
-
-// BruteBichromatic answers a bichromatic bRkNN query by brute force: every
-// candidate of cands is verified against the site set.
-func (s *Searcher) BruteBichromatic(cands, sites points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := s.checkQuery(qnode, k); err != nil {
-		return nil, err
-	}
-	return s.brute(cands, sites, false, singleTarget(qnode), k)
-}
-
+// brute answers a query by running an unbounded verification expansion from
+// every candidate: p is a member iff the target is met before k competitors
+// strictly closer to p. It visits all data points — exactly the naive
+// strategy Section 3.1 argues against — and serves as the correctness
+// oracle for the entire test suite.
 func (s *Searcher) brute(cands, sites points.NodeView, mono bool, target nodeTarget, k int) (*Result, error) {
 	var st Stats
 	var results []points.PointID
@@ -45,15 +20,7 @@ func (s *Searcher) brute(cands, sites points.NodeView, mono bool, target nodeTar
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
 		}
-		pnode, ok := cands.NodeOf(p)
-		if !ok {
-			continue
-		}
-		self := points.NoPoint
-		if mono {
-			self = p
-		}
-		member, err := s.verify(&st, sites, self, pnode, target, k, math.Inf(1))
+		member, err := s.verifyMember(&st, cands, sites, mono, p, target, k)
 		if err != nil {
 			return execResult(results, st, err)
 		}
@@ -62,4 +29,18 @@ func (s *Searcher) brute(cands, sites points.NodeView, mono bool, target nodeTar
 		}
 	}
 	return finishResult(results, st), nil
+}
+
+// verifyMember is the oracle's per-candidate expansion; a deleted p is not
+// a member.
+func (s *Searcher) verifyMember(st *Stats, cands, sites points.NodeView, mono bool, p points.PointID, target nodeTarget, k int) (bool, error) {
+	pnode, ok := cands.NodeOf(p)
+	if !ok {
+		return false, nil
+	}
+	self := points.NoPoint
+	if mono {
+		self = p
+	}
+	return s.verify(st, sites, self, pnode, target, k, math.Inf(1), nil)
 }

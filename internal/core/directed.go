@@ -69,7 +69,7 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 		// pops is correctly excluded.
 		if p, ok := ps.PointAt(n); ok && !verified[p] {
 			verified[p] = true
-			member, err := ds.fwd.verify(&st, ps, p, n, target, k, d)
+			member, err := ds.fwd.verify(&st, ps, p, n, target, k, d, nil)
 			if err != nil {
 				return execResult(results, st, err)
 			}
@@ -98,7 +98,7 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 			if !hasNode {
 				continue
 			}
-			member, err := ds.fwd.verify(&st, ps, pd.P, pnode, target, k, math.Inf(1))
+			member, err := ds.fwd.verify(&st, ps, pd.P, pnode, target, k, math.Inf(1), nil)
 			if err != nil {
 				return execResult(results, st, err)
 			}
@@ -134,7 +134,7 @@ func (ds *DirectedSearcher) BruteRkNN(ps points.NodeView, qnode graph.NodeID, k 
 		if !ok {
 			continue
 		}
-		member, err := ds.fwd.verify(&st, ps, p, pnode, target, k, math.Inf(1))
+		member, err := ds.fwd.verify(&st, ps, p, pnode, target, k, math.Inf(1), nil)
 		if err != nil {
 			return nil, err
 		}

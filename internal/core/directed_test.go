@@ -187,7 +187,7 @@ func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 		s := NewSearcher(net.g)
 		k := 1 + rng.Intn(3)
 		qnode := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		want, err := s.EagerRkNN(net.ps, qnode, k)
+		want, err := runRNN(s, AlgoEager, net.ps, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}

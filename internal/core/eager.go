@@ -7,46 +7,38 @@ import (
 	"graphrnn/internal/points"
 )
 
-// EagerRkNN answers a monochromatic RkNN query from qnode with the eager
-// algorithm of Section 3.2: the network is expanded around the query and
-// every de-heaped node n is probed with range-NN(n, k, d(n,q)); if k data
-// points lie strictly closer to n than the query, Lemma 1 prunes the
-// expansion at n. Every point discovered by a probe is verified once.
+// eager is the eager algorithm of Section 3.2: the network is expanded
+// around the query and every de-heaped node n is probed with
+// range-NN(n, k, d(n,q)) over sites; if k competitors lie strictly closer to
+// n than the query, Lemma 1 prunes the expansion at n.
 //
-// ps must already exclude a point co-located with the query, if the caller
-// wants the usual "newly arrived object" semantics (see points.ExcludeNode).
-func (s *Searcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := s.checkQuery(qnode, k); err != nil {
-		return nil, err
-	}
-	return s.eager(ps, []graph.NodeID{qnode}, singleTarget(qnode), k)
-}
-
-// EagerContinuous answers a continuous RkNN query over a route (Section
-// 5.1): the union of RkNN sets over all route nodes, computed in a single
-// multi-source expansion under the distance d(r,n) = min over route nodes.
-func (s *Searcher) EagerContinuous(ps points.NodeView, route []graph.NodeID, k int) (*Result, error) {
-	if err := s.checkRoute(route, k); err != nil {
-		return nil, err
-	}
-	return s.eager(ps, route, routeTarget(route), k)
-}
-
-func (s *Searcher) eager(ps points.NodeView, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
+// Monochromatic and continuous queries (cands == sites; Section 5.1 runs a
+// route as one multi-source expansion under d(r,n) = min over route nodes)
+// verify every point a probe discovers, once. Bichromatic queries (Section
+// 5.1) need no verification at all: the main expansion knows the exact
+// d(n,q) of every de-heaped node, so the probe already decides whether n —
+// and the candidate residing on it — belongs to the answer region.
+//
+// cands must already exclude a point co-located with the query, if the
+// caller wants the usual "newly arrived object" semantics (see
+// points.ExcludeNode).
+func (s *Searcher) eager(cands, sites points.NodeView, mono bool, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
 	var st Stats
 	main := s.acquire()
 	defer func() { s.harvest(&st, main); s.release(main) }()
 	main.begin()
 
-	verified := make(map[points.PointID]bool)
+	decided := make(map[points.PointID]bool)
 	var results []points.PointID
 	for _, src := range sources {
-		// A visible point on a source node is at distance 0 from the query
-		// and is trivially a member; range-NN probes (strict range) can
-		// never discover it, so handle it here.
-		if p, ok := ps.PointAt(src); ok && !verified[p] {
-			verified[p] = true
-			results = s.confirm(results, p)
+		if mono {
+			// A visible point on a source node is at distance 0 from the
+			// query and is trivially a member; range-NN probes (strict
+			// range) can never discover it, so handle it here.
+			if p, ok := cands.PointAt(src); ok && !decided[p] {
+				decided[p] = true
+				results = s.confirm(results, p)
+			}
 		}
 		main.push(src, 0)
 	}
@@ -62,31 +54,39 @@ func (s *Searcher) eager(ps points.NodeView, sources []graph.NodeID, target node
 			return execResult(results, st, err)
 		}
 		var err error
-		found, err = s.rangeNN(&st, ps, n, k, d, found)
+		found, err = s.rangeNN(&st, sites, n, k, d, found)
 		if err != nil {
 			return execResult(results, st, err)
 		}
-		for _, pd := range found {
-			if verified[pd.P] {
-				continue
-			}
-			verified[pd.P] = true
-			pnode, ok := ps.NodeOf(pd.P)
-			if !ok {
-				return nil, fmt.Errorf("core: point %d has no node", pd.P)
-			}
-			// d + pd.D upper-bounds the point-to-query distance; the
-			// verification reaches the query at its exact distance.
-			member, err := s.verify(&st, ps, pd.P, pnode, target, k, d+pd.D)
-			if err != nil {
-				return execResult(results, st, err)
-			}
-			if member {
-				results = s.confirm(results, pd.P)
+		if mono {
+			for _, pd := range found {
+				if decided[pd.P] {
+					continue
+				}
+				decided[pd.P] = true
+				pnode, ok := cands.NodeOf(pd.P)
+				if !ok {
+					return nil, fmt.Errorf("core: point %d has no node", pd.P)
+				}
+				// d + pd.D upper-bounds the point-to-query distance; the
+				// verification reaches the query at its exact distance.
+				member, err := s.verify(&st, sites, pd.P, pnode, target, k, d+pd.D, nil)
+				if err != nil {
+					return execResult(results, st, err)
+				}
+				if member {
+					results = s.confirm(results, pd.P)
+				}
 			}
 		}
 		if len(found) >= k {
 			continue // Lemma 1: n cannot lead to further results
+		}
+		if !mono {
+			if p, ok := cands.PointAt(n); ok && !decided[p] {
+				decided[p] = true
+				results = s.confirm(results, p)
+			}
 		}
 		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
 			return nil, err
@@ -96,26 +96,4 @@ func (s *Searcher) eager(ps points.NodeView, sources []graph.NodeID, target node
 		}
 	}
 	return finishResult(results, st), nil
-}
-
-func (s *Searcher) checkQuery(qnode graph.NodeID, k int) error {
-	if k < 1 {
-		return fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if qnode < 0 || int(qnode) >= s.g.NumNodes() {
-		return fmt.Errorf("core: query node %d out of range [0,%d)", qnode, s.g.NumNodes())
-	}
-	return nil
-}
-
-func (s *Searcher) checkRoute(route []graph.NodeID, k int) error {
-	if len(route) == 0 {
-		return fmt.Errorf("core: empty route")
-	}
-	for _, n := range route {
-		if err := s.checkQuery(n, k); err != nil {
-			return err
-		}
-	}
-	return nil
 }

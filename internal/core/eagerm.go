@@ -8,59 +8,32 @@ import (
 	"graphrnn/internal/points"
 )
 
-// EagerMRkNN answers a monochromatic RkNN query with eager-M (Section 4.1):
-// the eager traversal consults the materialized lists instead of issuing
-// range-NN sub-queries, and verification of a discovered point p first tries
-// the materialized shortcut — if the upper bound d(q,n)+d(n,p) is within the
-// k-th NN radius of p, p is accepted without any expansion; otherwise a
-// regular verification query runs.
+// eagerM is eager-M (Section 4.1): the eager traversal consults the
+// materialized lists instead of issuing range-NN sub-queries, and
+// verification of a discovered point p first tries the materialized
+// shortcut — if the upper bound d(q,n)+d(n,p) is within the k-th NN radius
+// of p, p is accepted without any expansion; otherwise a regular
+// verification query runs. Bichromatic queries need no verification, as in
+// eager.
 //
-// mat must have been built over the same point set that backs ps (ps may
-// hide points, e.g. the query-co-located one; hidden points are skipped when
-// lists are read — the spare K+1-th entry compensates).
-func (s *Searcher) EagerMRkNN(ps points.NodeView, mat *Materialized, qnode graph.NodeID, k int) (*Result, error) {
-	if err := s.checkQuery(qnode, k); err != nil {
-		return nil, err
-	}
-	if err := checkMatK(mat, k); err != nil {
-		return nil, err
-	}
-	return s.eagerM(ps, mat, []graph.NodeID{qnode}, singleTarget(qnode), k)
-}
-
-// EagerMContinuous is the continuous (route) variant of EagerMRkNN.
-func (s *Searcher) EagerMContinuous(ps points.NodeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
-	if err := s.checkRoute(route, k); err != nil {
-		return nil, err
-	}
-	if err := checkMatK(mat, k); err != nil {
-		return nil, err
-	}
-	return s.eagerM(ps, mat, route, routeTarget(route), k)
-}
-
-func checkMatK(mat *Materialized, k int) error {
-	if mat == nil {
-		return fmt.Errorf("core: nil materialized lists")
-	}
-	if k > mat.MaxK() {
-		return fmt.Errorf("core: k=%d exceeds materialized K=%d", k, mat.MaxK())
-	}
-	return nil
-}
-
-func (s *Searcher) eagerM(ps points.NodeView, mat *Materialized, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
+// mat must have been built over the point set that backs sites (Section
+// 5.1: "we simply materialize KNN(n) ⊆ Q"). sites may hide points, e.g. the
+// query-co-located one; hidden points are skipped when lists are read — the
+// spare K+1-th entry compensates.
+func (s *Searcher) eagerM(cands, sites points.NodeView, mono bool, mat *Materialized, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
 	var st Stats
 	main := s.acquire()
 	defer func() { s.harvest(&st, main); s.release(main) }()
 	main.begin()
 
-	verified := make(map[points.PointID]bool)
+	decided := make(map[points.PointID]bool)
 	var results []points.PointID
 	for _, src := range sources {
-		if p, ok := ps.PointAt(src); ok && !verified[p] {
-			verified[p] = true
-			results = s.confirm(results, p)
+		if mono {
+			if p, ok := cands.PointAt(src); ok && !decided[p] {
+				decided[p] = true
+				results = s.confirm(results, p)
+			}
 		}
 		main.push(src, 0)
 	}
@@ -89,15 +62,15 @@ func (s *Searcher) eagerM(ps points.NodeView, mat *Materialized, sources []graph
 			if closer >= k || e.D >= dStrict {
 				break
 			}
-			if _, visible := ps.NodeOf(e.P); !visible {
+			if _, visible := sites.NodeOf(e.P); !visible {
 				continue
 			}
 			closer++
-			if verified[e.P] {
+			if !mono || decided[e.P] {
 				continue
 			}
-			verified[e.P] = true
-			member, err := s.verifyWithMat(&st, ps, mat, e.P, target, k, d+e.D, &plst)
+			decided[e.P] = true
+			member, err := s.verifyWithMat(&st, sites, mat, e.P, target, k, d+e.D, &plst)
 			if err != nil {
 				return execResult(results, st, err)
 			}
@@ -107,6 +80,12 @@ func (s *Searcher) eagerM(ps points.NodeView, mat *Materialized, sources []graph
 		}
 		if closer >= k {
 			continue // Lemma 1 prune
+		}
+		if !mono {
+			if p, ok := cands.PointAt(n); ok && !decided[p] {
+				decided[p] = true
+				results = s.confirm(results, p)
+			}
 		}
 		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
 			return nil, err
@@ -160,5 +139,5 @@ func (s *Searcher) verifyWithMat(st *Stats, ps points.NodeView, mat *Materialize
 		// Fewer than k points can be strictly closer to p than the query.
 		return true, nil
 	}
-	return s.verify(st, ps, p, pnode, target, k, ub)
+	return s.verify(st, ps, p, pnode, target, k, ub, nil)
 }

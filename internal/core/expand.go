@@ -87,13 +87,19 @@ func (s *Searcher) rangeNN(st *Stats, ps points.NodeView, n graph.NodeID, k int,
 //
 // Counting is exact under ties: a site at exactly the candidate-to-target
 // distance does not count against membership, regardless of heap pop order.
-func (s *Searcher) verify(st *Stats, sites points.NodeView, self points.PointID, start graph.NodeID, target nodeTarget, k int, ub float64) (bool, error) {
+//
+// A non-nil lz makes this the verification of the lazy algorithm (Fig 7):
+// every visited node provably closer to the candidate than to the query
+// additionally prunes lz's main walk.
+func (s *Searcher) verify(st *Stats, sites points.NodeView, self points.PointID, start graph.NodeID, target nodeTarget, k int, ub float64, lz *lazyPrune[graph.NodeID]) (bool, error) {
 	st.Verifications++
 	sc := s.acquire()
 	defer func() { s.harvest(st, sc); s.release(sc) }()
 	sc.begin()
 	sc.push(start, 0)
-	ub = upperBound(ub)
+	// ubStrict is the strict-closeness threshold of the lazy side effect;
+	// ub itself is inflated against float association noise.
+	ub, ubStrict := upperBound(ub), strictBound(ub)
 
 	strictCount := 0 // sites strictly closer than the current pop distance
 	sameCount := 0   // sites at exactly the current pop distance
@@ -120,6 +126,9 @@ func (s *Searcher) verify(st *Stats, sites points.NodeView, self points.PointID,
 		}
 		if p, has := sites.PointAt(m); has && p != self {
 			sameCount++
+		}
+		if lz != nil && lz.visit(m, d, ubStrict, k) {
+			lz.unqueue(m)
 		}
 		var err error
 		sc.adj, err = s.g.Adjacency(m, sc.adj)

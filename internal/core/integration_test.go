@@ -40,11 +40,11 @@ func TestDiskAndMemoryStoresAgree(t *testing.T) {
 
 		type run func(s *Searcher, mat *Materialized) (*Result, error)
 		for name, fn := range map[string]run{
-			"eager":  func(s *Searcher, _ *Materialized) (*Result, error) { return s.EagerRkNN(view, qnode, k) },
-			"lazy":   func(s *Searcher, _ *Materialized) (*Result, error) { return s.LazyRkNN(view, qnode, k) },
-			"lazyEP": func(s *Searcher, _ *Materialized) (*Result, error) { return s.LazyEPRkNN(view, qnode, k) },
-			"eagerM": func(s *Searcher, m *Materialized) (*Result, error) { return s.EagerMRkNN(view, m, qnode, k) },
-			"brute":  func(s *Searcher, _ *Materialized) (*Result, error) { return s.BruteRkNN(view, qnode, k) },
+			"eager":  func(s *Searcher, _ *Materialized) (*Result, error) { return runRNN(s, AlgoEager, view, nil, qnode, k) },
+			"lazy":   func(s *Searcher, _ *Materialized) (*Result, error) { return runRNN(s, AlgoLazy, view, nil, qnode, k) },
+			"lazyEP": func(s *Searcher, _ *Materialized) (*Result, error) { return runRNN(s, AlgoLazyEP, view, nil, qnode, k) },
+			"eagerM": func(s *Searcher, m *Materialized) (*Result, error) { return runRNN(s, AlgoEagerM, view, m, qnode, k) },
+			"brute":  func(s *Searcher, _ *Materialized) (*Result, error) { return runRNN(s, AlgoBrute, view, nil, qnode, k) },
 		} {
 			a, err := fn(mem, memMat)
 			if err != nil {
@@ -99,10 +99,10 @@ func TestQueryIOErrorsPropagate(t *testing.T) {
 		}
 		s := NewSearcher(fds)
 		for name, fn := range map[string]func() (*Result, error){
-			"eager":  func() (*Result, error) { return s.EagerRkNN(view, qnode, 1) },
-			"lazy":   func() (*Result, error) { return s.LazyRkNN(view, qnode, 1) },
-			"lazyEP": func() (*Result, error) { return s.LazyEPRkNN(view, qnode, 1) },
-			"brute":  func() (*Result, error) { return s.BruteRkNN(view, qnode, 1) },
+			"eager":  func() (*Result, error) { return runRNN(s, AlgoEager, view, nil, qnode, 1) },
+			"lazy":   func() (*Result, error) { return runRNN(s, AlgoLazy, view, nil, qnode, 1) },
+			"lazyEP": func() (*Result, error) { return runRNN(s, AlgoLazyEP, view, nil, qnode, 1) },
+			"brute":  func() (*Result, error) { return runRNN(s, AlgoBrute, view, nil, qnode, 1) },
 		} {
 			_, err := fn()
 			if err == nil {
@@ -135,7 +135,7 @@ func TestScratchEpochWraparound(t *testing.T) {
 		qp := pts[i%len(pts)]
 		qnode, _ := net.ps.NodeOf(qp)
 		view := points.ExcludeNode(net.ps, qp)
-		r, err := s.EagerRkNN(view, qnode, 2)
+		r, err := runRNN(s, AlgoEager, view, nil, qnode, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,48 +45,79 @@ func (c *lazyCounts) add(n graph.NodeID) int32 {
 	return c.val[n]
 }
 
-// LazyRkNN answers a monochromatic RkNN query with the lazy algorithm of
-// Section 3.3. The expansion from the query is pruned only when data points
-// are discovered: the verification query of a discovered point p visits the
-// nodes within d(p,q) of p, and every visited node provably closer to p
-// than to the query has its counter incremented; a node whose counter
-// reaches k is closer to k data points than to the query and, by Lemma 1,
-// is skipped (if still queued) or has the heap entries it generated removed
-// (via the hash table of Fig 6).
-func (s *Searcher) LazyRkNN(ps points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := s.checkQuery(qnode, k); err != nil {
-		return nil, err
-	}
-	return s.lazy(ps, []graph.NodeID{qnode}, singleTarget(qnode), k)
+// lazyPrune is the main-walk state a lazy verification expansion prunes as
+// a side effect (Section 3.3): the walk's node labels and heap, the
+// per-node counters, and the hash table of Fig 6 mapping an expanded node
+// to the heap entries it generated. E is the walk's heap entry type, which
+// is all that differs between the restricted and unrestricted walks.
+type lazyPrune[E any] struct {
+	sc       *scratch
+	heap     *pq.Heap[E]
+	counts   *lazyCounts
+	children map[graph.NodeID][]*pq.Item[E]
 }
 
-// LazyContinuous is the continuous (route) variant of LazyRkNN.
-func (s *Searcher) LazyContinuous(ps points.NodeView, route []graph.NodeID, k int) (*Result, error) {
-	if err := s.checkRoute(route, k); err != nil {
-		return nil, err
+// visit applies the pruning side effect of a verification expansion that
+// met node m at distance dm from a point at most e (eStrict = strictBound(e))
+// away from the query (Fig 7, lines 9-12). For a node the main walk has
+// already de-heaped the two exact distances are compared; for any other
+// node dm < e <= d(m,q) holds because the main walk pops in ascending
+// distance order. A qualifying node's counter is incremented; visit reports
+// whether it thereby reached k on an expanded node, whose heap entries the
+// caller then removes with unqueue (kept apart so that visit inlines into
+// the verification loops).
+func (lz *lazyPrune[E]) visit(m graph.NodeID, dm, eStrict float64, k int) bool {
+	closed := lz.sc.isClosed(m)
+	if closed {
+		eStrict = strictBound(lz.sc.dist[m])
 	}
-	return s.lazy(ps, route, routeTarget(route), k)
+	return dm < eStrict && lz.counts.add(m) == int32(k) && closed
 }
 
-func (s *Searcher) lazy(ps points.NodeView, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
+// unqueue removes the heap entries expanded node m generated.
+func (lz *lazyPrune[E]) unqueue(m graph.NodeID) {
+	for _, h := range lz.children[m] {
+		lz.heap.Remove(h)
+	}
+	delete(lz.children, m)
+}
+
+// lazy is the lazy algorithm of Section 3.3. The expansion from the query
+// is pruned only when competitors are discovered: the verification query of
+// a discovered point visits the nodes within its query distance, and every
+// visited node provably closer to the point than to the query has its
+// counter incremented (lazyPrune.visit); a node whose counter reaches k is
+// closer to k competitors than to the query and, by Lemma 1, is skipped (if
+// still queued) or has the heap entries it generated removed.
+//
+// Monochromatic queries (cands == sites) take the verification's verdict as
+// the point's membership. Bichromatic ones run site verifications purely
+// for their pruning side effects and classify each candidate-bearing node
+// that survives with one exact range count.
+func (s *Searcher) lazy(cands, sites points.NodeView, mono bool, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
 	var st Stats
 	main := s.acquire()
 	defer func() { s.harvest(&st, main); s.release(main) }()
 	main.begin()
 	counts := s.acquireCounts()
 	defer s.releaseCounts(counts)
-	children := make(map[graph.NodeID][]*pq.Item[graph.NodeID])
+	lz := &lazyPrune[graph.NodeID]{sc: main, heap: &main.heap, counts: counts,
+		children: make(map[graph.NodeID][]*pq.Item[graph.NodeID])}
 
-	verified := make(map[points.PointID]bool)
+	verified := make(map[points.PointID]bool)   // sites
+	classified := make(map[points.PointID]bool) // bichromatic candidates
 	var results []points.PointID
 	for _, src := range sources {
-		if p, ok := ps.PointAt(src); ok && !verified[p] {
-			verified[p] = true
-			results = s.confirm(results, p)
+		if mono {
+			if p, ok := cands.PointAt(src); ok && !verified[p] {
+				verified[p] = true
+				results = s.confirm(results, p)
+			}
 		}
 		main.push(src, 0)
 	}
 
+	var probe []PointDist
 	for {
 		n, d, ok := main.pop()
 		if !ok {
@@ -97,18 +128,33 @@ func (s *Searcher) lazy(ps points.NodeView, sources []graph.NodeID, target nodeT
 			return execResult(results, st, err)
 		}
 		if counts.get(n) >= int32(k) {
-			// Lemma 1: n is closer to k data points than to the query;
+			// Lemma 1: n is closer to k competitors than to the query;
 			// neither examined nor expanded.
 			continue
 		}
-		if p, ok := ps.PointAt(n); ok && !verified[p] {
+		if p, ok := sites.PointAt(n); ok && !verified[p] {
 			verified[p] = true
-			member, err := s.lazyVerify(&st, ps, p, n, target, k, d, main, counts, children)
+			member, err := s.verify(&st, sites, p, n, target, k, d, lz)
 			if err != nil {
 				return execResult(results, st, err)
 			}
-			if member {
+			if mono && member {
 				results = s.confirm(results, p)
+			}
+		}
+		if !mono {
+			if p, ok := cands.PointAt(n); ok && !classified[p] {
+				classified[p] = true
+				// Exact classification: fewer than k sites strictly
+				// closer than d(n,q).
+				var err error
+				probe, err = s.rangeNN(&st, sites, n, k, d, probe)
+				if err != nil {
+					return execResult(results, st, err)
+				}
+				if len(probe) < k {
+					results = s.confirm(results, p)
+				}
 			}
 		}
 		// The verification of n's own point counts n itself (distance 0),
@@ -128,79 +174,8 @@ func (s *Searcher) lazy(ps points.NodeView, sources []graph.NodeID, target nodeT
 			}
 		}
 		if kids != nil {
-			children[n] = kids
+			lz.children[n] = kids
 		}
 	}
 	return finishResult(results, st), nil
-}
-
-// lazyVerify runs the verification expansion of point self (residing on
-// start, at query distance upper bound e) and applies its pruning side
-// effects to the main search: counter increments for nodes provably closer
-// to self than to the query, and removal of heap entries generated by a
-// visited node whose counter reaches k (Fig 7, lines 9-12).
-func (s *Searcher) lazyVerify(st *Stats, ps points.NodeView, self points.PointID, start graph.NodeID, target nodeTarget, k int, e float64, main *scratch, counts *lazyCounts, children map[graph.NodeID][]*pq.Item[graph.NodeID]) (bool, error) {
-	st.Verifications++
-	sub := s.acquire()
-	defer func() { s.harvest(st, sub); s.release(sub) }()
-	sub.begin()
-	sub.push(start, 0)
-	// eX bounds the expansion (inflated against float association noise);
-	// eStrict is the strict-closeness threshold used for counter updates.
-	eX, eStrict := upperBound(e), strictBound(e)
-
-	strictCount, sameCount := 0, 0
-	lastDist := 0.0
-	for {
-		m, dm, ok := sub.pop()
-		if !ok {
-			return false, nil
-		}
-		st.NodesScanned++
-		if err := s.checkExecStride(st); err != nil {
-			return false, err
-		}
-		if dm > lastDist {
-			strictCount += sameCount
-			sameCount = 0
-			lastDist = dm
-		}
-		if strictCount >= k {
-			return false, nil
-		}
-		if target.hit(m) {
-			return true, nil
-		}
-		if p, has := ps.PointAt(m); has && p != self {
-			sameCount++
-		}
-		// Pruning side effect. For a node already visited by the main
-		// expansion, compare the two exact distances; for an unvisited
-		// node, dm < e <= d(m,q) holds because the main expansion pops in
-		// ascending distance order (Section 3.3).
-		eligible := false
-		if main.isClosed(m) {
-			eligible = dm < strictBound(main.dist[m])
-		} else {
-			eligible = dm < eStrict
-		}
-		if eligible {
-			if c := counts.add(m); c == int32(k) && main.isClosed(m) {
-				for _, h := range children[m] {
-					main.heap.Remove(h)
-				}
-				delete(children, m)
-			}
-		}
-		var err error
-		sub.adj, err = s.g.Adjacency(m, sub.adj)
-		if err != nil {
-			return false, err
-		}
-		for _, edge := range sub.adj {
-			if nd := dm + edge.W; nd <= eX {
-				sub.push(edge.To, nd)
-			}
-		}
-	}
 }

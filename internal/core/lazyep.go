@@ -8,91 +8,89 @@ import (
 	"graphrnn/internal/pq"
 )
 
-// LazyEPRkNN answers a monochromatic RkNN query with lazy-EP (Section 4.2):
-// lazy evaluation with extended pruning. A second heap H' expands the
-// network around every discovered data point in parallel with the main
-// expansion (interleaved by distance), recording for each node the nearest
-// discovered points; a node found closer to k discovered points than to the
-// query is pruned without a verification query.
-func (s *Searcher) LazyEPRkNN(ps points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := s.checkQuery(qnode, k); err != nil {
-		return nil, err
-	}
-	return s.lazyEP(ps, []graph.NodeID{qnode}, singleTarget(qnode), k)
+// epMarks is the second heap H' of lazy-EP (Section 4.2) with the marks it
+// leaves behind: it expands the network around every discovered competitor
+// in parallel with the main expansion (interleaved by distance), recording
+// in found[n] the up-to-k nearest discovered competitors of node n in
+// canonical order ("the kNN of each node found so far").
+type epMarks struct {
+	found map[graph.NodeID][]PointDist
+	hp    pq.Heap[matHeapEntry]
+	adj   []graph.Edge
 }
 
-// LazyEPContinuous is the continuous (route) variant of LazyEPRkNN.
-func (s *Searcher) LazyEPContinuous(ps points.NodeView, route []graph.NodeID, k int) (*Result, error) {
-	if err := s.checkRoute(route, k); err != nil {
-		return nil, err
+// advance drains H' entries strictly below limit. The paper interleaves on
+// "top of H' < last de-heaped distance of H"; draining against the distance
+// of the *next* main pop is equivalent in cost order and guarantees every
+// mark below the pop distance is in place before the pop's pruning check.
+func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
+	for {
+		top, ok := ep.hp.Peek()
+		if !ok || top.Priority() >= limit {
+			return nil
+		}
+		e, d, _ := ep.hp.Pop()
+		st.NodesScanned++
+		if err := s.checkExecStride(st); err != nil {
+			return err
+		}
+		lst := ep.found[e.node]
+		if !insertFound(&lst, e.p, d, k) {
+			continue
+		}
+		ep.found[e.node] = lst
+		var err error
+		ep.adj, err = s.g.Adjacency(e.node, ep.adj)
+		if err != nil {
+			return err
+		}
+		for _, edge := range ep.adj {
+			nd := d + edge.W
+			if tgt := ep.found[edge.To]; len(tgt) == k && !entryLess(nd, e.p, tgt[k-1].D, tgt[k-1].P) {
+				continue // cannot improve the neighbour's list
+			}
+			ep.hp.Push(matHeapEntry{edge.To, e.p}, nd)
+		}
 	}
-	return s.lazyEP(ps, route, routeTarget(route), k)
 }
 
-func (s *Searcher) lazyEP(ps points.NodeView, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
+// harvest adds the heap traffic of H' to st.
+func (ep *epMarks) harvest(st *Stats) {
+	st.HeapPushes += int64(ep.hp.PushCount)
+	st.HeapPops += int64(ep.hp.PopCount)
+}
+
+// lazyEP is lazy-EP (Section 4.2): lazy evaluation with extended pruning.
+// A node found closer to k discovered competitors than to the query (by the
+// H' marks) is pruned without a verification query, and a candidate whose
+// node's marks already show k closer competitors is rejected without one.
+// Surviving candidates are decided by a verification (monochromatic) or an
+// exact range count (bichromatic).
+func (s *Searcher) lazyEP(cands, sites points.NodeView, mono bool, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
 	var st Stats
 	main := s.acquire()
 	defer func() { s.harvest(&st, main); s.release(main) }()
 	main.begin()
+	ep := &epMarks{found: make(map[graph.NodeID][]PointDist)}
 
-	// found[n] holds the up-to-k nearest discovered points of node n seen
-	// by the H' expansion, in canonical order ("the kNN of each node found
-	// so far", Section 4.2).
-	found := make(map[graph.NodeID][]PointDist)
-	var hp pq.Heap[matHeapEntry]
-	var hpAdj []graph.Edge
-
-	// advanceHP drains H' entries strictly below limit. The paper
-	// interleaves on "top of H' < last de-heaped distance of H"; draining
-	// against the distance of the *next* main pop is equivalent in cost
-	// order and guarantees every mark below the pop distance is in place
-	// before the pop's pruning check.
-	advanceHP := func(limit float64) error {
-		for {
-			top, ok := hp.Peek()
-			if !ok || top.Priority() >= limit {
-				return nil
-			}
-			e, d, _ := hp.Pop()
-			st.NodesScanned++
-			if err := s.checkExecStride(&st); err != nil {
-				return err
-			}
-			lst := found[e.node]
-			improved := insertFound(&lst, e.p, d, k)
-			if !improved {
-				continue
-			}
-			found[e.node] = lst
-			var err error
-			hpAdj, err = s.g.Adjacency(e.node, hpAdj)
-			if err != nil {
-				return err
-			}
-			for _, edge := range hpAdj {
-				nd := d + edge.W
-				if tgt := found[edge.To]; len(tgt) == k && !entryLess(nd, e.p, tgt[k-1].D, tgt[k-1].P) {
-					continue // cannot improve the neighbour's list
-				}
-				hp.Push(matHeapEntry{edge.To, e.p}, nd)
-			}
-		}
-	}
-
-	verified := make(map[points.PointID]bool)
+	seeded := make(map[points.PointID]bool)     // sites expanding in H'
+	classified := make(map[points.PointID]bool) // candidates decided
 	var results []points.PointID
 	for _, src := range sources {
-		if p, ok := ps.PointAt(src); ok && !verified[p] {
-			verified[p] = true
-			results = s.confirm(results, p)
-			hp.Push(matHeapEntry{src, p}, 0)
+		if mono {
+			if p, ok := cands.PointAt(src); ok && !seeded[p] {
+				seeded[p], classified[p] = true, true
+				results = s.confirm(results, p)
+				ep.hp.Push(matHeapEntry{src, p}, 0)
+			}
 		}
 		main.push(src, 0)
 	}
 
+	var probe []PointDist
 	for {
 		if top, ok := main.heap.Peek(); ok {
-			if err := advanceHP(top.Priority()); err != nil {
+			if err := s.advance(&st, ep, top.Priority(), k); err != nil {
 				return execResult(results, st, err)
 			}
 		}
@@ -104,22 +102,34 @@ func (s *Searcher) lazyEP(ps points.NodeView, sources []graph.NodeID, target nod
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
 		}
-		lst := found[n]
+		lst := ep.found[n]
 		dStrict := strictBound(d)
 		pruned := len(lst) >= k && lst[k-1].D < dStrict
-		if p, hasPoint := ps.PointAt(n); hasPoint && !verified[p] {
-			verified[p] = true
-			// Count discovered points other than p strictly closer to n
-			// than the query; k of them disqualify p without verification
-			// (they are strictly closer to p as well, since p sits on n).
+		if p, ok := cands.PointAt(n); ok && !classified[p] {
+			classified[p] = true
+			// Count discovered competitors (other than p itself) strictly
+			// closer to n than the query; k of them disqualify p without a
+			// sub-query (they are strictly closer to p as well, since p
+			// sits on n).
+			self := points.NoPoint
+			if mono {
+				self = p
+			}
 			closer := 0
 			for _, f := range lst {
-				if f.P != p && f.D < dStrict {
+				if f.P != self && f.D < dStrict {
 					closer++
 				}
 			}
 			if closer < k {
-				member, err := s.verify(&st, ps, p, n, target, k, d)
+				var member bool
+				var err error
+				if mono {
+					member, err = s.verify(&st, sites, p, n, target, k, d, nil)
+				} else {
+					probe, err = s.rangeNN(&st, sites, n, k, d, probe)
+					member = len(probe) < k
+				}
 				if err != nil {
 					return execResult(results, st, err)
 				}
@@ -127,7 +137,10 @@ func (s *Searcher) lazyEP(ps points.NodeView, sources []graph.NodeID, target nod
 					results = s.confirm(results, p)
 				}
 			}
-			hp.Push(matHeapEntry{n, p}, 0)
+		}
+		if p, ok := sites.PointAt(n); ok && !seeded[p] {
+			seeded[p] = true
+			ep.hp.Push(matHeapEntry{n, p}, 0)
 		}
 		if pruned {
 			continue // Lemma 1 via the H' marks: no expansion
@@ -140,8 +153,7 @@ func (s *Searcher) lazyEP(ps points.NodeView, sources []graph.NodeID, target nod
 			main.push(e.To, d+e.W)
 		}
 	}
-	st.HeapPushes += int64(hp.PushCount)
-	st.HeapPops += int64(hp.PopCount)
+	ep.harvest(&st)
 	return finishResult(results, st), nil
 }
 

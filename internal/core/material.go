@@ -120,7 +120,7 @@ type Materialized struct {
 	maxK     int // queries support k <= maxK; records hold maxK+1 entries
 	cap      int // maxK + 1
 	numNodes int
-	bm       *storage.BufferManager
+	bm       *storage.Tenant
 	refs     []storage.RecRef
 	// pages recycles zero-capacity read buffers across List calls.
 	pages sync.Pool
@@ -172,7 +172,7 @@ func (m *Materialized) Stats() storage.Stats { return m.bm.Stats() }
 func (m *Materialized) ResetStats() { m.bm.ResetStats() }
 
 // Buffer exposes the list file buffer manager.
-func (m *Materialized) Buffer() *storage.BufferManager { return m.bm }
+func (m *Materialized) Buffer() *storage.Tenant { return m.bm }
 
 // Close detaches the lists' buffer tenant from its pool, flushing dirty
 // pages and returning any contributed capacity. The materialization must
@@ -434,13 +434,13 @@ type matHeapEntry struct {
 // Complexity is O(K·|E|·log(K·|E|)), as in the paper; pushes that provably
 // cannot improve a list are filtered to keep the heap small.
 func (s *Searcher) MatBuild(seeds []MatSeed, maxK int, file storage.PagedFile, bufferPages int, order []graph.NodeID) (*Materialized, error) {
-	return s.MatBuildBuffer(seeds, maxK, file, storage.NewBufferManager(file, bufferPages), order)
+	return s.MatBuildBuffer(seeds, maxK, file, storage.NewBufferPool(bufferPages).Attach("", file, 0), order)
 }
 
 // MatBuildBuffer is MatBuild reading the packed lists back through bm,
 // which must wrap file — typically a tenant of the process-wide buffer
 // pool, so list pages share frames (and stats) with every other substrate.
-func (s *Searcher) MatBuildBuffer(seeds []MatSeed, maxK int, file storage.PagedFile, bm *storage.BufferManager, order []graph.NodeID) (*Materialized, error) {
+func (s *Searcher) MatBuildBuffer(seeds []MatSeed, maxK int, file storage.PagedFile, bm *storage.Tenant, order []graph.NodeID) (*Materialized, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("core: maxK must be >= 1, got %d", maxK)
 	}

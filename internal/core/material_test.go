@@ -314,11 +314,11 @@ func TestEagerMAgreesWithBrute(t *testing.T) {
 		qnode, _ := net.ps.NodeOf(qp)
 		view := points.ExcludeNode(net.ps, qp)
 
-		want, err := s.BruteRkNN(view, qnode, k)
+		want, err := runRNN(s, AlgoBrute, view, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.EagerMRkNN(view, mat, qnode, k)
+		got, err := runRNN(s, AlgoEagerM, view, mat, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,11 +328,11 @@ func TestEagerMAgreesWithBrute(t *testing.T) {
 		}
 		// Also from an empty node without exclusion.
 		qnode2 := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		want, err = s.BruteRkNN(net.ps, qnode2, k)
+		want, err = runRNN(s, AlgoBrute, net.ps, nil, qnode2, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = s.EagerMRkNN(net.ps, mat, qnode2, k)
+		got, err = runRNN(s, AlgoEagerM, net.ps, mat, qnode2, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,10 +346,10 @@ func TestEagerMValidation(t *testing.T) {
 	g, ps, q := paperGraph(t)
 	s := NewSearcher(g)
 	mat := buildMat(t, s, ps, 2)
-	if _, err := s.EagerMRkNN(ps, mat, q, 3); err == nil {
+	if _, err := runRNN(s, AlgoEagerM, ps, mat, q, 3); err == nil {
 		t.Fatal("k > MaxK accepted")
 	}
-	if _, err := s.EagerMRkNN(ps, nil, q, 1); err == nil {
+	if _, err := runRNN(s, AlgoEagerM, ps, nil, q, 1); err == nil {
 		t.Fatal("nil materialized accepted")
 	}
 }
@@ -370,11 +370,11 @@ func TestLazyEPAgreesWithBrute(t *testing.T) {
 		qnode, _ := net.ps.NodeOf(qp)
 		view := points.ExcludeNode(net.ps, qp)
 
-		want, err := s.BruteRkNN(view, qnode, k)
+		want, err := runRNN(s, AlgoBrute, view, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.LazyEPRkNN(view, qnode, k)
+		got, err := runRNN(s, AlgoLazyEP, view, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,11 +383,11 @@ func TestLazyEPAgreesWithBrute(t *testing.T) {
 				it, describe(got), describe(want), net.g.NumNodes(), view.Len(), k, qnode)
 		}
 		qnode2 := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		want, err = s.BruteRkNN(net.ps, qnode2, k)
+		want, err = runRNN(s, AlgoBrute, net.ps, nil, qnode2, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = s.LazyEPRkNN(net.ps, qnode2, k)
+		got, err = runRNN(s, AlgoLazyEP, net.ps, nil, qnode2, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestLazyEPFig12Scenario(t *testing.T) {
 	ps := points.NewNodeSet(n)
 	p1, _ := ps.Place(1)
 	s := NewSearcher(g)
-	r, err := s.LazyEPRkNN(ps, 0, 1)
+	r, err := runRNN(s, AlgoLazyEP, ps, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestLazyEPFig12Scenario(t *testing.T) {
 	}
 	// Plain lazy expands far beyond (its verification range d(p1,q)=1
 	// cannot mark n4).
-	rl, err := s.LazyRkNN(ps, 0, 1)
+	rl, err := runRNN(s, AlgoLazy, ps, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,15 +466,15 @@ func TestContinuousAgreesWithBrute(t *testing.T) {
 		// Random walk route without repeated nodes (as in Fig 19).
 		route := randomWalkRoute(t, net.g, rng, 1+rng.Intn(8))
 
-		want, err := s.BruteContinuous(net.ps, route, k)
+		want, err := runRoute(s, AlgoBrute, net.ps, nil, route, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"eager":  func() (*Result, error) { return s.EagerContinuous(net.ps, route, k) },
-			"lazy":   func() (*Result, error) { return s.LazyContinuous(net.ps, route, k) },
-			"eagerM": func() (*Result, error) { return s.EagerMContinuous(net.ps, mat, route, k) },
-			"lazyEP": func() (*Result, error) { return s.LazyEPContinuous(net.ps, route, k) },
+			"eager":  func() (*Result, error) { return runRoute(s, AlgoEager, net.ps, nil, route, k) },
+			"lazy":   func() (*Result, error) { return runRoute(s, AlgoLazy, net.ps, nil, route, k) },
+			"eagerM": func() (*Result, error) { return runRoute(s, AlgoEagerM, net.ps, mat, route, k) },
+			"lazyEP": func() (*Result, error) { return runRoute(s, AlgoLazyEP, net.ps, nil, route, k) },
 		} {
 			got, err := run()
 			if err != nil {

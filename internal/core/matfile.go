@@ -376,7 +376,7 @@ func (pst *matPersist) writeHeaderAppend(m *Materialized) error {
 // operation is rolled back from the journal before the lists are served.
 // It returns the materialization, the point-set kind, and the persisted
 // point records (dense by point id, PointAbsent tombstones included).
-func MatOpen(file storage.PagedFile, bm *storage.BufferManager, journalFile storage.PagedFile) (*Materialized, byte, []PointRecord, error) {
+func MatOpen(file storage.PagedFile, bm *storage.Tenant, journalFile storage.PagedFile) (*Materialized, byte, []PointRecord, error) {
 	pageSize := file.PageSize()
 	if file.NumPages() == 0 || pageSize < matHeaderSize {
 		return nil, 0, nil, fmt.Errorf("core: not a materialization file")

@@ -66,7 +66,7 @@ func fuzzSeedMat(f *testing.F) (matBytes, journalBytes []byte) {
 	if err := MatSave(mat, MatKindNode, pts, file); err != nil {
 		f.Fatal(err)
 	}
-	bm := storage.NewBufferManager(file, 16)
+	bm := storage.NewBufferPool(16).Attach("", file, 0)
 	m2, _, rec, err := MatOpen(file, bm, jfile)
 	if err != nil {
 		f.Fatal(err)
@@ -133,7 +133,7 @@ func FuzzMatOpen(f *testing.F) {
 		}
 		file := bytesToPages(mb, storage.DefaultPageSize)
 		jfile := bytesToPages(jb, storage.DefaultPageSize)
-		bm := storage.NewBufferManager(file, 8)
+		bm := storage.NewBufferPool(8).Attach("", file, 0)
 		m, _, pts, err := MatOpen(file, bm, jfile)
 		if err != nil {
 			return // rejected with an error: the contract holds

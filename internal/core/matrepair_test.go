@@ -161,7 +161,7 @@ func persistedMat(t *testing.T, mat *Materialized, ps *points.NodeSet) (*Materia
 
 func reopenMat(t *testing.T, file, jfile storage.PagedFile) (*Materialized, *points.NodeSet, storage.PagedFile, storage.PagedFile) {
 	t.Helper()
-	bm := storage.NewBufferManager(file, 16)
+	bm := storage.NewBufferPool(16).Attach("", file, 0)
 	m, kind, pts, err := MatOpen(file, bm, jfile)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestMatOpenMissingJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen with an EMPTY journal: recovery must fail loudly.
-	bm := storage.NewBufferManager(file, 16)
+	bm := storage.NewBufferPool(16).Attach("", file, 0)
 	if _, _, _, err := MatOpen(file, bm, storage.NewMemFile(storage.DefaultPageSize)); err == nil {
 		t.Fatal("pending header with an empty journal opened without error")
 	}

@@ -72,9 +72,9 @@ func TestPaperExampleSection3(t *testing.T) {
 
 	want := []points.PointID{0, 1} // p1 (on n6) and p2 (on n5)
 	for name, run := range map[string]func() (*Result, error){
-		"brute": func() (*Result, error) { return s.BruteRkNN(ps, q, 1) },
-		"eager": func() (*Result, error) { return s.EagerRkNN(ps, q, 1) },
-		"lazy":  func() (*Result, error) { return s.LazyRkNN(ps, q, 1) },
+		"brute": func() (*Result, error) { return runRNN(s, AlgoBrute, ps, nil, q, 1) },
+		"eager": func() (*Result, error) { return runRNN(s, AlgoEager, ps, nil, q, 1) },
+		"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, ps, nil, q, 1) },
 	} {
 		r, err := run()
 		if err != nil {
@@ -124,9 +124,9 @@ func TestFig1aP2PExample(t *testing.T) {
 	}
 	s := NewSearcher(g)
 	for name, run := range map[string]func() (*Result, error){
-		"eager": func() (*Result, error) { return s.EagerRkNN(ps, 0, 1) },
-		"lazy":  func() (*Result, error) { return s.LazyRkNN(ps, 0, 1) },
-		"brute": func() (*Result, error) { return s.BruteRkNN(ps, 0, 1) },
+		"eager": func() (*Result, error) { return runRNN(s, AlgoEager, ps, nil, 0, 1) },
+		"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, ps, nil, 0, 1) },
+		"brute": func() (*Result, error) { return runRNN(s, AlgoBrute, ps, nil, 0, 1) },
 	} {
 		r, err := run()
 		if err != nil {
@@ -188,7 +188,7 @@ func TestVerifySemantics(t *testing.T) {
 	var st Stats
 
 	// p1 (on n6) has q as its NN: verify(p1, 1, q) succeeds.
-	ok, err := s.verify(&st, ps, 0, 5, singleTarget(q), 1, math.Inf(1))
+	ok, err := s.verify(&st, ps, 0, 5, singleTarget(q), 1, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +197,14 @@ func TestVerifySemantics(t *testing.T) {
 	}
 	// p3 (on n7) is closer to p1 than to q: verify fails for k=1 but
 	// succeeds for k=2.
-	ok, err = s.verify(&st, ps, 2, 6, singleTarget(q), 1, math.Inf(1))
+	ok, err = s.verify(&st, ps, 2, 6, singleTarget(q), 1, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("verify(p3,1,q) = true, want false")
 	}
-	ok, err = s.verify(&st, ps, 2, 6, singleTarget(q), 2, math.Inf(1))
+	ok, err = s.verify(&st, ps, 2, 6, singleTarget(q), 2, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestVerifyTieIsInclusive(t *testing.T) {
 	_ = pPrime
 	s := NewSearcher(g)
 	var st Stats
-	ok, err := s.verify(&st, ps, p, 1, singleTarget(2), 1, math.Inf(1))
+	ok, err := s.verify(&st, ps, p, 1, singleTarget(2), 1, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +243,9 @@ func TestVerifyTieIsInclusive(t *testing.T) {
 	// All algorithms agree: p (tied) is in; p' (which has p strictly
 	// closer than q) is out.
 	for name, run := range map[string]func() (*Result, error){
-		"eager": func() (*Result, error) { return s.EagerRkNN(ps, 2, 1) },
-		"lazy":  func() (*Result, error) { return s.LazyRkNN(ps, 2, 1) },
-		"brute": func() (*Result, error) { return s.BruteRkNN(ps, 2, 1) },
+		"eager": func() (*Result, error) { return runRNN(s, AlgoEager, ps, nil, 2, 1) },
+		"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, ps, nil, 2, 1) },
+		"brute": func() (*Result, error) { return runRNN(s, AlgoBrute, ps, nil, 2, 1) },
 	} {
 		r, err := run()
 		if err != nil {
@@ -260,16 +260,16 @@ func TestVerifyTieIsInclusive(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	g, ps, _ := paperGraph(t)
 	s := NewSearcher(g)
-	if _, err := s.EagerRkNN(ps, 0, 0); err == nil {
+	if _, err := runRNN(s, AlgoEager, ps, nil, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := s.EagerRkNN(ps, -1, 1); err == nil {
+	if _, err := runRNN(s, AlgoEager, ps, nil, -1, 1); err == nil {
 		t.Fatal("negative query node accepted")
 	}
-	if _, err := s.LazyRkNN(ps, 99, 1); err == nil {
+	if _, err := runRNN(s, AlgoLazy, ps, nil, 99, 1); err == nil {
 		t.Fatal("out-of-range query node accepted")
 	}
-	if _, err := s.EagerContinuous(ps, nil, 1); err == nil {
+	if _, err := runRoute(s, AlgoEager, ps, nil, nil, 1); err == nil {
 		t.Fatal("empty route accepted")
 	}
 }
@@ -295,9 +295,9 @@ func TestPointAtQueryNodeIsAlwaysResult(t *testing.T) {
 	s := NewSearcher(g)
 	for _, k := range []int{1, 2, 3} {
 		for name, run := range map[string]func() (*Result, error){
-			"eager": func() (*Result, error) { return s.EagerRkNN(ps, 0, k) },
-			"lazy":  func() (*Result, error) { return s.LazyRkNN(ps, 0, k) },
-			"brute": func() (*Result, error) { return s.BruteRkNN(ps, 0, k) },
+			"eager": func() (*Result, error) { return runRNN(s, AlgoEager, ps, nil, 0, k) },
+			"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, ps, nil, 0, k) },
+			"brute": func() (*Result, error) { return runRNN(s, AlgoBrute, ps, nil, 0, k) },
 		} {
 			r, err := run()
 			if err != nil {
@@ -334,9 +334,9 @@ func TestDisconnectedQueryComponent(t *testing.T) {
 	ps.Place(5) // other component
 	s := NewSearcher(g)
 	for name, run := range map[string]func() (*Result, error){
-		"eager": func() (*Result, error) { return s.EagerRkNN(ps, 0, 1) },
-		"lazy":  func() (*Result, error) { return s.LazyRkNN(ps, 0, 1) },
-		"brute": func() (*Result, error) { return s.BruteRkNN(ps, 0, 1) },
+		"eager": func() (*Result, error) { return runRNN(s, AlgoEager, ps, nil, 0, 1) },
+		"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, ps, nil, 0, 1) },
+		"brute": func() (*Result, error) { return runRNN(s, AlgoBrute, ps, nil, 0, 1) },
 	} {
 		r, err := run()
 		if err != nil {
@@ -367,11 +367,11 @@ func TestEagerLazyAgreeWithBrute(t *testing.T) {
 		view := points.ExcludeNode(net.ps, qp)
 		k := 1 + rng.Intn(4)
 
-		want, err := s.BruteRkNN(view, qnode, k)
+		want, err := runRNN(s, AlgoBrute, view, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.EagerRkNN(view, qnode, k)
+		got, err := runRNN(s, AlgoEager, view, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestEagerLazyAgreeWithBrute(t *testing.T) {
 			t.Fatalf("iter %d: eager=%s brute=%s (|V|=%d |P|=%d k=%d q=%d)",
 				it, describe(got), describe(want), net.g.NumNodes(), view.Len(), k, qnode)
 		}
-		got, err = s.LazyRkNN(view, qnode, k)
+		got, err = runRNN(s, AlgoLazy, view, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,13 +398,13 @@ func TestEagerLazyQueryOnEmptyNode(t *testing.T) {
 		s := NewSearcher(net.g)
 		qnode := graph.NodeID(rng.Intn(net.g.NumNodes()))
 		k := 1 + rng.Intn(3)
-		want, err := s.BruteRkNN(net.ps, qnode, k)
+		want, err := runRNN(s, AlgoBrute, net.ps, nil, qnode, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"eager": func() (*Result, error) { return s.EagerRkNN(net.ps, qnode, k) },
-			"lazy":  func() (*Result, error) { return s.LazyRkNN(net.ps, qnode, k) },
+			"eager": func() (*Result, error) { return runRNN(s, AlgoEager, net.ps, nil, qnode, k) },
+			"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, net.ps, nil, qnode, k) },
 		} {
 			got, err := run()
 			if err != nil {
@@ -423,7 +423,7 @@ func TestLargeKReturnsEverythingReachable(t *testing.T) {
 	s := NewSearcher(net.g)
 	k := net.ps.Len() + 5 // k exceeding |P|: every reachable point qualifies
 	qnode := graph.NodeID(0)
-	want, err := s.BruteRkNN(net.ps, qnode, k)
+	want, err := runRNN(s, AlgoBrute, net.ps, nil, qnode, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +431,8 @@ func TestLargeKReturnsEverythingReachable(t *testing.T) {
 		t.Fatalf("brute with huge k returned %d of %d points", len(want.Points), net.ps.Len())
 	}
 	for name, run := range map[string]func() (*Result, error){
-		"eager": func() (*Result, error) { return s.EagerRkNN(net.ps, qnode, k) },
-		"lazy":  func() (*Result, error) { return s.LazyRkNN(net.ps, qnode, k) },
+		"eager": func() (*Result, error) { return runRNN(s, AlgoEager, net.ps, nil, qnode, k) },
+		"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, net.ps, nil, qnode, k) },
 	} {
 		got, err := run()
 		if err != nil {
@@ -447,7 +447,7 @@ func TestLargeKReturnsEverythingReachable(t *testing.T) {
 func TestStatsAreAccumulated(t *testing.T) {
 	g, ps, q := paperGraph(t)
 	s := NewSearcher(g)
-	r, err := s.EagerRkNN(ps, q, 1)
+	r, err := runRNN(s, AlgoEager, ps, nil, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestStatsAreAccumulated(t *testing.T) {
 	if r.Stats.Verifications == 0 {
 		t.Fatalf("eager issued no verifications: %+v", r.Stats)
 	}
-	r, err = s.LazyRkNN(ps, q, 1)
+	r, err = runRNN(s, AlgoLazy, ps, nil, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

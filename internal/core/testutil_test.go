@@ -87,3 +87,30 @@ func samePoints(a, b *Result) bool {
 func describe(r *Result) string {
 	return fmt.Sprintf("%v", r.Points)
 }
+
+// Shorthands building the Request of one query shape (mat is read by
+// AlgoEagerM only).
+
+func runRNN(s *Searcher, a Algo, ps points.NodeView, mat *Materialized, q graph.NodeID, k int) (*Result, error) {
+	return s.Run(Request{Kind: KindRNN, Algo: a, K: k, Points: ps, Target: NodeLoc(q)}, mat)
+}
+
+func runRoute(s *Searcher, a Algo, ps points.NodeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
+	return s.Run(Request{Kind: KindContinuous, Algo: a, K: k, Points: ps, Route: route}, mat)
+}
+
+func runBi(s *Searcher, a Algo, cands, sites points.NodeView, mat *Materialized, q graph.NodeID, k int) (*Result, error) {
+	return s.Run(Request{Kind: KindBichromatic, Algo: a, K: k, Points: cands, Sites: sites, Target: NodeLoc(q)}, mat)
+}
+
+func runURNN(s *Searcher, a Algo, ps points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
+	return s.Run(Request{Kind: KindRNN, Algo: a, K: k, EdgePoints: ps, Target: q}, mat)
+}
+
+func runURoute(s *Searcher, a Algo, ps points.EdgeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
+	return s.Run(Request{Kind: KindContinuous, Algo: a, K: k, EdgePoints: ps, Route: route}, mat)
+}
+
+func runUBi(s *Searcher, a Algo, cands, sites points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
+	return s.Run(Request{Kind: KindBichromatic, Algo: a, K: k, EdgePoints: cands, EdgeSites: sites, Target: q}, mat)
+}

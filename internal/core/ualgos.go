@@ -9,93 +9,11 @@ import (
 	"graphrnn/internal/pq"
 )
 
-// Public entry points for unrestricted networks. Monochromatic queries use
-// the point set as both candidates and competitors; bichromatic queries
-// separate the two. Continuous queries take a route of nodes, as in
-// Section 5.1 (the experiments of Fig 19 run them on unrestricted
-// networks).
-
-// UEagerRkNN answers a monochromatic RkNN query at location q over
-// edge-resident points with the eager algorithm (Sections 3.2 + 5.2).
-func (s *Searcher) UEagerRkNN(ps points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uEager(ps, ps, true, nil, []Loc{q}, uLocTarget(q), k)
-}
-
-// UEagerMRkNN is UEagerRkNN over materialized lists (built with
-// SeedsUnrestricted on the same point set).
-func (s *Searcher) UEagerMRkNN(ps points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
-	if err := checkMatK(mat, k); err != nil {
-		return nil, err
-	}
-	return s.uEager(ps, ps, true, mat, []Loc{q}, uLocTarget(q), k)
-}
-
-// ULazyRkNN answers a monochromatic RkNN query with the lazy algorithm.
-func (s *Searcher) ULazyRkNN(ps points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uLazy(ps, ps, true, []Loc{q}, uLocTarget(q), k)
-}
-
-// ULazyEPRkNN answers a monochromatic RkNN query with lazy-EP.
-func (s *Searcher) ULazyEPRkNN(ps points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uLazyEP(ps, ps, true, []Loc{q}, uLocTarget(q), k)
-}
-
-// UBruteRkNN is the unrestricted brute-force oracle.
-func (s *Searcher) UBruteRkNN(ps points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uBrute(ps, ps, true, uLocTarget(q), k)
-}
-
-// UEagerContinuous / ULazyContinuous / ULazyEPContinuous / UEagerMContinuous
-// / UBruteContinuous answer continuous RkNN queries over a route of nodes.
-func (s *Searcher) UEagerContinuous(ps points.EdgeView, route []graph.NodeID, k int) (*Result, error) {
-	return s.uEager(ps, ps, true, nil, nodeLocs(route), uRouteTarget(route), k)
-}
-
-func (s *Searcher) UEagerMContinuous(ps points.EdgeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
-	if err := checkMatK(mat, k); err != nil {
-		return nil, err
-	}
-	return s.uEager(ps, ps, true, mat, nodeLocs(route), uRouteTarget(route), k)
-}
-
-func (s *Searcher) ULazyContinuous(ps points.EdgeView, route []graph.NodeID, k int) (*Result, error) {
-	return s.uLazy(ps, ps, true, nodeLocs(route), uRouteTarget(route), k)
-}
-
-func (s *Searcher) ULazyEPContinuous(ps points.EdgeView, route []graph.NodeID, k int) (*Result, error) {
-	return s.uLazyEP(ps, ps, true, nodeLocs(route), uRouteTarget(route), k)
-}
-
-func (s *Searcher) UBruteContinuous(ps points.EdgeView, route []graph.NodeID, k int) (*Result, error) {
-	return s.uBrute(ps, ps, true, uRouteTarget(route), k)
-}
-
-// UEagerBichromatic / ULazyBichromatic / ULazyEPBichromatic /
-// UEagerMBichromatic / UBruteBichromatic answer bichromatic queries: cands
-// are classified against the competitor set sites (mat, when used, must be
-// built over sites).
-func (s *Searcher) UEagerBichromatic(cands, sites points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uEager(cands, sites, false, nil, []Loc{q}, uLocTarget(q), k)
-}
-
-func (s *Searcher) UEagerMBichromatic(cands, sites points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
-	if err := checkMatK(mat, k); err != nil {
-		return nil, err
-	}
-	return s.uEager(cands, sites, false, mat, []Loc{q}, uLocTarget(q), k)
-}
-
-func (s *Searcher) ULazyBichromatic(cands, sites points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uLazy(cands, sites, false, []Loc{q}, uLocTarget(q), k)
-}
-
-func (s *Searcher) ULazyEPBichromatic(cands, sites points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uLazyEP(cands, sites, false, []Loc{q}, uLocTarget(q), k)
-}
-
-func (s *Searcher) UBruteBichromatic(cands, sites points.EdgeView, q Loc, k int) (*Result, error) {
-	return s.uBrute(cands, sites, false, uLocTarget(q), k)
-}
+// The algorithms over unrestricted networks (Section 5.2). Monochromatic
+// queries use the point set as both candidates and competitors; bichromatic
+// queries separate the two (mat, when used, must be built over sites).
+// Continuous queries take a route of nodes, as in Section 5.1 (the
+// experiments of Fig 19 run them on unrestricted networks).
 
 func nodeLocs(route []graph.NodeID) []Loc {
 	out := make([]Loc, len(route))
@@ -120,6 +38,38 @@ func (s *Searcher) checkUQuery(cands points.EdgeView, sources []Loc, k int, buf 
 	return nil
 }
 
+// seedSources seeds a main walk at the query's source locations: their
+// endpoint nodes plus, for an edge-resident source, the candidates — and,
+// with withSites, the competitors — on the source's own edge at their
+// direct distances.
+func (w *uWalk) seedSources(s *Searcher, sources []Loc, cands, sites points.EdgeView, withSites bool, adj *[]graph.Edge, refs *[]points.EdgePointRef) error {
+	for _, src := range sources {
+		if err := w.seedFromLoc(s, src, adj); err != nil {
+			return err
+		}
+		if err := w.pushSameEdgePoints(cands, uSetCand, src, math.Inf(1), refs); err != nil {
+			return err
+		}
+		if withSites {
+			if err := w.pushSameEdgePoints(sites, uSetSite, src, math.Inf(1), refs); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// surfaceEdge pushes the candidates — and, for bichromatic queries, the
+// competitors — on edge (n, e.To) as point arrivals and returns the number
+// of competitors on the edge.
+func (w *uWalk) surfaceEdge(cands, sites points.EdgeView, mono bool, n graph.NodeID, d float64, e graph.Edge, refs *[]points.EdgePointRef) (int, error) {
+	count, err := w.pushEdgePoints(cands, uSetCand, n, d, e, math.Inf(1), refs)
+	if err != nil || mono {
+		return count, err
+	}
+	return w.pushEdgePoints(sites, uSetSite, n, d, e, math.Inf(1), refs)
+}
+
 // uEager is the eager algorithm over unrestricted networks, optionally
 // consulting materialized lists (eager-M). The main traversal discovers
 // candidate points as first-class heap entries when their edges are
@@ -139,20 +89,8 @@ func (s *Searcher) uEager(cands, sites points.EdgeView, mono bool, mat *Material
 	verified := make(map[points.PointID]bool)
 	var results []points.PointID
 
-	for _, src := range sources {
-		if err := w.seedFromLoc(s, src, &adj); err != nil {
-			return nil, err
-		}
-		if !src.IsNode() {
-			var err error
-			refs, err = cands.PointsOn(src.U, src.V, refs)
-			if err != nil {
-				return nil, err
-			}
-			for _, ref := range refs {
-				w.pushPoint(uSetCand, ref.ID, math.Abs(ref.Pos-src.Pos))
-			}
-		}
+	if err := w.seedSources(s, sources, cands, sites, false, &adj, &refs); err != nil {
+		return nil, err
 	}
 
 	var probe []PointDist
@@ -175,7 +113,7 @@ func (s *Searcher) uEager(cands, sites points.EdgeView, mono bool, mat *Material
 		if mat != nil {
 			member, err = s.uVerifyWithMat(&st, sites, self, mat, PointLoc(loc), target, k, ub, &plst, &refs)
 		} else {
-			member, err = s.uVerify(&st, sites, self, PointLoc(loc), target, k, ub)
+			member, err = s.uVerify(&st, sites, self, PointLoc(loc), target, k, ub, nil)
 		}
 		if err != nil {
 			return err
@@ -248,7 +186,7 @@ func (s *Searcher) uEager(cands, sites points.EdgeView, mono bool, mat *Material
 			if err != nil {
 				return nil, err
 			}
-			if err := s.pushAdjacentPoints(w, cands, uSetCand, n, d, adj, math.Inf(1), &refs); err != nil {
+			if err := w.pushAdjacentPoints(cands, uSetCand, n, d, adj, math.Inf(1), &refs); err != nil {
 				return nil, err
 			}
 			for _, edge := range adj {
@@ -327,7 +265,7 @@ func (s *Searcher) uVerifyWithMat(st *Stats, sites points.EdgeView, self points.
 	if upperBound(ub) <= strictBound(rk) || math.IsInf(rk, 1) {
 		return true, nil
 	}
-	return s.uVerify(st, sites, self, from, target, k, ub)
+	return s.uVerify(st, sites, self, from, target, k, ub, nil)
 }
 
 // uLazy is the lazy algorithm over unrestricted networks: pruning occurs
@@ -344,7 +282,8 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 	defer s.closeUWalk(&st, w)
 	counts := s.acquireCounts()
 	defer s.releaseCounts(counts)
-	children := make(map[graph.NodeID][]*pq.Item[uEntry])
+	lz := &lazyPrune[uEntry]{sc: w.sc, heap: &w.heap, counts: counts,
+		children: make(map[graph.NodeID][]*pq.Item[uEntry])}
 
 	var adj []graph.Edge
 	var refs []points.EdgePointRef
@@ -352,29 +291,8 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 	classified := make(map[points.PointID]bool)
 	var results []points.PointID
 
-	for _, src := range sources {
-		if err := w.seedFromLoc(s, src, &adj); err != nil {
-			return nil, err
-		}
-		if !src.IsNode() {
-			var err error
-			refs, err = cands.PointsOn(src.U, src.V, refs)
-			if err != nil {
-				return nil, err
-			}
-			for _, ref := range refs {
-				w.pushPoint(uSetCand, ref.ID, math.Abs(ref.Pos-src.Pos))
-			}
-			if !mono {
-				refs, err = sites.PointsOn(src.U, src.V, refs)
-				if err != nil {
-					return nil, err
-				}
-				for _, ref := range refs {
-					w.pushPoint(uSetSite, ref.ID, math.Abs(ref.Pos-src.Pos))
-				}
-			}
-		}
+	if err := w.seedSources(s, sources, cands, sites, !mono, &adj, &refs); err != nil {
+		return nil, err
 	}
 
 	for {
@@ -390,7 +308,7 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 					verified[p] = true
 					loc, ok := sites.Loc(p)
 					if ok {
-						member, err := s.uLazyVerify(&st, sites, p, PointLoc(loc), target, k, d, w, counts, children)
+						member, err := s.uVerify(&st, sites, p, PointLoc(loc), target, k, d, lz)
 						if err != nil {
 							return execResult(results, st, err)
 						}
@@ -405,7 +323,7 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 					classified[p] = true
 					loc, ok := cands.Loc(p)
 					if ok {
-						member, err := s.uVerify(&st, sites, points.NoPoint, PointLoc(loc), target, k, d)
+						member, err := s.uVerify(&st, sites, points.NoPoint, PointLoc(loc), target, k, d, nil)
 						if err != nil {
 							return execResult(results, st, err)
 						}
@@ -431,34 +349,9 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 			}
 			var kids []*pq.Item[uEntry]
 			for _, edge := range adj {
-				// Surface the points of this edge.
-				refs, err = cands.PointsOn(n, edge.To, refs)
+				siteCount, err := w.surfaceEdge(cands, sites, mono, n, d, edge, &refs)
 				if err != nil {
 					return nil, err
-				}
-				for _, ref := range refs {
-					off := ref.Pos
-					if n > edge.To {
-						off = edge.W - ref.Pos
-					}
-					w.pushPoint(uSetCand, ref.ID, d+off)
-				}
-				siteCount := 0
-				if mono {
-					siteCount = len(refs)
-				} else {
-					refs, err = sites.PointsOn(n, edge.To, refs)
-					if err != nil {
-						return nil, err
-					}
-					siteCount = len(refs)
-					for _, ref := range refs {
-						off := ref.Pos
-						if n > edge.To {
-							off = edge.W - ref.Pos
-						}
-						w.pushPoint(uSetSite, ref.ID, d+off)
-					}
 				}
 				// Edge-crossing rule (Section 5.2): entering edge.To via
 				// this edge passes all its competitors; with k of them the
@@ -471,129 +364,11 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 				}
 			}
 			if kids != nil {
-				children[n] = kids
+				lz.children[n] = kids
 			}
 		}
 	}
 	return finishResult(results, st), nil
-}
-
-// uLazyVerify runs a verification expansion for point self (an upper bound
-// e away from the query) and applies the lazy pruning side effects to the
-// main walk.
-func (s *Searcher) uLazyVerify(st *Stats, sites points.EdgeView, self points.PointID, from Loc, target uTargetSpec, k int, e float64, main *uWalk, counts *lazyCounts, children map[graph.NodeID][]*pq.Item[uEntry]) (bool, error) {
-	st.Verifications++
-	// eX bounds the expansion; eStrict gates the counter side effects.
-	eX, eStrict := upperBound(e), strictBound(e)
-	w := s.newUWalk()
-	defer s.closeUWalk(st, w)
-	var adj []graph.Edge
-	if err := w.seedFromLoc(s, from, &adj); err != nil {
-		return false, err
-	}
-	var refs []points.EdgePointRef
-	if !from.IsNode() {
-		var err error
-		refs, err = sites.PointsOn(from.U, from.V, refs)
-		if err != nil {
-			return false, err
-		}
-		for _, ref := range refs {
-			if dd := math.Abs(ref.Pos - from.Pos); dd <= eX {
-				w.pushPoint(uSetSite, ref.ID, dd)
-			}
-		}
-		if target.nodes == nil && target.loc.sameEdge(from) {
-			if dd := math.Abs(target.loc.Pos - from.Pos); dd <= eX {
-				w.pushTarget(dd)
-			}
-		}
-	}
-	targetEdgeW := -1.0
-	done := make(map[points.PointID]bool)
-	strictCount, sameCount := 0, 0
-	lastDist := 0.0
-	for {
-		ent, dm, ok := w.pop()
-		if !ok {
-			return false, nil
-		}
-		if dm > lastDist {
-			strictCount += sameCount
-			sameCount = 0
-			lastDist = dm
-		}
-		if strictCount >= k {
-			return false, nil
-		}
-		switch ent.kind {
-		case uKindTarget:
-			return true, nil
-		case uKindPoint:
-			if done[ent.p] {
-				continue
-			}
-			done[ent.p] = true
-			if ent.p != self {
-				sameCount++
-			}
-		case uKindNode:
-			m := ent.node
-			st.NodesScanned++
-			if err := s.checkExecStride(st); err != nil {
-				return false, err
-			}
-			if target.nodeHit(m) {
-				return true, nil
-			}
-			// Lazy pruning side effects (Section 3.3 generalized).
-			eligible := false
-			if main.sc.isClosed(m) {
-				eligible = dm < strictBound(main.sc.dist[m])
-			} else {
-				eligible = dm < eStrict
-			}
-			if eligible {
-				if c := counts.add(m); c == int32(k) && main.sc.isClosed(m) {
-					for _, h := range children[m] {
-						main.heap.Remove(h)
-					}
-					delete(children, m)
-				}
-			}
-			if target.nodes == nil && !target.loc.IsNode() {
-				if m == target.loc.U || m == target.loc.V {
-					if targetEdgeW < 0 {
-						var err error
-						targetEdgeW, err = s.edgeWeight(target.loc.U, target.loc.V, &adj)
-						if err != nil {
-							return false, err
-						}
-					}
-					off := target.loc.Pos
-					if m == target.loc.V {
-						off = targetEdgeW - target.loc.Pos
-					}
-					if nd := dm + off; nd <= eX {
-						w.pushTarget(nd)
-					}
-				}
-			}
-			var err error
-			adj, err = s.g.Adjacency(m, adj)
-			if err != nil {
-				return false, err
-			}
-			if err := s.pushAdjacentPoints(w, sites, uSetSite, m, dm, adj, eX, &refs); err != nil {
-				return false, err
-			}
-			for _, edge := range adj {
-				if nd := dm + edge.W; nd <= eX {
-					w.pushNode(edge.To, nd)
-				}
-			}
-		}
-	}
 }
 
 // uLazyEP is lazy-EP over unrestricted networks: the second heap expands
@@ -608,39 +383,7 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 	w := s.newUWalk()
 	defer s.closeUWalk(&st, w)
 
-	found := make(map[graph.NodeID][]PointDist)
-	var hp pq.Heap[matHeapEntry]
-	var hpAdj []graph.Edge
-	advanceHP := func(limit float64) error {
-		for {
-			top, ok := hp.Peek()
-			if !ok || top.Priority() >= limit {
-				return nil
-			}
-			e, d, _ := hp.Pop()
-			st.NodesScanned++
-			if err := s.checkExecStride(&st); err != nil {
-				return err
-			}
-			lst := found[e.node]
-			if !insertFound(&lst, e.p, d, k) {
-				continue
-			}
-			found[e.node] = lst
-			var err error
-			hpAdj, err = s.g.Adjacency(e.node, hpAdj)
-			if err != nil {
-				return err
-			}
-			for _, edge := range hpAdj {
-				nd := d + edge.W
-				if tgt := found[edge.To]; len(tgt) == k && !entryLess(nd, e.p, tgt[k-1].D, tgt[k-1].P) {
-					continue
-				}
-				hp.Push(matHeapEntry{edge.To, e.p}, nd)
-			}
-		}
-	}
+	ep := &epMarks{found: make(map[graph.NodeID][]PointDist)}
 	var adj []graph.Edge
 	var refs []points.EdgePointRef
 	seedHP := func(p points.PointID) error {
@@ -652,8 +395,8 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 		if err != nil {
 			return err
 		}
-		hp.Push(matHeapEntry{loc.U, p}, loc.Pos)
-		hp.Push(matHeapEntry{loc.V, p}, wEdge-loc.Pos)
+		ep.hp.Push(matHeapEntry{loc.U, p}, loc.Pos)
+		ep.hp.Push(matHeapEntry{loc.V, p}, wEdge-loc.Pos)
 		return nil
 	}
 
@@ -661,34 +404,13 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 	classified := make(map[points.PointID]bool)
 	var results []points.PointID
 
-	for _, src := range sources {
-		if err := w.seedFromLoc(s, src, &adj); err != nil {
-			return nil, err
-		}
-		if !src.IsNode() {
-			var err error
-			refs, err = cands.PointsOn(src.U, src.V, refs)
-			if err != nil {
-				return nil, err
-			}
-			for _, ref := range refs {
-				w.pushPoint(uSetCand, ref.ID, math.Abs(ref.Pos-src.Pos))
-			}
-			if !mono {
-				refs, err = sites.PointsOn(src.U, src.V, refs)
-				if err != nil {
-					return nil, err
-				}
-				for _, ref := range refs {
-					w.pushPoint(uSetSite, ref.ID, math.Abs(ref.Pos-src.Pos))
-				}
-			}
-		}
+	if err := w.seedSources(s, sources, cands, sites, !mono, &adj, &refs); err != nil {
+		return nil, err
 	}
 
 	for {
 		if top, ok := w.heap.Peek(); ok {
-			if err := advanceHP(top.Priority()); err != nil {
+			if err := s.advance(&st, ep, top.Priority(), k); err != nil {
 				return execResult(results, st, err)
 			}
 		}
@@ -708,7 +430,7 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 					if mono {
 						loc, ok := cands.Loc(p)
 						if ok {
-							member, err := s.epClassify(&st, found, sites, p, p, loc, target, k, d, &adj)
+							member, err := s.epClassify(&st, ep.found, sites, p, p, loc, target, k, d, &adj)
 							if err != nil {
 								return execResult(results, st, err)
 							}
@@ -724,7 +446,7 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 					classified[p] = true
 					loc, ok := cands.Loc(p)
 					if ok {
-						member, err := s.epClassify(&st, found, sites, points.NoPoint, p, loc, target, k, d, &adj)
+						member, err := s.epClassify(&st, ep.found, sites, points.NoPoint, p, loc, target, k, d, &adj)
 						if err != nil {
 							return execResult(results, st, err)
 						}
@@ -740,7 +462,7 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 			if err := s.checkExec(&st); err != nil {
 				return execResult(results, st, err)
 			}
-			lst := found[n]
+			lst := ep.found[n]
 			if len(lst) >= k && lst[k-1].D < strictBound(d) {
 				continue // dominated by k discovered competitors
 			}
@@ -750,43 +472,18 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 				return nil, err
 			}
 			for _, edge := range adj {
-				refs, err = cands.PointsOn(n, edge.To, refs)
+				siteCount, err := w.surfaceEdge(cands, sites, mono, n, d, edge, &refs)
 				if err != nil {
 					return nil, err
 				}
-				for _, ref := range refs {
-					off := ref.Pos
-					if n > edge.To {
-						off = edge.W - ref.Pos
-					}
-					w.pushPoint(uSetCand, ref.ID, d+off)
-				}
-				siteCount := 0
-				if mono {
-					siteCount = len(refs)
-				} else {
-					refs, err = sites.PointsOn(n, edge.To, refs)
-					if err != nil {
-						return nil, err
-					}
-					siteCount = len(refs)
-					for _, ref := range refs {
-						off := ref.Pos
-						if n > edge.To {
-							off = edge.W - ref.Pos
-						}
-						w.pushPoint(uSetSite, ref.ID, d+off)
-					}
-				}
 				if siteCount >= k {
-					continue
+					continue // edge-crossing rule, as in uLazy
 				}
 				w.pushNode(edge.To, d+edge.W)
 			}
 		}
 	}
-	st.HeapPushes += int64(hp.PushCount)
-	st.HeapPops += int64(hp.PopCount)
+	ep.harvest(&st)
 	return finishResult(results, st), nil
 }
 
@@ -828,7 +525,7 @@ func (s *Searcher) epClassify(st *Stats, found map[graph.NodeID][]PointDist, sit
 			}
 		}
 	}
-	return s.uVerify(st, sites, self, PointLoc(loc), target, k, ub)
+	return s.uVerify(st, sites, self, PointLoc(loc), target, k, ub, nil)
 }
 
 // uBrute verifies every candidate with an unbounded expansion.
@@ -852,7 +549,7 @@ func (s *Searcher) uBrute(cands, sites points.EdgeView, mono bool, target uTarge
 		if mono {
 			self = p
 		}
-		member, err := s.uVerify(&st, sites, self, PointLoc(loc), target, k, math.Inf(1))
+		member, err := s.uVerify(&st, sites, self, PointLoc(loc), target, k, math.Inf(1), nil)
 		if err != nil {
 			return execResult(results, st, err)
 		}

@@ -53,13 +53,17 @@ func (l Loc) String() string {
 }
 
 // uTargetSpec describes what a verification expansion must reach: the query
-// location, or any node of a route for continuous queries.
+// location, or any node of a route for continuous queries. It is passed by
+// value: edgeW, the weight of an edge-resident target's edge, is resolved on
+// the first arrival of each expansion (a counted adjacency read, like any
+// edge processing).
 type uTargetSpec struct {
 	loc   Loc
 	nodes map[graph.NodeID]bool // route mode when non-nil
+	edgeW float64               // negative until resolved
 }
 
-func uLocTarget(l Loc) uTargetSpec { return uTargetSpec{loc: l} }
+func uLocTarget(l Loc) uTargetSpec { return uTargetSpec{loc: l, edgeW: -1} }
 
 func uRouteTarget(route []graph.NodeID) uTargetSpec {
 	m := make(map[graph.NodeID]bool, len(route))
@@ -75,6 +79,40 @@ func (t uTargetSpec) nodeHit(n graph.NodeID) bool {
 		return t.nodes[n]
 	}
 	return t.loc.IsNode() && t.loc.U == n
+}
+
+// seedDirect pushes the target arrival for a walk starting at from on the
+// target's own edge — the direct-offset case of Section 5.2 — when within
+// limit (inclusive).
+func (t uTargetSpec) seedDirect(w *uWalk, from Loc, limit float64) {
+	if t.nodes == nil && t.loc.sameEdge(from) {
+		if dd := math.Abs(t.loc.Pos - from.Pos); dd <= limit {
+			w.pushTarget(dd)
+		}
+	}
+}
+
+// arrive pushes the target arrival through node n, popped at distance d,
+// when n is an endpoint of an edge-resident target's edge and the arrival
+// lies within limit (inclusive).
+func (t *uTargetSpec) arrive(s *Searcher, w *uWalk, n graph.NodeID, d, limit float64, adj *[]graph.Edge) error {
+	if t.nodes != nil || t.loc.IsNode() || (n != t.loc.U && n != t.loc.V) {
+		return nil
+	}
+	if t.edgeW < 0 {
+		var err error
+		if t.edgeW, err = s.edgeWeight(t.loc.U, t.loc.V, adj); err != nil {
+			return err
+		}
+	}
+	off := t.loc.Pos
+	if n == t.loc.V {
+		off = t.edgeW - t.loc.Pos
+	}
+	if nd := d + off; nd <= limit {
+		w.pushTarget(nd)
+	}
+	return nil
 }
 
 const (
@@ -214,25 +252,53 @@ func (w *uWalk) seedFromLoc(s *Searcher, l Loc, buf *[]graph.Edge) error {
 	return nil
 }
 
-// pushAdjacentPoints pushes a point-arrival entry for every visible point
-// of view on the edges around node n (popped at distance d), bounded by
-// limit (inclusive). It reports the per-edge point counts through onEdge,
-// when non-nil (used by the lazy edge-crossing rule).
-func (s *Searcher) pushAdjacentPoints(w *uWalk, view points.EdgeView, set uint8, n graph.NodeID, d float64, adj []graph.Edge, limit float64, refs *[]points.EdgePointRef) error {
-	for _, e := range adj {
-		var err error
-		*refs, err = view.PointsOn(n, e.To, *refs)
-		if err != nil {
-			return err
+// pushSameEdgePoints pushes a point-arrival entry for every visible point
+// of view on l's own edge at its direct distance, bounded by limit
+// (inclusive). A node location shares no edge.
+func (w *uWalk) pushSameEdgePoints(view points.EdgeView, set uint8, l Loc, limit float64, refs *[]points.EdgePointRef) error {
+	if l.IsNode() {
+		return nil
+	}
+	var err error
+	*refs, err = view.PointsOn(l.U, l.V, *refs)
+	if err != nil {
+		return err
+	}
+	for _, ref := range *refs {
+		if dd := math.Abs(ref.Pos - l.Pos); dd <= limit {
+			w.pushPoint(set, ref.ID, dd)
 		}
-		for _, ref := range *refs {
-			off := ref.Pos
-			if n > e.To {
-				off = e.W - ref.Pos
-			}
-			if nd := d + off; nd <= limit {
-				w.pushPoint(set, ref.ID, nd)
-			}
+	}
+	return nil
+}
+
+// pushEdgePoints pushes a point-arrival entry for every visible point of
+// view on edge (n, e.To), reached through node n popped at distance d and
+// bounded by limit (inclusive). It returns the number of points on the
+// edge (used by the lazy edge-crossing rule).
+func (w *uWalk) pushEdgePoints(view points.EdgeView, set uint8, n graph.NodeID, d float64, e graph.Edge, limit float64, refs *[]points.EdgePointRef) (int, error) {
+	var err error
+	*refs, err = view.PointsOn(n, e.To, *refs)
+	if err != nil {
+		return 0, err
+	}
+	for _, ref := range *refs {
+		off := ref.Pos
+		if n > e.To {
+			off = e.W - ref.Pos
+		}
+		if nd := d + off; nd <= limit {
+			w.pushPoint(set, ref.ID, nd)
+		}
+	}
+	return len(*refs), nil
+}
+
+// pushAdjacentPoints is pushEdgePoints over every edge around node n.
+func (w *uWalk) pushAdjacentPoints(view points.EdgeView, set uint8, n graph.NodeID, d float64, adj []graph.Edge, limit float64, refs *[]points.EdgePointRef) error {
+	for _, e := range adj {
+		if _, err := w.pushEdgePoints(view, set, n, d, e, limit, refs); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -248,25 +314,19 @@ func (s *Searcher) uRangeNN(st *Stats, sites points.EdgeView, from Loc, k int, e
 		return out, nil
 	}
 	e = strictBound(e)
+	// Point arrivals are bounded inclusively; the largest float below e
+	// makes that the strict range (a point at distance e exactly is
+	// outside it).
+	below := math.Nextafter(e, math.Inf(-1))
 	w := s.newUWalk()
 	defer s.closeUWalk(st, w)
 	var adj []graph.Edge
+	var refs []points.EdgePointRef
 	if err := w.seedFromLoc(s, from, &adj); err != nil {
 		return nil, err
 	}
-	var refs []points.EdgePointRef
-	if !from.IsNode() {
-		// Same-edge points at their direct distances.
-		var err error
-		refs, err = sites.PointsOn(from.U, from.V, refs)
-		if err != nil {
-			return nil, err
-		}
-		for _, ref := range refs {
-			if dd := math.Abs(ref.Pos - from.Pos); dd < e {
-				w.pushPoint(uSetSite, ref.ID, dd)
-			}
-		}
+	if err := w.pushSameEdgePoints(sites, uSetSite, from, below, &refs); err != nil {
+		return nil, err
 	}
 	done := make(map[points.PointID]bool)
 	for {
@@ -294,9 +354,7 @@ func (s *Searcher) uRangeNN(st *Stats, sites points.EdgeView, from Loc, k int, e
 			if err != nil {
 				return nil, err
 			}
-			// Point arrivals use a strict bound: a point at distance e
-			// exactly is outside the (strict) range.
-			if err := s.pushAdjacentPointsStrict(w, sites, uSetSite, ent.node, d, adj, e, &refs); err != nil {
+			if err := w.pushAdjacentPoints(sites, uSetSite, ent.node, d, adj, below, &refs); err != nil {
 				return nil, err
 			}
 			for _, edge := range adj {
@@ -309,53 +367,28 @@ func (s *Searcher) uRangeNN(st *Stats, sites points.EdgeView, from Loc, k int, e
 	return out, nil
 }
 
-// pushAdjacentPointsStrict is pushAdjacentPoints with an exclusive limit.
-func (s *Searcher) pushAdjacentPointsStrict(w *uWalk, view points.EdgeView, set uint8, n graph.NodeID, d float64, adj []graph.Edge, limit float64, refs *[]points.EdgePointRef) error {
-	for _, e := range adj {
-		var err error
-		*refs, err = view.PointsOn(n, e.To, *refs)
-		if err != nil {
-			return err
-		}
-		for _, ref := range *refs {
-			off := ref.Pos
-			if n > e.To {
-				off = e.W - ref.Pos
-			}
-			if nd := d + off; nd < limit {
-				w.pushPoint(set, ref.ID, nd)
-			}
-		}
-	}
-	return nil
-}
-
 // ULocDistance computes the exact network distance between two locations
 // (Section 5.2's distance definition), returning +Inf when disconnected.
 // Exposed for tooling and examples; the query algorithms never need it.
 func (s *Searcher) ULocDistance(a, b Loc) (float64, error) {
 	var st Stats
-	var adjCheck []graph.Edge
-	if err := s.checkULoc(a, &adjCheck); err != nil {
+	var adj []graph.Edge
+	if err := s.checkULoc(a, &adj); err != nil {
 		return 0, err
 	}
-	if err := s.checkULoc(b, &adjCheck); err != nil {
+	if err := s.checkULoc(b, &adj); err != nil {
 		return 0, err
+	}
+	if a == b {
+		return 0, nil
 	}
 	w := s.newUWalk()
 	defer s.closeUWalk(&st, w)
-	var adj []graph.Edge
 	if err := w.seedFromLoc(s, a, &adj); err != nil {
 		return 0, err
 	}
-	if a.sameEdge(b) || (a == b) {
-		if a == b {
-			return 0, nil
-		}
-		w.pushTarget(math.Abs(a.Pos - b.Pos))
-	}
 	target := uLocTarget(b)
-	targetEdgeW := -1.0
+	target.seedDirect(w, a, math.Inf(1))
 	for {
 		ent, d, ok := w.pop()
 		if !ok {
@@ -373,19 +406,8 @@ func (s *Searcher) ULocDistance(a, b Loc) (float64, error) {
 			if target.nodeHit(n) {
 				return d, nil
 			}
-			if !target.loc.IsNode() && (n == target.loc.U || n == target.loc.V) {
-				if targetEdgeW < 0 {
-					var err error
-					targetEdgeW, err = s.edgeWeight(target.loc.U, target.loc.V, &adj)
-					if err != nil {
-						return 0, err
-					}
-				}
-				off := target.loc.Pos
-				if n == target.loc.V {
-					off = targetEdgeW - target.loc.Pos
-				}
-				w.pushTarget(d + off)
+			if err := target.arrive(s, w, n, d, math.Inf(1), &adj); err != nil {
+				return 0, err
 			}
 			var err error
 			adj, err = s.g.Adjacency(n, adj)
@@ -402,36 +424,23 @@ func (s *Searcher) ULocDistance(a, b Loc) (float64, error) {
 // uVerify checks whether the target is met before k points of sites are
 // found strictly closer to the candidate at location from. self is skipped
 // during counting (monochromatic queries); ub bounds the expansion and must
-// upper-bound the candidate-to-target distance (+Inf for oracle use).
-func (s *Searcher) uVerify(st *Stats, sites points.EdgeView, self points.PointID, from Loc, target uTargetSpec, k int, ub float64) (bool, error) {
+// upper-bound the candidate-to-target distance (+Inf for oracle use). A
+// non-nil lz applies the lazy pruning side effects to lz's main walk, as in
+// verify.
+func (s *Searcher) uVerify(st *Stats, sites points.EdgeView, self points.PointID, from Loc, target uTargetSpec, k int, ub float64, lz *lazyPrune[uEntry]) (bool, error) {
 	st.Verifications++
-	ub = upperBound(ub)
+	ub, ubStrict := upperBound(ub), strictBound(ub)
 	w := s.newUWalk()
 	defer s.closeUWalk(st, w)
 	var adj []graph.Edge
+	var refs []points.EdgePointRef
 	if err := w.seedFromLoc(s, from, &adj); err != nil {
 		return false, err
 	}
-	var refs []points.EdgePointRef
-	if !from.IsNode() {
-		var err error
-		refs, err = sites.PointsOn(from.U, from.V, refs)
-		if err != nil {
-			return false, err
-		}
-		for _, ref := range refs {
-			if dd := math.Abs(ref.Pos - from.Pos); dd <= ub {
-				w.pushPoint(uSetSite, ref.ID, dd)
-			}
-		}
-		if target.nodes == nil && target.loc.sameEdge(from) {
-			if dd := math.Abs(target.loc.Pos - from.Pos); dd <= ub {
-				w.pushTarget(dd)
-			}
-		}
+	if err := w.pushSameEdgePoints(sites, uSetSite, from, ub, &refs); err != nil {
+		return false, err
 	}
-	// Weight of the target's edge, resolved lazily on first arrival push.
-	targetEdgeW := -1.0
+	target.seedDirect(w, from, ub)
 
 	done := make(map[points.PointID]bool)
 	strictCount, sameCount := 0, 0
@@ -469,31 +478,18 @@ func (s *Searcher) uVerify(st *Stats, sites points.EdgeView, self points.PointID
 			if target.nodeHit(n) {
 				return true, nil
 			}
-			// Arrival candidates for an edge-resident target.
-			if target.nodes == nil && !target.loc.IsNode() {
-				if n == target.loc.U || n == target.loc.V {
-					if targetEdgeW < 0 {
-						var err error
-						targetEdgeW, err = s.edgeWeight(target.loc.U, target.loc.V, &adj)
-						if err != nil {
-							return false, err
-						}
-					}
-					off := target.loc.Pos
-					if n == target.loc.V {
-						off = targetEdgeW - target.loc.Pos
-					}
-					if nd := d + off; nd <= ub {
-						w.pushTarget(nd)
-					}
-				}
+			if lz != nil && lz.visit(n, d, ubStrict, k) {
+				lz.unqueue(n)
+			}
+			if err := target.arrive(s, w, n, d, ub, &adj); err != nil {
+				return false, err
 			}
 			var err error
 			adj, err = s.g.Adjacency(n, adj)
 			if err != nil {
 				return false, err
 			}
-			if err := s.pushAdjacentPoints(w, sites, uSetSite, n, d, adj, ub, &refs); err != nil {
+			if err := w.pushAdjacentPoints(sites, uSetSite, n, d, adj, ub, &refs); err != nil {
 				return false, err
 			}
 			for _, edge := range adj {

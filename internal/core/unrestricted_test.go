@@ -103,19 +103,19 @@ func TestULocValidation(t *testing.T) {
 	g, _, _ := paperGraph(t)
 	s := NewSearcher(g)
 	ps := points.NewEdgeSet()
-	if _, err := s.UEagerRkNN(ps, Loc{U: 0, V: 99}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 99}, 1); err == nil {
 		t.Fatal("out-of-range location accepted")
 	}
-	if _, err := s.UEagerRkNN(ps, Loc{U: 1, V: 0, Pos: 1}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 1, V: 0, Pos: 1}, 1); err == nil {
 		t.Fatal("non-canonical edge location accepted")
 	}
-	if _, err := s.UEagerRkNN(ps, Loc{U: 0, V: 1, Pos: 999}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 1, Pos: 999}, 1); err == nil {
 		t.Fatal("offset beyond edge weight accepted")
 	}
-	if _, err := s.UEagerRkNN(ps, Loc{U: 0, V: 6, Pos: 1}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 6, Pos: 1}, 1); err == nil {
 		t.Fatal("location on a missing edge accepted")
 	}
-	if _, err := s.UEagerRkNN(ps, NodeLoc(0), 0); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, NodeLoc(0), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -161,15 +161,15 @@ func TestUnrestrictedAgreesWithBrute(t *testing.T) {
 			loc  Loc
 		}
 		for ci, c := range []queryCase{{view, q}, {ps, q2}} {
-			want, err := s.UBruteRkNN(c.view, c.loc, k)
+			want, err := runURNN(s, AlgoBrute, c.view, nil, c.loc, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for name, run := range map[string]func() (*Result, error){
-				"ueager":  func() (*Result, error) { return s.UEagerRkNN(c.view, c.loc, k) },
-				"ulazy":   func() (*Result, error) { return s.ULazyRkNN(c.view, c.loc, k) },
-				"ulazyEP": func() (*Result, error) { return s.ULazyEPRkNN(c.view, c.loc, k) },
-				"ueagerM": func() (*Result, error) { return s.UEagerMRkNN(c.view, mat, c.loc, k) },
+				"ueager":  func() (*Result, error) { return runURNN(s, AlgoEager, c.view, nil, c.loc, k) },
+				"ulazy":   func() (*Result, error) { return runURNN(s, AlgoLazy, c.view, nil, c.loc, k) },
+				"ulazyEP": func() (*Result, error) { return runURNN(s, AlgoLazyEP, c.view, nil, c.loc, k) },
+				"ueagerM": func() (*Result, error) { return runURNN(s, AlgoEagerM, c.view, mat, c.loc, k) },
 			} {
 				got, err := run()
 				if err != nil {
@@ -208,14 +208,14 @@ func TestUnrestrictedDensePoints(t *testing.T) {
 		}
 		k := 1 + rng.Intn(3)
 		q := randULoc(rng, g, edges)
-		want, err := s.UBruteRkNN(ps, q, k)
+		want, err := runURNN(s, AlgoBrute, ps, nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"ueager":  func() (*Result, error) { return s.UEagerRkNN(ps, q, k) },
-			"ulazy":   func() (*Result, error) { return s.ULazyRkNN(ps, q, k) },
-			"ulazyEP": func() (*Result, error) { return s.ULazyEPRkNN(ps, q, k) },
+			"ueager":  func() (*Result, error) { return runURNN(s, AlgoEager, ps, nil, q, k) },
+			"ulazy":   func() (*Result, error) { return runURNN(s, AlgoLazy, ps, nil, q, k) },
+			"ulazyEP": func() (*Result, error) { return runURNN(s, AlgoLazyEP, ps, nil, q, k) },
 		} {
 			got, err := run()
 			if err != nil {
@@ -248,10 +248,10 @@ func TestUnrestrictedFarFromEndpoints(t *testing.T) {
 	_ = x                      // d(x,p)=175, d(x,q)=194: x's NN is p, not q
 	s := NewSearcher(g)
 	for name, run := range map[string]func() (*Result, error){
-		"brute":   func() (*Result, error) { return s.UBruteRkNN(ps, NodeLoc(3), 1) },
-		"ueager":  func() (*Result, error) { return s.UEagerRkNN(ps, NodeLoc(3), 1) },
-		"ulazy":   func() (*Result, error) { return s.ULazyRkNN(ps, NodeLoc(3), 1) },
-		"ulazyEP": func() (*Result, error) { return s.ULazyEPRkNN(ps, NodeLoc(3), 1) },
+		"brute":   func() (*Result, error) { return runURNN(s, AlgoBrute, ps, nil, NodeLoc(3), 1) },
+		"ueager":  func() (*Result, error) { return runURNN(s, AlgoEager, ps, nil, NodeLoc(3), 1) },
+		"ulazy":   func() (*Result, error) { return runURNN(s, AlgoLazy, ps, nil, NodeLoc(3), 1) },
+		"ulazyEP": func() (*Result, error) { return runURNN(s, AlgoLazyEP, ps, nil, NodeLoc(3), 1) },
 	} {
 		r, err := run()
 		if err != nil {
@@ -285,15 +285,15 @@ func TestUnrestrictedContinuousAgreesWithBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		route := randomWalkRoute(t, g, rng, 1+rng.Intn(6))
-		want, err := s.UBruteContinuous(ps, route, k)
+		want, err := runURoute(s, AlgoBrute, ps, nil, route, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"ueager":  func() (*Result, error) { return s.UEagerContinuous(ps, route, k) },
-			"ulazy":   func() (*Result, error) { return s.ULazyContinuous(ps, route, k) },
-			"ulazyEP": func() (*Result, error) { return s.ULazyEPContinuous(ps, route, k) },
-			"ueagerM": func() (*Result, error) { return s.UEagerMContinuous(ps, mat, route, k) },
+			"ueager":  func() (*Result, error) { return runURoute(s, AlgoEager, ps, nil, route, k) },
+			"ulazy":   func() (*Result, error) { return runURoute(s, AlgoLazy, ps, nil, route, k) },
+			"ulazyEP": func() (*Result, error) { return runURoute(s, AlgoLazyEP, ps, nil, route, k) },
+			"ueagerM": func() (*Result, error) { return runURoute(s, AlgoEagerM, ps, mat, route, k) },
 		} {
 			got, err := run()
 			if err != nil {
@@ -330,15 +330,15 @@ func TestUnrestrictedBichromaticAgreesWithBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := randULoc(rng, g, edges)
-		want, err := s.UBruteBichromatic(cands, sites, q, k)
+		want, err := runUBi(s, AlgoBrute, cands, sites, nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"ueager":  func() (*Result, error) { return s.UEagerBichromatic(cands, sites, q, k) },
-			"ulazy":   func() (*Result, error) { return s.ULazyBichromatic(cands, sites, q, k) },
-			"ulazyEP": func() (*Result, error) { return s.ULazyEPBichromatic(cands, sites, q, k) },
-			"ueagerM": func() (*Result, error) { return s.UEagerMBichromatic(cands, sites, mat, q, k) },
+			"ueager":  func() (*Result, error) { return runUBi(s, AlgoEager, cands, sites, nil, q, k) },
+			"ulazy":   func() (*Result, error) { return runUBi(s, AlgoLazy, cands, sites, nil, q, k) },
+			"ulazyEP": func() (*Result, error) { return runUBi(s, AlgoLazyEP, cands, sites, nil, q, k) },
+			"ueagerM": func() (*Result, error) { return runUBi(s, AlgoEagerM, cands, sites, mat, q, k) },
 		} {
 			got, err := run()
 			if err != nil {
@@ -369,11 +369,11 @@ func TestUnrestrictedWithPagedPoints(t *testing.T) {
 		}
 		k := 1 + rng.Intn(2)
 		q := randULoc(rng, g, edges)
-		want, err := s.UEagerRkNN(mem, q, k)
+		want, err := runURNN(s, AlgoEager, mem, nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.UEagerRkNN(paged, q, k)
+		got, err := runURNN(s, AlgoEager, paged, nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,16 +85,7 @@ func (e *env) budgetedRow(queries []points.PointID, k int, a Algo, budget int64)
 		s := e.searcher.Bound(ec)
 		ioBefore := e.io()
 		t0 := time.Now()
-		var res *core.Result
-		var err error
-		switch a {
-		case AlgoEager:
-			res, err = s.EagerRkNN(view, qnode, k)
-		case AlgoLazy:
-			res, err = s.LazyRkNN(view, qnode, k)
-		default:
-			return Measure{}, fmt.Errorf("exp: budgeted rows support E and L, got %q", a)
-		}
+		res, err := e.expand(s, a, core.Request{K: k, Points: view, Target: core.NodeLoc(qnode)})
 		if err != nil && !exec.IsExecErr(err) {
 			return Measure{}, err
 		}

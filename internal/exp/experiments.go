@@ -53,45 +53,44 @@ func Find(name string) (Experiment, bool) {
 // density at 0.1; see Section 6).
 var densities = []float64{0.0025, 0.005, 0.01, 0.02, 0.04, 0.08}
 
+// coreAlgos maps the harness's expansion columns onto the engine's
+// strategies.
+var coreAlgos = map[Algo]core.Algo{
+	AlgoEager: core.AlgoEager, AlgoEagerM: core.AlgoEagerM,
+	AlgoLazy: core.AlgoLazy, AlgoLazyEP: core.AlgoLazyEP,
+}
+
+// expand runs req on s with expansion algorithm a (eager-M reads the
+// environment's materialization).
+func (e *env) expand(s *core.Searcher, a Algo, req core.Request) (*core.Result, error) {
+	ca, ok := coreAlgos[a]
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown algorithm %q", a)
+	}
+	req.Algo = ca
+	return s.Run(req, e.mat)
+}
+
 // restrictedQuery dispatches one restricted monochromatic query. hidden is
 // the point excluded by view (points.NoPoint for none) — the hub-label
 // substrate needs it explicitly, the expansion algorithms read the view.
 func (e *env) restrictedQuery(a Algo, view points.NodeView, qnode graph.NodeID, k int, hidden points.PointID) (*core.Result, error) {
-	switch a {
-	case AlgoEager:
-		return e.searcher.EagerRkNN(view, qnode, k)
-	case AlgoEagerM:
-		return e.searcher.EagerMRkNN(view, e.mat, qnode, k)
-	case AlgoLazy:
-		return e.searcher.LazyRkNN(view, qnode, k)
-	case AlgoLazyEP:
-		return e.searcher.LazyEPRkNN(view, qnode, k)
-	case AlgoHub:
-		if e.hubIdx == nil {
-			return nil, fmt.Errorf("exp: hub-label index not built for this environment")
-		}
-		pts, _, err := e.hubIdx.RkNN(qnode, k, hidden)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Result{Points: pts}, nil
+	if a != AlgoHub {
+		return e.expand(e.searcher, a, core.Request{K: k, Points: view, Target: core.NodeLoc(qnode)})
 	}
-	return nil, fmt.Errorf("exp: unknown algorithm %q", a)
+	if e.hubIdx == nil {
+		return nil, fmt.Errorf("exp: hub-label index not built for this environment")
+	}
+	pts, _, err := e.hubIdx.RkNN(qnode, k, hidden)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Result{Points: pts}, nil
 }
 
 // unrestrictedQuery dispatches one unrestricted monochromatic query.
 func (e *env) unrestrictedQuery(a Algo, view points.EdgeView, q core.Loc, k int) (*core.Result, error) {
-	switch a {
-	case AlgoEager:
-		return e.searcher.UEagerRkNN(view, q, k)
-	case AlgoEagerM:
-		return e.searcher.UEagerMRkNN(view, e.mat, q, k)
-	case AlgoLazy:
-		return e.searcher.ULazyRkNN(view, q, k)
-	case AlgoLazyEP:
-		return e.searcher.ULazyEPRkNN(view, q, k)
-	}
-	return nil, fmt.Errorf("exp: unknown algorithm %q", a)
+	return e.expand(e.searcher, a, core.Request{K: k, EdgePoints: view, Target: q})
 }
 
 // restrictedRow measures all algos over one restricted workload.
@@ -403,16 +402,9 @@ func Fig19(s Scale) (*Table, error) {
 		row := make([]Measure, len(AllAlgos))
 		for ai, a := range AllAlgos {
 			m, err := e.runWorkload(len(routes), func(i int) (*core.Result, error) {
-				switch a {
-				case AlgoEager:
-					return e.searcher.UEagerContinuous(e.pagedEP, routes[i], 1)
-				case AlgoEagerM:
-					return e.searcher.UEagerMContinuous(e.pagedEP, e.mat, routes[i], 1)
-				case AlgoLazy:
-					return e.searcher.ULazyContinuous(e.pagedEP, routes[i], 1)
-				default:
-					return e.searcher.ULazyEPContinuous(e.pagedEP, routes[i], 1)
-				}
+				return e.expand(e.searcher, a, core.Request{
+					Kind: core.KindContinuous, K: 1, EdgePoints: e.pagedEP, Route: routes[i],
+				})
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", a, err)

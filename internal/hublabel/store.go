@@ -310,7 +310,7 @@ func FilePageSize(path string) (int, error) {
 // are counted in Stats. A Store is safe for concurrent readers.
 type Store struct {
 	file     storage.PagedFile
-	buffer   *storage.BufferManager
+	buffer   *storage.Tenant
 	numNodes int
 	directed bool
 	entries  int
@@ -325,19 +325,19 @@ type Store struct {
 // pages through a private LRU buffer of bufferPages pages. Use
 // OpenStoreBuffer to serve label pages through a shared buffer pool.
 func OpenStore(f storage.PagedFile, bufferPages int) (*Store, error) {
-	return openStore(f, func() *storage.BufferManager {
-		return storage.NewBufferManager(f, bufferPages)
+	return openStore(f, func() *storage.Tenant {
+		return storage.NewBufferPool(bufferPages).Attach("", f, 0)
 	})
 }
 
 // OpenStoreBuffer is OpenStore reading label pages through bm, which must
 // wrap f — typically a tenant of the process-wide buffer pool, so label
 // pages share frames (and stats) with every other substrate.
-func OpenStoreBuffer(f storage.PagedFile, bm *storage.BufferManager) (*Store, error) {
-	return openStore(f, func() *storage.BufferManager { return bm })
+func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
+	return openStore(f, func() *storage.Tenant { return bm })
 }
 
-func openStore(f storage.PagedFile, buffer func() *storage.BufferManager) (*Store, error) {
+func openStore(f storage.PagedFile, buffer func() *storage.Tenant) (*Store, error) {
 	pageSize := f.PageSize()
 	if f.NumPages() == 0 {
 		return nil, fmt.Errorf("hublabel: empty label file")
@@ -445,7 +445,7 @@ func (s *Store) Stats() storage.Stats { return s.buffer.Stats() }
 func (s *Store) ResetStats() { s.buffer.ResetStats() }
 
 // Buffer exposes the LRU buffer (cold-start experiments).
-func (s *Store) Buffer() *storage.BufferManager { return s.buffer }
+func (s *Store) Buffer() *storage.Tenant { return s.buffer }
 
 // Close detaches the store's buffer tenant from its pool (flushing dirty
 // pages and returning contributed capacity), then closes the underlying

@@ -21,7 +21,7 @@ import (
 // The point directory (id -> location) is memory-resident, playing the role
 // of the node-id index of Section 3.1 for points.
 type PagedEdgeSet struct {
-	bm   *storage.BufferManager
+	bm   *storage.Tenant
 	dir  map[edgeKey]storage.RecRef
 	pts  []EdgePoint
 	live int
@@ -43,7 +43,7 @@ func NewPagedEdgeSet(src *EdgeSet, file storage.PagedFile, bufferPages int) (*Pa
 // NewPagedEdgeSetBuffer is NewPagedEdgeSet reading point pages through bm,
 // which must wrap file — typically a tenant of the process-wide buffer
 // pool. A nil bm falls back to a private buffer of bufferPages.
-func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.BufferManager, bufferPages int) (*PagedEdgeSet, error) {
+func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Tenant, bufferPages int) (*PagedEdgeSet, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("points: NewPagedEdgeSet needs an empty file, got %d pages", file.NumPages())
 	}
@@ -108,7 +108,7 @@ func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Buf
 		return nil, err
 	}
 	if bm == nil {
-		bm = storage.NewBufferManager(file, bufferPages)
+		bm = storage.NewBufferPool(bufferPages).Attach("", file, 0)
 	}
 	s.bm = bm
 	s.pages.New = func() any { return make([]byte, file.PageSize()) }
@@ -175,7 +175,7 @@ func (s *PagedEdgeSet) Stats() storage.Stats { return s.bm.Stats() }
 func (s *PagedEdgeSet) ResetStats() { s.bm.ResetStats() }
 
 // Buffer exposes the underlying buffer manager.
-func (s *PagedEdgeSet) Buffer() *storage.BufferManager { return s.bm }
+func (s *PagedEdgeSet) Buffer() *storage.Tenant { return s.bm }
 
 // Close detaches the set's buffer tenant from its pool, releasing its
 // frames and any capacity it contributed. The set must not be used

@@ -16,11 +16,11 @@ import (
 // what the paper's experiments report.
 //
 // A built DiskStore is read-only and safe for concurrent use: Adjacency
-// reads pages through the mutex-guarded BufferManager, and Stats /
+// reads pages through the mutex-guarded pool tenant, and Stats /
 // ResetStats use its atomic counters, so they may run while queries are in
 // flight.
 type DiskStore struct {
-	bm       *BufferManager
+	bm       *Tenant
 	index    []RecRef
 	numNodes int
 	// pages recycles zero-capacity read buffers across Adjacency calls so
@@ -28,7 +28,7 @@ type DiskStore struct {
 	pages sync.Pool
 }
 
-func newDiskStore(bm *BufferManager, index []RecRef, numNodes int) *DiskStore {
+func newDiskStore(bm *Tenant, index []RecRef, numNodes int) *DiskStore {
 	s := &DiskStore{bm: bm, index: index, numNodes: numNodes}
 	s.pages.New = func() any { return make([]byte, bm.File().PageSize()) }
 	return s
@@ -46,7 +46,7 @@ func BuildDiskStore(g *graph.Graph, file PagedFile, bufferPages int, order []gra
 // BuildDiskStoreBuffer is BuildDiskStore reading adjacency pages through
 // bm, which must wrap file — typically a tenant of the process-wide
 // buffer pool. A nil bm falls back to a private buffer of bufferPages.
-func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *BufferManager, bufferPages int, order []graph.NodeID) (*DiskStore, error) {
+func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPages int, order []graph.NodeID) (*DiskStore, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: BuildDiskStore needs an empty file, got %d pages", file.NumPages())
 	}
@@ -141,7 +141,7 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *BufferManager, buf
 		return nil, err
 	}
 	if bm == nil {
-		bm = NewBufferManager(file, bufferPages)
+		bm = NewBufferPool(bufferPages).Attach("", file, 0)
 	}
 	return newDiskStore(bm, index, g.NumNodes()), nil
 }
@@ -179,7 +179,7 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 }
 
 // Buffer exposes the buffer manager (for stats and cache control).
-func (s *DiskStore) Buffer() *BufferManager { return s.bm }
+func (s *DiskStore) Buffer() *Tenant { return s.bm }
 
 // Close detaches the store's buffer tenant from its pool, flushing dirty
 // pages and returning any contributed capacity. The store must not be
@@ -197,7 +197,7 @@ func (s *DiskStore) Close() error {
 // pages from an alternative file with identical layout — a hook for
 // failure-injection tests and for reopening a previously built page file.
 func (s *DiskStore) WithFile(file PagedFile, bufferPages int) *DiskStore {
-	return newDiskStore(NewBufferManager(file, bufferPages), s.index, s.numNodes)
+	return newDiskStore(NewBufferPool(bufferPages).Attach("", file, 0), s.index, s.numNodes)
 }
 
 // Stats returns the I/O counters of the underlying buffer.

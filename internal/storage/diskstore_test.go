@@ -230,7 +230,7 @@ func TestDiskStoreReadErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := &failingFile{MemFile: mem, failAfter: 3}
-	s := newDiskStore(NewBufferManager(ff, 0), nil, g.NumNodes())
+	s := newDiskStore(NewBufferPool(0).Attach("", ff, 0), nil, g.NumNodes())
 	// Rebuild the index by copying from a clean store.
 	clean, err := BuildDiskStore(g, NewMemFile(512), 0, nil)
 	if err != nil {

@@ -46,7 +46,7 @@ type PagedFile interface {
 // Concurrent Reads are safe; Write and Append require that no other call
 // is in flight. That exclusion comes from the DB-level contract (no
 // mutating operation runs while queries are in flight), not from
-// BufferManager locking — faulting Gets read the file outside the buffer
+// buffer-pool locking — faulting Gets read the file outside the buffer
 // mutex.
 type MemFile struct {
 	pageSize int

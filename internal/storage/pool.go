@@ -19,12 +19,11 @@ import (
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
-// Concurrency follows the discipline of the former BufferManager: one
-// mutex guards the frame table and LRU list, counters are atomic (snapshots
-// and resets never block behind an in-flight page fault), a faulting Get
-// releases the mutex for the duration of the physical read, and concurrent
-// Gets of the same missing page coalesce into one read via the frame's
-// ready latch.
+// Concurrency: one mutex guards the frame table and LRU list, counters are
+// atomic (snapshots and resets never block behind an in-flight page
+// fault), a faulting Get releases the mutex for the duration of the
+// physical read, and concurrent Gets of the same missing page coalesce
+// into one read via the frame's ready latch.
 type BufferPool struct {
 	mu       sync.Mutex
 	capacity int        // vetrnn:guardedby mu
@@ -36,7 +35,7 @@ type BufferPool struct {
 	// an eviction: false when every tenant is quota-bounded and the
 	// capacity covers the quota sum (the default DB composition), in
 	// which case hits skip the global MoveToFront — the hit path then
-	// costs exactly what the former per-substrate BufferManager did.
+	// costs what a private per-substrate buffer would.
 	trackGlobal bool // vetrnn:guardedby mu
 	// reads is the pool-wide physical-read counter — the only aggregate
 	// maintained inline (it backs per-query I/O budgets and only moves on
@@ -62,10 +61,9 @@ func (p *BufferPool) refreshTrackLocked() {
 	p.trackGlobal = track || p.capacity < sum
 }
 
-// Tenant is one paged file's view of a BufferPool. It exposes the exact
-// Get/Update/Append/Flush/Invalidate surface the per-substrate
-// BufferManager used to, so storage clients are agnostic about whether
-// their buffer is private or shared.
+// Tenant is one paged file's view of a BufferPool. Storage clients are
+// agnostic about whether their buffer is private — the only tenant of its
+// own pool, NewBufferPool(pages).Attach("", file, 0) — or shared.
 type Tenant struct {
 	pool  *BufferPool
 	name  string
@@ -587,7 +585,7 @@ func (p *BufferPool) removeLocked(fr *frame) {
 // LRU while the pool sits at capacity. Frames whose physical read is still
 // in flight are skipped; if every candidate is pending the pool
 // temporarily exceeds its bound (bounded by the number of concurrent
-// faulters), exactly like the former BufferManager.
+// faulters).
 // vetrnn:holds *
 func (p *BufferPool) evictForLocked(t *Tenant) error {
 	if t.quota > 0 && len(t.frames) >= t.quota {

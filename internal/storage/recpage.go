@@ -75,7 +75,7 @@ func (b *RecordPageBuilder) TryAdd(rec []byte) (slot int, ok bool) {
 func (b *RecordPageBuilder) Bytes() []byte { return b.buf }
 
 // ReadRecordSlot returns the payload of the record at slot. The slice
-// aliases page, so in-place mutation through BufferManager.Update is
+// aliases page, so in-place mutation through Tenant.Update is
 // possible for fixed-size records.
 func ReadRecordSlot(page []byte, pageSize, slot int) ([]byte, error) {
 	nrec := int(binary.LittleEndian.Uint16(page[0:]))

@@ -14,8 +14,8 @@ import (
 //  1. An explicit Algorithm that can run the query's shape is honored.
 //  2. An explicit Algorithm that cannot (hub-label on an edge-resident set,
 //     k beyond an index's maxK, an index over a different point set) falls
-//     back down the auto chain — unless Query.Strict, which preserves the
-//     deprecated entry points' hard errors.
+//     back down the auto chain — unless Query.Strict, which makes the
+//     mismatch a hard error.
 //  3. Auto (the zero Algorithm) picks the fastest attached substrate:
 //     hub-label intersection when an attached index covers the shape,
 //     eager-M when an attached materialization does, and otherwise plain
@@ -202,8 +202,8 @@ func (db *DB) resolveAlgorithm(q Query, pl *planned) error {
 	}
 	if q.Algorithm.kind != algoAuto {
 		if q.Strict {
-			// The deprecated entry points' contract: the named algorithm
-			// runs or errors; the planner never substitutes.
+			// The named algorithm runs or errors; the planner never
+			// substitutes.
 			pl.plan.Algorithm = q.Algorithm
 			pl.plan.Reason = "explicit algorithm (strict)"
 			return nil

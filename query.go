@@ -1,11 +1,11 @@
 package graphrnn
 
 import (
-	"context"
 	"fmt"
 
 	"graphrnn/internal/core"
 	"graphrnn/internal/exec"
+	"graphrnn/internal/graph"
 )
 
 // Algorithm selects a query processing strategy. The zero Algorithm (or
@@ -132,9 +132,7 @@ type Result struct {
 	Neighbors []Neighbor
 	// Stats describes the work performed.
 	Stats Stats
-	// Plan records the planner's decision. Every query carries one — the
-	// deprecated entry points shim onto Run, so their Results report the
-	// strict dispatch they asked for.
+	// Plan records the planner's decision.
 	Plan Plan
 }
 
@@ -168,291 +166,88 @@ func (ps *EdgePoints) edgeView() EdgePointsView      { return ps.View() }
 func (ps *PagedEdgePoints) edgeView() EdgePointsView { return ps.View() }
 func (v EdgePointsView) edgeView() EdgePointsView    { return v }
 
-// RNN answers a monochromatic reverse k-nearest-neighbor query from node q
-// over a node-resident point set, running to completion.
-//
-// Deprecated: use [DB.Run] with a Query of KindRNN. RNN is a thin shim over
-// the engine and keeps the strict per-algorithm semantics (an algorithm
-// that cannot run the query's shape errors instead of falling back).
-func (db *DB) RNN(ps pointsArg, q NodeID, k int, algo Algorithm) (*Result, error) {
-	return db.Run(context.Background(), Query{
-		Kind: KindRNN, Target: NodeLocation(q), K: k, Points: ps,
-		Algorithm: algo, Strict: true,
-	})
+// runPlanned dispatches a planned query to its executor: the forward
+// search, the hub-label index, or — for every expansion algorithm × kind ×
+// residency — the one core request.
+func (db *DB) runPlanned(ec *exec.Ctx, pl *planned) (*Result, error) {
+	if pl.plan.Kind == KindKNN {
+		return db.runKNN(ec, pl)
+	}
+	algo := pl.plan.Algorithm
+	if algo.kind == algoHub {
+		if pl.plan.Edge {
+			return nil, fmt.Errorf("graphrnn: hub-label supports node-resident point sets only")
+		}
+		if algo.hub == nil || algo.hub.idx == nil {
+			return nil, fmt.Errorf("graphrnn: HubLabel requires a HubLabelIndex (use db.BuildHubLabelIndex)")
+		}
+		return wrapResult(algo.hub.run(ec, pl))
+	}
+	req := core.Request{
+		Kind: core.Kind(pl.plan.Kind), Algo: algo.kind.core(), K: pl.k,
+		Route: toNodeIDs(pl.route),
+	}
+	var mat *core.Materialized
+	if algo.kind == algoEagerM {
+		if algo.mat == nil || algo.mat.m == nil {
+			return nil, fmt.Errorf("graphrnn: EagerM requires a Materialization (use db.MaterializeNodePoints / MaterializeEdgePoints)")
+		}
+		mat = algo.mat.m
+	}
+	if pl.plan.Edge {
+		req.EdgePoints, req.Target = pl.edge.v, pl.loc.toLoc()
+		if pl.plan.Kind == KindBichromatic {
+			req.EdgeSites = pl.esites.v
+		}
+	} else {
+		req.Points, req.Target = pl.node.v, core.NodeLoc(graph.NodeID(pl.qnode))
+		if pl.plan.Kind == KindBichromatic {
+			req.Sites = pl.nsites.v
+		}
+	}
+	return wrapResult(db.searcher.Bound(ec).Run(req, mat))
 }
 
-func (db *DB) runRNN(ec *exec.Ctx, ps pointsArg, q NodeID, k int, algo Algorithm) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	view := ps.nodeView().v
-	qn := toNodeIDs([]NodeID{q})[0]
-	switch algo.kind {
+// core maps an expansion strategy onto the engine's; the planner resolves
+// every other kind before dispatch.
+func (k algoKind) core() core.Algo {
+	switch k {
 	case algoEager:
-		return wrapResult(s.EagerRkNN(view, qn, k))
+		return core.AlgoEager
 	case algoLazy:
-		return wrapResult(s.LazyRkNN(view, qn, k))
+		return core.AlgoLazy
 	case algoLazyEP:
-		return wrapResult(s.LazyEPRkNN(view, qn, k))
+		return core.AlgoLazyEP
 	case algoEagerM:
-		m, err := algo.materialized()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(s.EagerMRkNN(view, m, qn, k))
-	case algoHub:
-		h, err := algo.hubIndex()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(h.runRNN(ec, view, q, k))
+		return core.AlgoEagerM
 	default:
-		return wrapResult(s.BruteRkNN(view, qn, k))
+		return core.AlgoBrute
 	}
 }
 
-// BichromaticRNN answers bRkNN: the candidates of cands closer to q than to
-// their k-th nearest site of sites.
-//
-// Deprecated: use [DB.Run] with a Query of KindBichromatic (Points holds
-// the candidates, Sites the sites).
-func (db *DB) BichromaticRNN(cands, sites pointsArg, q NodeID, k int, algo Algorithm) (*Result, error) {
-	return db.Run(context.Background(), Query{
-		Kind: KindBichromatic, Target: NodeLocation(q), K: k,
-		Points: cands, Sites: sites, Algorithm: algo, Strict: true,
-	})
-}
-
-func (db *DB) runBichromaticRNN(ec *exec.Ctx, cands, sites pointsArg, q NodeID, k int, algo Algorithm) (*Result, error) {
+// runKNN executes the forward search; on a typed execution error the
+// neighbors found so far ride along with it, like every other kind.
+func (db *DB) runKNN(ec *exec.Ctx, pl *planned) (*Result, error) {
 	s := db.searcher.Bound(ec)
-	cv, sv := cands.nodeView().v, sites.nodeView().v
-	qn := toNodeIDs([]NodeID{q})[0]
-	switch algo.kind {
-	case algoEager:
-		return wrapResult(s.EagerBichromatic(cv, sv, qn, k))
-	case algoLazy:
-		return wrapResult(s.LazyBichromatic(cv, sv, qn, k))
-	case algoLazyEP:
-		return wrapResult(s.LazyEPBichromatic(cv, sv, qn, k))
-	case algoEagerM:
-		m, err := algo.materialized()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(s.EagerMBichromatic(cv, sv, m, qn, k))
-	case algoHub:
-		h, err := algo.hubIndex()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(h.runBichromatic(ec, cv, sv, q, k))
-	default:
-		return wrapResult(s.BruteBichromatic(cv, sv, qn, k))
+	var out []core.PointDist
+	var err error
+	if pl.plan.Edge {
+		out, err = s.UKNN(pl.edge.v, pl.loc.toLoc(), pl.k)
+	} else {
+		out, err = s.KNN(pl.node.v, graph.NodeID(pl.qnode), pl.k)
 	}
-}
-
-// ContinuousRNN answers cRkNN(route): the union of the RkNN sets of every
-// route node (Section 5.1), computed in one traversal.
-//
-// Deprecated: use [DB.Run] with a Query of KindContinuous.
-func (db *DB) ContinuousRNN(ps pointsArg, route []NodeID, k int, algo Algorithm) (*Result, error) {
-	return db.Run(context.Background(), Query{
-		Kind: KindContinuous, Route: route, K: k, Points: ps,
-		Algorithm: algo, Strict: true,
-	})
-}
-
-func (db *DB) runContinuousRNN(ec *exec.Ctx, ps pointsArg, route []NodeID, k int, algo Algorithm) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	view := ps.nodeView().v
-	r := toNodeIDs(route)
-	switch algo.kind {
-	case algoEager:
-		return wrapResult(s.EagerContinuous(view, r, k))
-	case algoLazy:
-		return wrapResult(s.LazyContinuous(view, r, k))
-	case algoLazyEP:
-		return wrapResult(s.LazyEPContinuous(view, r, k))
-	case algoEagerM:
-		m, err := algo.materialized()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(s.EagerMContinuous(view, m, r, k))
-	case algoHub:
-		h, err := algo.hubIndex()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(h.runContinuous(ec, view, route, k))
-	default:
-		return wrapResult(s.BruteContinuous(view, r, k))
+	if err != nil && !exec.IsExecErr(err) {
+		return nil, err
 	}
-}
-
-// EdgeRNN answers a monochromatic RkNN query at an arbitrary location over
-// an edge-resident point set (unrestricted networks, Section 5.2).
-//
-// Deprecated: use [DB.Run] with a Query of KindRNN over an edge-resident
-// Points set (the Target Location may lie on an edge).
-func (db *DB) EdgeRNN(ps edgeArg, q Location, k int, algo Algorithm) (*Result, error) {
-	return db.Run(context.Background(), Query{
-		Kind: KindRNN, Target: q, K: k, Points: ps, Algorithm: algo, Strict: true,
-	})
-}
-
-func (db *DB) runEdgeRNN(ec *exec.Ctx, ps edgeArg, q Location, k int, algo Algorithm) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	view := ps.edgeView().v
-	loc := q.toLoc()
-	switch algo.kind {
-	case algoEager:
-		return wrapResult(s.UEagerRkNN(view, loc, k))
-	case algoLazy:
-		return wrapResult(s.ULazyRkNN(view, loc, k))
-	case algoLazyEP:
-		return wrapResult(s.ULazyEPRkNN(view, loc, k))
-	case algoEagerM:
-		m, err := algo.materialized()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(s.UEagerMRkNN(view, m, loc, k))
-	case algoHub:
-		return nil, errHubEdge()
-	default:
-		return wrapResult(s.UBruteRkNN(view, loc, k))
+	nbrs := make([]Neighbor, len(out))
+	for i, pd := range out {
+		nbrs[i] = Neighbor{P: PointID(pd.P), Distance: pd.D}
 	}
-}
-
-// EdgeBichromaticRNN answers bRkNN over edge-resident candidates and sites.
-//
-// Deprecated: use [DB.Run] with a Query of KindBichromatic over
-// edge-resident Points and Sites.
-func (db *DB) EdgeBichromaticRNN(cands, sites edgeArg, q Location, k int, algo Algorithm) (*Result, error) {
-	return db.Run(context.Background(), Query{
-		Kind: KindBichromatic, Target: q, K: k, Points: cands, Sites: sites,
-		Algorithm: algo, Strict: true,
-	})
-}
-
-func (db *DB) runEdgeBichromaticRNN(ec *exec.Ctx, cands, sites edgeArg, q Location, k int, algo Algorithm) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	cv, sv := cands.edgeView().v, sites.edgeView().v
-	loc := q.toLoc()
-	switch algo.kind {
-	case algoEager:
-		return wrapResult(s.UEagerBichromatic(cv, sv, loc, k))
-	case algoLazy:
-		return wrapResult(s.ULazyBichromatic(cv, sv, loc, k))
-	case algoLazyEP:
-		return wrapResult(s.ULazyEPBichromatic(cv, sv, loc, k))
-	case algoEagerM:
-		m, err := algo.materialized()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(s.UEagerMBichromatic(cv, sv, m, loc, k))
-	case algoHub:
-		return nil, errHubEdge()
-	default:
-		return wrapResult(s.UBruteBichromatic(cv, sv, loc, k))
-	}
-}
-
-// EdgeContinuousRNN answers cRkNN over a route on an unrestricted network.
-//
-// Deprecated: use [DB.Run] with a Query of KindContinuous over an
-// edge-resident Points set.
-func (db *DB) EdgeContinuousRNN(ps edgeArg, route []NodeID, k int, algo Algorithm) (*Result, error) {
-	return db.Run(context.Background(), Query{
-		Kind: KindContinuous, Route: route, K: k, Points: ps,
-		Algorithm: algo, Strict: true,
-	})
-}
-
-func (db *DB) runEdgeContinuousRNN(ec *exec.Ctx, ps edgeArg, route []NodeID, k int, algo Algorithm) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	view := ps.edgeView().v
-	r := toNodeIDs(route)
-	switch algo.kind {
-	case algoEager:
-		return wrapResult(s.UEagerContinuous(view, r, k))
-	case algoLazy:
-		return wrapResult(s.ULazyContinuous(view, r, k))
-	case algoLazyEP:
-		return wrapResult(s.ULazyEPContinuous(view, r, k))
-	case algoEagerM:
-		m, err := algo.materialized()
-		if err != nil {
-			return nil, err
-		}
-		return wrapResult(s.UEagerMContinuous(view, m, r, k))
-	case algoHub:
-		return nil, errHubEdge()
-	default:
-		return wrapResult(s.UBruteContinuous(view, r, k))
-	}
-}
-
-func (a Algorithm) materialized() (*core.Materialized, error) {
-	if a.mat == nil || a.mat.m == nil {
-		return nil, fmt.Errorf("graphrnn: EagerM requires a Materialization (use db.MaterializeNodePoints / MaterializeEdgePoints)")
-	}
-	return a.mat.m, nil
-}
-
-func (a Algorithm) hubIndex() (*HubLabelIndex, error) {
-	if a.hub == nil || a.hub.idx == nil {
-		return nil, fmt.Errorf("graphrnn: HubLabel requires a HubLabelIndex (use db.BuildHubLabelIndex)")
-	}
-	return a.hub, nil
-}
-
-func errHubEdge() error {
-	return fmt.Errorf("graphrnn: hub-label supports node-resident point sets only")
+	return &Result{Neighbors: nbrs}, err
 }
 
 // Neighbor is one k-nearest-neighbor result.
 type Neighbor struct {
 	P        PointID
 	Distance float64
-}
-
-// KNN returns the k nearest data points of node n in ascending distance
-// order (the forward counterpart of RNN; Section 3.1's NN search). Fewer
-// than k results are returned when the reachable component holds fewer
-// points.
-//
-// Deprecated: use [DB.Run] with a Query of KindKNN; the answer is in
-// Result.Neighbors.
-func (db *DB) KNN(ps pointsArg, n NodeID, k int) ([]Neighbor, error) {
-	res, err := db.Run(context.Background(), Query{
-		Kind: KindKNN, Target: NodeLocation(n), K: k, Points: ps,
-	})
-	if res == nil {
-		return nil, err
-	}
-	return res.Neighbors, err
-}
-
-// EdgeKNN returns the k nearest edge-resident data points of an arbitrary
-// location.
-//
-// Deprecated: use [DB.Run] with a Query of KindKNN over an edge-resident
-// Points set.
-func (db *DB) EdgeKNN(ps edgeArg, q Location, k int) ([]Neighbor, error) {
-	res, err := db.Run(context.Background(), Query{
-		Kind: KindKNN, Target: q, K: k, Points: ps,
-	})
-	if res == nil {
-		return nil, err
-	}
-	return res.Neighbors, err
-}
-
-func toNeighbors(in []core.PointDist) []Neighbor {
-	out := make([]Neighbor, len(in))
-	for i, pd := range in {
-		out[i] = Neighbor{P: PointID(pd.P), Distance: pd.D}
-	}
-	return out
 }

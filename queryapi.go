@@ -3,33 +3,35 @@ package graphrnn
 import (
 	"fmt"
 	"time"
+
+	"graphrnn/internal/core"
 )
 
-// This file is the declarative half of the unified query API: one Query
-// value describes any request the system answers — monochromatic,
-// bichromatic or continuous RkNN and forward KNN, node- or edge-resident,
-// bounded or not — and the engine surface (Run, RunBatch, Stream in
-// engine.go) executes it through the planner (plan.go). The per-shape,
-// per-algorithm entry points that used to make up the public surface are
-// deprecated shims over this one.
+// This file is the declarative half of the query API: one Query value
+// describes any request the system answers — monochromatic, bichromatic or
+// continuous RkNN and forward KNN, node- or edge-resident, bounded or not —
+// and the engine surface (Run, RunBatch, Stream in engine.go) executes it
+// through the planner (plan.go).
 
 // Kind enumerates the query families of the paper.
 type Kind int
 
+// The RkNN kinds are the engine's own, so a planned query hands its Kind
+// through unconverted.
 const (
 	// KindRNN is the monochromatic reverse k-nearest-neighbor query: the
 	// points that have the target among their k nearest neighbors (§3).
-	KindRNN Kind = iota
+	KindRNN = Kind(core.KindRNN)
 	// KindBichromatic is bRkNN over candidates (Points) and sites (Sites):
 	// the candidates with fewer than k sites strictly closer than the
 	// target (§5.3).
-	KindBichromatic
+	KindBichromatic = Kind(core.KindBichromatic)
 	// KindContinuous is cRkNN over Route: the union of the RkNN sets of
 	// every route node, computed in one traversal (§5.1).
-	KindContinuous
+	KindContinuous = Kind(core.KindContinuous)
 	// KindKNN is the forward k-nearest-neighbor search (§3.1); the answer
 	// is Result.Neighbors.
-	KindKNN
+	KindKNN = KindContinuous + 1
 )
 
 // String implements fmt.Stringer.
@@ -98,9 +100,8 @@ type Query struct {
 	// shape falls back to a compatible substrate (Plan.Fallback reports
 	// it) unless Strict is set.
 	Algorithm Algorithm
-	// Strict turns an incompatible Algorithm into an error instead of a
-	// planner fallback — the semantics of the deprecated per-algorithm
-	// entry points, which set it.
+	// Strict makes the named Algorithm run or error: the planner never
+	// substitutes another substrate for an incompatible hint.
 	Strict bool
 	// QueryOptions bounds the query (per-query deadline, work budget). The
 	// zero value applies only the Run context's own cancellation/deadline.

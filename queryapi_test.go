@@ -3,8 +3,8 @@ package graphrnn_test
 // Tests for the unified query API: the declarative Query surface, the
 // planner's auto-selection and hint fallbacks, Plan/Explain stability, the
 // RunBatch report, and streaming delivery. The planner's answers are
-// oracle-tested against the explicit-algorithm entry points on road and
-// grid datasets, memory- and disk-backed.
+// oracle-tested against explicit strict algorithms on road and grid
+// datasets, memory- and disk-backed.
 
 import (
 	"context"

@@ -489,7 +489,7 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	// fan-out.
 	ec, cancel, err := s.db.newExec(ctx, &q.QueryOptions)
 	if err != nil {
-		return nil, err
+		return &Result{Plan: s.plan(q, 0)}, err
 	}
 	defer cancel()
 	s.queries.Add(1)
@@ -529,13 +529,11 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	s.candidates.Add(int64(len(cands)))
 
 	res, verr := s.verifyCandidates(ec, q, cands)
-	res.Stats.add(gathered)
-	res.Plan = Plan{
-		Kind:      q.Kind,
-		Algorithm: q.Algorithm,
-		Reason: fmt.Sprintf("scatter-gather over %d shards; %d candidates verified on the coordinator",
-			s.part.Shards, len(cands)),
+	if res == nil {
+		return nil, verr
 	}
+	res.Stats.add(gathered)
+	res.Plan = s.plan(q, len(cands))
 	s.members.Add(int64(len(res.Points)))
 	if verr != nil {
 		return res, verr
@@ -543,32 +541,22 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	return res, execErr
 }
 
+// plan describes the scatter-gather execution of q in the Result.
+func (s *Sharded) plan(q Query, candidates int) Plan {
+	return Plan{
+		Kind:      q.Kind,
+		Algorithm: q.Algorithm,
+		Reason: fmt.Sprintf("scatter-gather over %d shards; %d candidates verified on the coordinator",
+			s.part.Shards, candidates),
+	}
+}
+
 // RunBatch fans a slice of queries out over a worker pool, each entry
 // executed as if through Run (so each entry scatters to every shard).
 // Semantics mirror DB.RunBatch: per-entry results in input order,
 // FailFast, PerQuery bounds, context-aware dispatch.
 func (s *Sharded) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) (*BatchReport, error) {
-	start := time.Now()
-	out := make([]BatchResult, len(queries))
-	workers := runBatch(ctx, len(queries), opt.workers(len(queries)), opt.failFast(), out, func(ctx context.Context, i int) {
-		q := queries[i]
-		if pq := opt.perQuery(); pq != nil && q.QueryOptions == (QueryOptions{}) {
-			q.QueryOptions = *pq
-		}
-		out[i].Result, out[i].Err = s.Run(ctx, q)
-	})
-	rep := &BatchReport{Results: out, Workers: workers, Wall: time.Since(start)}
-	for _, r := range out {
-		if r.Err != nil {
-			rep.Failed++
-		} else {
-			rep.Succeeded++
-		}
-		if r.Result != nil {
-			rep.Work.add(r.Result.Stats)
-		}
-	}
-	return rep, nil
+	return runBatch(ctx, queries, opt, s.Run), nil
 }
 
 // mergeCandidates unions per-shard candidate lists into one ascending,
@@ -605,23 +593,18 @@ func mergeCandidates(lists [][]PointID) []PointID {
 // Typed execution errors return the members verified so far.
 func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Result, error) {
 	bs := s.db.searcher.Bound(ec)
+	req := core.Request{
+		Kind: core.Kind(q.Kind), K: q.K, Points: s.ps.s,
+		Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
+	}
+	if q.Kind == KindBichromatic {
+		req.Sites = s.sites.s
+	}
 	// Points is non-nil even when empty, matching wrapResult's shape on
 	// the unsharded surface.
 	res := &Result{Points: []PointID{}}
-	qnode := graph.NodeID(q.Target.U)
-	route := toNodeIDs(q.Route)
 	for _, p := range cands {
-		var member bool
-		var st core.Stats
-		var err error
-		switch q.Kind {
-		case KindContinuous:
-			member, st, err = bs.VerifyContinuousMember(s.ps.s, points.PointID(p), route, q.K)
-		case KindBichromatic:
-			member, st, err = bs.VerifyBichromaticMember(s.ps.s, s.sites.s, points.PointID(p), qnode, q.K)
-		default: // KindRNN
-			member, st, err = bs.VerifyRkNNMember(s.ps.s, points.PointID(p), qnode, q.K)
-		}
+		member, st, err := bs.VerifyMember(req, points.PointID(p))
 		s.verifyRuns.Add(1)
 		res.Stats.add(statsOf(st))
 		if err != nil {

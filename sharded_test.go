@@ -239,8 +239,9 @@ func TestShardedKNNGlobal(t *testing.T) {
 }
 
 // TestShardedDeadline: a microscopic parent timeout fails with the typed
-// deadline error — upfront, deterministically — and a sane timeout
-// derives a tighter per-shard deadline.
+// deadline error — upfront, deterministically, with the planned but empty
+// partial Result of an unstarted query — and a sane timeout derives a
+// tighter per-shard deadline.
 func TestShardedDeadline(t *testing.T) {
 	db, ps := shardOracleEnv(t, "road", 300, 2, 9)
 	sh, err := db.Shard(ps, &ShardOptions{Shards: 2})
@@ -248,12 +249,15 @@ func TestShardedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	_, err = sh.Run(context.Background(), Query{
+	res, err := sh.Run(context.Background(), Query{
 		Kind: KindRNN, Target: NodeLocation(5), K: 2,
 		QueryOptions: QueryOptions{Timeout: time.Nanosecond},
 	})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("1ns timeout: got %v, want ErrDeadlineExceeded", err)
+	}
+	if res == nil || res.Plan.Reason == "" || len(res.Points) != 0 || res.Stats != (Stats{}) {
+		t.Fatalf("1ns timeout: partial result %+v, want the plan and no work", res)
 	}
 }
 
