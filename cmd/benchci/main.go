@@ -2,7 +2,7 @@
 // the CI workflow. It runs the tracked micro-benchmarks (a small fixed-seed
 // workload: the 20K-node road network, D=0.01, k=2, seed 2006) exactly
 // once each, writes the results as JSON (ns/op plus every custom metric the
-// benchmarks report, such as io_reads/op), and — when a baseline file is
+// benchmarks report, such as io_reads/op and allocs/op), and — when a baseline file is
 // given — fails if any tracked benchmark regressed beyond the threshold.
 //
 // Usage:
@@ -180,6 +180,13 @@ func run(bench, pkg, benchtime string, count int, workload string) (*File, error
 		}
 		b := Benchmark{Name: m[1], NsPerOp: ns}
 		for _, pm := range metricPair.FindAllStringSubmatch(m[3], -1) {
+			if pm[2] == "B/op" {
+				// b.ReportAllocs prints bytes next to allocs/op. The count
+				// is gated like any counter; the bytes swing severalfold
+				// with whether the collector emptied the scratch
+				// sync.Pool mid-sweep, so they are not recorded.
+				continue
+			}
 			if v, err := strconv.ParseFloat(pm[1], 64); err == nil {
 				if b.Metrics == nil {
 					b.Metrics = map[string]float64{}

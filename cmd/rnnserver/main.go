@@ -19,9 +19,13 @@
 //	rnnserver [-addr :8080] [-family road|brite|grid] [-nodes N]
 //	          [-density D] [-sites N] [-seed N] [-disk] [-buffer PAGES]
 //	          [-maxk K] [-hublabel K] [-build-workers N] [-label-compress]
-//	          [-query-timeout D]
+//	          [-query-timeout D] [-pprof ADDR]
 //	          [-shards N [-shard-index i | -shard-peers url1,url2,...]]
 //	          [-shard-halo H]
+//
+// -pprof ADDR serves net/http/pprof (/debug/pprof/profile, heap, ...) on a
+// listener of its own, so profiles of the running server never share a
+// port with queries; it is off by default.
 //
 // Hub-label builds run the pruned-landmark sweeps across -build-workers
 // goroutines (default all cores; the labels are bit-identical at any
@@ -85,8 +89,10 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers on http.DefaultServeMux, which only the -pprof listener serves
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -599,6 +605,7 @@ func main() {
 		maxK     = flag.Int("maxk", 4, "materialize K-NN lists up to this k for eager-m (0 disables; sharded: per-shard MatK)")
 		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: per-shard HubLabelK)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-query deadline; expired queries answer 504 (0 disables)")
+		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty disables)")
 
 		buildWorkers  = flag.Int("build-workers", 0, "worker goroutines for hub-label construction (0 = all cores, 1 = sequential)")
 		labelCompress = flag.Bool("label-compress", false, "store hub labels delta+varint compressed through the page store")
@@ -730,6 +737,10 @@ func main() {
 		}
 	}
 
+	// The builds above leave their garbage behind, and serving allocates
+	// too little to make the collector come round for it: release it once.
+	debug.FreeOSMemory()
+
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", srv.handleQuery)
 	mux.HandleFunc("/mat/insert", srv.handleMatInsert)
@@ -744,6 +755,9 @@ func main() {
 		mux.HandleFunc("/shard/query", srv.handleShardQuery)
 	}
 
+	if *pprofOn != "" {
+		go func() { log.Printf("rnnserver: pprof listener: %v", http.ListenAndServe(*pprofOn, nil)) }()
+	}
 	httpSrv := &http.Server{Addr: *addr, Handler: mux}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -42,7 +42,7 @@ var triggers = map[string][]string{
 	"InLabel":   {"internal/hublabel"},
 	"OutLabel":  {"internal/hublabel"},
 	"Get":       {"internal/storage"},
-	"GetInto":   {"internal/storage"},
+	"Pin":       {"internal/storage"},
 	"Update":    {"internal/storage"},
 	"Pop":       {"internal/pq"},
 }

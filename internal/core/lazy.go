@@ -54,7 +54,11 @@ type lazyPrune[E any] struct {
 	sc       *scratch
 	heap     *pq.Heap[E]
 	counts   *lazyCounts
-	children map[graph.NodeID][]*pq.Item[E]
+	children map[graph.NodeID][]pq.Handle
+	// kids backs every children list: one growing array per query instead
+	// of one small slice per expanded node (a list keeps pointing into the
+	// array it was cut from when a later append moves the rest).
+	kids []pq.Handle
 }
 
 // visit applies the pruning side effect of a verification expansion that
@@ -102,7 +106,7 @@ func (s *Searcher) lazy(cands, sites points.NodeView, mono bool, sources []graph
 	counts := s.acquireCounts()
 	defer s.releaseCounts(counts)
 	lz := &lazyPrune[graph.NodeID]{sc: main, heap: &main.heap, counts: counts,
-		children: make(map[graph.NodeID][]*pq.Item[graph.NodeID])}
+		children: make(map[graph.NodeID][]pq.Handle)}
 
 	verified := make(map[points.PointID]bool)   // sites
 	classified := make(map[points.PointID]bool) // bichromatic candidates
@@ -167,14 +171,14 @@ func (s *Searcher) lazy(cands, sites points.NodeView, mono bool, sources []graph
 		if main.adj, adjErr = s.g.Adjacency(n, main.adj); adjErr != nil {
 			return nil, adjErr
 		}
-		var kids []*pq.Item[graph.NodeID]
+		first := len(lz.kids)
 		for _, e := range main.adj {
-			if h := main.push(e.To, d+e.W); h != nil {
-				kids = append(kids, h)
+			if h := main.push(e.To, d+e.W); h != 0 {
+				lz.kids = append(lz.kids, h)
 			}
 		}
-		if kids != nil {
-			lz.children[n] = kids
+		if len(lz.kids) > first {
+			lz.children[n] = lz.kids[first:]
 		}
 	}
 	return finishResult(results, st), nil

@@ -25,8 +25,8 @@ type epMarks struct {
 // mark below the pop distance is in place before the pop's pruning check.
 func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 	for {
-		top, ok := ep.hp.Peek()
-		if !ok || top.Priority() >= limit {
+		_, top, ok := ep.hp.Peek()
+		if !ok || top >= limit {
 			return nil
 		}
 		e, d, _ := ep.hp.Pop()
@@ -89,8 +89,8 @@ func (s *Searcher) lazyEP(cands, sites points.NodeView, mono bool, sources []gra
 
 	var probe []PointDist
 	for {
-		if top, ok := main.heap.Peek(); ok {
-			if err := s.advance(&st, ep, top.Priority(), k); err != nil {
+		if _, top, ok := main.heap.Peek(); ok {
+			if err := s.advance(&st, ep, top, k); err != nil {
 				return execResult(results, st, err)
 			}
 		}

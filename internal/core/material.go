@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
@@ -122,8 +121,6 @@ type Materialized struct {
 	numNodes int
 	bm       *storage.Tenant
 	refs     []storage.RecRef
-	// pages recycles zero-capacity read buffers across List calls.
-	pages sync.Pool
 	// repair is the in-flight journaled maintenance operation, nil between
 	// operations (maintenance requires exclusive access, so no lock).
 	repair *matRepair
@@ -194,13 +191,12 @@ func (m *Materialized) List(n graph.NodeID, buf []MatEntry) ([]MatEntry, error) 
 		return nil, fmt.Errorf("core: materialized list of node %d out of range [0,%d)", n, m.numNodes)
 	}
 	ref := m.refs[n]
-	scratch := m.pages.Get().([]byte)
-	defer m.pages.Put(scratch)
-	page, err := m.bm.GetInto(ref.Page, scratch)
+	page, err := m.bm.Pin(ref.Page)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := storage.ReadRecordSlot(page, m.bm.File().PageSize(), int(ref.Slot))
+	defer page.Unpin()
+	rec, err := storage.ReadRecordSlot(page.Bytes(), m.bm.File().PageSize(), int(ref.Slot))
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +551,6 @@ func (s *Searcher) MatBuildBuffer(seeds []MatSeed, maxK int, file storage.PagedF
 		return nil, err
 	}
 	m.bm = bm
-	m.pages.New = func() any { return make([]byte, m.bm.File().PageSize()) }
 	return m, nil
 }
 

@@ -73,6 +73,13 @@ func buildMat(t *testing.T, s *Searcher, ps points.NodeView, maxK int) *Material
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close reports a list page still pinned, so a List exit that missed
+	// its Unpin fails the test that took it.
+	t.Cleanup(func() {
+		if err := mat.Close(); err != nil {
+			t.Errorf("Materialized.Close: %v", err)
+		}
+	})
 	return mat
 }
 
@@ -509,4 +516,42 @@ func randomWalkRoute(t testing.TB, g *graph.Graph, rng *rand.Rand, size int) []g
 		onRoute[next] = true
 	}
 	return route
+}
+
+// TestHotPathAllocs pins Materialized.List as allocation-free once warm,
+// both with every list page cached and with a buffer small enough that the
+// scan keeps faulting pages into recycled frames.
+func TestHotPathAllocs(t *testing.T) {
+	net := randTestNet(t, rand.New(rand.NewSource(77)))
+	s := NewSearcher(net.g)
+	for name, bufferPages := range map[string]int{"hit": 64, "miss": 1} {
+		t.Run(name, func(t *testing.T) {
+			mat, err := s.MatBuild(SeedsRestricted(net.ps), 2, storage.NewMemFile(128), bufferPages, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				if err := mat.Close(); err != nil {
+					t.Errorf("Materialized.Close: %v", err)
+				}
+			})
+			var lst []MatEntry
+			scan := func() {
+				for n := 0; n < net.g.NumNodes(); n++ {
+					var err error
+					if lst, err = mat.List(graph.NodeID(n), lst); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			scan()
+			before := mat.Stats()
+			if n := testing.AllocsPerRun(10, scan); n != 0 {
+				t.Fatalf("List allocated %v times per scan, want 0", n)
+			}
+			if d := mat.Stats().Sub(before); (name == "miss") != (d.Reads > 0) {
+				t.Fatalf("scan did not exercise the %s path: %+v", name, d)
+			}
+		})
+	}
 }

@@ -444,7 +444,6 @@ func MatOpen(file storage.PagedFile, bm *storage.Tenant, journalFile storage.Pag
 			return nil, 0, nil, fmt.Errorf("core: list locator of node %d outside the list region", n)
 		}
 	}
-	m.pages.New = func() any { return make([]byte, pageSize) }
 
 	if pst.pending {
 		if err := m.recoverFromJournal(); err != nil {

@@ -48,13 +48,13 @@ func (sc *scratch) close(n graph.NodeID) { sc.closed[n] = sc.epoch }
 
 // push offers node n at distance d, applying the lazy-deletion Dijkstra
 // discipline: duplicates with worse labels are suppressed. It returns the
-// heap handle when an entry was pushed.
-func (sc *scratch) push(n graph.NodeID, d float64) *pq.Item[graph.NodeID] {
+// heap handle when an entry was pushed, the zero Handle otherwise.
+func (sc *scratch) push(n graph.NodeID, d float64) pq.Handle {
 	if sc.isClosed(n) {
-		return nil
+		return 0
 	}
 	if sc.isSeen(n) && sc.dist[n] <= d {
-		return nil
+		return 0
 	}
 	sc.seen[n] = sc.epoch
 	sc.dist[n] = d

@@ -283,7 +283,7 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 	counts := s.acquireCounts()
 	defer s.releaseCounts(counts)
 	lz := &lazyPrune[uEntry]{sc: w.sc, heap: &w.heap, counts: counts,
-		children: make(map[graph.NodeID][]*pq.Item[uEntry])}
+		children: make(map[graph.NodeID][]pq.Handle)}
 
 	var adj []graph.Edge
 	var refs []points.EdgePointRef
@@ -347,7 +347,7 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 			if err != nil {
 				return nil, err
 			}
-			var kids []*pq.Item[uEntry]
+			first := len(lz.kids)
 			for _, edge := range adj {
 				siteCount, err := w.surfaceEdge(cands, sites, mono, n, d, edge, &refs)
 				if err != nil {
@@ -359,12 +359,12 @@ func (s *Searcher) uLazy(cands, sites points.EdgeView, mono bool, sources []Loc,
 				if siteCount >= k {
 					continue
 				}
-				if h := w.pushNode(edge.To, d+edge.W); h != nil {
-					kids = append(kids, h)
+				if h := w.pushNode(edge.To, d+edge.W); h != 0 {
+					lz.kids = append(lz.kids, h)
 				}
 			}
-			if kids != nil {
-				lz.children[n] = kids
+			if len(lz.kids) > first {
+				lz.children[n] = lz.kids[first:]
 			}
 		}
 	}
@@ -409,8 +409,8 @@ func (s *Searcher) uLazyEP(cands, sites points.EdgeView, mono bool, sources []Lo
 	}
 
 	for {
-		if top, ok := w.heap.Peek(); ok {
-			if err := s.advance(&st, ep, top.Priority(), k); err != nil {
+		if _, top, ok := w.heap.Peek(); ok {
+			if err := s.advance(&st, ep, top, k); err != nil {
 				return execResult(results, st, err)
 			}
 		}

@@ -154,12 +154,12 @@ func (s *Searcher) closeUWalk(st *Stats, w *uWalk) {
 	s.release(w.sc)
 }
 
-func (w *uWalk) pushNode(n graph.NodeID, d float64) *pq.Item[uEntry] {
+func (w *uWalk) pushNode(n graph.NodeID, d float64) pq.Handle {
 	if w.sc.isClosed(n) {
-		return nil
+		return 0
 	}
 	if w.sc.isSeen(n) && w.sc.dist[n] <= d {
-		return nil
+		return 0
 	}
 	w.sc.seen[n] = w.sc.epoch
 	w.sc.dist[n] = d

@@ -165,7 +165,78 @@ func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close reports a label page still pinned: a readLabel exit that
+	// missed its Unpin fails the test that took it.
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Store.Close: %v", err)
+		}
+	})
 	return s
+}
+
+// TestReadLabelErrorsLeaveNoPin drives readLabel through each of its error
+// exits — unreadable page, slot out of range, truncated chunk, corrupt
+// chunk in either codec — and checks that none of them leaves its page
+// pinned (the buffer holds the whole file, so a leaked pin would stay).
+func TestReadLabelErrorsLeaveNoPin(t *testing.T) {
+	const pageSize = 256
+	l, err := Build(testGraphs(t)["road"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A page whose only record is too short to carry a chunk header.
+	short := storage.NewRecordPageBuilder(pageSize)
+	if _, ok := short.TryAdd([]byte{0}); !ok {
+		t.Fatal("test setup: 1-byte record does not fit")
+	}
+	for _, compressed := range []bool{false, true} {
+		f := storage.NewMemFile(pageSize)
+		if err := WriteOpt(l, f, WriteOptions{Compression: compressed}); err != nil {
+			t.Fatal(err)
+		}
+		shortPage, err := f.Append(short.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A copy of the first label page claiming 65535 entries per chunk.
+		page := make([]byte, pageSize)
+		if err := f.Read(1, page); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := storage.ReadRecordSlot(page, pageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec[1], rec[2] = 0xff, 0xff
+		overcount, err := f.Append(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(f, f.NumPages())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, at := range map[string]dirEnt{
+			"page out of range": {page: storage.PageID(f.NumPages() + 7)},
+			"slot out of range": {page: 1, slot: 9999},
+			"truncated chunk":   {page: shortPage},
+			"corrupt chunk":     {page: overcount},
+		} {
+			if _, err := s.readLabel(at, nil); err == nil {
+				t.Errorf("compressed=%v: %s: readLabel succeeded", compressed, name)
+			}
+			if err := s.Buffer().Invalidate(); err != nil {
+				t.Errorf("compressed=%v: %s: %v", compressed, name, err)
+			}
+		}
+		if _, err := s.OutLabel(0, nil); err != nil {
+			t.Errorf("compressed=%v: healthy label after the faults: %v", compressed, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("compressed=%v: Close: %v", compressed, err)
+		}
+	}
 }
 
 // TestStoreRoundTrip checks that a persisted labeling serves identical

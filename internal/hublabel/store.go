@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/storage"
@@ -318,7 +317,6 @@ type Store struct {
 	payload  int64
 	dir      []dirEnt
 	pageSize int
-	pagePool sync.Pool // []byte page buffers for capacity-0 reads
 }
 
 // OpenStore opens a labeling previously persisted with Write, reading label
@@ -398,10 +396,6 @@ func openStore(f storage.PagedFile, buffer func() *storage.Tenant) (*Store, erro
 		payload:  payload,
 		dir:      dir,
 		pageSize: pageSize,
-	}
-	s.pagePool.New = func() any {
-		b := make([]byte, pageSize)
-		return &b
 	}
 	return s, nil
 }
@@ -490,69 +484,81 @@ func (s *Store) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 	return s.readLabel(s.dir[int(n)*2+1], buf)
 }
 
-// readLabel decodes one label's chunk chain into buf.
+// readLabel decodes one label's chunk chain into buf, one pinned page
+// read per chunk.
 //
 // vetrnn:deterministic
 func (s *Store) readLabel(at dirEnt, buf []Entry) ([]Entry, error) {
 	buf = buf[:0]
-	scratch := s.pagePool.Get().(*[]byte)
-	defer s.pagePool.Put(scratch)
 	pid, slot := at.page, int(at.slot)
 	//lint:ignore vetrnn/execpoll record-chain walk inside the label-read primitive itself; callers poll per label fetch
 	for {
-		page, err := s.buffer.GetInto(pid, *scratch)
+		page, err := s.buffer.Pin(pid)
 		if err != nil {
 			return nil, err
 		}
-		rec, err := storage.ReadRecordSlot(page, s.pageSize, slot)
+		var more bool
+		buf, more, err = s.decodeChunk(page.Bytes(), pid, slot, buf)
+		lastSlot := more && slot+1 >= storage.RecordSlotCount(page.Bytes())
+		page.Unpin() // decodeChunk's every exit comes back through here
 		if err != nil {
 			return nil, err
 		}
-		if len(rec) < chunkHeader {
-			return nil, fmt.Errorf("hublabel: truncated label chunk on page %d slot %d", pid, slot)
-		}
-		count := int(binary.LittleEndian.Uint16(rec[1:]))
-		if s.codec == codecDelta {
-			body := rec[chunkHeader:]
-			prev := graph.NodeID(0)
-			for i := 0; i < count; i++ {
-				d, n := binary.Uvarint(body)
-				if n <= 0 || len(body) < n+8 {
-					return nil, fmt.Errorf("hublabel: corrupt label chunk on page %d slot %d", pid, slot)
-				}
-				hub := graph.NodeID(d)
-				if i > 0 {
-					hub = prev + graph.NodeID(d)
-				}
-				buf = append(buf, Entry{
-					Hub:  hub,
-					Dist: math.Float64frombits(binary.LittleEndian.Uint64(body[n:])),
-				})
-				prev = hub
-				body = body[n+8:]
-			}
-		} else {
-			if len(rec) < chunkHeader+count*entrySize {
-				return nil, fmt.Errorf("hublabel: corrupt label chunk on page %d slot %d", pid, slot)
-			}
-			for i := 0; i < count; i++ {
-				off := chunkHeader + i*entrySize
-				buf = append(buf, Entry{
-					Hub:  graph.NodeID(binary.LittleEndian.Uint32(rec[off:])),
-					Dist: math.Float64frombits(binary.LittleEndian.Uint64(rec[off+4:])),
-				})
-			}
-		}
-		if rec[0]&flagMore == 0 {
+		if !more {
 			return buf, nil
 		}
-		if slot+1 < storage.RecordSlotCount(page) {
-			slot++
-		} else {
+		if lastSlot {
 			pid++
 			slot = 0
+		} else {
+			slot++
 		}
 	}
+}
+
+// decodeChunk appends the entries of the chunk at (pid, slot) of page to
+// buf and reports whether the label continues in the next chunk.
+func (s *Store) decodeChunk(page []byte, pid storage.PageID, slot int, buf []Entry) ([]Entry, bool, error) {
+	rec, err := storage.ReadRecordSlot(page, s.pageSize, slot)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(rec) < chunkHeader {
+		return nil, false, fmt.Errorf("hublabel: truncated label chunk on page %d slot %d", pid, slot)
+	}
+	count := int(binary.LittleEndian.Uint16(rec[1:]))
+	if s.codec == codecDelta {
+		body := rec[chunkHeader:]
+		prev := graph.NodeID(0)
+		for i := 0; i < count; i++ {
+			d, n := binary.Uvarint(body)
+			if n <= 0 || len(body) < n+8 {
+				return nil, false, fmt.Errorf("hublabel: corrupt label chunk on page %d slot %d", pid, slot)
+			}
+			hub := graph.NodeID(d)
+			if i > 0 {
+				hub = prev + graph.NodeID(d)
+			}
+			buf = append(buf, Entry{
+				Hub:  hub,
+				Dist: math.Float64frombits(binary.LittleEndian.Uint64(body[n:])),
+			})
+			prev = hub
+			body = body[n+8:]
+		}
+	} else {
+		if len(rec) < chunkHeader+count*entrySize {
+			return nil, false, fmt.Errorf("hublabel: corrupt label chunk on page %d slot %d", pid, slot)
+		}
+		for i := 0; i < count; i++ {
+			off := chunkHeader + i*entrySize
+			buf = append(buf, Entry{
+				Hub:  graph.NodeID(binary.LittleEndian.Uint32(rec[off:])),
+				Dist: math.Float64frombits(binary.LittleEndian.Uint64(rec[off+4:])),
+			})
+		}
+	}
+	return buf, rec[0]&flagMore != 0, nil
 }
 
 // Load reads a persisted labeling fully into memory.

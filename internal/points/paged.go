@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/storage"
@@ -25,8 +24,6 @@ type PagedEdgeSet struct {
 	dir  map[edgeKey]storage.RecRef
 	pts  []EdgePoint
 	live int
-	// pages recycles zero-capacity read buffers across PointsOn calls.
-	pages sync.Pool
 }
 
 // Record layout: count uint16, then count x { id int32, pos float64 },
@@ -111,7 +108,6 @@ func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Ten
 		bm = storage.NewBufferPool(bufferPages).Attach("", file, 0)
 	}
 	s.bm = bm
-	s.pages.New = func() any { return make([]byte, file.PageSize()) }
 	return s, nil
 }
 
@@ -122,13 +118,12 @@ func (s *PagedEdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePo
 	if !ok {
 		return buf, nil
 	}
-	scratch := s.pages.Get().([]byte)
-	defer s.pages.Put(scratch)
-	page, err := s.bm.GetInto(ref.Page, scratch)
+	page, err := s.bm.Pin(ref.Page)
 	if err != nil {
 		return nil, fmt.Errorf("points: edge (%d,%d): %w", u, v, err)
 	}
-	rec, err := storage.ReadRecordSlot(page, s.bm.File().PageSize(), int(ref.Slot))
+	defer page.Unpin()
+	rec, err := storage.ReadRecordSlot(page.Bytes(), s.bm.File().PageSize(), int(ref.Slot))
 	if err != nil {
 		return nil, fmt.Errorf("points: edge (%d,%d): %w", u, v, err)
 	}

@@ -184,17 +184,31 @@ func buildRandomEdgeSet(t *testing.T, rng *rand.Rand, numEdges, numPoints int) *
 	return s
 }
 
-func TestPagedEdgeSetMatchesMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mem := buildRandomEdgeSet(t, rng, 50, 400)
-	paged, err := NewPagedEdgeSet(mem, storage.NewMemFile(256), 8)
+// newPaged is NewPagedEdgeSet for tests; the set must close cleanly at
+// cleanup, i.e. with no point page left pinned.
+func newPaged(t *testing.T, src *EdgeSet, file storage.PagedFile, bufferPages int) *PagedEdgeSet {
+	t.Helper()
+	paged, err := NewPagedEdgeSet(src, file, bufferPages)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := paged.Close(); err != nil {
+			t.Errorf("PagedEdgeSet.Close: %v", err)
+		}
+	})
+	return paged
+}
+
+func TestPagedEdgeSetMatchesMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	mem := buildRandomEdgeSet(t, rng, 50, 400)
+	paged := newPaged(t, mem, storage.NewMemFile(256), 8)
 	if paged.Len() != mem.Len() {
 		t.Fatalf("Len = %d, want %d", paged.Len(), mem.Len())
 	}
 	var a, b []EdgePointRef
+	var err error
 	for u := graph.NodeID(0); u < 51; u++ {
 		a, _ = mem.PointsOn(u, u+1, a)
 		b, err = paged.PointsOn(u, u+1, b)
@@ -222,12 +236,10 @@ func TestPagedEdgeSetMatchesMemory(t *testing.T) {
 func TestPagedEdgeSetCountsIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	mem := buildRandomEdgeSet(t, rng, 200, 600)
-	paged, err := NewPagedEdgeSet(mem, storage.NewMemFile(storage.DefaultPageSize), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paged := newPaged(t, mem, storage.NewMemFile(storage.DefaultPageSize), 0)
 	paged.ResetStats()
 	var buf []EdgePointRef
+	var err error
 	// Populated edge: one fault per access at capacity 0.
 	if buf, err = paged.PointsOn(0, 1, buf); err != nil {
 		t.Fatal(err)

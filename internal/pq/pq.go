@@ -3,34 +3,38 @@
 //
 // The lazy RNN algorithm of Yiu et al. (TKDE'06, Section 3.3) must delete
 // arbitrary heap entries when a verification query invalidates the node that
-// inserted them, so the heap hands out stable *Item handles that support
-// removal and priority updates in O(log n).
+// inserted them, so Push hands out a Handle that supports removal in
+// O(log n).
+//
+// Entries are stored by value and the heap holds no pointers of its own, so
+// a warmed heap allocates nothing per operation and the garbage collector
+// never scans or write-barriers it (unless T itself carries pointers).
 //
 // Ties are broken by insertion sequence (FIFO), which makes every traversal
 // in the library deterministic for a fixed seed.
 package pq
 
-// Item is a handle to an entry stored in a Heap. A handle stays valid after
-// the entry has been popped or removed; further Remove/Update calls on it are
-// harmless no-ops reported through their return values.
-type Item[T any] struct {
-	Value    T
+// Handle names one pushed entry for Remove. It stays meaningful for the
+// whole life of the heap: once its entry has been popped or removed — or
+// the heap Reset — Remove on it is a harmless no-op reported through the
+// return value. The zero Handle names no entry.
+type Handle uint64
+
+type entry[T any] struct {
+	value    T
 	priority float64
-	seq      uint64
-	index    int // position in the heap array, -1 once popped/removed
+	seq      uint64 // insertion number; never reused, so also the entry's identity
 }
-
-// Priority returns the current priority of the item.
-func (it *Item[T]) Priority() float64 { return it.priority }
-
-// InHeap reports whether the item is still queued.
-func (it *Item[T]) InHeap() bool { return it.index >= 0 }
 
 // Heap is an indexed binary min-heap ordered by (priority, insertion order).
 // The zero value is an empty heap ready for use.
 type Heap[T any] struct {
-	items []*Item[T]
-	seq   uint64
+	items []entry[T]
+	// pos[seq-base] is the index in items of the entry pushed with that
+	// sequence number since the last Reset, -1 once it has left the heap.
+	pos  []int32
+	base uint64
+	seq  uint64
 
 	// PushCount and PopCount accumulate heap traffic for the experiment
 	// harness; they are never reset by the heap itself.
@@ -41,24 +45,25 @@ type Heap[T any] struct {
 // Len returns the number of queued items.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Reset discards all queued items but keeps the backing array and the
+// Reset discards all queued items but keeps the backing arrays and the
 // operation counters, so a Heap can be reused across queries without
-// reallocating.
+// reallocating. Handles handed out before the Reset go stale.
 func (h *Heap[T]) Reset() {
-	for _, it := range h.items {
-		it.index = -1
-	}
+	clear(h.items) // drop references a pointer-carrying T may hold
 	h.items = h.items[:0]
+	h.pos = h.pos[:0]
+	h.base = h.seq
 }
 
 // Push inserts value with the given priority and returns its handle.
-func (h *Heap[T]) Push(value T, priority float64) *Item[T] {
-	it := &Item[T]{Value: value, priority: priority, seq: h.seq, index: len(h.items)}
+func (h *Heap[T]) Push(value T, priority float64) Handle {
+	e := entry[T]{value: value, priority: priority, seq: h.seq}
 	h.seq++
 	h.PushCount++
-	h.items = append(h.items, it)
-	h.up(it.index)
-	return it
+	h.items = append(h.items, e)
+	h.pos = append(h.pos, 0)
+	h.up(len(h.items)-1, e)
+	return Handle(h.seq) // seq+1 of the entry: the zero Handle stays free
 }
 
 // Pop removes and returns the minimum item. ok is false when the heap is
@@ -67,95 +72,92 @@ func (h *Heap[T]) Pop() (value T, priority float64, ok bool) {
 	if len(h.items) == 0 {
 		return value, 0, false
 	}
-	it := h.items[0]
+	top := h.items[0]
 	h.PopCount++
-	h.swap(0, len(h.items)-1)
-	h.items = h.items[:len(h.items)-1]
-	if len(h.items) > 0 {
-		h.down(0)
-	}
-	it.index = -1
-	return it.Value, it.priority, true
+	h.removeAt(0)
+	return top.value, top.priority, true
 }
 
 // Peek returns the minimum item without removing it.
-func (h *Heap[T]) Peek() (*Item[T], bool) {
+func (h *Heap[T]) Peek() (value T, priority float64, ok bool) {
 	if len(h.items) == 0 {
-		return nil, false
+		return value, 0, false
 	}
-	return h.items[0], true
+	return h.items[0].value, h.items[0].priority, true
 }
 
-// Remove deletes the entry referenced by the handle. It reports false when
-// the item had already left the heap.
-func (h *Heap[T]) Remove(it *Item[T]) bool {
-	if it == nil || it.index < 0 {
+// Remove deletes the entry the handle names. It reports false when the
+// entry had already left the heap (popped, removed, or Reset away).
+func (h *Heap[T]) Remove(hd Handle) bool {
+	slot := uint64(hd) - 1 - h.base // wraps far past len(pos) for zero and stale handles
+	if slot >= uint64(len(h.pos)) || h.pos[slot] < 0 {
 		return false
 	}
-	i := it.index
+	h.removeAt(int(h.pos[slot]))
+	return true
+}
+
+// removeAt takes the entry at index i out of the heap, refilling the hole
+// with the last entry.
+func (h *Heap[T]) removeAt(i int) {
+	h.pos[h.items[i].seq-h.base] = -1
 	last := len(h.items) - 1
-	h.swap(i, last)
+	moved := h.items[last]
+	clear(h.items[last:]) // as in Reset
 	h.items = h.items[:last]
-	if i < last {
-		h.down(i)
-		h.up(i)
+	if i == last {
+		return
 	}
-	it.index = -1
-	return true
+	if i > 0 && less(moved, h.items[(i-1)/2]) {
+		h.up(i, moved)
+	} else {
+		h.down(i, moved)
+	}
 }
 
-// Update changes the priority of a queued item and restores heap order. It
-// reports false when the item is no longer queued.
-func (h *Heap[T]) Update(it *Item[T], priority float64) bool {
-	if it == nil || it.index < 0 {
-		return false
-	}
-	it.priority = priority
-	h.down(it.index)
-	h.up(it.index)
-	return true
-}
-
-func (h *Heap[T]) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func less[T any](a, b entry[T]) bool {
 	if a.priority != b.priority {
 		return a.priority < b.priority
 	}
 	return a.seq < b.seq
 }
 
-func (h *Heap[T]) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
+// set stores e at index i and records its position.
+func (h *Heap[T]) set(i int, e entry[T]) {
+	h.items[i] = e
+	h.pos[e.seq-h.base] = int32(i)
 }
 
-func (h *Heap[T]) up(i int) {
+// up sifts e towards the root from the hole at index i: ancestors that
+// order after e move down into the hole, then e is written once.
+func (h *Heap[T]) up(i int, e entry[T]) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !less(e, h.items[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h.set(i, h.items[parent])
 		i = parent
 	}
+	h.set(i, e)
 }
 
-func (h *Heap[T]) down(i int) {
+// down sifts e towards the leaves from the hole at index i.
+func (h *Heap[T]) down(i int, e entry[T]) {
 	n := len(h.items)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		min := left
-		if right := left + 1; right < n && h.less(right, left) {
-			min = right
+		if right := child + 1; right < n && less(h.items[right], h.items[child]) {
+			child = right
 		}
-		if !h.less(min, i) {
-			return
+		if !less(h.items[child], e) {
+			break
 		}
-		h.swap(i, min)
-		i = min
+		h.set(i, h.items[child])
+		i = child
 	}
+	h.set(i, e)
 }

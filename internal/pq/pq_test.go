@@ -31,8 +31,11 @@ func TestEmptyHeap(t *testing.T) {
 	if _, _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty heap reported ok")
 	}
-	if _, ok := h.Peek(); ok {
+	if _, _, ok := h.Peek(); ok {
 		t.Fatal("Peek on empty heap reported ok")
+	}
+	if h.Remove(0) {
+		t.Fatal("Remove of the zero Handle succeeded")
 	}
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", h.Len())
@@ -44,6 +47,9 @@ func TestPushPopOrder(t *testing.T) {
 	prios := []float64{5, 1, 4, 1.5, 9, 2.5, 0, 7}
 	for i, p := range prios {
 		h.Push(i, p)
+	}
+	if v, p, ok := h.Peek(); !ok || v != 6 || p != 0 {
+		t.Fatalf("Peek = (%d,%v,%v), want (6,0,true)", v, p, ok)
 	}
 	got := drain(t, &h)
 	want := append([]float64(nil), prios...)
@@ -63,17 +69,23 @@ func TestFIFOTieBreak(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Push(i, 3.0)
 	}
-	for i := 0; i < 10; i++ {
+	// A removal in the middle must not disturb the order of the rest.
+	hd := h.Push(10, 3.0)
+	h.Push(11, 3.0)
+	if !h.Remove(hd) {
+		t.Fatal("Remove of a queued tie failed")
+	}
+	for _, want := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11} {
 		v, _, ok := h.Pop()
-		if !ok || v != i {
-			t.Fatalf("tie pop %d = %d (ok=%v), want FIFO order", i, v, ok)
+		if !ok || v != want {
+			t.Fatalf("tie pop = %d (ok=%v), want %d: FIFO order", v, ok, want)
 		}
 	}
 }
 
 func TestRemove(t *testing.T) {
 	var h Heap[int]
-	var handles []*Item[int]
+	var handles []Handle
 	for i := 0; i < 20; i++ {
 		handles = append(handles, h.Push(i, float64(i)))
 	}
@@ -82,16 +94,13 @@ func TestRemove(t *testing.T) {
 		if !h.Remove(handles[i]) {
 			t.Fatalf("Remove(%d) failed", i)
 		}
-		if handles[i].InHeap() {
-			t.Fatalf("item %d still reports InHeap after Remove", i)
-		}
 	}
-	// Double remove must be a no-op.
+	// Double remove must be a reported no-op.
 	if h.Remove(handles[0]) {
 		t.Fatal("second Remove succeeded")
 	}
-	if h.Remove(nil) {
-		t.Fatal("Remove(nil) succeeded")
+	if h.Len() != 10 {
+		t.Fatalf("Len = %d after removing 10 of 20", h.Len())
 	}
 	for i := 1; i < 20; i += 2 {
 		v, _, ok := h.Pop()
@@ -119,34 +128,9 @@ func TestRemoveAfterPopIsNoop(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	var h Heap[int]
-	a := h.Push(1, 10)
-	h.Push(2, 5)
-	if !h.Update(a, 1) {
-		t.Fatal("Update failed")
-	}
-	if v, prio, _ := h.Pop(); v != 1 || prio != 1 {
-		t.Fatalf("pop = (%d,%v), want (1,1)", v, prio)
-	}
-	if h.Update(a, 99) {
-		t.Fatal("Update succeeded on popped item")
-	}
-	// Increase priority.
-	b, _ := h.Peek()
-	if b.Value != 2 {
-		t.Fatalf("peek = %d, want 2", b.Value)
-	}
-	h.Push(3, 7)
-	h.Update(b, 100)
-	if v, _, _ := h.Pop(); v != 3 {
-		t.Fatalf("pop = %d, want 3 after raising 2's priority", v)
-	}
-}
-
 func TestReset(t *testing.T) {
 	var h Heap[int]
-	var hs []*Item[int]
+	var hs []Handle
 	for i := 0; i < 5; i++ {
 		hs = append(hs, h.Push(i, float64(i)))
 	}
@@ -154,17 +138,20 @@ func TestReset(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d after Reset, want 0", h.Len())
 	}
+	// Entries pushed after the Reset reuse the position table; stale
+	// handles must not reach them.
+	for i := 0; i < 5; i++ {
+		h.Push(100+i, float64(i))
+	}
 	for _, it := range hs {
-		if it.InHeap() {
-			t.Fatal("item reports InHeap after Reset")
-		}
 		if h.Remove(it) {
-			t.Fatal("Remove succeeded after Reset")
+			t.Fatal("Remove of a pre-Reset handle succeeded")
 		}
 	}
-	// Heap is reusable after Reset.
-	h.Push(7, 7)
-	if v, _, ok := h.Pop(); !ok || v != 7 {
+	if h.Len() != 5 {
+		t.Fatalf("Len = %d, stale handles removed live entries", h.Len())
+	}
+	if v, _, ok := h.Pop(); !ok || v != 100 {
 		t.Fatal("heap unusable after Reset")
 	}
 }
@@ -177,6 +164,7 @@ func TestCounters(t *testing.T) {
 	for h.Len() > 0 {
 		h.Pop()
 	}
+	h.Reset()
 	if h.PushCount != 8 || h.PopCount != 8 {
 		t.Fatalf("counters = (%d,%d), want (8,8)", h.PushCount, h.PopCount)
 	}
@@ -192,7 +180,7 @@ func TestQuickRandomOps(t *testing.T) {
 			prio float64
 			seq  int
 		}
-		live := map[*Item[int]]ref{}
+		live := map[Handle]ref{}
 		seq := 0
 		for op := 0; op < 300; op++ {
 			switch r := rng.Intn(4); {
@@ -236,4 +224,104 @@ func TestQuickRandomOps(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHotPathAllocs pins the point of storing entries by value: once the
+// backing arrays have grown, pushes, pops and removals are free of
+// allocation.
+func TestHotPathAllocs(t *testing.T) {
+	var h Heap[int32]
+	round := func() {
+		h.Reset()
+		var mid Handle
+		for i := 0; i < 512; i++ {
+			hd := h.Push(int32(i), float64((i*7919)%97))
+			if i == 256 {
+				mid = hd
+			}
+		}
+		h.Remove(mid)
+		for h.Len() > 0 {
+			h.Pop()
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("warmed heap allocated %v times per round, want 0", n)
+	}
+}
+
+// FuzzHeapModel is a differential test against a slice kept sorted by
+// (priority, insertion number). Each input byte pair is one operation; the
+// few distinct priorities make ties the common case, and Remove is offered
+// every handle ever issued, so popped, removed and pre-Reset ones included.
+func FuzzHeapModel(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 3, 0, 1, 1, 0, 2, 0, 2, 0, 1, 0})
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 2, 1, 1, 0, 3, 0, 0, 5, 2, 0, 2, 2, 1, 0})
+	f.Add([]byte{0, 1, 0, 0, 3, 0, 2, 0, 2, 1, 0, 7, 1, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type ent struct {
+			prio float64
+			seq  int
+			hd   Handle
+		}
+		var h Heap[int]
+		var model []ent // sorted
+		var issued []Handle
+		seq := 0
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 8 {
+			case 0, 1, 2: // push
+				e := ent{prio: float64(arg % 6), seq: seq}
+				e.hd = h.Push(seq, e.prio)
+				if e.hd == 0 {
+					t.Fatal("Push returned the zero Handle")
+				}
+				seq++
+				issued = append(issued, e.hd)
+				at := sort.Search(len(model), func(j int) bool { return model[j].prio > e.prio })
+				model = append(model, ent{})
+				copy(model[at+1:], model[at:])
+				model[at] = e
+			case 3, 4: // pop
+				v, prio, ok := h.Pop()
+				if ok != (len(model) > 0) {
+					t.Fatalf("Pop ok=%v with %d modelled entries", ok, len(model))
+				}
+				if ok {
+					if want := model[0]; v != want.seq || prio != want.prio {
+						t.Fatalf("Pop = (%d,%v), model says (%d,%v)", v, prio, want.seq, want.prio)
+					}
+					model = model[1:]
+				}
+			case 5, 6: // remove any handle ever issued, or the zero one
+				var hd Handle
+				if len(issued) > 0 && arg > 0 {
+					hd = issued[arg%len(issued)]
+				}
+				at := -1
+				for j, e := range model {
+					if e.hd == hd {
+						at = j
+					}
+				}
+				if got := h.Remove(hd); got != (at >= 0) {
+					t.Fatalf("Remove(%d) = %v, model live=%v", hd, got, at >= 0)
+				}
+				if at >= 0 {
+					model = append(model[:at], model[at+1:]...)
+				}
+			case 7: // reset
+				h.Reset()
+				model = model[:0]
+			}
+			if h.Len() != len(model) {
+				t.Fatalf("Len = %d, model has %d", h.Len(), len(model))
+			}
+			if v, prio, ok := h.Peek(); ok != (len(model) > 0) || ok && (v != model[0].seq || prio != model[0].prio) {
+				t.Fatalf("Peek = (%d,%v,%v) disagrees with the model", v, prio, ok)
+			}
+		}
+	})
 }

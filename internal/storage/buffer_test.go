@@ -23,8 +23,22 @@ func newTestFile(t *testing.T, pageSize, numPages int) *MemFile {
 // newTenant wraps file with a private LRU cache of capPages pages: a pool
 // with a single tenant. A capacity of zero means every logical access
 // performs (and counts) a physical transfer.
-func newTenant(file PagedFile, capPages int) *Tenant {
-	return NewBufferPool(capPages).Attach("", file, 0)
+func newTenant(t *testing.T, file PagedFile, capPages int) *Tenant {
+	return attach(t, NewBufferPool(capPages), "", file, 0)
+}
+
+// attach is BufferPool.Attach for tests: at cleanup the tenant must detach
+// cleanly, which it does not while any page of it is still pinned — a
+// missed Unpin on some return path fails the test that took it.
+func attach(t *testing.T, p *BufferPool, name string, file PagedFile, quota int) *Tenant {
+	t.Helper()
+	tn := p.Attach(name, file, quota)
+	t.Cleanup(func() {
+		if err := tn.Detach(); err != nil {
+			t.Errorf("tenant %q: %v", name, err)
+		}
+	})
+	return tn
 }
 
 func TestMemFileRoundTrip(t *testing.T) {
@@ -93,7 +107,7 @@ func TestOSFileRoundTrip(t *testing.T) {
 
 func TestBufferHitAndFault(t *testing.T) {
 	f := newTestFile(t, 64, 8)
-	bm := newTenant(f, 4)
+	bm := newTenant(t, f, 4)
 	for i := 0; i < 4; i++ {
 		if _, err := bm.Get(PageID(i)); err != nil {
 			t.Fatal(err)
@@ -114,7 +128,7 @@ func TestBufferHitAndFault(t *testing.T) {
 
 func TestBufferLRUEviction(t *testing.T) {
 	f := newTestFile(t, 64, 8)
-	bm := newTenant(f, 2)
+	bm := newTenant(t, f, 2)
 	mustGet := func(id PageID) {
 		t.Helper()
 		if _, err := bm.Get(id); err != nil {
@@ -137,7 +151,7 @@ func TestBufferLRUEviction(t *testing.T) {
 
 func TestBufferZeroCapacity(t *testing.T) {
 	f := newTestFile(t, 64, 4)
-	bm := newTenant(f, 0)
+	bm := newTenant(t, f, 0)
 	for i := 0; i < 3; i++ {
 		if _, err := bm.Get(1); err != nil {
 			t.Fatal(err)
@@ -162,7 +176,7 @@ func TestBufferZeroCapacity(t *testing.T) {
 
 func TestBufferDirtyWriteBack(t *testing.T) {
 	f := newTestFile(t, 64, 8)
-	bm := newTenant(f, 1)
+	bm := newTenant(t, f, 1)
 	if err := bm.Update(0, func(p []byte) error { p[1] = 9; return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +199,7 @@ func TestBufferDirtyWriteBack(t *testing.T) {
 
 func TestBufferFlushAndInvalidate(t *testing.T) {
 	f := newTestFile(t, 64, 8)
-	bm := newTenant(f, 8)
+	bm := newTenant(t, f, 8)
 	for i := 0; i < 4; i++ {
 		id := PageID(i)
 		if err := bm.Update(id, func(p []byte) error { p[2] = byte(10 + i); return nil }); err != nil {
@@ -219,7 +233,7 @@ func TestBufferFlushAndInvalidate(t *testing.T) {
 
 func TestBufferAppend(t *testing.T) {
 	f := newTestFile(t, 64, 2)
-	bm := newTenant(f, 4)
+	bm := newTenant(t, f, 4)
 	page := bytes.Repeat([]byte{7}, 64)
 	id, err := bm.Append(page)
 	if err != nil {
@@ -260,7 +274,7 @@ func TestStatsArithmetic(t *testing.T) {
 // page contents must come back intact under eviction churn.
 func TestBufferConcurrentGet(t *testing.T) {
 	f := newTestFile(t, 64, 8)
-	bm := newTenant(f, 8)
+	bm := newTenant(t, f, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -282,7 +296,7 @@ func TestBufferConcurrentGet(t *testing.T) {
 	}
 
 	// Tiny buffer: concurrent faults across pages with eviction churn.
-	bm2 := newTenant(f, 2)
+	bm2 := newTenant(t, f, 2)
 	for round := 0; round < 4; round++ {
 		for p := 0; p < 8; p++ {
 			wg.Add(1)
@@ -306,7 +320,7 @@ func TestBufferConcurrentGet(t *testing.T) {
 // coalesced waiters and is retried (not cached) afterwards.
 func TestBufferConcurrentGetError(t *testing.T) {
 	f := newTestFile(t, 64, 2)
-	bm := newTenant(f, 4)
+	bm := newTenant(t, f, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 
 	"graphrnn/internal/graph"
 )
@@ -23,15 +22,6 @@ type DiskStore struct {
 	bm       *Tenant
 	index    []RecRef
 	numNodes int
-	// pages recycles zero-capacity read buffers across Adjacency calls so
-	// the NoBuffer measurement mode stays allocation-free per page access.
-	pages sync.Pool
-}
-
-func newDiskStore(bm *Tenant, index []RecRef, numNodes int) *DiskStore {
-	s := &DiskStore{bm: bm, index: index, numNodes: numNodes}
-	s.pages.New = func() any { return make([]byte, bm.File().PageSize()) }
-	return s
 }
 
 // BuildDiskStore packs g into file following the given node order and
@@ -143,7 +133,7 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 	if bm == nil {
 		bm = NewBufferPool(bufferPages).Attach("", file, 0)
 	}
-	return newDiskStore(bm, index, g.NumNodes()), nil
+	return &DiskStore{bm: bm, index: index, numNodes: g.NumNodes()}, nil
 }
 
 // NumNodes implements graph.Access.
@@ -157,15 +147,14 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 	}
 	buf = buf[:0]
 	ref := s.index[n]
-	scratch := s.pages.Get().([]byte)
-	defer s.pages.Put(scratch)
 	//lint:ignore vetrnn/execpoll fragment-chain walk inside the Adjacency primitive itself; callers poll per call
 	for ref.Page != InvalidPage {
-		page, err := s.bm.GetInto(ref.Page, scratch)
+		page, err := s.bm.Pin(ref.Page)
 		if err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
 		}
-		owner, next, extended, err := ReadFragment(page, s.bm.File().PageSize(), int(ref.Slot), buf)
+		owner, next, extended, err := ReadFragment(page.Bytes(), s.bm.File().PageSize(), int(ref.Slot), buf)
+		page.Unpin() // the edges are decoded into buf; nothing below reads the page
 		if err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
 		}
@@ -197,7 +186,7 @@ func (s *DiskStore) Close() error {
 // pages from an alternative file with identical layout — a hook for
 // failure-injection tests and for reopening a previously built page file.
 func (s *DiskStore) WithFile(file PagedFile, bufferPages int) *DiskStore {
-	return newDiskStore(NewBufferPool(bufferPages).Attach("", file, 0), s.index, s.numNodes)
+	return &DiskStore{bm: NewBufferPool(bufferPages).Attach("", file, 0), index: s.index, numNodes: s.numNodes}
 }
 
 // Stats returns the I/O counters of the underlying buffer.

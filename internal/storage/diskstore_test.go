@@ -65,10 +65,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(t, rng, 300, 900)
 	file := NewMemFile(512) // small pages force multi-page layouts
-	s, err := BuildDiskStore(g, file, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := buildStore(t, g, file, 16)
 	assertSameAdjacency(t, g, s)
 	if s.NumPages() == 0 {
 		t.Fatal("no pages written")
@@ -93,10 +90,7 @@ func TestDiskStoreHighDegreeOverflow(t *testing.T) {
 	if MaxEdgesPerFragment(256) >= n-1 {
 		t.Fatal("test setup: page too large to force fragmentation")
 	}
-	s, err := BuildDiskStore(g, file, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := buildStore(t, g, file, 8)
 	assertSameAdjacency(t, g, s)
 }
 
@@ -108,10 +102,7 @@ func TestDiskStoreOSFileBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer file.Close()
-	s, err := BuildDiskStore(g, file, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := buildStore(t, g, file, 4)
 	assertSameAdjacency(t, g, s)
 }
 
@@ -119,12 +110,10 @@ func TestDiskStoreIOAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(t, rng, 400, 800)
 	file := NewMemFile(DefaultPageSize)
-	s, err := BuildDiskStore(g, file, 256, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := buildStore(t, g, file, 256)
 	s.ResetStats()
 	var buf []graph.Edge
+	var err error
 	for n := graph.NodeID(0); int(n) < g.NumNodes(); n++ {
 		if buf, err = s.Adjacency(n, buf); err != nil {
 			t.Fatal(err)
@@ -165,10 +154,7 @@ func TestDiskStoreBFSLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := NewMemFile(DefaultPageSize)
-	s, err := BuildDiskStore(g, file, 1, nil) // single-frame buffer
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := buildStore(t, g, file, 1) // single-frame buffer
 	s.ResetStats()
 	var buf []graph.Edge
 	for i := 0; i < n; i++ {
@@ -195,10 +181,7 @@ func TestBuildDiskStoreRejectsNonEmptyFile(t *testing.T) {
 
 func TestDiskStoreAdjacencyOutOfRange(t *testing.T) {
 	g := randomGraph(t, rand.New(rand.NewSource(5)), 10, 5)
-	s, err := BuildDiskStore(g, NewMemFile(256), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := buildStore(t, g, NewMemFile(256), 4)
 	if _, err := s.Adjacency(-1, nil); err == nil {
 		t.Fatal("negative node accepted")
 	}
@@ -225,20 +208,14 @@ func (f *failingFile) Read(id PageID, dst []byte) error {
 func TestDiskStoreReadErrorPropagates(t *testing.T) {
 	g := randomGraph(t, rand.New(rand.NewSource(6)), 200, 400)
 	mem := NewMemFile(512)
-	// Build against the healthy file first.
-	if _, err := BuildDiskStore(g, mem, 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	// Build against the healthy file first, then read it back through
+	// the failing one.
+	healthy := buildStore(t, g, mem, 0)
 	ff := &failingFile{MemFile: mem, failAfter: 3}
-	s := newDiskStore(NewBufferPool(0).Attach("", ff, 0), nil, g.NumNodes())
-	// Rebuild the index by copying from a clean store.
-	clean, err := BuildDiskStore(g, NewMemFile(512), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.index = clean.index
+	s := &DiskStore{bm: newTenant(t, ff, 0), index: healthy.index, numNodes: g.NumNodes()}
 	var sawErr bool
 	var buf []graph.Edge
+	var err error
 	for n := graph.NodeID(0); int(n) < g.NumNodes(); n++ {
 		if buf, err = s.Adjacency(n, buf); err != nil {
 			sawErr = true
@@ -248,6 +225,45 @@ func TestDiskStoreReadErrorPropagates(t *testing.T) {
 	if !sawErr {
 		t.Fatal("injected read fault was swallowed")
 	}
+}
+
+// TestAdjacencyErrorsLeaveNoPin drives Adjacency through its error exits
+// past the page read — a slot the page does not have, a fragment that
+// belongs to another node — and checks that neither leaves the page pinned
+// (the buffer holds the whole file, so a leaked pin would stay).
+func TestAdjacencyErrorsLeaveNoPin(t *testing.T) {
+	g := randomGraph(t, rand.New(rand.NewSource(8)), 100, 200)
+	s := buildStore(t, g, NewMemFile(512), 64)
+	s.index = append([]RecRef(nil), s.index...)
+	s.index[3].Slot = 9999  // corrupt slot
+	s.index[4] = s.index[5] // owner mismatch
+	for _, n := range []graph.NodeID{3, 4} {
+		if _, err := s.Adjacency(n, nil); err == nil {
+			t.Errorf("node %d: corrupt index entry accepted", n)
+		}
+		if err := s.Buffer().Invalidate(); err != nil {
+			t.Errorf("node %d: %v", n, err)
+		}
+	}
+	if _, err := s.Adjacency(5, nil); err != nil {
+		t.Fatalf("healthy node after the faults: %v", err)
+	}
+}
+
+// buildStore is BuildDiskStore for tests; the store must close cleanly at
+// cleanup, i.e. with no adjacency page left pinned.
+func buildStore(t *testing.T, g *graph.Graph, file PagedFile, bufferPages int) *DiskStore {
+	t.Helper()
+	s, err := BuildDiskStore(g, file, bufferPages, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("DiskStore.Close: %v", err)
+		}
+	})
+	return s
 }
 
 func TestFragmentCodecCorruptSlot(t *testing.T) {
@@ -294,5 +310,39 @@ func TestPageBuilderCapacity(t *testing.T) {
 		if e != edges[i] {
 			t.Fatalf("edge %d = %+v, want %+v", i, e, edges[i])
 		}
+	}
+}
+
+// TestHotPathAllocs pins the storage half of the allocation-free expansion
+// path: DiskStore.Adjacency allocates nothing once warm — neither when the
+// page is cached nor on a steady-state miss, where the evicted frame and
+// its page buffer are what the fault reads into.
+func TestHotPathAllocs(t *testing.T) {
+	g := randomGraph(t, rand.New(rand.NewSource(9)), 600, 1800)
+	for name, bufferPages := range map[string]int{"hit": 1024, "miss": 2} {
+		t.Run(name, func(t *testing.T) {
+			s := buildStore(t, g, NewMemFile(512), bufferPages)
+			if name == "miss" && s.NumPages() < 8*bufferPages {
+				t.Fatalf("test setup: %d pages do not overflow a %d-page buffer", s.NumPages(), bufferPages)
+			}
+			var buf []graph.Edge
+			scan := func() {
+				for n := 0; n < g.NumNodes(); n += 7 {
+					var err error
+					if buf, err = s.Adjacency(graph.NodeID(n), buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			scan() // grow buf, fill the buffer, stock the free list
+			before := s.Stats()
+			if n := testing.AllocsPerRun(10, scan); n != 0 {
+				t.Fatalf("Adjacency allocated %v times per scan, want 0", n)
+			}
+			d := s.Stats().Sub(before)
+			if name == "hit" && d.Reads != 0 || name == "miss" && (d.Reads == 0 || d.Evictions != d.Reads) {
+				t.Fatalf("scan did not exercise the %s path: %+v", name, d)
+			}
+		})
 	}
 }

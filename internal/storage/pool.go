@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,16 +19,27 @@ import (
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
+// Readers Pin a page, use its bytes in place and Unpin it; a pinned frame
+// is never evicted, and an evicted frame and its page buffer go to a free
+// list the next fault reuses, so the steady-state read path — hit or miss —
+// allocates nothing.
+//
 // Concurrency: one mutex guards the frame table and LRU list, counters are
 // atomic (snapshots and resets never block behind an in-flight page
-// fault), a faulting Get releases the mutex for the duration of the
-// physical read, and concurrent Gets of the same missing page coalesce
-// into one read via the frame's ready latch.
+// fault), a faulting Pin releases the mutex for the duration of the
+// physical read, and concurrent Pins of the same missing page coalesce
+// into one read: the latecomers wait on the pool's ready latch for the
+// frame's loaded flag.
 type BufferPool struct {
 	mu       sync.Mutex
-	capacity int        // vetrnn:guardedby mu
-	lru      *list.List // front = most recently used; values are *frame; vetrnn:guardedby mu
-	nframes  int        // vetrnn:guardedby mu
+	capacity int     // vetrnn:guardedby mu
+	lru      lruList // vetrnn:guardedby mu
+	nframes  int     // vetrnn:guardedby mu
+	// free holds evicted and dropped frames, page buffers attached, for
+	// reuse by the next fault or uncached read.
+	free []*frame // vetrnn:guardedby mu
+	// ready is broadcast (on mu) whenever a pending frame becomes loaded.
+	ready sync.Cond
 	//lint:ignore vetrnn/tenantclose the registry tenants detach from, not an owned handle: Tenant.Detach removes its own entry
 	tenants []*Tenant // vetrnn:guardedby mu
 	// trackGlobal records whether the pool-wide LRU order can ever decide
@@ -75,11 +86,10 @@ type Tenant struct {
 	// tlru orders the tenant's own frames by recency so quota eviction is
 	// O(1) instead of scanning the pool-wide list past other tenants'
 	// frames.
-	tlru  *list.List // vetrnn:guardedby pool.mu
+	tlru lruList // vetrnn:guardedby pool.mu
+	// lent counts the transient frames out on uncached reads.
+	lent  int // vetrnn:guardedby pool.mu
 	stats atomicStats
-
-	// scratch page used for uncached updates.
-	scratch []byte // vetrnn:guardedby pool.mu
 }
 
 // NoCache, passed as a tenant quota, keeps the tenant's pages out of the
@@ -112,36 +122,83 @@ func (a *atomicStats) reset() {
 	a.evictions.Store(0)
 }
 
-// frame is one buffered page. ready is closed once data holds the page
+// ErrPinned is returned by Invalidate, Detach and the Close paths above
+// them when a page of the tenant is still pinned: a reader that has not
+// called Unpin yet, or one that lost its Page on an error return.
+var ErrPinned = errors.New("storage: page still pinned")
+
+// frame is one buffered page. loaded is set once data holds the page
 // contents (or err the read failure); a frame created from data already in
-// hand (Append, Update's synchronous admission) is born ready.
+// hand (Append, Update's synchronous admission) is born loaded. Every field
+// but pins is guarded by the pool mutex; data may be read without it while
+// the frame is pinned.
 type frame struct {
 	//lint:ignore vetrnn/tenantclose eviction back-pointer; the frame does not own its tenant
-	owner *Tenant
-	id    PageID
-	data  []byte
-	dirty bool
-	elem  *list.Element // position in the pool-wide LRU
-	telem *list.Element // position in the owner's LRU
-	ready chan struct{}
-	err   error
+	owner  *Tenant
+	id     PageID
+	data   []byte
+	dirty  bool
+	loaded bool
+	// transient marks a frame lent to one uncached read: in no table or
+	// list, it returns to the free list when that read unpins it.
+	transient bool
+	err       error
+	// pins counts the readers using data. It is taken under the pool
+	// mutex and dropped without it, so a frame the mutex holder sees
+	// unpinned stays unpinned until the mutex is released.
+	pins  atomic.Int32
+	links [2]lruLinks // indexed by poolLRU / tenantLRU
 }
 
-// loaded reports whether the frame's physical read has completed. Pending
-// frames must not be evicted or written back.
-func (fr *frame) loaded() bool {
-	select {
-	case <-fr.ready:
-		return true
-	default:
-		return false
+// idle reports whether the frame may be evicted, dropped or written back:
+// its physical read has completed and no reader holds it.
+func (fr *frame) idle() bool { return fr.loaded && fr.pins.Load() == 0 }
+
+// lruList is a recency list threaded through the frames themselves (front
+// = most recently used), so that moving a page in or out of the cache
+// allocates nothing. which selects the link pair the list owns.
+type lruList struct {
+	which       int
+	front, back *frame
+}
+
+type lruLinks struct{ prev, next *frame }
+
+const (
+	poolLRU   = iota // the pool-wide list
+	tenantLRU        // the owner's list; quota-bounded tenants only
+)
+
+func (l *lruList) pushFront(fr *frame) {
+	fr.links[l.which] = lruLinks{next: l.front}
+	if l.front != nil {
+		l.front.links[l.which].prev = fr
+	} else {
+		l.back = fr
 	}
+	l.front = fr
 }
 
-func newReadyChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+func (l *lruList) remove(fr *frame) {
+	ln := fr.links[l.which]
+	if ln.prev != nil {
+		ln.prev.links[l.which].next = ln.next
+	} else {
+		l.front = ln.next
+	}
+	if ln.next != nil {
+		ln.next.links[l.which].prev = ln.prev
+	} else {
+		l.back = ln.prev
+	}
+	fr.links[l.which] = lruLinks{}
+}
+
+func (l *lruList) moveToFront(fr *frame) {
+	if l.front != fr {
+		l.remove(fr)
+		l.pushFront(fr)
+	}
 }
 
 // NewBufferPool creates a pool of capPages frames. A capacity of zero
@@ -151,7 +208,9 @@ func NewBufferPool(capPages int) *BufferPool {
 	if capPages < 0 {
 		capPages = 0
 	}
-	return &BufferPool{capacity: capPages, lru: list.New()}
+	p := &BufferPool{capacity: capPages, lru: lruList{which: poolLRU}}
+	p.ready.L = &p.mu
+	return p
 }
 
 // Attach registers file as a tenant of the pool. quota > 0 bounds the
@@ -160,13 +219,12 @@ func NewBufferPool(capPages int) *BufferPool {
 // names are labels for stats reporting; they need not be unique.
 func (p *BufferPool) Attach(name string, file PagedFile, quota int) *Tenant {
 	t := &Tenant{
-		pool:    p,
-		name:    name,
-		file:    file,
-		quota:   quota,
-		frames:  make(map[PageID]*frame),
-		tlru:    list.New(),
-		scratch: make([]byte, file.PageSize()),
+		pool:   p,
+		name:   name,
+		file:   file,
+		quota:  quota,
+		frames: make(map[PageID]*frame),
+		tlru:   lruList{which: tenantLRU},
 	}
 	p.mu.Lock()
 	p.tenants = append(p.tenants, t)
@@ -313,7 +371,7 @@ func (t *Tenant) Stats() Stats { return t.stats.snapshot() }
 func (t *Tenant) ResetStats() { t.stats.reset() }
 
 // uncached reports whether the tenant's pages bypass the pool. Every call
-// site holds p.mu (Get/Update/Append take it before the cache decision),
+// site holds p.mu (Pin/Update/Append take it before the cache decision),
 // which is what makes reading capacity here safe against concurrent
 // Grow/Attach/Detach.
 // vetrnn:holds t.pool.mu
@@ -324,123 +382,142 @@ func (t *Tenant) countHit()   { t.stats.hits.Add(1) }
 func (t *Tenant) countWrite() { t.stats.writes.Add(1) }
 func (t *Tenant) countEvict() { t.stats.evictions.Add(1) }
 
-// Get returns the contents of page id. The returned slice aliases the
-// pool frame (or a private copy when the page is uncached) and must be
-// treated as read-only; it stays valid until the page is mutated through
-// Update.
-func (t *Tenant) Get(id PageID) ([]byte, error) {
-	return t.GetInto(id, nil)
+// Page is a pinned page: Bytes stays valid, and the frame behind it in
+// the pool, until Unpin. Every successful Pin needs exactly one Unpin, on
+// error returns included — a lost Page keeps its frame out of eviction for
+// good, and Detach reports it as ErrPinned.
+type Page struct{ fr *frame }
+
+// Bytes returns the page contents, read-only and valid until Unpin.
+func (pg Page) Bytes() []byte { return pg.fr.data }
+
+// Unpin releases the page. For a cached page that is one atomic decrement;
+// the transient frame of an uncached read goes back to the free list.
+func (pg Page) Unpin() {
+	fr := pg.fr
+	t, transient := fr.owner, fr.transient // before the frame can be recycled
+	if fr.pins.Add(-1) < 0 {
+		panic("storage: Unpin of a page that is not pinned")
+	}
+	if transient {
+		t.pool.mu.Lock()
+		t.lent--
+		t.pool.recycleLocked(fr)
+		t.pool.mu.Unlock()
+	}
 }
 
-// GetInto is Get with a caller-provided page buffer for the uncached case:
-// when no frame will cache the page, its contents are read into buf (grown
-// if needed) instead of a fresh allocation, so hot read paths stay
-// allocation-free. The returned slice is either a cached frame (read-only,
-// valid until the page is mutated through Update) or buf.
-func (t *Tenant) GetInto(id PageID, buf []byte) ([]byte, error) {
+// Pin returns page id with its frame pinned in the pool, faulting it in on
+// a miss. An uncached tenant reads into a transient frame instead. The
+// bytes must be treated as read-only and not used after Unpin.
+func (t *Tenant) Pin(id PageID) (Page, error) {
 	p := t.pool
 	p.mu.Lock()
 	if fr, ok := t.frames[id]; ok {
-		if p.trackGlobal {
-			p.lru.MoveToFront(fr.elem)
+		p.touchLocked(fr)
+		fr.pins.Add(1)
+		for !fr.loaded {
+			p.ready.Wait() // an in-flight read of this page; share its outcome
 		}
-		if fr.telem != nil {
-			t.tlru.MoveToFront(fr.telem)
-		}
+		err := fr.err
 		p.mu.Unlock()
-		<-fr.ready // no-op when loaded; else wait for the in-flight read
-		if fr.err != nil {
-			return nil, fr.err
+		if err != nil {
+			fr.pins.Add(-1)
+			return Page{}, err
 		}
 		t.countHit()
-		return fr.data, nil
+		return Page{fr}, nil
 	}
 	t.countRead()
 	if t.uncached() {
-		// No frame will hold this page; read into the caller's buffer so
+		// No frame will hold this page; lend the reader one of its own so
 		// that concurrent uncached readers do not share a scratch page.
+		fr := p.newFrameLocked(t, id)
+		fr.transient = true
+		fr.pins.Store(1)
+		t.lent++
 		p.mu.Unlock()
-		if len(buf) < t.file.PageSize() {
-			buf = make([]byte, t.file.PageSize())
+		if err := t.file.Read(id, fr.data); err != nil {
+			Page{fr}.Unpin()
+			return Page{}, err
 		}
-		if err := t.file.Read(id, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+		return Page{fr}, nil
 	}
 	// Admit a pending frame, then perform the physical read without
 	// holding the mutex; concurrent requests for the same page find the
-	// pending frame above and wait on its latch.
+	// pending frame above and wait for it.
 	if err := p.evictForLocked(t); err != nil {
 		p.mu.Unlock()
-		return nil, err
+		return Page{}, err
 	}
-	fr := &frame{owner: t, id: id, data: make([]byte, t.file.PageSize()), ready: make(chan struct{})}
+	fr := p.newFrameLocked(t, id)
+	fr.pins.Store(1)
 	p.admitLocked(fr)
 	p.mu.Unlock()
 
-	fr.err = t.file.Read(id, fr.data)
-	if fr.err != nil {
-		// Drop the failed frame so a later Get retries the read.
-		p.mu.Lock()
-		if cur, ok := t.frames[id]; ok && cur == fr {
-			p.removeLocked(fr)
-		}
-		p.mu.Unlock()
+	err := t.file.Read(id, fr.data)
+	p.mu.Lock()
+	fr.err, fr.loaded = err, true
+	if err != nil {
+		// Drop the failed frame so a later Pin retries the read. Waiters
+		// still hold it, so it is left to the collector, not recycled.
+		p.removeLocked(fr)
 	}
-	close(fr.ready)
-	if fr.err != nil {
-		return nil, fr.err
+	p.mu.Unlock()
+	p.ready.Broadcast()
+	if err != nil {
+		fr.pins.Add(-1)
+		return Page{}, err
 	}
-	return fr.data, nil
+	return Page{fr}, nil
+}
+
+// Get returns a private copy of page id: pin, copy, unpin. It is the
+// convenience for tests and tools; read paths that care about cost use Pin.
+func (t *Tenant) Get(id PageID) ([]byte, error) {
+	pg, err := t.Pin(id)
+	if err != nil {
+		return nil, err
+	}
+	defer pg.Unpin()
+	return append([]byte(nil), pg.Bytes()...), nil
 }
 
 // Update fetches page id, applies fn to its contents in place, and marks
 // the page dirty. An uncached page is written through immediately. Update
-// must not run concurrently with readers of the same page; a miss is
-// admitted synchronously under the lock, which is fine for the rare
-// maintenance paths that use it.
+// must not run concurrently with readers of the same page, pinned ones
+// included; a miss is admitted synchronously under the lock, which is fine
+// for the rare maintenance paths that use it.
 func (t *Tenant) Update(id PageID, fn func(page []byte) error) error {
 	p := t.pool
-	for {
-		p.mu.Lock()
-		fr, ok := t.frames[id]
-		if !ok {
-			break
-		}
-		if fr.loaded() {
-			t.countHit()
-			if p.trackGlobal {
-				p.lru.MoveToFront(fr.elem)
-			}
-			if fr.telem != nil {
-				t.tlru.MoveToFront(fr.telem)
-			}
-			defer p.mu.Unlock()
-			if err := fn(fr.data); err != nil {
-				return err
-			}
-			fr.dirty = true
-			return nil
-		}
-		// A concurrent Get is still reading this page in; wait for it and
-		// re-check (the frame is dropped again on read failure).
-		p.mu.Unlock()
-		<-fr.ready
-	}
+	p.mu.Lock()
 	defer p.mu.Unlock()
-	t.countRead()
-	if t.uncached() {
-		return t.updateUncachedLocked(id, fn)
+	fr, ok := t.frames[id]
+	for ok && !fr.loaded {
+		// A concurrent Pin is still reading this page in; wait for it and
+		// re-check (the frame is dropped again on read failure).
+		p.ready.Wait()
+		fr, ok = t.frames[id]
 	}
-	if err := p.evictForLocked(t); err != nil {
-		return err
+	if ok {
+		t.countHit()
+		p.touchLocked(fr)
+	} else {
+		t.countRead()
+		if t.uncached() {
+			return t.updateUncachedLocked(id, fn)
+		}
+		if err := p.evictForLocked(t); err != nil {
+			return err
+		}
+		fr = p.newFrameLocked(t, id)
+		if err := t.file.Read(id, fr.data); err != nil {
+			p.recycleLocked(fr)
+			return err
+		}
+		fr.loaded = true
+		p.admitLocked(fr)
 	}
-	fr := &frame{owner: t, id: id, data: make([]byte, t.file.PageSize()), ready: newReadyChan()}
-	if err := t.file.Read(id, fr.data); err != nil {
-		return err
-	}
-	p.admitLocked(fr)
 	if err := fn(fr.data); err != nil {
 		return err
 	}
@@ -448,18 +525,20 @@ func (t *Tenant) Update(id PageID, fn func(page []byte) error) error {
 	return nil
 }
 
-// updateUncachedLocked applies fn to page id through the tenant's scratch
-// page, writing the result through immediately (no frame caches it).
+// updateUncachedLocked applies fn to page id through a borrowed frame,
+// writing the result through immediately (no frame caches it).
 // vetrnn:holds t.pool.mu
 func (t *Tenant) updateUncachedLocked(id PageID, fn func(page []byte) error) error {
-	if err := t.file.Read(id, t.scratch); err != nil {
+	fr := t.pool.newFrameLocked(t, id)
+	defer t.pool.recycleLocked(fr)
+	if err := t.file.Read(id, fr.data); err != nil {
 		return err
 	}
-	if err := fn(t.scratch); err != nil {
+	if err := fn(fr.data); err != nil {
 		return err
 	}
 	t.countWrite()
-	return t.file.Write(id, t.scratch)
+	return t.file.Write(id, fr.data)
 }
 
 // Append allocates a new page in the underlying file (counted as one
@@ -477,8 +556,9 @@ func (t *Tenant) Append(src []byte) (PageID, error) {
 		if err := p.evictForLocked(t); err != nil {
 			return InvalidPage, err
 		}
-		fr := &frame{owner: t, id: id, data: make([]byte, t.file.PageSize()), ready: newReadyChan()}
-		copy(fr.data, src)
+		fr := p.newFrameLocked(t, id)
+		clear(fr.data[copy(fr.data, src):])
+		fr.loaded = true
 		p.admitLocked(fr)
 	}
 	return id, nil
@@ -510,7 +590,8 @@ func (t *Tenant) flushLocked() error {
 
 // Invalidate drops the tenant's cached frames (writing back dirty ones),
 // so that a fresh workload starts from a cold buffer. Frames with reads
-// still in flight are retained. Other tenants' frames are untouched.
+// still in flight are retained; so are pinned ones, reported as ErrPinned.
+// Other tenants' frames are untouched.
 func (t *Tenant) Invalidate() error {
 	p := t.pool
 	p.mu.Lock()
@@ -518,28 +599,19 @@ func (t *Tenant) Invalidate() error {
 	if err := t.flushLocked(); err != nil {
 		return err
 	}
-	for _, fr := range t.frames {
-		if fr.loaded() {
-			p.removeLocked(fr)
-		}
-	}
-	return nil
+	return t.dropFramesLocked()
 }
 
 // Detach flushes and drops the tenant's frames, removes it from the pool
 // and returns any capacity it contributed through AttachGrowing. The
-// tenant must not be used afterwards.
+// tenant must not be used afterwards. A page still pinned at that point is
+// a reader's bug: the detach completes and reports ErrPinned.
 func (t *Tenant) Detach() error {
 	p := t.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := t.flushLocked(); err != nil {
 		return err
-	}
-	for _, fr := range t.frames {
-		if fr.loaded() {
-			p.removeLocked(fr)
-		}
 	}
 	for i, other := range p.tenants {
 		if other == t {
@@ -550,6 +622,25 @@ func (t *Tenant) Detach() error {
 	p.capacity -= t.grown
 	t.grown = 0
 	p.refreshTrackLocked()
+	return t.dropFramesLocked()
+}
+
+// dropFramesLocked removes and recycles the tenant's idle frames, and
+// reports the pages readers still hold.
+// vetrnn:holds t.pool.mu
+func (t *Tenant) dropFramesLocked() error {
+	pinned := t.lent
+	for _, fr := range t.frames {
+		if fr.idle() {
+			t.pool.removeLocked(fr)
+			t.pool.recycleLocked(fr)
+		} else if fr.loaded {
+			pinned++
+		}
+	}
+	if pinned > 0 {
+		return fmt.Errorf("%w: %d page(s) of tenant %q", ErrPinned, pinned, t.name)
+	}
 	return nil
 }
 
@@ -557,13 +648,60 @@ func (t *Tenant) Detach() error {
 // guards every tenant reached through frame back-pointers, which is what
 // the vetrnn:holds wildcard declares) ---------------------------------------
 
+// newFrameLocked returns an unlinked, unpinned frame for page id of t with
+// a page buffer of the tenant's page size: a recycled one when the free
+// list has any. The buffer's contents are whatever the last page left.
+// vetrnn:holds p.mu
+func (p *BufferPool) newFrameLocked(t *Tenant, id PageID) *frame {
+	var fr *frame
+	if n := len(p.free); n > 0 {
+		fr, p.free[n-1] = p.free[n-1], nil
+		p.free = p.free[:n-1]
+	} else {
+		fr = &frame{}
+	}
+	size := t.file.PageSize()
+	if cap(fr.data) < size {
+		fr.data = make([]byte, size)
+	}
+	fr.owner, fr.id, fr.data = t, id, fr.data[:size]
+	fr.dirty, fr.loaded, fr.transient, fr.err = false, false, false, nil
+	return fr
+}
+
+// freeSlack is how many frames beyond the pool's capacity the free list
+// may keep: the transient frames of uncached reads and the over-commit of
+// concurrent faults.
+const freeSlack = 4
+
+// recycleLocked puts an unlinked, unpinned frame on the free list, unless
+// the pool already owns as many frames as it can use (after a Detach
+// shrank it).
+// vetrnn:holds p.mu
+func (p *BufferPool) recycleLocked(fr *frame) {
+	if p.nframes+len(p.free) < p.capacity+freeSlack {
+		p.free = append(p.free, fr)
+	}
+}
+
+// touchLocked records a reference to fr in the recency orders.
+// vetrnn:holds *
+func (p *BufferPool) touchLocked(fr *frame) {
+	if p.trackGlobal {
+		p.lru.moveToFront(fr)
+	}
+	if fr.owner.quota > 0 {
+		fr.owner.tlru.moveToFront(fr)
+	}
+}
+
 // admitLocked installs a frame in the pool- and owner-recency structures.
 // vetrnn:holds *
 func (p *BufferPool) admitLocked(fr *frame) {
-	fr.elem = p.lru.PushFront(fr)
+	p.lru.pushFront(fr)
 	if fr.owner.quota > 0 {
 		// Only quota-bounded tenants need their own recency order.
-		fr.telem = fr.owner.tlru.PushFront(fr)
+		fr.owner.tlru.pushFront(fr)
 	}
 	fr.owner.frames[fr.id] = fr
 	p.nframes++
@@ -572,9 +710,9 @@ func (p *BufferPool) admitLocked(fr *frame) {
 // removeLocked drops a frame from the pool- and owner-recency structures.
 // vetrnn:holds *
 func (p *BufferPool) removeLocked(fr *frame) {
-	p.lru.Remove(fr.elem)
-	if fr.telem != nil {
-		fr.owner.tlru.Remove(fr.telem)
+	p.lru.remove(fr)
+	if fr.owner.quota > 0 {
+		fr.owner.tlru.remove(fr)
 	}
 	delete(fr.owner.frames, fr.id)
 	p.nframes--
@@ -583,39 +721,41 @@ func (p *BufferPool) removeLocked(fr *frame) {
 // evictForLocked makes room for one new frame of tenant t: first the
 // tenant's own LRU frames while it sits at quota, then the pool's global
 // LRU while the pool sits at capacity. Frames whose physical read is still
-// in flight are skipped; if every candidate is pending the pool
-// temporarily exceeds its bound (bounded by the number of concurrent
-// faulters).
+// in flight and frames a reader has pinned are skipped; if every candidate
+// is one of those the pool temporarily exceeds its bound (by at most the
+// number of concurrent faulters and pinners).
 // vetrnn:holds *
 func (p *BufferPool) evictForLocked(t *Tenant) error {
-	if t.quota > 0 && len(t.frames) >= t.quota {
-		if err := p.evictLRULocked(t.tlru, func() bool { return len(t.frames) >= t.quota }); err != nil {
+	if t.quota > 0 {
+		if err := p.evictLRULocked(&t.tlru, t); err != nil {
 			return err
 		}
 	}
-	return p.evictLRULocked(p.lru, func() bool { return p.nframes >= p.capacity })
+	return p.evictLRULocked(&p.lru, nil)
 }
 
-// evictLRULocked evicts loaded frames from the back of l (the pool-wide
-// list or one tenant's) while more() holds.
-func (p *BufferPool) evictLRULocked(l *list.List, more func() bool) error {
-	elem := l.Back()
-	for more() && elem != nil {
-		victim := elem.Value.(*frame)
-		prev := elem.Prev()
-		if !victim.loaded() {
-			elem = prev
-			continue
+// evictLRULocked evicts idle frames from the back of l: tenant t's own
+// list while t sits at its quota, or (t == nil) the pool-wide list while
+// the pool sits at capacity.
+// vetrnn:holds *
+func (p *BufferPool) evictLRULocked(l *lruList, t *Tenant) error {
+	for victim := l.back; victim != nil; {
+		if t != nil && len(t.frames) < t.quota || t == nil && p.nframes < p.capacity {
+			break
 		}
-		if victim.dirty {
-			victim.owner.countWrite()
-			if err := victim.owner.file.Write(victim.id, victim.data); err != nil {
-				return fmt.Errorf("storage: evict page %d: %w", victim.id, err)
+		prev := victim.links[l.which].prev
+		if victim.idle() {
+			if victim.dirty {
+				victim.owner.countWrite()
+				if err := victim.owner.file.Write(victim.id, victim.data); err != nil {
+					return fmt.Errorf("storage: evict page %d: %w", victim.id, err)
+				}
 			}
+			victim.owner.countEvict()
+			p.removeLocked(victim)
+			p.recycleLocked(victim)
 		}
-		victim.owner.countEvict()
-		p.removeLocked(victim)
-		elem = prev
+		victim = prev
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolTenantQuota pins the per-tenant quota: a tenant with quota q
@@ -12,8 +15,8 @@ func TestPoolTenantQuota(t *testing.T) {
 	fa := newTestFile(t, 64, 8)
 	fb := newTestFile(t, 64, 8)
 	p := NewBufferPool(10)
-	a := p.Attach("a", fa, 2)
-	b := p.Attach("b", fb, 0)
+	a := attach(t, p, "a", fa, 2)
+	b := attach(t, p, "b", fb, 0)
 
 	for i := 0; i < 5; i++ {
 		if _, err := a.Get(PageID(i)); err != nil {
@@ -56,8 +59,8 @@ func TestPoolSharedCapacity(t *testing.T) {
 	fa := newTestFile(t, 64, 8)
 	fb := newTestFile(t, 64, 8)
 	p := NewBufferPool(4)
-	a := p.Attach("a", fa, 0)
-	b := p.Attach("b", fb, 0)
+	a := attach(t, p, "a", fa, 0)
+	b := attach(t, p, "b", fb, 0)
 
 	for i := 0; i < 4; i++ {
 		if _, err := a.Get(PageID(i)); err != nil {
@@ -87,8 +90,8 @@ func TestPoolUnifiedStats(t *testing.T) {
 	fa := newTestFile(t, 64, 8)
 	fb := newTestFile(t, 64, 8)
 	p := NewBufferPool(8)
-	a := p.Attach("graph", fa, 0)
-	b := p.Attach("mat", fb, 0)
+	a := attach(t, p, "graph", fa, 0)
+	b := attach(t, p, "mat", fb, 0)
 
 	for i := 0; i < 3; i++ {
 		if _, err := a.Get(PageID(i)); err != nil {
@@ -131,8 +134,8 @@ func TestPoolNoCacheTenant(t *testing.T) {
 	fa := newTestFile(t, 64, 4)
 	fb := newTestFile(t, 64, 4)
 	p := NewBufferPool(8)
-	raw := p.Attach("raw", fa, NoCache)
-	warm := p.Attach("warm", fb, 0)
+	raw := attach(t, p, "raw", fa, NoCache)
+	warm := attach(t, p, "warm", fb, 0)
 
 	if _, err := warm.Get(1); err != nil {
 		t.Fatal(err)
@@ -203,8 +206,8 @@ func TestPoolConcurrentTenants(t *testing.T) {
 	fa := newTestFile(t, 64, 16)
 	fb := newTestFile(t, 64, 16)
 	p := NewBufferPool(8)
-	a := p.Attach("a", fa, 4)
-	b := p.Attach("b", fb, 0)
+	a := attach(t, p, "a", fa, 4)
+	b := attach(t, p, "b", fb, 0)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -215,16 +218,17 @@ func TestPoolConcurrentTenants(t *testing.T) {
 			if g%2 == 0 {
 				tn = b
 			}
-			buf := make([]byte, 64)
 			for i := 0; i < 200; i++ {
 				id := PageID((g + i) % 16)
-				got, err := tn.GetInto(id, buf)
+				pg, err := tn.Pin(id)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if got[0] != byte(id) {
-					t.Errorf("page %d content = %d", id, got[0])
+				got := pg.Bytes()[0]
+				pg.Unpin()
+				if got != byte(id) {
+					t.Errorf("page %d content = %d", id, got)
 					return
 				}
 			}
@@ -234,5 +238,167 @@ func TestPoolConcurrentTenants(t *testing.T) {
 	sum := a.Stats().Add(b.Stats())
 	if got := p.Stats(); got != sum {
 		t.Fatalf("pool stats %+v != tenant sum %+v", got, sum)
+	}
+}
+
+// TestPinnedFrameNotEvicted: a pinned page survives a scan of four times
+// the tenant's quota with its bytes intact, the pool over-commits by at
+// most the number of pinners while it is held, and it is evictable again
+// after Unpin.
+func TestPinnedFrameNotEvicted(t *testing.T) {
+	const quota = 4
+	f := newTestFile(t, 64, 4*quota+1)
+	p := NewBufferPool(quota)
+	tn := attach(t, p, "scan", f, quota)
+
+	pinned, err := tn.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4*quota; i++ {
+		pg, err := tn.Pin(PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pg.Bytes()[0]; got != byte(i) {
+			t.Fatalf("page %d content = %d", i, got)
+		}
+		pg.Unpin()
+		if frames := p.TenantStats()[0].Frames; frames > quota+1 {
+			t.Fatalf("tenant holds %d frames with one pinner, quota %d", frames, quota)
+		}
+	}
+	if got := pinned.Bytes()[0]; got != 0 {
+		t.Fatalf("pinned page was overwritten: content = %d", got)
+	}
+	before := tn.Stats()
+	again, err := tn.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Unpin()
+	if d := tn.Stats().Sub(before); d.Hits != 1 || d.Reads != 0 {
+		t.Fatalf("re-pin of the pinned page: %+v, want one hit", d)
+	}
+	if err := tn.Invalidate(); !errors.Is(err, ErrPinned) {
+		t.Fatalf("Invalidate with a pinned page = %v, want ErrPinned", err)
+	}
+	pinned.Unpin()
+	// Unpinned, the page ages out like any other.
+	for i := 1; i <= quota; i++ {
+		if _, err := tn.Get(PageID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = tn.Stats()
+	if _, err := tn.Get(0); err != nil {
+		t.Fatal(err)
+	}
+	if d := tn.Stats().Sub(before); d.Reads != 1 {
+		t.Fatalf("page 0 after unpin + scan: %+v, want a fresh fault", d)
+	}
+}
+
+// TestDetachReportsPinnedPages: a page a reader never unpinned — cached or
+// lent to an uncached read — makes Detach report ErrPinned instead of
+// dropping it silently; the detach itself still completes.
+func TestDetachReportsPinnedPages(t *testing.T) {
+	for _, quota := range []int{0, NoCache} {
+		f := newTestFile(t, 64, 4)
+		p := NewBufferPool(4)
+		tn := p.Attach("leaky", f, quota)
+		pg, err := tn.Pin(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.Detach(); !errors.Is(err, ErrPinned) {
+			t.Fatalf("quota %d: Detach with a pinned page = %v, want ErrPinned", quota, err)
+		}
+		if n := len(p.TenantStats()); n != 0 {
+			t.Fatalf("quota %d: %d tenants left after Detach", quota, n)
+		}
+		if got := pg.Bytes()[0]; got != 1 {
+			t.Fatalf("quota %d: pinned bytes changed under Detach: %d", quota, got)
+		}
+		pg.Unpin()
+	}
+}
+
+// blockingFile fails every read of page bad, after waiting for release so
+// that a test can line up coalesced waiters behind the doomed read.
+type blockingFile struct {
+	*MemFile
+	bad     PageID
+	entered chan struct{}
+	release chan struct{}
+	fail    atomic.Bool
+}
+
+func (f *blockingFile) Read(id PageID, dst []byte) error {
+	if id == f.bad && f.fail.Load() {
+		f.entered <- struct{}{}
+		<-f.release
+		return errors.New("injected read fault")
+	}
+	return f.MemFile.Read(id, dst)
+}
+
+// TestReadErrorLeavesNoPin: a failing PagedFile.Read wakes the waiters
+// coalesced behind it with the error, leaves neither a frame nor a pin, and
+// the retry succeeds.
+func TestReadErrorLeavesNoPin(t *testing.T) {
+	f := &blockingFile{MemFile: newTestFile(t, 64, 4), bad: 2,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	f.fail.Store(true)
+	p := NewBufferPool(4)
+	tn := attach(t, p, "faulty", f, 0)
+
+	const readers = 6
+	errs := make(chan error, readers)
+	pin := func() {
+		pg, err := tn.Pin(2)
+		if err == nil {
+			pg.Unpin()
+		}
+		errs <- err
+	}
+	go pin()
+	<-f.entered // the first reader owns the physical read
+	for i := 1; i < readers; i++ {
+		go pin()
+	}
+	// The latecomers count no read; wait until all of them found the
+	// pending frame (they pin it under the pool mutex before waiting).
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		p.mu.Lock()
+		pins := tn.frames[2].pins.Load()
+		p.mu.Unlock()
+		if pins == readers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d readers reached the pending frame", pins, readers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(f.release)
+	for i := 0; i < readers; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("a reader of the failed page got no error")
+		}
+	}
+	if s := tn.Stats(); s.Reads != 1 || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want the one failed read and no hits", s)
+	}
+	if frames := p.TenantStats()[0].Frames; frames != 0 {
+		t.Fatalf("failed read left %d frame(s)", frames)
+	}
+	if err := tn.Invalidate(); err != nil {
+		t.Fatalf("failed read left a pin: %v", err)
+	}
+	f.fail.Store(false)
+	data, err := tn.Get(2)
+	if err != nil || data[0] != 2 {
+		t.Fatalf("retry after the fault = %v, %v", data, err)
 	}
 }
