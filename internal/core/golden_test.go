@@ -1,0 +1,337 @@
+package core
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"graphrnn/internal/gen"
+	"graphrnn/internal/graph"
+	"graphrnn/internal/points"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden from the current engine")
+
+// TestStatsGolden pins the answer and all nine work counters of every
+// algorithm × kind × residency × k ∈ {1, 2, 4}, plus KNN, VerifyMember and
+// directed eager, over three seeded graphs against testdata/stats.golden.
+// The oracle tests prove the answers right; this one proves that a
+// refactor of the walker did not move the work — the counters are what
+// BENCH_PR2.json, the work budgets and the benchmark record. Regenerate
+// deliberately with `go test ./internal/core -run TestStatsGolden -update`
+// and review the diff line by line.
+func TestStatsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, env := range goldenEnvs(t) {
+		env.dump(t, &b)
+	}
+	path := filepath.Join("testdata", "stats.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, exp := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(exp) {
+		t.Errorf("%d lines, golden has %d", len(got), len(exp))
+	}
+	diffs := 0
+	for i := 0; i < len(got) && i < len(exp); i++ {
+		if got[i] != exp[i] {
+			if diffs++; diffs <= 20 {
+				t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], exp[i])
+			}
+		}
+	}
+	if diffs > 20 {
+		t.Errorf("... and %d more differing lines", diffs-20)
+	}
+}
+
+var goldenKs = []int{1, 2, 4}
+
+var goldenAlgos = []struct {
+	name string
+	a    Algo
+}{{"eager", AlgoEager}, {"eager-m", AlgoEagerM}, {"lazy", AlgoLazy}, {"lazy-ep", AlgoLazyEP}, {"brute", AlgoBrute}}
+
+// goldenEnv is one seeded graph with a point set and a site set in each
+// residency, the materializations eager-M reads, and an asymmetric
+// directed twin for the directed searcher.
+type goldenEnv struct {
+	name        string
+	rng         *rand.Rand
+	g           *graph.Graph
+	s           *Searcher
+	nps, nsites *points.NodeSet
+	eps, esites *points.EdgeSet
+	// Lists over the point sets (monochromatic, continuous) and over the
+	// site sets (bichromatic).
+	nmat, nsmat, emat, esmat *Materialized
+	dg                       *graph.Digraph
+}
+
+func goldenEnvs(t *testing.T) []*goldenEnv {
+	t.Helper()
+	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 14, Nodes: 320})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid(gen.GridConfig{Seed: 15, Nodes: 256, Degree: 4}) // unit weights: ties everywhere
+	if err != nil {
+		t.Fatal(err)
+	}
+	brite, err := gen.Brite(gen.BriteConfig{Seed: 16, Nodes: 300, AvgDegree: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envs []*goldenEnv
+	for i, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"road", road}, {"grid", grid}, {"brite", brite}} {
+		envs = append(envs, newGoldenEnv(t, c.name, c.g, int64(100+i)))
+	}
+	return envs
+}
+
+func newGoldenEnv(t *testing.T, name string, g *graph.Graph, seed int64) *goldenEnv {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	e := &goldenEnv{name: name, rng: rng, g: g, s: NewSearcher(g)}
+	n := g.NumNodes()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	e.nps, err = gen.PlaceNodePoints(rng, n, n/10)
+	must(err)
+	e.nsites, err = gen.PlaceNodePoints(rng, n, n/20)
+	must(err)
+	el := gen.Edges(g)
+	e.eps, err = gen.PlaceEdgePoints(rng, el, n/10)
+	must(err)
+	e.esites, err = gen.PlaceEdgePoints(rng, el, n/20)
+	must(err)
+	const maxK = 4
+	build := func(seeds []MatSeed) *Materialized {
+		mat, err := e.s.MatBuild(seeds, maxK, newMemMatFile(), 64, nil)
+		must(err)
+		return mat
+	}
+	e.nmat, e.nsmat = build(SeedsRestricted(e.nps)), build(SeedsRestricted(e.nsites))
+	useeds, err := SeedsUnrestricted(e.eps, g)
+	must(err)
+	e.emat = build(useeds)
+	useeds, err = SeedsUnrestricted(e.esites, g)
+	must(err)
+	e.esmat = build(useeds)
+
+	// The directed twin keeps every edge as two arcs of different integer
+	// multiples of its weight, so d(u→v) != d(v→u) almost everywhere.
+	db := graph.NewDigraphBuilder(n)
+	for i := range el.U {
+		must(db.AddArc(el.U[i], el.V[i], el.W[i]*float64(1+rng.Intn(3))))
+		must(db.AddArc(el.V[i], el.U[i], el.W[i]*float64(1+rng.Intn(3))))
+	}
+	e.dg, err = db.Build()
+	must(err)
+	return e
+}
+
+// goldenQuery is one query shape; run executes it under an algorithm and
+// verify, when set, is the VerifyMember call of the same request.
+type goldenQuery struct {
+	label  string
+	run    func(a Algo, k int) (*Result, error)
+	verify func(p points.PointID, k int) (bool, Stats, error)
+	cands  []points.PointID
+}
+
+func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
+	t.Helper()
+	edges := graphEdges(e.g)
+	randNode := func() graph.NodeID { return graph.NodeID(e.rng.Intn(e.g.NumNodes())) }
+	randEdgeLoc := func() Loc {
+		ed := edges[e.rng.Intn(len(edges))]
+		return Loc{U: ed.u, V: ed.v, Pos: e.rng.Float64() * ed.w}
+	}
+	route := func() []graph.NodeID { return gen.RandomWalkRoute(e.rng, e.g, 5) }
+	var queries []goldenQuery
+
+	// Node-resident shapes.
+	nodeRNN := func(view points.NodeView, q graph.NodeID) goldenQuery {
+		return goldenQuery{
+			label: fmt.Sprintf("node/rnn/q=%d", q),
+			run: func(a Algo, k int) (*Result, error) {
+				return runRNN(e.s, a, view, e.nmat, q, k)
+			},
+			verify: func(p points.PointID, k int) (bool, Stats, error) {
+				return e.s.VerifyMember(Request{Kind: KindRNN, K: k, Points: view, Target: NodeLoc(q)}, p)
+			},
+			cands: view.Points(),
+		}
+	}
+	qp := e.nps.Points()[e.rng.Intn(e.nps.Len())]
+	qn, _ := e.nps.NodeOf(qp)
+	queries = append(queries, nodeRNN(points.ExcludeNode(e.nps, qp), qn), nodeRNN(e.nps, randNode()))
+
+	nodeBi := func(sites points.NodeView, q graph.NodeID) goldenQuery {
+		return goldenQuery{
+			label: fmt.Sprintf("node/bichromatic/q=%d", q),
+			run: func(a Algo, k int) (*Result, error) {
+				return runBi(e.s, a, e.nps, sites, e.nsmat, q, k)
+			},
+			verify: func(p points.PointID, k int) (bool, Stats, error) {
+				return e.s.VerifyMember(Request{Kind: KindBichromatic, K: k, Points: e.nps, Sites: sites, Target: NodeLoc(q)}, p)
+			},
+			cands: e.nps.Points(),
+		}
+	}
+	sp := e.nsites.Points()[e.rng.Intn(e.nsites.Len())]
+	sn, _ := e.nsites.NodeOf(sp)
+	queries = append(queries, nodeBi(points.ExcludeNode(e.nsites, sp), sn), nodeBi(e.nsites, randNode()))
+
+	for i := 0; i < 2; i++ {
+		r := route()
+		queries = append(queries, goldenQuery{
+			label: fmt.Sprintf("node/continuous/route=%v", r),
+			run: func(a Algo, k int) (*Result, error) {
+				return runRoute(e.s, a, e.nps, e.nmat, r, k)
+			},
+			verify: func(p points.PointID, k int) (bool, Stats, error) {
+				return e.s.VerifyMember(Request{Kind: KindContinuous, K: k, Points: e.nps, Route: r}, p)
+			},
+			cands: e.nps.Points(),
+		})
+	}
+
+	// Edge-resident shapes: a query at an excluded data point, one at a
+	// random position inside an edge, one on a node.
+	edgeRNN := func(view points.EdgeView, q Loc) goldenQuery {
+		return goldenQuery{
+			label: fmt.Sprintf("edge/rnn/q=%v", q),
+			run: func(a Algo, k int) (*Result, error) {
+				return runURNN(e.s, a, view, e.emat, q, k)
+			},
+		}
+	}
+	ep := e.eps.Points()[e.rng.Intn(e.eps.Len())]
+	eloc, _ := e.eps.Loc(ep)
+	queries = append(queries,
+		edgeRNN(points.ExcludeEdge(e.eps, ep), PointLoc(eloc)),
+		edgeRNN(e.eps, randEdgeLoc()),
+		edgeRNN(e.eps, NodeLoc(randNode())))
+
+	edgeBi := func(sites points.EdgeView, q Loc) goldenQuery {
+		return goldenQuery{
+			label: fmt.Sprintf("edge/bichromatic/q=%v", q),
+			run: func(a Algo, k int) (*Result, error) {
+				return runUBi(e.s, a, e.eps, sites, e.esmat, q, k)
+			},
+		}
+	}
+	esp := e.esites.Points()[e.rng.Intn(e.esites.Len())]
+	esloc, _ := e.esites.Loc(esp)
+	queries = append(queries,
+		edgeBi(points.ExcludeEdge(e.esites, esp), PointLoc(esloc)),
+		edgeBi(e.esites, randEdgeLoc()))
+
+	for i := 0; i < 2; i++ {
+		r := route()
+		queries = append(queries, goldenQuery{
+			label: fmt.Sprintf("edge/continuous/route=%v", r),
+			run: func(a Algo, k int) (*Result, error) {
+				return runURoute(e.s, a, e.eps, e.emat, r, k)
+			},
+		})
+	}
+
+	for _, q := range queries {
+		for _, k := range goldenKs {
+			for _, al := range goldenAlgos {
+				res, err := q.run(al.a, k)
+				if err != nil {
+					t.Fatalf("%s %s %s k=%d: %v", e.name, q.label, al.name, k, err)
+				}
+				fmt.Fprintf(b, "%s %s k=%d %s: %v %s\n", e.name, q.label, k, al.name, res.Points, goldenStats(res.Stats))
+			}
+			if q.verify == nil {
+				continue
+			}
+			// One line per request: the members by VerifyMember and the
+			// summed work of confirming every candidate.
+			var members []points.PointID
+			var sum Stats
+			for _, p := range q.cands {
+				ok, st, err := q.verify(p, k)
+				if err != nil {
+					t.Fatalf("%s %s VerifyMember(%d) k=%d: %v", e.name, q.label, p, k, err)
+				}
+				if ok {
+					members = append(members, p)
+				}
+				sum.Add(st)
+			}
+			fmt.Fprintf(b, "%s %s k=%d verify-member: %v %s\n", e.name, q.label, k, members, goldenStats(sum))
+		}
+	}
+
+	// Forward k-NN search in both residencies.
+	knnLine := func(label string, k int, out []PointDist, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %s k=%d: %v", e.name, label, k, err)
+		}
+		fmt.Fprintf(b, "%s %s k=%d:", e.name, label, k)
+		for _, pd := range out {
+			fmt.Fprintf(b, " %d@%s", pd.P, strconv.FormatFloat(pd.D, 'g', -1, 64))
+		}
+		b.WriteByte('\n')
+	}
+	kn, kloc := randNode(), randEdgeLoc()
+	for _, k := range goldenKs {
+		out, err := e.s.KNN(e.nps, kn, k)
+		knnLine(fmt.Sprintf("node/knn/q=%d", kn), k, out, err)
+		out, err = e.s.UKNN(e.eps, kloc, k)
+		knnLine(fmt.Sprintf("edge/knn/q=%v", kloc), k, out, err)
+		out, err = e.s.UKNN(e.eps, NodeLoc(kn), k)
+		knnLine(fmt.Sprintf("edge/knn/q=%v", NodeLoc(kn)), k, out, err)
+	}
+
+	// Directed eager and its oracle over the asymmetric twin.
+	ds := NewDirectedSearcher(e.dg)
+	for _, q := range []graph.NodeID{qn, randNode()} {
+		for _, k := range goldenKs {
+			res, err := ds.EagerRkNN(e.nps, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(b, "%s directed/rnn/q=%d k=%d eager: %v %s\n", e.name, q, k, res.Points, goldenStats(res.Stats))
+			res, err = ds.BruteRkNN(e.nps, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(b, "%s directed/rnn/q=%d k=%d brute: %v %s\n", e.name, q, k, res.Points, goldenStats(res.Stats))
+		}
+	}
+}
+
+func goldenStats(st Stats) string {
+	return fmt.Sprintf("expanded=%d scanned=%d rangenn=%d verif=%d matreads=%d labelreads=%d labelentries=%d pushes=%d pops=%d",
+		st.NodesExpanded, st.NodesScanned, st.RangeNN, st.Verifications, st.MatReads,
+		st.LabelReads, st.LabelEntries, st.HeapPushes, st.HeapPops)
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"graphrnn/internal/graph"
 )
@@ -50,19 +51,17 @@ func Brite(cfg BriteConfig) (*graph.Graph, error) {
 			urn = append(urn, graph.NodeID(i), graph.NodeID(j))
 		}
 	}
-	chosen := make(map[graph.NodeID]bool, m)
+	// Attachment targets of one node, in draw order: ranging over a map here
+	// made the topology differ from run to run for the same seed.
+	chosen := make([]graph.NodeID, 0, m)
 	for n := m + 1; n < cfg.Nodes; n++ {
-		for p := range chosen {
-			delete(chosen, p)
-		}
+		chosen = chosen[:0]
 		for len(chosen) < m {
-			t := urn[rng.Intn(len(urn))]
-			if chosen[t] {
-				continue
+			if t := urn[rng.Intn(len(urn))]; !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
 			}
-			chosen[t] = true
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			if err := b.AddEdge(graph.NodeID(n), t, w()); err != nil {
 				return nil, err
 			}
