@@ -544,8 +544,9 @@ func BenchmarkMaterializeBuild(b *testing.B) {
 
 // Ablation: the connectivity-clustering page layout (BFS order, the
 // paper's Chan & Zhang-style grouping) against a random layout, measured
-// as buffer faults of an identical eager workload. DESIGN.md S2 calls this
-// design choice out; the BFS layout should fault substantially less.
+// as buffer faults of an identical eager workload. An expansion reads a
+// node's neighbours next, and the BFS order packs neighbours into the same
+// pages, so the BFS layout should fault substantially less.
 func BenchmarkLayoutAblation(b *testing.B) {
 	for _, layout := range []string{"bfs", "random"} {
 		b.Run(layout, func(b *testing.B) {

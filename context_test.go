@@ -17,9 +17,11 @@ import (
 )
 
 type ctxEnv struct {
-	db  *graphrnn.DB
-	ps  *graphrnn.NodePoints
-	mat *graphrnn.Materialization
+	db   *graphrnn.DB
+	ps   *graphrnn.NodePoints
+	mat  *graphrnn.Materialization
+	eps  *graphrnn.EdgePoints
+	emat *graphrnn.Materialization
 }
 
 // newCtxEnv builds a workload slow enough that a millisecond-scale
@@ -47,7 +49,15 @@ func newCtxEnv(t *testing.T, diskBacked bool) *ctxEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ctxEnv{db: db, ps: ps, mat: mat}
+	eps, err := db.PlaceRandomEdgePoints(9, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emat, err := db.MaterializeEdgePoints(eps, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ctxEnv{db: db, ps: ps, mat: mat, eps: eps, emat: emat}
 }
 
 func (e *ctxEnv) algos() map[string]graphrnn.Algorithm {
@@ -67,17 +77,36 @@ func (e *ctxEnv) slowQuery(t *testing.T) (graphrnn.NodePointsView, graphrnn.Node
 	return e.ps.Excluding(qp), qnode
 }
 
+// slowQueries returns the slow query at k under every algorithm, in both
+// residencies: the node-resident rows carry the bare algorithm name, the
+// edge-resident ones (a query at an excluded edge point's position, over
+// the one walker's point-arrival paths) an "edge-" prefix.
+func (e *ctxEnv) slowQueries(t *testing.T, k int) map[string]graphrnn.Query {
+	t.Helper()
+	view, qnode := e.slowQuery(t)
+	ep := e.eps.Points()[0]
+	eloc, _ := e.eps.LocationOf(ep)
+	out := make(map[string]graphrnn.Query)
+	for name, algo := range e.algos() {
+		out[name] = rnnQuery(view, qnode, k, algo)
+		if name == "eager-m" {
+			algo = graphrnn.EagerM(e.emat)
+		}
+		out["edge-"+name] = edgeRNNQuery(e.eps.Excluding(ep), eloc, k, algo)
+	}
+	return out
+}
+
 // TestDeadlineMidExpansion: a deadline far shorter than the query lands
 // mid-flight on each of the five algorithms; the query must return a typed
 // ErrDeadlineExceeded promptly, with partial stats proving it both started
 // and stopped early.
 func TestDeadlineMidExpansion(t *testing.T) {
 	e := newCtxEnv(t, false)
-	view, qnode := e.slowQuery(t)
-	for name, algo := range e.algos() {
+	for name, q := range e.slowQueries(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			// Baseline: the full query finishes and does real work.
-			full, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 4, algo))
+			full, err := e.db.Run(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +128,7 @@ func TestDeadlineMidExpansion(t *testing.T) {
 					t.Skip("no deadline landed mid-flight in 10 attempts on this machine")
 				}
 				start := time.Now()
-				res, err := e.db.Run(context.Background(), bounded(rnnQuery(view, qnode, 4, algo), graphrnn.QueryOptions{Timeout: timeout}))
+				res, err := e.db.Run(context.Background(), bounded(q, graphrnn.QueryOptions{Timeout: timeout}))
 				elapsed = time.Since(start)
 				if err == nil {
 					timeout /= 2
@@ -136,9 +165,8 @@ func TestDeadlineMidExpansion(t *testing.T) {
 // under early returns.
 func TestCancelMidExpansion(t *testing.T) {
 	e := newCtxEnv(t, false)
-	view, qnode := e.slowQuery(t)
 	before := runtime.NumGoroutine()
-	for name, algo := range e.algos() {
+	for name, q := range e.slowQueries(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			canceled := false
 			for attempt := 0; attempt < 20 && !canceled; attempt++ {
@@ -147,7 +175,7 @@ func TestCancelMidExpansion(t *testing.T) {
 					time.Sleep(500 * time.Microsecond)
 					cancel()
 				}()
-				res, err := e.db.Run(ctx, rnnQuery(view, qnode, 4, algo))
+				res, err := e.db.Run(ctx, q)
 				cancel()
 				if err == nil {
 					continue // finished before the cancel landed; retry
@@ -165,11 +193,13 @@ func TestCancelMidExpansion(t *testing.T) {
 			}
 			// The pooled scratch must be intact: the same query still
 			// answers correctly after the aborted runs.
-			want, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 4, graphrnn.BruteForce()))
+			oracle := q
+			oracle.Algorithm = graphrnn.BruteForce()
+			want, err := e.db.Run(context.Background(), oracle)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.db.Run(context.Background(), rnnQuery(view, qnode, 4, algo))
+			got, err := e.db.Run(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,11 +278,10 @@ func TestExpiredDeadlineNoIO(t *testing.T) {
 // the budget; MaxIOReads stops a disk-backed query.
 func TestBudgetExceeded(t *testing.T) {
 	e := newCtxEnv(t, false)
-	view, qnode := e.slowQuery(t)
-	for name, algo := range e.algos() {
+	for name, q := range e.slowQueries(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			const budget = 500
-			res, err := e.db.Run(context.Background(), bounded(rnnQuery(view, qnode, 4, algo), graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: budget}}))
+			res, err := e.db.Run(context.Background(), bounded(q, graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: budget}}))
 			if !errors.Is(err, graphrnn.ErrBudgetExceeded) {
 				t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 			}
@@ -265,6 +294,39 @@ func TestBudgetExceeded(t *testing.T) {
 			}
 		})
 	}
+	// A budget that trips inside a range-NN probe of the edge-resident
+	// eager walk — the exit that once returned a nil Result.
+	t.Run("edge-eager-in-probe", func(t *testing.T) {
+		g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := graphrnn.Open(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps, err := db.PlaceRandomEdgePoints(2008, g.NumNodes()/100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := eps.Points()[0]
+		loc, _ := eps.LocationOf(ep)
+		q := edgeRNNQuery(eps.Excluding(ep), loc, 2, graphrnn.Eager())
+		// Most of the walk's pops happen inside probes, so most budgets
+		// trip there; a few of them make sure one does.
+		for _, budget := range []int64{1000, 2000, 3000, 4000} {
+			res, err := db.Run(context.Background(), bounded(q, graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: budget}}))
+			if !errors.Is(err, graphrnn.ErrBudgetExceeded) {
+				t.Fatalf("budget %d: err = %v, want ErrBudgetExceeded", budget, err)
+			}
+			if res == nil {
+				t.Fatalf("budget %d: no partial result alongside ErrBudgetExceeded", budget)
+			}
+			if res.Stats.NodesScanned == 0 || res.Stats.RangeNN == 0 {
+				t.Fatalf("budget %d: partial result carries no sub-expansion work: %+v", budget, res.Stats)
+			}
+		}
+	})
 	t.Run("io", func(t *testing.T) {
 		disk := newCtxEnv(t, true)
 		dview, dq := disk.slowQuery(t)

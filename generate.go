@@ -7,8 +7,10 @@ import (
 )
 
 // Synthetic dataset generators reproducing the structure of the paper's
-// evaluation networks (Section 6); see DESIGN.md for the substitution
-// rationale. All generators are deterministic for a fixed seed.
+// evaluation networks (Section 6). The originals are not redistributable;
+// each generator's config in internal/gen names the structural property of
+// its original that the RNN algorithms are sensitive to and that it
+// rebuilds. All generators are deterministic for a fixed seed.
 
 // CoauthorshipDataset is a DBLP-like coauthorship network: unit edge
 // weights (degree of separation) and per-author, per-venue paper counts for

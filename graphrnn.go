@@ -354,7 +354,7 @@ func (db *DB) DropCache() error {
 // Distance computes the exact network distance between two locations,
 // +Inf when disconnected.
 func (db *DB) Distance(a, b Location) (float64, error) {
-	return db.searcher.ULocDistance(a.toLoc(), b.toLoc())
+	return db.searcher.Distance(a.toLoc(), b.toLoc())
 }
 
 func toNodeIDs(route []NodeID) []graph.NodeID {

@@ -401,11 +401,7 @@ func (h *HubLabelIndex) hiddenIn(v points.NodeView) (points.PointID, error) {
 // a bichromatic query, whose candidates come from the caller's view. On an
 // execution-control error the partial stats ride along with it.
 func (h *HubLabelIndex) run(ec *exec.Ctx, pl *planned) (*core.Result, error) {
-	tracked := pl.node.v
-	if pl.plan.Kind == KindBichromatic {
-		tracked = pl.nsites.v
-	}
-	hidden, err := h.hiddenIn(tracked)
+	hidden, err := h.hiddenIn(pl.tracked().Node)
 	if err != nil {
 		return nil, err
 	}
@@ -415,9 +411,9 @@ func (h *HubLabelIndex) run(ec *exec.Ctx, pl *planned) (*core.Result, error) {
 	case KindContinuous:
 		pts, st, err = h.idx.ContinuousRkNNExec(ec, toNodeIDs(pl.route), pl.k, hidden)
 	case KindBichromatic:
-		pts, st, err = h.idx.BichromaticRkNNExec(ec, pl.node.v, graph.NodeID(pl.qnode), pl.k, hidden)
+		pts, st, err = h.idx.BichromaticRkNNExec(ec, pl.points.Node, graph.NodeID(pl.loc.U), pl.k, hidden)
 	default:
-		pts, st, err = h.idx.RkNNExec(ec, graph.NodeID(pl.qnode), pl.k, hidden)
+		pts, st, err = h.idx.RkNNExec(ec, graph.NodeID(pl.loc.U), pl.k, hidden)
 	}
 	if err != nil && !exec.IsExecErr(err) {
 		return nil, err

@@ -11,16 +11,16 @@ import (
 // strictly closer to p. It visits all data points — exactly the naive
 // strategy Section 3.1 argues against — and serves as the correctness
 // oracle for the entire test suite.
-func (s *Searcher) brute(cands, sites points.NodeView, mono bool, target nodeTarget, k int) (*Result, error) {
+func (s *Searcher) brute(cands, sites PointSet, mono bool, tgt target, k int) (*Result, error) {
 	var st Stats
 	var results []points.PointID
-	for _, p := range cands.Points() {
+	for _, p := range cands.ids() {
 		// One candidate's verification is one expansion step of the
 		// brute-force strategy.
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
 		}
-		member, err := s.verifyMember(&st, cands, sites, mono, p, target, k)
+		member, err := s.verifyMember(&st, cands, sites, mono, p, tgt, k)
 		if err != nil {
 			return execResult(results, st, err)
 		}
@@ -33,8 +33,8 @@ func (s *Searcher) brute(cands, sites points.NodeView, mono bool, target nodeTar
 
 // verifyMember is the oracle's per-candidate expansion; a deleted p is not
 // a member.
-func (s *Searcher) verifyMember(st *Stats, cands, sites points.NodeView, mono bool, p points.PointID, target nodeTarget, k int) (bool, error) {
-	pnode, ok := cands.NodeOf(p)
+func (s *Searcher) verifyMember(st *Stats, cands, sites PointSet, mono bool, p points.PointID, tgt target, k int) (bool, error) {
+	loc, ok := cands.loc(p)
 	if !ok {
 		return false, nil
 	}
@@ -42,5 +42,5 @@ func (s *Searcher) verifyMember(st *Stats, cands, sites points.NodeView, mono bo
 	if mono {
 		self = p
 	}
-	return s.verify(st, sites, self, pnode, target, k, math.Inf(1), nil)
+	return s.verify(st, sites, self, loc, tgt, k, math.Inf(1), nil)
 }

@@ -3,18 +3,27 @@
 //	M. L. Yiu, D. Papadias, N. Mamoulis, Y. Tao:
 //	"Reverse Nearest Neighbors in Large Graphs", ICDE 2005 / TKDE 18(4), 2006.
 //
-// It provides, for both restricted networks (data points on nodes) and
-// unrestricted networks (data points on edges):
+// One walker serves both network models of the paper: restricted networks
+// (Sections 3-5.1, data points on nodes) are the degenerate case of
+// unrestricted ones (Section 5.2, data points — and queries — anywhere on
+// the edges). A traversal is a scratch whose single heap holds graph nodes,
+// point arrivals and target arrivals (scratch.go); where the points are is
+// the residency of a PointSet, a node view or an edge view, and every loop
+// asks both "which point sits on node n" and "which points sit on edge
+// (u,v)" (loc.go). On top of one rangeNN, one verify, one KNN and one
+// Distance (expand.go) it provides one main walk each for:
 //
 //   - eager: expansion from the query with per-node range-NN pruning (§3.2)
+//     — or, as eager-M, reading materialized K-NN lists built by all-NN,
+//     with insertion and two-step border-node deletion maintenance (§4.1)
 //   - lazy: expansion pruned by verification queries of discovered points,
 //     with per-node counters and heap-entry invalidation for k > 1 (§3.3)
-//   - eager-M: eager over materialized K-NN lists built by all-NN, with
-//     insertion and two-step border-node deletion maintenance (§4.1)
 //   - lazy-EP: lazy with a second heap propagating the pruning power of
 //     discovered points in parallel with the main expansion (§4.2)
-//   - bichromatic and continuous (route) variants of all of the above (§5)
-//   - a brute-force oracle used by the test suite.
+//   - a brute-force oracle used by the test suite
+//
+// each answering the monochromatic, bichromatic and continuous (route)
+// kinds (§5) through the one Request → Run dispatch (request.go).
 //
 // # Conventions
 //

@@ -33,13 +33,14 @@ func NewDirectedSearcher(d *graph.Digraph) *DirectedSearcher {
 
 // EagerRkNN answers a directed monochromatic RkNN query from qnode.
 func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := ds.fwd.checkQuery(qnode, k); err != nil {
+	tgt, err := ds.target(qnode, k)
+	if err != nil {
 		return nil, err
 	}
+	set := PointSet{Node: ps}
 	var st Stats
 	main := ds.rev.acquire()
-	defer func() { ds.rev.harvest(&st, main); ds.rev.release(main) }()
-	main.begin()
+	defer ds.rev.release(&st, main)
 
 	verified := make(map[points.PointID]bool)
 	var results []points.PointID
@@ -47,15 +48,15 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 		verified[p] = true
 		results = append(results, p) // d(p→q)=0: trivially a member
 	}
-	main.push(qnode, 0)
+	main.pushNode(qnode, 0)
 
-	target := singleTarget(qnode)
 	var found []PointDist
 	for {
-		n, d, ok := main.pop()
+		ent, d, ok := main.pop()
 		if !ok {
 			break
 		}
+		n := ent.node()
 		st.NodesExpanded++
 		if err := ds.fwd.checkExec(&st); err != nil {
 			return execResult(results, st, err)
@@ -69,7 +70,7 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 		// pops is correctly excluded.
 		if p, ok := ps.PointAt(n); ok && !verified[p] {
 			verified[p] = true
-			member, err := ds.fwd.verify(&st, ps, p, n, target, k, d, nil)
+			member, err := ds.fwd.verify(&st, set, p, NodeLoc(n), tgt, k, d, nil)
 			if err != nil {
 				return execResult(results, st, err)
 			}
@@ -78,8 +79,7 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 			}
 		}
 		// d upper-bounds d(n→q) (exact on every unpruned shortest path).
-		var err error
-		found, err = ds.fwd.rangeNN(&st, ps, n, k, d, found)
+		found, err = ds.fwd.rangeNN(&st, set, NodeLoc(n), k, d, found)
 		if err != nil {
 			return execResult(results, st, err)
 		}
@@ -94,11 +94,11 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 				continue
 			}
 			verified[pd.P] = true
-			pnode, hasNode := ps.NodeOf(pd.P)
-			if !hasNode {
+			ploc, visible := set.loc(pd.P)
+			if !visible {
 				continue
 			}
-			member, err := ds.fwd.verify(&st, ps, pd.P, pnode, target, k, math.Inf(1), nil)
+			member, err := ds.fwd.verify(&st, set, pd.P, ploc, tgt, k, math.Inf(1), nil)
 			if err != nil {
 				return execResult(results, st, err)
 			}
@@ -109,12 +109,11 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 		if len(found) >= k {
 			continue // directed Lemma 1
 		}
-		var adjErr error
-		if main.adj, adjErr = ds.rev.g.Adjacency(n, main.adj); adjErr != nil {
-			return execResult(results, st, adjErr)
+		if main.adj, err = ds.rev.g.Adjacency(n, main.adj); err != nil {
+			return execResult(results, st, err)
 		}
 		for _, e := range main.adj {
-			main.push(e.To, d+e.W)
+			main.pushNode(e.To, d+e.W)
 		}
 	}
 	return finishResult(results, st), nil
@@ -123,24 +122,18 @@ func (ds *DirectedSearcher) EagerRkNN(ps points.NodeView, qnode graph.NodeID, k 
 // BruteRkNN is the directed brute-force oracle: one forward verification
 // per data point.
 func (ds *DirectedSearcher) BruteRkNN(ps points.NodeView, qnode graph.NodeID, k int) (*Result, error) {
-	if err := ds.fwd.checkQuery(qnode, k); err != nil {
+	tgt, err := ds.target(qnode, k)
+	if err != nil {
 		return nil, err
 	}
-	var st Stats
-	var results []points.PointID
-	target := singleTarget(qnode)
-	for _, p := range ps.Points() {
-		pnode, ok := ps.NodeOf(p)
-		if !ok {
-			continue
-		}
-		member, err := ds.fwd.verify(&st, ps, p, pnode, target, k, math.Inf(1), nil)
-		if err != nil {
-			return nil, err
-		}
-		if member {
-			results = append(results, p)
-		}
+	set := PointSet{Node: ps}
+	return ds.fwd.brute(set, set, true, tgt, k)
+}
+
+// target validates a directed query and returns its verification target.
+func (ds *DirectedSearcher) target(qnode graph.NodeID, k int) (target, error) {
+	if k < 1 {
+		return target{}, errKTooSmall(k)
 	}
-	return finishResult(results, st), nil
+	return locTarget(NodeLoc(qnode)), ds.fwd.checkLoc(NodeLoc(qnode))
 }

@@ -20,7 +20,3 @@ var (
 func errKTooSmall(k int) error {
 	return fmt.Errorf("core: k must be >= 1, got %d", k)
 }
-
-func errEmptySources() error {
-	return fmt.Errorf("core: query needs at least one source location")
-}

@@ -3,87 +3,110 @@ package core
 import (
 	"math"
 
-	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
-// nodeTarget identifies the query location(s) a verification expansion must
-// reach: a single node for ordinary queries, or any node of a route for
-// continuous queries (Section 5.1: a point is a result if the route is met
-// before k closer points).
-type nodeTarget struct {
-	single graph.NodeID
-	multi  map[graph.NodeID]bool
-}
-
-func singleTarget(n graph.NodeID) nodeTarget { return nodeTarget{single: n} }
-
-func routeTarget(route []graph.NodeID) nodeTarget {
-	m := make(map[graph.NodeID]bool, len(route))
-	for _, n := range route {
-		m[n] = true
-	}
-	return nodeTarget{multi: m}
-}
-
-func (t nodeTarget) hit(n graph.NodeID) bool {
-	if t.multi != nil {
-		return t.multi[n]
-	}
-	return t.single == n
-}
-
-// rangeNN implements range-NN(n, k, e) from Section 3.1: the k nearest data
-// points of ps with network distance *strictly smaller* than e from n,
+// rangeNN implements range-NN(n, k, e) from Section 3.1 and its
+// unrestricted form from Section 5.2: the k nearest data points of sites
+// with network distance *strictly smaller* than e from location from,
 // appended to out in ascending distance order. Fewer than k points are
 // returned when no more exist within the range.
-func (s *Searcher) rangeNN(st *Stats, ps points.NodeView, n graph.NodeID, k int, e float64, out []PointDist) ([]PointDist, error) {
+func (s *Searcher) rangeNN(st *Stats, sites PointSet, from Loc, k int, e float64, out []PointDist) ([]PointDist, error) {
 	st.RangeNN++
 	out = out[:0]
 	if e <= 0 || k <= 0 {
 		return out, nil
 	}
 	e = strictBound(e)
+	// Point arrivals are bounded inclusively; the largest float below e
+	// makes that the strict range (a point at distance e exactly is
+	// outside it).
+	below := math.Nextafter(e, math.Inf(-1))
 	sc := s.acquire()
-	defer func() { s.harvest(st, sc); s.release(sc) }()
-	sc.begin()
-	sc.push(n, 0)
+	defer s.release(st, sc)
+	if err := sc.seed(s, from); err != nil {
+		return out, err
+	}
+	if err := sc.pushSameEdgePoints(sites.Edge, setSite, from, below); err != nil {
+		return out, err
+	}
 	for {
-		m, d, ok := sc.pop()
+		ent, d, ok := sc.pop()
 		if !ok || d >= e {
 			break
 		}
+		if ent.kind == kindPoint {
+			if hasPoint(out, ent.point()) {
+				continue // a later arrival of a point already reported
+			}
+			if out = append(out, PointDist{P: ent.point(), D: d}); len(out) >= k {
+				break
+			}
+			continue
+		}
+		n := ent.node()
 		st.NodesScanned++
 		if err := s.checkExecStride(st); err != nil {
 			return out, err
 		}
-		if p, has := ps.PointAt(m); has {
-			out = append(out, PointDist{P: p, D: d})
-			if len(out) >= k {
+		if p, has := sites.at(n); has {
+			if out = append(out, PointDist{P: p, D: d}); len(out) >= k {
 				break
 			}
 		}
 		var err error
-		sc.adj, err = s.g.Adjacency(m, sc.adj)
-		if err != nil {
+		if sc.adj, err = s.g.Adjacency(n, sc.adj); err != nil {
 			return out, err
+		}
+		if sites.Edge != nil {
+			if err := sc.pushAdjacentPoints(sites.Edge, setSite, n, d, below); err != nil {
+				return out, err
+			}
 		}
 		for _, edge := range sc.adj {
 			if nd := d + edge.W; nd < e {
-				sc.push(edge.To, nd)
+				sc.pushNode(edge.To, nd)
 			}
 		}
 	}
 	return out, nil
 }
 
+func hasPoint(lst []PointDist, p points.PointID) bool {
+	for _, pd := range lst {
+		if pd.P == p {
+			return true
+		}
+	}
+	return false
+}
+
+// KNN returns the k nearest data points of location q in ascending
+// distance order — the network-expansion NN search of Section 3.1 that
+// underlies every range-NN probe, exposed as a query in its own right.
+// Fewer than k results are returned when the reachable component holds
+// fewer points.
+func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
+	if k < 1 {
+		return nil, errKTooSmall(k)
+	}
+	if err := s.checkLoc(q); err != nil {
+		return nil, err
+	}
+	var st Stats
+	if err := s.checkExec(&st); err != nil {
+		return nil, err
+	}
+	return s.rangeNN(&st, ps, q, k, math.Inf(1), nil)
+}
+
 // verify implements verify(p, k, q) from Section 3.1, generalized to serve
 // every variant in the package: it expands the network around the candidate
-// location (node start) and reports whether the target is met before k
-// points of sites are found strictly closer. self is skipped during
-// counting (the candidate itself in monochromatic queries; points.NoPoint
-// for bichromatic ones). ub bounds the expansion; it must be an upper bound
-// on the candidate-to-target distance, or +Inf for an oracle query.
+// location from and reports whether the target is met before k points of
+// sites are found strictly closer. self is skipped during counting (the
+// candidate itself in monochromatic queries; points.NoPoint for bichromatic
+// ones). ub bounds the expansion; it must be an upper bound on the
+// candidate-to-target distance, or +Inf for an oracle query.
 //
 // Counting is exact under ties: a site at exactly the candidate-to-target
 // distance does not count against membership, regardless of heap pop order.
@@ -91,27 +114,34 @@ func (s *Searcher) rangeNN(st *Stats, ps points.NodeView, n graph.NodeID, k int,
 // A non-nil lz makes this the verification of the lazy algorithm (Fig 7):
 // every visited node provably closer to the candidate than to the query
 // additionally prunes lz's main walk.
-func (s *Searcher) verify(st *Stats, sites points.NodeView, self points.PointID, start graph.NodeID, target nodeTarget, k int, ub float64, lz *lazyPrune[graph.NodeID]) (bool, error) {
+func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from Loc, tgt target, k int, ub float64, lz *lazyPrune) (bool, error) {
 	st.Verifications++
-	sc := s.acquire()
-	defer func() { s.harvest(st, sc); s.release(sc) }()
-	sc.begin()
-	sc.push(start, 0)
 	// ubStrict is the strict-closeness threshold of the lazy side effect;
 	// ub itself is inflated against float association noise.
 	ub, ubStrict := upperBound(ub), strictBound(ub)
+	sc := s.acquire()
+	defer s.release(st, sc)
+	if err := sc.seed(s, from); err != nil {
+		return false, err
+	}
+	if err := sc.pushSameEdgePoints(sites.Edge, setSite, from, ub); err != nil {
+		return false, err
+	}
+	tgt.seedDirect(sc, from, ub)
 
 	strictCount := 0 // sites strictly closer than the current pop distance
 	sameCount := 0   // sites at exactly the current pop distance
 	lastDist := 0.0
 	for {
-		m, d, ok := sc.pop()
+		ent, d, ok := sc.pop()
 		if !ok {
 			return false, nil // target unreachable within ub
 		}
-		st.NodesScanned++
-		if err := s.checkExecStride(st); err != nil {
-			return false, err
+		if ent.kind == kindNode {
+			st.NodesScanned++
+			if err := s.checkExecStride(st); err != nil {
+				return false, err
+			}
 		}
 		if d > lastDist {
 			strictCount += sameCount
@@ -121,56 +151,96 @@ func (s *Searcher) verify(st *Stats, sites points.NodeView, self points.PointID,
 		if strictCount >= k {
 			return false, nil
 		}
-		if target.hit(m) {
+		switch ent.kind {
+		case kindTarget:
 			return true, nil
-		}
-		if p, has := sites.PointAt(m); has && p != self {
-			sameCount++
-		}
-		if lz != nil && lz.visit(m, d, ubStrict, k) {
-			lz.unqueue(m)
-		}
-		var err error
-		sc.adj, err = s.g.Adjacency(m, sc.adj)
-		if err != nil {
-			return false, err
-		}
-		for _, edge := range sc.adj {
-			if nd := d + edge.W; nd <= ub {
-				sc.push(edge.To, nd)
+		case kindPoint:
+			if p := ent.point(); p != self && sc.firstArrival(p) {
+				sameCount++
+			}
+		case kindNode:
+			n := ent.node()
+			if tgt.nodeHit(n) {
+				return true, nil
+			}
+			if p, has := sites.at(n); has && p != self {
+				sameCount++
+			}
+			if lz != nil && lz.visit(n, d, ubStrict, k) {
+				lz.unqueue(n)
+			}
+			if tgt.via(n) {
+				if err := tgt.arrive(s, sc, n, d, ub); err != nil {
+					return false, err
+				}
+			}
+			var err error
+			if sc.adj, err = s.g.Adjacency(n, sc.adj); err != nil {
+				return false, err
+			}
+			if sites.Edge != nil {
+				if err := sc.pushAdjacentPoints(sites.Edge, setSite, n, d, ub); err != nil {
+					return false, err
+				}
+			}
+			for _, edge := range sc.adj {
+				if nd := d + edge.W; nd <= ub {
+					sc.pushNode(edge.To, nd)
+				}
 			}
 		}
 	}
 }
 
-// distance computes the exact network distance between two nodes with a
-// plain Dijkstra expansion; it returns +Inf when disconnected. Used by
-// tests and tooling, not by the query algorithms.
-func (s *Searcher) distance(from, to graph.NodeID) (float64, error) {
-	sc := s.acquire()
-	defer s.release(sc)
-	sc.begin()
-	sc.push(from, 0)
+// Distance computes the exact network distance between two locations
+// (Section 5.2's distance definition), returning +Inf when disconnected.
+// Exposed for tooling, examples and tests; the query algorithms never need
+// it.
+func (s *Searcher) Distance(a, b Loc) (float64, error) {
+	if err := s.checkLoc(a); err != nil {
+		return 0, err
+	}
+	if err := s.checkLoc(b); err != nil {
+		return 0, err
+	}
+	if a == b {
+		return 0, nil
+	}
 	var st Stats
+	sc := s.acquire()
+	defer s.release(&st, sc)
+	if err := sc.seed(s, a); err != nil {
+		return 0, err
+	}
+	tgt := locTarget(b)
+	tgt.seedDirect(sc, a, math.Inf(1))
 	for {
-		m, d, ok := sc.pop()
+		ent, d, ok := sc.pop()
 		if !ok {
 			return math.Inf(1), nil
 		}
+		if ent.kind == kindTarget {
+			return d, nil
+		}
+		n := ent.node()
 		st.NodesExpanded++
 		if err := s.checkExec(&st); err != nil {
 			return 0, err
 		}
-		if m == to {
+		if tgt.nodeHit(n) {
 			return d, nil
 		}
+		if tgt.via(n) {
+			if err := tgt.arrive(s, sc, n, d, math.Inf(1)); err != nil {
+				return 0, err
+			}
+		}
 		var err error
-		sc.adj, err = s.g.Adjacency(m, sc.adj)
-		if err != nil {
+		if sc.adj, err = s.g.Adjacency(n, sc.adj); err != nil {
 			return 0, err
 		}
 		for _, edge := range sc.adj {
-			sc.push(edge.To, d+edge.W)
+			sc.pushNode(edge.To, d+edge.W)
 		}
 	}
 }

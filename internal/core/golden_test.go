@@ -180,7 +180,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 				return runRNN(e.s, a, view, e.nmat, q, k)
 			},
 			verify: func(p points.PointID, k int) (bool, Stats, error) {
-				return e.s.VerifyMember(Request{Kind: KindRNN, K: k, Points: view, Target: NodeLoc(q)}, p)
+				return e.s.VerifyMember(Request{Kind: KindRNN, K: k, Points: PointSet{Node: view}, Target: NodeLoc(q)}, p)
 			},
 			cands: view.Points(),
 		}
@@ -196,7 +196,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 				return runBi(e.s, a, e.nps, sites, e.nsmat, q, k)
 			},
 			verify: func(p points.PointID, k int) (bool, Stats, error) {
-				return e.s.VerifyMember(Request{Kind: KindBichromatic, K: k, Points: e.nps, Sites: sites, Target: NodeLoc(q)}, p)
+				return e.s.VerifyMember(Request{Kind: KindBichromatic, K: k, Points: PointSet{Node: e.nps}, Sites: PointSet{Node: sites}, Target: NodeLoc(q)}, p)
 			},
 			cands: e.nps.Points(),
 		}
@@ -213,7 +213,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 				return runRoute(e.s, a, e.nps, e.nmat, r, k)
 			},
 			verify: func(p points.PointID, k int) (bool, Stats, error) {
-				return e.s.VerifyMember(Request{Kind: KindContinuous, K: k, Points: e.nps, Route: r}, p)
+				return e.s.VerifyMember(Request{Kind: KindContinuous, K: k, Points: PointSet{Node: e.nps}, Route: r}, p)
 			},
 			cands: e.nps.Points(),
 		})
@@ -304,11 +304,11 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 	}
 	kn, kloc := randNode(), randEdgeLoc()
 	for _, k := range goldenKs {
-		out, err := e.s.KNN(e.nps, kn, k)
+		out, err := e.s.KNN(PointSet{Node: e.nps}, NodeLoc(kn), k)
 		knnLine(fmt.Sprintf("node/knn/q=%d", kn), k, out, err)
-		out, err = e.s.UKNN(e.eps, kloc, k)
+		out, err = e.s.KNN(PointSet{Edge: e.eps}, kloc, k)
 		knnLine(fmt.Sprintf("edge/knn/q=%v", kloc), k, out, err)
-		out, err = e.s.UKNN(e.eps, NodeLoc(kn), k)
+		out, err = e.s.KNN(PointSet{Edge: e.eps}, NodeLoc(kn), k)
 		knnLine(fmt.Sprintf("edge/knn/q=%v", NodeLoc(kn)), k, out, err)
 	}
 

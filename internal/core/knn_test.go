@@ -16,7 +16,7 @@ func TestKNNMatchesBruteDistances(t *testing.T) {
 		s := NewSearcher(net.g)
 		n := graph.NodeID(rng.Intn(net.g.NumNodes()))
 		k := 1 + rng.Intn(5)
-		got, err := s.KNN(net.ps, n, k)
+		got, err := s.KNN(PointSet{Node: net.ps}, NodeLoc(n), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func TestKNNMatchesBruteDistances(t *testing.T) {
 		var want []float64
 		for _, p := range net.ps.Points() {
 			pn, _ := net.ps.NodeOf(p)
-			d, err := s.distance(n, pn)
+			d, err := s.Distance(NodeLoc(n), NodeLoc(pn))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,14 +60,14 @@ func TestUKNNMatchesBruteDistances(t *testing.T) {
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(12))
 		q := randULoc(rng, g, edges)
 		k := 1 + rng.Intn(4)
-		got, err := s.UKNN(ps, q, k)
+		got, err := s.KNN(PointSet{Edge: ps}, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []float64
 		for _, p := range ps.Points() {
 			loc, _ := ps.Loc(p)
-			d, err := s.ULocDistance(q, PointLoc(loc))
+			d, err := s.Distance(q, PointLoc(loc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,14 +93,14 @@ func TestUKNNMatchesBruteDistances(t *testing.T) {
 func TestKNNValidation(t *testing.T) {
 	g, ps, _ := paperGraph(t)
 	s := NewSearcher(g)
-	if _, err := s.KNN(ps, 0, 0); err == nil {
+	if _, err := s.KNN(PointSet{Node: ps}, NodeLoc(0), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := s.KNN(ps, -1, 1); err == nil {
+	if _, err := s.KNN(PointSet{Node: ps}, NodeLoc(-1), 1); err == nil {
 		t.Fatal("bad node accepted")
 	}
 	eps := points.NewEdgeSet()
-	if _, err := s.UKNN(eps, Loc{U: 0, V: 99}, 1); err == nil {
+	if _, err := s.KNN(PointSet{Edge: eps}, Loc{U: 0, V: 99}, 1); err == nil {
 		t.Fatal("bad location accepted")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 	"graphrnn/internal/pq"
@@ -48,11 +50,9 @@ func (c *lazyCounts) add(n graph.NodeID) int32 {
 // lazyPrune is the main-walk state a lazy verification expansion prunes as
 // a side effect (Section 3.3): the walk's node labels and heap, the
 // per-node counters, and the hash table of Fig 6 mapping an expanded node
-// to the heap entries it generated. E is the walk's heap entry type, which
-// is all that differs between the restricted and unrestricted walks.
-type lazyPrune[E any] struct {
+// to the heap entries it generated.
+type lazyPrune struct {
 	sc       *scratch
-	heap     *pq.Heap[E]
 	counts   *lazyCounts
 	children map[graph.NodeID][]pq.Handle
 	// kids backs every children list: one growing array per query instead
@@ -69,8 +69,8 @@ type lazyPrune[E any] struct {
 // distance order. A qualifying node's counter is incremented; visit reports
 // whether it thereby reached k on an expanded node, whose heap entries the
 // caller then removes with unqueue (kept apart so that visit inlines into
-// the verification loops).
-func (lz *lazyPrune[E]) visit(m graph.NodeID, dm, eStrict float64, k int) bool {
+// the verification loop).
+func (lz *lazyPrune) visit(m graph.NodeID, dm, eStrict float64, k int) bool {
 	closed := lz.sc.isClosed(m)
 	if closed {
 		eStrict = strictBound(lz.sc.dist[m])
@@ -79,54 +79,123 @@ func (lz *lazyPrune[E]) visit(m graph.NodeID, dm, eStrict float64, k int) bool {
 }
 
 // unqueue removes the heap entries expanded node m generated.
-func (lz *lazyPrune[E]) unqueue(m graph.NodeID) {
+func (lz *lazyPrune) unqueue(m graph.NodeID) {
 	for _, h := range lz.children[m] {
-		lz.heap.Remove(h)
+		lz.sc.heap.Remove(h)
 	}
 	delete(lz.children, m)
 }
 
-// lazy is the lazy algorithm of Section 3.3. The expansion from the query
-// is pruned only when competitors are discovered: the verification query of
-// a discovered point visits the nodes within its query distance, and every
-// visited node provably closer to the point than to the query has its
-// counter incremented (lazyPrune.visit); a node whose counter reaches k is
-// closer to k competitors than to the query and, by Lemma 1, is skipped (if
-// still queued) or has the heap entries it generated removed.
+// classify decides a bichromatic candidate met at loc, d away from the
+// query. On its node the walk's d is d(n,q), so one exact range count —
+// fewer than k sites strictly closer — settles it; an arrival along an edge
+// only bounds the distance from above and takes a verification.
+func (s *Searcher) classify(st *Stats, sites PointSet, loc Loc, tgt target, k int, d float64, probe *[]PointDist) (bool, error) {
+	if !loc.IsNode() {
+		return s.verify(st, sites, points.NoPoint, loc, tgt, k, d, nil)
+	}
+	var err error
+	*probe, err = s.rangeNN(st, sites, loc, k, d, *probe)
+	return len(*probe) < k, err
+}
+
+// arrival resolves a point arrival of a main walk that surfaces both sets:
+// whether it is a competitor (site; in a monochromatic walk every point is)
+// and where the point lies. ok is false for a point its set hides.
+func arrival(ent entry, cands, sites PointSet, mono bool) (loc Loc, site, ok bool) {
+	if site = mono || ent.set == setSite; site {
+		loc, ok = sites.loc(ent.point())
+	} else {
+		loc, ok = cands.loc(ent.point())
+	}
+	return loc, site, ok
+}
+
+// surfaceEdge pushes the edge-resident candidates — and, for bichromatic
+// queries, the competitors — on edge (n, e.To) as point arrivals and
+// returns the number of competitors on the edge.
+func (sc *scratch) surfaceEdge(cands, sites PointSet, mono bool, n graph.NodeID, d float64, e graph.Edge) (int, error) {
+	count, err := sc.pushEdgePoints(cands.Edge, setCand, n, d, e, math.Inf(1))
+	if err != nil || mono {
+		return count, err
+	}
+	return sc.pushEdgePoints(sites.Edge, setSite, n, d, e, math.Inf(1))
+}
+
+// lazy is the lazy algorithm of Section 3.3, over either residency
+// (Section 5.2). The expansion from the query is pruned only when
+// competitors are discovered: the verification query of a discovered point
+// visits the nodes within its query distance, and every visited node
+// provably closer to the point than to the query has its counter
+// incremented (lazyPrune.visit); a node whose counter reaches k is closer
+// to k competitors than to the query and, by Lemma 1, is skipped (if still
+// queued) or has the heap entries it generated removed. Edge-resident
+// competitors also prune during edge processing: an edge carrying k of
+// them is not crossed.
 //
 // Monochromatic queries (cands == sites) take the verification's verdict as
 // the point's membership. Bichromatic ones run site verifications purely
-// for their pruning side effects and classify each candidate-bearing node
-// that survives with one exact range count.
-func (s *Searcher) lazy(cands, sites points.NodeView, mono bool, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
+// for their pruning side effects and classify each candidate the walk
+// still reaches (classify).
+func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt target, k int) (*Result, error) {
 	var st Stats
 	main := s.acquire()
-	defer func() { s.harvest(&st, main); s.release(main) }()
-	main.begin()
+	defer s.release(&st, main)
 	counts := s.acquireCounts()
 	defer s.releaseCounts(counts)
-	lz := &lazyPrune[graph.NodeID]{sc: main, heap: &main.heap, counts: counts,
-		children: make(map[graph.NodeID][]pq.Handle)}
+	lz := &lazyPrune{sc: main, counts: counts, children: make(map[graph.NodeID][]pq.Handle)}
 
 	verified := make(map[points.PointID]bool)   // sites
 	classified := make(map[points.PointID]bool) // bichromatic candidates
 	var results []points.PointID
-	for _, src := range sources {
-		if mono {
-			if p, ok := cands.PointAt(src); ok && !verified[p] {
-				verified[p] = true
-				results = s.confirm(results, p)
-			}
-		}
-		main.push(src, 0)
+	if mono {
+		results = s.confirmAtSources(cands, sources, verified, results)
+	}
+	if err := s.seedSources(main, sources, cands, sites, !mono); err != nil {
+		return nil, err
 	}
 
 	var probe []PointDist
+	// meet handles data point p reached at loc, d away from the query: a
+	// competitor is verified once, for the pruning (and, monochromatic, the
+	// verdict); a bichromatic candidate is classified once.
+	meet := func(p points.PointID, loc Loc, d float64, site bool) error {
+		seen := classified
+		if site {
+			seen = verified
+		}
+		if seen[p] {
+			return nil
+		}
+		seen[p] = true
+		var member bool
+		var err error
+		if site {
+			member, err = s.verify(&st, sites, p, loc, tgt, k, d, lz)
+			member = member && mono
+		} else {
+			member, err = s.classify(&st, sites, loc, tgt, k, d, &probe)
+		}
+		if member && err == nil {
+			results = s.confirm(results, p)
+		}
+		return err
+	}
+
 	for {
-		n, d, ok := main.pop()
+		ent, d, ok := main.pop()
 		if !ok {
 			break
 		}
+		if ent.kind == kindPoint {
+			if loc, site, ok := arrival(ent, cands, sites, mono); ok {
+				if err := meet(ent.point(), loc, d, site); err != nil {
+					return execResult(results, st, err)
+				}
+			}
+			continue
+		}
+		n := ent.node()
 		st.NodesExpanded++
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
@@ -136,29 +205,14 @@ func (s *Searcher) lazy(cands, sites points.NodeView, mono bool, sources []graph
 			// neither examined nor expanded.
 			continue
 		}
-		if p, ok := sites.PointAt(n); ok && !verified[p] {
-			verified[p] = true
-			member, err := s.verify(&st, sites, p, n, target, k, d, lz)
-			if err != nil {
+		if p, ok := sites.at(n); ok {
+			if err := meet(p, NodeLoc(n), d, true); err != nil {
 				return execResult(results, st, err)
 			}
-			if mono && member {
-				results = s.confirm(results, p)
-			}
 		}
-		if !mono {
-			if p, ok := cands.PointAt(n); ok && !classified[p] {
-				classified[p] = true
-				// Exact classification: fewer than k sites strictly
-				// closer than d(n,q).
-				var err error
-				probe, err = s.rangeNN(&st, sites, n, k, d, probe)
-				if err != nil {
-					return execResult(results, st, err)
-				}
-				if len(probe) < k {
-					results = s.confirm(results, p)
-				}
+		if p, ok := cands.at(n); ok && !mono {
+			if err := meet(p, NodeLoc(n), d, false); err != nil {
+				return execResult(results, st, err)
 			}
 		}
 		// The verification of n's own point counts n itself (distance 0),
@@ -167,13 +221,23 @@ func (s *Searcher) lazy(cands, sites points.NodeView, mono bool, sources []graph
 		if counts.get(n) >= int32(k) {
 			continue
 		}
-		var adjErr error
-		if main.adj, adjErr = s.g.Adjacency(n, main.adj); adjErr != nil {
-			return nil, adjErr
+		var err error
+		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
+			return nil, err
 		}
 		first := len(lz.kids)
 		for _, e := range main.adj {
-			if h := main.push(e.To, d+e.W); h != 0 {
+			siteCount, err := main.surfaceEdge(cands, sites, mono, n, d, e)
+			if err != nil {
+				return nil, err
+			}
+			// Edge-crossing rule (Section 5.2): entering e.To via this edge
+			// passes all its competitors; with k of them the far endpoint
+			// cannot lead to results along this path.
+			if siteCount >= k {
+				continue
+			}
+			if h := main.pushNode(e.To, d+e.W); h != 0 {
 				lz.kids = append(lz.kids, h)
 			}
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
@@ -34,9 +34,9 @@ func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 		if err := s.checkExecStride(st); err != nil {
 			return err
 		}
-		lst := ep.found[e.node]
-		if !insertFound(&lst, e.p, d, k) {
-			continue
+		changed, lst := matAccept(ep.found[e.node], e.p, d, k)
+		if !changed {
+			continue // a later (no closer) pop of a marked point, or no better than the k-th mark
 		}
 		ep.found[e.node] = lst
 		var err error
@@ -60,124 +60,165 @@ func (ep *epMarks) harvest(st *Stats) {
 	st.HeapPops += int64(ep.hp.PopCount)
 }
 
-// lazyEP is lazy-EP (Section 4.2): lazy evaluation with extended pruning.
-// A node found closer to k discovered competitors than to the query (by the
-// H' marks) is pruned without a verification query, and a candidate whose
-// node's marks already show k closer competitors is rejected without one.
-// Surviving candidates are decided by a verification (monochromatic) or an
-// exact range count (bichromatic).
-func (s *Searcher) lazyEP(cands, sites points.NodeView, mono bool, sources []graph.NodeID, target nodeTarget, k int) (*Result, error) {
+// seed starts expanding H' around discovered competitor p at loc, from
+// every anchor.
+func (ep *epMarks) seed(s *Searcher, p points.PointID, loc Loc) error {
+	as, n, err := s.anchors(loc, &ep.adj)
+	if err != nil {
+		return err
+	}
+	for _, a := range as[:n] {
+		ep.hp.Push(matHeapEntry{a.node, p}, a.off)
+	}
+	return nil
+}
+
+// lazyEP is lazy-EP (Section 4.2), over either residency (Section 5.2):
+// lazy evaluation with extended pruning. A node found closer to k
+// discovered competitors than to the query (by the H' marks) is pruned
+// without a verification query, and a candidate whose anchors' marks
+// already show k closer competitors is rejected without one (epClassify).
+// Surviving candidates are decided by a verification (monochromatic) or
+// classified like lazy's (bichromatic).
+func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt target, k int) (*Result, error) {
 	var st Stats
 	main := s.acquire()
-	defer func() { s.harvest(&st, main); s.release(main) }()
-	main.begin()
+	defer s.release(&st, main)
 	ep := &epMarks{found: make(map[graph.NodeID][]PointDist)}
 
 	seeded := make(map[points.PointID]bool)     // sites expanding in H'
 	classified := make(map[points.PointID]bool) // candidates decided
 	var results []points.PointID
-	for _, src := range sources {
-		if mono {
-			if p, ok := cands.PointAt(src); ok && !seeded[p] {
-				seeded[p], classified[p] = true, true
-				results = s.confirm(results, p)
-				ep.hp.Push(matHeapEntry{src, p}, 0)
+	if mono {
+		results = s.confirmAtSources(cands, sources, classified, results)
+		for _, p := range results {
+			seeded[p] = true
+			loc, _ := cands.loc(p)
+			if err := ep.seed(s, p, loc); err != nil {
+				return nil, err
 			}
 		}
-		main.push(src, 0)
+	}
+	if err := s.seedSources(main, sources, cands, sites, !mono); err != nil {
+		return nil, err
 	}
 
 	var probe []PointDist
+	// meet handles data point p reached at loc, d away from the query, as
+	// a candidate, a competitor, or — monochromatic — both.
+	meet := func(p points.PointID, loc Loc, d float64, cand, site bool) error {
+		if cand && !classified[p] {
+			classified[p] = true
+			member, err := s.epClassify(&st, ep, sites, mono, p, loc, tgt, k, d, &probe)
+			if err != nil {
+				return err
+			}
+			if member {
+				results = s.confirm(results, p)
+			}
+		}
+		if site && !seeded[p] {
+			seeded[p] = true
+			return ep.seed(s, p, loc)
+		}
+		return nil
+	}
+
 	for {
 		if _, top, ok := main.heap.Peek(); ok {
 			if err := s.advance(&st, ep, top, k); err != nil {
 				return execResult(results, st, err)
 			}
 		}
-		n, d, ok := main.pop()
+		ent, d, ok := main.pop()
 		if !ok {
 			break
 		}
+		if ent.kind == kindPoint {
+			if loc, site, ok := arrival(ent, cands, sites, mono); ok {
+				if err := meet(ent.point(), loc, d, mono || !site, site); err != nil {
+					return execResult(results, st, err)
+				}
+			}
+			continue
+		}
+		n := ent.node()
 		st.NodesExpanded++
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
 		}
 		lst := ep.found[n]
-		dStrict := strictBound(d)
-		pruned := len(lst) >= k && lst[k-1].D < dStrict
-		if p, ok := cands.PointAt(n); ok && !classified[p] {
-			classified[p] = true
-			// Count discovered competitors (other than p itself) strictly
-			// closer to n than the query; k of them disqualify p without a
-			// sub-query (they are strictly closer to p as well, since p
-			// sits on n).
-			self := points.NoPoint
-			if mono {
-				self = p
-			}
-			closer := 0
-			for _, f := range lst {
-				if f.P != self && f.D < dStrict {
-					closer++
-				}
-			}
-			if closer < k {
-				var member bool
-				var err error
-				if mono {
-					member, err = s.verify(&st, sites, p, n, target, k, d, nil)
-				} else {
-					probe, err = s.rangeNN(&st, sites, n, k, d, probe)
-					member = len(probe) < k
-				}
-				if err != nil {
-					return execResult(results, st, err)
-				}
-				if member {
-					results = s.confirm(results, p)
-				}
+		pruned := len(lst) >= k && lst[k-1].D < strictBound(d)
+		if p, ok := cands.at(n); ok {
+			if err := meet(p, NodeLoc(n), d, true, mono); err != nil {
+				return execResult(results, st, err)
 			}
 		}
-		if p, ok := sites.PointAt(n); ok && !seeded[p] {
-			seeded[p] = true
-			ep.hp.Push(matHeapEntry{n, p}, 0)
+		if p, ok := sites.at(n); ok && !mono {
+			if err := meet(p, NodeLoc(n), d, false, true); err != nil {
+				return execResult(results, st, err)
+			}
 		}
 		if pruned {
 			continue // Lemma 1 via the H' marks: no expansion
 		}
-		var adjErr error
-		if main.adj, adjErr = s.g.Adjacency(n, main.adj); adjErr != nil {
-			return nil, adjErr
+		var err error
+		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
+			return nil, err
 		}
 		for _, e := range main.adj {
-			main.push(e.To, d+e.W)
+			siteCount, err := main.surfaceEdge(cands, sites, mono, n, d, e)
+			if err != nil {
+				return nil, err
+			}
+			if siteCount >= k {
+				continue // edge-crossing rule, as in lazy
+			}
+			main.pushNode(e.To, d+e.W)
 		}
 	}
 	ep.harvest(&st)
 	return finishResult(results, st), nil
 }
 
-// insertFound inserts (p,d) into a per-node found list kept in canonical
-// order and capped at k entries. It reports whether the list changed.
-func insertFound(lst *[]PointDist, p points.PointID, d float64, k int) bool {
-	l := *lst
-	for _, f := range l {
-		if f.P == p {
-			return false // first pop carries the minimal distance
+// epClassify decides membership of candidate p met at loc in lazy-EP,
+// first trying to reject it from the H' marks of its anchors: a competitor
+// recorded at distance D from anchor a bounds its distance to the candidate
+// by D + a.off. The candidate's pop distance ub equals d(p, target)
+// exactly whenever p is a true member (its discovery path is never pruned),
+// so counting k distinct competitors with bounds strictly below ub can only
+// reject non-members — this is how lazy-EP issues fewer verification
+// queries (Section 4.2). Inconclusive candidates fall back to a
+// verification (monochromatic) or to classify (bichromatic).
+func (s *Searcher) epClassify(st *Stats, ep *epMarks, sites PointSet, mono bool, p points.PointID, loc Loc, tgt target, k int, ub float64, probe *[]PointDist) (bool, error) {
+	as, n, err := s.anchors(loc, &ep.adj)
+	if err != nil {
+		return false, err
+	}
+	self := points.NoPoint
+	if mono {
+		self = p
+	}
+	ubStrict := strictBound(ub)
+	closer := 0
+	for i, a := range as[:n] {
+		for _, f := range ep.found[a.node] {
+			if f.P == self || f.D+a.off >= ubStrict {
+				continue
+			}
+			// A competitor marked at both anchors counts once.
+			if i == 1 && slices.ContainsFunc(ep.found[as[0].node], func(g PointDist) bool {
+				return g.P == f.P && g.D+as[0].off < ubStrict
+			}) {
+				continue
+			}
+			if closer++; closer >= k {
+				return false, nil
+			}
 		}
 	}
-	idx := sort.Search(len(l), func(i int) bool {
-		return !entryLess(l[i].D, l[i].P, d, p)
-	})
-	if len(l) == k {
-		if idx >= k {
-			return false
-		}
-		l = l[:k-1]
+	if mono {
+		return s.verify(st, sites, self, loc, tgt, k, ub, nil)
 	}
-	l = append(l, PointDist{})
-	copy(l[idx+1:], l[idx:])
-	l[idx] = PointDist{P: p, D: d}
-	*lst = l
-	return true
+	return s.classify(st, sites, loc, tgt, k, ub, probe)
 }

@@ -18,7 +18,7 @@ import (
 // these lists, and object insertions/deletions maintain them incrementally
 // (Figs 10-11).
 //
-// Deviations from the paper, both documented in DESIGN.md:
+// Two deviations from the paper:
 //
 //  1. Lists store K+1 entries. A node's own point appears in its list at
 //     distance 0, so exposing the "k-th NN of the node containing p,
@@ -34,11 +34,9 @@ import (
 //     maintenance results bit-identical to a from-scratch rebuild.
 
 // MatEntry is one materialized list entry: a data point and its exact
-// network distance from the list's node.
-type MatEntry struct {
-	P points.PointID
-	D float64
-}
+// network distance from the list's node — what a range-NN probe of the
+// node would report, so eager reads either into the same buffer.
+type MatEntry = PointDist
 
 func entryLess(d1 float64, p1 points.PointID, d2 float64, p2 points.PointID) bool {
 	if d1 != d2 {
@@ -564,20 +562,20 @@ func (s *Searcher) MatInsert(m *Materialized, seeds []MatSeed) (Stats, error) {
 	}
 	p := seeds[0].P
 	sc := s.acquire()
-	defer func() { s.harvest(&st, sc); s.release(sc) }()
-	sc.begin()
+	defer s.release(&st, sc)
 	for _, seed := range seeds {
 		if seed.P != p {
 			return st, fmt.Errorf("core: MatInsert seeds mix points %d and %d", p, seed.P)
 		}
-		sc.push(seed.Node, seed.D)
+		sc.pushNode(seed.Node, seed.D)
 	}
 	var lst []MatEntry
 	for {
-		n, d, ok := sc.pop()
+		ent, d, ok := sc.pop()
 		if !ok {
 			break
 		}
+		n := ent.node()
 		st.NodesExpanded++
 		if err := s.checkExec(&st); err != nil {
 			return st, err
@@ -605,7 +603,7 @@ func (s *Searcher) MatInsert(m *Materialized, seeds []MatSeed) (Stats, error) {
 			return st, err
 		}
 		for _, e := range sc.adj {
-			sc.push(e.To, d+e.W)
+			sc.pushNode(e.To, d+e.W)
 		}
 	}
 	return st, nil
@@ -654,13 +652,12 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, seeds []MatSeed)
 		return st, fmt.Errorf("core: MatDelete needs at least one seed")
 	}
 	sc := s.acquire()
-	defer func() { s.harvest(&st, sc); s.release(sc) }()
-	sc.begin()
+	defer s.release(&st, sc)
 	for _, seed := range seeds {
 		if seed.P != p {
 			return st, fmt.Errorf("core: MatDelete seeds mix points %d and %d", p, seed.P)
 		}
-		sc.push(seed.Node, seed.D)
+		sc.pushNode(seed.Node, seed.D)
 	}
 
 	affected := make(map[graph.NodeID]bool)
@@ -669,10 +666,11 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, seeds []MatSeed)
 
 	// Step 1: remove p from every affected list; stop at border nodes.
 	for {
-		n, _, ok := sc.pop()
+		ent, _, ok := sc.pop()
 		if !ok {
 			break
 		}
+		n := ent.node()
 		st.NodesExpanded++
 		if err := s.checkExec(&st); err != nil {
 			return st, err
@@ -707,7 +705,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, seeds []MatSeed)
 			return st, err
 		}
 		for _, e := range sc.adj {
-			sc.push(e.To, sc.dist[n]+e.W)
+			sc.pushNode(e.To, sc.dist[n]+e.W)
 		}
 	}
 	if len(affected) == 0 {
@@ -718,7 +716,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, seeds []MatSeed)
 	// remaining entries to affected neighbours. The paper seeds only from
 	// border nodes; affected-to-affected seeding additionally covers the
 	// case where the replacement entry originates inside the affected
-	// region (e.g. a point residing on an affected node) — see DESIGN.md.
+	// region (e.g. a point residing on an affected node).
 	var heap pq.Heap[matHeapEntry]
 	for _, a := range visitedStep1 {
 		// Seeding reads one list page and one adjacency per node, so the

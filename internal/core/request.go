@@ -40,10 +40,10 @@ const (
 )
 
 // Request describes one RkNN query: what to compute (Kind, K), how (Algo),
-// over which point sets, and where (Target or Route). Exactly one
-// residency is populated: Points (with Sites for KindBichromatic) selects
-// the restricted network model of Sections 3-5.1, EdgePoints (with
-// EdgeSites) the unrestricted one of Section 5.2.
+// over which point sets, and where (Target or Route). The residency of
+// Points selects the network model: node-resident sets the restricted one
+// of Sections 3-5.1, edge-resident sets the unrestricted one of Section
+// 5.2.
 type Request struct {
 	Kind Kind
 	Algo Algo
@@ -53,8 +53,7 @@ type Request struct {
 	// competitors are Sites. For the usual "newly arrived object" semantics
 	// the caller hides a point co-located with the query (points.ExcludeNode
 	// / points.ExcludeEdge).
-	Points, Sites         points.NodeView
-	EdgePoints, EdgeSites points.EdgeView
+	Points, Sites PointSet
 
 	// Target is the query location of KindRNN and KindBichromatic. Node-
 	// resident sets take node locations; edge-resident sets any location.
@@ -69,57 +68,42 @@ type Request struct {
 // algorithm); it must have been built over the competitor set (Points;
 // Sites when bichromatic).
 func (s *Searcher) Run(r Request, mat *Materialized) (*Result, error) {
-	if r.Algo == AlgoEagerM {
-		if err := checkMatK(mat, r.K); err != nil {
-			return nil, err
-		}
+	if r.Algo != AlgoEagerM {
+		mat = nil
+	} else if err := checkMatK(mat, r.K); err != nil {
+		return nil, err
 	}
-	if r.EdgePoints != nil {
-		return s.runEdge(r, mat)
-	}
-	sources, target, err := s.nodeTarget(r)
+	tgt, err := s.locate(r)
 	if err != nil {
 		return nil, err
 	}
-	cands, sites, mono := r.Points, r.Points, true
-	if r.Kind == KindBichromatic {
-		sites, mono = r.Sites, false
+	cands, sites, mono := r.sets()
+	sources := []Loc{r.Target}
+	if r.Kind == KindContinuous {
+		sources = make([]Loc, len(r.Route))
+		for i, n := range r.Route {
+			sources[i] = NodeLoc(n)
+		}
 	}
 	switch r.Algo {
-	case AlgoEager:
-		return s.eager(cands, sites, mono, sources, target, r.K)
+	case AlgoEager, AlgoEagerM:
+		return s.eager(cands, sites, mono, mat, sources, tgt, r.K)
 	case AlgoLazy:
-		return s.lazy(cands, sites, mono, sources, target, r.K)
+		return s.lazy(cands, sites, mono, sources, tgt, r.K)
 	case AlgoLazyEP:
-		return s.lazyEP(cands, sites, mono, sources, target, r.K)
-	case AlgoEagerM:
-		return s.eagerM(cands, sites, mono, mat, sources, target, r.K)
+		return s.lazyEP(cands, sites, mono, sources, tgt, r.K)
 	default:
-		return s.brute(cands, sites, mono, target, r.K)
+		return s.brute(cands, sites, mono, tgt, r.K)
 	}
 }
 
-func (s *Searcher) runEdge(r Request, mat *Materialized) (*Result, error) {
-	cands, sites, mono := r.EdgePoints, r.EdgePoints, true
+// sets returns the candidates and competitors of r, and whether they are
+// one set (every kind but bichromatic).
+func (r Request) sets() (cands, sites PointSet, mono bool) {
 	if r.Kind == KindBichromatic {
-		sites, mono = r.EdgeSites, false
+		return r.Points, r.Sites, false
 	}
-	sources, target := []Loc{r.Target}, uLocTarget(r.Target)
-	if r.Kind == KindContinuous {
-		sources, target = nodeLocs(r.Route), uRouteTarget(r.Route)
-	}
-	switch r.Algo {
-	case AlgoEager:
-		return s.uEager(cands, sites, mono, nil, sources, target, r.K)
-	case AlgoEagerM:
-		return s.uEager(cands, sites, mono, mat, sources, target, r.K)
-	case AlgoLazy:
-		return s.uLazy(cands, sites, mono, sources, target, r.K)
-	case AlgoLazyEP:
-		return s.uLazyEP(cands, sites, mono, sources, target, r.K)
-	default:
-		return s.uBrute(cands, sites, mono, target, r.K)
-	}
+	return r.Points, r.Points, true
 }
 
 // VerifyMember reports whether point p of r.Points belongs to the answer
@@ -127,64 +111,39 @@ func (s *Searcher) runEdge(r Request, mat *Materialized) (*Result, error) {
 // (r.Algo is ignored). A coordinator that merges shard-local candidate
 // sets confirms each candidate this way, so a verified merge is
 // bit-identical to an unsharded answer — same distances, same epsilon
-// bounds, same tie handling. A deleted p is not a member. Node-resident
-// requests only.
+// bounds, same tie handling. A deleted p is not a member.
 func (s *Searcher) VerifyMember(r Request, p points.PointID) (bool, Stats, error) {
 	var st Stats
-	if r.EdgePoints != nil {
-		return false, st, fmt.Errorf("core: VerifyMember takes a node-resident request")
-	}
-	_, target, err := s.nodeTarget(r)
+	tgt, err := s.locate(r)
 	if err != nil {
 		return false, st, err
 	}
-	sites, mono := r.Points, true
-	if r.Kind == KindBichromatic {
-		sites, mono = r.Sites, false
-	}
-	member, err := s.verifyMember(&st, r.Points, sites, mono, p, target, r.K)
+	cands, sites, mono := r.sets()
+	member, err := s.verifyMember(&st, cands, sites, mono, p, tgt, r.K)
 	return member, st, err
 }
 
-// nodeTarget validates the location of a node-resident request and returns
-// its expansion sources and verification target.
-func (s *Searcher) nodeTarget(r Request) ([]graph.NodeID, nodeTarget, error) {
+// locate validates k and the location of r and returns its verification
+// target.
+func (s *Searcher) locate(r Request) (target, error) {
+	if r.K < 1 {
+		return target{}, errKTooSmall(r.K)
+	}
 	if r.Kind == KindContinuous {
-		if err := s.checkRoute(r.Route, r.K); err != nil {
-			return nil, nodeTarget{}, err
+		if len(r.Route) == 0 {
+			return target{}, fmt.Errorf("core: empty route")
 		}
-		return r.Route, routeTarget(r.Route), nil
-	}
-	if !r.Target.IsNode() {
-		return nil, nodeTarget{}, fmt.Errorf("core: node-resident point sets take node targets, got %v", r.Target)
-	}
-	q := r.Target.U
-	if err := s.checkQuery(q, r.K); err != nil {
-		return nil, nodeTarget{}, err
-	}
-	return []graph.NodeID{q}, singleTarget(q), nil
-}
-
-func (s *Searcher) checkQuery(qnode graph.NodeID, k int) error {
-	if k < 1 {
-		return errKTooSmall(k)
-	}
-	if qnode < 0 || int(qnode) >= s.g.NumNodes() {
-		return fmt.Errorf("core: query node %d out of range [0,%d)", qnode, s.g.NumNodes())
-	}
-	return nil
-}
-
-func (s *Searcher) checkRoute(route []graph.NodeID, k int) error {
-	if len(route) == 0 {
-		return fmt.Errorf("core: empty route")
-	}
-	for _, n := range route {
-		if err := s.checkQuery(n, k); err != nil {
-			return err
+		for _, n := range r.Route {
+			if err := s.checkLoc(NodeLoc(n)); err != nil {
+				return target{}, err
+			}
 		}
+		return routeTarget(r.Route), nil
 	}
-	return nil
+	if r.Points.Node != nil && !r.Target.IsNode() {
+		return target{}, fmt.Errorf("core: node-resident point sets take node targets, got %v", r.Target)
+	}
+	return locTarget(r.Target), s.checkLoc(r.Target)
 }
 
 func checkMatK(mat *Materialized, k int) error {

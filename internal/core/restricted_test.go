@@ -60,13 +60,13 @@ func TestPaperExampleSection3(t *testing.T) {
 	s := NewSearcher(g)
 
 	// Sanity-check the distances the example relies on.
-	if d, _ := s.distance(q, 2); d != 4 { // d(q, n3) = 4
+	if d, _ := s.Distance(NodeLoc(q), NodeLoc(2)); d != 4 { // d(q, n3) = 4
 		t.Fatalf("d(q,n3) = %v, want 4", d)
 	}
-	if d, _ := s.distance(5, 2); d != 3 { // d(p1, n3) = 3 < d(q, n3)
+	if d, _ := s.Distance(NodeLoc(5), NodeLoc(2)); d != 3 { // d(p1, n3) = 3 < d(q, n3)
 		t.Fatalf("d(p1,n3) = %v, want 3", d)
 	}
-	if d, _ := s.distance(q, 0); d != 5 { // d(q, n1) = 5
+	if d, _ := s.Distance(NodeLoc(q), NodeLoc(0)); d != 5 { // d(q, n1) = 5
 		t.Fatalf("d(q,n1) = %v, want 5", d)
 	}
 
@@ -145,10 +145,10 @@ func TestRangeNNSemantics(t *testing.T) {
 
 	// Paper example: range-NN(n4, 1, 7) is empty because the NN p1 of n4
 	// has distance exactly 7 (strict range).
-	if d, _ := s.distance(3, 5); d != 7 {
+	if d, _ := s.Distance(NodeLoc(3), NodeLoc(5)); d != 7 {
 		t.Fatalf("d(n4,p1) = %v, want 7", d)
 	}
-	out, err := s.rangeNN(&st, ps, 3, 1, 7, nil)
+	out, err := s.rangeNN(&st, PointSet{Node: ps}, NodeLoc(3), 1, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRangeNNSemantics(t *testing.T) {
 		t.Fatalf("range-NN(n4,1,7) = %v, want empty (strict range)", out)
 	}
 	// Slightly larger range finds p1 at 7.
-	out, err = s.rangeNN(&st, ps, 3, 1, 7.5, out)
+	out, err = s.rangeNN(&st, PointSet{Node: ps}, NodeLoc(3), 1, 7.5, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRangeNNSemantics(t *testing.T) {
 		t.Fatalf("range-NN(n4,1,7.5) = %v, want [p1@7]", out)
 	}
 	// k=3 within a huge range returns all three points sorted by distance.
-	out, err = s.rangeNN(&st, ps, 3, 3, 100, out)
+	out, err = s.rangeNN(&st, PointSet{Node: ps}, NodeLoc(3), 3, 100, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRangeNNSemantics(t *testing.T) {
 		}
 	}
 	// Zero or negative range is empty.
-	if out, _ = s.rangeNN(&st, ps, 3, 1, 0, out); len(out) != 0 {
+	if out, _ = s.rangeNN(&st, PointSet{Node: ps}, NodeLoc(3), 1, 0, out); len(out) != 0 {
 		t.Fatal("range-NN with e=0 returned points")
 	}
 }
@@ -188,7 +188,7 @@ func TestVerifySemantics(t *testing.T) {
 	var st Stats
 
 	// p1 (on n6) has q as its NN: verify(p1, 1, q) succeeds.
-	ok, err := s.verify(&st, ps, 0, 5, singleTarget(q), 1, math.Inf(1), nil)
+	ok, err := s.verify(&st, PointSet{Node: ps}, 0, NodeLoc(5), locTarget(NodeLoc(q)), 1, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +197,14 @@ func TestVerifySemantics(t *testing.T) {
 	}
 	// p3 (on n7) is closer to p1 than to q: verify fails for k=1 but
 	// succeeds for k=2.
-	ok, err = s.verify(&st, ps, 2, 6, singleTarget(q), 1, math.Inf(1), nil)
+	ok, err = s.verify(&st, PointSet{Node: ps}, 2, NodeLoc(6), locTarget(NodeLoc(q)), 1, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("verify(p3,1,q) = true, want false")
 	}
-	ok, err = s.verify(&st, ps, 2, 6, singleTarget(q), 2, math.Inf(1), nil)
+	ok, err = s.verify(&st, PointSet{Node: ps}, 2, NodeLoc(6), locTarget(NodeLoc(q)), 2, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestVerifyTieIsInclusive(t *testing.T) {
 	_ = pPrime
 	s := NewSearcher(g)
 	var st Stats
-	ok, err := s.verify(&st, ps, p, 1, singleTarget(2), 1, math.Inf(1), nil)
+	ok, err := s.verify(&st, PointSet{Node: ps}, p, NodeLoc(1), locTarget(NodeLoc(2)), 1, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,19 +5,57 @@ import (
 
 	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
+	"graphrnn/internal/points"
 	"graphrnn/internal/pq"
 )
 
+// The three kinds of entry the one walker heap carries. A node entry is
+// labelled Dijkstra-style through the scratch arrays; a point arrival is a
+// data point of an edge-resident set reached along its edge from a popped
+// endpoint (or directly, when it shares the source's edge); a target
+// arrival is the query location reached the same way. Arrivals are plain
+// entries: a point is pushed from both endpoints of its edge, so its first
+// pop carries the exact minimum distance (Fig 14's two bounds for d(q,p3))
+// and the consumer drops the later ones.
+const (
+	kindNode uint8 = iota
+	kindPoint
+	kindTarget
+)
+
+// Which set a point arrival belongs to (bichromatic walks surface both).
+const (
+	setCand uint8 = iota
+	setSite
+)
+
+// entry is one heap item. It packs to 8 bytes, so a pq slot stays the 24
+// bytes it is for a bare node id. (One uint64 with shifted fields measured
+// the same on expand_cold, so the plain struct stays.)
+type entry struct {
+	id   int32 // node id, or point id of an arrival
+	kind uint8
+	set  uint8
+}
+
+func (e entry) node() graph.NodeID    { return graph.NodeID(e.id) }
+func (e entry) point() points.PointID { return points.PointID(e.id) }
+
 // scratch holds the per-expansion state of one Dijkstra-style traversal:
 // tentative distances, seen/closed stamps (epoch-based so that no O(|V|)
-// clearing is needed between queries), a heap, and an adjacency buffer.
+// clearing is needed between queries), the heap, and the buffers an
+// expansion step reads into.
 type scratch struct {
 	dist   []float64
 	seen   []uint32
 	closed []uint32
 	epoch  uint32
-	heap   pq.Heap[graph.NodeID]
+	heap   pq.Heap[entry]
 	adj    []graph.Edge
+	refs   []points.EdgePointRef
+	// done holds the point arrivals a verification has already consumed;
+	// made on the first arrival, so node-resident sets never pay for it.
+	done map[points.PointID]struct{}
 }
 
 func newScratch(n int) *scratch {
@@ -39,6 +77,7 @@ func (sc *scratch) begin() {
 		sc.epoch = 1
 	}
 	sc.heap.Reset()
+	clear(sc.done)
 }
 
 func (sc *scratch) isSeen(n graph.NodeID) bool   { return sc.seen[n] == sc.epoch }
@@ -46,10 +85,10 @@ func (sc *scratch) isClosed(n graph.NodeID) bool { return sc.closed[n] == sc.epo
 
 func (sc *scratch) close(n graph.NodeID) { sc.closed[n] = sc.epoch }
 
-// push offers node n at distance d, applying the lazy-deletion Dijkstra
+// pushNode offers node n at distance d, applying the lazy-deletion Dijkstra
 // discipline: duplicates with worse labels are suppressed. It returns the
 // heap handle when an entry was pushed, the zero Handle otherwise.
-func (sc *scratch) push(n graph.NodeID, d float64) pq.Handle {
+func (sc *scratch) pushNode(n graph.NodeID, d float64) pq.Handle {
 	if sc.isClosed(n) {
 		return 0
 	}
@@ -58,23 +97,47 @@ func (sc *scratch) push(n graph.NodeID, d float64) pq.Handle {
 	}
 	sc.seen[n] = sc.epoch
 	sc.dist[n] = d
-	return sc.heap.Push(n, d)
+	return sc.heap.Push(entry{id: int32(n)}, d)
 }
 
-// pop removes the next unclosed node in distance order, closes it, and
-// returns it. ok is false when the heap is exhausted.
-func (sc *scratch) pop() (n graph.NodeID, d float64, ok bool) {
-	//lint:ignore vetrnn/execpoll in-memory drain of stale heap entries; callers poll per popped node
+func (sc *scratch) pushPoint(set uint8, p points.PointID, d float64) {
+	sc.heap.Push(entry{id: int32(p), kind: kindPoint, set: set}, d)
+}
+
+func (sc *scratch) pushTarget(d float64) {
+	sc.heap.Push(entry{kind: kindTarget}, d)
+}
+
+// firstArrival records point arrival p and reports whether it is the
+// first one this expansion sees.
+func (sc *scratch) firstArrival(p points.PointID) bool {
+	if _, dup := sc.done[p]; dup {
+		return false
+	}
+	if sc.done == nil {
+		sc.done = make(map[points.PointID]struct{})
+	}
+	sc.done[p] = struct{}{}
+	return true
+}
+
+// pop removes the next entry in distance order; a node entry is closed on
+// the way out and stale ones (nodes already closed) are skipped. ok is
+// false when the heap is exhausted.
+func (sc *scratch) pop() (e entry, d float64, ok bool) {
+	//lint:ignore vetrnn/execpoll in-memory drain of stale heap entries; callers poll per popped entry
 	for {
-		n, d, ok = sc.heap.Pop()
+		e, d, ok = sc.heap.Pop()
 		if !ok {
-			return 0, 0, false
+			return entry{}, 0, false
 		}
-		if sc.isClosed(n) {
-			continue
+		if e.kind == kindNode {
+			if sc.isClosed(e.node()) {
+				continue
+			}
+			sc.close(e.node())
 		}
-		sc.close(n)
-		return n, d, true
+		return e, d, true
 	}
 }
 
@@ -85,7 +148,7 @@ type searchPools struct {
 	counts  sync.Pool // *lazyCounts
 }
 
-// Searcher executes restricted-network RkNN queries against a graph. It
+// Searcher executes RkNN queries against a graph. It
 // owns a pool of scratch expansions (a main traversal plus the sub-queries
 // it spawns) so that repeated queries rarely allocate. A Searcher is safe
 // for concurrent use: every query draws its traversal state (scratch
@@ -145,11 +208,19 @@ func (s *Searcher) checkExecStride(st *Stats) error {
 	return s.ec.Check(st.NodesExpanded + st.NodesScanned)
 }
 
+// acquire returns a scratch begun for a fresh expansion.
 func (s *Searcher) acquire() *scratch {
-	return s.pools.scratch.Get().(*scratch)
+	sc := s.pools.scratch.Get().(*scratch)
+	sc.begin()
+	return sc
 }
 
-func (s *Searcher) release(sc *scratch) {
+// release adds the heap traffic of sc to st and returns it to the pool.
+func (s *Searcher) release(st *Stats, sc *scratch) {
+	st.HeapPushes += int64(sc.heap.PushCount)
+	st.HeapPops += int64(sc.heap.PopCount)
+	sc.heap.PushCount = 0
+	sc.heap.PopCount = 0
 	s.pools.scratch.Put(sc)
 }
 
@@ -162,11 +233,4 @@ func (s *Searcher) acquireCounts() *lazyCounts {
 
 func (s *Searcher) releaseCounts(c *lazyCounts) {
 	s.pools.counts.Put(c)
-}
-
-func (s *Searcher) harvest(st *Stats, sc *scratch) {
-	st.HeapPushes += int64(sc.heap.PushCount)
-	st.HeapPops += int64(sc.heap.PopCount)
-	sc.heap.PushCount = 0
-	sc.heap.PopCount = 0
 }

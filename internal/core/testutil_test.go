@@ -88,29 +88,54 @@ func describe(r *Result) string {
 	return fmt.Sprintf("%v", r.Points)
 }
 
+// run executes r. An oracle run additionally asserts that VerifyMember —
+// the per-candidate entry a shard coordinator uses — agrees with it on
+// every candidate, so every oracle test covers both entries in whichever
+// residency it runs.
+func run(s *Searcher, r Request, mat *Materialized) (*Result, error) {
+	res, err := s.Run(r, mat)
+	if err != nil || r.Algo != AlgoBrute {
+		return res, err
+	}
+	member := make(map[points.PointID]bool, len(res.Points))
+	for _, p := range res.Points {
+		member[p] = true
+	}
+	for _, p := range r.Points.ids() {
+		got, _, err := s.VerifyMember(r, p)
+		if err != nil {
+			return nil, err
+		}
+		if got != member[p] {
+			return nil, fmt.Errorf("VerifyMember(%d) = %v, the oracle's answer %v says %v", p, got, res.Points, member[p])
+		}
+	}
+	return res, nil
+}
+
 // Shorthands building the Request of one query shape (mat is read by
 // AlgoEagerM only).
 
 func runRNN(s *Searcher, a Algo, ps points.NodeView, mat *Materialized, q graph.NodeID, k int) (*Result, error) {
-	return s.Run(Request{Kind: KindRNN, Algo: a, K: k, Points: ps, Target: NodeLoc(q)}, mat)
+	return run(s, Request{Kind: KindRNN, Algo: a, K: k, Points: PointSet{Node: ps}, Target: NodeLoc(q)}, mat)
 }
 
 func runRoute(s *Searcher, a Algo, ps points.NodeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
-	return s.Run(Request{Kind: KindContinuous, Algo: a, K: k, Points: ps, Route: route}, mat)
+	return run(s, Request{Kind: KindContinuous, Algo: a, K: k, Points: PointSet{Node: ps}, Route: route}, mat)
 }
 
 func runBi(s *Searcher, a Algo, cands, sites points.NodeView, mat *Materialized, q graph.NodeID, k int) (*Result, error) {
-	return s.Run(Request{Kind: KindBichromatic, Algo: a, K: k, Points: cands, Sites: sites, Target: NodeLoc(q)}, mat)
+	return run(s, Request{Kind: KindBichromatic, Algo: a, K: k, Points: PointSet{Node: cands}, Sites: PointSet{Node: sites}, Target: NodeLoc(q)}, mat)
 }
 
 func runURNN(s *Searcher, a Algo, ps points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
-	return s.Run(Request{Kind: KindRNN, Algo: a, K: k, EdgePoints: ps, Target: q}, mat)
+	return run(s, Request{Kind: KindRNN, Algo: a, K: k, Points: PointSet{Edge: ps}, Target: q}, mat)
 }
 
 func runURoute(s *Searcher, a Algo, ps points.EdgeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
-	return s.Run(Request{Kind: KindContinuous, Algo: a, K: k, EdgePoints: ps, Route: route}, mat)
+	return run(s, Request{Kind: KindContinuous, Algo: a, K: k, Points: PointSet{Edge: ps}, Route: route}, mat)
 }
 
 func runUBi(s *Searcher, a Algo, cands, sites points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
-	return s.Run(Request{Kind: KindBichromatic, Algo: a, K: k, EdgePoints: cands, EdgeSites: sites, Target: q}, mat)
+	return run(s, Request{Kind: KindBichromatic, Algo: a, K: k, Points: PointSet{Edge: cands}, Sites: PointSet{Edge: sites}, Target: q}, mat)
 }

@@ -67,7 +67,7 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSearcher(g)
-	d, err := s.ULocDistance(NodeLoc(0), Loc{U: 1, V: 2, Pos: 4})
+	d, err := s.Distance(NodeLoc(0), Loc{U: 1, V: 2, Pos: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 		t.Fatalf("d(q,p) = %v, want 9 (min of 11 and 9)", d)
 	}
 	// Same-edge direct distance vs the long way around.
-	d, err = s.ULocDistance(Loc{U: 1, V: 2, Pos: 1}, Loc{U: 1, V: 2, Pos: 9})
+	d, err = s.Distance(Loc{U: 1, V: 2, Pos: 1}, Loc{U: 1, V: 2, Pos: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 	b2.AddEdge(1, 2, 1)
 	g2, _ := b2.Build()
 	s2 := NewSearcher(g2)
-	d, err = s2.ULocDistance(Loc{U: 0, V: 1, Pos: 1}, Loc{U: 0, V: 1, Pos: 99})
+	d, err = s2.Distance(Loc{U: 0, V: 1, Pos: 1}, Loc{U: 0, V: 1, Pos: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,10 @@ func TestUnrestrictedDensePoints(t *testing.T) {
 	}
 }
 
-// TestUnrestrictedFarFromEndpoints reproduces the discovery hazard
-// documented in DESIGN.md: a member deep inside a long edge whose endpoints
-// are crowded by other points must still be found.
+// TestUnrestrictedFarFromEndpoints reproduces the discovery hazard the
+// walker's point-arrival scheme exists for (see loc.go): a member deep
+// inside a long edge whose endpoints are crowded by other points must still
+// be found.
 func TestUnrestrictedFarFromEndpoints(t *testing.T) {
 	// q at node 3 -- a(0) ===long edge=== b(1), appendage at b with a point
 	// x that crowds b's range-NN; p sits mid-edge and is still a RNN.
@@ -406,7 +407,7 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 			var want []MatEntry
 			for _, p := range ps.Points() {
 				loc, _ := ps.Loc(p)
-				d, err := s.ULocDistance(NodeLoc(node), PointLoc(loc))
+				d, err := s.Distance(NodeLoc(node), PointLoc(loc))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -432,11 +433,4 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 			}
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -85,7 +85,7 @@ func (e *env) budgetedRow(queries []points.PointID, k int, a Algo, budget int64)
 		s := e.searcher.Bound(ec)
 		ioBefore := e.io()
 		t0 := time.Now()
-		res, err := e.expand(s, a, core.Request{K: k, Points: view, Target: core.NodeLoc(qnode)})
+		res, err := e.expand(s, a, core.Request{K: k, Points: core.PointSet{Node: view}, Target: core.NodeLoc(qnode)})
 		if err != nil && !exec.IsExecErr(err) {
 			return Measure{}, err
 		}

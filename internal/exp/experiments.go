@@ -76,7 +76,7 @@ func (e *env) expand(s *core.Searcher, a Algo, req core.Request) (*core.Result, 
 // substrate needs it explicitly, the expansion algorithms read the view.
 func (e *env) restrictedQuery(a Algo, view points.NodeView, qnode graph.NodeID, k int, hidden points.PointID) (*core.Result, error) {
 	if a != AlgoHub {
-		return e.expand(e.searcher, a, core.Request{K: k, Points: view, Target: core.NodeLoc(qnode)})
+		return e.expand(e.searcher, a, core.Request{K: k, Points: core.PointSet{Node: view}, Target: core.NodeLoc(qnode)})
 	}
 	if e.hubIdx == nil {
 		return nil, fmt.Errorf("exp: hub-label index not built for this environment")
@@ -90,7 +90,7 @@ func (e *env) restrictedQuery(a Algo, view points.NodeView, qnode graph.NodeID, 
 
 // unrestrictedQuery dispatches one unrestricted monochromatic query.
 func (e *env) unrestrictedQuery(a Algo, view points.EdgeView, q core.Loc, k int) (*core.Result, error) {
-	return e.expand(e.searcher, a, core.Request{K: k, EdgePoints: view, Target: q})
+	return e.expand(e.searcher, a, core.Request{K: k, Points: core.PointSet{Edge: view}, Target: q})
 }
 
 // restrictedRow measures all algos over one restricted workload.
@@ -403,7 +403,7 @@ func Fig19(s Scale) (*Table, error) {
 		for ai, a := range AllAlgos {
 			m, err := e.runWorkload(len(routes), func(i int) (*core.Result, error) {
 				return e.expand(e.searcher, a, core.Request{
-					Kind: core.KindContinuous, K: 1, EdgePoints: e.pagedEP, Route: routes[i],
+					Kind: core.KindContinuous, K: 1, Points: core.PointSet{Edge: e.pagedEP}, Route: routes[i],
 				})
 			})
 			if err != nil {

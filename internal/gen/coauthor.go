@@ -3,8 +3,9 @@
 // graph, BRITE router topologies, the San Francisco road map, and the grid
 // maps of HiTi) are not redistributable in this offline reproduction, so
 // each generator rebuilds the structural properties the RNN algorithms are
-// sensitive to; DESIGN.md §3 records the substitution argument for each.
-// All generators are deterministic for a fixed seed.
+// sensitive to; the comment on each generator's config records which, and
+// why that property is the one that matters. All generators are
+// deterministic for a fixed seed.
 package gen
 
 import (

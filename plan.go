@@ -3,6 +3,7 @@ package graphrnn
 import (
 	"fmt"
 
+	"graphrnn/internal/core"
 	"graphrnn/internal/points"
 )
 
@@ -96,14 +97,20 @@ func (db *DB) AttachedMaterialization() *Materialization { return db.planMat.Loa
 type planned struct {
 	plan  Plan
 	k     int
-	qnode NodeID // node-target kinds over node-resident sets
 	loc   Location
 	route []NodeID
-	// Exactly one residency pair is populated.
-	node   NodePointsView
-	nsites NodePointsView
-	edge   EdgePointsView
-	esites EdgePointsView
+	// The data set and, for bichromatic kinds, the competitors; both in
+	// the residency plan.Edge names.
+	points, sites core.PointSet
+}
+
+// tracked returns the set a substrate must have been built over: the data
+// set, or the competitors of a bichromatic query.
+func (pl *planned) tracked() core.PointSet {
+	if pl.plan.Kind == KindBichromatic {
+		return pl.sites
+	}
+	return pl.points
 }
 
 func planErr(format string, args ...any) (planned, error) {
@@ -138,10 +145,10 @@ func (db *DB) plan(q Query) (planned, error) {
 
 	switch ps := q.Points.(type) {
 	case pointsArg:
-		pl.node = ps.nodeView()
+		pl.points.Node = ps.nodeView().v
 	case edgeArg:
 		pl.plan.Edge = true
-		pl.edge = ps.edgeView()
+		pl.points.Edge = ps.edgeView().v
 	default:
 		return planErr("unsupported point set type %T", q.Points)
 	}
@@ -151,12 +158,12 @@ func (db *DB) plan(q Query) (planned, error) {
 			if pl.plan.Edge {
 				return planErr("candidates are edge-resident but sites are node-resident; both sets must share one residency")
 			}
-			pl.nsites = ss.nodeView()
+			pl.sites.Node = ss.nodeView().v
 		case edgeArg:
 			if !pl.plan.Edge {
 				return planErr("candidates are node-resident but sites are edge-resident; both sets must share one residency")
 			}
-			pl.esites = ss.edgeView()
+			pl.sites.Edge = ss.edgeView().v
 		default:
 			return planErr("unsupported site set type %T", q.Sites)
 		}
@@ -165,15 +172,11 @@ func (db *DB) plan(q Query) (planned, error) {
 	// Targets: node-resident sets take node targets; edge-resident sets
 	// take any Location. Continuous queries ignore Target.
 	if q.Kind != KindContinuous {
-		if pl.plan.Edge {
-			pl.loc = q.Target
-		} else {
-			if q.Target.U != q.Target.V || q.Target.Pos != 0 {
-				return planErr("node-resident point sets take node targets (NodeLocation); got edge location (%d,%d)@%v",
-					q.Target.U, q.Target.V, q.Target.Pos)
-			}
-			pl.qnode = q.Target.U
+		if !pl.plan.Edge && (q.Target.U != q.Target.V || q.Target.Pos != 0) {
+			return planErr("node-resident point sets take node targets (NodeLocation); got edge location (%d,%d)@%v",
+				q.Target.U, q.Target.V, q.Target.Pos)
 		}
+		pl.loc = q.Target
 	}
 
 	if err := db.resolveAlgorithm(q, &pl); err != nil {
@@ -268,11 +271,7 @@ func (db *DB) incompatible(algo Algorithm, pl *planned) string {
 		if pl.plan.Kind != KindBichromatic && pl.k > h.MaxK() {
 			return fmt.Sprintf("k=%d exceeds the index's materialized thresholds (maxK %d)", pl.k, h.MaxK())
 		}
-		tracked := pl.node
-		if pl.plan.Kind == KindBichromatic {
-			tracked = pl.nsites
-		}
-		if h.node == nil || baseNodeView(tracked.v) != points.NodeView(h.node.s) {
+		if h.node == nil || baseNodeView(pl.tracked().Node) != points.NodeView(h.node.s) {
 			return "the index tracks a different point set"
 		}
 	case algoEagerM:
@@ -284,21 +283,11 @@ func (db *DB) incompatible(algo Algorithm, pl *planned) string {
 			return fmt.Sprintf("k=%d exceeds the materialized lists (maxK %d)", pl.k, m.MaxK())
 		}
 		if pl.plan.Edge {
-			tracked := pl.edge
-			if pl.plan.Kind == KindBichromatic {
-				tracked = pl.esites
-			}
-			if m.edge == nil || baseEdgeView(tracked.v) != points.EdgeView(m.edge.s) {
+			if m.edge == nil || baseEdgeView(pl.tracked().Edge) != points.EdgeView(m.edge.s) {
 				return "the materialization tracks a different point set"
 			}
-		} else {
-			tracked := pl.node
-			if pl.plan.Kind == KindBichromatic {
-				tracked = pl.nsites
-			}
-			if m.node == nil || baseNodeView(tracked.v) != points.NodeView(m.node.s) {
-				return "the materialization tracks a different point set"
-			}
+		} else if m.node == nil || baseNodeView(pl.tracked().Node) != points.NodeView(m.node.s) {
+			return "the materialization tracks a different point set"
 		}
 	}
 	return ""

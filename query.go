@@ -5,7 +5,6 @@ import (
 
 	"graphrnn/internal/core"
 	"graphrnn/internal/exec"
-	"graphrnn/internal/graph"
 )
 
 // Algorithm selects a query processing strategy. The zero Algorithm (or
@@ -185,7 +184,8 @@ func (db *DB) runPlanned(ec *exec.Ctx, pl *planned) (*Result, error) {
 	}
 	req := core.Request{
 		Kind: core.Kind(pl.plan.Kind), Algo: algo.kind.core(), K: pl.k,
-		Route: toNodeIDs(pl.route),
+		Points: pl.points, Sites: pl.sites,
+		Target: pl.loc.toLoc(), Route: toNodeIDs(pl.route),
 	}
 	var mat *core.Materialized
 	if algo.kind == algoEagerM {
@@ -193,17 +193,6 @@ func (db *DB) runPlanned(ec *exec.Ctx, pl *planned) (*Result, error) {
 			return nil, fmt.Errorf("graphrnn: EagerM requires a Materialization (use db.MaterializeNodePoints / MaterializeEdgePoints)")
 		}
 		mat = algo.mat.m
-	}
-	if pl.plan.Edge {
-		req.EdgePoints, req.Target = pl.edge.v, pl.loc.toLoc()
-		if pl.plan.Kind == KindBichromatic {
-			req.EdgeSites = pl.esites.v
-		}
-	} else {
-		req.Points, req.Target = pl.node.v, core.NodeLoc(graph.NodeID(pl.qnode))
-		if pl.plan.Kind == KindBichromatic {
-			req.Sites = pl.nsites.v
-		}
 	}
 	return wrapResult(db.searcher.Bound(ec).Run(req, mat))
 }
@@ -228,14 +217,7 @@ func (k algoKind) core() core.Algo {
 // runKNN executes the forward search; on a typed execution error the
 // neighbors found so far ride along with it, like every other kind.
 func (db *DB) runKNN(ec *exec.Ctx, pl *planned) (*Result, error) {
-	s := db.searcher.Bound(ec)
-	var out []core.PointDist
-	var err error
-	if pl.plan.Edge {
-		out, err = s.UKNN(pl.edge.v, pl.loc.toLoc(), pl.k)
-	} else {
-		out, err = s.KNN(pl.node.v, graph.NodeID(pl.qnode), pl.k)
-	}
+	out, err := db.searcher.Bound(ec).KNN(pl.points, pl.loc.toLoc(), pl.k)
 	if err != nil && !exec.IsExecErr(err) {
 		return nil, err
 	}

@@ -594,11 +594,11 @@ func mergeCandidates(lists [][]PointID) []PointID {
 func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Result, error) {
 	bs := s.db.searcher.Bound(ec)
 	req := core.Request{
-		Kind: core.Kind(q.Kind), K: q.K, Points: s.ps.s,
+		Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.s},
 		Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
 	}
 	if q.Kind == KindBichromatic {
-		req.Sites = s.sites.s
+		req.Sites.Node = s.sites.s
 	}
 	// Points is non-nil even when empty, matching wrapResult's shape on
 	// the unsharded surface.
