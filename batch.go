@@ -127,7 +127,7 @@ func runBatch(ctx context.Context, queries []Query, opt *BatchOptions, run func(
 			rep.Succeeded++
 		}
 		if r.Result != nil {
-			rep.Work.add(r.Result.Stats)
+			rep.Work.Add(r.Result.Stats)
 		}
 	}
 	return rep

@@ -620,11 +620,11 @@ func BenchmarkCIMaintenance(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, n := range free {
-					p, _, err := mat.InsertNode(n)
+					p, err := ps.Place(n)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := mat.DeletePoint(p); err != nil {
+					if err := ps.Delete(p); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -652,11 +652,11 @@ func BenchmarkMaterializeUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := free[i%len(free)]
-		p, _, err := e.mat.InsertNode(n)
+		p, err := e.ps.Place(n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.mat.DeletePoint(p); err != nil {
+		if err := e.ps.Delete(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,12 +69,14 @@
 //	                  partially applied, so the endpoints are safe under
 //	                  per-request deadlines. Maintenance takes the write
 //	                  half of a server RW-lock; queries take the read half.
-//	                  A successful mutation repairs the attached hub-label
-//	                  index in place (point-level insert/delete on its
-//	                  reverse lists); only if that repair fails is the
-//	                  index dropped, and then it is rebuilt outside the
-//	                  write lock and republished under the read half, so
-//	                  queries are never blocked behind a rebuild.
+//	                  Both endpoints are the point set's one maintenance
+//	                  path (Insert / Remove): it repairs the K-NN lists in
+//	                  their journal and then the hub-label index in place
+//	                  (point-level insert/delete on its reverse lists);
+//	                  only if that repair fails does the library detach the
+//	                  index, and then it is rebuilt outside the write lock
+//	                  and republished under the read half, so queries are
+//	                  never blocked behind a rebuild.
 //	POST /index/hublabel   {"maxk":K}   build/replace the hub-label index
 //	GET  /healthz
 //	GET  /stats            shared buffer pool (per-tenant) + planner decisions
@@ -211,32 +213,6 @@ func (s *server) failQuery(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusBadRequest, err)
 }
 
-type statsJSON struct {
-	NodesExpanded int64 `json:"nodes_expanded"`
-	NodesScanned  int64 `json:"nodes_scanned"`
-	RangeNN       int64 `json:"range_nn"`
-	Verifications int64 `json:"verifications"`
-	MatReads      int64 `json:"mat_reads"`
-	LabelReads    int64 `json:"label_reads"`
-	LabelEntries  int64 `json:"label_entries"`
-	HeapPushes    int64 `json:"heap_pushes"`
-	HeapPops      int64 `json:"heap_pops"`
-}
-
-func toStatsJSON(s graphrnn.Stats) statsJSON {
-	return statsJSON{
-		NodesExpanded: s.NodesExpanded,
-		NodesScanned:  s.NodesScanned,
-		RangeNN:       s.RangeNN,
-		Verifications: s.Verifications,
-		MatReads:      s.MatReads,
-		LabelReads:    s.LabelReads,
-		LabelEntries:  s.LabelEntries,
-		HeapPushes:    s.HeapPushes,
-		HeapPops:      s.HeapPops,
-	}
-}
-
 type errResponse struct {
 	Error string `json:"error"`
 }
@@ -308,19 +284,7 @@ func (s *server) handleHubBuild(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("maxk must be >= 1, got %d", req.MaxK))
 		return
 	}
-	s.hubBuild.Lock()
-	defer s.hubBuild.Unlock()
-	// The build reads the point set; hold the query (read) lock so
-	// maintenance cannot mutate it mid-build. The new index is published
-	// under the same lock hold: a maintenance op can only interleave
-	// after the Store, and then its hub repair/retire path treats this
-	// index like any other attached one.
-	s.mu.RLock()
-	idx, err := s.db.BuildHubLabelIndex(s.ps, req.MaxK, s.hubOptions())
-	if err == nil {
-		s.hub.Store(idx)
-	}
-	s.mu.RUnlock()
+	idx, err := s.buildHub(req.MaxK)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
@@ -344,24 +308,32 @@ func (s *server) hubOptions() *graphrnn.HubLabelOptions {
 	return &graphrnn.HubLabelOptions{Build: s.buildOpts}
 }
 
-// rebuildHub rebuilds the hub-label index after a failed in-place repair:
-// outside the maintenance write lock, published under the read half (the
-// pattern the journaled materialization maintenance established), so
-// queries keep flowing on the remaining substrates while the labeling
-// reconstructs. Returns whether the rebuild succeeded.
-func (s *server) rebuildHub(maxK int) bool {
+// buildHub builds a hub-label index over the data set and publishes it,
+// one build at a time. The build reads the point set, so it holds the query
+// (read) lock — maintenance cannot mutate the set mid-build and queries
+// keep flowing on the remaining substrates — and the new index is published
+// under the same hold. The index it replaces is then retired under the
+// write lock, when no query can still be reading its label pages: Close
+// hands its pool tenant (and the capacity it contributed) back.
+func (s *server) buildHub(maxK int) (*graphrnn.HubLabelIndex, error) {
 	s.hubBuild.Lock()
 	defer s.hubBuild.Unlock()
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	idx, err := s.db.BuildHubLabelIndex(s.ps, maxK, s.hubOptions())
-	if err != nil {
-		log.Printf("rnnserver: hub-label rebuild after failed repair: %v", err)
-		return false
+	var old *graphrnn.HubLabelIndex
+	if err == nil {
+		old = s.hub.Swap(idx)
 	}
-	s.hub.Store(idx)
-	s.hubRebuilds.Add(1)
-	return true
+	s.mu.RUnlock()
+	if old != nil {
+		s.mu.Lock()
+		cerr := old.Close()
+		s.mu.Unlock()
+		if cerr != nil {
+			log.Printf("rnnserver: retiring the replaced hub-label index: %v", cerr)
+		}
+	}
+	return idx, err
 }
 
 type matInsertRequest struct {
@@ -377,7 +349,7 @@ type matResponse struct {
 	Point       graphrnn.PointID `json:"point"`
 	Points      int              `json:"points"`
 	RepairState string           `json:"repair_state"`
-	Stats       statsJSON        `json:"stats"`
+	Stats       graphrnn.Stats   `json:"stats"`
 	// HubLabelRepaired reports that the attached hub-label index was
 	// repaired in place (point-level insert/delete on its reverse lists)
 	// — the common path; the index keeps serving without a rebuild.
@@ -390,24 +362,22 @@ type matResponse struct {
 	HubLabelDropped bool `json:"hub_label_dropped,omitempty"`
 }
 
-// maintenance frames one materialization maintenance request: it decodes
-// the body into req, takes the write lock (maintenance is exclusive
-// against queries), runs op under the request's deadline, and answers with
-// the repair state. An operation abandoned by cancellation or deadline is
-// rolled back by the journal before the error surfaces, so a 504 here
-// means "not applied", never "partially applied" — which is what makes
-// this endpoint safe to expose at all.
+// maintenance frames one maintenance request: it decodes the body into
+// req (a *matInsertRequest or a *matDeleteRequest), takes the write lock
+// (maintenance is exclusive against queries), and runs the point set's one
+// maintenance path under the request's deadline — Insert or Remove, by the
+// request's type — answering with the repair state. An operation
+// abandoned by cancellation or deadline is rolled back by the journal
+// before the error surfaces, so a 504 here means "not applied", never
+// "partially applied" — which is what makes this endpoint safe to expose at
+// all.
 //
-// The hub-label index maintains its own reverse lists over the same point
-// set, so a successful mutation leaves it stale. The common path repairs
-// the attached index in place (a point-level insert/delete on its lists)
-// while still under the write lock. If the repair fails the index is
-// dropped — queries fall back to eager-M / expansion, never serve stale
-// answers — and a full rebuild runs *outside* the write lock, published
-// under the read lock once ready (the PR 5 pattern for /index/hublabel).
-func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any,
-	op func(opt *graphrnn.QueryOptions) (graphrnn.PointID, graphrnn.Stats, error),
-	repair func(idx *graphrnn.HubLabelIndex, p graphrnn.PointID) error) {
+// The set repairs the hub-label index in place behind the lists. If that
+// repair fails the library has already detached the index — queries fall
+// back to eager-M / expansion, never serve stale answers — and a full
+// rebuild runs *outside* the write lock, published under the read lock once
+// ready (the PR 5 pattern for /index/hublabel).
+func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
@@ -430,81 +400,68 @@ func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any,
 		return
 	}
 	s.mu.Lock()
-	p, st, opErr := op(opt)
-	var repaired, dropped bool
+	var resp matResponse
+	var opErr error
+	counter := &s.matInserts
+	switch req := req.(type) {
+	case *matInsertRequest:
+		resp.Point, resp.Stats, opErr = s.ps.Insert(r.Context(), graphrnn.NodeLocation(graphrnn.NodeID(req.Node)), opt)
+	case *matDeleteRequest:
+		counter = &s.matDeletes
+		resp.Point = graphrnn.PointID(req.Point)
+		resp.Stats, opErr = s.ps.Remove(r.Context(), resp.Point, opt)
+	}
+	idx := s.hub.Load()
 	rebuildK := 0
-	if opErr == nil {
-		if idx := s.hub.Load(); idx != nil {
-			if rerr := repair(idx, p); rerr == nil {
-				repaired = true
-				s.hubRepairs.Add(1)
-			} else {
-				// Repair could not bring the index in sync: drop it now
-				// (under the lock, so no query ever sees the stale lists)
-				// and rebuild after we release the write lock.
-				log.Printf("rnnserver: hub-label repair failed, rebuilding: %v", rerr)
-				rebuildK = idx.MaxK()
-				s.hub.CompareAndSwap(idx, nil)
-				s.db.AttachHubLabel(nil)
-				dropped = true
-				s.hubRepairFails.Add(1)
-			}
+	if errors.Is(opErr, graphrnn.ErrSubstrateDetached) {
+		// The point is committed; the index that could not follow is
+		// detached. Retire it now (under the lock, so no query names it
+		// again) and rebuild after the write lock is released.
+		log.Printf("rnnserver: hub-label repair failed, rebuilding: %v", opErr)
+		rebuildK = idx.MaxK()
+		s.hub.CompareAndSwap(idx, nil)
+		if cerr := idx.Close(); cerr != nil {
+			log.Printf("rnnserver: retiring the detached hub-label index: %v", cerr)
 		}
+		s.hubRepairFails.Add(1)
+		opErr = nil
 	}
 	// Snapshot the response fields before releasing the write lock: a
 	// concurrent maintenance request must not race the reads.
-	count := s.ps.Len()
-	state := s.mat.RepairState().String()
+	resp.Points = s.ps.Len()
+	resp.RepairState = s.mat.RepairState().String()
 	s.mu.Unlock()
 	if opErr != nil {
 		s.failQuery(w, opErr)
 		return
 	}
-	rebuilt := false
-	if dropped {
-		rebuilt = s.rebuildHub(rebuildK)
+	counter.Add(1)
+	switch {
+	case rebuildK > 0:
+		if _, err := s.buildHub(rebuildK); err != nil {
+			log.Printf("rnnserver: hub-label rebuild after failed repair: %v", err)
+			resp.HubLabelDropped = true
+		} else {
+			s.hubRebuilds.Add(1)
+			resp.HubLabelRebuilt = true
+		}
+	case idx != nil:
+		s.hubRepairs.Add(1)
+		resp.HubLabelRepaired = true
 	}
-	writeJSON(w, http.StatusOK, matResponse{
-		Point:            p,
-		Points:           count,
-		RepairState:      state,
-		Stats:            toStatsJSON(st),
-		HubLabelRepaired: repaired,
-		HubLabelRebuilt:  rebuilt,
-		HubLabelDropped:  dropped && !rebuilt,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleMatInsert serves POST /mat/insert {"node":N}: place a new point on
 // node N and repair the materialized K-NN lists (Section 4.1 insertion).
 func (s *server) handleMatInsert(w http.ResponseWriter, r *http.Request) {
-	var req matInsertRequest
-	s.maintenance(w, r, &req, func(opt *graphrnn.QueryOptions) (graphrnn.PointID, graphrnn.Stats, error) {
-		p, st, err := s.mat.InsertNodeContext(r.Context(), graphrnn.NodeID(req.Node), opt)
-		if err == nil {
-			s.matInserts.Add(1)
-		}
-		return p, st, err
-	}, func(idx *graphrnn.HubLabelIndex, p graphrnn.PointID) error {
-		_, err := idx.RepairInsert(p, graphrnn.NodeID(req.Node))
-		return err
-	})
+	s.maintenance(w, r, &matInsertRequest{})
 }
 
 // handleMatDelete serves POST /mat/delete {"point":P}: remove point P and
 // repair the lists with the border-node algorithm (Fig 10).
 func (s *server) handleMatDelete(w http.ResponseWriter, r *http.Request) {
-	var req matDeleteRequest
-	s.maintenance(w, r, &req, func(opt *graphrnn.QueryOptions) (graphrnn.PointID, graphrnn.Stats, error) {
-		st, err := s.mat.DeletePointContext(r.Context(), graphrnn.PointID(req.Point), opt)
-		if err == nil {
-			s.matDeletes.Add(1)
-		}
-		return graphrnn.PointID(req.Point), st, err
-	}, func(idx *graphrnn.HubLabelIndex, p graphrnn.PointID) error {
-		_, err := idx.RepairDelete(p)
-		return err
-	})
+	s.maintenance(w, r, &matDeleteRequest{})
 }
 
 // handleHealthz is the liveness/readiness probe: by the time the listener

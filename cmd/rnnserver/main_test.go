@@ -493,3 +493,69 @@ func TestMaintenanceRepairEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryResponseWireBytes pins a /query response byte for byte against
+// the encoding the server produced before graphrnn.Stats carried the wire's
+// JSON tags itself (it was copied field by field into a server-side struct):
+// nine "stats" keys, their names and their order.
+func TestQueryResponseWireBytes(t *testing.T) {
+	s := newTestServer(t)
+	for body, want := range map[string]string{
+		`{"kind":"rnn","node":5,"k":2,"algo":"eager"}`:     `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":31,"nodes_scanned":726,"range_nn":31,"verifications":7,"mat_reads":0,"label_reads":0,"label_entries":0,"heap_pushes":950,"heap_pops":736},"plan":{"algorithm":"eager","fallback":false,"reason":"explicit algorithm"}}`,
+		`{"kind":"rnn","node":5,"k":2,"algo":"hub-label"}`: `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":0,"nodes_scanned":0,"range_nn":0,"verifications":0,"mat_reads":0,"label_reads":1,"label_entries":428,"heap_pushes":0,"heap_pops":0},"plan":{"algorithm":"hub-label","fallback":false,"reason":"explicit algorithm"}}`,
+		`{"kind":"rnn","node":5,"k":2,"algo":"eager-m"}`:   `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":31,"nodes_scanned":120,"range_nn":0,"verifications":5,"mat_reads":38,"label_reads":0,"label_entries":0,"heap_pushes":177,"heap_pops":122},"plan":{"algorithm":"eager-M","fallback":false,"reason":"explicit algorithm"}}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.handleQuery(rec, req)
+		if got := strings.TrimSpace(rec.Body.String()); got != want {
+			t.Errorf("%s answered\n%s\nwant\n%s", body, got, want)
+		}
+	}
+}
+
+// TestHubRebuildReleasesPoolTenant: replacing the served hub-label index —
+// POST /index/hublabel, three times, with paged (compressed) labels — must
+// retire the index it replaces. Each index holds a "hublabel" tenant of the
+// shared pool and 64 pages of elastic capacity; before the retirement each
+// rebuild left both behind.
+func TestHubRebuildReleasesPoolTenant(t *testing.T) {
+	s := newTestServer(t)
+	s.buildOpts = graphrnn.BuildOptions{Compression: true}
+	pool := func() (tenants int, capacity float64) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var out struct {
+			Pool struct {
+				Capacity float64          `json:"capacity"`
+				Tenants  []map[string]any `json:"tenants"`
+			} `json:"pool"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("/stats is not JSON (%v): %s", err, rec.Body.String())
+		}
+		return len(out.Pool.Tenants), out.Pool.Capacity
+	}
+	rebuild := func() {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.handleHubBuild(rec, httptest.NewRequest(http.MethodPost, "/index/hublabel", strings.NewReader(`{"maxk":4}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("rebuild answered %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	rebuild() // the first build replaces the unpaged test index: from here on every index is paged
+	tenants, capacity := pool()
+	for i := 0; i < 3; i++ {
+		rebuild()
+		if nt, nc := pool(); nt != tenants || nc != capacity {
+			t.Fatalf("rebuild %d: pool has %d tenants / capacity %v, want %d / %v", i+1, nt, nc, tenants, capacity)
+		}
+	}
+	// The retired indexes are gone, the served one answers.
+	rec, out := postQuery(t, s, "/query", `{"kind":"rnn","node":5,"k":2,"algo":"hub-label"}`)
+	if rec.Code != http.StatusOK || fmt.Sprint(out["points"]) != "[4 9 17 33 38]" {
+		t.Fatalf("query after rebuilds answered %d: %v", rec.Code, out)
+	}
+}

@@ -226,7 +226,7 @@ type queryResponse struct {
 	K         int                `json:"k"`
 	Points    []graphrnn.PointID `json:"points,omitempty"`
 	Neighbors []neighborJSON     `json:"neighbors,omitempty"`
-	Stats     statsJSON          `json:"stats"`
+	Stats     graphrnn.Stats     `json:"stats"`
 	Plan      planJSON           `json:"plan"`
 	Error     string             `json:"error,omitempty"`
 }
@@ -241,7 +241,7 @@ func (s *server) toQueryResponse(q graphrnn.Query, res *graphrnn.Result, err err
 	}
 	s.planner.record(res.Plan)
 	out.Plan = toPlanJSON(res.Plan)
-	out.Stats = toStatsJSON(res.Stats)
+	out.Stats = res.Stats
 	out.Points = res.Points
 	if out.Points == nil && q.Kind != graphrnn.KindKNN {
 		out.Points = []graphrnn.PointID{}

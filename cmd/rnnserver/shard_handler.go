@@ -54,7 +54,7 @@ type shardWireRequest struct {
 // contributes what it confirmed; protocol errors answer plain 400s.
 type shardWireResponse struct {
 	Candidates []graphrnn.PointID `json:"candidates"`
-	Stats      statsJSON          `json:"stats"`
+	Stats      graphrnn.Stats     `json:"stats"`
 	Error      string             `json:"error,omitempty"`
 	// ErrorKind names the typed execution error ("deadline", "canceled",
 	// "budget") so the coordinator can rebuild it across the process
@@ -200,20 +200,6 @@ func decodeWireError(resp *shardWireResponse) error {
 	}
 }
 
-func fromStatsJSON(s statsJSON) graphrnn.Stats {
-	return graphrnn.Stats{
-		NodesExpanded: s.NodesExpanded,
-		NodesScanned:  s.NodesScanned,
-		RangeNN:       s.RangeNN,
-		Verifications: s.Verifications,
-		MatReads:      s.MatReads,
-		LabelReads:    s.LabelReads,
-		LabelEntries:  s.LabelEntries,
-		HeapPushes:    s.HeapPushes,
-		HeapPops:      s.HeapPops,
-	}
-}
-
 // handleShardQuery serves POST /shard/query on a shard process: decode
 // the sub-query, execute it on this process's shard engines, and answer
 // the envelope. Executed sub-queries answer 200 even when cut short — the
@@ -261,7 +247,7 @@ func (s *server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		if sr.Candidates != nil {
 			resp.Candidates = sr.Candidates
 		}
-		resp.Stats = toStatsJSON(sr.Stats)
+		resp.Stats = sr.Stats
 	}
 	if runErr != nil {
 		if errors.Is(runErr, graphrnn.ErrDeadlineExceeded) {
@@ -328,7 +314,7 @@ func (h *httpShardRunner) RunShard(ctx context.Context, sh int, q graphrnn.Query
 	}
 	sr := &graphrnn.ShardResult{
 		Candidates: envelope.Candidates,
-		Stats:      fromStatsJSON(envelope.Stats),
+		Stats:      envelope.Stats,
 	}
 	return sr, decodeWireError(&envelope)
 }

@@ -4,12 +4,13 @@
 // A delivery platform tracks couriers on a road network and serves
 // RkNN("which couriers would a new job at node q be nearest for") through
 // the eager-M materialization. Couriers come and go constantly, so the
-// K-NN lists are maintained incrementally (Figs 10-11 of the paper) — and
-// because maintenance runs inside the serving process, every operation
-// carries a deadline. The repair journal makes that safe: an operation
-// that blows its deadline is rolled back to the pre-operation state
-// instead of leaving the lists half-repaired, so the next query (and the
-// next attempt) proceed as if it never started.
+// K-NN lists are maintained incrementally (Figs 10-11 of the paper): the
+// courier set is the unit of mutation, and its Insert / Remove repair every
+// substrate built over it. Because maintenance runs inside the serving
+// process, every operation carries a deadline. The repair journal makes
+// that safe: an operation that blows its deadline is rolled back to the
+// pre-operation state instead of leaving the lists half-repaired, so the
+// next query (and the next attempt) proceed as if it never started.
 //
 // Run with:
 //
@@ -49,7 +50,7 @@ func main() {
 
 	// A courier appears, under a generous deadline: commits.
 	free := freeNode(g, couriers)
-	p, st, err := mat.InsertNodeContext(context.Background(), free,
+	p, st, err := couriers.Insert(context.Background(), graphrnn.NodeLocation(free),
 		&graphrnn.QueryOptions{Timeout: time.Second})
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +62,7 @@ func main() {
 	// same mechanism a deadline uses — rolls back: the courier count and
 	// every list are exactly as before, and the substrate stays queryable.
 	before := couriers.Len()
-	_, _, err = mat.InsertNodeContext(context.Background(), freeNode(g, couriers),
+	_, _, err = couriers.Insert(context.Background(), graphrnn.NodeLocation(freeNode(g, couriers)),
 		&graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 1}})
 	switch {
 	case err == nil:
@@ -102,7 +103,7 @@ func main() {
 
 	// Committed maintenance on the reopened materialization updates the
 	// file in place; Recover reports nothing pending in a clean history.
-	if _, err := reopened.DeletePointContext(context.Background(), tracked.Points()[0],
+	if _, err := tracked.Remove(context.Background(), tracked.Points()[0],
 		&graphrnn.QueryOptions{Timeout: time.Second}); err != nil {
 		log.Fatal(err)
 	}

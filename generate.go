@@ -92,7 +92,7 @@ func (db *DB) PlaceRandomNodePoints(seed int64, count int) (*NodePoints, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &NodePoints{db: db, s: s}, nil
+	return newNodePoints(db, s), nil
 }
 
 // PlaceRandomEdgePoints distributes count points uniformly over random
@@ -103,7 +103,7 @@ func (db *DB) PlaceRandomEdgePoints(seed int64, count int) (*EdgePoints, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &EdgePoints{db: db, s: s}, nil
+	return newEdgePoints(db, s), nil
 }
 
 // RandomWalkRoute builds a route for continuous queries: a random walk of

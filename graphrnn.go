@@ -41,7 +41,6 @@ package graphrnn
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"graphrnn/internal/core"
 	"graphrnn/internal/graph"
@@ -180,9 +179,9 @@ type Options struct {
 // run from any number of goroutines, on
 // memory- and disk-backed DBs alike, and IOStats / ResetIOStats may be
 // called while queries are in flight. The exceptions are mutating
-// operations: building point sets (Place / Delete), materialization
-// maintenance (InsertNode, InsertEdge, DeletePoint), and DropCache require
-// that no query is running against the same state.
+// operations: mutating a point set (Insert / Remove, Place / Delete — which
+// repair every substrate built over the set) and DropCache require that no
+// query is running against the same state.
 type DB struct {
 	graph    *Graph
 	store    graph.Access
@@ -195,11 +194,6 @@ type DB struct {
 	// the former independent buffers. A pool passed through Options.Pool
 	// keeps its fixed capacity and quotas partition it.
 	pool *BufferPool
-	// planHub and planMat are the planner-visible attached substrates
-	// (see AttachHubLabel / AttachMaterialization); read atomically so
-	// attachment may change under live traffic.
-	planHub atomic.Pointer[HubLabelIndex]
-	planMat atomic.Pointer[Materialization]
 }
 
 // Layout chooses the order in which adjacency lists are packed into pages

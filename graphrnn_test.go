@@ -192,7 +192,7 @@ func TestPublicAPIMaintenance(t *testing.T) {
 			break
 		}
 	}
-	p, st, err := mat.InsertNode(free)
+	p, st, err := ps.Insert(context.Background(), graphrnn.NodeLocation(free), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPublicAPIMaintenance(t *testing.T) {
 		t.Fatalf("after insert: eagerM = %v, brute = %v", got.Points, want.Points)
 	}
 	// Delete it again.
-	if _, err := mat.DeletePoint(p); err != nil {
+	if _, err := ps.Remove(context.Background(), p, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = db.Run(context.Background(), rnnQuery(view, qnode, 2, graphrnn.EagerM(mat)))

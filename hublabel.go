@@ -20,23 +20,24 @@ import (
 // orders of magnitude faster than eager/lazy on large networks, at the
 // price of a one-off labeling build.
 //
-// The index tracks the point set it was built over: mutate it through
-// InsertNode / DeletePoint and the hub lists and K-NN thresholds are
-// repaired incrementally. The labeling itself is per graph; a changed graph
-// requires a rebuild (BuildHubLabelIndex again) — there is no incremental
-// edge maintenance, by design.
+// The index is registered with the point set it was built or opened over:
+// mutate the set through its Insert / Remove (or Place / Delete) and the
+// hub lists and K-NN thresholds are repaired incrementally, in memory,
+// after the set's materializations (ReHub's split: the labels stay static,
+// only the point-annotated hub lists change). An index whose repair fails
+// is detached from the set (ErrSubstrateDetached). The labeling itself is
+// per graph; a changed graph requires a rebuild (BuildHubLabelIndex again)
+// — there is no incremental edge maintenance, by design.
 //
 // The labeling can be persisted into a paged file (Options.Path /
 // SaveTo) and served back through its own LRU buffer, so the expensive
 // build survives process restarts and label reads count I/O like every
 // other substrate.
 type HubLabelIndex struct {
-	//lint:ignore vetrnn/tenantclose planner back-pointer (Close only detaches from it); the caller owns the DB
-	db       *DB
 	idx      *hublabel.Index
 	lab      *hublabel.Labeling // retained when built in this process
 	store    *hublabel.Store    // non-nil when labels are served paged
-	node     *NodePoints
+	node     *NodePoints        // the tracked set, nil once detached
 	compress bool
 	build    HubLabelBuildStats
 }
@@ -109,9 +110,10 @@ func (o *HubLabelOptions) defaults() (pageSize, buffer int, paged bool, path str
 // pruned Dijkstra per node, parallel across Build.Workers) and the reverse
 // index over ps, materializing K-NN thresholds for monochromatic queries up
 // to maxK. The labeling build reads the in-memory graph directly and
-// performs no counted I/O. The new index is attached to the planner (last
-// built wins; see AttachHubLabel), so auto-planned queries over ps start
-// using it immediately.
+// performs no counted I/O. The new index is registered with ps: mutations
+// of the set repair it, and auto-planned queries over ps — or bichromatic
+// ones whose sites are ps — start using it immediately (the set's most
+// recently built index wins; indexes over other sets are unaffected).
 func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions) (*HubLabelIndex, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("graphrnn: maxK must be >= 1, got %d", maxK)
@@ -121,7 +123,7 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 	if err != nil {
 		return nil, err
 	}
-	h := &HubLabelIndex{db: db, lab: lab, node: ps, compress: build.Compression}
+	h := &HubLabelIndex{lab: lab, node: ps, compress: build.Compression}
 	h.build = HubLabelBuildStats{
 		Workers:     bst.Workers,
 		Batches:     bst.Batches,
@@ -158,12 +160,18 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 		h.build.LabelBytes = h.store.PayloadBytes()
 		h.build.RawLabelBytes = h.store.RawBytes()
 	}
-	h.idx, err = hublabel.NewIndex(src, maxK, hubPointsOf(ps))
-	if err != nil {
-		h.Close()
+	return h.index(src, maxK)
+}
+
+// index builds the reverse index over the tracked set and registers the
+// finished substrate with it; on failure the label store is released.
+func (h *HubLabelIndex) index(src hublabel.Source, maxK int) (*HubLabelIndex, error) {
+	var err error
+	if h.idx, err = hublabel.NewIndex(src, maxK, hubPointsOf(h.node)); err != nil {
+		_ = h.Close()
 		return nil, err
 	}
-	db.AttachHubLabel(h)
+	register(&h.node.hubs, h, true)
 	return h, nil
 }
 
@@ -171,7 +179,7 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 // Options.Path or SaveTo) and rebuilds the reverse index over ps — the
 // restart path: no pruned-landmark build runs, labels fault in through the
 // LRU buffer on demand. Like BuildHubLabelIndex, the reopened index is
-// attached to the planner.
+// registered with ps.
 func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubLabelOptions) (*HubLabelIndex, error) {
 	_, buffer, _, _, _ := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
@@ -197,16 +205,10 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 		return nil, fmt.Errorf("graphrnn: label file covers %d nodes, graph has %d",
 			store.NumNodes(), db.store.NumNodes())
 	}
-	h := &HubLabelIndex{db: db, store: store, node: ps, compress: store.Compressed()}
+	h := &HubLabelIndex{store: store, node: ps, compress: store.Compressed()}
 	h.build.LabelBytes = store.PayloadBytes()
 	h.build.RawLabelBytes = store.RawBytes()
-	h.idx, err = hublabel.NewIndex(store, maxK, hubPointsOf(ps))
-	if err != nil {
-		file.Close()
-		return nil, err
-	}
-	db.AttachHubLabel(h)
-	return h, nil
+	return h.index(store, maxK)
 }
 
 // SaveTo persists the labeling into a fresh page file at path, so a later
@@ -228,17 +230,38 @@ func (h *HubLabelIndex) SaveTo(path string) error {
 	return f.Close()
 }
 
-// Close detaches the index from the planner (when it is the attached one)
-// and releases the label pages from the shared buffer pool and the label
-// file, if any. Queries must not be in flight.
+// Close unregisters the index from its point set and releases the label
+// pages from the shared buffer pool and the label file, if any. Queries
+// must not be in flight.
 func (h *HubLabelIndex) Close() error {
-	if h.db != nil {
-		h.db.planHub.CompareAndSwap(h, nil)
-	}
+	h.detach()
 	if h.store != nil {
 		return h.store.Close()
 	}
 	return nil
+}
+
+// detach cuts the index off its point set: unregistered and tracking
+// nothing, it is never planned and an explicit hint to it reports a foreign
+// point set (see ErrSubstrateDetached).
+func (h *HubLabelIndex) detach() {
+	if h.node != nil {
+		register(&h.node.hubs, h, false)
+		h.node = nil
+	}
+}
+
+// repair runs the hub-list half of op: a point-level insert or delete on
+// the reverse lists and thresholds.
+func (h *HubLabelIndex) repair(op *setOp) (Stats, error) {
+	var st hublabel.QueryStats
+	var err error
+	if op.insert {
+		st, err = h.idx.Insert(points.PointID(op.p), graph.NodeID(op.loc.U))
+	} else {
+		st, err = h.idx.Delete(points.PointID(op.p))
+	}
+	return coreHubStats(st), err
 }
 
 // MaxK returns the largest monochromatic query k the thresholds support
@@ -302,64 +325,6 @@ func (h *HubLabelIndex) DropCache() error {
 	return h.store.Buffer().Invalidate()
 }
 
-// InsertNode places a new point on node n of the tracked point set and
-// incrementally repairs the hub lists and thresholds. Requires exclusive
-// access, like every mutating operation.
-func (h *HubLabelIndex) InsertNode(n NodeID) (PointID, Stats, error) {
-	if h.node == nil {
-		return -1, Stats{}, fmt.Errorf("graphrnn: hub-label index does not track a point set")
-	}
-	p, err := h.node.Place(n)
-	if err != nil {
-		return -1, Stats{}, err
-	}
-	st, err := h.idx.Insert(points.PointID(p), graph.NodeID(n))
-	return p, hubStats(st), err
-}
-
-// DeletePoint removes point p from the tracked set, repairing the affected
-// hub lists and thresholds.
-func (h *HubLabelIndex) DeletePoint(p PointID) (Stats, error) {
-	if h.node == nil {
-		return Stats{}, fmt.Errorf("graphrnn: hub-label index does not track a point set")
-	}
-	if err := h.node.Delete(p); err != nil {
-		return Stats{}, err
-	}
-	st, err := h.idx.Delete(points.PointID(p))
-	return hubStats(st), err
-}
-
-// RepairInsert incrementally adds an already-placed point of the tracked
-// set to the reverse index — the maintenance path for callers that mutate
-// the point set through another substrate (e.g. a materialized index) and
-// repair this one in place instead of rebuilding it. The point must
-// already reside on node n.
-func (h *HubLabelIndex) RepairInsert(p PointID, n NodeID) (Stats, error) {
-	if h.node == nil {
-		return Stats{}, fmt.Errorf("graphrnn: hub-label index does not track a point set")
-	}
-	if on, ok := h.node.NodeOf(p); !ok || on != n {
-		return Stats{}, fmt.Errorf("graphrnn: point %d is not placed on node %d", p, n)
-	}
-	st, err := h.idx.Insert(points.PointID(p), graph.NodeID(n))
-	return hubStats(st), err
-}
-
-// RepairDelete incrementally removes a point from the reverse index after
-// it was deleted from the tracked set elsewhere; the counterpart of
-// RepairInsert.
-func (h *HubLabelIndex) RepairDelete(p PointID) (Stats, error) {
-	if h.node == nil {
-		return Stats{}, fmt.Errorf("graphrnn: hub-label index does not track a point set")
-	}
-	if _, ok := h.node.NodeOf(p); ok {
-		return Stats{}, fmt.Errorf("graphrnn: point %d still resides in the tracked set", p)
-	}
-	st, err := h.idx.Delete(points.PointID(p))
-	return hubStats(st), err
-}
-
 func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {
 	ids := ps.Points()
 	out := make([]hublabel.PointOnNode, 0, len(ids))
@@ -373,13 +338,9 @@ func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {
 	return out
 }
 
-func hubStats(st hublabel.QueryStats) Stats {
-	return statsOf(coreHubStats(st))
-}
-
-// coreHubStats maps hub-label query counters onto core.Stats, so the
+// coreHubStats maps hub-label counters onto the one Stats type, so the
 // hub-label dispatch flows through the same wrapResult as every expansion
-// algorithm (and its LabelReads/LabelEntries survive to the public API).
+// algorithm and a maintenance operation sums them with the list repairs.
 func coreHubStats(st hublabel.QueryStats) core.Stats {
 	return core.Stats{
 		LabelReads:    st.LabelReads,
@@ -388,25 +349,21 @@ func coreHubStats(st hublabel.QueryStats) core.Stats {
 	}
 }
 
-// hiddenIn identifies the point an exclusion view hides. Views produced by
-// Excluding resolve in O(1); the index best-effort-validates that the view
-// matches the tracked set and errors on a detectable mismatch (like
-// EagerM, the substrate answers over the set it was built on).
-func (h *HubLabelIndex) hiddenIn(v points.NodeView) (points.PointID, error) {
-	return h.idx.HiddenIn(v)
-}
-
 // run executes a planned node-resident query through the index under ec.
 // The index answers over the set it tracks — the data set, or the sites of
 // a bichromatic query, whose candidates come from the caller's view. On an
 // execution-control error the partial stats ride along with it.
 func (h *HubLabelIndex) run(ec *exec.Ctx, pl *planned) (*core.Result, error) {
-	hidden, err := h.hiddenIn(pl.tracked().Node)
-	if err != nil {
-		return nil, err
+	if h.node == nil || &h.node.trackedSet != pl.set {
+		return nil, fmt.Errorf("graphrnn: hub-label index does not track the queried point set")
+	}
+	hidden := points.NoPoint
+	if hv, ok := pl.tracked().Node.(points.HiddenPointView); ok {
+		hidden = hv.HiddenPoint()
 	}
 	var pts []points.PointID
 	var st hublabel.QueryStats
+	var err error
 	switch pl.plan.Kind {
 	case KindContinuous:
 		pts, st, err = h.idx.ContinuousRkNNExec(ec, toNodeIDs(pl.route), pl.k, hidden)

@@ -201,6 +201,15 @@ func TestHubLabelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A reopen that fails behind the label store (here: thresholds for
+	// maxK 0 cannot be built) releases the store's pool tenant with it.
+	tenants := len(db2.PoolStats().Tenants)
+	if _, err := db2.OpenHubLabelIndex(ps2, 0, path, nil); err == nil {
+		t.Fatal("OpenHubLabelIndex accepted maxK 0")
+	}
+	if got := len(db2.PoolStats().Tenants); got != tenants {
+		t.Fatalf("failed reopen left %d pool tenants behind", got-tenants)
+	}
 	reopened, err := db2.OpenHubLabelIndex(ps2, 3, path, &graphrnn.HubLabelOptions{BufferPages: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -290,15 +299,18 @@ func TestHubLabelMaintenance(t *testing.T) {
 		if _, taken := ps.PointAt(graphrnn.NodeID(n)); taken {
 			continue
 		}
-		p, _, err := idx.InsertNode(graphrnn.NodeID(n))
+		p, st, err := ps.Insert(context.Background(), graphrnn.NodeLocation(graphrnn.NodeID(n)), nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st.LabelReads == 0 || st.LabelEntries == 0 {
+			t.Fatalf("insert %d reports no hub-label repair work: %+v", p, st)
 		}
 		inserted = append(inserted, p)
 		check(fmt.Sprintf("insert %d", p))
 	}
 	for _, p := range inserted[:3] {
-		if _, err := idx.DeletePoint(p); err != nil {
+		if err := ps.Delete(p); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("delete %d", p))
@@ -307,7 +319,7 @@ func TestHubLabelMaintenance(t *testing.T) {
 
 // TestHubLabelInsertAfterTrailingDelete builds the index over a point set
 // whose highest id has been deleted — the index's id space is then shorter
-// than the set's — and checks that InsertNode still keeps the two in sync.
+// than the set's — and checks that an insert still keeps the two in sync.
 func TestHubLabelInsertAfterTrailingDelete(t *testing.T) {
 	g, err := graphrnn.GenerateGrid(161, 100, 4)
 	if err != nil {
@@ -330,7 +342,7 @@ func TestHubLabelInsertAfterTrailingDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := idx.InsertNode(99) // NodeSet assigns id 10, beyond the gap
+	p, err := ps.Place(99) // NodeSet assigns id 10, beyond the gap
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,9 +542,10 @@ func TestHubLabelParallelCompressed(t *testing.T) {
 }
 
 // TestHubLabelRepairVsRebuild drives the substrate-crossing maintenance
-// path: the point set mutates through the materialized index, the hub
-// index repairs in place with RepairInsert/RepairDelete, and afterwards it
-// must answer exactly like an index rebuilt from scratch.
+// path: the point set mutates with a materialization and a hub-label index
+// registered, the hub index repairs in place behind the journaled list
+// repair, and afterwards it must answer exactly like an index rebuilt from
+// scratch.
 func TestHubLabelRepairVsRebuild(t *testing.T) {
 	g, err := graphrnn.GenerateGrid(131, 400, 4)
 	if err != nil {
@@ -562,33 +575,35 @@ func TestHubLabelRepairVsRebuild(t *testing.T) {
 		if _, taken := ps.PointAt(graphrnn.NodeID(n)); taken {
 			continue
 		}
-		p, _, err := mat.InsertNode(graphrnn.NodeID(n))
+		p, st, err := ps.Insert(context.Background(), graphrnn.NodeLocation(graphrnn.NodeID(n)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := idx.RepairInsert(p, graphrnn.NodeID(n)); err != nil {
-			t.Fatalf("RepairInsert(%d): %v", p, err)
+		// One operation, both substrates: the stats are their sum.
+		if st.MatReads == 0 || st.LabelReads == 0 {
+			t.Fatalf("insert %d did not repair both substrates: %+v", p, st)
 		}
 		inserted = append(inserted, p)
 		n += 11
 	}
 	victims := []graphrnn.PointID{inserted[0], inserted[3], ps.Points()[0]}
 	for _, p := range victims {
-		if _, err := mat.DeletePoint(p); err != nil {
+		if err := ps.Delete(p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := idx.RepairDelete(p); err != nil {
-			t.Fatalf("RepairDelete(%d): %v", p, err)
-		}
+	}
+	if mat.RepairState() != graphrnn.RepairClean {
+		t.Fatalf("RepairState = %v", mat.RepairState())
 	}
 
-	// Misuse is rejected: re-inserting a live point under the wrong node,
-	// deleting a point that still resides in the set.
-	if _, err := idx.RepairInsert(inserted[1], graphrnn.NodeID(0)); err == nil {
-		t.Fatal("RepairInsert with a mismatched node succeeded")
+	// Misuse is rejected before anything changes: a second point on an
+	// occupied node, a point that does not exist.
+	occupied, _ := ps.NodeOf(inserted[1])
+	if _, err := ps.Place(occupied); err == nil {
+		t.Fatal("Place on an occupied node succeeded")
 	}
-	if _, err := idx.RepairDelete(inserted[1]); err == nil {
-		t.Fatal("RepairDelete of a live point succeeded")
+	if err := ps.Delete(inserted[0]); err == nil {
+		t.Fatal("Delete of a deleted point succeeded")
 	}
 
 	fresh, err := db.BuildHubLabelIndex(ps, 4, nil)

@@ -77,7 +77,7 @@ func TestFig1bBichromaticExample(t *testing.T) {
 	}
 	for _, c := range cases {
 		view := points.ExcludeNode(sites, c.qsite)
-		mat, err := s.MatBuild(SeedsRestricted(view), 2, newMemMatFile(), 16, nil)
+		mat, err := s.MatBuild(PointSet{Node: view}, 2, newMemMatFile(), 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestBichromaticAgreesWithBrute(t *testing.T) {
 	check := func(label string, g *graph.Graph, cands, sites *points.NodeSet, maxK, k int, qnode graph.NodeID) {
 		t.Helper()
 		s := NewSearcher(g)
-		mat, err := s.MatBuild(SeedsRestricted(sites), maxK, newMemMatFile(), 64, nil)
+		mat, err := s.MatBuild(PointSet{Node: sites}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,27 +46,30 @@ import (
 	"graphrnn/internal/points"
 )
 
-// Stats describes the work performed by a single query.
+// Stats describes the work performed by a single query or maintenance
+// operation. It is the one counter type of the system: the engine fills
+// it, the public API returns it unconverted (graphrnn.Stats is an alias),
+// and the JSON tags are the server's wire names.
 type Stats struct {
 	// NodesExpanded counts nodes popped by the main (query-side) expansion.
-	NodesExpanded int64
+	NodesExpanded int64 `json:"nodes_expanded"`
 	// NodesScanned counts nodes popped by secondary expansions: range-NN,
 	// verification queries, and lazy-EP's point heap.
-	NodesScanned int64
+	NodesScanned int64 `json:"nodes_scanned"`
 	// RangeNN counts range-NN sub-queries issued (eager family).
-	RangeNN int64
+	RangeNN int64 `json:"range_nn"`
 	// Verifications counts verification sub-queries issued.
-	Verifications int64
+	Verifications int64 `json:"verifications"`
 	// MatReads counts materialized K-NN list lookups (eager-M).
-	MatReads int64
+	MatReads int64 `json:"mat_reads"`
 	// LabelReads counts hub label fetches (hub-label substrate; populated
 	// by the hub-label dispatch, not by the expansion algorithms).
-	LabelReads int64
+	LabelReads int64 `json:"label_reads"`
 	// LabelEntries counts label and hub-list entries scanned (hub-label).
-	LabelEntries int64
+	LabelEntries int64 `json:"label_entries"`
 	// HeapPushes and HeapPops count priority queue traffic across all heaps.
-	HeapPushes int64
-	HeapPops   int64
+	HeapPushes int64 `json:"heap_pushes"`
+	HeapPops   int64 `json:"heap_pops"`
 }
 
 // Add accumulates o into s.

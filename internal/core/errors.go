@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"graphrnn/internal/exec"
@@ -16,6 +17,10 @@ var (
 	ErrDeadlineExceeded = exec.ErrDeadlineExceeded
 	ErrBudgetExceeded   = exec.ErrBudgetExceeded
 )
+
+// ErrNoEdge reports a location or a data point on an edge the graph does
+// not contain.
+var ErrNoEdge = errors.New("edge not in graph")
 
 func errKTooSmall(k int) error {
 	return fmt.Errorf("core: k must be >= 1, got %d", k)

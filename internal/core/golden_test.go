@@ -127,18 +127,13 @@ func newGoldenEnv(t *testing.T, name string, g *graph.Graph, seed int64) *golden
 	e.esites, err = gen.PlaceEdgePoints(rng, el, n/20)
 	must(err)
 	const maxK = 4
-	build := func(seeds []MatSeed) *Materialized {
-		mat, err := e.s.MatBuild(seeds, maxK, newMemMatFile(), 64, nil)
+	build := func(ps PointSet) *Materialized {
+		mat, err := e.s.MatBuild(ps, maxK, newMemMatFile(), 64, nil)
 		must(err)
 		return mat
 	}
-	e.nmat, e.nsmat = build(SeedsRestricted(e.nps)), build(SeedsRestricted(e.nsites))
-	useeds, err := SeedsUnrestricted(e.eps, g)
-	must(err)
-	e.emat = build(useeds)
-	useeds, err = SeedsUnrestricted(e.esites, g)
-	must(err)
-	e.esmat = build(useeds)
+	e.nmat, e.nsmat = build(PointSet{Node: e.nps}), build(PointSet{Node: e.nsites})
+	e.emat, e.esmat = build(PointSet{Edge: e.eps}), build(PointSet{Edge: e.esites})
 
 	// The directed twin keeps every edge as two arcs of different integer
 	// multiples of its weight, so d(u→v) != d(v→u) almost everywhere.

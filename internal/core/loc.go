@@ -164,7 +164,7 @@ func (s *Searcher) edgeWeight(u, v graph.NodeID, buf *[]graph.Edge) (float64, er
 			return e.W, nil
 		}
 	}
-	return 0, fmt.Errorf("core: no edge (%d,%d)", u, v)
+	return 0, fmt.Errorf("core: no edge (%d,%d): %w", u, v, ErrNoEdge)
 }
 
 // checkLoc validates a location against the graph.

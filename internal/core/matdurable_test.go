@@ -68,7 +68,7 @@ func runDurableInsert(t *testing.T, durable bool) (matSyncs, journalSyncs int) {
 	if err := m2.BeginRepair(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSearcher(g).MatInsert(m2, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+	if _, err := NewSearcher(g).MatInsert(m2, p, NodeLoc(node)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.CommitRepair(p, PointRecord{U: node, V: node}); err != nil {
@@ -121,7 +121,7 @@ func TestMatDurableMemFileSafe(t *testing.T) {
 	if err := m2.BeginRepair(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSearcher(g).MatDelete(m2, pts[0], []MatSeed{{Node: node, P: pts[0], D: 0}}); err != nil {
+	if _, err := NewSearcher(g).MatDelete(m2, pts[0], NodeLoc(node)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.RollbackRepair(); err != nil {

@@ -51,64 +51,6 @@ func sortMatEntries(lst []MatEntry) {
 	})
 }
 
-// MatSeed is a starting location of a data point for the all-NN expansion:
-// for node-resident points, the hosting node at distance 0; for
-// edge-resident points, both endpoints at their direct offsets.
-type MatSeed struct {
-	Node graph.NodeID
-	P    points.PointID
-	D    float64
-}
-
-// SeedsRestricted returns the all-NN seeds of a node-resident point set.
-func SeedsRestricted(ps points.NodeView) []MatSeed {
-	pts := ps.Points()
-	seeds := make([]MatSeed, 0, len(pts))
-	for _, p := range pts {
-		if n, ok := ps.NodeOf(p); ok {
-			seeds = append(seeds, MatSeed{Node: n, P: p, D: 0})
-		}
-	}
-	return seeds
-}
-
-// SeedsUnrestricted returns the all-NN seeds of an edge-resident point set:
-// each point seeds both endpoints of its edge with the direct offsets
-// (Section 5.2: kNNs of edge points are derived from endpoint lists).
-func SeedsUnrestricted(ps points.EdgeView, g graph.Access) ([]MatSeed, error) {
-	pts := ps.Points()
-	seeds := make([]MatSeed, 0, 2*len(pts))
-	var err error
-	var w float64
-	var adj []graph.Edge
-	weight := func(u, v graph.NodeID) (float64, error) {
-		adj, err = g.Adjacency(u, adj)
-		if err != nil {
-			return 0, err
-		}
-		for _, e := range adj {
-			if e.To == v {
-				return e.W, nil
-			}
-		}
-		return 0, fmt.Errorf("core: point set references missing edge (%d,%d)", u, v)
-	}
-	for _, p := range pts {
-		loc, ok := ps.Loc(p)
-		if !ok {
-			continue
-		}
-		if w, err = weight(loc.U, loc.V); err != nil {
-			return nil, err
-		}
-		seeds = append(seeds,
-			MatSeed{Node: loc.U, P: p, D: loc.Pos},
-			MatSeed{Node: loc.V, P: p, D: w - loc.Pos},
-		)
-	}
-	return seeds, nil
-}
-
 // Materialized holds the per-node K-NN lists in a paged file read through
 // an LRU buffer, so that list accesses and maintenance writes are counted
 // as I/O exactly like adjacency accesses (the paper's Fig 18 and Fig 22
@@ -419,22 +361,25 @@ type matHeapEntry struct {
 }
 
 // MatBuild runs the all-NN algorithm (Fig 8) and materializes, for every
-// node, the maxK+1 nearest data points in a single network expansion seeded
-// at every point location. The lists are packed into file (which must be
-// empty) in the given node order (nil = node id order) and read back
-// through a private buffer of bufferPages pages. Use MatBuildBuffer to
-// serve the lists through a shared buffer pool instead.
+// node, the maxK+1 nearest data points of ps in a single network expansion
+// seeded at every point's anchors: the hosting node at distance 0 or, for an
+// edge-resident point, both endpoints of its edge at the direct offsets
+// (Section 5.2: kNNs of edge points are derived from endpoint lists). The
+// lists are packed into file (which must be empty) in the given node order
+// (nil = node id order) and read back through a private buffer of
+// bufferPages pages. Use MatBuildBuffer to serve the lists through a shared
+// buffer pool instead.
 //
 // Complexity is O(K·|E|·log(K·|E|)), as in the paper; pushes that provably
 // cannot improve a list are filtered to keep the heap small.
-func (s *Searcher) MatBuild(seeds []MatSeed, maxK int, file storage.PagedFile, bufferPages int, order []graph.NodeID) (*Materialized, error) {
-	return s.MatBuildBuffer(seeds, maxK, file, storage.NewBufferPool(bufferPages).Attach("", file, 0), order)
+func (s *Searcher) MatBuild(ps PointSet, maxK int, file storage.PagedFile, bufferPages int, order []graph.NodeID) (*Materialized, error) {
+	return s.MatBuildBuffer(ps, maxK, file, storage.NewBufferPool(bufferPages).Attach("", file, 0), order)
 }
 
 // MatBuildBuffer is MatBuild reading the packed lists back through bm,
 // which must wrap file — typically a tenant of the process-wide buffer
 // pool, so list pages share frames (and stats) with every other substrate.
-func (s *Searcher) MatBuildBuffer(seeds []MatSeed, maxK int, file storage.PagedFile, bm *storage.Tenant, order []graph.NodeID) (*Materialized, error) {
+func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile, bm *storage.Tenant, order []graph.NodeID) (*Materialized, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("core: maxK must be >= 1, got %d", maxK)
 	}
@@ -449,10 +394,20 @@ func (s *Searcher) MatBuildBuffer(seeds []MatSeed, maxK int, file storage.PagedF
 
 	lists := make([][]MatEntry, n)
 	var heap pq.Heap[matHeapEntry]
-	for _, seed := range seeds {
-		heap.Push(matHeapEntry{seed.Node, seed.P}, seed.D)
-	}
 	var adj []graph.Edge
+	for _, p := range ps.ids() {
+		loc, ok := ps.loc(p)
+		if !ok {
+			continue
+		}
+		as, na, err := s.anchors(loc, &adj)
+		if err != nil {
+			return nil, err
+		}
+		for _, a := range as[:na] {
+			heap.Push(matHeapEntry{a.node, p}, a.off)
+		}
+	}
 
 	// accept inserts (p,d) into list[m] under the canonical order and
 	// reports whether the list changed.
@@ -552,22 +507,15 @@ func (s *Searcher) MatBuildBuffer(seeds []MatSeed, maxK int, file storage.PagedF
 	return m, nil
 }
 
-// MatInsert maintains the lists after a new data point appears at the given
-// seed location(s): a bounded expansion inserts the point into every list
-// it improves and stops at nodes it cannot improve (Section 4.1).
-func (s *Searcher) MatInsert(m *Materialized, seeds []MatSeed) (Stats, error) {
+// MatInsert maintains the lists after new data point p appears at location
+// at: a bounded expansion seeded at at's anchors inserts the point into
+// every list it improves and stops at nodes it cannot improve (Section 4.1).
+func (s *Searcher) MatInsert(m *Materialized, p points.PointID, at Loc) (Stats, error) {
 	var st Stats
-	if len(seeds) == 0 {
-		return st, fmt.Errorf("core: MatInsert needs at least one seed")
-	}
-	p := seeds[0].P
 	sc := s.acquire()
 	defer s.release(&st, sc)
-	for _, seed := range seeds {
-		if seed.P != p {
-			return st, fmt.Errorf("core: MatInsert seeds mix points %d and %d", p, seed.P)
-		}
-		sc.pushNode(seed.Node, seed.D)
+	if err := sc.seed(s, at); err != nil {
+		return st, err
 	}
 	var lst []MatEntry
 	for {
@@ -641,23 +589,17 @@ func matAccept(lst []MatEntry, p points.PointID, d float64, cap int) (bool, []Ma
 	return true, lst
 }
 
-// MatDelete maintains the lists after point p (which was seeded at the
-// given locations) disappears, using the two-step border-node algorithm of
+// MatDelete maintains the lists after point p (which resided at location
+// at) disappears, using the two-step border-node algorithm of
 // Fig 10: step one expands over the affected nodes (those whose lists
 // contain p), removing p; step two refills the vacated slots by propagating
 // candidate entries inward from the border.
-func (s *Searcher) MatDelete(m *Materialized, p points.PointID, seeds []MatSeed) (Stats, error) {
+func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (Stats, error) {
 	var st Stats
-	if len(seeds) == 0 {
-		return st, fmt.Errorf("core: MatDelete needs at least one seed")
-	}
 	sc := s.acquire()
 	defer s.release(&st, sc)
-	for _, seed := range seeds {
-		if seed.P != p {
-			return st, fmt.Errorf("core: MatDelete seeds mix points %d and %d", p, seed.P)
-		}
-		sc.pushNode(seed.Node, seed.D)
+	if err := sc.seed(s, at); err != nil {
+		return st, err
 	}
 
 	affected := make(map[graph.NodeID]bool)

@@ -69,7 +69,7 @@ func newMemMatFile() *storage.MemFile { return storage.NewMemFile(storage.Defaul
 
 func buildMat(t *testing.T, s *Searcher, ps points.NodeView, maxK int) *Materialized {
 	t.Helper()
-	mat, err := s.MatBuild(SeedsRestricted(ps), maxK, storage.NewMemFile(storage.DefaultPageSize), 64, nil)
+	mat, err := s.MatBuild(PointSet{Node: ps}, maxK, storage.NewMemFile(storage.DefaultPageSize), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +142,17 @@ func TestMatBuildPaperNetwork(t *testing.T) {
 func TestMatBuildValidation(t *testing.T) {
 	g, ps, _ := paperGraph(t)
 	s := NewSearcher(g)
-	if _, err := s.MatBuild(SeedsRestricted(ps), 0, storage.NewMemFile(512), 4, nil); err == nil {
+	if _, err := s.MatBuild(PointSet{Node: ps}, 0, storage.NewMemFile(512), 4, nil); err == nil {
 		t.Fatal("maxK=0 accepted")
 	}
 	f := storage.NewMemFile(512)
 	if _, err := f.Append(make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MatBuild(SeedsRestricted(ps), 1, f, 4, nil); err == nil {
+	if _, err := s.MatBuild(PointSet{Node: ps}, 1, f, 4, nil); err == nil {
 		t.Fatal("non-empty file accepted")
 	}
-	if _, err := s.MatBuild(SeedsRestricted(ps), 1000, storage.NewMemFile(512), 4, nil); err == nil {
+	if _, err := s.MatBuild(PointSet{Node: ps}, 1000, storage.NewMemFile(512), 4, nil); err == nil {
 		t.Fatal("oversized K accepted for tiny pages")
 	}
 }
@@ -187,7 +187,7 @@ func TestMatInsertMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.MatInsert(mat, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+			if _, err := s.MatInsert(mat, p, NodeLoc(node)); err != nil {
 				t.Fatal(err)
 			}
 			want := bruteLists(t, g, ps, maxK+1)
@@ -221,7 +221,7 @@ func TestMatDeleteMatchesRebuild(t *testing.T) {
 			if err := ps.Delete(p); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.MatDelete(mat, p, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+			if _, err := s.MatDelete(mat, p, NodeLoc(node)); err != nil {
 				t.Fatal(err)
 			}
 			want := bruteLists(t, g, ps, maxK+1)
@@ -247,7 +247,7 @@ func TestMatMixedUpdates(t *testing.T) {
 				if err := ps.Delete(p); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.MatDelete(mat, p, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+				if _, err := s.MatDelete(mat, p, NodeLoc(node)); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -259,7 +259,7 @@ func TestMatMixedUpdates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.MatInsert(mat, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+				if _, err := s.MatInsert(mat, p, NodeLoc(node)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -285,7 +285,7 @@ func TestMatUpdateIOIsAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MatInsert(mat, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+	if _, err := s.MatInsert(mat, p, NodeLoc(node)); err != nil {
 		t.Fatal(err)
 	}
 	if err := mat.Flush(); err != nil {
@@ -526,7 +526,7 @@ func TestHotPathAllocs(t *testing.T) {
 	s := NewSearcher(net.g)
 	for name, bufferPages := range map[string]int{"hit": 64, "miss": 1} {
 		t.Run(name, func(t *testing.T) {
-			mat, err := s.MatBuild(SeedsRestricted(net.ps), 2, storage.NewMemFile(128), bufferPages, nil)
+			mat, err := s.MatBuild(PointSet{Node: net.ps}, 2, storage.NewMemFile(128), bufferPages, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

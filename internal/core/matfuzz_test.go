@@ -48,7 +48,7 @@ func fuzzSeedMat(f *testing.F) (matBytes, journalBytes []byte) {
 	g := randNet(f, rng, 20, 25, 1)
 	ps := randPoints(f, rng, g, 4)
 	s := NewSearcher(g)
-	mat, err := s.MatBuild(SeedsRestricted(ps), 2, storage.NewMemFile(storage.DefaultPageSize), 16, nil)
+	mat, err := s.MatBuild(PointSet{Node: ps}, 2, storage.NewMemFile(storage.DefaultPageSize), 16, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func fuzzSeedMat(f *testing.F) (matBytes, journalBytes []byte) {
 		if err := m2.BeginRepair(nil); err != nil {
 			f.Fatal(err)
 		}
-		if _, err := s.MatInsert(m2, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+		if _, err := s.MatInsert(m2, p, NodeLoc(node)); err != nil {
 			f.Fatal(err)
 		}
 		if err := m2.Flush(); err != nil {

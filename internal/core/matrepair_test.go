@@ -69,7 +69,7 @@ func TestMatRepairRollbackRestoresLists(t *testing.T) {
 			if err := mat.BeginRepair(nil); err != nil {
 				t.Fatal(err)
 			}
-			_, opErr := s.MatInsert(mat, []MatSeed{{Node: node, P: p, D: 0}})
+			_, opErr := s.MatInsert(mat, p, NodeLoc(node))
 			if opErr != nil && !exec.IsExecErr(opErr) {
 				t.Fatalf("iter %d: unexpected insert error: %v", it, opErr)
 			}
@@ -87,7 +87,7 @@ func TestMatRepairRollbackRestoresLists(t *testing.T) {
 			if err := mat.BeginRepair(nil); err != nil {
 				t.Fatal(err)
 			}
-			_, opErr := s.MatDelete(mat, p, []MatSeed{{Node: node, P: p, D: 0}})
+			_, opErr := s.MatDelete(mat, p, NodeLoc(node))
 			if opErr != nil && !exec.IsExecErr(opErr) {
 				t.Fatalf("iter %d: unexpected delete error: %v", it, opErr)
 			}
@@ -120,7 +120,7 @@ func TestMatInjectedWriteFaultRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		mat.InjectWriteFault(1 + rng.Intn(4))
-		_, opErr := s.MatDelete(mat, p, []MatSeed{{Node: node, P: p, D: 0}})
+		_, opErr := s.MatDelete(mat, p, NodeLoc(node))
 		mat.InjectWriteFault(0)
 		if opErr == nil {
 			// The repair finished before the countdown: commit normally.
@@ -220,7 +220,7 @@ func TestMatSaveOpenRoundTrip(t *testing.T) {
 		if err := m2.BeginRepair(nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.MatInsert(m2, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+		if _, err := s.MatInsert(m2, p, NodeLoc(node)); err != nil {
 			t.Fatal(err)
 		}
 		if err := m2.CommitRepair(p, PointRecord{U: node, V: node}); err != nil {
@@ -272,7 +272,7 @@ func TestMatCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := boundSearcher(g, int64(1+rng.Intn(6)))
-		_, opErr := s.MatInsert(m2, []MatSeed{{Node: node, P: p, D: 0}})
+		_, opErr := s.MatInsert(m2, p, NodeLoc(node))
 		if opErr != nil && !errors.Is(opErr, exec.ErrBudgetExceeded) {
 			t.Fatalf("unexpected insert error: %v", opErr)
 		}
@@ -319,7 +319,7 @@ func TestMatCrashDuringCommitRollsBackPointRecord(t *testing.T) {
 	if err := ps2.Delete(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSearcher(g).MatDelete(m2, p, []MatSeed{{Node: node, P: p, D: 0}}); err != nil {
+	if _, err := NewSearcher(g).MatDelete(m2, p, NodeLoc(node)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Flush(); err != nil {
@@ -361,7 +361,7 @@ func TestMatSaveRejectsUnjournalableK(t *testing.T) {
 	// false... choose page size 512: lists fit cap <= 42, journal records
 	// fit cap <= 41).
 	s := NewSearcher(g)
-	mat, err := s.MatBuild(SeedsRestricted(ps), 41, storage.NewMemFile(512), 16, nil)
+	mat, err := s.MatBuild(PointSet{Node: ps}, 41, storage.NewMemFile(512), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestMatOpenMissingJournal(t *testing.T) {
 	if err := m2.BeginRepair(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSearcher(g).MatInsert(m2, []MatSeed{{Node: mustNodeOf(t, ps2, p), P: p, D: 0}}); err != nil {
+	if _, err := NewSearcher(g).MatInsert(m2, p, NodeLoc(mustNodeOf(t, ps2, p))); err != nil {
 		t.Fatal(err)
 	}
 	m2.AbandonRepair()

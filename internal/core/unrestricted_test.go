@@ -137,11 +137,7 @@ func TestUnrestrictedAgreesWithBrute(t *testing.T) {
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		maxK := 1 + rng.Intn(3)
 		k := 1 + rng.Intn(maxK)
-		seeds, err := SeedsUnrestricted(ps, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := s.MatBuild(seeds, maxK, newMemMatFile(), 64, nil)
+		mat, err := s.MatBuild(PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,11 +273,7 @@ func TestUnrestrictedContinuousAgreesWithBrute(t *testing.T) {
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		maxK := 1 + rng.Intn(2)
 		k := 1 + rng.Intn(maxK)
-		seeds, err := SeedsUnrestricted(ps, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := s.MatBuild(seeds, maxK, newMemMatFile(), 64, nil)
+		mat, err := s.MatBuild(PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,11 +314,7 @@ func TestUnrestrictedBichromaticAgreesWithBrute(t *testing.T) {
 		sites := randEdgePoints(t, rng, g, 1+rng.Intn(n/3+2))
 		maxK := 1 + rng.Intn(2)
 		k := 1 + rng.Intn(maxK)
-		seeds, err := SeedsUnrestricted(sites, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := s.MatBuild(seeds, maxK, newMemMatFile(), 64, nil)
+		mat, err := s.MatBuild(PointSet{Edge: sites}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,11 +382,7 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 		s := NewSearcher(g)
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(8))
 		maxK := 1 + rng.Intn(3)
-		seeds, err := SeedsUnrestricted(ps, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := s.MatBuild(seeds, maxK, newMemMatFile(), 64, nil)
+		mat, err := s.MatBuild(PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

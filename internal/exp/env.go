@@ -162,21 +162,15 @@ func (e *env) withEdgePoints(rng *rand.Rand, count int) error {
 }
 
 func (e *env) materializeNode(maxK int) error {
-	mat, err := e.searcher.MatBuild(core.SeedsRestricted(e.nodePts), maxK,
-		storage.NewMemFile(storage.DefaultPageSize), MatBufferPages, nil)
-	if err != nil {
-		return err
-	}
-	e.mat = mat
-	return nil
+	return e.materialize(core.PointSet{Node: e.nodePts}, maxK)
 }
 
 func (e *env) materializeEdge(maxK int) error {
-	seeds, err := core.SeedsUnrestricted(e.edgePts, e.store)
-	if err != nil {
-		return err
-	}
-	mat, err := e.searcher.MatBuild(seeds, maxK,
+	return e.materialize(core.PointSet{Edge: e.edgePts}, maxK)
+}
+
+func (e *env) materialize(ps core.PointSet, maxK int) error {
+	mat, err := e.searcher.MatBuild(ps, maxK,
 		storage.NewMemFile(storage.DefaultPageSize), MatBufferPages, nil)
 	if err != nil {
 		return err

@@ -605,11 +605,7 @@ func (e *env) updateRow(rng *rand.Rand, n int) ([]Measure, error) {
 		if err != nil {
 			return nil, err
 		}
-		seeds := []core.MatSeed{
-			{Node: el.U[ei], P: p, D: pos},
-			{Node: el.V[ei], P: p, D: el.W[ei] - pos},
-		}
-		st, err := e.searcher.MatInsert(e.mat, seeds)
+		st, err := e.searcher.MatInsert(e.mat, p, core.Loc{U: el.U[ei], V: el.V[ei], Pos: pos})
 		if err != nil {
 			return nil, err
 		}
@@ -633,18 +629,10 @@ func (e *env) updateRow(rng *rand.Rand, n int) ([]Measure, error) {
 		if !ok {
 			return nil, fmt.Errorf("point %d missing", p)
 		}
-		w, found := e.g.EdgeWeight(loc.U, loc.V)
-		if !found {
-			return nil, fmt.Errorf("edge (%d,%d) missing", loc.U, loc.V)
-		}
 		if err := e.edgePts.Delete(p); err != nil {
 			return nil, err
 		}
-		seeds := []core.MatSeed{
-			{Node: loc.U, P: p, D: loc.Pos},
-			{Node: loc.V, P: p, D: w - loc.Pos},
-		}
-		st, err := e.searcher.MatDelete(e.mat, p, seeds)
+		st, err := e.searcher.MatDelete(e.mat, p, core.PointLoc(loc))
 		if err != nil {
 			return nil, err
 		}

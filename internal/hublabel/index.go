@@ -202,55 +202,6 @@ func (idx *Index) Points() []points.PointID {
 	return out
 }
 
-// HiddenIn recovers the point a query view hides (points.NoPoint for a full
-// view). Exclusion views built by points.ExcludeNode resolve in O(1); other
-// views fall back to a scan of the tracked points. Validation is
-// best-effort — like the materialized substrate, the index answers over the
-// set it was built on, and the caller must pass a view of that set — but a
-// view whose live count or sampled point placement contradicts the tracked
-// set is rejected.
-func (idx *Index) HiddenIn(v points.NodeView) (points.PointID, error) {
-	mismatch := func() error {
-		return fmt.Errorf("hublabel: index does not track the queried point set (index %d points, view %d)",
-			idx.live, v.Len())
-	}
-	// Spot-check one tracked point's placement against the unhidden set;
-	// a wholly different set of the same size fails here.
-	check := func(full points.NodeView) error {
-		for p, n := range idx.nodes {
-			if n < 0 {
-				continue
-			}
-			if vn, ok := full.NodeOf(points.PointID(p)); !ok || vn != n {
-				return mismatch()
-			}
-			return nil
-		}
-		return nil
-	}
-	if hv, ok := v.(points.HiddenPointView); ok {
-		hidden := hv.HiddenPoint()
-		if int(hidden) >= len(idx.nodes) || idx.nodes[hidden] < 0 || v.Len() != idx.live-1 {
-			return points.NoPoint, mismatch()
-		}
-		return hidden, check(hv.Unhidden())
-	}
-	switch v.Len() {
-	case idx.live:
-		return points.NoPoint, check(v)
-	case idx.live - 1:
-		for p, n := range idx.nodes {
-			if n < 0 {
-				continue
-			}
-			if _, ok := v.NodeOf(points.PointID(p)); !ok {
-				return points.PointID(p), nil
-			}
-		}
-	}
-	return points.NoPoint, mismatch()
-}
-
 // --- Per-query scratch -----------------------------------------------------
 
 type cursor struct{ list, pos int32 }

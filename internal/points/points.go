@@ -176,8 +176,6 @@ type HiddenPointView interface {
 	NodeView
 	// HiddenPoint returns the id the view hides.
 	HiddenPoint() PointID
-	// Unhidden returns the full underlying view.
-	Unhidden() NodeView
 }
 
 // excludeNode hides one point from a NodeView.
@@ -188,9 +186,6 @@ type excludeNode struct {
 
 // HiddenPoint implements HiddenPointView.
 func (e excludeNode) HiddenPoint() PointID { return e.hidden }
-
-// Unhidden implements HiddenPointView.
-func (e excludeNode) Unhidden() NodeView { return e.NodeView }
 
 // ExcludeNode returns a view of v with point hidden removed; hiding NoPoint
 // returns v unchanged.
@@ -409,27 +404,10 @@ func (s *EdgeSet) Points() []PointID {
 }
 
 // excludeEdge hides one point from an EdgeView.
-// HiddenEdgePointView is the edge-resident counterpart of HiddenPointView:
-// views that hide exactly one point of an underlying edge set implement it,
-// so callers (the query planner) can recover the base set without a scan.
-type HiddenEdgePointView interface {
-	EdgeView
-	// HiddenPoint returns the id the view hides.
-	HiddenPoint() PointID
-	// UnhiddenEdge returns the full underlying view.
-	UnhiddenEdge() EdgeView
-}
-
 type excludeEdge struct {
 	EdgeView
 	hidden PointID
 }
-
-// HiddenPoint implements HiddenEdgePointView.
-func (e excludeEdge) HiddenPoint() PointID { return e.hidden }
-
-// UnhiddenEdge implements HiddenEdgePointView.
-func (e excludeEdge) UnhiddenEdge() EdgeView { return e.EdgeView }
 
 // ExcludeEdge returns a view of v with point hidden removed; hiding NoPoint
 // returns v unchanged.

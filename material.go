@@ -1,13 +1,12 @@
 package graphrnn
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"graphrnn/internal/core"
-	"graphrnn/internal/graph"
+	"graphrnn/internal/exec"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
@@ -18,17 +17,18 @@ import (
 // and are maintained incrementally as points appear and disappear
 // (Figs 8-11).
 //
-// Every maintenance operation (InsertNode, InsertEdge, DeletePoint and
-// their *Context variants) is atomic: the repair runs inside a journaled
-// operation that records the before-image of every list it touches, and an
-// operation abandoned for any reason — cancellation, deadline, budget
-// exhaustion, an I/O error — is rolled back, leaving the lists and the
-// tracked point set bit-identical to the pre-operation state. See
-// RepairState / Recover for the rare case where the rollback itself cannot
-// complete, and SaveTo / OpenMaterialization for persistence with crash
-// recovery.
+// A materialization is registered with the point set it was built or opened
+// over: mutate the set through its Insert / Remove (or Place / Delete) and
+// the lists are repaired with it, atomically. The repair runs inside a
+// journaled operation that records the before-image of every list it
+// touches, and an operation abandoned for any reason — cancellation,
+// deadline, budget exhaustion, an I/O error — is rolled back, leaving the
+// lists and the tracked point set bit-identical to the pre-operation state.
+// See RepairState / Recover for the rare case where the rollback itself
+// cannot complete, and SaveTo / OpenMaterialization for persistence with
+// crash recovery.
 type Materialization struct {
-	//lint:ignore vetrnn/tenantclose planner back-pointer (Close only detaches from it); the caller owns the DB
+	//lint:ignore vetrnn/tenantclose back-pointer to the engine whose graph the lists cover; the caller owns the DB
 	db   *DB
 	m    *core.Materialized
 	node *NodePoints
@@ -39,22 +39,13 @@ type Materialization struct {
 	file  storage.PagedFile
 	jfile storage.PagedFile
 
-	// pending describes the point-set half of an uncommitted maintenance
+	// pending is the point-set half of an uncommitted maintenance
 	// operation, so Recover can undo it when the inline rollback failed.
-	pending *matPendingOp
+	pending *setOp
 	// testCrash makes an abandoned operation skip its rollback, leaving
 	// the journal uncommitted — the simulated-crash seam of the recovery
 	// tests. Never set outside tests.
 	testCrash bool
-}
-
-// matPendingOp is the point-set mutation of one maintenance operation:
-// what Recover must undo if the operation does not commit.
-type matPendingOp struct {
-	insert bool
-	p      PointID
-	node   NodeID   // delete undo, node-resident sets
-	loc    Location // delete undo, edge-resident sets
 }
 
 // Durability selects how hard a file-backed materialization pushes its
@@ -113,59 +104,48 @@ func (o *MatOptions) defaults() (int, int) {
 
 // MaterializeNodePoints builds the K-NN lists of every node over a
 // node-resident point set with one all-NN expansion. Queries through the
-// returned materialization support k <= maxK. The materialization tracks
-// ps: mutate the set through InsertNode / DeletePoint to keep the lists
-// consistent. It is attached to the planner (last built wins; see
-// AttachMaterialization), so auto-planned queries over ps use eager-M when
-// no hub-label index outranks it.
+// returned materialization support k <= maxK. The materialization is
+// registered with ps: mutations of the set keep the lists consistent, and
+// auto-planned queries over ps use eager-M (the set's most recently built
+// materialization) when no hub-label index over ps outranks it.
 func (db *DB) MaterializeNodePoints(ps *NodePoints, maxK int, opt *MatOptions) (*Materialization, error) {
-	m, err := db.materialize(core.SeedsRestricted(ps.s), maxK, opt)
-	if err != nil {
-		return nil, err
-	}
-	mat := &Materialization{db: db, m: m, node: ps}
-	if opt != nil && opt.Path != "" {
-		persisted, err := mat.persistBuild(opt)
-		if err != nil {
-			return nil, err
-		}
-		persisted.node = ps
-		return persisted, nil
-	}
-	db.AttachMaterialization(mat)
-	return mat, nil
+	return db.materialize(&Materialization{db: db, node: ps}, maxK, opt)
 }
 
 // MaterializeEdgePoints builds the K-NN lists over an edge-resident point
 // set (Section 5.2: endpoint lists are seeded with both direct offsets).
 func (db *DB) MaterializeEdgePoints(ps *EdgePoints, maxK int, opt *MatOptions) (*Materialization, error) {
-	seeds, err := seedsForEdgeSet(db, ps)
-	if err != nil {
+	return db.materialize(&Materialization{db: db, edge: ps}, maxK, opt)
+}
+
+// materialize packs the lists of mat's set into a fresh memory page file
+// attached to the DB's shared buffer pool as the "mat" tenant — persisted
+// to and reopened from opt.Path when one is given — and registers the
+// result with the set.
+func (db *DB) materialize(mat *Materialization, maxK int, opt *MatOptions) (*Materialization, error) {
+	pageSize, buffer := opt.defaults()
+	file := storage.NewMemFile(pageSize)
+	bm := db.pool.attach("mat", file, buffer)
+	var err error
+	if mat.m, err = db.searcher.MatBuildBuffer(mat.set().view(), maxK, file, bm, nil); err != nil {
+		_ = bm.Detach()
 		return nil, err
 	}
-	m, err := db.materialize(seeds, maxK, opt)
-	if err != nil {
-		return nil, err
-	}
-	mat := &Materialization{db: db, m: m, edge: ps}
 	if opt != nil && opt.Path != "" {
-		persisted, err := mat.persistBuild(opt)
-		if err != nil {
+		if mat, err = mat.persistBuild(opt); err != nil {
 			return nil, err
 		}
-		persisted.edge = ps
-		return persisted, nil
 	}
-	db.AttachMaterialization(mat)
+	register(&mat.set().mats, mat, true)
 	return mat, nil
 }
 
 // persistBuild converts a freshly built in-memory materialization into
 // the file-backed form MatOptions.Path asks for: snapshot to the path,
 // detach the memory copy, and reopen through the journaled restart path.
-// The caller rebinds the tracked point set (the reopen reconstructs an
-// identical copy from the file; the build's own set is the one the caller
-// holds and mutates).
+// The reopened materialization is rebound to the build's point set (the
+// reopen reconstructs an identical copy from the file; the build's own set
+// is the one the caller holds and mutates).
 func (m *Materialization) persistBuild(opt *MatOptions) (*Materialization, error) {
 	if err := m.SaveTo(opt.Path); err != nil {
 		_ = m.m.Close()
@@ -174,25 +154,23 @@ func (m *Materialization) persistBuild(opt *MatOptions) (*Materialization, error
 	if err := m.m.Close(); err != nil {
 		return nil, err
 	}
-	return m.db.OpenMaterialization(opt.Path, opt)
-}
-
-// materialize packs the lists into a fresh memory page file attached to
-// the DB's shared buffer pool as the "mat" tenant.
-func (db *DB) materialize(seeds []core.MatSeed, maxK int, opt *MatOptions) (*core.Materialized, error) {
-	pageSize, buffer := opt.defaults()
-	file := storage.NewMemFile(pageSize)
-	bm := db.pool.attach("mat", file, buffer)
-	m, err := db.searcher.MatBuildBuffer(seeds, maxK, file, bm, nil)
+	persisted, err := m.db.openMaterialization(opt.Path, opt)
 	if err != nil {
-		_ = bm.Detach()
 		return nil, err
 	}
-	return m, nil
+	persisted.node, persisted.edge = m.node, m.edge
+	return persisted, nil
 }
 
-func seedsForEdgeSet(db *DB, ps *EdgePoints) ([]core.MatSeed, error) {
-	return core.SeedsUnrestricted(ps.s, db.store)
+// set returns the tracked point set, nil once detached.
+func (m *Materialization) set() *trackedSet {
+	switch {
+	case m.node != nil:
+		return &m.node.trackedSet
+	case m.edge != nil:
+		return &m.edge.trackedSet
+	}
+	return nil
 }
 
 // MaxK returns the largest query k the lists support.
@@ -220,13 +198,15 @@ func (m *Materialization) ResetIOStats() { m.m.ResetStats() }
 // Flush writes dirty list pages back to the file.
 func (m *Materialization) Flush() error { return m.m.Flush() }
 
-// Close detaches the materialization from the planner (when it is the
-// attached one) and its list pages from the shared buffer pool (flushing
-// dirty ones), and closes the backing files of a reopened materialization.
-// Queries through this materialization must not be in flight and the
-// materialization must not be used afterwards.
+// Close unregisters the materialization from its point set, detaches its
+// list pages from the shared buffer pool (flushing dirty ones), and closes
+// the backing files of a reopened materialization. Queries through this
+// materialization must not be in flight and the materialization must not be
+// used afterwards.
 func (m *Materialization) Close() error {
-	m.db.planMat.CompareAndSwap(m, nil)
+	if set := m.set(); set != nil {
+		register(&set.mats, m, false)
+	}
 	err := m.m.Close()
 	if m.file != nil {
 		if cerr := m.file.Close(); err == nil {
@@ -241,196 +221,34 @@ func (m *Materialization) Close() error {
 	return err
 }
 
-// InsertNode places a new point on node n of the tracked node-resident set
-// and updates the affected lists (the insertion algorithm of Section 4.1).
-// The operation is atomic: on any error the point set and the lists are
-// rolled back to their pre-operation state.
-func (m *Materialization) InsertNode(n NodeID) (PointID, Stats, error) {
-	return m.insertNode(m.db.searcher, n)
+// detach cuts the materialization off a point set it can no longer follow
+// (see ErrSubstrateDetached): unregistered and tracking nothing, it is
+// never planned and an explicit hint to it reports a foreign point set.
+func (m *Materialization) detach() {
+	register(&m.set().mats, m, false)
+	m.node, m.edge, m.pending = nil, nil, nil
 }
 
-// InsertNodeContext is InsertNode under a context. An operation abandoned
-// mid-flight (cancellation, deadline, budget — the typed exec errors) is
-// rolled back through the repair journal before the error returns: the
-// materialization stays consistent and queryable, and the insertion simply
-// did not happen. Deadlines and budgets are therefore a routine control
-// for maintenance traffic, not an emergency-only guardrail.
-func (m *Materialization) InsertNodeContext(ctx context.Context, n NodeID, opt *QueryOptions) (PointID, Stats, error) {
-	ec, cancel, err := m.db.newExec(ctx, opt)
-	if err != nil {
-		return -1, Stats{}, err
+// repairLists runs the list half of op under ec: the insertion algorithm of
+// Section 4.1, or the two-step border-node deletion of Fig 10.
+func (m *Materialization) repairLists(ec *exec.Ctx, op *setOp) (Stats, error) {
+	s := m.db.searcher.Bound(ec)
+	if op.insert {
+		return s.MatInsert(m.m, points.PointID(op.p), op.loc.toLoc())
 	}
-	defer cancel()
-	return m.insertNode(m.db.searcher.Bound(ec), n)
-}
-
-func (m *Materialization) insertNode(s *core.Searcher, n NodeID) (PointID, Stats, error) {
-	if m.node == nil {
-		return -1, Stats{}, fmt.Errorf("graphrnn: materialization does not track a node point set")
-	}
-	if err := m.recoverPending(); err != nil {
-		return -1, Stats{}, err
-	}
-	p, err := m.node.Place(n)
-	if err != nil {
-		return -1, Stats{}, err
-	}
-	rec := core.PointRecord{U: graph.NodeID(n), V: graph.NodeID(n)}
-	if err := m.begin(&matPendingOp{insert: true, p: p}, rec); err != nil {
-		_ = m.node.Delete(p)
-		return -1, Stats{}, err
-	}
-	st, err := s.MatInsert(m.m, []core.MatSeed{{Node: graph.NodeID(n), P: points.PointID(p), D: 0}})
-	if err != nil {
-		return -1, statsOf(st), m.abort(err)
-	}
-	if err := m.commit(p, rec); err != nil {
-		return -1, statsOf(st), err
-	}
-	return p, statsOf(st), nil
-}
-
-// InsertEdge places a new point on edge (u,v) of the tracked edge-resident
-// set and updates the affected lists. Atomic like InsertNode.
-func (m *Materialization) InsertEdge(u, v NodeID, pos float64) (PointID, Stats, error) {
-	return m.insertEdge(m.db.searcher, u, v, pos)
-}
-
-// InsertEdgeContext is InsertEdge under a context; see InsertNodeContext —
-// an abandoned operation is rolled back, never left partially applied.
-func (m *Materialization) InsertEdgeContext(ctx context.Context, u, v NodeID, pos float64, opt *QueryOptions) (PointID, Stats, error) {
-	ec, cancel, err := m.db.newExec(ctx, opt)
-	if err != nil {
-		return -1, Stats{}, err
-	}
-	defer cancel()
-	return m.insertEdge(m.db.searcher.Bound(ec), u, v, pos)
-}
-
-func (m *Materialization) insertEdge(s *core.Searcher, u, v NodeID, pos float64) (PointID, Stats, error) {
-	if m.edge == nil {
-		return -1, Stats{}, fmt.Errorf("graphrnn: materialization does not track an edge point set")
-	}
-	if err := m.recoverPending(); err != nil {
-		return -1, Stats{}, err
-	}
-	w, ok := m.db.graph.EdgeWeight(u, v)
-	if !ok {
-		return -1, Stats{}, fmt.Errorf("graphrnn: no edge (%d,%d): %w", u, v, ErrMissingEdge)
-	}
-	p, err := m.edge.Place(u, v, pos)
-	if err != nil {
-		return -1, Stats{}, err
-	}
-	//lint:ignore vetrnn/commaok p was created by the Place call two lines up on the same set
-	loc, _ := m.edge.LocationOf(p)
-	rec := core.PointRecord{U: graph.NodeID(loc.U), V: graph.NodeID(loc.V), Pos: loc.Pos}
-	if err := m.begin(&matPendingOp{insert: true, p: p}, rec); err != nil {
-		_ = m.edge.Delete(p)
-		return -1, Stats{}, err
-	}
-	seeds := []core.MatSeed{
-		{Node: graph.NodeID(loc.U), P: points.PointID(p), D: loc.Pos},
-		{Node: graph.NodeID(loc.V), P: points.PointID(p), D: w - loc.Pos},
-	}
-	st, err := s.MatInsert(m.m, seeds)
-	if err != nil {
-		return -1, statsOf(st), m.abort(err)
-	}
-	if err := m.commit(p, rec); err != nil {
-		return -1, statsOf(st), err
-	}
-	return p, statsOf(st), nil
-}
-
-// DeletePointContext is DeletePoint under a context; see InsertNodeContext
-// — an abandoned operation is rolled back (the point reappears in the
-// tracked set), never left partially applied.
-func (m *Materialization) DeletePointContext(ctx context.Context, p PointID, opt *QueryOptions) (Stats, error) {
-	ec, cancel, err := m.db.newExec(ctx, opt)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer cancel()
-	return m.deletePoint(m.db.searcher.Bound(ec), p)
-}
-
-// DeletePoint removes point p from the tracked set and repairs the affected
-// lists with the two-step border-node algorithm (Fig 10). Atomic like
-// InsertNode.
-func (m *Materialization) DeletePoint(p PointID) (Stats, error) {
-	return m.deletePoint(m.db.searcher, p)
-}
-
-func (m *Materialization) deletePoint(s *core.Searcher, p PointID) (Stats, error) {
-	if err := m.recoverPending(); err != nil {
-		return Stats{}, err
-	}
-	pid := points.PointID(p)
-	var seeds []core.MatSeed
-	var pend matPendingOp
-	switch {
-	case m.node != nil:
-		n, ok := m.node.NodeOf(p)
-		if !ok {
-			return Stats{}, fmt.Errorf("graphrnn: point %d does not exist", p)
-		}
-		seeds = []core.MatSeed{{Node: graph.NodeID(n), P: pid, D: 0}}
-		pend = matPendingOp{p: p, node: n}
-	case m.edge != nil:
-		loc, ok := m.edge.LocationOf(p)
-		if !ok {
-			return Stats{}, fmt.Errorf("graphrnn: point %d does not exist", p)
-		}
-		w, ok := m.db.graph.EdgeWeight(loc.U, loc.V)
-		if !ok {
-			// A tracked point on an edge the graph does not know cannot be
-			// deleted consistently: its seed distances would be garbage.
-			return Stats{}, fmt.Errorf("graphrnn: point %d lies on edge (%d,%d): %w", p, loc.U, loc.V, ErrMissingEdge)
-		}
-		seeds = []core.MatSeed{
-			{Node: graph.NodeID(loc.U), P: pid, D: loc.Pos},
-			{Node: graph.NodeID(loc.V), P: pid, D: w - loc.Pos},
-		}
-		pend = matPendingOp{p: p, loc: loc}
-	default:
-		return Stats{}, fmt.Errorf("graphrnn: materialization tracks no point set")
-	}
-	if err := m.begin(&pend, core.PointAbsent); err != nil {
-		return Stats{}, err
-	}
-	var err error
-	if m.node != nil {
-		err = m.node.Delete(p)
-	} else {
-		err = m.edge.Delete(p)
-	}
-	if err != nil {
-		// Nothing mutated yet; close the empty operation frame.
-		m.pending = nil
-		_ = m.m.RollbackRepair()
-		return Stats{}, err
-	}
-	st, err := s.MatDelete(m.m, pid, seeds)
-	if err != nil {
-		return statsOf(st), m.abort(err)
-	}
-	if err := m.commit(p, core.PointAbsent); err != nil {
-		return statsOf(st), err
-	}
-	return statsOf(st), nil
+	return s.MatDelete(m.m, points.PointID(op.p), op.loc.toLoc())
 }
 
 // --- operation framing -----------------------------------------------------
 
-// begin opens the journaled operation covering pend. rec is the committed
+// begin opens the journaled operation covering op. rec is the committed
 // point record (persisted materializations journal it as the operation
 // descriptor).
-func (m *Materialization) begin(pend *matPendingOp, rec core.PointRecord) error {
-	if err := m.m.BeginRepair(matOpMeta(pend, rec)); err != nil {
+func (m *Materialization) begin(op *setOp, rec core.PointRecord) error {
+	if err := m.m.BeginRepair(matOpMeta(op, rec)); err != nil {
 		return err
 	}
-	m.pending = pend
+	m.pending = op
 	return nil
 }
 
@@ -444,87 +262,36 @@ func (m *Materialization) commit(p PointID, rec core.PointRecord) error {
 	return nil
 }
 
-// abort rolls the abandoned operation back inline and returns opErr (the
-// typed exec error, or whatever failed the repair). If the rollback itself
-// fails — a second I/O fault — the operation stays pending: RepairState
-// reports it and Recover retries.
-func (m *Materialization) abort(opErr error) error {
-	if m.testCrash {
-		m.m.AbandonRepair()
-		return opErr
-	}
-	if rbErr := m.rollbackPending(); rbErr != nil {
-		return fmt.Errorf("graphrnn: rollback failed (%v); call Recover before further use: %w", rbErr, opErr)
-	}
-	return opErr
-}
-
 // rollbackPending undoes the pending operation: lists from the journal's
-// before-images, then the point-set mutation.
+// before-images, then the point-set mutation (a no-op once another
+// materialization of the same operation, or the inline abort, undid it).
 func (m *Materialization) rollbackPending() error {
 	if err := m.m.RollbackRepair(); err != nil {
 		return err
 	}
-	pend := m.pending
-	if pend == nil {
-		return nil
+	if m.pending != nil {
+		if err := m.set().undo(m.pending); err != nil {
+			return err
+		}
+		m.pending = nil
 	}
-	var err error
-	switch {
-	case pend.insert && m.node != nil:
-		err = m.node.Delete(pend.p)
-	case pend.insert:
-		err = m.edge.Delete(pend.p)
-	case m.node != nil:
-		err = m.node.s.Restore(points.PointID(pend.p), graph.NodeID(pend.node))
-	default:
-		err = m.edge.s.Restore(points.PointID(pend.p), graph.NodeID(pend.loc.U), graph.NodeID(pend.loc.V), pend.loc.Pos)
-	}
-	if err != nil {
-		return err
-	}
-	m.pending = nil
 	return nil
-}
-
-// recoverPending auto-recovers a pending operation before a new one
-// starts ("replay to a consistent state on next use").
-func (m *Materialization) recoverPending() error {
-	if m.RepairState() == RepairClean {
-		return nil
-	}
-	_, err := m.Recover()
-	return err
 }
 
 // matOpMeta encodes the operation descriptor logged as the journal's first
 // record: op kind, point id and the would-be committed point record.
 // Rollback is driven by before-images, so the descriptor is informational
 // (it makes journals self-describing for debugging).
-func matOpMeta(pend *matPendingOp, rec core.PointRecord) []byte {
+func matOpMeta(op *setOp, rec core.PointRecord) []byte {
 	buf := make([]byte, 1+4+16)
-	if pend.insert {
+	if op.insert {
 		buf[0] = 1
 	} else {
 		buf[0] = 2
 	}
-	binary.LittleEndian.PutUint32(buf[1:], uint32(pend.p))
+	binary.LittleEndian.PutUint32(buf[1:], uint32(op.p))
 	binary.LittleEndian.PutUint32(buf[5:], uint32(rec.U))
 	binary.LittleEndian.PutUint32(buf[9:], uint32(rec.V))
 	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(rec.Pos))
 	return buf
-}
-
-func statsOf(st core.Stats) Stats {
-	return Stats{
-		NodesExpanded: st.NodesExpanded,
-		NodesScanned:  st.NodesScanned,
-		RangeNN:       st.RangeNN,
-		Verifications: st.Verifications,
-		MatReads:      st.MatReads,
-		LabelReads:    st.LabelReads,
-		LabelEntries:  st.LabelEntries,
-		HeapPushes:    st.HeapPushes,
-		HeapPops:      st.HeapPops,
-	}
 }

@@ -58,7 +58,7 @@ func (m *Materialization) RepairState() RepairState {
 // lists (and, for an operation abandoned in this process, the tracked
 // point set) to the state of the last committed operation. It reports
 // whether an operation was pending. Recover is idempotent and safe to call
-// at any time maintenance is quiescent; maintenance operations call it
+// at any time maintenance is quiescent; the set's Insert / Remove call it
 // implicitly when they find a pending operation.
 func (m *Materialization) Recover() (bool, error) {
 	if m.RepairState() == RepairClean {
@@ -100,7 +100,7 @@ func (m *Materialization) SaveTo(path string) error {
 // point-id -> location table the file persists.
 func (m *Materialization) snapshotPoints() (byte, []core.PointRecord) {
 	if m.node != nil {
-		tab := m.node.s.Table()
+		tab := m.node.ns.Table()
 		pts := make([]core.PointRecord, len(tab))
 		for i, n := range tab {
 			if n < 0 {
@@ -111,7 +111,7 @@ func (m *Materialization) snapshotPoints() (byte, []core.PointRecord) {
 		}
 		return core.MatKindNode, pts
 	}
-	tab := m.edge.s.Table()
+	tab := m.edge.es.Table()
 	pts := make([]core.PointRecord, len(tab))
 	for i, loc := range tab {
 		if loc.U < 0 {
@@ -131,8 +131,19 @@ func (m *Materialization) snapshotPoints() (byte, []core.PointRecord) {
 // the write-ahead journal at <path>.journal before the lists are served.
 // Maintenance on the reopened materialization is durable: each committed
 // operation updates the file in place. Like MaterializeNodePoints, the
-// reopened materialization is attached to the planner.
+// reopened materialization is registered with its (reconstructed) set.
 func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materialization, error) {
+	mat, err := db.openMaterialization(path, opt)
+	if err != nil {
+		return nil, err
+	}
+	register(&mat.set().mats, mat, true)
+	return mat, nil
+}
+
+// openMaterialization is OpenMaterialization short of registering the
+// result, so a Path-persisted build can rebind it to the caller's set.
+func (db *DB) openMaterialization(path string, opt *MatOptions) (*Materialization, error) {
 	_, buffer := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
 	// recollection of the build-time options.
@@ -190,7 +201,7 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 			_ = bm.Detach()
 			return fail(err)
 		}
-		mat.node = &NodePoints{db: db, s: ns}
+		mat.node = newNodePoints(db, ns)
 	case core.MatKindEdge:
 		eps := make([]points.EdgePoint, len(pts))
 		for i, r := range pts {
@@ -210,11 +221,10 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 			_ = bm.Detach()
 			return fail(err)
 		}
-		mat.edge = &EdgePoints{db: db, s: es}
+		mat.edge = newEdgePoints(db, es)
 	default:
 		_ = bm.Detach()
 		return fail(fmt.Errorf("graphrnn: unknown point-set kind %d in %q", kind, path))
 	}
-	db.AttachMaterialization(mat)
 	return mat, nil
 }

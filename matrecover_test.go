@@ -150,16 +150,16 @@ func randomOp(t *testing.T, rng *rand.Rand, db *DB, mat *Materialization, opt *Q
 	doDelete := len(deletable) > 1 && rng.Intn(2) == 0
 	switch {
 	case doDelete:
-		_, err = mat.DeletePointContext(ctx, deletable[rng.Intn(len(deletable))], opt)
+		_, err = mat.set().Remove(ctx, deletable[rng.Intn(len(deletable))], opt)
 	case mat.NodePoints() != nil:
 		n := NodeID(rng.Intn(db.Graph().NumNodes()))
 		if _, taken := mat.NodePoints().PointAt(n); taken {
 			return false
 		}
-		_, _, err = mat.InsertNodeContext(ctx, n, opt)
+		_, _, err = mat.NodePoints().Insert(ctx, NodeLocation(n), opt)
 	default:
 		u, v, w := firstEdge(db.Graph())
-		_, _, err = mat.InsertEdgeContext(ctx, u, v, w*rng.Float64(), opt)
+		_, _, err = mat.EdgePoints().Insert(ctx, EdgeLocation(u, v, w*rng.Float64()), opt)
 	}
 	if err != nil && !IsExecErr(err) {
 		t.Fatalf("maintenance failed with a non-exec error: %v", err)
@@ -335,16 +335,16 @@ func randomOpCrash(t *testing.T, rng *rand.Rand, db *DB, mat *Materialization, o
 		return mat.EdgePoints().Points()
 	}()
 	if len(deletable) > 1 && rng.Intn(2) == 0 {
-		_, err = mat.DeletePointContext(context.Background(), deletable[rng.Intn(len(deletable))], opt)
+		_, err = mat.set().Remove(context.Background(), deletable[rng.Intn(len(deletable))], opt)
 	} else if ps := mat.NodePoints(); ps != nil {
 		n := NodeID(rng.Intn(db.Graph().NumNodes()))
 		if _, taken := ps.PointAt(n); taken {
 			return true
 		}
-		_, _, err = mat.InsertNodeContext(context.Background(), n, opt)
+		_, _, err = ps.Insert(context.Background(), NodeLocation(n), opt)
 	} else {
 		u, v, w := firstEdge(db.Graph())
-		_, _, err = mat.InsertEdgeContext(context.Background(), u, v, w*rng.Float64(), opt)
+		_, _, err = mat.EdgePoints().Insert(context.Background(), EdgeLocation(u, v, w*rng.Float64()), opt)
 	}
 	if err != nil && !IsExecErr(err) {
 		t.Fatalf("maintenance failed with a non-exec error: %v", err)
@@ -416,7 +416,7 @@ func TestPlainMaintenanceRollsBackPointSet(t *testing.T) {
 		}
 	}
 	mat.m.InjectWriteFault(1)
-	_, _, err = mat.InsertNode(free)
+	_, err = ps.Place(free)
 	mat.m.InjectWriteFault(0)
 	if err == nil {
 		t.Fatal("injected fault did not fail the insert")
@@ -435,7 +435,7 @@ func TestPlainMaintenanceRollsBackPointSet(t *testing.T) {
 	victim := ps.Points()[0]
 	victimNode, _ := ps.NodeOf(victim)
 	mat.m.InjectWriteFault(1)
-	_, err = mat.DeletePoint(victim)
+	err = ps.Delete(victim)
 	mat.m.InjectWriteFault(0)
 	if err == nil {
 		t.Fatal("injected fault did not fail the delete")
@@ -448,7 +448,7 @@ func TestPlainMaintenanceRollsBackPointSet(t *testing.T) {
 	// maintenance proceeds.
 	oracle := rebuildOracle(t, db, mat, maxK)
 	assertSameLists(t, mat, oracle, "after plain-path rollbacks")
-	if _, _, err := mat.InsertNode(free); err != nil {
+	if _, err := ps.Place(free); err != nil {
 		t.Fatalf("maintenance after rollback failed: %v", err)
 	}
 }
@@ -494,22 +494,33 @@ func TestDeletePointMissingEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A point on an edge db2 does not know arrives afterwards.
-	stray, err := ps.Place(1, 2, 0.25)
+	// A point on an edge db2 does not know cannot arrive through the one
+	// path any more; reach behind it, as only a bug could.
+	raw, err := ps.es.Place(1, 2, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mat.DeletePoint(stray)
+	stray := PointID(raw)
+	err = ps.Delete(stray)
 	if !errors.Is(err, ErrMissingEdge) {
-		t.Fatalf("DeletePoint over a missing edge returned %v, want ErrMissingEdge", err)
+		t.Fatalf("Delete over a missing edge returned %v, want ErrMissingEdge", err)
 	}
-	// The set is untouched: the error fired before any mutation.
+	// The set is untouched and the lists clean: the seeds never resolved,
+	// so the operation rolled back before any list was written.
 	if _, ok := ps.LocationOf(stray); !ok {
 		t.Fatal("failed delete removed the point")
 	}
-	// InsertEdge validates the same way.
-	if _, _, err := mat.InsertEdge(1, 2, 0.1); !errors.Is(err, ErrMissingEdge) {
-		t.Fatalf("InsertEdge over a missing edge returned %v, want ErrMissingEdge", err)
+	if mat.RepairState() != RepairClean {
+		t.Fatalf("RepairState = %v after the failed delete", mat.RepairState())
+	}
+	// Place validates the same way: the set's own graph knows edge (1,2),
+	// the materialization's does not, and the point does not stay.
+	lenBefore := ps.Len()
+	if _, err := ps.Place(1, 2, 0.1); !errors.Is(err, ErrMissingEdge) {
+		t.Fatalf("Place over an edge the materialization lacks returned %v, want ErrMissingEdge", err)
+	}
+	if ps.Len() != lenBefore {
+		t.Fatal("failed Place left its point in the set")
 	}
 	// And so does EdgePoints.Place on its own DB.
 	ps2 := db2.NewEdgePoints()
@@ -540,7 +551,7 @@ func TestMaintenanceBudgetAbandonsUpfrontDeadline(t *testing.T) {
 	}
 	lenBefore := ps.Len()
 	opt := &QueryOptions{Timeout: time.Nanosecond}
-	if _, _, err := mat.InsertNodeContext(context.Background(), 0, opt); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, _, err := ps.Insert(context.Background(), NodeLocation(0), opt); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("1ns insert returned %v, want ErrDeadlineExceeded", err)
 	}
 	if ps.Len() != lenBefore {
@@ -601,7 +612,7 @@ func TestMatOptionsPathPersistsBuild(t *testing.T) {
 	if free < 0 {
 		t.Fatal("grid fully occupied")
 	}
-	pid, _, err := mat.InsertNode(free)
+	pid, err := ps.Place(free)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +620,7 @@ func TestMatOptionsPathPersistsBuild(t *testing.T) {
 		t.Fatalf("insert landed as (%v, %t) in the tracked set, want (%v, true)", at, taken, pid)
 	}
 	victim := ps.Points()[0]
-	if _, err := mat.DeletePoint(victim); err != nil {
+	if err := ps.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
 

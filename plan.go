@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graphrnn/internal/core"
-	"graphrnn/internal/points"
 )
 
 // This file is the query planner: it validates a declarative Query, unifies
@@ -17,17 +16,21 @@ import (
 //     k beyond an index's maxK, an index over a different point set) falls
 //     back down the auto chain — unless Query.Strict, which makes the
 //     mismatch a hard error.
-//  3. Auto (the zero Algorithm) picks the fastest attached substrate:
-//     hub-label intersection when an attached index covers the shape,
-//     eager-M when an attached materialization does, and otherwise plain
-//     expansion — eager on disk-backed graphs (lowest page I/O, §3.2) and
-//     on low-diameter networks, lazy on memory-backed high-diameter
-//     networks (average degree <= 3, road-like), where its
-//     verification-side pruning saves CPU and no I/O is at stake (§6.1).
+//  3. Auto (the zero Algorithm) picks the fastest substrate of the queried
+//     point set (bichromatic: of the sites): hub-label intersection when an
+//     index over the set covers the shape, eager-M when a materialization
+//     over it does, and otherwise plain expansion — eager on disk-backed
+//     graphs (lowest page I/O, §3.2) and on low-diameter networks, lazy on
+//     memory-backed high-diameter networks (average degree <= 3,
+//     road-like), where its verification-side pruning saves CPU and no I/O
+//     is at stake (§6.1).
 //
-// BuildHubLabelIndex / OpenHubLabelIndex and MaterializeNodePoints /
-// MaterializeEdgePoints attach their substrate to the DB automatically
-// (last built wins); AttachHubLabel / AttachMaterialization override.
+// Substrates belong to the point set they were built or opened over
+// (BuildHubLabelIndex / OpenHubLabelIndex, MaterializeNodePoints /
+// MaterializeEdgePoints / OpenMaterialization register them there, Close
+// unregisters): the planner reads the queried set's own, the most recently
+// built of each kind wins, and an index over one set never displaces the
+// substrates of another.
 
 // lazyMaxAvgDegree is the planner's diameter proxy: at average degree <= 3
 // (road networks sit near 2.5) expansion frontiers grow slowly enough that
@@ -72,26 +75,6 @@ func (db *DB) Plan(q Query) (Plan, error) {
 	return pl.plan, err
 }
 
-// AttachHubLabel registers idx as the hub-label substrate the planner may
-// auto-select (nil detaches). BuildHubLabelIndex and OpenHubLabelIndex
-// attach their index automatically; explicit attachment is for serving
-// several indexes from one process. Safe to call while queries run.
-func (db *DB) AttachHubLabel(idx *HubLabelIndex) { db.planHub.Store(idx) }
-
-// AttachedHubLabel returns the planner's current hub-label substrate, if
-// any.
-func (db *DB) AttachedHubLabel() *HubLabelIndex { return db.planHub.Load() }
-
-// AttachMaterialization registers m as the materialized-list substrate the
-// planner may auto-select (nil detaches). MaterializeNodePoints and
-// MaterializeEdgePoints attach automatically. Safe to call while queries
-// run.
-func (db *DB) AttachMaterialization(m *Materialization) { db.planMat.Store(m) }
-
-// AttachedMaterialization returns the planner's current materialization,
-// if any.
-func (db *DB) AttachedMaterialization() *Materialization { return db.planMat.Load() }
-
 // planned is a validated Query with its views, target and substrate
 // resolved — everything the engine dispatch needs.
 type planned struct {
@@ -102,6 +85,9 @@ type planned struct {
 	// The data set and, for bichromatic kinds, the competitors; both in
 	// the residency plan.Edge names.
 	points, sites core.PointSet
+	// set is the mutable set behind tracked() — the one whose substrates
+	// can answer the query; nil for views of a paged snapshot.
+	set *trackedSet
 }
 
 // tracked returns the set a substrate must have been built over: the data
@@ -145,10 +131,12 @@ func (db *DB) plan(q Query) (planned, error) {
 
 	switch ps := q.Points.(type) {
 	case pointsArg:
-		pl.points.Node = ps.nodeView().v
+		v := ps.nodeView()
+		pl.points.Node, pl.set = v.v, v.set
 	case edgeArg:
+		v := ps.edgeView()
 		pl.plan.Edge = true
-		pl.points.Edge = ps.edgeView().v
+		pl.points.Edge, pl.set = v.v, v.set
 	default:
 		return planErr("unsupported point set type %T", q.Points)
 	}
@@ -158,12 +146,14 @@ func (db *DB) plan(q Query) (planned, error) {
 			if pl.plan.Edge {
 				return planErr("candidates are edge-resident but sites are node-resident; both sets must share one residency")
 			}
-			pl.sites.Node = ss.nodeView().v
+			v := ss.nodeView()
+			pl.sites.Node, pl.set = v.v, v.set
 		case edgeArg:
 			if !pl.plan.Edge {
 				return planErr("candidates are node-resident but sites are edge-resident; both sets must share one residency")
 			}
-			pl.sites.Edge = ss.edgeView().v
+			v := ss.edgeView()
+			pl.sites.Edge, pl.set = v.v, v.set
 		default:
 			return planErr("unsupported site set type %T", q.Sites)
 		}
@@ -231,15 +221,15 @@ func (db *DB) resolveAlgorithm(q Query, pl *planned) error {
 // hinted substrate a fallback is escaping; only the indexed substrates can
 // be incompatible, the expansion algorithms run every shape).
 func (db *DB) autoSelect(pl *planned, avoid algoKind) {
-	if avoid != algoHub {
-		if idx := db.planHub.Load(); idx != nil && db.incompatible(HubLabel(idx), pl) == "" {
+	if avoid != algoHub && pl.set != nil {
+		if idx := latest(&pl.set.hubs); idx != nil && db.incompatible(HubLabel(idx), pl) == "" {
 			pl.plan.Algorithm = HubLabel(idx)
 			pl.plan.Reason = "attached hub-label index answers this shape by label intersection"
 			return
 		}
 	}
-	if avoid != algoEagerM {
-		if m := db.planMat.Load(); m != nil && db.incompatible(EagerM(m), pl) == "" {
+	if avoid != algoEagerM && pl.set != nil {
+		if m := latest(&pl.set.mats); m != nil && db.incompatible(EagerM(m), pl) == "" {
 			pl.plan.Algorithm = EagerM(m)
 			pl.plan.Reason = "attached materialization serves the K-NN list probes (eager-M)"
 			return
@@ -256,8 +246,9 @@ func (db *DB) autoSelect(pl *planned, avoid algoKind) {
 
 // incompatible reports why algo cannot run the planned shape ("" when it
 // can). The expansion algorithms run every shape; the indexed substrates
-// are bound to the point set (bichromatic: the sites) and k range they
-// were built for.
+// are bound to the k range they were built for and — the test an explicit
+// hint needs, the set's own substrates pass it by construction — to the
+// point set (bichromatic: the sites) they track.
 func (db *DB) incompatible(algo Algorithm, pl *planned) string {
 	switch algo.kind {
 	case algoHub:
@@ -271,7 +262,7 @@ func (db *DB) incompatible(algo Algorithm, pl *planned) string {
 		if pl.plan.Kind != KindBichromatic && pl.k > h.MaxK() {
 			return fmt.Sprintf("k=%d exceeds the index's materialized thresholds (maxK %d)", pl.k, h.MaxK())
 		}
-		if h.node == nil || baseNodeView(pl.tracked().Node) != points.NodeView(h.node.s) {
+		if h.node == nil || &h.node.trackedSet != pl.set {
 			return "the index tracks a different point set"
 		}
 	case algoEagerM:
@@ -282,36 +273,9 @@ func (db *DB) incompatible(algo Algorithm, pl *planned) string {
 		if pl.k > m.MaxK() {
 			return fmt.Sprintf("k=%d exceeds the materialized lists (maxK %d)", pl.k, m.MaxK())
 		}
-		if pl.plan.Edge {
-			if m.edge == nil || baseEdgeView(pl.tracked().Edge) != points.EdgeView(m.edge.s) {
-				return "the materialization tracks a different point set"
-			}
-		} else if m.node == nil || baseNodeView(pl.tracked().Node) != points.NodeView(m.node.s) {
+		if set := m.set(); set == nil || set != pl.set {
 			return "the materialization tracks a different point set"
 		}
 	}
 	return ""
-}
-
-// baseNodeView strips exclusion wrappers off a node view, recovering the
-// underlying set for identity comparison against a substrate's tracked set.
-func baseNodeView(v points.NodeView) points.NodeView {
-	for {
-		hv, ok := v.(points.HiddenPointView)
-		if !ok {
-			return v
-		}
-		v = hv.Unhidden()
-	}
-}
-
-// baseEdgeView is baseNodeView for edge-resident views.
-func baseEdgeView(v points.EdgeView) points.EdgeView {
-	for {
-		hv, ok := v.(points.HiddenEdgePointView)
-		if !ok {
-			return v
-		}
-		v = hv.UnhiddenEdge()
-	}
 }

@@ -13,7 +13,8 @@ import (
 type Algorithm struct {
 	kind algoKind
 	mat  *Materialization
-	hub  *HubLabelIndex
+	//lint:ignore vetrnn/tenantclose borrowed for the queries the hint rides on; the caller owns the index
+	hub *HubLabelIndex
 }
 
 type algoKind int
@@ -87,40 +88,9 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Stats describes the work performed by one query.
-type Stats struct {
-	// NodesExpanded counts nodes popped by the main query-side expansion.
-	NodesExpanded int64
-	// NodesScanned counts nodes popped by sub-queries (range-NN probes,
-	// verifications, lazy-EP's point heap).
-	NodesScanned int64
-	// RangeNN counts range-NN probes (eager family).
-	RangeNN int64
-	// Verifications counts verification sub-queries.
-	Verifications int64
-	// MatReads counts materialized list lookups (eager-M).
-	MatReads int64
-	// LabelReads counts hub label fetches (hub-label).
-	LabelReads int64
-	// LabelEntries counts label and hub-list entries scanned (hub-label).
-	LabelEntries int64
-	// HeapPushes and HeapPops count priority-queue traffic.
-	HeapPushes int64
-	HeapPops   int64
-}
-
-// add accumulates o into s (batch aggregation).
-func (s *Stats) add(o Stats) {
-	s.NodesExpanded += o.NodesExpanded
-	s.NodesScanned += o.NodesScanned
-	s.RangeNN += o.RangeNN
-	s.Verifications += o.Verifications
-	s.MatReads += o.MatReads
-	s.LabelReads += o.LabelReads
-	s.LabelEntries += o.LabelEntries
-	s.HeapPushes += o.HeapPushes
-	s.HeapPops += o.HeapPops
-}
+// Stats describes the work performed by one query or maintenance
+// operation: the engine's own counter type, unconverted.
+type Stats = core.Stats
 
 // Result is a query answer.
 type Result struct {
@@ -135,16 +105,14 @@ type Result struct {
 	Plan Plan
 }
 
-// wrapResult converts a core result to the public shape, copying every
-// counter — including the hub-label LabelReads/LabelEntries, which an
-// earlier version of this function silently dropped. A non-nil result
+// wrapResult converts a core result to the public shape. A non-nil result
 // accompanied by an execution-control error (cancellation, deadline,
 // budget) is passed through as the partial answer.
 func wrapResult(r *core.Result, err error) (*Result, error) {
 	if r == nil {
 		return nil, err
 	}
-	return &Result{Points: fromPointIDs(r.Points), Stats: statsOf(r.Stats)}, err
+	return &Result{Points: fromPointIDs(r.Points), Stats: r.Stats}, err
 }
 
 // pointsArg accepts either a *NodePoints or a NodePointsView.

@@ -149,14 +149,16 @@ func TestPlannerOracle(t *testing.T) {
 				}
 				check("hub-labeled", "hub-label")
 
-				// Detaching walks back down the chain.
-				e.db.AttachHubLabel(nil)
-				check("hub-detached", "eager-M")
+				// Closing a substrate unregisters it from the set: the
+				// plan walks back down the chain.
+				if err := idx.Close(); err != nil {
+					t.Fatal(err)
+				}
+				check("hub-closed", "eager-M")
 				if err := mat.Close(); err != nil {
 					t.Fatal(err)
 				}
 				check("mat-closed", wantExpansion)
-				_ = idx
 			})
 		}
 	}

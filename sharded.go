@@ -514,7 +514,7 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	for sh := range s.part.Shards {
 		if sr := results[sh]; sr != nil {
 			lists = append(lists, sr.Candidates)
-			gathered.add(sr.Stats)
+			gathered.Add(sr.Stats)
 		}
 		if err := errs[sh]; err != nil {
 			if !IsExecErr(err) {
@@ -532,7 +532,7 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	if res == nil {
 		return nil, verr
 	}
-	res.Stats.add(gathered)
+	res.Stats.Add(gathered)
 	res.Plan = s.plan(q, len(cands))
 	s.members.Add(int64(len(res.Points)))
 	if verr != nil {
@@ -594,11 +594,11 @@ func mergeCandidates(lists [][]PointID) []PointID {
 func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Result, error) {
 	bs := s.db.searcher.Bound(ec)
 	req := core.Request{
-		Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.s},
+		Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.ns},
 		Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
 	}
 	if q.Kind == KindBichromatic {
-		req.Sites.Node = s.sites.s
+		req.Sites.Node = s.sites.ns
 	}
 	// Points is non-nil even when empty, matching wrapResult's shape on
 	// the unsharded surface.
@@ -606,7 +606,7 @@ func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Res
 	for _, p := range cands {
 		member, st, err := bs.VerifyMember(req, points.PointID(p))
 		s.verifyRuns.Add(1)
-		res.Stats.add(statsOf(st))
+		res.Stats.Add(st)
 		if err != nil {
 			if IsExecErr(err) {
 				return res, err
