@@ -246,12 +246,14 @@ func BenchmarkCIQueries(b *testing.B) {
 // tracks next to BenchmarkCIQueries, against its own committed baseline
 // (BENCH_SHARD.json): the identical fixed-seed query set — every placed
 // point of the 20K-node road network queried once at k=2 — served through
-// a 4-shard Sharded with per-shard hub-label substrates and the default
-// 1-hop halo. One op = one full sweep, so -benchtime=1x is stable; the
-// fan-out, candidate, verification and member counts per op are
-// deterministic for the fixed seed and gate the coordinator's merge +
-// verify overhead across machines the way io_reads/op gates the
-// substrates.
+// a 4-shard Sharded with hub-label substrates (one labeling, read by every
+// shard and by the coordinator's verify) and the default 1-hop halo. One op
+// = one full sweep, so -benchtime=1x is stable; the fan-out, candidate,
+// verification and member counts per op are deterministic for the fixed
+// seed and gate the coordinator's merge + verify overhead across machines
+// the way io_reads/op gates the substrates. verify_nodes_scanned/op is the
+// queries' scanned-node total: every shard answers from its hub lists, so
+// only an expansion verify on the coordinator can move it off zero.
 func BenchmarkCIShardedQueries(b *testing.B) {
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
@@ -272,6 +274,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 	defer sh.Close()
 	queries := ps.Points()
 	before := sh.Stats()
+	var scanned int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, qp := range queries {
@@ -281,9 +284,11 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 				Target: graphrnn.NodeLocation(qnode),
 				K:      2,
 			}
-			if _, err := sh.Run(context.Background(), q); err != nil {
+			res, err := sh.Run(context.Background(), q)
+			if err != nil {
 				b.Fatal(err)
 			}
+			scanned += res.Stats.NodesScanned
 		}
 	}
 	b.StopTimer()
@@ -293,6 +298,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 	b.ReportMetric(float64(after.FanOuts-before.FanOuts)/n, "fanout/op")
 	b.ReportMetric(float64(after.Candidates-before.Candidates)/n, "candidates/op")
 	b.ReportMetric(float64(after.VerifyRuns-before.VerifyRuns)/n, "verify_runs/op")
+	b.ReportMetric(float64(scanned)/n, "verify_nodes_scanned/op")
 	b.ReportMetric(float64(after.Members-before.Members)/n, "members/op")
 }
 

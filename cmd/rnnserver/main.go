@@ -32,22 +32,29 @@
 // worker count) and -label-compress serves the labels delta+varint
 // encoded through the paged store, cutting label bytes in memory and on
 // disk. Both apply to the startup build, POST /index/hublabel, and the
-// per-shard builds in sharded mode.
+// one labeling build of sharded mode.
 //
 // Sharded serving (-shards N) answers /query by scatter-gather: the node
 // set is cut into N balanced regions, one engine and one buffer-pool
 // tenant serve each region's points (plus a replicated halo ring of
 // competitors), and the coordinator merges and re-verifies the per-shard
-// candidates — answers stay bit-identical to unsharded serving. The
+// candidates — answers stay bit-identical to unsharded serving on the
+// same substrate, and the response's plan names the verify method. The
 // default runs every shard in this process. For separate shard
 // processes, start N servers with the same -family/-nodes/-seed flags
 // (each process derives the identical graph, point set and partition)
 // plus -shard-index i, and one coordinator with -shard-peers naming
 // their base URLs in shard order; sub-queries travel over POST
 // /shard/query with derived deadlines, and partial results survive
-// per-shard timeouts. -maxk / -hublabel configure per-shard substrates
-// in sharded mode, and the maintenance endpoints are disabled (a local
+// per-shard timeouts. -maxk configures per-shard materializations in
+// sharded mode, and the maintenance endpoints are disabled (a local
 // mutation would disagree with peer processes).
+//
+// -hublabel K in sharded mode builds ONE hub labeling per process: every
+// shard's reverse index reads it, and the coordinator confirms rnn and
+// continuous candidates by label intersection instead of by expansion. A
+// -shard-peers coordinator builds the labeling and its own index, no shard
+// engine; a -shard-index i process still builds all N shard engines.
 //
 // Endpoints:
 //
@@ -134,7 +141,7 @@ type server struct {
 	hub      atomic.Pointer[graphrnn.HubLabelIndex]
 	hubBuild sync.Mutex // one build at a time
 	// buildOpts configure every hub-label construction (startup,
-	// POST /index/hublabel, repair-failure rebuilds, per-shard builds).
+	// POST /index/hublabel, repair-failure rebuilds, the sharded build).
 	buildOpts graphrnn.BuildOptions
 	// hub-label maintenance counters for /stats.
 	hubRepairs     atomic.Int64
@@ -270,7 +277,7 @@ func (s *server) handleHubBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sharded != nil {
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("global hub-label builds unavailable in sharded mode: start with -hublabel K to build per-shard indexes"))
+		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("global hub-label builds unavailable in sharded mode: start with -hublabel K to build the labeling and the shard indexes"))
 		return
 	}
 	req := hubBuildRequest{MaxK: 4}
@@ -560,7 +567,7 @@ func main() {
 		buffer   = flag.Int("buffer", 256, "LRU buffer capacity in pages (disk-backed only)")
 		sites    = flag.Int("sites", -1, "site set size for bichromatic /query requests (-1 = points/10, 0 disables)")
 		maxK     = flag.Int("maxk", 4, "materialize K-NN lists up to this k for eager-m (0 disables; sharded: per-shard MatK)")
-		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: per-shard HubLabelK)")
+		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: one labeling for every shard index and the coordinator's verify)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-query deadline; expired queries answer 504 (0 disables)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty disables)")
 
@@ -651,7 +658,7 @@ func main() {
 	if *shards > 0 {
 		// Sharded mode: every process derives the same partition (and so
 		// the same global point-id space) from the shared flags; -maxk and
-		// -hublabel configure the per-shard substrates, and the global
+		// -hublabel configure the sharded layer's substrates, and the global
 		// materialization endpoints are disabled (mutating one process's
 		// point set would silently disagree with its peers).
 		shOpt := &graphrnn.ShardOptions{

@@ -94,6 +94,12 @@ func TestHandleQuerySharded(t *testing.T) {
 		if fmt.Sprint(out["neighbors"]) != fmt.Sprint(oout["neighbors"]) {
 			t.Fatalf("%s: sharded neighbors %v, oracle %v", body, out["neighbors"], oout["neighbors"])
 		}
+		// The plan says what ran: with a hub index the monochromatic kinds
+		// verify by label intersection, bichromatic by expansion.
+		method := map[string]string{"rnn": "by label intersection", "continuous": "by label intersection", "bichromatic": "by expansion"}[out["kind"].(string)]
+		if plan, _ := out["plan"].(map[string]any); method != "" && !strings.HasSuffix(fmt.Sprint(plan["reason"]), method) {
+			t.Fatalf("%s: plan %v does not say %q", body, plan, method)
+		}
 	}
 
 	// Batch arrays fan out per entry.
@@ -178,8 +184,10 @@ func TestShardWireHTTP(t *testing.T) {
 	for i := range peers {
 		peers[i] = ts.URL
 	}
+	// The coordinator verifies by label intersection what the (index-less)
+	// shard processes proposed by expansion, as in the CI two-tier smoke.
 	coord := env.shardedServer(t, &graphrnn.ShardOptions{
-		Shards: shards, Seed: 9, Sites: env.sites,
+		Shards: shards, Seed: 9, Sites: env.sites, HubLabelK: 2,
 		Runner: newHTTPShardRunner(peers),
 	}, "coordinator", -1)
 

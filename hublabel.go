@@ -34,11 +34,14 @@ import (
 // build survives process restarts and label reads count I/O like every
 // other substrate.
 type HubLabelIndex struct {
-	idx      *hublabel.Index
-	lab      *hublabel.Labeling // retained when built in this process
-	store    *hublabel.Store    // non-nil when labels are served paged
-	node     *NodePoints        // the tracked set, nil once detached
-	compress bool
+	idx *hublabel.Index
+	// The labels are served from memory (lab) or paged (store), never both:
+	// a paged index does not pin the raw labeling it was written from.
+	lab      *hublabel.Labeling
+	store    *hublabel.Store
+	borrowed bool        // the labels are a Sharded's, which releases them
+	reopened bool        // the labels came from a file, nothing was built
+	node     *NodePoints // the tracked set, nil when detached or never tracked
 	build    HubLabelBuildStats
 }
 
@@ -49,8 +52,9 @@ type BuildOptions struct {
 	// labels are bit-identical at every worker count.
 	Workers int
 	// Compression stores labels delta+varint encoded. Implies paged label
-	// serving (an in-memory page file when no Path is set), so the saving
-	// applies to served memory as well as disk.
+	// serving (an in-memory page file when no Path is set, and no raw
+	// labeling beside it), so the saving applies to served memory as well
+	// as disk.
 	Compression bool
 }
 
@@ -115,6 +119,12 @@ func (o *HubLabelOptions) defaults() (pageSize, buffer int, paged bool, path str
 // ones whose sites are ps — start using it immediately (the set's most
 // recently built index wins; indexes over other sets are unaffected).
 func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions) (*HubLabelIndex, error) {
+	return db.buildHubLabelIndex(ps, maxK, opt, true)
+}
+
+// buildHubLabelIndex is BuildHubLabelIndex with the registration optional:
+// a Sharded keeps the index that owns its labeling private (track false).
+func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions, track bool) (*HubLabelIndex, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("graphrnn: maxK must be >= 1, got %d", maxK)
 	}
@@ -123,7 +133,7 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 	if err != nil {
 		return nil, err
 	}
-	h := &HubLabelIndex{lab: lab, node: ps, compress: build.Compression}
+	h := &HubLabelIndex{lab: lab}
 	h.build = HubLabelBuildStats{
 		Workers:     bst.Workers,
 		Batches:     bst.Batches,
@@ -133,7 +143,6 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 		Resweeps:    bst.Resweeps,
 		WallSeconds: bst.Wall.Seconds(),
 	}
-	src := hublabel.Source(lab)
 	if paged {
 		var file storage.PagedFile
 		if path != "" {
@@ -156,23 +165,38 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 			file.Close()
 			return nil, err
 		}
-		src = h.store
+		h.lab = nil // the pages serve from here on
 		h.build.LabelBytes = h.store.PayloadBytes()
 		h.build.RawLabelBytes = h.store.RawBytes()
 	}
-	return h.index(src, maxK)
+	return h.index(ps, maxK, track)
 }
 
-// index builds the reverse index over the tracked set and registers the
-// finished substrate with it; on failure the label store is released.
-func (h *HubLabelIndex) index(src hublabel.Source, maxK int) (*HubLabelIndex, error) {
+// index builds the reverse index over ps — ReHub's per-object-set half,
+// cheap next to the labeling — and registers the finished substrate with
+// ps when track is set; on failure the labels are released.
+func (h *HubLabelIndex) index(ps *NodePoints, maxK int, track bool) (*HubLabelIndex, error) {
+	src := hublabel.Source(h.store)
+	if h.store == nil {
+		src = h.lab
+	}
 	var err error
-	if h.idx, err = hublabel.NewIndex(src, maxK, hubPointsOf(h.node)); err != nil {
+	if h.idx, err = hublabel.NewIndex(src, maxK, hubPointsOf(ps)); err != nil {
 		_ = h.Close()
 		return nil, err
 	}
-	register(&h.node.hubs, h, true)
+	if track {
+		h.node = ps
+		register(&ps.hubs, h, true)
+	}
 	return h, nil
+}
+
+// share returns an index over ps, registered with it, that borrows h's
+// labels and maxK: only the reverse index is built. Close it before h.
+func (h *HubLabelIndex) share(ps *NodePoints) (*HubLabelIndex, error) {
+	b := &HubLabelIndex{lab: h.lab, store: h.store, borrowed: true, build: h.build}
+	return b.index(ps, h.MaxK(), true)
 }
 
 // OpenHubLabelIndex reopens a labeling previously persisted at path (via
@@ -205,25 +229,33 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 		return nil, fmt.Errorf("graphrnn: label file covers %d nodes, graph has %d",
 			store.NumNodes(), db.store.NumNodes())
 	}
-	h := &HubLabelIndex{store: store, node: ps, compress: store.Compressed()}
+	h := &HubLabelIndex{store: store, reopened: true}
 	h.build.LabelBytes = store.PayloadBytes()
 	h.build.RawLabelBytes = store.RawBytes()
-	return h.index(store, maxK)
+	return h.index(ps, maxK, true)
 }
 
 // SaveTo persists the labeling into a fresh page file at path, so a later
 // process can OpenHubLabelIndex it. Only available on indexes built in this
-// process (an index reopened from a file is already persisted).
+// process (an index reopened from a file is already persisted). A paged
+// index kept no raw labeling: it is read back from the label pages first.
 func (h *HubLabelIndex) SaveTo(path string) error {
-	if h.lab == nil {
+	if h.reopened {
 		return fmt.Errorf("graphrnn: index was opened from a label file; it is already persisted")
+	}
+	lab := h.lab
+	if lab == nil {
+		var err error
+		if lab, err = hublabel.Load(h.store.Buffer().File()); err != nil {
+			return err
+		}
 	}
 	pageSize := storage.DefaultPageSize
 	f, err := storage.CreateOSFile(path, pageSize)
 	if err != nil {
 		return err
 	}
-	if err := hublabel.WriteOpt(h.lab, f, hublabel.WriteOptions{Compression: h.compress}); err != nil {
+	if err := hublabel.WriteOpt(lab, f, hublabel.WriteOptions{Compression: h.Compressed()}); err != nil {
 		f.Close()
 		return err
 	}
@@ -235,7 +267,7 @@ func (h *HubLabelIndex) SaveTo(path string) error {
 // must not be in flight.
 func (h *HubLabelIndex) Close() error {
 	h.detach()
-	if h.store != nil {
+	if h.store != nil && !h.borrowed {
 		return h.store.Close()
 	}
 	return nil
@@ -289,7 +321,7 @@ func (h *HubLabelIndex) AverageLabelSize() float64 {
 func (h *HubLabelIndex) BuildStats() HubLabelBuildStats { return h.build }
 
 // Compressed reports whether labels are served delta+varint encoded.
-func (h *HubLabelIndex) Compressed() bool { return h.compress }
+func (h *HubLabelIndex) Compressed() bool { return h.store != nil && h.store.Compressed() }
 
 // LabelBytes returns the stored label payload and what the raw fixed-width
 // codec would occupy; both 0 when labels are served from plain memory.

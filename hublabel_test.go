@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -539,6 +540,76 @@ func TestHubLabelParallelCompressed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHubLabelPagedDropsLabeling: a paged index serves the label pages alone
+// — the raw labeling it was written from is not kept for SaveTo — so a
+// compressed build grows the live heap by less than a plain one, and SaveTo
+// from either kind reopens to the same answers in the same codec.
+func TestHubLabelPagedDropsLabeling(t *testing.T) {
+	g, err := graphrnn.GenerateRoadNetwork(141, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := graphrnn.Open(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := db.PlaceRandomNodePoints(142, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	growth := map[bool]int64{}
+	for _, compress := range []bool{false, true} {
+		before := liveHeap()
+		idx, err := db.BuildHubLabelIndex(ps, 2, &graphrnn.HubLabelOptions{Build: graphrnn.BuildOptions{Compression: compress}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		growth[compress] = liveHeap() - before
+		path := filepath.Join(t.TempDir(), "labels.hub")
+		if err := idx.SaveTo(path); err != nil {
+			t.Fatalf("SaveTo (compressed=%v): %v", compress, err)
+		}
+		reopened, err := db.OpenHubLabelIndex(ps, 2, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reopened.Compressed() != compress || reopened.LabelEntries() != idx.LabelEntries() {
+			t.Fatalf("compressed=%v index reopened as compressed=%v with %d of %d entries",
+				compress, reopened.Compressed(), reopened.LabelEntries(), idx.LabelEntries())
+		}
+		for q := 0; q < g.NumNodes(); q += 97 {
+			want, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), 2, graphrnn.HubLabel(idx)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Run(context.Background(), rnnQuery(ps, graphrnn.NodeID(q), 2, graphrnn.HubLabel(reopened)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePoints(got.Points, want.Points) {
+				t.Fatalf("compressed=%v q=%d after SaveTo round trip: got %v, want %v", compress, q, got.Points, want.Points)
+			}
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if growth[true] >= growth[false] {
+		t.Fatalf("compressed build holds %d live bytes, plain build %d: the raw labeling is still pinned", growth[true], growth[false])
+	}
+	t.Logf("live heap growth: plain %d KiB, compressed %d KiB", growth[false]>>10, growth[true]>>10)
 }
 
 // TestHubLabelRepairVsRebuild drives the substrate-crossing maintenance

@@ -1,8 +1,10 @@
 package hublabel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,8 +40,8 @@ type Index struct {
 	live  int
 
 	// fwd[h] holds (p, d(p→h)) for h ∈ L_out(p); bwd[h] holds (p, d(h→p))
-	// for h ∈ L_in(p). Undirected labelings share one map.
-	fwd, bwd map[graph.NodeID][]pointEnt
+	// for h ∈ L_in(p), by hub id. Undirected labelings share one table.
+	fwd, bwd [][]pointEnt
 
 	// thr[p] holds the up-to-maxK nearest other points of p by outgoing
 	// distance, ascending (distance, id) — the materialized k-NN
@@ -81,10 +83,10 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 	idx := &Index{
 		src:  src,
 		maxK: maxK,
-		fwd:  make(map[graph.NodeID][]pointEnt),
+		fwd:  make([][]pointEnt, src.NumNodes()),
 	}
 	if src.Directed() {
-		idx.bwd = make(map[graph.NodeID][]pointEnt)
+		idx.bwd = make([][]pointEnt, src.NumNodes())
 	} else {
 		idx.bwd = idx.fwd
 	}
@@ -166,11 +168,11 @@ func (idx *Index) addToLists(p points.PointID, n graph.NodeID, buf []Entry) ([]E
 }
 
 func sortList(l []pointEnt) {
-	sort.Slice(l, func(i, j int) bool {
-		if l[i].D != l[j].D {
-			return l[i].D < l[j].D
+	slices.SortFunc(l, func(a, b pointEnt) int {
+		if c := cmp.Compare(a.D, b.D); c != 0 {
+			return c
 		}
-		return l[i].P < l[j].P
+		return cmp.Compare(a.P, b.P)
 	})
 }
 
@@ -379,40 +381,31 @@ func (idx *Index) checkQuery(q graph.NodeID, k int) error {
 	return nil
 }
 
+// checkRoute is checkQuery for the source locations of a route query.
+func (idx *Index) checkRoute(route []graph.NodeID, k int) error {
+	if len(route) == 0 {
+		return fmt.Errorf("hublabel: query needs at least one source location")
+	}
+	for _, n := range route {
+		if err := idx.checkQuery(n, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RkNN answers a monochromatic reverse k-NN query from node q, hiding
 // point hidden (points.NoPoint hides nothing). k must not exceed MaxK.
 func (idx *Index) RkNN(q graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
 	return idx.RkNNExec(nil, q, k, hidden)
 }
 
-// RkNNExec is RkNN under an execution context: the intersection path polls
-// ec between label fetches and per decided point, abandoning the query
-// with a typed exec error (cancellation, deadline, I/O budget). A nil ec
-// is unbounded.
+// RkNNExec is RkNN under an execution context — the one-node case of
+// ContinuousRkNNExec: the intersection path polls ec between label fetches
+// and per decided point, abandoning the query with a typed exec error
+// (cancellation, deadline, I/O budget). A nil ec is unbounded.
 func (idx *Index) RkNNExec(ec *exec.Ctx, q graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
-	var st QueryStats
-	if err := idx.checkQuery(q, k); err != nil {
-		return nil, st, err
-	}
-	if k > idx.maxK {
-		return nil, st, fmt.Errorf("hublabel: k=%d exceeds materialized maxK=%d", k, idx.maxK)
-	}
-	if err := ec.Check(0); err != nil {
-		return nil, st, err
-	}
-	sc := idx.acquire()
-	defer idx.release(sc)
-	var err error
-	if sc.lab1, err = idx.src.InLabel(q, sc.lab1); err != nil {
-		return nil, st, err
-	}
-	st.LabelReads++
-	sc.beginRelax()
-	idx.relax(sc, &st, sc.lab1)
-	// decide carries its partial result on an execution-control error and
-	// returns nil on real failures; pass both through unchanged.
-	res, err := idx.decide(ec, sc, &st, k, hidden)
-	return res, st, err
+	return idx.ContinuousRkNNExec(ec, []graph.NodeID{q}, k, hidden)
 }
 
 // ContinuousRkNN answers the route variant: the union of RkNN over every
@@ -424,13 +417,8 @@ func (idx *Index) ContinuousRkNN(route []graph.NodeID, k int, hidden points.Poin
 // ContinuousRkNNExec is ContinuousRkNN under an execution context.
 func (idx *Index) ContinuousRkNNExec(ec *exec.Ctx, route []graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
 	var st QueryStats
-	if len(route) == 0 {
-		return nil, st, fmt.Errorf("hublabel: query needs at least one source location")
-	}
-	for _, n := range route {
-		if err := idx.checkQuery(n, k); err != nil {
-			return nil, st, err
-		}
+	if err := idx.checkRoute(route, k); err != nil {
+		return nil, st, err
 	}
 	if k > idx.maxK {
 		return nil, st, fmt.Errorf("hublabel: k=%d exceeds materialized maxK=%d", k, idx.maxK)
@@ -466,7 +454,7 @@ func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidd
 	var res []points.PointID
 	for _, p := range sc.touched {
 		if err := ec.Check(0); err != nil {
-			sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+			slices.Sort(res)
 			return res, err
 		}
 		if p == hidden || idx.nodes[p] < 0 {
@@ -490,7 +478,7 @@ func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidd
 			res = append(res, p)
 		}
 	}
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+	slices.Sort(res)
 	return res, nil
 }
 
@@ -528,6 +516,52 @@ func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k 
 	return false, false
 }
 
+// VerifyMember decides whether point p is a reverse k-nearest neighbor of
+// the query (one node, or the nodes of a route) with the arithmetic of
+// RkNN / ContinuousRkNN, nothing hidden: d(p→query) is the smallest
+// L_out(p) ∩ L_in(query node) sum, membership the threshold test for
+// k <= MaxK and the exact closer-count beyond. An id that names no live
+// point is no member. ec is polled per query-side label fetch.
+func (idx *Index) VerifyMember(ec *exec.Ctx, query []graph.NodeID, k int, p points.PointID) (bool, QueryStats, error) {
+	var st QueryStats
+	if err := idx.checkRoute(query, k); err != nil {
+		return false, st, err
+	}
+	pn, ok := idx.NodeOf(p)
+	if !ok {
+		return false, st, nil
+	}
+	sc := idx.acquire()
+	defer idx.release(sc)
+	var err error
+	if sc.lab2, err = idx.src.OutLabel(pn, sc.lab2); err != nil {
+		return false, st, err
+	}
+	st.LabelReads++
+	st.Entries += int64(len(sc.lab2))
+	dq := math.Inf(1)
+	for _, n := range query {
+		if err := ec.Check(0); err != nil {
+			return false, st, err
+		}
+		if sc.lab1, err = idx.src.InLabel(n, sc.lab1); err != nil {
+			return false, st, err
+		}
+		st.LabelReads++
+		st.Entries += int64(len(sc.lab1))
+		dq = min(dq, mergeDist(sc.lab2, sc.lab1))
+	}
+	if math.IsInf(dq, 1) {
+		return false, st, nil // p cannot reach the query
+	}
+	if k > idx.maxK {
+		st.Fallbacks++
+		return idx.countCloser(sc, &st, sc.lab2, dq, k, p, points.NoPoint) < k, st, nil
+	}
+	member, _ := idx.thresholdTest(&st, p, dq, k, points.NoPoint)
+	return member, st, nil
+}
+
 // BichromaticRkNN answers bRkNN(q) over the site set the index was built
 // on: the candidates of cands with fewer than k sites strictly closer than
 // the query. hiddenSite excludes one site (points.NoPoint for none); k is
@@ -556,7 +590,7 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 	var res []points.PointID
 	for _, c := range cands.Points() {
 		if err := ec.Check(0); err != nil {
-			sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+			slices.Sort(res)
 			return res, st, err
 		}
 		cnode, ok := cands.NodeOf(c)
@@ -577,7 +611,7 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 			res = append(res, c)
 		}
 	}
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+	slices.Sort(res)
 	return res, st, nil
 }
 

@@ -2,8 +2,9 @@ package graphrnn
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +33,19 @@ import (
 // path distances — so the union of shard-local answers over owned points
 // is a superset of the true answer. The halo shrinks that superset
 // cheaply near region borders; the coordinator then confirms every
-// merged candidate with the same per-candidate expansion the brute-force
-// oracle runs, against the full point set. Verified scatter-gather
-// answers are therefore bit-identical to unsharded ones: same distances,
-// same epsilon bounds, same tie handling — no member is lost at cut
-// edges, and no false candidate survives.
+// merged candidate against the full point set. Without a hub index
+// (HubLabelK == 0), and for KindBichromatic, by the per-candidate expansion
+// the brute-force oracle runs: answers are bit-identical to unsharded
+// expansion answers — same distances, same epsilon bounds, same tie
+// handling. With a hub index the monochromatic kinds are confirmed by label
+// intersection (hublabel.Index.VerifyMember): answers are bit-identical to
+// unsharded hub-label serving — same labeling, same float additions, same
+// strict '<' — and equal the brute-force answer up to what separates those
+// two substrates anyway: a label sum d(p→h)+d(h→q) and a path sum can
+// differ in the last bit, so a point at exactly its k-th-neighbor distance
+// may tie under one and not the other (ROADMAP's FuzzSubstrateAgreement
+// item owns that; on integer weights both agree exactly). Either way no
+// member is lost at cut edges, and no false candidate survives.
 //
 // KindBichromatic partitions the candidate set and replicates the
 // (typically small) site set to every shard; KindKNN is answered by the
@@ -79,16 +88,18 @@ type ShardOptions struct {
 	// Sites is the bichromatic site set, replicated to every shard.
 	// Queries of KindBichromatic require it.
 	Sites *NodePoints
-	// HubLabelK, when positive, builds a per-shard hub-label index
-	// (maxK = HubLabelK) over each shard's point set; the per-shard
-	// planner then serves compatible sub-queries from it.
+	// HubLabelK, when positive, builds the hub labeling of the graph — one
+	// labeling per process, read by every shard and by the coordinator's
+	// verify — and over it a reverse index (maxK = HubLabelK) per shard
+	// point set for the per-shard planner, plus one over the full set that
+	// confirms monochromatic candidates. A pure coordinator (Runner set)
+	// builds the labeling and the full-set index only.
 	HubLabelK int
 	// MatK, when positive, materializes per-shard K-NN lists (maxK =
 	// MatK) for the eager-M substrate.
 	MatK int
-	// Build controls the per-shard hub-label construction (worker count
-	// per build, label compression). Shards always build concurrently
-	// with each other.
+	// Build controls the labeling construction: worker count, and label
+	// compression (one paged store, one pool tenant, for every index).
 	Build BuildOptions
 	// DiskBacked serves each shard's adjacency from its own paged file,
 	// attached to the parent DB's buffer pool as one tenant per shard.
@@ -154,6 +165,10 @@ type Sharded struct {
 	// handles are the in-process shard engines; nil in pure-coordinator
 	// mode (Runner set).
 	handles []*shardHandle
+	// hub (HubLabelK > 0) is the coordinator's index over the full set ps,
+	// read by the verify pass. It owns the one labeling every shard index
+	// borrows and is not registered with ps: the parent DB plans as before.
+	hub *HubLabelIndex
 	// ownedPoints / haloPoints are the static per-shard point counts.
 	ownedPoints []int
 	haloPoints  []int
@@ -174,7 +189,8 @@ type Sharded struct {
 // the shared topology serving the region's points plus a halo ring of
 // replicated competitors, and the returned Sharded coordinates queries
 // across them (Run / RunBatch). With opt.Runner set no local engines are
-// built; sub-queries go through the runner instead (see ShardRunner).
+// built; sub-queries go through the runner instead (see ShardRunner). The
+// hub labeling (opt.HubLabelK) is built once, whatever the shard count.
 func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 	if opt == nil || opt.Shards < 1 {
 		return nil, fmt.Errorf("graphrnn: ShardOptions.Shards must be >= 1")
@@ -209,6 +225,12 @@ func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 			}
 		}
 	}
+	if opt.HubLabelK > 0 {
+		s.hub, err = db.buildHubLabelIndex(ps, opt.HubLabelK, &HubLabelOptions{Build: opt.Build}, false)
+		if err != nil {
+			return nil, err
+		}
+	}
 	if opt.Runner != nil {
 		return s, nil
 	}
@@ -235,6 +257,7 @@ func (s *Sharded) buildHandles(opt *ShardOptions) error {
 			return err
 		}
 		h := &shardHandle{db: shDB, ps: shDB.NewNodePoints()}
+		s.handles[sh] = h
 		for _, gp := range s.ps.Points() {
 			n, ok := s.ps.NodeOf(gp)
 			if !ok || s.part.ShardOf(graph.NodeID(n)) != sh {
@@ -269,84 +292,62 @@ func (s *Sharded) buildHandles(opt *ShardOptions) error {
 				}
 			}
 		}
-		s.handles[sh] = h
-	}
-	// The substrate builds are CPU-bound and independent per shard, so
-	// they run concurrently. Handle and point-set construction above
-	// stays sequential: it fixes the local point-id layout and the
-	// buffer-pool tenant order, which must not depend on scheduling.
-	if opt.HubLabelK > 0 || opt.MatK > 0 {
-		errs := make([]error, s.part.Shards)
-		var wg sync.WaitGroup
-		for sh := range s.part.Shards {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				h := s.handles[sh]
-				if opt.HubLabelK > 0 {
-					hub, err := h.db.BuildHubLabelIndex(h.ps, opt.HubLabelK, &HubLabelOptions{Build: opt.Build})
-					if err != nil {
-						errs[sh] = err
-						return
-					}
-					h.hub = hub
-				}
-				if opt.MatK > 0 {
-					mat, err := h.db.MaterializeNodePoints(h.ps, opt.MatK, nil)
-					if err != nil {
-						errs[sh] = err
-						return
-					}
-					h.mat = mat
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
+		if s.hub != nil {
+			if h.hub, err = s.hub.share(h.ps); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	if opt.MatK <= 0 {
+		return nil
+	}
+	// The materializations are CPU-bound and independent per shard, so they
+	// build concurrently. Everything above stays sequential: it fixes the
+	// local point-id layout and the buffer-pool tenant order, which must
+	// not depend on scheduling.
+	errs := make([]error, s.part.Shards)
+	var wg sync.WaitGroup
+	for sh, h := range s.handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.mat, errs[sh] = h.db.MaterializeNodePoints(h.ps, opt.MatK, nil)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // close releases the shard's substrates in dependency order: the planner
 // substrates first (each detaches its own pool tenant), then the shard
-// engine itself. It returns the first error and keeps going.
+// engine itself. It keeps going past an error and returns them all.
 func (h *shardHandle) close() error {
-	var first error
+	var hubErr, matErr error
 	if h.hub != nil {
-		if err := h.hub.Close(); first == nil {
-			first = err
-		}
-		h.hub = nil
+		hubErr = h.hub.Close()
 	}
 	if h.mat != nil {
-		if err := h.mat.Close(); first == nil {
-			first = err
-		}
-		h.mat = nil
+		matErr = h.mat.Close()
 	}
-	if err := h.db.Close(); first == nil {
-		first = err
-	}
-	return first
+	return errors.Join(hubErr, matErr, h.db.Close())
 }
 
 // Close releases the per-shard substrates (hub-label indexes,
-// materializations, disk-backed tenants). The Sharded must be quiescent.
+// materializations, disk-backed tenants) and then the labeling they
+// borrowed. The Sharded must be quiescent; a second Close is a no-op.
 func (s *Sharded) Close() error {
-	var first error
+	var errs []error
 	for _, h := range s.handles {
-		if h == nil {
-			continue
-		}
-		if err := h.close(); first == nil {
-			first = err
+		if h != nil {
+			errs = append(errs, h.close())
 		}
 	}
-	return first
+	s.handles = nil
+	if s.hub != nil {
+		errs = append(errs, s.hub.Close())
+		s.hub = nil
+	}
+	return errors.Join(errs...)
 }
 
 // NumShards returns the shard count.
@@ -460,9 +461,13 @@ func (s *Sharded) runOneShard(ctx context.Context, sh int, q Query) (*ShardResul
 
 // Run executes one query by scatter-gather: one sub-query per shard with
 // a derived deadline, a merge of the per-shard candidate sets, and an
-// exact verification of every candidate on the coordinator's global
-// engine. The answer equals the unsharded DB.Run answer over the same
-// point set. Points and Sites must be nil (the Sharded owns them);
+// exact verification of every candidate against the full point set on the
+// coordinator — by label intersection when HubLabelK built the labeling
+// (one per process, read by every shard and by this verify) and the kind
+// is monochromatic, by expansion otherwise; Plan.Reason names the method
+// and Stats carries its work. The answer equals the unsharded DB.Run answer
+// over the same point set on the matching substrate (see Exactness).
+// Points and Sites must be nil (the Sharded owns them);
 // Algorithm hints pass through to every shard's planner. q.Budget, when
 // set, applies to each shard sub-query individually (and again to the
 // verify pass), not to the aggregate.
@@ -541,14 +546,24 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	return res, execErr
 }
 
-// plan describes the scatter-gather execution of q in the Result.
+// plan describes the scatter-gather execution of q, verify method included.
 func (s *Sharded) plan(q Query, candidates int) Plan {
+	method := "expansion"
+	if s.verifiesByLabels(q) {
+		method = "label intersection"
+	}
 	return Plan{
 		Kind:      q.Kind,
 		Algorithm: q.Algorithm,
-		Reason: fmt.Sprintf("scatter-gather over %d shards; %d candidates verified on the coordinator",
-			s.part.Shards, candidates),
+		Reason: fmt.Sprintf("scatter-gather over %d shards; %d candidates verified on the coordinator by %s",
+			s.part.Shards, candidates, method),
 	}
+}
+
+// verifiesByLabels: the hub index confirms the kinds whose competitors are
+// the set it indexes.
+func (s *Sharded) verifiesByLabels(q Query) bool {
+	return s.hub != nil && q.Kind != KindBichromatic
 }
 
 // RunBatch fans a slice of queries out over a worker pool, each entry
@@ -564,47 +579,45 @@ func (s *Sharded) RunBatch(ctx context.Context, queries []Query, opt *BatchOptio
 // pass re-checks every id — so the merge is safe on adversarial remote
 // responses.
 func mergeCandidates(lists [][]PointID) []PointID {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]PointID, 0, n)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:1]
-	for _, p := range out[1:] {
-		if p != dedup[len(dedup)-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	return dedup
+	out := slices.Concat(lists...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// verifyCandidates confirms each merged candidate with the exact
-// per-candidate expansion of the brute-force oracle, against the full
-// point set — the cross-shard verify pass that makes scatter-gather
-// answers identical to unsharded ones. Ids that name no live point are
-// rejected (a shard — or an adversarial remote — proposed garbage).
-// Typed execution errors return the members verified so far.
+// verifyCandidates confirms each merged candidate against the full point
+// set — the cross-shard verify pass that makes scatter-gather answers
+// identical to unsharded ones: by label intersection where the hub index
+// can answer, else by the exact per-candidate expansion of the brute-force
+// oracle. Ids that name no live point are rejected (a shard — or an
+// adversarial remote — proposed garbage). Typed execution errors return
+// the members verified so far.
 func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Result, error) {
-	bs := s.db.searcher.Bound(ec)
-	req := core.Request{
-		Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.ns},
-		Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
-	}
-	if q.Kind == KindBichromatic {
-		req.Sites.Node = s.sites.ns
+	var verify func(p points.PointID) (bool, core.Stats, error)
+	if s.verifiesByLabels(q) {
+		nodes := []graph.NodeID{graph.NodeID(q.Target.U)}
+		if q.Kind == KindContinuous {
+			nodes = toNodeIDs(q.Route)
+		}
+		verify = func(p points.PointID) (bool, core.Stats, error) {
+			member, st, err := s.hub.idx.VerifyMember(ec, nodes, q.K, p)
+			return member, coreHubStats(st), err
+		}
+	} else {
+		bs := s.db.searcher.Bound(ec)
+		req := core.Request{
+			Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.ns},
+			Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
+		}
+		if q.Kind == KindBichromatic {
+			req.Sites.Node = s.sites.ns
+		}
+		verify = func(p points.PointID) (bool, core.Stats, error) { return bs.VerifyMember(req, p) }
 	}
 	// Points is non-nil even when empty, matching wrapResult's shape on
 	// the unsharded surface.
 	res := &Result{Points: []PointID{}}
 	for _, p := range cands {
-		member, st, err := bs.VerifyMember(req, points.PointID(p))
+		member, st, err := verify(points.PointID(p))
 		s.verifyRuns.Add(1)
 		res.Stats.Add(st)
 		if err != nil {

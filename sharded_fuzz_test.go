@@ -3,6 +3,7 @@ package graphrnn
 import (
 	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +13,8 @@ import (
 // that make scatter-gather trustworthy regardless of shard behavior:
 //
 //   - no panic, whatever the candidate ids (negative, huge, duplicated,
-//     deleted, unsorted);
+//     deleted, unsorted), under either verify method — the expansion and,
+//     on a hub-indexed coordinator, the label intersection;
 //   - the verified answer is sorted, duplicate-free, and a subset of the
 //     brute-oracle answer (soundness: verification never confirms a
 //     non-member);
@@ -29,9 +31,20 @@ func FuzzShardMerge(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sh, err := db.Shard(ps, &ShardOptions{Shards: 3, Sites: sites, Runner: &fakeRunner{}})
-	if err != nil {
-		f.Fatal(err)
+	// Dead ids inside the id space: a shard may still propose them.
+	deleted := []PointID{ps.Points()[2], ps.Points()[ps.Len()/2]}
+	for _, p := range deleted {
+		if err := ps.Delete(p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var coordinators []*Sharded
+	for _, hubK := range []int{0, 2} {
+		sh, err := db.Shard(ps, &ShardOptions{Shards: 3, Sites: sites, Runner: &fakeRunner{}, HubLabelK: hubK})
+		if err != nil {
+			f.Fatal(err)
+		}
+		coordinators = append(coordinators, sh)
 	}
 	qnode := NodeID(db.Graph().NumNodes() / 2)
 	route := db.RandomWalkRoute(3, 4)
@@ -64,7 +77,7 @@ func FuzzShardMerge(f *testing.F) {
 	// shapes.
 	for kind := range queries {
 		honest := []byte{byte(kind), 3}
-		for _, p := range ps.Points() {
+		for _, p := range append(ps.Points(), deleted...) {
 			honest = binary.LittleEndian.AppendUint16(honest, uint16(p))
 		}
 		f.Add(honest)
@@ -90,32 +103,30 @@ func FuzzShardMerge(f *testing.F) {
 				t.Fatalf("merge not strictly ascending at %d: %v", i, cands[:i+1])
 			}
 		}
-		res, err := sh.verifyCandidates(nil, queries[qi], cands)
-		if err != nil {
-			t.Fatalf("verify over adversarial candidates errored: %v", err)
-		}
 		covered := true
-		seen := make(map[PointID]bool, len(cands))
-		for _, p := range cands {
-			seen[p] = true
-		}
 		for _, p := range oracles[qi] {
-			if !seen[p] {
+			if !slices.Contains(cands, p) {
 				covered = false
 				break
 			}
 		}
-		for i, p := range res.Points {
-			if i > 0 && res.Points[i-1] >= p {
-				t.Fatalf("answer not strictly ascending: %v", res.Points)
+		for _, sh := range coordinators {
+			res, err := sh.verifyCandidates(nil, queries[qi], cands)
+			if err != nil {
+				t.Fatalf("verify over adversarial candidates errored: %v", err)
 			}
-			if !members[qi][p] {
-				t.Fatalf("verification confirmed non-member %d (kind %v)", p, queries[qi].Kind)
+			for i, p := range res.Points {
+				if i > 0 && res.Points[i-1] >= p {
+					t.Fatalf("answer not strictly ascending: %v", res.Points)
+				}
+				if !members[qi][p] {
+					t.Fatalf("verification confirmed non-member %d (kind %v, hub index %v)", p, queries[qi].Kind, sh.hub != nil)
+				}
 			}
-		}
-		if covered && len(res.Points) != len(oracles[qi]) {
-			t.Fatalf("candidates covered the truth but answer %v != oracle %v (kind %v)",
-				res.Points, oracles[qi], queries[qi].Kind)
+			if covered && len(res.Points) != len(oracles[qi]) {
+				t.Fatalf("candidates covered the truth but answer %v != oracle %v (kind %v, hub index %v)",
+					res.Points, oracles[qi], queries[qi].Kind, sh.hub != nil)
+			}
 		}
 	})
 }

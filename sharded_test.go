@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/shard"
 )
@@ -24,6 +27,26 @@ func shardOracleEnv(t testing.TB, family string, nodes int, shards int, seed int
 		g, err = GenerateRoadNetwork(seed, nodes)
 	case "grid":
 		g, err = GenerateGrid(seed, nodes, 2.5)
+	case "lattice":
+		// A square lattice of unit weights only (GenerateGrid adds
+		// Euclidean shortcuts): every distance is a small integer, so ties
+		// are everywhere and exact under any order of float additions.
+		side := 1
+		for side*side < nodes {
+			side++
+		}
+		gb := NewGraphBuilder(side * side)
+		for i := 0; i < side*side && err == nil; i++ {
+			if i%side+1 < side {
+				err = gb.AddEdge(NodeID(i), NodeID(i+1), 1)
+			}
+			if i+side < side*side && err == nil {
+				err = gb.AddEdge(NodeID(i), NodeID(i+side), 1)
+			}
+		}
+		if err == nil {
+			g, err = gb.Build()
+		}
 	default:
 		t.Fatalf("unknown family %q", family)
 	}
@@ -65,16 +88,24 @@ func shardOracleEnv(t testing.TB, family string, nodes int, shards int, seed int
 }
 
 // TestShardedOracle is the cross-shard correctness property: scatter-
-// gather answers equal unsharded engine answers — same members, same
-// order — across topologies, shard counts, halo depths and query kinds,
-// with boundary-heavy point placements.
+// gather answers equal the brute-force oracle's — same members, same order
+// — across topologies, shard counts, halo depths, query kinds and both
+// verify methods, with boundary-heavy point placements. With HubLabelK the
+// monochromatic kinds are confirmed by label intersection, at k below, at
+// and beyond the materialized thresholds; the unit-weight lattice is the tie
+// case that pins the strict '<' rule there. (The Euclidean shortcuts of
+// "grid" make label sums and path sums differ in the last bit, so it runs
+// the expansion verify only — see the Exactness note in sharded.go.)
 func TestShardedOracle(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range []struct {
 		family string
 		nodes  int
+		hubKs  []int
 	}{
-		{"road", 600},
-		{"grid", 400},
+		{"road", 600, []int{0, 2}},
+		{"grid", 400, []int{0}},
+		{"lattice", 400, []int{0, 2}},
 	} {
 		for _, shards := range []int{1, 2, 4, 7} {
 			db, ps := shardOracleEnv(t, tc.family, tc.nodes, shards, 1811)
@@ -83,105 +114,149 @@ func TestShardedOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			route := db.RandomWalkRoute(5, 4)
-			for _, halo := range []int{-1, 1, 2} {
-				sh, err := db.Shard(ps, &ShardOptions{
-					Shards: shards, HaloDepth: halo, Seed: 3, Sites: sites,
-				})
-				if err != nil {
-					t.Fatalf("%s/%d shards halo=%d: %v", tc.family, shards, halo, err)
+			// Query nodes: a spread of owned and border nodes. The
+			// generators may undershoot the requested node count.
+			nn := db.Graph().NumNodes()
+			targets := []NodeID{0, NodeID(nn / 3), NodeID(nn / 2), NodeID(nn - 1)}
+			if pts := ps.Points(); len(pts) > 0 {
+				if n, ok := ps.NodeOf(pts[len(pts)/2]); ok {
+					targets = append(targets, n)
 				}
-				ctx := context.Background()
-				// Query nodes: a spread of owned and border nodes. The
-				// generators may undershoot the requested node count.
-				nn := db.Graph().NumNodes()
-				targets := []NodeID{0, NodeID(nn / 3), NodeID(nn / 2), NodeID(nn - 1)}
-				if pts := ps.Points(); len(pts) > 0 {
-					if n, ok := ps.NodeOf(pts[len(pts)/2]); ok {
-						targets = append(targets, n)
-					}
+			}
+			var queries []Query
+			for _, q := range targets {
+				queries = append(queries, Query{Kind: KindRNN, Target: NodeLocation(q)},
+					Query{Kind: KindBichromatic, Target: NodeLocation(q), K: 2})
+			}
+			queries = append(queries, Query{Kind: KindContinuous, Route: route})
+			for _, hubK := range tc.hubKs {
+				ks, method := []int{1, 2, 4}, "by expansion"
+				if hubK > 0 {
+					ks, method = []int{1, hubK, hubK + 1}, "by label intersection"
 				}
-				for _, q := range targets {
-					for _, k := range []int{1, 2, 4} {
-						want, err := db.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(q), K: k, Points: ps})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := sh.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(q), K: k})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got.Points, want.Points) {
-							t.Fatalf("%s shards=%d halo=%d rnn(q=%d,k=%d): sharded %v, unsharded %v",
-								tc.family, shards, halo, q, k, got.Points, want.Points)
-						}
-					}
-					want, err := db.Run(ctx, Query{Kind: KindBichromatic, Target: NodeLocation(q), K: 2, Points: ps, Sites: sites})
+				for _, halo := range []int{-1, 1, 2} {
+					sh, err := db.Shard(ps, &ShardOptions{
+						Shards: shards, HaloDepth: halo, Seed: 3, Sites: sites, HubLabelK: hubK,
+					})
 					if err != nil {
+						t.Fatalf("%s/%d shards halo=%d hubK=%d: %v", tc.family, shards, halo, hubK, err)
+					}
+					for _, q := range queries {
+						qks, want := ks, method
+						if q.Kind == KindBichromatic {
+							qks, want = []int{q.K}, "by expansion"
+						}
+						for _, k := range qks {
+							q.K = k
+							oq := q
+							oq.Points, oq.Algorithm = ps, BruteForce()
+							if q.Kind == KindBichromatic {
+								oq.Sites = sites
+							}
+							oracle, err := db.Run(ctx, oq)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := sh.Run(ctx, q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got.Points, oracle.Points) {
+								t.Fatalf("%s shards=%d halo=%d hubK=%d %v(q=%d,route=%v,k=%d): sharded %v, brute %v",
+									tc.family, shards, halo, hubK, q.Kind, q.Target.U, q.Route, k, got.Points, oracle.Points)
+							}
+							if !strings.HasSuffix(got.Plan.Reason, want) {
+								t.Fatalf("%s hubK=%d %v: plan %q does not say %q", tc.family, hubK, q.Kind, got.Plan.Reason, want)
+							}
+						}
+					}
+					if err := sh.Close(); err != nil {
 						t.Fatal(err)
 					}
-					got, err := sh.Run(ctx, Query{Kind: KindBichromatic, Target: NodeLocation(q), K: 2})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got.Points, want.Points) {
-						t.Fatalf("%s shards=%d halo=%d bichromatic(q=%d): sharded %v, unsharded %v",
-							tc.family, shards, halo, q, got.Points, want.Points)
-					}
-				}
-				want, err := db.Run(ctx, Query{Kind: KindContinuous, Route: route, K: 2, Points: ps})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sh.Run(ctx, Query{Kind: KindContinuous, Route: route, K: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Points, want.Points) {
-					t.Fatalf("%s shards=%d halo=%d continuous: sharded %v, unsharded %v",
-						tc.family, shards, halo, got.Points, want.Points)
-				}
-				if err := sh.Close(); err != nil {
-					t.Fatal(err)
 				}
 			}
 		}
 	}
 }
 
-// TestShardedOracleBatch runs the oracle through RunBatch's worker pool
-// — the -race coverage for concurrent scatter-gather.
-func TestShardedOracleBatch(t *testing.T) {
-	db, ps := shardOracleEnv(t, "road", 500, 4, 7)
-	sh, err := db.Shard(ps, &ShardOptions{Shards: 4})
+// TestShardedEqualsUnshardedHubLabel: with a hub index the sharded answer is
+// the unsharded hub-label answer — same labeling, same float additions, so
+// the same members from every node of the graph, ties included.
+func TestShardedEqualsUnshardedHubLabel(t *testing.T) {
+	db, ps := shardOracleEnv(t, "road", 2000, 4, 29)
+	idx, err := db.BuildHubLabelIndex(ps, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	sh, err := db.Shard(ps, &ShardOptions{Shards: 4, Seed: 29, HubLabelK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
+	ctx := context.Background()
+	var members int
+	for n := range db.Graph().NumNodes() {
+		for k := 1; k <= 2; k++ {
+			want, err := db.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: k, Points: ps, Algorithm: HubLabel(idx)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sh.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Points, want.Points) {
+				t.Fatalf("rnn(q=%d,k=%d): sharded %v, unsharded hub-label %v", n, k, got.Points, want.Points)
+			}
+			if got.Stats.NodesScanned != 0 || got.Stats.LabelReads == 0 {
+				t.Fatalf("rnn(q=%d,k=%d): stats %+v, want label reads and no expansion", n, k, got.Stats)
+			}
+			members += len(got.Points)
+		}
+	}
+	if members == 0 {
+		t.Fatal("no query had a member")
+	}
+}
+
+// TestShardedOracleBatch runs the oracle through RunBatch's worker pool
+// — the -race coverage for concurrent scatter-gather, under both verify
+// methods.
+func TestShardedOracleBatch(t *testing.T) {
+	db, ps := shardOracleEnv(t, "road", 500, 4, 7)
 	var qs []Query
 	for n := 0; n < db.Graph().NumNodes(); n += 23 {
 		qs = append(qs, Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: 2})
 	}
-	rep, err := sh.RunBatch(context.Background(), qs, &BatchOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d batch entries failed", rep.Failed)
-	}
-	for i, r := range rep.Results {
-		uq := qs[i]
-		uq.Points = ps
-		want, err := db.Run(context.Background(), uq)
+	for _, hubK := range []int{0, 2} {
+		sh, err := db.Shard(ps, &ShardOptions{Shards: 4, HubLabelK: hubK})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r.Result.Points, want.Points) {
-			t.Fatalf("entry %d: sharded %v, unsharded %v", i, r.Result.Points, want.Points)
+		defer sh.Close()
+		rep, err := sh.RunBatch(context.Background(), qs, &BatchOptions{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := sh.Stats()
-	if st.Queries != int64(len(qs)) || st.FanOuts != int64(4*len(qs)) {
-		t.Fatalf("stats: queries=%d fanouts=%d, want %d/%d", st.Queries, st.FanOuts, len(qs), 4*len(qs))
+		if rep.Failed != 0 {
+			t.Fatalf("hubK=%d: %d batch entries failed", hubK, rep.Failed)
+		}
+		for i, r := range rep.Results {
+			uq := qs[i]
+			uq.Points = ps
+			want, err := db.Run(context.Background(), uq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Result.Points, want.Points) {
+				t.Fatalf("hubK=%d entry %d: sharded %v, unsharded %v", hubK, i, r.Result.Points, want.Points)
+			}
+		}
+		st := sh.Stats()
+		if st.Queries != int64(len(qs)) || st.FanOuts != int64(4*len(qs)) {
+			t.Fatalf("stats: queries=%d fanouts=%d, want %d/%d", st.Queries, st.FanOuts, len(qs), 4*len(qs))
+		}
 	}
 }
 
@@ -330,55 +405,185 @@ func TestShardedValidation(t *testing.T) {
 type fakeRunner struct {
 	results map[int]*ShardResult
 	errs    map[int]error
+	// called, when set, runs inside every sub-query — after the
+	// coordinator's upfront checks, before its verify pass.
+	called func()
 }
 
 func (f *fakeRunner) RunShard(_ context.Context, sh int, _ Query) (*ShardResult, error) {
+	if f.called != nil {
+		f.called()
+	}
 	return f.results[sh], f.errs[sh]
 }
 
 // TestShardedRunnerMode: a pure coordinator merges and verifies remote
-// candidate sets; garbage ids are rejected by verification, and the
-// verified answer still equals the oracle when the honest candidates are
-// a superset of the true members.
+// candidate sets, by expansion and — given HubLabelK, for which it builds
+// the labeling and its own reverse index but no shard engine — by label
+// intersection; garbage, duplicate and deleted ids are rejected by
+// verification, and the verified answer still equals the oracle when the
+// honest candidates are a superset of the true members.
 func TestShardedRunnerMode(t *testing.T) {
 	db, ps := shardOracleEnv(t, "road", 300, 2, 13)
 	q := NodeID(150)
-	want, err := db.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2, Points: ps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All points as candidates (a trivially correct superset), plus
-	// garbage ids an adversarial remote might return.
 	all := ps.Points()
-	junk := append(append([]PointID{}, all...), -5, 1<<20)
-	runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: junk}, 1: {}}}
-	sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner})
+	deleted := all[len(all)/2]
+	if err := ps.Delete(deleted); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2, Points: ps, Algorithm: BruteForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
+	// All points as candidates (a trivially correct superset) — the deleted
+	// one among them, some twice — plus garbage ids an adversarial remote
+	// might return.
+	junk := append(append([]PointID{}, all...), -5, 1<<20, all[0], deleted)
+	for _, hubK := range []int{0, 2} {
+		runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: junk}, 1: {Candidates: all[:3]}}}
+		sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner, HubLabelK: hubK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("hubK=%d coordinator-over-runner: %v, want %v", hubK, got.Points, want.Points)
+		}
+		if st := sh.Stats(); st.VerifyRuns != int64(len(all)+2) || st.VerifyRejected != st.VerifyRuns-int64(len(want.Points)) {
+			t.Errorf("hubK=%d: %d verify runs, %d rejected for %d distinct candidates and %d members",
+				hubK, st.VerifyRuns, st.VerifyRejected, len(all)+2, len(want.Points))
+		}
+		if byLabels := got.Stats.LabelReads > 0 && got.Stats.NodesScanned == 0; byLabels != (hubK > 0) {
+			t.Errorf("hubK=%d: verify stats %+v (plan %q)", hubK, got.Stats, got.Plan.Reason)
+		}
+		if _, err := sh.RunShard(context.Background(), 0, Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
+			t.Errorf("hubK=%d: RunShard on a pure coordinator accepted", hubK)
+		}
+		// A shard failing with a typed exec error yields a partial verified
+		// answer alongside the error; a hard failure is a hard error.
+		runner.errs = map[int]error{1: context.DeadlineExceeded}
+		if _, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
+			t.Error("hard shard error swallowed")
+		}
+		runner.errs = map[int]error{1: ErrDeadlineExceeded}
+		got, err = sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
+		if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("typed shard error: got %v", err)
+		}
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("partial answer lost: %v, want %v", got.Points, want.Points)
+		}
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardedVerifyAbandoned: the label-intersection verify polls the
+// execution context once per candidate, so a pass cut short — the context
+// cancelled or the deadline passed while the shards answered, a budget
+// running out between two candidates — returns the members confirmed so far
+// beside the typed error.
+func TestShardedVerifyAbandoned(t *testing.T) {
+	db, ps := shardOracleEnv(t, "road", 300, 2, 13)
+	q := Query{Kind: KindRNN, Target: NodeLocation(150), K: 2}
+	all := ps.Points()
+	runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: all}, 1: {}}}
+	sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner, HubLabelK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Points, want.Points) {
-		t.Fatalf("coordinator-over-runner: %v, want %v", got.Points, want.Points)
+	defer sh.Close()
+	full, err := sh.Run(context.Background(), q)
+	if err != nil || len(full.Points) < 2 {
+		t.Fatalf("full answer %+v, %v", full, err)
 	}
-	if _, err := sh.RunShard(context.Background(), 0, Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
-		t.Error("RunShard on a pure coordinator accepted")
+	unstarted := func(name string, res *Result, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) || res == nil || res.Points == nil || len(res.Points) != 0 || res.Plan.Reason == "" {
+			t.Errorf("%s while the shards answered: result %+v, error %v", name, res, err)
+		}
 	}
-	// A shard failing with a typed exec error yields a partial verified
-	// answer alongside the error; a hard failure is a hard error.
-	runner.errs = map[int]error{1: context.DeadlineExceeded}
-	if _, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
-		t.Error("hard shard error swallowed")
+	ctx, cancel := context.WithCancel(context.Background())
+	runner.called = cancel
+	res, err := sh.Run(ctx, q)
+	unstarted("cancelled", res, err, ErrCanceled)
+	timed := q
+	timed.Timeout = 20 * time.Millisecond
+	runner.called = func() { time.Sleep(30 * time.Millisecond) }
+	res, err = sh.Run(context.Background(), timed)
+	unstarted("expired", res, err, ErrDeadlineExceeded)
+
+	// Mid-verify, deterministically: an I/O budget whose reading grows by
+	// one per poll runs out at the poll before the second member's turn.
+	cut := int64(slices.Index(all, full.Points[1]))
+	var polls int64
+	ec := exec.New(context.Background(), exec.Budget{MaxIOReads: cut}, func() int64 { polls++; return polls })
+	res, err = sh.verifyCandidates(ec, q, all)
+	if !errors.Is(err, ErrBudgetExceeded) || res == nil || !reflect.DeepEqual(res.Points, full.Points[:1]) {
+		t.Fatalf("verify abandoned at candidate %d of %d: result %+v, error %v; want member %v of %v",
+			cut+1, len(all), res, err, full.Points[:1], full.Points)
 	}
-	runner.errs = map[int]error{1: ErrDeadlineExceeded}
-	got, err = sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("typed shard error: got %v", err)
+}
+
+// TestShardedOneLabeling: the labeling is built once per Sharded and read by
+// every shard index and the coordinator — one hublabel pool tenant while
+// open under Build.Compression (paged serving), none after Close, no pin
+// left behind, a second Close a no-op — and the parent DB's planner never
+// sees the coordinator's private index.
+func TestShardedOneLabeling(t *testing.T) {
+	db, ps := shardOracleEnv(t, "road", 400, 4, 31)
+	hubTenants := func() (n int) {
+		for _, tn := range db.PoolStats().Tenants {
+			if tn.Name == "hublabel" {
+				n++
+			}
+		}
+		return n
 	}
-	if !reflect.DeepEqual(got.Points, want.Points) {
-		t.Fatalf("partial answer lost: %v, want %v", got.Points, want.Points)
+	sh, err := db.Shard(ps, &ShardOptions{Shards: 4, HubLabelK: 2, Build: BuildOptions{Compression: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hubTenants(); got != 1 {
+		t.Fatalf("%d hublabel tenants for 4 shards and a coordinator, want 1", got)
+	}
+	for _, h := range sh.handles {
+		if h.hub == nil || h.hub.store != sh.hub.store || !h.hub.Compressed() || h.hub.lab != nil {
+			t.Fatalf("shard index does not borrow the coordinator's label store: %+v", h.hub)
+		}
+	}
+	ctx := context.Background()
+	for n := 0; n < db.Graph().NumNodes(); n += 41 {
+		want, err := db.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: 2, Points: ps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Plan.Algorithm.String() == "hub-label" {
+			t.Fatalf("the parent DB planned %v over the sharded set's private index", want.Plan.Algorithm)
+		}
+		got, err := sh.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("rnn(q=%d): sharded %v, unsharded %v", n, got.Points, want.Points)
+		}
+	}
+	if db.PoolStats().Reads == 0 {
+		t.Error("compressed labels served without a page read")
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatalf("Close: %v", err) // a leaked pin is storage.ErrPinned here
+	}
+	if got := hubTenants(); got != 0 {
+		t.Fatalf("%d hublabel tenants left after Close", got)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
