@@ -281,9 +281,13 @@ func (s *server) handleHubBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := hubBuildRequest{MaxK: 4}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	if len(body) != 0 { // no body at all builds the default
+		if err := strictUnmarshal(body, &req); err != nil {
+			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -343,12 +347,14 @@ func (s *server) buildHub(maxK int) (*graphrnn.HubLabelIndex, error) {
 	return idx, err
 }
 
+// The maintenance ids decode into the library's 32-bit types, like the
+// query ids: out of range is a decode error, not a wrapped id.
 type matInsertRequest struct {
-	Node int `json:"node"`
+	Node graphrnn.NodeID `json:"node"`
 }
 
 type matDeleteRequest struct {
-	Point int `json:"point"`
+	Point graphrnn.PointID `json:"point"`
 }
 
 // matResponse is one answered maintenance operation.
@@ -397,8 +403,12 @@ func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any) {
 		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("maintenance unavailable: server started with -maxk 0"))
 		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	if err := strictUnmarshal(body, req); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	opt, err := s.queryOptions(r)
@@ -412,10 +422,10 @@ func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any) {
 	counter := &s.matInserts
 	switch req := req.(type) {
 	case *matInsertRequest:
-		resp.Point, resp.Stats, opErr = s.ps.Insert(r.Context(), graphrnn.NodeLocation(graphrnn.NodeID(req.Node)), opt)
+		resp.Point, resp.Stats, opErr = s.ps.Insert(r.Context(), graphrnn.NodeLocation(req.Node), opt)
 	case *matDeleteRequest:
 		counter = &s.matDeletes
-		resp.Point = graphrnn.PointID(req.Point)
+		resp.Point = req.Point
 		resp.Stats, opErr = s.ps.Remove(r.Context(), resp.Point, opt)
 	}
 	idx := s.hub.Load()

@@ -231,6 +231,9 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"kind":"rnn","node":1,"unknown":true}`))
 	f.Add([]byte(`{`))
+	// Ids beyond 32 bits must fail to decode, not wrap onto a valid node.
+	f.Add([]byte(`{"kind":"rnn","node":4294967297,"k":1}`))
+	f.Add([]byte(`{"kind":"continuous","route":[1,4294967298],"k":1}`))
 
 	g, err := graphrnn.GenerateGrid(21, 64, 4)
 	if err != nil {

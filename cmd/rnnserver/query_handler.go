@@ -19,7 +19,7 @@ import (
 // JSON object for a single query, a JSON array for a batch — and echoing
 // the planner's substrate decision in each response.
 
-// maxQueryBody bounds a /query request body (a batch of a few thousand
+// maxQueryBody bounds a request body (a /query batch of a few thousand
 // entries fits comfortably; anything larger is abuse, not traffic).
 const maxQueryBody = 1 << 20
 
@@ -30,14 +30,16 @@ const maxQueryBody = 1 << 20
 type queryRequest struct {
 	// Kind: "rnn" (default), "bichromatic", "continuous", "knn".
 	Kind string `json:"kind"`
-	Node *int   `json:"node,omitempty"`
+	// Node ids decode into the library's 32-bit NodeID, so an id beyond it
+	// is a decode error (400), never another node's id modulo 2^32.
+	Node *graphrnn.NodeID `json:"node,omitempty"`
 	Edge *struct {
-		U   int     `json:"u"`
-		V   int     `json:"v"`
-		Pos float64 `json:"pos"`
+		U   graphrnn.NodeID `json:"u"`
+		V   graphrnn.NodeID `json:"v"`
+		Pos float64         `json:"pos"`
 	} `json:"edge,omitempty"`
-	Route []int `json:"route,omitempty"`
-	K     int   `json:"k"`
+	Route []graphrnn.NodeID `json:"route,omitempty"`
+	K     int               `json:"k"`
 	// Algo: "" or "auto" lets the planner choose; a named algorithm is a
 	// hint the planner may fall back from (the response's plan reports it).
 	Algo string `json:"algo"`
@@ -68,6 +70,22 @@ func decodeQueryBody(body []byte) (reqs []queryRequest, batch bool, err error) {
 		return nil, false, err
 	}
 	return []queryRequest{one}, false, nil
+}
+
+// readBody reads a request body of at most maxQueryBody bytes — every POST
+// endpoint's bound — answering 413 beyond it and 400 on a read error; ok is
+// false once it has answered.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody+1))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		return nil, false
+	}
+	if len(body) > maxQueryBody {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxQueryBody))
+		return nil, false
+	}
+	return body, true
 }
 
 // strictUnmarshal decodes JSON rejecting unknown fields — a typo'd field
@@ -115,16 +133,13 @@ func (r queryRequest) toQuery(s *server, base *graphrnn.QueryOptions) (graphrnn.
 		if len(r.Route) == 0 {
 			return q, fmt.Errorf("continuous queries require a route")
 		}
-		q.Route = make([]graphrnn.NodeID, len(r.Route))
-		for i, n := range r.Route {
-			q.Route[i] = graphrnn.NodeID(n)
-		}
+		q.Route = r.Route
 	case r.Node != nil && r.Edge != nil:
 		return q, fmt.Errorf("node and edge targets are mutually exclusive")
 	case r.Node != nil:
-		q.Target = graphrnn.NodeLocation(graphrnn.NodeID(*r.Node))
+		q.Target = graphrnn.NodeLocation(*r.Node)
 	case r.Edge != nil:
-		q.Target = graphrnn.EdgeLocation(graphrnn.NodeID(r.Edge.U), graphrnn.NodeID(r.Edge.V), r.Edge.Pos)
+		q.Target = graphrnn.EdgeLocation(r.Edge.U, r.Edge.V, r.Edge.Pos)
 	default:
 		return q, fmt.Errorf("missing target: set node (or edge), or route for continuous queries")
 	}
@@ -264,13 +279,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody+1))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return
-	}
-	if len(body) > maxQueryBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxQueryBody))
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	reqs, batch, err := decodeQueryBody(body)

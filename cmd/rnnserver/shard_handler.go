@@ -32,10 +32,10 @@ type shardWireRequest struct {
 	// with -shard-index rejects other indexes as misrouted.
 	Shard int `json:"shard"`
 	// Kind: "rnn", "bichromatic" or "continuous" (knn never fans out).
-	Kind  string `json:"kind"`
-	Node  *int   `json:"node,omitempty"`
-	Route []int  `json:"route,omitempty"`
-	K     int    `json:"k"`
+	Kind  string            `json:"kind"`
+	Node  *graphrnn.NodeID  `json:"node,omitempty"`
+	Route []graphrnn.NodeID `json:"route,omitempty"`
+	K     int               `json:"k"`
 	// Algo is a substrate-free hint ("eager", "lazy", "lazy-ep", "brute");
 	// empty lets each shard's planner choose. Substrate-bound hints do not
 	// travel (a remote process cannot share an index pointer).
@@ -96,16 +96,12 @@ func encodeShardQuery(sh int, q graphrnn.Query) (*shardWireRequest, error) {
 	req.Algo = algo
 	switch q.Kind {
 	case graphrnn.KindContinuous:
-		req.Route = make([]int, len(q.Route))
-		for i, n := range q.Route {
-			req.Route[i] = int(n)
-		}
+		req.Route = q.Route
 	default:
 		if q.Target.U != q.Target.V {
 			return nil, fmt.Errorf("edge targets do not travel over the shard wire (node-resident serving)")
 		}
-		n := int(q.Target.U)
-		req.Node = &n
+		req.Node = &q.Target.U
 	}
 	return req, nil
 }
@@ -128,15 +124,12 @@ func (r shardWireRequest) toQuery(s *server) (graphrnn.Query, error) {
 		if len(r.Route) == 0 {
 			return q, fmt.Errorf("continuous sub-queries require a route")
 		}
-		q.Route = make([]graphrnn.NodeID, len(r.Route))
-		for i, n := range r.Route {
-			q.Route[i] = graphrnn.NodeID(n)
-		}
+		q.Route = r.Route
 	} else {
 		if r.Node == nil {
 			return q, fmt.Errorf("missing node target")
 		}
-		q.Target = graphrnn.NodeLocation(graphrnn.NodeID(*r.Node))
+		q.Target = graphrnn.NodeLocation(*r.Node)
 	}
 	switch r.Algo {
 	case "", "auto":
@@ -211,13 +204,8 @@ func (s *server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody+1))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return
-	}
-	if len(body) > maxQueryBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxQueryBody))
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var req shardWireRequest

@@ -1,0 +1,514 @@
+package graphrnn_test
+
+// Directed networks through the public API only: NewGraphBuilder → AddArc →
+// Open → Run / BuildHubLabelIndex / Insert / Remove. Every kind under every
+// substrate that serves one-way arcs against the brute-force oracle on
+// random asymmetric graphs, a maintained hub-label index against a rebuilt
+// one, the typed rejection of everything that needs symmetric distances,
+// and the AddArc twin of an undirected graph against the AddEdge original.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"graphrnn"
+)
+
+// randArcGraph builds a random graph of one-way arcs: strongly connected
+// when cycle is set (a directed ring under the random arcs), with unit-step
+// integer weights (distance ties everywhere) or random float ones.
+func randArcGraph(t testing.TB, rng *rand.Rand, n int, cycle, intWeights bool) *graphrnn.Graph {
+	t.Helper()
+	w := func() float64 {
+		if intWeights {
+			return float64(1 + rng.Intn(4))
+		}
+		return 1 + rng.Float64()*5
+	}
+	gb := graphrnn.NewGraphBuilder(n)
+	add := func(u, v int) {
+		if u == v {
+			return
+		}
+		if err := gb.AddArc(graphrnn.NodeID(u), graphrnn.NodeID(v), w()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cycle {
+		for i := range n {
+			add(i, (i+1)%n)
+		}
+	}
+	for range n + rng.Intn(3*n) {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Directed() {
+		t.Fatal("random arcs built an undirected graph")
+	}
+	return g
+}
+
+// placeOnRandomNodes places count points on distinct random nodes.
+func placeOnRandomNodes(t testing.TB, rng *rand.Rand, db *graphrnn.DB, count int) *graphrnn.NodePoints {
+	t.Helper()
+	ps := db.NewNodePoints()
+	for _, n := range rng.Perm(db.Graph().NumNodes())[:count] {
+		if _, err := ps.Place(graphrnn.NodeID(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ps
+}
+
+// hubBackends are the three ways an index serves its labels.
+var hubBackends = []struct {
+	name string
+	opt  *graphrnn.HubLabelOptions
+}{
+	{"memory", nil},
+	{"paged", &graphrnn.HubLabelOptions{DiskBacked: true, PageSize: 256, BufferPages: 4}},
+	{"compressed", &graphrnn.HubLabelOptions{PageSize: 256, BufferPages: 4, Build: graphrnn.BuildOptions{Compression: true, Workers: 2}}},
+}
+
+// directedEnv is one random directed setting: graph, data set, site set,
+// and a hub-label index over each.
+type directedEnv struct {
+	db         *graphrnn.DB
+	ps, sites  *graphrnn.NodePoints
+	idx, sidx  *graphrnn.HubLabelIndex
+	k          int
+	backend    string
+	describeIt string
+}
+
+func newDirectedEnv(t testing.TB, rng *rand.Rand, it int) *directedEnv {
+	t.Helper()
+	n := 8 + rng.Intn(40)
+	cycle, intWeights := rng.Intn(3) > 0, rng.Intn(2) == 0
+	db, err := graphrnn.Open(randArcGraph(t, rng, n, cycle, intWeights), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &directedEnv{db: db, k: 1 + rng.Intn(3)}
+	e.ps = placeOnRandomNodes(t, rng, db, 2+rng.Intn(n/2))
+	e.sites = placeOnRandomNodes(t, rng, db, 1+rng.Intn(n/4))
+	if rng.Intn(6) == 0 {
+		e.k = e.ps.Len() + rng.Intn(2) // k >= |P|: everything that reaches the query is a member
+	}
+	e.describeIt = fmt.Sprintf("iter %d (|V|=%d cycle=%v int=%v |P|=%d |S|=%d k=%d)", it, n, cycle, intWeights, e.ps.Len(), e.sites.Len(), e.k)
+	return e
+}
+
+// index builds the two hub-label indexes, in the backend the iteration
+// selects.
+func (e *directedEnv) index(t testing.TB, it int) {
+	t.Helper()
+	b := hubBackends[it%len(hubBackends)]
+	e.backend = b.name
+	var err error
+	if e.idx, err = e.db.BuildHubLabelIndex(e.ps, e.k, b.opt); err != nil {
+		t.Fatal(err)
+	}
+	if e.sidx, err = e.db.BuildHubLabelIndex(e.sites, e.k, b.opt); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.idx.Close(); e.sidx.Close() })
+}
+
+// directedShape is one query shape; overSites names the index that can
+// answer it (bichromatic queries read the sites' index).
+type directedShape struct {
+	name      string
+	overSites bool
+	query     func(a graphrnn.Algorithm) graphrnn.Query
+}
+
+// shapes returns one query of every RkNN kind around a random data point's
+// node: the point hidden, the point co-located with the query, bichromatic
+// and a route.
+func (e *directedEnv) shapes(rng *rand.Rand) []directedShape {
+	pts := e.ps.Points()
+	qp := pts[rng.Intn(len(pts))]
+	q, _ := e.ps.NodeOf(qp)
+	route := []graphrnn.NodeID{q}
+	for range rng.Intn(4) {
+		route = append(route, graphrnn.NodeID(rng.Intn(e.db.Graph().NumNodes())))
+	}
+	return []directedShape{
+		{"rnn/hidden", false, func(a graphrnn.Algorithm) graphrnn.Query { return rnnQuery(e.ps.Excluding(qp), q, e.k, a) }},
+		{"rnn/colocated", false, func(a graphrnn.Algorithm) graphrnn.Query { return rnnQuery(e.ps, q, e.k, a) }},
+		{"bichromatic", true, func(a graphrnn.Algorithm) graphrnn.Query { return biQuery(e.ps, e.sites, q, e.k, a) }},
+		{"continuous", false, func(a graphrnn.Algorithm) graphrnn.Query { return routeQuery(e.ps, route, e.k, a) }},
+	}
+}
+
+// TestDirectedRunAgreesWithBrute: on 300 random asymmetric graphs every
+// kind × {eager, lazy-EP, hub-label (memory / paged / compressed), auto}
+// returns the brute-force member set, before and after an Insert and a
+// Remove, and the maintained indexes answer like freshly built ones.
+func TestDirectedRunAgreesWithBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1801))
+	iters := 300
+	if testing.Short() {
+		iters = 60
+	}
+	ctx := context.Background()
+	for it := range iters {
+		e := newDirectedEnv(t, rng, it)
+		check := func(when string, wantAuto string) {
+			t.Helper()
+			for _, sh := range e.shapes(rng) {
+				algos := map[string]graphrnn.Algorithm{"eager": graphrnn.Eager(), "lazy-EP": graphrnn.LazyEP(), "auto": graphrnn.Auto()}
+				if hub := e.idx; hub != nil {
+					if sh.overSites {
+						hub = e.sidx
+					}
+					algos["hub-label"] = graphrnn.HubLabel(hub)
+				}
+				want, err := e.db.Run(ctx, sh.query(graphrnn.BruteForce()))
+				if err != nil {
+					t.Fatalf("%s %s %s brute: %v", e.describeIt, when, sh.name, err)
+				}
+				for name, algo := range algos {
+					got, err := e.db.Run(ctx, sh.query(algo))
+					if err != nil {
+						t.Fatalf("%s %s %s %s: %v", e.describeIt, when, sh.name, name, err)
+					}
+					if !samePoints(got.Points, want.Points) {
+						t.Fatalf("%s %s %s %s/%s: got %v, brute %v (plan: %s)",
+							e.describeIt, when, sh.name, name, e.backend, got.Points, want.Points, got.Plan.Explain())
+					}
+					if name == "auto" && got.Plan.Algorithm.String() != wantAuto {
+						t.Fatalf("%s %s %s: auto planned %s, want %s", e.describeIt, when, sh.name, got.Plan.Explain(), wantAuto)
+					}
+				}
+			}
+		}
+		check("unindexed", "eager")
+		e.index(t, it)
+		check("indexed", "hub-label")
+
+		// One maintenance path: the set's Insert / Remove repair the index.
+		var free []graphrnn.NodeID
+		for n := range e.db.Graph().NumNodes() {
+			if _, taken := e.ps.PointAt(graphrnn.NodeID(n)); !taken {
+				free = append(free, graphrnn.NodeID(n))
+			}
+		}
+		if _, _, err := e.ps.Insert(ctx, graphrnn.NodeLocation(free[rng.Intn(len(free))]), nil); err != nil {
+			t.Fatalf("%s insert: %v", e.describeIt, err)
+		}
+		check("after insert", "hub-label")
+		e.mustEqualRebuilt(t, "after insert")
+		victims := e.ps.Points()
+		if _, err := e.ps.Remove(ctx, victims[rng.Intn(len(victims))], nil); err != nil {
+			t.Fatalf("%s remove: %v", e.describeIt, err)
+		}
+		check("after remove", "hub-label")
+		e.mustEqualRebuilt(t, "after remove")
+	}
+}
+
+// mustEqualRebuilt requires the maintained index over ps to answer every
+// node's query — members and work counters — like an index built from
+// scratch over the set as it is now.
+func (e *directedEnv) mustEqualRebuilt(t testing.TB, when string) {
+	t.Helper()
+	fresh, err := e.db.BuildHubLabelIndex(e.ps, e.k, hubBackends[0].opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for n := range e.db.Graph().NumNodes() {
+		for k := 1; k <= e.k; k++ {
+			q := rnnQuery(e.ps, graphrnn.NodeID(n), k, graphrnn.HubLabel(e.idx))
+			got, err := e.db.Run(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Algorithm = graphrnn.HubLabel(fresh)
+			want, err := e.db.Run(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePoints(got.Points, want.Points) || got.Stats != want.Stats {
+				t.Fatalf("%s %s node %d k=%d: maintained %v %+v, rebuilt %v %+v",
+					e.describeIt, when, n, k, got.Points, got.Stats, want.Points, want.Stats)
+			}
+		}
+	}
+}
+
+// TestDirectedKNNAndDistance: the forward kinds follow out-arcs.
+func TestDirectedKNNAndDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(1802))
+	for it := range 40 {
+		e := newDirectedEnv(t, rng, it)
+		q := graphrnn.NodeID(rng.Intn(e.db.Graph().NumNodes()))
+		var want []float64
+		for _, p := range e.ps.Points() {
+			n, _ := e.ps.NodeOf(p)
+			d, err := e.db.Distance(graphrnn.NodeLocation(q), graphrnn.NodeLocation(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !math.IsInf(d, 1) {
+				want = append(want, d)
+			}
+		}
+		sort.Float64s(want)
+		want = want[:min(len(want), e.k)]
+		res, err := e.db.Run(context.Background(), graphrnn.Query{Kind: graphrnn.KindKNN, Target: graphrnn.NodeLocation(q), K: e.k, Points: e.ps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Neighbors) != len(want) {
+			t.Fatalf("%s: knn(%d) = %v, want distances %v", e.describeIt, q, res.Neighbors, want)
+		}
+		for i, nb := range res.Neighbors {
+			if nb.Distance != want[i] {
+				t.Fatalf("%s: knn(%d) = %v, want distances %v", e.describeIt, q, res.Neighbors, want)
+			}
+		}
+	}
+}
+
+// TestDirectedRejectsUndirectedOnly: everything whose correctness needs
+// d(a,b) = d(b,a) answers ErrUndirectedOnly at its entry, and a non-strict
+// hint falls back instead.
+func TestDirectedRejectsUndirectedOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(1803))
+	g := randArcGraph(t, rng, 30, true, false)
+	db, err := graphrnn.Open(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ps := placeOnRandomNodes(t, rng, db, 8)
+	es := db.NewEdgePoints()
+	inEdge := graphrnn.EdgeLocation(0, 1, 0.5)
+
+	// A materialization persisted over an undirected graph of the same size
+	// is no more valid here than one built here.
+	ugb := graphrnn.NewGraphBuilder(30)
+	for i := range 29 {
+		if err := ugb.AddEdge(graphrnn.NodeID(i), graphrnn.NodeID(i+1), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ug, err := ugb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	udb, err := graphrnn.Open(ug, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := placeOnRandomNodes(t, rng, udb, 4)
+	matPath := filepath.Join(t.TempDir(), "mat")
+	umat, err := udb.MaterializeNodePoints(ups, 2, &graphrnn.MatOptions{Path: matPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer umat.Close()
+
+	run := func(q graphrnn.Query) error { _, err := db.Run(ctx, q); return err }
+	errOf := func(_ any, err error) error { return err }
+	_, _, insertErr := es.Insert(ctx, inEdge, nil)
+	_, distErr := db.Distance(graphrnn.NodeLocation(0), inEdge)
+	rejected := map[string]error{
+		"lazy (strict)":           run(rnnQuery(ps, 3, 1, graphrnn.Lazy())),
+		"eager-M (strict)":        run(rnnQuery(ps, 3, 1, graphrnn.EagerM(nil))),
+		"foreign eager-M":         run(rnnQuery(ps, 3, 1, graphrnn.EagerM(umat))),
+		"MaterializeNodePoints":   errOf(db.MaterializeNodePoints(ps, 2, nil)),
+		"MaterializeEdgePoints":   errOf(db.MaterializeEdgePoints(es, 2, nil)),
+		"OpenMaterialization":     errOf(db.OpenMaterialization(matPath, nil)),
+		"edge-resident set":       run(edgeRNNQuery(es, graphrnn.NodeLocation(3), 1, graphrnn.Eager())),
+		"edge-resident target":    run(edgeRNNQuery(es, inEdge, 1, graphrnn.Auto())),
+		"edge-resident knn":       run(graphrnn.Query{Kind: graphrnn.KindKNN, Target: inEdge, K: 1, Points: es}),
+		"edge-resident sites":     run(biQuery(es, es, 3, 1, graphrnn.Eager())),
+		"EdgePoints.Insert":       insertErr,
+		"EdgePoints.Place":        errOf(es.Place(0, 1, 0.5)),
+		"Distance inside an edge": distErr,
+		"DB.Shard":                errOf(db.Shard(ps, &graphrnn.ShardOptions{Shards: 2})),
+		"Options.DiskBacked":      errOf(graphrnn.Open(g, &graphrnn.Options{DiskBacked: true})),
+	}
+	for name, err := range rejected {
+		if !errors.Is(err, graphrnn.ErrUndirectedOnly) {
+			t.Errorf("%s: err = %v, want ErrUndirectedOnly", name, err)
+		}
+	}
+	if es.Len() != 0 {
+		t.Fatalf("rejected inserts left %d edge points behind", es.Len())
+	}
+
+	// A hint is not a demand: lazy and eager-M fall back down the auto
+	// chain — to eager, and to the hub-label index once one exists.
+	brute, err := db.Run(ctx, rnnQuery(ps, 3, 1, graphrnn.BruteForce()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallsBackTo := func(want string) {
+		t.Helper()
+		for _, hint := range []graphrnn.Algorithm{graphrnn.Lazy(), graphrnn.EagerM(nil)} {
+			q := rnnQuery(ps, 3, 1, hint)
+			q.Strict = false
+			res, err := db.Run(ctx, q)
+			if err != nil {
+				t.Fatalf("non-strict %s hint: %v", hint, err)
+			}
+			if !res.Plan.Fallback || res.Plan.Algorithm.String() != want {
+				t.Fatalf("non-strict %s hint planned %q, want a fallback to %s", hint, res.Plan.Explain(), want)
+			}
+			if !samePoints(res.Points, brute.Points) {
+				t.Fatalf("fallback from %s answered %v, brute %v", hint, res.Points, brute.Points)
+			}
+		}
+	}
+	fallsBackTo("eager")
+	idx, err := db.BuildHubLabelIndex(ps, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	fallsBackTo("hub-label")
+}
+
+// TestArcTwinsAreTheUndirectedGraph: a graph built from AddArc(u,v,w) +
+// AddArc(v,u,w) is indistinguishable — answers, Stats, plans — from its
+// AddEdge twin, under every algorithm including the undirected-only ones.
+func TestArcTwinsAreTheUndirectedGraph(t *testing.T) {
+	edges, err := graphrnn.GenerateRoadNetwork(1804, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := graphrnn.NewGraphBuilder(edges.NumNodes())
+	var addErr error
+	edges.Edges(func(u, v graphrnn.NodeID, w float64) {
+		addErr = errors.Join(addErr, gb.AddArc(u, v, w), gb.AddArc(v, u, w))
+	})
+	if addErr != nil {
+		t.Fatal(addErr)
+	}
+	arcs, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arcs.Directed() || arcs.NumEdges() != edges.NumEdges() {
+		t.Fatalf("arc twins: directed=%v |E|=%d, want undirected |E|=%d", arcs.Directed(), arcs.NumEdges(), edges.NumEdges())
+	}
+	type side struct {
+		db    *graphrnn.DB
+		ps    *graphrnn.NodePoints
+		algos map[string]graphrnn.Algorithm
+	}
+	open := func(g *graphrnn.Graph) side {
+		db, err := graphrnn.Open(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := db.PlaceRandomNodePoints(1805, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := db.MaterializeNodePoints(ps, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := db.BuildHubLabelIndex(ps, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { idx.Close(); mat.Close() })
+		return side{db, ps, map[string]graphrnn.Algorithm{
+			"eager": graphrnn.Eager(), "lazy": graphrnn.Lazy(), "lazy-EP": graphrnn.LazyEP(),
+			"eager-M": graphrnn.EagerM(mat), "hub-label": graphrnn.HubLabel(idx), "auto": graphrnn.Auto(),
+		}}
+	}
+	a, e := open(arcs), open(edges)
+	for n := 0; n < edges.NumNodes(); n += 13 {
+		for k := 1; k <= 2; k++ {
+			for name := range e.algos {
+				want, err := e.db.Run(context.Background(), rnnQuery(e.ps, graphrnn.NodeID(n), k, e.algos[name]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := a.db.Run(context.Background(), rnnQuery(a.ps, graphrnn.NodeID(n), k, a.algos[name]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !samePoints(got.Points, want.Points) || got.Stats != want.Stats || got.Plan.Explain() != want.Plan.Explain() {
+					t.Fatalf("%s node %d k=%d: arcs %v %+v %q, edges %v %+v %q",
+						name, n, k, got.Points, got.Stats, got.Plan.Explain(), want.Points, want.Stats, want.Plan.Explain())
+				}
+			}
+		}
+	}
+}
+
+// TestOpenHubLabelIndexChecksDirection: a label file remembers whether it
+// holds forward/backward labels; reopening it over a graph of the same |V|
+// but the other kind is ErrLabelFileMismatch, in both directions, and over
+// its own graph it answers like the oracle.
+func TestOpenHubLabelIndexChecksDirection(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(1806))
+	line := graphrnn.NewGraphBuilder(n)
+	for i := range n - 1 {
+		if err := line.AddEdge(graphrnn.NodeID(i), graphrnn.NodeID(i+1), 1+rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	undirected, err := line.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graphrnn.Graph{"directed": randArcGraph(t, rng, n, true, false), "undirected": undirected}
+	dir := t.TempDir()
+	for name, g := range graphs {
+		db, err := graphrnn.Open(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := db.BuildHubLabelIndex(placeOnRandomNodes(t, rng, db, 6), 2, &graphrnn.HubLabelOptions{Path: filepath.Join(dir, name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, g := range graphs {
+		db, err := graphrnn.Open(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := placeOnRandomNodes(t, rng, db, 6)
+		for file := range graphs {
+			idx, err := db.OpenHubLabelIndex(ps, 2, filepath.Join(dir, file), nil)
+			if file != name {
+				if !errors.Is(err, graphrnn.ErrLabelFileMismatch) {
+					t.Fatalf("%s labels over the %s graph: err = %v, want ErrLabelFileMismatch", file, name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s labels over their own graph: %v", file, err)
+			}
+			mustAgreeWithBrute(t, db, ps, 2, map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)})
+			if err := idx.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -5,9 +5,12 @@
 //	"Reverse Nearest Neighbors in Large Graphs",
 //	ICDE 2005; IEEE TKDE 18(4):540-553, 2006.
 //
-// Given a set of data points placed on the nodes or edges of an undirected
-// weighted graph, RkNN(q) returns the points that have the query among
-// their k nearest neighbors under shortest-path distance. The package
+// Given a set of data points placed on the nodes or edges of a weighted
+// graph, RkNN(q) returns the points that have the query among their k
+// nearest neighbors under shortest-path distance. The paper's networks are
+// undirected; a graph with one-way arcs (GraphBuilder.AddArc) is served
+// too, for node-resident sets, with membership decided by the candidate's
+// outgoing distances (see ErrUndirectedOnly for what it excludes). The package
 // implements the paper's four algorithms — eager, lazy, eager with
 // materialized K-NN lists (eager-M, including incremental maintenance), and
 // lazy with extended pruning (lazy-EP) — for monochromatic, bichromatic and
@@ -84,26 +87,34 @@ func (l Location) toLoc() core.Loc {
 	return core.Loc{U: graph.NodeID(l.U), V: graph.NodeID(l.V), Pos: l.Pos}
 }
 
-// Graph is an immutable weighted undirected network.
+// Graph is an immutable weighted network: undirected, unless it was built
+// with one-way arcs (GraphBuilder.AddArc).
 type Graph struct {
 	g *graph.Graph
 }
 
+// Directed reports whether the graph has one-way arcs: some arc without an
+// equal-weight twin in the opposite direction.
+func (g *Graph) Directed() bool { return g.g.Directed() }
+
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return g.g.NumNodes() }
 
-// NumEdges returns |E|.
+// NumEdges returns |E|: undirected edges, or arcs when the graph is
+// directed.
 func (g *Graph) NumEdges() int { return g.g.NumEdges() }
 
 // AverageDegree returns 2|E|/|V|.
 func (g *Graph) AverageDegree() float64 { return g.g.AverageDegree() }
 
-// EdgeWeight returns the weight of edge (u,v), if present.
+// EdgeWeight returns the weight of edge (u,v) — of arc u→v when the graph
+// is directed — if present.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	return g.g.EdgeWeight(graph.NodeID(u), graph.NodeID(v))
 }
 
-// Edges calls fn for every undirected edge (u < v).
+// Edges calls fn for every undirected edge (u < v) — for every arc u→v when
+// the graph is directed.
 func (g *Graph) Edges(fn func(u, v NodeID, w float64)) {
 	g.g.ForEachEdge(func(u, v graph.NodeID, w float64) {
 		fn(NodeID(u), NodeID(v), w)
@@ -124,6 +135,14 @@ func NewGraphBuilder(numNodes int) *GraphBuilder {
 // Duplicate edges keep the smallest weight; self loops are rejected.
 func (gb *GraphBuilder) AddEdge(u, v NodeID, w float64) error {
 	return gb.b.AddEdge(graph.NodeID(u), graph.NodeID(v), w)
+}
+
+// AddArc records the one-way arc u→v with positive weight w; parallel arcs
+// keep the smallest weight. The built graph is directed exactly when some
+// arc lacks an equal-weight twin, so AddArc(u,v,w) + AddArc(v,u,w) is
+// AddEdge(u,v,w).
+func (gb *GraphBuilder) AddArc(u, v NodeID, w float64) error {
+	return gb.b.AddArc(graph.NodeID(u), graph.NodeID(v), w)
 }
 
 // SetCoords attaches a 2-D embedding (len must equal numNodes).
@@ -242,6 +261,9 @@ func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
 		db.pool = newElasticPool()
 	}
 	if opt != nil && opt.DiskBacked {
+		if err := db.undirectedOnly("Options.DiskBacked packs one adjacency file"); err != nil {
+			return nil, err
+		}
 		pageSize := opt.PageSize
 		if pageSize == 0 {
 			pageSize = storage.DefaultPageSize
@@ -283,6 +305,28 @@ func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
 
 // Graph returns the underlying graph.
 func (db *DB) Graph() *Graph { return db.graph }
+
+// ErrUndirectedOnly reports a request whose correctness needs symmetric
+// distances, d(a,b) = d(b,a), issued on a directed graph. A graph with
+// one-way arcs serves every query kind over node-resident point sets
+// through eager, lazy-EP, brute force, KNN and hub-label indexes; it does
+// not serve the lazy algorithm (its verifications prune the main walk with
+// d(p→m) where Lemma 1 needs d(m→p)), materializations and eager-M (the
+// border-node list repair of a deletion walks the same way in and out),
+// edge-resident point sets and locations inside an edge (a position "on
+// edge (u,v)" assumes the edge can be left through either endpoint),
+// DB.Shard (the halo ring is cut by undirected hops) and Options.DiskBacked
+// (one adjacency file, where the main walk needs the in-arcs). Matched with
+// errors.Is.
+var ErrUndirectedOnly = core.ErrUndirectedOnly
+
+// undirectedOnly rejects what on a directed graph.
+func (db *DB) undirectedOnly(what string) error {
+	if !db.graph.Directed() {
+		return nil
+	}
+	return fmt.Errorf("graphrnn: %s: %w", what, ErrUndirectedOnly)
+}
 
 // Close releases the adjacency store's buffer tenant back to the shared
 // pool (a memory-served DB holds no tenant and Close is a no-op). Attached

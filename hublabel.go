@@ -1,6 +1,7 @@
 package graphrnn
 
 import (
+	"errors"
 	"fmt"
 
 	"graphrnn/internal/core"
@@ -13,8 +14,9 @@ import (
 
 // HubLabelIndex is the third query substrate, next to plain network
 // expansion and the materialized K-NN lists: a pruned-landmark 2-hop hub
-// labeling of the graph plus a ReHub-style reverse index over a tracked
-// node-resident point set (Efentakis & Pfoser). Queries through
+// labeling of the graph — forward and backward labels when it is directed
+// — plus a ReHub-style reverse index over a tracked node-resident point set
+// (Efentakis & Pfoser). Queries through
 // HubLabel(idx) answer monochromatic, bichromatic and continuous RkNN by
 // label-list intersection — no network expansion at all — which makes them
 // orders of magnitude faster than eager/lazy on large networks, at the
@@ -44,6 +46,13 @@ type HubLabelIndex struct {
 	node     *NodePoints // the tracked set, nil when detached or never tracked
 	build    HubLabelBuildStats
 }
+
+// ErrLabelFileMismatch reports a label file written for a different graph
+// than the one OpenHubLabelIndex is asked to serve: another node count, or
+// forward/backward labels for an undirected graph (or the reverse), which
+// would otherwise answer with silently wrong distances. Matched with
+// errors.Is.
+var ErrLabelFileMismatch = errors.New("label file does not match the graph")
 
 // BuildOptions tunes the labeling construction.
 type BuildOptions struct {
@@ -223,11 +232,11 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 		file.Close()
 		return nil, err
 	}
-	if store.NumNodes() != db.store.NumNodes() {
+	if store.NumNodes() != db.store.NumNodes() || store.Directed() != db.graph.Directed() {
 		_ = bm.Detach()
 		file.Close()
-		return nil, fmt.Errorf("graphrnn: label file covers %d nodes, graph has %d",
-			store.NumNodes(), db.store.NumNodes())
+		return nil, fmt.Errorf("graphrnn: label file covers %d nodes (directed: %v), graph has %d (directed: %v): %w",
+			store.NumNodes(), store.Directed(), db.store.NumNodes(), db.graph.Directed(), ErrLabelFileMismatch)
 	}
 	h := &HubLabelIndex{store: store, reopened: true}
 	h.build.LabelBytes = store.PayloadBytes()

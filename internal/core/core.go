@@ -25,13 +25,25 @@
 // each answering the monochromatic, bichromatic and continuous (route)
 // kinds (§5) through the one Request → Run dispatch (request.go).
 //
+// Direction is the third axis beside kind and residency, and like
+// residency it is data, not a second searcher: the Searcher holds the
+// graph's out-arc view and its in-arc view (graph.Access.In), which are one
+// and the same unless the graph has one-way arcs — the extension Section 7
+// of the paper leaves open. Main walks (and lazy-EP's H') follow in-arcs, so
+// a popped node carries d(n→q); range-NN, verify, KNN and Distance follow
+// out-arcs. Eager, lazy-EP and the oracle serve node-resident sets on such
+// a graph; what needs d(a,b) = d(b,a) — lazy, materialized lists, edge
+// residency — answers ErrUndirectedOnly.
+//
 // # Conventions
 //
 // Result membership is tie-inclusive, pruning is strict, matching the
 // paper's definitions (d(p,q) <= d(p, p_k(p)) for membership, Lemma 1 with
-// strict inequality for pruning):
+// strict inequality for pruning). With asymmetric distances membership
+// uses the candidate's *outgoing* distances — the query is among the k
+// nearest objects p can reach:
 //
-//	p ∈ RkNN(q)  ⇔  |{p' ∈ P\{p} : d(p,p') < d(p,q)}| < k
+//	p ∈ RkNN(q)  ⇔  |{p' ∈ P\{p} : d(p→p') < d(p→q)}| < k
 //
 // A point that cannot reach the query (disconnected component) is never a
 // result. All algorithms return identical answers; the extensive property

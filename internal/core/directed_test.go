@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,14 +9,20 @@ import (
 	"graphrnn/internal/points"
 )
 
-func randDigraph(t testing.TB, rng *rand.Rand, n int) *graph.Digraph {
+// directedAlgos are the algorithms that serve a graph with one-way arcs.
+var directedAlgos = []Algo{AlgoEager, AlgoLazyEP}
+
+// randDigraph generates a random graph with one-way arcs. With cycle set a
+// directed cycle guarantees strong connectivity, so every verification can
+// reach the query; without, some points cannot.
+func randDigraph(t testing.TB, rng *rand.Rand, n int, cycle bool) *graph.Graph {
 	t.Helper()
-	b := graph.NewDigraphBuilder(n)
-	// A directed cycle guarantees strong connectivity, so every
-	// verification can reach the query.
-	for i := 0; i < n; i++ {
-		if err := b.AddArc(graph.NodeID(i), graph.NodeID((i+1)%n), 1+rng.Float64()*5); err != nil {
-			t.Fatal(err)
+	b := graph.NewBuilder(n)
+	if cycle {
+		for i := 0; i < n; i++ {
+			if err := b.AddArc(graph.NodeID(i), graph.NodeID((i+1)%n), 1+rng.Float64()*5); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	extra := rng.Intn(4 * n)
@@ -36,7 +43,7 @@ func randDigraph(t testing.TB, rng *rand.Rand, n int) *graph.Digraph {
 }
 
 func TestDigraphBuilder(t *testing.T) {
-	b := graph.NewDigraphBuilder(3)
+	b := graph.NewBuilder(3)
 	if err := b.AddArc(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +63,13 @@ func TestDigraphBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != 3 || g.NumArcs() != 2 {
-		t.Fatalf("|V|=%d arcs=%d", g.NumNodes(), g.NumArcs())
+	if !g.Directed() || g.NumNodes() != 3 || g.NumEdges() != 2 {
+		t.Fatalf("directed=%v |V|=%d arcs=%d", g.Directed(), g.NumNodes(), g.NumEdges())
 	}
-	out, err := g.Out().Adjacency(0, nil)
+	if g.In().In() != graph.Access(g) {
+		t.Fatal("the reverse of the reverse is not the graph")
+	}
+	out, err := g.Adjacency(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,7 @@ func TestDigraphBuilder(t *testing.T) {
 	if err != nil || len(in) != 1 || in[0].To != 0 {
 		t.Fatalf("in(1) = %v, %v", in, err)
 	}
-	if _, err := g.Out().Adjacency(9, nil); err == nil {
+	if _, err := g.In().Adjacency(9, nil); err == nil {
 		t.Fatal("out-of-range adjacency accepted")
 	}
 }
@@ -86,7 +96,7 @@ func TestDirectedOneWayStreetAsymmetry(t *testing.T) {
 	// semantics q IS p's nearest reachable object (1 < 2); under
 	// undirected-style reasoning from the query side (d(q→p) = 10) one
 	// might wrongly reject p.
-	b := graph.NewDigraphBuilder(4)
+	b := graph.NewBuilder(4)
 	// p=node0, q=node1, x=node2, helper=node3.
 	must := func(u, v graph.NodeID, w float64) {
 		if err := b.AddArc(u, v, w); err != nil {
@@ -107,24 +117,60 @@ func TestDirectedOneWayStreetAsymmetry(t *testing.T) {
 	ps := points.NewNodeSet(4)
 	p, _ := ps.Place(0)
 	x, _ := ps.Place(2)
-	ds := NewDirectedSearcher(g)
-	r, err := ds.EagerRkNN(ps, 1, 1)
+	s := NewSearcher(g)
+	rb, err := runRNN(s, AlgoBrute, ps, nil, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != 1 || r.Points[0] != p {
-		t.Fatalf("directed RNN(q) = %v, want [p=%d] (x=%d has p closer)", r.Points, p, x)
-	}
-	rb, err := ds.BruteRkNN(ps, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePoints(r, rb) {
-		t.Fatalf("eager=%s brute=%s", describe(r), describe(rb))
+	for _, a := range directedAlgos {
+		r, err := runRNN(s, a, ps, nil, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Points) != 1 || r.Points[0] != p {
+			t.Fatalf("algo %d: directed RNN(q) = %v, want [p=%d] (x=%d has p closer)", a, r.Points, p, x)
+		}
+		if !samePoints(r, rb) {
+			t.Fatalf("algo %d: got %s brute=%s", a, describe(r), describe(rb))
+		}
 	}
 }
 
-// TestDirectedEagerAgreesWithBrute is the directed property test.
+// directedCase is one random directed query: a graph (strongly connected
+// or not), a point set, a site set, a query node that hosts a point, a
+// route through it and a k that may exceed |P|.
+type directedCase struct {
+	s         *Searcher
+	ps, sites *points.NodeSet
+	view      points.NodeView // ps without the query's own point
+	q         graph.NodeID
+	route     []graph.NodeID
+	k         int
+}
+
+func randDirectedCase(t testing.TB, rng *rand.Rand) directedCase {
+	n := 8 + rng.Intn(40)
+	g := randDigraph(t, rng, n, rng.Intn(3) > 0)
+	c := directedCase{s: NewSearcher(g), k: 1 + rng.Intn(3)}
+	c.ps = randPoints(t, rng, g, 1+rng.Intn(n/2))
+	c.sites = randPoints(t, rng, g, 1+rng.Intn(n/4))
+	if rng.Intn(8) == 0 {
+		c.k = c.ps.Len() + rng.Intn(2)
+	}
+	pts := c.ps.Points()
+	qp := pts[rng.Intn(len(pts))]
+	c.q, _ = c.ps.NodeOf(qp)
+	c.view = points.ExcludeNode(c.ps, qp)
+	c.route = []graph.NodeID{c.q}
+	for len(c.route) < 1+rng.Intn(4) {
+		c.route = append(c.route, graph.NodeID(rng.Intn(n)))
+	}
+	return c
+}
+
+// TestDirectedEagerAgreesWithBrute is the directed property test: every
+// kind under eager and lazy-EP against the forward brute-force oracle,
+// with the query's point hidden and co-located.
 func TestDirectedEagerAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	iters := 200
@@ -132,45 +178,41 @@ func TestDirectedEagerAgreesWithBrute(t *testing.T) {
 		iters = 40
 	}
 	for it := 0; it < iters; it++ {
-		n := 8 + rng.Intn(40)
-		g := randDigraph(t, rng, n)
-		ds := NewDirectedSearcher(g)
-		ps := points.NewNodeSet(n)
-		perm := rng.Perm(n)
-		for i := 0; i < 1+rng.Intn(n/2); i++ {
-			if _, err := ps.Place(graph.NodeID(perm[i])); err != nil {
+		c := randDirectedCase(t, rng)
+		shapes := map[string]func(a Algo) (*Result, error){
+			"rnn":           func(a Algo) (*Result, error) { return runRNN(c.s, a, c.view, nil, c.q, c.k) },
+			"rnn/colocated": func(a Algo) (*Result, error) { return runRNN(c.s, a, c.ps, nil, c.q, c.k) },
+			"bichromatic":   func(a Algo) (*Result, error) { return runBi(c.s, a, c.ps, c.sites, nil, c.q, c.k) },
+			"continuous":    func(a Algo) (*Result, error) { return runRoute(c.s, a, c.ps, nil, c.route, c.k) },
+		}
+		for name, shape := range shapes {
+			want, err := shape(AlgoBrute)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		k := 1 + rng.Intn(3)
-		pts := ps.Points()
-		qp := pts[rng.Intn(len(pts))]
-		qnode, _ := ps.NodeOf(qp)
-		view := points.ExcludeNode(ps, qp)
-
-		want, err := ds.BruteRkNN(view, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ds.EagerRkNN(view, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d: directed eager=%s brute=%s (|V|=%d |P|=%d k=%d q=%d)",
-				it, describe(got), describe(want), n, view.Len(), k, qnode)
+			for _, a := range directedAlgos {
+				got, err := shape(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !samePoints(want, got) {
+					t.Fatalf("iter %d %s algo %d: got %s brute=%s (|P|=%d k=%d q=%d route=%v)",
+						it, name, a, describe(got), describe(want), c.ps.Len(), c.k, c.q, c.route)
+				}
+			}
 		}
 	}
 }
 
 // TestDirectedMatchesUndirectedOnSymmetricGraphs: when every arc has its
-// reverse twin with the same weight, directed semantics must coincide with
-// the undirected algorithms.
+// reverse twin with the same weight the builder yields the undirected
+// graph — no reverse view, and answers and work counters equal to the
+// AddEdge twin's.
 func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for it := 0; it < 60; it++ {
 		net := randTestNet(t, rng)
-		db := graph.NewDigraphBuilder(net.g.NumNodes())
+		db := graph.NewBuilder(net.g.NumNodes())
 		net.g.ForEachEdge(func(u, v graph.NodeID, w float64) {
 			if err := db.AddArc(u, v, w); err != nil {
 				t.Fatal(err)
@@ -183,20 +225,65 @@ func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := NewDirectedSearcher(dg)
-		s := NewSearcher(net.g)
+		if dg.Directed() {
+			t.Fatalf("iter %d: arcs with equal-weight twins built a directed graph", it)
+		}
 		k := 1 + rng.Intn(3)
 		qnode := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		want, err := runRNN(s, AlgoEager, net.ps, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
+		for _, a := range []Algo{AlgoEager, AlgoLazy, AlgoLazyEP} {
+			want, err := runRNN(NewSearcher(net.g), a, net.ps, nil, qnode, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runRNN(NewSearcher(dg), a, net.ps, nil, qnode, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePoints(want, got) || want.Stats != got.Stats {
+				t.Fatalf("iter %d algo %d: arcs=%s %+v edges=%s %+v (q=%d k=%d)",
+					it, a, describe(got), got.Stats, describe(want), want.Stats, qnode, k)
+			}
 		}
-		got, err := ds.EagerRkNN(net.ps, qnode, k)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestDirectedRejectsSymmetricOnlyPaths: what needs d(a,b) = d(b,a) answers
+// ErrUndirectedOnly on a graph with one-way arcs.
+func TestDirectedRejectsSymmetricOnlyPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	g := randDigraph(t, rng, 12, true)
+	s := NewSearcher(g)
+	ps := randPoints(t, rng, g, 4)
+	es := points.NewEdgeSet()
+	node, edge := PointSet{Node: ps}, PointSet{Edge: es}
+	inEdge := Loc{U: 0, V: 1, Pos: 0.5}
+
+	_, lazyErr := s.Run(Request{Algo: AlgoLazy, K: 1, Points: node, Target: NodeLoc(0)}, nil)
+	_, edgeSetErr := s.Run(Request{K: 1, Points: edge, Target: NodeLoc(0)}, nil)
+	_, edgeSitesErr := s.Run(Request{Kind: KindBichromatic, K: 1, Points: node, Sites: edge, Target: NodeLoc(0)}, nil)
+	_, _, verifyErr := s.VerifyMember(Request{K: 1, Points: edge, Target: NodeLoc(0)}, 0)
+	_, knnSetErr := s.KNN(edge, NodeLoc(0), 1)
+	_, knnLocErr := s.KNN(node, inEdge, 1)
+	_, distErr := s.Distance(NodeLoc(0), inEdge)
+	_, matErr := s.MatBuild(node, 2, newMemMatFile(), 8, nil)
+	// Lists built over an undirected graph of the same size do not make
+	// eager-M any more correct here.
+	mat, err := NewSearcher(randNet(t, rng, 12, 6, 0)).MatBuild(node, 2, newMemMatFile(), 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, eagerMErr := s.Run(Request{Algo: AlgoEagerM, K: 1, Points: node, Target: NodeLoc(0)}, mat)
+	for name, err := range map[string]error{
+		"lazy": lazyErr, "edge set": edgeSetErr, "edge sites": edgeSitesErr, "verify over an edge set": verifyErr,
+		"knn over an edge set": knnSetErr, "knn from inside an edge": knnLocErr,
+		"distance to inside an edge": distErr, "materialize": matErr, "eager-M": eagerMErr,
+	} {
+		if !errors.Is(err, ErrUndirectedOnly) {
+			t.Errorf("%s: err = %v, want ErrUndirectedOnly", name, err)
 		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d: directed=%s undirected=%s (q=%d k=%d)", it, describe(got), describe(want), qnode, k)
-		}
+	}
+	// Distance itself is direction-aware: forward arcs only.
+	if d, err := s.Distance(NodeLoc(0), NodeLoc(1)); err != nil || d <= 0 {
+		t.Fatalf("Distance(0,1) = %v, %v", d, err)
 	}
 }

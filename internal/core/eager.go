@@ -53,6 +53,13 @@ func (s *Searcher) seedSources(sc *scratch, sources []Loc, cands, sites PointSet
 // (Section 4.1, a non-nil mat), by reading n's materialized list; if k of
 // them exist, Lemma 1 prunes the expansion at n.
 //
+// The main expansion walks in-arcs, so a popped node carries d(n→q), and
+// the probes and verifications walk out-arcs. Lemma 1 holds in that
+// directed form: if k points x satisfy d(n→x) < d(n→q), any p whose
+// shortest path to q passes through n has d(p→x) <= d(p→n) + d(n→x) <
+// d(p→q), so p is no member. On an undirected network both walks read the
+// same lists.
+//
 // Monochromatic and continuous queries (cands == sites; Section 5.1 runs a
 // route as one multi-source expansion under d(r,n) = min over route nodes)
 // verify every point a probe discovers, once. Edge-resident candidates are
@@ -82,6 +89,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 		return nil, err
 	}
 
+	oneWay := s.in != s.g
 	var probe, plst, near []PointDist
 	// settle decides discovered candidate p, at most ub from the query,
 	// once: with the materialized shortcut when there are lists, with a
@@ -153,7 +161,16 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 			for _, pd := range probe {
 				// d + pd.D upper-bounds the point-to-query distance; the
 				// verification reaches the query at its exact distance.
-				if err := settle(pd.P, d+pd.D); err != nil {
+				// With one-way arcs d(n→p) + d(n→q) bounds d(p→q) only
+				// for the point on n itself (weights are positive: the
+				// one at distance 0), so any other verification runs
+				// unbounded: it still stops at the query or at the k-th
+				// closer point.
+				ub := d + pd.D
+				if oneWay && pd.D > 0 {
+					ub = math.Inf(1)
+				}
+				if err := settle(pd.P, ub); err != nil {
 					return execResult(results, st, err)
 				}
 			}
@@ -167,7 +184,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 				results = s.confirm(results, p)
 			}
 		}
-		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
+		if main.adj, err = s.in.Adjacency(n, main.adj); err != nil {
 			return nil, err
 		}
 		if err := main.pushAdjacentPoints(cands.Edge, setCand, n, d, math.Inf(1)); err != nil {

@@ -93,6 +93,11 @@ func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
 	if err := s.checkLoc(q); err != nil {
 		return nil, err
 	}
+	if ps.Edge != nil {
+		if err := s.symmetricOnly("edge-resident point sets"); err != nil {
+			return nil, err
+		}
+	}
 	var st Stats
 	if err := s.checkExec(&st); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +20,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden fro
 
 // TestStatsGolden pins the answer and all nine work counters of every
 // algorithm × kind × residency × k ∈ {1, 2, 4}, plus KNN, VerifyMember and
-// directed eager, over three seeded graphs against testdata/stats.golden.
+// the node-resident kinds on an asymmetric directed twin, over three seeded
+// graphs against testdata/stats.golden.
 // The oracle tests prove the answers right; this one proves that a
 // refactor of the walker did not move the work — the counters are what
 // BENCH_PR2.json, the work budgets and the benchmark record. Regenerate
@@ -27,8 +29,14 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden fro
 // and review the diff line by line.
 func TestStatsGolden(t *testing.T) {
 	var b strings.Builder
-	for _, env := range goldenEnvs(t) {
+	envs := goldenEnvs(t)
+	for _, env := range envs {
 		env.dump(t, &b)
+	}
+	// Rows added after the file was first pinned go behind every earlier
+	// row, so the diff of a regeneration shows them as a pure append.
+	for _, env := range envs {
+		env.dumpDirectedKinds(t, &b)
 	}
 	path := filepath.Join("testdata", "stats.golden")
 	if *updateGolden {
@@ -66,8 +74,8 @@ var goldenAlgos = []struct {
 }{{"eager", AlgoEager}, {"eager-m", AlgoEagerM}, {"lazy", AlgoLazy}, {"lazy-ep", AlgoLazyEP}, {"brute", AlgoBrute}}
 
 // goldenEnv is one seeded graph with a point set and a site set in each
-// residency, the materializations eager-M reads, and an asymmetric
-// directed twin for the directed searcher.
+// residency, the materializations eager-M reads, and a searcher over an
+// asymmetric directed twin.
 type goldenEnv struct {
 	name        string
 	rng         *rand.Rand
@@ -78,7 +86,7 @@ type goldenEnv struct {
 	// Lists over the point sets (monochromatic, continuous) and over the
 	// site sets (bichromatic).
 	nmat, nsmat, emat, esmat *Materialized
-	dg                       *graph.Digraph
+	ds                       *Searcher
 }
 
 func goldenEnvs(t *testing.T) []*goldenEnv {
@@ -137,13 +145,14 @@ func newGoldenEnv(t *testing.T, name string, g *graph.Graph, seed int64) *golden
 
 	// The directed twin keeps every edge as two arcs of different integer
 	// multiples of its weight, so d(u→v) != d(v→u) almost everywhere.
-	db := graph.NewDigraphBuilder(n)
+	db := graph.NewBuilder(n)
 	for i := range el.U {
 		must(db.AddArc(el.U[i], el.V[i], el.W[i]*float64(1+rng.Intn(3))))
 		must(db.AddArc(el.V[i], el.U[i], el.W[i]*float64(1+rng.Intn(3))))
 	}
-	e.dg, err = db.Build()
+	dg, err := db.Build()
 	must(err)
+	e.ds = NewSearcher(dg)
 	return e
 }
 
@@ -308,19 +317,56 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 	}
 
 	// Directed eager and its oracle over the asymmetric twin.
-	ds := NewDirectedSearcher(e.dg)
 	for _, q := range []graph.NodeID{qn, randNode()} {
 		for _, k := range goldenKs {
-			res, err := ds.EagerRkNN(e.nps, q, k)
-			if err != nil {
-				t.Fatal(err)
+			for _, al := range goldenAlgos {
+				if al.a != AlgoEager && al.a != AlgoBrute {
+					continue
+				}
+				res, err := runRNN(e.ds, al.a, e.nps, nil, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(b, "%s directed/rnn/q=%d k=%d %s: %v %s\n", e.name, q, k, al.name, res.Points, goldenStats(res.Stats))
 			}
-			fmt.Fprintf(b, "%s directed/rnn/q=%d k=%d eager: %v %s\n", e.name, q, k, res.Points, goldenStats(res.Stats))
-			res, err = ds.BruteRkNN(e.nps, q, k)
-			if err != nil {
-				t.Fatal(err)
+		}
+	}
+}
+
+// dumpDirectedKinds covers what the directed rows of dump leave out:
+// lazy-EP on the monochromatic query, and the bichromatic and continuous
+// kinds under every algorithm that serves a graph with one-way arcs.
+func (e *goldenEnv) dumpDirectedKinds(t *testing.T, b *strings.Builder) {
+	t.Helper()
+	q := graph.NodeID(e.rng.Intn(e.g.NumNodes()))
+	route := gen.RandomWalkRoute(e.rng, e.g, 5)
+	shapes := []struct {
+		label string
+		algos []Algo
+		run   func(a Algo, k int) (*Result, error)
+	}{
+		{fmt.Sprintf("directed/rnn/q=%d", q), []Algo{AlgoLazyEP}, func(a Algo, k int) (*Result, error) {
+			return runRNN(e.ds, a, e.nps, nil, q, k)
+		}},
+		{fmt.Sprintf("directed/bichromatic/q=%d", q), []Algo{AlgoEager, AlgoLazyEP, AlgoBrute}, func(a Algo, k int) (*Result, error) {
+			return runBi(e.ds, a, e.nps, e.nsites, nil, q, k)
+		}},
+		{fmt.Sprintf("directed/continuous/route=%v", route), []Algo{AlgoEager, AlgoLazyEP, AlgoBrute}, func(a Algo, k int) (*Result, error) {
+			return runRoute(e.ds, a, e.nps, nil, route, k)
+		}},
+	}
+	for _, sh := range shapes {
+		for _, k := range goldenKs {
+			for _, al := range goldenAlgos {
+				if !slices.Contains(sh.algos, al.a) {
+					continue
+				}
+				res, err := sh.run(al.a, k)
+				if err != nil {
+					t.Fatalf("%s %s %s k=%d: %v", e.name, sh.label, al.name, k, err)
+				}
+				fmt.Fprintf(b, "%s %s k=%d %s: %v %s\n", e.name, sh.label, k, al.name, res.Points, goldenStats(res.Stats))
 			}
-			fmt.Fprintf(b, "%s directed/rnn/q=%d k=%d brute: %v %s\n", e.name, q, k, res.Points, goldenStats(res.Stats))
 		}
 	}
 }

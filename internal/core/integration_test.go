@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
@@ -83,8 +82,10 @@ func (f *flakyFile) Read(id storage.PageID, dst []byte) error {
 func TestQueryIOErrorsPropagate(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	net := randTestNet(t, rng)
-	base := storage.NewMemFile(256)
-	if _, err := storage.BuildDiskStore(net.g, base, 0, nil); err != nil {
+	// An unbuffered store over a file whose reads the test rations.
+	flaky := &flakyFile{PagedFile: storage.NewMemFile(256)}
+	fds, err := storage.BuildDiskStore(net.g, flaky, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pts := net.ps.Points()
@@ -92,11 +93,7 @@ func TestQueryIOErrorsPropagate(t *testing.T) {
 	view := points.ExcludeNode(net.ps, pts[0])
 
 	for budget := 0; budget < 8; budget++ {
-		flaky := &flakyFile{PagedFile: base, budget: budget}
-		fds, err := rebuildOnFile(net.g, flaky)
-		if err != nil {
-			t.Fatal(err)
-		}
+		flaky.budget = budget
 		s := NewSearcher(fds)
 		for name, fn := range map[string]func() (*Result, error){
 			"eager":  func() (*Result, error) { return runRNN(s, AlgoEager, view, nil, qnode, 1) },
@@ -110,17 +107,6 @@ func TestQueryIOErrorsPropagate(t *testing.T) {
 			}
 		}
 	}
-}
-
-// rebuildOnFile wires a DiskStore around an already-populated (possibly
-// failure-injecting) file by rebuilding on a shadow file with identical
-// layout and stealing the index.
-func rebuildOnFile(g *graph.Graph, file storage.PagedFile) (graph.Access, error) {
-	shadow, err := storage.BuildDiskStore(g, storage.NewMemFile(256), 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return shadow.WithFile(file, 0), nil
 }
 
 // TestScratchEpochWraparound forces stamp reuse across many queries on one

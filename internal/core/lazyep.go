@@ -12,7 +12,9 @@ import (
 // leaves behind: it expands the network around every discovered competitor
 // in parallel with the main expansion (interleaved by distance), recording
 // in found[n] the up-to-k nearest discovered competitors of node n in
-// canonical order ("the kNN of each node found so far").
+// canonical order ("the kNN of each node found so far"). Like the main
+// walk it follows in-arcs: a mark is d(n→x), the distance Lemma 1 compares
+// with d(n→q).
 type epMarks struct {
 	found map[graph.NodeID][]PointDist
 	hp    pq.Heap[matHeapEntry]
@@ -40,7 +42,7 @@ func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 		}
 		ep.found[e.node] = lst
 		var err error
-		ep.adj, err = s.g.Adjacency(e.node, ep.adj)
+		ep.adj, err = s.in.Adjacency(e.node, ep.adj)
 		if err != nil {
 			return err
 		}
@@ -163,7 +165,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 			continue // Lemma 1 via the H' marks: no expansion
 		}
 		var err error
-		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
+		if main.adj, err = s.in.Adjacency(n, main.adj); err != nil {
 			return nil, err
 		}
 		for _, e := range main.adj {

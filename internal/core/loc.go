@@ -182,6 +182,9 @@ func (s *Searcher) checkLoc(l Loc) error {
 	if l.U > l.V {
 		return fmt.Errorf("core: edge location %v is not canonical (U < V)", l)
 	}
+	if err := s.symmetricOnly("locations inside an edge"); err != nil {
+		return err
+	}
 	var adj []graph.Edge
 	w, err := s.edgeWeight(l.U, l.V, &adj)
 	if err != nil {

@@ -45,12 +45,6 @@ func entryLess(d1 float64, p1 points.PointID, d2 float64, p2 points.PointID) boo
 	return p1 < p2
 }
 
-func sortMatEntries(lst []MatEntry) {
-	sort.Slice(lst, func(i, j int) bool {
-		return entryLess(lst[i].D, lst[i].P, lst[j].D, lst[j].P)
-	})
-}
-
 // Materialized holds the per-node K-NN lists in a paged file read through
 // an LRU buffer, so that list accesses and maintenance writes are counted
 // as I/O exactly like adjacency accesses (the paper's Fig 18 and Fig 22
@@ -385,6 +379,9 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 	}
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("core: MatBuild needs an empty file, got %d pages", file.NumPages())
+	}
+	if err := s.symmetricOnly("materialized K-NN lists"); err != nil {
+		return nil, err
 	}
 	n := s.g.NumNodes()
 	cap := maxK + 1

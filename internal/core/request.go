@@ -73,6 +73,11 @@ func (s *Searcher) Run(r Request, mat *Materialized) (*Result, error) {
 	} else if err := checkMatK(mat, r.K); err != nil {
 		return nil, err
 	}
+	if r.Algo == AlgoLazy || r.Algo == AlgoEagerM {
+		if err := s.symmetricOnly("lazy and eager-M"); err != nil {
+			return nil, err
+		}
+	}
 	tgt, err := s.locate(r)
 	if err != nil {
 		return nil, err
@@ -128,6 +133,11 @@ func (s *Searcher) VerifyMember(r Request, p points.PointID) (bool, Stats, error
 func (s *Searcher) locate(r Request) (target, error) {
 	if r.K < 1 {
 		return target{}, errKTooSmall(r.K)
+	}
+	if r.Points.Edge != nil || r.Sites.Edge != nil {
+		if err := s.symmetricOnly("edge-resident point sets"); err != nil {
+			return target{}, err
+		}
 	}
 	if r.Kind == KindContinuous {
 		if len(r.Route) == 0 {

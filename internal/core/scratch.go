@@ -160,15 +160,21 @@ type searchPools struct {
 // derives a view whose queries poll an exec.Ctx between expansion steps,
 // which is how the engine layer threads cancellation, deadlines and work
 // budgets through every algorithm without changing their signatures.
+//
+// The searcher holds both views of the network: g lists out-arcs and
+// serves everything that measures distances *from* a location (range-NN,
+// verification, KNN, Distance); in lists in-arcs and serves the walks that
+// measure distances *to* one (the main expansions, lazy-EP's H'). On a
+// symmetric network they are the same access.
 type Searcher struct {
-	g     graph.Access
+	g, in graph.Access
 	pools *searchPools
 	ec    *exec.Ctx // nil = unbounded
 }
 
 // NewSearcher creates a Searcher over g.
 func NewSearcher(g graph.Access) *Searcher {
-	s := &Searcher{g: g, pools: &searchPools{}}
+	s := &Searcher{g: g, in: g.In(), pools: &searchPools{}}
 	s.pools.scratch.New = func() any { return newScratch(g.NumNodes()) }
 	s.pools.counts.New = func() any { return &lazyCounts{} }
 	return s
@@ -183,11 +189,8 @@ func (s *Searcher) Bound(ec *exec.Ctx) *Searcher {
 	if ec == nil {
 		return s
 	}
-	return &Searcher{g: s.g, pools: s.pools, ec: ec}
+	return &Searcher{g: s.g, in: s.in, pools: s.pools, ec: ec}
 }
-
-// Graph returns the underlying graph access.
-func (s *Searcher) Graph() graph.Access { return s.g }
 
 // checkExec polls the query's execution context, charging the nodes popped
 // so far. It is a nil check for unbounded queries.

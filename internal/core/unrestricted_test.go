@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"graphrnn/internal/graph"
@@ -399,7 +400,9 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 					want = append(want, MatEntry{P: p, D: d})
 				}
 			}
-			sortMatEntries(want)
+			sort.Slice(want, func(i, j int) bool {
+				return entryLess(want[i].D, want[i].P, want[j].D, want[j].P)
+			})
 			if len(want) > maxK+1 {
 				want = want[:maxK+1]
 			}

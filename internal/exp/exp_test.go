@@ -54,17 +54,8 @@ func TestTableFormatting(t *testing.T) {
 			t.Fatalf("formatted table missing %q:\n%s", want, out)
 		}
 	}
-	if s := tab.Series(AlgoLazy); len(s) != 2 || s[0] != 20*IOCostSeconds+0.05 {
-		t.Fatalf("Series = %v", s)
-	}
-	if s := tab.IOSeries(AlgoEager); s[1] != 5 {
-		t.Fatalf("IOSeries = %v", s)
-	}
-	if s := tab.CPUSeries(AlgoEager); s[1] != 0.2 {
-		t.Fatalf("CPUSeries = %v", s)
-	}
-	if tab.Series(Algo("zz")) != nil {
-		t.Fatal("unknown column returned a series")
+	if got := tab.Cells[0][1].Total(); got != 20*IOCostSeconds+0.05 {
+		t.Fatalf("Total = %v", got)
 	}
 }
 

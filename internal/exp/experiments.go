@@ -81,7 +81,7 @@ func (e *env) restrictedQuery(a Algo, view points.NodeView, qnode graph.NodeID, 
 	if e.hubIdx == nil {
 		return nil, fmt.Errorf("exp: hub-label index not built for this environment")
 	}
-	pts, _, err := e.hubIdx.RkNN(qnode, k, hidden)
+	pts, _, err := e.hubIdx.RkNNExec(nil, qnode, k, hidden)
 	if err != nil {
 		return nil, err
 	}

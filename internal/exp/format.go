@@ -49,57 +49,3 @@ func (t *Table) Format() string {
 	}
 	return b.String()
 }
-
-// Series returns the total-cost series of one column, for shape checks.
-func (t *Table) Series(col Algo) []float64 {
-	idx := -1
-	for j, c := range t.Columns {
-		if c == col {
-			idx = j
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	out := make([]float64, len(t.Xs))
-	for i := range t.Xs {
-		out[i] = t.Cells[i][idx].Total()
-	}
-	return out
-}
-
-// IOSeries returns the I/O series of one column.
-func (t *Table) IOSeries(col Algo) []float64 {
-	idx := -1
-	for j, c := range t.Columns {
-		if c == col {
-			idx = j
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	out := make([]float64, len(t.Xs))
-	for i := range t.Xs {
-		out[i] = t.Cells[i][idx].IO
-	}
-	return out
-}
-
-// CPUSeries returns the CPU series of one column.
-func (t *Table) CPUSeries(col Algo) []float64 {
-	idx := -1
-	for j, c := range t.Columns {
-		if c == col {
-			idx = j
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	out := make([]float64, len(t.Xs))
-	for i := range t.Xs {
-		out[i] = t.Cells[i][idx].CPU
-	}
-	return out
-}

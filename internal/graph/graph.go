@@ -1,15 +1,20 @@
-// Package graph defines the network model of Yiu et al. (TKDE'06): an
-// undirected weighted graph G = (V, E, W) whose network distance d(n_i, n_j)
-// is the minimum weight sum over paths. It provides an in-memory CSR
-// representation, a builder, and the Access interface through which every
-// query algorithm reads adjacency lists — either straight from memory or
-// through the disk-backed store in internal/storage.
+// Package graph defines the network model of Yiu et al. (TKDE'06): a
+// weighted graph G = (V, E, W) whose network distance d(n_i, n_j) is the
+// minimum weight sum over paths. The paper's networks are undirected; the
+// extension its Section 7 leaves open — one-way arcs, e.g. road maps with
+// one-way streets — is a property of the same type: a graph whose arcs do
+// not all have an equal-weight twin carries a second CSR over the reversed
+// arcs (In). The package provides the in-memory CSR representation, a
+// builder, and the Access interface through which every query algorithm
+// reads adjacency lists — either straight from memory or through the
+// disk-backed store in internal/storage.
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a graph node. Nodes are dense integers 0..NumNodes-1.
@@ -28,6 +33,13 @@ type Edge struct {
 type Access interface {
 	NumNodes() int
 	Adjacency(n NodeID, buf []Edge) ([]Edge, error)
+	// In returns the same network with every arc reversed: its Adjacency(n)
+	// lists the arcs that enter n, so an expansion over it from q computes
+	// d(n→q). A symmetric network — every arc has an equal-weight twin,
+	// which is every network built from undirected edges — is its own
+	// reverse and returns itself; `a.In() != a` is the test for one-way
+	// arcs.
+	In() Access
 }
 
 // Coord is an optional 2-D embedding of a node, used by spatial generators
@@ -37,22 +49,43 @@ type Coord struct {
 	X, Y float64
 }
 
-// Graph is an immutable in-memory undirected graph in CSR form. It
-// implements Access with zero-copy adjacency reads.
+// Graph is an immutable in-memory graph in CSR form, implementing Access.
+// Adjacency lists hold out-arcs; direction is data, not a second type: a
+// graph with one-way arcs additionally holds its reverse (in), itself a
+// Graph over the in-arcs, and a symmetric graph holds none.
 type Graph struct {
 	offsets []int32
 	targets []NodeID
 	weights []float64
 	coords  []Coord // nil when the graph has no embedding
+	in      *Graph  // the reversed arcs; nil when the graph is symmetric
 }
 
 // NumNodes implements Access.
 func (g *Graph) NumNodes() int { return len(g.offsets) - 1 }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.targets) / 2 }
+// In implements Access.
+func (g *Graph) In() Access {
+	if g.in == nil {
+		return g
+	}
+	return g.in
+}
 
-// Degree returns the number of neighbours of n.
+// Directed reports whether the graph has one-way arcs: some arc without an
+// equal-weight twin in the opposite direction.
+func (g *Graph) Directed() bool { return g.in != nil }
+
+// NumEdges returns the number of undirected edges — of arcs, when the
+// graph has one-way arcs.
+func (g *Graph) NumEdges() int {
+	if g.in != nil {
+		return len(g.targets)
+	}
+	return len(g.targets) / 2
+}
+
+// Degree returns the number of (out-)neighbours of n.
 func (g *Graph) Degree(n NodeID) int {
 	return int(g.offsets[n+1] - g.offsets[n])
 }
@@ -70,7 +103,8 @@ func (g *Graph) Adjacency(n NodeID, buf []Edge) ([]Edge, error) {
 	return buf, nil
 }
 
-// EdgeWeight returns the weight of edge (u,v) and whether it exists.
+// EdgeWeight returns the weight of edge (u,v) — of arc u→v, when the graph
+// has one-way arcs — and whether it exists.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
 		if g.targets[i] == v {
@@ -92,18 +126,20 @@ func (g *Graph) Coord(n NodeID) (Coord, bool) {
 	return g.coords[n], true
 }
 
-// ForEachEdge calls fn once per undirected edge (u < v).
+// ForEachEdge calls fn once per undirected edge (u < v) — once per arc
+// u→v, when the graph has one-way arcs.
 func (g *Graph) ForEachEdge(fn func(u, v NodeID, w float64)) {
 	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
 		for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
-			if v := g.targets[i]; u < v {
+			if v := g.targets[i]; u < v || g.in != nil {
 				fn(u, v, g.weights[i])
 			}
 		}
 	}
 }
 
-// AverageDegree returns 2|E| / |V|.
+// AverageDegree returns the mean adjacency list length: 2|E| / |V| on an
+// undirected graph.
 func (g *Graph) AverageDegree() float64 {
 	if g.NumNodes() == 0 {
 		return 0
@@ -111,15 +147,16 @@ func (g *Graph) AverageDegree() float64 {
 	return float64(len(g.targets)) / float64(g.NumNodes())
 }
 
-// Builder accumulates edges and produces an immutable Graph. Duplicate
-// edges keep the smallest weight; self loops are rejected.
+// Builder accumulates arcs and produces an immutable Graph. An undirected
+// edge is its two arcs; parallel arcs keep the smallest weight; self loops
+// are rejected.
 type Builder struct {
 	numNodes int
-	edges    []builderEdge
+	arcs     []arc
 	coords   []Coord
 }
 
-type builderEdge struct {
+type arc struct {
 	u, v NodeID
 	w    float64
 }
@@ -138,8 +175,20 @@ func (b *Builder) SetCoords(coords []Coord) error {
 	return nil
 }
 
-// AddEdge records the undirected edge (u,v) with weight w.
+// AddEdge records the undirected edge (u,v) with weight w: the arcs u→v
+// and v→u.
 func (b *Builder) AddEdge(u, v NodeID, w float64) error {
+	if err := b.AddArc(u, v, w); err != nil {
+		return err
+	}
+	b.arcs = append(b.arcs, arc{v, u, w})
+	return nil
+}
+
+// AddArc records the one-way arc u→v with positive weight w. A graph is
+// directed exactly when Build finds an arc without an equal-weight twin,
+// so AddArc(u,v,w) + AddArc(v,u,w) is AddEdge(u,v,w).
+func (b *Builder) AddArc(u, v NodeID, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d", u)
 	}
@@ -149,97 +198,85 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		return fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", u, v, w)
 	}
-	if u > v {
-		u, v = v, u
-	}
-	b.edges = append(b.edges, builderEdge{u, v, w})
+	b.arcs = append(b.arcs, arc{u, v, w})
 	return nil
-}
-
-// HasEdge reports whether (u,v) has been added. It is O(#edges) and meant
-// for generators that must avoid duplicates on small neighbourhoods; large
-// generators keep their own sets.
-func (b *Builder) HasEdge(u, v NodeID) bool {
-	if u > v {
-		u, v = v, u
-	}
-	for _, e := range b.edges {
-		if e.u == u && e.v == v {
-			return true
-		}
-	}
-	return false
 }
 
 // NumNodes returns the declared node count.
 func (b *Builder) NumNodes() int { return b.numNodes }
 
-// Build produces the CSR graph. Parallel edges collapse to the minimum
-// weight. Adjacency lists are sorted by neighbour id for determinism.
+// Build produces the CSR graph. Parallel arcs collapse to the minimum
+// weight; adjacency lists are sorted by neighbour id for determinism. The
+// reverse CSR is kept only when it differs from the forward one.
 func (b *Builder) Build() (*Graph, error) {
-	// Deduplicate, keeping minimum weight.
-	sort.Slice(b.edges, func(i, j int) bool {
-		ei, ej := b.edges[i], b.edges[j]
-		if ei.u != ej.u {
-			return ei.u < ej.u
+	// Arcs bucketed by source come out sorted by (u, v, w) once each
+	// node's few arcs are: no comparison sort over all of them.
+	arcs := b.bucket(b.arcs, false)
+	for lo := 0; lo < len(arcs); {
+		hi := lo + 1
+		for hi < len(arcs) && arcs[hi].u == arcs[lo].u {
+			hi++
 		}
-		if ei.v != ej.v {
-			return ei.v < ej.v
-		}
-		return ei.w < ej.w
-	})
-	dedup := b.edges[:0]
-	for _, e := range b.edges {
-		if n := len(dedup); n > 0 && dedup[n-1].u == e.u && dedup[n-1].v == e.v {
-			continue
-		}
-		dedup = append(dedup, e)
+		slices.SortFunc(arcs[lo:hi], func(x, y arc) int {
+			return cmp.Or(cmp.Compare(x.v, y.v), cmp.Compare(x.w, y.w))
+		})
+		lo = hi
 	}
-	b.edges = dedup
+	b.arcs = slices.CompactFunc(arcs, func(x, y arc) bool { return x.u == y.u && x.v == y.v })
 
-	deg := make([]int32, b.numNodes)
-	for _, e := range b.edges {
-		deg[e.u]++
-		deg[e.v]++
-	}
-	offsets := make([]int32, b.numNodes+1)
-	for i := 0; i < b.numNodes; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
-	}
-	targets := make([]NodeID, offsets[b.numNodes])
-	weights := make([]float64, offsets[b.numNodes])
-	cursor := make([]int32, b.numNodes)
-	copy(cursor, offsets[:b.numNodes])
-	for _, e := range b.edges {
-		targets[cursor[e.u]], weights[cursor[e.u]] = e.v, e.w
-		cursor[e.u]++
-		targets[cursor[e.v]], weights[cursor[e.v]] = e.u, e.w
-		cursor[e.v]++
-	}
-	g := &Graph{offsets: offsets, targets: targets, weights: weights, coords: b.coords}
-	// Sort each adjacency list by (neighbour, weight) for determinism.
-	for n := 0; n < b.numNodes; n++ {
-		lo, hi := offsets[n], offsets[n+1]
-		sub := adjSorter{targets: targets[lo:hi], weights: weights[lo:hi]}
-		sort.Sort(sub)
+	g, in := b.csr(b.arcs), b.csr(b.bucket(b.arcs, true))
+	if !slices.Equal(g.targets, in.targets) || !slices.Equal(g.weights, in.weights) || !slices.Equal(g.offsets, in.offsets) {
+		g.in, in.in = in, g
 	}
 	return g, nil
 }
 
-type adjSorter struct {
-	targets []NodeID
-	weights []float64
+// bucket returns the arcs — reversed: every arc u→v as v→u — grouped by
+// source node in ascending order, a stable counting sort: arcs sorted by
+// (u, v) come back, reversed, sorted by (v, u).
+func (b *Builder) bucket(arcs []arc, reversed bool) []arc {
+	next := make([]int32, b.numNodes+1)
+	for _, a := range arcs {
+		if reversed {
+			a.u = a.v
+		}
+		next[a.u+1]++
+	}
+	for i := 0; i < b.numNodes; i++ {
+		next[i+1] += next[i]
+	}
+	out := make([]arc, len(arcs))
+	for _, a := range arcs {
+		if reversed {
+			a.u, a.v = a.v, a.u
+		}
+		out[next[a.u]] = a
+		next[a.u]++
+	}
+	return out
 }
 
-func (a adjSorter) Len() int           { return len(a.targets) }
-func (a adjSorter) Less(i, j int) bool { return a.targets[i] < a.targets[j] }
-func (a adjSorter) Swap(i, j int) {
-	a.targets[i], a.targets[j] = a.targets[j], a.targets[i]
-	a.weights[i], a.weights[j] = a.weights[j], a.weights[i]
+// csr packs arcs sorted by (u, v) into a Graph.
+func (b *Builder) csr(arcs []arc) *Graph {
+	g := &Graph{
+		offsets: make([]int32, b.numNodes+1),
+		targets: make([]NodeID, len(arcs)),
+		weights: make([]float64, len(arcs)),
+		coords:  b.coords,
+	}
+	for i, a := range arcs {
+		g.offsets[a.u+1]++
+		g.targets[i], g.weights[i] = a.v, a.w
+	}
+	for i := 0; i < b.numNodes; i++ {
+		g.offsets[i+1] += g.offsets[i]
+	}
+	return g
 }
 
 // ConnectedComponent returns the node ids of the largest connected
-// component, sorted ascending. Generators use it to "clean" networks the
+// component of a symmetric graph, sorted ascending. Generators use it to
+// "clean" networks the
 // way the paper cleans DBLP and the San Francisco map.
 func ConnectedComponent(g *Graph) []NodeID {
 	n := g.NumNodes()
@@ -287,8 +324,9 @@ func ConnectedComponent(g *Graph) []NodeID {
 }
 
 // InducedSubgraph relabels keep (which must be sorted ascending) to
-// 0..len(keep)-1 and returns the subgraph induced by those nodes, along with
-// the old-to-new id mapping (-1 for dropped nodes).
+// 0..len(keep)-1 and returns the subgraph of the symmetric graph g induced
+// by those nodes, along with the old-to-new id mapping (-1 for dropped
+// nodes).
 func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, []NodeID, error) {
 	remap := make([]NodeID, g.NumNodes())
 	for i := range remap {

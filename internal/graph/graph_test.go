@@ -218,3 +218,56 @@ func TestAdjacencyOutOfRange(t *testing.T) {
 		t.Fatal("negative adjacency accepted")
 	}
 }
+
+// TestInReversesEveryArc: on random mixes of one-way arcs and undirected
+// edges, In() lists exactly the arcs of the graph reversed, is its own
+// inverse, and collapses onto the graph itself exactly when every arc has
+// an equal-weight twin.
+func TestInReversesEveryArc(t *testing.T) {
+	type key struct{ u, v NodeID }
+	arcsOf := func(a Access) map[key]float64 {
+		m := make(map[key]float64)
+		var adj []Edge
+		for u := NodeID(0); int(u) < a.NumNodes(); u++ {
+			adj, _ = a.Adjacency(u, adj)
+			for _, e := range adj {
+				m[key{u, e.To}] = e.W
+			}
+		}
+		return m
+	}
+	rng := rand.New(rand.NewSource(7))
+	for it := 0; it < 50; it++ {
+		n := 2 + rng.Intn(30)
+		b := NewBuilder(n)
+		oneWay := it%5 != 0 // every fifth graph is edges only
+		for i := 0; i < 3*n; i++ {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			add := b.AddEdge
+			if oneWay && rng.Intn(2) == 0 {
+				add = b.AddArc
+			}
+			if err := add(u, v, float64(1+rng.Intn(5))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := mustBuild(t, b)
+		out, in := arcsOf(g), arcsOf(g.In())
+		symmetric := true
+		for a, w := range out {
+			if rw, ok := in[key{a.v, a.u}]; !ok || rw != w || len(in) != len(out) {
+				t.Fatalf("iter %d: arc %d→%d (%v) is %v, %v reversed; %d arcs in, %d out", it, a.u, a.v, w, rw, ok, len(in), len(out))
+			}
+			if tw, ok := out[key{a.v, a.u}]; !ok || tw != w {
+				symmetric = false
+			}
+		}
+		if g.Directed() == symmetric || (g.In() == Access(g)) != symmetric || g.In().In() != Access(g) {
+			t.Fatalf("iter %d: symmetric=%v but Directed()=%v, In()==g: %v, In().In()==g: %v",
+				it, symmetric, g.Directed(), g.In() == Access(g), g.In().In() == Access(g))
+		}
+	}
+}

@@ -59,70 +59,54 @@ func (o BuildOptions) workers() int {
 	return w
 }
 
-// BuildOpt is Build with worker and cancellation control. Workers > 1
-// processes landmarks in rank-ordered batches: each batch's pruned
-// Dijkstras run across a worker pool pruning against the labels committed
-// by earlier batches only, and a sequential rank-order merge re-checks
-// every candidate against its in-batch predecessors before appending — so
-// the labeling is a pure function of graph and landmark order,
-// bit-identical to the sequential build and independent of worker count
-// and batch boundaries.
+// BuildOpt constructs the 2-hop labeling of g with pruned landmark
+// labeling. The graph is read directly (no counted I/O); builds are
+// CPU-bound and meant to run once per graph, then persist via WriteOpt.
+//
+// Every landmark runs a forward sweep (over out-arcs, computing d(h→v) and
+// filling L_in(v)) and a backward sweep (over in-arcs, computing d(v→h) and
+// filling L_out(v)). On a symmetric graph — g.In() is g — the two sweeps
+// are one and the two label sets alias: the undirected labeling.
+//
+// Workers > 1 processes landmarks in rank-ordered batches: each batch's
+// pruned Dijkstras run across a worker pool pruning against the labels
+// committed by earlier batches only, and a sequential rank-order merge
+// re-checks every candidate against its in-batch predecessors before
+// appending — so the labeling is a pure function of graph and landmark
+// order, bit-identical to the sequential build and independent of worker
+// count and batch boundaries.
 func BuildOpt(g graph.Access, opt BuildOptions) (*Labeling, BuildStats, error) {
 	start := time.Now()
 	st := BuildStats{Workers: opt.workers()}
 	n := g.NumNodes()
-	order, err := buildOrder(g, nil, opt.Exec)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Landmarks = len(order)
-	var entries [][]Entry
-	if st.Workers == 1 {
-		entries, err = buildSequential(g, order, n, opt.Exec, &st)
-	} else {
-		entries, err = buildBatched(g, order, n, st.Workers, opt.Exec, &st)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	l := &Labeling{numNodes: n, out: finalize(n, entries)}
-	st.Wall = time.Since(start)
-	return l, st, nil
-}
-
-// BuildDigraphOpt is BuildDigraph with worker and cancellation control;
-// see BuildOpt for the batching scheme and its determinism guarantee.
-func BuildDigraphOpt(d *graph.Digraph, opt BuildOptions) (*Labeling, BuildStats, error) {
-	start := time.Now()
-	st := BuildStats{Workers: opt.workers()}
-	n := d.NumNodes()
-	order, err := buildOrder(d.Out(), d.In(), opt.Exec)
+	out, in := g, g.In()
+	order, err := buildOrder(out, in, opt.Exec)
 	if err != nil {
 		return nil, st, err
 	}
 	st.Landmarks = len(order)
 	var outL, inL [][]Entry
 	if st.Workers == 1 {
-		outL, inL, err = buildDigraphSequential(d, order, n, opt.Exec, &st)
+		outL, inL, err = buildSequential(out, in, order, n, opt.Exec, &st)
 	} else {
-		outL, inL, err = buildDigraphBatched(d, order, n, st.Workers, opt.Exec, &st)
+		outL, inL, err = buildBatched(out, in, order, n, st.Workers, opt.Exec, &st)
 	}
 	if err != nil {
 		return nil, st, err
 	}
-	l := &Labeling{numNodes: n, directed: true, out: finalize(n, outL), in: finalize(n, inL)}
+	l := newLabeling(n, in != out, outL, inL)
 	st.Wall = time.Since(start)
 	return l, st, nil
 }
 
-// buildOrder computes the landmark order: degrees (both directions for
-// digraphs) feed the sampled-centrality ranking.
-func buildOrder(g graph.Access, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, error) {
-	deg, err := degrees(g, ec)
+// buildOrder computes the landmark order: degrees (both directions when
+// the graph has one-way arcs) feed the sampled-centrality ranking.
+func buildOrder(out, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, error) {
+	deg, err := degrees(out, ec)
 	if err != nil {
 		return nil, err
 	}
-	if in != nil {
+	if in != out {
 		degIn, err := degrees(in, ec)
 		if err != nil {
 			return nil, err
@@ -131,26 +115,21 @@ func buildOrder(g graph.Access, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, 
 			deg[v] += degIn[v]
 		}
 	}
-	return landmarkOrder(g, deg, ec)
+	return landmarkOrder(out, deg, ec)
 }
 
-func buildSequential(g graph.Access, order []graph.NodeID, n int, ec *exec.Ctx, st *BuildStats) ([][]Entry, error) {
-	entries := make([][]Entry, n)
-	ds := newDijkstraState(n)
-	lp := newLandmarkProbe(n)
-	for _, h := range order {
-		lp.load(entries[h])
-		if err := prunedSweep(g, h, lp, entries, ds, ec, st); err != nil {
-			return nil, err
-		}
-	}
-	return entries, nil
-}
-
-func buildDigraphSequential(d *graph.Digraph, order []graph.NodeID, n int, ec *exec.Ctx, st *BuildStats) (outL, inL [][]Entry, err error) {
-	out, in := d.Out(), d.In()
+// labelTables allocates the per-node entry lists of a build: one table
+// serving both sides when the graph is symmetric.
+func labelTables(out, in graph.Access, n int) (outL, inL [][]Entry) {
 	outL = make([][]Entry, n)
-	inL = make([][]Entry, n)
+	if in == out {
+		return outL, outL
+	}
+	return outL, make([][]Entry, n)
+}
+
+func buildSequential(out, in graph.Access, order []graph.NodeID, n int, ec *exec.Ctx, st *BuildStats) (outL, inL [][]Entry, err error) {
+	outL, inL = labelTables(out, in, n)
 	ds := newDijkstraState(n)
 	lp := newLandmarkProbe(n)
 	for _, h := range order {
@@ -159,6 +138,9 @@ func buildDigraphSequential(d *graph.Digraph, order []graph.NodeID, n int, ec *e
 		lp.load(outL[h])
 		if err := prunedSweep(out, h, lp, inL, ds, ec, st); err != nil {
 			return nil, nil, err
+		}
+		if in == out {
+			continue
 		}
 		// Backward sweep computes d(v→h) and fills L_out(v); the pruning
 		// query d(v→h) intersects L_out(v) with L_in(h).
@@ -278,46 +260,35 @@ func runBatch(jobs int, workers int, failed *atomic.Bool, scratch *sync.Pool, sw
 	wg.Wait()
 }
 
-// mergeBatch commits one batch's candidates in landmark-rank order. The
-// probe carries the landmark's label as of its own turn (committed batches
-// plus in-batch predecessors already merged). If no candidate is covered
-// by that label state, the speculative sweep made exactly the pop
-// decisions the sequential sweep would have — before the first divergent
-// decision distances are bit-equal, and the first divergence is always a
-// keep-vs-prune flip that shows up here as a covered candidate — so the
-// candidates commit as-is. Otherwise the exploration may have relaxed
-// edges the sequential build pruned, which can perturb later distances in
-// the last float bit; the whole landmark is redone with the sequential
-// sweep against the now-current labels. Either way the result is
-// bit-identical to the sequential build.
+// mergeSweep commits the candidates of landmark h's speculative sweep r,
+// at h's turn in rank order. hub is the landmark-side label as of that turn
+// (committed batches plus in-batch predecessors already merged). If no
+// candidate is covered by that label state, the speculative sweep made
+// exactly the pop decisions the sequential sweep would have — before the
+// first divergent decision distances are bit-equal, and the first
+// divergence is always a keep-vs-prune flip that shows up here as a covered
+// candidate — so the candidates commit as-is. Otherwise the exploration may
+// have relaxed edges the sequential build pruned, which can perturb later
+// distances in the last float bit; the whole sweep is redone sequentially
+// against the now-current labels. Either way the result is bit-identical to
+// the sequential build.
 //
 // vetrnn:deterministic
-func mergeBatch(g graph.Access, batch []graph.NodeID, side func(i int) (*sweepResult, []Entry, [][]Entry), mergeLP *landmarkProbe, mergeDS *dijkstraState, ec *exec.Ctx, st *BuildStats) error {
-	for i, h := range batch {
-		r, hub, into := side(i)
-		if r.err != nil {
-			return r.err
+func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, into [][]Entry, mergeLP *landmarkProbe, mergeDS *dijkstraState, ec *exec.Ctx, st *BuildStats) error {
+	if r.err != nil {
+		return r.err
+	}
+	st.Visits += r.visits
+	st.Pruned += r.pruned
+	mergeLP.load(hub)
+	for _, c := range r.cands {
+		if mergeLP.query(into[c.node]) <= c.dist {
+			st.Resweeps++
+			return prunedSweep(g, h, mergeLP, into, mergeDS, ec, st)
 		}
-		st.Visits += r.visits
-		st.Pruned += r.pruned
-		mergeLP.load(hub)
-		clean := true
-		for _, c := range r.cands {
-			if mergeLP.query(into[c.node]) <= c.dist {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			for _, c := range r.cands {
-				into[c.node] = append(into[c.node], Entry{Hub: h, Dist: c.dist})
-			}
-			continue
-		}
-		st.Resweeps++
-		if err := prunedSweep(g, h, mergeLP, into, mergeDS, ec, st); err != nil {
-			return err
-		}
+	}
+	for _, c := range r.cands {
+		into[c.node] = append(into[c.node], Entry{Hub: h, Dist: c.dist})
 	}
 	return nil
 }
@@ -339,63 +310,24 @@ func batchSpan(order []graph.NodeID, start, size int) []graph.NodeID {
 	return order[start:end]
 }
 
-// buildBatched runs the speculative batched build for undirected graphs.
-// The labeling it produces must be bit-identical to the sequential
-// build's regardless of worker count or scheduling.
+// landmarkSweeps pairs the two sweeps of one landmark; a symmetric graph
+// runs fwd only.
+type landmarkSweeps struct {
+	fwd, bwd sweepResult
+}
+
+// buildBatched runs the speculative batched build. The labeling it
+// produces must be bit-identical to the sequential build's regardless of
+// worker count or scheduling.
 //
 // vetrnn:deterministic
-func buildBatched(g graph.Access, order []graph.NodeID, n, workers int, ec *exec.Ctx, st *BuildStats) ([][]Entry, error) {
-	entries := make([][]Entry, n)
+func buildBatched(out, in graph.Access, order []graph.NodeID, n, workers int, ec *exec.Ctx, st *BuildStats) (outLabels, inLabels [][]Entry, err error) {
+	outL, inL := labelTables(out, in, n)
 	scratch := newBuildScratchPool(n)
 	mergeLP := newLandmarkProbe(n)
 	mergeDS := newDijkstraState(n)
 	maxBatch := batchCap(workers)
-	res := make([]sweepResult, maxBatch)
-	var failed atomic.Bool
-	for start, size := 0, 1; start < len(order); size *= 2 {
-		if size > maxBatch {
-			size = maxBatch
-		}
-		batch := batchSpan(order, start, size)
-		start += len(batch)
-		runBatch(len(batch), workers, &failed, scratch, func(i int, sc *buildScratch) {
-			r := &res[i]
-			*r = sweepResult{cands: r.cands}
-			batchedSweep(g, batch[i], entries[batch[i]], entries, sc, ec, r)
-			if r.err != nil {
-				failed.Store(true)
-			}
-		})
-		err := mergeBatch(g, batch, func(i int) (*sweepResult, []Entry, [][]Entry) {
-			return &res[i], entries[batch[i]], entries
-		}, mergeLP, mergeDS, ec, st)
-		if err != nil {
-			return nil, err
-		}
-		st.Batches++
-	}
-	return entries, nil
-}
-
-// digraphResult pairs the two sweeps of one directed landmark.
-type digraphResult struct {
-	fwd sweepResult
-	bwd sweepResult
-}
-
-// buildDigraphBatched is buildBatched for digraphs: two sweeps per
-// landmark, same bit-identical-to-sequential contract.
-//
-// vetrnn:deterministic
-func buildDigraphBatched(d *graph.Digraph, order []graph.NodeID, n, workers int, ec *exec.Ctx, st *BuildStats) (outLabels, inLabels [][]Entry, err error) {
-	out, in := d.Out(), d.In()
-	outL := make([][]Entry, n)
-	inL := make([][]Entry, n)
-	scratch := newBuildScratchPool(n)
-	mergeLP := newLandmarkProbe(n)
-	mergeDS := newDijkstraState(n)
-	maxBatch := batchCap(workers)
-	res := make([]digraphResult, maxBatch)
+	res := make([]landmarkSweeps, maxBatch)
 	var failed atomic.Bool
 	for start, size := 0, 1; start < len(order); size *= 2 {
 		if size > maxBatch {
@@ -406,9 +338,9 @@ func buildDigraphBatched(d *graph.Digraph, order []graph.NodeID, n, workers int,
 		runBatch(len(batch), workers, &failed, scratch, func(i int, sc *buildScratch) {
 			h := batch[i]
 			r := &res[i]
-			*r = digraphResult{fwd: sweepResult{cands: r.fwd.cands}, bwd: sweepResult{cands: r.bwd.cands}}
+			*r = landmarkSweeps{fwd: sweepResult{cands: r.fwd.cands}, bwd: sweepResult{cands: r.bwd.cands}}
 			batchedSweep(out, h, outL[h], inL, sc, ec, &r.fwd)
-			if r.fwd.err == nil {
+			if in != out && r.fwd.err == nil {
 				batchedSweep(in, h, inL[h], outL, sc, ec, &r.bwd)
 			}
 			if r.fwd.err != nil || r.bwd.err != nil {
@@ -420,15 +352,13 @@ func buildDigraphBatched(d *graph.Digraph, order []graph.NodeID, n, workers int,
 		// loads L_in(h), so a landmark's own self-entry is visible to its
 		// backward half exactly as in the sequential build.
 		for i, h := range batch {
-			one := []graph.NodeID{h}
-			if err := mergeBatch(out, one, func(int) (*sweepResult, []Entry, [][]Entry) {
-				return &res[i].fwd, outL[h], inL
-			}, mergeLP, mergeDS, ec, st); err != nil {
+			if err := mergeSweep(out, h, &res[i].fwd, outL[h], inL, mergeLP, mergeDS, ec, st); err != nil {
 				return nil, nil, err
 			}
-			if err := mergeBatch(in, one, func(int) (*sweepResult, []Entry, [][]Entry) {
-				return &res[i].bwd, inL[h], outL
-			}, mergeLP, mergeDS, ec, st); err != nil {
+			if in == out {
+				continue
+			}
+			if err := mergeSweep(in, h, &res[i].bwd, inL[h], outL, mergeLP, mergeDS, ec, st); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -49,7 +49,7 @@ func TestBuildOptDeterminism(t *testing.T) {
 	graphs := testGraphs(t)
 	for _, name := range []string{"road", "grid"} {
 		g := graphs[name]
-		seq, err := Build(g)
+		seq, err := buildSeq(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,13 +76,13 @@ func TestBuildOptDeterminism(t *testing.T) {
 		}
 	}
 	d := testDigraph(t, 21)
-	seq, err := BuildDigraph(d)
+	seq, err := buildSeq(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run("digraph", func(t *testing.T) {
-			par, _, err := BuildDigraphOpt(d, BuildOptions{Workers: workers})
+			par, _, err := BuildOpt(d, BuildOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestBuildOptDeterminism(t *testing.T) {
 // matches the sequential labels.
 func TestBuildOptNegativeWorkers(t *testing.T) {
 	g := testGraphs(t)["grid"]
-	seq, err := Build(g)
+	seq, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBuildOptCancel(t *testing.T) {
 		}
 	}
 	d := testDigraph(t, 21)
-	if _, _, err := BuildDigraphOpt(d, BuildOptions{Workers: 4, Exec: ec}); !errors.Is(err, exec.ErrCanceled) {
+	if _, _, err := BuildOpt(d, BuildOptions{Workers: 4, Exec: ec}); !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("digraph: err = %v, want ErrCanceled", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestBuildOptTinyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Build(g)
+	seq, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStoreCompressedRoundTrip(t *testing.T) {
 	for name, g := range graphs {
 		for _, pageSize := range []int{128, 4096} {
 			t.Run(fmt.Sprintf("%s/page%d", name, pageSize), func(t *testing.T) {
-				l, err := Build(g)
+				l, err := buildSeq(g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +196,7 @@ func TestStoreCompressedRoundTrip(t *testing.T) {
 	}
 	// Directed: both sides plus full Load through the compressed codec.
 	d := testDigraph(t, 23)
-	l, err := BuildDigraph(d)
+	l, err := buildSeq(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestStoreCompressedRoundTrip(t *testing.T) {
 	// A raw store of the same labeling reports no compression and a
 	// payload at least as large as the raw entry bytes.
 	rf := storage.NewMemFile(256)
-	if err := Write(l, rf); err != nil {
+	if err := WriteOpt(l, rf, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := OpenStore(rf, 8)
@@ -256,7 +256,7 @@ func TestBuildOptBrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Build(g)
+	seq, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}

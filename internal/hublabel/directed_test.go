@@ -1,0 +1,140 @@
+package hublabel
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"graphrnn/internal/core"
+	"graphrnn/internal/gen"
+	"graphrnn/internal/graph"
+	"graphrnn/internal/points"
+)
+
+// TestDirectedIndex runs the reverse index over a forward/backward
+// labeling of an asymmetric graph — from memory and through a Store —
+// against the forward brute-force oracle: every query kind, the
+// per-candidate verify, and incremental maintenance, whose end state must
+// equal an index built from scratch.
+func TestDirectedIndex(t *testing.T) {
+	d := testDigraph(t, 31)
+	l, err := buildSeq(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := oracle(d)
+	for name, src := range map[string]Source{"memory": l, "store": roundTrip(t, l, 256, 8)} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(32))
+			ps, err := gen.PlaceNodePoints(rng, d.NumNodes(), 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites, err := gen.PlaceNodePoints(rng, d.NumNodes(), 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const maxK = 3
+			idx, err := NewIndex(src, maxK, pointsOf(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sidx, err := NewIndex(src, maxK, pointsOf(sites))
+			if err != nil {
+				t.Fatal(err)
+			}
+			brute := func(r core.Request) []points.PointID {
+				t.Helper()
+				r.Algo = core.AlgoBrute
+				res, err := sr.Run(r, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Points
+			}
+			mustBe := func(what string, got []points.PointID, err error, want []points.PointID) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !samePoints(got, want) {
+					t.Fatalf("%s: got %v, brute %v", what, got, want)
+				}
+			}
+			check := func(step string) {
+				t.Helper()
+				all := core.PointSet{Node: ps}
+				for trial := 0; trial < 12; trial++ {
+					pts := ps.Points()
+					qp := pts[rng.Intn(len(pts))]
+					q, _ := ps.NodeOf(qp)
+					route := []graph.NodeID{q, graph.NodeID(rng.Intn(d.NumNodes())), graph.NodeID(rng.Intn(d.NumNodes()))}
+					for k := 1; k <= maxK; k++ {
+						what := fmt.Sprintf("%s q=%d k=%d", step, q, k)
+						got, _, err := idx.RkNNExec(nil, q, k, qp)
+						mustBe(what+" hidden", got, err, brute(core.Request{K: k, Points: core.PointSet{Node: points.ExcludeNode(ps, qp)}, Target: core.NodeLoc(q)}))
+						want := brute(core.Request{K: k, Points: all, Target: core.NodeLoc(q)})
+						got, _, err = idx.RkNNExec(nil, q, k, points.NoPoint)
+						mustBe(what+" visible", got, err, want)
+						mustBe(what+" verify", verified(t, idx, []graph.NodeID{q}, k), nil, want)
+						want = brute(core.Request{Kind: core.KindContinuous, K: k, Points: all, Route: route})
+						got, _, err = idx.ContinuousRkNNExec(nil, route, k, points.NoPoint)
+						mustBe(what+" route", got, err, want)
+						mustBe(what+" route verify", verified(t, idx, route, k), nil, want)
+						got, _, err = sidx.BichromaticRkNNExec(nil, ps, q, k, points.NoPoint)
+						mustBe(what+" bichromatic", got, err, brute(core.Request{Kind: core.KindBichromatic, K: k, Points: all, Sites: core.PointSet{Node: sites}, Target: core.NodeLoc(q)}))
+					}
+				}
+			}
+			check("built")
+			for round := 0; round < 10; round++ {
+				if pts := ps.Points(); round%2 == 0 {
+					p := pts[rng.Intn(len(pts))]
+					if err := ps.Delete(p); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := idx.Delete(p); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("round %d delete %d", round, p))
+				} else {
+					n := graph.NodeID(rng.Intn(d.NumNodes()))
+					p, err := ps.Place(n)
+					if err != nil {
+						continue // node taken
+					}
+					if _, err := idx.Insert(p, n); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("round %d insert %d", round, p))
+				}
+			}
+			fresh, err := NewIndex(src, maxK, pointsOf(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := range fresh.fwd {
+				if !sameList(idx.fwd[h], fresh.fwd[h]) || !sameList(idx.bwd[h], fresh.bwd[h]) {
+					t.Fatalf("hub %d: maintained lists %v / %v, rebuilt %v / %v", h, idx.fwd[h], idx.bwd[h], fresh.fwd[h], fresh.bwd[h])
+				}
+			}
+			// The maintained id space may run past the rebuilt one's by
+			// trailing deleted ids.
+			for p := range idx.thr {
+				var want []pointEnt
+				if p < len(fresh.thr) {
+					want = fresh.thr[p]
+				}
+				if !sameList(idx.thr[p], want) {
+					t.Fatalf("point %d: maintained thresholds %v, rebuilt %v", p, idx.thr[p], want)
+				}
+			}
+		})
+	}
+}
+
+// sameList compares two hub lists, an empty one equal to a missing one.
+func sameList(a, b []pointEnt) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}

@@ -62,7 +62,7 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 func TestLabelingDistances(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			l, err := Build(g)
+			l, err := buildSeq(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestLabelingDistances(t *testing.T) {
 				u := graph.NodeID(rng.Intn(g.NumNodes()))
 				want := dijkstra(g, u)
 				for _, v := range []graph.NodeID{u, graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))} {
-					got, err := Dist(l, u, v, ob, ib)
+					got, err := labelDist(l, u, v, ob, ib)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,6 +91,26 @@ func TestLabelingDistances(t *testing.T) {
 	}
 }
 
+// buildSeq is the sequential build: BuildOpt under zero options.
+func buildSeq(g graph.Access) (*Labeling, error) {
+	l, _, err := BuildOpt(g, BuildOptions{})
+	return l, err
+}
+
+// labelDist computes d(u→v) from the labels: the minimum of d(u→h) + d(h→v)
+// over common hubs, +Inf when the pair shares no hub (disconnected).
+func labelDist(src Source, u, v graph.NodeID, outBuf, inBuf []Entry) (float64, error) {
+	lu, err := src.OutLabel(u, outBuf)
+	if err != nil {
+		return 0, err
+	}
+	lv, err := src.InLabel(v, inBuf)
+	if err != nil {
+		return 0, err
+	}
+	return mergeDist(lu, lv), nil
+}
+
 // sameDist compares distances with a relative tolerance absorbing float
 // association differences between label sums and Dijkstra sums.
 func sameDist(a, b float64) bool {
@@ -102,14 +122,14 @@ func sameDist(a, b float64) bool {
 }
 
 // testDigraph orients a generated graph with asymmetric weights.
-func testDigraph(t *testing.T, seed int64) *graph.Digraph {
+func testDigraph(t *testing.T, seed int64) *graph.Graph {
 	t.Helper()
 	g, err := gen.Grid(gen.GridConfig{Seed: seed, Nodes: 225, Degree: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
-	b := graph.NewDigraphBuilder(g.NumNodes())
+	b := graph.NewBuilder(g.NumNodes())
 	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
 		if err := b.AddArc(u, v, w*(0.5+rng.Float64())); err != nil {
 			t.Fatal(err)
@@ -129,7 +149,7 @@ func testDigraph(t *testing.T, seed int64) *graph.Digraph {
 // graph with asymmetric weights.
 func TestDigraphLabelingDistances(t *testing.T) {
 	d := testDigraph(t, 21)
-	l, err := BuildDigraph(d)
+	l, err := buildSeq(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +160,10 @@ func TestDigraphLabelingDistances(t *testing.T) {
 	var ob, ib []Entry
 	for trial := 0; trial < 20; trial++ {
 		u := graph.NodeID(rng.Intn(d.NumNodes()))
-		want := dijkstra(d.Out(), u)
+		want := dijkstra(d, u)
 		for k := 0; k < 4; k++ {
 			v := graph.NodeID(rng.Intn(d.NumNodes()))
-			got, err := Dist(l, u, v, ob, ib)
+			got, err := labelDist(l, u, v, ob, ib)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +178,7 @@ func TestDigraphLabelingDistances(t *testing.T) {
 func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	t.Helper()
 	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f); err != nil {
+	if err := WriteOpt(l, f, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenStore(f, bufferPages)
@@ -181,7 +201,7 @@ func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 // pinned (the buffer holds the whole file, so a leaked pin would stay).
 func TestReadLabelErrorsLeaveNoPin(t *testing.T) {
 	const pageSize = 256
-	l, err := Build(testGraphs(t)["road"])
+	l, err := buildSeq(testGraphs(t)["road"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +266,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	for name, g := range graphs {
 		for _, pageSize := range []int{128, 4096} {
 			t.Run(fmt.Sprintf("%s/page%d", name, pageSize), func(t *testing.T) {
-				l, err := Build(g)
+				l, err := buildSeq(g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -275,7 +295,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// Directed round trip exercises the two-sided directory.
 	d := testDigraph(t, 23)
-	l, err := BuildDigraph(d)
+	l, err := buildSeq(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +320,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// Load must reconstruct the full labeling.
 	f := storage.NewMemFile(256)
-	if err := Write(l, f); err != nil {
+	if err := WriteOpt(l, f, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Load(f)
@@ -340,11 +360,11 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(l, f); err == nil {
+	if err := WriteOpt(l, f, WriteOptions{}); err == nil {
 		t.Fatal("Write into non-empty file accepted")
 	}
 }
@@ -370,7 +390,7 @@ func samePoints(a, b []points.PointID) bool {
 func TestIndexRkNNAgainstOracle(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			l, err := Build(g)
+			l, err := buildSeq(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +413,7 @@ func TestIndexRkNNAgainstOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := idx.RkNN(qnode, k, qp)
+					got, _, err := idx.RkNNExec(nil, qnode, k, qp)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -405,7 +425,7 @@ func TestIndexRkNNAgainstOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err = idx.RkNN(qnode, k, points.NoPoint)
+					got, _, err = idx.RkNNExec(nil, qnode, k, points.NoPoint)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -421,7 +441,7 @@ func TestIndexRkNNAgainstOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := idx.RkNN(qnode, 2, points.NoPoint)
+				got, _, err := idx.RkNNExec(nil, qnode, 2, points.NoPoint)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -448,7 +468,7 @@ func TestIndexContinuousAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +489,7 @@ func TestIndexContinuousAgainstOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := idx.ContinuousRkNN(route, k, points.NoPoint)
+			got, _, err := idx.ContinuousRkNNExec(nil, route, k, points.NoPoint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,7 +507,7 @@ func TestIndexBichromaticAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +532,7 @@ func TestIndexBichromaticAgainstOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := idx.BichromaticRkNN(cands, qnode, k, points.NoPoint)
+			got, _, err := idx.BichromaticRkNNExec(nil, cands, qnode, k, points.NoPoint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -531,7 +551,7 @@ func TestIndexMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +578,7 @@ func TestIndexMaintenance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := idx.RkNN(qnode, k, points.NoPoint)
+				got, _, err := idx.RkNNExec(nil, qnode, k, points.NoPoint)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -605,7 +625,7 @@ func TestIndexErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,16 +636,16 @@ func TestIndexErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := idx.RkNN(0, 0, points.NoPoint); err == nil {
+	if _, _, err := idx.RkNNExec(nil, 0, 0, points.NoPoint); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := idx.RkNN(-1, 1, points.NoPoint); err == nil {
+	if _, _, err := idx.RkNNExec(nil, -1, 1, points.NoPoint); err == nil {
 		t.Fatal("negative node accepted")
 	}
-	if _, _, err := idx.RkNN(0, 3, points.NoPoint); err == nil {
+	if _, _, err := idx.RkNNExec(nil, 0, 3, points.NoPoint); err == nil {
 		t.Fatal("k beyond maxK accepted")
 	}
-	if _, _, err := idx.ContinuousRkNN(nil, 1, points.NoPoint); err == nil {
+	if _, _, err := idx.ContinuousRkNNExec(nil, nil, 1, points.NoPoint); err == nil {
 		t.Fatal("empty route accepted")
 	}
 	if _, err := idx.Insert(0, 5); err == nil {
@@ -657,7 +677,7 @@ func TestIndexOverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +699,7 @@ func TestIndexOverStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, qs, err := idx.RkNN(qnode, 2, points.NoPoint)
+		got, qs, err := idx.RkNNExec(nil, qnode, 2, points.NoPoint)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -190,9 +190,6 @@ func (idx *Index) NodeOf(p points.PointID) (graph.NodeID, bool) {
 	return idx.nodes[p], true
 }
 
-// Source returns the labeling the index reads.
-func (idx *Index) Source() Source { return idx.src }
-
 // Points returns the live point ids in ascending order.
 func (idx *Index) Points() []points.PointID {
 	out := make([]points.PointID, 0, idx.live)
@@ -394,27 +391,18 @@ func (idx *Index) checkRoute(route []graph.NodeID, k int) error {
 	return nil
 }
 
-// RkNN answers a monochromatic reverse k-NN query from node q, hiding
-// point hidden (points.NoPoint hides nothing). k must not exceed MaxK.
-func (idx *Index) RkNN(q graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
-	return idx.RkNNExec(nil, q, k, hidden)
-}
-
-// RkNNExec is RkNN under an execution context — the one-node case of
-// ContinuousRkNNExec: the intersection path polls ec between label fetches
-// and per decided point, abandoning the query with a typed exec error
-// (cancellation, deadline, I/O budget). A nil ec is unbounded.
+// RkNNExec answers a monochromatic reverse k-NN query from node q, hiding
+// point hidden (points.NoPoint hides nothing); k must not exceed MaxK. It
+// is the one-node case of ContinuousRkNNExec: the intersection path polls
+// ec between label fetches and per decided point, abandoning the query with
+// a typed exec error (cancellation, deadline, I/O budget). A nil ec is
+// unbounded.
 func (idx *Index) RkNNExec(ec *exec.Ctx, q graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
 	return idx.ContinuousRkNNExec(ec, []graph.NodeID{q}, k, hidden)
 }
 
-// ContinuousRkNN answers the route variant: the union of RkNN over every
-// route node, decided against d(p→route) = min over route nodes.
-func (idx *Index) ContinuousRkNN(route []graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
-	return idx.ContinuousRkNNExec(nil, route, k, hidden)
-}
-
-// ContinuousRkNNExec is ContinuousRkNN under an execution context.
+// ContinuousRkNNExec answers the route variant under ec: the union of RkNN
+// over every route node, decided against d(p→route) = min over route nodes.
 func (idx *Index) ContinuousRkNNExec(ec *exec.Ctx, route []graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
 	var st QueryStats
 	if err := idx.checkRoute(route, k); err != nil {
@@ -518,7 +506,7 @@ func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k 
 
 // VerifyMember decides whether point p is a reverse k-nearest neighbor of
 // the query (one node, or the nodes of a route) with the arithmetic of
-// RkNN / ContinuousRkNN, nothing hidden: d(p→query) is the smallest
+// RkNNExec / ContinuousRkNNExec, nothing hidden: d(p→query) is the smallest
 // L_out(p) ∩ L_in(query node) sum, membership the threshold test for
 // k <= MaxK and the exact closer-count beyond. An id that names no live
 // point is no member. ec is polled per query-side label fetch.
@@ -562,16 +550,11 @@ func (idx *Index) VerifyMember(ec *exec.Ctx, query []graph.NodeID, k int, p poin
 	return member, st, nil
 }
 
-// BichromaticRkNN answers bRkNN(q) over the site set the index was built
-// on: the candidates of cands with fewer than k sites strictly closer than
-// the query. hiddenSite excludes one site (points.NoPoint for none); k is
-// unbounded (thresholds are not used).
-func (idx *Index) BichromaticRkNN(cands points.NodeView, q graph.NodeID, k int, hiddenSite points.PointID) ([]points.PointID, QueryStats, error) {
-	return idx.BichromaticRkNNExec(nil, cands, q, k, hiddenSite)
-}
-
-// BichromaticRkNNExec is BichromaticRkNN under an execution context,
-// polled once per classified candidate.
+// BichromaticRkNNExec answers bRkNN(q) over the site set the index was
+// built on: the candidates of cands with fewer than k sites strictly closer
+// than the query. hiddenSite excludes one site (points.NoPoint for none); k
+// is unbounded (thresholds are not used). ec is polled once per classified
+// candidate.
 func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q graph.NodeID, k int, hiddenSite points.PointID) ([]points.PointID, QueryStats, error) {
 	var st QueryStats
 	if err := idx.checkQuery(q, k); err != nil {

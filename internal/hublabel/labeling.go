@@ -75,8 +75,18 @@ func (s *labelSet) size() int { return len(s.hubs) }
 type Labeling struct {
 	numNodes int
 	directed bool
-	out      labelSet // undirected labelings use out for both sides
-	in       labelSet
+	out, in  labelSet // one set under both names when undirected
+}
+
+// newLabeling packs per-node entry lists into a labeling; an undirected
+// one reads only out.
+func newLabeling(n int, directed bool, out, in [][]Entry) *Labeling {
+	l := &Labeling{numNodes: n, directed: directed, out: finalize(n, out)}
+	l.in = l.out
+	if directed {
+		l.in = finalize(n, in)
+	}
+	return l
 }
 
 // NumNodes implements Source.
@@ -97,9 +107,6 @@ func (l *Labeling) OutLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 func (l *Labeling) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 	if n < 0 || int(n) >= l.numNodes {
 		return nil, fmt.Errorf("hublabel: node %d out of range [0,%d)", n, l.numNodes)
-	}
-	if !l.directed {
-		return l.out.label(n, buf), nil
 	}
 	return l.in.label(n, buf), nil
 }
@@ -122,20 +129,6 @@ func (l *Labeling) AverageLabelSize() float64 {
 		sides = 2
 	}
 	return float64(l.Entries()) / float64(l.numNodes*sides)
-}
-
-// Dist computes d(u→v) from the labels: the minimum of d(u→h) + d(h→v)
-// over common hubs, +Inf when the pair shares no hub (disconnected).
-func Dist(src Source, u, v graph.NodeID, outBuf, inBuf []Entry) (float64, error) {
-	lu, err := src.OutLabel(u, outBuf)
-	if err != nil {
-		return 0, err
-	}
-	lv, err := src.InLabel(v, inBuf)
-	if err != nil {
-		return 0, err
-	}
-	return mergeDist(lu, lv), nil
 }
 
 // mergeDist intersects two labels sorted by hub id.
@@ -357,24 +350,6 @@ func degrees(g graph.Access, ec *exec.Ctx) ([]int, error) {
 		deg[v] = len(adj)
 	}
 	return deg, nil
-}
-
-// Build constructs an undirected labeling over g with pruned landmark
-// labeling. The graph is read directly (no counted I/O); builds are
-// CPU-bound and meant to run once per graph, then persist via Write. Use
-// BuildOpt for a parallel (and cancellable) build of the same labeling.
-func Build(g graph.Access) (*Labeling, error) {
-	l, _, err := BuildOpt(g, BuildOptions{})
-	return l, err
-}
-
-// BuildDigraph constructs forward and backward labels over a directed
-// graph: one pruned forward sweep (over out-arcs, filling L_in) and one
-// pruned backward sweep (over in-arcs, filling L_out) per landmark. Use
-// BuildDigraphOpt for a parallel (and cancellable) build.
-func BuildDigraph(d *graph.Digraph) (*Labeling, error) {
-	l, _, err := BuildDigraphOpt(d, BuildOptions{})
-	return l, err
 }
 
 // prunedSweep runs one pruned Dijkstra from landmark h, appending (h, dist)

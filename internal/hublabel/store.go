@@ -60,7 +60,7 @@ const (
 	maxVarintHub = 5
 )
 
-// WriteOptions tunes Write. The zero value writes the raw fixed-width
+// WriteOptions tunes WriteOpt. The zero value writes the raw fixed-width
 // codec, byte-compatible with files written before options existed.
 type WriteOptions struct {
 	// Compression switches label chunks to the delta+varint codec.
@@ -72,16 +72,9 @@ type dirEnt struct {
 	slot uint16
 }
 
-// Write persists l into an empty paged file with the raw codec. The
-// file's page 0 becomes the header; label and directory pages follow.
-//
-// vetrnn:deterministic
-func Write(l *Labeling, f storage.PagedFile) error {
-	return WriteOpt(l, f, WriteOptions{})
-}
-
-// WriteOpt is Write with codec control. The encoded byte stream is a
-// pure function of the labeling and options — same input, same file.
+// WriteOpt persists l into an empty paged file: page 0 becomes the header,
+// label and directory pages follow. The encoded byte stream is a pure
+// function of the labeling and options — same input, same file.
 //
 // vetrnn:deterministic
 func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
@@ -319,7 +312,7 @@ type Store struct {
 	pageSize int
 }
 
-// OpenStore opens a labeling previously persisted with Write, reading label
+// OpenStore opens a labeling previously persisted with WriteOpt, reading label
 // pages through a private LRU buffer of bufferPages pages. Use
 // OpenStoreBuffer to serve label pages through a shared buffer pool.
 func OpenStore(f storage.PagedFile, bufferPages int) (*Store, error) {
@@ -589,9 +582,5 @@ func Load(f storage.PagedFile) (*Labeling, error) {
 			in[v] = append([]Entry(nil), buf...)
 		}
 	}
-	l := &Labeling{numNodes: n, directed: s.directed, out: finalize(n, out)}
-	if s.directed {
-		l.in = finalize(n, in)
-	}
-	return l, nil
+	return newLabeling(n, s.directed, out, in), nil
 }

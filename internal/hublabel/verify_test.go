@@ -26,7 +26,7 @@ func newVerifyEnv(t *testing.T) *verifyEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(g)
+	l, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestVerifyMember(t *testing.T) {
 			q := graph.NodeID(rng.Intn(e.g.NumNodes()))
 			route := gen.RandomWalkRoute(rng, e.g, 1+rng.Intn(6))
 			for _, k := range []int{1, 2, 3, 6} {
-				want, _, err := e.wide.RkNN(q, k, points.NoPoint)
+				want, _, err := e.wide.RkNNExec(nil, q, k, points.NoPoint)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := verified(t, e.idx, []graph.NodeID{q}, k); !samePoints(got, want) {
 					t.Fatalf("%s q=%d k=%d: verified %v, RkNN %v", step, q, k, got, want)
 				}
-				want, _, err = e.wide.ContinuousRkNN(route, k, points.NoPoint)
+				want, _, err = e.wide.ContinuousRkNNExec(nil, route, k, points.NoPoint)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -76,9 +76,6 @@ func (pb *PageBuilder) Reset() {
 // Empty reports whether no records have been added to the current page.
 func (pb *PageBuilder) Empty() bool { return pb.nrec == 0 }
 
-// NumRecords returns the number of records in the current page.
-func (pb *PageBuilder) NumRecords() int { return pb.nrec }
-
 // FreeBytes returns the space available for one more record including its
 // slot directory entry.
 func (pb *PageBuilder) FreeBytes() int {

@@ -40,6 +40,9 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: BuildDiskStore needs an empty file, got %d pages", file.NumPages())
 	}
+	if g.Directed() {
+		return nil, fmt.Errorf("storage: BuildDiskStore packs one adjacency file; a graph with one-way arcs needs two")
+	}
 	if order == nil {
 		order = BFSOrder(g)
 	}
@@ -139,6 +142,9 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 // NumNodes implements graph.Access.
 func (s *DiskStore) NumNodes() int { return s.numNodes }
 
+// In implements graph.Access: a store only ever packs a symmetric graph.
+func (s *DiskStore) In() graph.Access { return s }
+
 // Adjacency implements graph.Access, following the fragment chain of node n
 // and appending its edges to buf.
 func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, error) {
@@ -180,13 +186,6 @@ func (s *DiskStore) Close() error {
 	bm := s.bm
 	s.bm = nil
 	return bm.Detach()
-}
-
-// WithFile returns a store that shares this store's node index but reads
-// pages from an alternative file with identical layout — a hook for
-// failure-injection tests and for reopening a previously built page file.
-func (s *DiskStore) WithFile(file PagedFile, bufferPages int) *DiskStore {
-	return &DiskStore{bm: NewBufferPool(bufferPages).Attach("", file, 0), index: s.index, numNodes: s.numNodes}
 }
 
 // Stats returns the I/O counters of the underlying buffer.

@@ -258,17 +258,6 @@ func (p *BufferPool) AttachGrowing(name string, file PagedFile, quota int) *Tena
 // vetrnn:holds t.pool.mu
 func (t *Tenant) markGrown(quota int) { t.grown = quota }
 
-// Grow raises the pool's capacity by pages.
-func (p *BufferPool) Grow(pages int) {
-	if pages <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.capacity += pages
-	p.refreshTrackLocked()
-	p.mu.Unlock()
-}
-
 // Capacity returns the pool's capacity in frames.
 func (p *BufferPool) Capacity() int {
 	p.mu.Lock()
@@ -344,12 +333,6 @@ func (t *Tenant) File() PagedFile { return t.file }
 // Name returns the label the tenant was attached under.
 func (t *Tenant) Name() string { return t.name }
 
-// Pool returns the pool the tenant draws frames from.
-func (t *Tenant) Pool() *BufferPool { return t.pool }
-
-// Quota returns the tenant's frame quota.
-func (t *Tenant) Quota() int { return t.quota }
-
 // Capacity returns the frames the tenant may hold: its quota when set,
 // otherwise the pool's capacity.
 func (t *Tenant) Capacity() int {
@@ -373,7 +356,7 @@ func (t *Tenant) ResetStats() { t.stats.reset() }
 // uncached reports whether the tenant's pages bypass the pool. Every call
 // site holds p.mu (Pin/Update/Append take it before the cache decision),
 // which is what makes reading capacity here safe against concurrent
-// Grow/Attach/Detach.
+// Attach/Detach.
 // vetrnn:holds t.pool.mu
 func (t *Tenant) uncached() bool { return t.quota < 0 || t.pool.capacity == 0 }
 

@@ -144,6 +144,9 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 // openMaterialization is OpenMaterialization short of registering the
 // result, so a Path-persisted build can rebind it to the caller's set.
 func (db *DB) openMaterialization(path string, opt *MatOptions) (*Materialization, error) {
+	if err := db.undirectedOnly("materialized K-NN lists"); err != nil {
+		return nil, err
+	}
 	_, buffer := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
 	// recollection of the build-time options.

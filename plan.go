@@ -24,6 +24,10 @@ import (
 //     memory-backed high-diameter networks (average degree <= 3,
 //     road-like), where its verification-side pruning saves CPU and no I/O
 //     is at stake (§6.1).
+//  4. A directed graph (one-way arcs) serves node-resident sets through
+//     hub-label, eager, lazy-EP and brute force only: lazy and eager-M are
+//     incompatible hints there (ErrUndirectedOnly under Strict) and auto
+//     never picks them.
 //
 // Substrates belong to the point set they were built or opened over
 // (BuildHubLabelIndex / OpenHubLabelIndex, MaterializeNodePoints /
@@ -197,6 +201,11 @@ func (db *DB) resolveAlgorithm(q Query, pl *planned) error {
 		if q.Strict {
 			// The named algorithm runs or errors; the planner never
 			// substitutes.
+			if q.Algorithm.kind.symmetricOnly() {
+				if err := db.undirectedOnly(q.Algorithm.String()); err != nil {
+					return err
+				}
+			}
 			pl.plan.Algorithm = q.Algorithm
 			pl.plan.Reason = "explicit algorithm (strict)"
 			return nil
@@ -218,8 +227,7 @@ func (db *DB) resolveAlgorithm(q Query, pl *planned) error {
 }
 
 // autoSelect walks the auto chain, skipping the substrate kind `avoid` (the
-// hinted substrate a fallback is escaping; only the indexed substrates can
-// be incompatible, the expansion algorithms run every shape).
+// hinted substrate a fallback is escaping).
 func (db *DB) autoSelect(pl *planned, avoid algoKind) {
 	if avoid != algoHub && pl.set != nil {
 		if idx := latest(&pl.set.hubs); idx != nil && db.incompatible(HubLabel(idx), pl) == "" {
@@ -235,7 +243,7 @@ func (db *DB) autoSelect(pl *planned, avoid algoKind) {
 			return
 		}
 	}
-	if db.disk == nil && db.graph.AverageDegree() <= lazyMaxAvgDegree {
+	if db.disk == nil && db.graph.AverageDegree() <= lazyMaxAvgDegree && !db.graph.Directed() {
 		pl.plan.Algorithm = Lazy()
 		pl.plan.Reason = "lazy expansion saves CPU on a memory-backed high-diameter network"
 		return
@@ -245,11 +253,16 @@ func (db *DB) autoSelect(pl *planned, avoid algoKind) {
 }
 
 // incompatible reports why algo cannot run the planned shape ("" when it
-// can). The expansion algorithms run every shape; the indexed substrates
-// are bound to the k range they were built for and — the test an explicit
-// hint needs, the set's own substrates pass it by construction — to the
-// point set (bichromatic: the sites) they track.
+// can). The expansion algorithms run every shape — on a directed graph,
+// all but lazy and eager-M, which need symmetric distances
+// (ErrUndirectedOnly); the indexed substrates are bound to the k range they
+// were built for and — the test an explicit hint needs, the set's own
+// substrates pass it by construction — to the point set (bichromatic: the
+// sites) they track.
 func (db *DB) incompatible(algo Algorithm, pl *planned) string {
+	if algo.kind.symmetricOnly() && db.graph.Directed() {
+		return "it needs symmetric distances and the graph is directed"
+	}
 	switch algo.kind {
 	case algoHub:
 		h := algo.hub

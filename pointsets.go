@@ -136,6 +136,9 @@ func (s *trackedSet) place(at Location) (*setOp, error) {
 		}
 		p, err = s.ns.Place(graph.NodeID(at.U))
 	} else {
+		if err := s.db.undirectedOnly("edge-resident point sets"); err != nil {
+			return nil, err
+		}
 		at = EdgeLocation(at.U, at.V, at.Pos)
 		w, ok := s.db.graph.EdgeWeight(at.U, at.V)
 		if !ok {

@@ -33,6 +33,10 @@ const (
 	algoExpansion
 )
 
+// symmetricOnly reports the strategies whose correctness needs d(a,b) =
+// d(b,a) (see ErrUndirectedOnly).
+func (k algoKind) symmetricOnly() bool { return k == algoLazy || k == algoEagerM }
+
 // Auto defers the substrate choice to the planner (the zero Algorithm).
 func Auto() Algorithm { return Algorithm{} }
 
@@ -42,6 +46,7 @@ func Eager() Algorithm { return Algorithm{kind: algoEager} }
 
 // Lazy prunes only when data points are discovered, via verification side
 // effects (Section 3.3). Low CPU; unsuitable for low-diameter networks.
+// Undirected graphs only.
 func Lazy() Algorithm { return Algorithm{kind: algoLazy} }
 
 // LazyEP is Lazy with extended pruning via a parallel point-expansion heap
@@ -50,6 +55,7 @@ func LazyEP() Algorithm { return Algorithm{kind: algoLazyEP} }
 
 // EagerM is Eager over the materialized K-NN lists m (Section 4.1); m must
 // have been built over the queried point set (bichromatic: over the sites).
+// Undirected graphs only.
 func EagerM(m *Materialization) Algorithm { return Algorithm{kind: algoEagerM, mat: m} }
 
 // HubLabel answers by hub-label intersection over idx — no network

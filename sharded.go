@@ -198,6 +198,9 @@ func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 	if ps == nil || ps.db != db {
 		return nil, fmt.Errorf("graphrnn: Shard needs a point set of this DB")
 	}
+	if err := db.undirectedOnly("sharding cuts regions and halo rings by undirected hops"); err != nil {
+		return nil, err
+	}
 	if opt.Sites != nil && opt.Sites.db != db {
 		return nil, fmt.Errorf("graphrnn: ShardOptions.Sites belongs to a different DB")
 	}
