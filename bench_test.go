@@ -214,6 +214,7 @@ func BenchmarkCIQueries(b *testing.B) {
 			// expansion hot path (heap, page reads) allocates nothing,
 			// so a sweep costs a few dozen allocations per query.
 			b.ReportAllocs()
+			var labelEntries int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, qp := range e.queries {
@@ -225,12 +226,20 @@ func BenchmarkCIQueries(b *testing.B) {
 						Points:    e.ps.Excluding(qp),
 						Algorithm: a.algo,
 					}
-					if _, err := e.db.Run(context.Background(), q); err != nil {
+					res, err := e.db.Run(context.Background(), q)
+					if err != nil {
 						b.Fatal(err)
 					}
+					labelEntries += res.Stats.LabelEntries
 				}
 			}
 			b.StopTimer()
+			// The hub-label sweep's exact work counter: answers cannot tell
+			// an index whose reach bounds all drifted to +Inf from a pruned
+			// one, the entries it scans can.
+			if labelEntries > 0 {
+				b.ReportMetric(float64(labelEntries)/float64(b.N), "label_entries/op")
+			}
 			reads := e.db.IOStats().Reads + e.mat.IOStats().Reads + hubIdx.IOStats().Reads
 			b.ReportMetric(float64(reads)/float64(b.N), "io_reads/op")
 			b.ReportMetric(float64(len(e.queries)), "queries/op")
@@ -254,6 +263,8 @@ func BenchmarkCIQueries(b *testing.B) {
 // the way io_reads/op gates the substrates. verify_nodes_scanned/op is the
 // queries' scanned-node total: every shard answers from its hub lists, so
 // only an expansion verify on the coordinator can move it off zero.
+// label_entries/op is what the shards' pruned phase 1 and the coordinator's
+// verify scan: it rises when the reach bounds stop pruning.
 func BenchmarkCIShardedQueries(b *testing.B) {
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
@@ -274,7 +285,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 	defer sh.Close()
 	queries := ps.Points()
 	before := sh.Stats()
-	var scanned int64
+	var scanned, labelEntries int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, qp := range queries {
@@ -289,6 +300,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 				b.Fatal(err)
 			}
 			scanned += res.Stats.NodesScanned
+			labelEntries += res.Stats.LabelEntries
 		}
 	}
 	b.StopTimer()
@@ -299,6 +311,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 	b.ReportMetric(float64(after.Candidates-before.Candidates)/n, "candidates/op")
 	b.ReportMetric(float64(after.VerifyRuns-before.VerifyRuns)/n, "verify_runs/op")
 	b.ReportMetric(float64(scanned)/n, "verify_nodes_scanned/op")
+	b.ReportMetric(float64(labelEntries)/n, "label_entries/op")
 	b.ReportMetric(float64(after.Members-before.Members)/n, "members/op")
 }
 

@@ -3,7 +3,6 @@ package hublabel
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"graphrnn/internal/core"
@@ -110,31 +109,9 @@ func TestDirectedIndex(t *testing.T) {
 					check(fmt.Sprintf("round %d insert %d", round, p))
 				}
 			}
-			fresh, err := NewIndex(src, maxK, pointsOf(ps))
-			if err != nil {
+			if err := checkMaintained(idx, ps); err != nil {
 				t.Fatal(err)
-			}
-			for h := range fresh.fwd {
-				if !sameList(idx.fwd[h], fresh.fwd[h]) || !sameList(idx.bwd[h], fresh.bwd[h]) {
-					t.Fatalf("hub %d: maintained lists %v / %v, rebuilt %v / %v", h, idx.fwd[h], idx.bwd[h], fresh.fwd[h], fresh.bwd[h])
-				}
-			}
-			// The maintained id space may run past the rebuilt one's by
-			// trailing deleted ids.
-			for p := range idx.thr {
-				var want []pointEnt
-				if p < len(fresh.thr) {
-					want = fresh.thr[p]
-				}
-				if !sameList(idx.thr[p], want) {
-					t.Fatalf("point %d: maintained thresholds %v, rebuilt %v", p, idx.thr[p], want)
-				}
 			}
 		})
 	}
-}
-
-// sameList compares two hub lists, an empty one equal to a missing one.
-func sameList(a, b []pointEnt) bool {
-	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }

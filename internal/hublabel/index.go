@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"graphrnn/internal/exec"
@@ -16,16 +15,39 @@ import (
 
 // Index is the ReHub-style reverse side of a labeling: every hub carries the
 // list of data points it covers, annotated with the point↔hub distance, so
-// that one pass over the hub lists of a query label yields the distance from
-// every data point to the query — no network expansion at all.
+// that a pass over the hub lists of a query label yields the distance from
+// the data points to the query — no network expansion at all.
 //
 // Queries run in two phases. Phase 1 intersects the query's backward label
 // with the forward hub lists, producing d(p→q) for every point p that can
-// reach q. Phase 2 decides membership |{p' ≠ p : d(p→p') < d(p→q)}| < k
-// against the per-point K-NN thresholds materialized at build time, falling
-// back to an exact early-terminating hub-list merge in the rare case the
-// thresholds cannot certify an answer (an excluded point occupied one of the
-// stored slots). Both phases touch only label entries and hub lists; the
+// still be a member. It rests on one lemma: thr[p] holds the maxK+1 nearest
+// other points of p and reach(p) is the distance of the last of them, so
+// when d(p→q) > reach(p) all maxK+1 are strictly closer to p than the query
+// is, at most one of them is hidden (all a points.HiddenPointView can hide),
+// and p belongs to no answer at any k <= maxK — of a node, or of a route,
+// whose distance is the minimum over its nodes. Every forward hub-list entry
+// therefore carries, next to its point, a bound M on the largest reach among
+// itself and its successors. The lists ascend by distance, so along a list
+// the sum d(p→h) + d(h→q) only rises while M only falls: the scan of a list
+// ends at the first entry whose sum exceeds its bound, and before that skips
+// every entry whose sum exceeds its own point's reach. Both tests compare
+// the very float64 sum that becomes the query distance, so pruning is
+// epsilon-free and the answer bit-identical to an unpruned scan.
+//
+// The invariant is M[i] >= max reach(list[i:]) for every list at every
+// moment a query can run. A bound that errs upwards only scans further; one
+// that errs downwards drops members — a wrong answer, not a slow one — which
+// is why the float32 M is rounded up and why maintenance raises bounds before
+// the first scan that depends on them. Insert and Delete keep the bounds
+// exact, so a maintained index equals NewIndex over the surviving points
+// field for field.
+//
+// Phase 2 decides membership |{p' ≠ p : d(p→p') < d(p→q)}| < k by counting
+// in thr[p]. With maxK+1 slots and at most one hidden point the count is
+// always conclusive: a shorter list is the complete neighbor set, a query
+// distance within the last slot leaves every unstored point at least as far
+// as the query, and a query distance beyond it makes maxK visible points
+// strictly closer. Both phases touch only label entries and hub lists; the
 // graph itself is never read.
 //
 // An Index is safe for concurrent queries (per-query scratch comes from a
@@ -40,20 +62,27 @@ type Index struct {
 	live  int
 
 	// fwd[h] holds (p, d(p→h)) for h ∈ L_out(p); bwd[h] holds (p, d(h→p))
-	// for h ∈ L_in(p), by hub id. Undirected labelings share one table.
+	// for h ∈ L_in(p), by hub id, each list ascending (distance, id).
+	// Undirected labelings share one table. Only fwd entries carry a reach
+	// bound M (phase 1 scans nothing else).
 	fwd, bwd [][]pointEnt
 
-	// thr[p] holds the up-to-maxK nearest other points of p by outgoing
+	// thr[p] holds the up-to-maxK+1 nearest other points of p by outgoing
 	// distance, ascending (distance, id) — the materialized k-NN
-	// thresholds.
-	thr [][]pointEnt
+	// thresholds. reach[p] is the distance of slot maxK+1, +Inf while the
+	// list is shorter (nothing may be pruned on it) and for dead ids.
+	thr   [][]pointEnt
+	reach []float64
 
 	scratch sync.Pool // *qscratch
 }
 
-// pointEnt pairs a point with a distance.
+// pointEnt pairs a point with a distance. On a forward hub list M bounds the
+// reach of the entry's point and of every point after it from above; it
+// lives in what would be padding, and is zero everywhere else.
 type pointEnt struct {
 	P points.PointID
+	M float32
 	D float64
 }
 
@@ -61,9 +90,11 @@ type pointEnt struct {
 type QueryStats struct {
 	// LabelReads counts label fetches through the Source.
 	LabelReads int64
-	// Entries counts label and hub-list entries scanned.
+	// Entries counts label and hub-list entries scanned; the entry a pruned
+	// list scan stops on is not one of them.
 	Entries int64
-	// Fallbacks counts exact-merge fallbacks taken by phase 2.
+	// Fallbacks counts exact closer-count merges run in place of the
+	// threshold test: VerifyMember at k beyond MaxK.
 	Fallbacks int64
 }
 
@@ -102,8 +133,9 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 	for i := range idx.nodes {
 		idx.nodes[i] = -1
 	}
-	var buf []Entry
-	var err error
+	sc := idx.acquire()
+	defer idx.release(sc)
+	var st QueryStats
 	for _, p := range pts {
 		if p.P < 0 {
 			return nil, fmt.Errorf("hublabel: negative point id %d", p.P)
@@ -116,8 +148,17 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 		}
 		idx.nodes[p.P] = p.Node
 		idx.live++
-		if buf, err = idx.addToLists(p.P, p.Node, buf); err != nil {
+		out, in, err := idx.fetchLabels(sc, &st, p.Node)
+		if err != nil {
 			return nil, err
+		}
+		for _, e := range out {
+			idx.fwd[e.Hub] = append(idx.fwd[e.Hub], pointEnt{P: p.P, D: e.Dist})
+		}
+		if src.Directed() {
+			for _, e := range in {
+				idx.bwd[e.Hub] = append(idx.bwd[e.Hub], pointEnt{P: p.P, D: e.Dist})
+			}
 		}
 	}
 	for h := range idx.fwd {
@@ -128,52 +169,55 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 			sortList(idx.bwd[h])
 		}
 	}
-	// Materialize thresholds once the lists are complete.
-	sc := idx.acquire()
-	defer idx.release(sc)
+	// Materialize thresholds once the lists are complete, then the bounds
+	// once every reach is known.
 	idx.thr = make([][]pointEnt, len(idx.nodes))
-	var st QueryStats
+	idx.reach = make([]float64, len(idx.nodes))
 	for p, n := range idx.nodes {
+		idx.reach[p] = math.Inf(1)
 		if n < 0 {
 			continue
 		}
-		t, err := idx.topK(sc, &st, n, maxK, points.PointID(p))
+		label, err := idx.outLabel(sc, &st, n)
 		if err != nil {
 			return nil, err
 		}
-		idx.thr[p] = t
+		idx.thr[p] = idx.topK(sc, &st, label, maxK+1, points.PointID(p))
+		idx.reach[p] = idx.reachOf(idx.thr[p])
+	}
+	for _, l := range idx.fwd {
+		for i := len(l) - 1; i >= 0; i-- {
+			l[i].M = idx.boundAt(l, i)
+		}
 	}
 	return idx, nil
 }
 
-// addToLists inserts p's label entries into the hub lists (unsorted append;
-// callers sort or insert-sorted as appropriate).
-func (idx *Index) addToLists(p points.PointID, n graph.NodeID, buf []Entry) ([]Entry, error) {
-	var err error
-	if buf, err = idx.src.OutLabel(n, buf); err != nil {
-		return buf, err
+// cmpEnt orders hub-list and threshold entries by (distance, id).
+func cmpEnt(a, b pointEnt) int {
+	if c := cmp.Compare(a.D, b.D); c != 0 {
+		return c
 	}
-	for _, e := range buf {
-		idx.fwd[e.Hub] = append(idx.fwd[e.Hub], pointEnt{P: p, D: e.Dist})
-	}
-	if idx.src.Directed() {
-		if buf, err = idx.src.InLabel(n, buf); err != nil {
-			return buf, err
-		}
-		for _, e := range buf {
-			idx.bwd[e.Hub] = append(idx.bwd[e.Hub], pointEnt{P: p, D: e.Dist})
-		}
-	}
-	return buf, nil
+	return cmp.Compare(a.P, b.P)
 }
 
-func sortList(l []pointEnt) {
-	slices.SortFunc(l, func(a, b pointEnt) int {
-		if c := cmp.Compare(a.D, b.D); c != 0 {
-			return c
+func sortList(l []pointEnt) { slices.SortFunc(l, cmpEnt) }
+
+// search returns the position of e in a (D, P)-ascending list, or the one
+// it would be inserted at. A repair runs it once per hub of every point it
+// touches — a third of its time through slices.BinarySearchFunc and cmpEnt,
+// hence the loop.
+func search(l []pointEnt, e pointEnt) int {
+	lo, hi := 0, len(l)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l[mid].D < e.D || l[mid].D == e.D && l[mid].P < e.P {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return cmp.Compare(a.P, b.P)
-	})
+	}
+	return lo
 }
 
 // MaxK returns the largest monochromatic query k the thresholds support.
@@ -199,6 +243,60 @@ func (idx *Index) Points() []points.PointID {
 		}
 	}
 	return out
+}
+
+// --- Reach bounds ----------------------------------------------------------
+
+// reachOf returns the reach a threshold list certifies: the distance of slot
+// maxK+1, +Inf while the list is shorter.
+func (idx *Index) reachOf(t []pointEnt) float64 {
+	if len(t) <= idx.maxK {
+		return math.Inf(1)
+	}
+	return t[idx.maxK].D
+}
+
+// up32 rounds x up to a float32: a bound may exceed the reach it covers,
+// never fall below it.
+func up32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// boundAt returns what l[i].M must be: the larger of the entry's own reach
+// and its successor's bound.
+func (idx *Index) boundAt(l []pointEnt, i int) float32 {
+	m := up32(idx.reach[l[i].P])
+	if i+1 < len(l) {
+		m = max(m, l[i+1].M)
+	}
+	return m
+}
+
+// rebound restores the bounds of l[:from+1] after the entry at from was
+// inserted, lost its successor or had its point's reach move. Below from it
+// stops at the first bound that comes out as stored: the entries before it
+// see the rest of the list through that value alone.
+func (idx *Index) rebound(l []pointEnt, from int) {
+	for i := from; i >= 0; i-- {
+		m := idx.boundAt(l, i)
+		if i < from && l[i].M == m {
+			return
+		}
+		l[i].M = m
+	}
+}
+
+// reboundPoint restores the bounds of every hub list p is on after reach[p]
+// moved; label is L_out of p's node.
+func (idx *Index) reboundPoint(p points.PointID, label []Entry) {
+	for _, e := range label {
+		l := idx.fwd[e.Hub]
+		idx.rebound(l, search(l, pointEnt{P: p, D: e.Dist}))
+	}
 }
 
 // --- Per-query scratch -----------------------------------------------------
@@ -263,14 +361,26 @@ func (idx *Index) release(sc *qscratch) { idx.scratch.Put(sc) }
 
 // relax folds one backward label (of a query node) into the tentative
 // point→query distances: for every (h, dhq) and every (p, dph) in fwd[h],
-// d(p→q) candidates dph + dhq.
+// d(p→q) candidates dph + dhq — as far as the reach bounds let a point still
+// be a member (see Index). It leaves exactly {p : d(p→q) <= reach(p)}
+// touched, each at its exact distance: the smallest sum of a touched point is
+// no larger than the one that touched it, so it is never skipped nor behind
+// a stop.
 func (idx *Index) relax(sc *qscratch, st *QueryStats, label []Entry) {
 	st.Entries += int64(len(label))
+	reach := idx.reach
 	for _, e := range label {
 		list := idx.fwd[e.Hub]
-		st.Entries += int64(len(list))
-		for _, pe := range list {
+		scanned := len(list)
+		for i, pe := range list {
 			d := pe.D + e.Dist
+			if d > float64(pe.M) {
+				scanned = i
+				break // d rises and M falls from here on
+			}
+			if d > reach[pe.P] {
+				continue
+			}
 			if sc.stamp[pe.P] != sc.ep {
 				sc.stamp[pe.P] = sc.ep
 				sc.pdist[pe.P] = d
@@ -279,6 +389,7 @@ func (idx *Index) relax(sc *qscratch, st *QueryStats, label []Entry) {
 				sc.pdist[pe.P] = d
 			}
 		}
+		st.Entries += int64(scanned)
 	}
 }
 
@@ -331,29 +442,30 @@ func (idx *Index) mergeRun(sc *qscratch, st *QueryStats, label []Entry, bound fl
 	}
 }
 
-// topK returns the k nearest points of node n (by outgoing distance),
-// excluding skip, ascending (distance, id).
-func (idx *Index) topK(sc *qscratch, st *QueryStats, n graph.NodeID, k int, skip points.PointID) ([]pointEnt, error) {
-	var err error
-	if sc.lab1, err = idx.src.OutLabel(n, sc.lab1); err != nil {
-		return nil, err
-	}
-	st.LabelReads++
+// topK returns the k nearest points of a node (by outgoing distance; label
+// is its L_out), excluding skip, ascending (distance, id). Candidates tied
+// with the k-th are all collected before the cut, so the choice among them
+// is by id, not by the order the merge happened to meet them in.
+func (idx *Index) topK(sc *qscratch, st *QueryStats, label []Entry, k int, skip points.PointID) []pointEnt {
 	out := make([]pointEnt, 0, k)
-	idx.mergeRun(sc, st, sc.lab1, math.Inf(1), func(p points.PointID, d float64) bool {
+	idx.mergeRun(sc, st, label, math.Inf(1), func(p points.PointID, d float64) bool {
 		if p == skip {
 			return true
 		}
+		if len(out) >= k && d > out[k-1].D {
+			return false
+		}
 		out = append(out, pointEnt{P: p, D: d})
-		return len(out) < k
+		return true
 	})
-	return out, nil
+	sortList(out)
+	return out[:min(k, len(out))]
 }
 
 // countCloser counts points strictly closer to node n than bound (by
-// outgoing distance), excluding skipA/skipB, stopping at k — the exact
-// phase-2 fallback and the bichromatic verifier. The label is L_out(n),
-// already fetched by the caller.
+// outgoing distance), excluding skipA/skipB, stopping at k — the bichromatic
+// verifier, and VerifyMember's beyond MaxK. The label is L_out(n), already
+// fetched by the caller.
 func (idx *Index) countCloser(sc *qscratch, st *QueryStats, label []Entry, bound float64, k int, skipA, skipB points.PointID) int {
 	count := 0
 	idx.mergeRun(sc, st, label, bound, func(p points.PointID, d float64) bool {
@@ -428,16 +540,13 @@ func (idx *Index) ContinuousRkNNExec(ec *exec.Ctx, route []graph.NodeID, k int, 
 		}
 		idx.relax(sc, &st, sc.lab1)
 	}
-	// decide carries its partial result on an execution-control error and
-	// returns nil on real failures; pass both through unchanged.
 	res, err := idx.decide(ec, sc, &st, k, hidden)
 	return res, st, err
 }
 
 // decide runs phase 2 over the touched points of sc. On an
 // execution-control error the members confirmed so far ride along with it
-// (the partial-result contract of the engine layer); a label I/O error
-// invalidates the result.
+// (the partial-result contract of the engine layer).
 func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidden points.PointID) ([]points.PointID, error) {
 	var res []points.PointID
 	for _, p := range sc.touched {
@@ -448,20 +557,7 @@ func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidd
 		if p == hidden || idx.nodes[p] < 0 {
 			continue
 		}
-		dq := sc.pdist[p]
-		member, certain := idx.thresholdTest(st, p, dq, k, hidden)
-		if !certain {
-			// An excluded point occupied a stored slot and dq lies beyond
-			// the list: recount exactly.
-			st.Fallbacks++
-			var err error
-			if sc.lab2, err = idx.src.OutLabel(idx.nodes[p], sc.lab2); err != nil {
-				return nil, err
-			}
-			st.LabelReads++
-			member = idx.countCloser(sc, st, sc.lab2, dq, k, p, hidden) < k
-		}
-		if member {
+		if idx.thresholdTest(st, p, sc.pdist[p], k, hidden) {
 			ec.Emit(int32(p), 0)
 			res = append(res, p)
 		}
@@ -470,38 +566,20 @@ func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidd
 	return res, nil
 }
 
-// thresholdTest decides membership of p at query distance dq against the
-// materialized thresholds. certain is false when the stored list cannot
-// prove the answer (only possible when hidden removed a stored entry).
-func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k int, hidden points.PointID) (member, certain bool) {
+// thresholdTest decides membership of p at query distance dq, k <= maxK,
+// by counting the visible stored neighbors strictly closer than dq. The
+// count is conclusive in every case (see Index): it is exact unless dq lies
+// beyond a full list, and there it is at least maxK.
+func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k int, hidden points.PointID) bool {
 	t := idx.thr[p]
 	st.Entries += int64(len(t))
 	strict := 0
-	removed := false
 	for _, e := range t {
-		if e.P == hidden {
-			removed = true
-			continue
-		}
-		if e.D < dq {
+		if e.D < dq && e.P != hidden {
 			strict++
 		}
 	}
-	if strict >= k {
-		return false, true
-	}
-	if len(t) < idx.maxK {
-		return true, true // the list is the complete neighbor set
-	}
-	if dq <= t[len(t)-1].D {
-		return true, true // unstored neighbors are all >= last >= dq
-	}
-	if !removed {
-		// Full list, dq beyond it, nothing hidden: every stored entry is
-		// strictly closer, so strict == maxK >= k was caught above.
-		return true, true
-	}
-	return false, false
+	return strict < k
 }
 
 // VerifyMember decides whether point p is a reverse k-nearest neighbor of
@@ -546,8 +624,7 @@ func (idx *Index) VerifyMember(ec *exec.Ctx, query []graph.NodeID, k int, p poin
 		st.Fallbacks++
 		return idx.countCloser(sc, &st, sc.lab2, dq, k, p, points.NoPoint) < k, st, nil
 	}
-	member, _ := idx.thresholdTest(&st, p, dq, k, points.NoPoint)
-	return member, st, nil
+	return idx.thresholdTest(&st, p, dq, k, points.NoPoint), st, nil
 }
 
 // BichromaticRkNNExec answers bRkNN(q) over the site set the index was
@@ -600,11 +677,36 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 
 // --- Maintenance -----------------------------------------------------------
 
-// Insert adds point p on node n and incrementally repairs the hub lists and
-// thresholds. p must be an unused id; ids beyond the current range extend
-// the index (point sets assign ids append-only, and trailing deleted ids
-// may leave the index shorter than the set's id space). Requires exclusive
-// access.
+// outLabel reads L_out(n) into the scratch for a maintenance step.
+func (idx *Index) outLabel(sc *qscratch, st *QueryStats, n graph.NodeID) ([]Entry, error) {
+	var err error
+	if sc.lab1, err = idx.src.OutLabel(n, sc.lab1); err != nil {
+		return nil, err
+	}
+	st.LabelReads++
+	return sc.lab1, nil
+}
+
+// fetchLabels reads L_out(n) and L_in(n) into the scratch — one label under
+// both names when the labeling is undirected. Insert and Delete call it for
+// their own point before anything moves, so a failed read leaves the index
+// as it was.
+func (idx *Index) fetchLabels(sc *qscratch, st *QueryStats, n graph.NodeID) (out, in []Entry, err error) {
+	if out, err = idx.outLabel(sc, st, n); err != nil || !idx.src.Directed() {
+		return out, out, err
+	}
+	if sc.lab2, err = idx.src.InLabel(n, sc.lab2); err != nil {
+		return nil, nil, err
+	}
+	st.LabelReads++
+	return out, sc.lab2, nil
+}
+
+// Insert adds point p on node n and incrementally repairs the hub lists,
+// their bounds and the thresholds. p must be an unused id; ids beyond the
+// current range extend the index (point sets assign ids append-only, and
+// trailing deleted ids may leave the index shorter than the set's id
+// space). Requires exclusive access.
 func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 	var st QueryStats
 	if p < 0 {
@@ -618,67 +720,73 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 	}
 	sc := idx.acquire()
 	defer idx.release(sc)
-
-	var err error
-	if sc.lab1, err = idx.src.OutLabel(n, sc.lab1); err != nil {
-		return st, err
-	}
-	st.LabelReads++
-	for len(idx.nodes) <= int(p) {
-		idx.nodes = append(idx.nodes, -1)
-		idx.thr = append(idx.thr, nil)
-	}
-	idx.nodes[p] = n
-	idx.live++
-	sc.grow(len(idx.nodes))
-	for _, e := range sc.lab1 {
-		idx.fwd[e.Hub] = insertSorted(idx.fwd[e.Hub], pointEnt{P: p, D: e.Dist})
-		st.Entries++
-	}
-	if idx.src.Directed() {
-		if sc.lab1, err = idx.src.InLabel(n, sc.lab1); err != nil {
-			return st, err
-		}
-		st.LabelReads++
-		for _, e := range sc.lab1 {
-			idx.bwd[e.Hub] = insertSorted(idx.bwd[e.Hub], pointEnt{P: p, D: e.Dist})
-			st.Entries++
-		}
-	}
-	// The new point's own thresholds.
-	t, err := idx.topK(sc, &st, n, idx.maxK, p)
+	out, in, err := idx.fetchLabels(sc, &st, n)
 	if err != nil {
 		return st, err
 	}
-	idx.thr[p] = t
 
-	// Existing points now have one more potential neighbor: fold d(p'→p)
-	// into every affected threshold list with one reverse pass.
-	if sc.lab1, err = idx.src.InLabel(n, sc.lab1); err != nil {
-		return st, err
+	for len(idx.nodes) <= int(p) {
+		idx.nodes = append(idx.nodes, -1)
+		idx.thr = append(idx.thr, nil)
+		idx.reach = append(idx.reach, math.Inf(1))
 	}
-	st.LabelReads++
+	sc.grow(len(idx.nodes))
+	// The new point joins the lists with its thresholds known and its reach
+	// folded into their bounds: the reverse pass below already scans them.
+	idx.thr[p] = idx.topK(sc, &st, out, idx.maxK+1, p)
+	idx.reach[p] = idx.reachOf(idx.thr[p])
+	idx.nodes[p] = n
+	idx.live++
+	st.Entries += int64(len(out))
+	for _, e := range out {
+		ent := pointEnt{P: p, D: e.Dist}
+		i := search(idx.fwd[e.Hub], ent)
+		idx.fwd[e.Hub] = slices.Insert(idx.fwd[e.Hub], i, ent)
+		idx.rebound(idx.fwd[e.Hub], i)
+	}
+	if idx.src.Directed() {
+		st.Entries += int64(len(in))
+		for _, e := range in {
+			ent := pointEnt{P: p, D: e.Dist}
+			idx.bwd[e.Hub] = slices.Insert(idx.bwd[e.Hub], search(idx.bwd[e.Hub], ent), ent)
+		}
+	}
+
+	// Existing points have one more potential neighbor. The pruned reverse
+	// pass yields {p2 : d(p2→p) <= reach(p2)}, a superset of the threshold
+	// lists p enters. Their reaches can only shrink, so until the bounds
+	// follow — one label fetch per moved point — they err upwards.
 	sc.beginRelax()
-	idx.relax(sc, &st, sc.lab1)
+	idx.relax(sc, &st, in)
+	moved := sc.touched[:0] // compacted in place behind the read position
 	for _, p2 := range sc.touched {
-		if p2 == p || idx.nodes[p2] < 0 {
+		if p2 == p {
 			continue
 		}
-		d := sc.pdist[p2]
-		t := idx.thr[p2]
-		if len(t) >= idx.maxK && d >= t[len(t)-1].D {
-			continue // outside the stored horizon: invariant unchanged
+		ent := pointEnt{P: p, D: sc.pdist[p2]}
+		i := search(idx.thr[p2], ent)
+		if i > idx.maxK {
+			continue // outside the stored horizon: nothing changes
 		}
-		t = insertSorted(t, pointEnt{P: p, D: d})
-		if len(t) > idx.maxK {
-			t = t[:idx.maxK]
+		t := slices.Insert(idx.thr[p2], i, ent)
+		idx.thr[p2] = t[:min(len(t), idx.maxK+1)]
+		if r := idx.reachOf(idx.thr[p2]); r != idx.reach[p2] {
+			idx.reach[p2] = r
+			moved = append(moved, p2)
 		}
-		idx.thr[p2] = t
+	}
+	for _, p2 := range moved {
+		label, err := idx.outLabel(sc, &st, idx.nodes[p2])
+		if err != nil {
+			return st, err
+		}
+		st.Entries += int64(len(label))
+		idx.reboundPoint(p2, label)
 	}
 	return st, nil
 }
 
-// Delete removes point p, repairing hub lists and recomputing the
+// Delete removes point p, repairing hub lists and bounds and refilling the
 // thresholds that stored it. Requires exclusive access.
 func (idx *Index) Delete(p points.PointID) (QueryStats, error) {
 	var st QueryStats
@@ -688,77 +796,55 @@ func (idx *Index) Delete(p points.PointID) (QueryStats, error) {
 	}
 	sc := idx.acquire()
 	defer idx.release(sc)
-
-	var err error
-	if sc.lab1, err = idx.src.OutLabel(n, sc.lab1); err != nil {
+	out, in, err := idx.fetchLabels(sc, &st, n)
+	if err != nil {
 		return st, err
 	}
-	st.LabelReads++
-	for _, e := range sc.lab1 {
-		idx.fwd[e.Hub] = removePoint(idx.fwd[e.Hub], p)
-		st.Entries++
+
+	// A point that stores p has it within its reach, so the pruned reverse
+	// pass — run before anything moves — finds every one of them.
+	sc.beginRelax()
+	idx.relax(sc, &st, in)
+	holders := sc.touched[:0] // compacted in place behind the read position
+	for _, p2 := range sc.touched {
+		st.Entries += int64(len(idx.thr[p2]))
+		if slices.ContainsFunc(idx.thr[p2], func(e pointEnt) bool { return e.P == p }) {
+			holders = append(holders, p2)
+		}
+	}
+
+	st.Entries += int64(len(out))
+	for _, e := range out {
+		l := idx.fwd[e.Hub]
+		i := search(l, pointEnt{P: p, D: e.Dist})
+		idx.fwd[e.Hub] = slices.Delete(l, i, i+1)
+		idx.rebound(idx.fwd[e.Hub], i-1)
 	}
 	if idx.src.Directed() {
-		if sc.lab1, err = idx.src.InLabel(n, sc.lab1); err != nil {
-			return st, err
-		}
-		st.LabelReads++
-		for _, e := range sc.lab1 {
-			idx.bwd[e.Hub] = removePoint(idx.bwd[e.Hub], p)
-			st.Entries++
+		st.Entries += int64(len(in))
+		for _, e := range in {
+			l := idx.bwd[e.Hub]
+			i := search(l, pointEnt{P: p, D: e.Dist})
+			idx.bwd[e.Hub] = slices.Delete(l, i, i+1)
 		}
 	}
 	idx.nodes[p] = -1
 	idx.live--
+	idx.thr[p] = nil
+	idx.reach[p] = math.Inf(1)
 
-	// Points that stored p among their thresholds lose an entry and must
-	// refill from the (already repaired) hub lists.
-	for p2 := range idx.thr {
-		if idx.nodes[p2] < 0 {
-			continue
-		}
-		t := idx.thr[p2]
-		st.Entries += int64(len(t))
-		hit := -1
-		for i, e := range t {
-			if e.P == p {
-				hit = i
-				break
-			}
-		}
-		if hit < 0 {
-			continue
-		}
-		nt, err := idx.topK(sc, &st, idx.nodes[p2], idx.maxK, points.PointID(p2))
+	// The holders refill from the repaired lists; a reach that grew raises
+	// the bounds of its point's lists with the label the refill just used.
+	for _, p2 := range holders {
+		label, err := idx.outLabel(sc, &st, idx.nodes[p2])
 		if err != nil {
 			return st, err
 		}
-		idx.thr[p2] = nt
+		idx.thr[p2] = idx.topK(sc, &st, label, idx.maxK+1, p2)
+		if r := idx.reachOf(idx.thr[p2]); r != idx.reach[p2] {
+			idx.reach[p2] = r
+			idx.reboundPoint(p2, label)
+		}
 	}
-	idx.thr[p] = nil
 	return st, nil
-}
-
-// insertSorted inserts e into a (D, P)-ascending list.
-func insertSorted(l []pointEnt, e pointEnt) []pointEnt {
-	i := sort.Search(len(l), func(i int) bool {
-		if l[i].D != e.D {
-			return l[i].D > e.D
-		}
-		return l[i].P > e.P
-	})
-	l = append(l, pointEnt{})
-	copy(l[i+1:], l[i:])
-	l[i] = e
-	return l
-}
-
-// removePoint deletes the entry of p from a hub list.
-func removePoint(l []pointEnt, p points.PointID) []pointEnt {
-	for i, e := range l {
-		if e.P == p {
-			return append(l[:i], l[i+1:]...)
-		}
-	}
-	return l
 }

@@ -17,6 +17,21 @@
 // graphs carry a forward label L_out(v) = {(h, d(v→h))} and a backward
 // label L_in(v) = {(h, d(h→v))}.
 //
+// The reverse index (Index) answers a query in two phases over those labels
+// and nothing else. Phase 1 folds the forward hub lists under the query's
+// backward label into d(p→q), pruned by reach: a point farther from the
+// query than its own (maxK+1)-th nearest other point has maxK visible points
+// strictly closer even with one hidden, so it is a member at no k <= maxK,
+// and every hub-list entry carries an upper bound on the largest reach among
+// itself and its successors — the scan of a list stops at the first entry
+// whose distance sum exceeds its bound and skips every entry whose sum
+// exceeds its own point's reach. The invariant bound[i] >= max reach(list[i:])
+// holds whenever a query can run; a bound may only ever err upwards (that
+// scans further), because one that errs downwards silently drops members.
+// Phase 2 counts, among the maxK+1 materialized nearest points of each
+// survivor, the visible ones strictly closer than the query; with that many
+// slots the count always decides.
+//
 // Labelings can be persisted into internal/storage paged files and served
 // back through an LRU buffer (see Store), so an expensive build survives
 // process restarts and label reads are I/O-accounted like every other

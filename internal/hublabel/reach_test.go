@@ -1,0 +1,544 @@
+package hublabel
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"graphrnn/internal/core"
+	"graphrnn/internal/gen"
+	"graphrnn/internal/graph"
+	"graphrnn/internal/points"
+)
+
+// checkInvariants verifies what a pruned phase 1 relies on: every hub list
+// ascends (D, P) and names live points only, every forward entry's bound
+// covers the reach of its own point and of every point after it, and every
+// reach is the (maxK+1)-th stored threshold — +Inf while the list is shorter
+// and for dead ids.
+func checkInvariants(idx *Index) error {
+	for p, n := range idx.nodes {
+		t := idx.thr[p]
+		if n < 0 {
+			if len(t) != 0 || !math.IsInf(idx.reach[p], 1) {
+				return fmt.Errorf("dead point %d keeps thresholds %v, reach %v", p, t, idx.reach[p])
+			}
+			continue
+		}
+		if len(t) > idx.maxK+1 || !slices.IsSortedFunc(t, cmpEnt) {
+			return fmt.Errorf("point %d: thresholds %v are not the (D, P)-ascending first %d", p, t, idx.maxK+1)
+		}
+		want := math.Inf(1)
+		if len(t) == idx.maxK+1 {
+			want = t[idx.maxK].D
+		}
+		if idx.reach[p] != want {
+			return fmt.Errorf("point %d: reach %v, thresholds %v say %v", p, idx.reach[p], t, want)
+		}
+	}
+	tables := map[string][][]pointEnt{"fwd": idx.fwd}
+	if idx.src.Directed() {
+		tables["bwd"] = idx.bwd
+	}
+	for name, table := range tables {
+		for h, l := range table {
+			for i, e := range l {
+				if i > 0 && cmpEnt(l[i-1], e) >= 0 {
+					return fmt.Errorf("%s[%d]: entries %d, %d out of (D, P) order: %v", name, h, i-1, i, l)
+				}
+				if _, live := idx.NodeOf(e.P); !live {
+					return fmt.Errorf("%s[%d]: entry %d names dead point %d", name, h, i, e.P)
+				}
+			}
+		}
+	}
+	for h, l := range idx.fwd {
+		farthest := 0.0
+		for i := len(l) - 1; i >= 0; i-- {
+			farthest = max(farthest, idx.reach[l[i].P])
+			if float64(l[i].M) < farthest {
+				return fmt.Errorf("fwd[%d]: bound %v of entry %d is below the reach %v it must cover: %v", h, l[i].M, i, farthest, l)
+			}
+		}
+	}
+	return nil
+}
+
+// sameIndex compares a maintained index with one built from scratch over the
+// same points, field for field: hub lists with their bounds, thresholds and
+// reach. The maintained id space may run past the rebuilt one's by trailing
+// deleted ids.
+func sameIndex(got, fresh *Index) error {
+	if got.live != fresh.live || got.maxK != fresh.maxK {
+		return fmt.Errorf("maintained index holds %d points at maxK %d, rebuilt %d at %d", got.live, got.maxK, fresh.live, fresh.maxK)
+	}
+	for h := range fresh.fwd {
+		if !sameList(got.fwd[h], fresh.fwd[h]) || !sameList(got.bwd[h], fresh.bwd[h]) {
+			return fmt.Errorf("hub %d: maintained lists %v / %v, rebuilt %v / %v", h, got.fwd[h], got.bwd[h], fresh.fwd[h], fresh.bwd[h])
+		}
+	}
+	for p := range got.nodes {
+		node, thr, reach := graph.NodeID(-1), []pointEnt(nil), math.Inf(1)
+		if p < len(fresh.nodes) {
+			node, thr, reach = fresh.nodes[p], fresh.thr[p], fresh.reach[p]
+		}
+		if got.nodes[p] != node || !sameList(got.thr[p], thr) || got.reach[p] != reach {
+			return fmt.Errorf("point %d: maintained node %d thresholds %v reach %v, rebuilt %d %v %v",
+				p, got.nodes[p], got.thr[p], got.reach[p], node, thr, reach)
+		}
+	}
+	return nil
+}
+
+// sameList compares two hub lists, an empty one equal to a missing one.
+func sameList(a, b []pointEnt) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// checkMaintained is the after-every-mutation check: the invariants hold and
+// the index equals a rebuild over the surviving points.
+func checkMaintained(idx *Index, ps *points.NodeSet) error {
+	if err := checkInvariants(idx); err != nil {
+		return err
+	}
+	fresh, err := NewIndex(idx.src, idx.maxK, pointsOf(ps))
+	if err != nil {
+		return err
+	}
+	if err := checkInvariants(fresh); err != nil {
+		return fmt.Errorf("rebuilt: %w", err)
+	}
+	return sameIndex(idx, fresh)
+}
+
+// bruteSet is the oracle's answer to r.
+func bruteSet(sr *core.Searcher, r core.Request) ([]points.PointID, error) {
+	r.Algo = core.AlgoBrute
+	res, err := sr.Run(r, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Points, nil
+}
+
+// checkQueries holds the index to the brute-force oracle at query node q
+// (alone, and leading route) for every k <= maxK: the point query and the
+// route query with nothing hidden and with hidden hidden, and the
+// per-candidate verify of both.
+func checkQueries(idx *Index, sr *core.Searcher, ps *points.NodeSet, q graph.NodeID, route []graph.NodeID, hidden points.PointID) error {
+	views := map[points.PointID]points.NodeView{points.NoPoint: ps}
+	if hidden != points.NoPoint {
+		views[hidden] = points.ExcludeNode(ps, hidden)
+	}
+	for k := 1; k <= idx.maxK; k++ {
+		for hid, view := range views {
+			for _, query := range [][]graph.NodeID{{q}, route} {
+				r := core.Request{Kind: core.KindContinuous, K: k, Points: core.PointSet{Node: view}, Route: query}
+				if len(query) == 1 {
+					r = core.Request{K: k, Points: core.PointSet{Node: view}, Target: core.NodeLoc(q)}
+				}
+				want, err := bruteSet(sr, r)
+				if err != nil {
+					return err
+				}
+				got, _, err := idx.ContinuousRkNNExec(nil, query, k, hid)
+				if err != nil {
+					return err
+				}
+				if !samePoints(got, want) {
+					return fmt.Errorf("query %v k=%d hidden %d: got %v, brute %v", query, k, hid, got, want)
+				}
+				if hid != points.NoPoint {
+					continue
+				}
+				for _, p := range ps.Points() {
+					member, _, err := idx.VerifyMember(nil, query, k, p)
+					if err != nil {
+						return err
+					}
+					if _, in := slices.BinarySearch(want, p); member != in {
+						return fmt.Errorf("query %v k=%d: VerifyMember(%d) = %v, brute %v", query, k, p, member, want)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// sweep runs checkQueries from every node of the graph, hiding the node's
+// own point where it hosts one and some other point where it does not.
+func sweep(t *testing.T, step string, idx *Index, sr *core.Searcher, ps *points.NodeSet) {
+	t.Helper()
+	n, pts := idx.src.NumNodes(), ps.Points()
+	for q := 0; q < n; q++ {
+		hidden, own := ps.PointAt(graph.NodeID(q))
+		if !own && len(pts) > 0 {
+			hidden = pts[q%len(pts)]
+		}
+		route := []graph.NodeID{graph.NodeID(q), graph.NodeID((q*7 + 3) % n), graph.NodeID((q*13 + 5) % n)}
+		if err := checkQueries(idx, sr, ps, graph.NodeID(q), route, hidden); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+}
+
+// unitGrid is a side×side grid of unit-weight edges: every distance is a
+// small integer, so points tie at exactly another point's reach all over it.
+func unitGrid(t *testing.T, side int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(side * side)
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			v := graph.NodeID(y*side + x)
+			if x+1 < side {
+				if err := b.AddEdge(v, v+1, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if y+1 < side {
+				if err := b.AddEdge(v, v+graph.NodeID(side), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// oneWayGrid is a grid whose streets are one-way half of the time, with
+// small integer weights chosen per direction: asymmetric, tie-heavy and not
+// necessarily strongly connected.
+func oneWayGrid(t *testing.T, seed int64, side int) *graph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(side * side)
+	street := func(u, v graph.NodeID) {
+		dir := rng.Intn(4)
+		if dir != 0 {
+			if err := b.AddArc(u, v, float64(1+rng.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dir != 1 {
+			if err := b.AddArc(v, u, float64(1+rng.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			v := graph.NodeID(y*side + x)
+			if x+1 < side {
+				street(v, v+1)
+			}
+			if y+1 < side {
+				street(v, v+graph.NodeID(side))
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestReachMaintenance drives random Insert / Delete sequences over a
+// unit-weight grid (ties at exactly reach), a road network and a one-way
+// digraph, through point sets that empty out and regrow. After every
+// operation the invariants hold and the index equals NewIndex over the
+// survivors field for field; with the set below maxK+1 points nothing may be
+// pruned; and at the smallest full set and at the end every node × every
+// k <= maxK × {visible, one point hidden} answers like the brute-force
+// oracle, for point queries, routes and the per-candidate verify.
+func TestReachMaintenance(t *testing.T) {
+	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 401, Nodes: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"unit-grid", unitGrid(t, 8)},
+		{"road", road},
+		{"one-way", oneWayGrid(t, 402, 8)},
+	}
+	for _, tc := range graphs {
+		l, err := buildSeq(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "one-way" != l.Directed() {
+			t.Fatalf("%s: labeling directed = %v", tc.name, l.Directed())
+		}
+		sr := oracle(tc.g)
+		for _, maxK := range []int{1, 3, 4} {
+			t.Run(fmt.Sprintf("%s/maxK%d", tc.name, maxK), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(403 + maxK)))
+				ps, err := gen.PlaceNodePoints(rng, tc.g.NumNodes(), 12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx, err := NewIndex(l, maxK, pointsOf(ps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// wantInsert picks the direction of each step: a random
+				// walk between maxK+2 and 20 points, a drain to the empty
+				// set, a refill, and a random walk again.
+				wantInsert := func(op int) bool {
+					switch {
+					case op >= 110 && op < 140:
+						return ps.Len() == 0
+					case op >= 140 && op < 160:
+						return true
+					case ps.Len() <= maxK+1:
+						return true
+					case ps.Len() >= 20:
+						return false
+					}
+					return rng.Intn(2) == 0
+				}
+				swept := false
+				for op := 0; op < 320; op++ {
+					step := fmt.Sprintf("op %d", op)
+					if wantInsert(op) {
+						n := graph.NodeID(rng.Intn(tc.g.NumNodes()))
+						p, err := ps.Place(n)
+						if err != nil {
+							continue // node taken
+						}
+						if _, err := idx.Insert(p, n); err != nil {
+							t.Fatal(err)
+						}
+						step += fmt.Sprintf(" insert %d on %d", p, n)
+					} else {
+						pts := ps.Points()
+						p := pts[rng.Intn(len(pts))]
+						if err := ps.Delete(p); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := idx.Delete(p); err != nil {
+							t.Fatal(err)
+						}
+						step += fmt.Sprintf(" delete %d", p)
+					}
+					if err := checkMaintained(idx, ps); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					if ps.Len() <= maxK {
+						for _, l := range idx.fwd {
+							for _, e := range l {
+								if !math.IsInf(float64(e.M), 1) {
+									t.Fatalf("%s: %d points, maxK %d, yet a list is bounded: %v", step, ps.Len(), maxK, l)
+								}
+							}
+						}
+						if ps.Len() == maxK && !swept {
+							sweep(t, step, idx, sr, ps)
+							swept = true
+						}
+					}
+				}
+				if !swept {
+					t.Fatal("the point set never shrank to maxK points")
+				}
+				sweep(t, "final", idx, sr, ps)
+			})
+		}
+	}
+}
+
+// TestInvariantHelperBites: the helper must reject an index whose bound was
+// lowered by hand, a reach that disagrees with its thresholds and a list out
+// of order — an oracle test cannot, until the lowered bound costs a member.
+func TestInvariantHelperBites(t *testing.T) {
+	build := func() *Index {
+		ps, err := gen.PlaceNodePoints(rand.New(rand.NewSource(411)), 64, 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := buildSeq(unitGrid(t, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := NewIndex(l, 2, pointsOf(ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkInvariants(idx); err != nil {
+			t.Fatalf("fresh index: %v", err)
+		}
+		return idx
+	}
+	longest := func(idx *Index) []pointEnt {
+		return slices.MaxFunc(idx.fwd, func(a, b []pointEnt) int { return len(a) - len(b) })
+	}
+	for name, damage := range map[string]func(idx *Index){
+		"bound lowered": func(idx *Index) {
+			l := longest(idx) // one float32 below its own point's reach
+			l[0].M = math.Nextafter32(up32(idx.reach[l[0].P]), 0)
+		},
+		"reach moved": func(idx *Index) { idx.reach[longest(idx)[0].P]-- },
+		"list order":  func(idx *Index) { l := longest(idx); l[0], l[1] = l[1], l[0] },
+	} {
+		idx := build()
+		damage(idx)
+		if err := checkInvariants(idx); err == nil {
+			t.Errorf("%s: the invariant helper accepted the damaged index", name)
+		}
+	}
+}
+
+// TestReachPrunesPhaseOne gates the pruning itself: an index whose bounds
+// have all drifted to +Inf still answers correctly, so only a counter can
+// tell. On the fixed-seed 20K road sweep of the CI benchmarks (every placed
+// point queried at k=2, its own point hidden) phase 1 may scan at most a
+// tenth of what the unpruned definition would: every entry of every hub
+// list under the query label.
+func TestReachPrunesPhaseOne(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("builds a 20K-node labeling to read one deterministic counter")
+	}
+	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 2006, Nodes: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := BuildOpt(g, BuildOptions{Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := gen.PlaceNodePoints(rand.New(rand.NewSource(2007)), g.NumNodes(), g.NumNodes()/100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := NewIndex(l, 4, pointsOf(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scanned, unpruned int64
+	var label []Entry
+	for _, p := range ps.Points() {
+		q, _ := ps.NodeOf(p)
+		_, st, err := idx.RkNNExec(nil, q, 2, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned += st.Entries
+		if label, err = l.InLabel(q, label); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range label {
+			unpruned += int64(len(idx.fwd[e.Hub]))
+		}
+	}
+	t.Logf("%d queries scanned %d entries, unpruned hub lists hold %d", ps.Len(), scanned, unpruned)
+	if scanned*10 > unpruned {
+		t.Fatalf("phase 1 scanned %d entries, more than a tenth of the %d an unpruned scan reads", scanned, unpruned)
+	}
+}
+
+// failingSource fails the label read numbered failAt (1-based) and serves
+// every other one.
+type failingSource struct {
+	Source
+	reads, failAt int
+}
+
+var errLabelRead = errors.New("injected label read failure")
+
+func (s *failingSource) fail() error {
+	s.reads++
+	if s.reads == s.failAt {
+		return errLabelRead
+	}
+	return nil
+}
+
+func (s *failingSource) OutLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
+	if err := s.fail(); err != nil {
+		return buf, err
+	}
+	return s.Source.OutLabel(n, buf)
+}
+
+func (s *failingSource) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
+	if err := s.fail(); err != nil {
+		return buf, err
+	}
+	return s.Source.InLabel(n, buf)
+}
+
+// TestMaintenanceReadsLabelsFirst: Insert reads the new point's labels, and
+// Delete the victim's, before anything moves — an error on any of those
+// reads leaves the index field for field what it was, and the same call
+// succeeds once the source recovers.
+func TestMaintenanceReadsLabelsFirst(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{"undirected": unitGrid(t, 7), "one-way": oneWayGrid(t, 421, 7)} {
+		t.Run(name, func(t *testing.T) {
+			l, err := buildSeq(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ownReads := 1 // the point's own labels: one undirected, L_out and L_in otherwise
+			if l.Directed() {
+				ownReads = 2
+			}
+			ps, err := gen.PlaceNodePoints(rand.New(rand.NewSource(422)), g.NumNodes(), 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &failingSource{Source: l}
+			idx, err := NewIndex(src, 2, pointsOf(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := ps.Points()[5]
+			free := graph.NodeID(0)
+			for _, taken := ps.PointAt(free); taken; _, taken = ps.PointAt(free) {
+				free++
+			}
+			next := points.PointID(len(ps.Table()))
+			for failAt := 1; failAt <= ownReads; failAt++ {
+				for what, op := range map[string]func() (QueryStats, error){
+					"Insert": func() (QueryStats, error) { return idx.Insert(next, free) },
+					"Delete": func() (QueryStats, error) { return idx.Delete(victim) },
+				} {
+					src.reads, src.failAt = 0, failAt
+					if _, err := op(); !errors.Is(err, errLabelRead) {
+						t.Fatalf("%s with read %d failing: error %v", what, failAt, err)
+					}
+					if err := checkMaintained(idx, ps); err != nil {
+						t.Fatalf("%s with read %d failing left the index changed: %v", what, failAt, err)
+					}
+				}
+			}
+			src.failAt = 0
+			if _, err := idx.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			if p, err := ps.Place(free); err != nil || p != next {
+				t.Fatalf("Place = %d, %v; want id %d", p, err, next)
+			}
+			if _, err := idx.Insert(next, free); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkMaintained(idx, ps); err != nil {
+				t.Fatalf("after the source recovered: %v", err)
+			}
+		})
+	}
+}
