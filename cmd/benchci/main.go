@@ -1,9 +1,17 @@
-// Command benchci is the benchmark-regression gate used by the bench job of
-// the CI workflow. It runs the tracked micro-benchmarks (a small fixed-seed
-// workload: the 20K-node road network, D=0.01, k=2, seed 2006) exactly
-// once each, writes the results as JSON (ns/op plus every custom metric the
-// benchmarks report, such as io_reads/op and allocs/op), and — when a baseline file is
-// given — fails if any tracked benchmark regressed beyond the threshold.
+// Command benchci is the benchmark gate used by the bench job of the CI
+// workflow. It runs the tracked micro-benchmarks (a small fixed-seed
+// workload: the 20K-node road network, D=0.01, k=2, seed 2006) -count
+// times each, prints the median and quartiles of ns/op, writes the median
+// repeat as JSON (ns/op plus every custom metric the benchmarks report, such
+// as io_reads/op and allocs/op), and — when a baseline file is given — fails
+// if any counter of a tracked benchmark regressed beyond the threshold.
+//
+// ns/op is recorded and reported, never gated: it carries the machine and
+// its load (the +25 % gate it used to have tripped on the parent commit about
+// one run in three on a busy 2-vCPU box). The counters are deterministic for
+// the fixed seed and identical across machines, so they gate; wall-clock
+// claims go through alternating bench/run.sh pairs, which carry their own
+// spread.
 //
 // Usage:
 //
@@ -13,12 +21,12 @@
 // Typical CI invocation (compare against the committed baseline, write the
 // fresh numbers as a build artifact):
 //
-//	go run ./cmd/benchci -out bench_current.json -against BENCH_PR2.json
+//	go run ./cmd/benchci -count 3 -out bench_current.json -against BENCH_PR2.json
 //
-// Refreshing the committed baseline after an intentional performance
-// change:
+// Refreshing the committed baseline after an intentional change of a
+// counter:
 //
-//	go run ./cmd/benchci -out BENCH_PR2.json
+//	go run ./cmd/benchci -count 3 -out BENCH_PR2.json
 //
 // The sharded scatter-gather workload (BenchmarkCIShardedQueries) is gated
 // the same way against its own committed baseline, BENCH_SHARD.json — a
@@ -30,11 +38,9 @@
 //
 // The parallel hub-label construction (BenchmarkHubLabelBuildParallel —
 // every core, delta-compressed labels, same 20K road network) is the third
-// gate, against BENCH_BUILD.json. Its ns/op keeps the parallel speedup
-// honest relative to the sequential BenchmarkHubLabelBuild tracked in
-// BENCH_PR2, and its label_bytes/op, raw_label_bytes/op and
-// label_entries/op counters are machine-independent: the batched build is
-// bit-identical to the sequential one, so any drift is a correctness
+// gate, against BENCH_BUILD.json. Its label_bytes/op, raw_label_bytes/op
+// and label_entries/op counters are machine-independent: the batched build
+// is bit-identical to the sequential one, so any drift is a correctness
 // regression, not noise:
 //
 //	go run ./cmd/benchci -bench '^BenchmarkHubLabelBuildParallel$' \
@@ -55,11 +61,10 @@ import (
 )
 
 // trackedDefault anchors the per-algorithm CI workload (one op = the whole
-// fixed-seed query set, so single-shot runs average out scheduler noise),
-// the hub-label build, and the journaled maintenance round trips (memory +
-// persisted, so write-ahead-journal overhead is gated like query
-// regressions); the paper-figure regenerations are too slow and too coarse
-// for a per-commit gate.
+// fixed-seed query set), the hub-label build, and the journaled maintenance
+// round trips (memory + persisted, so write-ahead-journal work is gated
+// like query regressions); the paper-figure regenerations are pinned by
+// internal/exp's TestPaperShapes instead.
 const trackedDefault = "^(BenchmarkCIQueries|BenchmarkHubLabelBuild|BenchmarkCIMaintenance)$"
 
 // Benchmark is one measured benchmark.
@@ -86,10 +91,10 @@ func main() {
 		bench     = flag.String("bench", trackedDefault, "benchmark filter passed to go test -bench")
 		pkg       = flag.String("pkg", ".", "package to benchmark")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value")
-		count     = flag.Int("count", 1, "go test -count value")
+		count     = flag.Int("count", 1, "go test -count value: repeats behind the ns/op median and quartiles")
 		out       = flag.String("out", "", "write results JSON to this path")
 		against   = flag.String("against", "", "baseline JSON to compare against")
-		threshold = flag.Float64("threshold", 0.25, "maximum tolerated ns/op regression (0.25 = +25%)")
+		threshold = flag.Float64("threshold", 0.25, "maximum tolerated regression of a counter (0.25 = +25%)")
 		workload  = flag.String("workload", workloadNote, "workload note recorded in the JSON document")
 	)
 	flag.Parse()
@@ -115,13 +120,6 @@ func main() {
 	if len(results.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchci: no benchmarks matched")
 		os.Exit(1)
-	}
-	for _, b := range results.Benchmarks {
-		fmt.Printf("%-28s %14.0f ns/op", b.Name, b.NsPerOp)
-		for _, k := range sortedKeys(b.Metrics) {
-			fmt.Printf("  %g %s", b.Metrics[k], k)
-		}
-		fmt.Println()
 	}
 	if *out != "" {
 		data, err := json.MarshalIndent(results, "", "  ")
@@ -155,7 +153,8 @@ func readBaseline(path string) (*File, error) {
 	return &f, nil
 }
 
-// run executes go test -bench and parses the output.
+// run executes go test -bench, parses the output and prints one line per
+// benchmark.
 func run(bench, pkg, benchtime string, count int, workload string) (*File, error) {
 	args := []string{"test", "-run", "^$", "-bench", bench,
 		"-benchtime", benchtime, "-count", strconv.Itoa(count), pkg}
@@ -165,10 +164,8 @@ func run(bench, pkg, benchtime string, count int, workload string) (*File, error
 	if err != nil {
 		return nil, fmt.Errorf("go %s: %w\n%s", strings.Join(args, " "), err, outBytes)
 	}
-	results := &File{Schema: 1, Workload: workload}
-	// With -count > 1 the best (minimum) ns/op per benchmark wins: the
-	// repeats exist to shave scheduler noise off the gate.
-	best := map[string]int{}
+	repeats := map[string][]Benchmark{}
+	var names []string
 	for _, line := range strings.Split(string(outBytes), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -194,29 +191,38 @@ func run(bench, pkg, benchtime string, count int, workload string) (*File, error
 				b.Metrics[pm[2]] = v
 			}
 		}
-		if i, seen := best[b.Name]; seen {
-			if b.NsPerOp < results.Benchmarks[i].NsPerOp {
-				results.Benchmarks[i] = b
-			}
-			continue
+		if repeats[b.Name] == nil {
+			names = append(names, b.Name)
 		}
-		best[b.Name] = len(results.Benchmarks)
-		results.Benchmarks = append(results.Benchmarks, b)
+		repeats[b.Name] = append(repeats[b.Name], b)
 	}
-	sort.Slice(results.Benchmarks, func(i, j int) bool {
-		return results.Benchmarks[i].Name < results.Benchmarks[j].Name
-	})
+	sort.Strings(names)
+	// The repeat with the median ns/op is the one recorded, counters and
+	// all; the quartiles say how far to trust it.
+	results := &File{Schema: 1, Workload: workload}
+	for _, name := range names {
+		r := repeats[name]
+		sort.Slice(r, func(i, j int) bool { return r[i].NsPerOp < r[j].NsPerOp })
+		last := len(r) - 1
+		q1, med, q3 := r[last/4], r[last/2], r[(3*last+3)/4]
+		fmt.Printf("%-28s %14.0f ns/op median (quartiles %.0f .. %.0f of %d)",
+			name, med.NsPerOp, q1.NsPerOp, q3.NsPerOp, len(r))
+		for _, k := range sortedKeys(med.Metrics) {
+			fmt.Printf("  %g %s", med.Metrics[k], k)
+		}
+		fmt.Println()
+		results.Benchmarks = append(results.Benchmarks, med)
+	}
 	return results, nil
 }
 
 // compare fails (non-nil error) when any baseline benchmark is missing from
-// the current run or regressed beyond the threshold. ns/op carries the
-// hardware of the machine that recorded the baseline, so the custom
-// metrics (io_reads/op, queries/op) — deterministic for the fixed seed and
-// identical across machines — are gated with the same threshold: a runner
-// that is merely slower moves ns/op, a real algorithmic regression moves
-// the I/O counters with it. Refresh the committed baseline from the bench
-// job's artifact when the runner class changes.
+// the current run or one of its counters regressed beyond the threshold.
+// The custom metrics (io_reads/op, queries/op, allocs/op) are deterministic
+// for the fixed seed and identical across machines: a real algorithmic
+// regression moves them. ns/op carries the machine that recorded the
+// baseline and whatever else it was running, so its change is printed for
+// the record and gates nothing.
 func compare(baselinePath string, baseline *File, current *File, threshold float64) error {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {
@@ -229,13 +235,7 @@ func compare(baselinePath string, baseline *File, current *File, threshold float
 			failures = append(failures, fmt.Sprintf("%s: tracked benchmark disappeared", base.Name))
 			continue
 		}
-		ratio := now.NsPerOp / base.NsPerOp
 		verdict := "ok"
-		if ratio > 1+threshold {
-			verdict = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%, limit +%.0f%%)",
-				base.Name, base.NsPerOp, now.NsPerOp, (ratio-1)*100, threshold*100))
-		}
 		for _, k := range sortedKeys(base.Metrics) {
 			basev := base.Metrics[k]
 			nowv, has := now.Metrics[k]
@@ -259,19 +259,19 @@ func compare(baselinePath string, baseline *File, current *File, threshold float
 					base.Name, k, basev, nowv, (nowv/basev-1)*100, threshold*100))
 			}
 		}
-		fmt.Printf("compare %-28s %+7.1f%% ns/op  %s\n", base.Name, (ratio-1)*100, verdict)
+		fmt.Printf("compare %-28s counters %s  (ns/op %+.1f%%, not gated)\n", base.Name, verdict, (now.NsPerOp/base.NsPerOp-1)*100)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d benchmark regression(s) against %s:\n  %s",
 			len(failures), baselinePath, strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("benchci: no regressions against %s (threshold +%.0f%%)\n", baselinePath, threshold*100)
+	fmt.Printf("benchci: no counter regressions against %s (threshold +%.0f%%)\n", baselinePath, threshold*100)
 	return nil
 }
 
 // higherIsBetter reports whether metric k improves upward (cache hit
-// rates), inverting the regression rule: everything else tracked by the
-// bench job (ns/op, io_reads/op) is a cost where higher is worse.
+// rates), inverting the regression rule: every other counter tracked by
+// the bench job (io_reads/op, allocs/op) is a cost where higher is worse.
 func higherIsBetter(k string) bool { return strings.HasSuffix(k, "hit_rate") }
 
 func sortedKeys(m map[string]float64) []string {

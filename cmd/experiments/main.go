@@ -1,16 +1,20 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Yiu et al., TKDE'06, Section 6) and prints the series in the
 // paper's layout: average I/O, CPU time, and total cost under the
-// 10 ms/random-I/O model, per algorithm, per setting.
+// 10 ms/random-I/O model, per algorithm, per setting. The harness behind it
+// (internal/exp) runs on the public API — graphrnn.Open, DB.Run, the point
+// sets' Insert / Remove — so the numbers are measured on the engine every
+// other caller uses.
 //
 // Usage:
 //
-//	experiments [-exp all|table1|table2|fig15|...|fig22b|hub|budget] [-full] [-seed N] [-queries N]
+//	experiments [-exp all|table1|table2|fig15|...|fig22b|hub|budget|plan|shard] [-full] [-seed N] [-queries N]
 //
-// The extra "hub" experiment compares the hub-label substrate against the
-// paper's four algorithms on a restricted road-network workload; "budget"
-// measures answer degradation under the engine layer's per-query node
-// budgets (beyond the paper, like "hub").
+// Beyond the paper: "hub" compares the hub-label substrate against the
+// paper's four algorithms on a restricted road-network workload, "budget"
+// measures answer degradation under per-query node budgets, "plan" the
+// planner's auto-selection against eager, "shard" scatter-gather against
+// the unsharded engine.
 //
 // The default scale finishes in minutes on a laptop; -full runs the
 // paper-scale configuration (BRITE up to 360K nodes, SF-like 175K nodes,

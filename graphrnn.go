@@ -381,13 +381,11 @@ func (db *DB) ResetIOStats() {
 	}
 }
 
-// DropCache empties the LRU buffer (cold-start experiments).
-func (db *DB) DropCache() error {
-	if db.disk == nil {
-		return nil
-	}
-	return db.disk.Buffer().Invalidate()
-}
+// DropCache empties the DB's buffer pool for a cold start: the cached pages
+// of every tenant — adjacency, materialized lists, hub labels, paged point
+// files, and those of any other DB sharing the pool through Options.Pool —
+// are dropped, dirty ones written back first.
+func (db *DB) DropCache() error { return db.pool.p.Invalidate() }
 
 // Distance computes the exact network distance between two locations,
 // +Inf when disconnected.

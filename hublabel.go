@@ -358,14 +358,6 @@ func (h *HubLabelIndex) ResetIOStats() {
 	}
 }
 
-// DropCache empties the label buffer (cold-start experiments).
-func (h *HubLabelIndex) DropCache() error {
-	if h.store == nil {
-		return nil
-	}
-	return h.store.Buffer().Invalidate()
-}
-
 func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {
 	ids := ps.Points()
 	out := make([]hublabel.PointOnNode, 0, len(ids))

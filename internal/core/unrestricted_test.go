@@ -353,7 +353,7 @@ func TestUnrestrictedWithPagedPoints(t *testing.T) {
 		edges := graphEdges(g)
 		s := NewSearcher(g)
 		mem := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
-		paged, err := points.NewPagedEdgeSet(mem, storage.NewMemFile(512), 8)
+		paged, err := points.NewPagedEdgeSetBuffer(mem, storage.NewMemFile(512), nil, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

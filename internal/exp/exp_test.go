@@ -1,6 +1,11 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,60 +111,215 @@ func TestTable1Smoke(t *testing.T) {
 	}
 }
 
-// experiments that are cheap enough to smoke-test at tiny scale by
-// shrinking through their quick defaults.
-func TestHarnessSmokeSmallExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness smoke tests skipped in -short")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/repro.golden from the current harness")
+
+// goldenScale is the scale repro.golden and the shapes are pinned at: the
+// one `cmd/experiments -queries 5` and the BenchmarkFig* benchmarks run.
+var goldenScale = Scale{Queries: 5, Seed: 2006}
+
+// selfChecking experiments stay out of repro.golden: they go beyond the
+// paper and fail on their own when a column disagrees.
+var selfChecking = map[string]bool{"budget": true, "plan": true, "shard": true}
+
+// TestPaperShapes runs Tables 1-2, Figs 15-22 and the hub experiment on the
+// public API at goldenScale and checks two things. The deterministic
+// counters of every cell — page transfers, node accesses, verifications,
+// list reads, label entries, answer size; no seconds — must match
+// testdata/repro.golden byte for byte: regenerate deliberately with
+// `go test ./internal/exp -run TestPaperShapes -update` and read the diff, a
+// moved page-transfer count is a finding. And each finding of the paper the
+// README claims must hold on those counters, as one predicate named after
+// its figure. Every experiment that returns has also proved that its columns
+// agree on every answer id by id and that it left no tenant attached to the
+// pool it opened (measure and open fail otherwise).
+func TestPaperShapes(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs the paper's experiments (about 20 s); skipped under -short and -race")
 	}
-	// A bespoke small BRITE run via the internal env helpers.
-	e, err := briteEnv(5, 2000, 0.02, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.buildHubLabel(2); err != nil {
-		t.Fatal(err)
-	}
-	queries := e.nodePts.Points()[:4]
-	row, err := e.restrictedRow(queries, 2, AllSubstrates, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(row) != 5 {
-		t.Fatalf("row has %d entries", len(row))
-	}
-	// Results must agree across algorithms (same workload, same k) — the
-	// hub-label column included.
-	for i := 1; i < len(row); i++ {
-		if row[i].Results != row[0].Results {
-			t.Fatalf("algorithms disagree on result counts: %v", row)
+	tabs := map[string]*Table{}
+	var b strings.Builder
+	for _, e := range All() {
+		if selfChecking[e.Name] {
+			continue
+		}
+		tab, err := e.Run(goldenScale)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		tabs[e.Name] = tab
+		for i, x := range tab.Xs {
+			for j, c := range tab.Columns {
+				m := tab.Cells[i][j]
+				fmt.Fprintf(&b, "%s | %s %s | %s: pages=%d nodes=%d verifications=%d matreads=%d labelentries=%d answers=%d\n",
+					e.Name, tab.XLabel, x, c, m.pages, m.work.NodesExpanded+m.work.NodesScanned,
+					m.work.Verifications, m.work.MatReads, m.work.LabelEntries, m.answers)
+			}
 		}
 	}
-	// SF-like unrestricted row.
-	se, err := sfEnv(6, 2500, 0.02, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	squeries := se.edgePts.Points()[:4]
-	srow, err := se.unrestrictedRow(squeries, 1, AllAlgos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(srow); i++ {
-		if srow[i].Results != srow[0].Results {
-			t.Fatalf("unrestricted algorithms disagree: %v", srow)
+	path := filepath.Join("testdata", "repro.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Updates on the same env.
-	rng := newRng(7)
-	urow, err := se.updateRow(rng, 5)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(urow) != 2 {
-		t.Fatalf("updateRow returned %d measures", len(urow))
+	got, exp := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(exp) {
+		t.Errorf("%d lines, golden has %d", len(got), len(exp))
 	}
-	if urow[0].IO == 0 && urow[1].IO == 0 {
-		t.Fatal("updates performed no I/O")
+	for i := 0; i < len(got) && i < len(exp); i++ {
+		if got[i] != exp[i] {
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], exp[i])
+		}
 	}
+	for _, sh := range paperShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			err := sh.holds(tabs)
+			if sh.reproduced && err != nil {
+				t.Error(err)
+			}
+			if !sh.reproduced && err == nil {
+				t.Error("README records this finding as not reproduced, and it holds now: update the table")
+			}
+		})
+	}
+}
+
+// paperShapes are the paper's findings as predicates over page transfers
+// per query (Measure.IO). reproduced says what README's "Reproducing the
+// paper" table says of each; a finding this harness does not reproduce is
+// pinned as failing, not weakened until it passes.
+var paperShapes = []struct {
+	name       string
+	reproduced bool
+	holds      func(map[string]*Table) error
+}{
+	{"Fig15_LazyCollapsesAgainstEagerAsVGrows", true, func(tabs map[string]*Table) error {
+		t := tabs["fig15"]
+		e := series(t, AlgoEager)
+		for _, a := range []Algo{AlgoLazy, AlgoLazyEP} {
+			l := series(t, a)
+			for i := range l {
+				if l[i] <= e[i] {
+					return fmt.Errorf("%s reads %.1f pages at |V|=%s, eager %.1f", a, l[i], t.Xs[i], e[i])
+				}
+				if i > 0 && l[i]/e[i] <= l[i-1]/e[i-1] {
+					return fmt.Errorf("%s/eager is %.2f at |V|=%s after %.2f at |V|=%s: the gap does not widen",
+						a, l[i]/e[i], t.Xs[i], l[i-1]/e[i-1], t.Xs[i-1])
+				}
+			}
+		}
+		return nil
+	}},
+	// Expensive = eager transfers more pages a query than the adjacency
+	// buffer holds, so its range-NN probes fault instead of hitting.
+	{"Fig15to18_EagerMUnderEagerWhereExpansionIsExpensive", true, func(tabs map[string]*Table) error {
+		for _, name := range []string{"fig15", "fig16", "fig17", "fig18"} {
+			t := tabs[name]
+			e, em := series(t, AlgoEager), series(t, AlgoEagerM)
+			expensive := 0
+			for i := range e {
+				if e[i] <= float64(goldenScale.bufferPages()) {
+					continue
+				}
+				expensive++
+				if em[i] >= e[i] {
+					return fmt.Errorf("%s %s=%s: eager-M reads %.1f pages, eager %.1f", t.ID, t.XLabel, t.Xs[i], em[i], e[i])
+				}
+			}
+			if expensive == 0 {
+				return fmt.Errorf("%s has no row where eager outruns the buffer", t.ID)
+			}
+		}
+		return nil
+	}},
+	{"Fig18_LazyEPPaysOffAsKGrows", true, func(tabs map[string]*Table) error {
+		t := tabs["fig18"]
+		l, lp := series(t, AlgoLazy), series(t, AlgoLazyEP)
+		for i := range l {
+			if lp[i] >= l[i] {
+				return fmt.Errorf("k=%s: lazy-EP reads %.1f pages, lazy %.1f", t.Xs[i], lp[i], l[i])
+			}
+			if i > 0 && l[i]-lp[i] <= l[0]-lp[0] {
+				return fmt.Errorf("k=%s: lazy-EP saves %.1f pages, no more than the %.1f at k=%s", t.Xs[i], l[i]-lp[i], l[0]-lp[0], t.Xs[0])
+			}
+		}
+		return nil
+	}},
+	// The paper's Fig 20b has eager lose to lazy on grids as the degree
+	// rises. Here only eager's CPU time grows with the degree.
+	{"Fig20b_EagerLosesToLazyOnGridsAsDegreeRises", false, func(tabs map[string]*Table) error {
+		t := tabs["fig20b"]
+		e, l := series(t, AlgoEager), series(t, AlgoLazy)
+		if last := len(e) - 1; e[last] <= l[last] {
+			return fmt.Errorf("degree %s: eager reads %.1f pages, lazy %.1f", t.Xs[last], e[last], l[last])
+		}
+		return nil
+	}},
+	{"Fig21_CostFallsWithBufferUntilTheWorkingSetFits", true, func(tabs map[string]*Table) error {
+		t := tabs["fig21"]
+		e, l := series(t, AlgoEager), series(t, AlgoLazy)
+		for _, c := range [][]float64{e, l} {
+			for i := 1; i < len(c); i++ {
+				buffer, err := strconv.Atoi(t.Xs[i-1])
+				if err != nil {
+					return err
+				}
+				// A query that outruns the buffer must gain from a larger one.
+				if c[i] > c[i-1] || (c[i-1] > float64(buffer) && c[i] == c[i-1]) {
+					return fmt.Errorf("buffer %s -> %s: %.1f -> %.1f pages", t.Xs[i-1], t.Xs[i], c[i-1], c[i])
+				}
+			}
+		}
+		// Unbuffered, eager's repeated local expansions cost more than
+		// lazy's single sweep; any buffer absorbs them and flips the order.
+		for i := range e {
+			if (e[i] > l[i]) != (i == 0) {
+				return fmt.Errorf("buffer %s: eager %.1f pages, lazy %.1f", t.Xs[i], e[i], l[i])
+			}
+		}
+		return nil
+	}},
+	{"Fig22_UpdateCostFallsWithDAndRisesWithK", true, func(tabs map[string]*Table) error {
+		for _, c := range updateAlgos {
+			byD, byK := series(tabs["fig22a"], c), series(tabs["fig22b"], c)
+			for i := 1; i < len(byD); i++ {
+				if byD[i] >= byD[i-1] {
+					return fmt.Errorf("%s: %.1f pages at D=%s after %.1f at D=%s", c, byD[i], tabs["fig22a"].Xs[i], byD[i-1], tabs["fig22a"].Xs[i-1])
+				}
+			}
+			for i := 1; i < len(byK); i++ {
+				if byK[i] <= byK[i-1] {
+					return fmt.Errorf("%s: %.1f pages at K=%s after %.1f at K=%s", c, byK[i], tabs["fig22b"].Xs[i], byK[i-1], tabs["fig22b"].Xs[i-1])
+				}
+			}
+		}
+		return nil
+	}},
+	{"Hub_TenTimesUnderEager", true, func(tabs map[string]*Table) error {
+		t := tabs["hub"]
+		e, hl := series(t, AlgoEager), series(t, AlgoHub)
+		for i := range e {
+			if 10*hl[i] > e[i] {
+				return fmt.Errorf("|V|=%s: hub-label reads %.1f pages, eager %.1f", t.Xs[i], hl[i], e[i])
+			}
+		}
+		return nil
+	}},
+}
+
+// series returns column a of t as page transfers per query, row by row.
+func series(t *Table, a Algo) []float64 {
+	out := make([]float64, len(t.Cells))
+	for j, c := range t.Columns {
+		if c == a {
+			for i, row := range t.Cells {
+				out[i] = row[j].IO
+			}
+		}
+	}
+	return out
 }

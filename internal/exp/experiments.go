@@ -1,13 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"graphrnn/internal/core"
-	"graphrnn/internal/gen"
-	"graphrnn/internal/graph"
-	"graphrnn/internal/points"
+	"graphrnn"
 )
 
 // Experiment is a named reproduction of one table or figure.
@@ -53,190 +51,83 @@ func Find(name string) (Experiment, bool) {
 // density at 0.1; see Section 6).
 var densities = []float64{0.0025, 0.005, 0.01, 0.02, 0.04, 0.08}
 
-// coreAlgos maps the harness's expansion columns onto the engine's
-// strategies.
-var coreAlgos = map[Algo]core.Algo{
-	AlgoEager: core.AlgoEager, AlgoEagerM: core.AlgoEagerM,
-	AlgoLazy: core.AlgoLazy, AlgoLazyEP: core.AlgoLazyEP,
-}
-
-// expand runs req on s with expansion algorithm a (eager-M reads the
-// environment's materialization).
-func (e *env) expand(s *core.Searcher, a Algo, req core.Request) (*core.Result, error) {
-	ca, ok := coreAlgos[a]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown algorithm %q", a)
-	}
-	req.Algo = ca
-	return s.Run(req, e.mat)
-}
-
-// restrictedQuery dispatches one restricted monochromatic query. hidden is
-// the point excluded by view (points.NoPoint for none) — the hub-label
-// substrate needs it explicitly, the expansion algorithms read the view.
-func (e *env) restrictedQuery(a Algo, view points.NodeView, qnode graph.NodeID, k int, hidden points.PointID) (*core.Result, error) {
-	if a != AlgoHub {
-		return e.expand(e.searcher, a, core.Request{K: k, Points: core.PointSet{Node: view}, Target: core.NodeLoc(qnode)})
-	}
-	if e.hubIdx == nil {
-		return nil, fmt.Errorf("exp: hub-label index not built for this environment")
-	}
-	pts, _, err := e.hubIdx.RkNNExec(nil, qnode, k, hidden)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Result{Points: pts}, nil
-}
-
-// unrestrictedQuery dispatches one unrestricted monochromatic query.
-func (e *env) unrestrictedQuery(a Algo, view points.EdgeView, q core.Loc, k int) (*core.Result, error) {
-	return e.expand(e.searcher, a, core.Request{K: k, Points: core.PointSet{Edge: view}, Target: q})
-}
-
-// restrictedRow measures all algos over one restricted workload.
-func (e *env) restrictedRow(queries []points.PointID, k int, algos []Algo, coldPerQuery bool) ([]Measure, error) {
-	row := make([]Measure, len(algos))
-	for ai, a := range algos {
-		m, err := e.runWorkloadOpt(len(queries), coldPerQuery, func(i int) (*core.Result, error) {
-			qp := queries[i]
-			qnode, ok := e.nodePts.NodeOf(qp)
-			if !ok {
-				return nil, fmt.Errorf("exp: query point %d missing", qp)
-			}
-			return e.restrictedQuery(a, points.ExcludeNode(e.nodePts, qp), qnode, k, qp)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a, err)
-		}
-		row[ai] = m
-	}
-	return row, nil
-}
-
-// unrestrictedRow measures all algos over one unrestricted workload.
-func (e *env) unrestrictedRow(queries []points.PointID, k int, algos []Algo) ([]Measure, error) {
-	row := make([]Measure, len(algos))
-	for ai, a := range algos {
-		m, err := e.runWorkload(len(queries), func(i int) (*core.Result, error) {
-			qp := queries[i]
-			loc, ok := e.pagedEP.Loc(qp)
-			if !ok {
-				return nil, fmt.Errorf("exp: query point %d missing", qp)
-			}
-			view := points.ExcludeEdge(e.pagedEP, qp)
-			return e.unrestrictedQuery(a, view, core.PointLoc(loc), k)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a, err)
-		}
-		row[ai] = m
-	}
-	return row, nil
-}
-
 // Table1 reproduces the ad-hoc DBLP queries: the point set is defined at
 // query time by a predicate ("authors with exactly c papers in venue 0"),
 // so materialization is impossible and only eager and lazy compete. The
 // predicate count sweeps 0, 1, 2 with increasing selectivity. The DBLP
-// graph is small enough to fit any reasonable buffer, so queries run cold
-// to expose the I/O difference (see EXPERIMENTS.md).
+// graph is small enough to fit any reasonable buffer, so every query runs
+// cold to expose the I/O difference.
 func Table1(s Scale) (*Table, error) {
-	co, err := gen.NewCoauthorship(gen.DefaultCoauthorship(s.seed()))
+	co, err := graphrnn.GenerateCoauthorship(s.seed(), 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEnv(co.G, DefaultBufferPages)
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	rng := rand.New(rand.NewSource(s.seed() + 1))
 	t := &Table{
 		ID:      "Table 1",
-		Title:   fmt.Sprintf("ad-hoc queries, DBLP-like |V|=%d |E|=%d, k=1", co.G.NumNodes(), co.G.NumEdges()),
+		Title:   fmt.Sprintf("ad-hoc queries, DBLP-like |V|=%d |E|=%d, k=1", co.Graph.NumNodes(), co.Graph.NumEdges()),
 		XLabel:  "papers",
 		Columns: EagerLazy,
 	}
-	for _, count := range []int{0, 1, 2} {
-		nodes := co.AuthorsWithVenueCount(0, count)
-		if len(nodes) < 2 {
-			return nil, fmt.Errorf("exp: predicate papers=%d matches %d authors", count, len(nodes))
+	rng := rand.New(rand.NewSource(s.seed() + 1))
+	return t, open(co.Graph, setup{buffer: DefaultBufferPages}, func(w *world) error {
+		for _, count := range []int{0, 1, 2} {
+			authors := co.AuthorsWithVenueCount(0, count)
+			if len(authors) < 2 {
+				return fmt.Errorf("exp: predicate papers=%d matches %d authors", count, len(authors))
+			}
+			// Shuffled, so point ids do not follow node order.
+			rng.Shuffle(len(authors), func(i, j int) { authors[i], authors[j] = authors[j], authors[i] })
+			w.node = w.db.NewNodePoints()
+			for _, n := range authors {
+				if _, err := w.node.Place(n); err != nil {
+					return err
+				}
+			}
+			x := fmt.Sprintf("=%d (%d pts)", count, len(authors))
+			if err := w.rnnRow(t, x, w.sample(s.seed()+1, s.queries()), 1, true); err != nil {
+				return err
+			}
 		}
-		ps, err := gen.PlaceNodePointsOn(rng, co.G.NumNodes(), nodes)
-		if err != nil {
-			return nil, err
-		}
-		e.nodePts = ps
-		queries := gen.SampleQueries(rng, ps.Points(), s.queries())
-		row, err := e.restrictedRow(queries, 1, EagerLazy, true)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("=%d (%d pts)", count, len(nodes)))
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
+		return nil
+	})
 }
 
 // Table2 reproduces cost vs density on the DBLP-like graph: random
 // "interesting" nodes at each density, k=1, eager vs lazy, cold queries.
 func Table2(s Scale) (*Table, error) {
-	co, err := gen.NewCoauthorship(gen.DefaultCoauthorship(s.seed()))
+	co, err := graphrnn.GenerateCoauthorship(s.seed(), 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEnv(co.G, DefaultBufferPages)
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	rng := rand.New(rand.NewSource(s.seed() + 2))
 	t := &Table{
 		ID:      "Table 2",
-		Title:   fmt.Sprintf("cost vs density, DBLP-like |V|=%d, k=1", co.G.NumNodes()),
+		Title:   fmt.Sprintf("cost vs density, DBLP-like |V|=%d, k=1", co.Graph.NumNodes()),
 		XLabel:  "density",
 		Columns: EagerLazy,
 	}
-	for _, d := range densities {
-		count := int(d * float64(co.G.NumNodes()))
-		if count < 2 {
-			count = 2
+	return t, open(co.Graph, setup{buffer: DefaultBufferPages}, func(w *world) error {
+		for _, d := range densities {
+			if err := w.place(setup{seed: s.seed() + 2, density: d}); err != nil {
+				return err
+			}
+			if err := w.rnnRow(t, fmt.Sprintf("%.4f", d), w.sample(s.seed()+3, s.queries()), 1, true); err != nil {
+				return err
+			}
 		}
-		if err := e.withNodePoints(rng, count); err != nil {
-			return nil, err
-		}
-		queries := gen.SampleQueries(rng, e.nodePts.Points(), s.queries())
-		row, err := e.restrictedRow(queries, 1, EagerLazy, true)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%.4f", d))
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
+		return nil
+	})
 }
 
-// briteEnv builds a BRITE-like restricted environment with density d and
-// materialized lists for maxK.
-func briteEnv(seed int64, nodes int, d float64, maxK, bufferPages int) (*env, error) {
-	g, err := gen.Brite(gen.BriteConfig{Seed: seed, Nodes: nodes, AvgDegree: 4})
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEnv(g, bufferPages)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed + 7))
-	if err := e.withNodePoints(rng, max(2, int(d*float64(g.NumNodes())))); err != nil {
-		_ = e.close()
-		return nil, err
-	}
-	if err := e.materializeNode(maxK); err != nil {
-		_ = e.close()
-		return nil, err
-	}
-	return e, nil
+// restricted is the BRITE / road setting of Figs 15-16 and the hub
+// experiment: node-resident points at density d with materialized lists.
+func (s Scale) restricted(seed int64, d float64, matK int) setup {
+	return setup{buffer: s.bufferPages(), seed: seed, density: d, matK: matK}
+}
+
+// unrestricted is the SF-like / grid setting of Figs 17-22: edge-resident
+// points at density d behind their point file, with materialized lists.
+func (s Scale) unrestricted(seed int64, d float64, matK int) setup {
+	return setup{buffer: s.bufferPages(), seed: seed, density: d, edge: true, pointBuffer: MatBufferPages, matK: matK}
 }
 
 // Fig15 reproduces cost vs |V| on BRITE-like topologies (D=0.01, k=1):
@@ -253,18 +144,16 @@ func Fig15(s Scale) (*Table, error) {
 		Columns: AllAlgos,
 	}
 	for _, n := range sizes {
-		e, err := briteEnv(s.seed(), n, 0.01, 1, s.bufferPages())
+		g, err := graphrnn.GenerateBrite(s.seed(), n, 4)
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 8))
-		queries := gen.SampleQueries(rng, e.nodePts.Points(), s.queries())
-		row, err := e.restrictedRow(queries, 1, AllAlgos, false)
+		err = open(g, s.restricted(s.seed()+7, 0.01, 1), func(w *world) error {
+			return w.rnnRow(t, fmt.Sprintf("%d", n), w.sample(s.seed()+8, s.queries()), 1, false)
+		})
 		if err != nil {
 			return nil, err
 		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", n))
-		t.Cells = append(t.Cells, row)
 	}
 	return t, nil
 }
@@ -278,46 +167,19 @@ func Fig16(s Scale) (*Table, error) {
 		XLabel:  "density",
 		Columns: AllAlgos,
 	}
+	g, err := graphrnn.GenerateBrite(s.seed(), n, 4)
+	if err != nil {
+		return nil, err
+	}
 	for _, d := range densities {
-		e, err := briteEnv(s.seed(), n, d, 1, s.bufferPages())
+		err := open(g, s.restricted(s.seed()+7, d, 1), func(w *world) error {
+			return w.rnnRow(t, fmt.Sprintf("%.4f", d), w.sample(s.seed()+9, s.queries()), 1, false)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 9))
-		queries := gen.SampleQueries(rng, e.nodePts.Points(), s.queries())
-		row, err := e.restrictedRow(queries, 1, AllAlgos, false)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%.4f", d))
-		t.Cells = append(t.Cells, row)
-		_ = e.close()
 	}
 	return t, nil
-}
-
-// sfEnv builds a San-Francisco-like unrestricted environment.
-func sfEnv(seed int64, nodes int, d float64, maxK, bufferPages int) (*env, error) {
-	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: seed, Nodes: nodes})
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEnv(g, bufferPages)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed + 11))
-	if err := e.withEdgePoints(rng, max(2, int(d*float64(g.NumNodes())))); err != nil {
-		_ = e.close()
-		return nil, err
-	}
-	if maxK > 0 {
-		if err := e.materializeEdge(maxK); err != nil {
-			_ = e.close()
-			return nil, err
-		}
-	}
-	return e, nil
 }
 
 // Fig17 reproduces cost vs density on the SF-like unrestricted network.
@@ -329,20 +191,17 @@ func Fig17(s Scale) (*Table, error) {
 		XLabel:  "density",
 		Columns: AllAlgos,
 	}
+	g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
+	if err != nil {
+		return nil, err
+	}
 	for _, d := range densities {
-		e, err := sfEnv(s.seed(), n, d, 1, s.bufferPages())
+		err := open(g, s.unrestricted(s.seed()+11, d, 1), func(w *world) error {
+			return w.rnnRow(t, fmt.Sprintf("%.4f", d), w.sample(s.seed()+12, s.queries()), 1, false)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 12))
-		queries := gen.SampleQueries(rng, e.edgePts.Points(), s.queries())
-		row, err := e.unrestrictedRow(queries, 1, AllAlgos)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%.4f", d))
-		t.Cells = append(t.Cells, row)
-		_ = e.close()
 	}
 	return t, nil
 }
@@ -350,40 +209,31 @@ func Fig17(s Scale) (*Table, error) {
 // Fig18 reproduces cost vs k on the SF-like network (D=0.01).
 func Fig18(s Scale) (*Table, error) {
 	n := s.pick(40000, 175000)
-	e, err := sfEnv(s.seed(), n, 0.01, 8, s.bufferPages())
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	rng := rand.New(rand.NewSource(s.seed() + 13))
-	queries := gen.SampleQueries(rng, e.edgePts.Points(), s.queries())
 	t := &Table{
 		ID:      "Fig 18",
 		Title:   fmt.Sprintf("cost vs k, SF-like |V|≈%d, D=0.01", n),
 		XLabel:  "k",
 		Columns: AllAlgos,
 	}
-	for _, k := range []int{1, 2, 4, 8} {
-		row, err := e.unrestrictedRow(queries, k, AllAlgos)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", k))
-		t.Cells = append(t.Cells, row)
+	g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	return t, open(g, s.unrestricted(s.seed()+11, 0.01, 8), func(w *world) error {
+		queries := w.sample(s.seed()+13, s.queries())
+		for _, k := range []int{1, 2, 4, 8} {
+			if err := w.rnnRow(t, fmt.Sprintf("%d", k), queries, k, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Fig19 reproduces continuous queries vs route size (SF-like, D=0.01,
 // k=1): routes are random walks without repeated nodes.
 func Fig19(s Scale) (*Table, error) {
 	n := s.pick(40000, 175000)
-	e, err := sfEnv(s.seed(), n, 0.01, 1, s.bufferPages())
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	rng := rand.New(rand.NewSource(s.seed() + 14))
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	if s.Full {
 		sizes = []int{1, 2, 4, 8, 16, 32, 64}
@@ -394,49 +244,29 @@ func Fig19(s Scale) (*Table, error) {
 		XLabel:  "route",
 		Columns: AllAlgos,
 	}
-	for _, size := range sizes {
-		routes := make([][]graph.NodeID, s.queries())
-		for i := range routes {
-			routes[i] = gen.RandomWalkRoute(rng, e.g, size)
-		}
-		row := make([]Measure, len(AllAlgos))
-		for ai, a := range AllAlgos {
-			m, err := e.runWorkload(len(routes), func(i int) (*core.Result, error) {
-				return e.expand(e.searcher, a, core.Request{
-					Kind: core.KindContinuous, K: 1, Points: core.PointSet{Edge: e.pagedEP}, Route: routes[i],
+	g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
+	if err != nil {
+		return nil, err
+	}
+	return t, open(g, s.unrestricted(s.seed()+11, 0.01, 1), func(w *world) error {
+		rng := rand.New(rand.NewSource(s.seed() + 14))
+		for _, size := range sizes {
+			routes := make([][]graphrnn.NodeID, s.queries())
+			for i := range routes {
+				routes[i] = w.db.RandomWalkRoute(rng.Int63(), size)
+			}
+			err := w.measure(t, fmt.Sprintf("%d", size), len(routes), false, func(a Algo, i int) (*graphrnn.Result, error) {
+				return w.db.Run(context.Background(), graphrnn.Query{
+					Kind: graphrnn.KindContinuous, Route: routes[i], K: 1,
+					Points: w.over(a, -1), Algorithm: w.algorithm(a), Strict: true,
 				})
 			})
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", a, err)
+				return err
 			}
-			row[ai] = m
 		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", size))
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
-}
-
-// gridEnv builds a grid-map unrestricted environment.
-func gridEnv(seed int64, nodes int, degree float64, d float64, maxK, bufferPages int) (*env, error) {
-	g, err := gen.Grid(gen.GridConfig{Seed: seed, Nodes: nodes, Degree: degree})
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEnv(g, bufferPages)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed + 15))
-	if err := e.withEdgePoints(rng, max(2, int(d*float64(g.NumNodes())))); err != nil {
-		_ = e.close()
-		return nil, err
-	}
-	if err := e.materializeEdge(maxK); err != nil {
-		_ = e.close()
-		return nil, err
-	}
-	return e, nil
+		return nil
+	})
 }
 
 // Fig20a reproduces grid maps: cost vs |V| at degree 4.
@@ -452,18 +282,9 @@ func Fig20a(s Scale) (*Table, error) {
 		Columns: AllAlgos,
 	}
 	for _, n := range sizes {
-		e, err := gridEnv(s.seed(), n, 4, 0.01, 1, s.bufferPages())
-		if err != nil {
+		if err := s.gridRow(t, fmt.Sprintf("%d", n), n, 4, s.seed()+16); err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 16))
-		queries := gen.SampleQueries(rng, e.edgePts.Points(), s.queries())
-		row, err := e.unrestrictedRow(queries, 1, AllAlgos)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", e.g.NumNodes()))
-		t.Cells = append(t.Cells, row)
 	}
 	return t, nil
 }
@@ -478,61 +299,48 @@ func Fig20b(s Scale) (*Table, error) {
 		Columns: AllAlgos,
 	}
 	for _, deg := range []float64{4, 5, 6, 7} {
-		e, err := gridEnv(s.seed(), n, deg, 0.01, 1, s.bufferPages())
-		if err != nil {
+		if err := s.gridRow(t, fmt.Sprintf("%.0f", deg), n, deg, s.seed()+17); err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 17))
-		queries := gen.SampleQueries(rng, e.edgePts.Points(), s.queries())
-		row, err := e.unrestrictedRow(queries, 1, AllAlgos)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%.0f", deg))
-		t.Cells = append(t.Cells, row)
 	}
 	return t, nil
 }
 
+// gridRow appends row x to t: one grid map (D=0.01, k=1).
+func (s Scale) gridRow(t *Table, x string, nodes int, degree float64, querySeed int64) error {
+	g, err := graphrnn.GenerateGrid(s.seed(), nodes, degree)
+	if err != nil {
+		return err
+	}
+	return open(g, s.unrestricted(s.seed()+15, 0.01, 1), func(w *world) error {
+		return w.rnnRow(t, x, w.sample(querySeed, s.queries()), 1, false)
+	})
+}
+
 // Fig21 reproduces cost vs LRU buffer size (SF-like, D=0.01, k=1): at
 // buffer 0 every access is physical and eager's repeated local expansions
-// dominate; a small buffer flips the ranking.
+// dominate; a small buffer flips the ranking. The point file gets the same
+// buffer budget as the adjacency file.
 func Fig21(s Scale) (*Table, error) {
 	n := s.pick(40000, 175000)
-	buffers := []int{0, 16, 64, 256, 1024}
 	t := &Table{
 		ID:      "Fig 21",
 		Title:   fmt.Sprintf("cost vs buffer pages, SF-like |V|≈%d, D=0.01, k=1", n),
 		XLabel:  "buffer",
 		Columns: EagerLazy,
 	}
-	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: s.seed(), Nodes: n})
+	g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
 	if err != nil {
 		return nil, err
 	}
-	for _, buf := range buffers {
-		e, err := newEnv(g, buf)
+	for _, buf := range []int{0, 16, 64, 256, 1024} {
+		su := setup{buffer: buf, seed: s.seed() + 18, density: 0.01, edge: true, pointBuffer: buf}
+		err := open(g, su, func(w *world) error {
+			return w.rnnRow(t, fmt.Sprintf("%d", buf), w.sample(s.seed()+18, s.queries()), 1, false)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 18))
-		if err := e.withEdgePoints(rng, max(2, int(0.01*float64(g.NumNodes())))); err != nil {
-			return nil, err
-		}
-		// The point file shares the buffer budget.
-		paged, err := points.NewPagedEdgeSet(e.edgePts, newMemPageFile(), buf)
-		if err != nil {
-			return nil, err
-		}
-		e.pagedEP = paged
-		queries := gen.SampleQueries(rng, e.edgePts.Points(), s.queries())
-		row, err := e.unrestrictedRow(queries, 1, EagerLazy)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", buf))
-		t.Cells = append(t.Cells, row)
-		_ = e.close()
 	}
 	return t, nil
 }
@@ -555,37 +363,22 @@ func HubSubstrate(s Scale) (*Table, error) {
 		Columns: AllSubstrates,
 	}
 	for _, n := range sizes {
-		g, err := gen.RoadNetwork(gen.RoadConfig{Seed: s.seed(), Nodes: n})
+		g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
 		if err != nil {
 			return nil, err
 		}
-		e, err := newEnv(g, s.bufferPages())
+		su := s.restricted(s.seed()+23, 0.01, 1)
+		su.hubK = 1
+		err = open(g, su, func(w *world) error {
+			bst := w.hub.BuildStats()
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"HL build |V|=%d: %.3fs, %d workers, %d batches, %d pruned visits, %d resweeps, labels %dB compressed / %dB raw",
+				g.NumNodes(), bst.WallSeconds, bst.Workers, bst.Batches, bst.Pruned, bst.Resweeps, bst.LabelBytes, bst.RawLabelBytes))
+			return w.rnnRow(t, fmt.Sprintf("%d", g.NumNodes()), w.sample(s.seed()+24, s.queries()), 1, false)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 23))
-		if err := e.withNodePoints(rng, max(2, int(0.01*float64(g.NumNodes())))); err != nil {
-			return nil, err
-		}
-		if err := e.materializeNode(1); err != nil {
-			return nil, err
-		}
-		if err := e.buildHubLabel(1); err != nil {
-			return nil, err
-		}
-		queries := gen.SampleQueries(rng, e.nodePts.Points(), s.queries())
-		row, err := e.restrictedRow(queries, 1, AllSubstrates, false)
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", g.NumNodes()))
-		t.Cells = append(t.Cells, row)
-		bst := e.hubBuild
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"HL build |V|=%d: %.3fs, %d workers, %d batches, %d pruned visits, %d resweeps, labels %dB compressed / %dB raw",
-			g.NumNodes(), bst.Wall.Seconds(), bst.Workers, bst.Batches, bst.Pruned, bst.Resweeps,
-			e.hubStore.PayloadBytes(), e.hubStore.RawBytes()))
-		_ = e.close()
 	}
 	return t, nil
 }
@@ -593,58 +386,40 @@ func HubSubstrate(s Scale) (*Table, error) {
 // updateAlgos are the two columns of Fig 22.
 var updateAlgos = []Algo{"insert", "delete"}
 
-// updateRow measures insertion and deletion maintenance cost on a prepared
-// unrestricted environment with materialized lists.
-func (e *env) updateRow(rng *rand.Rand, n int) ([]Measure, error) {
-	el := gen.Edges(e.g)
-	// Insertions at random locations (following the network distribution).
-	ins, err := e.runWorkload(n, func(i int) (*core.Result, error) {
-		ei := rng.Intn(len(el.U))
-		pos := rng.Float64() * el.W[ei]
-		p, err := e.edgePts.Place(el.U[ei], el.V[ei], pos)
+// updateRow appends row x to t: the maintenance cost of n insertions at
+// random locations (following the network distribution) and n deletions of
+// random points, through the set's one maintenance path, with the repaired
+// lists flushed inside the measured operation. An update has no answer, so
+// the columns have nothing to disagree on.
+func (w *world) updateRow(t *Table, x string, seed int64, n int) error {
+	type edge struct {
+		u, v graphrnn.NodeID
+		w    float64
+	}
+	var edges []edge
+	w.db.Graph().Edges(func(u, v graphrnn.NodeID, wt float64) { edges = append(edges, edge{u, v, wt}) })
+	rng := rand.New(rand.NewSource(seed))
+	at := make([]graphrnn.Location, n)
+	for i := range at {
+		e := edges[rng.Intn(len(edges))]
+		at[i] = graphrnn.EdgeLocation(e.u, e.v, rng.Float64()*e.w)
+	}
+	victims := w.points()
+	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+	n = min(n, len(victims)-1)
+	return w.measure(t, x, n, false, func(c Algo, i int) (*graphrnn.Result, error) {
+		var st graphrnn.Stats
+		var err error
+		if c == "insert" {
+			_, st, err = w.edge.Insert(context.Background(), at[i], nil)
+		} else {
+			st, err = w.edge.Remove(context.Background(), victims[i], nil)
+		}
 		if err != nil {
 			return nil, err
 		}
-		st, err := e.searcher.MatInsert(e.mat, p, core.Loc{U: el.U[ei], V: el.V[ei], Pos: pos})
-		if err != nil {
-			return nil, err
-		}
-		if err := e.mat.Flush(); err != nil {
-			return nil, err
-		}
-		return &core.Result{Stats: st}, nil
+		return &graphrnn.Result{Stats: st}, w.mat.Flush()
 	})
-	if err != nil {
-		return nil, fmt.Errorf("insert: %w", err)
-	}
-	// Deletions of random existing points.
-	pts := e.edgePts.Points()
-	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-	if n > len(pts)-1 {
-		n = len(pts) - 1
-	}
-	del, err := e.runWorkload(n, func(i int) (*core.Result, error) {
-		p := pts[i]
-		loc, ok := e.edgePts.Loc(p)
-		if !ok {
-			return nil, fmt.Errorf("point %d missing", p)
-		}
-		if err := e.edgePts.Delete(p); err != nil {
-			return nil, err
-		}
-		st, err := e.searcher.MatDelete(e.mat, p, core.PointLoc(loc))
-		if err != nil {
-			return nil, err
-		}
-		if err := e.mat.Flush(); err != nil {
-			return nil, err
-		}
-		return &core.Result{Stats: st}, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("delete: %w", err)
-	}
-	return []Measure{ins, del}, nil
 }
 
 // Fig22a reproduces update cost vs density (SF-like, K=1).
@@ -656,19 +431,17 @@ func Fig22a(s Scale) (*Table, error) {
 		XLabel:  "density",
 		Columns: updateAlgos,
 	}
+	g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
+	if err != nil {
+		return nil, err
+	}
 	for _, d := range densities {
-		e, err := sfEnv(s.seed(), n, d, 1, s.bufferPages())
+		err := open(g, s.unrestricted(s.seed()+11, d, 1), func(w *world) error {
+			return w.updateRow(t, fmt.Sprintf("%.4f", d), s.seed()+19, s.queries())
+		})
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 19))
-		row, err := e.updateRow(rng, s.queries())
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%.4f", d))
-		t.Cells = append(t.Cells, row)
-		_ = e.close()
 	}
 	return t, nil
 }
@@ -683,19 +456,17 @@ func Fig22b(s Scale) (*Table, error) {
 		XLabel:  "K",
 		Columns: updateAlgos,
 	}
+	g, err := graphrnn.GenerateRoadNetwork(s.seed(), n)
+	if err != nil {
+		return nil, err
+	}
 	for _, k := range []int{1, 2, 4, 8} {
-		e, err := sfEnv(s.seed(), n, 0.01, k, s.bufferPages())
+		err := open(g, s.unrestricted(s.seed()+11, 0.01, k), func(w *world) error {
+			return w.updateRow(t, fmt.Sprintf("%d", k), s.seed()+20, s.queries())
+		})
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(s.seed() + 20))
-		row, err := e.updateRow(rng, s.queries())
-		if err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d", k))
-		t.Cells = append(t.Cells, row)
-		_ = e.close()
 	}
 	return t, nil
 }

@@ -1,25 +1,18 @@
 package exp
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"graphrnn"
 )
 
-// AlgoAuto is the planner column of the Planner experiment: no algorithm
-// named, the substrate auto-selected per attachment state.
-const AlgoAuto Algo = "AUTO"
-
 // Planner measures the unified query API's auto-selection against the
-// constant eager baseline through the public Run surface, beyond the
-// paper: one road-like restricted workload queried at three attachment
-// states — no substrate (expansion heuristic), an attached
-// materialization (eager-M), an attached hub-label index. The AUTO column
-// should track the best substrate available at each state with no change
-// to the issued Query; the row label names what the planner resolved to.
+// constant eager baseline, beyond the paper: one road-like restricted
+// workload queried at three attachment states — no substrate (expansion
+// heuristic), an attached materialization (eager-M), an attached hub-label
+// index. The AUTO column should track the best substrate available at each
+// state with no change to the issued Query; the row label names what the
+// planner resolved to.
 func Planner(s Scale) (*Table, error) {
 	n := s.pick(20000, 175000)
 	t := &Table{
@@ -32,82 +25,28 @@ func Planner(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: s.bufferPages()})
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(s.seed() + 47))
-	ps, err := db.PlaceRandomNodePoints(s.seed()+48, max(2, int(0.01*float64(g.NumNodes()))))
-	if err != nil {
-		return nil, err
-	}
-	pts := ps.Points()
-	queries := make([]graphrnn.PointID, s.queries())
-	for i := range queries {
-		queries[i] = pts[rng.Intn(len(pts))]
-	}
-
-	row := func(label string) error {
-		cells := make([]Measure, 0, 2)
-		for _, algo := range []graphrnn.Algorithm{graphrnn.Auto(), graphrnn.Eager()} {
-			if err := db.DropCache(); err != nil {
+	return t, open(g, s.restricted(s.seed()+48, 0.01, 0), func(w *world) error {
+		queries := w.sample(s.seed()+47, s.queries())
+		states := []struct {
+			x      string
+			attach func() error
+		}{
+			{"none", func() error { return nil }},
+			{"mat", func() error { return w.materialize(2) }},
+			{"hub", func() error { return w.hubLabel(2) }},
+		}
+		for _, st := range states {
+			if err := st.attach(); err != nil {
 				return err
 			}
-			var m Measure
-			var planned graphrnn.Algorithm
-			for _, qp := range queries {
-				qnode, ok := ps.NodeOf(qp)
-				if !ok {
-					continue // not in this environment's point set
-				}
-				before := db.PoolStats().Reads
-				t0 := time.Now()
-				res, err := db.Run(context.Background(), graphrnn.Query{
-					Kind:      graphrnn.KindRNN,
-					Target:    graphrnn.NodeLocation(qnode),
-					K:         2,
-					Points:    ps.Excluding(qp),
-					Algorithm: algo,
-				})
-				if err != nil {
-					return err
-				}
-				m.CPU += time.Since(t0).Seconds()
-				m.IO += float64(db.PoolStats().Reads - before)
-				m.Results += float64(len(res.Points))
-				planned = res.Plan.Algorithm
+			plan, err := w.db.Plan(graphrnn.Query{K: 2, Points: w.node})
+			if err != nil {
+				return err
 			}
-			nq := float64(len(queries))
-			m.CPU /= nq
-			m.IO /= nq
-			m.Results /= nq
-			cells = append(cells, m)
-			if algo == graphrnn.Auto() {
-				label = fmt.Sprintf("%s (auto>%s)", label, planned)
+			if err := w.rnnRow(t, fmt.Sprintf("%s (auto>%s)", st.x, plan.Algorithm), queries, 2, false); err != nil {
+				return err
 			}
 		}
-		t.Xs = append(t.Xs, label)
-		t.Cells = append(t.Cells, cells)
 		return nil
-	}
-
-	if err := row("none"); err != nil {
-		return nil, err
-	}
-	mat, err := db.MaterializeNodePoints(ps, 2, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := row("mat"); err != nil {
-		return nil, err
-	}
-	idx, err := db.BuildHubLabelIndex(ps, 2, &graphrnn.HubLabelOptions{DiskBacked: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := row("hub"); err != nil {
-		return nil, err
-	}
-	_, _ = mat, idx
-	return t, nil
+	})
 }

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math/rand"
-	"reflect"
-	"time"
 
 	"graphrnn"
 )
@@ -15,17 +13,16 @@ import (
 var shardCols = []Algo{"sharded", "global"}
 
 // ShardedServing measures the scatter-gather coordinator against the
-// unsharded engine through the public Run surface, beyond the paper: one
-// road-like restricted workload (D=0.01, k=2) re-queried at increasing
-// shard counts. Per-shard hub labels answer the shard-local sweeps, the
-// coordinator re-verifies every merged candidate, so the sharded column
-// pays fan-out plus verification on top of smaller per-shard searches; the
-// row label reports the measured fan-out and the partition's cut size. The
-// experiment is self-checking: any row where the merged answer differs
-// from the global engine's fails instead of reporting numbers.
+// unsharded engine, beyond the paper: one road-like restricted workload
+// (D=0.01, k=2) re-queried at increasing shard counts. Per-shard hub labels
+// answer the shard-local sweeps, the coordinator re-verifies every merged
+// candidate, so the sharded column pays fan-out plus verification on top of
+// smaller per-shard searches; the row label reports the measured fan-out
+// and the partition's cut size. Like every row of the harness, one where
+// the merged answer differs from the global engine's fails instead of
+// reporting numbers.
 func ShardedServing(s Scale) (*Table, error) {
 	n := s.pick(20000, 175000)
-	counts := []int{1, 2, 4, 8}
 	t := &Table{
 		ID:      "Shard",
 		Title:   fmt.Sprintf("sharded scatter-gather vs unsharded engine, road-like restricted |V|=%d, D=0.01, k=2", n),
@@ -36,76 +33,41 @@ func ShardedServing(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: s.bufferPages()})
+	return t, open(g, s.restricted(s.seed()+51, 0.01, 0), func(w *world) error {
+		queries := w.sample(s.seed()+52, s.queries())
+		for _, c := range []int{1, 2, 4, 8} {
+			if err := w.shardRow(t, c, s.seed(), queries); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// shardRow appends the row of one shard count to t.
+func (w *world) shardRow(t *Table, shards int, seed int64, queries []graphrnn.PointID) (err error) {
+	sh, err := w.db.Shard(w.node, &graphrnn.ShardOptions{Shards: shards, Seed: seed, HubLabelK: 2})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ps, err := db.PlaceRandomNodePoints(s.seed()+51, max(2, int(0.01*float64(g.NumNodes()))))
+	defer func() { err = errors.Join(err, sh.Close()) }()
+	err = w.measure(t, "", len(queries), false, func(c Algo, i int) (*graphrnn.Result, error) {
+		qnode, ok := w.node.NodeOf(queries[i])
+		if !ok {
+			return nil, fmt.Errorf("exp: query point %d is not in the set", queries[i])
+		}
+		q := graphrnn.Query{Target: graphrnn.NodeLocation(qnode), K: 2}
+		if c == "sharded" {
+			return sh.Run(context.Background(), q)
+		}
+		q.Points = w.node
+		return w.db.Run(context.Background(), q)
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rng := rand.New(rand.NewSource(s.seed() + 52))
-	pts := ps.Points()
-	queries := make([]graphrnn.PointID, s.queries())
-	for i := range queries {
-		queries[i] = pts[rng.Intn(len(pts))]
-	}
-
-	for _, c := range counts {
-		sh, err := db.Shard(ps, &graphrnn.ShardOptions{Shards: c, Seed: s.seed(), HubLabelK: 2})
-		if err != nil {
-			return nil, err
-		}
-		var sm, gm Measure
-		for _, qp := range queries {
-			qnode, ok := ps.NodeOf(qp)
-			if !ok {
-				continue // not in this environment's point set
-			}
-			q := graphrnn.Query{Kind: graphrnn.KindRNN, Target: graphrnn.NodeLocation(qnode), K: 2}
-			before := db.PoolStats().Reads
-			t0 := time.Now()
-			sres, err := sh.Run(context.Background(), q)
-			if err != nil {
-				sh.Close()
-				return nil, err
-			}
-			sm.CPU += time.Since(t0).Seconds()
-			sm.IO += float64(db.PoolStats().Reads - before)
-			sm.Results += float64(len(sres.Points))
-
-			gq := q
-			gq.Points = ps
-			before = db.PoolStats().Reads
-			t0 = time.Now()
-			gres, err := db.Run(context.Background(), gq)
-			if err != nil {
-				sh.Close()
-				return nil, err
-			}
-			gm.CPU += time.Since(t0).Seconds()
-			gm.IO += float64(db.PoolStats().Reads - before)
-			gm.Results += float64(len(gres.Points))
-
-			if !reflect.DeepEqual(sres.Points, gres.Points) {
-				sh.Close()
-				return nil, fmt.Errorf("exp: %d shards disagree with the global engine at point %d: sharded %v, global %v",
-					c, qp, sres.Points, gres.Points)
-			}
-		}
-		nq := float64(len(queries))
-		sm.CPU /= nq
-		sm.IO /= nq
-		sm.Results /= nq
-		gm.CPU /= nq
-		gm.IO /= nq
-		gm.Results /= nq
-		st := sh.Stats()
-		if err := sh.Close(); err != nil {
-			return nil, err
-		}
-		t.Xs = append(t.Xs, fmt.Sprintf("%d (fan %.1f, cut %d)", c, float64(st.FanOuts)/float64(st.Queries), st.CutEdges))
-		t.Cells = append(t.Cells, []Measure{sm, gm})
-	}
-	return t, nil
+	// The fan-out is only known once the row is measured.
+	st := sh.Stats()
+	t.Xs[len(t.Xs)-1] = fmt.Sprintf("%d (fan %.1f, cut %d)", shards, float64(st.FanOuts)/float64(st.Queries), st.CutEdges)
+	return nil
 }

@@ -250,10 +250,6 @@ func TestWorkloadHelpers(t *testing.T) {
 			t.Fatalf("point %d at invalid location %+v (w=%v, exists=%v)", p, loc, w, exists)
 		}
 	}
-	qs := SampleQueries(rng, ps.Points(), 50)
-	if len(qs) != 50 {
-		t.Fatalf("sampled %d queries", len(qs))
-	}
 	route := RandomWalkRoute(rng, g, 16)
 	if len(route) == 0 || len(route) > 16 {
 		t.Fatalf("route length %d", len(route))

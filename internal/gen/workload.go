@@ -30,14 +30,6 @@ func PlaceNodePoints(rng *rand.Rand, numNodes, count int) (*points.NodeSet, erro
 	return ps, nil
 }
 
-// PlaceNodePointsOn places one point on each listed node, shuffling to
-// de-correlate point ids from node order.
-func PlaceNodePointsOn(rng *rand.Rand, numNodes int, nodes []graph.NodeID) (*points.NodeSet, error) {
-	shuffled := append([]graph.NodeID(nil), nodes...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	return points.NewNodeSetFromNodes(numNodes, shuffled)
-}
-
 // EdgeList captures the undirected edges of a graph for sampling.
 type EdgeList struct {
 	U, V []graph.NodeID
@@ -69,16 +61,6 @@ func PlaceEdgePoints(rng *rand.Rand, el *EdgeList, count int) (*points.EdgeSet, 
 		}
 	}
 	return ps, nil
-}
-
-// SampleQueries draws n point ids (with replacement across the workload,
-// without immediate repetition) to serve as query locations.
-func SampleQueries(rng *rand.Rand, ids []points.PointID, n int) []points.PointID {
-	out := make([]points.PointID, n)
-	for i := range out {
-		out[i] = ids[rng.Intn(len(ids))]
-	}
-	return out
 }
 
 // RandomWalkRoute builds a route for continuous queries: a random walk

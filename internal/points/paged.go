@@ -30,19 +30,13 @@ type PagedEdgeSet struct {
 // sorted by (pos, id).
 const edgePointEntrySize = 4 + 8
 
-// NewPagedEdgeSet packs src into file (which must be empty) and reads it
-// back through a private buffer of bufferPages pages. Use
-// NewPagedEdgeSetBuffer to read point pages through a shared pool.
-func NewPagedEdgeSet(src *EdgeSet, file storage.PagedFile, bufferPages int) (*PagedEdgeSet, error) {
-	return NewPagedEdgeSetBuffer(src, file, nil, bufferPages)
-}
-
-// NewPagedEdgeSetBuffer is NewPagedEdgeSet reading point pages through bm,
-// which must wrap file — typically a tenant of the process-wide buffer
-// pool. A nil bm falls back to a private buffer of bufferPages.
+// NewPagedEdgeSetBuffer packs src into file (which must be empty) and reads
+// it back through bm, which must wrap file — typically a tenant of the
+// process-wide buffer pool. A nil bm falls back to a private buffer of
+// bufferPages pages.
 func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Tenant, bufferPages int) (*PagedEdgeSet, error) {
 	if file.NumPages() != 0 {
-		return nil, fmt.Errorf("points: NewPagedEdgeSet needs an empty file, got %d pages", file.NumPages())
+		return nil, fmt.Errorf("points: NewPagedEdgeSetBuffer needs an empty file, got %d pages", file.NumPages())
 	}
 	keys := make([]edgeKey, 0, len(src.byEdge))
 	for k := range src.byEdge {

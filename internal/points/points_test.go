@@ -184,11 +184,11 @@ func buildRandomEdgeSet(t *testing.T, rng *rand.Rand, numEdges, numPoints int) *
 	return s
 }
 
-// newPaged is NewPagedEdgeSet for tests; the set must close cleanly at
+// newPaged is NewPagedEdgeSetBuffer behind a private buffer, for tests; the set must close cleanly at
 // cleanup, i.e. with no point page left pinned.
 func newPaged(t *testing.T, src *EdgeSet, file storage.PagedFile, bufferPages int) *PagedEdgeSet {
 	t.Helper()
-	paged, err := NewPagedEdgeSet(src, file, bufferPages)
+	paged, err := NewPagedEdgeSetBuffer(src, file, nil, bufferPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPagedEdgeSetRejectsNonEmptyFile(t *testing.T) {
 	if _, err := f.Append(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPagedEdgeSet(NewEdgeSet(), f, 2); err == nil {
+	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(), f, nil, 2); err == nil {
 		t.Fatal("non-empty file accepted")
 	}
 }

@@ -585,6 +585,22 @@ func (t *Tenant) Invalidate() error {
 	return t.dropFramesLocked()
 }
 
+// Invalidate empties the pool: Tenant.Invalidate for every tenant, so a
+// workload over several substrates starts from one cold cache.
+func (p *BufferPool) Invalidate() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var errs []error
+	for _, t := range p.tenants {
+		if err := t.flushLocked(); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		errs = append(errs, t.dropFramesLocked())
+	}
+	return errors.Join(errs...)
+}
+
 // Detach flushes and drops the tenant's frames, removes it from the pool
 // and returns any capacity it contributed through AttachGrowing. The
 // tenant must not be used afterwards. A page still pinned at that point is

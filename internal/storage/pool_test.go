@@ -200,6 +200,41 @@ func TestPoolDetach(t *testing.T) {
 	}
 }
 
+// TestPoolInvalidate: the pool-wide cold start writes back every tenant's
+// dirty pages and leaves no tenant a cached frame.
+func TestPoolInvalidate(t *testing.T) {
+	fa := newTestFile(t, 64, 4)
+	p := NewBufferPool(8)
+	a := attach(t, p, "a", fa, 4)
+	b := attach(t, p, "b", newTestFile(t, 64, 4), 4)
+	if err := a.Update(1, func(p []byte) error { p[0] = 42; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Get(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Invalidate(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 64)
+	if err := fa.Read(1, dst); err != nil || dst[0] != 42 {
+		t.Fatalf("invalidate did not flush: %v %d", err, dst[0])
+	}
+	for _, ts := range p.TenantStats() {
+		if ts.Frames != 0 {
+			t.Fatalf("tenant %q keeps %d frames after Invalidate", ts.Name, ts.Frames)
+		}
+	}
+	pg, err := b.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Invalidate(); !errors.Is(err, ErrPinned) {
+		t.Fatalf("Invalidate with a pinned page: %v, want ErrPinned", err)
+	}
+	pg.Unpin()
+}
+
 // TestPoolConcurrentTenants hammers two tenants from many goroutines to
 // give the race detector a shared-pool workout.
 func TestPoolConcurrentTenants(t *testing.T) {
