@@ -255,16 +255,17 @@ func BenchmarkCIQueries(b *testing.B) {
 // tracks next to BenchmarkCIQueries, against its own committed baseline
 // (BENCH_SHARD.json): the identical fixed-seed query set — every placed
 // point of the 20K-node road network queried once at k=2 — served through
-// a 4-shard Sharded with hub-label substrates (one labeling, read by every
-// shard and by the coordinator's verify) and the default 1-hop halo. One op
-// = one full sweep, so -benchtime=1x is stable; the fan-out, candidate,
-// verification and member counts per op are deterministic for the fixed
-// seed and gate the coordinator's merge + verify overhead across machines
-// the way io_reads/op gates the substrates. verify_nodes_scanned/op is the
-// queries' scanned-node total: every shard answers from its hub lists, so
-// only an expansion verify on the coordinator can move it off zero.
-// label_entries/op is what the shards' pruned phase 1 and the coordinator's
-// verify scan: it rises when the reach bounds stop pruning.
+// a 4-shard Sharded with no hub index and the default 1-hop halo: the class
+// sharding exists for, where every shard answers by expansion inside its
+// region's points and the coordinator verifies the merged candidates by
+// expansion over the full set. (With HubLabelK the coordinator's index
+// would answer every query of this sweep itself and all the counters below
+// would read 0.) One op = one full sweep, so -benchtime=1x is stable; the
+// fan-out, candidate, verification and member counts per op are
+// deterministic for the fixed seed and gate the coordinator's merge +
+// verify overhead across machines the way io_reads/op gates the
+// substrates. nodes_scanned/op is the queries' scanned-node total, shards
+// and verify pass together.
 func BenchmarkCIShardedQueries(b *testing.B) {
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
@@ -278,14 +279,14 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, err := db.Shard(ps, &graphrnn.ShardOptions{Shards: 4, Seed: 2006, HubLabelK: 4})
+	sh, err := db.Shard(ps, &graphrnn.ShardOptions{Shards: 4, Seed: 2006})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sh.Close()
 	queries := ps.Points()
 	before := sh.Stats()
-	var scanned, labelEntries int64
+	var scanned int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, qp := range queries {
@@ -300,7 +301,6 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 				b.Fatal(err)
 			}
 			scanned += res.Stats.NodesScanned
-			labelEntries += res.Stats.LabelEntries
 		}
 	}
 	b.StopTimer()
@@ -310,8 +310,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 	b.ReportMetric(float64(after.FanOuts-before.FanOuts)/n, "fanout/op")
 	b.ReportMetric(float64(after.Candidates-before.Candidates)/n, "candidates/op")
 	b.ReportMetric(float64(after.VerifyRuns-before.VerifyRuns)/n, "verify_runs/op")
-	b.ReportMetric(float64(scanned)/n, "verify_nodes_scanned/op")
-	b.ReportMetric(float64(labelEntries)/n, "label_entries/op")
+	b.ReportMetric(float64(scanned)/n, "nodes_scanned/op")
 	b.ReportMetric(float64(after.Members-before.Members)/n, "members/op")
 }
 

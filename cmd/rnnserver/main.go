@@ -32,15 +32,15 @@
 // worker count) and -label-compress serves the labels delta+varint
 // encoded through the paged store, cutting label bytes in memory and on
 // disk. Both apply to the startup build, POST /index/hublabel, and the
-// one labeling build of sharded mode.
+// coordinator's build of sharded mode.
 //
 // Sharded serving (-shards N) answers /query by scatter-gather: the node
 // set is cut into N balanced regions, one engine and one buffer-pool
 // tenant serve each region's points (plus a replicated halo ring of
-// competitors), and the coordinator merges and re-verifies the per-shard
-// candidates — answers stay bit-identical to unsharded serving on the
-// same substrate, and the response's plan names the verify method. The
-// default runs every shard in this process. For separate shard
+// competitors), and the coordinator merges the per-shard candidates and
+// re-verifies them by expansion — answers stay bit-identical to unsharded
+// serving on the same substrate, and the response's plan says what ran.
+// The default runs every shard in this process. For separate shard
 // processes, start N servers with the same -family/-nodes/-seed flags
 // (each process derives the identical graph, point set and partition)
 // plus -shard-index i, and one coordinator with -shard-peers naming
@@ -50,11 +50,13 @@
 // sharded mode, and the maintenance endpoints are disabled (a local
 // mutation would disagree with peer processes).
 //
-// -hublabel K in sharded mode builds ONE hub labeling per process: every
-// shard's reverse index reads it, and the coordinator confirms rnn and
-// continuous candidates by label intersection instead of by expansion. A
-// -shard-peers coordinator builds the labeling and its own index, no shard
-// engine; a -shard-index i process still builds all N shard engines.
+// -hublabel K in sharded mode builds one hub-label index, over the full
+// point set, on the process that answers /query: rnn and continuous queries
+// with "algo" omitted or "auto" and k <= K are answered there outright —
+// regions bound expansions, and label intersection has none — so they fan
+// out to no shard. An explicit expansion "algo", k > K and bichromatic
+// queries still scatter. A -shard-index i process is only sent what
+// scatters, so it needs no -hublabel; it still builds all N shard engines.
 //
 // Endpoints:
 //
@@ -277,7 +279,7 @@ func (s *server) handleHubBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sharded != nil {
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("global hub-label builds unavailable in sharded mode: start with -hublabel K to build the labeling and the shard indexes"))
+		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("global hub-label builds unavailable in sharded mode: start with -hublabel K to build the coordinator's index"))
 		return
 	}
 	req := hubBuildRequest{MaxK: 4}
@@ -577,7 +579,7 @@ func main() {
 		buffer   = flag.Int("buffer", 256, "LRU buffer capacity in pages (disk-backed only)")
 		sites    = flag.Int("sites", -1, "site set size for bichromatic /query requests (-1 = points/10, 0 disables)")
 		maxK     = flag.Int("maxk", 4, "materialize K-NN lists up to this k for eager-m (0 disables; sharded: per-shard MatK)")
-		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: one labeling for every shard index and the coordinator's verify)")
+		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: the coordinator's index, which answers rnn/continuous queries up to this k without fan-out)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-query deadline; expired queries answer 504 (0 disables)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty disables)")
 

@@ -76,6 +76,8 @@ func TestHandleQuerySharded(t *testing.T) {
 	for _, body := range []string{
 		`{"kind":"rnn","node":5,"k":2}`,
 		`{"kind":"rnn","node":199,"k":1}`,
+		`{"kind":"rnn","node":5,"k":2,"algo":"eager"}`,
+		`{"kind":"rnn","node":5,"k":5}`,
 		`{"kind":"bichromatic","node":42,"k":2}`,
 		`{"kind":"continuous","route":[1,2,3,4],"k":2}`,
 		`{"kind":"knn","node":7,"k":3}`,
@@ -94,10 +96,14 @@ func TestHandleQuerySharded(t *testing.T) {
 		if fmt.Sprint(out["neighbors"]) != fmt.Sprint(oout["neighbors"]) {
 			t.Fatalf("%s: sharded neighbors %v, oracle %v", body, out["neighbors"], oout["neighbors"])
 		}
-		// The plan says what ran: with a hub index the monochromatic kinds
-		// verify by label intersection, bichromatic by expansion.
-		method := map[string]string{"rnn": "by label intersection", "continuous": "by label intersection", "bichromatic": "by expansion"}[out["kind"].(string)]
-		if plan, _ := out["plan"].(map[string]any); method != "" && !strings.HasSuffix(fmt.Sprint(plan["reason"]), method) {
+		// The plan says what ran: the coordinator's hub index answers the
+		// monochromatic kinds it covers; a hint, k beyond its maxK and
+		// bichromatic scatter and verify by expansion.
+		method := "no fan-out"
+		if out["kind"] == "bichromatic" || strings.Contains(body, `"algo"`) || strings.Contains(body, `"k":5`) {
+			method = "by expansion"
+		}
+		if plan, _ := out["plan"].(map[string]any); out["kind"] != "knn" && !strings.HasSuffix(fmt.Sprint(plan["reason"]), method) {
 			t.Fatalf("%s: plan %v does not say %q", body, plan, method)
 		}
 	}
@@ -115,10 +121,12 @@ func TestHandleQuerySharded(t *testing.T) {
 		t.Fatalf("batch failed=%v, want 0", out["failed"])
 	}
 
-	// An unmeetable deadline answers 504 through the scatter-gather path.
-	rec, _ = postQuery(t, s, "/query", `{"kind":"rnn","node":5,"k":2,"timeout":"1ns"}`)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("1ns sharded deadline answered %d, want 504", rec.Code)
+	// An unmeetable deadline answers 504 on the coordinator's index and
+	// through the scatter-gather path.
+	for _, body := range []string{`{"kind":"rnn","node":5,"k":2,"timeout":"1ns"}`, `{"kind":"rnn","node":5,"k":2,"algo":"eager","timeout":"1ns"}`} {
+		if rec, _ = postQuery(t, s, "/query", body); rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s answered %d, want 504", body, rec.Code)
+		}
 	}
 
 	// /stats grows a shards section with the partition shape and fan-out
@@ -184,10 +192,10 @@ func TestShardWireHTTP(t *testing.T) {
 	for i := range peers {
 		peers[i] = ts.URL
 	}
-	// The coordinator verifies by label intersection what the (index-less)
-	// shard processes proposed by expansion, as in the CI two-tier smoke.
+	// No hub index on the coordinator: it would answer the rnn and
+	// continuous queries itself and nothing would cross the wire.
 	coord := env.shardedServer(t, &graphrnn.ShardOptions{
-		Shards: shards, Seed: 9, Sites: env.sites, HubLabelK: 2,
+		Shards: shards, Seed: 9, Sites: env.sites,
 		Runner: newHTTPShardRunner(peers),
 	}, "coordinator", -1)
 

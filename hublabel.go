@@ -41,9 +41,8 @@ type HubLabelIndex struct {
 	// a paged index does not pin the raw labeling it was written from.
 	lab      *hublabel.Labeling
 	store    *hublabel.Store
-	borrowed bool        // the labels are a Sharded's, which releases them
 	reopened bool        // the labels came from a file, nothing was built
-	node     *NodePoints // the tracked set, nil when detached or never tracked
+	node     *NodePoints // the set the index is over, nil once detached
 	build    HubLabelBuildStats
 }
 
@@ -132,7 +131,8 @@ func (db *DB) BuildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions)
 }
 
 // buildHubLabelIndex is BuildHubLabelIndex with the registration optional:
-// a Sharded keeps the index that owns its labeling private (track false).
+// a Sharded keeps its index private (track false) — over ps, but unseen by
+// the set's planner and maintenance; only an explicit HubLabel hint runs it.
 func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions, track bool) (*HubLabelIndex, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("graphrnn: maxK must be >= 1, got %d", maxK)
@@ -194,18 +194,11 @@ func (h *HubLabelIndex) index(ps *NodePoints, maxK int, track bool) (*HubLabelIn
 		_ = h.Close()
 		return nil, err
 	}
+	h.node = ps
 	if track {
-		h.node = ps
 		register(&ps.hubs, h, true)
 	}
 	return h, nil
-}
-
-// share returns an index over ps, registered with it, that borrows h's
-// labels and maxK: only the reverse index is built. Close it before h.
-func (h *HubLabelIndex) share(ps *NodePoints) (*HubLabelIndex, error) {
-	b := &HubLabelIndex{lab: h.lab, store: h.store, borrowed: true, build: h.build}
-	return b.index(ps, h.MaxK(), true)
 }
 
 // OpenHubLabelIndex reopens a labeling previously persisted at path (via
@@ -276,7 +269,7 @@ func (h *HubLabelIndex) SaveTo(path string) error {
 // must not be in flight.
 func (h *HubLabelIndex) Close() error {
 	h.detach()
-	if h.store != nil && !h.borrowed {
+	if h.store != nil {
 		return h.store.Close()
 	}
 	return nil
@@ -376,9 +369,8 @@ func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {
 // algorithm and a maintenance operation sums them with the list repairs.
 func coreHubStats(st hublabel.QueryStats) core.Stats {
 	return core.Stats{
-		LabelReads:    st.LabelReads,
-		LabelEntries:  st.Entries,
-		Verifications: st.Fallbacks,
+		LabelReads:   st.LabelReads,
+		LabelEntries: st.Entries,
 	}
 }
 

@@ -14,9 +14,10 @@ var shardCols = []Algo{"sharded", "global"}
 
 // ShardedServing measures the scatter-gather coordinator against the
 // unsharded engine, beyond the paper: one road-like restricted workload
-// (D=0.01, k=2) re-queried at increasing shard counts. Per-shard hub labels
-// answer the shard-local sweeps, the coordinator re-verifies every merged
-// candidate, so the sharded column pays fan-out plus verification on top of
+// (D=0.01, k=2) re-queried at increasing shard counts, on the class sharding
+// exists for: no hub index, so every shard answers by expansion among its
+// region's points and the coordinator re-verifies every merged candidate by
+// expansion. The sharded column pays fan-out plus verification on top of
 // smaller per-shard searches; the row label reports the measured fan-out
 // and the partition's cut size. Like every row of the harness, one where
 // the merged answer differs from the global engine's fails instead of
@@ -46,7 +47,7 @@ func ShardedServing(s Scale) (*Table, error) {
 
 // shardRow appends the row of one shard count to t.
 func (w *world) shardRow(t *Table, shards int, seed int64, queries []graphrnn.PointID) (err error) {
-	sh, err := w.db.Shard(w.node, &graphrnn.ShardOptions{Shards: shards, Seed: seed, HubLabelK: 2})
+	sh, err := w.db.Shard(w.node, &graphrnn.ShardOptions{Shards: shards, Seed: seed})
 	if err != nil {
 		return err
 	}

@@ -100,8 +100,8 @@ func fuzzHubLabelCase(data []byte) (g *arcGraph, ps *points.NodeSet, maxK int, o
 // FuzzHubLabelAgreement: on any small graph — zero and integer weights,
 // ties, disconnected parts, one-way arcs — and through any sequence of
 // inserts and deletes, the reverse index answers RkNNExec (a point hidden or
-// not), ContinuousRkNNExec and VerifyMember like the brute-force oracle for
-// every k <= maxK, keeps the invariants of the pruned phase 1 after every
+// not) and ContinuousRkNNExec like the brute-force oracle for every k <=
+// maxK, keeps the invariants of the pruned phase 1 after every
 // step, and stays field for field what NewIndex builds over the surviving
 // points: the hub-label rows of the substrate-agreement property. The seeds
 // under testdata/fuzz are a unit grid, zero-weight clusters with an

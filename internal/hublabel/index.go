@@ -93,9 +93,6 @@ type QueryStats struct {
 	// Entries counts label and hub-list entries scanned; the entry a pruned
 	// list scan stops on is not one of them.
 	Entries int64
-	// Fallbacks counts exact closer-count merges run in place of the
-	// threshold test: VerifyMember at k beyond MaxK.
-	Fallbacks int64
 }
 
 // PointOnNode seeds an Index with one point.
@@ -463,13 +460,12 @@ func (idx *Index) topK(sc *qscratch, st *QueryStats, label []Entry, k int, skip 
 }
 
 // countCloser counts points strictly closer to node n than bound (by
-// outgoing distance), excluding skipA/skipB, stopping at k — the bichromatic
-// verifier, and VerifyMember's beyond MaxK. The label is L_out(n), already
-// fetched by the caller.
-func (idx *Index) countCloser(sc *qscratch, st *QueryStats, label []Entry, bound float64, k int, skipA, skipB points.PointID) int {
+// outgoing distance), excluding skip, stopping at k — the bichromatic
+// verifier. The label is L_out(n), already fetched by the caller.
+func (idx *Index) countCloser(sc *qscratch, st *QueryStats, label []Entry, bound float64, k int, skip points.PointID) int {
 	count := 0
 	idx.mergeRun(sc, st, label, bound, func(p points.PointID, d float64) bool {
-		if p == skipA || p == skipB {
+		if p == skip {
 			return true
 		}
 		count++
@@ -582,51 +578,6 @@ func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k 
 	return strict < k
 }
 
-// VerifyMember decides whether point p is a reverse k-nearest neighbor of
-// the query (one node, or the nodes of a route) with the arithmetic of
-// RkNNExec / ContinuousRkNNExec, nothing hidden: d(p→query) is the smallest
-// L_out(p) ∩ L_in(query node) sum, membership the threshold test for
-// k <= MaxK and the exact closer-count beyond. An id that names no live
-// point is no member. ec is polled per query-side label fetch.
-func (idx *Index) VerifyMember(ec *exec.Ctx, query []graph.NodeID, k int, p points.PointID) (bool, QueryStats, error) {
-	var st QueryStats
-	if err := idx.checkRoute(query, k); err != nil {
-		return false, st, err
-	}
-	pn, ok := idx.NodeOf(p)
-	if !ok {
-		return false, st, nil
-	}
-	sc := idx.acquire()
-	defer idx.release(sc)
-	var err error
-	if sc.lab2, err = idx.src.OutLabel(pn, sc.lab2); err != nil {
-		return false, st, err
-	}
-	st.LabelReads++
-	st.Entries += int64(len(sc.lab2))
-	dq := math.Inf(1)
-	for _, n := range query {
-		if err := ec.Check(0); err != nil {
-			return false, st, err
-		}
-		if sc.lab1, err = idx.src.InLabel(n, sc.lab1); err != nil {
-			return false, st, err
-		}
-		st.LabelReads++
-		st.Entries += int64(len(sc.lab1))
-		dq = min(dq, mergeDist(sc.lab2, sc.lab1))
-	}
-	if math.IsInf(dq, 1) {
-		return false, st, nil // p cannot reach the query
-	}
-	if k > idx.maxK {
-		st.Fallbacks++
-		return idx.countCloser(sc, &st, sc.lab2, dq, k, p, points.NoPoint) < k, st, nil
-	}
-	return idx.thresholdTest(&st, p, dq, k, points.NoPoint), st, nil
-}
-
 // BichromaticRkNNExec answers bRkNN(q) over the site set the index was
 // built on: the candidates of cands with fewer than k sites strictly closer
 // than the query. hiddenSite excludes one site (points.NoPoint for none); k
@@ -666,7 +617,7 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 		if math.IsInf(dcq, 1) {
 			continue // cannot reach the query: never a member
 		}
-		if idx.countCloser(sc, &st, sc.lab2, dcq, k, hiddenSite, points.NoPoint) < k {
+		if idx.countCloser(sc, &st, sc.lab2, dcq, k, hiddenSite) < k {
 			ec.Emit(int32(c), 0)
 			res = append(res, c)
 		}

@@ -33,19 +33,21 @@ import (
 // path distances — so the union of shard-local answers over owned points
 // is a superset of the true answer. The halo shrinks that superset
 // cheaply near region borders; the coordinator then confirms every
-// merged candidate against the full point set. Without a hub index
-// (HubLabelK == 0), and for KindBichromatic, by the per-candidate expansion
-// the brute-force oracle runs: answers are bit-identical to unsharded
-// expansion answers — same distances, same epsilon bounds, same tie
-// handling. With a hub index the monochromatic kinds are confirmed by label
-// intersection (hublabel.Index.VerifyMember): answers are bit-identical to
-// unsharded hub-label serving — same labeling, same float additions, same
-// strict '<' — and equal the brute-force answer up to what separates those
-// two substrates anyway: a label sum d(p→h)+d(h→q) and a path sum can
+// merged candidate against the full point set by the per-candidate
+// expansion the brute-force oracle runs: answers are bit-identical to
+// unsharded expansion answers — same distances, same epsilon bounds, same
+// tie handling. No member is lost at cut edges, and no false candidate
+// survives.
+//
+// Regions bound expansions; a hub index has none to bound. With HubLabelK
+// the coordinator holds an index over the full point set, and a
+// monochromatic query it covers (no algorithm hint, k <= HubLabelK) is
+// answered there outright, with no fan-out: the unsharded hub-label answer,
+// bit for bit. That answer equals the brute-force one up to what separates
+// the two substrates anyway: a label sum d(p→h)+d(h→q) and a path sum can
 // differ in the last bit, so a point at exactly its k-th-neighbor distance
 // may tie under one and not the other (ROADMAP's FuzzSubstrateAgreement
-// item owns that; on integer weights both agree exactly). Either way no
-// member is lost at cut edges, and no false candidate survives.
+// item owns that; on integer weights both agree exactly).
 //
 // KindBichromatic partitions the candidate set and replicates the
 // (typically small) site set to every shard; KindKNN is answered by the
@@ -88,18 +90,17 @@ type ShardOptions struct {
 	// Sites is the bichromatic site set, replicated to every shard.
 	// Queries of KindBichromatic require it.
 	Sites *NodePoints
-	// HubLabelK, when positive, builds the hub labeling of the graph — one
-	// labeling per process, read by every shard and by the coordinator's
-	// verify — and over it a reverse index (maxK = HubLabelK) per shard
-	// point set for the per-shard planner, plus one over the full set that
-	// confirms monochromatic candidates. A pure coordinator (Runner set)
-	// builds the labeling and the full-set index only.
+	// HubLabelK, when positive, builds the hub labeling of the graph and a
+	// reverse index (maxK = HubLabelK) over the full point set, on the
+	// coordinator: rnn and continuous queries with no algorithm hint and
+	// k <= HubLabelK are answered there, without fan-out. The shards get no
+	// index — they serve what the coordinator's does not cover.
 	HubLabelK int
 	// MatK, when positive, materializes per-shard K-NN lists (maxK =
 	// MatK) for the eager-M substrate.
 	MatK int
 	// Build controls the labeling construction: worker count, and label
-	// compression (one paged store, one pool tenant, for every index).
+	// compression (a paged store, one pool tenant).
 	Build BuildOptions
 	// DiskBacked serves each shard's adjacency from its own paged file,
 	// attached to the parent DB's buffer pool as one tenant per shard.
@@ -138,7 +139,6 @@ type shardHandle struct {
 	// only and never proposed as candidates).
 	toGlobal []PointID
 	owned    []bool
-	hub      *HubLabelIndex
 	mat      *Materialization
 }
 
@@ -165,9 +165,9 @@ type Sharded struct {
 	// handles are the in-process shard engines; nil in pure-coordinator
 	// mode (Runner set).
 	handles []*shardHandle
-	// hub (HubLabelK > 0) is the coordinator's index over the full set ps,
-	// read by the verify pass. It owns the one labeling every shard index
-	// borrows and is not registered with ps: the parent DB plans as before.
+	// hub (HubLabelK > 0) is the coordinator's index over the full set ps;
+	// it answers the queries it covers in place of a fan-out. It is not
+	// registered with ps: the parent DB plans as before.
 	hub *HubLabelIndex
 	// ownedPoints / haloPoints are the static per-shard point counts.
 	ownedPoints []int
@@ -190,7 +190,7 @@ type Sharded struct {
 // replicated competitors, and the returned Sharded coordinates queries
 // across them (Run / RunBatch). With opt.Runner set no local engines are
 // built; sub-queries go through the runner instead (see ShardRunner). The
-// hub labeling (opt.HubLabelK) is built once, whatever the shard count.
+// hub index (opt.HubLabelK) is the coordinator's, in both modes.
 func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 	if opt == nil || opt.Shards < 1 {
 		return nil, fmt.Errorf("graphrnn: ShardOptions.Shards must be >= 1")
@@ -295,11 +295,6 @@ func (s *Sharded) buildHandles(opt *ShardOptions) error {
 				}
 			}
 		}
-		if s.hub != nil {
-			if h.hub, err = s.hub.share(h.ps); err != nil {
-				return err
-			}
-		}
 	}
 	if opt.MatK <= 0 {
 		return nil
@@ -321,23 +316,20 @@ func (s *Sharded) buildHandles(opt *ShardOptions) error {
 	return errors.Join(errs...)
 }
 
-// close releases the shard's substrates in dependency order: the planner
-// substrates first (each detaches its own pool tenant), then the shard
-// engine itself. It keeps going past an error and returns them all.
+// close releases the shard's materialization (which detaches its own pool
+// tenant), then the shard engine itself. It keeps going past an error and
+// returns them all.
 func (h *shardHandle) close() error {
-	var hubErr, matErr error
-	if h.hub != nil {
-		hubErr = h.hub.Close()
-	}
+	var matErr error
 	if h.mat != nil {
 		matErr = h.mat.Close()
 	}
-	return errors.Join(hubErr, matErr, h.db.Close())
+	return errors.Join(matErr, h.db.Close())
 }
 
-// Close releases the per-shard substrates (hub-label indexes,
-// materializations, disk-backed tenants) and then the labeling they
-// borrowed. The Sharded must be quiescent; a second Close is a no-op.
+// Close releases the per-shard substrates (materializations, disk-backed
+// tenants) and the coordinator's hub index. The Sharded must be quiescent;
+// a second Close is a no-op.
 func (s *Sharded) Close() error {
 	var errs []error
 	for _, h := range s.handles {
@@ -397,9 +389,11 @@ func shardQuery(q Query) Query {
 // Points (and Sites) resolve to the shard's own sets, and the answer is
 // the shard-locally confirmed members among the points the shard owns,
 // as global ids. It is the execution half a shard process serves behind
-// /shard/query; q's QueryOptions are applied as given (the coordinator
-// already derived them). Partial candidates ride along with typed
-// execution errors, per the engine contract.
+// /shard/query, for the queries a coordinator fans out (a shard has no hub
+// index; its planner picks among expansion and eager-M); q's QueryOptions
+// are applied as given (the coordinator already derived them). Partial
+// candidates ride along with typed execution errors, per the engine
+// contract.
 func (s *Sharded) RunShard(ctx context.Context, sh int, q Query) (*ShardResult, error) {
 	if sh < 0 || sh >= s.part.Shards {
 		return nil, fmt.Errorf("graphrnn: shard %d out of range [0,%d)", sh, s.part.Shards)
@@ -462,32 +456,43 @@ func (s *Sharded) runOneShard(ctx context.Context, sh int, q Query) (*ShardResul
 	return sr, err
 }
 
-// Run executes one query by scatter-gather: one sub-query per shard with
-// a derived deadline, a merge of the per-shard candidate sets, and an
-// exact verification of every candidate against the full point set on the
-// coordinator — by label intersection when HubLabelK built the labeling
-// (one per process, read by every shard and by this verify) and the kind
-// is monochromatic, by expansion otherwise; Plan.Reason names the method
-// and Stats carries its work. The answer equals the unsharded DB.Run answer
-// over the same point set on the matching substrate (see Exactness).
-// Points and Sites must be nil (the Sharded owns them);
-// Algorithm hints pass through to every shard's planner. q.Budget, when
-// set, applies to each shard sub-query individually (and again to the
-// verify pass), not to the aggregate.
+// Run executes one query. A query the coordinator's hub index covers — rnn
+// or continuous, no algorithm hint, k <= HubLabelK — and every KindKNN query
+// run on the coordinator alone, as DB.Run over the full point set: no
+// fan-out, counted under GlobalRuns, Plan.Reason says which. Everything else
+// runs by scatter-gather: one sub-query per shard with a derived deadline,
+// a merge of the per-shard candidate sets, and an exact verification of
+// every candidate against the full point set by expansion on the
+// coordinator; Stats carries the shards' work and the verify's. Either way
+// the answer equals the unsharded DB.Run answer over the same point set on
+// the matching substrate (see Exactness).
+// Points and Sites must be nil (the Sharded owns them); an Algorithm hint
+// passes through to every shard's planner. q.Budget, when set, applies to
+// each shard sub-query individually (and again to the verify pass), not to
+// the aggregate.
 //
-// KindKNN runs on the coordinator's global engine. Typed execution
-// errors follow the engine contract: shards cut short contribute their
-// partial candidates, the verified merge rides along with the first
-// shard's typed error.
+// Typed execution errors follow the engine contract: shards cut short
+// contribute their partial candidates, the verified merge rides along with
+// the first shard's typed error, and a verify pass cut short returns the
+// members confirmed so far.
 func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	if q.Points != nil || q.Sites != nil {
 		return nil, fmt.Errorf("graphrnn: sharded queries name no Points/Sites; the Sharded owns its point sets")
 	}
-	if q.Kind == KindKNN {
+	byIndex := s.hub != nil && (q.Kind == KindRNN || q.Kind == KindContinuous) &&
+		q.Algorithm.kind == algoAuto && q.K <= s.hub.MaxK()
+	if q.Kind == KindKNN || byIndex {
 		s.globalRuns.Add(1)
 		gq := q
 		gq.Points = s.ps
-		return s.db.Run(ctx, gq)
+		if byIndex {
+			gq.Algorithm = HubLabel(s.hub)
+		}
+		res, err := s.db.Run(ctx, gq)
+		if res != nil && byIndex {
+			res.Plan.Reason = "the coordinator's hub-label index over the full point set answers by label intersection; no fan-out"
+		}
+		return res, err
 	}
 	if q.Kind == KindBichromatic && s.sites == nil {
 		return nil, fmt.Errorf("graphrnn: KindBichromatic needs ShardOptions.Sites")
@@ -549,28 +554,19 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	return res, execErr
 }
 
-// plan describes the scatter-gather execution of q, verify method included.
+// plan describes the scatter-gather execution of q.
 func (s *Sharded) plan(q Query, candidates int) Plan {
-	method := "expansion"
-	if s.verifiesByLabels(q) {
-		method = "label intersection"
-	}
 	return Plan{
 		Kind:      q.Kind,
 		Algorithm: q.Algorithm,
-		Reason: fmt.Sprintf("scatter-gather over %d shards; %d candidates verified on the coordinator by %s",
-			s.part.Shards, candidates, method),
+		Reason: fmt.Sprintf("scatter-gather over %d shards; %d candidates verified on the coordinator by expansion",
+			s.part.Shards, candidates),
 	}
 }
 
-// verifiesByLabels: the hub index confirms the kinds whose competitors are
-// the set it indexes.
-func (s *Sharded) verifiesByLabels(q Query) bool {
-	return s.hub != nil && q.Kind != KindBichromatic
-}
-
 // RunBatch fans a slice of queries out over a worker pool, each entry
-// executed as if through Run (so each entry scatters to every shard).
+// executed as if through Run (so each entry that scatters does so to every
+// shard).
 // Semantics mirror DB.RunBatch: per-entry results in input order,
 // FailFast, PerQuery bounds, context-aware dispatch.
 func (s *Sharded) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) (*BatchReport, error) {
@@ -589,38 +585,29 @@ func mergeCandidates(lists [][]PointID) []PointID {
 
 // verifyCandidates confirms each merged candidate against the full point
 // set — the cross-shard verify pass that makes scatter-gather answers
-// identical to unsharded ones: by label intersection where the hub index
-// can answer, else by the exact per-candidate expansion of the brute-force
-// oracle. Ids that name no live point are rejected (a shard — or an
-// adversarial remote — proposed garbage). Typed execution errors return
-// the members verified so far.
+// identical to unsharded ones — by the exact per-candidate expansion of the
+// brute-force oracle. Ids that name no live point are rejected (a shard — or
+// an adversarial remote — proposed garbage). ec is polled before every
+// candidate, charged with the pass's work so far: the sub-expansions poll
+// only every exec.CheckStride-th pop and most finish first. Typed execution
+// errors return the members verified so far.
 func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Result, error) {
-	var verify func(p points.PointID) (bool, core.Stats, error)
-	if s.verifiesByLabels(q) {
-		nodes := []graph.NodeID{graph.NodeID(q.Target.U)}
-		if q.Kind == KindContinuous {
-			nodes = toNodeIDs(q.Route)
-		}
-		verify = func(p points.PointID) (bool, core.Stats, error) {
-			member, st, err := s.hub.idx.VerifyMember(ec, nodes, q.K, p)
-			return member, coreHubStats(st), err
-		}
-	} else {
-		bs := s.db.searcher.Bound(ec)
-		req := core.Request{
-			Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.ns},
-			Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
-		}
-		if q.Kind == KindBichromatic {
-			req.Sites.Node = s.sites.ns
-		}
-		verify = func(p points.PointID) (bool, core.Stats, error) { return bs.VerifyMember(req, p) }
+	bs := s.db.searcher.Bound(ec)
+	req := core.Request{
+		Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.ns},
+		Target: core.NodeLoc(graph.NodeID(q.Target.U)), Route: toNodeIDs(q.Route),
+	}
+	if q.Kind == KindBichromatic {
+		req.Sites.Node = s.sites.ns
 	}
 	// Points is non-nil even when empty, matching wrapResult's shape on
 	// the unsharded surface.
 	res := &Result{Points: []PointID{}}
 	for _, p := range cands {
-		member, st, err := verify(points.PointID(p))
+		if err := ec.Check(res.Stats.NodesExpanded + res.Stats.NodesScanned); err != nil {
+			return res, err
+		}
+		member, st, err := bs.VerifyMember(req, points.PointID(p))
 		s.verifyRuns.Add(1)
 		res.Stats.Add(st)
 		if err != nil {
@@ -662,9 +649,10 @@ type ShardedStats struct {
 	Shards    int
 	HaloDepth int
 	CutEdges  int
-	// Queries counts scatter-gather queries; GlobalRuns counts queries
-	// the coordinator's global engine served instead (KindKNN); FanOuts
-	// counts shard sub-queries issued.
+	// Queries counts scatter-gather queries; GlobalRuns counts queries the
+	// coordinator served alone instead (KindKNN, and the rnn / continuous
+	// queries its hub index covers); FanOuts counts shard sub-queries
+	// issued.
 	Queries    int64
 	GlobalRuns int64
 	FanOuts    int64

@@ -6,10 +6,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/shard"
 )
@@ -87,15 +87,16 @@ func shardOracleEnv(t testing.TB, family string, nodes int, shards int, seed int
 	return db, ps
 }
 
-// TestShardedOracle is the cross-shard correctness property: scatter-
-// gather answers equal the brute-force oracle's — same members, same order
-// — across topologies, shard counts, halo depths, query kinds and both
-// verify methods, with boundary-heavy point placements. With HubLabelK the
-// monochromatic kinds are confirmed by label intersection, at k below, at
-// and beyond the materialized thresholds; the unit-weight lattice is the tie
-// case that pins the strict '<' rule there. (The Euclidean shortcuts of
-// "grid" make label sums and path sums differ in the last bit, so it runs
-// the expansion verify only — see the Exactness note in sharded.go.)
+// TestShardedOracle is the cross-shard correctness property: sharded
+// answers equal the brute-force oracle's — same members, same order —
+// across topologies, shard counts, halo depths and query kinds, with
+// boundary-heavy point placements. With HubLabelK the monochromatic kinds
+// are answered by the coordinator's index at k below and at the
+// materialized thresholds and by scatter-gather beyond them; the unit-weight
+// lattice is the tie case that pins the strict '<' rule there. (The
+// Euclidean shortcuts of "grid" make label sums and path sums differ in the
+// last bit, so it runs without a hub index — see the Exactness note in
+// sharded.go.)
 func TestShardedOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -130,9 +131,9 @@ func TestShardedOracle(t *testing.T) {
 			}
 			queries = append(queries, Query{Kind: KindContinuous, Route: route})
 			for _, hubK := range tc.hubKs {
-				ks, method := []int{1, 2, 4}, "by expansion"
+				ks := []int{1, 2, 4}
 				if hubK > 0 {
-					ks, method = []int{1, hubK, hubK + 1}, "by label intersection"
+					ks = []int{1, hubK, hubK + 1}
 				}
 				for _, halo := range []int{-1, 1, 2} {
 					sh, err := db.Shard(ps, &ShardOptions{
@@ -142,12 +143,16 @@ func TestShardedOracle(t *testing.T) {
 						t.Fatalf("%s/%d shards halo=%d hubK=%d: %v", tc.family, shards, halo, hubK, err)
 					}
 					for _, q := range queries {
-						qks, want := ks, method
+						qks := ks
 						if q.Kind == KindBichromatic {
-							qks, want = []int{q.K}, "by expansion"
+							qks = []int{q.K}
 						}
 						for _, k := range qks {
 							q.K = k
+							want := "by expansion"
+							if q.Kind != KindBichromatic && k <= hubK {
+								want = "no fan-out"
+							}
 							oq := q
 							oq.Points, oq.Algorithm = ps, BruteForce()
 							if q.Kind == KindBichromatic {
@@ -221,8 +226,8 @@ func TestShardedEqualsUnshardedHubLabel(t *testing.T) {
 }
 
 // TestShardedOracleBatch runs the oracle through RunBatch's worker pool
-// — the -race coverage for concurrent scatter-gather, under both verify
-// methods.
+// — the -race coverage for concurrent scatter-gather and for concurrent
+// queries on the coordinator's index.
 func TestShardedOracleBatch(t *testing.T) {
 	db, ps := shardOracleEnv(t, "road", 500, 4, 7)
 	var qs []Query
@@ -253,26 +258,32 @@ func TestShardedOracleBatch(t *testing.T) {
 				t.Fatalf("hubK=%d entry %d: sharded %v, unsharded %v", hubK, i, r.Result.Points, want.Points)
 			}
 		}
+		scattered, global := int64(len(qs)), int64(0)
+		if hubK > 0 {
+			scattered, global = global, scattered
+		}
 		st := sh.Stats()
-		if st.Queries != int64(len(qs)) || st.FanOuts != int64(4*len(qs)) {
-			t.Fatalf("stats: queries=%d fanouts=%d, want %d/%d", st.Queries, st.FanOuts, len(qs), 4*len(qs))
+		if st.Queries != scattered || st.FanOuts != 4*scattered || st.GlobalRuns != global {
+			t.Fatalf("hubK=%d stats: queries=%d fanouts=%d global=%d, want %d/%d/%d",
+				hubK, st.Queries, st.FanOuts, st.GlobalRuns, scattered, 4*scattered, global)
 		}
 	}
 }
 
-// TestShardedSubstrates runs the oracle with per-shard hub-label and
-// materialization substrates attached — each shard's planner should pick
-// them up without changing any answer.
+// TestShardedSubstrates runs the oracle with both substrates attached: the
+// hub index serves from the coordinator up to its maxK, and beyond it each
+// shard's planner picks up its materialization — without changing any
+// answer.
 func TestShardedSubstrates(t *testing.T) {
 	db, ps := shardOracleEnv(t, "road", 400, 3, 11)
-	sh, err := db.Shard(ps, &ShardOptions{Shards: 3, HubLabelK: 4, MatK: 4})
+	sh, err := db.Shard(ps, &ShardOptions{Shards: 3, HubLabelK: 2, MatK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
 	ctx := context.Background()
 	for n := 0; n < db.Graph().NumNodes(); n += 37 {
-		for _, k := range []int{1, 4} {
+		for _, k := range []int{1, 2, 4} {
 			want, err := db.Run(ctx, Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: k, Points: ps})
 			if err != nil {
 				t.Fatal(err)
@@ -283,6 +294,10 @@ func TestShardedSubstrates(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Points, want.Points) {
 				t.Fatalf("rnn(q=%d,k=%d): sharded %v, unsharded %v", n, k, got.Points, want.Points)
+			}
+			if byIndex, byLists := got.Stats.LabelReads > 0, got.Stats.MatReads > 0; byIndex != (k <= 2) || byLists == byIndex {
+				t.Fatalf("rnn(q=%d,k=%d): stats %+v (plan %q), want the hub index up to k=2 and eager-M shards beyond",
+					n, k, got.Stats, got.Plan.Reason)
 			}
 		}
 	}
@@ -418,9 +433,7 @@ func (f *fakeRunner) RunShard(_ context.Context, sh int, _ Query) (*ShardResult,
 }
 
 // TestShardedRunnerMode: a pure coordinator merges and verifies remote
-// candidate sets, by expansion and — given HubLabelK, for which it builds
-// the labeling and its own reverse index but no shard engine — by label
-// intersection; garbage, duplicate and deleted ids are rejected by
+// candidate sets; garbage, duplicate and deleted ids are rejected by
 // verification, and the verified answer still equals the oracle when the
 // honest candidates are a superset of the true members.
 func TestShardedRunnerMode(t *testing.T) {
@@ -439,60 +452,53 @@ func TestShardedRunnerMode(t *testing.T) {
 	// one among them, some twice — plus garbage ids an adversarial remote
 	// might return.
 	junk := append(append([]PointID{}, all...), -5, 1<<20, all[0], deleted)
-	for _, hubK := range []int{0, 2} {
-		runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: junk}, 1: {Candidates: all[:3]}}}
-		sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner, HubLabelK: hubK})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Points, want.Points) {
-			t.Fatalf("hubK=%d coordinator-over-runner: %v, want %v", hubK, got.Points, want.Points)
-		}
-		if st := sh.Stats(); st.VerifyRuns != int64(len(all)+2) || st.VerifyRejected != st.VerifyRuns-int64(len(want.Points)) {
-			t.Errorf("hubK=%d: %d verify runs, %d rejected for %d distinct candidates and %d members",
-				hubK, st.VerifyRuns, st.VerifyRejected, len(all)+2, len(want.Points))
-		}
-		if byLabels := got.Stats.LabelReads > 0 && got.Stats.NodesScanned == 0; byLabels != (hubK > 0) {
-			t.Errorf("hubK=%d: verify stats %+v (plan %q)", hubK, got.Stats, got.Plan.Reason)
-		}
-		if _, err := sh.RunShard(context.Background(), 0, Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
-			t.Errorf("hubK=%d: RunShard on a pure coordinator accepted", hubK)
-		}
-		// A shard failing with a typed exec error yields a partial verified
-		// answer alongside the error; a hard failure is a hard error.
-		runner.errs = map[int]error{1: context.DeadlineExceeded}
-		if _, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
-			t.Error("hard shard error swallowed")
-		}
-		runner.errs = map[int]error{1: ErrDeadlineExceeded}
-		got, err = sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("typed shard error: got %v", err)
-		}
-		if !reflect.DeepEqual(got.Points, want.Points) {
-			t.Fatalf("partial answer lost: %v, want %v", got.Points, want.Points)
-		}
-		if err := sh.Close(); err != nil {
-			t.Fatal(err)
-		}
+	runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: junk}, 1: {Candidates: all[:3]}}}
+	sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	got, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Points, want.Points) {
+		t.Fatalf("coordinator-over-runner: %v, want %v", got.Points, want.Points)
+	}
+	if st := sh.Stats(); st.VerifyRuns != int64(len(all)+2) || st.VerifyRejected != st.VerifyRuns-int64(len(want.Points)) {
+		t.Errorf("%d verify runs, %d rejected for %d distinct candidates and %d members",
+			st.VerifyRuns, st.VerifyRejected, len(all)+2, len(want.Points))
+	}
+	if _, err := sh.RunShard(context.Background(), 0, Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
+		t.Error("RunShard on a pure coordinator accepted")
+	}
+	// A shard failing with a typed exec error yields a partial verified
+	// answer alongside the error; a hard failure is a hard error.
+	runner.errs = map[int]error{1: context.DeadlineExceeded}
+	if _, err := sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2}); err == nil {
+		t.Error("hard shard error swallowed")
+	}
+	runner.errs = map[int]error{1: ErrDeadlineExceeded}
+	got, err = sh.Run(context.Background(), Query{Kind: KindRNN, Target: NodeLocation(q), K: 2})
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("typed shard error: got %v", err)
+	}
+	if !reflect.DeepEqual(got.Points, want.Points) {
+		t.Fatalf("partial answer lost: %v, want %v", got.Points, want.Points)
 	}
 }
 
-// TestShardedVerifyAbandoned: the label-intersection verify polls the
-// execution context once per candidate, so a pass cut short — the context
-// cancelled or the deadline passed while the shards answered, a budget
-// running out between two candidates — returns the members confirmed so far
-// beside the typed error.
+// TestShardedVerifyAbandoned: the verify pass polls the execution context
+// once per candidate — its sub-expansions poll only every 64th pop and
+// finish first — so a pass cut short — the context cancelled or the deadline
+// passed while the shards answered, a budget running out between two
+// candidates — returns the members confirmed so far beside the typed error.
 func TestShardedVerifyAbandoned(t *testing.T) {
 	db, ps := shardOracleEnv(t, "road", 300, 2, 13)
 	q := Query{Kind: KindRNN, Target: NodeLocation(150), K: 2}
 	all := ps.Points()
 	runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: all}, 1: {}}}
-	sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner, HubLabelK: 2})
+	sh, err := db.Shard(ps, &ShardOptions{Shards: 2, Runner: runner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,24 +522,131 @@ func TestShardedVerifyAbandoned(t *testing.T) {
 	runner.called = func() { time.Sleep(30 * time.Millisecond) }
 	res, err = sh.Run(context.Background(), timed)
 	unstarted("expired", res, err, ErrDeadlineExceeded)
+	runner.called = nil
 
-	// Mid-verify, deterministically: an I/O budget whose reading grows by
-	// one per poll runs out at the poll before the second member's turn.
-	cut := int64(slices.Index(all, full.Points[1]))
-	var polls int64
-	ec := exec.New(context.Background(), exec.Budget{MaxIOReads: cut}, func() int64 { polls++; return polls })
-	res, err = sh.verifyCandidates(ec, q, all)
+	// Mid-verify, deterministically: a node budget one short of the work of
+	// the candidates before the second member runs out at the poll before
+	// that member's turn (no single verification comes near it).
+	cut := slices.Index(all, full.Points[1])
+	before, err := sh.verifyCandidates(nil, q, all[:cut])
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := q
+	budgeted.Budget.MaxNodes = before.Stats.NodesExpanded + before.Stats.NodesScanned - 1
+	res, err = sh.Run(context.Background(), budgeted)
 	if !errors.Is(err, ErrBudgetExceeded) || res == nil || !reflect.DeepEqual(res.Points, full.Points[:1]) {
 		t.Fatalf("verify abandoned at candidate %d of %d: result %+v, error %v; want member %v of %v",
 			cut+1, len(all), res, err, full.Points[:1], full.Points)
 	}
 }
 
-// TestShardedOneLabeling: the labeling is built once per Sharded and read by
-// every shard index and the coordinator — one hublabel pool tenant while
-// open under Build.Compression (paged serving), none after Close, no pin
-// left behind, a second Close a no-op — and the parent DB's planner never
-// sees the coordinator's private index.
+// TestShardedHubAnswersAtCoordinator: a query the coordinator's hub index
+// covers is answered there — the unsharded hub-label answer, no shard
+// sub-query, in-process and over a runner alike — and what it does not
+// cover (k beyond HubLabelK, an algorithm hint) still fans out, verifies by
+// expansion and equals the brute-force oracle.
+func TestShardedHubAnswersAtCoordinator(t *testing.T) {
+	const hubK = 2
+	db, ps := shardOracleEnv(t, "lattice", 144, 3, 37)
+	idx, err := db.buildHubLabelIndex(ps, hubK, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	ctx := context.Background()
+	run := func(q Query, algo Algorithm) []PointID {
+		t.Helper()
+		q.Points, q.Algorithm = ps, algo
+		res, err := db.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Points
+	}
+	inProcess, err := db.Shard(ps, &ShardOptions{Shards: 3, Seed: 37, HubLabelK: hubK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inProcess.Close()
+	// The runner proposes every point: a superset of any answer.
+	var calls atomic.Int64 // the fan-out calls the runner from one goroutine per shard
+	runner := &fakeRunner{results: map[int]*ShardResult{0: {Candidates: ps.Points()}}, called: func() { calls.Add(1) }}
+	coordinator, err := db.Shard(ps, &ShardOptions{Shards: 3, Seed: 37, HubLabelK: hubK, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordinator.Close()
+
+	for _, mode := range []struct {
+		name string
+		sh   *Sharded
+	}{{"in-process", inProcess}, {"coordinator", coordinator}} {
+		name, sh := mode.name, mode.sh
+		var covered []Query
+		for _, p := range ps.Points() {
+			n, _ := ps.NodeOf(p)
+			covered = append(covered, Query{Kind: KindRNN, Target: NodeLocation(n)},
+				Query{Kind: KindContinuous, Route: []NodeID{n, 0, NodeID(db.Graph().NumNodes() - 1)}})
+		}
+		for _, q := range covered {
+			for q.K = 1; q.K <= hubK; q.K++ {
+				got, err := sh.Run(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := run(q, HubLabel(idx)); !reflect.DeepEqual(got.Points, want) {
+					t.Fatalf("%s %v(q=%d,route=%v,k=%d): %v, unsharded hub-label %v", name, q.Kind, q.Target.U, q.Route, q.K, got.Points, want)
+				}
+				if ex := got.Plan.Explain(); !strings.Contains(ex, "via hub-label: the coordinator's hub-label index") {
+					t.Fatalf("%s: plan %q does not name the coordinator's index", name, ex)
+				}
+			}
+		}
+		st := sh.Stats()
+		if st.FanOuts != 0 || st.Queries != 0 || calls.Load() != 0 || st.GlobalRuns != int64(hubK*len(covered)) {
+			t.Fatalf("%s: %d fan-outs, %d scatter-gather queries, %d runner calls, %d global runs for %d covered queries",
+				name, st.FanOuts, st.Queries, calls.Load(), st.GlobalRuns, hubK*len(covered))
+		}
+
+		n, _ := ps.NodeOf(ps.Points()[ps.Len()/2])
+		for i, q := range []Query{
+			{Kind: KindRNN, Target: NodeLocation(n), K: hubK + 1},
+			{Kind: KindRNN, Target: NodeLocation(n), K: hubK, Algorithm: Eager()},
+			{Kind: KindContinuous, Route: []NodeID{n, 0}, K: hubK + 1},
+		} {
+			got, err := sh.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := run(q, BruteForce()); !reflect.DeepEqual(got.Points, want) {
+				t.Fatalf("%s uncovered %v(k=%d,%v): %v, brute %v", name, q.Kind, q.K, q.Algorithm, got.Points, want)
+			}
+			if !strings.HasSuffix(got.Plan.Reason, "by expansion") || got.Stats.LabelReads != 0 {
+				t.Fatalf("%s uncovered %v(k=%d,%v): plan %q, stats %+v", name, q.Kind, q.K, q.Algorithm, got.Plan.Reason, got.Stats)
+			}
+			if st := sh.Stats(); st.FanOuts != int64(3*(i+1)) || st.VerifyRuns == 0 {
+				t.Fatalf("%s: %d fan-outs, %d verify runs after %d uncovered queries", name, st.FanOuts, st.VerifyRuns, i+1)
+			}
+		}
+
+		expired := Query{Kind: KindRNN, Target: NodeLocation(n), K: 1, QueryOptions: QueryOptions{Timeout: time.Nanosecond}}
+		res, err := sh.Run(ctx, expired)
+		if !errors.Is(err, ErrDeadlineExceeded) || res == nil || res.Plan.Algorithm.String() != "hub-label" ||
+			res.Points != nil || res.Stats != (Stats{}) {
+			t.Fatalf("%s expired: result %+v, error %v; want the plan alone and ErrDeadlineExceeded", name, res, err)
+		}
+	}
+	if calls.Load() != 3*3 {
+		t.Fatalf("runner served %d sub-queries, want 3 shards x 3 uncovered queries", calls.Load())
+	}
+}
+
+// TestShardedOneLabeling: the labeling is built once per Sharded, for the
+// coordinator's index alone — one hublabel pool tenant while open under
+// Build.Compression (paged serving), none after Close, no pin left behind, a
+// second Close a no-op — and neither the shard engines' planners nor the
+// parent DB's see that private index.
 func TestShardedOneLabeling(t *testing.T) {
 	db, ps := shardOracleEnv(t, "road", 400, 4, 31)
 	hubTenants := func() (n int) {
@@ -551,9 +664,12 @@ func TestShardedOneLabeling(t *testing.T) {
 	if got := hubTenants(); got != 1 {
 		t.Fatalf("%d hublabel tenants for 4 shards and a coordinator, want 1", got)
 	}
-	for _, h := range sh.handles {
-		if h.hub == nil || h.hub.store != sh.hub.store || !h.hub.Compressed() || h.hub.lab != nil {
-			t.Fatalf("shard index does not borrow the coordinator's label store: %+v", h.hub)
+	if !sh.hub.Compressed() || sh.hub.lab != nil {
+		t.Fatalf("coordinator index keeps a raw labeling beside its label store: %+v", sh.hub)
+	}
+	for i, h := range sh.handles {
+		if latest(&h.ps.hubs) != nil {
+			t.Fatalf("shard %d has a hub index of its own", i)
 		}
 	}
 	ctx := context.Background()
