@@ -1,0 +1,171 @@
+package storage_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"graphrnn/internal/core"
+	"graphrnn/internal/gen"
+	"graphrnn/internal/graph"
+	"graphrnn/internal/hublabel"
+	"graphrnn/internal/points"
+	"graphrnn/internal/storage"
+)
+
+// fileSum hashes every page of f in page order.
+func fileSum(t *testing.T, f storage.PagedFile) string {
+	t.Helper()
+	h := sha256.New()
+	buf := make([]byte, f.PageSize())
+	for p := 0; p < f.NumPages(); p++ {
+		if err := f.Read(storage.PageID(p), buf); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPagedLayoutPinned pins where every record of the four paged files
+// lands: the (page, slot) of each node's adjacency list, the bytes of a
+// label file in both codecs and of a saved materialization, and the page
+// count of an edge-point file. A change to the page format, the writer or
+// the pair codec that moves a record — or a byte of a persisted file —
+// fails here before it fails on somebody's file.
+func TestPagedLayoutPinned(t *testing.T) {
+	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 2006, Nodes: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brite, err := gen.Brite(gen.BriteConfig{Seed: 7, Nodes: 20000, AvgDegree: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		pageSize int
+		pages    int
+		refs     string // sha256 over every node's (page i32, slot u16), node order
+	}{
+		{"road-20K/256", road, 256, 3726, "4e7353216372edbe7be92a000dbf3d79c4f2b9fd1c43d657d7f6c2ced38fa283"},
+		{"road-20K/1024", road, 1024, 871, "137cf251136f50d6749b589a59dcaba60b0af9cc8abffc1f21b5793a70aa3357"},
+		{"road-20K/4096", road, 4096, 214, "2ed6da32e81a640e25cd77c251b85383ccb20dbc36589311983d19dbc16aaa64"},
+		{"brite-20K/256", brite, 256, 5520, "ad266820046f880e50f83d162b4a8819a273147af10bc17b1c56f48124280d9d"},
+		{"brite-20K/1024", brite, 1024, 1248, "13369194b1b436bb812bdb6d990759ae68e57eafc9fe41b3f3cbac8372b5e9b9"},
+		{"brite-20K/4096", brite, 4096, 306, "306d69434040d70526fae155f51fe8df4d6b402c5f2adeaa0d52778d3ce19501"},
+	} {
+		ds, err := storage.BuildDiskStore(tc.g, storage.NewMemFile(tc.pageSize), 4, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := sha256.New()
+		var b [6]byte
+		for _, ref := range ds.Index() {
+			binary.LittleEndian.PutUint32(b[0:], uint32(ref.Page))
+			binary.LittleEndian.PutUint16(b[4:], ref.Slot)
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); ds.NumPages() != tc.pages || got != tc.refs {
+			t.Errorf("%s: %d pages, refs %s; pinned %d pages, refs %s", tc.name, ds.NumPages(), got, tc.pages, tc.refs)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 7, Nodes: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, _, err := hublabel.BuildOpt(g, hublabel.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		pageSize int
+		opt      hublabel.WriteOptions
+		pages    int
+		sum      string
+	}{
+		{"labels/raw/4096", 4096, hublabel.WriteOptions{}, 389, "db6f15b8e6c3aab6334d174d135b500340a10dca2b1be039917575238463e677"},
+		{"labels/delta/4096", 4096, hublabel.WriteOptions{Compression: true}, 297, "e776fc18cae31180f0da08e14c0a90c6a5de15a486879d877bf9c6b763271692"},
+		{"labels/raw/512", 512, hublabel.WriteOptions{}, 3175, "13b35c062db1841828e3287efe032fbc81984c3528bcdbcb487bee864bdcfeb3"},
+		{"labels/delta/512", 512, hublabel.WriteOptions{Compression: true}, 2425, "1bbe8afaceeb4639f41964c565d09a0e2a69982e3f785216bd151d06dafb72cf"},
+	} {
+		f := storage.NewMemFile(tc.pageSize)
+		if err := hublabel.WriteOpt(lab, f, tc.opt); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fileSum(t, f); f.NumPages() != tc.pages || got != tc.sum {
+			t.Errorf("%s: %d pages, sha256 %s; pinned %d pages, sha256 %s", tc.name, f.NumPages(), got, tc.pages, tc.sum)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	ns, err := gen.PlaceNodePoints(rng, g.NumNodes(), 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		pageSize  int
+		listPages int
+		pages     int
+		sum       string
+	}{
+		{"mat/4096", 4096, 39, 46, "d04424934f1341cf3fea63a9385d694448cfad8ec48c4305df1e02e12114ab55"},
+		{"mat/512", 512, 318, 358, "ca6efb67ba73366b28cf3f17c32419d6bf037f7eb091354fb81e00770f92e40d"},
+	} {
+		lists := storage.NewMemFile(tc.pageSize)
+		bm := storage.NewBufferPool(8).Attach("", lists, 0)
+		mat, err := core.NewSearcher(g).MatBuildBuffer(core.PointSet{Node: ns}, 3, lists, bm, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pts := make([]core.PointRecord, 0, ns.Len())
+		for _, p := range ns.Points() {
+			n, _ := ns.NodeOf(p)
+			pts = append(pts, core.PointRecord{U: n, V: n})
+		}
+		saved := storage.NewMemFile(tc.pageSize)
+		if err := core.MatSave(mat, core.MatKindNode, pts, saved); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fileSum(t, saved); lists.NumPages() != tc.listPages || saved.NumPages() != tc.pages || got != tc.sum {
+			t.Errorf("%s: %d list pages, saved %d pages, sha256 %s; pinned %d, %d, %s",
+				tc.name, lists.NumPages(), saved.NumPages(), got, tc.listPages, tc.pages, tc.sum)
+		}
+		if err := mat.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	es, err := gen.PlaceEdgePoints(rng, gen.Edges(g), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pageSize, pages int
+		sum             string
+	}{
+		{4096, 2, "cd8dec2a169e08aeafac49ddf159df2a2b2bff9051e85a0dae9ac91f15f8c850"},
+		{256, 29, "982e39f26a08e4f628a8a12ddfc7e4008642030ad1dd9a14bde56faa6da36be9"},
+	} {
+		f := storage.NewMemFile(tc.pageSize)
+		paged, err := points.NewPagedEdgeSetBuffer(es, f, nil, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fileSum(t, f); f.NumPages() != tc.pages || got != tc.sum {
+			t.Errorf("edgepoints/%d: %d pages, sha256 %s; pinned %d pages, sha256 %s", tc.pageSize, f.NumPages(), got, tc.pages, tc.sum)
+		}
+		if err := paged.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
