@@ -292,6 +292,8 @@ func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
 		bm := db.pool.attach("graph", file, quota)
 		ds, err := storage.BuildDiskStoreBuffer(g.g, file, bm, 0, order)
 		if err != nil {
+			_ = bm.Detach()
+			file.Close()
 			return nil, err
 		}
 		db.store = ds

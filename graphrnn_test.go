@@ -3,6 +3,7 @@ package graphrnn_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"graphrnn"
@@ -326,5 +327,65 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 	if math.IsNaN(0) {
 		t.Fatal("unreachable")
+	}
+}
+
+// TestPageSizeLimit: slot offsets and record lengths are 16-bit, so every
+// entry point that packs records into pages refuses a page above 65 535
+// bytes — and one too small for a single record — before it writes a page,
+// and leaves no tenant behind in the pool.
+func TestPageSizeLimit(t *testing.T) {
+	g := buildLineGraph(t, 40)
+	db, err := graphrnn.Open(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, edges := db.NewNodePoints(), db.NewEdgePoints()
+	for i := 0; i < 6; i++ {
+		if _, err := nodes.Place(graphrnn.NodeID(5 * i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := edges.Place(graphrnn.NodeID(5*i), graphrnn.NodeID(5*i+1), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closing := func(c interface{ Close() error }, err error) error {
+		if err == nil {
+			c.Close()
+		}
+		return err
+	}
+	for name, build := range map[string]func(pageSize int) error{
+		"Open": func(ps int) error {
+			return closing(graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, PageSize: ps}))
+		},
+		"OpenWithLayout": func(ps int) error {
+			return closing(graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, PageSize: ps, Pool: db.BufferPool()}, graphrnn.RandomLayout(1)))
+		},
+		"MaterializeNodePoints": func(ps int) error {
+			return closing(db.MaterializeNodePoints(nodes, 2, &graphrnn.MatOptions{PageSize: ps}))
+		},
+		"MaterializeEdgePoints": func(ps int) error {
+			return closing(db.MaterializeEdgePoints(edges, 2, &graphrnn.MatOptions{PageSize: ps}))
+		},
+		"BuildHubLabelIndex": func(ps int) error {
+			return closing(db.BuildHubLabelIndex(nodes, 2, &graphrnn.HubLabelOptions{DiskBacked: true, PageSize: ps}))
+		},
+		"EdgePoints.Paged": func(ps int) error { return closing(edges.Paged(ps, 4)) },
+	} {
+		if err := build(65535); err != nil {
+			t.Errorf("%s: the largest addressable page refused: %v", name, err)
+		}
+		for _, ps := range []int{65536, 1 << 17} {
+			if err := build(ps); err == nil || !strings.Contains(err.Error(), "65535") {
+				t.Errorf("%s: page size %d: got %v, want an error naming the 65535-byte limit", name, ps, err)
+			}
+		}
+		if err := build(8); err == nil {
+			t.Errorf("%s: an 8-byte page accepted", name)
+		}
+		if left := db.PoolStats().Tenants; len(left) != 0 {
+			t.Errorf("%s: tenants left in the pool: %+v", name, left)
+		}
 	}
 }

@@ -210,7 +210,7 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 	_, buffer, _, _, _ := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
 	// recollection of the build-time options.
-	pageSize, err := hublabel.FilePageSize(path)
+	pageSize, err := hublabel.FileHeader.PageSize(path)
 	if err != nil {
 		return nil, err
 	}

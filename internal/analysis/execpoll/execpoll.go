@@ -43,6 +43,7 @@ var triggers = map[string][]string{
 	"OutLabel":  {"internal/hublabel"},
 	"Get":       {"internal/storage"},
 	"Pin":       {"internal/storage"},
+	"PinRecord": {"internal/storage"},
 	"Update":    {"internal/storage"},
 	"Pop":       {"internal/pq"},
 }

@@ -77,7 +77,7 @@ func TestFig1bBichromaticExample(t *testing.T) {
 	}
 	for _, c := range cases {
 		view := points.ExcludeNode(sites, c.qsite)
-		mat, err := s.MatBuild(PointSet{Node: view}, 2, newMemMatFile(), 16, nil)
+		mat, err := matBuild(s, PointSet{Node: view}, 2, newMemMatFile(), 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestBichromaticAgreesWithBrute(t *testing.T) {
 	check := func(label string, g *graph.Graph, cands, sites *points.NodeSet, maxK, k int, qnode graph.NodeID) {
 		t.Helper()
 		s := NewSearcher(g)
-		mat, err := s.MatBuild(PointSet{Node: sites}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(s, PointSet{Node: sites}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,12 +189,11 @@ func TestBichromaticAgreesWithBrute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := points.NewNodeSetFromNodes(7, []graph.NodeID{0})
-	if err != nil {
+	cands, sites := points.NewNodeSet(7), points.NewNodeSet(7)
+	if _, err := cands.Place(0); err != nil {
 		t.Fatal(err)
 	}
-	sites, err := points.NewNodeSetFromNodes(7, []graph.NodeID{6})
-	if err != nil {
+	if _, err := sites.Place(6); err != nil {
 		t.Fatal(err)
 	}
 	check("float tie", g, cands, sites, 1, 1, 3)

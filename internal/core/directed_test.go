@@ -265,10 +265,10 @@ func TestDirectedRejectsSymmetricOnlyPaths(t *testing.T) {
 	_, knnSetErr := s.KNN(edge, NodeLoc(0), 1)
 	_, knnLocErr := s.KNN(node, inEdge, 1)
 	_, distErr := s.Distance(NodeLoc(0), inEdge)
-	_, matErr := s.MatBuild(node, 2, newMemMatFile(), 8, nil)
+	_, matErr := matBuild(s, node, 2, newMemMatFile(), 8, nil)
 	// Lists built over an undirected graph of the same size do not make
 	// eager-M any more correct here.
-	mat, err := NewSearcher(randNet(t, rng, 12, 6, 0)).MatBuild(node, 2, newMemMatFile(), 8, nil)
+	mat, err := matBuild(NewSearcher(randNet(t, rng, 12, 6, 0)), node, 2, newMemMatFile(), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func newGoldenEnv(t *testing.T, name string, g *graph.Graph, seed int64) *golden
 	must(err)
 	const maxK = 4
 	build := func(ps PointSet) *Materialized {
-		mat, err := e.s.MatBuild(ps, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(e.s, ps, maxK, newMemMatFile(), 64, nil)
 		must(err)
 		return mat
 	}

@@ -32,7 +32,7 @@ func TestDiskAndMemoryStoresAgree(t *testing.T) {
 		view := points.ExcludeNode(net.ps, qp)
 
 		memMat := buildMat(t, mem, net.ps, k)
-		diskMat, err := disk.MatBuild(PointSet{Node: net.ps}, k, newMemMatFile(), 2, nil)
+		diskMat, err := matBuild(disk, PointSet{Node: net.ps}, k, newMemMatFile(), 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

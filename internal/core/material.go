@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"graphrnn/internal/graph"
@@ -86,9 +84,33 @@ type matRepair struct {
 	pointOld     PointRecord
 }
 
-const matEntrySize = 4 + 8
+// matRecordSize is the fixed size of a list record: a counted run of
+// (point, distance) pairs zero-padded to cap entries, so maintenance
+// rewrites it in place.
+func matRecordSize(cap int) int { return 2 + cap*storage.PairSize }
 
-func matRecordSize(cap int) int { return 2 + cap*matEntrySize }
+// appendMatList appends entries to b as a counted run of pairs.
+func appendMatList(b []byte, entries []MatEntry) []byte {
+	b = storage.AppendCount(b, len(entries))
+	for _, e := range entries {
+		b = storage.AppendPair(b, int32(e.P), e.D)
+	}
+	return b
+}
+
+// DecodeMatList appends the entries of the counted run at the front of rec
+// to buf.
+func DecodeMatList(rec []byte, buf []MatEntry) ([]MatEntry, error) {
+	pairs, err := storage.CountedPairs(rec)
+	if err != nil {
+		return nil, err
+	}
+	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
+		p, d := storage.Pair(pairs)
+		buf = append(buf, MatEntry{P: points.PointID(p), D: d})
+	}
+	return buf, nil
+}
 
 // MaxK returns the largest query k the lists support.
 func (m *Materialized) MaxK() int { return m.maxK }
@@ -124,31 +146,18 @@ func (m *Materialized) List(n graph.NodeID, buf []MatEntry) ([]MatEntry, error) 
 	if n < 0 || int(n) >= m.numNodes {
 		return nil, fmt.Errorf("core: materialized list of node %d out of range [0,%d)", n, m.numNodes)
 	}
-	ref := m.refs[n]
-	page, err := m.bm.Pin(ref.Page)
+	page, rec, err := m.bm.PinRecord(m.refs[n])
 	if err != nil {
 		return nil, err
 	}
 	defer page.Unpin()
-	rec, err := storage.ReadRecordSlot(page.Bytes(), m.bm.File().PageSize(), int(ref.Slot))
-	if err != nil {
-		return nil, err
-	}
-	// Length before content: a corrupt page can hold a record too short to
-	// even carry the count.
+	// Length before content: a corrupt page can hold a record shorter than
+	// a list, which a maintenance write would then overrun.
 	if len(rec) < matRecordSize(m.cap) {
 		return nil, fmt.Errorf("core: corrupt materialized record for node %d", n)
 	}
-	count := int(binary.LittleEndian.Uint16(rec[0:]))
-	if count > m.cap {
+	if buf, err = DecodeMatList(rec, buf); err != nil || len(buf) > m.cap {
 		return nil, fmt.Errorf("core: corrupt materialized record for node %d", n)
-	}
-	off := 2
-	for i := 0; i < count; i++ {
-		p := points.PointID(binary.LittleEndian.Uint32(rec[off:]))
-		d := math.Float64frombits(binary.LittleEndian.Uint64(rec[off+4:]))
-		buf = append(buf, MatEntry{P: p, D: d})
-		off += matEntrySize
 	}
 	return buf, nil
 }
@@ -176,20 +185,14 @@ func (m *Materialized) restoreList(n graph.NodeID, entries []MatEntry) error {
 	}
 	ref := m.refs[n]
 	return m.bm.Update(ref.Page, func(page []byte) error {
-		rec, err := storage.ReadRecordSlot(page, m.bm.File().PageSize(), int(ref.Slot))
+		rec, err := storage.ReadRecordSlot(page, int(ref.Slot))
 		if err != nil {
 			return err
 		}
 		if len(rec) < matRecordSize(m.cap) {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
-		binary.LittleEndian.PutUint16(rec[0:], uint16(len(entries)))
-		off := 2
-		for _, e := range entries {
-			binary.LittleEndian.PutUint32(rec[off:], uint32(e.P))
-			binary.LittleEndian.PutUint64(rec[off+4:], math.Float64bits(e.D))
-			off += matEntrySize
-		}
+		appendMatList(rec[:0], entries) // in place: rec has room for cap entries
 		return nil
 	})
 }
@@ -354,39 +357,33 @@ type matHeapEntry struct {
 	p    points.PointID
 }
 
-// MatBuild runs the all-NN algorithm (Fig 8) and materializes, for every
-// node, the maxK+1 nearest data points of ps in a single network expansion
-// seeded at every point's anchors: the hosting node at distance 0 or, for an
-// edge-resident point, both endpoints of its edge at the direct offsets
-// (Section 5.2: kNNs of edge points are derived from endpoint lists). The
-// lists are packed into file (which must be empty) in the given node order
-// (nil = node id order) and read back through a private buffer of
-// bufferPages pages. Use MatBuildBuffer to serve the lists through a shared
-// buffer pool instead.
+// MatBuildBuffer runs the all-NN algorithm (Fig 8) and materializes, for
+// every node, the maxK+1 nearest data points of ps in a single network
+// expansion seeded at every point's anchors: the hosting node at distance 0
+// or, for an edge-resident point, both endpoints of its edge at the direct
+// offsets (Section 5.2: kNNs of edge points are derived from endpoint
+// lists). The lists are packed into file (which must be empty) in the given
+// node order (nil = node id order) and read back through bm, which must
+// wrap file — typically a tenant of the process-wide buffer pool, so list
+// pages share frames (and stats) with every other substrate.
 //
 // Complexity is O(K·|E|·log(K·|E|)), as in the paper; pushes that provably
 // cannot improve a list are filtered to keep the heap small.
-func (s *Searcher) MatBuild(ps PointSet, maxK int, file storage.PagedFile, bufferPages int, order []graph.NodeID) (*Materialized, error) {
-	return s.MatBuildBuffer(ps, maxK, file, storage.NewBufferPool(bufferPages).Attach("", file, 0), order)
-}
-
-// MatBuildBuffer is MatBuild reading the packed lists back through bm,
-// which must wrap file — typically a tenant of the process-wide buffer
-// pool, so list pages share frames (and stats) with every other substrate.
 func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile, bm *storage.Tenant, order []graph.NodeID) (*Materialized, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("core: maxK must be >= 1, got %d", maxK)
 	}
 	if file.NumPages() != 0 {
-		return nil, fmt.Errorf("core: MatBuild needs an empty file, got %d pages", file.NumPages())
+		return nil, fmt.Errorf("core: MatBuildBuffer needs an empty file, got %d pages", file.NumPages())
 	}
 	if err := s.symmetricOnly("materialized K-NN lists"); err != nil {
 		return nil, err
 	}
 	n := s.g.NumNodes()
 	cap := maxK + 1
-	if matRecordSize(cap) > storage.MaxRecordPayload(file.PageSize()) {
-		return nil, fmt.Errorf("core: K=%d lists do not fit page size %d", maxK, file.PageSize())
+	w, err := storage.NewRecordWriter(file, matRecordSize(cap))
+	if err != nil {
+		return nil, fmt.Errorf("core: K=%d lists: %w", maxK, err)
 	}
 
 	lists := make([][]MatEntry, n)
@@ -456,48 +453,15 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 		return nil, fmt.Errorf("core: order has %d nodes, graph has %d", len(order), n)
 	}
 	m := &Materialized{maxK: maxK, cap: cap, numNodes: n, refs: make([]storage.RecRef, n)}
-	pb := storage.NewRecordPageBuilder(file.PageSize())
-	nextPage := storage.PageID(0)
 	rec := make([]byte, matRecordSize(cap))
-	flush := func() error {
-		if pb.Empty() {
-			return nil
-		}
-		id, err := file.Append(pb.Bytes())
-		if err != nil {
-			return err
-		}
-		if id != nextPage {
-			return fmt.Errorf("core: expected page %d, appended %d", nextPage, id)
-		}
-		nextPage++
-		pb.Reset()
-		return nil
-	}
 	for _, node := range order {
-		lst := lists[node]
-		binary.LittleEndian.PutUint16(rec[0:], uint16(len(lst)))
-		off := 2
-		for _, e := range lst {
-			binary.LittleEndian.PutUint32(rec[off:], uint32(e.P))
-			binary.LittleEndian.PutUint64(rec[off+4:], math.Float64bits(e.D))
-			off += matEntrySize
+		used := appendMatList(rec[:0], lists[node])
+		clear(rec[len(used):])
+		if m.refs[node], err = w.Add(rec); err != nil {
+			return nil, err
 		}
-		for ; off < len(rec); off++ {
-			rec[off] = 0
-		}
-		slot, ok := pb.TryAdd(rec)
-		if !ok {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			if slot, ok = pb.TryAdd(rec); !ok {
-				return nil, fmt.Errorf("core: materialized record does not fit an empty page")
-			}
-		}
-		m.refs[node] = storage.RecRef{Page: nextPage, Slot: uint16(slot)}
 	}
-	if err := flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	m.bm = bm

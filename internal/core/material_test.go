@@ -67,9 +67,15 @@ func bruteLists(t *testing.T, g *graph.Graph, ps points.NodeView, cap int) [][]M
 
 func newMemMatFile() *storage.MemFile { return storage.NewMemFile(storage.DefaultPageSize) }
 
+// matBuild is MatBuildBuffer reading the lists back through a private
+// buffer of bufferPages pages.
+func matBuild(s *Searcher, ps PointSet, maxK int, file storage.PagedFile, bufferPages int, order []graph.NodeID) (*Materialized, error) {
+	return s.MatBuildBuffer(ps, maxK, file, storage.NewBufferPool(bufferPages).Attach("", file, 0), order)
+}
+
 func buildMat(t *testing.T, s *Searcher, ps points.NodeView, maxK int) *Materialized {
 	t.Helper()
-	mat, err := s.MatBuild(PointSet{Node: ps}, maxK, storage.NewMemFile(storage.DefaultPageSize), 64, nil)
+	mat, err := matBuild(s, PointSet{Node: ps}, maxK, storage.NewMemFile(storage.DefaultPageSize), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +148,17 @@ func TestMatBuildPaperNetwork(t *testing.T) {
 func TestMatBuildValidation(t *testing.T) {
 	g, ps, _ := paperGraph(t)
 	s := NewSearcher(g)
-	if _, err := s.MatBuild(PointSet{Node: ps}, 0, storage.NewMemFile(512), 4, nil); err == nil {
+	if _, err := matBuild(s, PointSet{Node: ps}, 0, storage.NewMemFile(512), 4, nil); err == nil {
 		t.Fatal("maxK=0 accepted")
 	}
 	f := storage.NewMemFile(512)
 	if _, err := f.Append(make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MatBuild(PointSet{Node: ps}, 1, f, 4, nil); err == nil {
+	if _, err := matBuild(s, PointSet{Node: ps}, 1, f, 4, nil); err == nil {
 		t.Fatal("non-empty file accepted")
 	}
-	if _, err := s.MatBuild(PointSet{Node: ps}, 1000, storage.NewMemFile(512), 4, nil); err == nil {
+	if _, err := matBuild(s, PointSet{Node: ps}, 1000, storage.NewMemFile(512), 4, nil); err == nil {
 		t.Fatal("oversized K accepted for tiny pages")
 	}
 }
@@ -526,7 +532,7 @@ func TestHotPathAllocs(t *testing.T) {
 	s := NewSearcher(net.g)
 	for name, bufferPages := range map[string]int{"hit": 64, "miss": 1} {
 		t.Run(name, func(t *testing.T) {
-			mat, err := s.MatBuild(PointSet{Node: net.ps}, 2, storage.NewMemFile(128), bufferPages, nil)
+			mat, err := matBuild(s, PointSet{Node: net.ps}, 2, storage.NewMemFile(128), bufferPages, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

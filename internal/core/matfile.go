@@ -3,9 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"os"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
@@ -54,11 +52,14 @@ type PointRecord struct {
 var PointAbsent = PointRecord{U: -1, V: -1}
 
 const (
-	matMagic        = "GRNNMAT1"
 	matHeaderSize   = 42
 	matRefSize      = 4 + 2
 	pointRecordSize = 4 + 4 + 8
 )
+
+// MatFileHeader locates the magic and page size of a materialization file,
+// so reopening needs no recollection of the build-time options.
+var MatFileHeader = storage.FileHeader{Magic: "GRNNMAT1", PageSizeAt: 8}
 
 // Journal record kinds (first payload byte).
 const (
@@ -83,34 +84,20 @@ func decodePointImage(payload []byte) (points.PointID, PointRecord, error) {
 }
 
 func encodeBeforeImage(n graph.NodeID, entries []MatEntry) []byte {
-	buf := make([]byte, 1+4+2+len(entries)*matEntrySize)
+	buf := make([]byte, 5, 5+matRecordSize(len(entries)))
 	buf[0] = jrecBeforeImage
 	binary.LittleEndian.PutUint32(buf[1:], uint32(n))
-	binary.LittleEndian.PutUint16(buf[5:], uint16(len(entries)))
-	off := 7
-	for _, e := range entries {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(e.P))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(e.D))
-		off += matEntrySize
-	}
-	return buf
+	return appendMatList(buf, entries)
 }
 
 func decodeBeforeImage(p []byte) (graph.NodeID, []MatEntry, error) {
-	if len(p) < 7 || p[0] != jrecBeforeImage {
+	if len(p) < 5 || p[0] != jrecBeforeImage {
 		return 0, nil, fmt.Errorf("core: malformed journal before-image record")
 	}
 	n := graph.NodeID(binary.LittleEndian.Uint32(p[1:]))
-	count := int(binary.LittleEndian.Uint16(p[5:]))
-	if len(p) < 7+count*matEntrySize {
-		return 0, nil, fmt.Errorf("core: truncated journal before-image record for node %d", n)
-	}
-	entries := make([]MatEntry, count)
-	off := 7
-	for i := range entries {
-		entries[i].P = points.PointID(binary.LittleEndian.Uint32(p[off:]))
-		entries[i].D = math.Float64frombits(binary.LittleEndian.Uint64(p[off+4:]))
-		off += matEntrySize
+	entries, err := DecodeMatList(p[5:], nil)
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: truncated journal before-image record for node %d: %w", n, err)
 	}
 	return n, entries, nil
 }
@@ -147,8 +134,8 @@ func (pst *matPersist) writeHeader(m *Materialized, seq uint64, pending bool) er
 	for i := range buf {
 		buf[i] = 0
 	}
-	copy(buf[0:8], matMagic)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(pst.pageSize()))
+	copy(buf[0:8], MatFileHeader.Magic)
+	binary.LittleEndian.PutUint32(buf[MatFileHeader.PageSizeAt:], uint32(pst.pageSize()))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(m.maxK))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(m.numNodes))
 	buf[20] = pst.kind
@@ -235,7 +222,7 @@ func decodePointRecord(buf []byte) PointRecord {
 // cannot be journaled would accept every build/open and then fail every
 // maintenance operation, so it is rejected up front.
 func checkJournalable(cap, pageSize int) error {
-	if need := 1 + 4 + 2 + cap*matEntrySize; need > storage.JournalMaxRecord(pageSize) {
+	if need := 5 + matRecordSize(cap); need > storage.JournalMaxRecord(pageSize) {
 		return fmt.Errorf("core: K=%d list before-images (%d bytes) do not fit journal records of page size %d; persistence needs a larger page size",
 			cap-1, need, pageSize)
 	}
@@ -256,24 +243,6 @@ func (m *Materialized) SetDurable(on bool) {
 	}
 	m.pst.durable = on
 	m.pst.journal.SetSync(on)
-}
-
-// MatFilePageSize reads the page size out of a materialization file's
-// header, so reopening needs no recollection of the build-time options.
-func MatFilePageSize(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("core: read header of %s: %w", path, err)
-	}
-	if string(hdr[:8]) != matMagic {
-		return 0, fmt.Errorf("core: %s: bad magic %q", path, hdr[:8])
-	}
-	return int(binary.LittleEndian.Uint32(hdr[8:])), nil
 }
 
 // MatSave serializes m — lists, list locators and the tracked point set —
@@ -385,10 +354,10 @@ func MatOpen(file storage.PagedFile, bm *storage.Tenant, journalFile storage.Pag
 	if err := file.Read(0, buf); err != nil {
 		return nil, 0, nil, err
 	}
-	if string(buf[0:8]) != matMagic {
+	if string(buf[0:8]) != MatFileHeader.Magic {
 		return nil, 0, nil, fmt.Errorf("core: bad materialization file magic")
 	}
-	if got := int(binary.LittleEndian.Uint32(buf[8:])); got != pageSize {
+	if got := int(binary.LittleEndian.Uint32(buf[MatFileHeader.PageSizeAt:])); got != pageSize {
 		return nil, 0, nil, fmt.Errorf("core: file was written with page size %d, opened with %d", got, pageSize)
 	}
 	maxK := int(binary.LittleEndian.Uint32(buf[12:]))

@@ -48,7 +48,7 @@ func fuzzSeedMat(f *testing.F) (matBytes, journalBytes []byte) {
 	g := randNet(f, rng, 20, 25, 1)
 	ps := randPoints(f, rng, g, 4)
 	s := NewSearcher(g)
-	mat, err := s.MatBuild(PointSet{Node: ps}, 2, storage.NewMemFile(storage.DefaultPageSize), 16, nil)
+	mat, err := matBuild(s, PointSet{Node: ps}, 2, storage.NewMemFile(storage.DefaultPageSize), 16, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

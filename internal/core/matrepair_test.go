@@ -361,7 +361,7 @@ func TestMatSaveRejectsUnjournalableK(t *testing.T) {
 	// false... choose page size 512: lists fit cap <= 42, journal records
 	// fit cap <= 41).
 	s := NewSearcher(g)
-	mat, err := s.MatBuild(PointSet{Node: ps}, 41, storage.NewMemFile(512), 16, nil)
+	mat, err := matBuild(s, PointSet{Node: ps}, 41, storage.NewMemFile(512), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestUnrestrictedAgreesWithBrute(t *testing.T) {
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		maxK := 1 + rng.Intn(3)
 		k := 1 + rng.Intn(maxK)
-		mat, err := s.MatBuild(PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(s, PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestUnrestrictedContinuousAgreesWithBrute(t *testing.T) {
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		maxK := 1 + rng.Intn(2)
 		k := 1 + rng.Intn(maxK)
-		mat, err := s.MatBuild(PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(s, PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestUnrestrictedBichromaticAgreesWithBrute(t *testing.T) {
 		sites := randEdgePoints(t, rng, g, 1+rng.Intn(n/3+2))
 		maxK := 1 + rng.Intn(2)
 		k := 1 + rng.Intn(maxK)
-		mat, err := s.MatBuild(PointSet{Edge: sites}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(s, PointSet{Edge: sites}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 		s := NewSearcher(g)
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(8))
 		maxK := 1 + rng.Intn(3)
-		mat, err := s.MatBuild(PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(s, PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

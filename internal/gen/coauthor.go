@@ -182,15 +182,3 @@ func NewCoauthorship(cfg CoauthorshipConfig) (*Coauthorship, error) {
 	}
 	return &Coauthorship{G: sub, PaperCounts: subCounts}, nil
 }
-
-// AuthorsWithVenueCount returns the nodes whose paper count in venue v is
-// exactly c — the ad-hoc predicate of Table 1.
-func (c *Coauthorship) AuthorsWithVenueCount(v, count int) []graph.NodeID {
-	var out []graph.NodeID
-	for n, pc := range c.PaperCounts {
-		if v < len(pc) && pc[v] == count {
-			out = append(out, graph.NodeID(n))
-		}
-	}
-	return out
-}

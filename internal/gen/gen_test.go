@@ -37,9 +37,13 @@ func TestCoauthorshipPaperScale(t *testing.T) {
 	})
 	// Attribute selectivity: most authors have zero papers in the last
 	// venue, and counts decrease with the threshold (Table 1's knob).
-	n0 := len(c.AuthorsWithVenueCount(0, 0))
-	n1 := len(c.AuthorsWithVenueCount(0, 1))
-	n2 := len(c.AuthorsWithVenueCount(0, 2))
+	var byCount [3]int
+	for _, pc := range c.PaperCounts {
+		if pc[0] < len(byCount) {
+			byCount[pc[0]]++
+		}
+	}
+	n0, n1, n2 := byCount[0], byCount[1], byCount[2]
 	if !(n0 > n1 && n1 > n2 && n2 > 0) {
 		t.Fatalf("venue-count selectivity not monotone: %d, %d, %d", n0, n1, n2)
 	}

@@ -169,7 +169,7 @@ func TestStoreCompressedRoundTrip(t *testing.T) {
 				if err := WriteOpt(l, f, WriteOptions{Compression: true}); err != nil {
 					t.Fatal(err)
 				}
-				s, err := OpenStore(f, 16)
+				s, err := openStore(f, 16)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +204,7 @@ func TestStoreCompressedRoundTrip(t *testing.T) {
 	if err := WriteOpt(l, f, WriteOptions{Compression: true}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStore(f, 8)
+	s, err := openStore(f, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestStoreCompressedRoundTrip(t *testing.T) {
 	if err := WriteOpt(l, rf, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := OpenStore(rf, 8)
+	rs, err := openStore(rf, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,6 +174,11 @@ func TestDigraphLabelingDistances(t *testing.T) {
 	}
 }
 
+// openStore opens f through a private buffer of bufferPages pages.
+func openStore(f storage.PagedFile, bufferPages int) (*Store, error) {
+	return OpenStoreBuffer(f, storage.NewBufferPool(bufferPages).Attach("", f, 0))
+}
+
 // roundTrip persists l into a fresh memory page file and reopens it.
 func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	t.Helper()
@@ -181,7 +186,7 @@ func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	if err := WriteOpt(l, f, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStore(f, bufferPages)
+	s, err := openStore(f, bufferPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +229,7 @@ func TestReadLabelErrorsLeaveNoPin(t *testing.T) {
 		if err := f.Read(1, page); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := storage.ReadRecordSlot(page, pageSize, 0)
+		rec, err := storage.ReadRecordSlot(page, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,15 +238,15 @@ func TestReadLabelErrorsLeaveNoPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenStore(f, f.NumPages())
+		s, err := openStore(f, f.NumPages())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, at := range map[string]dirEnt{
-			"page out of range": {page: storage.PageID(f.NumPages() + 7)},
-			"slot out of range": {page: 1, slot: 9999},
-			"truncated chunk":   {page: shortPage},
-			"corrupt chunk":     {page: overcount},
+		for name, at := range map[string]storage.RecRef{
+			"page out of range": {Page: storage.PageID(f.NumPages() + 7)},
+			"slot out of range": {Page: 1, Slot: 9999},
+			"truncated chunk":   {Page: shortPage},
+			"corrupt chunk":     {Page: overcount},
 		} {
 			if _, err := s.readLabel(at, nil); err == nil {
 				t.Errorf("compressed=%v: %s: readLabel succeeded", compressed, name)
@@ -347,13 +352,13 @@ func sameEntries(a, b []Entry) bool {
 // TestOpenStoreRejectsGarbage covers the header validation paths.
 func TestOpenStoreRejectsGarbage(t *testing.T) {
 	f := storage.NewMemFile(4096)
-	if _, err := OpenStore(f, 4); err == nil {
+	if _, err := openStore(f, 4); err == nil {
 		t.Fatal("empty file accepted")
 	}
 	if _, err := f.Append(make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(f, 4); err == nil {
+	if _, err := openStore(f, 4); err == nil {
 		t.Fatal("zero page accepted as header")
 	}
 	g, err := gen.Grid(gen.GridConfig{Seed: 1, Nodes: 16, Degree: 4})

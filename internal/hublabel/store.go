@@ -3,9 +3,7 @@ package hublabel
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"os"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/storage"
@@ -39,7 +37,6 @@ import (
 // as codecRaw with an unknown payload size.
 
 const (
-	storeMagic   = "GRNHUBL1"
 	storeVersion = 1
 
 	// Header field offsets: magic [0:8), version [8:12), pageSize [12:16),
@@ -48,7 +45,6 @@ const (
 	// payloadBytes [40:48).
 	headerSize   = 48
 	dirEntrySize = 8
-	entrySize    = 4 + 8
 	chunkHeader  = 1 + 2
 
 	flagMore = 1
@@ -60,16 +56,16 @@ const (
 	maxVarintHub = 5
 )
 
+// FileHeader locates the magic and page size of a persisted labeling, so
+// callers can open the file with matching pages without knowing the
+// original options.
+var FileHeader = storage.FileHeader{Magic: "GRNHUBL1", PageSizeAt: 12}
+
 // WriteOptions tunes WriteOpt. The zero value writes the raw fixed-width
 // codec, byte-compatible with files written before options existed.
 type WriteOptions struct {
 	// Compression switches label chunks to the delta+varint codec.
 	Compression bool
-}
-
-type dirEnt struct {
-	page storage.PageID
-	slot uint16
 }
 
 // WriteOpt persists l into an empty paged file: page 0 becomes the header,
@@ -82,15 +78,20 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 		return fmt.Errorf("hublabel: refusing to write labeling into non-empty file (%d pages)", f.NumPages())
 	}
 	pageSize := f.PageSize()
-	maxEntryBytes := entrySize
-	if opt.Compression {
-		maxEntryBytes = maxVarintHub + 8
+	if pageSize < headerSize {
+		return fmt.Errorf("hublabel: page size %d cannot hold the %d-byte header", pageSize, headerSize)
 	}
-	if pageSize < headerSize || storage.MaxRecordPayload(pageSize) < chunkHeader+maxEntryBytes {
-		return fmt.Errorf("hublabel: page size %d cannot hold one label entry", pageSize)
+	codec, maxEntryBytes := byte(codecRaw), storage.PairSize
+	if opt.Compression {
+		codec, maxEntryBytes = codecDelta, maxVarintHub+8
+	}
+	w, err := storage.NewRecordWriter(f, chunkHeader+maxEntryBytes)
+	if err != nil {
+		return err
 	}
 	// Reserve page 0 for the header.
-	if _, err := f.Append(make([]byte, pageSize)); err != nil {
+	hdr := make([]byte, pageSize)
+	if err := w.AppendPage(hdr); err != nil {
 		return err
 	}
 
@@ -98,107 +99,38 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 	if l.directed {
 		sides = 2
 	}
-	dir := make([]dirEnt, l.numNodes*sides)
-	builder := storage.NewRecordPageBuilder(pageSize)
-	nextPage := storage.PageID(1)
-	var buf []Entry
-
-	flush := func() error {
-		if builder.Empty() {
-			return nil
-		}
-		if _, err := f.Append(builder.Bytes()); err != nil {
-			return err
-		}
-		nextPage++
-		builder.Reset()
-		return nil
-	}
-
+	dir := make([]storage.RecRef, l.numNodes*sides)
 	var payload uint64
-	addChunk := func(di int, rec []byte, first bool) (bool, error) {
-		slot, ok := builder.TryAdd(rec)
-		if !ok {
-			return first, fmt.Errorf("hublabel: label chunk of %d bytes does not fit a fresh page", len(rec))
-		}
-		payload += uint64(len(rec))
-		if first {
-			dir[di] = dirEnt{page: nextPage, slot: uint16(slot)}
-		}
-		return false, nil
-	}
-
-	writeRaw := func(di int, label []Entry) error {
-		first := true
-		for {
-			// Fit as many entries as the current page allows; open a fresh
-			// page when not even one fits.
-			maxEntries := (builder.FreeBytes() - chunkHeader) / entrySize
-			if maxEntries < 1 && !builder.Empty() {
-				if err := flush(); err != nil {
-					return err
-				}
-				maxEntries = (builder.FreeBytes() - chunkHeader) / entrySize
-			}
-			count := len(label)
-			more := false
-			if count > maxEntries {
-				count = maxEntries
-				more = true
-			}
-			rec := make([]byte, chunkHeader+count*entrySize)
-			if more {
-				rec[0] = flagMore
-			}
-			binary.LittleEndian.PutUint16(rec[1:], uint16(count))
-			for i, e := range label[:count] {
-				off := chunkHeader + i*entrySize
-				binary.LittleEndian.PutUint32(rec[off:], uint32(e.Hub))
-				binary.LittleEndian.PutUint64(rec[off+4:], math.Float64bits(e.Dist))
-			}
-			var err error
-			if first, err = addChunk(di, rec, first); err != nil {
-				return err
-			}
-			label = label[count:]
-			if !more {
-				return nil
-			}
-		}
-	}
-
-	// writeDelta packs entries greedily: each chunk takes as many
-	// varint-delta entries as the page has room for, restarting the
-	// absolute hub encoding on every chunk.
 	var rec []byte
-	writeDelta := func(di int, label []Entry) error {
-		first := true
-		for {
-			avail := builder.FreeBytes() - chunkHeader
-			if avail < maxVarintHub+8 && !builder.Empty() {
-				if err := flush(); err != nil {
+
+	// writeLabel packs a label greedily: each chunk takes as many entries
+	// as the page under construction has room for, a fresh page is opened
+	// when not even one fits, and every chunk of the delta codec restarts
+	// its absolute hub encoding.
+	writeLabel := func(di int, label []Entry) error {
+		for first := true; ; first = false {
+			avail := w.Free() - chunkHeader
+			if avail < maxEntryBytes && !w.Empty() {
+				if err := w.Flush(); err != nil {
 					return err
 				}
-				avail = builder.FreeBytes() - chunkHeader
+				avail = w.Free() - chunkHeader
 			}
 			rec = append(rec[:0], 0, 0, 0)
 			count := 0
-			prev := graph.NodeID(0)
-			var tmp [maxVarintHub]byte
-			for count < len(label) {
-				e := label[count]
-				d := uint64(e.Hub)
-				if count > 0 {
-					d = uint64(e.Hub - prev)
+			for prev := graph.NodeID(0); count < len(label); count++ {
+				e, before := label[count], len(rec)
+				if codec == codecDelta {
+					rec = binary.AppendUvarint(rec, uint64(e.Hub-prev))
+					rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(e.Dist))
+					prev = e.Hub
+				} else {
+					rec = storage.AppendPair(rec, int32(e.Hub), e.Dist)
 				}
-				n := binary.PutUvarint(tmp[:], d)
-				if len(rec)-chunkHeader+n+8 > avail {
+				if len(rec)-chunkHeader > avail {
+					rec = rec[:before]
 					break
 				}
-				rec = append(rec, tmp[:n]...)
-				rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(e.Dist))
-				prev = e.Hub
-				count++
 			}
 			more := count < len(label)
 			if more && count == 0 {
@@ -208,24 +140,21 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 				rec[0] = flagMore
 			}
 			binary.LittleEndian.PutUint16(rec[1:], uint16(count))
-			var err error
-			if first, err = addChunk(di, rec, first); err != nil {
+			ref, err := w.Add(rec)
+			if err != nil {
 				return err
 			}
-			label = label[count:]
-			if !more {
+			payload += uint64(len(rec))
+			if first {
+				dir[di] = ref
+			}
+			if label = label[count:]; !more {
 				return nil
 			}
 		}
 	}
 
-	writeLabel := writeRaw
-	codec := byte(codecRaw)
-	if opt.Compression {
-		writeLabel = writeDelta
-		codec = codecDelta
-	}
-
+	var buf []Entry
 	for v := graph.NodeID(0); int(v) < l.numNodes; v++ {
 		buf = l.out.label(v, buf)
 		if err := writeLabel(int(v)*sides, buf); err != nil {
@@ -238,63 +167,39 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return err
 	}
 
 	// Directory pages.
-	dirStart := nextPage
-	perPage := pageSize / dirEntrySize
+	dirStart := w.Page()
 	page := make([]byte, pageSize)
+	perPage := pageSize / dirEntrySize
 	for i := 0; i < len(dir); i += perPage {
-		for j := range page {
-			page[j] = 0
+		clear(page)
+		for j, ref := range dir[i:min(i+perPage, len(dir))] {
+			binary.LittleEndian.PutUint32(page[j*dirEntrySize:], uint32(ref.Page))
+			binary.LittleEndian.PutUint16(page[j*dirEntrySize+4:], ref.Slot)
 		}
-		for j := 0; j < perPage && i+j < len(dir); j++ {
-			off := j * dirEntrySize
-			binary.LittleEndian.PutUint32(page[off:], uint32(dir[i+j].page))
-			binary.LittleEndian.PutUint16(page[off+4:], dir[i+j].slot)
-		}
-		if _, err := f.Append(page); err != nil {
+		if err := w.AppendPage(page); err != nil {
 			return err
 		}
-		nextPage++
 	}
 
 	// Final header.
-	hdr := make([]byte, pageSize)
-	copy(hdr, storeMagic)
+	copy(hdr, FileHeader.Magic)
 	binary.LittleEndian.PutUint32(hdr[8:], storeVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(pageSize))
+	binary.LittleEndian.PutUint32(hdr[FileHeader.PageSizeAt:], uint32(pageSize))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(l.numNodes))
 	if l.directed {
 		hdr[20] = 1
 	}
 	hdr[21] = codec
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(dirStart))
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(nextPage-dirStart))
+	binary.LittleEndian.PutUint32(hdr[28:], uint32(w.Page()-dirStart))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(l.Entries()))
 	binary.LittleEndian.PutUint64(hdr[40:], payload)
 	return f.Write(0, hdr)
-}
-
-// FilePageSize reads the page size a persisted labeling was written with,
-// so callers can open the file with matching pages without knowing the
-// original options.
-func FilePageSize(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("hublabel: read header of %s: %w", path, err)
-	}
-	if string(hdr[:8]) != storeMagic {
-		return 0, fmt.Errorf("hublabel: %s: bad magic %q", path, hdr[:8])
-	}
-	return int(binary.LittleEndian.Uint32(hdr[12:])), nil
 }
 
 // Store serves a persisted labeling through an LRU buffer. The directory is
@@ -308,27 +213,14 @@ type Store struct {
 	entries  int
 	codec    byte
 	payload  int64
-	dir      []dirEnt
-	pageSize int
+	dir      []storage.RecRef
 }
 
-// OpenStore opens a labeling previously persisted with WriteOpt, reading label
-// pages through a private LRU buffer of bufferPages pages. Use
-// OpenStoreBuffer to serve label pages through a shared buffer pool.
-func OpenStore(f storage.PagedFile, bufferPages int) (*Store, error) {
-	return openStore(f, func() *storage.Tenant {
-		return storage.NewBufferPool(bufferPages).Attach("", f, 0)
-	})
-}
-
-// OpenStoreBuffer is OpenStore reading label pages through bm, which must
-// wrap f — typically a tenant of the process-wide buffer pool, so label
-// pages share frames (and stats) with every other substrate.
+// OpenStoreBuffer opens a labeling previously persisted with WriteOpt,
+// reading label pages through bm, which must wrap f — typically a tenant of
+// the process-wide buffer pool, so label pages share frames (and stats)
+// with every other substrate.
 func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
-	return openStore(f, func() *storage.Tenant { return bm })
-}
-
-func openStore(f storage.PagedFile, buffer func() *storage.Tenant) (*Store, error) {
 	pageSize := f.PageSize()
 	if f.NumPages() == 0 {
 		return nil, fmt.Errorf("hublabel: empty label file")
@@ -337,14 +229,14 @@ func openStore(f storage.PagedFile, buffer func() *storage.Tenant) (*Store, erro
 	if err := f.Read(0, hdr); err != nil {
 		return nil, err
 	}
-	if string(hdr[:8]) != storeMagic {
+	if string(hdr[:8]) != FileHeader.Magic {
 		return nil, fmt.Errorf("hublabel: bad magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != storeVersion {
 		return nil, fmt.Errorf("hublabel: unsupported version %d", v)
 	}
-	if ps := int(binary.LittleEndian.Uint32(hdr[12:])); ps != pageSize {
-		return nil, fmt.Errorf("hublabel: label file was written with %d-byte pages, opened with %d (use FilePageSize)", ps, pageSize)
+	if ps := int(binary.LittleEndian.Uint32(hdr[FileHeader.PageSizeAt:])); ps != pageSize {
+		return nil, fmt.Errorf("hublabel: label file was written with %d-byte pages, opened with %d (use FileHeader.PageSize)", ps, pageSize)
 	}
 	numNodes := int(binary.LittleEndian.Uint32(hdr[16:]))
 	directed := hdr[20] == 1
@@ -361,7 +253,7 @@ func openStore(f storage.PagedFile, buffer func() *storage.Tenant) (*Store, erro
 	if directed {
 		sides = 2
 	}
-	dir := make([]dirEnt, 0, numNodes*sides)
+	dir := make([]storage.RecRef, 0, numNodes*sides)
 	perPage := pageSize / dirEntrySize
 	page := make([]byte, pageSize)
 	for p := 0; p < dirPages; p++ {
@@ -370,27 +262,25 @@ func openStore(f storage.PagedFile, buffer func() *storage.Tenant) (*Store, erro
 		}
 		for j := 0; j < perPage && len(dir) < numNodes*sides; j++ {
 			off := j * dirEntrySize
-			dir = append(dir, dirEnt{
-				page: storage.PageID(binary.LittleEndian.Uint32(page[off:])),
-				slot: binary.LittleEndian.Uint16(page[off+4:]),
+			dir = append(dir, storage.RecRef{
+				Page: storage.PageID(binary.LittleEndian.Uint32(page[off:])),
+				Slot: binary.LittleEndian.Uint16(page[off+4:]),
 			})
 		}
 	}
 	if len(dir) != numNodes*sides {
 		return nil, fmt.Errorf("hublabel: directory holds %d of %d entries", len(dir), numNodes*sides)
 	}
-	s := &Store{
+	return &Store{
 		file:     f,
-		buffer:   buffer(),
+		buffer:   bm,
 		numNodes: numNodes,
 		directed: directed,
 		entries:  entries,
 		codec:    codec,
 		payload:  payload,
 		dir:      dir,
-		pageSize: pageSize,
-	}
-	return s, nil
+	}, nil
 }
 
 // NumNodes implements Source.
@@ -411,7 +301,7 @@ func (s *Store) PayloadBytes() int64 { return s.payload }
 
 // RawBytes returns what the entries occupy in the raw fixed-width codec,
 // the baseline the compression ratio is measured against.
-func (s *Store) RawBytes() int64 { return int64(s.entries) * entrySize }
+func (s *Store) RawBytes() int64 { return int64(s.entries) * storage.PairSize }
 
 // AverageLabelSize returns the mean entries per node per side.
 func (s *Store) AverageLabelSize() float64 {
@@ -481,75 +371,59 @@ func (s *Store) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 // read per chunk.
 //
 // vetrnn:deterministic
-func (s *Store) readLabel(at dirEnt, buf []Entry) ([]Entry, error) {
+func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
 	buf = buf[:0]
-	pid, slot := at.page, int(at.slot)
 	//lint:ignore vetrnn/execpoll record-chain walk inside the label-read primitive itself; callers poll per label fetch
 	for {
-		page, err := s.buffer.Pin(pid)
+		page, rec, err := s.buffer.PinRecord(at)
 		if err != nil {
 			return nil, err
 		}
 		var more bool
-		buf, more, err = s.decodeChunk(page.Bytes(), pid, slot, buf)
-		lastSlot := more && slot+1 >= storage.RecordSlotCount(page.Bytes())
-		page.Unpin() // decodeChunk's every exit comes back through here
+		buf, more, err = DecodeChunk(rec, s.codec == codecDelta, buf)
+		lastSlot := int(at.Slot)+1 >= storage.RecordSlotCount(page.Bytes())
+		page.Unpin() // DecodeChunk's every exit comes back through here
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hublabel: label chunk on page %d slot %d: %w", at.Page, at.Slot, err)
 		}
 		if !more {
 			return buf, nil
 		}
 		if lastSlot {
-			pid++
-			slot = 0
+			at = storage.RecRef{Page: at.Page + 1}
 		} else {
-			slot++
+			at.Slot++
 		}
 	}
 }
 
-// decodeChunk appends the entries of the chunk at (pid, slot) of page to
-// buf and reports whether the label continues in the next chunk.
-func (s *Store) decodeChunk(page []byte, pid storage.PageID, slot int, buf []Entry) ([]Entry, bool, error) {
-	rec, err := storage.ReadRecordSlot(page, s.pageSize, slot)
-	if err != nil {
-		return nil, false, err
-	}
+// DecodeChunk appends the entries of one label chunk record to buf and
+// reports whether the label continues in the next chunk.
+func DecodeChunk(rec []byte, compressed bool, buf []Entry) ([]Entry, bool, error) {
 	if len(rec) < chunkHeader {
-		return nil, false, fmt.Errorf("hublabel: truncated label chunk on page %d slot %d", pid, slot)
+		return nil, false, fmt.Errorf("truncated: %d bytes", len(rec))
 	}
-	count := int(binary.LittleEndian.Uint16(rec[1:]))
-	if s.codec == codecDelta {
-		body := rec[chunkHeader:]
-		prev := graph.NodeID(0)
-		for i := 0; i < count; i++ {
-			d, n := binary.Uvarint(body)
-			if n <= 0 || len(body) < n+8 {
-				return nil, false, fmt.Errorf("hublabel: corrupt label chunk on page %d slot %d", pid, slot)
-			}
-			hub := graph.NodeID(d)
-			if i > 0 {
-				hub = prev + graph.NodeID(d)
-			}
-			buf = append(buf, Entry{
-				Hub:  hub,
-				Dist: math.Float64frombits(binary.LittleEndian.Uint64(body[n:])),
-			})
-			prev = hub
-			body = body[n+8:]
+	if !compressed {
+		pairs, err := storage.CountedPairs(rec[1:])
+		if err != nil {
+			return nil, false, err
 		}
-	} else {
-		if len(rec) < chunkHeader+count*entrySize {
-			return nil, false, fmt.Errorf("hublabel: corrupt label chunk on page %d slot %d", pid, slot)
+		for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
+			hub, dist := storage.Pair(pairs)
+			buf = append(buf, Entry{Hub: graph.NodeID(hub), Dist: dist})
 		}
-		for i := 0; i < count; i++ {
-			off := chunkHeader + i*entrySize
-			buf = append(buf, Entry{
-				Hub:  graph.NodeID(binary.LittleEndian.Uint32(rec[off:])),
-				Dist: math.Float64frombits(binary.LittleEndian.Uint64(rec[off+4:])),
-			})
+		return buf, rec[0]&flagMore != 0, nil
+	}
+	body := rec[chunkHeader:]
+	hub := graph.NodeID(0)
+	for i := int(binary.LittleEndian.Uint16(rec[1:])); i > 0; i-- {
+		d, n := binary.Uvarint(body)
+		if n <= 0 || len(body) < n+8 {
+			return nil, false, fmt.Errorf("corrupt: %d entries cut short", i)
 		}
+		hub += graph.NodeID(d)
+		buf = append(buf, Entry{Hub: hub, Dist: math.Float64frombits(binary.LittleEndian.Uint64(body[n:]))})
+		body = body[n+8:]
 	}
 	return buf, rec[0]&flagMore != 0, nil
 }
@@ -558,7 +432,7 @@ func (s *Store) decodeChunk(page []byte, pid storage.PageID, slot int, buf []Ent
 //
 // vetrnn:deterministic
 func Load(f storage.PagedFile) (*Labeling, error) {
-	s, err := OpenStore(f, 1)
+	s, err := OpenStoreBuffer(f, storage.NewBufferPool(1).Attach("", f, 0))
 	if err != nil {
 		return nil, err
 	}

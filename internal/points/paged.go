@@ -1,9 +1,7 @@
 package points
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"graphrnn/internal/graph"
@@ -26,17 +24,18 @@ type PagedEdgeSet struct {
 	live int
 }
 
-// Record layout: count uint16, then count x { id int32, pos float64 },
-// sorted by (pos, id).
-const edgePointEntrySize = 4 + 8
-
 // NewPagedEdgeSetBuffer packs src into file (which must be empty) and reads
 // it back through bm, which must wrap file — typically a tenant of the
 // process-wide buffer pool. A nil bm falls back to a private buffer of
-// bufferPages pages.
+// bufferPages pages. One record per populated edge: a counted run of
+// (point, offset) pairs sorted by (offset, id).
 func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Tenant, bufferPages int) (*PagedEdgeSet, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("points: NewPagedEdgeSetBuffer needs an empty file, got %d pages", file.NumPages())
+	}
+	w, err := storage.NewRecordWriter(file, 2+storage.PairSize)
+	if err != nil {
+		return nil, err
 	}
 	keys := make([]edgeKey, 0, len(src.byEdge))
 	for k := range src.byEdge {
@@ -54,48 +53,18 @@ func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Ten
 		pts:  append([]EdgePoint(nil), src.pts...),
 		live: src.live,
 	}
-	pb := storage.NewRecordPageBuilder(file.PageSize())
-	nextPage := storage.PageID(0)
 	var rec []byte
-	flush := func() error {
-		if pb.Empty() {
-			return nil
-		}
-		id, err := file.Append(pb.Bytes())
-		if err != nil {
-			return err
-		}
-		if id != nextPage {
-			return fmt.Errorf("points: expected page %d, appended %d", nextPage, id)
-		}
-		nextPage++
-		pb.Reset()
-		return nil
-	}
 	for _, k := range keys {
 		refs := src.byEdge[k]
-		need := 2 + edgePointEntrySize*len(refs)
-		if need > storage.MaxRecordPayload(file.PageSize()) {
-			return nil, fmt.Errorf("points: %d points on edge (%d,%d) exceed one page", len(refs), k.u, k.v)
-		}
-		rec = rec[:0]
-		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(refs)))
+		rec = storage.AppendCount(rec[:0], len(refs))
 		for _, r := range refs {
-			rec = binary.LittleEndian.AppendUint32(rec, uint32(r.ID))
-			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(r.Pos))
+			rec = storage.AppendPair(rec, int32(r.ID), r.Pos)
 		}
-		slot, ok := pb.TryAdd(rec)
-		if !ok {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			if slot, ok = pb.TryAdd(rec); !ok {
-				return nil, fmt.Errorf("points: record of %d bytes does not fit an empty page", len(rec))
-			}
+		if s.dir[k], err = w.Add(rec); err != nil {
+			return nil, fmt.Errorf("points: %d points on edge (%d,%d): %w", len(refs), k.u, k.v, err)
 		}
-		s.dir[k] = storage.RecRef{Page: nextPage, Slot: uint16(slot)}
 	}
-	if err := flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	if bm == nil {
@@ -112,25 +81,26 @@ func (s *PagedEdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePo
 	if !ok {
 		return buf, nil
 	}
-	page, err := s.bm.Pin(ref.Page)
+	page, rec, err := s.bm.PinRecord(ref)
 	if err != nil {
 		return nil, fmt.Errorf("points: edge (%d,%d): %w", u, v, err)
 	}
 	defer page.Unpin()
-	rec, err := storage.ReadRecordSlot(page.Bytes(), s.bm.File().PageSize(), int(ref.Slot))
-	if err != nil {
+	if buf, err = DecodeEdgeRecord(rec, buf); err != nil {
 		return nil, fmt.Errorf("points: edge (%d,%d): %w", u, v, err)
 	}
-	count := int(binary.LittleEndian.Uint16(rec[0:]))
-	if len(rec) < 2+count*edgePointEntrySize {
-		return nil, fmt.Errorf("points: corrupt record for edge (%d,%d)", u, v)
+	return buf, nil
+}
+
+// DecodeEdgeRecord appends the points of one edge's record to buf.
+func DecodeEdgeRecord(rec []byte, buf []EdgePointRef) ([]EdgePointRef, error) {
+	pairs, err := storage.CountedPairs(rec)
+	if err != nil {
+		return nil, err
 	}
-	p := 2
-	for i := 0; i < count; i++ {
-		id := PointID(binary.LittleEndian.Uint32(rec[p:]))
-		pos := math.Float64frombits(binary.LittleEndian.Uint64(rec[p+4:]))
-		buf = append(buf, EdgePointRef{ID: id, Pos: pos})
-		p += edgePointEntrySize
+	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
+		id, pos := storage.Pair(pairs)
+		buf = append(buf, EdgePointRef{ID: PointID(id), Pos: pos})
 	}
 	return buf, nil
 }

@@ -53,18 +53,6 @@ func NewNodeSet(numNodes int) *NodeSet {
 	return &NodeSet{byNode: byNode}
 }
 
-// NewNodeSetFromNodes places one point on each listed node, assigning point
-// ids in list order.
-func NewNodeSetFromNodes(numNodes int, nodes []graph.NodeID) (*NodeSet, error) {
-	s := NewNodeSet(numNodes)
-	for _, n := range nodes {
-		if _, err := s.Place(n); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
 // Place puts a new point on node n.
 func (s *NodeSet) Place(n graph.NodeID) (PointID, error) {
 	if n < 0 || int(n) >= len(s.byNode) {

@@ -8,162 +8,85 @@ import (
 	"graphrnn/internal/graph"
 )
 
-// Adjacency lists are stored in slotted pages. Each page is
-//
-//	[0:2]   uint16 record count
-//	[2:..]  records, growing upward
-//	[..:N]  slot directory growing downward: slot i's record offset is the
-//	        uint16 at N-2(i+1)
-//
-// A record is one *fragment* of a node's adjacency list:
-//
-//	node     int32    owner node id
-//	count    uint16   number of edges in this fragment
-//	nextPage int32    page of the next fragment, InvalidPage when last
-//	nextSlot uint16   slot of the next fragment
-//	edges    count × { to int32, weight float64 }
-//
-// Fragmentation lets arbitrarily high-degree nodes (hubs of scale-free
-// BRITE-style topologies) span pages while ordinary nodes share pages with
-// their graph neighbours, which is the locality-grouping idea of Section 3.1
-// of the paper. Weights are stored as float64 so the disk-resident graph is
-// bit-identical to the in-memory one.
+// The payload codecs of recpage.go's layout: the (id, value) pair every
+// record body is made of, the count-prefixed run of pairs three of the four
+// payloads are, and the adjacency fragment this package owns.
 
-const (
-	pageHeaderSize = 2
-	slotEntrySize  = 2
-	fragHeaderSize = 4 + 2 + 4 + 2
-	edgeEntrySize  = 4 + 8
-)
+// PairSize is the encoded size of one (id int32, value float64) pair.
+const PairSize = 4 + 8
 
-// RecRef locates a record (fragment) on disk.
-type RecRef struct {
-	Page PageID
-	Slot uint16
+// AppendPair appends the encoding of (id, x) to b.
+func AppendPair(b []byte, id int32, x float64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(id))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 }
 
-// InvalidRecRef marks the absence of a record reference.
-var InvalidRecRef = RecRef{Page: InvalidPage}
-
-// PageBuilder assembles slotted pages of a fixed size.
-type PageBuilder struct {
-	pageSize int
-	buf      []byte
-	used     int // bytes consumed by header + records
-	nrec     int
+// Pair decodes the pair at the front of b, which must hold PairSize bytes.
+func Pair(b []byte) (id int32, x float64) {
+	_ = b[PairSize-1]
+	return int32(binary.LittleEndian.Uint32(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
 }
 
-// NewPageBuilder returns a builder for pages of pageSize bytes.
-func NewPageBuilder(pageSize int) *PageBuilder {
-	pb := &PageBuilder{pageSize: pageSize}
-	pb.Reset()
-	return pb
+// AppendCount opens a counted run of n pairs: [count u16] then n × pair.
+func AppendCount(b []byte, n int) []byte {
+	return binary.LittleEndian.AppendUint16(b, uint16(n))
 }
 
-// Reset clears the builder for a fresh page.
-func (pb *PageBuilder) Reset() {
-	if pb.buf == nil {
-		pb.buf = make([]byte, pb.pageSize)
-	} else {
-		for i := range pb.buf {
-			pb.buf[i] = 0
-		}
+// CountedPairs returns the pair bytes of the counted run at the front of
+// rec, a multiple of PairSize long. Length before content: a corrupt page
+// can hold a record too short to carry its count, or a count the record
+// cannot hold.
+func CountedPairs(rec []byte) ([]byte, error) {
+	if len(rec) < 2 {
+		return nil, fmt.Errorf("storage: %d-byte record cannot carry a pair count", len(rec))
 	}
-	pb.used = pageHeaderSize
-	pb.nrec = 0
+	n := int(binary.LittleEndian.Uint16(rec))
+	if len(rec) < 2+n*PairSize {
+		return nil, fmt.Errorf("storage: record of %d bytes claims %d pairs", len(rec), n)
+	}
+	return rec[2 : 2+n*PairSize], nil
 }
 
-// Empty reports whether no records have been added to the current page.
-func (pb *PageBuilder) Empty() bool { return pb.nrec == 0 }
+// fragHeaderSize is the fixed prefix of an adjacency fragment: the owner
+// node, then the page and slot of the next fragment of its list
+// (InvalidPage when this one is the last).
+const fragHeaderSize = 4 + 4 + 2
 
-// FreeBytes returns the space available for one more record including its
-// slot directory entry.
-func (pb *PageBuilder) FreeBytes() int {
-	return pb.pageSize - pb.used - slotEntrySize*(pb.nrec+1)
-}
-
-// FragmentCapacity returns how many edges a new fragment record could hold
-// in the current page.
-func (pb *PageBuilder) FragmentCapacity() int {
-	free := pb.FreeBytes() - fragHeaderSize
-	if free < 0 {
+// fragmentRoom returns how many edges a fragment of at most free payload
+// bytes holds, -1 when not even its header fits.
+func fragmentRoom(free int) int {
+	if free < fragHeaderSize {
 		return -1
 	}
-	return free / edgeEntrySize
+	return (free - fragHeaderSize) / PairSize
 }
 
-// MaxEdgesPerFragment returns the edge capacity of a fragment in an empty
-// page of pageSize bytes.
-func MaxEdgesPerFragment(pageSize int) int {
-	return (pageSize - pageHeaderSize - slotEntrySize - fragHeaderSize) / edgeEntrySize
-}
-
-// AddFragment appends a fragment record and returns its slot number. The
-// caller must have checked FragmentCapacity.
-func (pb *PageBuilder) AddFragment(node graph.NodeID, edges []graph.Edge, next RecRef) (int, error) {
-	need := fragHeaderSize + edgeEntrySize*len(edges)
-	if need > pb.FreeBytes() {
-		return 0, fmt.Errorf("storage: fragment of %d bytes does not fit in %d free", need, pb.FreeBytes())
-	}
-	if len(edges) > math.MaxUint16 {
-		return 0, fmt.Errorf("storage: fragment with %d edges exceeds uint16", len(edges))
-	}
-	off := pb.used
-	b := pb.buf
-	binary.LittleEndian.PutUint32(b[off:], uint32(node))
-	binary.LittleEndian.PutUint16(b[off+4:], uint16(len(edges)))
-	binary.LittleEndian.PutUint32(b[off+6:], uint32(next.Page))
-	binary.LittleEndian.PutUint16(b[off+10:], next.Slot)
-	p := off + fragHeaderSize
+// appendFragment appends the fragment payload of owner to b.
+func appendFragment(b []byte, owner graph.NodeID, next RecRef, edges []graph.Edge) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(owner))
+	b = binary.LittleEndian.AppendUint32(b, uint32(next.Page))
+	b = binary.LittleEndian.AppendUint16(b, next.Slot)
 	for _, e := range edges {
-		binary.LittleEndian.PutUint32(b[p:], uint32(e.To))
-		binary.LittleEndian.PutUint64(b[p+4:], math.Float64bits(e.W))
-		p += edgeEntrySize
+		b = AppendPair(b, int32(e.To), e.W)
 	}
-	slot := pb.nrec
-	binary.LittleEndian.PutUint16(b[pb.pageSize-slotEntrySize*(slot+1):], uint16(off))
-	pb.used = p
-	pb.nrec++
-	binary.LittleEndian.PutUint16(b[0:], uint16(pb.nrec))
-	return slot, nil
+	return b
 }
 
-// Bytes returns the assembled page. The slice aliases the builder's buffer
-// and is invalidated by Reset.
-func (pb *PageBuilder) Bytes() []byte { return pb.buf }
-
-// PageRecordCount returns the number of records stored in an encoded page.
-func PageRecordCount(page []byte) int {
-	return int(binary.LittleEndian.Uint16(page[0:]))
-}
-
-// ReadFragment decodes the fragment at slot in page, appending its edges to
-// buf. It returns the owner node, the location of the next fragment
-// (InvalidRecRef when the chain ends), and the extended edge slice.
-func ReadFragment(page []byte, pageSize int, slot int, buf []graph.Edge) (node graph.NodeID, next RecRef, edges []graph.Edge, err error) {
-	nrec := PageRecordCount(page)
-	if slot < 0 || slot >= nrec {
-		return 0, InvalidRecRef, buf, fmt.Errorf("storage: slot %d out of range [0,%d)", slot, nrec)
+// ReadFragment decodes a fragment payload, appending its edges to buf. It
+// returns the owner node, the location of the next fragment (InvalidRecRef
+// when the chain ends), and the extended edge slice.
+func ReadFragment(rec []byte, buf []graph.Edge) (owner graph.NodeID, next RecRef, edges []graph.Edge, err error) {
+	if len(rec) < fragHeaderSize || (len(rec)-fragHeaderSize)%PairSize != 0 {
+		return 0, InvalidRecRef, buf, fmt.Errorf("storage: corrupt adjacency fragment of %d bytes", len(rec))
 	}
-	off := int(binary.LittleEndian.Uint16(page[pageSize-slotEntrySize*(slot+1):]))
-	if off+fragHeaderSize > pageSize {
-		return 0, InvalidRecRef, buf, fmt.Errorf("storage: corrupt slot %d offset %d", slot, off)
-	}
-	node = graph.NodeID(binary.LittleEndian.Uint32(page[off:]))
-	count := int(binary.LittleEndian.Uint16(page[off+4:]))
+	owner = graph.NodeID(binary.LittleEndian.Uint32(rec))
 	next = RecRef{
-		Page: PageID(int32(binary.LittleEndian.Uint32(page[off+6:]))),
-		Slot: binary.LittleEndian.Uint16(page[off+10:]),
+		Page: PageID(binary.LittleEndian.Uint32(rec[4:])),
+		Slot: binary.LittleEndian.Uint16(rec[8:]),
 	}
-	p := off + fragHeaderSize
-	if p+count*edgeEntrySize > pageSize {
-		return 0, InvalidRecRef, buf, fmt.Errorf("storage: corrupt fragment at slot %d: %d edges overflow page", slot, count)
+	for b := rec[fragHeaderSize:]; len(b) > 0; b = b[PairSize:] {
+		to, w := Pair(b)
+		buf = append(buf, graph.Edge{To: graph.NodeID(to), W: w})
 	}
-	for i := 0; i < count; i++ {
-		to := graph.NodeID(binary.LittleEndian.Uint32(page[p:]))
-		w := math.Float64frombits(binary.LittleEndian.Uint64(page[p+4:]))
-		buf = append(buf, graph.Edge{To: to, W: w})
-		p += edgeEntrySize
-	}
-	return node, next, buf, nil
+	return owner, next, buf, nil
 }

@@ -49,35 +49,16 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 	if len(order) != g.NumNodes() {
 		return nil, fmt.Errorf("storage: order has %d nodes, graph has %d", len(order), g.NumNodes())
 	}
-	pageSize := file.PageSize()
-	maxFrag := MaxEdgesPerFragment(pageSize)
-	if maxFrag < 1 {
-		return nil, fmt.Errorf("storage: page size %d cannot hold any edge", pageSize)
+	w, err := NewRecordWriter(file, fragHeaderSize+PairSize)
+	if err != nil {
+		return nil, err
 	}
-
 	index := make([]RecRef, g.NumNodes())
 	for i := range index {
 		index[i] = InvalidRecRef
 	}
-	pb := NewPageBuilder(pageSize)
-	nextPageID := PageID(0)
 	var adj []graph.Edge
-
-	flush := func() error {
-		if pb.Empty() {
-			return nil
-		}
-		id, err := file.Append(pb.Bytes())
-		if err != nil {
-			return err
-		}
-		if id != nextPageID {
-			return fmt.Errorf("storage: expected page %d, file appended %d", nextPageID, id)
-		}
-		nextPageID++
-		pb.Reset()
-		return nil
-	}
+	var rec []byte
 
 	// minTailEdges avoids opening a fragment chain just because a page has
 	// a sliver of free space left; a fragment is only started in the
@@ -86,51 +67,42 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 
 	//lint:ignore vetrnn/execpoll store construction; no query context exists yet
 	for _, n := range order {
-		var err error
 		adj, err = g.Adjacency(n, adj[:0])
 		if err != nil {
 			return nil, err
 		}
 		remaining := adj
-		first := true
-		for first || len(remaining) > 0 {
-			capEdges := pb.FragmentCapacity()
-			fits := capEdges >= len(remaining)
-			if !pb.Empty() && !fits && capEdges < minTailEdges {
+		for first := true; first || len(remaining) > 0; first = false {
+			capEdges := fragmentRoom(w.Free())
+			if !w.Empty() && capEdges < len(remaining) && capEdges < minTailEdges {
 				// Not worth splitting here; start on a fresh page.
-				if err := flush(); err != nil {
+				if err := w.Flush(); err != nil {
 					return nil, err
 				}
-				capEdges = pb.FragmentCapacity()
-				fits = capEdges >= len(remaining)
+				capEdges = fragmentRoom(w.Free())
 			}
-			var take int
-			next := InvalidRecRef
-			if fits {
-				take = len(remaining)
-			} else {
-				take = capEdges
+			take, next := len(remaining), InvalidRecRef
+			if capEdges < take {
 				// The remainder continues at slot 0 of the next page.
-				next = RecRef{Page: nextPageID + 1, Slot: 0}
+				take, next = capEdges, RecRef{Page: w.Page() + 1}
 			}
-			slot, err := pb.AddFragment(n, remaining[:take], next)
+			rec = appendFragment(rec[:0], n, next, remaining[:take])
+			ref, err := w.Add(rec)
 			if err != nil {
 				return nil, err
 			}
 			if first {
-				index[n] = RecRef{Page: nextPageID, Slot: uint16(slot)}
-				first = false
+				index[n] = ref
 			}
-			remaining = remaining[take:]
-			if len(remaining) > 0 {
+			if remaining = remaining[take:]; len(remaining) > 0 {
 				// Force the continuation onto the announced next page.
-				if err := flush(); err != nil {
+				if err := w.Flush(); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	if bm == nil {
@@ -155,11 +127,11 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 	ref := s.index[n]
 	//lint:ignore vetrnn/execpoll fragment-chain walk inside the Adjacency primitive itself; callers poll per call
 	for ref.Page != InvalidPage {
-		page, err := s.bm.Pin(ref.Page)
+		page, rec, err := s.bm.PinRecord(ref)
 		if err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
 		}
-		owner, next, extended, err := ReadFragment(page.Bytes(), s.bm.File().PageSize(), int(ref.Slot), buf)
+		owner, next, extended, err := ReadFragment(rec, buf)
 		page.Unpin() // the edges are decoded into buf; nothing below reads the page
 		if err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)

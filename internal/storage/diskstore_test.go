@@ -87,7 +87,7 @@ func TestDiskStoreHighDegreeOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := NewMemFile(256)
-	if MaxEdgesPerFragment(256) >= n-1 {
+	if fragmentRoom(MaxRecordPayload(256)) >= n-1 {
 		t.Fatal("test setup: page too large to force fragmentation")
 	}
 	s := buildStore(t, g, file, 8)
@@ -267,39 +267,68 @@ func buildStore(t *testing.T, g *graph.Graph, file PagedFile, bufferPages int) *
 }
 
 func TestFragmentCodecCorruptSlot(t *testing.T) {
-	pb := NewPageBuilder(256)
-	if _, err := pb.AddFragment(1, []graph.Edge{{To: 2, W: 3}}, InvalidRecRef); err != nil {
-		t.Fatal(err)
+	pb := NewRecordPageBuilder(256)
+	rec := appendFragment(nil, 1, InvalidRecRef, []graph.Edge{{To: 2, W: 3}})
+	if _, ok := pb.TryAdd(rec); !ok {
+		t.Fatal("test setup: fragment does not fit")
 	}
-	page := pb.Bytes()
-	if _, _, _, err := ReadFragment(page, 256, 5, nil); err == nil {
+	if _, err := ReadRecordSlot(pb.Bytes(), 5); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	var oor *MemFile
-	_ = oor
+	// A fragment cut inside its header, and one cut inside an edge.
+	for _, n := range []int{fragHeaderSize - 1, len(rec) - 1} {
+		if _, _, _, err := ReadFragment(rec[:n], nil); err == nil {
+			t.Fatalf("%d-byte fragment accepted", n)
+		}
+	}
 	if !errors.Is(ErrPageOutOfRange, ErrPageOutOfRange) {
 		t.Fatal("sentinel identity broken")
 	}
 }
 
+// TestPageBuilderCapacity fills a page with one full-capacity fragment: it
+// is accepted and decodes back, and the next record opens a fresh page.
 func TestPageBuilderCapacity(t *testing.T) {
-	pb := NewPageBuilder(256)
-	capEdges := pb.FragmentCapacity()
-	if capEdges != MaxEdgesPerFragment(256) {
-		t.Fatalf("empty-page capacity %d != MaxEdgesPerFragment %d", capEdges, MaxEdgesPerFragment(256))
+	file := NewMemFile(256)
+	w, err := NewRecordWriter(file, fragHeaderSize+PairSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capEdges := fragmentRoom(w.Free())
+	if capEdges != fragmentRoom(MaxRecordPayload(256)) || capEdges < 1 {
+		t.Fatalf("empty-page capacity %d, want %d", capEdges, fragmentRoom(MaxRecordPayload(256)))
 	}
 	edges := make([]graph.Edge, capEdges)
 	for i := range edges {
 		edges[i] = graph.Edge{To: graph.NodeID(i), W: float64(i)}
 	}
-	if _, err := pb.AddFragment(9, edges, InvalidRecRef); err != nil {
-		t.Fatalf("full-capacity fragment rejected: %v", err)
+	full, err := w.Add(appendFragment(nil, 9, InvalidRecRef, edges))
+	if err != nil || full != (RecRef{Page: 0, Slot: 0}) {
+		t.Fatalf("full-capacity fragment: ref %+v, err %v", full, err)
 	}
-	if _, err := pb.AddFragment(10, []graph.Edge{{To: 1, W: 1}}, InvalidRecRef); err == nil {
-		t.Fatal("overfull page accepted a fragment")
+	if fragmentRoom(w.Free()) >= 1 {
+		t.Fatal("a full page still offers room for an edge")
+	}
+	spilled, err := w.Add(appendFragment(nil, 10, InvalidRecRef, []graph.Edge{{To: 1, W: 1}}))
+	if err != nil || spilled != (RecRef{Page: 1, Slot: 0}) {
+		t.Fatalf("fragment behind a full page: ref %+v, err %v", spilled, err)
+	}
+	if _, err := w.Add(make([]byte, MaxRecordPayload(256)+1)); err == nil {
+		t.Fatal("a record larger than an empty page was accepted")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	// Round-trip.
-	node, next, got, err := ReadFragment(pb.Bytes(), 256, 0, nil)
+	page := make([]byte, 256)
+	if err := file.Read(0, page); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadRecordSlot(page, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, next, got, err := ReadFragment(rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

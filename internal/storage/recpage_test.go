@@ -47,7 +47,7 @@ func TestRecordPageQuickRoundTrip(t *testing.T) {
 			flush()
 		}
 		for _, r := range recs {
-			got, err := ReadRecordSlot(pages[r.page], pageSize, r.slot)
+			got, err := ReadRecordSlot(pages[r.page], r.slot)
 			if err != nil {
 				return false
 			}
@@ -83,10 +83,10 @@ func TestReadRecordSlotBounds(t *testing.T) {
 		t.Fatal("add failed")
 	}
 	page := pb.Bytes()
-	if _, err := ReadRecordSlot(page, 256, 1); err == nil {
+	if _, err := ReadRecordSlot(page, 1); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if _, err := ReadRecordSlot(page, 256, -1); err == nil {
+	if _, err := ReadRecordSlot(page, -1); err == nil {
 		t.Fatal("negative slot accepted")
 	}
 }

@@ -150,7 +150,7 @@ func (db *DB) openMaterialization(path string, opt *MatOptions) (*Materializatio
 	_, buffer := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
 	// recollection of the build-time options.
-	pageSize, err := core.MatFilePageSize(path)
+	pageSize, err := core.MatFileHeader.PageSize(path)
 	if err != nil {
 		return nil, err
 	}
