@@ -36,16 +36,16 @@ var Analyzer = &analysis.Analyzer{
 // the polling contract, keyed by method name with the defining package's
 // path suffix.
 var triggers = map[string][]string{
-	"Adjacency": {"internal/graph"},
-	"List":      {"internal/core"},
-	"pop":       {"internal/core"},
-	"InLabel":   {"internal/hublabel"},
-	"OutLabel":  {"internal/hublabel"},
-	"Get":       {"internal/storage"},
-	"Pin":       {"internal/storage"},
-	"PinRecord": {"internal/storage"},
-	"Update":    {"internal/storage"},
-	"Pop":       {"internal/pq"},
+	"Adjacency":  {"internal/graph"},
+	"List":       {"internal/core"},
+	"pop":        {"internal/core"},
+	"InLabel":    {"internal/hublabel"},
+	"OutLabel":   {"internal/hublabel"},
+	"Get":        {"internal/storage"},
+	"Pin":        {"internal/storage"},
+	"ReadRecord": {"internal/storage"},
+	"Update":     {"internal/storage"},
+	"Pop":        {"internal/pq"},
 }
 
 // loopInfo tracks one lexical loop during the walk.

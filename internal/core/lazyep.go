@@ -11,14 +11,75 @@ import (
 // epMarks is the second heap H' of lazy-EP (Section 4.2) with the marks it
 // leaves behind: it expands the network around every discovered competitor
 // in parallel with the main expansion (interleaved by distance), recording
-// in found[n] the up-to-k nearest discovered competitors of node n in
-// canonical order ("the kNN of each node found so far"). Like the main
-// walk it follows in-arcs: a mark is d(n→x), the distance Lemma 1 compares
-// with d(n→q).
+// for node n the up-to-k nearest discovered competitors in canonical order
+// ("the kNN of each node found so far"). Like the main walk it follows
+// in-arcs: a mark is d(n→x), the distance Lemma 1 compares with d(n→q).
+//
+// The state is pooled like lazyCounts, so a query allocates none of it: a
+// marked node owns one block of the arena, found through an epoch-stamped
+// (offset, count), and the per-point marks are maps cleared between
+// queries.
 type epMarks struct {
-	found map[graph.NodeID][]PointDist
-	hp    pq.Heap[matHeapEntry]
-	adj   []graph.Edge
+	nodes []epNode
+	epoch uint32
+	// arena holds one block of block entries per marked node: min(k,
+	// visible sites), all a list can ever hold — never k, which a caller
+	// may set far above the number of points.
+	arena []PointDist
+	block int
+	// seeded are the sites expanding in H', classified the candidates
+	// decided.
+	seeded, classified map[points.PointID]bool
+	hp                 pq.Heap[matHeapEntry]
+	adj                []graph.Edge
+}
+
+// epNode locates node n's marks: arena[off:off+n] while stamp is the
+// query's epoch.
+type epNode struct{ stamp, off, n uint32 }
+
+// reset readies the marks for a query over numNodes nodes and lists of at
+// most block entries.
+func (ep *epMarks) reset(numNodes, block int) {
+	if len(ep.nodes) != numNodes {
+		*ep = epMarks{
+			nodes:      make([]epNode, numNodes),
+			seeded:     make(map[points.PointID]bool),
+			classified: make(map[points.PointID]bool),
+		}
+	}
+	if ep.epoch++; ep.epoch == 0 { // epoch wrapped: wipe stamps and restart
+		clear(ep.nodes)
+		ep.epoch = 1
+	}
+	ep.arena, ep.block = ep.arena[:0], block
+	clear(ep.seeded)
+	clear(ep.classified)
+	ep.hp.Reset()
+	ep.hp.PushCount, ep.hp.PopCount = 0, 0
+}
+
+// found returns node n's marks.
+func (ep *epMarks) found(n graph.NodeID) []PointDist {
+	m := ep.nodes[n]
+	if m.stamp != ep.epoch {
+		return nil
+	}
+	return ep.arena[m.off : m.off+m.n]
+}
+
+// accept offers competitor p at distance d to node n's marks, in place in
+// n's block, and reports whether they changed.
+func (ep *epMarks) accept(n graph.NodeID, p points.PointID, d float64) bool {
+	m := &ep.nodes[n]
+	if m.stamp != ep.epoch {
+		*m = epNode{stamp: ep.epoch, off: uint32(len(ep.arena))}
+		ep.arena = append(ep.arena, make([]PointDist, ep.block)...)
+	}
+	end := int(m.off) + ep.block
+	changed, lst := matAccept(ep.arena[m.off:m.off+m.n:end], p, d, ep.block)
+	m.n = uint32(len(lst))
+	return changed
 }
 
 // advance drains H' entries strictly below limit. The paper interleaves on
@@ -36,11 +97,9 @@ func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 		if err := s.checkExecStride(st); err != nil {
 			return err
 		}
-		changed, lst := matAccept(ep.found[e.node], e.p, d, k)
-		if !changed {
+		if !ep.accept(e.node, e.p, d) {
 			continue // a later (no closer) pop of a marked point, or no better than the k-th mark
 		}
-		ep.found[e.node] = lst
 		var err error
 		ep.adj, err = s.in.Adjacency(e.node, ep.adj)
 		if err != nil {
@@ -48,7 +107,7 @@ func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 		}
 		for _, edge := range ep.adj {
 			nd := d + edge.W
-			if tgt := ep.found[edge.To]; len(tgt) == k && !entryLess(nd, e.p, tgt[k-1].D, tgt[k-1].P) {
+			if tgt := ep.found(edge.To); len(tgt) == k && !entryLess(nd, e.p, tgt[k-1].D, tgt[k-1].P) {
 				continue // cannot improve the neighbour's list
 			}
 			ep.hp.Push(matHeapEntry{edge.To, e.p}, nd)
@@ -86,10 +145,10 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 	var st Stats
 	main := s.acquire()
 	defer s.release(&st, main)
-	ep := &epMarks{found: make(map[graph.NodeID][]PointDist)}
-
-	seeded := make(map[points.PointID]bool)     // sites expanding in H'
-	classified := make(map[points.PointID]bool) // candidates decided
+	ep := s.pools.ep.Get().(*epMarks)
+	defer s.pools.ep.Put(ep)
+	ep.reset(s.g.NumNodes(), min(k, sites.len()))
+	seeded, classified := ep.seeded, ep.classified
 	var results []points.PointID
 	if mono {
 		results = s.confirmAtSources(cands, sources, classified, results)
@@ -149,7 +208,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
 		}
-		lst := ep.found[n]
+		lst := ep.found(n)
 		pruned := len(lst) >= k && lst[k-1].D < strictBound(d)
 		if p, ok := cands.at(n); ok {
 			if err := meet(p, NodeLoc(n), d, true, mono); err != nil {
@@ -204,12 +263,12 @@ func (s *Searcher) epClassify(st *Stats, ep *epMarks, sites PointSet, mono bool,
 	ubStrict := strictBound(ub)
 	closer := 0
 	for i, a := range as[:n] {
-		for _, f := range ep.found[a.node] {
+		for _, f := range ep.found(a.node) {
 			if f.P == self || f.D+a.off >= ubStrict {
 				continue
 			}
 			// A competitor marked at both anchors counts once.
-			if i == 1 && slices.ContainsFunc(ep.found[as[0].node], func(g PointDist) bool {
+			if i == 1 && slices.ContainsFunc(ep.found(as[0].node), func(g PointDist) bool {
 				return g.P == f.P && g.D+as[0].off < ubStrict
 			}) {
 				continue

@@ -77,6 +77,14 @@ func (ps PointSet) loc(p points.PointID) (Loc, bool) {
 	return PointLoc(ep), ok
 }
 
+// len returns the number of visible points.
+func (ps PointSet) len() int {
+	if ps.Node != nil {
+		return ps.Node.Len()
+	}
+	return ps.Edge.Len()
+}
+
 // ids returns the visible point ids in ascending order.
 func (ps PointSet) ids() []points.PointID {
 	if ps.Node != nil {

@@ -146,18 +146,19 @@ func (m *Materialized) List(n graph.NodeID, buf []MatEntry) ([]MatEntry, error) 
 	if n < 0 || int(n) >= m.numNodes {
 		return nil, fmt.Errorf("core: materialized list of node %d out of range [0,%d)", n, m.numNodes)
 	}
-	page, rec, err := m.bm.PinRecord(m.refs[n])
+	err := m.bm.ReadRecord(m.refs[n], func(_, rec []byte) (err error) {
+		// Length before content: a corrupt page can hold a record shorter
+		// than a list, which a maintenance write would then overrun.
+		if len(rec) < matRecordSize(m.cap) {
+			return fmt.Errorf("core: corrupt materialized record for node %d", n)
+		}
+		if buf, err = DecodeMatList(rec, buf); err != nil || len(buf) > m.cap {
+			return fmt.Errorf("core: corrupt materialized record for node %d", n)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer page.Unpin()
-	// Length before content: a corrupt page can hold a record shorter than
-	// a list, which a maintenance write would then overrun.
-	if len(rec) < matRecordSize(m.cap) {
-		return nil, fmt.Errorf("core: corrupt materialized record for node %d", n)
-	}
-	if buf, err = DecodeMatList(rec, buf); err != nil || len(buf) > m.cap {
-		return nil, fmt.Errorf("core: corrupt materialized record for node %d", n)
 	}
 	return buf, nil
 }

@@ -146,6 +146,7 @@ func (sc *scratch) pop() (e entry, d float64, ok bool) {
 type searchPools struct {
 	scratch sync.Pool // *scratch, sized to g.NumNodes()
 	counts  sync.Pool // *lazyCounts
+	ep      sync.Pool // *epMarks
 }
 
 // Searcher executes RkNN queries against a graph. It
@@ -177,6 +178,7 @@ func NewSearcher(g graph.Access) *Searcher {
 	s := &Searcher{g: g, in: g.In(), pools: &searchPools{}}
 	s.pools.scratch.New = func() any { return newScratch(g.NumNodes()) }
 	s.pools.counts.New = func() any { return &lazyCounts{} }
+	s.pools.ep.New = func() any { return &epMarks{} }
 	return s
 }
 

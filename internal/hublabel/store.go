@@ -373,18 +373,18 @@ func (s *Store) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 // vetrnn:deterministic
 func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
 	buf = buf[:0]
+	var more, lastSlot bool
+	decode := func(page, rec []byte) (err error) {
+		if buf, more, err = DecodeChunk(rec, s.codec == codecDelta, buf); err != nil {
+			return fmt.Errorf("hublabel: label chunk on page %d slot %d: %w", at.Page, at.Slot, err)
+		}
+		lastSlot = int(at.Slot)+1 >= storage.RecordSlotCount(page)
+		return nil
+	}
 	//lint:ignore vetrnn/execpoll record-chain walk inside the label-read primitive itself; callers poll per label fetch
 	for {
-		page, rec, err := s.buffer.PinRecord(at)
-		if err != nil {
+		if err := s.buffer.ReadRecord(at, decode); err != nil {
 			return nil, err
-		}
-		var more bool
-		buf, more, err = DecodeChunk(rec, s.codec == codecDelta, buf)
-		lastSlot := int(at.Slot)+1 >= storage.RecordSlotCount(page.Bytes())
-		page.Unpin() // DecodeChunk's every exit comes back through here
-		if err != nil {
-			return nil, fmt.Errorf("hublabel: label chunk on page %d slot %d: %w", at.Page, at.Slot, err)
 		}
 		if !more {
 			return buf, nil

@@ -81,12 +81,11 @@ func (s *PagedEdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePo
 	if !ok {
 		return buf, nil
 	}
-	page, rec, err := s.bm.PinRecord(ref)
+	err := s.bm.ReadRecord(ref, func(_, rec []byte) (err error) {
+		buf, err = DecodeEdgeRecord(rec, buf)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("points: edge (%d,%d): %w", u, v, err)
-	}
-	defer page.Unpin()
-	if buf, err = DecodeEdgeRecord(rec, buf); err != nil {
 		return nil, fmt.Errorf("points: edge (%d,%d): %w", u, v, err)
 	}
 	return buf, nil

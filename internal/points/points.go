@@ -199,7 +199,13 @@ func (e excludeNode) NodeOf(p PointID) (graph.NodeID, bool) {
 	return e.NodeView.NodeOf(p)
 }
 
-func (e excludeNode) Len() int { return e.NodeView.Len() - 1 }
+func (e excludeNode) Len() int {
+	n := e.NodeView.Len()
+	if _, ok := e.NodeView.NodeOf(e.hidden); ok {
+		n-- // only a point the set has is hidden from the count
+	}
+	return n
+}
 
 func (e excludeNode) Points() []PointID {
 	all := e.NodeView.Points()
@@ -427,7 +433,13 @@ func (e excludeEdge) Loc(p PointID) (EdgePoint, bool) {
 	return e.EdgeView.Loc(p)
 }
 
-func (e excludeEdge) Len() int { return e.EdgeView.Len() - 1 }
+func (e excludeEdge) Len() int {
+	n := e.EdgeView.Len()
+	if _, ok := e.EdgeView.Loc(e.hidden); ok {
+		n--
+	}
+	return n
+}
 
 func (e excludeEdge) Points() []PointID {
 	all := e.EdgeView.Points()

@@ -100,6 +100,10 @@ func TestExcludeNodeView(t *testing.T) {
 	if v.Len() != 1 {
 		t.Fatalf("Len = %d", v.Len())
 	}
+	// Hiding a point the set does not have hides nothing from the count.
+	if n := ExcludeNode(s, 99).Len(); n != 2 {
+		t.Fatalf("Len with an absent point hidden = %d, want 2", n)
+	}
 	if ExcludeNode(s, NoPoint) != NodeView(s) {
 		t.Fatal("ExcludeNode(NoPoint) wrapped needlessly")
 	}
@@ -168,6 +172,9 @@ func TestExcludeEdgeView(t *testing.T) {
 	}
 	if v.Len() != 1 {
 		t.Fatalf("Len = %d", v.Len())
+	}
+	if n := ExcludeEdge(s, 99).Len(); n != 2 {
+		t.Fatalf("Len with an absent point hidden = %d, want 2", n)
 	}
 }
 

@@ -1,17 +1,20 @@
-// Package pq implements an indexed binary min-heap used by every network
+// Package pq implements the binary min-heap used by every network
 // expansion in the library.
 //
 // The lazy RNN algorithm of Yiu et al. (TKDE'06, Section 3.3) must delete
 // arbitrary heap entries when a verification query invalidates the node that
-// inserted them, so Push hands out a Handle that supports removal in
-// O(log n).
+// inserted them, so Push hands out a Handle that supports removal. Removal
+// is lazy: Remove marks the entry in a bitset and it is dropped, uncounted,
+// when it surfaces at the root, so the sifts of every other expansion — the
+// ones that never remove — keep no position index up to date.
 //
 // Entries are stored by value and the heap holds no pointers of its own, so
 // a warmed heap allocates nothing per operation and the garbage collector
 // never scans or write-barriers it (unless T itself carries pointers).
 //
 // Ties are broken by insertion sequence (FIFO), which makes every traversal
-// in the library deterministic for a fixed seed.
+// in the library deterministic for a fixed seed: pop order is the total
+// order (priority, sequence), whatever the heap's layout.
 package pq
 
 // Handle names one pushed entry for Remove. It stays meaningful for the
@@ -26,13 +29,17 @@ type entry[T any] struct {
 	seq      uint64 // insertion number; never reused, so also the entry's identity
 }
 
-// Heap is an indexed binary min-heap ordered by (priority, insertion order).
-// The zero value is an empty heap ready for use.
+// Heap is a binary min-heap ordered by (priority, insertion order). The
+// zero value is an empty heap ready for use.
 type Heap[T any] struct {
 	items []entry[T]
-	// pos[seq-base] is the index in items of the entry pushed with that
-	// sequence number since the last Reset, -1 once it has left the heap.
-	pos  []int32
+	// left is a bitset over seq-base: a bit is set once the entry pushed
+	// with that sequence number since the last Reset was popped or removed.
+	// A removed entry stays in items as a tombstone until it surfaces at
+	// the root, so no sift tracks positions; dead counts the tombstones.
+	// The root is never one.
+	left []uint64
+	dead int
 	base uint64
 	seq  uint64
 
@@ -43,7 +50,7 @@ type Heap[T any] struct {
 }
 
 // Len returns the number of queued items.
-func (h *Heap[T]) Len() int { return len(h.items) }
+func (h *Heap[T]) Len() int { return len(h.items) - h.dead }
 
 // Reset discards all queued items but keeps the backing arrays and the
 // operation counters, so a Heap can be reused across queries without
@@ -51,17 +58,20 @@ func (h *Heap[T]) Len() int { return len(h.items) }
 func (h *Heap[T]) Reset() {
 	clear(h.items) // drop references a pointer-carrying T may hold
 	h.items = h.items[:0]
-	h.pos = h.pos[:0]
+	h.left = h.left[:0]
+	h.dead = 0
 	h.base = h.seq
 }
 
 // Push inserts value with the given priority and returns its handle.
 func (h *Heap[T]) Push(value T, priority float64) Handle {
 	e := entry[T]{value: value, priority: priority, seq: h.seq}
+	if (h.seq-h.base)>>6 == uint64(len(h.left)) {
+		h.left = append(h.left, 0)
+	}
 	h.seq++
 	h.PushCount++
 	h.items = append(h.items, e)
-	h.pos = append(h.pos, 0)
 	h.up(len(h.items)-1, e)
 	return Handle(h.seq) // seq+1 of the entry: the zero Handle stays free
 }
@@ -74,7 +84,8 @@ func (h *Heap[T]) Pop() (value T, priority float64, ok bool) {
 	}
 	top := h.items[0]
 	h.PopCount++
-	h.removeAt(0)
+	h.mark(top.seq - h.base)
+	h.dropRoot()
 	return top.value, top.priority, true
 }
 
@@ -89,29 +100,37 @@ func (h *Heap[T]) Peek() (value T, priority float64, ok bool) {
 // Remove deletes the entry the handle names. It reports false when the
 // entry had already left the heap (popped, removed, or Reset away).
 func (h *Heap[T]) Remove(hd Handle) bool {
-	slot := uint64(hd) - 1 - h.base // wraps far past len(pos) for zero and stale handles
-	if slot >= uint64(len(h.pos)) || h.pos[slot] < 0 {
+	slot := uint64(hd) - 1 - h.base // wraps far past the pushed range for zero and stale handles
+	if slot >= h.seq-h.base || h.gone(slot) {
 		return false
 	}
-	h.removeAt(int(h.pos[slot]))
+	h.mark(slot)
+	if h.items[0].seq-h.base == slot {
+		h.dropRoot()
+	} else {
+		h.dead++ // a tombstone until it surfaces
+	}
 	return true
 }
 
-// removeAt takes the entry at index i out of the heap, refilling the hole
-// with the last entry.
-func (h *Heap[T]) removeAt(i int) {
-	h.pos[h.items[i].seq-h.base] = -1
-	last := len(h.items) - 1
-	moved := h.items[last]
-	clear(h.items[last:]) // as in Reset
-	h.items = h.items[:last]
-	if i == last {
-		return
-	}
-	if i > 0 && less(moved, h.items[(i-1)/2]) {
-		h.up(i, moved)
-	} else {
-		h.down(i, moved)
+func (h *Heap[T]) gone(slot uint64) bool { return h.left[slot>>6]&(1<<(slot&63)) != 0 }
+func (h *Heap[T]) mark(slot uint64)      { h.left[slot>>6] |= 1 << (slot & 63) }
+
+// dropRoot takes the root out of the heap, refilling the hole with the
+// last entry, and then every tombstone that surfaces in its place.
+func (h *Heap[T]) dropRoot() {
+	for {
+		last := len(h.items) - 1
+		moved := h.items[last]
+		clear(h.items[last:]) // as in Reset
+		h.items = h.items[:last]
+		if last > 0 {
+			h.down(0, moved)
+		}
+		if h.dead == 0 || last == 0 || !h.gone(h.items[0].seq-h.base) {
+			return
+		}
+		h.dead--
 	}
 }
 
@@ -122,12 +141,6 @@ func less[T any](a, b entry[T]) bool {
 	return a.seq < b.seq
 }
 
-// set stores e at index i and records its position.
-func (h *Heap[T]) set(i int, e entry[T]) {
-	h.items[i] = e
-	h.pos[e.seq-h.base] = int32(i)
-}
-
 // up sifts e towards the root from the hole at index i: ancestors that
 // order after e move down into the hole, then e is written once.
 func (h *Heap[T]) up(i int, e entry[T]) {
@@ -136,10 +149,10 @@ func (h *Heap[T]) up(i int, e entry[T]) {
 		if !less(e, h.items[parent]) {
 			break
 		}
-		h.set(i, h.items[parent])
+		h.items[i] = h.items[parent]
 		i = parent
 	}
-	h.set(i, e)
+	h.items[i] = e
 }
 
 // down sifts e towards the leaves from the hole at index i.
@@ -156,8 +169,8 @@ func (h *Heap[T]) down(i int, e entry[T]) {
 		if !less(h.items[child], e) {
 			break
 		}
-		h.set(i, h.items[child])
+		h.items[i] = h.items[child]
 		i = child
 	}
-	h.set(i, e)
+	h.items[i] = e
 }

@@ -138,7 +138,7 @@ func TestReset(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d after Reset, want 0", h.Len())
 	}
-	// Entries pushed after the Reset reuse the position table; stale
+	// Entries pushed after the Reset reuse the left bitset; stale
 	// handles must not reach them.
 	for i := 0; i < 5; i++ {
 		h.Push(100+i, float64(i))
@@ -153,6 +153,43 @@ func TestReset(t *testing.T) {
 	}
 	if v, _, ok := h.Pop(); !ok || v != 100 {
 		t.Fatal("heap unusable after Reset")
+	}
+}
+
+// TestRemovedEntriesSurfaceUncounted: a removed entry is a tombstone that
+// no caller can see — not through Len, Peek or Pop, and not in PopCount —
+// including a run of them surfacing at the root together, and the last
+// live entry leaving with tombstones behind it.
+func TestRemovedEntriesSurfaceUncounted(t *testing.T) {
+	var h Heap[int]
+	var handles []Handle
+	for i := 0; i < 8; i++ {
+		handles = append(handles, h.Push(i, float64(i)))
+	}
+	for _, i := range []int{1, 2, 3, 7} { // not the root: they stay queued
+		if !h.Remove(handles[i]) {
+			t.Fatalf("Remove(%d) failed", i)
+		}
+	}
+	if v, _, ok := h.Peek(); !ok || v != 0 || h.Len() != 4 {
+		t.Fatalf("after removals: Peek = %d (ok=%v), Len = %d, want 0 and 4", v, ok, h.Len())
+	}
+	for _, want := range []int{0, 4, 5, 6} { // popping 0 surfaces 1, 2 and 3 at once
+		if v, _, ok := h.Peek(); !ok || v != want {
+			t.Fatalf("Peek = %d (ok=%v), want %d", v, ok, want)
+		}
+		if v, _, ok := h.Pop(); !ok || v != want {
+			t.Fatalf("Pop = %d (ok=%v), want %d", v, ok, want)
+		}
+	}
+	if _, _, ok := h.Pop(); ok || h.Len() != 0 {
+		t.Fatalf("heap not empty after its live entries left: Len = %d", h.Len())
+	}
+	if h.PushCount != 8 || h.PopCount != 4 {
+		t.Fatalf("counters = (%d,%d), want (8,4)", h.PushCount, h.PopCount)
+	}
+	if h.Remove(handles[7]) || h.Remove(handles[0]) {
+		t.Fatal("Remove succeeded on an entry that had left the heap")
 	}
 }
 

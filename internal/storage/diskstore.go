@@ -15,8 +15,8 @@ import (
 // what the paper's experiments report.
 //
 // A built DiskStore is read-only and safe for concurrent use: Adjacency
-// reads pages through the mutex-guarded pool tenant, and Stats /
-// ResetStats use its atomic counters, so they may run while queries are in
+// reads records through the mutex-guarded pool tenant, and Stats /
+// ResetStats take the same mutex, so they may run while queries are in
 // flight.
 type DiskStore struct {
 	bm       *Tenant
@@ -124,23 +124,20 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 		return nil, fmt.Errorf("storage: node %d out of range [0,%d)", n, s.numNodes)
 	}
 	buf = buf[:0]
-	ref := s.index[n]
+	var owner graph.NodeID
+	var next RecRef
+	decode := func(_, rec []byte) (err error) {
+		owner, next, buf, err = ReadFragment(rec, buf)
+		return err
+	}
 	//lint:ignore vetrnn/execpoll fragment-chain walk inside the Adjacency primitive itself; callers poll per call
-	for ref.Page != InvalidPage {
-		page, rec, err := s.bm.PinRecord(ref)
-		if err != nil {
-			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
-		}
-		owner, next, extended, err := ReadFragment(rec, buf)
-		page.Unpin() // the edges are decoded into buf; nothing below reads the page
-		if err != nil {
+	for ref := s.index[n]; ref.Page != InvalidPage; ref = next {
+		if err := s.bm.ReadRecord(ref, decode); err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
 		}
 		if owner != n {
 			return nil, fmt.Errorf("storage: fragment at page %d slot %d belongs to node %d, want %d", ref.Page, ref.Slot, owner, n)
 		}
-		buf = extended
-		ref = next
 	}
 	return buf, nil
 }

@@ -19,17 +19,21 @@ import (
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
-// Readers Pin a page, use its bytes in place and Unpin it; a pinned frame
-// is never evicted, and an evicted frame and its page buffer go to a free
-// list the next fault reuses, so the steady-state read path — hit or miss —
-// allocates nothing.
+// A record read (Tenant.ReadRecord) that finds its page cached decodes the
+// record under the pool mutex, in the one critical section that also
+// touches the LRU and counts the hit: two atomic operations and an index
+// into the tenant's dense page table. A miss — and every reader that wants
+// the page bytes themselves — Pins the page, uses its bytes in place and
+// Unpins it; a pinned frame is never evicted, and an evicted frame and its
+// page buffer go to a free list the next fault reuses, so the steady-state
+// read path — hit or miss — allocates nothing.
 //
-// Concurrency: one mutex guards the frame table and LRU list, counters are
-// atomic (snapshots and resets never block behind an in-flight page
-// fault), a faulting Pin releases the mutex for the duration of the
-// physical read, and concurrent Pins of the same missing page coalesce
-// into one read: the latecomers wait on the pool's ready latch for the
-// frame's loaded flag.
+// Concurrency: one mutex guards the page tables, the LRU lists and the
+// tenants' counters (a snapshot or reset takes it, and never waits behind
+// an in-flight page fault: a faulting Pin releases the mutex for the
+// duration of the physical read), and concurrent Pins of the same missing
+// page coalesce into one read: the latecomers wait on the pool's ready
+// latch for the frame's loaded flag.
 type BufferPool struct {
 	mu       sync.Mutex
 	capacity int     // vetrnn:guardedby mu
@@ -51,8 +55,8 @@ type BufferPool struct {
 	// reads is the pool-wide physical-read counter — the only aggregate
 	// maintained inline (it backs per-query I/O budgets and only moves on
 	// misses, which pay a physical read anyway). Everything else is
-	// summed from the tenants on demand, keeping the hit path at one
-	// atomic increment.
+	// summed from the tenants on demand, keeping the hit path free of
+	// atomics beyond the mutex.
 	reads atomic.Int64
 }
 
@@ -82,45 +86,24 @@ type Tenant struct {
 	quota int // >0 max frames; 0 no per-tenant cap; <0 never cached
 	grown int // capacity contributed via AttachGrowing, returned on Detach; vetrnn:guardedby pool.mu
 
-	frames map[PageID]*frame // vetrnn:guardedby pool.mu
+	// table is the dense page table: table[id] is the frame holding page id
+	// or nil, and held counts the non-nil entries. It grows with the pages
+	// admitted and never past the file.
+	table []*frame // vetrnn:guardedby pool.mu
+	held  int      // vetrnn:guardedby pool.mu
 	// tlru orders the tenant's own frames by recency so quota eviction is
 	// O(1) instead of scanning the pool-wide list past other tenants'
 	// frames.
 	tlru lruList // vetrnn:guardedby pool.mu
 	// lent counts the transient frames out on uncached reads.
-	lent  int // vetrnn:guardedby pool.mu
-	stats atomicStats
+	lent  int   // vetrnn:guardedby pool.mu
+	stats Stats // vetrnn:guardedby pool.mu
 }
 
 // NoCache, passed as a tenant quota, keeps the tenant's pages out of the
 // pool entirely: every access is a counted physical transfer (the paper's
 // zero-buffer measurement mode), while other tenants keep caching.
 const NoCache = -1
-
-// atomicStats is the lock-free representation of Stats, so that I/O
-// counters can be read and reset while queries fault pages in.
-type atomicStats struct {
-	reads     atomic.Int64
-	hits      atomic.Int64
-	writes    atomic.Int64
-	evictions atomic.Int64
-}
-
-func (a *atomicStats) snapshot() Stats {
-	return Stats{
-		Reads:     a.reads.Load(),
-		Hits:      a.hits.Load(),
-		Writes:    a.writes.Load(),
-		Evictions: a.evictions.Load(),
-	}
-}
-
-func (a *atomicStats) reset() {
-	a.reads.Store(0)
-	a.hits.Store(0)
-	a.writes.Store(0)
-	a.evictions.Store(0)
-}
 
 // ErrPinned is returned by Invalidate, Detach and the Close paths above
 // them when a page of the tenant is still pinned: a reader that has not
@@ -218,14 +201,7 @@ func NewBufferPool(capPages int) *BufferPool {
 // capacity, and NoCache keeps its pages out of the pool entirely. Tenant
 // names are labels for stats reporting; they need not be unique.
 func (p *BufferPool) Attach(name string, file PagedFile, quota int) *Tenant {
-	t := &Tenant{
-		pool:   p,
-		name:   name,
-		file:   file,
-		quota:  quota,
-		frames: make(map[PageID]*frame),
-		tlru:   lruList{which: tenantLRU},
-	}
+	t := &Tenant{pool: p, name: name, file: file, quota: quota, tlru: lruList{which: tenantLRU}}
 	p.mu.Lock()
 	p.tenants = append(p.tenants, t)
 	p.refreshTrackLocked()
@@ -269,11 +245,10 @@ func (p *BufferPool) Capacity() int {
 // traffic. Safe to call while queries fault pages in.
 func (p *BufferPool) Stats() Stats {
 	p.mu.Lock()
-	tenants := append([]*Tenant(nil), p.tenants...)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
 	var sum Stats
-	for _, t := range tenants {
-		sum = sum.Add(t.stats.snapshot())
+	for _, t := range p.tenants {
+		sum = sum.Add(t.statsRow().Stats)
 	}
 	return sum
 }
@@ -287,10 +262,9 @@ func (p *BufferPool) Reads() int64 { return p.reads.Load() }
 func (p *BufferPool) ResetStats() {
 	p.reads.Store(0)
 	p.mu.Lock()
-	tenants := append([]*Tenant(nil), p.tenants...)
-	p.mu.Unlock()
-	for _, t := range tenants {
-		t.stats.reset()
+	defer p.mu.Unlock()
+	for _, t := range p.tenants {
+		t.resetStatsLocked()
 	}
 }
 
@@ -322,7 +296,7 @@ func (p *BufferPool) TenantStats() []TenantStats {
 //
 // vetrnn:holds t.pool.mu
 func (t *Tenant) statsRow() TenantStats {
-	return TenantStats{Name: t.name, Stats: t.stats.snapshot(), Frames: len(t.frames), Quota: t.quota}
+	return TenantStats{Name: t.name, Stats: t.stats, Frames: t.held, Quota: t.quota}
 }
 
 // --- Tenant surface --------------------------------------------------------
@@ -347,23 +321,48 @@ func (t *Tenant) Capacity() int {
 
 // Stats returns a copy of the tenant's accumulated I/O counters. It is
 // safe to call while other goroutines access the pool.
-func (t *Tenant) Stats() Stats { return t.stats.snapshot() }
+func (t *Tenant) Stats() Stats {
+	t.pool.mu.Lock()
+	defer t.pool.mu.Unlock()
+	return t.stats
+}
 
 // ResetStats zeroes the tenant's I/O counters (the pool-wide aggregate is
 // left running; reset it through BufferPool.ResetStats).
-func (t *Tenant) ResetStats() { t.stats.reset() }
+func (t *Tenant) ResetStats() {
+	t.pool.mu.Lock()
+	defer t.pool.mu.Unlock()
+	t.resetStatsLocked()
+}
 
-// uncached reports whether the tenant's pages bypass the pool. Every call
-// site holds p.mu (Pin/Update/Append take it before the cache decision),
-// which is what makes reading capacity here safe against concurrent
-// Attach/Detach.
+// resetStatsLocked zeroes the tenant's counters; like statsRow it is reached
+// by iterating t.pool.tenants under the pool mutex.
 // vetrnn:holds t.pool.mu
-func (t *Tenant) uncached() bool { return t.quota < 0 || t.pool.capacity == 0 }
+func (t *Tenant) resetStatsLocked() { t.stats = Stats{} }
 
-func (t *Tenant) countRead()  { t.stats.reads.Add(1); t.pool.reads.Add(1) }
-func (t *Tenant) countHit()   { t.stats.hits.Add(1) }
-func (t *Tenant) countWrite() { t.stats.writes.Add(1) }
-func (t *Tenant) countEvict() { t.stats.evictions.Add(1) }
+// uncached reports whether page id bypasses the pool: the tenant is never
+// cached, the pool has no frames, or the file has no such page — its read
+// comes back with the file's own error, and the dense table never grows
+// past the file. Every call site holds p.mu (Pin/Update/Append take it
+// before the cache decision), which is what makes reading capacity here
+// safe against concurrent Attach/Detach.
+// vetrnn:holds t.pool.mu
+func (t *Tenant) uncached(id PageID) bool {
+	return t.quota < 0 || t.pool.capacity == 0 || uint(id) >= uint(t.file.NumPages())
+}
+
+// countRead counts one physical read against the tenant and the pool.
+// vetrnn:holds t.pool.mu
+func (t *Tenant) countRead() { t.stats.Reads++; t.pool.reads.Add(1) }
+
+// frameLocked returns the frame holding page id, or nil.
+// vetrnn:holds t.pool.mu
+func (t *Tenant) frameLocked(id PageID) *frame {
+	if uint(id) < uint(len(t.table)) {
+		return t.table[id]
+	}
+	return nil
+}
 
 // Page is a pinned page: Bytes stays valid, and the frame behind it in
 // the pool, until Unpin. Every successful Pin needs exactly one Unpin, on
@@ -396,23 +395,25 @@ func (pg Page) Unpin() {
 func (t *Tenant) Pin(id PageID) (Page, error) {
 	p := t.pool
 	p.mu.Lock()
-	if fr, ok := t.frames[id]; ok {
+	if fr := t.frameLocked(id); fr != nil {
 		p.touchLocked(fr)
 		fr.pins.Add(1)
 		for !fr.loaded {
 			p.ready.Wait() // an in-flight read of this page; share its outcome
 		}
 		err := fr.err
+		if err == nil {
+			t.stats.Hits++
+		}
 		p.mu.Unlock()
 		if err != nil {
 			fr.pins.Add(-1)
 			return Page{}, err
 		}
-		t.countHit()
 		return Page{fr}, nil
 	}
 	t.countRead()
-	if t.uncached() {
+	if t.uncached(id) {
 		// No frame will hold this page; lend the reader one of its own so
 		// that concurrent uncached readers do not share a scratch page.
 		fr := p.newFrameLocked(t, id)
@@ -475,19 +476,19 @@ func (t *Tenant) Update(id PageID, fn func(page []byte) error) error {
 	p := t.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr, ok := t.frames[id]
-	for ok && !fr.loaded {
+	fr := t.frameLocked(id)
+	for fr != nil && !fr.loaded {
 		// A concurrent Pin is still reading this page in; wait for it and
 		// re-check (the frame is dropped again on read failure).
 		p.ready.Wait()
-		fr, ok = t.frames[id]
+		fr = t.frameLocked(id)
 	}
-	if ok {
-		t.countHit()
+	if fr != nil {
+		t.stats.Hits++
 		p.touchLocked(fr)
 	} else {
 		t.countRead()
-		if t.uncached() {
+		if t.uncached(id) {
 			return t.updateUncachedLocked(id, fn)
 		}
 		if err := p.evictForLocked(t); err != nil {
@@ -520,7 +521,7 @@ func (t *Tenant) updateUncachedLocked(id PageID, fn func(page []byte) error) err
 	if err := fn(fr.data); err != nil {
 		return err
 	}
-	t.countWrite()
+	t.stats.Writes++
 	return t.file.Write(id, fr.data)
 }
 
@@ -530,12 +531,12 @@ func (t *Tenant) Append(src []byte) (PageID, error) {
 	p := t.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t.countWrite()
+	t.stats.Writes++
 	id, err := t.file.Append(src)
 	if err != nil {
 		return InvalidPage, err
 	}
-	if !t.uncached() {
+	if !t.uncached(id) {
 		if err := p.evictForLocked(t); err != nil {
 			return InvalidPage, err
 		}
@@ -556,12 +557,13 @@ func (t *Tenant) Flush() error {
 	return t.flushLocked()
 }
 
-// flushLocked writes the tenant's dirty pages back.
+// flushLocked writes the tenant's dirty pages back, in ascending page
+// order.
 // vetrnn:holds t.pool.mu
 func (t *Tenant) flushLocked() error {
-	for _, fr := range t.frames {
-		if fr.dirty {
-			t.countWrite()
+	for _, fr := range t.table {
+		if fr != nil && fr.dirty {
+			t.stats.Writes++
 			if err := t.file.Write(fr.id, fr.data); err != nil {
 				return fmt.Errorf("storage: flush page %d: %w", fr.id, err)
 			}
@@ -629,7 +631,10 @@ func (t *Tenant) Detach() error {
 // vetrnn:holds t.pool.mu
 func (t *Tenant) dropFramesLocked() error {
 	pinned := t.lent
-	for _, fr := range t.frames {
+	for _, fr := range t.table {
+		if fr == nil {
+			continue
+		}
 		if fr.idle() {
 			t.pool.removeLocked(fr)
 			t.pool.recycleLocked(fr)
@@ -702,7 +707,12 @@ func (p *BufferPool) admitLocked(fr *frame) {
 		// Only quota-bounded tenants need their own recency order.
 		fr.owner.tlru.pushFront(fr)
 	}
-	fr.owner.frames[fr.id] = fr
+	t := fr.owner
+	if n := int(fr.id) + 1 - len(t.table); n > 0 {
+		t.table = append(t.table, make([]*frame, n)...)
+	}
+	t.table[fr.id] = fr
+	t.held++
 	p.nframes++
 }
 
@@ -713,7 +723,8 @@ func (p *BufferPool) removeLocked(fr *frame) {
 	if fr.owner.quota > 0 {
 		fr.owner.tlru.remove(fr)
 	}
-	delete(fr.owner.frames, fr.id)
+	fr.owner.table[fr.id] = nil
+	fr.owner.held--
 	p.nframes--
 }
 
@@ -739,18 +750,18 @@ func (p *BufferPool) evictForLocked(t *Tenant) error {
 // vetrnn:holds *
 func (p *BufferPool) evictLRULocked(l *lruList, t *Tenant) error {
 	for victim := l.back; victim != nil; {
-		if t != nil && len(t.frames) < t.quota || t == nil && p.nframes < p.capacity {
+		if t != nil && t.held < t.quota || t == nil && p.nframes < p.capacity {
 			break
 		}
 		prev := victim.links[l.which].prev
 		if victim.idle() {
 			if victim.dirty {
-				victim.owner.countWrite()
+				victim.owner.stats.Writes++
 				if err := victim.owner.file.Write(victim.id, victim.data); err != nil {
 					return fmt.Errorf("storage: evict page %d: %w", victim.id, err)
 				}
 			}
-			victim.owner.countEvict()
+			victim.owner.stats.Evictions++
 			p.removeLocked(victim)
 			p.recycleLocked(victim)
 		}

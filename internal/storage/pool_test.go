@@ -1,7 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -406,7 +410,7 @@ func TestReadErrorLeavesNoPin(t *testing.T) {
 	// pending frame (they pin it under the pool mutex before waiting).
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		p.mu.Lock()
-		pins := tn.frames[2].pins.Load()
+		pins := tn.table[2].pins.Load()
 		p.mu.Unlock()
 		if pins == readers {
 			break
@@ -435,5 +439,166 @@ func TestReadErrorLeavesNoPin(t *testing.T) {
 	data, err := tn.Get(2)
 	if err != nil || data[0] != 2 {
 		t.Fatalf("retry after the fault = %v, %v", data, err)
+	}
+}
+
+// TestReadRecordConcurrentInvalidate is ReadRecord's lock contract under
+// the race detector: eight goroutines read the records of a 64-page file
+// through one 8-frame tenant — hits decoded under the pool mutex, misses
+// pinned — while a ninth invalidates the tenant in a loop. Every decode
+// equals a direct decode of the file, every read is counted once as a hit
+// or a fault, and nothing stays pinned.
+func TestReadRecordConcurrentInvalidate(t *testing.T) {
+	const pageSize, pages, perPage, readers, rounds = 64, 64, 5, 8, 2000
+	f := NewMemFile(pageSize)
+	w, err := NewRecordWriter(f, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]RecRef, pages*perPage)
+	for i := range refs {
+		rec := binary.LittleEndian.AppendUint64(nil, uint64(i+1)*0x9e3779b97f4a7c15)
+		if refs[i], err = w.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil || f.NumPages() != pages {
+		t.Fatalf("test setup: %d pages, want %d (%v)", f.NumPages(), pages, err)
+	}
+	want := make([]uint64, len(refs))
+	page := make([]byte, pageSize)
+	for i, ref := range refs {
+		if err := f.Read(ref.Page, page); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReadRecordSlot(page, int(ref.Slot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = binary.LittleEndian.Uint64(rec)
+	}
+
+	tn := NewBufferPool(8).Attach("records", f, 0)
+	done := make(chan struct{})
+	invalidated := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				invalidated <- nil
+				return
+			default:
+			}
+			// A page a reader holds pinned mid-miss is retained and reported.
+			if err := tn.Invalidate(); err != nil && !errors.Is(err, ErrPinned) {
+				invalidated <- err
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < rounds; i++ {
+				at := rng.Intn(len(refs))
+				var got uint64
+				err := tn.ReadRecord(refs[at], func(_, rec []byte) error {
+					got = binary.LittleEndian.Uint64(rec)
+					return nil
+				})
+				if err != nil || got != want[at] {
+					t.Errorf("record %d at %+v = %#x (%v), want %#x", at, refs[at], got, err, want[at])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-invalidated; err != nil {
+		t.Fatalf("Invalidate: %v", err)
+	}
+	if s := tn.Stats(); s.Hits+s.Reads != readers*rounds || s.Reads == 0 || s.Hits == 0 {
+		t.Fatalf("stats = %+v, want hits + reads = %d with both paths taken", s, readers*rounds)
+	}
+	if err := tn.Detach(); err != nil {
+		t.Fatalf("Detach: %v", err)
+	}
+}
+
+// writeLog is a MemFile that records the order of its page writes.
+type writeLog struct {
+	*MemFile
+	writes []PageID
+}
+
+func (f *writeLog) Write(id PageID, src []byte) error {
+	f.writes = append(f.writes, id)
+	return f.MemFile.Write(id, src)
+}
+
+// TestFlushAscendingPageOrder: write-back walks the dense page table, so
+// dirty pages reach the file in ascending page order whatever order they
+// were dirtied in — through Flush and through Invalidate alike.
+func TestFlushAscendingPageOrder(t *testing.T) {
+	f := &writeLog{MemFile: newTestFile(t, 64, 16)}
+	tn := newTenant(t, f, 16)
+	dirty := func(ids ...PageID) {
+		for _, id := range ids {
+			if err := tn.Update(id, func(p []byte) error { p[1]++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dirty(11, 3, 14, 0, 7, 3, 9)
+	if err := tn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dirty(15, 2, 8)
+	if err := tn.Invalidate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []PageID{0, 3, 7, 9, 11, 14, 2, 8, 15}; !slices.Equal(f.writes, want) {
+		t.Fatalf("write-back order = %v, want %v", f.writes, want)
+	}
+	if frames := tn.pool.TenantStats()[0].Frames; frames != 0 {
+		t.Fatalf("Invalidate left %d frame(s)", frames)
+	}
+}
+
+// TestPageBeyondFileGrowsNoTable: a corrupt reference to a page the file
+// does not have (or a negative one) comes back as the file's own error,
+// counted as the one read it tried, and neither grows the dense page table
+// past the file nor leaves a frame or a pin behind.
+func TestPageBeyondFileGrowsNoTable(t *testing.T) {
+	f := newTestFile(t, 64, 4)
+	tn := newTenant(t, f, 4)
+	for _, id := range []PageID{4, 1 << 30, -1, -1 << 31} {
+		if _, err := tn.Pin(id); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("Pin(%d) = %v, want ErrPageOutOfRange", id, err)
+		}
+		err := tn.ReadRecord(RecRef{Page: id}, func(_, _ []byte) error { return nil })
+		if !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("ReadRecord(page %d) = %v, want ErrPageOutOfRange", id, err)
+		}
+		if err := tn.Update(id, func([]byte) error { return nil }); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("Update(%d) = %v, want ErrPageOutOfRange", id, err)
+		}
+	}
+	if _, err := tn.Get(3); err != nil {
+		t.Fatal(err)
+	}
+	tn.pool.mu.Lock()
+	size, held := len(tn.table), tn.held
+	tn.pool.mu.Unlock()
+	if size > f.NumPages() || held != 1 {
+		t.Fatalf("page table has %d entries for a %d-page file, %d held (want 1)", size, f.NumPages(), held)
+	}
+	if s := tn.Stats(); s.Reads != 13 || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want 13 reads", s)
 	}
 }

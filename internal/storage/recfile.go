@@ -89,20 +89,37 @@ func (w *RecordWriter) appendPage(page []byte) error {
 	return nil
 }
 
-// PinRecord pins ref's page and returns it with the payload of the record
-// in ref's slot, which aliases the page: decode it, then Unpin. On an error
-// nothing stays pinned.
-func (t *Tenant) PinRecord(ref RecRef) (Page, []byte, error) {
+// ReadRecord runs decode on ref's page and the payload of the record in
+// ref's slot; both alias the page and are dead once decode returns. A page
+// found in the buffer is decoded under the pool mutex, in the critical
+// section that touches the LRU and counts the hit, so decode must not call
+// back into the pool and must do no more than copy one record out. A miss
+// faults the page in as Pin does — the physical read runs outside the
+// mutex — and decodes it pinned. decode's error is returned as is.
+func (t *Tenant) ReadRecord(ref RecRef, decode func(page, rec []byte) error) error {
+	p := t.pool
+	p.mu.Lock()
+	if fr := t.frameLocked(ref.Page); fr != nil && fr.loaded {
+		defer p.mu.Unlock()
+		p.touchLocked(fr)
+		t.stats.Hits++
+		return decodeRecord(fr.data, ref, decode)
+	}
+	p.mu.Unlock()
 	page, err := t.Pin(ref.Page)
 	if err != nil {
-		return Page{}, nil, err
+		return err
 	}
-	rec, err := ReadRecordSlot(page.Bytes(), int(ref.Slot))
+	defer page.Unpin()
+	return decodeRecord(page.Bytes(), ref, decode)
+}
+
+func decodeRecord(page []byte, ref RecRef, decode func(page, rec []byte) error) error {
+	rec, err := ReadRecordSlot(page, int(ref.Slot))
 	if err != nil {
-		page.Unpin()
-		return Page{}, nil, err
+		return err
 	}
-	return page, rec, nil
+	return decode(page, rec)
 }
 
 // FileHeader says where a persisted paged file keeps what a reader needs

@@ -35,7 +35,7 @@ import (
 // BRITE-style topologies) span pages while ordinary nodes share pages with
 // their graph neighbours — the locality grouping of Section 3.1. This
 // package alone knows how records get into pages (RecordWriter) and out of
-// them (Tenant.PinRecord); the record owners know only their payload.
+// them (Tenant.ReadRecord); the record owners know only their payload.
 
 const (
 	pageHeaderSize = 2

@@ -11,8 +11,9 @@
 package storage
 
 // Stats is a point-in-time snapshot of the physical I/O activity of a
-// buffer pool or one of its tenants. The live counters are atomics, so
-// snapshots may be taken while queries fault pages in.
+// buffer pool or one of its tenants. The live counters move under the pool
+// mutex, which a page fault releases for its physical read, so snapshots
+// may be taken while queries fault pages in.
 type Stats struct {
 	// Reads counts physical page reads (buffer faults).
 	Reads int64
