@@ -28,8 +28,8 @@
 // port with queries; it is off by default.
 //
 // Hub-label builds run the pruned-landmark sweeps across -build-workers
-// goroutines (default all cores; the labels are bit-identical at any
-// worker count) and -label-compress serves the labels delta+varint
+// goroutines (default all cores — sequential on fewer than three, where
+// batching loses; the labels are bit-identical at any worker count) and -label-compress serves the labels delta+varint
 // encoded through the paged store, cutting label bytes in memory and on
 // disk. Both apply to the startup build, POST /index/hublabel, and the
 // coordinator's build of sharded mode.
@@ -113,6 +113,20 @@ import (
 	"graphrnn"
 )
 
+// server is the serving state behind every route.
+//
+// Lock order, outermost first: hubBuild, then mu, then the leaf locks —
+// the buffer pool's BufferPool.mu and the planner tallies'
+// plannerCounters.mu. buildHub takes hubBuild and, under it, mu (read for
+// the build, write to retire the replaced index); a query, a maintenance
+// request and /stats take mu and reach the leaves through the engine.
+// Nothing is acquired while a leaf is held: no path back from the pool or
+// the counters takes mu or hubBuild, and Tenant.ReadRecord's decode
+// callback runs under BufferPool.mu, so it must not call back into the
+// pool. hubBuild is never taken under mu — maintenance releases mu before
+// its rebuild-after-failed-repair calls buildHub.
+// TestConcurrentServerNoDeadlock drives every route at once under -race
+// and a watchdog.
 type server struct {
 	db *graphrnn.DB
 	ps *graphrnn.NodePoints
@@ -583,7 +597,7 @@ func main() {
 		queryTO  = flag.Duration("query-timeout", 0, "per-query deadline; expired queries answer 504 (0 disables)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty disables)")
 
-		buildWorkers  = flag.Int("build-workers", 0, "worker goroutines for hub-label construction (0 = all cores, 1 = sequential)")
+		buildWorkers  = flag.Int("build-workers", 0, "worker goroutines for hub-label construction (0 = all cores, sequential below three; 1 = sequential)")
 		labelCompress = flag.Bool("label-compress", false, "store hub labels delta+varint compressed through the page store")
 
 		shards     = flag.Int("shards", 0, "serve /query by scatter-gather over N shards (0 = unsharded)")

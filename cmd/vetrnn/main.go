@@ -1,74 +1,50 @@
-// Command vetrnn is the repo's invariant checker: a multichecker over the
-// internal/analysis suite (execpoll, journalbefore, commaok, partialresult,
-// guardedby, tenantclose, deadlinecarve, determinism, lockorder) that
-// machine-checks the engine contracts PRs 3-5 established plus the
-// determinism and lock-ordering contracts of the parallel build paths.
-//
-// It runs two ways:
-//
-// Standalone, from the module root:
+// Command vetrnn is the repo's invariant checker: one driver over the
+// internal/analysis suite (deadlinecarve, determinism, execpoll, guardedby,
+// partialresult, tenantclose) that machine-checks the engine contracts PRs
+// 3-5 established plus the determinism contract of the parallel build
+// paths. Run it from the module root:
 //
 //	go run ./cmd/vetrnn ./...
-//	vetrnn -json ./...
-//	vetrnn -ratchet VETRNN_BASELINE.json ./...
+//	go run ./cmd/vetrnn -json -ratchet VETRNN_BASELINE.json ./...
 //
-// As a vet tool, speaking the go command's unitchecker protocol
-// (-V=full for build-cache keying, -flags for flag discovery, then one
-// .cfg unit config per package). Cross-package analyzer facts ride the
-// same protocol: each unit reads the vetx facts files of its imports
-// (PackageVetx) and writes its own, including re-exported transitive
-// facts, to VetxOutput:
+// `go list -deps -export` enumerates the matched packages; they are analyzed
+// in dependency order through one shared fact store, so a contract declared
+// in internal/storage is enforced in cmd/rnnserver. Module-local
+// dependencies of a narrow pattern are loaded for their facts only.
 //
-//	go build -o /tmp/vetrnn ./cmd/vetrnn
-//	go vet -vettool=/tmp/vetrnn ./...
+// The suppression ratchet: -ratchet <baseline> fails when //lint:ignore
+// vetrnn/* counts per analyzer exceed the committed baseline or when a
+// directive is stale (its analyzer no longer fires on the covered lines);
+// -ratchet-write refreshes the baseline file.
 //
-// The standalone loader threads the same facts in dependency order, also
-// loading module-local dependencies of narrow patterns (facts only) so
-// both modes see identical cross-package contracts.
-//
-// The suppression ratchet (standalone only): -ratchet <baseline> fails
-// when //lint:ignore vetrnn/* counts per analyzer exceed the committed
-// baseline or when a directive is stale (its analyzer no longer fires on
-// the covered lines); -ratchet-write refreshes the baseline file.
-//
-// Each analyzer can be disabled with -<name>=false in either mode. Exit
-// codes: 0 clean, 1 findings or ratchet violations (standalone), 2
-// findings or protocol error (vet-tool mode, where any nonzero exit fails
-// `go vet`).
+// Each analyzer can be disabled with -<name>=false. Exit codes: 0 clean, 1
+// findings or ratchet violations, 2 load or I/O error.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"graphrnn/internal/analysis"
-	"graphrnn/internal/analysis/commaok"
 	"graphrnn/internal/analysis/deadlinecarve"
 	"graphrnn/internal/analysis/determinism"
 	"graphrnn/internal/analysis/execpoll"
 	"graphrnn/internal/analysis/guardedby"
-	"graphrnn/internal/analysis/journalbefore"
 	"graphrnn/internal/analysis/load"
-	"graphrnn/internal/analysis/lockorder"
 	"graphrnn/internal/analysis/partialresult"
 	"graphrnn/internal/analysis/tenantclose"
 )
 
 // suite is the full analyzer suite, in report order.
 var suite = []*analysis.Analyzer{
-	commaok.Analyzer,
 	deadlinecarve.Analyzer,
 	determinism.Analyzer,
 	execpoll.Analyzer,
 	guardedby.Analyzer,
-	journalbefore.Analyzer,
-	lockorder.Analyzer,
 	partialresult.Analyzer,
 	tenantclose.Analyzer,
 }
@@ -76,155 +52,48 @@ var suite = []*analysis.Analyzer{
 func main() { os.Exit(run(os.Args[1:])) }
 
 func run(args []string) int {
-	progname := filepath.Base(os.Args[0])
-	fs := flag.NewFlagSet(progname, flag.ExitOnError)
-	vFlag := fs.String("V", "", "print version and exit (-V=full for a build-cache key)")
-	flagsFlag := fs.Bool("flags", false, "print the tool's flags as JSON and exit")
-	jsonFlag := fs.Bool("json", false, "emit findings as JSON on stdout")
-	dirFlag := fs.String("dir", ".", "directory to run go list from (standalone mode)")
-	ratchetFlag := fs.String("ratchet", "", "baseline file to ratchet //lint:ignore counts against (standalone mode)")
+	fs := flag.NewFlagSet(filepath.Base(os.Args[0]), flag.ExitOnError)
+	asJSON := fs.Bool("json", false, "emit findings as JSON on stdout")
+	dir := fs.String("dir", ".", "directory to run go list from")
+	ratchetFile := fs.String("ratchet", "", "baseline file to ratchet //lint:ignore counts against")
 	ratchetWrite := fs.Bool("ratchet-write", false, "rewrite the -ratchet baseline from the tree's current suppressions")
-	lockReport := fs.String("lockreport", "", "write the whole-program lock-order edge/cycle report as JSON to this file (standalone mode)")
 	enabled := map[string]*bool{}
 	for _, a := range suite {
-		enabled[a.Name] = fs.Bool(a.Name, true, firstLine(a.Doc))
+		doc, _, _ := strings.Cut(a.Doc, "\n")
+		enabled[a.Name] = fs.Bool(a.Name, true, doc)
 	}
 	fs.Parse(args)
 
-	switch {
-	case *vFlag != "":
-		printVersion(progname)
-		return 0
-	case *flagsFlag:
-		printFlags()
-		return 0
-	}
-
 	var active []*analysis.Analyzer
+	activeNames := map[string]bool{}
 	for _, a := range suite {
 		if *enabled[a.Name] {
 			active = append(active, a)
+			activeNames[a.Name] = true
 		}
 	}
-
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0], active, *jsonFlag)
-	}
-	return standalone(fs.Args(), *dirFlag, active, *jsonFlag, *ratchetFlag, *ratchetWrite, *lockReport)
-}
-
-func firstLine(doc string) string {
-	if i := strings.IndexByte(doc, '\n'); i >= 0 {
-		return doc[:i]
-	}
-	return doc
-}
-
-// printVersion emits the version line the go command keys its build cache
-// on: the unitchecker convention, with the binary's own hash as build ID.
-func printVersion(progname string) {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
-}
-
-// printFlags tells the go command which flags may be forwarded to the tool.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{{Name: "json", Bool: true, Usage: "emit findings as JSON"}}
-	for _, a := range suite {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	data, _ := json.MarshalIndent(flags, "", "\t")
-	os.Stdout.Write(data)
-	fmt.Println()
-}
-
-// vetUnit analyzes one `go vet` unit config: imports' facts are read from
-// their vetx files, the unit's own (plus re-exported transitive) facts are
-// written to VetxOutput — which must exist even when empty, because the go
-// command caches it.
-func vetUnit(cfgFile string, active []*analysis.Analyzer, asJSON bool) int {
-	cfg, err := load.ReadVetConfig(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	facts := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		if err := facts.ReadVetx(vetx); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	pkg, err := load.VetCfg(cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			// The go command still expects the (empty) facts file.
-			if cfg.VetxOutput != "" {
-				os.WriteFile(cfg.VetxOutput, nil, 0o666)
-			}
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	findings, _, err := analysis.RunFacts(pkg, active, facts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if cfg.VetxOutput != "" {
-		if err := facts.WriteVetx(cfg.VetxOutput); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	if asJSON {
-		emitJSON(cfg.ImportPath, findings)
-		return 0
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// standalone loads packages via go list and analyzes them in dependency
-// order through a shared fact store. Module-local dependencies pulled in
-// only for their facts contribute neither findings nor ratchet directives.
-func standalone(patterns []string, dir string, active []*analysis.Analyzer, asJSON bool, ratchetFile string, ratchetWrite bool, lockReport string) int {
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := load.GoList(dir, patterns...)
-	if err != nil {
+
+	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	pkgs, err := load.GoList(*dir, patterns...)
+	if err != nil {
+		return fail(err)
+	}
+	// Module-local dependencies pulled in only for their facts contribute
+	// neither findings nor ratchet directives.
 	facts := analysis.NewFactStore()
 	var all []analysis.Finding
 	var directives []analysis.Directive
 	for _, pkg := range pkgs {
 		findings, dirs, err := analysis.RunFacts(pkg.Package, active, facts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			return fail(err)
 		}
 		if pkg.FactsOnly {
 			continue
@@ -233,25 +102,9 @@ func standalone(patterns []string, dir string, active []*analysis.Analyzer, asJS
 		directives = append(directives, dirs...)
 	}
 
-	// Whole-program lock-order pass: union every package's exported edges
-	// and detect cycles across the lot. The per-package analyzer already
-	// reported cycles visible through its own import graph (and exported
-	// their keys); only cycles spanning sibling packages remain.
-	for _, a := range active {
-		if a.Name != lockorder.Analyzer.Name {
-			continue
-		}
-		findings, err := lockOrderWholeProgram(facts, lockReport)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		all = append(all, findings...)
-	}
-
 	code := 0
-	if asJSON {
-		emitJSON("", all)
+	if *asJSON {
+		emitJSON(all)
 	} else {
 		for _, f := range all {
 			fmt.Println(f)
@@ -262,20 +115,14 @@ func standalone(patterns []string, dir string, active []*analysis.Analyzer, asJS
 	}
 
 	switch {
-	case ratchetFile != "" && ratchetWrite:
-		if err := analysis.WriteBaseline(ratchetFile, directives); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+	case *ratchetFile != "" && *ratchetWrite:
+		if err := analysis.WriteBaseline(*ratchetFile, directives); err != nil {
+			return fail(err)
 		}
-	case ratchetFile != "":
-		baseline, err := analysis.ReadBaseline(ratchetFile)
+	case *ratchetFile != "":
+		baseline, err := analysis.ReadBaseline(*ratchetFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		activeNames := map[string]bool{}
-		for _, a := range active {
-			activeNames[a.Name] = true
+			return fail(err)
 		}
 		violations := analysis.Ratchet(baseline, directives, activeNames)
 		for _, v := range violations {
@@ -288,71 +135,9 @@ func standalone(patterns []string, dir string, active []*analysis.Analyzer, asJS
 	return code
 }
 
-// lockOrderWholeProgram unions the lockorder facts of every analyzed
-// package, detects cycles over the combined edge set, and reports the
-// ones no package already reported per-package (their normalized keys
-// ride the facts). When reportFile is non-empty it also writes the full
-// edge/cycle report as JSON — the CI artifact.
-func lockOrderWholeProgram(facts *analysis.FactStore, reportFile string) ([]analysis.Finding, error) {
-	var edges []lockorder.Edge
-	reported := map[string]bool{}
-	facts.Visit(lockorder.Analyzer.Name, new(lockorder.LockFacts), func(pkg string, fact analysis.Fact) {
-		lf := fact.(*lockorder.LockFacts)
-		edges = append(edges, lf.Edges...)
-		for _, key := range lf.Cycles {
-			reported[key] = true
-		}
-	})
-	cycles := lockorder.DetectCycles(edges, edges)
-
-	var findings []analysis.Finding
-	type reportCycle struct {
-		Key      string   `json:"key"`
-		Path     []string `json:"path"`
-		At       string   `json:"at"`
-		Reported bool     `json:"reported_per_package"`
-	}
-	report := struct {
-		Edges  []lockorder.Edge `json:"edges"`
-		Cycles []reportCycle    `json:"cycles"`
-	}{Edges: edges, Cycles: []reportCycle{}}
-	if report.Edges == nil {
-		report.Edges = []lockorder.Edge{}
-	}
-	for _, cyc := range cycles {
-		report.Cycles = append(report.Cycles, reportCycle{
-			Key:      cyc.Key,
-			Path:     cyc.Path,
-			At:       cyc.At.Pos,
-			Reported: reported[cyc.Key],
-		})
-		if reported[cyc.Key] {
-			continue
-		}
-		findings = append(findings, analysis.Finding{
-			Analyzer: lockorder.Analyzer.Name,
-			Pos:      lockorder.FindingPos(cyc.At.Pos),
-			Message: fmt.Sprintf("whole-program lock-ordering cycle: %s (edge %s -> %s in %s)",
-				strings.Join(cyc.Path, " -> "), cyc.At.From, cyc.At.To, cyc.At.Func),
-		})
-	}
-
-	if reportFile != "" {
-		data, err := json.MarshalIndent(report, "", "\t")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(reportFile, append(data, '\n'), 0o666); err != nil {
-			return nil, err
-		}
-	}
-	return findings, nil
-}
-
 // emitJSON prints findings as a JSON array on stdout.
-func emitJSON(pkg string, findings []analysis.Finding) {
+func emitJSON(findings []analysis.Finding) {
 	type jsonFinding struct {
-		Package  string `json:"package,omitempty"`
 		Analyzer string `json:"analyzer"`
 		Posn     string `json:"posn"`
 		Message  string `json:"message"`
@@ -360,7 +145,6 @@ func emitJSON(pkg string, findings []analysis.Finding) {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, jsonFinding{
-			Package:  pkg,
 			Analyzer: "vetrnn/" + f.Analyzer,
 			Posn:     f.Pos.String(),
 			Message:  f.Message,

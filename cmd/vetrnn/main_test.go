@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -108,40 +107,6 @@ func TestStandaloneCrossPackageClean(t *testing.T) {
 	code, stdout, stderr := captureRun(t, "-dir", dir, "./...")
 	if code != 0 {
 		t.Fatalf("want exit 0 on clean module, got %d (stdout %q stderr %q)", code, stdout, stderr)
-	}
-}
-
-// TestVetToolCrossPackageFacts drives the same cross-package module through
-// the real `go vet -vettool` unitchecker protocol: facts must round-trip
-// through the per-package vetx files the go command schedules.
-func TestVetToolCrossPackageFacts(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go command not available")
-	}
-	bin := filepath.Join(t.TempDir(), "vetrnn")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building vettool: %v\n%s", err, out)
-	}
-
-	dir := writeTree(t, crossPackageTree(useBad))
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = dir
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed on a cross-package violation\n%s", out)
-	}
-	if !strings.Contains(string(out), "guarded by r.Mu") {
-		t.Fatalf("vet-mode diagnostic missing the cross-package finding:\n%s", out)
-	}
-
-	// And the clean variant must pass, proving the failure above is the
-	// finding rather than a protocol error.
-	dir = writeTree(t, crossPackageTree(useGood))
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = dir
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet failed on a clean module: %v\n%s", err, out)
 	}
 }
 
@@ -325,108 +290,6 @@ func Sum(m map[string]int) int {
 	}
 	if !strings.Contains(stderr, "stale suppression") {
 		t.Fatalf("stale message missing: %q", stderr)
-	}
-}
-
-// lockCycleSiblingTree is the whole-program gate fixture: packages a and b
-// nest two shared mutexes in opposite orders, but neither imports the
-// other, so no single unit can see the cycle — only the standalone
-// driver's whole-program pass over the union of exported edges.
-var lockCycleSiblingTree = map[string]string{
-	"go.mod": "module tmpmod\n\ngo 1.24\n",
-	"locks/locks.go": `package locks
-
-import "sync"
-
-var MA, MB sync.Mutex
-`,
-	"a/a.go": `package a
-
-import "tmpmod/locks"
-
-func AB() {
-	locks.MA.Lock()
-	defer locks.MA.Unlock()
-	locks.MB.Lock()
-	locks.MB.Unlock()
-}
-`,
-	"b/b.go": `package b
-
-import "tmpmod/locks"
-
-func BA() {
-	locks.MB.Lock()
-	defer locks.MB.Unlock()
-	locks.MA.Lock()
-	locks.MA.Unlock()
-}
-`,
-}
-
-func TestLockOrderWholeProgramGate(t *testing.T) {
-	dir := writeTree(t, lockCycleSiblingTree)
-	report := filepath.Join(dir, "lockreport.json")
-	code, stdout, stderr := captureRun(t, "-dir", dir, "-lockreport", report, "./...")
-	if code != 1 {
-		t.Fatalf("want exit 1 on sibling-package lock cycle, got %d (stdout %q stderr %q)", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "whole-program lock-ordering cycle") ||
-		!strings.Contains(stdout, "tmpmod/locks.MA -> tmpmod/locks.MB -> tmpmod/locks.MA") {
-		t.Fatalf("whole-program cycle finding missing or wrong path: %q", stdout)
-	}
-
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"edges"`, `"cycles"`, `"tmpmod/locks.MA"`, `"reported_per_package": false`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("lock report missing %s:\n%s", want, data)
-		}
-	}
-}
-
-// TestLockOrderSuppressedPerPackage proves the suppression and ratchet
-// interplay: a cycle visible inside one package is silenced with
-// //lint:ignore, its key still travels as a fact, and the whole-program
-// pass does not resurrect it.
-func TestLockOrderSuppressedPerPackage(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.24\n",
-		"locks/locks.go": `package locks
-
-import "sync"
-
-var MA, MB sync.Mutex
-
-func AB() {
-	MA.Lock()
-	defer MA.Unlock()
-	//lint:ignore vetrnn/lockorder startup-only path, order quirk documented in the runbook
-	MB.Lock()
-	MB.Unlock()
-}
-
-func BA() {
-	MB.Lock()
-	defer MB.Unlock()
-	MA.Lock()
-	MA.Unlock()
-}
-`,
-	})
-	baseline := filepath.Join(dir, "BASELINE.json")
-	code, stdout, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "-ratchet-write", "./...")
-	if code != 0 {
-		t.Fatalf("suppressed cycle still failed the run: %d (stdout %q stderr %q)", code, stdout, stderr)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"lockorder": 1`) {
-		t.Fatalf("baseline did not record the lockorder suppression: %s", data)
 	}
 }
 

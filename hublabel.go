@@ -56,8 +56,10 @@ var ErrLabelFileMismatch = errors.New("label file does not match the graph")
 // BuildOptions tunes the labeling construction.
 type BuildOptions struct {
 	// Workers is the number of goroutines running the pruned landmark
-	// sweeps. 0 and 1 build sequentially; negative uses GOMAXPROCS. The
-	// labels are bit-identical at every worker count.
+	// sweeps. 0 and 1 build sequentially; negative uses GOMAXPROCS, or
+	// builds sequentially when that is below 3 (two workers do not pay for
+	// the batches' speculation). The labels are bit-identical at every
+	// worker count.
 	Workers int
 	// Compression stores labels delta+varint encoded. Implies paged label
 	// serving (an in-memory page file when no Path is set, and no raw

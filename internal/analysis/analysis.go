@@ -1,7 +1,7 @@
 // Package analysis is a self-contained miniature of the
 // golang.org/x/tools/go/analysis framework: just enough surface — Analyzer,
 // Pass, Diagnostic — to write typed, single-package static checks and run
-// them standalone, under `go vet -vettool`, and in golden tests.
+// them from cmd/vetrnn and in golden tests.
 //
 // The repo deliberately has no module dependencies, so instead of importing
 // x/tools this package mirrors its API shape using only the standard
@@ -10,9 +10,12 @@
 // Report) with the same meaning.
 //
 // The suite's job is to machine-check the engine contracts that PRs 3-5
-// established by convention; see the sibling analyzer packages (execpoll,
-// journalbefore, commaok, partialresult) for the contracts themselves, and
-// cmd/vetrnn for the driver.
+// established by convention, and it is sized to what it catches: six
+// analyzers (deadlinecarve, determinism, execpoll, guardedby, partialresult,
+// tenantclose — see the sibling packages for the contracts themselves) and
+// one driver, cmd/vetrnn. A rule whose behaviour a dynamic test pins better
+// (the write-ahead order, the lock order, a discarded lookup bool) is a
+// test, not an analyzer.
 package analysis
 
 import (

@@ -1,7 +1,7 @@
 // Package dataflow is the block-level analysis core the fact-powered
-// analyzers (guardedby, lockorder, determinism) share: a control-flow
-// graph built from a function body's AST, and a forward worklist solver
-// over a reusable lattice interface.
+// analyzers (guardedby, determinism) share: a control-flow graph built
+// from a function body's AST, and a forward worklist solver over a reusable
+// lattice interface.
 //
 // The CFG is intraprocedural and syntactic — no SSA, no call graph. Each
 // basic block holds a maximal straight-line run of "atomic" AST nodes:

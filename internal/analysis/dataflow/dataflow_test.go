@@ -30,7 +30,7 @@ func parseBody(t *testing.T, src string) (*token.FileSet, *dataflow.Graph) {
 
 // lockLattice is the canonical test lattice: calls to lock(name) add the
 // name, unlock(name) removes it, and the join keeps only names held on
-// every path — the exact shape guardedby and lockorder build on.
+// every path — the exact shape guardedby builds on.
 type lockLattice struct{}
 
 type lockSet map[string]bool

@@ -11,7 +11,7 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis. The
 // loaders in internal/analysis/load produce these from `go list` export
-// data, from a `go vet -vettool` unit config, or from testdata sources.
+// data or from testdata sources.
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -58,8 +58,8 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 // files. Malformed suppression comments are themselves reported (analyzer
 // name "lintignore"), so a reason-less ignore cannot silently disable a
 // check. facts carries package facts into the analysis (imports must have
-// been analyzed into the same store, or loaded from vetx files) and
-// receives the facts the analyzers export.
+// been analyzed into the same store) and receives the facts the analyzers
+// export.
 func RunFacts(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Finding, []Directive, error) {
 	sup, directives, bad := collectSuppressions(pkg.Fset, pkg.Files)
 	var out []Finding

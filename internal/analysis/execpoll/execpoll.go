@@ -12,14 +12,21 @@
 // checkExecStride wrappers — somewhere in its body (a poll inside a nested
 // loop counts: it runs at least as often as the outer iteration resumes).
 //
-// Deliberate exceptions — build-time loops, load-time loops, pure in-memory
-// drains — are annotated in place:
+// A loop is judged only where a poll is possible: its enclosing function
+// must have an *exec.Ctx in scope — a parameter, a local, or a field of its
+// receiver's or a parameter's struct (the Searcher.ec shape). A function
+// that cannot poll (offline construction, a primitive's own record-chain
+// walk, an in-memory drain) leaves the obligation with its callers, whose
+// loops trigger on the primitive it wraps, and becomes subject again by
+// itself the day it gains a Ctx. The exceptions left are loops that could
+// poll and deliberately do not, annotated in place:
 //
 //	//lint:ignore vetrnn/execpoll <why this loop is exempt>
 package execpoll
 
 import (
 	"go/ast"
+	"go/types"
 
 	"graphrnn/internal/analysis"
 )
@@ -57,33 +64,40 @@ type loopInfo struct {
 }
 
 func run(pass *analysis.Pass) error {
-	var visit func(n ast.Node, innermost *loopInfo)
+	var visit func(n ast.Node, innermost *loopInfo, canPoll bool)
 	var done []*loopInfo
 
-	visitChildren := func(n ast.Node, innermost *loopInfo) {
+	visitChildren := func(n ast.Node, innermost *loopInfo, canPoll bool) {
 		ast.Inspect(n, func(c ast.Node) bool {
 			if c == n {
 				return true
 			}
 			if c != nil {
-				visit(c, innermost)
+				visit(c, innermost, canPoll)
 			}
 			return false
 		})
 	}
 
-	visit = func(n ast.Node, innermost *loopInfo) {
+	visit = func(n ast.Node, innermost *loopInfo, canPoll bool) {
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			visitChildren(n, nil, ctxInScope(pass.TypesInfo, n.Recv, n.Type, n.Body))
+			return
 		case *ast.FuncLit:
 			// A closure runs on its own schedule; its loops are judged in
 			// isolation, and its calls do not belong to the enclosing loop.
-			visitChildren(n, nil)
+			// It sees every Ctx its definer sees.
+			visitChildren(n, nil, canPoll || ctxInScope(pass.TypesInfo, nil, n.Type, n.Body))
 			return
 		case *ast.ForStmt, *ast.RangeStmt:
-			li := &loopInfo{node: n, parent: innermost}
-			visitChildren(n, li)
-			done = append(done, li)
-			return
+			// Where no poll can be written the loop is not tracked at all.
+			if canPoll {
+				li := &loopInfo{node: n, parent: innermost}
+				visitChildren(n, li, canPoll)
+				done = append(done, li)
+				return
+			}
 		case *ast.CallExpr:
 			if isPoll(pass, n) {
 				for l := innermost; l != nil; l = l.parent {
@@ -93,11 +107,11 @@ func run(pass *analysis.Pass) error {
 				innermost.trigger = n
 			}
 		}
-		visitChildren(n, innermost)
+		visitChildren(n, innermost, canPoll)
 	}
 
 	for _, file := range pass.Files {
-		visit(file, nil)
+		visit(file, nil, false)
 	}
 
 	for _, li := range done {
@@ -146,4 +160,64 @@ func isPoll(pass *analysis.Pass, call *ast.CallExpr) bool {
 	// The Searcher's polling wrappers, and any future substrate's wrapper
 	// following the same naming convention.
 	return fn.Name() == "checkExec" || fn.Name() == "checkExecStride"
+}
+
+// ctxInScope reports whether a function can poll: an *exec.Ctx is a
+// parameter or a local of it, or a field of its receiver's or of a
+// parameter's struct. Nested closures are their own scopes.
+func ctxInScope(info *types.Info, recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) bool {
+	for _, fields := range []*ast.FieldList{recv, typ.Params} {
+		if fields == nil {
+			continue
+		}
+		for _, f := range fields.List {
+			t := info.TypeOf(f.Type)
+			if isCtx(t) || holdsCtx(t) {
+				return true
+			}
+		}
+	}
+	found := false
+	if body != nil {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.Ident:
+				if v, ok := info.Defs[n].(*types.Var); ok && isCtx(v.Type()) {
+					found = true
+				}
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// isCtx reports whether t is exec.Ctx or a pointer to it.
+func isCtx(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Ctx" && named.Obj().Pkg() != nil &&
+		analysis.PathHasSuffix(named.Obj().Pkg().Path(), "internal/exec")
+}
+
+// holdsCtx reports whether t is a struct (or a pointer to one) with a field
+// of type *exec.Ctx.
+func holdsCtx(t types.Type) bool {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isCtx(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
 }

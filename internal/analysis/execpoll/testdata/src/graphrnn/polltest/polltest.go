@@ -1,5 +1,6 @@
 // Package polltest is the execpoll golden fixture: loops that expand nodes
-// or read pages with and without polling the exec context.
+// or read pages with and without polling the exec context, in functions
+// that can poll (an *exec.Ctx in scope) and in functions that cannot.
 package polltest
 
 import (
@@ -17,14 +18,50 @@ type searcher struct {
 
 func (s *searcher) checkExec() error { return s.ec.Check(1) }
 
-// expandUnpolled is the bug shape: a frontier expansion with no poll.
-func expandUnpolled(g *graph.Store, frontier []uint32) int {
+// expandUnpolled is the bug shape: a frontier expansion with no poll, in a
+// function handed the context it should have polled.
+func expandUnpolled(ec *exec.Ctx, g *graph.Store, frontier []uint32) int {
 	total := 0
 	for _, n := range frontier { // want `without polling the exec context`
 		adj, err := g.Adjacency(n)
 		if err != nil {
 			return total
 		}
+		total += len(adj)
+	}
+	return total
+}
+
+// expandUnpolled on the searcher: the same loop where the context is a
+// field of the receiver (the Searcher.ec shape).
+func (s *searcher) expandUnpolled(frontier []uint32) int {
+	total := 0
+	for _, n := range frontier { // want `without polling the exec context`
+		adj, _ := s.g.Adjacency(n)
+		total += len(adj)
+	}
+	return total
+}
+
+// expandNoCtx is the same loop where no poll can be written: no parameter,
+// local or receiver field is an *exec.Ctx, so the obligation stays with the
+// callers, whose loops trigger on the primitive this one wraps.
+func expandNoCtx(g *graph.Store, frontier []uint32) int {
+	total := 0
+	for _, n := range frontier {
+		adj, _ := g.Adjacency(n)
+		total += len(adj)
+	}
+	return total
+}
+
+// expandLocalCtx makes its own context and then forgets to poll it.
+func expandLocalCtx(g *graph.Store, frontier []uint32) int {
+	ec := exec.New()
+	_ = ec
+	total := 0
+	for _, n := range frontier { // want `without polling the exec context`
+		adj, _ := g.Adjacency(n)
 		total += len(adj)
 	}
 	return total
@@ -57,7 +94,7 @@ func (s *searcher) expandWrapped(frontier []uint32) (int, error) {
 }
 
 // pageScanUnpolled reads pages in a bare for loop: flagged too.
-func pageScanUnpolled(p *storage.Pool, n uint32) int {
+func pageScanUnpolled(ec *exec.Ctx, p *storage.Pool, n uint32) int {
 	total := 0
 	for id := uint32(0); id < n; id++ { // want `without polling the exec context`
 		pg, _ := p.Get(id)
@@ -95,8 +132,8 @@ func closureIsolated(g *graph.Store, frontier []uint32) []func() int {
 }
 
 // closureLoopUnpolled: a loop inside a closure is judged on its own and
-// still needs a poll.
-func closureLoopUnpolled(g *graph.Store, frontier []uint32) func() int {
+// still needs a poll — the closure sees its definer's context.
+func closureLoopUnpolled(ec *exec.Ctx, g *graph.Store, frontier []uint32) func() int {
 	return func() int {
 		total := 0
 		for _, n := range frontier { // want `without polling the exec context`
@@ -107,12 +144,13 @@ func closureLoopUnpolled(g *graph.Store, frontier []uint32) func() int {
 	}
 }
 
-// loadAll is a deliberate exception: a load-time loop, annotated in place.
-func loadAll(g *graph.Store, frontier []uint32) int {
+// twoAnchors is a deliberate exception: the searcher could poll here and
+// chooses not to, annotated in place.
+func (s *searcher) twoAnchors(a, b uint32) int {
 	total := 0
-	//lint:ignore vetrnn/execpoll load-time bulk scan, no query context exists yet
-	for _, n := range frontier {
-		adj, _ := g.Adjacency(n)
+	//lint:ignore vetrnn/execpoll at most two iterations; the query loop driving it polls
+	for _, n := range [2]uint32{a, b} {
+		adj, _ := s.g.Adjacency(n)
 		total += len(adj)
 	}
 	return total
@@ -156,7 +194,7 @@ func batchedBuildPolled(ec *exec.Ctx, g *graph.Store, batch []uint32) {
 // batchedBuildUnpolled is the same shape with the poll missing: the drain
 // loop lives in a goroutine closure, but it expands adjacency like any
 // other loop and is flagged the same way.
-func batchedBuildUnpolled(g *graph.Store, batch []uint32) {
+func batchedBuildUnpolled(ec *exec.Ctx, g *graph.Store, batch []uint32) {
 	jobs := make(chan uint32, len(batch))
 	for _, h := range batch {
 		jobs <- h

@@ -3,20 +3,15 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
-	"sort"
 )
 
 // FactStore holds every package fact of one analysis run, keyed by
 // (analyzer, package path, fact type). One store is threaded through all
-// packages of a run so facts exported while analyzing internal/storage are
-// visible when cmd/rnnserver is analyzed — in the standalone driver the
-// packages are processed in dependency order against a shared in-memory
-// store, and in `go vet -vettool` mode the store round-trips through the
-// unitchecker's vetx files (imports are read from the .cfg's PackageVetx
-// map, and the package's own facts — plus every inherited one, so facts
-// survive transitively — are written to VetxOutput).
+// packages of a run, processed in dependency order, so facts exported while
+// analyzing internal/storage are visible when cmd/rnnserver is analyzed.
+// Facts are kept encoded: an importer decodes its own copy and cannot
+// disturb the exporter's.
 type FactStore struct {
 	m map[factKey]json.RawMessage
 }
@@ -32,7 +27,7 @@ func NewFactStore() *FactStore {
 	return &FactStore{m: map[factKey]json.RawMessage{}}
 }
 
-// factTypeName is the stable wire name of a fact's concrete type.
+// factTypeName is the stable name of a fact's concrete type.
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	for t.Kind() == reflect.Pointer {
@@ -56,96 +51,4 @@ func (s *FactStore) importInto(analyzer, pkg string, fact Fact) bool {
 		return false
 	}
 	return json.Unmarshal(data, fact) == nil
-}
-
-// --- vetx wire format -------------------------------------------------------
-
-// wireFact is one serialized fact in a vetx file.
-type wireFact struct {
-	Analyzer string          `json:"analyzer"`
-	Package  string          `json:"package"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// vetxFile is the JSON layout of a vetrnn vetx file. The go command treats
-// vetx contents as opaque bytes, so the format is ours; it carries the
-// analyzed package's own facts and every fact inherited from its imports,
-// which is what makes facts flow across more than one import hop.
-type vetxFile struct {
-	Facts []wireFact `json:"facts"`
-}
-
-// WriteVetx serializes the whole store to path (the unit's VetxOutput).
-func (s *FactStore) WriteVetx(path string) error {
-	out := vetxFile{Facts: make([]wireFact, 0, len(s.m))}
-	for k, data := range s.m {
-		out.Facts = append(out.Facts, wireFact{Analyzer: k.analyzer, Package: k.pkg, Type: k.typ, Data: data})
-	}
-	sort.Slice(out.Facts, func(i, j int) bool {
-		a, b := out.Facts[i], out.Facts[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Type < b.Type
-	})
-	data, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o666)
-}
-
-// ReadVetx merges the facts serialized at path into the store. A missing
-// or empty file contributes nothing (the go command caches empty vetx
-// files for packages whose analysis exported no facts).
-func (s *FactStore) ReadVetx(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	var in vetxFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("analysis: parse vetx %s: %w", path, err)
-	}
-	for _, f := range in.Facts {
-		s.m[factKey{f.Analyzer, f.Package, f.Type}] = f.Data
-	}
-	return nil
-}
-
-// Len reports the number of stored facts (used by driver tests).
-func (s *FactStore) Len() int { return len(s.m) }
-
-// Visit decodes every stored fact of analyzer whose concrete type matches
-// proto's, calling visit with the package path and a freshly allocated
-// decoded fact, in sorted package order. This is the whole-program
-// enumeration the driver-level passes use (lockorder's cross-package
-// cycle detection): unlike ImportPackageFact it is not limited to the
-// import closure of any one package.
-func (s *FactStore) Visit(analyzer string, proto Fact, visit func(pkg string, fact Fact)) {
-	typ := factTypeName(proto)
-	var pkgs []string
-	for k := range s.m {
-		if k.analyzer == analyzer && k.typ == typ {
-			pkgs = append(pkgs, k.pkg)
-		}
-	}
-	sort.Strings(pkgs)
-	rt := reflect.TypeOf(proto)
-	for rt.Kind() == reflect.Pointer {
-		rt = rt.Elem()
-	}
-	for _, pkg := range pkgs {
-		fact := reflect.New(rt).Interface().(Fact)
-		if s.importInto(analyzer, pkg, fact) {
-			visit(pkg, fact)
-		}
-	}
 }

@@ -34,9 +34,8 @@
 //     value has not escaped, so no lock can be required yet.
 //
 // Annotations are exported as a package fact, so a field declared in
-// internal/storage is enforced wherever it is accessed — including
-// packages analyzed in a different `go vet` unit. Deliberate exceptions
-// carry //lint:ignore vetrnn/guardedby <why>.
+// internal/storage is enforced wherever it is accessed. Deliberate
+// exceptions carry //lint:ignore vetrnn/guardedby <why>.
 package guardedby
 
 import (
@@ -269,17 +268,17 @@ func holdsOf(doc *ast.CommentGroup) [][2]string {
 	return out
 }
 
-// Lock modes. Exported so lockorder can share the scale.
+// Lock modes.
 const (
 	lockNone = iota
 	lockRead
 	lockWrite
 )
 
-// LockState is one dataflow state: held mutex chain -> mode (lockRead or
+// lockState is one dataflow state: held mutex chain -> mode (lockRead or
 // lockWrite; absent means not held). The key "*" is the vetrnn:holds
 // wildcard: everything write-held by the caller.
-type LockState map[string]int
+type lockState map[string]int
 
 // scopeInfo is the flow-insensitive context of one function body: write
 // positions, deferred calls, selector-chain aliases, and locally
@@ -296,9 +295,9 @@ type scopeInfo struct {
 	escaping    map[*ast.FuncLit]bool
 }
 
-// Expand rewrites the leading component of a selector chain through the
+// expand rewrites the leading component of a selector chain through the
 // scope's alias table ("p.mu" -> "t.pool.mu" after p := t.pool).
-func (s *scopeInfo) Expand(expr string) string {
+func (s *scopeInfo) expand(expr string) string {
 	first, rest, cut := strings.Cut(expr, ".")
 	if to, ok := s.aliases[first]; ok {
 		if cut {
@@ -309,35 +308,28 @@ func (s *scopeInfo) Expand(expr string) string {
 	return expr
 }
 
-// ApplyLockOps interprets the mutex Lock/RLock/Unlock/RUnlock calls of one
-// block node against state, in place. Deferred calls are skipped: a
-// deferred Unlock keeps the mutex held to the end of the function.
-func (s *scopeInfo) ApplyLockOps(state LockState, n ast.Node) {
-	dataflow.VisitBlockNode(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		kind, mexpr, ok := lockOp(s.pass, call)
-		if !ok || s.deferred[call.Pos()] {
-			return true
-		}
-		key := s.Expand(mexpr)
-		switch kind {
-		case "lock":
-			state[key] = lockWrite
-		case "rlock":
-			state[key] = lockRead
-		case "unlock", "runlock":
-			delete(state, key)
-		}
-		return true
-	})
+// applyLockOp interprets one call against state, in place, if it is a mutex
+// Lock/RLock/Unlock/RUnlock. Deferred calls are skipped: a deferred Unlock
+// keeps the mutex held to the end of the function.
+func (s *scopeInfo) applyLockOp(state lockState, call *ast.CallExpr) {
+	kind, mexpr, ok := lockOp(s.pass, call)
+	if !ok || s.deferred[call.Pos()] {
+		return
+	}
+	key := s.expand(mexpr)
+	switch kind {
+	case "lock":
+		state[key] = lockWrite
+	case "rlock":
+		state[key] = lockRead
+	case "unlock", "runlock":
+		delete(state, key)
+	}
 }
 
-// CollectScopeInfo walks one body (FuncLit subtrees excluded) and gathers
+// collectScopeInfo walks one body (FuncLit subtrees excluded) and gathers
 // the lexical context the lock-state lattice and the reporting pass share.
-func CollectScopeInfo(pass *analysis.Pass, body *ast.BlockStmt) *scopeInfo {
+func collectScopeInfo(pass *analysis.Pass, body *ast.BlockStmt) *scopeInfo {
 	s := &scopeInfo{
 		pass:        pass,
 		writes:      map[ast.Expr]bool{},
@@ -389,7 +381,7 @@ func CollectScopeInfo(pass *analysis.Pass, body *ast.BlockStmt) *scopeInfo {
 					}
 					rhs := ast.Unparen(st.Rhs[i])
 					if target, ok := chainOf(rhs); ok && strings.Contains(target, ".") {
-						s.aliases[id.Name] = s.Expand(target)
+						s.aliases[id.Name] = s.expand(target)
 					} else if isConstruction(rhs) {
 						s.constructed[id.Name] = true
 					}
@@ -430,14 +422,14 @@ func CollectScopeInfo(pass *analysis.Pass, body *ast.BlockStmt) *scopeInfo {
 	return s
 }
 
-// lockLattice is the guardedby dataflow domain over LockState.
+// lockLattice is the guardedby dataflow domain over lockState.
 type lockLattice struct {
 	info  *scopeInfo
 	holds [][2]string
 }
 
-func (l lockLattice) Entry() LockState {
-	state := LockState{}
+func (l lockLattice) Entry() lockState {
+	state := lockState{}
 	for _, h := range l.holds {
 		mode := lockWrite
 		if h[1] == "read" {
@@ -450,8 +442,8 @@ func (l lockLattice) Entry() LockState {
 
 // Join intersects: a mutex is held after a merge only if every incoming
 // path holds it, and only as strongly as the weakest path.
-func (lockLattice) Join(a, b LockState) LockState {
-	out := LockState{}
+func (lockLattice) Join(a, b lockState) lockState {
+	out := lockState{}
 	for k, ma := range a {
 		if mb, ok := b[k]; ok {
 			if mb < ma {
@@ -464,7 +456,7 @@ func (lockLattice) Join(a, b LockState) LockState {
 	return out
 }
 
-func (lockLattice) Equal(a, b LockState) bool {
+func (lockLattice) Equal(a, b lockState) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -476,13 +468,18 @@ func (lockLattice) Equal(a, b LockState) bool {
 	return true
 }
 
-func (l lockLattice) Transfer(b *dataflow.Block, in LockState) LockState {
-	out := LockState{}
+func (l lockLattice) Transfer(b *dataflow.Block, in lockState) lockState {
+	out := lockState{}
 	for k, m := range in {
 		out[k] = m
 	}
 	for _, n := range b.Nodes {
-		l.info.ApplyLockOps(out, n)
+		dataflow.VisitBlockNode(n, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				l.info.applyLockOp(out, call)
+			}
+			return true
+		})
 	}
 	return out
 }
@@ -499,13 +496,13 @@ func (l lockLattice) Transfer(b *dataflow.Block, in LockState) LockState {
 // final replay of each block from its solved input state checks every
 // guarded access against the state actually reaching it.
 func checkScope(pass *analysis.Pass, g *guards, body *ast.BlockStmt, holds [][2]string) {
-	info := CollectScopeInfo(pass, body)
+	info := collectScopeInfo(pass, body)
 	graph := dataflow.New(body)
 	lat := lockLattice{info: info, holds: holds}
-	in := dataflow.Forward[LockState](graph, lat)
+	in := dataflow.Forward[lockState](graph, lat)
 
 	for _, b := range graph.Blocks {
-		state := LockState{}
+		state := lockState{}
 		for k, m := range in[b] {
 			state[k] = m
 		}
@@ -526,21 +523,11 @@ func checkScope(pass *analysis.Pass, g *guards, body *ast.BlockStmt, holds [][2]
 // checkNode replays one block node: guarded accesses are checked against
 // state, and lock operations advance it — both in source order within the
 // node's subtree.
-func checkNode(pass *analysis.Pass, g *guards, info *scopeInfo, state LockState, n ast.Node) {
+func checkNode(pass *analysis.Pass, g *guards, info *scopeInfo, state lockState, n ast.Node) {
 	dataflow.VisitBlockNode(n, func(m ast.Node) bool {
 		switch st := m.(type) {
 		case *ast.CallExpr:
-			if kind, mexpr, ok := lockOp(pass, st); ok && !info.deferred[st.Pos()] {
-				key := info.Expand(mexpr)
-				switch kind {
-				case "lock":
-					state[key] = lockWrite
-				case "rlock":
-					state[key] = lockRead
-				case "unlock", "runlock":
-					delete(state, key)
-				}
-			}
+			info.applyLockOp(state, st)
 		case *ast.SelectorExpr:
 			sel, ok := pass.TypesInfo.Selections[st]
 			if !ok {
@@ -557,7 +544,7 @@ func checkNode(pass *analysis.Pass, g *guards, info *scopeInfo, state LockState,
 				// access is skipped — the documented contract.
 				return true
 			}
-			base = info.Expand(base)
+			base = info.expand(base)
 			if info.constructed[strings.SplitN(base, ".", 2)[0]] {
 				return true
 			}
@@ -614,21 +601,6 @@ func isConstruction(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// LockOp exposes lock-call classification to sibling analyzers: kind is
-// "lock", "rlock", "unlock" or "runlock", and mutexChain the receiver's
-// selector chain ("t.pool.mu"). lockorder builds its acquisition edges on
-// exactly this resolution so the two analyzers never disagree about what
-// constitutes a lock operation.
-func LockOp(pass *analysis.Pass, call *ast.CallExpr) (kind, mutexChain string, ok bool) {
-	return lockOp(pass, call)
-}
-
-// ChainOf exposes selector-chain rendering ("t.pool.mu") to sibling
-// analyzers; ok is false for anything but a pure ident/selector chain.
-func ChainOf(e ast.Expr) (string, bool) {
-	return chainOf(e)
 }
 
 // lockOp classifies a sync.Mutex / sync.RWMutex method call, returning the

@@ -1,17 +1,12 @@
 // Package load turns Go packages into type-checked analysis.Package values
-// using only the standard library. Three loaders cover the three ways the
+// using only the standard library. Two loaders cover the two ways the
 // vetrnn suite runs:
 //
-//   - GoList: standalone mode. `go list -deps -export -json` enumerates the
+//   - GoList: cmd/vetrnn. `go list -deps -export -json` enumerates the
 //     matched packages plus the export-data files of every dependency, and
 //     each matched package is parsed and type-checked against that export
 //     data — the same artifacts the build cache already holds, so a warm
 //     run re-parses only the module's own sources.
-//
-//   - VetCfg: `go vet -vettool` mode. The go command hands the tool one
-//     JSON config per package (the x/tools unitchecker protocol) naming the
-//     files to parse and the export-data file of every import; see
-//     cmd/vetrnn for the surrounding protocol (-V=full, -flags, vetx).
 //
 //   - Testdata: golden-test mode. Packages live as plain sources under
 //     testdata/src/<importpath>/ (the layout of x/tools' analysistest);
@@ -77,7 +72,7 @@ func parseFiles(fset *token.FileSet, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// --- standalone: go list -export -------------------------------------------
+// --- cmd/vetrnn: go list -export -------------------------------------------
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
@@ -92,7 +87,7 @@ type listPkg struct {
 	Module     *struct{ GoVersion string }
 }
 
-// Loaded is one package the standalone loader produced. FactsOnly marks a
+// Loaded is one package GoList produced. FactsOnly marks a
 // module-local dependency that was loaded only so its exported facts are
 // available to the matched packages — the driver analyzes it but must not
 // report its findings (it was not asked about).
@@ -172,7 +167,7 @@ func GoList(dir string, patterns ...string) ([]Loaded, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) string { return exports[path] })
+	imp := exportImporter(fset, exports)
 	var pkgs []Loaded
 	for _, path := range order {
 		t := local[path]
@@ -200,11 +195,11 @@ func GoList(dir string, patterns ...string) ([]Loaded, error) {
 	return pkgs, nil
 }
 
-// exportImporter type-checks imports from compiler export data, resolving
-// each import path to its export file through resolve.
-func exportImporter(fset *token.FileSet, resolve func(path string) string) types.Importer {
+// exportImporter type-checks imports from compiler export data; exports
+// maps each import path to its export file.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f := resolve(path)
+		f := exports[path]
 		if f == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
@@ -231,60 +226,6 @@ func (mi mappedImporter) Import(path string) (*types.Package, error) {
 		path = to
 	}
 	return mi.imp.Import(path)
-}
-
-// --- go vet -vettool: unit config ------------------------------------------
-
-// VetConfig is the per-package JSON configuration the go command passes to
-// a vet tool — the x/tools unitchecker wire format (the fields this tool
-// does not consume are accepted and ignored by the decoder).
-type VetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// ReadVetConfig parses a unit config file.
-func ReadVetConfig(path string) (*VetConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(VetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return cfg, nil
-}
-
-// VetCfg loads the single package a unit config describes. Unlike GoList
-// it sees test files too (the go command vets test variants as their own
-// units); analyzers opt out of those via SkipTests.
-func VetCfg(cfg *VetConfig) (*analysis.Package, error) {
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, cfg.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	imp := exportImporter(fset, func(path string) string {
-		if to, ok := cfg.ImportMap[path]; ok {
-			path = to
-		}
-		return cfg.PackageFile[path]
-	})
-	return check(fset, cfg.ImportPath, files, imp, cfg.GoVersion)
 }
 
 // --- golden tests: testdata/src --------------------------------------------

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,40 +104,160 @@ func TestMatRepairRollbackRestoresLists(t *testing.T) {
 	}
 }
 
-// TestMatInjectedWriteFaultRollback abandons a repair at an arbitrary list
-// write (not a context poll point) and checks the rollback path restores.
+// TestMatInjectedWriteFaultRollback is the write-ahead rule, dynamically:
+// every maintained list write of MatInsert and of MatDelete is faulted in
+// turn (countdown 1, 2, ... until the operation completes), node- and
+// edge-resident, on the in-memory materialization (rolled back from the
+// repair's before-images) and on the journaled file-backed one (abandoned
+// like a crash and recovered from the journal on reopen), and the lists must
+// come back bit-identical every time. A writeList whose list was not
+// journalTouch-ed first is not restored and fails here; so does a repair
+// that writes through restoreList, whose writes the countdown cannot see.
 func TestMatInjectedWriteFaultRollback(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for it := 0; it < 30; it++ {
+	iters := 12
+	if testing.Short() {
+		iters = 3
+	}
+	faulted := 0
+	for it := 0; it < iters; it++ {
 		g := randNet(t, rng, 20+rng.Intn(30), rng.Intn(60), 0.5)
-		ps := randPoints(t, rng, g, 5)
-		mat := buildMat(t, NewSearcher(g), ps, 2)
-		before := snapshotLists(t, mat)
+		edges := graphEdges(g)
 		s := NewSearcher(g)
 
-		pts := ps.Points()
-		p := pts[rng.Intn(len(pts))]
-		node, _ := ps.NodeOf(p)
-		if err := mat.BeginRepair(nil); err != nil {
-			t.Fatal(err)
+		nps := randPoints(t, rng, g, 5)
+		ntab := nps.Table()
+		nrecs := make([]PointRecord, len(ntab))
+		for i, n := range ntab {
+			nrecs[i] = PointRecord{U: n, V: n}
 		}
-		mat.InjectWriteFault(1 + rng.Intn(4))
-		_, opErr := s.MatDelete(mat, p, NodeLoc(node))
-		mat.InjectWriteFault(0)
-		if opErr == nil {
-			// The repair finished before the countdown: commit normally.
-			if err := mat.CommitRepair(p, PointAbsent); err != nil {
+		free := graph.NodeID(0)
+		for _, taken := nps.PointAt(free); taken; _, taken = nps.PointAt(free) {
+			free++
+		}
+
+		eps := randEdgePoints(t, rng, g, 5)
+		etab := eps.Table()
+		erecs := make([]PointRecord, len(etab))
+		for i, ep := range etab {
+			erecs[i] = PointRecord{U: ep.U, V: ep.V, Pos: ep.Pos}
+		}
+
+		for _, res := range []struct {
+			name  string
+			ps    PointSet
+			kind  byte
+			recs  []PointRecord
+			fresh Loc // where a point no list has seen yet appears
+		}{
+			{"node", PointSet{Node: nps}, MatKindNode, nrecs, NodeLoc(free)},
+			{"edge", PointSet{Edge: eps}, MatKindEdge, erecs, randULoc(rng, g, edges)},
+		} {
+			victim := points.PointID(rng.Intn(len(res.recs)))
+			vrec := res.recs[victim]
+			ops := []struct {
+				name string
+				run  func(m *Materialized) error
+			}{
+				{"insert", func(m *Materialized) error {
+					_, err := s.MatInsert(m, points.PointID(len(res.recs)), res.fresh)
+					return err
+				}},
+				{"delete", func(m *Materialized) error {
+					_, err := s.MatDelete(m, victim, Loc{U: vrec.U, V: vrec.V, Pos: vrec.Pos})
+					return err
+				}},
+			}
+
+			mem, err := matBuild(s, res.ps, 2, newMemMatFile(), 64, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			continue
+			file, jfile := newMemMatFile(), newMemMatFile()
+			if err := MatSave(mem, res.kind, res.recs, file); err != nil {
+				t.Fatal(err)
+			}
+			reopen := func() *Materialized {
+				m, _, _, err := MatOpen(file, storage.NewBufferPool(16).Attach("", file, 0), jfile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			for _, op := range ops {
+				label := fmt.Sprintf("iter %d %s %s", it, res.name, op.name)
+				faulted += sweepWriteFaults(t, label+" in memory", mem, nil, op.run)
+				faulted += sweepWriteFaults(t, label+" journaled", reopen(), reopen, op.run)
+			}
+			if err := mem.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !strings.Contains(opErr.Error(), "injected") {
-			t.Fatalf("unexpected delete error: %v", opErr)
+	}
+	if faulted == 0 {
+		t.Fatal("no repair wrote a list: the sweep tested nothing")
+	}
+}
+
+// sweepWriteFaults runs op on mat once per maintained list write it makes,
+// failing that write, undoing the repair and comparing the lists with the
+// pre-operation snapshot; the run that completes is undone and compared the
+// same way. With reopen nil the repair is rolled back in process; otherwise
+// it is abandoned without a rollback, its dirty pages flushed, and the
+// materialization reopened, which recovers from the journal. It returns the
+// number of writes it faulted.
+func sweepWriteFaults(t *testing.T, label string, mat *Materialized, reopen func() *Materialized, op func(*Materialized) error) int {
+	t.Helper()
+	before := snapshotLists(t, mat)
+	if reopen != nil {
+		defer func() {
+			if err := mat.Close(); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+		}()
+	}
+	for countdown := 1; ; countdown++ {
+		if err := mat.BeginRepair(nil); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		if err := mat.RollbackRepair(); err != nil {
-			t.Fatal(err)
+		mat.InjectWriteFault(countdown)
+		opErr := op(mat)
+		mat.InjectWriteFault(0)
+		if opErr != nil && !strings.Contains(opErr.Error(), "injected") {
+			t.Fatalf("%s: unexpected error at write %d: %v", label, countdown, opErr)
 		}
-		assertMatEqual(t, mat, before, "after fault rollback")
+		if opErr == nil {
+			// countdown-1 writes went through the fault seam; a list that
+			// changed without one was written behind the journal's back.
+			changed := 0
+			for n, lst := range snapshotLists(t, mat) {
+				if !slices.Equal(lst, before[n]) {
+					changed++
+				}
+			}
+			if changed > countdown-1 {
+				t.Fatalf("%s: %d lists changed in %d maintained writes", label, changed, countdown-1)
+			}
+		}
+		where := fmt.Sprintf("%s: after fault at write %d", label, countdown)
+		if reopen == nil {
+			if err := mat.RollbackRepair(); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+		} else {
+			mat.AbandonRepair()
+			if err := mat.Close(); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			mat = reopen()
+		}
+		assertMatEqual(t, mat, before, where)
+		if mat.RepairPending() {
+			t.Fatalf("%s: repair still pending", where)
+		}
+		if opErr == nil {
+			return countdown - 1
+		}
 	}
 }
 

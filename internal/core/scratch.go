@@ -125,7 +125,6 @@ func (sc *scratch) firstArrival(p points.PointID) bool {
 // the way out and stale ones (nodes already closed) are skipped. ok is
 // false when the heap is exhausted.
 func (sc *scratch) pop() (e entry, d float64, ok bool) {
-	//lint:ignore vetrnn/execpoll in-memory drain of stale heap entries; callers poll per popped entry
 	for {
 		e, d, ok = sc.heap.Pop()
 		if !ok {

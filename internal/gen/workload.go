@@ -70,7 +70,6 @@ func RandomWalkRoute(rng *rand.Rand, g *graph.Graph, size int) []graph.NodeID {
 	route := []graph.NodeID{start}
 	onRoute := map[graph.NodeID]bool{start: true}
 	var adj []graph.Edge
-	//lint:ignore vetrnn/execpoll workload generation runs before any query context exists
 	for len(route) < size {
 		adj, _ = g.Adjacency(route[len(route)-1], adj)
 		options := adj[:0:0]

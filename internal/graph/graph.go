@@ -297,7 +297,6 @@ func ConnectedComponent(g *Graph) []NodeID {
 		size := int32(0)
 		queue = append(queue[:0], s)
 		comp[s] = id
-		//lint:ignore vetrnn/execpoll load-time component sweep over an in-memory graph
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]

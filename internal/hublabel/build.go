@@ -15,8 +15,10 @@ import (
 type BuildOptions struct {
 	// Workers is the number of goroutines that run the pruned landmark
 	// sweeps. 0 and 1 run the classic sequential build; negative uses
-	// GOMAXPROCS. Every worker count produces bit-identical labels for a
-	// given graph: parallelism changes the schedule, never the result.
+	// GOMAXPROCS — or the sequential build when GOMAXPROCS is below 3,
+	// where the batches' speculative sweeps cost more than two workers win
+	// back. Every worker count produces bit-identical labels for a given
+	// graph: parallelism changes the schedule, never the result.
 	Workers int
 	// Exec, when non-nil, makes the build cancellable: every sweep polls
 	// it each CheckStride pops and the build returns the typed execution
@@ -28,7 +30,7 @@ type BuildOptions struct {
 
 // BuildStats describes one labeling construction.
 type BuildStats struct {
-	// Workers actually used (after resolving the GOMAXPROCS default).
+	// Workers actually used (after resolving a negative count).
 	Workers int
 	// Batches of landmarks processed; 0 for the sequential build, which
 	// commits after every landmark.
@@ -48,10 +50,17 @@ type BuildStats struct {
 	Wall time.Duration
 }
 
+// workers resolves the worker count. "As many as the machine has" picks
+// the sequential build on one or two CPUs: at two workers the batched build
+// sweeps 4.43M nodes where the sequential one sweeps 2.74M on road-20K
+// (1 995 resweeps) and takes 2.68 s against 1.98 s. An explicit count is
+// taken at its word.
 func (o BuildOptions) workers() int {
 	w := o.Workers
 	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
+		if w = runtime.GOMAXPROCS(0); w < 3 {
+			w = 1
+		}
 	}
 	if w < 1 {
 		w = 1

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"graphrnn/internal/exec"
@@ -91,22 +92,42 @@ func TestBuildOptDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildOptNegativeWorkers resolves the GOMAXPROCS default and still
-// matches the sequential labels.
+// TestBuildOptNegativeWorkers pins how a negative count resolves —
+// GOMAXPROCS, but the sequential build below three CPUs, where two workers
+// lose to it; an explicit count is never second-guessed — and that
+// BuildStats.Workers reports what ran, with the sequential labels either way.
 func TestBuildOptNegativeWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, workers, want int }{
+		{1, -1, 1}, {2, -1, 1}, {3, -1, 3}, {8, -1, 8},
+		{2, 2, 2}, {1, 4, 4}, {8, 0, 1}, {8, 1, 1},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := (BuildOptions{Workers: c.workers}).workers(); got != c.want {
+			t.Errorf("GOMAXPROCS %d, Workers %d: resolved to %d workers, want %d", c.procs, c.workers, got, c.want)
+		}
+	}
+
 	g := testGraphs(t)["grid"]
 	seq, err := buildSeq(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, st, err := BuildOpt(g, BuildOptions{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		procs, workers int
+		batched        bool
+	}{{2, -1, false}, {2, 2, true}, {4, -1, true}} {
+		runtime.GOMAXPROCS(c.procs)
+		par, st, err := BuildOpt(g, BuildOptions{Workers: c.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (BuildOptions{Workers: c.workers}).workers(); st.Workers != want || (st.Batches > 0) != c.batched {
+			t.Fatalf("GOMAXPROCS %d, Workers %d: stats report %d workers, %d batches; want %d workers, batched %v",
+				c.procs, c.workers, st.Workers, st.Batches, want, c.batched)
+		}
+		sameLabeling(t, seq, par)
 	}
-	if st.Workers < 1 {
-		t.Fatalf("resolved workers = %d", st.Workers)
-	}
-	sameLabeling(t, seq, par)
 }
 
 // TestBuildOptCancel: a pre-canceled exec context abandons the build with

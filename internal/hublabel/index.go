@@ -415,7 +415,6 @@ func (idx *Index) mergeRun(sc *qscratch, st *QueryStats, label []Entry, bound fl
 		sc.labelDist = append(sc.labelDist, e.Dist)
 		sc.heap.Push(cursor{list: li, pos: 0}, key)
 	}
-	//lint:ignore vetrnn/execpoll in-memory merge over resident label lists; the query loops driving it poll via ec.Check
 	for {
 		cur, key, ok := sc.heap.Pop()
 		if !ok || key >= bound {

@@ -252,7 +252,6 @@ func (d *dijkstraState) push(n graph.NodeID, dist float64) bool {
 }
 
 func (d *dijkstraState) pop() (graph.NodeID, float64, bool) {
-	//lint:ignore vetrnn/execpoll in-memory drain of stale heap entries during label construction
 	for {
 		n, dist, ok := d.heap.Pop()
 		if !ok {

@@ -381,7 +381,6 @@ func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
 		lastSlot = int(at.Slot)+1 >= storage.RecordSlotCount(page)
 		return nil
 	}
-	//lint:ignore vetrnn/execpoll record-chain walk inside the label-read primitive itself; callers poll per label fetch
 	for {
 		if err := s.buffer.ReadRecord(at, decode); err != nil {
 			return nil, err
@@ -443,7 +442,6 @@ func Load(f storage.PagedFile) (*Labeling, error) {
 		in = make([][]Entry, n)
 	}
 	var buf []Entry
-	//lint:ignore vetrnn/execpoll load-time bulk read of the whole labeling; no query context exists
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		if buf, err = s.OutLabel(v, buf); err != nil {
 			return nil, err

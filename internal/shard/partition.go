@@ -118,7 +118,6 @@ func kCenterSeeds(g graph.Access, shards int, seed int64) ([]graph.NodeID, error
 			dist[s] = 0
 			queue = append(queue, s)
 		}
-		//lint:ignore vetrnn/execpoll offline partition construction at Shard() time; no query context exists yet
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			var err error
@@ -252,7 +251,6 @@ func growRegions(g graph.Access, seeds []graph.NodeID, p *Partition) error {
 
 func countCutEdges(g graph.Access, p *Partition) error {
 	var adj []graph.Edge
-	//lint:ignore vetrnn/execpoll offline partition construction at Shard() time; no query context exists yet
 	for v := range g.NumNodes() {
 		var err error
 		adj, err = g.Adjacency(graph.NodeID(v), adj)
@@ -283,7 +281,6 @@ func buildHalos(g graph.Access, p *Partition) error {
 		}
 		var ring []graph.NodeID
 		// Ring 1: foreign neighbors of owned nodes.
-		//lint:ignore vetrnn/execpoll offline partition construction at Shard() time; no query context exists yet
 		for v := range n {
 			if p.Owner[v] != int32(s) {
 				continue
@@ -301,7 +298,6 @@ func buildHalos(g graph.Access, p *Partition) error {
 			}
 		}
 		halo := append([]graph.NodeID(nil), ring...)
-		//lint:ignore vetrnn/execpoll offline partition construction at Shard() time; no query context exists yet
 		for head := 0; head < len(ring); head++ {
 			u := ring[head]
 			if depth[u] >= int32(p.HaloDepth) {

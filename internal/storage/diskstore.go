@@ -65,7 +65,6 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 	// current page if it fits at least this many edges (or the whole list).
 	const minTailEdges = 8
 
-	//lint:ignore vetrnn/execpoll store construction; no query context exists yet
 	for _, n := range order {
 		adj, err = g.Adjacency(n, adj[:0])
 		if err != nil {
@@ -130,7 +129,6 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 		owner, next, buf, err = ReadFragment(rec, buf)
 		return err
 	}
-	//lint:ignore vetrnn/execpoll fragment-chain walk inside the Adjacency primitive itself; callers poll per call
 	for ref := s.index[n]; ref.Page != InvalidPage; ref = next {
 		if err := s.bm.ReadRecord(ref, decode); err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
@@ -183,7 +181,6 @@ func BFSOrder(g *graph.Graph) []graph.NodeID {
 		}
 		seen[s] = true
 		queue = append(queue[:0], s)
-		//lint:ignore vetrnn/execpoll layout-time BFS over the in-memory source graph
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
