@@ -2,12 +2,14 @@ package hublabel
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
+	"graphrnn/internal/pq"
 )
 
 // BuildOptions tunes the labeling construction. The zero value is the
@@ -52,8 +54,8 @@ type BuildStats struct {
 
 // workers resolves the worker count. "As many as the machine has" picks
 // the sequential build on one or two CPUs: at two workers the batched build
-// sweeps 4.43M nodes where the sequential one sweeps 2.74M on road-20K
-// (1 995 resweeps) and takes 2.68 s against 1.98 s. An explicit count is
+// sweeps 2.45M nodes where the sequential one sweeps 1.57M on road-20K
+// (793 resweeps) and takes 1.05 s against 0.72 s. An explicit count is
 // taken at its word.
 func (o BuildOptions) workers() int {
 	w := o.Workers
@@ -108,23 +110,150 @@ func BuildOpt(g graph.Access, opt BuildOptions) (*Labeling, BuildStats, error) {
 	return l, st, nil
 }
 
-// buildOrder computes the landmark order: degrees (both directions when
-// the graph has one-way arcs) feed the sampled-centrality ranking.
+// buildOrder computes the landmark order. The graph is peeled from the
+// outside in by capped min-degree elimination (eliminate); the nodes the
+// peel never reaches — the core — are ranked by sampled centrality
+// (landmarkOrder) and sweep first, and the peeled nodes follow in reverse
+// elimination order, so every node's label draws on the separators that
+// were eliminated after it and on the core. The order decides only the size
+// of the labels: pruned landmark labeling is an exact 2-hop cover under any
+// order.
 func buildOrder(out, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, error) {
-	deg, err := degrees(out, ec)
+	nbr, err := undirectedAdjacency(out, in, ec)
 	if err != nil {
 		return nil, err
 	}
-	if in != out {
-		degIn, err := degrees(in, ec)
-		if err != nil {
-			return nil, err
-		}
-		for v := range deg {
-			deg[v] += degIn[v]
-		}
+	degree := make([]int, len(nbr))
+	for v := range nbr {
+		degree[v] = len(nbr[v])
 	}
-	return landmarkOrder(out, deg, ec)
+	core, peeled, err := eliminate(nbr, ec)
+	if err != nil {
+		return nil, err
+	}
+	if err := landmarkOrder(out, core, degree, ec); err != nil {
+		return nil, err
+	}
+	slices.Reverse(peeled)
+	return append(core, peeled...), nil
+}
+
+// undirectedAdjacency lists every node's neighbours over out-arcs ∪ in-arcs,
+// sorted by id, without self-loops or duplicates: the graph the elimination
+// runs on. Direction and weights play no part in it.
+func undirectedAdjacency(out, in graph.Access, ec *exec.Ctx) ([][]graph.NodeID, error) {
+	sides := []graph.Access{out, in}
+	if in == out {
+		sides = sides[:1]
+	}
+	nbr := make([][]graph.NodeID, out.NumNodes())
+	var adj []graph.Edge
+	var err error
+	for v := range nbr {
+		if v&(exec.CheckStride-1) == 0 {
+			if err := ec.Check(0); err != nil {
+				return nil, err
+			}
+		}
+		var ids []graph.NodeID
+		for _, side := range sides {
+			if adj, err = side.Adjacency(graph.NodeID(v), adj); err != nil {
+				return nil, err
+			}
+			for _, e := range adj {
+				if e.To != graph.NodeID(v) {
+					ids = append(ids, e.To)
+				}
+			}
+		}
+		slices.Sort(ids)
+		nbr[v] = slices.Compact(ids)
+	}
+	return nbr, nil
+}
+
+// elimCap is the largest fill-degree the elimination accepts: it stops as
+// soon as the cheapest remaining node has more neighbours than this. The cap
+// is what keeps a scale-free graph from turning into cliques, and between 12
+// and 32 no family's labels move by a tenth, so it is a constant, not an
+// option. Label entries by cap (deterministic; TestLandmarkOrderLabelSizes
+// prints the row of the constant), the core ranked by landmarkOrder, against
+// that ranking alone:
+//
+//	cap              road-20K   BRITE-10K   grid-10K deg 4       deg 6
+//	none peeled     2 551 940     481 246      1 046 459     2 755 161
+//	4               1 845 214     469 100        886 905     2 719 915
+//	8               1 571 748     461 155        824 320     2 491 887
+//	12              1 493 526     462 050        818 284     2 391 034
+//	16              1 438 383     462 029        811 161     2 336 430
+//	24              1 424 247     462 884        778 916     2 226 590
+//	32              1 463 878     462 826        769 453     2 186 763
+//	all peeled      1 818 279   6 420 271      1 636 910     3 162 364
+//
+// Build time follows the entries (road-20K, sequential: ≈ 1.9 s unpeeled,
+// ≈ 0.8 s at 16, the order itself ≈ 60 ms of that). Uncapped, BRITE's 19 997
+// edges grow 528 761 fill edges (44 357 at 16): the neighbourhoods of its
+// hubs become cliques, and an order through cliques is no order.
+const elimCap = 16
+
+// eliminate peels the undirected graph nbr by min-degree elimination and
+// returns the peeled nodes in elimination order and, in no particular order,
+// the core. Each step removes the node of least cost d·(d−1)/2 − d + level —
+// d its current degree, so the first two terms are the most edges its removal
+// can add minus the ones it takes away, and level one more than the highest
+// level among the neighbours already eliminated around it, which spreads the
+// peel evenly instead of tunnelling into one region — ties by id, and joins
+// its remaining neighbours into a clique (the fill). It stops at the first
+// cheapest node of degree above elimCap; whatever is left is the core. nbr is
+// consumed: on return it holds the fill graph of the core.
+//
+// vetrnn:deterministic
+func eliminate(nbr [][]graph.NodeID, ec *exec.Ctx) (core, peeled []graph.NodeID, err error) {
+	n := len(nbr)
+	level := make([]int, n)
+	// The heap key is cost·n + id: an exact integer in a float64 for every
+	// node an elimination can pick (cost ≤ elimCap² + n), and rounding is
+	// monotone above that, where the only question is "above the cap".
+	key := func(v graph.NodeID) float64 {
+		d := len(nbr[v])
+		return float64(d*(d-1)/2-d+level[v])*float64(n) + float64(v)
+	}
+	var heap pq.Heap[graph.NodeID]
+	handle := make([]pq.Handle, n)
+	for v := range nbr {
+		handle[v] = heap.Push(graph.NodeID(v), key(graph.NodeID(v)))
+	}
+	for {
+		v, _, ok := heap.Pop()
+		if !ok {
+			return core, peeled, nil
+		}
+		if len(nbr[v]) > elimCap || len(core) > 0 {
+			core = append(core, v) // the peel is over: the rest of the heap is the core
+			continue
+		}
+		if len(peeled)&(exec.CheckStride-1) == 0 {
+			if err := ec.Check(0); err != nil {
+				return nil, nil, err
+			}
+		}
+		peeled = append(peeled, v)
+		for _, u := range nbr[v] {
+			a := nbr[u]
+			i, _ := slices.BinarySearch(a, v)
+			a = slices.Delete(a, i, i+1)
+			for _, w := range nbr[v] {
+				if j, found := slices.BinarySearch(a, w); !found && w != u {
+					a = slices.Insert(a, j, w)
+				}
+			}
+			nbr[u] = a
+			level[u] = max(level[u], level[v]+1)
+			heap.Remove(handle[u])
+			handle[u] = heap.Push(u, key(u))
+		}
+		nbr[v] = nil
+	}
 }
 
 // labelTables allocates the per-node entry lists of a build: one table

@@ -61,6 +61,7 @@ func TestBuildOptDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameLabeling(t, seq, par)
+				t.Logf("%d workers: %d entries, %d resweeps, %d visits", workers, par.Entries(), st.Resweeps, st.Visits)
 				if st.Workers != workers {
 					t.Fatalf("stats report %d workers, want %d", st.Workers, workers)
 				}
@@ -83,11 +84,12 @@ func TestBuildOptDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run("digraph", func(t *testing.T) {
-			par, _, err := BuildOpt(d, BuildOptions{Workers: workers})
+			par, st, err := BuildOpt(d, BuildOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameLabeling(t, seq, par)
+			t.Logf("%d workers: %d entries, %d resweeps, %d visits", workers, par.Entries(), st.Resweeps, st.Visits)
 		})
 	}
 }
@@ -286,4 +288,132 @@ func TestBuildOptBrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameLabeling(t, seq, par)
+}
+
+// replayFill eliminates peeled, in order, on a set-based model of g's
+// undirected graph, independent of eliminate's sorted slices. It returns the
+// largest degree a node had at its elimination, the fill edges created and
+// the graph that is left.
+func replayFill(t *testing.T, g graph.Access, peeled []graph.NodeID) (maxDegree, fill int, rest []map[graph.NodeID]bool) {
+	t.Helper()
+	nbr, err := undirectedAdjacency(g, g.In(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest = make([]map[graph.NodeID]bool, len(nbr))
+	for v, a := range nbr {
+		rest[v] = make(map[graph.NodeID]bool, len(a))
+		for _, u := range a {
+			rest[v][u] = true
+		}
+	}
+	for _, v := range peeled {
+		maxDegree = max(maxDegree, len(rest[v]))
+		for u := range rest[v] {
+			delete(rest[u], v)
+			for w := range rest[v] {
+				if w != u && !rest[u][w] {
+					rest[u][w] = true
+					fill++
+				}
+			}
+		}
+		rest[v] = nil
+	}
+	return maxDegree, fill / 2, rest
+}
+
+// TestLandmarkOrderLabelSizes pins what the landmark order is for: the size
+// of the labels, a deterministic count. The exact entries of the 20K road map
+// every benchmark builds; on BRITE and both grids no more entries than the
+// sampled-centrality order alone produced (PR 25's counts); and on BRITE a
+// bound on the fill, which is what elimCap buys — uncapped, the elimination
+// joins the neighbourhoods of a scale-free graph's hubs into cliques, took
+// 6 s to order 10K nodes and doubled the labels. The batched build must
+// reproduce the road labeling bit for bit at every worker count.
+func TestLandmarkOrderLabelSizes(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("builds four 10K-20K-node labelings to read deterministic counters")
+	}
+	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 2006, Nodes: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brite, err := gen.Brite(gen.BriteConfig{Seed: 7, Nodes: 10000, AvgDegree: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid4, err := gen.Grid(gen.GridConfig{Seed: 7, Nodes: 10000, Degree: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid6, err := gen.Grid(gen.GridConfig{Seed: 7, Nodes: 10000, Degree: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq *Labeling
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		entries int
+		exact   bool
+	}{
+		{"road-20K", road, 1438383, true},
+		{"brite-10K", brite, 481246, false},
+		{"grid4-10K", grid4, 1046459, false},
+		{"grid6-10K", grid6, 2755161, false},
+	} {
+		l, st, err := BuildOpt(c.g, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d entries (%.1f a node), %d visits", c.name, l.Entries(), l.AverageLabelSize(), st.Visits)
+		if l.Entries() > c.entries || c.exact && l.Entries() != c.entries {
+			t.Errorf("%s: %d label entries, pinned %d (exact: %v)", c.name, l.Entries(), c.entries, c.exact)
+		}
+		if c.g == road {
+			seq = l
+		}
+	}
+	for _, workers := range []int{2, 4, 8} {
+		par, st, err := BuildOpt(road, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("road-20K, %d workers: %d resweeps, %d visits", workers, st.Resweeps, st.Visits)
+		sameLabeling(t, seq, par)
+	}
+
+	nbr, err := undirectedAdjacency(brite, brite.In(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := 0
+	for _, a := range nbr {
+		edges += len(a)
+	}
+	edges /= 2
+	_, peeled, err := eliminate(nbr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxDegree, fill, rest := replayFill(t, brite, peeled)
+	t.Logf("brite-10K: %d of %d nodes peeled, %d edges, %d fill edges, largest eliminated degree %d",
+		len(peeled), len(nbr), edges, fill, maxDegree)
+	if maxDegree > elimCap {
+		t.Errorf("a node of fill-degree %d was eliminated; the cap is %d", maxDegree, elimCap)
+	}
+	if fill > 3*edges {
+		t.Errorf("the elimination created %d fill edges on a graph of %d edges, more than three times over", fill, edges)
+	}
+	for v, a := range nbr {
+		if len(a) != len(rest[v]) {
+			t.Fatalf("node %d: eliminate left %d neighbours, the replay %d", v, len(a), len(rest[v]))
+		}
+		for _, u := range a {
+			if !rest[v][u] {
+				t.Fatalf("node %d: eliminate left neighbour %d, the replay did not", v, u)
+			}
+		}
+	}
 }

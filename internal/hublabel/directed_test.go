@@ -112,3 +112,95 @@ func TestDirectedIndex(t *testing.T) {
 		})
 	}
 }
+
+// TestOneWayLabelingAllPairs checks the landmark order on one-way arcs: a
+// one-way grid (peeled to nothing) around a tournament of 24 nodes (every
+// pair joined by one arc, so undirected degree 23: all core), tied together
+// by arcs in one direction only. The elimination reads out-arcs ∪ in-arcs —
+// a node some of whose neighbours are known only from its in-arcs is the
+// case a reading of Adjacency alone gets wrong — and for every ordered pair
+// mergeDist(L_out(u), L_in(v)) equals Dijkstra's d(u→v), +Inf included, at
+// every worker count.
+func TestOneWayLabelingAllPairs(t *testing.T) {
+	const side, clique = 8, 24
+	grid := oneWayGrid(t, 41, side)
+	n := side*side + clique
+	rng := rand.New(rand.NewSource(42))
+	b := graph.NewBuilder(n)
+	var adj []graph.Edge
+	for u := graph.NodeID(0); int(u) < side*side; u++ {
+		adj, _ = grid.Adjacency(u, adj)
+		for _, e := range adj {
+			if err := b.AddArc(u, e.To, e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	arc := func(u, v graph.NodeID) {
+		if rng.Intn(2) == 0 {
+			u, v = v, u
+		}
+		if err := b.AddArc(u, v, float64(1+rng.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := side * side; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			arc(graph.NodeID(u), graph.NodeID(v))
+		}
+		arc(graph.NodeID(u), graph.NodeID(rng.Intn(side*side)))
+	}
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.In() == graph.Access(d) {
+		t.Fatal("fixture has no one-way arc")
+	}
+
+	nbr, err := undirectedAdjacency(d, d.In(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, peeled, err := eliminate(nbr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(peeled) == 0 || len(peeled) == n {
+		t.Fatalf("%d of %d nodes peeled: the fixture is meant to have a core and a periphery", len(peeled), n)
+	}
+	order, err := buildOrder(d, d.In(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, n)
+	for _, v := range order {
+		if seen[v] {
+			t.Fatalf("node %d ranked twice", v)
+		}
+		seen[v] = true
+	}
+	if len(order) != n {
+		t.Fatalf("order ranks %d of %d nodes", len(order), n)
+	}
+
+	for _, workers := range []int{1, 4} {
+		l, _, err := BuildOpt(d, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ob, ib []Entry
+		for u := graph.NodeID(0); int(u) < n; u++ {
+			want := dijkstra(d, u)
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				got, err := labelDist(l, u, v, ob, ib)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameDist(got, want[v]) {
+					t.Fatalf("workers %d: d(%d→%d) = %v from the labels, Dijkstra %v", workers, u, v, got, want[v])
+				}
+			}
+		}
+	}
+}

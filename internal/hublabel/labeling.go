@@ -5,10 +5,19 @@
 // k-Nearest Neighbor Queries on Large-Scale Networks").
 //
 // The labeling is built with pruned landmark labeling (Akiba, Iwata &
-// Yoshida, adapted to weighted graphs via Dijkstra): nodes are processed in
-// descending degree order, and the expansion from each landmark is pruned
-// wherever the labels built so far already certify a distance at least as
-// good. The result is a 2-hop cover — for every connected pair (u, v) some
+// Yoshida, adapted to weighted graphs via Dijkstra): the expansion from each
+// landmark is pruned wherever the labels built so far already certify a
+// distance at least as good. The landmark order decides how large the labels
+// get and nothing else. It is a nested-dissection-style order in two parts
+// (buildOrder): a capped min-degree elimination peels the graph from the
+// outside in, and the peeled nodes sweep last, in reverse elimination order —
+// the separators of a near-planar network (road maps, grids) before the
+// regions they separate; the core the peel cannot reach without filling in
+// cliques — the hubs of a scale-free graph, almost nothing of a road map —
+// sweeps first, ranked by sampled shortest-path-tree centrality. Against the
+// centrality ranking alone the labels of a 20K-node road map are 44 % smaller
+// (2 551 940 → 1 438 383 entries) and no family's grow; elimCap has the
+// table. The result is a 2-hop cover — for every connected pair (u, v) some
 // hub on a shortest u→v path appears in both labels, so
 //
 //	d(u, v) = min over common hubs h of d(u→h) + d(h→v)
@@ -39,9 +48,10 @@
 package hublabel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
@@ -173,27 +183,27 @@ func mergeDist(a, b []Entry) float64 {
 // per visited node: the current landmark's label is loaded into a dense
 // hub-indexed array once per sweep, so no merge runs at pop time.
 type landmarkProbe struct {
-	hd    []float64
-	stamp []uint32
-	ep    uint32
+	hd     []float64      // d(landmark, hub); +Inf where the loaded label has no entry
+	loaded []graph.NodeID // hubs of the loaded label, to clear hd on the next load
 }
 
 func newLandmarkProbe(n int) *landmarkProbe {
-	return &landmarkProbe{hd: make([]float64, n), stamp: make([]uint32, n)}
+	lp := &landmarkProbe{hd: make([]float64, n)}
+	for i := range lp.hd {
+		lp.hd[i] = math.Inf(1)
+	}
+	return lp
 }
 
 // load installs the landmark-side label for the coming sweep.
 func (lp *landmarkProbe) load(label []Entry) {
-	lp.ep++
-	if lp.ep == 0 {
-		for i := range lp.stamp {
-			lp.stamp[i] = 0
-		}
-		lp.ep = 1
+	for _, h := range lp.loaded {
+		lp.hd[h] = math.Inf(1)
 	}
+	lp.loaded = lp.loaded[:0]
 	for _, e := range label {
-		lp.stamp[e.Hub] = lp.ep
 		lp.hd[e.Hub] = e.Dist
+		lp.loaded = append(lp.loaded, e.Hub)
 	}
 }
 
@@ -202,10 +212,8 @@ func (lp *landmarkProbe) load(label []Entry) {
 func (lp *landmarkProbe) query(label []Entry) float64 {
 	best := math.Inf(1)
 	for _, e := range label {
-		if lp.stamp[e.Hub] == lp.ep {
-			if d := lp.hd[e.Hub] + e.Dist; d < best {
-				best = d
-			}
+		if d := lp.hd[e.Hub] + e.Dist; d < best {
+			best = d
 		}
 	}
 	return best
@@ -270,26 +278,26 @@ func (d *dijkstraState) pop() (graph.NodeID, float64, bool) {
 // from the periphery.
 const centralitySamples = 12
 
-// landmarkOrder ranks nodes by sampled shortest-path-tree centrality
-// (approximate betweenness): a few Dijkstra trees from deterministic
+// landmarkOrder sorts core — the nodes buildOrder's elimination left — by
+// sampled shortest-path-tree centrality (approximate betweenness), highest
+// first: a few Dijkstra trees over the whole graph from deterministic
 // sources, scoring each node by the size of the subtree it roots — the
 // number of shortest paths passing through it. Degree breaks ties, id
-// breaks the rest. Plain degree ordering works on scale-free graphs but
-// collapses on road networks (near-uniform degrees), where centrality
-// ordering keeps labels several times smaller and the build an order of
-// magnitude faster.
-func landmarkOrder(g graph.Access, degree []int, ec *exec.Ctx) ([]graph.NodeID, error) {
+// breaks the rest. The core is where a score is needed: the hubs of a
+// scale-free graph, which no elimination can order (their fill is a clique)
+// and which degree alone orders worse; a road map has next to no core and
+// skips the trees.
+func landmarkOrder(g graph.Access, core []graph.NodeID, degree []int, ec *exec.Ctx) error {
+	if len(core) == 0 {
+		return nil
+	}
 	n := g.NumNodes()
 	score := make([]float64, n)
 	st := newDijkstraState(n)
 	parent := make([]graph.NodeID, n)
 	popOrder := make([]graph.NodeID, 0, n)
 	size := make([]float64, n)
-	samples := centralitySamples
-	if samples > n {
-		samples = n
-	}
-	for s := 0; s < samples; s++ {
+	for s := 0; s < min(centralitySamples, n); s++ {
 		// Deterministic, well-spread sources (Fibonacci hashing).
 		src := graph.NodeID((uint64(s)*11400714819323198485 + 7) % uint64(n))
 		st.begin()
@@ -304,12 +312,12 @@ func landmarkOrder(g graph.Access, degree []int, ec *exec.Ctx) ([]graph.NodeID, 
 			popOrder = append(popOrder, v)
 			if len(popOrder)&(exec.CheckStride-1) == 0 {
 				if err := ec.Check(0); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			var err error
 			if st.adj, err = g.Adjacency(v, st.adj); err != nil {
-				return nil, err
+				return err
 			}
 			for _, e := range st.adj {
 				if st.push(e.To, dist+e.W) {
@@ -329,41 +337,10 @@ func landmarkOrder(g graph.Access, degree []int, ec *exec.Ctx) ([]graph.NodeID, 
 			score[v] += size[v]
 		}
 	}
-	order := make([]graph.NodeID, n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := score[order[i]], score[order[j]]
-		if si != sj {
-			return si > sj
-		}
-		di, dj := degree[order[i]], degree[order[j]]
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
+	slices.SortFunc(core, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(score[b], score[a]), cmp.Compare(degree[b], degree[a]), cmp.Compare(a, b))
 	})
-	return order, nil
-}
-
-// degrees collects per-node degrees over an Access.
-func degrees(g graph.Access, ec *exec.Ctx) ([]int, error) {
-	deg := make([]int, g.NumNodes())
-	var adj []graph.Edge
-	var err error
-	for v := graph.NodeID(0); int(v) < len(deg); v++ {
-		if v&(exec.CheckStride-1) == 0 {
-			if err := ec.Check(0); err != nil {
-				return nil, err
-			}
-		}
-		if adj, err = g.Adjacency(v, adj); err != nil {
-			return nil, err
-		}
-		deg[v] = len(adj)
-	}
-	return deg, nil
+	return nil
 }
 
 // prunedSweep runs one pruned Dijkstra from landmark h, appending (h, dist)
@@ -402,7 +379,7 @@ func finalize(n int, entries [][]Entry) labelSet {
 	offsets := make([]int32, n+1)
 	total := 0
 	for v := 0; v < n; v++ {
-		sort.Slice(entries[v], func(i, j int) bool { return entries[v][i].Hub < entries[v][j].Hub })
+		slices.SortFunc(entries[v], func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) })
 		total += len(entries[v])
 		offsets[v+1] = int32(total)
 	}

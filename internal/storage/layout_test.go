@@ -92,10 +92,10 @@ func TestPagedLayoutPinned(t *testing.T) {
 		pages    int
 		sum      string
 	}{
-		{"labels/raw/4096", 4096, hublabel.WriteOptions{}, 389, "db6f15b8e6c3aab6334d174d135b500340a10dca2b1be039917575238463e677"},
-		{"labels/delta/4096", 4096, hublabel.WriteOptions{Compression: true}, 297, "e776fc18cae31180f0da08e14c0a90c6a5de15a486879d877bf9c6b763271692"},
-		{"labels/raw/512", 512, hublabel.WriteOptions{}, 3175, "13b35c062db1841828e3287efe032fbc81984c3528bcdbcb487bee864bdcfeb3"},
-		{"labels/delta/512", 512, hublabel.WriteOptions{Compression: true}, 2425, "1bbe8afaceeb4639f41964c565d09a0e2a69982e3f785216bd151d06dafb72cf"},
+		{"labels/raw/4096", 4096, hublabel.WriteOptions{}, 276, "684e61111819fcfb78ffdbf898c85b70bdeb765d8567cbcf79f25002fea74406"},
+		{"labels/delta/4096", 4096, hublabel.WriteOptions{Compression: true}, 213, "32711501cc40fe5dde0c0460ed66ab493fcc5f14729b05234150b846f033fd11"},
+		{"labels/raw/512", 512, hublabel.WriteOptions{}, 2244, "07426f8062633e338815d570c6c0872ba5789e042e52f3d9ebe2853989e37aba"},
+		{"labels/delta/512", 512, hublabel.WriteOptions{Compression: true}, 1732, "9e34064269fac0f7bd545111b45c0e470014d7539810a1d69e3bdae5f76a715b"},
 	} {
 		f := storage.NewMemFile(tc.pageSize)
 		if err := hublabel.WriteOpt(lab, f, tc.opt); err != nil {
