@@ -386,47 +386,8 @@ func BenchmarkHubLabelBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkHubLabelBuildParallel is the tracked counterpart of
-// BenchmarkHubLabelBuild for the batched build: the same 20K-node road
-// network constructed with every core and delta-compressed labels.
-// BENCH_BUILD.json is the committed baseline; wall time gates the
-// parallel speedup staying real, while the label byte and entry counters
-// are machine-independent (the batched build is bit-identical to the
-// sequential one, so the entry count can never drift without a gate
-// failure).
-func BenchmarkHubLabelBuildParallel(b *testing.B) {
-	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := graphrnn.Open(g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ps, err := db.PlaceRandomNodePoints(2007, g.NumNodes()/100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := &graphrnn.HubLabelOptions{Build: graphrnn.BuildOptions{Workers: -1, Compression: true}}
-	var idx *graphrnn.HubLabelIndex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if idx, err = db.BuildHubLabelIndex(ps, 4, opt); err != nil {
-			b.Fatal(err)
-		}
-		if idx.LabelEntries() == 0 {
-			b.Fatal("empty labeling")
-		}
-	}
-	b.StopTimer()
-	stored, raw := idx.LabelBytes()
-	b.ReportMetric(float64(stored), "label_bytes/op")
-	b.ReportMetric(float64(raw), "raw_label_bytes/op")
-	b.ReportMetric(float64(idx.LabelEntries()), "label_entries/op")
-}
-
 // BenchmarkHubLabelBuild100K is the nightly build smoke: a 100K-node road
-// network through the parallel compressed path. Not part of the per-PR
+// network through the parallel build. Not part of the per-PR
 // gate (≈ 14 s and 16 390 356 label entries, not milliseconds); the nightly
 // workflow runs it at -benchtime=1x to catch scaling regressions and
 // allocator blowups that a 20K graph hides.
@@ -443,7 +404,7 @@ func BenchmarkHubLabelBuild100K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := &graphrnn.HubLabelOptions{Build: graphrnn.BuildOptions{Workers: -1, Compression: true}}
+	opt := &graphrnn.HubLabelOptions{Build: graphrnn.BuildOptions{Workers: -1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx, err := db.BuildHubLabelIndex(ps, 4, opt)

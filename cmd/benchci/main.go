@@ -35,17 +35,6 @@
 //	go run ./cmd/benchci -bench '^BenchmarkCIShardedQueries$' \
 //	    -workload "$(jq -r .workload BENCH_SHARD.json)" \
 //	    -out bench_shard_current.json -against BENCH_SHARD.json
-//
-// The parallel hub-label construction (BenchmarkHubLabelBuildParallel —
-// every core, delta-compressed labels, same 20K road network) is the third
-// gate, against BENCH_BUILD.json. Its label_bytes/op, raw_label_bytes/op
-// and label_entries/op counters are machine-independent: the batched build
-// is bit-identical to the sequential one, so any drift is a correctness
-// regression, not noise:
-//
-//	go run ./cmd/benchci -bench '^BenchmarkHubLabelBuildParallel$' \
-//	    -workload "$(jq -r .workload BENCH_BUILD.json)" \
-//	    -out bench_build_current.json -against BENCH_BUILD.json
 package main
 
 import (

@@ -39,7 +39,7 @@ func TestConcurrentServerNoDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &server{db: db, ps: ps, mat: mat, family: "grid", started: time.Now()}
-	s.buildOpts = graphrnn.BuildOptions{Compression: true} // paged labels: a pool tenant per index
+	s.hubOpts = graphrnn.HubLabelOptions{DiskBacked: true} // paged labels: a pool tenant per index
 	if _, err := s.buildHub(4); err != nil {
 		t.Fatal(err)
 	}

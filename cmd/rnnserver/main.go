@@ -18,7 +18,7 @@
 //
 //	rnnserver [-addr :8080] [-family road|brite|grid] [-nodes N]
 //	          [-density D] [-sites N] [-seed N] [-disk] [-buffer PAGES]
-//	          [-maxk K] [-hublabel K] [-build-workers N] [-label-compress]
+//	          [-maxk K] [-hublabel K] [-build-workers N]
 //	          [-query-timeout D] [-pprof ADDR]
 //	          [-shards N [-shard-index i | -shard-peers url1,url2,...]]
 //	          [-shard-halo H]
@@ -29,10 +29,10 @@
 //
 // Hub-label builds run the pruned-landmark sweeps across -build-workers
 // goroutines (default all cores — sequential on fewer than three, where
-// batching loses; the labels are bit-identical at any worker count) and -label-compress serves the labels delta+varint
-// encoded through the paged store, cutting label bytes in memory and on
-// disk. Both apply to the startup build, POST /index/hublabel, and the
-// coordinator's build of sharded mode.
+// batching loses; the labels are bit-identical at any worker count). That
+// applies to the startup build, POST /index/hublabel, repair-failure
+// rebuilds and the coordinator's build of sharded mode. The labels are
+// served from memory.
 //
 // Sharded serving (-shards N) answers /query by scatter-gather: the node
 // set is cut into N balanced regions, one engine and one buffer-pool
@@ -156,9 +156,9 @@ type server struct {
 
 	hub      atomic.Pointer[graphrnn.HubLabelIndex]
 	hubBuild sync.Mutex // one build at a time
-	// buildOpts configure every hub-label construction (startup,
+	// hubOpts configure every hub-label construction (startup,
 	// POST /index/hublabel, repair-failure rebuilds, the sharded build).
-	buildOpts graphrnn.BuildOptions
+	hubOpts graphrnn.HubLabelOptions
 	// hub-label maintenance counters for /stats.
 	hubRepairs     atomic.Int64
 	hubRepairFails atomic.Int64
@@ -316,23 +316,24 @@ func (s *server) handleHubBuild(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	bst := idx.BuildStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"maxk":            idx.MaxK(),
-		"label_entries":   idx.LabelEntries(),
-		"avg_label_size":  idx.AverageLabelSize(),
-		"build_seconds":   bst.WallSeconds,
-		"build_workers":   bst.Workers,
-		"build_batches":   bst.Batches,
-		"pruned_visits":   bst.Pruned,
-		"label_bytes":     bst.LabelBytes,
-		"raw_label_bytes": bst.RawLabelBytes,
-	})
+	writeJSON(w, http.StatusOK, hubStats(idx))
 }
 
-// hubOptions derives the HubLabelOptions every server-side build uses.
-func (s *server) hubOptions() *graphrnn.HubLabelOptions {
-	return &graphrnn.HubLabelOptions{Build: s.buildOpts}
+// hubStats describes a built index: what POST /index/hublabel answers and
+// the base of /stats' hublabel section.
+func hubStats(idx *graphrnn.HubLabelIndex) map[string]any {
+	bst := idx.BuildStats()
+	return map[string]any{
+		"maxk":           idx.MaxK(),
+		"label_entries":  idx.LabelEntries(),
+		"avg_label_size": idx.AverageLabelSize(),
+		"label_bytes":    bst.LabelBytes,
+		"build_seconds":  bst.WallSeconds,
+		"build_workers":  bst.Workers,
+		"build_batches":  bst.Batches,
+		"pruned_visits":  bst.Pruned,
+		"resweeps":       bst.Resweeps,
+	}
 }
 
 // buildHub builds a hub-label index over the data set and publishes it,
@@ -346,7 +347,7 @@ func (s *server) buildHub(maxK int) (*graphrnn.HubLabelIndex, error) {
 	s.hubBuild.Lock()
 	defer s.hubBuild.Unlock()
 	s.mu.RLock()
-	idx, err := s.db.BuildHubLabelIndex(s.ps, maxK, s.hubOptions())
+	idx, err := s.db.BuildHubLabelIndex(s.ps, maxK, &s.hubOpts)
 	var old *graphrnn.HubLabelIndex
 	if err == nil {
 		old = s.hub.Swap(idx)
@@ -560,24 +561,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if idx := s.hub.Load(); idx != nil {
-		bst := idx.BuildStats()
-		stored, raw := idx.LabelBytes()
-		stats["hublabel"] = map[string]any{
-			"maxk":            idx.MaxK(),
-			"label_entries":   idx.LabelEntries(),
-			"avg_label_size":  idx.AverageLabelSize(),
-			"compressed":      idx.Compressed(),
-			"label_bytes":     stored,
-			"raw_label_bytes": raw,
-			"build_seconds":   bst.WallSeconds,
-			"build_workers":   bst.Workers,
-			"build_batches":   bst.Batches,
-			"pruned_visits":   bst.Pruned,
-			"resweeps":        bst.Resweeps,
-			"repairs":         s.hubRepairs.Load(),
-			"repair_failures": s.hubRepairFails.Load(),
-			"rebuilds":        s.hubRebuilds.Load(),
-		}
+		hub := hubStats(idx)
+		hub["repairs"] = s.hubRepairs.Load()
+		hub["repair_failures"] = s.hubRepairFails.Load()
+		hub["rebuilds"] = s.hubRebuilds.Load()
+		stats["hublabel"] = hub
 	}
 	writeJSON(w, http.StatusOK, stats)
 }
@@ -597,8 +585,7 @@ func main() {
 		queryTO  = flag.Duration("query-timeout", 0, "per-query deadline; expired queries answer 504 (0 disables)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty disables)")
 
-		buildWorkers  = flag.Int("build-workers", 0, "worker goroutines for hub-label construction (0 = all cores, sequential below three; 1 = sequential)")
-		labelCompress = flag.Bool("label-compress", false, "store hub labels delta+varint compressed through the page store")
+		buildWorkers = flag.Int("build-workers", 0, "worker goroutines for hub-label construction (0 = all cores, sequential below three; 1 = sequential)")
 
 		shards     = flag.Int("shards", 0, "serve /query by scatter-gather over N shards (0 = unsharded)")
 		shardIndex = flag.Int("shard-index", -1, "shard-process role: reject /shard/query sub-queries for other shard indexes (-1 serves any)")
@@ -644,9 +631,9 @@ func main() {
 	srv := &server{db: db, ps: ps, family: *family, started: time.Now(), queryTimeout: *queryTO, shardIndex: -1}
 	// Flag value 0 means "use every core"; the library spells that -1
 	// (0 there falls back to sequential).
-	srv.buildOpts = graphrnn.BuildOptions{Workers: *buildWorkers, Compression: *labelCompress}
+	srv.hubOpts.Build.Workers = *buildWorkers
 	if *buildWorkers == 0 {
-		srv.buildOpts.Workers = -1
+		srv.hubOpts.Build.Workers = -1
 	}
 	nsites := *sites
 	if nsites < 0 {
@@ -691,7 +678,7 @@ func main() {
 			Shards: *shards, HaloDepth: *shardHalo, Seed: *seed, Sites: srv.sites,
 			HubLabelK: *hubLabel, MatK: *maxK,
 			DiskBacked: *disk, BufferPages: *buffer,
-			Build: srv.buildOpts,
+			Build: srv.hubOpts.Build,
 		}
 		srv.shardRole = "in-process"
 		if len(peers) > 0 {
@@ -716,7 +703,7 @@ func main() {
 			}
 		}
 		if *hubLabel > 0 {
-			idx, err := db.BuildHubLabelIndex(ps, *hubLabel, srv.hubOptions())
+			idx, err := db.BuildHubLabelIndex(ps, *hubLabel, &srv.hubOpts)
 			if err != nil {
 				log.Fatal(err)
 			}

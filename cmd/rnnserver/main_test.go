@@ -521,13 +521,13 @@ func TestQueryResponseWireBytes(t *testing.T) {
 }
 
 // TestHubRebuildReleasesPoolTenant: replacing the served hub-label index —
-// POST /index/hublabel, three times, with paged (compressed) labels — must
+// POST /index/hublabel, three times, with paged labels — must
 // retire the index it replaces. Each index holds a "hublabel" tenant of the
 // shared pool and 64 pages of elastic capacity; before the retirement each
 // rebuild left both behind.
 func TestHubRebuildReleasesPoolTenant(t *testing.T) {
 	s := newTestServer(t)
-	s.buildOpts = graphrnn.BuildOptions{Compression: true}
+	s.hubOpts = graphrnn.HubLabelOptions{DiskBacked: true}
 	pool := func() (tenants int, capacity float64) {
 		t.Helper()
 		rec := httptest.NewRecorder()

@@ -70,14 +70,13 @@ func placeOnRandomNodes(t testing.TB, rng *rand.Rand, db *graphrnn.DB, count int
 	return ps
 }
 
-// hubBackends are the three ways an index serves its labels.
+// hubBackends are the two ways an index serves its labels.
 var hubBackends = []struct {
 	name string
 	opt  *graphrnn.HubLabelOptions
 }{
 	{"memory", nil},
 	{"paged", &graphrnn.HubLabelOptions{DiskBacked: true, PageSize: 256, BufferPages: 4}},
-	{"compressed", &graphrnn.HubLabelOptions{PageSize: 256, BufferPages: 4, Build: graphrnn.BuildOptions{Compression: true, Workers: 2}}},
 }
 
 // directedEnv is one random directed setting: graph, data set, site set,
@@ -153,7 +152,7 @@ func (e *directedEnv) shapes(rng *rand.Rand) []directedShape {
 }
 
 // TestDirectedRunAgreesWithBrute: on 300 random asymmetric graphs every
-// kind × {eager, lazy-EP, hub-label (memory / paged / compressed), auto}
+// kind × {eager, lazy-EP, hub-label (memory / paged), auto}
 // returns the brute-force member set, before and after an Insert and a
 // Remove, and the maintained indexes answer like freshly built ones.
 func TestDirectedRunAgreesWithBrute(t *testing.T) {

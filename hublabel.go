@@ -3,6 +3,7 @@ package graphrnn
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"graphrnn/internal/core"
 	"graphrnn/internal/exec"
@@ -61,11 +62,6 @@ type BuildOptions struct {
 	// the batches' speculation). The labels are bit-identical at every
 	// worker count.
 	Workers int
-	// Compression stores labels delta+varint encoded. Implies paged label
-	// serving (an in-memory page file when no Path is set, and no raw
-	// labeling beside it), so the saving applies to served memory as well
-	// as disk.
-	Compression bool
 }
 
 // HubLabelBuildStats describes how a hub-label index was constructed.
@@ -82,9 +78,9 @@ type HubLabelBuildStats struct {
 	Visits, Pruned, Resweeps int64
 	// WallSeconds is the labeling construction time.
 	WallSeconds float64
-	// LabelBytes is the encoded label payload; RawLabelBytes what the raw
-	// fixed-width codec would occupy. Both 0 when labels are not paged.
-	LabelBytes, RawLabelBytes int64
+	// LabelBytes is the label payload of the page file (12 bytes an entry
+	// plus chunk headers); 0 when labels are served from memory.
+	LabelBytes int64
 }
 
 // HubLabelOptions configures how the labeling is stored and served.
@@ -99,8 +95,7 @@ type HubLabelOptions struct {
 	// Path stores the label file on disk at this location (implies
 	// DiskBacked); empty keeps it in memory.
 	Path string
-	// Build controls the labeling construction (worker count,
-	// compression).
+	// Build controls the labeling construction (worker count).
 	Build BuildOptions
 }
 
@@ -113,7 +108,7 @@ func (o *HubLabelOptions) defaults() (pageSize, buffer int, paged bool, path str
 		if o.BufferPages > 0 {
 			buffer = o.BufferPages
 		}
-		paged = o.DiskBacked || o.Path != "" || o.Build.Compression
+		paged = o.DiskBacked || o.Path != ""
 		path = o.Path
 		build = o.Build
 	}
@@ -157,16 +152,12 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	if paged {
 		var file storage.PagedFile
 		if path != "" {
-			osf, err := storage.CreateOSFile(path, pageSize)
-			if err != nil {
-				return nil, err
-			}
-			file = osf
+			file, err = createLabelFile(lab, path, pageSize)
 		} else {
 			file = storage.NewMemFile(pageSize)
+			err = hublabel.Write(lab, file)
 		}
-		if err := hublabel.WriteOpt(lab, file, hublabel.WriteOptions{Compression: build.Compression}); err != nil {
-			file.Close()
+		if err != nil {
 			return nil, err
 		}
 		bm := db.pool.attach("hublabel", file, buffer)
@@ -178,9 +169,24 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 		}
 		h.lab = nil // the pages serve from here on
 		h.build.LabelBytes = h.store.PayloadBytes()
-		h.build.RawLabelBytes = h.store.RawBytes()
 	}
 	return h.index(ps, maxK, track)
+}
+
+// createLabelFile writes lab into a fresh page file at path and returns it
+// open. A failed write leaves no file behind: its remains carry no header
+// (hublabel.Write lays that down last) and would only be refused at open.
+func createLabelFile(lab *hublabel.Labeling, path string, pageSize int) (storage.PagedFile, error) {
+	f, err := storage.CreateOSFile(path, pageSize)
+	if err != nil {
+		return nil, err
+	}
+	if err := hublabel.Write(lab, f); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return f, nil
 }
 
 // index builds the reverse index over ps — ReHub's per-object-set half,
@@ -235,7 +241,6 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 	}
 	h := &HubLabelIndex{store: store, reopened: true}
 	h.build.LabelBytes = store.PayloadBytes()
-	h.build.RawLabelBytes = store.RawBytes()
 	return h.index(ps, maxK, true)
 }
 
@@ -243,6 +248,7 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 // process can OpenHubLabelIndex it. Only available on indexes built in this
 // process (an index reopened from a file is already persisted). A paged
 // index kept no raw labeling: it is read back from the label pages first.
+// A failed write leaves no file at path.
 func (h *HubLabelIndex) SaveTo(path string) error {
 	if h.reopened {
 		return fmt.Errorf("graphrnn: index was opened from a label file; it is already persisted")
@@ -254,13 +260,8 @@ func (h *HubLabelIndex) SaveTo(path string) error {
 			return err
 		}
 	}
-	pageSize := storage.DefaultPageSize
-	f, err := storage.CreateOSFile(path, pageSize)
+	f, err := createLabelFile(lab, path, storage.DefaultPageSize)
 	if err != nil {
-		return err
-	}
-	if err := hublabel.WriteOpt(lab, f, hublabel.WriteOptions{Compression: h.Compressed()}); err != nil {
-		f.Close()
 		return err
 	}
 	return f.Close()
@@ -323,18 +324,6 @@ func (h *HubLabelIndex) AverageLabelSize() float64 {
 // BuildStats returns the construction counters. An index reopened from a
 // file reports only the label-byte fields (nothing was built).
 func (h *HubLabelIndex) BuildStats() HubLabelBuildStats { return h.build }
-
-// Compressed reports whether labels are served delta+varint encoded.
-func (h *HubLabelIndex) Compressed() bool { return h.store != nil && h.store.Compressed() }
-
-// LabelBytes returns the stored label payload and what the raw fixed-width
-// codec would occupy; both 0 when labels are served from plain memory.
-func (h *HubLabelIndex) LabelBytes() (stored, raw int64) {
-	if h.store == nil {
-		return 0, 0
-	}
-	return h.store.PayloadBytes(), h.store.RawBytes()
-}
 
 // IOStats returns the label-file traffic; zero when labels are served from
 // memory.

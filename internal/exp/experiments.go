@@ -372,8 +372,8 @@ func HubSubstrate(s Scale) (*Table, error) {
 		err = open(g, su, func(w *world) error {
 			bst := w.hub.BuildStats()
 			t.Notes = append(t.Notes, fmt.Sprintf(
-				"HL build |V|=%d: %.3fs, %d workers, %d batches, %d pruned visits, %d resweeps, labels %dB compressed / %dB raw",
-				g.NumNodes(), bst.WallSeconds, bst.Workers, bst.Batches, bst.Pruned, bst.Resweeps, bst.LabelBytes, bst.RawLabelBytes))
+				"HL build |V|=%d: %.3fs, %d workers, %d batches, %d pruned visits, %d resweeps, labels %dB paged",
+				g.NumNodes(), bst.WallSeconds, bst.Workers, bst.Batches, bst.Pruned, bst.Resweeps, bst.LabelBytes))
 			return w.rnnRow(t, fmt.Sprintf("%d", g.NumNodes()), w.sample(s.seed()+24, s.queries()), 1, false)
 		})
 		if err != nil {

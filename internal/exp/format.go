@@ -15,8 +15,8 @@ type Table struct {
 	Columns []Algo
 	Cells   [][]Measure // [x][column]
 	// Notes are free-form lines appended below the table — build-side
-	// observations (construction wall time, worker count, compression
-	// ratio) that have no column of their own.
+	// observations (construction wall time, worker count, label bytes)
+	// that have no column of their own.
 	Notes []string
 }
 

@@ -225,12 +225,13 @@ func (w *world) materialize(maxK int) (err error) {
 }
 
 // hubLabel builds the 2-hop labeling — batched across every core, which
-// cannot change the labels — and serves it delta-compressed from a paged
-// file, so label I/O is counted like every other substrate's.
+// cannot change the labels — and serves it from a paged file, so label I/O
+// is counted like every other substrate's.
 func (w *world) hubLabel(maxK int) (err error) {
 	w.hub, err = w.db.BuildHubLabelIndex(w.node, maxK, &graphrnn.HubLabelOptions{
+		DiskBacked:  true,
 		BufferPages: MatBufferPages,
-		Build:       graphrnn.BuildOptions{Workers: -1, Compression: true},
+		Build:       graphrnn.BuildOptions{Workers: -1},
 	})
 	return err
 }

@@ -3,14 +3,12 @@ package hublabel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 
 	"graphrnn/internal/exec"
 	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
-	"graphrnn/internal/storage"
 )
 
 // sameLabeling compares two labelings bit for bit: identical CSR offsets,
@@ -173,102 +171,6 @@ func TestBuildOptTinyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameLabeling(t, seq, par)
-}
-
-// TestStoreCompressedRoundTrip persists labelings with the delta+varint
-// codec — across page sizes that force chunk restarts — and checks the
-// served labels are identical to the in-memory ones while the payload
-// shrinks below the raw fixed-width encoding.
-func TestStoreCompressedRoundTrip(t *testing.T) {
-	graphs := testGraphs(t)
-	for name, g := range graphs {
-		for _, pageSize := range []int{128, 4096} {
-			t.Run(fmt.Sprintf("%s/page%d", name, pageSize), func(t *testing.T) {
-				l, err := buildSeq(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := storage.NewMemFile(pageSize)
-				if err := WriteOpt(l, f, WriteOptions{Compression: true}); err != nil {
-					t.Fatal(err)
-				}
-				s, err := openStore(f, 16)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !s.Compressed() {
-					t.Fatal("store does not report the delta codec")
-				}
-				if s.PayloadBytes() <= 0 || s.PayloadBytes() >= s.RawBytes() {
-					t.Fatalf("payload %d bytes did not shrink below raw %d", s.PayloadBytes(), s.RawBytes())
-				}
-				var a, b []Entry
-				for v := graph.NodeID(0); int(v) < l.NumNodes(); v++ {
-					if a, err = l.OutLabel(v, a); err != nil {
-						t.Fatal(err)
-					}
-					if b, err = s.OutLabel(v, b); err != nil {
-						t.Fatal(err)
-					}
-					if !sameEntries(a, b) {
-						t.Fatalf("node %d label mismatch: %v vs %v", v, a, b)
-					}
-				}
-			})
-		}
-	}
-	// Directed: both sides plus full Load through the compressed codec.
-	d := testDigraph(t, 23)
-	l, err := buildSeq(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := storage.NewMemFile(256)
-	if err := WriteOpt(l, f, WriteOptions{Compression: true}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := openStore(f, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []Entry
-	for v := graph.NodeID(0); int(v) < l.NumNodes(); v++ {
-		for side := 0; side < 2; side++ {
-			if side == 0 {
-				a, _ = l.OutLabel(v, a)
-				b, err = s.OutLabel(v, b)
-			} else {
-				a, _ = l.InLabel(v, a)
-				b, err = s.InLabel(v, b)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameEntries(a, b) {
-				t.Fatalf("node %d side %d mismatch", v, side)
-			}
-		}
-	}
-	l2, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.Entries() != l.Entries() || l2.Directed() != l.Directed() {
-		t.Fatalf("Load: %d entries directed=%v, want %d/%v", l2.Entries(), l2.Directed(), l.Entries(), l.Directed())
-	}
-	// A raw store of the same labeling reports no compression and a
-	// payload at least as large as the raw entry bytes.
-	rf := storage.NewMemFile(256)
-	if err := WriteOpt(l, rf, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := openStore(rf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Compressed() || rs.PayloadBytes() < rs.RawBytes() {
-		t.Fatalf("raw store: compressed=%v payload=%d raw=%d", rs.Compressed(), rs.PayloadBytes(), rs.RawBytes())
-	}
 }
 
 // TestBuildOptBrite covers the scale-free topology too (not part of the

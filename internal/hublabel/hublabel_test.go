@@ -1,9 +1,11 @@
 package hublabel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"graphrnn/internal/core"
@@ -183,7 +185,7 @@ func openStore(f storage.PagedFile, bufferPages int) (*Store, error) {
 func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	t.Helper()
 	f := storage.NewMemFile(pageSize)
-	if err := WriteOpt(l, f, WriteOptions{}); err != nil {
+	if err := Write(l, f); err != nil {
 		t.Fatal(err)
 	}
 	s, err := openStore(f, bufferPages)
@@ -202,8 +204,8 @@ func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 
 // TestReadLabelErrorsLeaveNoPin drives readLabel through each of its error
 // exits — unreadable page, slot out of range, truncated chunk, corrupt
-// chunk in either codec — and checks that none of them leaves its page
-// pinned (the buffer holds the whole file, so a leaked pin would stay).
+// chunk — and checks that none of them leaves its page pinned (the buffer
+// holds the whole file, so a leaked pin would stay).
 func TestReadLabelErrorsLeaveNoPin(t *testing.T) {
 	const pageSize = 256
 	l, err := buildSeq(testGraphs(t)["road"])
@@ -215,52 +217,50 @@ func TestReadLabelErrorsLeaveNoPin(t *testing.T) {
 	if _, ok := short.TryAdd([]byte{0}); !ok {
 		t.Fatal("test setup: 1-byte record does not fit")
 	}
-	for _, compressed := range []bool{false, true} {
-		f := storage.NewMemFile(pageSize)
-		if err := WriteOpt(l, f, WriteOptions{Compression: compressed}); err != nil {
-			t.Fatal(err)
+	f := storage.NewMemFile(pageSize)
+	if err := Write(l, f); err != nil {
+		t.Fatal(err)
+	}
+	shortPage, err := f.Append(short.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A copy of the first label page claiming 65535 entries per chunk.
+	page := make([]byte, pageSize)
+	if err := f.Read(1, page); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := storage.ReadRecordSlot(page, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec[1], rec[2] = 0xff, 0xff
+	overcount, err := f.Append(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := openStore(f, f.NumPages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, at := range map[string]storage.RecRef{
+		"page out of range": {Page: storage.PageID(f.NumPages() + 7)},
+		"slot out of range": {Page: 1, Slot: 9999},
+		"truncated chunk":   {Page: shortPage},
+		"corrupt chunk":     {Page: overcount},
+	} {
+		if _, err := s.readLabel(at, nil); err == nil {
+			t.Errorf("%s: readLabel succeeded", name)
 		}
-		shortPage, err := f.Append(short.Bytes())
-		if err != nil {
-			t.Fatal(err)
+		if err := s.Buffer().Invalidate(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		// A copy of the first label page claiming 65535 entries per chunk.
-		page := make([]byte, pageSize)
-		if err := f.Read(1, page); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := storage.ReadRecordSlot(page, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec[1], rec[2] = 0xff, 0xff
-		overcount, err := f.Append(page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := openStore(f, f.NumPages())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, at := range map[string]storage.RecRef{
-			"page out of range": {Page: storage.PageID(f.NumPages() + 7)},
-			"slot out of range": {Page: 1, Slot: 9999},
-			"truncated chunk":   {Page: shortPage},
-			"corrupt chunk":     {Page: overcount},
-		} {
-			if _, err := s.readLabel(at, nil); err == nil {
-				t.Errorf("compressed=%v: %s: readLabel succeeded", compressed, name)
-			}
-			if err := s.Buffer().Invalidate(); err != nil {
-				t.Errorf("compressed=%v: %s: %v", compressed, name, err)
-			}
-		}
-		if _, err := s.OutLabel(0, nil); err != nil {
-			t.Errorf("compressed=%v: healthy label after the faults: %v", compressed, err)
-		}
-		if err := s.Close(); err != nil {
-			t.Errorf("compressed=%v: Close: %v", compressed, err)
-		}
+	}
+	if _, err := s.OutLabel(0, nil); err != nil {
+		t.Errorf("healthy label after the faults: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 
@@ -295,6 +295,9 @@ func TestStoreRoundTrip(t *testing.T) {
 				if s.Stats().Reads == 0 {
 					t.Fatal("store served labels without any physical reads")
 				}
+				if s.PayloadBytes() < int64(s.Entries())*storage.PairSize {
+					t.Fatalf("payload of %d bytes is below %d entries of %d", s.PayloadBytes(), s.Entries(), storage.PairSize)
+				}
 			})
 		}
 	}
@@ -325,7 +328,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// Load must reconstruct the full labeling.
 	f := storage.NewMemFile(256)
-	if err := WriteOpt(l, f, WriteOptions{}); err != nil {
+	if err := Write(l, f); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Load(f)
@@ -369,8 +372,81 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteOpt(l, f, WriteOptions{}); err == nil {
+	if err := Write(l, f); err == nil {
 		t.Fatal("Write into non-empty file accepted")
+	}
+	// Header byte 21 = 1 marked the delta+varint chunk body. Its writer is
+	// gone, so patch a fresh file: the refusal has to name cause and remedy.
+	f = storage.NewMemFile(4096)
+	if err := Write(l, f); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, 4096)
+	if err := f.Read(0, hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr[21] = 1
+	if err := f.Write(0, hdr); err != nil {
+		t.Fatal(err)
+	}
+	_, err = openStore(f, 4)
+	if err == nil || !strings.Contains(err.Error(), "delta+varint") || !strings.Contains(err.Error(), "rebuild with BuildHubLabelIndex") {
+		t.Fatalf("header codec 1: got %v, want a refusal naming the removed codec and the rebuild", err)
+	}
+}
+
+// failingFile fails its n-th mutation (Append and Write counted together)
+// and every later one, like a disk that filled up mid-write.
+type failingFile struct {
+	storage.PagedFile
+	left int
+}
+
+var errInjected = errors.New("injected write fault")
+
+func (f *failingFile) Append(src []byte) (storage.PageID, error) {
+	if f.left--; f.left < 0 {
+		return storage.InvalidPage, errInjected
+	}
+	return f.PagedFile.Append(src)
+}
+
+func (f *failingFile) Write(id storage.PageID, src []byte) error {
+	if f.left--; f.left < 0 {
+		return errInjected
+	}
+	return f.PagedFile.Write(id, src)
+}
+
+// TestWriteFaultLeavesRefusedFile pins what an interrupted Write leaves
+// behind: label files have no journal, so the header goes down last and
+// every prefix of the write — swept here over every write index of a small
+// two-sided labeling — is refused at open, never served.
+func TestWriteFaultLeavesRefusedFile(t *testing.T) {
+	const pageSize = 128
+	l, err := buildSeq(testDigraph(t, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; ; n++ {
+		mem := storage.NewMemFile(pageSize)
+		werr := Write(l, &failingFile{PagedFile: mem, left: n})
+		s, err := openStore(mem, 4)
+		if werr == nil { // n writes were all of them: the sweep is complete
+			if err != nil || n < 4 {
+				t.Fatalf("the unfaulted file (%d writes) opened with %v", n, err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if !errors.Is(werr, errInjected) {
+			t.Fatalf("fault at write %d: Write returned %v", n, werr)
+		}
+		if err == nil {
+			t.Fatalf("fault at write %d: the remains (%d pages) opened", n, mem.NumPages())
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package hublabel
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/storage"
@@ -13,13 +12,13 @@ import (
 // pages so labelings survive process restarts:
 //
 //	page 0          header: magic "GRNHUBL1", version, page size, numNodes,
-//	                directed, label codec, directory start page, directory
+//	                directed, a zero byte, directory start page, directory
 //	                page count, entry total, label payload bytes
 //	pages 1..D-1    label chunk records in node order (out label, then in
 //	                label for directed graphs); one record holds
-//	                [flags u8][count u16] followed by count entries in the
-//	                file's codec, flag bit 0 = more chunks follow in the
-//	                next slot
+//	                [flags u8][count u16] followed by count×[hub u32][dist
+//	                f64] pairs, the (id, float64) codec of every paged file;
+//	                flag bit 0 = more chunks follow in the next slot
 //	pages D..       the directory: one packed 8-byte entry per label
 //	                ([page i32][slot u16][pad u16]) pointing at the first
 //	                chunk of each node's label, node-major, out before in
@@ -27,20 +26,18 @@ import (
 // Chunks of one label always occupy consecutive slots (continuing at slot 0
 // of the next page), so a reader only needs the first chunk's address.
 //
-// Codecs: codecRaw stores count×[hub u32][dist f64]. codecDelta exploits
-// the hub-id-sorted label order and stores count×[uvarint hub][dist f64]
-// where the first hub of a chunk is absolute and every later one is the
-// gap to its predecessor — dense low-id hubs (the high-rank landmarks that
-// dominate every label) shrink to one or two bytes. Each chunk restarts
-// absolute, so chunks stay independently decodable. Files written before
-// the codec existed carry zeros in the reserved header bytes and read back
-// as codecRaw with an unknown payload size.
+// Header byte 21 once selected a second chunk body, a delta+varint hub
+// encoding; it went when the landmark order made the fixed-width labels
+// smaller than the encoded ones had been. The byte is always written 0 and a
+// file carrying anything else is refused at open. Write lays the header down
+// last, over a page of zeros, so every prefix of an interrupted write is
+// refused too (bad magic) rather than served.
 
 const (
 	storeVersion = 1
 
 	// Header field offsets: magic [0:8), version [8:12), pageSize [12:16),
-	// numNodes [16:20), directed [20], codec [21], pad [22:24),
+	// numNodes [16:20), directed [20], zero [21], pad [22:24),
 	// dirStart [24:28), dirPages [28:32), entries [32:40),
 	// payloadBytes [40:48).
 	headerSize   = 48
@@ -48,12 +45,6 @@ const (
 	chunkHeader  = 1 + 2
 
 	flagMore = 1
-
-	codecRaw   = 0
-	codecDelta = 1
-
-	// maxVarintHub bounds one uvarint-encoded 32-bit hub id.
-	maxVarintHub = 5
 )
 
 // FileHeader locates the magic and page size of a persisted labeling, so
@@ -61,19 +52,13 @@ const (
 // original options.
 var FileHeader = storage.FileHeader{Magic: "GRNHUBL1", PageSizeAt: 12}
 
-// WriteOptions tunes WriteOpt. The zero value writes the raw fixed-width
-// codec, byte-compatible with files written before options existed.
-type WriteOptions struct {
-	// Compression switches label chunks to the delta+varint codec.
-	Compression bool
-}
-
-// WriteOpt persists l into an empty paged file: page 0 becomes the header,
+// Write persists l into an empty paged file: page 0 becomes the header,
 // label and directory pages follow. The encoded byte stream is a pure
-// function of the labeling and options — same input, same file.
+// function of the labeling — same input, same file. On an error the file
+// holds a prefix of the write with no header, which OpenStoreBuffer refuses.
 //
 // vetrnn:deterministic
-func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
+func Write(l *Labeling, f storage.PagedFile) error {
 	if f.NumPages() != 0 {
 		return fmt.Errorf("hublabel: refusing to write labeling into non-empty file (%d pages)", f.NumPages())
 	}
@@ -81,15 +66,11 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 	if pageSize < headerSize {
 		return fmt.Errorf("hublabel: page size %d cannot hold the %d-byte header", pageSize, headerSize)
 	}
-	codec, maxEntryBytes := byte(codecRaw), storage.PairSize
-	if opt.Compression {
-		codec, maxEntryBytes = codecDelta, maxVarintHub+8
-	}
-	w, err := storage.NewRecordWriter(f, chunkHeader+maxEntryBytes)
+	w, err := storage.NewRecordWriter(f, chunkHeader+storage.PairSize)
 	if err != nil {
 		return err
 	}
-	// Reserve page 0 for the header.
+	// Reserve page 0 for the header, written last.
 	hdr := make([]byte, pageSize)
 	if err := w.AppendPage(hdr); err != nil {
 		return err
@@ -104,42 +85,27 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 	var rec []byte
 
 	// writeLabel packs a label greedily: each chunk takes as many entries
-	// as the page under construction has room for, a fresh page is opened
-	// when not even one fits, and every chunk of the delta codec restarts
-	// its absolute hub encoding.
+	// as the page under construction has room for, and a fresh page (which
+	// NewRecordWriter checked holds at least one) is opened when none fits.
 	writeLabel := func(di int, label []Entry) error {
 		for first := true; ; first = false {
 			avail := w.Free() - chunkHeader
-			if avail < maxEntryBytes && !w.Empty() {
+			if avail < storage.PairSize && !w.Empty() {
 				if err := w.Flush(); err != nil {
 					return err
 				}
 				avail = w.Free() - chunkHeader
 			}
-			rec = append(rec[:0], 0, 0, 0)
-			count := 0
-			for prev := graph.NodeID(0); count < len(label); count++ {
-				e, before := label[count], len(rec)
-				if codec == codecDelta {
-					rec = binary.AppendUvarint(rec, uint64(e.Hub-prev))
-					rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(e.Dist))
-					prev = e.Hub
-				} else {
-					rec = storage.AppendPair(rec, int32(e.Hub), e.Dist)
-				}
-				if len(rec)-chunkHeader > avail {
-					rec = rec[:before]
-					break
-				}
-			}
+			count := min(avail/storage.PairSize, len(label))
 			more := count < len(label)
-			if more && count == 0 {
-				return fmt.Errorf("hublabel: label entry does not fit a fresh page")
-			}
+			rec = append(rec[:0], 0, 0, 0)
 			if more {
 				rec[0] = flagMore
 			}
 			binary.LittleEndian.PutUint16(rec[1:], uint16(count))
+			for _, e := range label[:count] {
+				rec = storage.AppendPair(rec, int32(e.Hub), e.Dist)
+			}
 			ref, err := w.Add(rec)
 			if err != nil {
 				return err
@@ -194,7 +160,6 @@ func WriteOpt(l *Labeling, f storage.PagedFile, opt WriteOptions) error {
 	if l.directed {
 		hdr[20] = 1
 	}
-	hdr[21] = codec
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(dirStart))
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(w.Page()-dirStart))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(l.Entries()))
@@ -211,12 +176,11 @@ type Store struct {
 	numNodes int
 	directed bool
 	entries  int
-	codec    byte
 	payload  int64
 	dir      []storage.RecRef
 }
 
-// OpenStoreBuffer opens a labeling previously persisted with WriteOpt,
+// OpenStoreBuffer opens a labeling previously persisted with Write,
 // reading label pages through bm, which must wrap f — typically a tenant of
 // the process-wide buffer pool, so label pages share frames (and stats)
 // with every other substrate.
@@ -240,9 +204,8 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 	}
 	numNodes := int(binary.LittleEndian.Uint32(hdr[16:]))
 	directed := hdr[20] == 1
-	codec := hdr[21]
-	if codec > codecDelta {
-		return nil, fmt.Errorf("hublabel: unsupported label codec %d", codec)
+	if hdr[21] != 0 {
+		return nil, fmt.Errorf("hublabel: label file uses codec %d (the delta+varint label codec, removed); rebuild with BuildHubLabelIndex", hdr[21])
 	}
 	dirStart := storage.PageID(binary.LittleEndian.Uint32(hdr[24:]))
 	dirPages := int(binary.LittleEndian.Uint32(hdr[28:]))
@@ -277,7 +240,6 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 		numNodes: numNodes,
 		directed: directed,
 		entries:  entries,
-		codec:    codec,
 		payload:  payload,
 		dir:      dir,
 	}, nil
@@ -292,16 +254,9 @@ func (s *Store) Directed() bool { return s.directed }
 // Entries returns the total number of label entries (both sides).
 func (s *Store) Entries() int { return s.entries }
 
-// Compressed reports whether label chunks use the delta+varint codec.
-func (s *Store) Compressed() bool { return s.codec == codecDelta }
-
 // PayloadBytes returns the encoded label record bytes (chunk headers
 // included), or 0 for files written before the counter existed.
 func (s *Store) PayloadBytes() int64 { return s.payload }
-
-// RawBytes returns what the entries occupy in the raw fixed-width codec,
-// the baseline the compression ratio is measured against.
-func (s *Store) RawBytes() int64 { return int64(s.entries) * storage.PairSize }
 
 // AverageLabelSize returns the mean entries per node per side.
 func (s *Store) AverageLabelSize() float64 {
@@ -375,7 +330,7 @@ func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
 	buf = buf[:0]
 	var more, lastSlot bool
 	decode := func(page, rec []byte) (err error) {
-		if buf, more, err = DecodeChunk(rec, s.codec == codecDelta, buf); err != nil {
+		if buf, more, err = DecodeChunk(rec, buf); err != nil {
 			return fmt.Errorf("hublabel: label chunk on page %d slot %d: %w", at.Page, at.Slot, err)
 		}
 		lastSlot = int(at.Slot)+1 >= storage.RecordSlotCount(page)
@@ -398,31 +353,17 @@ func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
 
 // DecodeChunk appends the entries of one label chunk record to buf and
 // reports whether the label continues in the next chunk.
-func DecodeChunk(rec []byte, compressed bool, buf []Entry) ([]Entry, bool, error) {
+func DecodeChunk(rec []byte, buf []Entry) ([]Entry, bool, error) {
 	if len(rec) < chunkHeader {
 		return nil, false, fmt.Errorf("truncated: %d bytes", len(rec))
 	}
-	if !compressed {
-		pairs, err := storage.CountedPairs(rec[1:])
-		if err != nil {
-			return nil, false, err
-		}
-		for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
-			hub, dist := storage.Pair(pairs)
-			buf = append(buf, Entry{Hub: graph.NodeID(hub), Dist: dist})
-		}
-		return buf, rec[0]&flagMore != 0, nil
+	pairs, err := storage.CountedPairs(rec[1:])
+	if err != nil {
+		return nil, false, err
 	}
-	body := rec[chunkHeader:]
-	hub := graph.NodeID(0)
-	for i := int(binary.LittleEndian.Uint16(rec[1:])); i > 0; i-- {
-		d, n := binary.Uvarint(body)
-		if n <= 0 || len(body) < n+8 {
-			return nil, false, fmt.Errorf("corrupt: %d entries cut short", i)
-		}
-		hub += graph.NodeID(d)
-		buf = append(buf, Entry{Hub: hub, Dist: math.Float64frombits(binary.LittleEndian.Uint64(body[n:]))})
-		body = body[n+8:]
+	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
+		hub, dist := storage.Pair(pairs)
+		buf = append(buf, Entry{Hub: graph.NodeID(hub), Dist: dist})
 	}
 	return buf, rec[0]&flagMore != 0, nil
 }

@@ -88,17 +88,14 @@ func TestPagedLayoutPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		pageSize int
-		opt      hublabel.WriteOptions
 		pages    int
 		sum      string
 	}{
-		{"labels/raw/4096", 4096, hublabel.WriteOptions{}, 276, "684e61111819fcfb78ffdbf898c85b70bdeb765d8567cbcf79f25002fea74406"},
-		{"labels/delta/4096", 4096, hublabel.WriteOptions{Compression: true}, 213, "32711501cc40fe5dde0c0460ed66ab493fcc5f14729b05234150b846f033fd11"},
-		{"labels/raw/512", 512, hublabel.WriteOptions{}, 2244, "07426f8062633e338815d570c6c0872ba5789e042e52f3d9ebe2853989e37aba"},
-		{"labels/delta/512", 512, hublabel.WriteOptions{Compression: true}, 1732, "9e34064269fac0f7bd545111b45c0e470014d7539810a1d69e3bdae5f76a715b"},
+		{"labels/raw/4096", 4096, 276, "684e61111819fcfb78ffdbf898c85b70bdeb765d8567cbcf79f25002fea74406"},
+		{"labels/raw/512", 512, 2244, "07426f8062633e338815d570c6c0872ba5789e042e52f3d9ebe2853989e37aba"},
 	} {
 		f := storage.NewMemFile(tc.pageSize)
-		if err := hublabel.WriteOpt(lab, f, tc.opt); err != nil {
+		if err := hublabel.Write(lab, f); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := fileSum(t, f); f.NumPages() != tc.pages || got != tc.sum {

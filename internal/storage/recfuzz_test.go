@@ -33,9 +33,9 @@ func FuzzRecordPage(f *testing.F) {
 	}
 	fragment := pairs([]byte{7, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0}, 2) // owner 7, last of its chain
 	list := pairs(storage.AppendCount(nil, 2), 3)                          // two live entries, one of padding
-	rawChunk := pairs(storage.AppendCount([]byte{1}, 2), 2)                // "more chunks follow"
-	deltaChunk := append(storage.AppendCount([]byte{0}, 2), 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 4, 0, 0, 0, 0, 0, 0, 0, 0x40)
-	healthy := page(fragment, list, rawChunk, deltaChunk)
+	chunk := pairs(storage.AppendCount([]byte{1}, 2), 2)                   // "more chunks follow"
+	lastChunk := pairs(storage.AppendCount([]byte{0}, 1), 1)               // the end of that label
+	healthy := page(fragment, list, chunk, lastChunk)
 	for slot := 0; slot < 4; slot++ {
 		f.Add(healthy, slot)
 	}
@@ -48,7 +48,7 @@ func FuzzRecordPage(f *testing.F) {
 	f.Add(healthy, 9999)
 	f.Add(healthy, -1)
 	f.Add(page([]byte{0}), 0)
-	overcount := page(rawChunk)
+	overcount := page(chunk)
 	rec, err := storage.ReadRecordSlot(overcount, 0)
 	if err != nil {
 		f.Fatal(err)
@@ -80,9 +80,7 @@ func FuzzRecordPage(f *testing.F) {
 		fits("K-NN list", len(entries), 2, storage.PairSize, err)
 		refs, err := points.DecodeEdgeRecord(rec, nil)
 		fits("edge-point record", len(refs), 2, storage.PairSize, err)
-		label, _, err := hublabel.DecodeChunk(rec, false, nil)
-		fits("raw label chunk", len(label), 3, storage.PairSize, err)
-		label, _, err = hublabel.DecodeChunk(rec, true, nil)
-		fits("delta label chunk", len(label), 3, 1+8, err)
+		label, _, err := hublabel.DecodeChunk(rec, nil)
+		fits("label chunk", len(label), 3, storage.PairSize, err)
 	})
 }

@@ -99,8 +99,8 @@ type ShardOptions struct {
 	// MatK, when positive, materializes per-shard K-NN lists (maxK =
 	// MatK) for the eager-M substrate.
 	MatK int
-	// Build controls the labeling construction: worker count, and label
-	// compression (a paged store, one pool tenant).
+	// Build controls the labeling construction (worker count). The
+	// coordinator's labels are served from memory.
 	Build BuildOptions
 	// DiskBacked serves each shard's adjacency from its own paged file,
 	// attached to the parent DB's buffer pool as one tenant per shard.
