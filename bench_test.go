@@ -206,6 +206,11 @@ func BenchmarkCIQueries(b *testing.B) {
 	}
 	for _, a := range algos {
 		b.Run(a.name, func(b *testing.B) {
+			// Every sweep starts cold, so its I/O counters do not depend on
+			// which repeat of -count this is.
+			if err := e.db.DropCache(); err != nil {
+				b.Fatal(err)
+			}
 			e.db.ResetIOStats()
 			e.mat.ResetIOStats()
 			hubIdx.ResetIOStats()

@@ -20,7 +20,8 @@ import (
 // hub-label rebuilds and /stats run at once on a 2 000-node disk-backed
 // server whose small buffer keeps the pool mutex busy. A deadlock fails by
 // the watchdog, a data race by -race; afterwards the substrates must be
-// clean and agree.
+// clean and agree, and the server must close with no tenant and no goroutine
+// left behind.
 func TestConcurrentServerNoDeadlock(t *testing.T) {
 	g, err := graphrnn.GenerateGrid(11, 2000, 4)
 	if err != nil {
@@ -43,11 +44,7 @@ func TestConcurrentServerNoDeadlock(t *testing.T) {
 	if _, err := s.buildHub(4); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if err := s.close(); err != nil {
-			t.Errorf("server close: %v", err)
-		}
-	})
+	closeLeakFree(t, s)
 	basePoints := ps.Len()
 	var free []int
 	for n := 0; n < g.NumNodes() && len(free) < 8; n += 97 {

@@ -175,8 +175,9 @@ type server struct {
 
 // close releases the server's substrates in dependency order — sharded
 // engines, the hub-label index, the materialization, then the DB itself —
-// detaching their buffer-pool tenants. Requests must have drained. It
-// returns the first error and keeps going.
+// detaching their buffer-pool tenants, and fails on a tenant that outlives
+// them: a substrate somebody attached and nobody closed. Requests must have
+// drained. It returns the first error and keeps going.
 func (s *server) close() error {
 	var first error
 	if s.sharded != nil {
@@ -199,6 +200,9 @@ func (s *server) close() error {
 	if s.db != nil {
 		if err := s.db.Close(); first == nil {
 			first = err
+		}
+		if left := s.db.PoolStats().Tenants; first == nil && len(left) > 0 {
+			first = fmt.Errorf("%d tenant(s) left attached to the pool, first %q", len(left), left[0].Name)
 		}
 		s.db = nil
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,6 +46,26 @@ func newTestServer(t *testing.T) *server {
 	srv := &server{db: db, ps: ps, sites: sites, mat: mat, family: "grid", started: time.Now()}
 	srv.hub.Store(idx)
 	return srv
+}
+
+// closeLeakFree registers the end-of-test leak check of the server's two
+// leakable resources: close() must find no tenant left in the pool, and the
+// goroutine count must come back to what it is now.
+func closeLeakFree(t *testing.T, s *server) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if err := s.close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > before+2 {
+			t.Errorf("goroutines leaked: %d before, %d after", before, g)
+		}
+	})
 }
 
 func postQuery(t *testing.T, s *server, target, body string) (*httptest.ResponseRecorder, map[string]any) {
@@ -151,6 +172,48 @@ func TestHandleQuery(t *testing.T) {
 	}
 	if snap["fallbacks"].(int64) == 0 {
 		t.Fatalf("planner counters did not record the fallback: %v", snap)
+	}
+}
+
+// TestBatchEntryFailuresCounted: an entry of a /query array that fails lands
+// in its result slot of a 200, and /stats must still see it — query_errors
+// for every failed entry, query_timeouts for the ones that hit a deadline.
+func TestBatchEntryFailuresCounted(t *testing.T) {
+	s := newTestServer(t)
+	counters := func() (errs, timeouts float64) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("/stats is not JSON (%v): %s", err, rec.Body.String())
+		}
+		return out["query_errors"].(float64), out["query_timeouts"].(float64)
+	}
+	errs0, timeouts0 := counters()
+	rec, out := postQuery(t, s, "/query",
+		`[{"node":1,"k":1},{"node":5,"k":2,"algo":"eager","timeout":"1ns"},{"node":99999,"k":1}]`)
+	if rec.Code != http.StatusOK || out["succeeded"] != float64(1) || out["failed"] != float64(2) {
+		t.Fatalf("batch answered %d: %v", rec.Code, out)
+	}
+	errs, timeouts := counters()
+	if errs-errs0 != 2 || timeouts-timeouts0 != 1 {
+		t.Fatalf("query_errors moved by %v, query_timeouts by %v; want 2 and 1", errs-errs0, timeouts-timeouts0)
+	}
+}
+
+// TestServerCloseReportsLeakedTenant: a substrate attached to the server's
+// pool that close() does not know about — here a paged hub index nobody
+// stored — outlives it, and close() says so by the tenant's name.
+func TestServerCloseReportsLeakedTenant(t *testing.T) {
+	s := newTestServer(t)
+	stray, err := s.db.BuildHubLabelIndex(s.ps, 2, &graphrnn.HubLabelOptions{DiskBacked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stray.Close()
+	if err := s.close(); err == nil || !strings.Contains(err.Error(), "hublabel") {
+		t.Fatalf("close with a stray hub index attached = %v, want the leaked tenant named", err)
 	}
 }
 

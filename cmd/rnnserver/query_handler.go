@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -352,6 +353,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	results := make([]queryResponse, len(rep.Results))
 	for i, br := range rep.Results {
 		results[i] = s.toQueryResponse(queries[i], br.Result, br.Err)
+		if br.Err != nil {
+			s.errors.Add(1)
+			if errors.Is(br.Err, graphrnn.ErrDeadlineExceeded) {
+				s.timeouts.Add(1)
+			}
+		}
 	}
 	s.served.Add(int64(rep.Succeeded))
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -72,6 +72,7 @@ func TestHandleQuerySharded(t *testing.T) {
 	s := env.shardedServer(t, &graphrnn.ShardOptions{
 		Shards: 4, Seed: 5, Sites: env.sites, HubLabelK: 4,
 	}, "in-process", -1)
+	closeLeakFree(t, s)
 
 	for _, body := range []string{
 		`{"kind":"rnn","node":5,"k":2}`,

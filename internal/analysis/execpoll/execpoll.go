@@ -49,7 +49,6 @@ var triggers = map[string][]string{
 	"InLabel":    {"internal/hublabel"},
 	"OutLabel":   {"internal/hublabel"},
 	"Get":        {"internal/storage"},
-	"Pin":        {"internal/storage"},
 	"ReadRecord": {"internal/storage"},
 	"Update":     {"internal/storage"},
 	"Pop":        {"internal/pq"},

@@ -79,8 +79,6 @@ func buildMat(t *testing.T, s *Searcher, ps points.NodeView, maxK int) *Material
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close reports a list page still pinned, so a List exit that missed
-	// its Unpin fails the test that took it.
 	t.Cleanup(func() {
 		if err := mat.Close(); err != nil {
 			t.Errorf("Materialized.Close: %v", err)

@@ -322,8 +322,8 @@ func (s *Store) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 	return s.readLabel(s.dir[int(n)*2+1], buf)
 }
 
-// readLabel decodes one label's chunk chain into buf, one pinned page
-// read per chunk.
+// readLabel decodes one label's chunk chain into buf, one page read per
+// chunk.
 //
 // vetrnn:deterministic
 func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {

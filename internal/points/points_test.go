@@ -191,8 +191,8 @@ func buildRandomEdgeSet(t *testing.T, rng *rand.Rand, numEdges, numPoints int) *
 	return s
 }
 
-// newPaged is NewPagedEdgeSetBuffer behind a private buffer, for tests; the set must close cleanly at
-// cleanup, i.e. with no point page left pinned.
+// newPaged is NewPagedEdgeSetBuffer behind a private buffer, for tests; the
+// set must close cleanly at cleanup.
 func newPaged(t *testing.T, src *EdgeSet, file storage.PagedFile, bufferPages int) *PagedEdgeSet {
 	t.Helper()
 	paged, err := NewPagedEdgeSetBuffer(src, file, nil, bufferPages)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -28,8 +27,7 @@ func newTenant(t *testing.T, file PagedFile, capPages int) *Tenant {
 }
 
 // attach is BufferPool.Attach for tests: at cleanup the tenant must detach
-// cleanly, which it does not while any page of it is still pinned — a
-// missed Unpin on some return path fails the test that took it.
+// cleanly — its dirty pages flush — and so leaves its pool.
 func attach(t *testing.T, p *BufferPool, name string, file PagedFile, quota int) *Tenant {
 	t.Helper()
 	tn := p.Attach(name, file, quota)
@@ -228,30 +226,6 @@ func TestBufferFlushAndInvalidate(t *testing.T) {
 	}
 	if s := bm.Stats(); s.Reads != 1 {
 		t.Fatalf("cold read after Invalidate: stats = %+v", s)
-	}
-}
-
-func TestBufferAppend(t *testing.T) {
-	f := newTestFile(t, 64, 2)
-	bm := newTenant(t, f, 4)
-	page := bytes.Repeat([]byte{7}, 64)
-	id, err := bm.Append(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Fatalf("append id = %d, want 2", id)
-	}
-	got, err := bm.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 7 {
-		t.Fatalf("appended page content = %d", got[0])
-	}
-	// Appended page should be cached (no extra fault).
-	if s := bm.Stats(); s.Reads != 0 || s.Writes != 1 || s.Hits != 1 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 

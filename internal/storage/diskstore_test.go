@@ -227,11 +227,12 @@ func TestDiskStoreReadErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestAdjacencyErrorsLeaveNoPin drives Adjacency through its error exits
-// past the page read — a slot the page does not have, a fragment that
-// belongs to another node — and checks that neither leaves the page pinned
-// (the buffer holds the whole file, so a leaked pin would stay).
-func TestAdjacencyErrorsLeaveNoPin(t *testing.T) {
+// TestAdjacencyErrorExits drives Adjacency through its error exits past the
+// page read — a slot the page does not have, a fragment that belongs to
+// another node — and checks that each leaves the buffer usable: it
+// invalidates down to no frame (the buffer holds the whole file, so anything
+// kept would stay), and a healthy node reads afterwards.
+func TestAdjacencyErrorExits(t *testing.T) {
 	g := randomGraph(t, rand.New(rand.NewSource(8)), 100, 200)
 	s := buildStore(t, g, NewMemFile(512), 64)
 	s.index = append([]RecRef(nil), s.index...)
@@ -244,6 +245,9 @@ func TestAdjacencyErrorsLeaveNoPin(t *testing.T) {
 		if err := s.Buffer().Invalidate(); err != nil {
 			t.Errorf("node %d: %v", n, err)
 		}
+		if frames := s.Buffer().pool.TenantStats()[0].Frames; frames != 0 {
+			t.Errorf("node %d: %d frame(s) survive Invalidate", n, frames)
+		}
 	}
 	if _, err := s.Adjacency(5, nil); err != nil {
 		t.Fatalf("healthy node after the faults: %v", err)
@@ -251,7 +255,7 @@ func TestAdjacencyErrorsLeaveNoPin(t *testing.T) {
 }
 
 // buildStore is BuildDiskStore for tests; the store must close cleanly at
-// cleanup, i.e. with no adjacency page left pinned.
+// cleanup.
 func buildStore(t *testing.T, g *graph.Graph, file PagedFile, bufferPages int) *DiskStore {
 	t.Helper()
 	s, err := BuildDiskStore(g, file, bufferPages, nil)

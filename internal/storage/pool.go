@@ -19,21 +19,21 @@ import (
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
-// A record read (Tenant.ReadRecord) that finds its page cached decodes the
-// record under the pool mutex, in the one critical section that also
+// Every access — ReadRecord, Update, Get — takes the pool mutex, gets its
+// page from loadLocked and uses the bytes before releasing the mutex, so a
+// frame needs no reference count: whoever holds the mutex is the only user
+// of every loaded frame. A cached page costs one critical section that also
 // touches the LRU and counts the hit: two atomic operations and an index
-// into the tenant's dense page table. A miss — and every reader that wants
-// the page bytes themselves — Pins the page, uses its bytes in place and
-// Unpins it; a pinned frame is never evicted, and an evicted frame and its
-// page buffer go to a free list the next fault reuses, so the steady-state
-// read path — hit or miss — allocates nothing.
+// into the tenant's dense page table. An evicted frame and its page buffer
+// go to a free list the next fault reuses, so the steady-state read path —
+// hit or miss — allocates nothing.
 //
 // Concurrency: one mutex guards the page tables, the LRU lists and the
 // tenants' counters (a snapshot or reset takes it, and never waits behind
-// an in-flight page fault: a faulting Pin releases the mutex for the
-// duration of the physical read), and concurrent Pins of the same missing
-// page coalesce into one read: the latecomers wait on the pool's ready
-// latch for the frame's loaded flag.
+// an in-flight page fault: loadLocked releases the mutex for the duration
+// of the physical read), and concurrent requests for the same missing page
+// coalesce into one read: the latecomers wait on the pool's ready latch for
+// the frame's loaded flag and share the outcome, an error included.
 type BufferPool struct {
 	mu       sync.Mutex
 	capacity int     // vetrnn:guardedby mu
@@ -94,10 +94,8 @@ type Tenant struct {
 	// tlru orders the tenant's own frames by recency so quota eviction is
 	// O(1) instead of scanning the pool-wide list past other tenants'
 	// frames.
-	tlru lruList // vetrnn:guardedby pool.mu
-	// lent counts the transient frames out on uncached reads.
-	lent  int   // vetrnn:guardedby pool.mu
-	stats Stats // vetrnn:guardedby pool.mu
+	tlru  lruList // vetrnn:guardedby pool.mu
+	stats Stats   // vetrnn:guardedby pool.mu
 }
 
 // NoCache, passed as a tenant quota, keeps the tenant's pages out of the
@@ -105,16 +103,10 @@ type Tenant struct {
 // zero-buffer measurement mode), while other tenants keep caching.
 const NoCache = -1
 
-// ErrPinned is returned by Invalidate, Detach and the Close paths above
-// them when a page of the tenant is still pinned: a reader that has not
-// called Unpin yet, or one that lost its Page on an error return.
-var ErrPinned = errors.New("storage: page still pinned")
-
-// frame is one buffered page. loaded is set once data holds the page
-// contents (or err the read failure); a frame created from data already in
-// hand (Append, Update's synchronous admission) is born loaded. Every field
-// but pins is guarded by the pool mutex; data may be read without it while
-// the frame is pinned.
+// frame is one buffered page, guarded by the pool mutex. loaded is set once
+// the physical read has completed — data then holds the page contents, or
+// err the read failure; until then the frame is pending: only its faulter
+// touches data, and nothing evicts or drops it.
 type frame struct {
 	//lint:ignore vetrnn/tenantclose eviction back-pointer; the frame does not own its tenant
 	owner  *Tenant
@@ -122,20 +114,9 @@ type frame struct {
 	data   []byte
 	dirty  bool
 	loaded bool
-	// transient marks a frame lent to one uncached read: in no table or
-	// list, it returns to the free list when that read unpins it.
-	transient bool
-	err       error
-	// pins counts the readers using data. It is taken under the pool
-	// mutex and dropped without it, so a frame the mutex holder sees
-	// unpinned stays unpinned until the mutex is released.
-	pins  atomic.Int32
-	links [2]lruLinks // indexed by poolLRU / tenantLRU
+	err    error
+	links  [2]lruLinks // indexed by poolLRU / tenantLRU
 }
-
-// idle reports whether the frame may be evicted, dropped or written back:
-// its physical read has completed and no reader holds it.
-func (fr *frame) idle() bool { return fr.loaded && fr.pins.Load() == 0 }
 
 // lruList is a recency list threaded through the frames themselves (front
 // = most recently used), so that moving a page in or out of the cache
@@ -343,9 +324,8 @@ func (t *Tenant) resetStatsLocked() { t.stats = Stats{} }
 // uncached reports whether page id bypasses the pool: the tenant is never
 // cached, the pool has no frames, or the file has no such page — its read
 // comes back with the file's own error, and the dense table never grows
-// past the file. Every call site holds p.mu (Pin/Update/Append take it
-// before the cache decision), which is what makes reading capacity here
-// safe against concurrent Attach/Detach.
+// past the file. Holding p.mu is what makes reading capacity here safe
+// against concurrent Attach/Detach.
 // vetrnn:holds t.pool.mu
 func (t *Tenant) uncached(id PageID) bool {
 	return t.quota < 0 || t.pool.capacity == 0 || uint(id) >= uint(t.file.NumPages())
@@ -364,188 +344,106 @@ func (t *Tenant) frameLocked(id PageID) *frame {
 	return nil
 }
 
-// Page is a pinned page: Bytes stays valid, and the frame behind it in
-// the pool, until Unpin. Every successful Pin needs exactly one Unpin, on
-// error returns included — a lost Page keeps its frame out of eviction for
-// good, and Detach reports it as ErrPinned.
-type Page struct{ fr *frame }
-
-// Bytes returns the page contents, read-only and valid until Unpin.
-func (pg Page) Bytes() []byte { return pg.fr.data }
-
-// Unpin releases the page. For a cached page that is one atomic decrement;
-// the transient frame of an uncached read goes back to the free list.
-func (pg Page) Unpin() {
-	fr := pg.fr
-	t, transient := fr.owner, fr.transient // before the frame can be recycled
-	if fr.pins.Add(-1) < 0 {
-		panic("storage: Unpin of a page that is not pinned")
-	}
-	if transient {
-		t.pool.mu.Lock()
-		t.lent--
-		t.pool.recycleLocked(fr)
-		t.pool.mu.Unlock()
-	}
-}
-
-// Pin returns page id with its frame pinned in the pool, faulting it in on
-// a miss. An uncached tenant reads into a transient frame instead. The
-// bytes must be treated as read-only and not used after Unpin.
-func (t *Tenant) Pin(id PageID) (Page, error) {
+// loadLocked returns the frame holding page id, faulting the page in on a
+// miss; it is the pool's only way to get a page. It is called and returns
+// with the pool mutex held, and the frame is the caller's to use until it
+// releases the mutex. A miss is read once, with the mutex released: a
+// pending frame is admitted first, so concurrent requests for the page wait
+// on ready and share the outcome. When no frame may cache the page (see
+// uncached) the read goes into a frame borrowed from the free list, which is
+// in no table or list, and the caller recycles it when done.
+// vetrnn:holds t.pool.mu
+func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	p := t.pool
-	p.mu.Lock()
-	if fr := t.frameLocked(id); fr != nil {
-		p.touchLocked(fr)
-		fr.pins.Add(1)
-		for !fr.loaded {
-			p.ready.Wait() // an in-flight read of this page; share its outcome
-		}
-		err := fr.err
-		if err == nil {
+	for fr = t.frameLocked(id); fr != nil; fr = t.frameLocked(id) {
+		if fr.loaded {
+			p.touchLocked(fr)
 			t.stats.Hits++
+			return fr, false, nil
 		}
-		p.mu.Unlock()
-		if err != nil {
-			fr.pins.Add(-1)
-			return Page{}, err
+		p.ready.Wait() // an in-flight read of this page; share its outcome
+		// A failed frame is unlinked and never reused, so an error on a
+		// frame still labelled with this page is the outcome of a read of
+		// it. Anything else — still pending, loaded, or evicted (and perhaps
+		// reused) before this waiter ran — is for the table to say.
+		if fr.err != nil && fr.owner == t && fr.id == id {
+			return nil, false, fr.err
 		}
-		return Page{fr}, nil
 	}
 	t.countRead()
-	if t.uncached(id) {
-		// No frame will hold this page; lend the reader one of its own so
-		// that concurrent uncached readers do not share a scratch page.
-		fr := p.newFrameLocked(t, id)
-		fr.transient = true
-		fr.pins.Store(1)
-		t.lent++
-		p.mu.Unlock()
-		if err := t.file.Read(id, fr.data); err != nil {
-			Page{fr}.Unpin()
-			return Page{}, err
+	borrowed = t.uncached(id)
+	if !borrowed {
+		if err = p.evictForLocked(t); err != nil {
+			return nil, false, err
 		}
-		return Page{fr}, nil
 	}
-	// Admit a pending frame, then perform the physical read without
-	// holding the mutex; concurrent requests for the same page find the
-	// pending frame above and wait for it.
-	if err := p.evictForLocked(t); err != nil {
-		p.mu.Unlock()
-		return Page{}, err
+	fr = p.newFrameLocked(t, id)
+	if !borrowed {
+		p.admitLocked(fr)
 	}
-	fr := p.newFrameLocked(t, id)
-	fr.pins.Store(1)
-	p.admitLocked(fr)
 	p.mu.Unlock()
-
-	err := t.file.Read(id, fr.data)
+	err = t.file.Read(id, fr.data)
 	p.mu.Lock()
 	fr.err, fr.loaded = err, true
-	if err != nil {
-		// Drop the failed frame so a later Pin retries the read. Waiters
-		// still hold it, so it is left to the collector, not recycled.
+	if !borrowed {
+		p.ready.Broadcast()
+	}
+	if err == nil {
+		return fr, borrowed, nil
+	}
+	if borrowed {
+		p.recycleLocked(fr)
+	} else {
+		// Unlink the failed frame so the next request retries the read.
+		// Waiters still hold it, so it is left to the collector.
 		p.removeLocked(fr)
 	}
-	p.mu.Unlock()
-	p.ready.Broadcast()
-	if err != nil {
-		fr.pins.Add(-1)
-		return Page{}, err
-	}
-	return Page{fr}, nil
+	return nil, false, err
 }
 
-// Get returns a private copy of page id: pin, copy, unpin. It is the
-// convenience for tests and tools; read paths that care about cost use Pin.
+// Get returns a private copy of page id. It is the copying convenience for
+// tests and tools; record reads use ReadRecord, which decodes in place.
 func (t *Tenant) Get(id PageID) ([]byte, error) {
-	pg, err := t.Pin(id)
+	p := t.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fr, borrowed, err := t.loadLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	defer pg.Unpin()
-	return append([]byte(nil), pg.Bytes()...), nil
+	out := append([]byte(nil), fr.data...)
+	if borrowed {
+		p.recycleLocked(fr)
+	}
+	return out, nil
 }
 
 // Update fetches page id, applies fn to its contents in place, and marks
-// the page dirty. An uncached page is written through immediately. Update
-// must not run concurrently with readers of the same page, pinned ones
-// included; a miss is admitted synchronously under the lock, which is fine
-// for the rare maintenance paths that use it.
+// the page dirty. A page no frame caches is written through immediately.
+// fn runs under the pool mutex and must not call back into the pool. Update
+// must not run concurrently with readers of the same page — the maintenance
+// paths that use it hold their substrate exclusively — and like any access
+// it releases the mutex for the physical read of a miss.
 func (t *Tenant) Update(id PageID, fn func(page []byte) error) error {
 	p := t.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr := t.frameLocked(id)
-	for fr != nil && !fr.loaded {
-		// A concurrent Pin is still reading this page in; wait for it and
-		// re-check (the frame is dropped again on read failure).
-		p.ready.Wait()
-		fr = t.frameLocked(id)
+	fr, borrowed, err := t.loadLocked(id)
+	if err != nil {
+		return err
 	}
-	if fr != nil {
-		t.stats.Hits++
-		p.touchLocked(fr)
-	} else {
-		t.countRead()
-		if t.uncached(id) {
-			return t.updateUncachedLocked(id, fn)
-		}
-		if err := p.evictForLocked(t); err != nil {
-			return err
-		}
-		fr = p.newFrameLocked(t, id)
-		if err := t.file.Read(id, fr.data); err != nil {
-			p.recycleLocked(fr)
-			return err
-		}
-		fr.loaded = true
-		p.admitLocked(fr)
+	if borrowed {
+		defer p.recycleLocked(fr)
 	}
 	if err := fn(fr.data); err != nil {
 		return err
+	}
+	if borrowed {
+		t.stats.Writes++
+		return t.file.Write(id, fr.data)
 	}
 	fr.dirty = true
 	return nil
-}
-
-// updateUncachedLocked applies fn to page id through a borrowed frame,
-// writing the result through immediately (no frame caches it).
-// vetrnn:holds t.pool.mu
-func (t *Tenant) updateUncachedLocked(id PageID, fn func(page []byte) error) error {
-	fr := t.pool.newFrameLocked(t, id)
-	defer t.pool.recycleLocked(fr)
-	if err := t.file.Read(id, fr.data); err != nil {
-		return err
-	}
-	if err := fn(fr.data); err != nil {
-		return err
-	}
-	t.stats.Writes++
-	return t.file.Write(id, fr.data)
-}
-
-// Append allocates a new page in the underlying file (counted as one
-// write) and admits it to the pool.
-func (t *Tenant) Append(src []byte) (PageID, error) {
-	p := t.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t.stats.Writes++
-	id, err := t.file.Append(src)
-	if err != nil {
-		return InvalidPage, err
-	}
-	if !t.uncached(id) {
-		if err := p.evictForLocked(t); err != nil {
-			return InvalidPage, err
-		}
-		fr := p.newFrameLocked(t, id)
-		clear(fr.data[copy(fr.data, src):])
-		fr.loaded = true
-		p.admitLocked(fr)
-	}
-	return id, nil
 }
 
 // Flush writes the tenant's dirty pages back to its file and retains the
@@ -575,8 +473,7 @@ func (t *Tenant) flushLocked() error {
 
 // Invalidate drops the tenant's cached frames (writing back dirty ones),
 // so that a fresh workload starts from a cold buffer. Frames with reads
-// still in flight are retained; so are pinned ones, reported as ErrPinned.
-// Other tenants' frames are untouched.
+// still in flight are retained. Other tenants' frames are untouched.
 func (t *Tenant) Invalidate() error {
 	p := t.pool
 	p.mu.Lock()
@@ -584,7 +481,8 @@ func (t *Tenant) Invalidate() error {
 	if err := t.flushLocked(); err != nil {
 		return err
 	}
-	return t.dropFramesLocked()
+	t.dropFramesLocked()
+	return nil
 }
 
 // Invalidate empties the pool: Tenant.Invalidate for every tenant, so a
@@ -598,15 +496,14 @@ func (p *BufferPool) Invalidate() error {
 			errs = append(errs, err)
 			continue
 		}
-		errs = append(errs, t.dropFramesLocked())
+		t.dropFramesLocked()
 	}
 	return errors.Join(errs...)
 }
 
 // Detach flushes and drops the tenant's frames, removes it from the pool
 // and returns any capacity it contributed through AttachGrowing. The
-// tenant must not be used afterwards. A page still pinned at that point is
-// a reader's bug: the detach completes and reports ErrPinned.
+// tenant must not be used afterwards.
 func (t *Tenant) Detach() error {
 	p := t.pool
 	p.mu.Lock()
@@ -623,36 +520,27 @@ func (t *Tenant) Detach() error {
 	p.capacity -= t.grown
 	t.grown = 0
 	p.refreshTrackLocked()
-	return t.dropFramesLocked()
+	t.dropFramesLocked()
+	return nil
 }
 
-// dropFramesLocked removes and recycles the tenant's idle frames, and
-// reports the pages readers still hold.
+// dropFramesLocked removes and recycles the tenant's loaded frames; a
+// pending one stays with its faulter.
 // vetrnn:holds t.pool.mu
-func (t *Tenant) dropFramesLocked() error {
-	pinned := t.lent
+func (t *Tenant) dropFramesLocked() {
 	for _, fr := range t.table {
-		if fr == nil {
-			continue
-		}
-		if fr.idle() {
+		if fr != nil && fr.loaded {
 			t.pool.removeLocked(fr)
 			t.pool.recycleLocked(fr)
-		} else if fr.loaded {
-			pinned++
 		}
 	}
-	if pinned > 0 {
-		return fmt.Errorf("%w: %d page(s) of tenant %q", ErrPinned, pinned, t.name)
-	}
-	return nil
 }
 
 // --- pool internals (all called with p.mu held; the pool's one mutex
 // guards every tenant reached through frame back-pointers, which is what
 // the vetrnn:holds wildcard declares) ---------------------------------------
 
-// newFrameLocked returns an unlinked, unpinned frame for page id of t with
+// newFrameLocked returns an unlinked, pending frame for page id of t with
 // a page buffer of the tenant's page size: a recycled one when the free
 // list has any. The buffer's contents are whatever the last page left.
 // vetrnn:holds p.mu
@@ -669,16 +557,16 @@ func (p *BufferPool) newFrameLocked(t *Tenant, id PageID) *frame {
 		fr.data = make([]byte, size)
 	}
 	fr.owner, fr.id, fr.data = t, id, fr.data[:size]
-	fr.dirty, fr.loaded, fr.transient, fr.err = false, false, false, nil
+	fr.dirty, fr.loaded, fr.err = false, false, nil
 	return fr
 }
 
 // freeSlack is how many frames beyond the pool's capacity the free list
-// may keep: the transient frames of uncached reads and the over-commit of
+// may keep: the borrowed frames of uncached reads and the over-commit of
 // concurrent faults.
 const freeSlack = 4
 
-// recycleLocked puts an unlinked, unpinned frame on the free list, unless
+// recycleLocked puts an unlinked frame on the free list, unless
 // the pool already owns as many frames as it can use (after a Detach
 // shrank it).
 // vetrnn:holds p.mu
@@ -731,9 +619,9 @@ func (p *BufferPool) removeLocked(fr *frame) {
 // evictForLocked makes room for one new frame of tenant t: first the
 // tenant's own LRU frames while it sits at quota, then the pool's global
 // LRU while the pool sits at capacity. Frames whose physical read is still
-// in flight and frames a reader has pinned are skipped; if every candidate
-// is one of those the pool temporarily exceeds its bound (by at most the
-// number of concurrent faulters and pinners).
+// in flight are skipped; if every candidate is one of those the pool
+// temporarily exceeds its bound (by at most the number of concurrent
+// faulters).
 // vetrnn:holds *
 func (p *BufferPool) evictForLocked(t *Tenant) error {
 	if t.quota > 0 {
@@ -744,7 +632,7 @@ func (p *BufferPool) evictForLocked(t *Tenant) error {
 	return p.evictLRULocked(&p.lru, nil)
 }
 
-// evictLRULocked evicts idle frames from the back of l: tenant t's own
+// evictLRULocked evicts loaded frames from the back of l: tenant t's own
 // list while t sits at its quota, or (t == nil) the pool-wide list while
 // the pool sits at capacity.
 // vetrnn:holds *
@@ -754,7 +642,7 @@ func (p *BufferPool) evictLRULocked(l *lruList, t *Tenant) error {
 			break
 		}
 		prev := victim.links[l.which].prev
-		if victim.idle() {
+		if victim.loaded {
 			if victim.dirty {
 				victim.owner.stats.Writes++
 				if err := victim.owner.file.Write(victim.id, victim.data); err != nil {

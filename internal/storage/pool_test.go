@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,14 +230,6 @@ func TestPoolInvalidate(t *testing.T) {
 			t.Fatalf("tenant %q keeps %d frames after Invalidate", ts.Name, ts.Frames)
 		}
 	}
-	pg, err := b.Pin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Invalidate(); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Invalidate with a pinned page: %v, want ErrPinned", err)
-	}
-	pg.Unpin()
 }
 
 // TestPoolConcurrentTenants hammers two tenants from many goroutines to
@@ -259,15 +252,13 @@ func TestPoolConcurrentTenants(t *testing.T) {
 			}
 			for i := 0; i < 200; i++ {
 				id := PageID((g + i) % 16)
-				pg, err := tn.Pin(id)
+				page, err := tn.Get(id)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got := pg.Bytes()[0]
-				pg.Unpin()
-				if got != byte(id) {
-					t.Errorf("page %d content = %d", id, got)
+				if page[0] != byte(id) {
+					t.Errorf("page %d content = %d", id, page[0])
 					return
 				}
 			}
@@ -280,150 +271,89 @@ func TestPoolConcurrentTenants(t *testing.T) {
 	}
 }
 
-// TestPinnedFrameNotEvicted: a pinned page survives a scan of four times
-// the tenant's quota with its bytes intact, the pool over-commits by at
-// most the number of pinners while it is held, and it is evictable again
-// after Unpin.
-func TestPinnedFrameNotEvicted(t *testing.T) {
-	const quota = 4
-	f := newTestFile(t, 64, 4*quota+1)
-	p := NewBufferPool(quota)
-	tn := attach(t, p, "scan", f, quota)
-
-	pinned, err := tn.Pin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4*quota; i++ {
-		pg, err := tn.Pin(PageID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pg.Bytes()[0]; got != byte(i) {
-			t.Fatalf("page %d content = %d", i, got)
-		}
-		pg.Unpin()
-		if frames := p.TenantStats()[0].Frames; frames > quota+1 {
-			t.Fatalf("tenant holds %d frames with one pinner, quota %d", frames, quota)
-		}
-	}
-	if got := pinned.Bytes()[0]; got != 0 {
-		t.Fatalf("pinned page was overwritten: content = %d", got)
-	}
-	before := tn.Stats()
-	again, err := tn.Pin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again.Unpin()
-	if d := tn.Stats().Sub(before); d.Hits != 1 || d.Reads != 0 {
-		t.Fatalf("re-pin of the pinned page: %+v, want one hit", d)
-	}
-	if err := tn.Invalidate(); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Invalidate with a pinned page = %v, want ErrPinned", err)
-	}
-	pinned.Unpin()
-	// Unpinned, the page ages out like any other.
-	for i := 1; i <= quota; i++ {
-		if _, err := tn.Get(PageID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before = tn.Stats()
-	if _, err := tn.Get(0); err != nil {
-		t.Fatal(err)
-	}
-	if d := tn.Stats().Sub(before); d.Reads != 1 {
-		t.Fatalf("page 0 after unpin + scan: %+v, want a fresh fault", d)
-	}
-}
-
-// TestDetachReportsPinnedPages: a page a reader never unpinned — cached or
-// lent to an uncached read — makes Detach report ErrPinned instead of
-// dropping it silently; the detach itself still completes.
-func TestDetachReportsPinnedPages(t *testing.T) {
-	for _, quota := range []int{0, NoCache} {
-		f := newTestFile(t, 64, 4)
-		p := NewBufferPool(4)
-		tn := p.Attach("leaky", f, quota)
-		pg, err := tn.Pin(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.Detach(); !errors.Is(err, ErrPinned) {
-			t.Fatalf("quota %d: Detach with a pinned page = %v, want ErrPinned", quota, err)
-		}
-		if n := len(p.TenantStats()); n != 0 {
-			t.Fatalf("quota %d: %d tenants left after Detach", quota, n)
-		}
-		if got := pg.Bytes()[0]; got != 1 {
-			t.Fatalf("quota %d: pinned bytes changed under Detach: %d", quota, got)
-		}
-		pg.Unpin()
-	}
-}
-
-// blockingFile fails every read of page bad, after waiting for release so
-// that a test can line up coalesced waiters behind the doomed read.
+// blockingFile holds every read of page while armed: the read announces
+// itself on entered, waits for release and then fails with err, or — err
+// nil — reads the page. A test uses it to line up coalesced waiters behind
+// one physical read.
 type blockingFile struct {
 	*MemFile
-	bad     PageID
+	page    PageID
+	err     error
 	entered chan struct{}
 	release chan struct{}
-	fail    atomic.Bool
+	armed   atomic.Bool
+}
+
+func newBlockingFile(t *testing.T, page PageID, err error) *blockingFile {
+	f := &blockingFile{MemFile: newTestFile(t, 64, 4), page: page, err: err,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	f.armed.Store(true)
+	return f
 }
 
 func (f *blockingFile) Read(id PageID, dst []byte) error {
-	if id == f.bad && f.fail.Load() {
+	if id == f.page && f.armed.Load() {
 		f.entered <- struct{}{}
 		<-f.release
-		return errors.New("injected read fault")
+		if f.err != nil {
+			return f.err
+		}
 	}
 	return f.MemFile.Read(id, dst)
 }
 
-// TestReadErrorLeavesNoPin: a failing PagedFile.Read wakes the waiters
-// coalesced behind it with the error, leaves neither a frame nor a pin, and
-// the retry succeeds.
-func TestReadErrorLeavesNoPin(t *testing.T) {
-	f := &blockingFile{MemFile: newTestFile(t, 64, 4), bad: 2,
-		entered: make(chan struct{}), release: make(chan struct{})}
-	f.fail.Store(true)
+// awaitFaultWaiters returns once n goroutines are inside sync.Cond.Wait.
+// The pool's ready latch is the only Cond these tests reach, and a waiter
+// holds the pool mutex until Wait has enqueued it, so from then on the
+// faulter's broadcast cannot miss any of the n.
+func awaitFaultWaiters(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := strings.Count(string(buf[:runtime.Stack(buf, true)]), "sync.(*Cond).Wait")
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d goroutines wait on the pending frame", got, n)
+		}
+	}
+}
+
+// TestFaultSharedByWaiters: a missing page is read once with the pool mutex
+// released — Stats answers while the read is held — and when that read
+// fails, every reader coalesced behind it gets its error, no frame is left,
+// and the retry succeeds.
+func TestFaultSharedByWaiters(t *testing.T) {
+	injected := errors.New("injected read fault")
+	f := newBlockingFile(t, 2, injected)
 	p := NewBufferPool(4)
 	tn := attach(t, p, "faulty", f, 0)
 
 	const readers = 6
 	errs := make(chan error, readers)
-	pin := func() {
-		pg, err := tn.Pin(2)
-		if err == nil {
-			pg.Unpin()
-		}
+	read := func() {
+		_, err := tn.Get(2)
 		errs <- err
 	}
-	go pin()
+	go read()
 	<-f.entered // the first reader owns the physical read
 	for i := 1; i < readers; i++ {
-		go pin()
+		go read()
 	}
-	// The latecomers count no read; wait until all of them found the
-	// pending frame (they pin it under the pool mutex before waiting).
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		p.mu.Lock()
-		pins := tn.table[2].pins.Load()
-		p.mu.Unlock()
-		if pins == readers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d readers reached the pending frame", pins, readers)
-		}
-		time.Sleep(time.Millisecond)
+	awaitFaultWaiters(t, readers-1)
+	if s := p.Stats(); s.Reads != 1 || s.Hits != 0 {
+		t.Fatalf("stats during the fault = %+v, want the one read in flight", s)
 	}
 	close(f.release)
 	for i := 0; i < readers; i++ {
-		if err := <-errs; err == nil {
-			t.Fatal("a reader of the failed page got no error")
+		select {
+		case err := <-errs:
+			if !errors.Is(err, injected) {
+				t.Fatalf("a reader of the failed page got %v, want the injected fault", err)
+			}
+		case <-f.entered:
+			t.Fatal("a coalesced reader read the page again instead of sharing the failure")
 		}
 	}
 	if s := tn.Stats(); s.Reads != 1 || s.Hits != 0 {
@@ -432,22 +362,103 @@ func TestReadErrorLeavesNoPin(t *testing.T) {
 	if frames := p.TenantStats()[0].Frames; frames != 0 {
 		t.Fatalf("failed read left %d frame(s)", frames)
 	}
-	if err := tn.Invalidate(); err != nil {
-		t.Fatalf("failed read left a pin: %v", err)
-	}
-	f.fail.Store(false)
+	f.armed.Store(false)
 	data, err := tn.Get(2)
 	if err != nil || data[0] != 2 {
 		t.Fatalf("retry after the fault = %v, %v", data, err)
 	}
 }
 
+// TestUpdateFaultsLikeARead: Update gets its page the way a read does. A
+// miss counts one read and leaves a dirty cached frame, a second Update one
+// hit; an uncached tenant writes through a borrowed frame; a page beyond the
+// file is the file's error and grows no table; and while an Update's own
+// read is held, the pool still answers Stats and a second Update of the page
+// waits for that read instead of issuing another.
+func TestUpdateFaultsLikeARead(t *testing.T) {
+	bump := func(page []byte) error { page[1]++; return nil }
+
+	f := newTestFile(t, 64, 4)
+	tn := newTenant(t, f, 4)
+	for i, want := range []Stats{{Reads: 1}, {Reads: 1, Hits: 1}} {
+		if err := tn.Update(2, bump); err != nil {
+			t.Fatal(err)
+		}
+		if s := tn.Stats(); s != want {
+			t.Fatalf("after Update %d: stats = %+v, want %+v", i+1, s, want)
+		}
+	}
+	if frames := tn.pool.TenantStats()[0].Frames; frames != 1 {
+		t.Fatalf("Update miss cached %d frame(s), want 1", frames)
+	}
+	if err := tn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 64)
+	if err := f.Read(2, dst); err != nil || dst[1] != 2 || tn.Stats().Writes != 1 {
+		t.Fatalf("flushed page byte = %d (%v), stats %+v; want both updates in one write", dst[1], err, tn.Stats())
+	}
+	if err := tn.Update(4, bump); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("Update beyond the file = %v, want ErrPageOutOfRange", err)
+	}
+	tn.pool.mu.Lock()
+	size := len(tn.table)
+	tn.pool.mu.Unlock()
+	if size > f.NumPages() {
+		t.Fatalf("page table has %d entries for a %d-page file", size, f.NumPages())
+	}
+
+	raw := attach(t, NewBufferPool(4), "raw", f, NoCache)
+	if err := raw.Update(3, bump); err != nil {
+		t.Fatal(err)
+	}
+	if s := raw.Stats(); s != (Stats{Reads: 1, Writes: 1}) {
+		t.Fatalf("uncached Update: stats = %+v, want one read and one write", s)
+	}
+	if frames := raw.pool.TenantStats()[0].Frames; frames != 0 {
+		t.Fatalf("uncached Update holds %d frame(s)", frames)
+	}
+	if err := f.Read(3, dst); err != nil || dst[1] != 1 {
+		t.Fatalf("uncached Update did not write through: %d (%v)", dst[1], err)
+	}
+
+	bf := newBlockingFile(t, 2, nil)
+	p := NewBufferPool(4)
+	slow := attach(t, p, "slow", bf, 0)
+	done := make(chan error, 2)
+	go func() { done <- slow.Update(2, bump) }()
+	<-bf.entered // the first Update owns the physical read
+	go func() { done <- slow.Update(2, bump) }()
+	awaitFaultWaiters(t, 1)
+	if s := p.Stats(); s.Reads != 1 {
+		t.Fatalf("stats during the fault = %+v, want the one read in flight", s)
+	}
+	close(bf.release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-bf.entered:
+			t.Fatal("the second Update read the page again instead of waiting for the first")
+		}
+	}
+	if s := slow.Stats(); s.Reads != 1 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want one read shared by both Updates", s)
+	}
+	if page, err := slow.Get(2); err != nil || page[1] != 2 {
+		t.Fatalf("page after both Updates = %v (%v)", page, err)
+	}
+}
+
 // TestReadRecordConcurrentInvalidate is ReadRecord's lock contract under
 // the race detector: eight goroutines read the records of a 64-page file
-// through one 8-frame tenant — hits decoded under the pool mutex, misses
-// pinned — while a ninth invalidates the tenant in a loop. Every decode
-// equals a direct decode of the file, every read is counted once as a hit
-// or a fault, and nothing stays pinned.
+// through one 8-frame tenant — hits and misses both decoded under the pool
+// mutex, the physical read of a miss outside it — while a ninth invalidates
+// the tenant in a loop, dropping every loaded frame and leaving the pending
+// ones to their faulters. Every decode equals a direct decode of the file
+// and every read is counted once as a hit or a fault.
 func TestReadRecordConcurrentInvalidate(t *testing.T) {
 	const pageSize, pages, perPage, readers, rounds = 64, 64, 5, 8, 2000
 	f := NewMemFile(pageSize)
@@ -489,8 +500,7 @@ func TestReadRecordConcurrentInvalidate(t *testing.T) {
 				return
 			default:
 			}
-			// A page a reader holds pinned mid-miss is retained and reported.
-			if err := tn.Invalidate(); err != nil && !errors.Is(err, ErrPinned) {
+			if err := tn.Invalidate(); err != nil {
 				invalidated <- err
 				return
 			}
@@ -573,13 +583,13 @@ func TestFlushAscendingPageOrder(t *testing.T) {
 // TestPageBeyondFileGrowsNoTable: a corrupt reference to a page the file
 // does not have (or a negative one) comes back as the file's own error,
 // counted as the one read it tried, and neither grows the dense page table
-// past the file nor leaves a frame or a pin behind.
+// past the file nor leaves a frame behind.
 func TestPageBeyondFileGrowsNoTable(t *testing.T) {
 	f := newTestFile(t, 64, 4)
 	tn := newTenant(t, f, 4)
 	for _, id := range []PageID{4, 1 << 30, -1, -1 << 31} {
-		if _, err := tn.Pin(id); !errors.Is(err, ErrPageOutOfRange) {
-			t.Fatalf("Pin(%d) = %v, want ErrPageOutOfRange", id, err)
+		if _, err := tn.Get(id); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("Get(%d) = %v, want ErrPageOutOfRange", id, err)
 		}
 		err := tn.ReadRecord(RecRef{Page: id}, func(_, _ []byte) error { return nil })
 		if !errors.Is(err, ErrPageOutOfRange) {

@@ -90,36 +90,27 @@ func (w *RecordWriter) appendPage(page []byte) error {
 }
 
 // ReadRecord runs decode on ref's page and the payload of the record in
-// ref's slot; both alias the page and are dead once decode returns. A page
-// found in the buffer is decoded under the pool mutex, in the critical
-// section that touches the LRU and counts the hit, so decode must not call
-// back into the pool and must do no more than copy one record out. A miss
-// faults the page in as Pin does — the physical read runs outside the
-// mutex — and decodes it pinned. decode's error is returned as is.
+// ref's slot; both alias the page and are dead once decode returns. The page
+// comes from loadLocked, hit or miss, and is decoded under the pool mutex —
+// for a cached page in the critical section that touches the LRU and counts
+// the hit — so decode must not call back into the pool and must do no more
+// than copy one record out. decode's error is returned as is.
 func (t *Tenant) ReadRecord(ref RecRef, decode func(page, rec []byte) error) error {
 	p := t.pool
 	p.mu.Lock()
-	if fr := t.frameLocked(ref.Page); fr != nil && fr.loaded {
-		defer p.mu.Unlock()
-		p.touchLocked(fr)
-		t.stats.Hits++
-		return decodeRecord(fr.data, ref, decode)
-	}
-	p.mu.Unlock()
-	page, err := t.Pin(ref.Page)
+	defer p.mu.Unlock()
+	fr, borrowed, err := t.loadLocked(ref.Page)
 	if err != nil {
 		return err
 	}
-	defer page.Unpin()
-	return decodeRecord(page.Bytes(), ref, decode)
-}
-
-func decodeRecord(page []byte, ref RecRef, decode func(page, rec []byte) error) error {
-	rec, err := ReadRecordSlot(page, int(ref.Slot))
-	if err != nil {
-		return err
+	rec, err := ReadRecordSlot(fr.data, int(ref.Slot))
+	if err == nil {
+		err = decode(fr.data, rec)
 	}
-	return decode(page, rec)
+	if borrowed {
+		p.recycleLocked(fr)
+	}
+	return err
 }
 
 // FileHeader says where a persisted paged file keeps what a reader needs

@@ -39,7 +39,7 @@ func FuzzRecordPage(f *testing.F) {
 	for slot := 0; slot < 4; slot++ {
 		f.Add(healthy, slot)
 	}
-	// The corrupt shapes of TestReadLabelErrorsLeaveNoPin and
+	// The corrupt shapes of TestReadLabelErrorExits and
 	// TestFragmentCodecCorruptSlot: a slot past the directory, a record too
 	// short for any header, a count the record cannot hold, a fragment cut
 	// inside a pair, and a record count that runs the directory into the

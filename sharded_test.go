@@ -96,7 +96,8 @@ func shardOracleEnv(t testing.TB, family string, nodes int, shards int, seed int
 // lattice is the tie case that pins the strict '<' rule there. (The
 // Euclidean shortcuts of "grid" make label sums and path sums differ in the
 // last bit, so it runs without a hub index — see the Exactness note in
-// sharded.go.)
+// sharded.go.) One halo depth runs on disk-backed shards, and once every
+// Sharded and the DB are closed the shared pool must hold no tenant.
 func TestShardedOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -136,8 +137,11 @@ func TestShardedOracle(t *testing.T) {
 					ks = []int{1, hubK, hubK + 1}
 				}
 				for _, halo := range []int{-1, 1, 2} {
+					// One halo depth serves its shards from paged files, each
+					// a tenant of db's pool: what the cleanup below looks for.
 					sh, err := db.Shard(ps, &ShardOptions{
 						Shards: shards, HaloDepth: halo, Seed: 3, Sites: sites, HubLabelK: hubK,
+						DiskBacked: halo == 1, BufferPages: 8,
 					})
 					if err != nil {
 						t.Fatalf("%s/%d shards halo=%d hubK=%d: %v", tc.family, shards, halo, hubK, err)
@@ -179,6 +183,12 @@ func TestShardedOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if left := db.PoolStats().Tenants; len(left) > 0 {
+				t.Fatalf("%s/%d shards: %d tenant(s) survive Sharded.Close and DB.Close, first %q", tc.family, shards, len(left), left[0].Name)
 			}
 		}
 	}
