@@ -72,9 +72,9 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			run()
 			const runs = 5
-			before := db.IOStats().Reads
+			before := tenantIO(db, "graph").Reads
 			allocs := testing.AllocsPerRun(runs, run)
-			faults := (db.IOStats().Reads - before) / (runs + 1) // AllocsPerRun warms up once
+			faults := (tenantIO(db, "graph").Reads - before) / (runs + 1) // AllocsPerRun warms up once
 			t.Logf("k=2: %v allocs/query for %d heap pushes and %d page faults", allocs, res.Stats.HeapPushes, faults)
 			if res.Stats.HeapPushes < 1000 || faults < 10 {
 				t.Fatalf("test setup: query too small to gate anything (%d pushes, %d faults)", res.Stats.HeapPushes, faults)

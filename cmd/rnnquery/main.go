@@ -2,7 +2,9 @@
 // network through the declarative query API, printing the result set and
 // the per-query work statistics of each algorithm side by side — a quick
 // way to see the eager/lazy trade-offs of the paper on one query, and what
-// the planner would pick on its own ("A").
+// the planner would pick on its own ("A"). pageReads counts the physical
+// page reads of every buffer-pool tenant the query touched: adjacency pages
+// and, for eager-M, K-NN list pages.
 //
 // Usage:
 //
@@ -88,7 +90,7 @@ func main() {
 		}
 		fmt.Printf("query %d at node %d (point %d excluded):\n", qi, qnode, qp)
 		for _, algo := range selected {
-			db.ResetIOStats()
+			db.BufferPool().ResetStats()
 			res, err := db.Run(context.Background(), graphrnn.Query{
 				Kind:      graphrnn.KindRNN,
 				Target:    graphrnn.NodeLocation(qnode),
@@ -97,7 +99,7 @@ func main() {
 				Algorithm: algo,
 			})
 			fail(err)
-			io := db.IOStats()
+			io := db.PoolStats()
 			name := algo.String()
 			if algo == graphrnn.Auto() {
 				name = fmt.Sprintf("auto>%s", res.Plan.Algorithm)

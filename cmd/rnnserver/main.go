@@ -350,22 +350,37 @@ func hubStats(idx *graphrnn.HubLabelIndex) map[string]any {
 func (s *server) buildHub(maxK int) (*graphrnn.HubLabelIndex, error) {
 	s.hubBuild.Lock()
 	defer s.hubBuild.Unlock()
-	s.mu.RLock()
-	idx, err := s.db.BuildHubLabelIndex(s.ps, maxK, &s.hubOpts)
-	var old *graphrnn.HubLabelIndex
-	if err == nil {
-		old = s.hub.Swap(idx)
-	}
-	s.mu.RUnlock()
+	var idx, old *graphrnn.HubLabelIndex
+	var err error
+	s.reading(func() {
+		if idx, err = s.db.BuildHubLabelIndex(s.ps, maxK, &s.hubOpts); err == nil {
+			old = s.hub.Swap(idx)
+		}
+	})
 	if old != nil {
-		s.mu.Lock()
-		cerr := old.Close()
-		s.mu.Unlock()
+		var cerr error
+		s.writing(func() { cerr = old.Close() })
 		if cerr != nil {
 			log.Printf("rnnserver: retiring the replaced hub-label index: %v", cerr)
 		}
 	}
 	return idx, err
+}
+
+// reading runs fn under the query (read) half of mu, writing under the
+// maintenance (write) half. Both release it by defer, so a panic in fn
+// fails its one request — net/http recovers the handler — instead of
+// leaving mu held and every later request waiting on it.
+func (s *server) reading(fn func()) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fn()
+}
+
+func (s *server) writing(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
 }
 
 // The maintenance ids decode into the library's 32-bit types, like the
@@ -437,38 +452,39 @@ func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
 	var resp matResponse
 	var opErr error
-	counter := &s.matInserts
-	switch req := req.(type) {
-	case *matInsertRequest:
-		resp.Point, resp.Stats, opErr = s.ps.Insert(r.Context(), graphrnn.NodeLocation(req.Node), opt)
-	case *matDeleteRequest:
-		counter = &s.matDeletes
-		resp.Point = req.Point
-		resp.Stats, opErr = s.ps.Remove(r.Context(), resp.Point, opt)
-	}
-	idx := s.hub.Load()
+	var idx *graphrnn.HubLabelIndex
 	rebuildK := 0
-	if errors.Is(opErr, graphrnn.ErrSubstrateDetached) {
-		// The point is committed; the index that could not follow is
-		// detached. Retire it now (under the lock, so no query names it
-		// again) and rebuild after the write lock is released.
-		log.Printf("rnnserver: hub-label repair failed, rebuilding: %v", opErr)
-		rebuildK = idx.MaxK()
-		s.hub.CompareAndSwap(idx, nil)
-		if cerr := idx.Close(); cerr != nil {
-			log.Printf("rnnserver: retiring the detached hub-label index: %v", cerr)
+	counter := &s.matInserts
+	s.writing(func() {
+		switch req := req.(type) {
+		case *matInsertRequest:
+			resp.Point, resp.Stats, opErr = s.ps.Insert(r.Context(), graphrnn.NodeLocation(req.Node), opt)
+		case *matDeleteRequest:
+			counter = &s.matDeletes
+			resp.Point = req.Point
+			resp.Stats, opErr = s.ps.Remove(r.Context(), resp.Point, opt)
 		}
-		s.hubRepairFails.Add(1)
-		opErr = nil
-	}
-	// Snapshot the response fields before releasing the write lock: a
-	// concurrent maintenance request must not race the reads.
-	resp.Points = s.ps.Len()
-	resp.RepairState = s.mat.RepairState().String()
-	s.mu.Unlock()
+		idx = s.hub.Load()
+		if errors.Is(opErr, graphrnn.ErrSubstrateDetached) {
+			// The point is committed; the index that could not follow is
+			// detached. Retire it now (under the lock, so no query names it
+			// again) and rebuild after the write lock is released.
+			log.Printf("rnnserver: hub-label repair failed, rebuilding: %v", opErr)
+			rebuildK = idx.MaxK()
+			s.hub.CompareAndSwap(idx, nil)
+			if cerr := idx.Close(); cerr != nil {
+				log.Printf("rnnserver: retiring the detached hub-label index: %v", cerr)
+			}
+			s.hubRepairFails.Add(1)
+			opErr = nil
+		}
+		// Snapshot the response fields before releasing the write lock: a
+		// concurrent maintenance request must not race the reads.
+		resp.Points = s.ps.Len()
+		resp.RepairState = s.mat.RepairState().String()
+	})
 	if opErr != nil {
 		s.failQuery(w, opErr)
 		return
@@ -517,7 +533,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	g := s.db.Graph()
-	io := s.db.IOStats()
 	pool := s.db.PoolStats()
 	tenants := make([]map[string]any, 0, len(pool.Tenants))
 	for _, t := range pool.Tenants {
@@ -536,9 +551,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"query_errors":   s.errors.Load(),
 		"query_timeouts": s.timeouts.Load(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
-		"io": map[string]int64{
-			"reads": io.Reads, "hits": io.Hits, "writes": io.Writes,
-		},
 		"pool": map[string]any{
 			"capacity":  pool.Capacity,
 			"reads":     pool.Reads,

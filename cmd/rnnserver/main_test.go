@@ -560,6 +560,65 @@ func TestMaintenanceRepairEquivalence(t *testing.T) {
 	}
 }
 
+// TestHugeMaxKKeepsServing: a POST /index/hublabel whose maxk no point set
+// can reach (2^62) must not wedge the server. Its build used to panic while
+// holding the query lock; net/http recovered the handler and nobody released
+// the lock, so the next /mat/insert waited forever and every query queued
+// behind that writer. The build now succeeds, and every section of the
+// server lock is released by defer besides.
+func TestHugeMaxKKeepsServing(t *testing.T) {
+	s := newTestServer(t)
+	closeLeakFree(t, s)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/query", s.handleQuery)
+	mux.HandleFunc("/mat/insert", s.handleMatInsert)
+	mux.HandleFunc("/index/hublabel", s.handleHubBuild)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		if !t.Failed() { // Close would wait on a wedged handler for good
+			ts.Close()
+		}
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func(path, body string) (int, map[string]any, error) {
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out, err
+	}
+	must := func(path, body string) map[string]any {
+		t.Helper()
+		code, out, err := post(path, body)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("%s %s after the maxk request: %d %v %v", path, body, code, out, err)
+		}
+		return out
+	}
+
+	buildCode, build, buildErr := post("/index/hublabel", `{"maxk":4611686018427387904}`)
+	free := -1
+	for n := 0; free < 0; n++ {
+		if _, taken := s.ps.PointAt(graphrnn.NodeID(n)); !taken {
+			free = n
+		}
+	}
+	if out := must("/mat/insert", fmt.Sprintf(`{"node":%d}`, free)); out["hub_label_repaired"] != true {
+		t.Fatalf("insert did not repair the index: %v", out)
+	}
+	hub := must("/query", `{"kind":"rnn","node":5,"k":2,"algo":"hub-label"}`)
+	brute := must("/query", `{"kind":"rnn","node":5,"k":2,"algo":"brute"}`)
+	if fmt.Sprint(hub["points"]) != fmt.Sprint(brute["points"]) {
+		t.Fatalf("hub-label answered %v, brute force %v", hub["points"], brute["points"])
+	}
+	if buildErr != nil || buildCode != http.StatusOK || build["maxk"] != float64(1<<62) {
+		t.Fatalf("maxk 2^62 build answered %d: %v %v", buildCode, build, buildErr)
+	}
+}
+
 // TestQueryResponseWireBytes pins a /query response byte for byte against
 // the encoding the server produced before graphrnn.Stats carried the wire's
 // JSON tags itself (it was copied field by field into a server-side struct):

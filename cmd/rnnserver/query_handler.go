@@ -314,9 +314,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !batch {
-		s.mu.RLock()
-		res, err := run(r.Context(), queries[0])
-		s.mu.RUnlock()
+		var res *graphrnn.Result
+		s.reading(func() { res, err = run(r.Context(), queries[0]) })
 		if err != nil {
 			s.failQuery(w, err)
 			return
@@ -343,9 +342,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		opt.FailFast = ff
 	}
-	s.mu.RLock()
-	rep, err := runBatch(r.Context(), queries, opt)
-	s.mu.RUnlock()
+	var rep *graphrnn.BatchReport
+	s.reading(func() { rep, err = runBatch(r.Context(), queries, opt) })
 	if err != nil {
 		s.fail(w, http.StatusServiceUnavailable, err)
 		return

@@ -223,9 +223,9 @@ func (s *server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.RLock()
-	sr, runErr := s.sharded.RunShard(r.Context(), req.Shard, q)
-	s.mu.RUnlock()
+	var sr *graphrnn.ShardResult
+	var runErr error
+	s.reading(func() { sr, runErr = s.sharded.RunShard(r.Context(), req.Shard, q) })
 	if runErr != nil && !graphrnn.IsExecErr(runErr) {
 		s.fail(w, http.StatusBadRequest, runErr)
 		return

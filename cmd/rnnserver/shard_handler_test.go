@@ -291,7 +291,7 @@ func TestShardWireCodec(t *testing.T) {
 	}
 
 	// Substrate-bound hints cannot travel.
-	q.Algorithm = graphrnn.AlgorithmHubLabel(nil)
+	q.Algorithm = graphrnn.HubLabel(nil)
 	if _, err := encodeShardQuery(0, q); err == nil {
 		t.Fatal("hub-label hint crossed the wire")
 	}

@@ -155,9 +155,9 @@ func TestConcurrentRNN(t *testing.T) {
 			for err := range errc {
 				t.Error(err)
 			}
-			// IOStats must remain callable during queries (covered above by
-			// the disk backend) and coherent afterwards.
-			if backend == "disk" && e.db.IOStats().Reads == 0 {
+			// The pool's counters must remain readable during queries
+			// (TestConcurrentIOStats) and coherent afterwards.
+			if backend == "disk" && tenantIO(e.db, "graph").Reads == 0 {
 				t.Fatal("disk-backed DB recorded no page reads")
 			}
 		})
@@ -306,8 +306,9 @@ func TestConcurrentBichromaticRNN(t *testing.T) {
 	}
 }
 
-// TestConcurrentIOStats hammers IOStats / ResetIOStats while queries run,
-// which must be safe on a disk-backed DB (atomic counters).
+// TestConcurrentIOStats hammers PoolStats / BufferPool().ResetStats while
+// queries run, which must be safe on a disk-backed DB (the counters move
+// under the pool mutex).
 func TestConcurrentIOStats(t *testing.T) {
 	e := newConcEnv(t, true)
 	stop := make(chan struct{})
@@ -319,8 +320,8 @@ func TestConcurrentIOStats(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = e.db.IOStats()
-				e.db.ResetIOStats()
+				_ = e.db.PoolStats()
+				e.db.BufferPool().ResetStats()
 			}
 		}
 	}()

@@ -76,7 +76,7 @@ var hubBackends = []struct {
 	opt  *graphrnn.HubLabelOptions
 }{
 	{"memory", nil},
-	{"paged", &graphrnn.HubLabelOptions{DiskBacked: true, PageSize: 256, BufferPages: 4}},
+	{"paged", &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 4}},
 }
 
 // directedEnv is one random directed setting: graph, data set, site set,
@@ -315,11 +315,14 @@ func TestDirectedRejectsUndirectedOnly(t *testing.T) {
 	}
 	ups := placeOnRandomNodes(t, rng, udb, 4)
 	matPath := filepath.Join(t.TempDir(), "mat")
-	umat, err := udb.MaterializeNodePoints(ups, 2, &graphrnn.MatOptions{Path: matPath})
+	umat, err := udb.MaterializeNodePoints(ups, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer umat.Close()
+	if err := umat.SaveTo(matPath); err != nil {
+		t.Fatal(err)
+	}
 
 	run := func(q graphrnn.Query) error { _, err := db.Run(ctx, q); return err }
 	errOf := func(_ any, err error) error { return err }
@@ -479,8 +482,11 @@ func TestOpenHubLabelIndexChecksDirection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := db.BuildHubLabelIndex(placeOnRandomNodes(t, rng, db, 6), 2, &graphrnn.HubLabelOptions{Path: filepath.Join(dir, name)})
+		idx, err := db.BuildHubLabelIndex(placeOnRandomNodes(t, rng, db, 6), 2, nil)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.SaveTo(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
 		if err := idx.Close(); err != nil {

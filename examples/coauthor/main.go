@@ -64,7 +64,7 @@ func main() {
 			if err := db.DropCache(); err != nil {
 				log.Fatal(err)
 			}
-			db.ResetIOStats()
+			db.BufferPool().ResetStats()
 			q.Algorithm = algo
 			t0 := time.Now()
 			res, err := db.Run(context.Background(), q)
@@ -72,7 +72,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("  %-8s author %d has %2d reverse nearest colleagues  (pages: %3d, cpu: %v)\n",
-				algo, qnode, len(res.Points), db.IOStats().Reads, time.Since(t0).Round(time.Microsecond))
+				algo, qnode, len(res.Points), db.PoolStats().Reads, time.Since(t0).Round(time.Microsecond))
 		}
 		fmt.Println()
 	}

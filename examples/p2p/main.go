@@ -59,13 +59,13 @@ func main() {
 	}
 
 	for _, algo := range []graphrnn.Algorithm{graphrnn.Auto(), graphrnn.Lazy()} {
-		db.ResetIOStats()
+		db.BufferPool().ResetStats()
 		q.Algorithm = algo
 		res, err := db.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		io := db.IOStats()
+		io := db.PoolStats()
 		fmt.Printf("%-8s R%dNN at router %d: %d peers would adopt the newcomer\n",
 			res.Plan.Algorithm, k, joinAt, len(res.Points))
 		fmt.Printf("         nodes expanded: %6d   scanned by sub-queries: %7d   page reads: %d\n",

@@ -167,11 +167,9 @@ func (gb *GraphBuilder) Build() (*Graph, error) {
 type Options struct {
 	// DiskBacked packs the adjacency lists into 4 KB slotted pages read
 	// through an LRU buffer (the paper's storage scheme); physical page
-	// I/O is then counted in IOStats. When false the graph is served from
-	// memory with no I/O accounting.
+	// I/O is then counted in the pool's "graph" tenant (PoolStats). When
+	// false the graph is served from memory with no I/O accounting.
 	DiskBacked bool
-	// PageSize overrides the page size (default 4096).
-	PageSize int
 	// BufferPages is the LRU capacity in pages (default 256 = 1 MB of 4 KB
 	// pages, the paper's default buffer). Zero keeps the default; use
 	// NoBuffer for a zero-capacity buffer.
@@ -179,9 +177,6 @@ type Options struct {
 	// NoBuffer forces a zero-capacity buffer: every page access is a
 	// counted physical read (the leftmost setting of Fig 21).
 	NoBuffer bool
-	// Path, when non-empty, stores the page file on disk at this location
-	// instead of in memory.
-	Path string
 	// Pool, when non-nil, serves the graph's pages from the given shared
 	// buffer pool instead of a DB-private one; BufferPages becomes the
 	// graph tenant's frame quota within it. Every substrate the DB builds
@@ -195,12 +190,12 @@ type Options struct {
 // RunBatch, Stream — with the substrate resolved by the planner (Plan).
 //
 // A DB is safe for concurrent use: queries (Run / RunBatch / Stream) may
-// run from any number of goroutines, on
-// memory- and disk-backed DBs alike, and IOStats / ResetIOStats may be
-// called while queries are in flight. The exceptions are mutating
-// operations: mutating a point set (Insert / Remove, Place / Delete — which
-// repair every substrate built over the set) and DropCache require that no
-// query is running against the same state.
+// run from any number of goroutines, on memory- and disk-backed DBs alike,
+// and PoolStats / BufferPool().ResetStats may be called while queries are in
+// flight. The exceptions are mutating operations: mutating a point set
+// (Insert / Remove, Place / Delete — which repair every substrate built over
+// the set) and DropCache require that no query is running against the same
+// state.
 type DB struct {
 	graph    *Graph
 	store    graph.Access
@@ -264,10 +259,6 @@ func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
 		if err := db.undirectedOnly("Options.DiskBacked packs one adjacency file"); err != nil {
 			return nil, err
 		}
-		pageSize := opt.PageSize
-		if pageSize == 0 {
-			pageSize = storage.DefaultPageSize
-		}
 		quota := opt.BufferPages
 		if quota == 0 && !opt.NoBuffer && opt.Pool == nil {
 			quota = 256
@@ -275,16 +266,7 @@ func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
 		if opt.NoBuffer {
 			quota = storage.NoCache
 		}
-		var file storage.PagedFile
-		if opt.Path != "" {
-			osf, err := storage.CreateOSFile(opt.Path, pageSize)
-			if err != nil {
-				return nil, err
-			}
-			file = osf
-		} else {
-			file = storage.NewMemFile(pageSize)
-		}
+		file := storage.NewMemFile(storage.DefaultPageSize)
 		var order []graph.NodeID
 		if layout.order != nil {
 			order = layout.order(g.g)
@@ -345,7 +327,8 @@ func (db *DB) Close() error {
 	return disk.Close()
 }
 
-// IOStats describes physical page traffic of a disk-backed component.
+// IOStats describes physical page traffic: of a buffer pool, or of one of
+// its tenants (PoolStats).
 type IOStats struct {
 	// Reads counts physical page reads (buffer faults).
 	Reads int64
@@ -364,23 +347,6 @@ func (s IOStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(s.Reads+s.Hits)
-}
-
-// IOStats returns the adjacency file traffic; zero when the DB is not
-// disk-backed. It is safe to call while queries run.
-func (db *DB) IOStats() IOStats {
-	if db.disk == nil {
-		return IOStats{}
-	}
-	return ioStatsOf(db.disk.Stats())
-}
-
-// ResetIOStats zeroes the adjacency I/O counters. It is safe to call while
-// queries run.
-func (db *DB) ResetIOStats() {
-	if db.disk != nil {
-		db.disk.ResetStats()
-	}
 }
 
 // DropCache empties the DB's buffer pool for a cold start: the cached pages

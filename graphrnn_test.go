@@ -2,11 +2,17 @@ package graphrnn_test
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"graphrnn"
+	"graphrnn/internal/core"
+	"graphrnn/internal/hublabel"
 )
 
 func buildLineGraph(t *testing.T, n int) *graphrnn.Graph {
@@ -22,6 +28,18 @@ func buildLineGraph(t *testing.T, n int) *graphrnn.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// tenantIO returns the page traffic of db's pool tenant name ("graph",
+// "mat", "hublabel", "edgepoints"): the first row of that name, zero when
+// none is attached.
+func tenantIO(db *graphrnn.DB, name string) graphrnn.IOStats {
+	for _, t := range db.PoolStats().Tenants {
+		if t.Name == name {
+			return t.IOStats
+		}
+	}
+	return graphrnn.IOStats{}
 }
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -95,7 +113,7 @@ func TestPublicAPIAllAlgorithmsAgree(t *testing.T) {
 		}
 	}
 	// Disk-backed queries must have produced I/O.
-	if db.IOStats().Reads == 0 {
+	if tenantIO(db, "graph").Reads == 0 {
 		t.Fatal("disk-backed DB recorded no page reads")
 	}
 }
@@ -227,7 +245,7 @@ func TestPublicAPIMaintenance(t *testing.T) {
 	if err := mat.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if mat.IOStats().Writes == 0 {
+	if tenantIO(db, "mat").Writes == 0 {
 		t.Fatal("maintenance flushed no writes")
 	}
 }
@@ -297,8 +315,8 @@ func TestPublicAPILayouts(t *testing.T) {
 		t.Fatalf("layouts disagree: %v vs %v", rb.Points, rr.Points)
 	}
 	// ...but the random layout faults at least as much on a tiny buffer.
-	if random.IOStats().Reads < bfs.IOStats().Reads {
-		t.Fatalf("random layout faulted less (%d) than BFS (%d)", random.IOStats().Reads, bfs.IOStats().Reads)
+	if r, b := tenantIO(random, "graph").Reads, tenantIO(bfs, "graph").Reads; r < b {
+		t.Fatalf("random layout faulted less (%d) than BFS (%d)", r, b)
 	}
 }
 
@@ -330,10 +348,13 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 }
 
-// TestPageSizeLimit: slot offsets and record lengths are 16-bit, so every
-// entry point that packs records into pages refuses a page above 65 535
-// bytes — and one too small for a single record — before it writes a page,
-// and leaves no tenant behind in the pool.
+// TestPageSizeLimit: slot offsets and record lengths are 16-bit. Every file
+// the public surface writes uses the default page, so the one page size a
+// caller can still hand in is the one a file header declares: each reopen
+// entry point accepts the file SaveTo wrote, refuses a header declaring a
+// page above 65 535 bytes with an error naming the limit — and one too
+// small for a single record — before it reads a page, and leaves no tenant
+// behind in the pool.
 func TestPageSizeLimit(t *testing.T) {
 	g := buildLineGraph(t, 40)
 	db, err := graphrnn.Open(g, nil)
@@ -349,43 +370,110 @@ func TestPageSizeLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	dir := t.TempDir()
+	type persistable interface {
+		SaveTo(string) error
+		Close() error
+	}
+	saveAs := func(name string) func(persistable, error) string {
+		return func(s persistable, err error) string {
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			path := filepath.Join(dir, name)
+			if err := s.SaveTo(path); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+	}
+	nodeMat := saveAs("nodes.mat")(db.MaterializeNodePoints(nodes, 2, nil))
+	edgeMat := saveAs("edges.mat")(db.MaterializeEdgePoints(edges, 2, nil))
+	hub := saveAs("labels.hub")(db.BuildHubLabelIndex(nodes, 2, nil))
 	closing := func(c interface{ Close() error }, err error) error {
 		if err == nil {
 			c.Close()
 		}
 		return err
 	}
-	for name, build := range map[string]func(pageSize int) error{
-		"Open": func(ps int) error {
-			return closing(graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, PageSize: ps}))
-		},
-		"OpenWithLayout": func(ps int) error {
-			return closing(graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, PageSize: ps, Pool: db.BufferPool()}, graphrnn.RandomLayout(1)))
-		},
-		"MaterializeNodePoints": func(ps int) error {
-			return closing(db.MaterializeNodePoints(nodes, 2, &graphrnn.MatOptions{PageSize: ps}))
-		},
-		"MaterializeEdgePoints": func(ps int) error {
-			return closing(db.MaterializeEdgePoints(edges, 2, &graphrnn.MatOptions{PageSize: ps}))
-		},
-		"BuildHubLabelIndex": func(ps int) error {
-			return closing(db.BuildHubLabelIndex(nodes, 2, &graphrnn.HubLabelOptions{DiskBacked: true, PageSize: ps}))
-		},
-		"EdgePoints.Paged": func(ps int) error { return closing(edges.Paged(ps, 4)) },
+	for name, e := range map[string]struct {
+		path, magic string
+		pageSizeAt  int
+		open        func(path string) error
+	}{
+		"OpenMaterialization/nodes": {nodeMat, core.MatFileHeader.Magic, core.MatFileHeader.PageSizeAt,
+			func(p string) error { return closing(db.OpenMaterialization(p, nil)) }},
+		"OpenMaterialization/edges": {edgeMat, core.MatFileHeader.Magic, core.MatFileHeader.PageSizeAt,
+			func(p string) error { return closing(db.OpenMaterialization(p, nil)) }},
+		"OpenHubLabelIndex": {hub, hublabel.FileHeader.Magic, hublabel.FileHeader.PageSizeAt,
+			func(p string) error { return closing(db.OpenHubLabelIndex(nodes, 2, p, nil)) }},
 	} {
-		if err := build(65535); err != nil {
-			t.Errorf("%s: the largest addressable page refused: %v", name, err)
+		if err := e.open(e.path); err != nil {
+			t.Errorf("%s: the file SaveTo wrote refused: %v", name, err)
 		}
-		for _, ps := range []int{65536, 1 << 17} {
-			if err := build(ps); err == nil || !strings.Contains(err.Error(), "65535") {
-				t.Errorf("%s: page size %d: got %v, want an error naming the 65535-byte limit", name, ps, err)
+		raw, err := os.ReadFile(e.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw[:len(e.magic)]) != e.magic {
+			t.Fatalf("%s: file starts %q, want magic %q", name, raw[:len(e.magic)], e.magic)
+		}
+		declaring := func(ps uint32) string {
+			b := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(b[e.pageSizeAt:], ps)
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d", strings.ReplaceAll(name, "/", "-"), ps))
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		for _, ps := range []uint32{65536, 1 << 17} {
+			if err := e.open(declaring(ps)); err == nil || !strings.Contains(err.Error(), "65535") {
+				t.Errorf("%s: header declaring %d-byte pages: got %v, want an error naming the 65535-byte limit", name, ps, err)
 			}
 		}
-		if err := build(8); err == nil {
-			t.Errorf("%s: an 8-byte page accepted", name)
+		if err := e.open(declaring(8)); err == nil {
+			t.Errorf("%s: a header declaring 8-byte pages accepted", name)
 		}
 		if left := db.PoolStats().Tenants; len(left) != 0 {
 			t.Errorf("%s: tenants left in the pool: %+v", name, left)
+		}
+	}
+}
+
+// TestHugeMaxK: a maxK far beyond any point set is legal for the hub-label
+// index — its threshold lists never hold more than the other points — and
+// answers like brute force, while the materialization refuses it with an
+// error naming the page it cannot fit, before the record size is multiplied
+// out. Neither builder panics and neither leaves a tenant in the pool.
+func TestHugeMaxK(t *testing.T) {
+	g, err := graphrnn.GenerateRoadNetwork(31, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := graphrnn.Open(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := db.PlaceRandomNodePoints(32, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxK := range []int{1 << 62, math.MaxInt} {
+		idx, err := db.BuildHubLabelIndex(ps, maxK, nil)
+		if err != nil {
+			t.Fatalf("maxK %d: hub-label build: %v", maxK, err)
+		}
+		mustAgreeWithBrute(t, db, ps, 2, map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)})
+		if err := idx.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.MaterializeNodePoints(ps, maxK, nil); err == nil || !strings.Contains(err.Error(), "page size 4096") {
+			t.Errorf("maxK %d: materialization got %v, want an error naming the 4096-byte page", maxK, err)
+		}
+		if left := db.PoolStats().Tenants; len(left) != 0 {
+			t.Errorf("maxK %d: tenants left in the pool: %+v", maxK, left)
 		}
 	}
 }

@@ -32,8 +32,8 @@ import (
 // per graph; a changed graph requires a rebuild (BuildHubLabelIndex again)
 // — there is no incremental edge maintenance, by design.
 //
-// The labeling can be persisted into a paged file (Options.Path /
-// SaveTo) and served back through its own LRU buffer, so the expensive
+// The labeling can be persisted into a paged file (SaveTo) and served back
+// through the shared buffer pool (OpenHubLabelIndex), so the expensive
 // build survives process restarts and label reads count I/O like every
 // other substrate.
 type HubLabelIndex struct {
@@ -85,34 +85,25 @@ type HubLabelBuildStats struct {
 
 // HubLabelOptions configures how the labeling is stored and served.
 type HubLabelOptions struct {
-	// DiskBacked serves labels from a paged file through an LRU buffer with
-	// counted I/O instead of from memory.
+	// DiskBacked packs the labels into 4 KB pages read through the shared
+	// buffer pool (tenant "hublabel") with counted I/O, instead of serving
+	// them from memory. SaveTo writes either kind to a file.
 	DiskBacked bool
-	// PageSize of the label file (default 4096).
-	PageSize int
-	// BufferPages of the label file's LRU buffer (default 64).
+	// BufferPages is the label file's frame quota in the pool (default 64).
 	BufferPages int
-	// Path stores the label file on disk at this location (implies
-	// DiskBacked); empty keeps it in memory.
-	Path string
 	// Build controls the labeling construction (worker count).
 	Build BuildOptions
 }
 
-func (o *HubLabelOptions) defaults() (pageSize, buffer int, paged bool, path string, build BuildOptions) {
-	pageSize, buffer = storage.DefaultPageSize, 64
+func (o *HubLabelOptions) defaults() (buffer int, paged bool, build BuildOptions) {
+	buffer = 64
 	if o != nil {
-		if o.PageSize > 0 {
-			pageSize = o.PageSize
-		}
 		if o.BufferPages > 0 {
 			buffer = o.BufferPages
 		}
-		paged = o.DiskBacked || o.Path != ""
-		path = o.Path
-		build = o.Build
+		paged, build = o.DiskBacked, o.Build
 	}
-	return pageSize, buffer, paged, path, build
+	return buffer, paged, build
 }
 
 // BuildHubLabelIndex builds the 2-hop labeling of the graph (CPU-bound, one
@@ -134,7 +125,7 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	if maxK < 1 {
 		return nil, fmt.Errorf("graphrnn: maxK must be >= 1, got %d", maxK)
 	}
-	pageSize, buffer, paged, path, build := opt.defaults()
+	buffer, paged, build := opt.defaults()
 	lab, bst, err := hublabel.BuildOpt(db.graph.g, hublabel.BuildOptions{Workers: build.Workers})
 	if err != nil {
 		return nil, err
@@ -150,14 +141,8 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 		WallSeconds: bst.Wall.Seconds(),
 	}
 	if paged {
-		var file storage.PagedFile
-		if path != "" {
-			file, err = createLabelFile(lab, path, pageSize)
-		} else {
-			file = storage.NewMemFile(pageSize)
-			err = hublabel.Write(lab, file)
-		}
-		if err != nil {
+		file := storage.NewMemFile(storage.DefaultPageSize)
+		if err := hublabel.Write(lab, file); err != nil {
 			return nil, err
 		}
 		bm := db.pool.attach("hublabel", file, buffer)
@@ -176,8 +161,8 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 // createLabelFile writes lab into a fresh page file at path and returns it
 // open. A failed write leaves no file behind: its remains carry no header
 // (hublabel.Write lays that down last) and would only be refused at open.
-func createLabelFile(lab *hublabel.Labeling, path string, pageSize int) (storage.PagedFile, error) {
-	f, err := storage.CreateOSFile(path, pageSize)
+func createLabelFile(lab *hublabel.Labeling, path string) (storage.PagedFile, error) {
+	f, err := storage.CreateOSFile(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +194,13 @@ func (h *HubLabelIndex) index(ps *NodePoints, maxK int, track bool) (*HubLabelIn
 	return h, nil
 }
 
-// OpenHubLabelIndex reopens a labeling previously persisted at path (via
-// Options.Path or SaveTo) and rebuilds the reverse index over ps — the
-// restart path: no pruned-landmark build runs, labels fault in through the
-// LRU buffer on demand. Like BuildHubLabelIndex, the reopened index is
-// registered with ps.
+// OpenHubLabelIndex reopens a labeling previously persisted at path by
+// SaveTo and rebuilds the reverse index over ps — the restart path: no
+// pruned-landmark build runs, labels fault in through the shared buffer
+// pool on demand. Like BuildHubLabelIndex, the reopened index is registered
+// with ps.
 func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubLabelOptions) (*HubLabelIndex, error) {
-	_, buffer, _, _, _ := opt.defaults()
+	buffer, _, _ := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
 	// recollection of the build-time options.
 	pageSize, err := hublabel.FileHeader.PageSize(path)
@@ -260,7 +245,7 @@ func (h *HubLabelIndex) SaveTo(path string) error {
 			return err
 		}
 	}
-	f, err := createLabelFile(lab, path, storage.DefaultPageSize)
+	f, err := createLabelFile(lab, path)
 	if err != nil {
 		return err
 	}
@@ -291,14 +276,10 @@ func (h *HubLabelIndex) detach() {
 // repair runs the hub-list half of op: a point-level insert or delete on
 // the reverse lists and thresholds.
 func (h *HubLabelIndex) repair(op *setOp) (Stats, error) {
-	var st hublabel.QueryStats
-	var err error
 	if op.insert {
-		st, err = h.idx.Insert(points.PointID(op.p), graph.NodeID(op.loc.U))
-	} else {
-		st, err = h.idx.Delete(points.PointID(op.p))
+		return h.idx.Insert(points.PointID(op.p), graph.NodeID(op.loc.U))
 	}
-	return coreHubStats(st), err
+	return h.idx.Delete(points.PointID(op.p))
 }
 
 // MaxK returns the largest monochromatic query k the thresholds support
@@ -325,23 +306,6 @@ func (h *HubLabelIndex) AverageLabelSize() float64 {
 // file reports only the label-byte fields (nothing was built).
 func (h *HubLabelIndex) BuildStats() HubLabelBuildStats { return h.build }
 
-// IOStats returns the label-file traffic; zero when labels are served from
-// memory.
-func (h *HubLabelIndex) IOStats() IOStats {
-	if h.store == nil {
-		return IOStats{}
-	}
-	s := h.store.Stats()
-	return IOStats{Reads: s.Reads, Hits: s.Hits, Writes: s.Writes}
-}
-
-// ResetIOStats zeroes the label-file counters.
-func (h *HubLabelIndex) ResetIOStats() {
-	if h.store != nil {
-		h.store.ResetStats()
-	}
-}
-
 func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {
 	ids := ps.Points()
 	out := make([]hublabel.PointOnNode, 0, len(ids))
@@ -353,16 +317,6 @@ func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {
 		out = append(out, hublabel.PointOnNode{P: points.PointID(p), Node: graph.NodeID(n)})
 	}
 	return out
-}
-
-// coreHubStats maps hub-label counters onto the one Stats type, so the
-// hub-label dispatch flows through the same wrapResult as every expansion
-// algorithm and a maintenance operation sums them with the list repairs.
-func coreHubStats(st hublabel.QueryStats) core.Stats {
-	return core.Stats{
-		LabelReads:   st.LabelReads,
-		LabelEntries: st.Entries,
-	}
 }
 
 // run executes a planned node-resident query through the index under ec.
@@ -378,7 +332,7 @@ func (h *HubLabelIndex) run(ec *exec.Ctx, pl *planned) (*core.Result, error) {
 		hidden = hv.HiddenPoint()
 	}
 	var pts []points.PointID
-	var st hublabel.QueryStats
+	var st core.Stats
 	var err error
 	switch pl.plan.Kind {
 	case KindContinuous:
@@ -391,5 +345,5 @@ func (h *HubLabelIndex) run(ec *exec.Ctx, pl *planned) (*core.Result, error) {
 	if err != nil && !exec.IsExecErr(err) {
 		return nil, err
 	}
-	return &core.Result{Points: pts, Stats: coreHubStats(st)}, err
+	return &core.Result{Points: pts, Stats: st}, err
 }

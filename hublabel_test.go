@@ -90,7 +90,7 @@ func TestHubLabelAgainstOracle(t *testing.T) {
 						}
 					}
 				}
-				if backend == "paged" && e.idx.IOStats().Reads == 0 {
+				if backend == "paged" && tenantIO(e.db, "hublabel").Reads == 0 {
 					t.Fatal("paged index reported no label reads")
 				}
 			})
@@ -154,9 +154,10 @@ func TestHubLabelContinuousAndBichromatic(t *testing.T) {
 	}
 }
 
-// TestHubLabelPersistence saves a labeling, reopens it from disk, and
-// checks that the reopened index answers every query identically — and that
-// a file which must not open, or a write which fails, leaves nothing behind.
+// TestHubLabelPersistence saves a labeling — from a paged index and from an
+// in-memory one — reopens it from disk, and checks that the reopened index
+// answers every query identically, and that a file which must not open, or a
+// write which fails, leaves nothing behind.
 func TestHubLabelPersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "labels.hub")
@@ -172,10 +173,12 @@ func TestHubLabelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A non-default page size must round-trip: the header records it and
-	// OpenHubLabelIndex discovers it without the original options.
-	built, err := db.BuildHubLabelIndex(ps, 3, &graphrnn.HubLabelOptions{Path: path, PageSize: 1024, BufferPages: 8})
+	// A paged index keeps no raw labeling: SaveTo reads it back from its pages.
+	built, err := db.BuildHubLabelIndex(ps, 3, &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 8})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
 	type answer struct {
@@ -287,20 +290,8 @@ func TestHubLabelPersistence(t *testing.T) {
 		t.Fatal("SaveTo on a reopened index must refuse")
 	}
 
-	// A label write that fails leaves no file at its path: a Path build whose
-	// pages cannot hold the header, a SaveTo onto a full device (through a
-	// symlink, so that what gets removed is the link).
-	gone := func(what, path string) {
-		t.Helper()
-		if _, err := os.Lstat(path); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("%s left %s behind (Lstat: %v)", what, path, err)
-		}
-	}
-	small := filepath.Join(dir, "small.hub")
-	if _, err := db.BuildHubLabelIndex(ps, 3, &graphrnn.HubLabelOptions{Path: small, PageSize: 32}); err == nil {
-		t.Fatal("a label file of 32-byte pages was built")
-	}
-	gone("the failed Path build", small)
+	// A label write that fails leaves no file at its path: a SaveTo onto a
+	// full device (through a symlink, so that what gets removed is the link).
 	if st, err := os.Stat("/dev/full"); err != nil || st.Mode()&os.ModeCharDevice == 0 {
 		t.Skip("no /dev/full to fail a write on")
 	}
@@ -311,7 +302,9 @@ func TestHubLabelPersistence(t *testing.T) {
 	if err := mem.SaveTo(full); err == nil {
 		t.Fatal("SaveTo onto /dev/full succeeded")
 	}
-	gone("the failed SaveTo", full)
+	if _, err := os.Lstat(full); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the failed SaveTo left %s behind (Lstat: %v)", full, err)
+	}
 }
 
 // TestHubLabelMaintenance mutates the tracked set through the index and
@@ -443,7 +436,7 @@ func TestHubLabelBatchConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algo := graphrnn.AlgorithmHubLabel(idx)
+	algo := graphrnn.HubLabel(idx)
 	var queries []graphrnn.Query
 	var want [][]graphrnn.PointID
 	for _, qp := range ps.Points() {

@@ -74,10 +74,11 @@ type Stats struct {
 	Verifications int64 `json:"verifications"`
 	// MatReads counts materialized K-NN list lookups (eager-M).
 	MatReads int64 `json:"mat_reads"`
-	// LabelReads counts hub label fetches (hub-label substrate; populated
-	// by the hub-label dispatch, not by the expansion algorithms).
+	// LabelReads counts hub label fetches (hub-label substrate; filled by
+	// the hub-label index, not by the expansion algorithms).
 	LabelReads int64 `json:"label_reads"`
-	// LabelEntries counts label and hub-list entries scanned (hub-label).
+	// LabelEntries counts label and hub-list entries scanned (hub-label);
+	// the entry a pruned list scan stops on is not one of them.
 	LabelEntries int64 `json:"label_entries"`
 	// HeapPushes and HeapPops count priority queue traffic across all heaps.
 	HeapPushes int64 `json:"heap_pushes"`

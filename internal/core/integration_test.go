@@ -57,7 +57,7 @@ func TestDiskAndMemoryStoresAgree(t *testing.T) {
 				t.Fatalf("iter %d %s: disk=%s mem=%s", it, name, describe(b), describe(a))
 			}
 		}
-		if ds.Stats().Reads == 0 {
+		if ds.Buffer().Stats().Reads == 0 {
 			t.Fatal("disk store served queries without any physical read")
 		}
 	}

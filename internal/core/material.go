@@ -118,12 +118,6 @@ func (m *Materialized) MaxK() int { return m.maxK }
 // NumNodes returns the number of per-node lists.
 func (m *Materialized) NumNodes() int { return m.numNodes }
 
-// Stats returns the I/O counters of the list file buffer.
-func (m *Materialized) Stats() storage.Stats { return m.bm.Stats() }
-
-// ResetStats zeroes the I/O counters.
-func (m *Materialized) ResetStats() { m.bm.ResetStats() }
-
 // Buffer exposes the list file buffer manager.
 func (m *Materialized) Buffer() *storage.Tenant { return m.bm }
 
@@ -379,6 +373,12 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 	}
 	if err := s.symmetricOnly("materialized K-NN lists"); err != nil {
 		return nil, err
+	}
+	// A list of maxK+1 pairs must fit one page: asked before the record size
+	// is multiplied out, where a huge maxK would wrap around.
+	if most := (storage.MaxRecordPayload(file.PageSize()) - 2) / storage.PairSize; maxK >= most {
+		return nil, fmt.Errorf("core: K=%d lists: page size %d cannot hold one list of K+1 entries (at most %d)",
+			maxK, file.PageSize(), max(most, 0))
 	}
 	n := s.g.NumNodes()
 	cap := maxK + 1

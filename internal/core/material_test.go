@@ -279,7 +279,7 @@ func TestMatUpdateIOIsAccounted(t *testing.T) {
 	s := NewSearcher(g)
 	ps := randPoints(t, rng, g, 6)
 	mat := buildMat(t, s, ps, 2)
-	mat.ResetStats()
+	mat.Buffer().ResetStats()
 
 	node := graph.NodeID(0)
 	if _, occupied := ps.PointAt(node); occupied {
@@ -295,7 +295,7 @@ func TestMatUpdateIOIsAccounted(t *testing.T) {
 	if err := mat.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := mat.Stats()
+	st := mat.Buffer().Stats()
 	if st.Reads == 0 && st.Hits == 0 {
 		t.Fatalf("insert performed no list reads: %+v", st)
 	}
@@ -549,11 +549,11 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			}
 			scan()
-			before := mat.Stats()
+			before := mat.Buffer().Stats()
 			if n := testing.AllocsPerRun(10, scan); n != 0 {
 				t.Fatalf("List allocated %v times per scan, want 0", n)
 			}
-			if d := mat.Stats().Sub(before); (name == "miss") != (d.Reads > 0) {
+			if d := mat.Buffer().Stats().Sub(before); (name == "miss") != (d.Reads > 0) {
 				t.Fatalf("scan did not exercise the %s path: %+v", name, d)
 			}
 		})

@@ -209,7 +209,7 @@ func (w *world) place(su setup) (err error) {
 	if w.edge, err = w.db.PlaceRandomEdgePoints(su.seed, count); err != nil {
 		return err
 	}
-	w.paged, err = w.edge.Paged(0, su.pointBuffer)
+	w.paged, err = w.edge.Paged(su.pointBuffer)
 	return err
 }
 

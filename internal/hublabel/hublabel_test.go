@@ -295,7 +295,7 @@ func TestStoreRoundTrip(t *testing.T) {
 						t.Fatalf("node %d label mismatch: %v vs %v", v, a, b)
 					}
 				}
-				if s.Stats().Reads == 0 {
+				if s.Buffer().Stats().Reads == 0 {
 					t.Fatal("store served labels without any physical reads")
 				}
 				if s.PayloadBytes() < int64(s.Entries())*storage.PairSize {
@@ -776,7 +776,7 @@ func TestIndexOverStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := oracle(g)
-	s.ResetStats()
+	s.Buffer().ResetStats()
 	for trial := 0; trial < 10; trial++ {
 		qnode := graph.NodeID(rng.Intn(g.NumNodes()))
 		want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)}, nil)
@@ -794,7 +794,7 @@ func TestIndexOverStore(t *testing.T) {
 			t.Fatal("query reported no label reads")
 		}
 	}
-	if io := s.Stats(); io.Reads+io.Hits == 0 {
+	if io := s.Buffer().Stats(); io.Reads+io.Hits == 0 {
 		t.Fatal("paged store served queries without logical I/O")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"graphrnn/internal/core"
 	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
@@ -86,15 +87,6 @@ type pointEnt struct {
 	D float64
 }
 
-// QueryStats describes the work of one hub-label operation.
-type QueryStats struct {
-	// LabelReads counts label fetches through the Source.
-	LabelReads int64
-	// Entries counts label and hub-list entries scanned; the entry a pruned
-	// list scan stops on is not one of them.
-	Entries int64
-}
-
 // PointOnNode seeds an Index with one point.
 type PointOnNode struct {
 	P    points.PointID
@@ -132,7 +124,7 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 	}
 	sc := idx.acquire()
 	defer idx.release(sc)
-	var st QueryStats
+	var st core.Stats
 	for _, p := range pts {
 		if p.P < 0 {
 			return nil, fmt.Errorf("hublabel: negative point id %d", p.P)
@@ -179,7 +171,7 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx.thr[p] = idx.topK(sc, &st, label, maxK+1, points.PointID(p))
+		idx.thr[p] = idx.topK(sc, &st, label, idx.slots(), points.PointID(p))
 		idx.reach[p] = idx.reachOf(idx.thr[p])
 	}
 	for _, l := range idx.fwd {
@@ -252,6 +244,10 @@ func (idx *Index) reachOf(t []pointEnt) float64 {
 	}
 	return t[idx.maxK].D
 }
+
+// slots returns the length a threshold list is cut to, maxK+1, saturating
+// where a huge maxK would wrap around.
+func (idx *Index) slots() int { return max(idx.maxK, idx.maxK+1) }
 
 // up32 rounds x up to a float32: a bound may exceed the reach it covers,
 // never fall below it.
@@ -363,8 +359,8 @@ func (idx *Index) release(sc *qscratch) { idx.scratch.Put(sc) }
 // touched, each at its exact distance: the smallest sum of a touched point is
 // no larger than the one that touched it, so it is never skipped nor behind
 // a stop.
-func (idx *Index) relax(sc *qscratch, st *QueryStats, label []Entry) {
-	st.Entries += int64(len(label))
+func (idx *Index) relax(sc *qscratch, st *core.Stats, label []Entry) {
+	st.LabelEntries += int64(len(label))
 	reach := idx.reach
 	for _, e := range label {
 		list := idx.fwd[e.Hub]
@@ -386,7 +382,7 @@ func (idx *Index) relax(sc *qscratch, st *QueryStats, label []Entry) {
 				sc.pdist[pe.P] = d
 			}
 		}
-		st.Entries += int64(scanned)
+		st.LabelEntries += int64(scanned)
 	}
 }
 
@@ -396,11 +392,11 @@ func (idx *Index) relax(sc *qscratch, st *QueryStats, label []Entry) {
 // label's hubs in ascending distance order, calling visit once per distinct
 // point with its exact distance. visit returns false to stop. bound, when
 // finite, stops the merge at the first candidate >= bound.
-func (idx *Index) mergeRun(sc *qscratch, st *QueryStats, label []Entry, bound float64, visit func(p points.PointID, d float64) bool) {
+func (idx *Index) mergeRun(sc *qscratch, st *core.Stats, label []Entry, bound float64, visit func(p points.PointID, d float64) bool) {
 	sc.beginMerge()
 	sc.lists = sc.lists[:0]
 	sc.labelDist = sc.labelDist[:0]
-	st.Entries += int64(len(label))
+	st.LabelEntries += int64(len(label))
 	for _, e := range label {
 		list := idx.bwd[e.Hub]
 		if len(list) == 0 {
@@ -420,7 +416,7 @@ func (idx *Index) mergeRun(sc *qscratch, st *QueryStats, label []Entry, bound fl
 		if !ok || key >= bound {
 			return
 		}
-		st.Entries++
+		st.LabelEntries++
 		list := sc.lists[cur.list]
 		pe := list[cur.pos]
 		if next := cur.pos + 1; int(next) < len(list) {
@@ -441,9 +437,10 @@ func (idx *Index) mergeRun(sc *qscratch, st *QueryStats, label []Entry, bound fl
 // topK returns the k nearest points of a node (by outgoing distance; label
 // is its L_out), excluding skip, ascending (distance, id). Candidates tied
 // with the k-th are all collected before the cut, so the choice among them
-// is by id, not by the order the merge happened to meet them in.
-func (idx *Index) topK(sc *qscratch, st *QueryStats, label []Entry, k int, skip points.PointID) []pointEnt {
-	out := make([]pointEnt, 0, k)
+// is by id, not by the order the merge happened to meet them in. The result
+// never holds more than the live points, so they size it, not k.
+func (idx *Index) topK(sc *qscratch, st *core.Stats, label []Entry, k int, skip points.PointID) []pointEnt {
+	out := make([]pointEnt, 0, min(k, idx.live))
 	idx.mergeRun(sc, st, label, math.Inf(1), func(p points.PointID, d float64) bool {
 		if p == skip {
 			return true
@@ -461,7 +458,7 @@ func (idx *Index) topK(sc *qscratch, st *QueryStats, label []Entry, k int, skip 
 // countCloser counts points strictly closer to node n than bound (by
 // outgoing distance), excluding skip, stopping at k — the bichromatic
 // verifier. The label is L_out(n), already fetched by the caller.
-func (idx *Index) countCloser(sc *qscratch, st *QueryStats, label []Entry, bound float64, k int, skip points.PointID) int {
+func (idx *Index) countCloser(sc *qscratch, st *core.Stats, label []Entry, bound float64, k int, skip points.PointID) int {
 	count := 0
 	idx.mergeRun(sc, st, label, bound, func(p points.PointID, d float64) bool {
 		if p == skip {
@@ -504,14 +501,14 @@ func (idx *Index) checkRoute(route []graph.NodeID, k int) error {
 // ec between label fetches and per decided point, abandoning the query with
 // a typed exec error (cancellation, deadline, I/O budget). A nil ec is
 // unbounded.
-func (idx *Index) RkNNExec(ec *exec.Ctx, q graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
+func (idx *Index) RkNNExec(ec *exec.Ctx, q graph.NodeID, k int, hidden points.PointID) ([]points.PointID, core.Stats, error) {
 	return idx.ContinuousRkNNExec(ec, []graph.NodeID{q}, k, hidden)
 }
 
 // ContinuousRkNNExec answers the route variant under ec: the union of RkNN
 // over every route node, decided against d(p→route) = min over route nodes.
-func (idx *Index) ContinuousRkNNExec(ec *exec.Ctx, route []graph.NodeID, k int, hidden points.PointID) ([]points.PointID, QueryStats, error) {
-	var st QueryStats
+func (idx *Index) ContinuousRkNNExec(ec *exec.Ctx, route []graph.NodeID, k int, hidden points.PointID) ([]points.PointID, core.Stats, error) {
+	var st core.Stats
 	if err := idx.checkRoute(route, k); err != nil {
 		return nil, st, err
 	}
@@ -542,7 +539,7 @@ func (idx *Index) ContinuousRkNNExec(ec *exec.Ctx, route []graph.NodeID, k int, 
 // decide runs phase 2 over the touched points of sc. On an
 // execution-control error the members confirmed so far ride along with it
 // (the partial-result contract of the engine layer).
-func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidden points.PointID) ([]points.PointID, error) {
+func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *core.Stats, k int, hidden points.PointID) ([]points.PointID, error) {
 	var res []points.PointID
 	for _, p := range sc.touched {
 		if err := ec.Check(0); err != nil {
@@ -565,9 +562,9 @@ func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *QueryStats, k int, hidd
 // by counting the visible stored neighbors strictly closer than dq. The
 // count is conclusive in every case (see Index): it is exact unless dq lies
 // beyond a full list, and there it is at least maxK.
-func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k int, hidden points.PointID) bool {
+func (idx *Index) thresholdTest(st *core.Stats, p points.PointID, dq float64, k int, hidden points.PointID) bool {
 	t := idx.thr[p]
-	st.Entries += int64(len(t))
+	st.LabelEntries += int64(len(t))
 	strict := 0
 	for _, e := range t {
 		if e.D < dq && e.P != hidden {
@@ -582,8 +579,8 @@ func (idx *Index) thresholdTest(st *QueryStats, p points.PointID, dq float64, k 
 // than the query. hiddenSite excludes one site (points.NoPoint for none); k
 // is unbounded (thresholds are not used). ec is polled once per classified
 // candidate.
-func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q graph.NodeID, k int, hiddenSite points.PointID) ([]points.PointID, QueryStats, error) {
-	var st QueryStats
+func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q graph.NodeID, k int, hiddenSite points.PointID) ([]points.PointID, core.Stats, error) {
+	var st core.Stats
 	if err := idx.checkQuery(q, k); err != nil {
 		return nil, st, err
 	}
@@ -611,7 +608,7 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 			return nil, st, err
 		}
 		st.LabelReads++
-		st.Entries += int64(len(sc.lab2))
+		st.LabelEntries += int64(len(sc.lab2))
 		dcq := mergeDist(sc.lab2, sc.lab1)
 		if math.IsInf(dcq, 1) {
 			continue // cannot reach the query: never a member
@@ -628,7 +625,7 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 // --- Maintenance -----------------------------------------------------------
 
 // outLabel reads L_out(n) into the scratch for a maintenance step.
-func (idx *Index) outLabel(sc *qscratch, st *QueryStats, n graph.NodeID) ([]Entry, error) {
+func (idx *Index) outLabel(sc *qscratch, st *core.Stats, n graph.NodeID) ([]Entry, error) {
 	var err error
 	if sc.lab1, err = idx.src.OutLabel(n, sc.lab1); err != nil {
 		return nil, err
@@ -641,7 +638,7 @@ func (idx *Index) outLabel(sc *qscratch, st *QueryStats, n graph.NodeID) ([]Entr
 // both names when the labeling is undirected. Insert and Delete call it for
 // their own point before anything moves, so a failed read leaves the index
 // as it was.
-func (idx *Index) fetchLabels(sc *qscratch, st *QueryStats, n graph.NodeID) (out, in []Entry, err error) {
+func (idx *Index) fetchLabels(sc *qscratch, st *core.Stats, n graph.NodeID) (out, in []Entry, err error) {
 	if out, err = idx.outLabel(sc, st, n); err != nil || !idx.src.Directed() {
 		return out, out, err
 	}
@@ -657,8 +654,8 @@ func (idx *Index) fetchLabels(sc *qscratch, st *QueryStats, n graph.NodeID) (out
 // current range extend the index (point sets assign ids append-only, and
 // trailing deleted ids may leave the index shorter than the set's id
 // space). Requires exclusive access.
-func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
-	var st QueryStats
+func (idx *Index) Insert(p points.PointID, n graph.NodeID) (core.Stats, error) {
+	var st core.Stats
 	if p < 0 {
 		return st, fmt.Errorf("hublabel: negative point id %d", p)
 	}
@@ -683,11 +680,11 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 	sc.grow(len(idx.nodes))
 	// The new point joins the lists with its thresholds known and its reach
 	// folded into their bounds: the reverse pass below already scans them.
-	idx.thr[p] = idx.topK(sc, &st, out, idx.maxK+1, p)
+	idx.thr[p] = idx.topK(sc, &st, out, idx.slots(), p)
 	idx.reach[p] = idx.reachOf(idx.thr[p])
 	idx.nodes[p] = n
 	idx.live++
-	st.Entries += int64(len(out))
+	st.LabelEntries += int64(len(out))
 	for _, e := range out {
 		ent := pointEnt{P: p, D: e.Dist}
 		i := search(idx.fwd[e.Hub], ent)
@@ -695,7 +692,7 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 		idx.rebound(idx.fwd[e.Hub], i)
 	}
 	if idx.src.Directed() {
-		st.Entries += int64(len(in))
+		st.LabelEntries += int64(len(in))
 		for _, e := range in {
 			ent := pointEnt{P: p, D: e.Dist}
 			idx.bwd[e.Hub] = slices.Insert(idx.bwd[e.Hub], search(idx.bwd[e.Hub], ent), ent)
@@ -719,7 +716,7 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 			continue // outside the stored horizon: nothing changes
 		}
 		t := slices.Insert(idx.thr[p2], i, ent)
-		idx.thr[p2] = t[:min(len(t), idx.maxK+1)]
+		idx.thr[p2] = t[:min(len(t), idx.slots())]
 		if r := idx.reachOf(idx.thr[p2]); r != idx.reach[p2] {
 			idx.reach[p2] = r
 			moved = append(moved, p2)
@@ -730,7 +727,7 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 		if err != nil {
 			return st, err
 		}
-		st.Entries += int64(len(label))
+		st.LabelEntries += int64(len(label))
 		idx.reboundPoint(p2, label)
 	}
 	return st, nil
@@ -738,8 +735,8 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (QueryStats, error) {
 
 // Delete removes point p, repairing hub lists and bounds and refilling the
 // thresholds that stored it. Requires exclusive access.
-func (idx *Index) Delete(p points.PointID) (QueryStats, error) {
-	var st QueryStats
+func (idx *Index) Delete(p points.PointID) (core.Stats, error) {
+	var st core.Stats
 	n, ok := idx.NodeOf(p)
 	if !ok {
 		return st, fmt.Errorf("hublabel: point %d does not exist", p)
@@ -757,13 +754,13 @@ func (idx *Index) Delete(p points.PointID) (QueryStats, error) {
 	idx.relax(sc, &st, in)
 	holders := sc.touched[:0] // compacted in place behind the read position
 	for _, p2 := range sc.touched {
-		st.Entries += int64(len(idx.thr[p2]))
+		st.LabelEntries += int64(len(idx.thr[p2]))
 		if slices.ContainsFunc(idx.thr[p2], func(e pointEnt) bool { return e.P == p }) {
 			holders = append(holders, p2)
 		}
 	}
 
-	st.Entries += int64(len(out))
+	st.LabelEntries += int64(len(out))
 	for _, e := range out {
 		l := idx.fwd[e.Hub]
 		i := search(l, pointEnt{P: p, D: e.Dist})
@@ -771,7 +768,7 @@ func (idx *Index) Delete(p points.PointID) (QueryStats, error) {
 		idx.rebound(idx.fwd[e.Hub], i-1)
 	}
 	if idx.src.Directed() {
-		st.Entries += int64(len(in))
+		st.LabelEntries += int64(len(in))
 		for _, e := range in {
 			l := idx.bwd[e.Hub]
 			i := search(l, pointEnt{P: p, D: e.Dist})
@@ -790,7 +787,7 @@ func (idx *Index) Delete(p points.PointID) (QueryStats, error) {
 		if err != nil {
 			return st, err
 		}
-		idx.thr[p2] = idx.topK(sc, &st, label, idx.maxK+1, p2)
+		idx.thr[p2] = idx.topK(sc, &st, label, idx.slots(), p2)
 		if r := idx.reachOf(idx.thr[p2]); r != idx.reach[p2] {
 			idx.reach[p2] = r
 			idx.reboundPoint(p2, label)

@@ -421,7 +421,7 @@ func TestReachPrunesPhaseOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanned += st.Entries
+		scanned += st.LabelEntries
 		if label, err = l.InLabel(q, label); err != nil {
 			t.Fatal(err)
 		}
@@ -497,9 +497,9 @@ func TestMaintenanceReadsLabelsFirst(t *testing.T) {
 			}
 			next := points.PointID(len(ps.Table()))
 			for failAt := 1; failAt <= ownReads; failAt++ {
-				for what, op := range map[string]func() (QueryStats, error){
-					"Insert": func() (QueryStats, error) { return idx.Insert(next, free) },
-					"Delete": func() (QueryStats, error) { return idx.Delete(victim) },
+				for what, op := range map[string]func() (core.Stats, error){
+					"Insert": func() (core.Stats, error) { return idx.Insert(next, free) },
+					"Delete": func() (core.Stats, error) { return idx.Delete(victim) },
 				} {
 					src.reads, src.failAt = 0, failAt
 					if _, err := op(); !errors.Is(err, errLabelRead) {

@@ -169,7 +169,7 @@ func Write(l *Labeling, f storage.PagedFile) error {
 
 // Store serves a persisted labeling through an LRU buffer. The directory is
 // held in memory (8 bytes per label); label pages fault in on demand and
-// are counted in Stats. A Store is safe for concurrent readers.
+// are counted by the buffer's pool. A Store is safe for concurrent readers.
 type Store struct {
 	file     storage.PagedFile
 	buffer   *storage.Tenant
@@ -188,6 +188,9 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 	pageSize := f.PageSize()
 	if f.NumPages() == 0 {
 		return nil, fmt.Errorf("hublabel: empty label file")
+	}
+	if pageSize < headerSize {
+		return nil, fmt.Errorf("hublabel: page size %d cannot hold the %d-byte header", pageSize, headerSize)
 	}
 	hdr := make([]byte, pageSize)
 	if err := f.Read(0, hdr); err != nil {
@@ -269,12 +272,6 @@ func (s *Store) AverageLabelSize() float64 {
 	}
 	return float64(s.entries) / float64(s.numNodes*sides)
 }
-
-// Stats returns the label-file I/O counters.
-func (s *Store) Stats() storage.Stats { return s.buffer.Stats() }
-
-// ResetStats zeroes the label-file I/O counters.
-func (s *Store) ResetStats() { s.buffer.ResetStats() }
 
 // Buffer exposes the LRU buffer (cold-start experiments).
 func (s *Store) Buffer() *storage.Tenant { return s.buffer }

@@ -126,12 +126,6 @@ func (s *PagedEdgeSet) Points() []PointID {
 	return out
 }
 
-// Stats returns the I/O counters of the point file buffer.
-func (s *PagedEdgeSet) Stats() storage.Stats { return s.bm.Stats() }
-
-// ResetStats zeroes the I/O counters.
-func (s *PagedEdgeSet) ResetStats() { s.bm.ResetStats() }
-
 // Buffer exposes the underlying buffer manager.
 func (s *PagedEdgeSet) Buffer() *storage.Tenant { return s.bm }
 

@@ -244,21 +244,21 @@ func TestPagedEdgeSetCountsIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	mem := buildRandomEdgeSet(t, rng, 200, 600)
 	paged := newPaged(t, mem, storage.NewMemFile(storage.DefaultPageSize), 0)
-	paged.ResetStats()
+	paged.Buffer().ResetStats()
 	var buf []EdgePointRef
 	var err error
 	// Populated edge: one fault per access at capacity 0.
 	if buf, err = paged.PointsOn(0, 1, buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := paged.Stats().Reads; got != 1 {
+	if got := paged.Buffer().Stats().Reads; got != 1 {
 		t.Fatalf("faults = %d, want 1", got)
 	}
 	// Empty edge: directory answers without I/O.
 	if buf, err = paged.PointsOn(5000, 5001, buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := paged.Stats().Reads; got != 1 {
+	if got := paged.Buffer().Stats().Reads; got != 1 {
 		t.Fatalf("faults after empty edge = %d, want 1", got)
 	}
 }

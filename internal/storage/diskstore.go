@@ -15,9 +15,8 @@ import (
 // what the paper's experiments report.
 //
 // A built DiskStore is read-only and safe for concurrent use: Adjacency
-// reads records through the mutex-guarded pool tenant, and Stats /
-// ResetStats take the same mutex, so they may run while queries are in
-// flight.
+// reads records through the mutex-guarded pool tenant, whose counters the
+// pool reports.
 type DiskStore struct {
 	bm       *Tenant
 	index    []RecRef
@@ -154,12 +153,6 @@ func (s *DiskStore) Close() error {
 	s.bm = nil
 	return bm.Detach()
 }
-
-// Stats returns the I/O counters of the underlying buffer.
-func (s *DiskStore) Stats() Stats { return s.bm.Stats() }
-
-// ResetStats zeroes the I/O counters.
-func (s *DiskStore) ResetStats() { s.bm.ResetStats() }
 
 // NumPages returns the size of the adjacency file in pages.
 func (s *DiskStore) NumPages() int { return s.bm.File().NumPages() }

@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphrnn/internal/graph"
@@ -111,7 +115,7 @@ func TestDiskStoreIOAccounting(t *testing.T) {
 	g := randomGraph(t, rng, 400, 800)
 	file := NewMemFile(DefaultPageSize)
 	s := buildStore(t, g, file, 256)
-	s.ResetStats()
+	s.Buffer().ResetStats()
 	var buf []graph.Edge
 	var err error
 	for n := graph.NodeID(0); int(n) < g.NumNodes(); n++ {
@@ -119,7 +123,7 @@ func TestDiskStoreIOAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := s.Stats()
+	first := s.Buffer().Stats()
 	if first.Reads == 0 {
 		t.Fatal("no faults recorded on a cold scan")
 	}
@@ -132,7 +136,7 @@ func TestDiskStoreIOAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	second := s.Stats().Sub(first)
+	second := s.Buffer().Stats().Sub(first)
 	if second.Reads != 0 {
 		t.Fatalf("warm scan faulted %d times", second.Reads)
 	}
@@ -155,14 +159,14 @@ func TestDiskStoreBFSLocality(t *testing.T) {
 	}
 	file := NewMemFile(DefaultPageSize)
 	s := buildStore(t, g, file, 1) // single-frame buffer
-	s.ResetStats()
+	s.Buffer().ResetStats()
 	var buf []graph.Edge
 	for i := 0; i < n; i++ {
 		if buf, err = s.Adjacency(graph.NodeID(i), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := s.Buffer().Stats()
 	if st.Reads > int64(s.NumPages()+1) {
 		t.Fatalf("sequential walk faulted %d times over %d pages: layout has no locality", st.Reads, s.NumPages())
 	}
@@ -291,8 +295,32 @@ func TestFragmentCodecCorruptSlot(t *testing.T) {
 }
 
 // TestPageBuilderCapacity fills a page with one full-capacity fragment: it
-// is accepted and decodes back, and the next record opens a fresh page.
+// is accepted and decodes back, and the next record opens a fresh page. The
+// page size itself is bounded: slot offsets and record lengths are 16-bit,
+// so NewRecordWriter takes a page of up to 65 535 bytes, refuses a larger
+// one or one too small for a single record with an error naming the limit,
+// and a file header declaring a larger one is refused at open.
 func TestPageBuilderCapacity(t *testing.T) {
+	if _, err := NewRecordWriter(NewMemFile(MaxPageSize), fragHeaderSize+PairSize); err != nil {
+		t.Errorf("the largest addressable page refused: %v", err)
+	}
+	for _, ps := range []int{MaxPageSize + 1, 1 << 17} {
+		if _, err := NewRecordWriter(NewMemFile(ps), fragHeaderSize+PairSize); err == nil || !strings.Contains(err.Error(), "65535") {
+			t.Errorf("page size %d: got %v, want an error naming the 65535-byte limit", ps, err)
+		}
+	}
+	if _, err := NewRecordWriter(NewMemFile(8), fragHeaderSize+PairSize); err == nil {
+		t.Error("an 8-byte page accepted")
+	}
+	hdr := FileHeader{Magic: "TESTHDR1", PageSizeAt: 8}
+	path := filepath.Join(t.TempDir(), "big.pages")
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint32([]byte(hdr.Magic), MaxPageSize+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hdr.PageSize(path); err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Errorf("a header declaring %d-byte pages: got %v, want an error naming the limit", MaxPageSize+1, err)
+	}
+
 	file := NewMemFile(256)
 	w, err := NewRecordWriter(file, fragHeaderSize+PairSize)
 	if err != nil {
@@ -368,11 +396,11 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			}
 			scan() // grow buf, fill the buffer, stock the free list
-			before := s.Stats()
+			before := s.Buffer().Stats()
 			if n := testing.AllocsPerRun(10, scan); n != 0 {
 				t.Fatalf("Adjacency allocated %v times per scan, want 0", n)
 			}
-			d := s.Stats().Sub(before)
+			d := s.Buffer().Stats().Sub(before)
 			if name == "hit" && d.Reads != 0 || name == "miss" && (d.Reads == 0 || d.Evictions != d.Reads) {
 				t.Fatalf("scan did not exercise the %s path: %+v", name, d)
 			}

@@ -122,7 +122,8 @@ type FileHeader struct {
 }
 
 // PageSize reads the page size out of the file at path, so reopening needs
-// no recollection of the build-time options.
+// no recollection of the build-time options. A size above MaxPageSize is
+// refused: no RecordWriter wrote that file.
 func (h FileHeader) PageSize(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -136,5 +137,9 @@ func (h FileHeader) PageSize(path string) (int, error) {
 	if string(hdr[:len(h.Magic)]) != h.Magic {
 		return 0, fmt.Errorf("storage: %s: bad magic %q, want %q", path, hdr[:len(h.Magic)], h.Magic)
 	}
-	return int(binary.LittleEndian.Uint32(hdr[h.PageSizeAt:])), nil
+	ps := int(binary.LittleEndian.Uint32(hdr[h.PageSizeAt:]))
+	if ps > MaxPageSize {
+		return 0, fmt.Errorf("storage: %s: header declares %d-byte pages, above the limit of %d bytes", path, ps, MaxPageSize)
+	}
+	return ps, nil
 }

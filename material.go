@@ -70,36 +70,21 @@ const (
 
 // MatOptions configures a materialization.
 type MatOptions struct {
-	// PageSize of the list file (default 4096).
-	PageSize int
 	// BufferPages is the list file's frame quota within the DB's shared
 	// buffer pool (default 64). On a DB-owned pool the capacity grows by
 	// this amount, matching the former dedicated list buffer.
 	BufferPages int
-	// Durability of file-backed maintenance (OpenMaterialization and
-	// Path-persisted builds); default DurabilityWriteOrder.
+	// Durability of the maintenance of a materialization reopened with
+	// OpenMaterialization; default DurabilityWriteOrder. A build in this
+	// process keeps its lists in a memory-backed file and ignores it.
 	Durability Durability
-	// Path stores the built lists on disk at this location, matching the
-	// hub-label option of the same name: the all-NN build runs in memory,
-	// the result is persisted to path, and the returned materialization
-	// serves from the file with journaled, durable maintenance — exactly
-	// as if it had been saved with SaveTo and reopened with
-	// OpenMaterialization, except it keeps tracking the point set the
-	// build was given. Empty keeps the lists in a memory-backed file.
-	Path string
 }
 
-func (o *MatOptions) defaults() (int, int) {
-	pageSize, buffer := storage.DefaultPageSize, 64
-	if o != nil {
-		if o.PageSize > 0 {
-			pageSize = o.PageSize
-		}
-		if o.BufferPages > 0 {
-			buffer = o.BufferPages
-		}
+func (o *MatOptions) bufferPages() int {
+	if o != nil && o.BufferPages > 0 {
+		return o.BufferPages
 	}
-	return pageSize, buffer
+	return 64
 }
 
 // MaterializeNodePoints builds the K-NN lists of every node over a
@@ -119,47 +104,18 @@ func (db *DB) MaterializeEdgePoints(ps *EdgePoints, maxK int, opt *MatOptions) (
 }
 
 // materialize packs the lists of mat's set into a fresh memory page file
-// attached to the DB's shared buffer pool as the "mat" tenant — persisted
-// to and reopened from opt.Path when one is given — and registers the
-// result with the set.
+// attached to the DB's shared buffer pool as the "mat" tenant, and
+// registers the result with the set.
 func (db *DB) materialize(mat *Materialization, maxK int, opt *MatOptions) (*Materialization, error) {
-	pageSize, buffer := opt.defaults()
-	file := storage.NewMemFile(pageSize)
-	bm := db.pool.attach("mat", file, buffer)
+	file := storage.NewMemFile(storage.DefaultPageSize)
+	bm := db.pool.attach("mat", file, opt.bufferPages())
 	var err error
 	if mat.m, err = db.searcher.MatBuildBuffer(mat.set().view(), maxK, file, bm, nil); err != nil {
 		_ = bm.Detach()
 		return nil, err
 	}
-	if opt != nil && opt.Path != "" {
-		if mat, err = mat.persistBuild(opt); err != nil {
-			return nil, err
-		}
-	}
 	register(&mat.set().mats, mat, true)
 	return mat, nil
-}
-
-// persistBuild converts a freshly built in-memory materialization into
-// the file-backed form MatOptions.Path asks for: snapshot to the path,
-// detach the memory copy, and reopen through the journaled restart path.
-// The reopened materialization is rebound to the build's point set (the
-// reopen reconstructs an identical copy from the file; the build's own set
-// is the one the caller holds and mutates).
-func (m *Materialization) persistBuild(opt *MatOptions) (*Materialization, error) {
-	if err := m.SaveTo(opt.Path); err != nil {
-		_ = m.m.Close()
-		return nil, err
-	}
-	if err := m.m.Close(); err != nil {
-		return nil, err
-	}
-	persisted, err := m.db.openMaterialization(opt.Path, opt)
-	if err != nil {
-		return nil, err
-	}
-	persisted.node, persisted.edge = m.node, m.edge
-	return persisted, nil
 }
 
 // set returns the tracked point set, nil once detached.
@@ -185,15 +141,6 @@ func (m *Materialization) NodePoints() *NodePoints { return m.node }
 // EdgePoints returns the tracked edge-resident point set, nil when the
 // materialization tracks a node-resident one.
 func (m *Materialization) EdgePoints() *EdgePoints { return m.edge }
-
-// IOStats returns the list-file traffic.
-func (m *Materialization) IOStats() IOStats {
-	s := m.m.Stats()
-	return IOStats{Reads: s.Reads, Hits: s.Hits, Writes: s.Writes}
-}
-
-// ResetIOStats zeroes the list-file counters.
-func (m *Materialization) ResetIOStats() { m.m.ResetStats() }
 
 // Flush writes dirty list pages back to the file.
 func (m *Materialization) Flush() error { return m.m.Flush() }

@@ -133,21 +133,9 @@ func (m *Materialization) snapshotPoints() (byte, []core.PointRecord) {
 // operation updates the file in place. Like MaterializeNodePoints, the
 // reopened materialization is registered with its (reconstructed) set.
 func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materialization, error) {
-	mat, err := db.openMaterialization(path, opt)
-	if err != nil {
-		return nil, err
-	}
-	register(&mat.set().mats, mat, true)
-	return mat, nil
-}
-
-// openMaterialization is OpenMaterialization short of registering the
-// result, so a Path-persisted build can rebind it to the caller's set.
-func (db *DB) openMaterialization(path string, opt *MatOptions) (*Materialization, error) {
 	if err := db.undirectedOnly("materialized K-NN lists"); err != nil {
 		return nil, err
 	}
-	_, buffer := opt.defaults()
 	// The page size lives in the file header, so reopening needs no
 	// recollection of the build-time options.
 	pageSize, err := core.MatFileHeader.PageSize(path)
@@ -174,7 +162,7 @@ func (db *DB) openMaterialization(path string, opt *MatOptions) (*Materializatio
 		jfile.Close()
 		return nil, err
 	}
-	bm := db.pool.attach("mat", file, buffer)
+	bm := db.pool.attach("mat", file, opt.bufferPages())
 	cm, kind, pts, err := core.MatOpen(file, bm, jfile)
 	if err != nil {
 		_ = bm.Detach()
@@ -229,5 +217,6 @@ func (db *DB) openMaterialization(path string, opt *MatOptions) (*Materializatio
 		_ = bm.Detach()
 		return fail(fmt.Errorf("graphrnn: unknown point-set kind %d in %q", kind, path))
 	}
+	register(&mat.set().mats, mat, true)
 	return mat, nil
 }

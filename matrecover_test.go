@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -559,132 +558,5 @@ func TestMaintenanceBudgetAbandonsUpfrontDeadline(t *testing.T) {
 	}
 	if mat.RepairState() != RepairClean {
 		t.Fatalf("RepairState = %v", mat.RepairState())
-	}
-}
-
-// TestMatOptionsPathPersistsBuild covers the build-time persistence knob:
-// MaterializeNodePoints with MatOptions.Path must leave a reopenable list
-// file (plus its journal) behind, keep tracking the caller's point set,
-// serve lists bit-identical to a plain memory build, and — after committed
-// maintenance, Close, and OpenMaterialization — reopen with the mutations
-// intact.
-func TestMatOptionsPathPersistsBuild(t *testing.T) {
-	g, err := GenerateGrid(84, 144, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const maxK = 2
-	ps, err := db.PlaceRandomNodePoints(85, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "built.mat")
-	mat, err := db.MaterializeNodePoints(ps, maxK, &MatOptions{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.NodePoints() != ps {
-		t.Fatal("Path-persisted build stopped tracking the caller's point set")
-	}
-	for _, p := range []string{path, path + ".journal"} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("Path build left no %s: %v", filepath.Base(p), err)
-		}
-	}
-	oracle, err := db.MaterializeNodePoints(ps, maxK, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLists(t, mat, oracle, "fresh Path build vs memory build")
-
-	// Committed maintenance lands in the caller's set and in the file.
-	free := NodeID(-1)
-	for n := 0; n < db.Graph().NumNodes(); n++ {
-		if _, taken := ps.PointAt(NodeID(n)); !taken {
-			free = NodeID(n)
-			break
-		}
-	}
-	if free < 0 {
-		t.Fatal("grid fully occupied")
-	}
-	pid, err := ps.Place(free)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at, taken := ps.PointAt(free); !taken || at != pid {
-		t.Fatalf("insert landed as (%v, %t) in the tracked set, want (%v, true)", at, taken, pid)
-	}
-	victim := ps.Points()[0]
-	if err := ps.Delete(victim); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := mat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := db.OpenMaterialization(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { reopened.Close() })
-	got, want := reopened.NodePoints().Points(), ps.Points()
-	if len(got) != len(want) {
-		t.Fatalf("reopened set has %d points, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("reopened set = %v, want %v", got, want)
-		}
-	}
-	oracle2 := rebuildOracle(t, db, reopened, maxK)
-	assertSameLists(t, reopened, oracle2, "reopened after maintenance")
-}
-
-// TestMatOptionsPathEdgePoints is the edge-resident variant of the Path
-// build, plus the failure mode: an unwritable path must surface as an
-// error from the build itself.
-func TestMatOptionsPathEdgePoints(t *testing.T) {
-	g, err := GenerateGrid(86, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := db.NewEdgePoints()
-	u, v, w := firstEdge(db.Graph())
-	if _, err := ps.Place(u, v, w/3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.Place(u, v, 2*w/3); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "edges.mat")
-	mat, err := db.MaterializeEdgePoints(ps, 2, &MatOptions{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mat.Close() })
-	if mat.EdgePoints() != ps {
-		t.Fatal("Path-persisted edge build stopped tracking the caller's point set")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := db.MaterializeEdgePoints(ps, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLists(t, mat, oracle, "edge Path build vs memory build")
-
-	bad := filepath.Join(t.TempDir(), "missing", "dir", "x.mat")
-	if _, err := db.MaterializeEdgePoints(ps, 2, &MatOptions{Path: bad}); err == nil {
-		t.Fatal("build into a nonexistent directory succeeded")
 	}
 }

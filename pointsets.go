@@ -435,18 +435,15 @@ type PagedEdgePoints struct {
 	s *points.PagedEdgeSet
 }
 
-// Paged snapshots the point set into a paged file attached to the DB's
+// Paged snapshots the point set into a 4 KB-page file attached to the DB's
 // shared buffer pool (tenant "edgepoints") with bufferPages as its frame
-// quota (pageSize 0 defaults to 4 KB).
-func (ps *EdgePoints) Paged(pageSize, bufferPages int) (*PagedEdgePoints, error) {
-	if pageSize == 0 {
-		pageSize = storage.DefaultPageSize
-	}
+// quota.
+func (ps *EdgePoints) Paged(bufferPages int) (*PagedEdgePoints, error) {
 	quota := bufferPages
 	if quota <= 0 {
 		quota = storage.NoCache // 0 keeps its historical meaning: every access counted
 	}
-	file := storage.NewMemFile(pageSize)
+	file := storage.NewMemFile(storage.DefaultPageSize)
 	bm := ps.db.pool.attach("edgepoints", file, quota)
 	p, err := points.NewPagedEdgeSetBuffer(ps.es, file, bm, 0)
 	if err != nil {
@@ -468,12 +465,3 @@ func (ps *PagedEdgePoints) View() EdgePointsView { return EdgePointsView{v: ps.s
 func (ps *PagedEdgePoints) Excluding(p PointID) EdgePointsView {
 	return EdgePointsView{v: points.ExcludeEdge(ps.s, points.PointID(p))}
 }
-
-// IOStats returns the point-file traffic.
-func (ps *PagedEdgePoints) IOStats() IOStats {
-	s := ps.s.Stats()
-	return IOStats{Reads: s.Reads, Hits: s.Hits, Writes: s.Writes}
-}
-
-// ResetIOStats zeroes the point-file counters.
-func (ps *PagedEdgePoints) ResetIOStats() { ps.s.ResetStats() }

@@ -64,10 +64,6 @@ func EagerM(m *Materialization) Algorithm { return Algorithm{kind: algoEagerM, m
 // support k <= idx.MaxK(). Node-resident point sets only.
 func HubLabel(idx *HubLabelIndex) Algorithm { return Algorithm{kind: algoHub, hub: idx} }
 
-// AlgorithmHubLabel is the explicit name of the hub-label strategy, as used
-// by the serving and experiment surfaces; it is HubLabel.
-var AlgorithmHubLabel = HubLabel
-
 // BruteForce verifies every data point; the oracle the paper's Section 3.1
 // dismisses as a baseline. Useful for testing and tiny graphs.
 func BruteForce() Algorithm { return Algorithm{kind: algoBrute} }

@@ -225,7 +225,7 @@ func TestPagedSnapshotPlansExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mat.Close()
-	paged, err := ps.Paged(0, 8)
+	paged, err := ps.Paged(8)
 	if err != nil {
 		t.Fatal(err)
 	}
