@@ -17,7 +17,8 @@ import (
 // bookkeeping — the exec context, plan, result and statistics, the
 // verified/answer sets — not anything per heap entry, per page or per
 // sub-expansion. Both residencies run the one walker, so both are gated;
-// so are lazy-EP, whose H' marks are pooled, and lazy.
+// so are lazy-EP, whose H' marks are pooled, lazy, eager-M over K-NN lists
+// and a hub-label query over in-memory labels.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -47,6 +48,16 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	ep := eps.Points()[0]
 	eloc, _ := eps.LocationOf(ep)
+	mat, err := db.MaterializeNodePoints(ps, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mat.Close() })
+	hub, err := db.BuildHubLabelIndex(ps, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hub.Close() })
 	for _, tc := range []struct {
 		name    string
 		q       graphrnn.Query
@@ -62,6 +73,11 @@ func TestHotPathAllocs(t *testing.T) {
 		// measured: 85 (the hash table of Fig 6 and the verified set are per
 		// query)
 		{"lazy", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.Lazy()), 256},
+		// measured: 16 (1 576 heap pushes, 120 page faults; the K-NN lists
+		// spare the range-NN probes)
+		{"eager-m", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.EagerM(mat)), 40},
+		// measured: 4 (125 label entries, no heap, no page)
+		{"hub-label", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.HubLabel(hub)), 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res *graphrnn.Result
@@ -75,8 +91,11 @@ func TestHotPathAllocs(t *testing.T) {
 			before := tenantIO(db, "graph").Reads
 			allocs := testing.AllocsPerRun(runs, run)
 			faults := (tenantIO(db, "graph").Reads - before) / (runs + 1) // AllocsPerRun warms up once
-			t.Logf("k=2: %v allocs/query for %d heap pushes and %d page faults", allocs, res.Stats.HeapPushes, faults)
-			if res.Stats.HeapPushes < 1000 || faults < 10 {
+			t.Logf("k=2: %v allocs/query for %d heap pushes, %d page faults and %d label entries",
+				allocs, res.Stats.HeapPushes, faults, res.Stats.LabelEntries)
+			// A hub-label query expands nothing and reads no page: the label
+			// entries it folds are its work.
+			if res.Stats.LabelEntries == 0 && (res.Stats.HeapPushes < 1000 || faults < 10) {
 				t.Fatalf("test setup: query too small to gate anything (%d pushes, %d faults)", res.Stats.HeapPushes, faults)
 			}
 			if allocs > tc.ceiling {

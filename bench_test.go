@@ -97,23 +97,23 @@ type microEnv struct {
 	queries []graphrnn.PointID
 }
 
-func newMicroEnv(b *testing.B) *microEnv {
-	b.Helper()
+func newMicroEnv(tb testing.TB) *microEnv {
+	tb.Helper()
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ps, err := db.PlaceRandomNodePoints(2007, g.NumNodes()/100)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mat, err := db.MaterializeNodePoints(ps, 4, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &microEnv{db: db, ps: ps, mat: mat, queries: ps.Points()}
 }
@@ -154,9 +154,7 @@ func BenchmarkQueryEagerM(b *testing.B) {
 // R2NN query latency through the hub-label substrate on the identical
 // workload as the expansion benchmarks above (labels persisted into a
 // paged file and served through their own LRU buffer, so io_reads/op
-// reports label faults the way the other substrates report page faults) —
-// the BENCH_PR2.json claim that label intersection beats network expansion
-// at n >= 10k rides on this comparison.
+// reports label faults the way the other substrates report page faults).
 func BenchmarkQueryHubLabel(b *testing.B) {
 	e := newMicroEnv(b)
 	idx, err := e.db.BuildHubLabelIndex(e.ps, 4, &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 64})
@@ -177,15 +175,17 @@ func BenchmarkQueryHubLabel(b *testing.B) {
 	b.ReportMetric(float64(tenantIO(e.db, "hublabel").Reads)/float64(b.N), "io_reads/op")
 }
 
-// BenchmarkCIQueries is the workload the CI bench-regression gate
-// (cmd/benchci, the bench job of ci.yml) tracks: the full fixed-seed query
-// set — every data point of the 20K-node road network queried once at k=2 —
-// as ONE benchmark op per algorithm, so -benchtime=1x yields a stable
-// average instead of a noisy single-query sample. BENCH_PR2.json is the
-// committed baseline of exactly these numbers. Queries flow through the
-// unified Run surface (the per-query planning cost is part of what the
-// gate tracks); the algorithms are named explicitly so the series keeps
-// measuring the substrates, not the planner's preference.
+// BenchmarkCIQueries measures the substrates on one workload: the full
+// fixed-seed query set — every data point of the 20K-node road network
+// queried once at k=2 — as ONE benchmark op per algorithm, so
+// -benchtime=1x yields a stable average instead of a noisy single-query
+// sample; ns/op ÷ queries/op is the per-query time README quotes. Queries
+// flow through the unified Run surface (the per-query planning cost is
+// part of what it measures); the algorithms are named explicitly so the
+// series keeps measuring the substrates, not the planner's preference. Its
+// counters are held exactly elsewhere: page transfers and label entries by
+// the hub rows of repro.golden, allocations by TestHotPathAllocs, the
+// pruned label scan by hublabel.TestReachPrunesPhaseOne.
 func BenchmarkCIQueries(b *testing.B) {
 	e := newMicroEnv(b)
 	hubIdx, err := e.db.BuildHubLabelIndex(e.ps, 4, &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 64})
@@ -210,9 +210,8 @@ func BenchmarkCIQueries(b *testing.B) {
 				b.Fatal(err)
 			}
 			e.db.BufferPool().ResetStats()
-			// allocs/op is gated by benchci like the I/O counters: the
-			// expansion hot path (heap, page reads) allocates nothing,
-			// so a sweep costs a few dozen allocations per query.
+			// The expansion hot path (heap, page reads) allocates
+			// nothing, so a sweep costs a few dozen allocations per query.
 			b.ReportAllocs()
 			var labelEntries int64
 			b.ResetTimer()
@@ -240,9 +239,9 @@ func BenchmarkCIQueries(b *testing.B) {
 			if labelEntries > 0 {
 				b.ReportMetric(float64(labelEntries)/float64(b.N), "label_entries/op")
 			}
-			// All three substrates fault through one shared pool: its reads
-			// are the sweep's page faults, and its hit rate the unified
-			// cache-effectiveness number benchci records next to them.
+			// All substrates fault through one shared pool: its reads are
+			// the sweep's page faults, and its hit rate the unified
+			// cache-effectiveness number.
 			pool := e.db.PoolStats()
 			b.ReportMetric(float64(pool.Reads)/float64(b.N), "io_reads/op")
 			b.ReportMetric(float64(len(e.queries)), "queries/op")
@@ -251,21 +250,19 @@ func BenchmarkCIQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkCIShardedQueries is the scatter-gather workload the bench gate
-// tracks next to BenchmarkCIQueries, against its own committed baseline
-// (BENCH_SHARD.json): the identical fixed-seed query set — every placed
-// point of the 20K-node road network queried once at k=2 — served through
-// a 4-shard Sharded with no hub index and the default 1-hop halo: the class
-// sharding exists for, where every shard answers by expansion inside its
-// region's points and the coordinator verifies the merged candidates by
-// expansion over the full set. (With HubLabelK the coordinator's index
-// would answer every query of this sweep itself and all the counters below
-// would read 0.) One op = one full sweep, so -benchtime=1x is stable; the
-// fan-out, candidate, verification and member counts per op are
-// deterministic for the fixed seed and gate the coordinator's merge +
-// verify overhead across machines the way io_reads/op gates the
-// substrates. nodes_scanned/op is the queries' scanned-node total, shards
-// and verify pass together.
+// BenchmarkCIShardedQueries measures scatter-gather serving on the
+// workload of BenchmarkCIQueries — every placed point of the 20K-node road
+// network queried once at k=2 — through a 4-shard Sharded with no hub index
+// and the default 1-hop halo: the class sharding exists for, where every
+// shard answers by expansion inside its region's points and the coordinator
+// verifies the merged candidates by expansion over the full set. (With
+// HubLabelK the coordinator's index would answer every query of this sweep
+// itself and all the counters below would read 0.) One op = one full
+// sweep, so -benchtime=1x is stable; the fan-out, candidate, verification
+// and member counts per op are deterministic for the fixed seed, and the
+// shard rows of repro.golden hold the same counters exactly on a smaller
+// sample. nodes_scanned/op is the queries' scanned-node total, shards and
+// verify pass together.
 func BenchmarkCIShardedQueries(b *testing.B) {
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
@@ -561,54 +558,22 @@ func BenchmarkLayoutAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkCIMaintenance is the maintenance workload the bench gate
-// (cmd/benchci) tracks next to the query sweep: journaled insert+delete
-// round trips (Figs 10-11 plus the repair journal) on the in-memory
-// default and on a persisted, write-ahead-journaled materialization. One
-// op = 64 round trips over a fixed free-node cycle, so -benchtime=1x
-// averages out scheduler noise the way BenchmarkCIQueries does; the
-// list_reads/op and list_writes/op metrics are deterministic for the
-// fixed seed and gate journal overhead across machines.
+// BenchmarkCIMaintenance measures journaled insert+delete round trips
+// (Figs 10-11 plus the repair journal) on the in-memory default and on a
+// persisted, write-ahead-journaled materialization. One op = 64 round trips
+// over a fixed free-node cycle, so -benchtime=1x averages out scheduler
+// noise the way BenchmarkCIQueries does. list_reads/op and list_writes/op
+// are deterministic for the fixed seed: the fig22 rows of repro.golden pin
+// the list reads, TestPersistedListPageIO the persisted op exactly.
 func BenchmarkCIMaintenance(b *testing.B) {
 	for _, mode := range []string{"memory", "persisted"} {
 		b.Run(mode, func(b *testing.B) {
 			e := newMicroEnv(b)
-			ps := e.ps
-			if mode == "persisted" {
-				path := filepath.Join(b.TempDir(), "lists.mat")
-				if err := e.mat.SaveTo(path); err != nil {
-					b.Fatal(err)
-				}
-				// One "mat" row: the persisted lists alone are measured.
-				if err := e.mat.Close(); err != nil {
-					b.Fatal(err)
-				}
-				mat, err := e.db.OpenMaterialization(path, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer mat.Close()
-				ps = mat.NodePoints()
-			}
-			g := e.db.Graph()
-			var free []graphrnn.NodeID
-			for n := 0; n < g.NumNodes() && len(free) < 64; n++ {
-				if _, taken := ps.PointAt(graphrnn.NodeID(n)); !taken {
-					free = append(free, graphrnn.NodeID(n))
-				}
-			}
+			ps, free := maintenanceSet(b, e, mode == "persisted")
 			e.db.BufferPool().ResetStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, n := range free {
-					p, err := ps.Place(n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := ps.Delete(p); err != nil {
-						b.Fatal(err)
-					}
-				}
+				roundTrips(b, ps, free)
 			}
 			b.StopTimer()
 			io := tenantIO(e.db, "mat")
@@ -616,6 +581,67 @@ func BenchmarkCIMaintenance(b *testing.B) {
 			b.ReportMetric(float64(io.Writes)/float64(b.N), "list_writes/op")
 			b.ReportMetric(float64(len(free)*2), "maintenance_ops/op")
 		})
+	}
+}
+
+// TestPersistedListPageIO pins one op of BenchmarkCIMaintenance/persisted
+// exactly: the list pages 64 round trips read and write through the pool.
+// The fig22 rows of repro.golden count in-memory lists; a persisted commit
+// is where the list pages are flushed, and this is the one check of them.
+func TestPersistedListPageIO(t *testing.T) {
+	e := newMicroEnv(t)
+	ps, free := maintenanceSet(t, e, true)
+	e.db.BufferPool().ResetStats()
+	roundTrips(t, ps, free)
+	io := tenantIO(e.db, "mat")
+	if reads := io.Reads + io.Hits; reads != 469619 || io.Writes != 3086 {
+		t.Fatalf("64 persisted round trips read %d list pages and wrote %d, want 469619 and 3086", reads, io.Writes)
+	}
+}
+
+// maintenanceSet returns the point set the maintenance workload mutates —
+// e's own, or, persisted, the one its saved lists reopen with, journal on
+// disk — and the first 64 free nodes one op cycles through.
+func maintenanceSet(tb testing.TB, e *microEnv, persisted bool) (*graphrnn.NodePoints, []graphrnn.NodeID) {
+	tb.Helper()
+	ps := e.ps
+	if persisted {
+		path := filepath.Join(tb.TempDir(), "lists.mat")
+		if err := e.mat.SaveTo(path); err != nil {
+			tb.Fatal(err)
+		}
+		// One "mat" row: the persisted lists alone are measured.
+		if err := e.mat.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		mat, err := e.db.OpenMaterialization(path, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { mat.Close() })
+		ps = mat.NodePoints()
+	}
+	g := e.db.Graph()
+	var free []graphrnn.NodeID
+	for n := 0; n < g.NumNodes() && len(free) < 64; n++ {
+		if _, taken := ps.PointAt(graphrnn.NodeID(n)); !taken {
+			free = append(free, graphrnn.NodeID(n))
+		}
+	}
+	return ps, free
+}
+
+// roundTrips places a point on every node of free and deletes it again.
+func roundTrips(tb testing.TB, ps *graphrnn.NodePoints, free []graphrnn.NodeID) {
+	tb.Helper()
+	for _, n := range free {
+		p, err := ps.Place(n)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := ps.Delete(p); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 

@@ -15,37 +15,17 @@ import (
 // (Open's disk-backed graph, MaterializeNodePoints, BuildHubLabelIndex,
 // EdgePoints.Paged) attach to it automatically, growing its capacity by
 // their BufferPages so the default composition behaves exactly like the
-// former independent per-substrate buffers. To share one pool across DBs
-// — or to cap the process's total page cache and let quotas partition it —
-// create a fixed-capacity pool with NewBufferPool and pass it through
-// Options.Pool.
+// former independent per-substrate buffers. The shard engines of an
+// in-process DB.Shard join their parent's pool the same way.
 type BufferPool struct {
 	p *storage.BufferPool
-	// elastic pools (DB-owned) grow by each tenant's quota on attach;
-	// fixed pools (NewBufferPool) keep the capacity the caller chose.
-	elastic bool
 }
 
-// NewBufferPool creates a fixed-capacity pool of capPages frames, to be
-// shared through Options.Pool. Tenants attach with their BufferPages as
-// quota (0 = share the capacity freely). A capacity of zero caches
-// nothing: every page access is a counted physical transfer.
-func NewBufferPool(capPages int) *BufferPool {
-	return &BufferPool{p: storage.NewBufferPool(capPages)}
-}
-
-func newElasticPool() *BufferPool {
-	return &BufferPool{p: storage.NewBufferPool(0), elastic: true}
-}
-
-// attach registers file under the pool's sizing policy: elastic pools grow
-// by the quota, fixed pools partition their capacity. quota may be
-// storage.NoCache to keep the tenant's pages out of the pool.
+// attach registers file as a tenant and grows the pool by its quota.
+// quota may be storage.NoCache to keep the tenant's pages out of the pool,
+// or 0 to bound the tenant by the capacity the other tenants brought.
 func (bp *BufferPool) attach(name string, file storage.PagedFile, quota int) *storage.Tenant {
-	if bp.elastic {
-		return bp.p.AttachGrowing(name, file, quota)
-	}
-	return bp.p.Attach(name, file, quota)
+	return bp.p.AttachGrowing(name, file, quota)
 }
 
 // TenantIOStats describes one substrate's view of a shared pool.

@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		which   = flag.String("exp", "all", "experiment to run (all, table1, table2, fig15..fig22b)")
+		which   = flag.String("exp", "all", "experiment to run (all, table1, table2, fig15..fig22b, hub, budget, plan, shard)")
 		full    = flag.Bool("full", false, "run at paper scale")
 		seed    = flag.Int64("seed", 2006, "workload seed")
 		queries = flag.Int("queries", 0, "queries per workload (0 = default: 20, or 50 with -full)")

@@ -4,7 +4,8 @@
 // way to see the eager/lazy trade-offs of the paper on one query, and what
 // the planner would pick on its own ("A"). pageReads counts the physical
 // page reads of every buffer-pool tenant the query touched: adjacency pages
-// and, for eager-M, K-NN list pages.
+// and, for eager-M, K-NN list pages. Every algorithm's query starts from a
+// cold buffer, so its count does not depend on which rows ran before it.
 //
 // Usage:
 //
@@ -90,6 +91,7 @@ func main() {
 		}
 		fmt.Printf("query %d at node %d (point %d excluded):\n", qi, qnode, qp)
 		for _, algo := range selected {
+			fail(db.DropCache())
 			db.BufferPool().ResetStats()
 			res, err := db.Run(context.Background(), graphrnn.Query{
 				Kind:      graphrnn.KindRNN,

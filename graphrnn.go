@@ -177,12 +177,6 @@ type Options struct {
 	// NoBuffer forces a zero-capacity buffer: every page access is a
 	// counted physical read (the leftmost setting of Fig 21).
 	NoBuffer bool
-	// Pool, when non-nil, serves the graph's pages from the given shared
-	// buffer pool instead of a DB-private one; BufferPages becomes the
-	// graph tenant's frame quota within it. Every substrate the DB builds
-	// later (materializations, hub labels, paged edge points) joins the
-	// same pool.
-	Pool *BufferPool
 }
 
 // DB is a queryable RNN database over one graph. Queries are described by
@@ -203,10 +197,9 @@ type DB struct {
 	searcher *core.Searcher
 	// pool is the shared buffer pool every paged substrate of this DB
 	// attaches to (graph pages, materialized lists, hub labels, paged
-	// edge points). DB-owned pools are elastic: each attach grows the
-	// capacity by the substrate's BufferPages, so defaults behave like
-	// the former independent buffers. A pool passed through Options.Pool
-	// keeps its fixed capacity and quotas partition it.
+	// edge points). Each attach grows the capacity by the substrate's
+	// BufferPages, so defaults behave like the former independent
+	// buffers. A shard engine of DB.Shard holds its parent's pool.
 	pool *BufferPool
 }
 
@@ -246,21 +239,27 @@ func Open(g *Graph, opt *Options) (*DB, error) {
 // OpenWithLayout is Open with an explicit page layout (only meaningful for
 // disk-backed graphs).
 func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
+	return openDB(g, opt, layout, nil)
+}
+
+// openDB is OpenWithLayout. A non-nil pool is a parent DB's, which the new
+// DB shares: its graph pages attach there with opt.BufferPages as given,
+// 0 included (bounded by what the pool's other tenants brought), instead
+// of the 256-page default.
+func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error) {
 	if g == nil {
 		return nil, fmt.Errorf("graphrnn: nil graph")
 	}
-	db := &DB{graph: g}
-	if opt != nil && opt.Pool != nil {
-		db.pool = opt.Pool
-	} else {
-		db.pool = newElasticPool()
+	db := &DB{graph: g, pool: pool}
+	if pool == nil {
+		db.pool = &BufferPool{p: storage.NewBufferPool(0)}
 	}
 	if opt != nil && opt.DiskBacked {
 		if err := db.undirectedOnly("Options.DiskBacked packs one adjacency file"); err != nil {
 			return nil, err
 		}
 		quota := opt.BufferPages
-		if quota == 0 && !opt.NoBuffer && opt.Pool == nil {
+		if quota == 0 && !opt.NoBuffer && pool == nil {
 			quota = 256
 		}
 		if opt.NoBuffer {
@@ -351,8 +350,8 @@ func (s IOStats) HitRate() float64 {
 
 // DropCache empties the DB's buffer pool for a cold start: the cached pages
 // of every tenant — adjacency, materialized lists, hub labels, paged point
-// files, and those of any other DB sharing the pool through Options.Pool —
-// are dropped, dirty ones written back first.
+// files, and those of the disk-backed shard engines of its DB.Shard — are
+// dropped, dirty ones written back first.
 func (db *DB) DropCache() error { return db.pool.p.Invalidate() }
 
 // Distance computes the exact network distance between two locations,

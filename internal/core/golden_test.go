@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden fro
 // graphs against testdata/stats.golden.
 // The oracle tests prove the answers right; this one proves that a
 // refactor of the walker did not move the work — the counters are what
-// BENCH_PR2.json, the work budgets and the benchmark record. Regenerate
+// repro.golden, the work budgets and the benchmark record. Regenerate
 // deliberately with `go test ./internal/core -run TestStatsGolden -update`
 // and review the diff line by line.
 func TestStatsGolden(t *testing.T) {

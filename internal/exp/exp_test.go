@@ -117,14 +117,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/repro.golden fro
 // one `cmd/experiments -queries 5` and the BenchmarkFig* benchmarks run.
 var goldenScale = Scale{Queries: 5, Seed: 2006}
 
-// selfChecking experiments stay out of repro.golden: they go beyond the
-// paper and fail on their own when a column disagrees.
-var selfChecking = map[string]bool{"budget": true, "plan": true, "shard": true}
-
-// TestPaperShapes runs Tables 1-2, Figs 15-22 and the hub experiment on the
-// public API at goldenScale and checks two things. The deterministic
-// counters of every cell — page transfers, node accesses, verifications,
-// list reads, label entries, answer size; no seconds — must match
+// TestPaperShapes runs every experiment — Tables 1-2, Figs 15-22 and the
+// hub, budget, plan and shard experiments beyond the paper — on the public
+// API at goldenScale and checks two things. The deterministic counters of
+// every cell — page transfers, node accesses, verifications, list reads,
+// label entries, answer size; no seconds — must match
 // testdata/repro.golden byte for byte: regenerate deliberately with
 // `go test ./internal/exp -run TestPaperShapes -update` and read the diff, a
 // moved page-transfer count is a finding. And each finding of the paper the
@@ -139,9 +136,6 @@ func TestPaperShapes(t *testing.T) {
 	tabs := map[string]*Table{}
 	var b strings.Builder
 	for _, e := range All() {
-		if selfChecking[e.Name] {
-			continue
-		}
 		tab, err := e.Run(goldenScale)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)

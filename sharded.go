@@ -251,11 +251,12 @@ func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 func (s *Sharded) buildHandles(opt *ShardOptions) error {
 	s.handles = make([]*shardHandle, s.part.Shards)
 	for sh := range s.part.Shards {
-		shOpt := &Options{}
+		var shOpt *Options
+		var pool *BufferPool
 		if opt.DiskBacked {
-			shOpt = &Options{DiskBacked: true, BufferPages: opt.BufferPages, Pool: s.db.pool}
+			shOpt, pool = &Options{DiskBacked: true, BufferPages: opt.BufferPages}, s.db.pool
 		}
-		shDB, err := Open(s.db.graph, shOpt)
+		shDB, err := openDB(s.db.graph, shOpt, BFSLayout(), pool)
 		if err != nil {
 			return err
 		}
