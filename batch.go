@@ -18,8 +18,8 @@ import (
 // Batches are context-aware: once the batch context is canceled, queued
 // queries fail upfront without page I/O and in-flight ones abandon within
 // one expansion step; FailFast turns the first error into a batch-level
-// cancellation, and PerQuery applies a deadline/budget to every entry that
-// carries none of its own.
+// cancellation. Deadlines and budgets are per entry, in each Query's own
+// QueryOptions.
 
 // BatchOptions configures batch execution.
 type BatchOptions struct {
@@ -31,10 +31,6 @@ type BatchOptions struct {
 	// FailFast cancels the remainder of the batch after the first
 	// failing query: queued entries fail upfront with ErrCanceled.
 	FailFast bool
-	// PerQuery bounds every query of the batch individually (deadline
-	// and work budget), as if issued through its own embedded
-	// QueryOptions; entries that set their own QueryOptions keep them.
-	PerQuery *QueryOptions
 }
 
 func (o *BatchOptions) workers(n int) int {
@@ -52,13 +48,6 @@ func (o *BatchOptions) workers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-func (o *BatchOptions) perQuery() *QueryOptions {
-	if o == nil {
-		return nil
-	}
-	return o.PerQuery
 }
 
 func (o *BatchOptions) failFast() bool { return o != nil && o.FailFast }
@@ -84,12 +73,8 @@ func runBatch(ctx context.Context, queries []Query, opt *BatchOptions, run func(
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	do := func(i int) {
-		q := queries[i]
-		if pq := opt.perQuery(); pq != nil && q.QueryOptions == (QueryOptions{}) {
-			q.QueryOptions = *pq
-		}
 		r := &rep.Results[i]
-		r.Result, r.Err = run(ctx, q)
+		r.Result, r.Err = run(ctx, queries[i])
 		if r.Err != nil && opt.failFast() {
 			cancel()
 		}

@@ -485,7 +485,7 @@ func BenchmarkRNNBatch(b *testing.B) {
 			opt := &graphrnn.BatchOptions{Parallelism: par}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, _ := db.RunBatch(context.Background(), queries, opt)
+				rep := db.RunBatch(context.Background(), queries, opt)
 				for _, r := range rep.Results {
 					if r.Err != nil {
 						b.Fatal(r.Err)

@@ -343,11 +343,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opt.FailFast = ff
 	}
 	var rep *graphrnn.BatchReport
-	s.reading(func() { rep, err = runBatch(r.Context(), queries, opt) })
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, err)
-		return
-	}
+	s.reading(func() { rep = runBatch(r.Context(), queries, opt) })
 	results := make([]queryResponse, len(rep.Results))
 	for i, br := range rep.Results {
 		results[i] = s.toQueryResponse(queries[i], br.Result, br.Err)

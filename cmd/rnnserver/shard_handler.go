@@ -24,8 +24,8 @@ import (
 // cost work but never corrupt an answer.
 
 // shardWireRequest is one shard sub-query on the wire. The coordinator
-// derives it from the already-planned sub-query (deadline shrunk by the
-// coordinator's reserve), so unlike /query there is no server-side
+// derives it from the already-planned sub-query (deadline and budget carved
+// from the parent query's), so unlike /query there is no server-side
 // tightening here — options apply as given.
 type shardWireRequest struct {
 	// Shard is the shard index the sub-query addresses; a process started
@@ -42,7 +42,8 @@ type shardWireRequest struct {
 	Algo   string `json:"algo,omitempty"`
 	Strict bool   `json:"strict,omitempty"`
 	// TimeoutNS is the derived per-shard deadline in nanoseconds;
-	// MaxNodes/MaxIOReads carry the work budget. Zero means unbounded.
+	// MaxNodes/MaxIOReads carry this shard's share of the work budget.
+	// Zero means unbounded.
 	TimeoutNS  int64 `json:"timeout_ns,omitempty"`
 	MaxNodes   int64 `json:"max_nodes,omitempty"`
 	MaxIOReads int64 `json:"max_io_reads,omitempty"`
@@ -237,14 +238,17 @@ func (s *server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Stats = sr.Stats
 	}
+	// Counted like a /query batch entry: cut short is an error, not served.
 	if runErr != nil {
+		s.errors.Add(1)
 		if errors.Is(runErr, graphrnn.ErrDeadlineExceeded) {
 			s.timeouts.Add(1)
 		}
 		resp.Error = runErr.Error()
 		resp.ErrorKind = wireErrKind(runErr)
+	} else {
+		s.served.Add(1)
 	}
-	s.served.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 

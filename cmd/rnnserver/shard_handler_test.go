@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,6 +258,78 @@ func TestShardWireHTTP(t *testing.T) {
 	}
 	if rec := post(pinned, `{"shard":2,"kind":"rnn","node":1,"k":1}`); rec.Code != http.StatusOK {
 		t.Errorf("matching sub-query answered %d, want 200", rec.Code)
+	}
+}
+
+// TestShardQueryDeadlineCounted: a sub-query its deadline cuts short still
+// answers the 200 envelope, and /stats counts it the way it counts a /query
+// batch entry: an error and a timeout, not a query served.
+func TestShardQueryDeadlineCounted(t *testing.T) {
+	env := newShardedTestEnv(t)
+	shardProc := env.shardedServer(t, &graphrnn.ShardOptions{Shards: 2, Seed: 9}, "shard", -1)
+	served, errs, timeouts := shardProc.served.Load(), shardProc.errors.Load(), shardProc.timeouts.Load()
+	req := httptest.NewRequest(http.MethodPost, "/shard/query",
+		strings.NewReader(`{"shard":0,"kind":"rnn","node":5,"k":2,"timeout_ns":1}`))
+	rec := httptest.NewRecorder()
+	shardProc.handleShardQuery(rec, req)
+	var resp shardWireResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || resp.ErrorKind != "deadline" {
+		t.Fatalf("1ns sub-query answered %d %s (%v), want a 200 envelope with error_kind deadline", rec.Code, rec.Body.String(), err)
+	}
+	if d := [3]int64{shardProc.served.Load() - served, shardProc.errors.Load() - errs, shardProc.timeouts.Load() - timeouts}; d != [3]int64{0, 1, 1} {
+		t.Fatalf("served / errors / timeouts moved by %v, want [0 1 1]", d)
+	}
+}
+
+// TestShardWireBudgetShare: a coordinator over remote shards sends each
+// peer its share of the query's budget, not the whole of it — the I/O
+// budget too, since each peer meters reads on a pool of its own.
+func TestShardWireBudgetShare(t *testing.T) {
+	env := newShardedTestEnv(t)
+	const shards = 2
+	shardProc := env.shardedServer(t, &graphrnn.ShardOptions{Shards: shards, Seed: 9}, "shard", -1)
+	var mu sync.Mutex
+	var bodies []shardWireRequest
+	record := func(w http.ResponseWriter, r *http.Request) {
+		data, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		var req shardWireRequest
+		if err := json.Unmarshal(data, &req); err != nil {
+			t.Errorf("sub-query body %q: %v", data, err)
+		}
+		mu.Lock()
+		bodies = append(bodies, req)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(data))
+		shardProc.handleShardQuery(w, r)
+	}
+	peers := make([]string, shards)
+	for i := range peers {
+		ts := httptest.NewServer(http.HandlerFunc(record))
+		defer ts.Close()
+		peers[i] = ts.URL
+	}
+	coord := env.shardedServer(t, &graphrnn.ShardOptions{
+		Shards: shards, Seed: 9, Runner: newHTTPShardRunner(peers),
+	}, "coordinator", -1)
+	const budget = 1 << 20
+	q := graphrnn.Query{Kind: graphrnn.KindRNN, Target: graphrnn.NodeLocation(11), K: 2}
+	q.Budget = graphrnn.Budget{MaxNodes: budget, MaxIOReads: budget}
+	if _, err := coord.sharded.Run(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != shards {
+		t.Fatalf("%d sub-queries crossed the wire, want %d", len(bodies), shards)
+	}
+	for _, b := range bodies {
+		if b.MaxNodes != budget/shards || b.MaxIOReads != budget/shards {
+			t.Errorf("shard %d got max_nodes %d, max_io_reads %d; want %d of the query's %d each",
+				b.Shard, b.MaxNodes, b.MaxIOReads, budget/shards, budget)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command vetrnn is the repo's invariant checker: one driver over the
-// internal/analysis suite (deadlinecarve, determinism, execpoll, guardedby,
-// partialresult, tenantclose) that machine-checks the engine contracts PRs
-// 3-5 established plus the determinism contract of the parallel build
-// paths. Run it from the module root:
+// internal/analysis suite (determinism, execpoll, guardedby, tenantclose)
+// that machine-checks the engine's polling, locking and tenant contracts
+// plus the determinism contract of the parallel build paths. Run it from
+// the module root:
 //
 //	go run ./cmd/vetrnn ./...
 //	go run ./cmd/vetrnn -json -ratchet VETRNN_BASELINE.json ./...
@@ -30,22 +30,18 @@ import (
 	"strings"
 
 	"graphrnn/internal/analysis"
-	"graphrnn/internal/analysis/deadlinecarve"
 	"graphrnn/internal/analysis/determinism"
 	"graphrnn/internal/analysis/execpoll"
 	"graphrnn/internal/analysis/guardedby"
 	"graphrnn/internal/analysis/load"
-	"graphrnn/internal/analysis/partialresult"
 	"graphrnn/internal/analysis/tenantclose"
 )
 
 // suite is the full analyzer suite, in report order.
 var suite = []*analysis.Analyzer{
-	deadlinecarve.Analyzer,
 	determinism.Analyzer,
 	execpoll.Analyzer,
 	guardedby.Analyzer,
-	partialresult.Analyzer,
 	tenantclose.Analyzer,
 }
 

@@ -50,7 +50,7 @@ func routeQuery(ps graphrnn.PointSet, route []graphrnn.NodeID, k int, algo graph
 // batch runs queries through RunBatch under a background context and
 // returns the per-query results and the worker count.
 func batch(db *graphrnn.DB, queries []graphrnn.Query, opt *graphrnn.BatchOptions) ([]graphrnn.BatchResult, int) {
-	rep, _ := db.RunBatch(context.Background(), queries, opt)
+	rep := db.RunBatch(context.Background(), queries, opt)
 	return rep.Results, rep.Workers
 }
 

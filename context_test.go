@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -255,7 +256,7 @@ func TestExpiredDeadlineNoIO(t *testing.T) {
 			t.Fatalf("%s: stream ended with %v, want ErrDeadlineExceeded", name, streamErr)
 		}
 	}
-	rep, _ := e.db.RunBatch(ctx, []graphrnn.Query{rnnQuery(view, qnode, 2, graphrnn.Eager())}, nil)
+	rep := e.db.RunBatch(ctx, []graphrnn.Query{rnnQuery(view, qnode, 2, graphrnn.Eager())}, nil)
 	if !errors.Is(rep.Results[0].Err, graphrnn.ErrDeadlineExceeded) {
 		t.Fatalf("batch entry: err = %v, want ErrDeadlineExceeded", rep.Results[0].Err)
 	}
@@ -341,6 +342,140 @@ func TestBudgetExceeded(t *testing.T) {
 			t.Fatal("no partial result alongside ErrBudgetExceeded")
 		}
 	})
+}
+
+// TestBudgetPartialAnswers holds the partial-result contract on every
+// substrate and query kind: a query stopped by MaxNodes or MaxIOReads
+// returns ErrBudgetExceeded beside a non-nil Result carrying its Plan, and
+// every member it confirmed before stopping is in the unbounded answer. The
+// graph, the lists and the labels are paged and every run starts from a
+// cold buffer, so an I/O budget trips hub-label too. Each expansion
+// substrate must return a non-empty partial answer somewhere in the table,
+// so the subset check is never vacuous.
+func TestBudgetPartialAnswers(t *testing.T) {
+	g, err := graphrnn.GenerateRoadNetwork(31, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ps, err := db.PlaceRandomNodePoints(32, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, err := db.PlaceRandomNodePoints(33, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := map[*graphrnn.NodePoints]*graphrnn.Materialization{}
+	hubs := map[*graphrnn.NodePoints]*graphrnn.HubLabelIndex{}
+	for _, set := range []*graphrnn.NodePoints{ps, sites} {
+		if mats[set], err = db.MaterializeNodePoints(set, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+		defer mats[set].Close()
+		if hubs[set], err = db.BuildHubLabelIndex(set, 4, &graphrnn.HubLabelOptions{DiskBacked: true}); err != nil {
+			t.Fatal(err)
+		}
+		defer hubs[set].Close()
+	}
+	ctx := context.Background()
+	cold := func(q graphrnn.Query) (*graphrnn.Result, int64, error) {
+		t.Helper()
+		if err := db.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.PoolStats().Reads
+		res, err := db.Run(ctx, q)
+		return res, db.PoolStats().Reads - before, err
+	}
+	// The rnn query runs at the first point with reverse neighbors whose
+	// label spans two pages, so a one-page I/O budget stops even
+	// hub-label's single-label rnn query.
+	var qp graphrnn.PointID
+	var qnode graphrnn.NodeID
+	for _, qp = range ps.Points() {
+		qnode, _ = ps.NodeOf(qp)
+		res, reads, err := cold(rnnQuery(ps.Excluding(qp), qnode, 4, graphrnn.HubLabel(hubs[ps])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads > 1 && len(res.Points) > 0 {
+			break
+		}
+	}
+	view := ps.Excluding(qp)
+	route := db.RandomWalkRoute(34, 6)
+	kinds := []struct {
+		name  string
+		over  *graphrnn.NodePoints // the set eager-M's lists and the hub index cover
+		query func(graphrnn.Algorithm) graphrnn.Query
+	}{
+		{"rnn", ps, func(a graphrnn.Algorithm) graphrnn.Query { return rnnQuery(view, qnode, 4, a) }},
+		{"bichromatic", sites, func(a graphrnn.Algorithm) graphrnn.Query { return biQuery(ps, sites, qnode, 2, a) }},
+		{"continuous", ps, func(a graphrnn.Algorithm) graphrnn.Query { return routeQuery(ps, route, 2, a) }},
+	}
+	substrates := []struct {
+		name string
+		algo func(over *graphrnn.NodePoints) graphrnn.Algorithm
+	}{
+		{"eager", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.Eager() }},
+		{"lazy", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.Lazy() }},
+		{"lazy-EP", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.LazyEP() }},
+		{"eager-M", func(over *graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.EagerM(mats[over]) }},
+		{"brute-force", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.BruteForce() }},
+		{"hub-label", func(over *graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.HubLabel(hubs[over]) }},
+	}
+	for _, s := range substrates {
+		nonEmpty := 0
+		for _, kind := range kinds {
+			q := kind.query(s.algo(kind.over))
+			full, reads, err := cold(q)
+			if err != nil {
+				t.Fatalf("%s/%s unbounded: %v", s.name, kind.name, err)
+			}
+			work := full.Stats.NodesExpanded + full.Stats.NodesScanned
+			var budgets []graphrnn.Budget
+			for _, frac := range [][2]int64{{1, 4}, {3, 4}} {
+				if work > 1 {
+					budgets = append(budgets, graphrnn.Budget{MaxNodes: max(work*frac[0]/frac[1], 1)})
+				}
+				if reads > 1 {
+					budgets = append(budgets, graphrnn.Budget{MaxIOReads: max(reads*frac[0]/frac[1], 1)})
+				}
+			}
+			tripped := 0
+			for _, b := range budgets {
+				res, _, err := cold(bounded(q, graphrnn.QueryOptions{Budget: b}))
+				if err == nil {
+					if !samePoints(res.Points, full.Points) {
+						t.Fatalf("%s/%s %+v finished with %v, unbounded %v", s.name, kind.name, b, res.Points, full.Points)
+					}
+					continue
+				}
+				if !errors.Is(err, graphrnn.ErrBudgetExceeded) || res == nil || res.Plan.Algorithm.String() != s.name {
+					t.Fatalf("%s/%s %+v: result %+v, error %v; want a partial result planned on %s and ErrBudgetExceeded",
+						s.name, kind.name, b, res, err, s.name)
+				}
+				for _, p := range res.Points {
+					if !slices.Contains(full.Points, p) {
+						t.Fatalf("%s/%s %+v: partial member %d is not in the answer %v", s.name, kind.name, b, p, full.Points)
+					}
+				}
+				tripped++
+				nonEmpty += len(res.Points)
+			}
+			if tripped == 0 {
+				t.Errorf("%s/%s: none of %d budgets tripped (%d nodes, %d reads unbounded)", s.name, kind.name, len(budgets), work, reads)
+			}
+		}
+		if nonEmpty == 0 && s.name != "hub-label" {
+			t.Errorf("%s: no budgeted run returned a partial member", s.name)
+		}
+	}
 }
 
 // TestHubLabelStatsAtPublicAPI is the regression test for wrapResult
@@ -516,7 +651,7 @@ func TestBatchCancellationAndWorkers(t *testing.T) {
 	// A batch issued under a canceled context runs nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, _ := e.db.RunBatch(ctx, queries, &graphrnn.BatchOptions{Parallelism: 2})
+	rep := e.db.RunBatch(ctx, queries, &graphrnn.BatchOptions{Parallelism: 2})
 	for i, r := range rep.Results {
 		if !errors.Is(r.Err, graphrnn.ErrCanceled) {
 			t.Fatalf("entry %d of a canceled batch: err = %v", i, r.Err)
@@ -524,9 +659,9 @@ func TestBatchCancellationAndWorkers(t *testing.T) {
 		expiredAtStart(t, r.Result)
 	}
 
-	// Per-query budgets apply to every entry.
-	results, _ = batch(e.db, []graphrnn.Query{rnnQuery(e.ps, qnode, 4, graphrnn.Eager())},
-		&graphrnn.BatchOptions{PerQuery: &graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 100}}})
+	// An entry's own budget bounds it inside a batch.
+	results, _ = batch(e.db, []graphrnn.Query{bounded(rnnQuery(e.ps, qnode, 4, graphrnn.Eager()),
+		graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: 100}})}, nil)
 	if !errors.Is(results[0].Err, graphrnn.ErrBudgetExceeded) {
 		t.Fatalf("per-query budget: err = %v", results[0].Err)
 	}

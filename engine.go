@@ -51,11 +51,10 @@ func (db *DB) Run(ctx context.Context, q Query) (*Result, error) {
 // Batches are context-aware: cancel ctx (or let its deadline pass) and the
 // entries not yet started fail upfront with the typed error, like any
 // expired-at-start query; opt.FailFast promotes the first error to a
-// batch-level cancellation; opt.PerQuery bounds every entry that does not
-// carry its own embedded QueryOptions. The error return is reserved for batch-level admission
-// failures (nil today); per-query errors land in their Results slots.
-func (db *DB) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) (*BatchReport, error) {
-	return runBatch(ctx, queries, opt, db.Run), nil
+// batch-level cancellation. Each entry is bounded by its own embedded
+// QueryOptions, and its error lands in its Results slot.
+func (db *DB) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) *BatchReport {
+	return runBatch(ctx, queries, opt, db.Run)
 }
 
 // Stream executes one declarative query and yields each result member the

@@ -10,12 +10,13 @@
 // Report) with the same meaning.
 //
 // The suite's job is to machine-check the engine contracts that PRs 3-5
-// established by convention, and it is sized to what it catches: six
-// analyzers (deadlinecarve, determinism, execpoll, guardedby, partialresult,
-// tenantclose — see the sibling packages for the contracts themselves) and
-// one driver, cmd/vetrnn. A rule whose behaviour a dynamic test pins better
-// (the write-ahead order, the lock order, a discarded lookup bool) is a
-// test, not an analyzer.
+// established by convention, and it is sized to what it catches: four
+// analyzers (determinism, execpoll, guardedby, tenantclose — see the sibling
+// packages for the contracts themselves) and one driver, cmd/vetrnn. A rule
+// whose behaviour a dynamic test pins better (the write-ahead order, the
+// lock order, a discarded lookup bool, the partial result beside a typed
+// execution error, a sharded query's carved deadline and budget) is a test,
+// not an analyzer.
 package analysis
 
 import (

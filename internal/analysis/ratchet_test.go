@@ -46,17 +46,17 @@ func TestRatchetOverrun(t *testing.T) {
 }
 
 func TestRatchetStale(t *testing.T) {
-	b := &Baseline{Suppressions: map[string]int{"execpoll": 5, "partialresult": 5}}
+	b := &Baseline{Suppressions: map[string]int{"execpoll": 5, "guardedby": 5}}
 	directives := []Directive{
 		// Claims two names; only one fired. The other is stale.
-		dir([]string{"execpoll", "partialresult"}, map[string]int{"execpoll": 1}),
+		dir([]string{"execpoll", "guardedby"}, map[string]int{"execpoll": 1}),
 	}
-	v := Ratchet(b, directives, map[string]bool{"execpoll": true, "partialresult": true})
+	v := Ratchet(b, directives, map[string]bool{"execpoll": true, "guardedby": true})
 	if len(v) != 1 {
 		t.Fatalf("want 1 stale violation, got %v", v)
 	}
-	if v[0].Analyzer != "partialresult" || v[0].Stale == "" {
-		t.Fatalf("want stale partialresult, got %+v", v[0])
+	if v[0].Analyzer != "guardedby" || v[0].Stale == "" {
+		t.Fatalf("want stale guardedby, got %+v", v[0])
 	}
 	if !strings.Contains(v[0].String(), "stale suppression") {
 		t.Fatalf("stale message: %q", v[0].String())
@@ -64,11 +64,11 @@ func TestRatchetStale(t *testing.T) {
 }
 
 func TestRatchetStaleIgnoredForInactiveAnalyzer(t *testing.T) {
-	b := &Baseline{Suppressions: map[string]int{"partialresult": 1}}
+	b := &Baseline{Suppressions: map[string]int{"guardedby": 1}}
 	directives := []Directive{
-		dir([]string{"partialresult"}, map[string]int{}),
+		dir([]string{"guardedby"}, map[string]int{}),
 	}
-	// partialresult did not run, so its zero-count directive cannot be judged.
+	// guardedby did not run, so its zero-count directive cannot be judged.
 	if v := Ratchet(b, directives, map[string]bool{"execpoll": true}); len(v) != 0 {
 		t.Fatalf("inactive analyzer judged stale: %v", v)
 	}

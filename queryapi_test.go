@@ -365,10 +365,7 @@ func TestRunBatchReport(t *testing.T) {
 		{Kind: graphrnn.KindRNN, Target: graphrnn.NodeLocation(nodes[3]), Points: e.ps}, // K=0: invalid
 		{Kind: graphrnn.KindContinuous, Route: []graphrnn.NodeID{nodes[0], nodes[1]}, K: 1, Points: e.ps},
 	}
-	rep, err := e.db.RunBatch(context.Background(), queries, &graphrnn.BatchOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := e.db.RunBatch(context.Background(), queries, &graphrnn.BatchOptions{Parallelism: 2})
 	if len(rep.Results) != len(queries) {
 		t.Fatalf("got %d results, want %d", len(rep.Results), len(queries))
 	}

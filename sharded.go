@@ -165,6 +165,10 @@ type Sharded struct {
 	// handles are the in-process shard engines; nil in pure-coordinator
 	// mode (Runner set).
 	handles []*shardHandle
+	// sharedPool: the shards are in-process and DiskBacked, so they read
+	// through db's buffer pool, whose pool-wide read counter already meters
+	// the fan-out and the verify pass against one MaxIOReads.
+	sharedPool bool
 	// hub (HubLabelK > 0) is the coordinator's index over the full set ps;
 	// it answers the queries it covers in place of a fan-out. It is not
 	// registered with ps: the parent DB plans as before.
@@ -210,6 +214,7 @@ func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 	}
 	s := &Sharded{
 		db: db, ps: ps, sites: opt.Sites, part: part, runner: opt.Runner,
+		sharedPool:  opt.Runner == nil && opt.DiskBacked,
 		ownedPoints: make([]int, opt.Shards),
 		haloPoints:  make([]int, opt.Shards),
 		perShard:    make([]shardCounters, opt.Shards),
@@ -354,36 +359,44 @@ func (s *Sharded) ShardOf(n NodeID) int {
 	return s.part.ShardOf(graph.NodeID(n))
 }
 
-// shardTimeout derives a shard sub-query deadline from the parent
-// budget: the parent reserves a slice (a tenth, at most 50 ms) for the
-// merge and the verify pass. A parent timeout too small to split
-// propagates unchanged, so microscopic deadlines keep failing with the
-// typed upfront rejection instead of silently turning unbounded.
-func shardTimeout(parent time.Duration) time.Duration {
-	if parent <= 0 {
-		return 0
+// shardOptions carves one shard's bounds out of the parent query's. The
+// deadline keeps a slice (a tenth, at most 50 ms) for the merge and the
+// verify pass; a parent timeout too small to split propagates unchanged,
+// so microscopic deadlines keep failing with the typed upfront rejection
+// instead of silently turning unbounded. MaxNodes is split evenly,
+// max(B/shards, 1), and zero stays unlimited; the verify pass charges what
+// the shards spent against the parent's whole budget. MaxIOReads is split
+// the same way only when splitIO is set, i.e. when the shards read through
+// pools of their own; shards on the coordinator's pool take it whole, since
+// that pool's read counter already charges each of them every shard's reads.
+func shardOptions(parent QueryOptions, shards int, splitIO bool) QueryOptions {
+	split := func(b int64) int64 {
+		if b <= 0 {
+			return 0
+		}
+		return max(b/int64(shards), 1)
 	}
-	reserve := parent / 10
-	if reserve > 50*time.Millisecond {
-		reserve = 50 * time.Millisecond
+	opt := QueryOptions{Budget: Budget{
+		MaxNodes:   split(parent.Budget.MaxNodes),
+		MaxIOReads: parent.Budget.MaxIOReads,
+	}}
+	if splitIO {
+		opt.Budget.MaxIOReads = split(parent.Budget.MaxIOReads)
 	}
-	if d := parent - reserve; d > 0 {
-		return d
+	if parent.Timeout > 0 {
+		opt.Timeout = parent.Timeout - min(parent.Timeout/10, 50*time.Millisecond)
 	}
-	return parent
+	return opt
 }
 
 // shardQuery derives the per-shard sub-query: same kind, target, depth
-// and algorithm preference; the deadline shrinks by the coordinator's
-// reserve, the work budget applies per shard (documented on Run).
-func shardQuery(q Query) Query {
-	sq := Query{
+// and algorithm preference, under the bounds shardOptions carves.
+func (s *Sharded) shardQuery(q Query) Query {
+	return Query{
 		Kind: q.Kind, Target: q.Target, Route: q.Route, K: q.K,
 		Algorithm: q.Algorithm, Strict: q.Strict,
-		QueryOptions: q.QueryOptions,
+		QueryOptions: shardOptions(q.QueryOptions, s.part.Shards, !s.sharedPool),
 	}
-	sq.Timeout = shardTimeout(q.Timeout)
-	return sq
 }
 
 // RunShard executes shard sh's slice of q on this process's engines:
@@ -468,9 +481,15 @@ func (s *Sharded) runOneShard(ctx context.Context, sh int, q Query) (*ShardResul
 // the answer equals the unsharded DB.Run answer over the same point set on
 // the matching substrate (see Exactness).
 // Points and Sites must be nil (the Sharded owns them); an Algorithm hint
-// passes through to every shard's planner. q.Budget, when set, applies to
-// each shard sub-query individually (and again to the verify pass), not to
-// the aggregate.
+// passes through to every shard's planner. q.Budget.MaxNodes bounds the
+// whole query: each shard gets an even share of it (see shardOptions), and
+// the verify pass stops once the shards' work plus its own exceeds it.
+// MaxIOReads is metered per buffer pool: DiskBacked in-process shards read
+// through the coordinator's pool, whose read counter holds the fan-out and
+// the verify pass to it together; shards with pools of their own (a
+// Runner's peers, in-process shards without DiskBacked) split it evenly,
+// and the verify pass meters only the coordinator's pool against it, so
+// such a query may read up to about twice MaxIOReads in all.
 //
 // Typed execution errors follow the engine contract: shards cut short
 // contribute their partial candidates, the verified merge rides along with
@@ -509,7 +528,7 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	s.queries.Add(1)
 	s.fanOuts.Add(int64(s.part.Shards))
 
-	sq := shardQuery(q)
+	sq := s.shardQuery(q)
 	results := make([]*ShardResult, s.part.Shards)
 	errs := make([]error, s.part.Shards)
 	var wg sync.WaitGroup
@@ -542,11 +561,10 @@ func (s *Sharded) Run(ctx context.Context, q Query) (*Result, error) {
 	cands := mergeCandidates(lists)
 	s.candidates.Add(int64(len(cands)))
 
-	res, verr := s.verifyCandidates(ec, q, cands)
+	res, verr := s.verifyCandidates(ec, q, cands, gathered)
 	if res == nil {
 		return nil, verr
 	}
-	res.Stats.Add(gathered)
 	res.Plan = s.plan(q, len(cands))
 	s.members.Add(int64(len(res.Points)))
 	if verr != nil {
@@ -569,9 +587,9 @@ func (s *Sharded) plan(q Query, candidates int) Plan {
 // executed as if through Run (so each entry that scatters does so to every
 // shard).
 // Semantics mirror DB.RunBatch: per-entry results in input order,
-// FailFast, PerQuery bounds, context-aware dispatch.
-func (s *Sharded) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) (*BatchReport, error) {
-	return runBatch(ctx, queries, opt, s.Run), nil
+// FailFast, context-aware dispatch.
+func (s *Sharded) RunBatch(ctx context.Context, queries []Query, opt *BatchOptions) *BatchReport {
+	return runBatch(ctx, queries, opt, s.Run)
 }
 
 // mergeCandidates unions per-shard candidate lists into one ascending,
@@ -588,11 +606,12 @@ func mergeCandidates(lists [][]PointID) []PointID {
 // set — the cross-shard verify pass that makes scatter-gather answers
 // identical to unsharded ones — by the exact per-candidate expansion of the
 // brute-force oracle. Ids that name no live point are rejected (a shard — or
-// an adversarial remote — proposed garbage). ec is polled before every
-// candidate, charged with the pass's work so far: the sub-expansions poll
-// only every exec.CheckStride-th pop and most finish first. Typed execution
-// errors return the members verified so far.
-func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Result, error) {
+// an adversarial remote — proposed garbage). The Result's Stats start at
+// gathered, the shards' work, and ec is polled before every candidate,
+// charged with the query's work so far: the sub-expansions poll only every
+// exec.CheckStride-th pop and most finish first. Typed execution errors
+// return the members verified so far.
+func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID, gathered Stats) (*Result, error) {
 	bs := s.db.searcher.Bound(ec)
 	req := core.Request{
 		Kind: core.Kind(q.Kind), K: q.K, Points: core.PointSet{Node: s.ps.ns},
@@ -603,7 +622,7 @@ func (s *Sharded) verifyCandidates(ec *exec.Ctx, q Query, cands []PointID) (*Res
 	}
 	// Points is non-nil even when empty, matching wrapResult's shape on
 	// the unsharded surface.
-	res := &Result{Points: []PointID{}}
+	res := &Result{Points: []PointID{}, Stats: gathered}
 	for _, p := range cands {
 		if err := ec.Check(res.Stats.NodesExpanded + res.Stats.NodesScanned); err != nil {
 			return res, err

@@ -105,7 +105,7 @@ func FuzzShardMerge(f *testing.F) {
 				break
 			}
 		}
-		res, err := sh.verifyCandidates(nil, queries[qi], cands)
+		res, err := sh.verifyCandidates(nil, queries[qi], cands, Stats{})
 		if err != nil {
 			t.Fatalf("verify over adversarial candidates errored: %v", err)
 		}

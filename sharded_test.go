@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/shard"
 )
@@ -250,10 +251,7 @@ func TestShardedOracleBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sh.Close()
-		rep, err := sh.RunBatch(context.Background(), qs, &BatchOptions{Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := sh.RunBatch(context.Background(), qs, &BatchOptions{Parallelism: 4})
 		if rep.Failed != 0 {
 			t.Fatalf("hubK=%d: %d batch entries failed", hubK, rep.Failed)
 		}
@@ -361,19 +359,146 @@ func TestShardedDeadline(t *testing.T) {
 	}
 }
 
+// TestShardTimeoutDerivation pins how shardOptions carves a shard's bounds
+// out of the parent query's: the deadline keeps a reserve for the merge and
+// the verify pass, MaxNodes is split evenly across the shards, and
+// MaxIOReads is split only for shards that read through pools of their own.
 func TestShardTimeoutDerivation(t *testing.T) {
 	for _, tc := range []struct {
-		parent, want time.Duration
+		parent  QueryOptions
+		shards  int
+		splitIO bool
+		want    QueryOptions
 	}{
-		{0, 0},
-		{time.Nanosecond, time.Nanosecond}, // too small to split: propagate
-		{100 * time.Millisecond, 90 * time.Millisecond},
-		{time.Second, 950 * time.Millisecond}, // reserve capped at 50ms
-		{10 * time.Second, 9950 * time.Millisecond},
+		{QueryOptions{}, 4, true, QueryOptions{}},
+		{QueryOptions{Timeout: time.Nanosecond}, 4, true, QueryOptions{Timeout: time.Nanosecond}}, // too small to split: propagate
+		{QueryOptions{Timeout: 100 * time.Millisecond}, 4, true, QueryOptions{Timeout: 90 * time.Millisecond}},
+		{QueryOptions{Timeout: time.Second}, 4, true, QueryOptions{Timeout: 950 * time.Millisecond}}, // reserve capped at 50ms
+		{QueryOptions{Timeout: 10 * time.Second}, 4, true, QueryOptions{Timeout: 9950 * time.Millisecond}},
+		{QueryOptions{Budget: Budget{MaxNodes: 1000}}, 4, true, QueryOptions{Budget: Budget{MaxNodes: 250}}},
+		{QueryOptions{Budget: Budget{MaxIOReads: 10}}, 3, true, QueryOptions{Budget: Budget{MaxIOReads: 3}}},
+		{QueryOptions{Budget: Budget{MaxNodes: 7, MaxIOReads: 2}}, 8, true, QueryOptions{Budget: Budget{MaxNodes: 1, MaxIOReads: 1}}}, // never rounds to unlimited
+		{QueryOptions{Budget: Budget{MaxNodes: 1000}}, 1, true, QueryOptions{Budget: Budget{MaxNodes: 1000}}},
+		{
+			QueryOptions{Timeout: 100 * time.Millisecond, Budget: Budget{MaxNodes: 900, MaxIOReads: 90}}, 2, true,
+			QueryOptions{Timeout: 90 * time.Millisecond, Budget: Budget{MaxNodes: 450, MaxIOReads: 45}},
+		},
+		// Shards on the coordinator's pool: its counter is shared, so the
+		// I/O budget stays whole.
+		{QueryOptions{Budget: Budget{MaxNodes: 1000, MaxIOReads: 10}}, 4, false, QueryOptions{Budget: Budget{MaxNodes: 250, MaxIOReads: 10}}},
 	} {
-		if got := shardTimeout(tc.parent); got != tc.want {
-			t.Errorf("shardTimeout(%v) = %v, want %v", tc.parent, got, tc.want)
+		if got := shardOptions(tc.parent, tc.shards, tc.splitIO); got != tc.want {
+			t.Errorf("shardOptions(%+v, %d, %v) = %+v, want %+v", tc.parent, tc.shards, tc.splitIO, got, tc.want)
 		}
+	}
+}
+
+// TestShardedBudgetBoundsQuery: q.Budget bounds a scatter-gather query as a
+// whole. With MaxNodes at a quarter and at half of a query's unbounded work,
+// the shards and the verify pass together stop within one polling stride per
+// shard plus one for the verify pass, and what they confirmed before
+// stopping is part of the unbounded answer. DiskBacked shards read through
+// the coordinator's pool, whose read counter charges every shard and the
+// verify pass with the whole query's reads: a MaxIOReads of the query's cold
+// reads lets it finish, and half of them stops it within the same slack.
+func TestShardedBudgetBoundsQuery(t *testing.T) {
+	const shards = 4
+	g, err := GenerateRoadNetwork(41, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(g, &Options{DiskBacked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ps, err := db.PlaceRandomNodePoints(42, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := db.Shard(ps, &ShardOptions{Shards: shards, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	disk, err := db.Shard(ps, &ShardOptions{Shards: shards, Seed: 41, DiskBacked: true, BufferPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	ctx := context.Background()
+	slack := int64((shards + 1) * exec.CheckStride)
+	// cold runs q on sh from an empty buffer and reports the pool's reads.
+	cold := func(sh *Sharded, q Query) (*Result, int64, error) {
+		t.Helper()
+		if err := db.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.PoolStats().Reads
+		res, err := sh.Run(ctx, q)
+		return res, db.PoolStats().Reads - before, err
+	}
+	subset := func(q Query, b Budget, res, full *Result) {
+		t.Helper()
+		for _, p := range res.Points {
+			if !slices.Contains(full.Points, p) {
+				t.Fatalf("q=%d %+v: partial member %d is not in the answer %v", q.Target.U, b, p, full.Points)
+			}
+		}
+	}
+	ioTripped := 0
+	for n := 0; n < g.NumNodes(); n += g.NumNodes() / 12 {
+		q := Query{Kind: KindRNN, Target: NodeLocation(NodeID(n)), K: 2}
+		full, err := mem.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := full.Stats.NodesExpanded + full.Stats.NodesScanned
+		for _, div := range []int64{4, 2} {
+			bq := q
+			bq.Budget.MaxNodes = work / div
+			res, err := mem.Run(ctx, bq)
+			if !errors.Is(err, ErrBudgetExceeded) || res == nil {
+				t.Fatalf("q=%d budget %d of %d: result %+v, error %v; want a partial result and ErrBudgetExceeded", n, bq.Budget.MaxNodes, work, res, err)
+			}
+			if got := res.Stats.NodesExpanded + res.Stats.NodesScanned; got > bq.Budget.MaxNodes+slack {
+				t.Fatalf("q=%d: %d nodes under a budget of %d (%.2fx; allowed %d over)", n, got, bq.Budget.MaxNodes,
+					float64(got)/float64(bq.Budget.MaxNodes), slack)
+			}
+			subset(q, bq.Budget, res, full)
+		}
+
+		// Lazy: on paged shards the planner picks eager, whose range-NN
+		// probes pop millions of nodes on this sparse point set.
+		bq := q
+		bq.Algorithm = Lazy()
+		_, reads, err := cold(disk, bq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bq.Budget.MaxIOReads = reads
+		if res, _, err := cold(disk, bq); err != nil || !slices.Equal(res.Points, full.Points) {
+			t.Fatalf("q=%d: %d cold reads under a budget of as many: result %+v, error %v; want the answer %v", n, reads, res, err, full.Points)
+		}
+		bq.Budget.MaxIOReads = max(reads/2, 1)
+		res, got, err := cold(disk, bq)
+		switch {
+		case err == nil:
+			if !slices.Equal(res.Points, full.Points) {
+				t.Fatalf("q=%d %+v: finished with %v, want %v", n, bq.Budget, res.Points, full.Points)
+			}
+		case !errors.Is(err, ErrBudgetExceeded) || res == nil:
+			t.Fatalf("q=%d %+v: result %+v, error %v; want a partial result and ErrBudgetExceeded", n, bq.Budget, res, err)
+		default:
+			ioTripped++
+			if got > bq.Budget.MaxIOReads+slack {
+				t.Fatalf("q=%d: %d reads under a budget of %d (allowed %d over)", n, got, bq.Budget.MaxIOReads, slack)
+			}
+			subset(q, bq.Budget, res, full)
+		}
+	}
+	if ioTripped == 0 {
+		t.Error("no I/O budget of half a query's cold reads tripped")
 	}
 }
 
@@ -538,7 +663,7 @@ func TestShardedVerifyAbandoned(t *testing.T) {
 	// the candidates before the second member runs out at the poll before
 	// that member's turn (no single verification comes near it).
 	cut := slices.Index(all, full.Points[1])
-	before, err := sh.verifyCandidates(nil, q, all[:cut])
+	before, err := sh.verifyCandidates(nil, q, all[:cut], Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
