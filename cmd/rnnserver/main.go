@@ -610,6 +610,7 @@ func main() {
 	)
 	flag.Parse()
 
+	began := time.Now()
 	var (
 		g   *graphrnn.Graph
 		err error
@@ -636,6 +637,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	graphSecs := time.Since(began).Seconds()
+	placing := time.Now()
 	count := int(*density * float64(g.NumNodes()))
 	if count < 2 {
 		count = 2
@@ -664,6 +667,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	pointsSecs := time.Since(placing).Seconds()
 
 	var peers []string
 	if *shardPeers != "" {
@@ -684,6 +688,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	// What the unsharded set-up spends, for the start-up line below.
+	var knnSecs, labelSecs, reverseSecs float64
+	var workers, entries int
 	if *shards > 0 {
 		// Sharded mode: every process derives the same partition (and so
 		// the same global point-id space) from the shared flags; -maxk and
@@ -713,26 +720,33 @@ func main() {
 			srv.shardRole, *shards, time.Since(start).Round(time.Millisecond))
 	} else {
 		if *maxK > 0 {
+			mark := time.Now()
 			srv.mat, err = db.MaterializeNodePoints(ps, *maxK, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
+			knnSecs = time.Since(mark).Seconds()
 		}
 		if *hubLabel > 0 {
+			mark := time.Now()
 			idx, err := db.BuildHubLabelIndex(ps, *hubLabel, &srv.hubOpts)
 			if err != nil {
 				log.Fatal(err)
 			}
 			srv.hub.Store(idx)
 			bst := idx.BuildStats()
-			log.Printf("rnnserver: hub-label index built in %.3fs with %d workers (%d entries, %.1f avg label)",
-				bst.WallSeconds, bst.Workers, idx.LabelEntries(), idx.AverageLabelSize())
+			labelSecs, workers, entries = bst.WallSeconds, bst.Workers, idx.LabelEntries()
+			reverseSecs = time.Since(mark).Seconds() - labelSecs
 		}
 	}
 
 	// The builds above leave their garbage behind, and serving allocates
 	// too little to make the collector come round for it: release it once.
 	debug.FreeOSMemory()
+	if srv.sharded == nil {
+		log.Printf("rnnserver: set up in %.3fs: graph %.3fs, points %.3fs, K-NN lists %.3fs, labeling %.3fs (%d workers, %d entries), reverse index %.3fs",
+			time.Since(began).Seconds(), graphSecs, pointsSecs, knnSecs, labelSecs, workers, entries, reverseSecs)
+	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", srv.handleQuery)

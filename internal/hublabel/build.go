@@ -55,8 +55,8 @@ type BuildStats struct {
 // workers resolves the worker count. "As many as the machine has" picks
 // the sequential build on one or two CPUs: at two workers the batched build
 // sweeps 2.45M nodes where the sequential one sweeps 1.57M on road-20K
-// (793 resweeps) and takes 1.05 s against 0.72 s. An explicit count is
-// taken at its word.
+// (793 resweeps) and takes ≈ 0.69 s against ≈ 0.44 s (medians of 7 on a
+// 2-CPU Xeon). An explicit count is taken at its word.
 func (o BuildOptions) workers() int {
 	w := o.Workers
 	if w < 0 {
@@ -190,10 +190,11 @@ func undirectedAdjacency(out, in graph.Access, ec *exec.Ctx) ([][]graph.NodeID, 
 //	32              1 463 878     462 826        769 453     2 186 763
 //	all peeled      1 818 279   6 420 271      1 636 910     3 162 364
 //
-// Build time follows the entries (road-20K, sequential: ≈ 1.9 s unpeeled,
-// ≈ 0.8 s at 16, the order itself ≈ 60 ms of that). Uncapped, BRITE's 19 997
-// edges grow 528 761 fill edges (44 357 at 16): the neighbourhoods of its
-// hubs become cliques, and an order through cliques is no order.
+// Build time follows the entries (road-20K, sequential on one core: ≈ 0.82 s
+// unpeeled, ≈ 0.44 s at 16, the order itself ≈ 56 ms of that). Uncapped,
+// BRITE's 19 997 edges grow 528 761 fill edges (44 357 at 16): the
+// neighbourhoods of its hubs become cliques, and an order through cliques is
+// no order.
 const elimCap = 16
 
 // eliminate peels the undirected graph nbr by min-degree elimination and
@@ -351,7 +352,7 @@ func batchedSweep(g graph.Access, h graph.NodeID, hub []Entry, committed [][]Ent
 				return
 			}
 		}
-		if sc.lp.query(committed[v]) <= dist {
+		if sc.lp.covers(committed[v], dist) {
 			out.pruned++
 			continue
 		}
@@ -420,7 +421,7 @@ func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, int
 	st.Pruned += r.pruned
 	mergeLP.load(hub)
 	for _, c := range r.cands {
-		if mergeLP.query(into[c.node]) <= c.dist {
+		if mergeLP.covers(into[c.node], c.dist) {
 			st.Resweeps++
 			return prunedSweep(g, h, mergeLP, into, mergeDS, ec, st)
 		}

@@ -1,9 +1,15 @@
 package hublabel
 
 import (
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphrnn/internal/exec"
@@ -37,6 +43,88 @@ func sameLabeling(t *testing.T, want, got *Labeling) {
 	sameSet("out", want.out, got.out)
 	if want.directed {
 		sameSet("in", want.in, got.in)
+	}
+}
+
+// fingerprint is the SHA-256 of a labeling's CSR, out side then in side (the
+// same set twice when undirected): offsets, hub ids, and every distance as
+// its math.Float64bits, little endian. Equal fingerprints mean the labels
+// are the same bits.
+func fingerprint(l *Labeling) string {
+	h := sha256.New()
+	for _, s := range []labelSet{l.out, l.in} {
+		for _, field := range []any{s.offsets, s.hubs, s.dists} {
+			if err := binary.Write(h, binary.LittleEndian, field); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLabelingFingerprint pins the labels themselves, not only the batched
+// build to the sequential one: the labeling is a pure function of graph and
+// landmark order, so a change to how it is computed must reproduce these
+// bits; only a new order may move them, on purpose.
+func TestLabelingFingerprint(t *testing.T) {
+	graphs := testGraphs(t)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"road", graphs["road"], "ee012771aed9e247a1dcb6128dd1ac5e73f0fb35007206aaa71e3aa82727e70b"},
+		{"grid", graphs["grid"], "905922104966c209546d7ad572257c84bb230c23a6d2343efbc376993c8b48bc"},
+		{"digraph", testDigraph(t, 21), "391a5c09ea0f0e28343aba3e2a4f776bf81e160bfc0ae5acdd34bd01c50c687d"},
+	} {
+		l, err := buildSeq(c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprint(l); got != c.want {
+			t.Errorf("%s: labeling fingerprint %s, pinned %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFinalize checks finalize's counting transpose against a sort-based
+// reference CSR on random labels — distinct hubs in arbitrary order, empty
+// labels, hub n-1 in use — through undirected and directed newLabeling.
+func TestFinalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	random := func(n int) [][]Entry {
+		lists := make([][]Entry, n)
+		for v := range lists {
+			hubs := rng.Perm(n) // node 0 holds every hub, n-1 included
+			switch {
+			case v%3 == 1:
+				continue
+			case v > 0:
+				hubs = hubs[:rng.Intn(n)+1]
+			}
+			for _, h := range hubs {
+				lists[v] = append(lists[v], Entry{Hub: graph.NodeID(h), Dist: rng.Float64()})
+			}
+		}
+		return lists
+	}
+	reference := func(lists [][]Entry) labelSet {
+		ref := labelSet{offsets: make([]int32, len(lists)+1)}
+		for v, label := range lists {
+			for _, e := range slices.SortedFunc(slices.Values(label), func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) }) {
+				ref.hubs = append(ref.hubs, e.Hub)
+				ref.dists = append(ref.dists, e.Dist)
+			}
+			ref.offsets[v+1] = int32(len(ref.hubs))
+		}
+		return ref
+	}
+	for _, n := range []int{1, 2, 5, 64, 300} {
+		out, in := random(n), random(n)
+		und := &Labeling{numNodes: n, out: reference(out)}
+		und.in = und.out
+		sameLabeling(t, und, newLabeling(n, false, out, nil))
+		sameLabeling(t, &Labeling{numNodes: n, directed: true, out: reference(out), in: reference(in)}, newLabeling(n, true, out, in))
 	}
 }
 
@@ -231,8 +319,9 @@ func replayFill(t *testing.T, g graph.Access, peeled []graph.NodeID) (maxDegree,
 // sampled-centrality order alone produced (PR 25's counts); and on BRITE a
 // bound on the fill, which is what elimCap buys — uncapped, the elimination
 // joins the neighbourhoods of a scale-free graph's hubs into cliques, took
-// 6 s to order 10K nodes and doubled the labels. The batched build must
-// reproduce the road labeling bit for bit at every worker count.
+// 6 s to order 10K nodes and doubled the labels. The road labeling's
+// fingerprint is pinned too, and the batched build must reproduce it bit for
+// bit at every worker count.
 func TestLandmarkOrderLabelSizes(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("builds four 10K-20K-node labelings to read deterministic counters")
@@ -275,7 +364,13 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 		}
 		if c.g == road {
 			seq = l
+			if st.Visits != 1568907 || st.Pruned != 130524 {
+				t.Errorf("road-20K: %d visits, %d pruned; pinned 1568907 and 130524", st.Visits, st.Pruned)
+			}
 		}
+	}
+	if got, want := fingerprint(seq), "5a01ea2f86cf6218bbb132facfeacc8cc1e3570e15934de7ab715351f10f6a85"; got != want {
+		t.Errorf("road-20K: labeling fingerprint %s, pinned %s", got, want)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		par, st, err := BuildOpt(road, BuildOptions{Workers: workers})

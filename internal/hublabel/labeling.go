@@ -179,9 +179,10 @@ func mergeDist(a, b []Entry) float64 {
 
 // --- Build -----------------------------------------------------------------
 
-// landmarkProbe answers the pruning query of one landmark sweep in O(|L(v)|)
-// per visited node: the current landmark's label is loaded into a dense
-// hub-indexed array once per sweep, so no merge runs at pop time.
+// landmarkProbe answers the pruning query of one landmark sweep in at most
+// |L(v)| steps per visited node: the current landmark's label is loaded into
+// a dense hub-indexed array once per sweep, so no merge runs at pop time, and
+// the cover test stops at the first covering hub.
 type landmarkProbe struct {
 	hd     []float64      // d(landmark, hub); +Inf where the loaded label has no entry
 	loaded []graph.NodeID // hubs of the loaded label, to clear hd on the next load
@@ -207,16 +208,19 @@ func (lp *landmarkProbe) load(label []Entry) {
 	}
 }
 
-// query returns the labeled distance between the loaded landmark and the
-// node owning label, +Inf when they share no hub yet.
-func (lp *landmarkProbe) query(label []Entry) float64 {
-	best := math.Inf(1)
+// covers reports whether the labels already certify a distance of at most
+// dist between the loaded landmark and the node owning label: some common hub
+// with d(landmark, hub) + d(hub, node) <= dist. The same predicate as "the
+// labeled distance is at most dist", decided at the first covering hub —
+// labels grow in rank order, so a covered node usually meets its covering
+// high-rank hub among its first entries.
+func (lp *landmarkProbe) covers(label []Entry, dist float64) bool {
 	for _, e := range label {
-		if d := lp.hd[e.Hub] + e.Dist; d < best {
-			best = d
+		if lp.hd[e.Hub]+e.Dist <= dist {
+			return true
 		}
 	}
-	return best
+	return false
 }
 
 // dijkstraState is the scratch of one pruned expansion.
@@ -359,7 +363,7 @@ func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Ent
 				return err
 			}
 		}
-		if lp.query(into[v]) <= dist {
+		if lp.covers(into[v], dist) {
 			bst.Pruned++
 			continue // already covered by higher-ranked hubs
 		}
@@ -374,22 +378,48 @@ func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Ent
 	}
 }
 
-// finalize converts per-node entry slices into a hub-id-sorted CSR.
+// finalize converts per-node entry slices, in any order, into a
+// hub-id-sorted CSR in O(entries) and without a comparison: a counting
+// transpose to hub-major order and back. Reading the nodes in id order files
+// every entry under its hub, and reading the hubs in id order then hands each
+// node its entries by hub id. A node holds at most one entry per hub, so no
+// ties arise.
 func finalize(n int, entries [][]Entry) labelSet {
-	offsets := make([]int32, n+1)
-	total := 0
-	for v := 0; v < n; v++ {
-		slices.SortFunc(entries[v], func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) })
-		total += len(entries[v])
-		offsets[v+1] = int32(total)
+	offsets := make([]int32, n+1) // node-major
+	byHub := make([]int32, n+1)   // hub-major
+	for v, label := range entries {
+		offsets[v+1] = offsets[v] + int32(len(label))
+		for _, e := range label {
+			byHub[e.Hub+1]++
+		}
 	}
+	for h := range n {
+		byHub[h+1] += byHub[h]
+	}
+	total := offsets[n]
+
+	// Node-major → hub-major: each hub's entries, by node id.
+	owner := make([]graph.NodeID, total)
+	hubDist := make([]float64, total)
+	next := slices.Clone(byHub[:n])
+	for v, label := range entries {
+		for _, e := range label {
+			i := next[e.Hub]
+			next[e.Hub]++
+			owner[i], hubDist[i] = graph.NodeID(v), e.Dist
+		}
+	}
+
+	// Hub-major → node-major: each node's entries, by hub id.
 	hubs := make([]graph.NodeID, total)
 	dists := make([]float64, total)
-	i := 0
-	for v := 0; v < n; v++ {
-		for _, e := range entries[v] {
-			hubs[i], dists[i] = e.Hub, e.Dist
-			i++
+	next = slices.Clone(offsets[:n])
+	for h := range n {
+		for i := byHub[h]; i < byHub[h+1]; i++ {
+			v := owner[i]
+			j := next[v]
+			next[v]++
+			hubs[j], dists[j] = graph.NodeID(h), hubDist[i]
 		}
 	}
 	return labelSet{offsets: offsets, hubs: hubs, dists: dists}
