@@ -362,8 +362,12 @@ type matHeapEntry struct {
 // wrap file — typically a tenant of the process-wide buffer pool, so list
 // pages share frames (and stats) with every other substrate.
 //
-// Complexity is O(K·|E|·log(K·|E|)), as in the paper; pushes that provably
-// cannot improve a list are filtered to keep the heap small.
+// The expansion reads adjacency through s's graph, so a searcher over the
+// in-memory graph builds without page I/O. It pops in (distance, push) order from a pq.Radix: every push
+// is a popped distance plus a non-negative edge weight, never below the
+// last pop, which is the radix queue's contract. The lists grow in place in
+// one block of min(maxK+1, |ps|) entries a node, and pushes that provably
+// cannot improve a list are filtered to keep the queue small.
 func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile, bm *storage.Tenant, order []graph.NodeID) (*Materialized, error) {
 	if maxK < 1 {
 		return nil, fmt.Errorf("core: maxK must be >= 1, got %d", maxK)
@@ -387,10 +391,22 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 		return nil, fmt.Errorf("core: K=%d lists: %w", maxK, err)
 	}
 
-	lists := make([][]MatEntry, n)
-	var heap pq.Heap[matHeapEntry]
+	// Node m's list is block[m*width:][:lens[m]]. No list holds more points
+	// than there are, so width caps a huge maxK at |ps|, and a list full at
+	// width < cap holds every point: matAccept then rejects or replaces
+	// without dropping a tail, as it would at cap.
+	ids := ps.ids()
+	width := min(cap, len(ids))
+	block := make([]MatEntry, n*width)
+	lens := make([]int32, n)
+	list := func(m graph.NodeID) []MatEntry {
+		off := int(m) * width
+		return block[off : off+int(lens[m]) : off+width]
+	}
+
+	var queue pq.Radix[matHeapEntry]
 	var adj []graph.Edge
-	for _, p := range ps.ids() {
+	for _, p := range ids {
 		loc, ok := ps.loc(p)
 		if !ok {
 			continue
@@ -400,45 +416,37 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 			return nil, err
 		}
 		for _, a := range as[:na] {
-			heap.Push(matHeapEntry{a.node, p}, a.off)
+			queue.Push(matHeapEntry{a.node, p}, a.off)
 		}
 	}
 
-	// accept inserts (p,d) into list[m] under the canonical order and
-	// reports whether the list changed.
-	accept := func(m graph.NodeID, p points.PointID, d float64) bool {
-		changed, updated := matAccept(lists[m], p, d, cap)
-		if changed {
-			lists[m] = updated
-		}
-		return changed
-	}
-	// worthPushing filters heap entries that cannot change list[m].
+	// worthPushing filters queue entries that cannot change list m.
 	worthPushing := func(m graph.NodeID, p points.PointID, d float64) bool {
-		lst := lists[m]
-		if len(lst) < cap {
+		if int(lens[m]) < width {
 			return true
 		}
-		last := lst[len(lst)-1]
+		last := list(m)[width-1]
 		return entryLess(d, p, last.D, last.P)
 	}
 
 	//lint:ignore vetrnn/execpoll offline index construction; no query context exists yet (ROADMAP: context-aware maintenance)
 	for {
-		e, d, ok := heap.Pop()
+		e, d, ok := queue.Pop()
 		if !ok {
 			break
 		}
-		if !accept(e.node, e.p, d) {
+		changed, lst := matAccept(list(e.node), e.p, d, width)
+		if !changed {
 			continue
 		}
+		lens[e.node] = int32(len(lst))
 		var adjErr error
 		if adj, adjErr = s.g.Adjacency(e.node, adj); adjErr != nil {
 			return nil, adjErr
 		}
 		for _, edge := range adj {
 			if nd := d + edge.W; worthPushing(edge.To, e.p, nd) {
-				heap.Push(matHeapEntry{edge.To, e.p}, nd)
+				queue.Push(matHeapEntry{edge.To, e.p}, nd)
 			}
 		}
 	}
@@ -456,7 +464,7 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 	m := &Materialized{maxK: maxK, cap: cap, numNodes: n, refs: make([]storage.RecRef, n)}
 	rec := make([]byte, matRecordSize(cap))
 	for _, node := range order {
-		used := appendMatList(rec[:0], lists[node])
+		used := appendMatList(rec[:0], list(node))
 		clear(rec[len(used):])
 		if m.refs[node], err = w.Add(rec); err != nil {
 			return nil, err

@@ -223,14 +223,16 @@ func (lp *landmarkProbe) covers(label []Entry, dist float64) bool {
 	return false
 }
 
-// dijkstraState is the scratch of one pruned expansion.
+// dijkstraState is the scratch of one pruned expansion. Every push is a
+// popped distance plus a non-negative weight, so the queue is monotone and
+// pops in the (distance, push) order a pq.Heap would.
 type dijkstraState struct {
-	dist []float64
-	seen []uint32
-	done []uint32
-	ep   uint32
-	heap pq.Heap[graph.NodeID]
-	adj  []graph.Edge
+	dist  []float64
+	seen  []uint32
+	done  []uint32
+	ep    uint32
+	queue pq.Radix[graph.NodeID]
+	adj   []graph.Edge
 }
 
 func newDijkstraState(n int) *dijkstraState {
@@ -245,7 +247,7 @@ func (d *dijkstraState) begin() {
 		}
 		d.ep = 1
 	}
-	d.heap.Reset()
+	d.queue.Reset()
 }
 
 // push offers n at dist; it reports whether the label improved (used by the
@@ -259,13 +261,13 @@ func (d *dijkstraState) push(n graph.NodeID, dist float64) bool {
 	}
 	d.seen[n] = d.ep
 	d.dist[n] = dist
-	d.heap.Push(n, dist)
+	d.queue.Push(n, dist)
 	return true
 }
 
 func (d *dijkstraState) pop() (graph.NodeID, float64, bool) {
 	for {
-		n, dist, ok := d.heap.Pop()
+		n, dist, ok := d.queue.Pop()
 		if !ok {
 			return 0, 0, false
 		}

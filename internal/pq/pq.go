@@ -1,5 +1,8 @@
-// Package pq implements the binary min-heap used by every network
-// expansion in the library.
+// Package pq implements the priority queues of the library's network
+// expansions: a binary min-heap (Heap) for the query walkers and every
+// expansion that removes entries or pushes below its last pop, and a
+// monotone radix queue (Radix) for the offline Dijkstra sweeps that do
+// neither — the all-NN build of the K-NN lists and the hub labeling's.
 //
 // The lazy RNN algorithm of Yiu et al. (TKDE'06, Section 3.3) must delete
 // arbitrary heap entries when a verification query invalidates the node that

@@ -103,14 +103,16 @@ func (db *DB) MaterializeEdgePoints(ps *EdgePoints, maxK int, opt *MatOptions) (
 	return db.materialize(&Materialization{db: db, edge: ps}, maxK, opt)
 }
 
-// materialize packs the lists of mat's set into a fresh memory page file
-// attached to the DB's shared buffer pool as the "mat" tenant, and
-// registers the result with the set.
+// materialize runs the all-NN build over the DB's in-memory graph, as
+// BuildHubLabelIndex does, so a disk-backed DB's set-up reads no adjacency
+// page; packs the lists into a fresh memory page file attached to the DB's
+// shared buffer pool as the "mat" tenant, through which they are read back
+// and maintained; and registers the result with the set.
 func (db *DB) materialize(mat *Materialization, maxK int, opt *MatOptions) (*Materialization, error) {
 	file := storage.NewMemFile(storage.DefaultPageSize)
 	bm := db.pool.attach("mat", file, opt.bufferPages())
 	var err error
-	if mat.m, err = db.searcher.MatBuildBuffer(mat.set().view(), maxK, file, bm, nil); err != nil {
+	if mat.m, err = core.NewSearcher(db.graph.g).MatBuildBuffer(mat.set().view(), maxK, file, bm, nil); err != nil {
 		_ = bm.Detach()
 		return nil, err
 	}
