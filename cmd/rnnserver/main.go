@@ -691,6 +691,7 @@ func main() {
 	// What the unsharded set-up spends, for the start-up line below.
 	var knnSecs, labelSecs, reverseSecs float64
 	var workers, entries int
+	var labelBytes int64
 	if *shards > 0 {
 		// Sharded mode: every process derives the same partition (and so
 		// the same global point-id space) from the shared flags; -maxk and
@@ -735,7 +736,7 @@ func main() {
 			}
 			srv.hub.Store(idx)
 			bst := idx.BuildStats()
-			labelSecs, workers, entries = bst.WallSeconds, bst.Workers, idx.LabelEntries()
+			labelSecs, workers, entries, labelBytes = bst.WallSeconds, bst.Workers, idx.LabelEntries(), bst.LabelBytes
 			reverseSecs = time.Since(mark).Seconds() - labelSecs
 		}
 	}
@@ -744,8 +745,8 @@ func main() {
 	// too little to make the collector come round for it: release it once.
 	debug.FreeOSMemory()
 	if srv.sharded == nil {
-		log.Printf("rnnserver: set up in %.3fs: graph %.3fs, points %.3fs, K-NN lists %.3fs, labeling %.3fs (%d workers, %d entries), reverse index %.3fs",
-			time.Since(began).Seconds(), graphSecs, pointsSecs, knnSecs, labelSecs, workers, entries, reverseSecs)
+		log.Printf("rnnserver: set up in %.3fs: graph %.3fs, points %.3fs, K-NN lists %.3fs, labeling %.3fs (%d workers, %d entries, %d bytes), reverse index %.3fs",
+			time.Since(began).Seconds(), graphSecs, pointsSecs, knnSecs, labelSecs, workers, entries, labelBytes, reverseSecs)
 	}
 
 	mux := http.NewServeMux()

@@ -16,8 +16,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"graphrnn"
+	"graphrnn/internal/hublabel"
 )
 
 type hubEnv struct {
@@ -542,8 +544,9 @@ func TestHubLabelErrors(t *testing.T) {
 // TestHubLabelParallelPaged builds the index through the public API with
 // every core and paged labels, and checks the result is indistinguishable
 // from the default build: same label entries, same RNN answers — while the
-// build stats report the parallel batched schedule and the page file's
-// payload.
+// build stats report the parallel batched schedule, the page file's payload
+// and, for the default build, the in-memory labels' 12 bytes an entry plus
+// offsets.
 func TestHubLabelParallelPaged(t *testing.T) {
 	for name, g := range hubTopologies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -558,8 +561,9 @@ func TestHubLabelParallelPaged(t *testing.T) {
 			if bst.Workers > 1 && bst.Batches == 0 {
 				t.Fatalf("parallel build reports no batches: %+v", bst)
 			}
-			if bst.LabelBytes <= 0 || base.idx.BuildStats().LabelBytes != 0 {
-				t.Fatalf("label payload: paged %d bytes, in memory %d", bst.LabelBytes, base.idx.BuildStats().LabelBytes)
+			inMemory := int64(12*base.idx.LabelEntries() + 4*(g.NumNodes()+1))
+			if bst.LabelBytes <= 0 || base.idx.BuildStats().LabelBytes != inMemory {
+				t.Fatalf("label bytes: paged %d, in memory %d (want %d)", bst.LabelBytes, base.idx.BuildStats().LabelBytes, inMemory)
 			}
 			if e.idx.LabelEntries() != base.idx.LabelEntries() {
 				t.Fatalf("label entries diverge: %d vs %d (sequential)", e.idx.LabelEntries(), base.idx.LabelEntries())
@@ -588,11 +592,22 @@ func TestHubLabelParallelPaged(t *testing.T) {
 	}
 }
 
+// liveHeap is the Go heap after two full collections.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
 // TestHubLabelPagedDropsLabeling: a paged index serves the label pages alone
 // — the raw labeling it was written from is not kept for SaveTo — so a
-// paged build grows the live heap by less than 1.5 × an in-memory one (a
-// labeling still pinned beside its pages reads ≈ 2 ×), and SaveTo from either
-// kind reopens to the same answers.
+// paged build grows what the process holds by less than 1.5 × an in-memory
+// one (a labeling still pinned beside its pages reads ≈ 2 ×), and SaveTo from
+// either kind reopens to the same answers. What the process holds is the
+// live Go heap plus the label mappings: an in-memory labeling keeps its
+// entries outside the heap, its page file keeps them on it.
 func TestHubLabelPagedDropsLabeling(t *testing.T) {
 	g, err := graphrnn.GenerateRoadNetwork(141, 5000)
 	if err != nil {
@@ -606,21 +621,34 @@ func TestHubLabelPagedDropsLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveHeap := func() int64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
+	// held returns the live heap and the mapped label bytes once at most
+	// limit bytes are mapped: a collected labeling is unmapped by a cleanup
+	// on its own goroutine, so held polls for it, up to a deadline.
+	held := func(limit int64) (heap, mapped int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			heap = liveHeap()
+			_, mapped = hublabel.MappedLabels()
+			if mapped <= limit || time.Now().After(deadline) {
+				return heap, mapped
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
+	_, base := hublabel.MappedLabels()
 	growth := map[bool]int64{}
 	for _, paged := range []bool{false, true} {
-		before := liveHeap()
+		heap0, mapped0 := held(base)
 		idx, err := db.BuildHubLabelIndex(ps, 2, &graphrnn.HubLabelOptions{DiskBacked: paged})
 		if err != nil {
 			t.Fatal(err)
 		}
-		growth[paged] = liveHeap() - before
+		keep := base // a paged index maps nothing, an in-memory one its labels
+		if !paged {
+			keep += idx.BuildStats().LabelBytes
+		}
+		heap1, mapped1 := held(keep)
+		growth[paged] = heap1 - heap0 + mapped1 - mapped0
 		path := filepath.Join(t.TempDir(), "labels.hub")
 		if err := idx.SaveTo(path); err != nil {
 			t.Fatalf("SaveTo (paged=%v): %v", paged, err)
@@ -653,9 +681,9 @@ func TestHubLabelPagedDropsLabeling(t *testing.T) {
 		}
 	}
 	if 2*growth[true] >= 3*growth[false] {
-		t.Fatalf("paged build holds %d live bytes, in-memory build %d: the raw labeling is still pinned", growth[true], growth[false])
+		t.Fatalf("paged build holds %d bytes of heap and mappings, in-memory build %d: the raw labeling is still pinned", growth[true], growth[false])
 	}
-	t.Logf("live heap growth: in memory %d KiB, paged %d KiB", growth[false]>>10, growth[true]>>10)
+	t.Logf("heap and mapping growth: in memory %d KiB, paged %d KiB", growth[false]>>10, growth[true]>>10)
 }
 
 // TestHubLabelRepairVsRebuild drives the substrate-crossing maintenance

@@ -44,6 +44,8 @@ func sameLabeling(t *testing.T, want, got *Labeling) {
 	if want.directed {
 		sameSet("in", want.in, got.in)
 	}
+	runtime.KeepAlive(want) // the arrays are unmapped with their labeling
+	runtime.KeepAlive(got)
 }
 
 // fingerprint is the SHA-256 of a labeling's CSR, out side then in side (the
@@ -59,6 +61,7 @@ func fingerprint(l *Labeling) string {
 			}
 		}
 	}
+	runtime.KeepAlive(l)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -51,6 +51,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"graphrnn/internal/exec"
@@ -79,22 +80,39 @@ type Source interface {
 	InLabel(n graph.NodeID, buf []Entry) ([]Entry, error)
 }
 
-// labelSet is a CSR bundle of per-node labels sorted by hub id.
+// labelSet is a CSR bundle of per-node labels sorted by hub id. Built by
+// finalize, hubs and dists live in a read-only mapping outside the Go heap
+// where the platform has one (newLabelArrays), owned by the enclosing
+// Labeling: they are read only through a *labelSet into that Labeling and
+// never handed out.
 type labelSet struct {
 	offsets []int32
 	hubs    []graph.NodeID
 	dists   []float64
 }
 
+// labelEntryBytes is what one entry takes: a 4-byte hub id and a float64.
+const labelEntryBytes = 4 + 8
+
 func (s *labelSet) label(n graph.NodeID, buf []Entry) []Entry {
 	buf = buf[:0]
-	for i := s.offsets[n]; i < s.offsets[n+1]; i++ {
-		buf = append(buf, Entry{Hub: s.hubs[i], Dist: s.dists[i]})
+	lo, hi := s.offsets[n], s.offsets[n+1]
+	dists := s.dists[lo:hi]
+	for i, h := range s.hubs[lo:hi] {
+		buf = append(buf, Entry{Hub: h, Dist: dists[i]})
 	}
+	// s points into the Labeling whose cleanup unmaps the arrays: it must
+	// stay reachable until the last read.
+	runtime.KeepAlive(s)
 	return buf
 }
 
 func (s *labelSet) size() int { return len(s.hubs) }
+
+// bytes is the set's size: its entries and its offsets.
+func (s *labelSet) bytes() int64 {
+	return int64(len(s.hubs))*labelEntryBytes + int64(len(s.offsets))*4
+}
 
 // Labeling is an immutable in-memory 2-hop labeling.
 type Labeling struct {
@@ -104,12 +122,19 @@ type Labeling struct {
 }
 
 // newLabeling packs per-node entry lists into a labeling; an undirected
-// one reads only out.
+// one reads only out. Each side's arrays are sealed read-only and handed to
+// the labeling, which unmaps them once it is unreachable; Close on an index
+// over it does not, so a query still holding a retired index reads valid
+// labels.
 func newLabeling(n int, directed bool, out, in [][]Entry) *Labeling {
-	l := &Labeling{numNodes: n, directed: directed, out: finalize(n, out)}
+	l := &Labeling{numNodes: n, directed: directed}
+	var mem []byte
+	l.out, mem = finalize(n, out)
+	l.seal(&l.out, mem)
 	l.in = l.out
 	if directed {
-		l.in = finalize(n, in)
+		l.in, mem = finalize(n, in)
+		l.seal(&l.in, mem)
 	}
 	return l
 }
@@ -142,6 +167,16 @@ func (l *Labeling) Entries() int {
 		return l.out.size() + l.in.size()
 	}
 	return l.out.size()
+}
+
+// Bytes returns the memory the labels take, both sides: 12 bytes an entry —
+// held outside the Go heap where the platform maps memory — plus each
+// side's 4-byte CSR offsets.
+func (l *Labeling) Bytes() int64 {
+	if l.directed {
+		return l.out.bytes() + l.in.bytes()
+	}
+	return l.out.bytes()
 }
 
 // AverageLabelSize returns the mean entries per node per side.
@@ -385,8 +420,10 @@ func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Ent
 // transpose to hub-major order and back. Reading the nodes in id order files
 // every entry under its hub, and reading the hubs in id order then hands each
 // node its entries by hub id. A node holds at most one entry per hub, so no
-// ties arise.
-func finalize(n int, entries [][]Entry) labelSet {
+// ties arise. The sorted hubs and dists are written straight into the arrays
+// of newLabelArrays; finalize returns their mapping beside the set, nil when
+// they are heap slices.
+func finalize(n int, entries [][]Entry) (labelSet, []byte) {
 	offsets := make([]int32, n+1) // node-major
 	byHub := make([]int32, n+1)   // hub-major
 	for v, label := range entries {
@@ -413,8 +450,7 @@ func finalize(n int, entries [][]Entry) labelSet {
 	}
 
 	// Hub-major → node-major: each node's entries, by hub id.
-	hubs := make([]graph.NodeID, total)
-	dists := make([]float64, total)
+	hubs, dists, mem := newLabelArrays(int(total))
 	next = slices.Clone(offsets[:n])
 	for h := range n {
 		for i := byHub[h]; i < byHub[h+1]; i++ {
@@ -424,5 +460,5 @@ func finalize(n int, entries [][]Entry) labelSet {
 			hubs[j], dists[j] = graph.NodeID(h), hubDist[i]
 		}
 	}
-	return labelSet{offsets: offsets, hubs: hubs, dists: dists}
+	return labelSet{offsets: offsets, hubs: hubs, dists: dists}, mem
 }
