@@ -219,10 +219,16 @@ func TestServerCloseReportsLeakedTenant(t *testing.T) {
 
 // TestStatsJSONKeyOrder pins the /stats rendering contract: every JSON
 // object in the body serializes its keys in sorted order, run to run —
-// the sections come from Go maps, so this is encoding/json's key sort
-// plus the planner snapshot's own sorted iteration.
+// the sections come from Go maps, so this is encoding/json's key sort —
+// and a server that has answered nothing renders its planner decisions as
+// an empty object, not null.
 func TestStatsJSONKeyOrder(t *testing.T) {
 	s := newTestServer(t)
+	idle := httptest.NewRecorder()
+	s.handleStats(idle, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	if !strings.Contains(idle.Body.String(), `"decisions":{}`) {
+		t.Fatalf("an idle server's planner decisions are not {}: %s", idle.Body.String())
+	}
 	// Populate the planner counters with more than one decision kind.
 	postQuery(t, s, "/query", `{"kind":"rnn","node":5,"k":2}`)
 	postQuery(t, s, "/query", `{"kind":"knn","node":7,"k":3}`)

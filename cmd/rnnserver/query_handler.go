@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -202,22 +202,15 @@ func (c *plannerCounters) record(p graphrnn.Plan) {
 	}
 }
 
-// snapshot renders the counters for /stats, visiting decisions in sorted
-// key order so the section serializes identically run to run.
+// snapshot copies the counters for /stats; encoding/json sorts the
+// decisions by key, so the section serializes identically run to run.
 //
 // vetrnn:deterministic
 func (c *plannerCounters) snapshot() map[string]any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.decisions))
-	for k := range c.decisions {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	by := make(map[string]int64, len(keys))
-	for _, k := range keys {
-		by[k] = c.decisions[k]
-	}
+	by := map[string]int64{} // never nil: an idle server renders {}
+	maps.Copy(by, c.decisions)
 	return map[string]any{"decisions": by, "fallbacks": c.fallbacks}
 }
 

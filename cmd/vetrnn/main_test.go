@@ -166,6 +166,32 @@ func AlsoBad(r *lib.Registry) int {
 	}
 }
 
+// TestRatchetStaleBaselineRows: a baseline that allows more than the tree
+// spends, or keeps a row for an analyzer the suite no longer has, fails the
+// gate until -ratchet-write rewrites it to the tree's counts.
+func TestRatchetStaleBaselineRows(t *testing.T) {
+	dir := writeTree(t, suppressedTree(""))
+	baseline := filepath.Join(dir, "BASELINE.json")
+	for body, want := range map[string]string{
+		`{"suppressions":{"guardedby":2}}`:             "lower the row to 1",
+		`{"suppressions":{"guardedby":1,"retired":6}}`: "vetrnn/retired, which is not in the suite",
+	} {
+		if err := os.WriteFile(baseline, []byte(body), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./...")
+		if code != 1 || !strings.Contains(stderr, want) {
+			t.Fatalf("baseline %s: exit %d, stderr %q; want exit 1 saying %q", body, code, stderr, want)
+		}
+	}
+	if code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "-ratchet-write", "./..."); code != 0 {
+		t.Fatalf("ratchet-write run failed with %d: %s", code, stderr)
+	}
+	if code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./..."); code != 0 {
+		t.Fatalf("gate failed on the rewritten baseline: %d %s", code, stderr)
+	}
+}
+
 func TestRatchetStaleDirective(t *testing.T) {
 	// The directive names guardedby on a line where nothing fires.
 	files := crossPackageTree(`package use

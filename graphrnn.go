@@ -201,6 +201,9 @@ type DB struct {
 	// BufferPages, so defaults behave like the former independent
 	// buffers. A shard engine of DB.Shard holds its parent's pool.
 	pool *BufferPool
+	// ownsPool: pool was created for this DB, not inherited from a
+	// parent, so Close answers for the tenants still attached to it.
+	ownsPool bool
 }
 
 // Layout chooses the order in which adjacency lists are packed into pages
@@ -250,7 +253,7 @@ func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error
 	if g == nil {
 		return nil, fmt.Errorf("graphrnn: nil graph")
 	}
-	db := &DB{graph: g, pool: pool}
+	db := &DB{graph: g, pool: pool, ownsPool: pool == nil}
 	if pool == nil {
 		db.pool = &BufferPool{p: storage.NewBufferPool(0)}
 	}
@@ -312,18 +315,23 @@ func (db *DB) undirectedOnly(what string) error {
 }
 
 // Close releases the adjacency store's buffer tenant back to the shared
-// pool (a memory-served DB holds no tenant and Close is a no-op). Attached
-// substrates — hub label indexes, materializations, paged point sets — have
-// their own Close methods and are not closed through the DB. Queries must
-// not be in flight; the DB must not be used afterwards. Close is
-// idempotent.
+// pool. Close the substrates first, then the DB: hub label indexes,
+// materializations and paged point sets attach to the pool on their own
+// and have their own Close methods, which the DB does not call. A DB that
+// created its pool (every DB but the DiskBacked shard engines of DB.Shard,
+// which share their parent's) checks that nothing is left attached, and
+// returns an error naming the first tenant still there. Queries must not
+// be in flight; the DB must not be used afterwards. Close is idempotent.
 func (db *DB) Close() error {
-	if db.disk == nil {
-		return nil
+	var err error
+	if db.disk != nil {
+		err = db.disk.Close()
+		db.disk = nil
 	}
-	disk := db.disk
-	db.disk = nil
-	return disk.Close()
+	if left := db.PoolStats().Tenants; err == nil && db.ownsPool && len(left) > 0 {
+		err = fmt.Errorf("graphrnn: %d tenant(s) left attached to the DB's pool, first %q: close substrates before their DB", len(left), left[0].Name)
+	}
+	return err
 }
 
 // IOStats describes physical page traffic: of a buffer pool, or of one of

@@ -46,7 +46,7 @@ func TestRatchetOverrun(t *testing.T) {
 }
 
 func TestRatchetStale(t *testing.T) {
-	b := &Baseline{Suppressions: map[string]int{"execpoll": 5, "guardedby": 5}}
+	b := &Baseline{Suppressions: map[string]int{"execpoll": 1, "guardedby": 1}}
 	directives := []Directive{
 		// Claims two names; only one fired. The other is stale.
 		dir([]string{"execpoll", "guardedby"}, map[string]int{"execpoll": 1}),
@@ -69,7 +69,7 @@ func TestRatchetStaleIgnoredForInactiveAnalyzer(t *testing.T) {
 		dir([]string{"guardedby"}, map[string]int{}),
 	}
 	// guardedby did not run, so its zero-count directive cannot be judged.
-	if v := Ratchet(b, directives, map[string]bool{"execpoll": true}); len(v) != 0 {
+	if v := Ratchet(b, directives, map[string]bool{"execpoll": true, "guardedby": false}); len(v) != 0 {
 		t.Fatalf("inactive analyzer judged stale: %v", v)
 	}
 }
@@ -82,6 +82,45 @@ func TestRatchetUnknownAnalyzerCountsAgainstZero(t *testing.T) {
 	v := Ratchet(b, directives, map[string]bool{"execpoll": true})
 	if len(v) != 1 || v[0].Allowed != 0 || v[0].Count != 1 {
 		t.Fatalf("want 1>0 overrun against empty baseline, got %v", v)
+	}
+}
+
+// TestRatchetUnspentRow: a row allowing more than the tree spends fails
+// and says which row to lower — else the unspent budget would wait for the
+// next suppression — even when the analyzer did not run.
+func TestRatchetUnspentRow(t *testing.T) {
+	b := &Baseline{Suppressions: map[string]int{"execpoll": 3, "guardedby": 2}}
+	directives := []Directive{
+		dir([]string{"execpoll"}, map[string]int{"execpoll": 1}),
+		dir([]string{"execpoll"}, map[string]int{"execpoll": 1}),
+		dir([]string{"guardedby"}, map[string]int{}),
+		dir([]string{"guardedby"}, map[string]int{}),
+	}
+	v := Ratchet(b, directives, map[string]bool{"execpoll": true, "guardedby": false})
+	if len(v) != 1 || v[0].Analyzer != "execpoll" || v[0].Count != 2 || v[0].Allowed != 3 {
+		t.Fatalf("want the execpoll row 3 > 2 flagged alone, got %+v", v)
+	}
+	if msg := v[0].String(); !strings.Contains(msg, "lower the row to 2") {
+		t.Fatalf("unspent-row message does not say which row to lower: %q", msg)
+	}
+}
+
+// TestRatchetRowOutsideSuite: a row naming an analyzer the suite does not
+// have fails, whether or not directives still spend it.
+func TestRatchetRowOutsideSuite(t *testing.T) {
+	b := &Baseline{Suppressions: map[string]int{"execpoll": 1, "retired": 6, "spent": 1}}
+	directives := []Directive{
+		dir([]string{"execpoll"}, map[string]int{"execpoll": 1}),
+		dir([]string{"spent"}, map[string]int{}),
+	}
+	v := Ratchet(b, directives, map[string]bool{"execpoll": true, "guardedby": true})
+	if len(v) != 2 || v[0].Analyzer != "retired" || v[1].Analyzer != "spent" || !v[0].Unknown || !v[1].Unknown {
+		t.Fatalf("want the retired and spent rows flagged as outside the suite, got %+v", v)
+	}
+	for _, x := range v {
+		if msg := x.String(); !strings.Contains(msg, "not in the suite") || !strings.Contains(msg, "vetrnn/"+x.Analyzer) {
+			t.Fatalf("outside-suite message: %q", msg)
+		}
 	}
 }
 

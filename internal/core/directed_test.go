@@ -258,9 +258,9 @@ func TestDirectedRejectsSymmetricOnlyPaths(t *testing.T) {
 	node, edge := PointSet{Node: ps}, PointSet{Edge: es}
 	inEdge := Loc{U: 0, V: 1, Pos: 0.5}
 
-	_, lazyErr := s.Run(Request{Algo: AlgoLazy, K: 1, Points: node, Target: NodeLoc(0)}, nil)
-	_, edgeSetErr := s.Run(Request{K: 1, Points: edge, Target: NodeLoc(0)}, nil)
-	_, edgeSitesErr := s.Run(Request{Kind: KindBichromatic, K: 1, Points: node, Sites: edge, Target: NodeLoc(0)}, nil)
+	_, lazyErr := s.Run(Request{Algo: AlgoLazy, K: 1, Points: node, Target: NodeLoc(0)})
+	_, edgeSetErr := s.Run(Request{K: 1, Points: edge, Target: NodeLoc(0)})
+	_, edgeSitesErr := s.Run(Request{Kind: KindBichromatic, K: 1, Points: node, Sites: edge, Target: NodeLoc(0)})
 	_, _, verifyErr := s.VerifyMember(Request{K: 1, Points: edge, Target: NodeLoc(0)}, 0)
 	_, knnSetErr := s.KNN(edge, NodeLoc(0), 1)
 	_, knnLocErr := s.KNN(node, inEdge, 1)
@@ -272,7 +272,7 @@ func TestDirectedRejectsSymmetricOnlyPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, eagerMErr := s.Run(Request{Algo: AlgoEagerM, K: 1, Points: node, Target: NodeLoc(0)}, mat)
+	_, eagerMErr := s.Run(Request{Algo: AlgoEagerM, K: 1, Points: node, Target: NodeLoc(0), Mat: mat})
 	for name, err := range map[string]error{
 		"lazy": lazyErr, "edge set": edgeSetErr, "edge sites": edgeSitesErr, "verify over an edge set": verifyErr,
 		"knn over an edge set": knnSetErr, "knn from inside an edge": knnLocErr,

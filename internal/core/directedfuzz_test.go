@@ -74,13 +74,13 @@ func FuzzDirectedAgreement(f *testing.F) {
 		}
 		s := NewSearcher(g)
 		r.Algo = AlgoBrute
-		want, err := s.Run(r, nil)
+		want, err := s.Run(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range directedAlgos {
 			r.Algo = a
-			got, err := s.Run(r, nil)
+			got, err := s.Run(r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,14 +60,16 @@ type Request struct {
 	Target Loc
 	// Route is the node route of KindContinuous.
 	Route []graph.NodeID
+	// Mat holds the materialized K-NN lists AlgoEagerM reads (ignored by
+	// every other algorithm); it must have been built over the competitor
+	// set (Points; Sites when bichromatic).
+	Mat *Materialized
 }
 
 // Run answers r. It is the single entry to every algorithm × kind ×
-// residency combination; all of them return identical answers. mat holds
-// the materialized K-NN lists AlgoEagerM reads (nil for every other
-// algorithm); it must have been built over the competitor set (Points;
-// Sites when bichromatic).
-func (s *Searcher) Run(r Request, mat *Materialized) (*Result, error) {
+// residency combination; all of them return identical answers.
+func (s *Searcher) Run(r Request) (*Result, error) {
+	mat := r.Mat
 	if r.Algo != AlgoEagerM {
 		mat = nil
 	} else if err := checkMatK(mat, r.K); err != nil {

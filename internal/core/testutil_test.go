@@ -92,8 +92,8 @@ func describe(r *Result) string {
 // the per-candidate entry a shard coordinator uses — agrees with it on
 // every candidate, so every oracle test covers both entries in whichever
 // residency it runs.
-func run(s *Searcher, r Request, mat *Materialized) (*Result, error) {
-	res, err := s.Run(r, mat)
+func run(s *Searcher, r Request) (*Result, error) {
+	res, err := s.Run(r)
 	if err != nil || r.Algo != AlgoBrute {
 		return res, err
 	}
@@ -117,25 +117,25 @@ func run(s *Searcher, r Request, mat *Materialized) (*Result, error) {
 // AlgoEagerM only).
 
 func runRNN(s *Searcher, a Algo, ps points.NodeView, mat *Materialized, q graph.NodeID, k int) (*Result, error) {
-	return run(s, Request{Kind: KindRNN, Algo: a, K: k, Points: PointSet{Node: ps}, Target: NodeLoc(q)}, mat)
+	return run(s, Request{Kind: KindRNN, Algo: a, K: k, Points: PointSet{Node: ps}, Target: NodeLoc(q), Mat: mat})
 }
 
 func runRoute(s *Searcher, a Algo, ps points.NodeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
-	return run(s, Request{Kind: KindContinuous, Algo: a, K: k, Points: PointSet{Node: ps}, Route: route}, mat)
+	return run(s, Request{Kind: KindContinuous, Algo: a, K: k, Points: PointSet{Node: ps}, Route: route, Mat: mat})
 }
 
 func runBi(s *Searcher, a Algo, cands, sites points.NodeView, mat *Materialized, q graph.NodeID, k int) (*Result, error) {
-	return run(s, Request{Kind: KindBichromatic, Algo: a, K: k, Points: PointSet{Node: cands}, Sites: PointSet{Node: sites}, Target: NodeLoc(q)}, mat)
+	return run(s, Request{Kind: KindBichromatic, Algo: a, K: k, Points: PointSet{Node: cands}, Sites: PointSet{Node: sites}, Target: NodeLoc(q), Mat: mat})
 }
 
 func runURNN(s *Searcher, a Algo, ps points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
-	return run(s, Request{Kind: KindRNN, Algo: a, K: k, Points: PointSet{Edge: ps}, Target: q}, mat)
+	return run(s, Request{Kind: KindRNN, Algo: a, K: k, Points: PointSet{Edge: ps}, Target: q, Mat: mat})
 }
 
 func runURoute(s *Searcher, a Algo, ps points.EdgeView, mat *Materialized, route []graph.NodeID, k int) (*Result, error) {
-	return run(s, Request{Kind: KindContinuous, Algo: a, K: k, Points: PointSet{Edge: ps}, Route: route}, mat)
+	return run(s, Request{Kind: KindContinuous, Algo: a, K: k, Points: PointSet{Edge: ps}, Route: route, Mat: mat})
 }
 
 func runUBi(s *Searcher, a Algo, cands, sites points.EdgeView, mat *Materialized, q Loc, k int) (*Result, error) {
-	return run(s, Request{Kind: KindBichromatic, Algo: a, K: k, Points: PointSet{Edge: cands}, Sites: PointSet{Edge: sites}, Target: q}, mat)
+	return run(s, Request{Kind: KindBichromatic, Algo: a, K: k, Points: PointSet{Edge: cands}, Sites: PointSet{Edge: sites}, Target: q, Mat: mat})
 }

@@ -45,7 +45,7 @@ func TestDirectedIndex(t *testing.T) {
 			brute := func(r core.Request) []points.PointID {
 				t.Helper()
 				r.Algo = core.AlgoBrute
-				res, err := sr.Run(r, nil)
+				res, err := sr.Run(r)
 				if err != nil {
 					t.Fatal(err)
 				}

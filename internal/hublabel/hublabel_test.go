@@ -493,7 +493,7 @@ func TestIndexRkNNAgainstOracle(t *testing.T) {
 				for _, k := range []int{1, 2, 4} {
 					// Query at a data point, own point excluded (the
 					// paper's workload).
-					want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: points.ExcludeNode(ps, qp)}, Target: core.NodeLoc(qnode)}, nil)
+					want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: points.ExcludeNode(ps, qp)}, Target: core.NodeLoc(qnode)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -505,7 +505,7 @@ func TestIndexRkNNAgainstOracle(t *testing.T) {
 						t.Fatalf("k=%d q=%d hidden: got %v, want %v", k, qp, got, want.Points)
 					}
 					// Same query with the point visible.
-					want, err = sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)}, nil)
+					want, err = sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -521,7 +521,7 @@ func TestIndexRkNNAgainstOracle(t *testing.T) {
 			// Queries from plain nodes too.
 			for trial := 0; trial < 10; trial++ {
 				qnode := graph.NodeID(rng.Intn(g.NumNodes()))
-				want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)}, nil)
+				want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -569,7 +569,7 @@ func TestIndexContinuousAgainstOracle(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		route := gen.RandomWalkRoute(rng, g, 1+rng.Intn(8))
 		for _, k := range []int{1, 2} {
-			want, err := sr.Run(core.Request{Kind: core.KindContinuous, Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Route: route}, nil)
+			want, err := sr.Run(core.Request{Kind: core.KindContinuous, Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Route: route})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -612,7 +612,7 @@ func TestIndexBichromaticAgainstOracle(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		qnode := graph.NodeID(rng.Intn(g.NumNodes()))
 		for _, k := range []int{1, 2, 5} {
-			want, err := sr.Run(core.Request{Kind: core.KindBichromatic, Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: cands}, Sites: core.PointSet{Node: sites}, Target: core.NodeLoc(qnode)}, nil)
+			want, err := sr.Run(core.Request{Kind: core.KindBichromatic, Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: cands}, Sites: core.PointSet{Node: sites}, Target: core.NodeLoc(qnode)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -658,7 +658,7 @@ func TestIndexMaintenance(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			qnode := graph.NodeID(rng.Intn(g.NumNodes()))
 			for _, k := range []int{1, 3} {
-				want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)}, nil)
+				want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -779,7 +779,7 @@ func TestIndexOverStore(t *testing.T) {
 	s.Buffer().ResetStats()
 	for trial := 0; trial < 10; trial++ {
 		qnode := graph.NodeID(rng.Intn(g.NumNodes()))
-		want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)}, nil)
+		want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func checkMaintained(idx *Index, ps *points.NodeSet) error {
 // bruteSet is the oracle's answer to r.
 func bruteSet(sr *core.Searcher, r core.Request) ([]points.PointID, error) {
 	r.Algo = core.AlgoBrute
-	res, err := sr.Run(r, nil)
+	res, err := sr.Run(r)
 	if err != nil {
 		return nil, err
 	}

@@ -43,8 +43,7 @@ type BufferPool struct {
 	// reuse by the next fault or uncached read.
 	free []*frame // vetrnn:guardedby mu
 	// ready is broadcast (on mu) whenever a pending frame becomes loaded.
-	ready sync.Cond
-	//lint:ignore vetrnn/tenantclose the registry tenants detach from, not an owned handle: Tenant.Detach removes its own entry
+	ready   sync.Cond
 	tenants []*Tenant // vetrnn:guardedby mu
 	// trackGlobal records whether the pool-wide LRU order can ever decide
 	// an eviction: false when every tenant is quota-bounded and the
@@ -108,7 +107,6 @@ const NoCache = -1
 // err the read failure; until then the frame is pending: only its faulter
 // touches data, and nothing evicts or drops it.
 type frame struct {
-	//lint:ignore vetrnn/tenantclose eviction back-pointer; the frame does not own its tenant
 	owner  *Tenant
 	id     PageID
 	data   []byte

@@ -2,6 +2,7 @@ package graphrnn
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -28,7 +29,6 @@ import (
 // cannot complete, and SaveTo / OpenMaterialization for persistence with
 // crash recovery.
 type Materialization struct {
-	//lint:ignore vetrnn/tenantclose back-pointer to the engine whose graph the lists cover; the caller owns the DB
 	db   *DB
 	m    *core.Materialized
 	node *NodePoints
@@ -151,21 +151,15 @@ func (m *Materialization) Flush() error { return m.m.Flush() }
 // list pages from the shared buffer pool (flushing dirty ones), and closes
 // the backing files of a reopened materialization. Queries through this
 // materialization must not be in flight and the materialization must not be
-// used afterwards.
+// used afterwards; a second Close is a no-op.
 func (m *Materialization) Close() error {
 	if set := m.set(); set != nil {
 		register(&set.mats, m, false)
 	}
 	err := m.m.Close()
-	if m.file != nil {
-		if cerr := m.file.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if m.jfile != nil {
-		if cerr := m.jfile.Close(); err == nil {
-			err = cerr
-		}
+	if m.file != nil { // reopened: file and jfile come as a pair
+		err = errors.Join(err, m.file.Close(), m.jfile.Close())
+		m.file, m.jfile = nil, nil
 	}
 	return err
 }

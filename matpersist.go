@@ -146,33 +146,39 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 	if err != nil {
 		return nil, err
 	}
+	// A journal this call creates goes again if the open is refused; one
+	// that was already there may hold a pending operation and stays.
 	jpath := path + ".journal"
 	var jfile storage.PagedFile
-	if _, statErr := os.Stat(jpath); statErr == nil {
-		jfile, err = storage.OpenOSFile(jpath, pageSize)
-	} else {
+	_, statErr := os.Stat(jpath)
+	created := statErr != nil
+	if created {
 		jfile, err = storage.CreateOSFile(jpath, pageSize)
+	} else {
+		jfile, err = storage.OpenOSFile(jpath, pageSize)
 	}
 	if err != nil {
 		file.Close()
-		return nil, err
-	}
-	fail := func(err error) (*Materialization, error) {
-		file.Close()
-		jfile.Close()
 		return nil, err
 	}
 	bm := db.pool.attach("mat", file, opt.bufferPages())
+	fail := func(err error) (*Materialization, error) {
+		_ = bm.Detach()
+		file.Close()
+		jfile.Close()
+		if created {
+			os.Remove(jpath)
+		}
+		return nil, err
+	}
 	cm, kind, pts, err := core.MatOpen(file, bm, jfile)
 	if err != nil {
-		_ = bm.Detach()
 		return fail(err)
 	}
 	if opt != nil && opt.Durability == DurabilityFsync {
 		cm.SetDurable(true)
 	}
 	if cm.NumNodes() != db.store.NumNodes() {
-		_ = bm.Detach()
 		return fail(fmt.Errorf("graphrnn: materialization file covers %d nodes, graph has %d",
 			cm.NumNodes(), db.store.NumNodes()))
 	}
@@ -189,7 +195,6 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 		}
 		ns, err := points.RestoreNodeSet(db.store.NumNodes(), nodes)
 		if err != nil {
-			_ = bm.Detach()
 			return fail(err)
 		}
 		mat.node = newNodePoints(db, ns)
@@ -200,7 +205,6 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 				eps[i] = points.EdgePoint{U: -1}
 			} else {
 				if _, ok := db.graph.EdgeWeight(NodeID(r.U), NodeID(r.V)); !ok {
-					_ = bm.Detach()
 					return fail(fmt.Errorf("graphrnn: persisted point %d lies on edge (%d,%d): %w",
 						i, r.U, r.V, ErrMissingEdge))
 				}
@@ -209,12 +213,10 @@ func (db *DB) OpenMaterialization(path string, opt *MatOptions) (*Materializatio
 		}
 		es, err := points.RestoreEdgeSet(eps)
 		if err != nil {
-			_ = bm.Detach()
 			return fail(err)
 		}
 		mat.edge = newEdgePoints(db, es)
 	default:
-		_ = bm.Detach()
 		return fail(fmt.Errorf("graphrnn: unknown point-set kind %d in %q", kind, path))
 	}
 	register(&mat.set().mats, mat, true)

@@ -35,7 +35,6 @@ var ErrSubstrateDetached = errors.New("substrate detached from its point set")
 // Insert and Remove are the one maintenance path and repair every
 // registered substrate, so no caller can mutate behind one.
 type trackedSet struct {
-	//lint:ignore vetrnn/tenantclose back-pointer to the engine the set queries through; the caller owns the DB
 	db *DB
 	ns *points.NodeSet // exactly one of ns and es is set
 	es *points.EdgeSet

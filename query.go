@@ -13,8 +13,7 @@ import (
 type Algorithm struct {
 	kind algoKind
 	mat  *Materialization
-	//lint:ignore vetrnn/tenantclose borrowed for the queries the hint rides on; the caller owns the index
-	hub *HubLabelIndex
+	hub  *HubLabelIndex
 }
 
 type algoKind int
@@ -157,14 +156,13 @@ func (db *DB) runPlanned(ec *exec.Ctx, pl *planned) (*Result, error) {
 		Points: pl.points, Sites: pl.sites,
 		Target: pl.loc.toLoc(), Route: toNodeIDs(pl.route),
 	}
-	var mat *core.Materialized
 	if algo.kind == algoEagerM {
 		if algo.mat == nil || algo.mat.m == nil {
 			return nil, fmt.Errorf("graphrnn: EagerM requires a Materialization (use db.MaterializeNodePoints / MaterializeEdgePoints)")
 		}
-		mat = algo.mat.m
+		req.Mat = algo.mat.m
 	}
-	return wrapResult(db.searcher.Bound(ec).Run(req, mat))
+	return wrapResult(db.searcher.Bound(ec).Run(req))
 }
 
 // core maps an expansion strategy onto the engine's; the planner resolves

@@ -156,7 +156,6 @@ type shardCounters struct {
 // (queries only — the underlying point sets must be quiescent, as with
 // every query surface of the package).
 type Sharded struct {
-	//lint:ignore vetrnn/tenantclose back-pointer to the coordinating DB; the caller owns it (per-shard engines are owned via handles)
 	db     *DB
 	ps     *NodePoints
 	sites  *NodePoints
