@@ -110,215 +110,6 @@ func TestStandaloneCrossPackageClean(t *testing.T) {
 	}
 }
 
-// suppressedTree has one real finding, silenced by a directive — the
-// shape the ratchet baselines.
-func suppressedTree(extra string) map[string]string {
-	files := crossPackageTree(`package use
-
-import "tmpmod/lib"
-
-func Bad(r *lib.Registry) int {
-	//lint:ignore vetrnn/guardedby deliberate: snapshot read, registry is quiescent here
-	return len(r.Entries)
-}
-` + extra)
-	return files
-}
-
-func TestRatchetGate(t *testing.T) {
-	dir := writeTree(t, suppressedTree(""))
-	baseline := filepath.Join(dir, "BASELINE.json")
-
-	// Write the baseline from the current (one-suppression) tree.
-	code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "-ratchet-write", "./...")
-	if code != 0 {
-		t.Fatalf("ratchet-write run failed with %d: %s", code, stderr)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"guardedby": 1`) {
-		t.Fatalf("baseline did not record the suppression: %s", data)
-	}
-
-	// The unchanged tree passes the gate.
-	if code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./..."); code != 0 {
-		t.Fatalf("gate failed on the baselined tree: %d %s", code, stderr)
-	}
-
-	// Injecting one more suppression overruns the budget.
-	more := writeTree(t, suppressedTree(`
-func AlsoBad(r *lib.Registry) int {
-	//lint:ignore vetrnn/guardedby second exception, beyond the budget
-	return len(r.Entries)
-}
-`))
-	if err := os.WriteFile(filepath.Join(more, "BASELINE.json"), data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = captureRun(t, "-dir", more, "-ratchet", filepath.Join(more, "BASELINE.json"), "./...")
-	if code != 1 {
-		t.Fatalf("want exit 1 on suppression overrun, got %d (%s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "exceed the baseline") {
-		t.Fatalf("overrun message missing: %q", stderr)
-	}
-}
-
-// TestRatchetStaleBaselineRows: a baseline that allows more than the tree
-// spends, or keeps a row for an analyzer the suite no longer has, fails the
-// gate until -ratchet-write rewrites it to the tree's counts.
-func TestRatchetStaleBaselineRows(t *testing.T) {
-	dir := writeTree(t, suppressedTree(""))
-	baseline := filepath.Join(dir, "BASELINE.json")
-	for body, want := range map[string]string{
-		`{"suppressions":{"guardedby":2}}`:             "lower the row to 1",
-		`{"suppressions":{"guardedby":1,"retired":6}}`: "vetrnn/retired, which is not in the suite",
-	} {
-		if err := os.WriteFile(baseline, []byte(body), 0o666); err != nil {
-			t.Fatal(err)
-		}
-		code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./...")
-		if code != 1 || !strings.Contains(stderr, want) {
-			t.Fatalf("baseline %s: exit %d, stderr %q; want exit 1 saying %q", body, code, stderr, want)
-		}
-	}
-	if code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "-ratchet-write", "./..."); code != 0 {
-		t.Fatalf("ratchet-write run failed with %d: %s", code, stderr)
-	}
-	if code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./..."); code != 0 {
-		t.Fatalf("gate failed on the rewritten baseline: %d %s", code, stderr)
-	}
-}
-
-func TestRatchetStaleDirective(t *testing.T) {
-	// The directive names guardedby on a line where nothing fires.
-	files := crossPackageTree(`package use
-
-import "tmpmod/lib"
-
-func Fine(r *lib.Registry) int {
-	r.Mu.RLock()
-	defer r.Mu.RUnlock()
-	//lint:ignore vetrnn/guardedby left over from a refactor
-	return len(r.Entries)
-}
-`)
-	dir := writeTree(t, files)
-	baseline := filepath.Join(dir, "BASELINE.json")
-	if err := os.WriteFile(baseline, []byte(`{"suppressions":{"guardedby":5}}`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./...")
-	if code != 1 {
-		t.Fatalf("want exit 1 on stale directive, got %d (%s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale suppression") {
-		t.Fatalf("stale message missing: %q", stderr)
-	}
-}
-
-// determinismTree is a module with one vetrnn:deterministic function whose
-// map range is deliberately suppressed — the determinism analyzer's
-// ratchet shape.
-func determinismTree(extra string) map[string]string {
-	return map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.24\n",
-		"det/det.go": `package det
-
-// Tally sums the values; order does not affect the sum.
-//
-// vetrnn:deterministic
-func Tally(m map[string]int) int {
-	s := 0
-	//lint:ignore vetrnn/determinism commutative sum, iteration order cannot leak
-	for _, v := range m {
-		s += v
-	}
-	return s
-}
-` + extra,
-	}
-}
-
-func TestDeterminismRatchet(t *testing.T) {
-	dir := writeTree(t, determinismTree(""))
-	baseline := filepath.Join(dir, "BASELINE.json")
-
-	code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "-ratchet-write", "./...")
-	if code != 0 {
-		t.Fatalf("ratchet-write run failed with %d: %s", code, stderr)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"determinism": 1`) {
-		t.Fatalf("baseline did not record the determinism suppression: %s", data)
-	}
-	if code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./..."); code != 0 {
-		t.Fatalf("gate failed on the baselined tree: %d %s", code, stderr)
-	}
-
-	// A second suppression overruns the budget of one.
-	more := writeTree(t, determinismTree(`
-// Max scans the values.
-//
-// vetrnn:deterministic
-func Max(m map[string]int) int {
-	best := 0
-	//lint:ignore vetrnn/determinism max is order-independent too, but the budget is spent
-	for _, v := range m {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-`))
-	if err := os.WriteFile(filepath.Join(more, "BASELINE.json"), data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = captureRun(t, "-dir", more, "-ratchet", filepath.Join(more, "BASELINE.json"), "./...")
-	if code != 1 {
-		t.Fatalf("want exit 1 on determinism suppression overrun, got %d (%s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "exceed the baseline") {
-		t.Fatalf("overrun message missing: %q", stderr)
-	}
-}
-
-func TestDeterminismRatchetStaleDirective(t *testing.T) {
-	// The directive sits on a line where determinism never fires (the
-	// function is not annotated, so map order is nobody's business).
-	dir := writeTree(t, map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.24\n",
-		"det/det.go": `package det
-
-func Sum(m map[string]int) int {
-	s := 0
-	//lint:ignore vetrnn/determinism left over from before the annotation was dropped
-	for _, v := range m {
-		s += v
-	}
-	return s
-}
-`,
-	})
-	baseline := filepath.Join(dir, "BASELINE.json")
-	if err := os.WriteFile(baseline, []byte(`{"suppressions":{"determinism":5}}`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := captureRun(t, "-dir", dir, "-ratchet", baseline, "./...")
-	if code != 1 {
-		t.Fatalf("want exit 1 on stale determinism directive, got %d (%s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale suppression") {
-		t.Fatalf("stale message missing: %q", stderr)
-	}
-}
-
 func TestJSONOutput(t *testing.T) {
 	dir := writeTree(t, crossPackageTree(useBad))
 	code, stdout, _ := captureRun(t, "-dir", dir, "-json", "./...")

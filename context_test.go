@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"graphrnn"
+	"graphrnn/internal/exec"
 )
 
 type ctxEnv struct {
@@ -290,7 +291,7 @@ func TestBudgetExceeded(t *testing.T) {
 				t.Fatal("no partial result alongside ErrBudgetExceeded")
 			}
 			work := res.Stats.NodesExpanded + res.Stats.NodesScanned
-			if work <= budget/2 || work > budget+256 {
+			if work <= budget/2 || work > budget+exec.CheckStride {
 				t.Fatalf("stopped at %d nodes, budget %d", work, budget)
 			}
 		})
@@ -344,12 +345,14 @@ func TestBudgetExceeded(t *testing.T) {
 	})
 }
 
-// TestBudgetPartialAnswers holds the partial-result contract on every
-// substrate and query kind: a query stopped by MaxNodes or MaxIOReads
-// returns ErrBudgetExceeded beside a non-nil Result carrying its Plan, and
-// every member it confirmed before stopping is in the unbounded answer. The
-// graph, the lists and the labels are paged and every run starts from a
-// cold buffer, so an I/O budget trips hub-label too. Each expansion
+// TestBudgetPartialAnswers holds the execution contract of budgets on every
+// substrate and query kind, both residencies and maintenance: a query
+// stopped by MaxNodes or MaxIOReads returns ErrBudgetExceeded beside a
+// non-nil Result carrying its Plan, every member it confirmed before
+// stopping is in the unbounded answer, and it stops within one polling
+// stride of its budget — the bound a missing poll breaks. The graph, the
+// lists, the edge points and the labels are paged and every run starts
+// from a cold buffer, so an I/O budget trips hub-label too. Each expansion
 // substrate must return a non-empty partial answer somewhere in the table,
 // so the subset check is never vacuous.
 func TestBudgetPartialAnswers(t *testing.T) {
@@ -370,8 +373,12 @@ func TestBudgetPartialAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mats := map[*graphrnn.NodePoints]*graphrnn.Materialization{}
-	hubs := map[*graphrnn.NodePoints]*graphrnn.HubLabelIndex{}
+	eps, err := db.PlaceRandomEdgePoints(35, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := map[graphrnn.PointSet]*graphrnn.Materialization{}
+	hubs := map[graphrnn.PointSet]*graphrnn.HubLabelIndex{}
 	for _, set := range []*graphrnn.NodePoints{ps, sites} {
 		if mats[set], err = db.MaterializeNodePoints(set, 4, nil); err != nil {
 			t.Fatal(err)
@@ -382,6 +389,10 @@ func TestBudgetPartialAnswers(t *testing.T) {
 		}
 		defer hubs[set].Close()
 	}
+	if mats[eps], err = db.MaterializeEdgePoints(eps, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer mats[eps].Close()
 	ctx := context.Background()
 	cold := func(q graphrnn.Query) (*graphrnn.Result, int64, error) {
 		t.Helper()
@@ -409,7 +420,25 @@ func TestBudgetPartialAnswers(t *testing.T) {
 	}
 	view := ps.Excluding(qp)
 	route := db.RandomWalkRoute(34, 6)
-	kinds := []struct {
+	ep := eps.Points()[0]
+	eloc, _ := eps.LocationOf(ep)
+
+	// A node budget trips at the first poll past it, and the expansion
+	// loops poll at least every exec.CheckStride pops. An I/O budget trips
+	// at the first poll past it too, but the pages read between two polls
+	// vary by family. Expansion: a sub-expansion pops up to CheckStride
+	// nodes between polls, and their adjacency records share pages — the
+	// paged layout keeps neighbours together — so the table measures at
+	// most 7 pages past the budget. Hub-label polls after each label, and
+	// the largest label here (54 entries, 648 bytes) is under a page, so
+	// it is read in at most two chunks: two pages past.
+	const expansionIOSlack, hubIOSlack = 7, 2
+	type cell struct {
+		sub, kind string
+		q         graphrnn.Query
+	}
+	var cells []cell
+	nodeKinds := []struct {
 		name  string
 		over  *graphrnn.NodePoints // the set eager-M's lists and the hub index cover
 		query func(graphrnn.Algorithm) graphrnn.Query
@@ -420,60 +449,154 @@ func TestBudgetPartialAnswers(t *testing.T) {
 	}
 	substrates := []struct {
 		name string
-		algo func(over *graphrnn.NodePoints) graphrnn.Algorithm
+		edge bool // answers an edge-resident set too
+		algo func(over graphrnn.PointSet) graphrnn.Algorithm
 	}{
-		{"eager", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.Eager() }},
-		{"lazy", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.Lazy() }},
-		{"lazy-EP", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.LazyEP() }},
-		{"eager-M", func(over *graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.EagerM(mats[over]) }},
-		{"brute-force", func(*graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.BruteForce() }},
-		{"hub-label", func(over *graphrnn.NodePoints) graphrnn.Algorithm { return graphrnn.HubLabel(hubs[over]) }},
+		{"eager", true, func(graphrnn.PointSet) graphrnn.Algorithm { return graphrnn.Eager() }},
+		{"lazy", false, func(graphrnn.PointSet) graphrnn.Algorithm { return graphrnn.Lazy() }},
+		{"lazy-EP", true, func(graphrnn.PointSet) graphrnn.Algorithm { return graphrnn.LazyEP() }},
+		{"eager-M", true, func(over graphrnn.PointSet) graphrnn.Algorithm { return graphrnn.EagerM(mats[over]) }},
+		{"brute-force", true, func(graphrnn.PointSet) graphrnn.Algorithm { return graphrnn.BruteForce() }},
+		{"hub-label", false, func(over graphrnn.PointSet) graphrnn.Algorithm { return graphrnn.HubLabel(hubs[over]) }},
 	}
 	for _, s := range substrates {
-		nonEmpty := 0
-		for _, kind := range kinds {
-			q := kind.query(s.algo(kind.over))
-			full, reads, err := cold(q)
-			if err != nil {
-				t.Fatalf("%s/%s unbounded: %v", s.name, kind.name, err)
+		for _, kind := range nodeKinds {
+			cells = append(cells, cell{s.name, kind.name, kind.query(s.algo(kind.over))})
+		}
+		if s.edge {
+			cells = append(cells, cell{s.name, "edge-rnn", edgeRNNQuery(eps.Excluding(ep), eloc, 2, s.algo(eps))})
+		}
+	}
+	// A knn Result carries its neighbors and no work counters, so the knn
+	// row is budgeted by I/O alone; its range-NN loop is the probe every
+	// expansion cell above runs under node budgets.
+	cells = append(cells, cell{"expansion", "knn",
+		graphrnn.Query{Kind: graphrnn.KindKNN, Target: graphrnn.NodeLocation(qnode), K: 12, Points: view}})
+	answer := func(res *graphrnn.Result) []graphrnn.PointID {
+		ids := res.Points
+		for _, n := range res.Neighbors {
+			ids = append(ids, n.P)
+		}
+		return ids
+	}
+
+	// Each cell runs under budgets of i/fractions of its unbounded work and
+	// reads, for i = 0..fractions-1; i = 0 is a budget of one, which trips
+	// at the first poll of each loop.
+	const fractions = 4
+	nonEmpty := map[string]int{}
+	for _, c := range cells {
+		full, reads, err := cold(c.q)
+		if err != nil {
+			t.Fatalf("%s/%s unbounded: %v", c.sub, c.kind, err)
+		}
+		work := full.Stats.NodesExpanded + full.Stats.NodesScanned
+		var budgets []graphrnn.Budget
+		for i := int64(0); i < fractions; i++ {
+			if work > 1 {
+				budgets = append(budgets, graphrnn.Budget{MaxNodes: max(work*i/fractions, 1)})
 			}
-			work := full.Stats.NodesExpanded + full.Stats.NodesScanned
-			var budgets []graphrnn.Budget
-			for _, frac := range [][2]int64{{1, 4}, {3, 4}} {
-				if work > 1 {
-					budgets = append(budgets, graphrnn.Budget{MaxNodes: max(work*frac[0]/frac[1], 1)})
-				}
-				if reads > 1 {
-					budgets = append(budgets, graphrnn.Budget{MaxIOReads: max(reads*frac[0]/frac[1], 1)})
-				}
-			}
-			tripped := 0
-			for _, b := range budgets {
-				res, _, err := cold(bounded(q, graphrnn.QueryOptions{Budget: b}))
-				if err == nil {
-					if !samePoints(res.Points, full.Points) {
-						t.Fatalf("%s/%s %+v finished with %v, unbounded %v", s.name, kind.name, b, res.Points, full.Points)
-					}
-					continue
-				}
-				if !errors.Is(err, graphrnn.ErrBudgetExceeded) || res == nil || res.Plan.Algorithm.String() != s.name {
-					t.Fatalf("%s/%s %+v: result %+v, error %v; want a partial result planned on %s and ErrBudgetExceeded",
-						s.name, kind.name, b, res, err, s.name)
-				}
-				for _, p := range res.Points {
-					if !slices.Contains(full.Points, p) {
-						t.Fatalf("%s/%s %+v: partial member %d is not in the answer %v", s.name, kind.name, b, p, full.Points)
-					}
-				}
-				tripped++
-				nonEmpty += len(res.Points)
-			}
-			if tripped == 0 {
-				t.Errorf("%s/%s: none of %d budgets tripped (%d nodes, %d reads unbounded)", s.name, kind.name, len(budgets), work, reads)
+			if reads > 1 {
+				budgets = append(budgets, graphrnn.Budget{MaxIOReads: max(reads*i/fractions, 1)})
 			}
 		}
-		if nonEmpty == 0 && s.name != "hub-label" {
-			t.Errorf("%s: no budgeted run returned a partial member", s.name)
+		ioSlack := int64(expansionIOSlack)
+		if c.sub == "hub-label" {
+			ioSlack = hubIOSlack
+		}
+		tripped := 0
+		for _, b := range budgets {
+			res, used, err := cold(bounded(c.q, graphrnn.QueryOptions{Budget: b}))
+			if err != nil && (!errors.Is(err, graphrnn.ErrBudgetExceeded) || res == nil || res.Plan.Algorithm.String() != c.sub) {
+				t.Fatalf("%s/%s %+v: result %+v, error %v; want a partial result planned on %s and ErrBudgetExceeded",
+					c.sub, c.kind, b, res, err, c.sub)
+			}
+			// Tripped or not, a run keeps to its budget: one that finishes
+			// past it has missed the polls that should have stopped it.
+			if got := res.Stats.NodesExpanded + res.Stats.NodesScanned; b.MaxNodes > 0 && got > b.MaxNodes+exec.CheckStride {
+				t.Errorf("%s/%s: ran to %d nodes, %d past its budget of %d", c.sub, c.kind, got, got-b.MaxNodes, b.MaxNodes)
+			}
+			if b.MaxIOReads > 0 && used > b.MaxIOReads+ioSlack {
+				t.Errorf("%s/%s: ran to %d reads, %d past its budget of %d", c.sub, c.kind, used, used-b.MaxIOReads, b.MaxIOReads)
+			}
+			if err == nil {
+				if !samePoints(answer(res), answer(full)) {
+					t.Fatalf("%s/%s %+v finished with %v, unbounded %v", c.sub, c.kind, b, answer(res), answer(full))
+				}
+				continue
+			}
+			for _, p := range answer(res) {
+				if !slices.Contains(answer(full), p) {
+					t.Fatalf("%s/%s %+v: partial member %d is not in the answer %v", c.sub, c.kind, b, p, answer(full))
+				}
+			}
+			tripped++
+			nonEmpty[c.sub] += len(answer(res))
+		}
+		if tripped == 0 {
+			t.Errorf("%s/%s: none of %d budgets tripped (%d nodes, %d reads unbounded)", c.sub, c.kind, len(budgets), work, reads)
+		}
+	}
+	for sub, n := range nonEmpty {
+		if n == 0 && sub != "hub-label" {
+			t.Errorf("%s: no budgeted run returned a partial member", sub)
+		}
+	}
+
+	// Maintenance repairs the lists under the operation's budget — the hub
+	// index repairs after the lists commit — and an abandoned Insert or
+	// Remove stops within one stride too, leaving the set as it found it.
+	at := graphrnn.NodeLocation(route[0])
+	victim := sites.Points()[0]
+	vnode, _ := sites.NodeOf(victim)
+	ops := []struct {
+		name string
+		run  func(*graphrnn.QueryOptions) (graphrnn.Stats, error)
+	}{
+		{"Insert", func(opt *graphrnn.QueryOptions) (graphrnn.Stats, error) {
+			p, st, err := sites.Insert(ctx, at, opt)
+			if err == nil {
+				_, err = sites.Remove(ctx, p, nil)
+			}
+			return st, err
+		}},
+		{"Remove", func(opt *graphrnn.QueryOptions) (graphrnn.Stats, error) {
+			st, err := sites.Remove(ctx, victim, opt)
+			if err == nil {
+				victim, _, err = sites.Insert(ctx, graphrnn.NodeLocation(vnode), nil)
+			}
+			return st, err
+		}},
+	}
+	for _, op := range ops {
+		full, err := op.run(nil)
+		if err != nil {
+			t.Fatalf("%s unbounded: %v", op.name, err)
+		}
+		work := full.NodesExpanded + full.NodesScanned
+		tripped := 0
+		for i := int64(0); i < fractions; i++ {
+			b := max(work*i/fractions, 1)
+			n := sites.Len()
+			st, err := op.run(&graphrnn.QueryOptions{Budget: graphrnn.Budget{MaxNodes: b}})
+			if err != nil && !errors.Is(err, graphrnn.ErrBudgetExceeded) {
+				t.Fatalf("%s with a budget of %d nodes: %v", op.name, b, err)
+			}
+			// The hub index's repair pops no nodes, so the count is the
+			// lists' repair alone, finished or abandoned.
+			if got := st.NodesExpanded + st.NodesScanned; got > b+exec.CheckStride {
+				t.Errorf("%s: ran to %d nodes, %d past its budget of %d", op.name, got, got-b, b)
+			}
+			if err == nil {
+				continue
+			}
+			if sites.Len() != n {
+				t.Fatalf("abandoned %s left %d points, want %d", op.name, sites.Len(), n)
+			}
+			tripped++
+		}
+		if tripped == 0 {
+			t.Errorf("%s: none of %d budgets tripped (%d nodes unbounded)", op.name, fractions, work)
 		}
 	}
 }

@@ -9,14 +9,15 @@
 // framework: a Pass carries the same fields (Fset, Files, Pkg, TypesInfo,
 // Report) with the same meaning.
 //
-// The suite's job is to machine-check the engine contracts that PRs 3-5
-// established by convention, and it is sized to what it catches: three
-// analyzers (determinism, execpoll, guardedby — see the sibling packages for
-// the contracts themselves) and one driver, cmd/vetrnn. A rule whose
-// behaviour a dynamic test or a run-time check pins better (the write-ahead
-// order, the lock order, a discarded lookup bool, the partial result beside
-// a typed execution error, a sharded query's carved deadline and budget, a
-// buffer-pool tenant outliving its DB) is not an analyzer.
+// The suite's job is to machine-check the engine contracts that were
+// established by convention, and it is sized to what it catches: two
+// analyzers (determinism, guardedby — see the sibling packages for the
+// contracts themselves) and one driver, cmd/vetrnn. A rule whose behaviour
+// a dynamic test or a run-time check pins better (the write-ahead order,
+// the lock order, a discarded lookup bool, the partial result beside a
+// typed execution error, a sharded query's carved deadline and budget, a
+// buffer-pool tenant outliving its DB, a budgeted query stopping within one
+// polling stride) is not an analyzer. No comment suppresses a finding.
 package analysis
 
 import (
@@ -29,8 +30,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags and suppression
-	// comments (suppress with //lint:ignore vetrnn/<name> reason).
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the help text: first line is a one-sentence summary.
 	Doc string
@@ -60,8 +60,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Report delivers one diagnostic. Suppression and test-file filtering
-	// happen in the driver, not here.
+	// Report delivers one diagnostic. Test-file filtering happens in the
+	// driver, not here.
 	Report func(Diagnostic)
 
 	// facts is the cross-package fact store shared by the run; set by the

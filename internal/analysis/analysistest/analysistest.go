@@ -10,8 +10,6 @@
 // Each backquoted or double-quoted string is a regexp that must match the
 // message of exactly one finding on that line; findings on lines without a
 // matching expectation, and expectations without a finding, fail the test.
-// Suppression comments (//lint:ignore) are honored exactly as in the real
-// driver, so fixtures can pin the suppression behavior too.
 package analysistest
 
 import (
@@ -42,7 +40,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 		}
 		facts := analysis.NewFactStore()
 		for i, pkg := range pkgs {
-			findings, _, err := analysis.RunFacts(pkg, []*analysis.Analyzer{a}, facts)
+			findings, err := analysis.RunFacts(pkg, []*analysis.Analyzer{a}, facts)
 			if err != nil {
 				t.Errorf("run %s on %s: %v", a.Name, pkg.Types.Path(), err)
 				break

@@ -31,8 +31,6 @@
 // callee package's exported summaries and reported at the call site.
 // Callees without facts (stdlib, interfaces, function values) are assumed
 // deterministic — the analyzer names contracts, it does not prove them.
-//
-// Deliberate exceptions carry //lint:ignore vetrnn/determinism <why>.
 package determinism
 
 import (

@@ -1,7 +1,7 @@
 // Single-package determinism scenarios: map ranges with and without the
 // collect-then-sort idiom, wall-clock taint into returns and stores,
 // global vs seeded math/rand, select shapes, sync.Map.Range, same-package
-// transitive reach, and suppression.
+// transitive reach.
 package determinism
 
 import (
@@ -154,17 +154,4 @@ func tally(m map[string]int) int {
 // vetrnn:deterministic
 func root(m map[string]int) int {
 	return tally(m)
-}
-
-// --- suppression -------------------------------------------------------------
-
-// sampled deliberately trades determinism for cheap reservoir sampling.
-//
-// vetrnn:deterministic
-func sampled(m map[string]int) int {
-	//lint:ignore vetrnn/determinism reservoir sampling is allowed to be order-free here
-	for _, v := range m {
-		return v
-	}
-	return 0
 }

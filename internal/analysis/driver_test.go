@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
@@ -54,80 +53,12 @@ func loadSrc(t *testing.T, files map[string]string) *Package {
 	return &Package{Fset: fset, Files: asts, Types: pkg, Info: info}
 }
 
-func TestSuppressionCoversSameAndNextLine(t *testing.T) {
-	pkg := loadSrc(t, map[string]string{"a.go": `package p
-
-func g() {}
-
-func f() {
-	g() //lint:ignore vetrnn/reportcalls trailing comment, same line
-	//lint:ignore vetrnn/reportcalls comment above the flagged line
-	g()
-	g()
-}
-`})
-	findings, err := Run(pkg, []*Analyzer{reportCalls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1 (only the unannotated call): %v", len(findings), findings)
-	}
-	if findings[0].Pos.Line != 9 {
-		t.Errorf("surviving finding at line %d, want 9", findings[0].Pos.Line)
-	}
-}
-
-func TestSuppressionWrongNameDoesNotCover(t *testing.T) {
-	pkg := loadSrc(t, map[string]string{"a.go": `package p
-
-func g() {}
-
-func f() {
-	//lint:ignore vetrnn/othercheck reason that names a different analyzer
-	g()
-}
-`})
-	findings, err := Run(pkg, []*Analyzer{reportCalls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 || findings[0].Analyzer != "reportcalls" {
-		t.Fatalf("got %v, want the reportcalls finding to survive", findings)
-	}
-}
-
-func TestMalformedIgnoreIsReported(t *testing.T) {
-	pkg := loadSrc(t, map[string]string{"a.go": `package p
-
-func g() {}
-
-func f() {
-	//lint:ignore vetrnn/reportcalls
-	g()
-}
-`})
-	findings, err := Run(pkg, []*Analyzer{reportCalls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for _, f := range findings {
-		kinds = append(kinds, f.Analyzer)
-	}
-	got := strings.Join(kinds, ",")
-	// The reason-less ignore must not suppress, and must itself be flagged.
-	if got != "lintignore,reportcalls" {
-		t.Fatalf("got findings %v, want lintignore + reportcalls", findings)
-	}
-}
-
 func TestSkipTestsFiltersTestFiles(t *testing.T) {
 	pkg := loadSrc(t, map[string]string{
 		"a.go":      "package p\n\nfunc g() {}\n",
 		"a_test.go": "package p\n\nfunc h() { g() }\n",
 	})
-	findings, err := Run(pkg, []*Analyzer{reportCalls})
+	findings, err := RunFacts(pkg, []*Analyzer{reportCalls}, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}

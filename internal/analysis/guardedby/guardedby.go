@@ -34,8 +34,7 @@
 //     value has not escaped, so no lock can be required yet.
 //
 // Annotations are exported as a package fact, so a field declared in
-// internal/storage is enforced wherever it is accessed. Deliberate
-// exceptions carry //lint:ignore vetrnn/guardedby <why>.
+// internal/storage is enforced wherever it is accessed.
 package guardedby
 
 import (

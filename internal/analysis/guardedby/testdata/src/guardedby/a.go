@@ -229,13 +229,6 @@ func loopDrop(c *counters, keys []string) {
 	}
 }
 
-// --- deliberate exceptions are suppressed (and ratchet-counted) -------------
-
-func suppressed(c *counters) {
-	//lint:ignore vetrnn/guardedby construction-time init before the value escapes
-	c.fallbacks = 0
-}
-
 // --- annotation validation --------------------------------------------------
 
 type badAnnot struct {

@@ -213,7 +213,6 @@ func (s *Searcher) verifyWithMat(st *Stats, buf *scratch, sites PointSet, self p
 	}
 	*near = slices.Grow((*near)[:0], n*mat.cap)
 	floor := math.Inf(1)
-	//lint:ignore vetrnn/execpoll at most two anchors inside one verification; the query loop driving it polls
 	for _, a := range as[:n] {
 		if *plst, err = mat.List(a.node, *plst); err != nil {
 			return false, err

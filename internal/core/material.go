@@ -429,7 +429,6 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 		return entryLess(d, p, last.D, last.P)
 	}
 
-	//lint:ignore vetrnn/execpoll offline index construction; no query context exists yet (ROADMAP: context-aware maintenance)
 	for {
 		e, d, ok := queue.Pop()
 		if !ok {

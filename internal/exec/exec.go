@@ -4,6 +4,15 @@
 // the hub-label intersection path poll a *Ctx between expansion steps and
 // abandon the query with a typed error instead of running to completion.
 //
+// The contract every traversal keeps is measured, not assumed: a query
+// under Budget.MaxNodes = B stops having popped at most B + CheckStride
+// nodes, because the main loops poll on every expansion step and the
+// sub-expansions every CheckStride-th pop. Under MaxIOReads = R it stops
+// at the first poll past R, a few pages later: the adjacency pages of up
+// to CheckStride pops on the expansion substrates, one label's pages on
+// hub-label. The root package's TestBudgetPartialAnswers holds both
+// bounds on every substrate, kind and maintenance operation.
+//
 // A nil *Ctx is the unbounded context: every method short-circuits on the
 // nil receiver, so the plain (non-context) query path pays only a nil
 // check per expansion step.

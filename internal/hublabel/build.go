@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/pq"
 )
@@ -22,12 +21,6 @@ type BuildOptions struct {
 	// back. Every worker count produces bit-identical labels for a given
 	// graph: parallelism changes the schedule, never the result.
 	Workers int
-	// Exec, when non-nil, makes the build cancellable: every sweep polls
-	// it each CheckStride pops and the build returns the typed execution
-	// error. Only the cancellation/deadline half is meaningful — builds
-	// have no per-query budget. Workers share the Ctx for polling only
-	// (Check is a read-only probe), never for Emit.
-	Exec *exec.Ctx
 }
 
 // BuildStats describes one labeling construction.
@@ -91,16 +84,16 @@ func BuildOpt(g graph.Access, opt BuildOptions) (*Labeling, BuildStats, error) {
 	st := BuildStats{Workers: opt.workers()}
 	n := g.NumNodes()
 	out, in := g, g.In()
-	order, err := buildOrder(out, in, opt.Exec)
+	order, err := buildOrder(out, in)
 	if err != nil {
 		return nil, st, err
 	}
 	st.Landmarks = len(order)
 	var outL, inL [][]Entry
 	if st.Workers == 1 {
-		outL, inL, err = buildSequential(out, in, order, n, opt.Exec, &st)
+		outL, inL, err = buildSequential(out, in, order, n, &st)
 	} else {
-		outL, inL, err = buildBatched(out, in, order, n, st.Workers, opt.Exec, &st)
+		outL, inL, err = buildBatched(out, in, order, n, st.Workers, &st)
 	}
 	if err != nil {
 		return nil, st, err
@@ -118,8 +111,8 @@ func BuildOpt(g graph.Access, opt BuildOptions) (*Labeling, BuildStats, error) {
 // were eliminated after it and on the core. The order decides only the size
 // of the labels: pruned landmark labeling is an exact 2-hop cover under any
 // order.
-func buildOrder(out, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, error) {
-	nbr, err := undirectedAdjacency(out, in, ec)
+func buildOrder(out, in graph.Access) ([]graph.NodeID, error) {
+	nbr, err := undirectedAdjacency(out, in)
 	if err != nil {
 		return nil, err
 	}
@@ -127,11 +120,8 @@ func buildOrder(out, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, error) {
 	for v := range nbr {
 		degree[v] = len(nbr[v])
 	}
-	core, peeled, err := eliminate(nbr, ec)
-	if err != nil {
-		return nil, err
-	}
-	if err := landmarkOrder(out, core, degree, ec); err != nil {
+	core, peeled := eliminate(nbr)
+	if err := landmarkOrder(out, core, degree); err != nil {
 		return nil, err
 	}
 	slices.Reverse(peeled)
@@ -141,7 +131,7 @@ func buildOrder(out, in graph.Access, ec *exec.Ctx) ([]graph.NodeID, error) {
 // undirectedAdjacency lists every node's neighbours over out-arcs ∪ in-arcs,
 // sorted by id, without self-loops or duplicates: the graph the elimination
 // runs on. Direction and weights play no part in it.
-func undirectedAdjacency(out, in graph.Access, ec *exec.Ctx) ([][]graph.NodeID, error) {
+func undirectedAdjacency(out, in graph.Access) ([][]graph.NodeID, error) {
 	sides := []graph.Access{out, in}
 	if in == out {
 		sides = sides[:1]
@@ -150,11 +140,6 @@ func undirectedAdjacency(out, in graph.Access, ec *exec.Ctx) ([][]graph.NodeID, 
 	var adj []graph.Edge
 	var err error
 	for v := range nbr {
-		if v&(exec.CheckStride-1) == 0 {
-			if err := ec.Check(0); err != nil {
-				return nil, err
-			}
-		}
 		var ids []graph.NodeID
 		for _, side := range sides {
 			if adj, err = side.Adjacency(graph.NodeID(v), adj); err != nil {
@@ -209,7 +194,7 @@ const elimCap = 16
 // consumed: on return it holds the fill graph of the core.
 //
 // vetrnn:deterministic
-func eliminate(nbr [][]graph.NodeID, ec *exec.Ctx) (core, peeled []graph.NodeID, err error) {
+func eliminate(nbr [][]graph.NodeID) (core, peeled []graph.NodeID) {
 	n := len(nbr)
 	level := make([]int, n)
 	// The heap key is cost·n + id: an exact integer in a float64 for every
@@ -227,16 +212,11 @@ func eliminate(nbr [][]graph.NodeID, ec *exec.Ctx) (core, peeled []graph.NodeID,
 	for {
 		v, _, ok := heap.Pop()
 		if !ok {
-			return core, peeled, nil
+			return core, peeled
 		}
 		if len(nbr[v]) > elimCap || len(core) > 0 {
 			core = append(core, v) // the peel is over: the rest of the heap is the core
 			continue
-		}
-		if len(peeled)&(exec.CheckStride-1) == 0 {
-			if err := ec.Check(0); err != nil {
-				return nil, nil, err
-			}
 		}
 		peeled = append(peeled, v)
 		for _, u := range nbr[v] {
@@ -267,7 +247,7 @@ func labelTables(out, in graph.Access, n int) (outL, inL [][]Entry) {
 	return outL, make([][]Entry, n)
 }
 
-func buildSequential(out, in graph.Access, order []graph.NodeID, n int, ec *exec.Ctx, st *BuildStats) (outL, inL [][]Entry, err error) {
+func buildSequential(out, in graph.Access, order []graph.NodeID, n int, st *BuildStats) (outL, inL [][]Entry, err error) {
 	outL, inL = labelTables(out, in, n)
 	ds := newDijkstraState(n)
 	lp := newLandmarkProbe(n)
@@ -275,7 +255,7 @@ func buildSequential(out, in graph.Access, order []graph.NodeID, n int, ec *exec
 		// Forward sweep computes d(h→v) and fills L_in(v); the pruning
 		// query d(h→v) intersects L_out(h) with L_in(v).
 		lp.load(outL[h])
-		if err := prunedSweep(out, h, lp, inL, ds, ec, st); err != nil {
+		if err := prunedSweep(out, h, lp, inL, ds, st); err != nil {
 			return nil, nil, err
 		}
 		if in == out {
@@ -284,7 +264,7 @@ func buildSequential(out, in graph.Access, order []graph.NodeID, n int, ec *exec
 		// Backward sweep computes d(v→h) and fills L_out(v); the pruning
 		// query d(v→h) intersects L_out(v) with L_in(h).
 		lp.load(inL[h])
-		if err := prunedSweep(in, h, lp, outL, ds, ec, st); err != nil {
+		if err := prunedSweep(in, h, lp, outL, ds, st); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -335,7 +315,7 @@ func batchCap(workers int) int {
 // predecessor covers any popped node, its pop decisions (and therefore its
 // distances) are bit-identical to the sequential sweep's; the merge
 // verifies exactly that condition before committing.
-func batchedSweep(g graph.Access, h graph.NodeID, hub []Entry, committed [][]Entry, sc *buildScratch, ec *exec.Ctx, out *sweepResult) {
+func batchedSweep(g graph.Access, h graph.NodeID, hub []Entry, committed [][]Entry, sc *buildScratch, out *sweepResult) {
 	sc.lp.load(hub)
 	ds := sc.ds
 	ds.begin()
@@ -347,11 +327,6 @@ func batchedSweep(g graph.Access, h graph.NodeID, hub []Entry, committed [][]Ent
 			return
 		}
 		out.visits++
-		if out.visits&(exec.CheckStride-1) == 0 {
-			if out.err = ec.Check(out.visits); out.err != nil {
-				return
-			}
-		}
 		if sc.lp.covers(committed[v], dist) {
 			out.pruned++
 			continue
@@ -413,7 +388,7 @@ func runBatch(jobs int, workers int, failed *atomic.Bool, scratch *sync.Pool, sw
 // the sequential build.
 //
 // vetrnn:deterministic
-func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, into [][]Entry, mergeLP *landmarkProbe, mergeDS *dijkstraState, ec *exec.Ctx, st *BuildStats) error {
+func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, into [][]Entry, mergeLP *landmarkProbe, mergeDS *dijkstraState, st *BuildStats) error {
 	if r.err != nil {
 		return r.err
 	}
@@ -423,7 +398,7 @@ func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, int
 	for _, c := range r.cands {
 		if mergeLP.covers(into[c.node], c.dist) {
 			st.Resweeps++
-			return prunedSweep(g, h, mergeLP, into, mergeDS, ec, st)
+			return prunedSweep(g, h, mergeLP, into, mergeDS, st)
 		}
 	}
 	for _, c := range r.cands {
@@ -460,7 +435,7 @@ type landmarkSweeps struct {
 // worker count or scheduling.
 //
 // vetrnn:deterministic
-func buildBatched(out, in graph.Access, order []graph.NodeID, n, workers int, ec *exec.Ctx, st *BuildStats) (outLabels, inLabels [][]Entry, err error) {
+func buildBatched(out, in graph.Access, order []graph.NodeID, n, workers int, st *BuildStats) (outLabels, inLabels [][]Entry, err error) {
 	outL, inL := labelTables(out, in, n)
 	scratch := newBuildScratchPool(n)
 	mergeLP := newLandmarkProbe(n)
@@ -478,9 +453,9 @@ func buildBatched(out, in graph.Access, order []graph.NodeID, n, workers int, ec
 			h := batch[i]
 			r := &res[i]
 			*r = landmarkSweeps{fwd: sweepResult{cands: r.fwd.cands}, bwd: sweepResult{cands: r.bwd.cands}}
-			batchedSweep(out, h, outL[h], inL, sc, ec, &r.fwd)
+			batchedSweep(out, h, outL[h], inL, sc, &r.fwd)
 			if in != out && r.fwd.err == nil {
-				batchedSweep(in, h, inL[h], outL, sc, ec, &r.bwd)
+				batchedSweep(in, h, inL[h], outL, sc, &r.bwd)
 			}
 			if r.fwd.err != nil || r.bwd.err != nil {
 				failed.Store(true)
@@ -491,13 +466,13 @@ func buildBatched(out, in graph.Access, order []graph.NodeID, n, workers int, ec
 		// loads L_in(h), so a landmark's own self-entry is visible to its
 		// backward half exactly as in the sequential build.
 		for i, h := range batch {
-			if err := mergeSweep(out, h, &res[i].fwd, outL[h], inL, mergeLP, mergeDS, ec, st); err != nil {
+			if err := mergeSweep(out, h, &res[i].fwd, outL[h], inL, mergeLP, mergeDS, st); err != nil {
 				return nil, nil, err
 			}
 			if in == out {
 				continue
 			}
-			if err := mergeSweep(in, h, &res[i].bwd, inL[h], outL, mergeLP, mergeDS, ec, st); err != nil {
+			if err := mergeSweep(in, h, &res[i].bwd, inL[h], outL, mergeLP, mergeDS, st); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -2,17 +2,14 @@ package hublabel
 
 import (
 	"cmp"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
-	"graphrnn/internal/exec"
 	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
 )
@@ -221,24 +218,6 @@ func TestBuildOptNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildOptCancel: a pre-canceled exec context abandons the build with
-// the typed error, sequential and parallel alike.
-func TestBuildOptCancel(t *testing.T) {
-	g := testGraphs(t)["road"]
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ec := exec.New(ctx, exec.Budget{}, nil)
-	for _, workers := range []int{1, 4} {
-		if _, _, err := BuildOpt(g, BuildOptions{Workers: workers, Exec: ec}); !errors.Is(err, exec.ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
-		}
-	}
-	d := testDigraph(t, 21)
-	if _, _, err := BuildOpt(d, BuildOptions{Workers: 4, Exec: ec}); !errors.Is(err, exec.ErrCanceled) {
-		t.Fatalf("digraph: err = %v, want ErrCanceled", err)
-	}
-}
-
 // TestBuildOptTinyGraph exercises the batch schedule on graphs smaller
 // than one batch.
 func TestBuildOptTinyGraph(t *testing.T) {
@@ -289,7 +268,7 @@ func TestBuildOptBrite(t *testing.T) {
 // the graph that is left.
 func replayFill(t *testing.T, g graph.Access, peeled []graph.NodeID) (maxDegree, fill int, rest []map[graph.NodeID]bool) {
 	t.Helper()
-	nbr, err := undirectedAdjacency(g, g.In(), nil)
+	nbr, err := undirectedAdjacency(g, g.In())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +363,7 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 		sameLabeling(t, seq, par)
 	}
 
-	nbr, err := undirectedAdjacency(brite, brite.In(), nil)
+	nbr, err := undirectedAdjacency(brite, brite.In())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +372,7 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 		edges += len(a)
 	}
 	edges /= 2
-	_, peeled, err := eliminate(nbr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, peeled := eliminate(nbr)
 	maxDegree, fill, rest := replayFill(t, brite, peeled)
 	t.Logf("brite-10K: %d of %d nodes peeled, %d edges, %d fill edges, largest eliminated degree %d",
 		len(peeled), len(nbr), edges, fill, maxDegree)

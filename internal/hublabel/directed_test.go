@@ -158,18 +158,15 @@ func TestOneWayLabelingAllPairs(t *testing.T) {
 		t.Fatal("fixture has no one-way arc")
 	}
 
-	nbr, err := undirectedAdjacency(d, d.In(), nil)
+	nbr, err := undirectedAdjacency(d, d.In())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, peeled, err := eliminate(nbr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, peeled := eliminate(nbr)
 	if len(peeled) == 0 || len(peeled) == n {
 		t.Fatalf("%d of %d nodes peeled: the fixture is meant to have a core and a periphery", len(peeled), n)
 	}
-	order, err := buildOrder(d, d.In(), nil)
+	order, err := buildOrder(d, d.In())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,6 @@ import (
 	"runtime"
 	"slices"
 
-	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/pq"
 )
@@ -328,7 +327,7 @@ const centralitySamples = 12
 // scale-free graph, which no elimination can order (their fill is a clique)
 // and which degree alone orders worse; a road map has next to no core and
 // skips the trees.
-func landmarkOrder(g graph.Access, core []graph.NodeID, degree []int, ec *exec.Ctx) error {
+func landmarkOrder(g graph.Access, core []graph.NodeID, degree []int) error {
 	if len(core) == 0 {
 		return nil
 	}
@@ -351,11 +350,6 @@ func landmarkOrder(g graph.Access, core []graph.NodeID, degree []int, ec *exec.C
 				break
 			}
 			popOrder = append(popOrder, v)
-			if len(popOrder)&(exec.CheckStride-1) == 0 {
-				if err := ec.Check(0); err != nil {
-					return err
-				}
-			}
 			var err error
 			if st.adj, err = g.Adjacency(v, st.adj); err != nil {
 				return err
@@ -386,7 +380,7 @@ func landmarkOrder(g graph.Access, core []graph.NodeID, degree []int, ec *exec.C
 
 // prunedSweep runs one pruned Dijkstra from landmark h, appending (h, dist)
 // to the labels of every node the loaded probe cannot already cover.
-func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Entry, st *dijkstraState, ec *exec.Ctx, bst *BuildStats) error {
+func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Entry, st *dijkstraState, bst *BuildStats) error {
 	st.begin()
 	st.push(h, 0)
 	for {
@@ -395,11 +389,6 @@ func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Ent
 			return nil
 		}
 		bst.Visits++
-		if bst.Visits&(exec.CheckStride-1) == 0 {
-			if err := ec.Check(0); err != nil {
-				return err
-			}
-		}
 		if lp.covers(into[v], dist) {
 			bst.Pruned++
 			continue // already covered by higher-ranked hubs

@@ -233,7 +233,8 @@ func TestTenantLifetimes(t *testing.T) {
 
 // TestOpenMaterializationRefusalKeepsJournal: a refused OpenMaterialization
 // removes the journal it created, and leaves one that was already there —
-// it may hold a pending operation — byte for byte as it found it.
+// it may hold a pending operation — byte for byte as it found it. A failed
+// SaveTo leaves no file behind either.
 func TestOpenMaterializationRefusalKeepsJournal(t *testing.T) {
 	small, big := buildLineGraph(t, 40), buildLineGraph(t, 41)
 	dir := t.TempDir()
@@ -281,6 +282,21 @@ func TestOpenMaterializationRefusalKeepsJournal(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Fatal("the refused open changed a journal it did not create")
+	}
+
+	// A save that fails leaves no file at its path: a SaveTo onto a full
+	// device (through a symlink, so that what gets removed is the link).
+	if st, err := os.Stat("/dev/full"); err == nil && st.Mode()&os.ModeCharDevice != 0 {
+		full := filepath.Join(dir, "full.mat")
+		if err := os.Symlink("/dev/full", full); err != nil {
+			t.Fatal(err)
+		}
+		if err := mat.SaveTo(full); err == nil {
+			t.Fatal("SaveTo onto /dev/full succeeded")
+		}
+		if _, err := os.Lstat(full); !os.IsNotExist(err) {
+			t.Fatalf("the failed SaveTo left %s behind (Lstat: %v)", full, err)
+		}
 	}
 	if err := mat.Close(); err != nil {
 		t.Fatal(err)

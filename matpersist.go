@@ -76,7 +76,8 @@ func (m *Materialization) Recover() (bool, error) {
 // in-memory materialization keeps running independently afterwards, and
 // only a materialization built in this process can be saved (a reopened
 // one is already persisted, and committed maintenance updates its file in
-// place).
+// place). A failed save leaves no file at path: the header MatSave writes
+// first would otherwise name lists that never reached the disk.
 func (m *Materialization) SaveTo(path string) error {
 	if m.file != nil {
 		return fmt.Errorf("graphrnn: materialization was opened from a file; committed maintenance already persists there")
@@ -91,9 +92,14 @@ func (m *Materialization) SaveTo(path string) error {
 	}
 	if err := core.MatSave(m.m, kind, pts, f); err != nil {
 		f.Close()
+		os.Remove(path)
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		os.Remove(path)
+		return err
+	}
+	return nil
 }
 
 // snapshotPoints encodes the tracked point set as the dense
