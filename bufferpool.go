@@ -43,7 +43,8 @@ type TenantIOStats struct {
 
 // PoolStats is a point-in-time snapshot of a shared pool.
 type PoolStats struct {
-	// IOStats aggregates the page traffic of every tenant.
+	// IOStats aggregates the page traffic of every tenant: the sum of the
+	// Tenants rows.
 	IOStats
 	// Capacity is the pool's total frame budget.
 	Capacity int
@@ -51,13 +52,14 @@ type PoolStats struct {
 	Tenants []TenantIOStats
 }
 
-// Stats returns the pool-wide traffic and the per-tenant breakdown.
+// Stats returns the pool-wide traffic and the per-tenant breakdown, read
+// in one critical section: the aggregate is the sum of the rows.
 func (bp *BufferPool) Stats() PoolStats {
-	out := PoolStats{
-		IOStats:  ioStatsOf(bp.p.Stats()),
-		Capacity: bp.p.Capacity(),
-	}
-	for _, t := range bp.p.TenantStats() {
+	capacity, tenants := bp.p.Snapshot()
+	out := PoolStats{Capacity: capacity}
+	var sum storage.Stats
+	for _, t := range tenants {
+		sum = sum.Add(t.Stats)
 		out.Tenants = append(out.Tenants, TenantIOStats{
 			Name:    t.Name,
 			IOStats: ioStatsOf(t.Stats),
@@ -65,6 +67,7 @@ func (bp *BufferPool) Stats() PoolStats {
 			Quota:   t.Quota,
 		})
 	}
+	out.IOStats = ioStatsOf(sum)
 	return out
 }
 

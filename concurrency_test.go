@@ -308,7 +308,8 @@ func TestConcurrentBichromaticRNN(t *testing.T) {
 
 // TestConcurrentIOStats hammers PoolStats / BufferPool().ResetStats while
 // queries run, which must be safe on a disk-backed DB (the counters move
-// under the pool mutex).
+// under the pool mutex), and checks that every PoolStats is one point in
+// time: its aggregate is the sum of its tenant rows.
 func TestConcurrentIOStats(t *testing.T) {
 	e := newConcEnv(t, true)
 	stop := make(chan struct{})
@@ -320,7 +321,18 @@ func TestConcurrentIOStats(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = e.db.PoolStats()
+				ps := e.db.PoolStats()
+				var sum graphrnn.IOStats
+				for _, row := range ps.Tenants {
+					sum.Reads += row.Reads
+					sum.Hits += row.Hits
+					sum.Writes += row.Writes
+					sum.Evictions += row.Evictions
+				}
+				if sum != ps.IOStats {
+					t.Errorf("PoolStats aggregate %+v, tenant rows sum to %+v", ps.IOStats, sum)
+					return
+				}
 				e.db.BufferPool().ResetStats()
 			}
 		}

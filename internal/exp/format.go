@@ -24,8 +24,6 @@ type Table struct {
 // count, CPU time and total cost under the 10 ms/I-O model. Rows and
 // columns render in the slice order the experiment fixed; the same Table
 // always renders the same bytes.
-//
-// vetrnn:deterministic
 func (t *Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)

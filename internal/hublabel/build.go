@@ -192,8 +192,6 @@ const elimCap = 16
 // its remaining neighbours into a clique (the fill). It stops at the first
 // cheapest node of degree above elimCap; whatever is left is the core. nbr is
 // consumed: on return it holds the fill graph of the core.
-//
-// vetrnn:deterministic
 func eliminate(nbr [][]graph.NodeID) (core, peeled []graph.NodeID) {
 	n := len(nbr)
 	level := make([]int, n)
@@ -386,8 +384,6 @@ func runBatch(jobs int, workers int, failed *atomic.Bool, scratch *sync.Pool, sw
 // distances in the last float bit; the whole sweep is redone sequentially
 // against the now-current labels. Either way the result is bit-identical to
 // the sequential build.
-//
-// vetrnn:deterministic
 func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, into [][]Entry, mergeLP *landmarkProbe, mergeDS *dijkstraState, st *BuildStats) error {
 	if r.err != nil {
 		return r.err
@@ -433,8 +429,6 @@ type landmarkSweeps struct {
 // buildBatched runs the speculative batched build. The labeling it
 // produces must be bit-identical to the sequential build's regardless of
 // worker count or scheduling.
-//
-// vetrnn:deterministic
 func buildBatched(out, in graph.Access, order []graph.NodeID, n, workers int, st *BuildStats) (outLabels, inLabels [][]Entry, err error) {
 	outL, inL := labelTables(out, in, n)
 	scratch := newBuildScratchPool(n)

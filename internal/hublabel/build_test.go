@@ -12,6 +12,7 @@ import (
 
 	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
+	"graphrnn/internal/storage"
 )
 
 // sameLabeling compares two labelings bit for bit: identical CSR offsets,
@@ -84,6 +85,26 @@ func TestLabelingFingerprint(t *testing.T) {
 		if got := fingerprint(l); got != c.want {
 			t.Errorf("%s: labeling fingerprint %s, pinned %s", c.name, got, c.want)
 		}
+	}
+	// The label file is a pure function of the labeling (TestStoreRoundTrip),
+	// so road's file is pinned too: only a new labeling or a new file format
+	// may move it, on purpose.
+	l, err := buildSeq(graphs["road"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := writeFile(t, l, storage.DefaultPageSize)
+	h := sha256.New()
+	page := make([]byte, f.PageSize())
+	for id := storage.PageID(0); int(id) < f.NumPages(); id++ {
+		if err := f.Read(id, page); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(page)
+	}
+	const pinned = "a8d37846b2bcb969e536f5d904232348443be3503274c4ebec516c391ef21059"
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
+		t.Errorf("road: label file (%d pages) SHA-256 %s, pinned %s", f.NumPages(), got, pinned)
 	}
 }
 

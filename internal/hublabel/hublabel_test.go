@@ -1,6 +1,7 @@
 package hublabel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -267,8 +268,38 @@ func TestReadLabelErrorExits(t *testing.T) {
 	}
 }
 
+// writeFile persists l into a fresh in-memory file of pageSize pages.
+func writeFile(t *testing.T, l *Labeling, pageSize int) *storage.MemFile {
+	t.Helper()
+	f := storage.NewMemFile(pageSize)
+	if err := Write(l, f); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// sameFile compares two label files page by page.
+func sameFile(t *testing.T, what string, want, got *storage.MemFile) {
+	t.Helper()
+	if want.NumPages() != got.NumPages() {
+		t.Fatalf("%s: %d pages, want %d", what, got.NumPages(), want.NumPages())
+	}
+	a, b := make([]byte, want.PageSize()), make([]byte, got.PageSize())
+	for id := storage.PageID(0); int(id) < want.NumPages(); id++ {
+		if err := errors.Join(want.Read(id, a), got.Read(id, b)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: page %d differs", what, id)
+		}
+	}
+}
+
 // TestStoreRoundTrip checks that a persisted labeling serves identical
-// labels, across page sizes that force chunking, for both directions.
+// labels, across page sizes that force chunking, for both directions, and
+// that the file is a pure function of the labeling: the sequential
+// labeling written twice, the 4-worker labeling and a Load → Write round
+// trip all produce the same bytes.
 func TestStoreRoundTrip(t *testing.T) {
 	graphs := testGraphs(t)
 	for name, g := range graphs {
@@ -278,6 +309,18 @@ func TestStoreRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				f := writeFile(t, l, pageSize)
+				sameFile(t, "second write", f, writeFile(t, l, pageSize))
+				par, _, err := BuildOpt(g, BuildOptions{Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFile(t, "4-worker labeling", f, writeFile(t, par, pageSize))
+				loaded, err := Load(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFile(t, "Load → Write", f, writeFile(t, loaded, pageSize))
 				s := roundTrip(t, l, pageSize, 16)
 				if s.NumNodes() != l.NumNodes() || s.Directed() != l.Directed() || s.Entries() != l.Entries() {
 					t.Fatalf("store header (%d,%v,%d) != labeling (%d,%v,%d)",

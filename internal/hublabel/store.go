@@ -56,8 +56,6 @@ var FileHeader = storage.FileHeader{Magic: "GRNHUBL1", PageSizeAt: 12}
 // label and directory pages follow. The encoded byte stream is a pure
 // function of the labeling — same input, same file. On an error the file
 // holds a prefix of the write with no header, which OpenStoreBuffer refuses.
-//
-// vetrnn:deterministic
 func Write(l *Labeling, f storage.PagedFile) error {
 	if f.NumPages() != 0 {
 		return fmt.Errorf("hublabel: refusing to write labeling into non-empty file (%d pages)", f.NumPages())
@@ -320,9 +318,7 @@ func (s *Store) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
 }
 
 // readLabel decodes one label's chunk chain into buf, one page read per
-// chunk.
-//
-// vetrnn:deterministic
+// chunk, in the order Write stored the entries.
 func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
 	buf = buf[:0]
 	var more, lastSlot bool
@@ -365,9 +361,8 @@ func DecodeChunk(rec []byte, buf []Entry) ([]Entry, bool, error) {
 	return buf, rec[0]&flagMore != 0, nil
 }
 
-// Load reads a persisted labeling fully into memory.
-//
-// vetrnn:deterministic
+// Load reads a persisted labeling fully into memory: the labeling Write
+// was given, so writing it again yields the same file.
 func Load(f storage.PagedFile) (*Labeling, error) {
 	s, err := OpenStoreBuffer(f, storage.NewBufferPool(1).Attach("", f, 0))
 	if err != nil {

@@ -47,8 +47,6 @@ func (p *Partition) ShardOf(n graph.NodeID) int { return int(p.Owner[n]) }
 // every seed are folded into the smallest region component by component.
 // The partition is a pure function of (graph, shards, haloDepth, seed):
 // the only randomness is the seeded generator picking the first seed.
-//
-// vetrnn:deterministic
 func Cut(g graph.Access, shards, haloDepth int, seed int64) (*Partition, error) {
 	n := g.NumNodes()
 	if shards < 1 {

@@ -28,29 +28,33 @@ import (
 // go to a free list the next fault reuses, so the steady-state read path —
 // hit or miss — allocates nothing.
 //
-// Concurrency: one mutex guards the page tables, the LRU lists and the
-// tenants' counters (a snapshot or reset takes it, and never waits behind
-// an in-flight page fault: loadLocked releases the mutex for the duration
-// of the physical read), and concurrent requests for the same missing page
-// coalesce into one read: the latecomers wait on the pool's ready latch for
-// the frame's loaded flag and share the outcome, an error included.
+// Concurrency: one mutex guards every field below but ready and reads, and
+// through the tenants their page tables, LRU lists and counters (a
+// snapshot or reset takes it, and never waits behind an in-flight page
+// fault: loadLocked releases the mutex for the duration of the physical
+// read), and concurrent requests for the same missing page coalesce into
+// one read: the latecomers wait on the pool's ready latch for the frame's
+// loaded flag and share the outcome, an error included. The race detector
+// checks the lock rule through TestPoolConcurrentTenants, which drives
+// every exported method from its own goroutine; a new method joins it
+// there.
 type BufferPool struct {
 	mu       sync.Mutex
-	capacity int     // vetrnn:guardedby mu
-	lru      lruList // vetrnn:guardedby mu
-	nframes  int     // vetrnn:guardedby mu
+	capacity int
+	lru      lruList
+	nframes  int
 	// free holds evicted and dropped frames, page buffers attached, for
 	// reuse by the next fault or uncached read.
-	free []*frame // vetrnn:guardedby mu
+	free []*frame
 	// ready is broadcast (on mu) whenever a pending frame becomes loaded.
 	ready   sync.Cond
-	tenants []*Tenant // vetrnn:guardedby mu
+	tenants []*Tenant
 	// trackGlobal records whether the pool-wide LRU order can ever decide
 	// an eviction: false when every tenant is quota-bounded and the
 	// capacity covers the quota sum (the default DB composition), in
 	// which case hits skip the global MoveToFront — the hit path then
 	// costs what a private per-substrate buffer would.
-	trackGlobal bool // vetrnn:guardedby mu
+	trackGlobal bool
 	// reads is the pool-wide physical-read counter — the only aggregate
 	// maintained inline (it backs per-query I/O budgets and only moves on
 	// misses, which pay a physical read anyway). Everything else is
@@ -60,8 +64,7 @@ type BufferPool struct {
 }
 
 // refreshTrackLocked recomputes trackGlobal after a capacity or tenant
-// change.
-// vetrnn:holds p.mu
+// change. It is called with p.mu held.
 func (p *BufferPool) refreshTrackLocked() {
 	sum := 0
 	track := false
@@ -77,24 +80,25 @@ func (p *BufferPool) refreshTrackLocked() {
 
 // Tenant is one paged file's view of a BufferPool. Storage clients are
 // agnostic about whether their buffer is private — the only tenant of its
-// own pool, NewBufferPool(pages).Attach("", file, 0) — or shared.
+// own pool, NewBufferPool(pages).Attach("", file, 0) — or shared. The
+// first four fields are fixed at Attach; the pool mutex guards the rest.
 type Tenant struct {
 	pool  *BufferPool
 	name  string
 	file  PagedFile
 	quota int // >0 max frames; 0 no per-tenant cap; <0 never cached
-	grown int // capacity contributed via AttachGrowing, returned on Detach; vetrnn:guardedby pool.mu
+	grown int // capacity contributed via AttachGrowing, returned on Detach
 
 	// table is the dense page table: table[id] is the frame holding page id
 	// or nil, and held counts the non-nil entries. It grows with the pages
 	// admitted and never past the file.
-	table []*frame // vetrnn:guardedby pool.mu
-	held  int      // vetrnn:guardedby pool.mu
+	table []*frame
+	held  int
 	// tlru orders the tenant's own frames by recency so quota eviction is
 	// O(1) instead of scanning the pool-wide list past other tenants'
 	// frames.
-	tlru  lruList // vetrnn:guardedby pool.mu
-	stats Stats   // vetrnn:guardedby pool.mu
+	tlru  lruList
+	stats Stats
 }
 
 // NoCache, passed as a tenant quota, keeps the tenant's pages out of the
@@ -209,8 +213,6 @@ func (p *BufferPool) AttachGrowing(name string, file PagedFile, quota int) *Tena
 // markGrown records the capacity the tenant contributed via
 // AttachGrowing, so Detach can return it. Attach set t.pool to the
 // caller's pool, so the pool mutex the caller holds is t.pool.mu.
-//
-// vetrnn:holds t.pool.mu
 func (t *Tenant) markGrown(quota int) { t.grown = quota }
 
 // Capacity returns the pool's capacity in frames.
@@ -261,19 +263,25 @@ type TenantStats struct {
 
 // TenantStats returns a snapshot of every tenant, in attach order.
 func (p *BufferPool) TenantStats() []TenantStats {
+	_, rows := p.Snapshot()
+	return rows
+}
+
+// Snapshot returns the pool's capacity and every tenant's row, in attach
+// order, from one critical section: the rows sum to what Stats returned at
+// the same instant.
+func (p *BufferPool) Snapshot() (capacity int, tenants []TenantStats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]TenantStats, len(p.tenants))
+	tenants = make([]TenantStats, len(p.tenants))
 	for i, t := range p.tenants {
-		out[i] = t.statsRow()
+		tenants[i] = t.statsRow()
 	}
-	return out
+	return p.capacity, tenants
 }
 
 // statsRow captures one tenant's TenantStats entry. Callers reach t by
 // iterating t.pool.tenants under the pool mutex, which is t.pool.mu.
-//
-// vetrnn:holds t.pool.mu
 func (t *Tenant) statsRow() TenantStats {
 	return TenantStats{Name: t.name, Stats: t.stats, Frames: t.held, Quota: t.quota}
 }
@@ -316,25 +324,23 @@ func (t *Tenant) ResetStats() {
 
 // resetStatsLocked zeroes the tenant's counters; like statsRow it is reached
 // by iterating t.pool.tenants under the pool mutex.
-// vetrnn:holds t.pool.mu
 func (t *Tenant) resetStatsLocked() { t.stats = Stats{} }
 
 // uncached reports whether page id bypasses the pool: the tenant is never
 // cached, the pool has no frames, or the file has no such page — its read
 // comes back with the file's own error, and the dense table never grows
-// past the file. Holding p.mu is what makes reading capacity here safe
-// against concurrent Attach/Detach.
-// vetrnn:holds t.pool.mu
+// past the file. It is called with the pool mutex held, which makes
+// reading capacity here safe against concurrent Attach/Detach.
 func (t *Tenant) uncached(id PageID) bool {
 	return t.quota < 0 || t.pool.capacity == 0 || uint(id) >= uint(t.file.NumPages())
 }
 
-// countRead counts one physical read against the tenant and the pool.
-// vetrnn:holds t.pool.mu
+// countRead counts one physical read against the tenant and the pool. It
+// is called with the pool mutex held.
 func (t *Tenant) countRead() { t.stats.Reads++; t.pool.reads.Add(1) }
 
-// frameLocked returns the frame holding page id, or nil.
-// vetrnn:holds t.pool.mu
+// frameLocked returns the frame holding page id, or nil. It is called with
+// the pool mutex held.
 func (t *Tenant) frameLocked(id PageID) *frame {
 	if uint(id) < uint(len(t.table)) {
 		return t.table[id]
@@ -350,7 +356,6 @@ func (t *Tenant) frameLocked(id PageID) *frame {
 // on ready and share the outcome. When no frame may cache the page (see
 // uncached) the read goes into a frame borrowed from the free list, which is
 // in no table or list, and the caller recycles it when done.
-// vetrnn:holds t.pool.mu
 func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	p := t.pool
 	for fr = t.frameLocked(id); fr != nil; fr = t.frameLocked(id) {
@@ -454,8 +459,7 @@ func (t *Tenant) Flush() error {
 }
 
 // flushLocked writes the tenant's dirty pages back, in ascending page
-// order.
-// vetrnn:holds t.pool.mu
+// order. It is called with the pool mutex held.
 func (t *Tenant) flushLocked() error {
 	for _, fr := range t.table {
 		if fr != nil && fr.dirty {
@@ -523,8 +527,8 @@ func (t *Tenant) Detach() error {
 }
 
 // dropFramesLocked removes and recycles the tenant's loaded frames; a
-// pending one stays with its faulter.
-// vetrnn:holds t.pool.mu
+// pending one stays with its faulter. It is called with the pool mutex
+// held.
 func (t *Tenant) dropFramesLocked() {
 	for _, fr := range t.table {
 		if fr != nil && fr.loaded {
@@ -535,13 +539,11 @@ func (t *Tenant) dropFramesLocked() {
 }
 
 // --- pool internals (all called with p.mu held; the pool's one mutex
-// guards every tenant reached through frame back-pointers, which is what
-// the vetrnn:holds wildcard declares) ---------------------------------------
+// also guards every tenant reached through a frame's owner pointer) --------
 
 // newFrameLocked returns an unlinked, pending frame for page id of t with
 // a page buffer of the tenant's page size: a recycled one when the free
 // list has any. The buffer's contents are whatever the last page left.
-// vetrnn:holds p.mu
 func (p *BufferPool) newFrameLocked(t *Tenant, id PageID) *frame {
 	var fr *frame
 	if n := len(p.free); n > 0 {
@@ -567,7 +569,6 @@ const freeSlack = 4
 // recycleLocked puts an unlinked frame on the free list, unless
 // the pool already owns as many frames as it can use (after a Detach
 // shrank it).
-// vetrnn:holds p.mu
 func (p *BufferPool) recycleLocked(fr *frame) {
 	if p.nframes+len(p.free) < p.capacity+freeSlack {
 		p.free = append(p.free, fr)
@@ -575,7 +576,6 @@ func (p *BufferPool) recycleLocked(fr *frame) {
 }
 
 // touchLocked records a reference to fr in the recency orders.
-// vetrnn:holds *
 func (p *BufferPool) touchLocked(fr *frame) {
 	if p.trackGlobal {
 		p.lru.moveToFront(fr)
@@ -586,7 +586,6 @@ func (p *BufferPool) touchLocked(fr *frame) {
 }
 
 // admitLocked installs a frame in the pool- and owner-recency structures.
-// vetrnn:holds *
 func (p *BufferPool) admitLocked(fr *frame) {
 	p.lru.pushFront(fr)
 	if fr.owner.quota > 0 {
@@ -603,7 +602,6 @@ func (p *BufferPool) admitLocked(fr *frame) {
 }
 
 // removeLocked drops a frame from the pool- and owner-recency structures.
-// vetrnn:holds *
 func (p *BufferPool) removeLocked(fr *frame) {
 	p.lru.remove(fr)
 	if fr.owner.quota > 0 {
@@ -620,7 +618,6 @@ func (p *BufferPool) removeLocked(fr *frame) {
 // in flight are skipped; if every candidate is one of those the pool
 // temporarily exceeds its bound (by at most the number of concurrent
 // faulters).
-// vetrnn:holds *
 func (p *BufferPool) evictForLocked(t *Tenant) error {
 	if t.quota > 0 {
 		if err := p.evictLRULocked(&t.tlru, t); err != nil {
@@ -633,7 +630,6 @@ func (p *BufferPool) evictForLocked(t *Tenant) error {
 // evictLRULocked evicts loaded frames from the back of l: tenant t's own
 // list while t sits at its quota, or (t == nil) the pool-wide list while
 // the pool sits at capacity.
-// vetrnn:holds *
 func (p *BufferPool) evictLRULocked(l *lruList, t *Tenant) error {
 	for victim := l.back; victim != nil; {
 		if t != nil && t.held < t.quota || t == nil && p.nframes < p.capacity {

@@ -232,16 +232,52 @@ func TestPoolInvalidate(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentTenants hammers two tenants from many goroutines to
-// give the race detector a shared-pool workout.
+// TestPoolConcurrentTenants is the pool's lock contract: the page tables,
+// LRU lists and counters change only under the pool mutex, and the race
+// detector is what checks it. Faulting readers hammer two tenants while
+// every exported method that touches guarded state runs in a loop on its
+// own goroutine, and a third tenant attaches, faults and detaches; with
+// the lock deleted from any of them, -race -count=10 fails this test. A
+// method added to the pool gets its goroutine here.
 func TestPoolConcurrentTenants(t *testing.T) {
 	fa := newTestFile(t, 64, 16)
 	fb := newTestFile(t, 64, 16)
+	fc := newTestFile(t, 64, 4)
 	p := NewBufferPool(8)
 	a := attach(t, p, "a", fa, 4)
 	b := attach(t, p, "b", fb, 0)
 
 	var wg sync.WaitGroup
+	for _, op := range []func() error{
+		func() error { _ = p.Capacity(); return nil },
+		func() error { _ = p.Stats(); return nil },
+		func() error { p.ResetStats(); return nil },
+		func() error { _ = p.TenantStats(); return nil },
+		p.Invalidate,
+		func() error { _ = b.Stats(); return nil },
+		func() error { b.ResetStats(); return nil },
+		func() error { _ = b.Capacity(); return nil },
+		// page[0] is what the readers check; Update leaves it alone.
+		func() error { return b.Update(3, func(page []byte) error { page[1]++; return nil }) },
+		b.Flush,
+		b.Invalidate,
+		func() error {
+			c := p.AttachGrowing("c", fc, 2)
+			_, err := c.Get(1)
+			return errors.Join(err, c.Detach())
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := op(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {

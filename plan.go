@@ -61,8 +61,6 @@ type Plan struct {
 // Explain renders the decision as one stable line, e.g.
 //
 //	rnn via hub-label: attached hub-label index answers this shape by label intersection
-//
-// vetrnn:deterministic
 func (p Plan) Explain() string {
 	shape := p.Kind.String()
 	if p.Edge {

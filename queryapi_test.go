@@ -266,6 +266,8 @@ func TestPlannerFallbacks(t *testing.T) {
 
 // TestPlanExplainStability pins the planner's Explain output across all
 // four kinds — the serving surface echoes these strings, so they are API.
+// Each plan renders 64 times: a line that depended on a map's iteration
+// order, which a range draws from a few orders at random, would differ.
 func TestPlanExplainStability(t *testing.T) {
 	e := newPlanEnv(t, "grid", false)
 	idx, err := e.db.BuildHubLabelIndex(e.ps, 4, nil)
@@ -312,8 +314,11 @@ func TestPlanExplainStability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if got := plan.Explain(); got != tc.want {
-			t.Errorf("case %d:\n  got  %q\n  want %q", i, got, tc.want)
+		for range 64 {
+			if got := plan.Explain(); got != tc.want {
+				t.Errorf("case %d:\n  got  %q\n  want %q", i, got, tc.want)
+				break
+			}
 		}
 	}
 }
