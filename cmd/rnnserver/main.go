@@ -19,9 +19,7 @@
 //	rnnserver [-addr :8080] [-family road|brite|grid] [-nodes N]
 //	          [-density D] [-sites N] [-seed N] [-disk] [-buffer PAGES]
 //	          [-maxk K] [-hublabel K] [-build-workers N]
-//	          [-query-timeout D] [-pprof ADDR]
-//	          [-shards N [-shard-index i | -shard-peers url1,url2,...]]
-//	          [-shard-halo H]
+//	          [-query-timeout D] [-pprof ADDR] [-shards N]
 //
 // -pprof ADDR serves net/http/pprof (/debug/pprof/profile, heap, ...) on a
 // listener of its own, so profiles of the running server never share a
@@ -34,29 +32,24 @@
 // rebuilds and the coordinator's build of sharded mode. The labels are
 // served from memory.
 //
-// Sharded serving (-shards N) answers /query by scatter-gather: the node
-// set is cut into N balanced regions, one engine and one buffer-pool
-// tenant serve each region's points (plus a replicated halo ring of
-// competitors), and the coordinator merges the per-shard candidates and
-// re-verifies them by expansion — answers stay bit-identical to unsharded
-// serving on the same substrate, and the response's plan says what ran.
-// The default runs every shard in this process. For separate shard
-// processes, start N servers with the same -family/-nodes/-seed flags
-// (each process derives the identical graph, point set and partition)
-// plus -shard-index i, and one coordinator with -shard-peers naming
-// their base URLs in shard order; sub-queries travel over POST
-// /shard/query with derived deadlines, and partial results survive
-// per-shard timeouts. -maxk configures per-shard materializations in
-// sharded mode, and the maintenance endpoints are disabled (a local
-// mutation would disagree with peer processes).
+// Sharded serving (-shards N) answers /query by scatter-gather inside this
+// process: the node set is cut into N balanced regions, one engine and one
+// buffer-pool tenant serve each region's points (plus a replicated halo
+// ring of competitors), and the coordinator merges the per-shard
+// candidates and re-verifies them by expansion — answers stay
+// bit-identical to unsharded serving on the same substrate, and the
+// response's plan says what ran. -maxk configures per-shard
+// materializations in sharded mode, and the maintenance endpoints are
+// disabled: the shards' point sets are fixed when they are cut.
 //
 // -hublabel K in sharded mode builds one hub-label index, over the full
-// point set, on the process that answers /query: rnn and continuous queries
-// with "algo" omitted or "auto" and k <= K are answered there outright —
-// regions bound expansions, and label intersection has none — so they fan
-// out to no shard. An explicit expansion "algo", k > K and bichromatic
-// queries still scatter. A -shard-index i process is only sent what
-// scatters, so it needs no -hublabel; it still builds all N shard engines.
+// point set, on the coordinator: rnn and continuous queries with "algo"
+// omitted or "auto" and k <= K are answered there outright — regions bound
+// expansions, and label intersection has none — so they fan out to no
+// shard. An explicit expansion "algo", k > K and bichromatic queries still
+// scatter. The substrate hints "eager-m" and "hub-label" are a 400 in
+// sharded mode: each shard's planner picks eager-M from its own lists, and
+// the coordinator's index answers auto queries.
 //
 // Endpoints:
 //
@@ -104,7 +97,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -164,13 +156,9 @@ type server struct {
 	hubRepairFails atomic.Int64
 	hubRebuilds    atomic.Int64
 
-	// sharded, when non-nil, routes /query through scatter-gather (see
-	// sharded.go in the library and shard_handler.go here); shardIndex >= 0
-	// marks a shard-process role that rejects misrouted /shard/query
-	// sub-queries; shardRole names the mode for logs and /stats.
-	sharded    *graphrnn.Sharded
-	shardIndex int
-	shardRole  string
+	// sharded, when non-nil, routes /query through in-process
+	// scatter-gather (see sharded.go in the library).
+	sharded *graphrnn.Sharded
 }
 
 // close releases the server's substrates in dependency order — sharded
@@ -250,11 +238,17 @@ func (s *server) algorithm(name string) (graphrnn.Algorithm, error) {
 	case "lazy-ep", "lazyep":
 		return graphrnn.LazyEP(), nil
 	case "eager-m", "eagerm":
+		if s.sharded != nil {
+			return graphrnn.Algorithm{}, fmt.Errorf("eager-m is not a hint in sharded mode: each shard's planner picks eager-M from its own lists; omit algo")
+		}
 		if s.mat == nil {
 			return graphrnn.Algorithm{}, fmt.Errorf("eager-m unavailable: server started with -maxk 0")
 		}
 		return graphrnn.EagerM(s.mat), nil
 	case "hub-label", "hublabel", "hub":
+		if s.sharded != nil {
+			return graphrnn.Algorithm{}, fmt.Errorf("hub-label is not a hint in sharded mode: the coordinator's index (-hublabel K) answers auto queries with k <= K; omit algo")
+		}
 		idx := s.hub.Load()
 		if idx == nil {
 			return graphrnn.Algorithm{}, fmt.Errorf("hub-label unavailable: build it with POST /index/hublabel or start with -hublabel K")
@@ -429,7 +423,7 @@ func (s *server) maintenance(w http.ResponseWriter, r *http.Request, req any) {
 		return
 	}
 	if s.sharded != nil {
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("maintenance unavailable in sharded mode: every process derives its point set from the startup flags and a local mutation would disagree with its peers"))
+		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("maintenance unavailable in sharded mode: the shards' point sets are fixed when they are cut at startup"))
 		return
 	}
 	if s.mat == nil {
@@ -563,7 +557,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["sites"] = s.sites.Len()
 	}
 	if s.sharded != nil {
-		stats["shards"] = shardStatsSection(s.shardRole, s.sharded.Stats())
+		stats["shards"] = shardStatsSection(s.sharded.Stats())
 	}
 	if s.mat != nil {
 		stats["mat"] = map[string]any{
@@ -583,6 +577,40 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stats)
 }
 
+// shardStatsSection renders the coordinator's scatter-gather counters for
+// /stats: partition shape, fan-out and verification totals, and one entry
+// per shard (sub-query counts, failures, candidates proposed, cumulative
+// latency).
+func shardStatsSection(st graphrnn.ShardedStats) map[string]any {
+	perShard := make([]map[string]any, len(st.PerShard))
+	for i, sh := range st.PerShard {
+		perShard[i] = map[string]any{
+			"shard":        sh.Shard,
+			"owned_nodes":  sh.OwnedNodes,
+			"owned_points": sh.OwnedPoints,
+			"halo_points":  sh.HaloPoints,
+			"queries":      sh.Queries,
+			"errors":       sh.Errors,
+			"candidates":   sh.Candidates,
+			"latency_ms":   float64(sh.Latency.Microseconds()) / 1000.0,
+		}
+	}
+	return map[string]any{
+		"shards":          st.Shards,
+		"halo_depth":      st.HaloDepth,
+		"cut_edges":       st.CutEdges,
+		"queries":         st.Queries,
+		"global_runs":     st.GlobalRuns,
+		"fan_outs":        st.FanOuts,
+		"candidates":      st.Candidates,
+		"verify_runs":     st.VerifyRuns,
+		"verify_rejected": st.VerifyRejected,
+		"members":         st.Members,
+		"shard_errors":    st.ShardErrors,
+		"per_shard":       perShard,
+	}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -593,17 +621,14 @@ func main() {
 		disk     = flag.Bool("disk", false, "serve the graph disk-backed through the LRU buffer")
 		buffer   = flag.Int("buffer", 256, "LRU buffer capacity in pages (disk-backed only)")
 		sites    = flag.Int("sites", -1, "site set size for bichromatic /query requests (-1 = points/10, 0 disables)")
-		maxK     = flag.Int("maxk", 4, "materialize K-NN lists up to this k for eager-m (0 disables; sharded: per-shard MatK)")
-		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: the coordinator's index, which answers rnn/continuous queries up to this k without fan-out)")
+		maxK     = flag.Int("maxk", 4, "materialize K-NN lists up to this k for eager-m (0 disables; sharded: each shard's lists, which its planner picks itself)")
+		hubLabel = flag.Int("hublabel", 0, "build the hub-label index up to this k at startup (0 defers to POST /index/hublabel; sharded: the coordinator's index, which answers auto rnn/continuous queries up to this k without fan-out)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-query deadline; expired queries answer 504 (0 disables)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty disables)")
 
 		buildWorkers = flag.Int("build-workers", 0, "worker goroutines for hub-label construction (0 = all cores, sequential below three; 1 = sequential)")
 
-		shards     = flag.Int("shards", 0, "serve /query by scatter-gather over N shards (0 = unsharded)")
-		shardIndex = flag.Int("shard-index", -1, "shard-process role: reject /shard/query sub-queries for other shard indexes (-1 serves any)")
-		shardPeers = flag.String("shard-peers", "", "coordinator role: comma-separated shard process base URLs, one per shard, in shard order")
-		shardHalo  = flag.Int("shard-halo", 0, "halo ring depth in hops (0 = default 1, negative disables the halo)")
+		shards = flag.Int("shards", 0, "serve /query by in-process scatter-gather over N shards (0 = unsharded)")
 	)
 	flag.Parse()
 
@@ -644,7 +669,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &server{db: db, ps: ps, family: *family, started: time.Now(), queryTimeout: *queryTO, shardIndex: -1}
+	srv := &server{db: db, ps: ps, family: *family, started: time.Now(), queryTimeout: *queryTO}
 	// Flag value 0 means "use every core"; the library spells that -1
 	// (0 there falls back to sequential).
 	srv.hubOpts.Build.Workers = *buildWorkers
@@ -666,56 +691,27 @@ func main() {
 	}
 	pointsSecs := time.Since(placing).Seconds()
 
-	var peers []string
-	if *shardPeers != "" {
-		peers = strings.Split(*shardPeers, ",")
-	}
-	switch {
-	case *shards == 0 && (*shardIndex >= 0 || len(peers) > 0):
-		fmt.Fprintln(os.Stderr, "-shard-index and -shard-peers require -shards N")
-		os.Exit(2)
-	case *shards > 0 && *shardIndex >= 0 && len(peers) > 0:
-		fmt.Fprintln(os.Stderr, "-shard-index (shard process) and -shard-peers (coordinator) are mutually exclusive")
-		os.Exit(2)
-	case *shards > 0 && len(peers) > 0 && len(peers) != *shards:
-		fmt.Fprintf(os.Stderr, "-shard-peers names %d peers, -shards %d\n", len(peers), *shards)
-		os.Exit(2)
-	case *shards > 0 && *shardIndex >= *shards:
-		fmt.Fprintf(os.Stderr, "-shard-index %d out of range for -shards %d\n", *shardIndex, *shards)
-		os.Exit(2)
-	}
-
 	// What the unsharded set-up spends, for the start-up line below.
 	var knnSecs, labelSecs, reverseSecs float64
 	var workers, entries int
 	var labelBytes int64
 	if *shards > 0 {
-		// Sharded mode: every process derives the same partition (and so
-		// the same global point-id space) from the shared flags; -maxk and
-		// -hublabel configure the sharded layer's substrates, and the global
-		// materialization endpoints are disabled (mutating one process's
-		// point set would silently disagree with its peers).
+		// Sharded mode: -maxk and -hublabel configure the sharded layer's
+		// substrates, and the maintenance endpoints are disabled (the
+		// shards' point sets are fixed by the cut).
 		shOpt := &graphrnn.ShardOptions{
-			Shards: *shards, HaloDepth: *shardHalo, Seed: *seed, Sites: srv.sites,
+			Shards: *shards, Seed: *seed, Sites: srv.sites,
 			HubLabelK: *hubLabel, MatK: *maxK,
 			DiskBacked: *disk, BufferPages: *buffer,
 			Build: srv.hubOpts.Build,
-		}
-		srv.shardRole = "in-process"
-		if len(peers) > 0 {
-			srv.shardRole = "coordinator"
-			shOpt.Runner = newHTTPShardRunner(peers)
-		} else if *shardIndex >= 0 {
-			srv.shardRole = fmt.Sprintf("shard %d", *shardIndex)
-			srv.shardIndex = *shardIndex
 		}
 		start := time.Now()
 		srv.sharded, err = db.Shard(ps, shOpt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("rnnserver: sharded serving (%s) over %d shards built in %v",
-			srv.shardRole, *shards, time.Since(start).Round(time.Millisecond))
+		log.Printf("rnnserver: sharded serving over %d shards built in %v",
+			*shards, time.Since(start).Round(time.Millisecond))
 	} else {
 		if *maxK > 0 {
 			mark := time.Now()
@@ -753,12 +749,6 @@ func main() {
 	mux.HandleFunc("/index/hublabel", srv.handleHubBuild)
 	mux.HandleFunc("/healthz", srv.handleHealthz)
 	mux.HandleFunc("/stats", srv.handleStats)
-	if srv.sharded != nil && srv.shardRole != "coordinator" {
-		// Any process with local shard engines can answer sub-queries — a
-		// coordinator (pure, no engines) cannot and does not mount the
-		// endpoint.
-		mux.HandleFunc("/shard/query", srv.handleShardQuery)
-	}
 
 	if *pprofOn != "" {
 		go func() { log.Printf("rnnserver: pprof listener: %v", http.ListenAndServe(*pprofOn, nil)) }()

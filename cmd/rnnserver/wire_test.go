@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"graphrnn"
 )
 
 // post drives one handler with a body and returns the status.
@@ -22,8 +20,6 @@ func post(h http.HandlerFunc, target, body string) int {
 // on node 2^32 committed a point on node 0.)
 func TestWireIDsOutOfRange(t *testing.T) {
 	s := newTestServer(t)
-	env := newShardedTestEnv(t)
-	sh := env.shardedServer(t, &graphrnn.ShardOptions{Shards: 2, Seed: 7}, "in-process", -1)
 	if _, taken := s.ps.PointAt(0); taken {
 		t.Fatal("node 0 hosts a point; the insert case needs it free")
 	}
@@ -41,8 +37,6 @@ func TestWireIDsOutOfRange(t *testing.T) {
 		{"query edge", s.handleQuery, "/query", `{"kind":"knn","edge":{"u":4294967296,"v":4294967297,"pos":0.5}}`},
 		{"mat insert", s.handleMatInsert, "/mat/insert", `{"node":4294967296}`},
 		{"mat delete", s.handleMatDelete, "/mat/delete", `{"point":4294967296}`},
-		{"shard query node", sh.handleShardQuery, "/shard/query", `{"shard":0,"kind":"rnn","node":4294967297,"k":1}`},
-		{"shard query route", sh.handleShardQuery, "/shard/query", `{"shard":0,"kind":"continuous","route":[4294967297],"k":1}`},
 	} {
 		if code := post(c.handler, c.target, c.body); code != http.StatusBadRequest {
 			t.Errorf("%s: %s answered %d, want 400", c.name, c.body, code)

@@ -54,12 +54,13 @@ import (
 // coordinator's global engine — a forward distance search does not
 // decompose over owned-point unions without a distance merge.
 
-// ShardRunner executes one shard's sub-query. The in-process mode uses
-// the Sharded value's own engines; a serving front end can provide a
-// remote runner (e.g. POST /shard/query) so shards run as separate
-// processes behind the same coordinator. Candidates must be global point
-// ids; the coordinator re-verifies every candidate, so a runner that
-// returns garbage degrades performance, not correctness.
+// ShardRunner executes one shard's sub-query. By default the Sharded value
+// runs its own engines; a Runner is a seam for wrapping each sub-query
+// (timing it, tracing it) before it reaches engines built elsewhere,
+// typically another Sharded's RunShard. The benchmark's span-recording
+// runner is its one implementation. Candidates must be global point ids;
+// the coordinator re-verifies every candidate, so a runner that returns
+// garbage degrades performance, not correctness.
 type ShardRunner interface {
 	RunShard(ctx context.Context, shard int, q Query) (*ShardResult, error)
 }
@@ -85,7 +86,8 @@ type ShardOptions struct {
 	HaloDepth int
 	// Seed drives the deterministic partitioner: identical
 	// (graph, Shards, HaloDepth, Seed) tuples produce identical
-	// partitions in every process.
+	// partitions, so a Runner that delegates to a second Sharded built
+	// from the same options addresses the same regions.
 	Seed int64
 	// Sites is the bichromatic site set, replicated to every shard.
 	// Queries of KindBichromatic require it.
@@ -110,9 +112,9 @@ type ShardOptions struct {
 	BufferPages int
 	// Runner, when non-nil, makes the Sharded a pure coordinator: no
 	// local shard engines are built and every sub-query goes through the
-	// runner. The partition (and so the global point-id space) is still
-	// computed locally, which is how separate shard processes agree with
-	// the coordinator without exchanging state.
+	// runner. The partition is still computed locally; the runner's
+	// engines must come from the same cut (see Seed) for their candidates
+	// to be the shards the coordinator expects.
 	Runner ShardRunner
 }
 
@@ -193,7 +195,7 @@ type Sharded struct {
 // replicated competitors, and the returned Sharded coordinates queries
 // across them (Run / RunBatch). With opt.Runner set no local engines are
 // built; sub-queries go through the runner instead (see ShardRunner). The
-// hub index (opt.HubLabelK) is the coordinator's, in both modes.
+// hub index (opt.HubLabelK) is the coordinator's either way.
 func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 	if opt == nil || opt.Shards < 1 {
 		return nil, fmt.Errorf("graphrnn: ShardOptions.Shards must be >= 1")
@@ -250,7 +252,7 @@ func (db *DB) Shard(ps *NodePoints, opt *ShardOptions) (*Sharded, error) {
 
 // buildHandles creates the in-process shard engines and their point
 // sets: owned points first (ascending global id), then halo replicas
-// (ascending node id) — a deterministic local-id layout every process
+// (ascending node id) — a deterministic local-id layout every build
 // reproduces from the same inputs.
 func (s *Sharded) buildHandles(opt *ShardOptions) error {
 	s.handles = make([]*shardHandle, s.part.Shards)
@@ -398,15 +400,14 @@ func (s *Sharded) shardQuery(q Query) Query {
 	}
 }
 
-// RunShard executes shard sh's slice of q on this process's engines:
+// RunShard executes shard sh's slice of q on this Sharded's own engines:
 // Points (and Sites) resolve to the shard's own sets, and the answer is
 // the shard-locally confirmed members among the points the shard owns,
-// as global ids. It is the execution half a shard process serves behind
-// /shard/query, for the queries a coordinator fans out (a shard has no hub
-// index; its planner picks among expansion and eager-M); q's QueryOptions
-// are applied as given (the coordinator already derived them). Partial
-// candidates ride along with typed execution errors, per the engine
-// contract.
+// as global ids. It is what a ShardRunner delegates to for the queries a
+// coordinator fans out (a shard has no hub index; its planner picks among
+// expansion and eager-M); q's QueryOptions are applied as given (the
+// coordinator already derived them). Partial candidates ride along with
+// typed execution errors, per the engine contract.
 func (s *Sharded) RunShard(ctx context.Context, sh int, q Query) (*ShardResult, error) {
 	if sh < 0 || sh >= s.part.Shards {
 		return nil, fmt.Errorf("graphrnn: shard %d out of range [0,%d)", sh, s.part.Shards)
@@ -485,10 +486,14 @@ func (s *Sharded) runOneShard(ctx context.Context, sh int, q Query) (*ShardResul
 // the verify pass stops once the shards' work plus its own exceeds it.
 // MaxIOReads is metered per buffer pool: DiskBacked in-process shards read
 // through the coordinator's pool, whose read counter holds the fan-out and
-// the verify pass to it together; shards with pools of their own (a
-// Runner's peers, in-process shards without DiskBacked) split it evenly,
-// and the verify pass meters only the coordinator's pool against it, so
-// such a query may read up to about twice MaxIOReads in all.
+// the verify pass to it together. Under a Runner the shards split it
+// evenly; a Runner that delegates to a DiskBacked Sharded of the same DB
+// still reads through that one pool, so the verify pass's meter sees the
+// shards' reads too and the query stays within MaxIOReads. Shards on pools
+// of their own — in-process shards without DiskBacked, whose K-NN lists
+// sit on each shard's pool, and a Runner that delegates to such shards —
+// split it evenly while the verify pass meters only the coordinator's
+// pool, so such a query may read up to about twice MaxIOReads in all.
 //
 // Typed execution errors follow the engine contract: shards cut short
 // contribute their partial candidates, the verified merge rides along with
@@ -593,8 +598,8 @@ func (s *Sharded) RunBatch(ctx context.Context, queries []Query, opt *BatchOptio
 
 // mergeCandidates unions per-shard candidate lists into one ascending,
 // duplicate-free list. Inputs need not be sorted or valid — the verify
-// pass re-checks every id — so the merge is safe on adversarial remote
-// responses.
+// pass re-checks every id — so the merge is safe on whatever a Runner
+// returns.
 func mergeCandidates(lists [][]PointID) []PointID {
 	out := slices.Concat(lists...)
 	slices.Sort(out)
@@ -604,8 +609,8 @@ func mergeCandidates(lists [][]PointID) []PointID {
 // verifyCandidates confirms each merged candidate against the full point
 // set — the cross-shard verify pass that makes scatter-gather answers
 // identical to unsharded ones — by the exact per-candidate expansion of the
-// brute-force oracle. Ids that name no live point are rejected (a shard — or
-// an adversarial remote — proposed garbage). The Result's Stats start at
+// brute-force oracle. Ids that name no live point are rejected (a shard or
+// a Runner proposed garbage). The Result's Stats start at
 // gathered, the shards' work, and ec is polled before every candidate,
 // charged with the query's work so far: the sub-expansions poll only every
 // exec.CheckStride-th pop and most finish first. Typed execution errors
