@@ -1,11 +1,12 @@
 package graphrnn_test
 
 // Directed networks through the public API only: NewGraphBuilder → AddArc →
-// Open → Run / BuildHubLabelIndex / Insert / Remove. Every kind under every
-// substrate that serves one-way arcs against the brute-force oracle on
-// random asymmetric graphs, a maintained hub-label index against a rebuilt
-// one, the typed rejection of everything that needs symmetric distances,
-// and the AddArc twin of an undirected graph against the AddEdge original.
+// Open → Run / BuildHubLabelIndex. The forward kinds on random asymmetric
+// graphs, the typed rejection of everything that needs symmetric distances
+// and the auto plan, the AddArc twin of an undirected graph against the
+// AddEdge original, and label files that remember their direction. Every
+// RkNN kind under every substrate that serves one-way arcs is held to the
+// oracle at every node.
 
 import (
 	"context"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"graphrnn"
+	"graphrnn/internal/oracle"
 )
 
 // randArcGraph builds a random graph of one-way arcs: strongly connected
@@ -79,14 +81,13 @@ var hubBackends = []struct {
 	{"paged", &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 4}},
 }
 
-// directedEnv is one random directed setting: graph, data set, site set,
-// and a hub-label index over each.
+// directedEnv is one random directed setting: a graph, strongly connected
+// or not, with integer or float weights, a data set and a depth that may
+// reach |P|.
 type directedEnv struct {
 	db         *graphrnn.DB
-	ps, sites  *graphrnn.NodePoints
-	idx, sidx  *graphrnn.HubLabelIndex
+	ps         *graphrnn.NodePoints
 	k          int
-	backend    string
 	describeIt string
 }
 
@@ -100,150 +101,88 @@ func newDirectedEnv(t testing.TB, rng *rand.Rand, it int) *directedEnv {
 	}
 	e := &directedEnv{db: db, k: 1 + rng.Intn(3)}
 	e.ps = placeOnRandomNodes(t, rng, db, 2+rng.Intn(n/2))
-	e.sites = placeOnRandomNodes(t, rng, db, 1+rng.Intn(n/4))
 	if rng.Intn(6) == 0 {
-		e.k = e.ps.Len() + rng.Intn(2) // k >= |P|: everything that reaches the query is a member
+		e.k = e.ps.Len() + rng.Intn(2) // k >= |P|: every point the query reaches is a neighbour
 	}
-	e.describeIt = fmt.Sprintf("iter %d (|V|=%d cycle=%v int=%v |P|=%d |S|=%d k=%d)", it, n, cycle, intWeights, e.ps.Len(), e.sites.Len(), e.k)
+	e.describeIt = fmt.Sprintf("iter %d (|V|=%d cycle=%v int=%v |P|=%d k=%d)", it, n, cycle, intWeights, e.ps.Len(), e.k)
 	return e
 }
 
-// index builds the two hub-label indexes, in the backend the iteration
-// selects.
-func (e *directedEnv) index(t testing.TB, it int) {
-	t.Helper()
-	b := hubBackends[it%len(hubBackends)]
-	e.backend = b.name
-	var err error
-	if e.idx, err = e.db.BuildHubLabelIndex(e.ps, e.k, b.opt); err != nil {
-		t.Fatal(err)
-	}
-	if e.sidx, err = e.db.BuildHubLabelIndex(e.sites, e.k, b.opt); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.idx.Close(); e.sidx.Close() })
-}
-
-// directedShape is one query shape; overSites names the index that can
-// answer it (bichromatic queries read the sites' index).
-type directedShape struct {
-	name      string
-	overSites bool
-	query     func(a graphrnn.Algorithm) graphrnn.Query
-}
-
-// shapes returns one query of every RkNN kind around a random data point's
-// node: the point hidden, the point co-located with the query, bichromatic
-// and a route.
-func (e *directedEnv) shapes(rng *rand.Rand) []directedShape {
-	pts := e.ps.Points()
-	qp := pts[rng.Intn(len(pts))]
-	q, _ := e.ps.NodeOf(qp)
-	route := []graphrnn.NodeID{q}
-	for range rng.Intn(4) {
-		route = append(route, graphrnn.NodeID(rng.Intn(e.db.Graph().NumNodes())))
-	}
-	return []directedShape{
-		{"rnn/hidden", false, func(a graphrnn.Algorithm) graphrnn.Query { return rnnQuery(e.ps.Excluding(qp), q, e.k, a) }},
-		{"rnn/colocated", false, func(a graphrnn.Algorithm) graphrnn.Query { return rnnQuery(e.ps, q, e.k, a) }},
-		{"bichromatic", true, func(a graphrnn.Algorithm) graphrnn.Query { return biQuery(e.ps, e.sites, q, e.k, a) }},
-		{"continuous", false, func(a graphrnn.Algorithm) graphrnn.Query { return routeQuery(e.ps, route, e.k, a) }},
-	}
-}
-
-// TestDirectedRunAgreesWithBrute: on 300 random asymmetric graphs every
-// kind × {eager, lazy-EP, hub-label (memory / paged), auto}
-// returns the brute-force member set, before and after an Insert and a
-// Remove, and the maintained indexes answer like freshly built ones.
+// TestDirectedRunAgreesWithBrute: on random one-way networks (integer and
+// float weights, strongly connected or not) every RkNN kind under every
+// substrate that serves one-way arcs — eager, lazy-EP, hub-label in memory
+// and paged, brute force and auto — answers like the oracle at every node,
+// before and after an Insert and a Remove, and the maintained index answers
+// like a freshly built one.
 func TestDirectedRunAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1801))
-	iters := 300
-	if testing.Short() {
-		iters = 60
-	}
-	ctx := context.Background()
-	for it := range iters {
-		e := newDirectedEnv(t, rng, it)
-		check := func(when string, wantAuto string) {
-			t.Helper()
-			for _, sh := range e.shapes(rng) {
-				algos := map[string]graphrnn.Algorithm{"eager": graphrnn.Eager(), "lazy-EP": graphrnn.LazyEP(), "auto": graphrnn.Auto()}
-				if hub := e.idx; hub != nil {
-					if sh.overSites {
-						hub = e.sidx
-					}
-					algos["hub-label"] = graphrnn.HubLabel(hub)
-				}
-				want, err := e.db.Run(ctx, sh.query(graphrnn.BruteForce()))
-				if err != nil {
-					t.Fatalf("%s %s %s brute: %v", e.describeIt, when, sh.name, err)
-				}
-				for name, algo := range algos {
-					got, err := e.db.Run(ctx, sh.query(algo))
-					if err != nil {
-						t.Fatalf("%s %s %s %s: %v", e.describeIt, when, sh.name, name, err)
-					}
-					if !samePoints(got.Points, want.Points) {
-						t.Fatalf("%s %s %s %s/%s: got %v, brute %v (plan: %s)",
-							e.describeIt, when, sh.name, name, e.backend, got.Points, want.Points, got.Plan.Explain())
-					}
-					if name == "auto" && got.Plan.Algorithm.String() != wantAuto {
-						t.Fatalf("%s %s %s: auto planned %s, want %s", e.describeIt, when, sh.name, got.Plan.Explain(), wantAuto)
-					}
-				}
-			}
+	for it := range 16 {
+		n := 8 + rng.Intn(32)
+		db, err := graphrnn.Open(randArcGraph(t, rng, n, it%3 > 0, it%2 == 0), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		check("unindexed", "eager")
-		e.index(t, it)
-		check("indexed", "hub-label")
-
-		// One maintenance path: the set's Insert / Remove repair the index.
-		var free []graphrnn.NodeID
-		for n := range e.db.Graph().NumNodes() {
-			if _, taken := e.ps.PointAt(graphrnn.NodeID(n)); !taken {
-				free = append(free, graphrnn.NodeID(n))
-			}
+		ps := placeOnRandomNodes(t, rng, db, 2+rng.Intn(n/2))
+		sites := placeOnRandomNodes(t, rng, db, 1+rng.Intn(n/4))
+		maxK := 1 + rng.Intn(3)
+		hub := hubBackends[it%len(hubBackends)].opt
+		idx, err := db.BuildHubLabelIndex(ps, maxK, hub)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, _, err := e.ps.Insert(ctx, graphrnn.NodeLocation(free[rng.Intn(len(free))]), nil); err != nil {
-			t.Fatalf("%s insert: %v", e.describeIt, err)
-		}
-		check("after insert", "hub-label")
-		e.mustEqualRebuilt(t, "after insert")
-		victims := e.ps.Points()
-		if _, err := e.ps.Remove(ctx, victims[rng.Intn(len(victims))], nil); err != nil {
-			t.Fatalf("%s remove: %v", e.describeIt, err)
-		}
-		check("after remove", "hub-label")
-		e.mustEqualRebuilt(t, "after remove")
+		defer idx.Close()
+		mono := graphrnn.Agreement{Points: ps, Ks: oracle.Depths(maxK, ps.Len()), Routes: randRoutes(rng, n), Algos: map[string]graphrnn.Algorithm{
+			"eager": graphrnn.Eager(), "lazy-EP": graphrnn.LazyEP(), "hub-label": graphrnn.HubLabel(idx), "brute": graphrnn.BruteForce(), "auto": graphrnn.Auto(),
+		}}
+		graphrnn.CheckAgreement(t, mono)
+		graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: ps, Sites: sites, Algos: nodeSubstrates(t, db, sites, maxK, hub), Ks: oracle.Depths(maxK)})
+		churn(t, rng, db, ps, func(when string) {
+			graphrnn.CheckAgreement(t, mono)
+			mustEqualRebuilt(t, db, ps, idx, maxK, mono.Routes, fmt.Sprintf("iter %d %s", it, when))
+		})
 	}
 }
 
-// mustEqualRebuilt requires the maintained index over ps to answer every
-// node's query — members and work counters — like an index built from
-// scratch over the set as it is now.
-func (e *directedEnv) mustEqualRebuilt(t testing.TB, when string) {
+// mustEqualRebuilt requires the planner to still pick the maintained index
+// over ps for every node's query and every route, and the index to answer
+// them — members and work counters — like one built from scratch over the
+// set as it is now.
+func mustEqualRebuilt(t testing.TB, db *graphrnn.DB, ps *graphrnn.NodePoints, idx *graphrnn.HubLabelIndex, maxK int, routes [][]graphrnn.NodeID, when string) {
 	t.Helper()
-	fresh, err := e.db.BuildHubLabelIndex(e.ps, e.k, hubBackends[0].opt)
+	var queries []graphrnn.Query
+	for k := 1; k <= maxK; k++ {
+		for n := range db.Graph().NumNodes() {
+			queries = append(queries, rnnQuery(ps, graphrnn.NodeID(n), k, graphrnn.HubLabel(idx)))
+		}
+		for _, r := range routes {
+			queries = append(queries, routeQuery(ps, r, k, graphrnn.HubLabel(idx)))
+		}
+	}
+	run := func(q graphrnn.Query) *graphrnn.Result {
+		t.Helper()
+		res, err := db.Run(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s %s k=%d at %v, route %v: %v", when, q.Kind, q.K, q.Target, q.Route, err)
+		}
+		return res
+	}
+	for _, q := range queries { // before the rebuilt index is attached beside it
+		q.Algorithm, q.Strict = graphrnn.Auto(), false
+		if auto := run(q); auto.Plan.Algorithm.String() != "hub-label" {
+			t.Fatalf("%s %s k=%d at %v, route %v: auto planned %s, want hub-label", when, q.Kind, q.K, q.Target, q.Route, auto.Plan.Explain())
+		}
+	}
+	fresh, err := db.BuildHubLabelIndex(ps, maxK, hubBackends[0].opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	for n := range e.db.Graph().NumNodes() {
-		for k := 1; k <= e.k; k++ {
-			q := rnnQuery(e.ps, graphrnn.NodeID(n), k, graphrnn.HubLabel(e.idx))
-			got, err := e.db.Run(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q.Algorithm = graphrnn.HubLabel(fresh)
-			want, err := e.db.Run(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePoints(got.Points, want.Points) || got.Stats != want.Stats {
-				t.Fatalf("%s %s node %d k=%d: maintained %v %+v, rebuilt %v %+v",
-					e.describeIt, when, n, k, got.Points, got.Stats, want.Points, want.Stats)
-			}
+	for _, q := range queries {
+		got := run(q)
+		q.Algorithm = graphrnn.HubLabel(fresh)
+		if want := run(q); !samePoints(got.Points, want.Points) || got.Stats != want.Stats {
+			t.Fatalf("%s %s k=%d at %v, route %v: maintained %v %+v, rebuilt %v %+v",
+				when, q.Kind, q.K, q.Target, q.Route, got.Points, got.Stats, want.Points, want.Stats)
 		}
 	}
 }
@@ -355,13 +294,20 @@ func TestDirectedRejectsUndirectedOnly(t *testing.T) {
 	}
 
 	// A hint is not a demand: lazy and eager-M fall back down the auto
-	// chain — to eager, and to the hub-label index once one exists.
+	// chain, which picks eager, and the hub-label index once one exists.
 	brute, err := db.Run(ctx, rnnQuery(ps, 3, 1, graphrnn.BruteForce()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fallsBackTo := func(want string) {
 		t.Helper()
+		res, err := db.Run(ctx, graphrnn.Query{Target: graphrnn.NodeLocation(3), K: 1, Points: ps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.Algorithm.String() != want || !samePoints(res.Points, brute.Points) {
+			t.Fatalf("auto planned %q and answered %v, want %s and brute's %v", res.Plan.Explain(), res.Points, want, brute.Points)
+		}
 		for _, hint := range []graphrnn.Algorithm{graphrnn.Lazy(), graphrnn.EagerM(nil)} {
 			q := rnnQuery(ps, 3, 1, hint)
 			q.Strict = false
@@ -510,7 +456,7 @@ func TestOpenHubLabelIndexChecksDirection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s labels over their own graph: %v", file, err)
 			}
-			mustAgreeWithBrute(t, db, ps, 2, map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)})
+			graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: ps, Algos: map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)}, Ks: oracle.Depths(2)})
 			if err := idx.Close(); err != nil {
 				t.Fatal(err)
 			}

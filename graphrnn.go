@@ -132,15 +132,17 @@ func NewGraphBuilder(numNodes int) *GraphBuilder {
 }
 
 // AddEdge records the undirected edge (u,v) with positive weight w.
-// Duplicate edges keep the smallest weight; self loops are rejected.
+// Duplicate edges keep the smallest weight; self loops are rejected. Zero
+// weights are rejected too: with distinct nodes 0 apart, eager and eager-M
+// miss members.
 func (gb *GraphBuilder) AddEdge(u, v NodeID, w float64) error {
 	return gb.b.AddEdge(graph.NodeID(u), graph.NodeID(v), w)
 }
 
-// AddArc records the one-way arc u→v with positive weight w; parallel arcs
-// keep the smallest weight. The built graph is directed exactly when some
-// arc lacks an equal-weight twin, so AddArc(u,v,w) + AddArc(v,u,w) is
-// AddEdge(u,v,w).
+// AddArc records the one-way arc u→v with positive weight w (AddEdge says
+// why not zero); parallel arcs keep the smallest weight. The built graph is
+// directed exactly when some arc lacks an equal-weight twin, so
+// AddArc(u,v,w) + AddArc(v,u,w) is AddEdge(u,v,w).
 func (gb *GraphBuilder) AddArc(u, v NodeID, w float64) error {
 	return gb.b.AddArc(graph.NodeID(u), graph.NodeID(v), w)
 }

@@ -13,6 +13,7 @@ import (
 	"graphrnn"
 	"graphrnn/internal/core"
 	"graphrnn/internal/hublabel"
+	"graphrnn/internal/oracle"
 )
 
 func buildLineGraph(t *testing.T, n int) *graphrnn.Graph {
@@ -66,55 +67,25 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicAPIAllAlgorithmsAgree: over a disk-backed grid every substrate
+// answers like the oracle at every node, and the expansions read graph
+// pages.
 func TestPublicAPIAllAlgorithmsAgree(t *testing.T) {
-	g, err := graphrnn.GenerateGrid(11, 400, 4)
+	g, err := graphrnn.GenerateGrid(103, 144, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: 64})
+	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := db.PlaceRandomNodePoints(12, 40)
+	ps, err := db.PlaceRandomNodePoints(104, g.NumNodes()/10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := db.MaterializeNodePoints(ps, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	algos := []graphrnn.Algorithm{
-		graphrnn.Eager(), graphrnn.Lazy(), graphrnn.LazyEP(), graphrnn.EagerM(mat), graphrnn.BruteForce(),
-	}
-	queries := ps.Points()[:8]
-	for _, k := range []int{1, 2, 4} {
-		for _, qp := range queries {
-			qnode, _ := ps.NodeOf(qp)
-			view := ps.Excluding(qp)
-			var want *graphrnn.Result
-			for i, algo := range algos {
-				got, err := db.Run(context.Background(), rnnQuery(view, qnode, k, algo))
-				if err != nil {
-					t.Fatalf("%v: %v", algo, err)
-				}
-				if i == 0 {
-					want = got
-					continue
-				}
-				if len(got.Points) != len(want.Points) {
-					t.Fatalf("k=%d q=%d: %v = %v, eager = %v", k, qnode, algo, got.Points, want.Points)
-				}
-				for j := range got.Points {
-					if got.Points[j] != want.Points[j] {
-						t.Fatalf("k=%d q=%d: %v = %v, eager = %v", k, qnode, algo, got.Points, want.Points)
-					}
-				}
-			}
-		}
-	}
-	// Disk-backed queries must have produced I/O.
+	graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: ps, Algos: nodeSubstrates(t, db, ps, 4, nil), Ks: oracle.Depths(4), Routes: [][]graphrnn.NodeID{db.RandomWalkRoute(105, 6)}})
 	if tenantIO(db, "graph").Reads == 0 {
-		t.Fatal("disk-backed DB recorded no page reads")
+		t.Fatal("the disk-backed graph recorded no page reads")
 	}
 }
 
@@ -463,7 +434,7 @@ func TestHugeMaxK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("maxK %d: hub-label build: %v", maxK, err)
 		}
-		mustAgreeWithBrute(t, db, ps, 2, map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)})
+		graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: ps, Algos: map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)}, Ks: oracle.Depths(2)})
 		if err := idx.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 package graphrnn_test
 
-// Public-surface coverage for the hub-label substrate: property tests
-// against the brute-force oracle on every generated topology, persistence
-// round-trips (build → save → close → reopen → identical answers),
-// incremental maintenance, and concurrent batch queries (run with -race).
+// Public-surface coverage for the hub-label substrate: routes and sites,
+// persistence round-trips (build → save → close → reopen → identical
+// answers), incremental maintenance, and concurrent batch queries (run with
+// -race), and answers held to the oracle on every generated topology,
+// labels in memory and paged.
 
 import (
 	"context"
@@ -20,6 +21,7 @@ import (
 
 	"graphrnn"
 	"graphrnn/internal/hublabel"
+	"graphrnn/internal/oracle"
 )
 
 type hubEnv struct {
@@ -62,38 +64,19 @@ func hubTopologies(t *testing.T) map[string]*graphrnn.Graph {
 	return map[string]*graphrnn.Graph{"road": road, "brite": brite, "grid": grid}
 }
 
-// TestHubLabelAgainstOracle checks RNN answers through the public API
-// against brute force on road, brite and grid topologies, memory- and
-// disk-served labels alike.
+// TestHubLabelAgainstOracle holds the hub labels of road, BRITE and grid
+// networks, in memory and paged, and the planner over them to the oracle at
+// every node; paged queries must read label pages.
 func TestHubLabelAgainstOracle(t *testing.T) {
 	for name, g := range hubTopologies(t) {
-		for _, backend := range []string{"memory", "paged"} {
-			t.Run(name+"/"+backend, func(t *testing.T) {
-				var opt *graphrnn.HubLabelOptions
-				if backend == "paged" {
-					opt = &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 8}
-				}
-				e := newHubEnv(t, g, 104, g.NumNodes()/10, 4, opt)
-				algo := graphrnn.HubLabel(e.idx)
-				for _, qp := range e.ps.Points()[:12] {
-					qnode, _ := e.ps.NodeOf(qp)
-					view := e.ps.Excluding(qp)
-					for _, k := range []int{1, 2, 4} {
-						want, err := e.db.Run(context.Background(), rnnQuery(view, qnode, k, graphrnn.BruteForce()))
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := e.db.Run(context.Background(), rnnQuery(view, qnode, k, algo))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !samePoints(got.Points, want.Points) {
-							t.Fatalf("q=%d k=%d: got %v, want %v", qp, k, got.Points, want.Points)
-						}
-					}
-				}
-				if backend == "paged" && tenantIO(e.db, "hublabel").Reads == 0 {
-					t.Fatal("paged index reported no label reads")
+		for _, b := range hubBackends {
+			t.Run(name+"/"+b.name, func(t *testing.T) {
+				e := newHubEnv(t, g, 104, g.NumNodes()/10, 4, b.opt)
+				t.Cleanup(func() { e.idx.Close() })
+				algos := map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(e.idx), "auto": graphrnn.Auto()}
+				graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: e.ps, Algos: algos, Ks: oracle.Depths(4), Routes: [][]graphrnn.NodeID{e.db.RandomWalkRoute(105, 6)}})
+				if b.opt != nil && tenantIO(e.db, "hublabel").Reads == 0 {
+					t.Fatal("the paged index reported no label reads")
 				}
 			})
 		}

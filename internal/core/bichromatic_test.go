@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 )
 
@@ -127,55 +127,30 @@ func TestFig1bBR2NN(t *testing.T) {
 	}
 }
 
-// TestBichromaticAgreesWithBrute: all four algorithms against brute force
-// on random networks with independent random candidate/site sets, plus a
-// float-tie network.
+// TestBichromaticAgreesWithBrute: all four algorithms and brute force
+// (with VerifyMember, see run) against the oracle on random networks with
+// independent random candidate/site sets, plus a float-tie network.
 func TestBichromaticAgreesWithBrute(t *testing.T) {
-	check := func(label string, g *graph.Graph, cands, sites *points.NodeSet, maxK, k int, qnode graph.NodeID) {
+	check := func(g *graph.Graph, cands, sites *points.NodeSet, maxK int) {
 		t.Helper()
-		s := NewSearcher(g)
-		mat, err := matBuild(s, PointSet{Node: sites}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(NewSearcher(g), PointSet{Node: sites}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := runBi(s, AlgoBrute, cands, sites, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			name string
-			algo Algo
-		}{{"eager", AlgoEager}, {"eagerM", AlgoEagerM}, {"lazy", AlgoLazy}, {"lazyEP", AlgoLazyEP}} {
-			got, err := runBi(s, c.algo, cands, sites, mat, qnode, k)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("%s %s=%s brute=%s (|V|=%d |P|=%d |Q|=%d k=%d q=%d)",
-					label, c.name, describe(got), describe(want), g.NumNodes(), cands.Len(), sites.Len(), k, qnode)
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: g, ps: PointSet{Node: cands}, sites: PointSet{Node: sites}, mat: mat,
+			algos: []Algo{AlgoEager, AlgoEagerM, AlgoLazy, AlgoLazyEP, AlgoBrute}, ks: oracle.Depths(maxK + 1)})
 	}
-
 	rng := rand.New(rand.NewSource(60))
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-	for it := 0; it < iters; it++ {
+	for range 15 {
 		n := 12 + rng.Intn(50)
 		g := randNet(t, rng, n, rng.Intn(3*n), 0.5)
-		cands := randPoints(t, rng, g, 1+rng.Intn(n/2))
-		sites := randPoints(t, rng, g, 1+rng.Intn(n/3))
-		maxK := 1 + rng.Intn(3)
-		k := 1 + rng.Intn(maxK)
-		check(fmt.Sprintf("iter %d", it), g, cands, sites, maxK, k, graph.NodeID(rng.Intn(n)))
+		check(g, randPoints(t, rng, g, 1+rng.Intn(n/2)), randPoints(t, rng, g, 1+rng.Intn(n/3)), 1+rng.Intn(3))
 	}
 
-	// The candidate on node 0 is exactly as far from the query (node 3) as
-	// from the site (node 6), so it is a member — but the main expansion
-	// sums its path to 0.6000000000000001 while the site's sums to 0.6:
-	// every "strictly closer" test must absorb that last bit.
+	// The candidate on node 0 is exactly as far from node 3 as from the
+	// site (node 6), so it is a member there — but the main expansion sums
+	// its path to 0.6000000000000001 while the site's sums to 0.6: every
+	// "strictly closer" test must absorb that last bit.
 	b := graph.NewBuilder(7)
 	for _, e := range []struct {
 		u, v graph.NodeID
@@ -196,7 +171,7 @@ func TestBichromaticAgreesWithBrute(t *testing.T) {
 	if _, err := sites.Place(6); err != nil {
 		t.Fatal(err)
 	}
-	check("float tie", g, cands, sites, 1, 1, 3)
+	check(g, cands, sites, 1)
 }
 
 // TestBichromaticNoSites: with an empty site set every reachable candidate

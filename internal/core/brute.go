@@ -9,8 +9,9 @@ import (
 // brute answers a query by running an unbounded verification expansion from
 // every candidate: p is a member iff the target is met before k competitors
 // strictly closer to p. It visits all data points — exactly the naive
-// strategy Section 3.1 argues against — and serves as the correctness
-// oracle for the entire test suite.
+// strategy Section 3.1 argues against. It shares verify with eager and lazy,
+// so it is one more substrate under test, not the reference: the tests hold
+// it, like the others, to internal/oracle.
 func (s *Searcher) brute(cands, sites PointSet, mono bool, tgt target, k int) (*Result, error) {
 	var st Stats
 	var results []points.PointID
@@ -31,8 +32,8 @@ func (s *Searcher) brute(cands, sites PointSet, mono bool, tgt target, k int) (*
 	return finishResult(results, st), nil
 }
 
-// verifyMember is the oracle's per-candidate expansion; a deleted p is not
-// a member.
+// verifyMember is brute's per-candidate expansion; a deleted p is not a
+// member.
 func (s *Searcher) verifyMember(st *Stats, cands, sites PointSet, mono bool, p points.PointID, tgt target, k int) (bool, error) {
 	loc, ok := cands.loc(p)
 	if !ok {

@@ -20,7 +20,7 @@
 //     with per-node counters and heap-entry invalidation for k > 1 (§3.3)
 //   - lazy-EP: lazy with a second heap propagating the pruning power of
 //     discovered points in parallel with the main expansion (§4.2)
-//   - a brute-force oracle used by the test suite
+//   - brute force: one unbounded verification per candidate (§3.1)
 //
 // each answering the monochromatic, bichromatic and continuous (route)
 // kinds (§5) through the one Request → Run dispatch (request.go).
@@ -31,7 +31,7 @@
 // and the same unless the graph has one-way arcs — the extension Section 7
 // of the paper leaves open. Main walks (and lazy-EP's H') follow in-arcs, so
 // a popped node carries d(n→q); range-NN, verify, KNN and Distance follow
-// out-arcs. Eager, lazy-EP and the oracle serve node-resident sets on such
+// out-arcs. Eager, lazy-EP and brute force serve node-resident sets on such
 // a graph; what needs d(a,b) = d(b,a) — lazy, materialized lists, edge
 // residency — answers ErrUndirectedOnly.
 //
@@ -46,9 +46,11 @@
 //	p ∈ RkNN(q)  ⇔  |{p' ∈ P\{p} : d(p→p') < d(p→q)}| < k
 //
 // A point that cannot reach the query (disconnected component) is never a
-// result. All algorithms return identical answers; the extensive property
-// tests in this package check them against each other and the brute-force
-// oracle on randomized networks.
+// result. All algorithms return identical answers: this package's property
+// tests (mustMatchOracle) and the root package's agreement harness hold
+// every one of them, brute force included, to internal/oracle — one
+// Dijkstra per point, sharing no code with this package — at every node of
+// randomized networks.
 package core
 
 import (

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 )
 
@@ -136,71 +138,24 @@ func TestDirectedOneWayStreetAsymmetry(t *testing.T) {
 	}
 }
 
-// directedCase is one random directed query: a graph (strongly connected
-// or not), a point set, a site set, a query node that hosts a point, a
-// route through it and a k that may exceed |P|.
-type directedCase struct {
-	s         *Searcher
-	ps, sites *points.NodeSet
-	view      points.NodeView // ps without the query's own point
-	q         graph.NodeID
-	route     []graph.NodeID
-	k         int
-}
-
-func randDirectedCase(t testing.TB, rng *rand.Rand) directedCase {
-	n := 8 + rng.Intn(40)
-	g := randDigraph(t, rng, n, rng.Intn(3) > 0)
-	c := directedCase{s: NewSearcher(g), k: 1 + rng.Intn(3)}
-	c.ps = randPoints(t, rng, g, 1+rng.Intn(n/2))
-	c.sites = randPoints(t, rng, g, 1+rng.Intn(n/4))
-	if rng.Intn(8) == 0 {
-		c.k = c.ps.Len() + rng.Intn(2)
-	}
-	pts := c.ps.Points()
-	qp := pts[rng.Intn(len(pts))]
-	c.q, _ = c.ps.NodeOf(qp)
-	c.view = points.ExcludeNode(c.ps, qp)
-	c.route = []graph.NodeID{c.q}
-	for len(c.route) < 1+rng.Intn(4) {
-		c.route = append(c.route, graph.NodeID(rng.Intn(n)))
-	}
-	return c
-}
-
 // TestDirectedEagerAgreesWithBrute is the directed property test: every
-// kind under eager and lazy-EP against the forward brute-force oracle,
-// with the query's point hidden and co-located.
+// kind under eager, lazy-EP and brute force against the oracle over the
+// out-arcs, on graphs strongly connected or not, with k up to |P|.
 func TestDirectedEagerAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-	for it := 0; it < iters; it++ {
-		c := randDirectedCase(t, rng)
-		shapes := map[string]func(a Algo) (*Result, error){
-			"rnn":           func(a Algo) (*Result, error) { return runRNN(c.s, a, c.view, nil, c.q, c.k) },
-			"rnn/colocated": func(a Algo) (*Result, error) { return runRNN(c.s, a, c.ps, nil, c.q, c.k) },
-			"bichromatic":   func(a Algo) (*Result, error) { return runBi(c.s, a, c.ps, c.sites, nil, c.q, c.k) },
-			"continuous":    func(a Algo) (*Result, error) { return runRoute(c.s, a, c.ps, nil, c.route, c.k) },
+	algos := append(slices.Clone(directedAlgos), AlgoBrute)
+	for range 15 {
+		n := 8 + rng.Intn(40)
+		g := randDigraph(t, rng, n, rng.Intn(3) > 0)
+		ps := PointSet{Node: randPoints(t, rng, g, 1+rng.Intn(n/2))}
+		sites := PointSet{Node: randPoints(t, rng, g, 1+rng.Intn(n/4))}
+		k := 1 + rng.Intn(3)
+		route := []graph.NodeID{graph.NodeID(rng.Intn(n))}
+		for len(route) < 1+rng.Intn(4) {
+			route = append(route, graph.NodeID(rng.Intn(n)))
 		}
-		for name, shape := range shapes {
-			want, err := shape(AlgoBrute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range directedAlgos {
-				got, err := shape(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !samePoints(want, got) {
-					t.Fatalf("iter %d %s algo %d: got %s brute=%s (|P|=%d k=%d q=%d route=%v)",
-						it, name, a, describe(got), describe(want), c.ps.Len(), c.k, c.q, c.route)
-				}
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: g, ps: ps, algos: algos, ks: oracle.Depths(k, ps.len()), routes: [][]graph.NodeID{route}})
+		mustMatchOracle(t, oracleCase{g: g, ps: ps, sites: sites, algos: algos, ks: oracle.Depths(k)})
 	}
 }
 

@@ -111,7 +111,7 @@ func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
 // sites are found strictly closer. self is skipped during counting (the
 // candidate itself in monochromatic queries; points.NoPoint for bichromatic
 // ones). ub bounds the expansion; it must be an upper bound on the
-// candidate-to-target distance, or +Inf for an oracle query.
+// candidate-to-target distance, or +Inf for a brute-force query.
 //
 // Counting is exact under ties: a site at exactly the candidate-to-target
 // distance does not count against membership, regardless of heap pop order.

@@ -22,11 +22,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden fro
 // algorithm × kind × residency × k ∈ {1, 2, 4}, plus KNN, VerifyMember and
 // the node-resident kinds on an asymmetric directed twin, over three seeded
 // graphs against testdata/stats.golden.
-// The oracle tests prove the answers right; this one proves that a
-// refactor of the walker did not move the work — the counters are what
-// repro.golden, the work budgets and the benchmark record. Regenerate
-// deliberately with `go test ./internal/core -run TestStatsGolden -update`
-// and review the diff line by line.
+// The oracle tests prove the answers right; this one
+// proves that a refactor of the walker did not move the work — the
+// counters are what repro.golden, the work budgets and the benchmark
+// record. Regenerate deliberately with
+// `go test ./internal/core -run TestStatsGolden -update` and review the
+// diff line by line.
 func TestStatsGolden(t *testing.T) {
 	var b strings.Builder
 	envs := goldenEnvs(t)
@@ -316,7 +317,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 		knnLine(fmt.Sprintf("edge/knn/q=%v", NodeLoc(kn)), k, out, err)
 	}
 
-	// Directed eager and its oracle over the asymmetric twin.
+	// Directed eager and brute force over the asymmetric twin.
 	for _, q := range []graph.NodeID{qn, randNode()} {
 		for _, k := range goldenKs {
 			for _, al := range goldenAlgos {

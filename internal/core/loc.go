@@ -257,8 +257,10 @@ func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set uint8, l Loc, li
 
 // pushEdgePoints pushes a point-arrival entry for every visible point of
 // view on edge (n, e.To), reached through node n popped at distance d and
-// bounded by limit (inclusive). It returns the number of points on the
-// edge (used by the lazy edge-crossing rule).
+// bounded by limit (inclusive). It returns the number of those points
+// strictly farther than 0 from the walk's source (used by the lazy
+// edge-crossing rule: a point at distance 0 sits on the source, so it is
+// not strictly closer than the source to anything past the edge).
 func (sc *scratch) pushEdgePoints(view points.EdgeView, set uint8, n graph.NodeID, d float64, e graph.Edge, limit float64) (int, error) {
 	if view == nil {
 		return 0, nil
@@ -267,16 +269,21 @@ func (sc *scratch) pushEdgePoints(view points.EdgeView, set uint8, n graph.NodeI
 	if sc.refs, err = view.PointsOn(n, e.To, sc.refs); err != nil {
 		return 0, err
 	}
+	count := 0
 	for _, ref := range sc.refs {
 		off := ref.Pos
 		if n > e.To {
 			off = e.W - ref.Pos
 		}
-		if nd := d + off; nd <= limit {
+		nd := d + off
+		if nd > 0 {
+			count++
+		}
+		if nd <= limit {
 			sc.pushPoint(set, ref.ID, nd)
 		}
 	}
-	return len(sc.refs), nil
+	return count, nil
 }
 
 // pushAdjacentPoints is pushEdgePoints over every edge of sc.adj, the

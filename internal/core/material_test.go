@@ -6,7 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
@@ -309,47 +311,11 @@ func TestMatUpdateIOIsAccounted(t *testing.T) {
 // absorb.
 func TestEagerMAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-	for it := 0; it < iters; it++ {
+	for range 15 {
 		net := randTestNet(t, rng)
-		s := NewSearcher(net.g)
 		maxK := 1 + rng.Intn(4)
-		mat := buildMat(t, s, net.ps, maxK)
-		k := 1 + rng.Intn(maxK)
-
-		pts := net.ps.Points()
-		qp := pts[rng.Intn(len(pts))]
-		qnode, _ := net.ps.NodeOf(qp)
-		view := points.ExcludeNode(net.ps, qp)
-
-		want, err := runRNN(s, AlgoBrute, view, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runRNN(s, AlgoEagerM, view, mat, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d: eagerM=%s brute=%s (|V|=%d |P|=%d k=%d maxK=%d q=%d)",
-				it, describe(got), describe(want), net.g.NumNodes(), view.Len(), k, maxK, qnode)
-		}
-		// Also from an empty node without exclusion.
-		qnode2 := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		want, err = runRNN(s, AlgoBrute, net.ps, nil, qnode2, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = runRNN(s, AlgoEagerM, net.ps, mat, qnode2, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d (empty q): eagerM=%s brute=%s (k=%d q=%d)", it, describe(got), describe(want), k, qnode2)
-		}
+		mat := buildMat(t, NewSearcher(net.g), net.ps, maxK)
+		mustMatchOracle(t, oracleCase{g: net.g, ps: PointSet{Node: net.ps}, mat: mat, algos: []Algo{AlgoEagerM}, ks: oracle.Depths(maxK)})
 	}
 }
 
@@ -368,43 +334,9 @@ func TestEagerMValidation(t *testing.T) {
 // TestLazyEPAgreesWithBrute is the lazy-EP correctness property test.
 func TestLazyEPAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
-	iters := 250
-	if testing.Short() {
-		iters = 50
-	}
-	for it := 0; it < iters; it++ {
+	for range 12 {
 		net := randTestNet(t, rng)
-		s := NewSearcher(net.g)
-		k := 1 + rng.Intn(4)
-		pts := net.ps.Points()
-		qp := pts[rng.Intn(len(pts))]
-		qnode, _ := net.ps.NodeOf(qp)
-		view := points.ExcludeNode(net.ps, qp)
-
-		want, err := runRNN(s, AlgoBrute, view, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runRNN(s, AlgoLazyEP, view, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d: lazyEP=%s brute=%s (|V|=%d |P|=%d k=%d q=%d)",
-				it, describe(got), describe(want), net.g.NumNodes(), view.Len(), k, qnode)
-		}
-		qnode2 := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		want, err = runRNN(s, AlgoBrute, net.ps, nil, qnode2, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = runRNN(s, AlgoLazyEP, net.ps, nil, qnode2, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d (empty q): lazyEP=%s brute=%s (k=%d q=%d)", it, describe(got), describe(want), k, qnode2)
-		}
+		mustMatchOracle(t, oracleCase{g: net.g, ps: PointSet{Node: net.ps}, algos: []Algo{AlgoLazyEP}, ks: oracle.Depths(4)})
 	}
 }
 
@@ -462,64 +394,21 @@ func TestLazyEPFig12Scenario(t *testing.T) {
 	}
 }
 
+// TestContinuousAgreesWithBrute: every algorithm answers random-walk
+// routes (Fig 19) like the oracle.
 func TestContinuousAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	iters := 150
-	if testing.Short() {
-		iters = 30
-	}
-	for it := 0; it < iters; it++ {
+	for range 12 {
 		net := randTestNet(t, rng)
-		s := NewSearcher(net.g)
 		maxK := 1 + rng.Intn(3)
-		mat := buildMat(t, s, net.ps, maxK)
-		k := 1 + rng.Intn(maxK)
-		// Random walk route without repeated nodes (as in Fig 19).
-		route := randomWalkRoute(t, net.g, rng, 1+rng.Intn(8))
-
-		want, err := runRoute(s, AlgoBrute, net.ps, nil, route, k)
-		if err != nil {
-			t.Fatal(err)
+		mat := buildMat(t, NewSearcher(net.g), net.ps, maxK)
+		var routes [][]graph.NodeID
+		for range 3 {
+			routes = append(routes, gen.RandomWalkRoute(rng, net.g, 1+rng.Intn(8)))
 		}
-		for name, run := range map[string]func() (*Result, error){
-			"eager":  func() (*Result, error) { return runRoute(s, AlgoEager, net.ps, nil, route, k) },
-			"lazy":   func() (*Result, error) { return runRoute(s, AlgoLazy, net.ps, nil, route, k) },
-			"eagerM": func() (*Result, error) { return runRoute(s, AlgoEagerM, net.ps, mat, route, k) },
-			"lazyEP": func() (*Result, error) { return runRoute(s, AlgoLazyEP, net.ps, nil, route, k) },
-		} {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("iter %d %s=%s brute=%s (route=%v k=%d)", it, name, describe(got), describe(want), route, k)
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: net.g, ps: PointSet{Node: net.ps}, mat: mat,
+			algos: []Algo{AlgoEager, AlgoLazy, AlgoEagerM, AlgoLazyEP, AlgoBrute}, ks: oracle.Depths(maxK), routes: routes})
 	}
-}
-
-func randomWalkRoute(t testing.TB, g *graph.Graph, rng *rand.Rand, size int) []graph.NodeID {
-	t.Helper()
-	start := graph.NodeID(rng.Intn(g.NumNodes()))
-	route := []graph.NodeID{start}
-	onRoute := map[graph.NodeID]bool{start: true}
-	var adj []graph.Edge
-	for len(route) < size {
-		adj, _ = g.Adjacency(route[len(route)-1], adj)
-		var options []graph.NodeID
-		for _, e := range adj {
-			if !onRoute[e.To] {
-				options = append(options, e.To)
-			}
-		}
-		if len(options) == 0 {
-			break
-		}
-		next := options[rng.Intn(len(options))]
-		route = append(route, next)
-		onRoute[next] = true
-	}
-	return route
 }
 
 // TestHotPathAllocs pins Materialized.List as allocation-free once warm,

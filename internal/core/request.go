@@ -36,7 +36,7 @@ const (
 	AlgoLazy               // Section 3.3
 	AlgoLazyEP             // Section 4.2
 	AlgoEagerM             // Section 4.1, over materialized K-NN lists
-	AlgoBrute              // the oracle
+	AlgoBrute              // Section 3.1's naive baseline
 )
 
 // Request describes one RkNN query: what to compute (Kind, K), how (Algo),
@@ -114,7 +114,7 @@ func (r Request) sets() (cands, sites PointSet, mono bool) {
 }
 
 // VerifyMember reports whether point p of r.Points belongs to the answer
-// of r, with exactly the expansion the brute-force oracle runs for it
+// of r, with exactly the expansion brute force runs for it
 // (r.Algo is ignored). A coordinator that merges shard-local candidate
 // sets confirms each candidate this way, so a verified merge is
 // bit-identical to an unsharded answer — same distances, same epsilon

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 )
 
@@ -348,99 +349,43 @@ func TestDisconnectedQueryComponent(t *testing.T) {
 	}
 }
 
-// TestEagerLazyAgreeWithBrute is the central property test: on hundreds of
-// random networks (mixed unit/float weights, varying density and k, queries
-// sampled from the data distribution with the co-located point excluded),
-// eager and lazy must return exactly the brute-force answer.
+// TestEagerLazyAgreeWithBrute is the central property test: on random
+// networks (mixed unit/float weights, varying density and k) eager, lazy and
+// brute force answer like the oracle at every node, and at every point's
+// node with that point hidden.
 func TestEagerLazyAgreeWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	iters := 400
-	if testing.Short() {
-		iters = 60
-	}
-	for it := 0; it < iters; it++ {
+	for range 12 {
 		net := randTestNet(t, rng)
-		s := NewSearcher(net.g)
-		pts := net.ps.Points()
-		qp := pts[rng.Intn(len(pts))]
-		qnode, _ := net.ps.NodeOf(qp)
-		view := points.ExcludeNode(net.ps, qp)
-		k := 1 + rng.Intn(4)
-
-		want, err := runRNN(s, AlgoBrute, view, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runRNN(s, AlgoEager, view, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d: eager=%s brute=%s (|V|=%d |P|=%d k=%d q=%d)",
-				it, describe(got), describe(want), net.g.NumNodes(), view.Len(), k, qnode)
-		}
-		got, err = runRNN(s, AlgoLazy, view, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("iter %d: lazy=%s brute=%s (|V|=%d |P|=%d k=%d q=%d)",
-				it, describe(got), describe(want), net.g.NumNodes(), view.Len(), k, qnode)
-		}
+		mustMatchOracle(t, oracleCase{g: net.g, ps: PointSet{Node: net.ps}, algos: []Algo{AlgoEager, AlgoLazy, AlgoBrute}, ks: oracle.Depths(4)})
 	}
 }
 
-// TestEagerLazyQueryOnEmptyNode queries from nodes that hold no data point.
+// TestEagerLazyQueryOnEmptyNode queries from every node of sparsely
+// populated networks, most of which hold no data point.
 func TestEagerLazyQueryOnEmptyNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for it := 0; it < 150; it++ {
-		net := randTestNet(t, rng)
-		s := NewSearcher(net.g)
-		qnode := graph.NodeID(rng.Intn(net.g.NumNodes()))
-		k := 1 + rng.Intn(3)
-		want, err := runRNN(s, AlgoBrute, net.ps, nil, qnode, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, run := range map[string]func() (*Result, error){
-			"eager": func() (*Result, error) { return runRNN(s, AlgoEager, net.ps, nil, qnode, k) },
-			"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, net.ps, nil, qnode, k) },
-		} {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("iter %d %s=%s brute=%s (q=%d k=%d)", it, name, describe(got), describe(want), qnode, k)
-			}
-		}
+	for range 12 {
+		n := 12 + rng.Intn(60)
+		g := randNet(t, rng, n, rng.Intn(3*n), 0.5)
+		ps := randPoints(t, rng, g, 1+rng.Intn(n/6))
+		mustMatchOracle(t, oracleCase{g: g, ps: PointSet{Node: ps}, algos: []Algo{AlgoEager, AlgoLazy}, ks: oracle.Depths(3)})
 	}
 }
 
+// TestLargeKReturnsEverythingReachable: with k beyond |P| every point of a
+// connected network is a member at every node.
 func TestLargeKReturnsEverythingReachable(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	net := randTestNet(t, rng)
-	s := NewSearcher(net.g)
-	k := net.ps.Len() + 5 // k exceeding |P|: every reachable point qualifies
-	qnode := graph.NodeID(0)
-	want, err := runRNN(s, AlgoBrute, net.ps, nil, qnode, k)
+	k := net.ps.Len() + 5
+	mustMatchOracle(t, oracleCase{g: net.g, ps: PointSet{Node: net.ps}, algos: []Algo{AlgoEager, AlgoLazy, AlgoBrute}, ks: []int{k}})
+	res, err := runRNN(NewSearcher(net.g), AlgoBrute, net.ps, nil, 0, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Points) != net.ps.Len() {
-		t.Fatalf("brute with huge k returned %d of %d points", len(want.Points), net.ps.Len())
-	}
-	for name, run := range map[string]func() (*Result, error){
-		"eager": func() (*Result, error) { return runRNN(s, AlgoEager, net.ps, nil, qnode, k) },
-		"lazy":  func() (*Result, error) { return runRNN(s, AlgoLazy, net.ps, nil, qnode, k) },
-	} {
-		got, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !samePoints(want, got) {
-			t.Fatalf("%s=%s want %s", name, describe(got), describe(want))
-		}
+	if len(res.Points) != net.ps.Len() {
+		t.Fatalf("brute with huge k returned %d of %d points", len(res.Points), net.ps.Len())
 	}
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 )
 
@@ -88,10 +90,97 @@ func describe(r *Result) string {
 	return fmt.Sprintf("%v", r.Points)
 }
 
-// run executes r. An oracle run additionally asserts that VerifyMember —
-// the per-candidate entry a shard coordinator uses — agrees with it on
-// every candidate, so every oracle test covers both entries in whichever
-// residency it runs.
+// oracleCase is one input held to internal/oracle, which answers by the
+// definition and shares no code with the walker.
+type oracleCase struct {
+	g         *graph.Graph
+	ps, sites PointSet      // sites set: every query is bichromatic
+	mat       *Materialized // read by AlgoEagerM, which is skipped beyond its MaxK
+	algos     []Algo
+	ks        []int
+	routes    [][]graph.NodeID
+}
+
+// mustMatchOracle runs every algorithm of c at every probe of the oracle
+// (oracle.Probes): every k at every node, inside every edge of an
+// edge-resident set, at every point hidden at its own location and along
+// every route.
+func mustMatchOracle(t testing.TB, c oracleCase) {
+	t.Helper()
+	var arcs []oracle.Arc
+	var adj []graph.Edge
+	for u := range c.g.NumNodes() {
+		adj, _ = c.g.Adjacency(graph.NodeID(u), adj)
+		for _, e := range adj {
+			arcs = append(arcs, oracle.Arc{U: u, V: int(e.To), W: e.W})
+		}
+	}
+	locs := func(ps PointSet) ([]points.PointID, []oracle.Loc) {
+		ids := ps.ids()
+		at := make([]oracle.Loc, len(ids))
+		for i, p := range ids {
+			l, _ := ps.loc(p)
+			at[i] = oracle.Loc{U: int(l.U), V: int(l.V), Pos: l.Pos}
+		}
+		return ids, at
+	}
+	ids, at := locs(c.ps)
+	kind := KindRNN
+	var sites []oracle.Loc // nil: monochromatic
+	if c.sites.Node != nil || c.sites.Edge != nil {
+		_, siteAt := locs(c.sites)
+		kind, sites = KindBichromatic, siteAt
+	}
+	routes := make([][]int, len(c.routes))
+	for i, r := range c.routes {
+		for _, n := range r {
+			routes[i] = append(routes[i], int(n))
+		}
+	}
+	s := NewSearcher(c.g)
+	err := oracle.New(c.g.NumNodes(), arcs, at, sites).Probes(c.ks, c.ps.Edge != nil, routes, func(pr oracle.Probe) error {
+		r := Request{Kind: kind, K: pr.K, Points: c.ps, Sites: c.sites, Target: Loc{U: graph.NodeID(pr.At.U), V: graph.NodeID(pr.At.V), Pos: pr.At.Pos}}
+		if pr.Route >= 0 {
+			r.Kind, r.Route = KindContinuous, c.routes[pr.Route]
+		}
+		hidden := points.NoPoint
+		if pr.Hidden >= 0 {
+			hidden = ids[pr.Hidden]
+			if r.Points = (PointSet{}); c.ps.Node != nil {
+				r.Points.Node = points.ExcludeNode(c.ps.Node, hidden)
+			} else {
+				r.Points.Edge = points.ExcludeEdge(c.ps.Edge, hidden)
+			}
+		}
+		want := make([]points.PointID, len(pr.Want))
+		for i, j := range pr.Want {
+			want[i] = ids[j]
+		}
+		for _, a := range c.algos {
+			if a == AlgoEagerM && r.K > c.mat.MaxK() {
+				continue
+			}
+			r.Algo, r.Mat = a, c.mat
+			res, err := run(s, r)
+			if err != nil {
+				return fmt.Errorf("algo %d kind %d k=%d at %v hiding %d, route %v: %v", a, r.Kind, r.K, r.Target, hidden, r.Route, err)
+			}
+			if !slices.Equal(res.Points, want) {
+				return fmt.Errorf("algo %d kind %d k=%d at %v hiding %d, route %v: got %v, oracle %v (|V|=%d |P|=%d)",
+					a, r.Kind, r.K, r.Target, hidden, r.Route, res.Points, want, c.g.NumNodes(), len(ids))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// run executes r. A brute-force run additionally asserts that VerifyMember
+// — the per-candidate entry a shard coordinator uses — agrees with it on
+// every candidate, so every brute-force test covers both entries in
+// whichever residency it runs.
 func run(s *Searcher, r Request) (*Result, error) {
 	res, err := s.Run(r)
 	if err != nil || r.Algo != AlgoBrute {
@@ -107,7 +196,7 @@ func run(s *Searcher, r Request) (*Result, error) {
 			return nil, err
 		}
 		if got != member[p] {
-			return nil, fmt.Errorf("VerifyMember(%d) = %v, the oracle's answer %v says %v", p, got, res.Points, member[p])
+			return nil, fmt.Errorf("VerifyMember(%d) = %v, brute force's answer %v says %v", p, got, res.Points, member[p])
 		}
 	}
 	return res, nil

@@ -6,7 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
@@ -122,62 +124,22 @@ func TestULocValidation(t *testing.T) {
 }
 
 // TestUnrestrictedAgreesWithBrute is the central unrestricted property
-// test: eager, lazy, lazy-EP and eager-M against brute force, with queries
-// on nodes, on edges, and at data point locations (excluded).
+// test: eager, lazy, lazy-EP, eager-M and brute force against the oracle,
+// with queries on nodes, inside edges, and at data point locations
+// (excluded).
 func TestUnrestrictedAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-	for it := 0; it < iters; it++ {
+	for range 12 {
 		n := 10 + rng.Intn(40)
 		g := randNet(t, rng, n, rng.Intn(2*n), 0.3)
-		edges := graphEdges(g)
-		s := NewSearcher(g)
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		maxK := 1 + rng.Intn(3)
-		k := 1 + rng.Intn(maxK)
-		mat, err := matBuild(s, PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(NewSearcher(g), PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Query 1: at a data point's location, point excluded.
-		pts := ps.Points()
-		qp := pts[rng.Intn(len(pts))]
-		qloc, _ := ps.Loc(qp)
-		view := points.ExcludeEdge(ps, qp)
-		q := PointLoc(qloc)
-
-		// Query 2: a random location.
-		q2 := randULoc(rng, g, edges)
-
-		type queryCase struct {
-			view points.EdgeView
-			loc  Loc
-		}
-		for ci, c := range []queryCase{{view, q}, {ps, q2}} {
-			want, err := runURNN(s, AlgoBrute, c.view, nil, c.loc, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, run := range map[string]func() (*Result, error){
-				"ueager":  func() (*Result, error) { return runURNN(s, AlgoEager, c.view, nil, c.loc, k) },
-				"ulazy":   func() (*Result, error) { return runURNN(s, AlgoLazy, c.view, nil, c.loc, k) },
-				"ulazyEP": func() (*Result, error) { return runURNN(s, AlgoLazyEP, c.view, nil, c.loc, k) },
-				"ueagerM": func() (*Result, error) { return runURNN(s, AlgoEagerM, c.view, mat, c.loc, k) },
-			} {
-				got, err := run()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !samePoints(want, got) {
-					t.Fatalf("iter %d case %d %s=%s brute=%s (|V|=%d |P|=%d k=%d q=%v)",
-						it, ci, name, describe(got), describe(want), n, c.view.Len(), k, c.loc)
-				}
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: g, ps: PointSet{Edge: ps}, mat: mat,
+			algos: []Algo{AlgoEager, AlgoLazy, AlgoLazyEP, AlgoEagerM, AlgoBrute}, ks: oracle.Depths(maxK)})
 	}
 }
 
@@ -186,42 +148,19 @@ func TestUnrestrictedAgreesWithBrute(t *testing.T) {
 // dominate.
 func TestUnrestrictedDensePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	iters := 120
-	if testing.Short() {
-		iters = 25
-	}
-	for it := 0; it < iters; it++ {
+	for range 25 {
 		n := 6 + rng.Intn(10)
 		g := randNet(t, rng, n, rng.Intn(n), 0)
 		edges := graphEdges(g)
-		s := NewSearcher(g)
 		ps := points.NewEdgeSet()
 		// Cluster points on up to 3 edges.
-		for i := 0; i < 3+rng.Intn(10); i++ {
+		for range 3 + rng.Intn(10) {
 			e := edges[rng.Intn(min(3, len(edges)))]
 			if _, err := ps.Place(e.u, e.v, rng.Float64()*e.w); err != nil {
 				t.Fatal(err)
 			}
 		}
-		k := 1 + rng.Intn(3)
-		q := randULoc(rng, g, edges)
-		want, err := runURNN(s, AlgoBrute, ps, nil, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, run := range map[string]func() (*Result, error){
-			"ueager":  func() (*Result, error) { return runURNN(s, AlgoEager, ps, nil, q, k) },
-			"ulazy":   func() (*Result, error) { return runURNN(s, AlgoLazy, ps, nil, q, k) },
-			"ulazyEP": func() (*Result, error) { return runURNN(s, AlgoLazyEP, ps, nil, q, k) },
-		} {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("iter %d %s=%s brute=%s (k=%d q=%v)", it, name, describe(got), describe(want), k, q)
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: g, ps: PointSet{Edge: ps}, algos: []Algo{AlgoEager, AlgoLazy, AlgoLazyEP, AlgoBrute}, ks: oracle.Depths(3)})
 	}
 }
 
@@ -261,84 +200,43 @@ func TestUnrestrictedFarFromEndpoints(t *testing.T) {
 	}
 }
 
+// TestUnrestrictedContinuousAgreesWithBrute: routes over edge points.
 func TestUnrestrictedContinuousAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	iters := 100
-	if testing.Short() {
-		iters = 20
-	}
-	for it := 0; it < iters; it++ {
+	for range 12 {
 		n := 10 + rng.Intn(30)
 		g := randNet(t, rng, n, rng.Intn(2*n), 0.3)
-		s := NewSearcher(g)
 		ps := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		maxK := 1 + rng.Intn(2)
-		k := 1 + rng.Intn(maxK)
-		mat, err := matBuild(s, PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(NewSearcher(g), PointSet{Edge: ps}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		route := randomWalkRoute(t, g, rng, 1+rng.Intn(6))
-		want, err := runURoute(s, AlgoBrute, ps, nil, route, k)
-		if err != nil {
-			t.Fatal(err)
+		var routes [][]graph.NodeID
+		for range 3 {
+			routes = append(routes, gen.RandomWalkRoute(rng, g, 1+rng.Intn(6)))
 		}
-		for name, run := range map[string]func() (*Result, error){
-			"ueager":  func() (*Result, error) { return runURoute(s, AlgoEager, ps, nil, route, k) },
-			"ulazy":   func() (*Result, error) { return runURoute(s, AlgoLazy, ps, nil, route, k) },
-			"ulazyEP": func() (*Result, error) { return runURoute(s, AlgoLazyEP, ps, nil, route, k) },
-			"ueagerM": func() (*Result, error) { return runURoute(s, AlgoEagerM, ps, mat, route, k) },
-		} {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("iter %d %s=%s brute=%s (route=%v k=%d)", it, name, describe(got), describe(want), route, k)
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: g, ps: PointSet{Edge: ps}, mat: mat,
+			algos: []Algo{AlgoEager, AlgoLazy, AlgoLazyEP, AlgoEagerM, AlgoBrute}, ks: oracle.Depths(maxK), routes: routes})
 	}
 }
 
+// TestUnrestrictedBichromaticAgreesWithBrute: edge-resident candidates and
+// sites, eager-M reading lists over the sites.
 func TestUnrestrictedBichromaticAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	iters := 120
-	if testing.Short() {
-		iters = 25
-	}
-	for it := 0; it < iters; it++ {
+	for range 12 {
 		n := 10 + rng.Intn(30)
 		g := randNet(t, rng, n, rng.Intn(2*n), 0.3)
-		edges := graphEdges(g)
-		s := NewSearcher(g)
 		cands := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
 		sites := randEdgePoints(t, rng, g, 1+rng.Intn(n/3+2))
 		maxK := 1 + rng.Intn(2)
-		k := 1 + rng.Intn(maxK)
-		mat, err := matBuild(s, PointSet{Edge: sites}, maxK, newMemMatFile(), 64, nil)
+		mat, err := matBuild(NewSearcher(g), PointSet{Edge: sites}, maxK, newMemMatFile(), 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := randULoc(rng, g, edges)
-		want, err := runUBi(s, AlgoBrute, cands, sites, nil, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, run := range map[string]func() (*Result, error){
-			"ueager":  func() (*Result, error) { return runUBi(s, AlgoEager, cands, sites, nil, q, k) },
-			"ulazy":   func() (*Result, error) { return runUBi(s, AlgoLazy, cands, sites, nil, q, k) },
-			"ulazyEP": func() (*Result, error) { return runUBi(s, AlgoLazyEP, cands, sites, nil, q, k) },
-			"ueagerM": func() (*Result, error) { return runUBi(s, AlgoEagerM, cands, sites, mat, q, k) },
-		} {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !samePoints(want, got) {
-				t.Fatalf("iter %d %s=%s brute=%s (|P|=%d |Q|=%d k=%d q=%v)",
-					it, name, describe(got), describe(want), cands.Len(), sites.Len(), k, q)
-			}
-		}
+		mustMatchOracle(t, oracleCase{g: g, ps: PointSet{Edge: cands}, sites: PointSet{Edge: sites}, mat: mat,
+			algos: []Algo{AlgoEager, AlgoLazy, AlgoLazyEP, AlgoEagerM, AlgoBrute}, ks: oracle.Depths(maxK)})
 	}
 }
 

@@ -188,6 +188,11 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 // AddArc records the one-way arc u→v with positive weight w. A graph is
 // directed exactly when Build finds an arc without an equal-weight twin,
 // so AddArc(u,v,w) + AddArc(v,u,w) is AddEdge(u,v,w).
+//
+// A zero weight is rejected because the eager family is wrong when
+// distinct nodes are 0 apart: on the path 0–1–2 with both weights 0 and a
+// point on every node, all three points are reverse 1-NNs of node 0, and
+// eager answers only the one on node 0 (eager-M disagrees likewise).
 func (b *Builder) AddArc(u, v NodeID, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d", u)

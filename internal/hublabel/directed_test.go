@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"graphrnn/internal/core"
 	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
@@ -13,7 +12,7 @@ import (
 
 // TestDirectedIndex runs the reverse index over a forward/backward
 // labeling of an asymmetric graph — from memory and through a Store —
-// against the forward brute-force oracle: every query kind and incremental
+// against the oracle over its out-arcs: every query kind and incremental
 // maintenance, whose end state must equal an index built from scratch.
 func TestDirectedIndex(t *testing.T) {
 	d := testDigraph(t, 31)
@@ -21,7 +20,6 @@ func TestDirectedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := oracle(d)
 	for name, src := range map[string]Source{"memory": l, "store": roundTrip(t, l, 256, 8)} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(32))
@@ -42,44 +40,34 @@ func TestDirectedIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute := func(r core.Request) []points.PointID {
-				t.Helper()
-				r.Algo = core.AlgoBrute
-				res, err := sr.Run(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Points
-			}
 			mustBe := func(what string, got []points.PointID, err error, want []points.PointID) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				if !samePoints(got, want) {
-					t.Fatalf("%s: got %v, brute %v", what, got, want)
+					t.Fatalf("%s: got %v, oracle %v", what, got, want)
 				}
 			}
 			check := func(step string) {
 				t.Helper()
-				all := core.PointSet{Node: ps}
+				all, bi := newTruth(d, ps, points.NoPoint, nil), newTruth(d, ps, points.NoPoint, sites)
 				for trial := 0; trial < 12; trial++ {
 					pts := ps.Points()
 					qp := pts[rng.Intn(len(pts))]
 					q, _ := ps.NodeOf(qp)
+					hidden := newTruth(d, ps, qp, nil)
 					route := []graph.NodeID{q, graph.NodeID(rng.Intn(d.NumNodes())), graph.NodeID(rng.Intn(d.NumNodes()))}
 					for k := 1; k <= maxK; k++ {
 						what := fmt.Sprintf("%s q=%d k=%d", step, q, k)
 						got, _, err := idx.RkNNExec(nil, q, k, qp)
-						mustBe(what+" hidden", got, err, brute(core.Request{K: k, Points: core.PointSet{Node: points.ExcludeNode(ps, qp)}, Target: core.NodeLoc(q)}))
-						want := brute(core.Request{K: k, Points: all, Target: core.NodeLoc(q)})
+						mustBe(what+" hidden", got, err, hidden.members(k, q))
 						got, _, err = idx.RkNNExec(nil, q, k, points.NoPoint)
-						mustBe(what+" visible", got, err, want)
-						want = brute(core.Request{Kind: core.KindContinuous, K: k, Points: all, Route: route})
+						mustBe(what+" visible", got, err, all.members(k, q))
 						got, _, err = idx.ContinuousRkNNExec(nil, route, k, points.NoPoint)
-						mustBe(what+" route", got, err, want)
+						mustBe(what+" route", got, err, all.members(k, route...))
 						got, _, err = sidx.BichromaticRkNNExec(nil, ps, q, k, points.NoPoint)
-						mustBe(what+" bichromatic", got, err, brute(core.Request{Kind: core.KindBichromatic, K: k, Points: all, Sites: core.PointSet{Node: sites}, Target: core.NodeLoc(q)}))
+						mustBe(what+" bichromatic", got, err, bi.members(k, q))
 					}
 				}
 			}

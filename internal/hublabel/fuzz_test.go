@@ -55,7 +55,7 @@ type fuzzOp struct{ kind, a, b byte }
 
 // fuzzHubLabelCase decodes fuzz bytes into a graph of at most 48 nodes with
 // weights in {0,1,2,3} — every path sum exact in float64, so labels and the
-// expanding oracle must agree bit for bit — a point set, maxK and a step
+// oracle must agree bit for bit — a point set, maxK and a step
 // sequence. Layout: [n, maxK, arcs, six bytes of point bitmask], then arcs
 // (u, v, w) triples — bit 2 of w makes the arc one-way, otherwise it is an
 // edge; parallel arcs keep the lighter — then (kind, a, b) steps. ok is false
@@ -100,7 +100,7 @@ func fuzzHubLabelCase(data []byte) (g *arcGraph, ps *points.NodeSet, maxK int, o
 // FuzzHubLabelAgreement: on any small graph — zero and integer weights,
 // ties, disconnected parts, one-way arcs — and through any sequence of
 // inserts and deletes, the reverse index answers RkNNExec (a point hidden or
-// not) and ContinuousRkNNExec like the brute-force oracle for every k <=
+// not) and ContinuousRkNNExec like the oracle for every k <=
 // maxK, keeps the invariants of the pruned phase 1 after every
 // step, and stays field for field what NewIndex builds over the surviving
 // points: the hub-label rows of the substrate-agreement property. The seeds
@@ -124,7 +124,7 @@ func FuzzHubLabelAgreement(f *testing.F) {
 		if err := checkInvariants(idx); err != nil {
 			t.Fatalf("built: %v", err)
 		}
-		sr, n := oracle(g), g.NumNodes()
+		n := g.NumNodes()
 		for i, op := range ops {
 			pts := ps.Points()
 			var bad error
@@ -157,7 +157,7 @@ func FuzzHubLabelAgreement(f *testing.F) {
 					hidden = pts[int(op.b>>2)%len(pts)]
 				}
 				route := []graph.NodeID{q, graph.NodeID(int(op.b) % n), graph.NodeID(int(op.a) * int(op.b) % n)}
-				if bad = checkQueries(idx, sr, ps, q, route, hidden); bad == nil {
+				if bad = checkQueries(idx, g, ps, q, route, hidden); bad == nil {
 					bad = checkInvariants(idx)
 				}
 			}

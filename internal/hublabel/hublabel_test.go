@@ -9,9 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"graphrnn/internal/core"
 	"graphrnn/internal/gen"
 	"graphrnn/internal/graph"
+	"graphrnn/internal/oracle"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
@@ -496,8 +496,88 @@ func TestWriteFaultLeavesRefusedFile(t *testing.T) {
 	}
 }
 
-// oracle wraps the core brute-force searcher as the ground truth.
-func oracle(g graph.Access) *core.Searcher { return core.NewSearcher(g) }
+// truth answers by the definition (internal/oracle) over a graph and the
+// points of a set, as point ids.
+type truth struct {
+	o   *oracle.Oracle
+	ids []points.PointID
+}
+
+// newTruth builds the oracle over g for the points of ps but hidden, each
+// competing with the others — or, given sites, with the sites.
+func newTruth(g graph.Access, ps *points.NodeSet, hidden points.PointID, sites *points.NodeSet) truth {
+	var arcs []oracle.Arc
+	var adj []graph.Edge
+	for u := range g.NumNodes() {
+		adj, _ = g.Adjacency(graph.NodeID(u), adj) // every graph here is in memory
+		for _, e := range adj {
+			arcs = append(arcs, oracle.Arc{U: u, V: int(e.To), W: e.W})
+		}
+	}
+	locs := func(s *points.NodeSet, hidden points.PointID) ([]points.PointID, []oracle.Loc) {
+		ids, at := []points.PointID{}, []oracle.Loc{}
+		for _, p := range s.Points() {
+			if n, _ := s.NodeOf(p); p != hidden {
+				ids, at = append(ids, p), append(at, oracle.Loc{U: int(n), V: int(n)})
+			}
+		}
+		return ids, at
+	}
+	ids, at := locs(ps, hidden)
+	var siteAt []oracle.Loc // nil: monochromatic
+	if sites != nil {
+		_, siteAt = locs(sites, points.NoPoint)
+	}
+	return truth{oracle.New(g.NumNodes(), arcs, at, siteAt), ids}
+}
+
+// members answers depth k at the nodes of route: RkNN of one node, the
+// continuous query of several.
+func (tr truth) members(k int, route ...graph.NodeID) []points.PointID {
+	at := make([]oracle.Loc, len(route))
+	for i, n := range route {
+		at[i] = oracle.Loc{U: int(n), V: int(n)}
+	}
+	var out []points.PointID
+	for _, i := range tr.o.Members(k, at...) {
+		out = append(out, tr.ids[i])
+	}
+	return out
+}
+
+// probe holds run to the oracle at every probe of tr (oracle.Probes): every
+// k of ks at every node, then — unless tr is bichromatic — at every point
+// hidden at its own node and along every route. run answers the query at
+// q[0], or along q for a route, with hidden left out.
+func (tr truth) probe(t *testing.T, ks []int, routes [][]graph.NodeID, run func(k int, q []graph.NodeID, hidden points.PointID) ([]points.PointID, error)) {
+	t.Helper()
+	rs := make([][]int, len(routes))
+	for i, r := range routes {
+		for _, n := range r {
+			rs[i] = append(rs[i], int(n))
+		}
+	}
+	err := tr.o.Probes(ks, false, rs, func(pr oracle.Probe) error {
+		q, hidden := []graph.NodeID{graph.NodeID(pr.At.U)}, points.NoPoint
+		if pr.Route >= 0 {
+			q = routes[pr.Route]
+		}
+		if pr.Hidden >= 0 {
+			hidden = tr.ids[pr.Hidden]
+		}
+		want := make([]points.PointID, len(pr.Want))
+		for i, j := range pr.Want {
+			want[i] = tr.ids[j]
+		}
+		if got, err := run(pr.K, q, hidden); err != nil || !samePoints(got, want) {
+			return fmt.Errorf("k=%d at %v hiding %d: got %v (err %v), oracle %v", pr.K, q, hidden, got, err, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 func samePoints(a, b []points.PointID) bool {
 	if len(a) != len(b) {
@@ -511,75 +591,6 @@ func samePoints(a, b []points.PointID) bool {
 	return true
 }
 
-// TestIndexRkNNAgainstOracle checks monochromatic answers against the
-// brute-force oracle on every generated topology, with and without the
-// query's own point excluded, for several k.
-func TestIndexRkNNAgainstOracle(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			l, err := buildSeq(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(41))
-			ps, err := gen.PlaceNodePoints(rng, g.NumNodes(), g.NumNodes()/10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx, err := NewIndex(l, 4, pointsOf(ps))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr := oracle(g)
-			for _, qp := range ps.Points()[:15] {
-				qnode, _ := ps.NodeOf(qp)
-				for _, k := range []int{1, 2, 4} {
-					// Query at a data point, own point excluded (the
-					// paper's workload).
-					want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: points.ExcludeNode(ps, qp)}, Target: core.NodeLoc(qnode)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, _, err := idx.RkNNExec(nil, qnode, k, qp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !samePoints(got, want.Points) {
-						t.Fatalf("k=%d q=%d hidden: got %v, want %v", k, qp, got, want.Points)
-					}
-					// Same query with the point visible.
-					want, err = sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, _, err = idx.RkNNExec(nil, qnode, k, points.NoPoint)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !samePoints(got, want.Points) {
-						t.Fatalf("k=%d q=%d visible: got %v, want %v", k, qp, got, want.Points)
-					}
-				}
-			}
-			// Queries from plain nodes too.
-			for trial := 0; trial < 10; trial++ {
-				qnode := graph.NodeID(rng.Intn(g.NumNodes()))
-				want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := idx.RkNNExec(nil, qnode, 2, points.NoPoint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !samePoints(got, want.Points) {
-					t.Fatalf("node %d: got %v, want %v", qnode, got, want.Points)
-				}
-			}
-		})
-	}
-}
-
 func pointsOf(ps *points.NodeSet) []PointOnNode {
 	var out []PointOnNode
 	for _, p := range ps.Points() {
@@ -589,7 +600,35 @@ func pointsOf(ps *points.NodeSet) []PointOnNode {
 	return out
 }
 
-// TestIndexContinuousAgainstOracle checks the route variant.
+// TestIndexRkNNAgainstOracle checks monochromatic answers against the
+// oracle on every generated topology at every node, for several k, with
+// nothing hidden and at every point's node with that point hidden (the
+// paper's workload).
+func TestIndexRkNNAgainstOracle(t *testing.T) {
+	for name, g := range testGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			l, err := buildSeq(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := gen.PlaceNodePoints(rand.New(rand.NewSource(41)), g.NumNodes(), g.NumNodes()/10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := NewIndex(l, 4, pointsOf(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			newTruth(g, ps, points.NoPoint, nil).probe(t, []int{1, 2, 4}, nil, func(k int, q []graph.NodeID, hidden points.PointID) ([]points.PointID, error) {
+				got, _, err := idx.RkNNExec(nil, q[0], k, hidden)
+				return got, err
+			})
+		})
+	}
+}
+
+// TestIndexContinuousAgainstOracle checks the route variant: one-node
+// routes at every node and every point's node, and 40 random walks.
 func TestIndexContinuousAgainstOracle(t *testing.T) {
 	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 51, Nodes: 400})
 	if err != nil {
@@ -608,27 +647,19 @@ func TestIndexContinuousAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := oracle(g)
-	for trial := 0; trial < 12; trial++ {
-		route := gen.RandomWalkRoute(rng, g, 1+rng.Intn(8))
-		for _, k := range []int{1, 2} {
-			want, err := sr.Run(core.Request{Kind: core.KindContinuous, Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Route: route})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := idx.ContinuousRkNNExec(nil, route, k, points.NoPoint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePoints(got, want.Points) {
-				t.Fatalf("route %v k=%d: got %v, want %v", route, k, got, want.Points)
-			}
-		}
+	var routes [][]graph.NodeID
+	for range 40 {
+		routes = append(routes, gen.RandomWalkRoute(rng, g, 1+rng.Intn(8)))
 	}
+	newTruth(g, ps, points.NoPoint, nil).probe(t, []int{1, 2}, routes, func(k int, q []graph.NodeID, hidden points.PointID) ([]points.PointID, error) {
+		got, _, err := idx.ContinuousRkNNExec(nil, q, k, hidden)
+		return got, err
+	})
 }
 
-// TestIndexBichromaticAgainstOracle checks bRkNN against the oracle,
-// including k beyond the materialized maxK (bichromatic is unbounded).
+// TestIndexBichromaticAgainstOracle checks bRkNN against the oracle at
+// every node, including k beyond the materialized maxK (bichromatic is
+// unbounded).
 func TestIndexBichromaticAgainstOracle(t *testing.T) {
 	g, err := gen.Brite(gen.BriteConfig{Seed: 61, Nodes: 300, AvgDegree: 4})
 	if err != nil {
@@ -651,28 +682,15 @@ func TestIndexBichromaticAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := oracle(g)
-	for trial := 0; trial < 15; trial++ {
-		qnode := graph.NodeID(rng.Intn(g.NumNodes()))
-		for _, k := range []int{1, 2, 5} {
-			want, err := sr.Run(core.Request{Kind: core.KindBichromatic, Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: cands}, Sites: core.PointSet{Node: sites}, Target: core.NodeLoc(qnode)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := idx.BichromaticRkNNExec(nil, cands, qnode, k, points.NoPoint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePoints(got, want.Points) {
-				t.Fatalf("q=%d k=%d: got %v, want %v", qnode, k, got, want.Points)
-			}
-		}
-	}
+	newTruth(g, cands, points.NoPoint, sites).probe(t, []int{1, 2, 5}, nil, func(k int, q []graph.NodeID, hidden points.PointID) ([]points.PointID, error) {
+		got, _, err := idx.BichromaticRkNNExec(nil, cands, q[0], k, hidden)
+		return got, err
+	})
 }
 
 // TestIndexMaintenance interleaves inserts and deletes with full answer
-// checks: after every mutation a fresh index over the same point set must
-// agree with the incrementally maintained one on every query.
+// checks: after every mutation the incrementally maintained index answers
+// like the oracle at every node.
 func TestIndexMaintenance(t *testing.T) {
 	g, err := gen.Grid(gen.GridConfig{Seed: 71, Nodes: 225, Degree: 4})
 	if err != nil {
@@ -695,25 +713,12 @@ func TestIndexMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := oracle(g)
 	check := func(step string) {
 		t.Helper()
-		for trial := 0; trial < 8; trial++ {
-			qnode := graph.NodeID(rng.Intn(g.NumNodes()))
-			for _, k := range []int{1, 3} {
-				want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: k, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := idx.RkNNExec(nil, qnode, k, points.NoPoint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !samePoints(got, want.Points) {
-					t.Fatalf("%s q=%d k=%d: got %v, want %v", step, qnode, k, got, want.Points)
-				}
-			}
-		}
+		newTruth(g, ps, points.NoPoint, nil).probe(t, []int{1, 3}, nil, func(k int, q []graph.NodeID, hidden points.PointID) ([]points.PointID, error) {
+			got, _, err := idx.RkNNExec(nil, q[0], k, hidden)
+			return got, err
+		})
 	}
 	check("initial")
 	for round := 0; round < 12; round++ {
@@ -818,20 +823,16 @@ func TestIndexOverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := oracle(g)
+	tr := newTruth(g, ps, points.NoPoint, nil)
 	s.Buffer().ResetStats()
 	for trial := 0; trial < 10; trial++ {
 		qnode := graph.NodeID(rng.Intn(g.NumNodes()))
-		want, err := sr.Run(core.Request{Algo: core.AlgoBrute, K: 2, Points: core.PointSet{Node: ps}, Target: core.NodeLoc(qnode)})
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, qs, err := idx.RkNNExec(nil, qnode, 2, points.NoPoint)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !samePoints(got, want.Points) {
-			t.Fatalf("q=%d: got %v, want %v", qnode, got, want.Points)
+		if want := tr.members(2, qnode); !samePoints(got, want) {
+			t.Fatalf("q=%d: got %v, want %v", qnode, got, want)
 		}
 		if qs.LabelReads == 0 {
 			t.Fatal("query reported no label reads")

@@ -115,41 +115,24 @@ func checkMaintained(idx *Index, ps *points.NodeSet) error {
 	return sameIndex(idx, fresh)
 }
 
-// bruteSet is the oracle's answer to r.
-func bruteSet(sr *core.Searcher, r core.Request) ([]points.PointID, error) {
-	r.Algo = core.AlgoBrute
-	res, err := sr.Run(r)
-	if err != nil {
-		return nil, err
-	}
-	return res.Points, nil
-}
-
-// checkQueries holds the index to the brute-force oracle at query node q
-// (alone, and leading route) for every k <= maxK: the point query and the
-// route query with nothing hidden and with hidden hidden.
-func checkQueries(idx *Index, sr *core.Searcher, ps *points.NodeSet, q graph.NodeID, route []graph.NodeID, hidden points.PointID) error {
-	views := map[points.PointID]points.NodeView{points.NoPoint: ps}
+// checkQueries holds the index to the oracle at query node q (alone, and
+// leading route) for every k <= maxK: the point query and the route query
+// with nothing hidden and with hidden hidden.
+func checkQueries(idx *Index, g graph.Access, ps *points.NodeSet, q graph.NodeID, route []graph.NodeID, hidden points.PointID) error {
+	hids := []points.PointID{points.NoPoint}
 	if hidden != points.NoPoint {
-		views[hidden] = points.ExcludeNode(ps, hidden)
+		hids = append(hids, hidden)
 	}
-	for k := 1; k <= idx.maxK; k++ {
-		for hid, view := range views {
+	for _, hid := range hids {
+		tr := newTruth(g, ps, hid, nil)
+		for k := 1; k <= idx.maxK; k++ {
 			for _, query := range [][]graph.NodeID{{q}, route} {
-				r := core.Request{Kind: core.KindContinuous, K: k, Points: core.PointSet{Node: view}, Route: query}
-				if len(query) == 1 {
-					r = core.Request{K: k, Points: core.PointSet{Node: view}, Target: core.NodeLoc(q)}
-				}
-				want, err := bruteSet(sr, r)
-				if err != nil {
-					return err
-				}
 				got, _, err := idx.ContinuousRkNNExec(nil, query, k, hid)
 				if err != nil {
 					return err
 				}
-				if !samePoints(got, want) {
-					return fmt.Errorf("query %v k=%d hidden %d: got %v, brute %v", query, k, hid, got, want)
+				if want := tr.members(k, query...); !samePoints(got, want) {
+					return fmt.Errorf("query %v k=%d hidden %d: got %v, oracle %v", query, k, hid, got, want)
 				}
 			}
 		}
@@ -159,16 +142,16 @@ func checkQueries(idx *Index, sr *core.Searcher, ps *points.NodeSet, q graph.Nod
 
 // sweep runs checkQueries from every node of the graph, hiding the node's
 // own point where it hosts one and some other point where it does not.
-func sweep(t *testing.T, step string, idx *Index, sr *core.Searcher, ps *points.NodeSet) {
+func sweep(t *testing.T, step string, idx *Index, g graph.Access, ps *points.NodeSet) {
 	t.Helper()
-	n, pts := idx.src.NumNodes(), ps.Points()
+	n, pts := g.NumNodes(), ps.Points()
 	for q := 0; q < n; q++ {
 		hidden, own := ps.PointAt(graph.NodeID(q))
 		if !own && len(pts) > 0 {
 			hidden = pts[q%len(pts)]
 		}
 		route := []graph.NodeID{graph.NodeID(q), graph.NodeID((q*7 + 3) % n), graph.NodeID((q*13 + 5) % n)}
-		if err := checkQueries(idx, sr, ps, graph.NodeID(q), route, hidden); err != nil {
+		if err := checkQueries(idx, g, ps, graph.NodeID(q), route, hidden); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
 	}
@@ -245,8 +228,8 @@ func oneWayGrid(t *testing.T, seed int64, side int) *graph.Graph {
 // operation the invariants hold and the index equals NewIndex over the
 // survivors field for field; with the set below maxK+1 points nothing may be
 // pruned; and at the smallest full set and at the end every node × every
-// k <= maxK × {visible, one point hidden} answers like the brute-force
-// oracle, for point queries, routes and the per-candidate verify.
+// k <= maxK × {visible, one point hidden} answers like the oracle, for
+// point queries and routes.
 func TestReachMaintenance(t *testing.T) {
 	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 401, Nodes: 80})
 	if err != nil {
@@ -268,7 +251,6 @@ func TestReachMaintenance(t *testing.T) {
 		if tc.name == "one-way" != l.Directed() {
 			t.Fatalf("%s: labeling directed = %v", tc.name, l.Directed())
 		}
-		sr := oracle(tc.g)
 		for _, maxK := range []int{1, 3, 4} {
 			t.Run(fmt.Sprintf("%s/maxK%d", tc.name, maxK), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(403 + maxK)))
@@ -332,7 +314,7 @@ func TestReachMaintenance(t *testing.T) {
 							}
 						}
 						if ps.Len() == maxK && !swept {
-							sweep(t, step, idx, sr, ps)
+							sweep(t, step, idx, tc.g, ps)
 							swept = true
 						}
 					}
@@ -340,7 +322,7 @@ func TestReachMaintenance(t *testing.T) {
 				if !swept {
 					t.Fatal("the point set never shrank to maxK points")
 				}
-				sweep(t, "final", idx, sr, ps)
+				sweep(t, "final", idx, tc.g, ps)
 			})
 		}
 	}

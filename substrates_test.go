@@ -14,49 +14,8 @@ import (
 	"testing"
 
 	"graphrnn"
+	"graphrnn/internal/oracle"
 )
-
-// mustAgreeWithBrute answers RkNN for k = 1..maxK from every node-resident
-// probe — each data point's own node with the point hidden (every 3rd
-// point) and every 17th node with the full set — through each algorithm,
-// strictly (no planner fallback can hide a stale substrate), and requires
-// the brute-force answer.
-func mustAgreeWithBrute(t *testing.T, db *graphrnn.DB, ps *graphrnn.NodePoints, maxK int, algos map[string]graphrnn.Algorithm) {
-	t.Helper()
-	type probe struct {
-		view graphrnn.PointSet
-		node graphrnn.NodeID
-	}
-	var probes []probe
-	for i, p := range ps.Points() {
-		if n, ok := ps.NodeOf(p); ok && i%3 == 0 {
-			probes = append(probes, probe{ps.Excluding(p), n})
-		}
-	}
-	for n := 0; n < db.Graph().NumNodes(); n += 17 {
-		probes = append(probes, probe{ps, graphrnn.NodeID(n)})
-	}
-	for _, pr := range probes {
-		for k := 1; k <= maxK; k++ {
-			want, err := db.Run(context.Background(), rnnQuery(pr.view, pr.node, k, graphrnn.BruteForce()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, algo := range algos {
-				q := rnnQuery(pr.view, pr.node, k, algo)
-				q.Strict = name != "auto"
-				got, err := db.Run(context.Background(), q)
-				if err != nil {
-					t.Fatalf("%s at node %d k=%d: %v", name, pr.node, k, err)
-				}
-				if !samePoints(got.Points, want.Points) {
-					t.Fatalf("%s at node %d k=%d: got %v, brute %v (plan: %s)",
-						name, pr.node, k, got.Points, want.Points, got.Plan.Explain())
-				}
-			}
-		}
-	}
-}
 
 // bothSubstrates builds a 2K-road-like setting: a point set with a
 // materialization and a hub-label index over it.
@@ -100,12 +59,13 @@ func freeNodes(g *graphrnn.Graph, ps *graphrnn.NodePoints, count, stride int) []
 
 // TestPlaceDeleteKeepSubstratesExact: raw Place / Delete on a set with both
 // substrates built over it keep eager-M, hub-label and the auto plan
-// brute-exact (at the parent: eager-M answered 69 of 286 probes wrong after
+// exact (at the parent: eager-M answered 69 of 286 probes wrong after
 // five raw Place calls, silently).
 func TestPlaceDeleteKeepSubstratesExact(t *testing.T) {
 	const maxK = 2
 	db, ps, algos := bothSubstrates(t, maxK)
-	mustAgreeWithBrute(t, db, ps, maxK, algos)
+	agree := graphrnn.Agreement{Points: ps, Algos: algos, Ks: oracle.Depths(maxK)}
+	graphrnn.CheckAgreement(t, agree)
 	var placed []graphrnn.PointID
 	for _, n := range freeNodes(db.Graph(), ps, 5, 131) {
 		p, err := ps.Place(n)
@@ -114,13 +74,13 @@ func TestPlaceDeleteKeepSubstratesExact(t *testing.T) {
 		}
 		placed = append(placed, p)
 	}
-	mustAgreeWithBrute(t, db, ps, maxK, algos)
+	graphrnn.CheckAgreement(t, agree)
 	for _, p := range []graphrnn.PointID{placed[0], placed[3], ps.Points()[1]} {
 		if err := ps.Delete(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustAgreeWithBrute(t, db, ps, maxK, algos)
+	graphrnn.CheckAgreement(t, agree)
 }
 
 // TestDeleteThenInsertSameLiveCount: one delete and one insert leave the
@@ -140,7 +100,7 @@ func TestDeleteThenInsertSameLiveCount(t *testing.T) {
 	if ps.Len() != before {
 		t.Fatalf("live count %d, want %d", ps.Len(), before)
 	}
-	mustAgreeWithBrute(t, db, ps, maxK, algos)
+	graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: ps, Algos: algos, Ks: oracle.Depths(maxK)})
 }
 
 // TestEdgePlaceDeleteKeepMaterializationExact is the edge-resident half:
