@@ -13,19 +13,20 @@ import (
 //
 // Every DB owns a pool: substrates built through the DB
 // (Open's disk-backed graph, MaterializeNodePoints, BuildHubLabelIndex,
-// EdgePoints.Paged) attach to it automatically, growing its capacity by
-// their BufferPages so the default composition behaves exactly like the
-// former independent per-substrate buffers. The shard engines of an
-// in-process DB.Shard join their parent's pool the same way.
+// EdgePoints.Paged) attach to it automatically with their BufferPages as
+// quota. A tenant evicts only its own frames, so each substrate behaves
+// exactly like an independent buffer of that size, and the pool's
+// capacity is the sum of the quotas. The shard engines of an in-process
+// DB.Shard join their parent's pool the same way.
 type BufferPool struct {
 	p *storage.BufferPool
 }
 
-// attach registers file as a tenant and grows the pool by its quota.
-// quota may be storage.NoCache to keep the tenant's pages out of the pool,
-// or 0 to bound the tenant by the capacity the other tenants brought.
+// attach registers file as a tenant holding at most quota frames and grows
+// the pool by that quota. quota may be storage.NoCache to keep the
+// tenant's pages out of the pool.
 func (bp *BufferPool) attach(name string, file storage.PagedFile, quota int) *storage.Tenant {
-	return bp.p.AttachGrowing(name, file, quota)
+	return bp.p.Attach(name, file, quota)
 }
 
 // TenantIOStats describes one substrate's view of a shared pool.
@@ -37,7 +38,7 @@ type TenantIOStats struct {
 	IOStats
 	// Frames is the number of pool frames the tenant currently holds.
 	Frames int
-	// Quota is the tenant's frame quota (0 = bounded by the pool only).
+	// Quota is the tenant's frame quota (≤ 0 = uncached).
 	Quota int
 }
 

@@ -199,9 +199,9 @@ type DB struct {
 	searcher *core.Searcher
 	// pool is the shared buffer pool every paged substrate of this DB
 	// attaches to (graph pages, materialized lists, hub labels, paged
-	// edge points). Each attach grows the capacity by the substrate's
-	// BufferPages, so defaults behave like the former independent
-	// buffers. A shard engine of DB.Shard holds its parent's pool.
+	// edge points). Each substrate is bounded by its own BufferPages and
+	// evicts only its own frames. A shard engine of DB.Shard holds its
+	// parent's pool.
 	pool *BufferPool
 	// ownsPool: pool was created for this DB, not inherited from a
 	// parent, so Close answers for the tenants still attached to it.
@@ -248,9 +248,7 @@ func OpenWithLayout(g *Graph, opt *Options, layout Layout) (*DB, error) {
 }
 
 // openDB is OpenWithLayout. A non-nil pool is a parent DB's, which the new
-// DB shares: its graph pages attach there with opt.BufferPages as given,
-// 0 included (bounded by what the pool's other tenants brought), instead
-// of the 256-page default.
+// DB shares: its graph pages attach there as a tenant of their own.
 func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error) {
 	if g == nil {
 		return nil, fmt.Errorf("graphrnn: nil graph")
@@ -264,7 +262,7 @@ func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error
 			return nil, err
 		}
 		quota := opt.BufferPages
-		if quota == 0 && !opt.NoBuffer && pool == nil {
+		if quota == 0 && !opt.NoBuffer {
 			quota = 256
 		}
 		if opt.NoBuffer {
@@ -276,7 +274,7 @@ func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error
 			order = layout.order(g.g)
 		}
 		bm := db.pool.attach("graph", file, quota)
-		ds, err := storage.BuildDiskStoreBuffer(g.g, file, bm, 0, order)
+		ds, err := storage.BuildDiskStoreBuffer(g.g, file, bm, order)
 		if err != nil {
 			_ = bm.Detach()
 			file.Close()

@@ -251,7 +251,8 @@ func TestUnrestrictedWithPagedPoints(t *testing.T) {
 		edges := graphEdges(g)
 		s := NewSearcher(g)
 		mem := randEdgePoints(t, rng, g, 1+rng.Intn(n/2+2))
-		paged, err := points.NewPagedEdgeSetBuffer(mem, storage.NewMemFile(512), nil, 8)
+		f := storage.NewMemFile(512)
+		paged, err := points.NewPagedEdgeSetBuffer(mem, f, storage.NewBufferPool(8).Attach("", f, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

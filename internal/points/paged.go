@@ -26,10 +26,9 @@ type PagedEdgeSet struct {
 
 // NewPagedEdgeSetBuffer packs src into file (which must be empty) and reads
 // it back through bm, which must wrap file — typically a tenant of the
-// process-wide buffer pool. A nil bm falls back to a private buffer of
-// bufferPages pages. One record per populated edge: a counted run of
-// (point, offset) pairs sorted by (offset, id).
-func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Tenant, bufferPages int) (*PagedEdgeSet, error) {
+// process-wide buffer pool. One record per populated edge: a counted run
+// of (point, offset) pairs sorted by (offset, id).
+func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Tenant) (*PagedEdgeSet, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("points: NewPagedEdgeSetBuffer needs an empty file, got %d pages", file.NumPages())
 	}
@@ -49,6 +48,7 @@ func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Ten
 	})
 
 	s := &PagedEdgeSet{
+		bm:   bm,
 		dir:  make(map[edgeKey]storage.RecRef, len(keys)),
 		pts:  append([]EdgePoint(nil), src.pts...),
 		live: src.live,
@@ -67,10 +67,6 @@ func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Ten
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	if bm == nil {
-		bm = storage.NewBufferPool(bufferPages).Attach("", file, 0)
-	}
-	s.bm = bm
 	return s, nil
 }
 

@@ -195,7 +195,7 @@ func buildRandomEdgeSet(t *testing.T, rng *rand.Rand, numEdges, numPoints int) *
 // set must close cleanly at cleanup.
 func newPaged(t *testing.T, src *EdgeSet, file storage.PagedFile, bufferPages int) *PagedEdgeSet {
 	t.Helper()
-	paged, err := NewPagedEdgeSetBuffer(src, file, nil, bufferPages)
+	paged, err := NewPagedEdgeSetBuffer(src, file, storage.NewBufferPool(bufferPages).Attach("", file, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPagedEdgeSetRejectsNonEmptyFile(t *testing.T) {
 	if _, err := f.Append(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(), f, nil, 2); err == nil {
+	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(), f, storage.NewBufferPool(2).Attach("", f, 0)); err == nil {
 		t.Fatal("non-empty file accepted")
 	}
 }

@@ -29,13 +29,13 @@ type DiskStore struct {
 // of Chan & Zhang used by the paper. The file must be empty. Use
 // BuildDiskStoreBuffer to read adjacency pages through a shared pool.
 func BuildDiskStore(g *graph.Graph, file PagedFile, bufferPages int, order []graph.NodeID) (*DiskStore, error) {
-	return BuildDiskStoreBuffer(g, file, nil, bufferPages, order)
+	return BuildDiskStoreBuffer(g, file, NewBufferPool(bufferPages).Attach("", file, 0), order)
 }
 
 // BuildDiskStoreBuffer is BuildDiskStore reading adjacency pages through
 // bm, which must wrap file — typically a tenant of the process-wide
-// buffer pool. A nil bm falls back to a private buffer of bufferPages.
-func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPages int, order []graph.NodeID) (*DiskStore, error) {
+// buffer pool.
+func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, order []graph.NodeID) (*DiskStore, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: BuildDiskStore needs an empty file, got %d pages", file.NumPages())
 	}
@@ -102,9 +102,6 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, bufferPage
 	}
 	if err := w.Flush(); err != nil {
 		return nil, err
-	}
-	if bm == nil {
-		bm = NewBufferPool(bufferPages).Attach("", file, 0)
 	}
 	return &DiskStore{bm: bm, index: index, numNodes: g.NumNodes()}, nil
 }

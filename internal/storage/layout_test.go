@@ -154,7 +154,7 @@ func TestPagedLayoutPinned(t *testing.T) {
 		{256, 29, "982e39f26a08e4f628a8a12ddfc7e4008642030ad1dd9a14bde56faa6da36be9"},
 	} {
 		f := storage.NewMemFile(tc.pageSize)
-		paged, err := points.NewPagedEdgeSetBuffer(es, f, nil, 4)
+		paged, err := points.NewPagedEdgeSetBuffer(es, f, storage.NewBufferPool(4).Attach("", f, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

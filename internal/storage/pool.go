@@ -12,10 +12,10 @@ import (
 // pages and edge-point files all draw frames from the same pool, replacing
 // the three independent per-substrate buffers the repository grew up with.
 //
-// Frames live on a single global LRU list. Each tenant may carry a quota —
-// an upper bound on the frames it can hold — so one substrate cannot evict
-// the rest of the pool behind the caller's back; tenants without a quota
-// share the pool's capacity freely. Per-tenant and pool-wide hit/miss/
+// Each cached tenant carries a quota — the most frames it may hold — and
+// its own LRU list, and a fault evicts only the faulting tenant's frames,
+// so one substrate never evicts another's pages. The pool's capacity is
+// the sum of its tenants' quotas. Per-tenant and pool-wide hit/miss/
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
@@ -23,14 +23,14 @@ import (
 // page from loadLocked and uses the bytes before releasing the mutex, so a
 // frame needs no reference count: whoever holds the mutex is the only user
 // of every loaded frame. A cached page costs one critical section that also
-// touches the LRU and counts the hit: two atomic operations and an index
-// into the tenant's dense page table. An evicted frame and its page buffer
-// go to a free list the next fault reuses, so the steady-state read path —
-// hit or miss — allocates nothing.
+// touches the tenant's LRU and counts the hit: two atomic operations and an
+// index into the tenant's dense page table. An evicted frame and its page
+// buffer go to a free list the next fault reuses, so the steady-state read
+// path — hit or miss — allocates nothing.
 //
-// Concurrency: one mutex guards every field below but ready and reads, and
-// through the tenants their page tables, LRU lists and counters (a
-// snapshot or reset takes it, and never waits behind an in-flight page
+// Concurrency: one mutex guards every field below but quota, ready and
+// reads, and through the tenants their page tables, LRU lists and counters
+// (a snapshot or reset takes it, and never waits behind an in-flight page
 // fault: loadLocked releases the mutex for the duration of the physical
 // read), and concurrent requests for the same missing page coalesce into
 // one read: the latecomers wait on the pool's ready latch for the frame's
@@ -39,9 +39,11 @@ import (
 // every exported method from its own goroutine; a new method joins it
 // there.
 type BufferPool struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// quota is the frame quota of a tenant attached with quota 0.
+	quota int
+	// capacity is the sum of the cached tenants' quotas.
 	capacity int
-	lru      lruList
 	nframes  int
 	// free holds evicted and dropped frames, page buffers attached, for
 	// reuse by the next fault or uncached read.
@@ -49,33 +51,12 @@ type BufferPool struct {
 	// ready is broadcast (on mu) whenever a pending frame becomes loaded.
 	ready   sync.Cond
 	tenants []*Tenant
-	// trackGlobal records whether the pool-wide LRU order can ever decide
-	// an eviction: false when every tenant is quota-bounded and the
-	// capacity covers the quota sum (the default DB composition), in
-	// which case hits skip the global MoveToFront — the hit path then
-	// costs what a private per-substrate buffer would.
-	trackGlobal bool
 	// reads is the pool-wide physical-read counter — the only aggregate
 	// maintained inline (it backs per-query I/O budgets and only moves on
 	// misses, which pay a physical read anyway). Everything else is
 	// summed from the tenants on demand, keeping the hit path free of
 	// atomics beyond the mutex.
 	reads atomic.Int64
-}
-
-// refreshTrackLocked recomputes trackGlobal after a capacity or tenant
-// change. It is called with p.mu held.
-func (p *BufferPool) refreshTrackLocked() {
-	sum := 0
-	track := false
-	for _, t := range p.tenants {
-		if t.quota == 0 {
-			track = true
-		} else if t.quota > 0 {
-			sum += t.quota
-		}
-	}
-	p.trackGlobal = track || p.capacity < sum
 }
 
 // Tenant is one paged file's view of a BufferPool. Storage clients are
@@ -86,18 +67,16 @@ type Tenant struct {
 	pool  *BufferPool
 	name  string
 	file  PagedFile
-	quota int // >0 max frames; 0 no per-tenant cap; <0 never cached
-	grown int // capacity contributed via AttachGrowing, returned on Detach
+	quota int // >0 max frames; otherwise never cached
 
 	// table is the dense page table: table[id] is the frame holding page id
 	// or nil, and held counts the non-nil entries. It grows with the pages
 	// admitted and never past the file.
 	table []*frame
 	held  int
-	// tlru orders the tenant's own frames by recency so quota eviction is
-	// O(1) instead of scanning the pool-wide list past other tenants'
-	// frames.
-	tlru  lruList
+	// lru orders the tenant's frames by recency; a fault at quota evicts
+	// from its back.
+	lru   lruList
 	stats Stats
 }
 
@@ -117,28 +96,19 @@ type frame struct {
 	dirty  bool
 	loaded bool
 	err    error
-	links  [2]lruLinks // indexed by poolLRU / tenantLRU
+	// prev and next link the frame into its owner's LRU list.
+	prev, next *frame
 }
 
 // lruList is a recency list threaded through the frames themselves (front
 // = most recently used), so that moving a page in or out of the cache
-// allocates nothing. which selects the link pair the list owns.
-type lruList struct {
-	which       int
-	front, back *frame
-}
-
-type lruLinks struct{ prev, next *frame }
-
-const (
-	poolLRU   = iota // the pool-wide list
-	tenantLRU        // the owner's list; quota-bounded tenants only
-)
+// allocates nothing.
+type lruList struct{ front, back *frame }
 
 func (l *lruList) pushFront(fr *frame) {
-	fr.links[l.which] = lruLinks{next: l.front}
+	fr.prev, fr.next = nil, l.front
 	if l.front != nil {
-		l.front.links[l.which].prev = fr
+		l.front.prev = fr
 	} else {
 		l.back = fr
 	}
@@ -146,18 +116,17 @@ func (l *lruList) pushFront(fr *frame) {
 }
 
 func (l *lruList) remove(fr *frame) {
-	ln := fr.links[l.which]
-	if ln.prev != nil {
-		ln.prev.links[l.which].next = ln.next
+	if fr.prev != nil {
+		fr.prev.next = fr.next
 	} else {
-		l.front = ln.next
+		l.front = fr.next
 	}
-	if ln.next != nil {
-		ln.next.links[l.which].prev = ln.prev
+	if fr.next != nil {
+		fr.next.prev = fr.prev
 	} else {
-		l.back = ln.prev
+		l.back = fr.prev
 	}
-	fr.links[l.which] = lruLinks{}
+	fr.prev, fr.next = nil, nil
 }
 
 func (l *lruList) moveToFront(fr *frame) {
@@ -167,60 +136,36 @@ func (l *lruList) moveToFront(fr *frame) {
 	}
 }
 
-// NewBufferPool creates a pool of capPages frames. A capacity of zero
-// means no page is ever cached: every logical access performs (and counts)
-// a physical transfer.
-func NewBufferPool(capPages int) *BufferPool {
-	if capPages < 0 {
-		capPages = 0
-	}
-	p := &BufferPool{capacity: capPages, lru: lruList{which: poolLRU}}
+// NewBufferPool creates an empty pool whose tenants attached with quota 0
+// hold up to pages frames each; NewBufferPool(pages).Attach("", file, 0)
+// is a private buffer of pages frames. With pages ≤ 0 such a tenant caches
+// nothing: every logical access performs (and counts) a physical transfer.
+func NewBufferPool(pages int) *BufferPool {
+	p := &BufferPool{quota: max(pages, 0)}
 	p.ready.L = &p.mu
 	return p
 }
 
-// Attach registers file as a tenant of the pool. quota > 0 bounds the
-// frames the tenant may hold, 0 leaves it bounded only by the pool's
-// capacity, and NoCache keeps its pages out of the pool entirely. Tenant
+// Attach registers file as a tenant of the pool and grows the pool's
+// capacity by its quota. quota > 0 bounds the frames the tenant may hold,
+// 0 takes the pool's default (NewBufferPool's pages), and NoCache keeps
+// its pages out of the pool entirely. Detach gives the quota back. Tenant
 // names are labels for stats reporting; they need not be unique.
 func (p *BufferPool) Attach(name string, file PagedFile, quota int) *Tenant {
-	t := &Tenant{pool: p, name: name, file: file, quota: quota, tlru: lruList{which: tenantLRU}}
+	if quota == 0 {
+		quota = p.quota
+	}
+	t := &Tenant{pool: p, name: name, file: file, quota: quota}
 	p.mu.Lock()
 	p.tenants = append(p.tenants, t)
-	p.refreshTrackLocked()
+	p.capacity += t.frames()
 	p.mu.Unlock()
 	return t
 }
 
-// AttachGrowing is Attach, additionally growing the pool's capacity by the
-// tenant's quota. It is the wiring used by substrates that bring their own
-// buffer budget to a shared pool (the default DB composition): each
-// substrate is bounded by its quota, the pool's capacity is the sum, and
-// eviction behaviour matches the former independent buffers exactly.
-// Detach returns the contributed capacity.
-func (p *BufferPool) AttachGrowing(name string, file PagedFile, quota int) *Tenant {
-	t := p.Attach(name, file, quota)
-	if quota > 0 {
-		p.mu.Lock()
-		p.capacity += quota
-		t.markGrown(quota)
-		p.refreshTrackLocked()
-		p.mu.Unlock()
-	}
-	return t
-}
-
-// markGrown records the capacity the tenant contributed via
-// AttachGrowing, so Detach can return it. Attach set t.pool to the
-// caller's pool, so the pool mutex the caller holds is t.pool.mu.
-func (t *Tenant) markGrown(quota int) { t.grown = quota }
-
-// Capacity returns the pool's capacity in frames.
-func (p *BufferPool) Capacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity
-}
+// frames is the tenant's share of the pool's capacity: its quota, or 0
+// when it is never cached.
+func (t *Tenant) frames() int { return max(t.quota, 0) }
 
 // Stats returns the pool-wide I/O counters: the sum of every tenant's
 // traffic. Safe to call while queries fault pages in.
@@ -257,7 +202,7 @@ type TenantStats struct {
 	Stats Stats
 	// Frames is the number of pool frames the tenant currently holds.
 	Frames int
-	// Quota is the tenant's frame quota (0 = none, NoCache = uncached).
+	// Quota is the tenant's frame quota (≤ 0 = uncached).
 	Quota int
 }
 
@@ -294,18 +239,6 @@ func (t *Tenant) File() PagedFile { return t.file }
 // Name returns the label the tenant was attached under.
 func (t *Tenant) Name() string { return t.name }
 
-// Capacity returns the frames the tenant may hold: its quota when set,
-// otherwise the pool's capacity.
-func (t *Tenant) Capacity() int {
-	if t.quota > 0 {
-		return t.quota
-	}
-	if t.quota < 0 {
-		return 0
-	}
-	return t.pool.Capacity()
-}
-
 // Stats returns a copy of the tenant's accumulated I/O counters. It is
 // safe to call while other goroutines access the pool.
 func (t *Tenant) Stats() Stats {
@@ -327,12 +260,10 @@ func (t *Tenant) ResetStats() {
 func (t *Tenant) resetStatsLocked() { t.stats = Stats{} }
 
 // uncached reports whether page id bypasses the pool: the tenant is never
-// cached, the pool has no frames, or the file has no such page — its read
-// comes back with the file's own error, and the dense table never grows
-// past the file. It is called with the pool mutex held, which makes
-// reading capacity here safe against concurrent Attach/Detach.
+// cached, or the file has no such page — its read comes back with the
+// file's own error, and the dense table never grows past the file.
 func (t *Tenant) uncached(id PageID) bool {
-	return t.quota < 0 || t.pool.capacity == 0 || uint(id) >= uint(t.file.NumPages())
+	return t.quota <= 0 || uint(id) >= uint(t.file.NumPages())
 }
 
 // countRead counts one physical read against the tenant and the pool. It
@@ -360,7 +291,7 @@ func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	p := t.pool
 	for fr = t.frameLocked(id); fr != nil; fr = t.frameLocked(id) {
 		if fr.loaded {
-			p.touchLocked(fr)
+			t.lru.moveToFront(fr)
 			t.stats.Hits++
 			return fr, false, nil
 		}
@@ -376,7 +307,7 @@ func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	t.countRead()
 	borrowed = t.uncached(id)
 	if !borrowed {
-		if err = p.evictForLocked(t); err != nil {
+		if err = t.evictLocked(); err != nil {
 			return nil, false, err
 		}
 	}
@@ -504,8 +435,7 @@ func (p *BufferPool) Invalidate() error {
 }
 
 // Detach flushes and drops the tenant's frames, removes it from the pool
-// and returns any capacity it contributed through AttachGrowing. The
-// tenant must not be used afterwards.
+// and gives its quota back. The tenant must not be used afterwards.
 func (t *Tenant) Detach() error {
 	p := t.pool
 	p.mu.Lock()
@@ -516,12 +446,10 @@ func (t *Tenant) Detach() error {
 	for i, other := range p.tenants {
 		if other == t {
 			p.tenants = append(p.tenants[:i], p.tenants[i+1:]...)
+			p.capacity -= t.frames()
 			break
 		}
 	}
-	p.capacity -= t.grown
-	t.grown = 0
-	p.refreshTrackLocked()
 	t.dropFramesLocked()
 	return nil
 }
@@ -575,24 +503,10 @@ func (p *BufferPool) recycleLocked(fr *frame) {
 	}
 }
 
-// touchLocked records a reference to fr in the recency orders.
-func (p *BufferPool) touchLocked(fr *frame) {
-	if p.trackGlobal {
-		p.lru.moveToFront(fr)
-	}
-	if fr.owner.quota > 0 {
-		fr.owner.tlru.moveToFront(fr)
-	}
-}
-
-// admitLocked installs a frame in the pool- and owner-recency structures.
+// admitLocked installs a frame in its owner's page table and recency order.
 func (p *BufferPool) admitLocked(fr *frame) {
-	p.lru.pushFront(fr)
-	if fr.owner.quota > 0 {
-		// Only quota-bounded tenants need their own recency order.
-		fr.owner.tlru.pushFront(fr)
-	}
 	t := fr.owner
+	t.lru.pushFront(fr)
 	if n := int(fr.id) + 1 - len(t.table); n > 0 {
 		t.table = append(t.table, make([]*frame, n)...)
 	}
@@ -601,51 +515,33 @@ func (p *BufferPool) admitLocked(fr *frame) {
 	p.nframes++
 }
 
-// removeLocked drops a frame from the pool- and owner-recency structures.
+// removeLocked drops a frame from its owner's page table and recency order.
 func (p *BufferPool) removeLocked(fr *frame) {
-	p.lru.remove(fr)
-	if fr.owner.quota > 0 {
-		fr.owner.tlru.remove(fr)
-	}
+	fr.owner.lru.remove(fr)
 	fr.owner.table[fr.id] = nil
 	fr.owner.held--
 	p.nframes--
 }
 
-// evictForLocked makes room for one new frame of tenant t: first the
-// tenant's own LRU frames while it sits at quota, then the pool's global
-// LRU while the pool sits at capacity. Frames whose physical read is still
-// in flight are skipped; if every candidate is one of those the pool
-// temporarily exceeds its bound (by at most the number of concurrent
-// faulters).
-func (p *BufferPool) evictForLocked(t *Tenant) error {
-	if t.quota > 0 {
-		if err := p.evictLRULocked(&t.tlru, t); err != nil {
-			return err
-		}
-	}
-	return p.evictLRULocked(&p.lru, nil)
-}
-
-// evictLRULocked evicts loaded frames from the back of l: tenant t's own
-// list while t sits at its quota, or (t == nil) the pool-wide list while
-// the pool sits at capacity.
-func (p *BufferPool) evictLRULocked(l *lruList, t *Tenant) error {
-	for victim := l.back; victim != nil; {
-		if t != nil && t.held < t.quota || t == nil && p.nframes < p.capacity {
-			break
-		}
-		prev := victim.links[l.which].prev
+// evictLocked makes room for one new frame of the tenant: while it sits at
+// its quota, its least recently used frames go, written back first when
+// dirty. Frames whose physical read is still in flight are skipped; if
+// every candidate is one of those the tenant temporarily exceeds its quota
+// (by at most the number of concurrent faulters). It is called with the
+// pool mutex held.
+func (t *Tenant) evictLocked() error {
+	for victim := t.lru.back; victim != nil && t.held >= t.quota; {
+		prev := victim.prev
 		if victim.loaded {
 			if victim.dirty {
-				victim.owner.stats.Writes++
-				if err := victim.owner.file.Write(victim.id, victim.data); err != nil {
+				t.stats.Writes++
+				if err := t.file.Write(victim.id, victim.data); err != nil {
 					return fmt.Errorf("storage: evict page %d: %w", victim.id, err)
 				}
 			}
-			victim.owner.stats.Evictions++
-			p.removeLocked(victim)
-			p.recycleLocked(victim)
+			t.stats.Evictions++
+			t.pool.removeLocked(victim)
+			t.pool.recycleLocked(victim)
 		}
 		victim = prev
 	}

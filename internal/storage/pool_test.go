@@ -15,7 +15,8 @@ import (
 
 // TestPoolTenantQuota pins the per-tenant quota: a tenant with quota q
 // never holds more than q frames, no matter how many pages it touches,
-// while an unbounded tenant in the same pool keeps caching freely.
+// and never evicts another tenant's pages — not even when a pool of four
+// pages is asked for two quotas of four.
 func TestPoolTenantQuota(t *testing.T) {
 	fa := newTestFile(t, 64, 8)
 	fb := newTestFile(t, 64, 8)
@@ -56,36 +57,19 @@ func TestPoolTenantQuota(t *testing.T) {
 	if got := b.Stats(); got.Reads != 4 || got.Hits != 4 {
 		t.Fatalf("tenant b stats = %+v, want 4 reads 4 hits", got)
 	}
-}
 
-// TestPoolSharedCapacity verifies global LRU pressure across tenants: two
-// unbounded tenants compete for the pool's frames and evict each other.
-func TestPoolSharedCapacity(t *testing.T) {
-	fa := newTestFile(t, 64, 8)
-	fb := newTestFile(t, 64, 8)
-	p := NewBufferPool(4)
-	a := attach(t, p, "a", fa, 0)
-	b := attach(t, p, "b", fb, 0)
-
-	for i := 0; i < 4; i++ {
-		if _, err := a.Get(PageID(i)); err != nil {
-			t.Fatal(err)
+	p = NewBufferPool(4)
+	a = attach(t, p, "a", newTestFile(t, 64, 8), 4)
+	b = attach(t, p, "b", newTestFile(t, 64, 8), 4)
+	for _, tn := range []*Tenant{a, b} {
+		for i := 0; i < 4; i++ {
+			if _, err := tn.Get(PageID(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// b's faults push a's pages out of the shared pool.
-	for i := 0; i < 4; i++ {
-		if _, err := b.Get(PageID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Stats(); got.Evictions != 4 {
-		t.Fatalf("tenant a evictions = %d, want 4", got.Evictions)
-	}
-	if _, err := a.Get(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats(); got.Reads != 5 {
-		t.Fatalf("tenant a reads after churn = %d, want 5", got.Reads)
+	if frames, ev := p.TenantStats()[0].Frames, a.Stats().Evictions; frames != 4 || ev != 0 {
+		t.Fatalf("after b's faults tenant a holds %d frames with %d evictions, want 4 and 0", frames, ev)
 	}
 }
 
@@ -173,15 +157,15 @@ func TestPoolNoCacheTenant(t *testing.T) {
 }
 
 // TestPoolDetach: detaching a tenant flushes its dirty pages, frees its
-// frames and returns grown capacity.
+// frames and gives its quota back to the pool's capacity.
 func TestPoolDetach(t *testing.T) {
 	fa := newTestFile(t, 64, 4)
 	fb := newTestFile(t, 64, 4)
 	p := NewBufferPool(0)
-	a := p.AttachGrowing("a", fa, 4)
-	b := p.AttachGrowing("b", fb, 4)
-	if p.Capacity() != 8 {
-		t.Fatalf("capacity = %d, want 8", p.Capacity())
+	a := p.Attach("a", fa, 4)
+	b := p.Attach("b", fb, 4)
+	if capacity, _ := p.Snapshot(); capacity != 8 {
+		t.Fatalf("capacity = %d, want 8", capacity)
 	}
 	if err := a.Update(1, func(p []byte) error { p[0] = 42; return nil }); err != nil {
 		t.Fatal(err)
@@ -192,8 +176,8 @@ func TestPoolDetach(t *testing.T) {
 	if err := a.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Capacity() != 4 {
-		t.Fatalf("capacity after detach = %d, want 4", p.Capacity())
+	if capacity, _ := p.Snapshot(); capacity != 4 {
+		t.Fatalf("capacity after detach = %d, want 4", capacity)
 	}
 	dst := make([]byte, 64)
 	if err := fa.Read(1, dst); err != nil || dst[0] != 42 {
@@ -249,20 +233,18 @@ func TestPoolConcurrentTenants(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for _, op := range []func() error{
-		func() error { _ = p.Capacity(); return nil },
 		func() error { _ = p.Stats(); return nil },
 		func() error { p.ResetStats(); return nil },
 		func() error { _ = p.TenantStats(); return nil },
 		p.Invalidate,
 		func() error { _ = b.Stats(); return nil },
 		func() error { b.ResetStats(); return nil },
-		func() error { _ = b.Capacity(); return nil },
 		// page[0] is what the readers check; Update leaves it alone.
 		func() error { return b.Update(3, func(page []byte) error { page[1]++; return nil }) },
 		b.Flush,
 		b.Invalidate,
 		func() error {
-			c := p.AttachGrowing("c", fc, 2)
+			c := p.Attach("c", fc, 2)
 			_, err := c.Get(1)
 			return errors.Join(err, c.Detach())
 		},

@@ -21,8 +21,8 @@ type Stats struct {
 	Hits int64
 	// Writes counts physical page writes (dirty evictions and flushes).
 	Writes int64
-	// Evictions counts frames pushed out by LRU replacement (quota or
-	// pool-capacity pressure).
+	// Evictions counts frames pushed out by LRU replacement at the
+	// tenant's quota.
 	Evictions int64
 }
 

@@ -444,7 +444,7 @@ func (ps *EdgePoints) Paged(bufferPages int) (*PagedEdgePoints, error) {
 	}
 	file := storage.NewMemFile(storage.DefaultPageSize)
 	bm := ps.db.pool.attach("edgepoints", file, quota)
-	p, err := points.NewPagedEdgeSetBuffer(ps.es, file, bm, 0)
+	p, err := points.NewPagedEdgeSetBuffer(ps.es, file, bm)
 	if err != nil {
 		_ = bm.Detach()
 		return nil, err

@@ -108,7 +108,8 @@ type ShardOptions struct {
 	// attached to the parent DB's buffer pool as one tenant per shard.
 	// Default shares the parent's in-memory topology (zero copy).
 	DiskBacked bool
-	// BufferPages is the per-shard tenant quota when DiskBacked.
+	// BufferPages is the per-shard tenant quota when DiskBacked (default
+	// 256, as Options.BufferPages).
 	BufferPages int
 	// Runner, when non-nil, makes the Sharded a pure coordinator: no
 	// local shard engines are built and every sub-query goes through the
