@@ -167,7 +167,7 @@ func churn(t testing.TB, rng *rand.Rand, db *graphrnn.DB, ps *graphrnn.NodePoint
 // TestAgreement runs the harness over the random input families: networks
 // with node points (unit and half-integer weights, k up to |P|+1, sites,
 // routes, Insert / Remove) and edge points (random, dense on three edges, on
-// endpoints and duplicated), and two hand-built ties. One-way networks are
+// endpoints and duplicated), and three hand-built ties. One-way networks are
 // TestDirectedRunAgreesWithBrute's inputs, the generator graphs
 // TestPublicAPIAllAlgorithmsAgree's and TestHubLabelAgainstOracle's.
 func TestAgreement(t *testing.T) {
@@ -245,12 +245,11 @@ func TestAgreement(t *testing.T) {
 	})
 	t.Run("float-tie", func(t *testing.T) {
 		// The candidate on node 0 is exactly as far from node 3 as from the
-		// site on node 6, but the sums along the two paths differ in the
-		// last bit (0.6 and 0.6000000000000001): every "strictly closer"
-		// test of the walker absorbs that bit. A hub-label index over the
-		// sites does not — its label sums put the site strictly closer and
-		// it answers [] at node 3 where the definition answers [0] — so it
-		// is left out of this input: a known near-tie, ROADMAP item 3(iv).
+		// site on node 6: 0.6 both ways on the graph's quantum. Summed as the
+		// weights were added, the two paths differ in the last bit (0.6 and
+		// 0.6000000000000001), and a hub-label index over the sites, adding
+		// two label halves, put the site strictly closer: it answered [] at
+		// node 3 where the definition answers [0].
 		db := openEdges(t, 7, [3]float64{0, 1, 0.3}, [3]float64{1, 2, 0.2}, [3]float64{2, 3, 0.1},
 			[3]float64{0, 4, 0.1}, [3]float64{4, 5, 0.2}, [3]float64{5, 6, 0.3}, [3]float64{3, 6, 0.05})
 		cands, sites := db.NewNodePoints(), db.NewNodePoints()
@@ -260,25 +259,44 @@ func TestAgreement(t *testing.T) {
 		if _, err := sites.Place(6); err != nil {
 			t.Fatal(err)
 		}
-		mat, err := db.MaterializeNodePoints(sites, 1, nil)
-		if err != nil {
-			t.Fatal(err)
+		check(t, graphrnn.Agreement{Points: cands, Sites: sites, Ks: oracle.Depths(2), Algos: nodeSubstrates(t, db, sites, 1, nil)})
+	})
+	t.Run("grid-d7-tie", func(t *testing.T) {
+		// Cut down from GenerateGrid(2006, 10000, 7) with 100 points of
+		// PlaceRandomNodePoints(1, ...): the 17 nodes within 1e-9 of a
+		// shortest path from p90 to node 477 or to p55, which lie on nodes
+		// 3, 1 and 16 here. d(p90, 477) and r_1(p90) = d(p90, p55) differ
+		// in the last bit when summed along the path as added
+		// (11.019764837837085 against ...084), and the hub-label index's
+		// label sums did not order them the same way: it answered [p90] at
+		// node 1, k = 1, where the definition answers [] (on the full grid,
+		// [55 90] against [55] at node 477).
+		const r2, r13 = 1.4142135623730951, 3.6055512754639896 // √2, √13
+		db := openEdges(t, 17,
+			[3]float64{0, 1, 1}, [3]float64{0, 2, r2}, [3]float64{2, 8, r13}, [3]float64{3, 4, 1},
+			[3]float64{3, 9, 1}, [3]float64{4, 5, 1}, [3]float64{5, 6, 1}, [3]float64{6, 7, 1},
+			[3]float64{7, 8, 1}, [3]float64{9, 10, r2}, [3]float64{10, 11, 1}, [3]float64{11, 12, r13},
+			[3]float64{12, 13, 1}, [3]float64{13, 14, 1}, [3]float64{14, 15, 1}, [3]float64{15, 16, 1})
+		ps := db.NewNodePoints()
+		for _, n := range []graphrnn.NodeID{16, 3} { // p55, p90
+			if _, err := ps.Place(n); err != nil {
+				t.Fatal(err)
+			}
 		}
-		defer mat.Close()
-		check(t, graphrnn.Agreement{Points: cands, Sites: sites, Ks: oracle.Depths(2), Algos: map[string]graphrnn.Algorithm{
-			"eager": graphrnn.Eager(), "lazy": graphrnn.Lazy(), "lazy-EP": graphrnn.LazyEP(),
-			"eager-M": graphrnn.EagerM(mat), "brute": graphrnn.BruteForce(), "auto": graphrnn.Auto(),
-		}})
+		check(t, graphrnn.Agreement{Points: ps, Algos: nodeSubstrates(t, db, ps, 2, nil), Ks: oracle.Depths(2, ps.Len()+1)})
 	})
 	t.Logf("%d answers agree with the oracle", checks)
 }
 
 // agreementCase decodes fuzz bytes into one harness input. Layout: [n, k,
-// kind, q, hide, route1, route2, points lo, points hi, sites lo, sites hi],
-// then (u, v, w) triples, each a one-way arc of weight 1 + w%8 (an edge
-// where its equal-weight twin exists, so ties are exact). kind%3 picks rnn,
-// bichromatic (the sites compete) or continuous along [q, route1, route2];
-// hide is unused, since every point is queried hidden at its own location.
+// kind, q, tenths, route1, route2, points lo, points hi, sites lo, sites
+// hi], then (u, v, w) triples, each a one-way arc of weight 1 + w%8 (an
+// edge where its equal-weight twin exists). kind%3 picks rnn, bichromatic
+// (the sites compete) or continuous along [q, route1, route2]. Integer
+// weights tie exactly in any order of summation; bit 1 of the tenths byte
+// divides every weight by 10 (0.1 … 0.8), whose sums tie only once the
+// graph puts them on its quantum (the byte's other bits are unused: every
+// point is queried hidden at its own location anyway).
 // Bit 7 of kind makes the case edge-resident: every triple is an edge, and
 // bits 3-5 of its w byte, c > 0, put a point at (c-1)/4 of the edge — a
 // site when bit 6 is set — in place of the node bitmasks.
@@ -289,13 +307,17 @@ func agreementCase(t *testing.T, data []byte) (a graphrnn.Agreement, ok bool) {
 	}
 	n, maxK, edges := 2+int(data[0])%15, 1+int(data[1])%4, data[2]&0x80 != 0
 	node := func(b byte) graphrnn.NodeID { return graphrnn.NodeID(int(b) % n) }
+	scale := 1.0
+	if data[4]&2 != 0 {
+		scale = 10
+	}
 	gb := graphrnn.NewGraphBuilder(n)
 	for a := data[header:]; len(a) >= 3; a = a[3:] {
 		// A self loop is the only arc these bytes can get wrong; skip it.
-		if edges {
-			_ = gb.AddEdge(node(a[0]), node(a[1]), float64(1+a[2]%8))
+		if w := float64(1+a[2]%8) / scale; edges {
+			_ = gb.AddEdge(node(a[0]), node(a[1]), w)
 		} else {
-			_ = gb.AddArc(node(a[0]), node(a[1]), float64(1+a[2]%8))
+			_ = gb.AddArc(node(a[0]), node(a[1]), w)
 		}
 	}
 	g, err := gb.Build()
@@ -352,9 +374,10 @@ func agreementCase(t *testing.T, data []byte) (a graphrnn.Agreement, ok bool) {
 }
 
 // FuzzAgreement: on any small network — one-way arcs or edges, integer
-// weights with ties everywhere, disconnected parts, node or edge points,
-// co-located points and points on endpoints — every substrate that serves
-// the decoded shape answers like the oracle at every node.
+// weights with ties everywhere or tenths whose ties hang on the last bit,
+// disconnected parts, node or edge points, co-located points and points on
+// endpoints — every substrate that serves the decoded shape answers like
+// the oracle at every node.
 func FuzzAgreement(f *testing.F) {
 	// The one-way street of TestDirectedOneWayStreetAsymmetry: p on node 0
 	// reaches q = node 1 in 1, q reaches p only in 10; x on node 2 is 2
@@ -370,6 +393,21 @@ func FuzzAgreement(f *testing.F) {
 	// TestAgreement/lazy-tie: edges (0,2,1) with a point at its middle and
 	// (0,1,3) with a point on node 1.
 	f.Add([]byte{1, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3<<3 | 0, 0, 1, 5<<3 | 2})
+	// TestAgreement/float-tie at twice its scale (doubling is exact), in
+	// tenths: bichromatic, the candidate on node 0, the site on node 6,
+	// both arcs of each edge.
+	var tie []byte
+	for _, e := range [][3]byte{{0, 1, 5}, {1, 2, 3}, {2, 3, 1}, {0, 4, 1}, {4, 5, 3}, {5, 6, 5}, {3, 6, 0}} {
+		tie = append(tie, e[0], e[1], e[2], e[1], e[0], e[2])
+	}
+	f.Add(append([]byte{5, 0, 1, 3, 2, 0, 0, 1, 0, 1 << 6, 0}, tie...))
+	// One-way arcs in tenths (6→0 added at 0.2 twice and at 0.8, so Q =
+	// 2^-50), bichromatic, the site on node 6: the candidate on node 5
+	// reaches node 0 (0.4 + 0.2) one quantum further than the site (0.6),
+	// so it is no member of R1NN(0). Eager answered it anyway while its
+	// bounds still moved by a relative 1e-11 against float noise the grid
+	// has removed.
+	f.Add([]byte{5, 0, 1, 0, 2, 0, 0, 0b110001, 0, 1 << 6, 0, 6, 0, 1, 6, 0, 1, 4, 0, 1, 6, 0, 7, 5, 4, 3, 5, 6, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if a, ok := agreementCase(t, data); ok {
 			graphrnn.CheckAgreement(t, a)

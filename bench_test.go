@@ -358,12 +358,12 @@ func BenchmarkBudgetedQueries(b *testing.B) {
 // One-off cost of the hub-label substrate: pruned-landmark labeling plus
 // reverse-index build on the 20K-node road network. Beside ns/op it reports
 // the counters a faster build must leave alone: visits/op and pruned/op of
-// the landmark sweeps and label_entries/op (1 568 907 / 130 524 / 1 438 383,
+// the landmark sweeps and label_entries/op (1 275 703 / 95 504 / 1 180 199,
 // sequential). Two memory counters, read after collections outside the
 // timer: label_bytes/op, the labels' 12 bytes an entry plus offsets
-// (17 337 876), and heap_bytes/op, the Go heap the built index retains —
-// 0.88 M (offsets and reverse index) with the labels mapped outside the
-// heap, 18.1 M when they sat on it.
+// (14 239 668), and heap_bytes/op, the Go heap the built index retains —
+// 0.82 M (offsets and reverse index) with the labels mapped outside the
+// heap, 18.1 M when they sat on it (before the quantum grid).
 func BenchmarkHubLabelBuild(b *testing.B) {
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {

@@ -65,7 +65,11 @@ func CheckAgreement(t testing.TB, a Agreement) int {
 		}
 	}
 	checks := 0
-	err := oracle.New(g.NumNodes(), arcs, at, sites).Probes(a.Ks, a.InsideEdges, routes, func(pr oracle.Probe) error {
+	grid := 0.0
+	if a.InsideEdges {
+		grid = g.Quantum()
+	}
+	err := oracle.New(g.NumNodes(), arcs, at, sites).Probes(a.Ks, grid, routes, func(pr oracle.Probe) error {
 		if a.NodeStride > 1 && (pr.Route >= 0 || pr.Hidden >= 0 || pr.At.U != pr.At.V || pr.At.U%a.NodeStride != 0) {
 			return nil
 		}

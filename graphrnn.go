@@ -121,7 +121,27 @@ func (g *Graph) Edges(fn func(u, v NodeID, w float64)) {
 	})
 }
 
-// GraphBuilder assembles a Graph.
+// Quantum returns the grid the graph's weights lie on: every weight, and
+// every edge offset a DB over the graph resolves, is a whole multiple of
+// this power of two (see GraphBuilder).
+func (g *Graph) Quantum() float64 { return g.g.Quantum() }
+
+// onGrid rounds an edge location's offset to the graph's quantum, as every
+// location is resolved before a query, an insert or a distance uses it.
+func (g *Graph) onGrid(l Location) Location {
+	l.Pos = g.g.Round(l.Pos)
+	return l
+}
+
+// GraphBuilder assembles a Graph. Build puts every weight on one grid: with
+// S the sum of the weights of every arc added (an edge is two arcs), the
+// graph's quantum is Q = 2^(⌈log₂ S⌉ − 52) (Graph.Quantum), and each weight
+// is rounded to the nearest multiple of Q. Every distance the engine, its
+// indexes and its walkers sum over the graph is then exact, so two routes
+// of equal length tie exactly and every algorithm sees the same ties. The
+// price is at most Q/2 per edge: a Neighbor.Distance or DB.Distance moves by
+// at most Q/2 for every edge on its path (and Q/2 for each offset inside an
+// edge), about 10⁻¹⁶ of the graph's total weight each.
 type GraphBuilder struct {
 	b *graph.Builder
 }
@@ -131,18 +151,20 @@ func NewGraphBuilder(numNodes int) *GraphBuilder {
 	return &GraphBuilder{b: graph.NewBuilder(numNodes)}
 }
 
-// AddEdge records the undirected edge (u,v) with positive weight w.
-// Duplicate edges keep the smallest weight; self loops are rejected. Zero
-// weights are rejected too: with distinct nodes 0 apart, eager and eager-M
-// miss members.
+// AddEdge records the undirected edge (u,v) with positive weight w, which
+// Build rounds to the graph's quantum (see GraphBuilder). Duplicate edges
+// keep the smallest weight; self loops are rejected. Zero weights are
+// rejected too, at Build those that round to 0: with distinct nodes 0
+// apart, eager and eager-M miss members.
 func (gb *GraphBuilder) AddEdge(u, v NodeID, w float64) error {
 	return gb.b.AddEdge(graph.NodeID(u), graph.NodeID(v), w)
 }
 
-// AddArc records the one-way arc u→v with positive weight w (AddEdge says
-// why not zero); parallel arcs keep the smallest weight. The built graph is
-// directed exactly when some arc lacks an equal-weight twin, so
-// AddArc(u,v,w) + AddArc(v,u,w) is AddEdge(u,v,w).
+// AddArc records the one-way arc u→v with positive weight w, rounded to
+// the graph's quantum like AddEdge's (which says why not zero); parallel
+// arcs keep the smallest weight. The built graph is directed exactly when
+// some arc lacks an equal-weight twin after rounding, so AddArc(u,v,w) +
+// AddArc(v,u,w) is AddEdge(u,v,w).
 func (gb *GraphBuilder) AddArc(u, v NodeID, w float64) error {
 	return gb.b.AddArc(graph.NodeID(u), graph.NodeID(v), w)
 }
@@ -363,9 +385,12 @@ func (s IOStats) HitRate() float64 {
 func (db *DB) DropCache() error { return db.pool.p.Invalidate() }
 
 // Distance computes the exact network distance between two locations,
-// +Inf when disconnected.
+// +Inf when disconnected. Edge offsets are first rounded to the graph's
+// quantum, so the result is a multiple of it; against the weights as added
+// it moves by at most Q/2 per edge on the path and per offset (see
+// GraphBuilder).
 func (db *DB) Distance(a, b Location) (float64, error) {
-	return db.searcher.Distance(a.toLoc(), b.toLoc())
+	return db.searcher.Distance(db.graph.onGrid(a).toLoc(), db.graph.onGrid(b).toLoc())
 }
 
 func toNodeIDs(route []NodeID) []graph.NodeID {

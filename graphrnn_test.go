@@ -443,3 +443,37 @@ func TestHugeMaxK(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeOffsetsOnQuantum: the DB rounds every edge offset it resolves to
+// the graph's quantum — a placed point's, a query target's, a distance
+// endpoint's — so the distances it sums from them are multiples of Q too.
+func TestEdgeOffsetsOnQuantum(t *testing.T) {
+	db := openEdges(t, 3, [3]float64{0, 1, 0.1}, [3]float64{1, 2, 0.2})
+	q := db.Graph().Quantum()
+	onGrid := func(x float64) bool { return x == math.Round(x/q)*q }
+	ps := db.NewEdgePoints()
+	p, err := ps.Place(0, 1, 0.031)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, _ := ps.LocationOf(p); at.Pos != math.Round(0.031/q)*q {
+		t.Errorf("offset 0.031 placed at %v, want %v", at.Pos, math.Round(0.031/q)*q)
+	}
+	d, err := db.Distance(graphrnn.EdgeLocation(0, 1, 0.031), graphrnn.NodeLocation(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With the offset as given, (0.1 − 0.031) + 0.2 is off the grid.
+	w, _ := db.Graph().EdgeWeight(0, 1)
+	w2, _ := db.Graph().EdgeWeight(1, 2)
+	if !onGrid(d) || onGrid(w-0.031+w2) {
+		t.Errorf("Distance = %v (on the grid: %v), from offset 0.031 as given %v", d, onGrid(d), w-0.031+w2)
+	}
+	res, err := db.Run(context.Background(), graphrnn.Query{Kind: graphrnn.KindKNN, Target: graphrnn.EdgeLocation(1, 2, 0.07), K: 1, Points: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Neighbors) != 1 || !onGrid(res.Neighbors[0].Distance) {
+		t.Errorf("KNN from offset 0.07 answered %+v, want one neighbor at a multiple of %v", res.Neighbors, q)
+	}
+}

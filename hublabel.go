@@ -43,15 +43,16 @@ type HubLabelIndex struct {
 	lab      *hublabel.Labeling
 	store    *hublabel.Store
 	reopened bool        // the labels came from a file, nothing was built
+	logQ     int         // log₂ of the quantum of the graph the labels are over
 	node     *NodePoints // the set the index is over, nil once detached
 	build    HubLabelBuildStats
 }
 
 // ErrLabelFileMismatch reports a label file written for a different graph
-// than the one OpenHubLabelIndex is asked to serve: another node count, or
-// forward/backward labels for an undirected graph (or the reverse), which
-// would otherwise answer with silently wrong distances. Matched with
-// errors.Is.
+// than the one OpenHubLabelIndex is asked to serve: another node count,
+// forward/backward labels for an undirected graph (or the reverse), or
+// distances on another quantum (GraphBuilder), which would otherwise answer
+// with silently wrong distances or ties. Matched with errors.Is.
 var ErrLabelFileMismatch = errors.New("label file does not match the graph")
 
 // BuildOptions tunes the labeling construction.
@@ -133,7 +134,7 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	if err != nil {
 		return nil, err
 	}
-	h := &HubLabelIndex{lab: lab}
+	h := &HubLabelIndex{lab: lab, logQ: db.graph.g.LogQuantum()}
 	h.build = HubLabelBuildStats{
 		Workers:     bst.Workers,
 		Batches:     bst.Batches,
@@ -146,7 +147,7 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	}
 	if paged {
 		file := storage.NewMemFile(storage.DefaultPageSize)
-		if err := hublabel.Write(lab, file); err != nil {
+		if err := hublabel.Write(lab, file, db.graph.g.LogQuantum()); err != nil {
 			return nil, err
 		}
 		bm := db.pool.attach("hublabel", file, buffer)
@@ -162,15 +163,16 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	return h.index(ps, maxK, track)
 }
 
-// createLabelFile writes lab into a fresh page file at path and returns it
-// open. A failed write leaves no file behind: its remains carry no header
-// (hublabel.Write lays that down last) and would only be refused at open.
-func createLabelFile(lab *hublabel.Labeling, path string) (storage.PagedFile, error) {
+// createLabelFile writes lab, built over a graph of quantum 2^logQ, into a
+// fresh page file at path and returns it open. A failed write leaves no file
+// behind: its remains carry no header (hublabel.Write lays that down last)
+// and would only be refused at open.
+func createLabelFile(lab *hublabel.Labeling, logQ int, path string) (storage.PagedFile, error) {
 	f, err := storage.CreateOSFile(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := hublabel.Write(lab, f); err != nil {
+	if err := hublabel.Write(lab, f, logQ); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -228,6 +230,12 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 		return nil, fmt.Errorf("graphrnn: label file covers %d nodes (directed: %v), graph has %d (directed: %v): %w",
 			store.NumNodes(), store.Directed(), db.store.NumNodes(), db.graph.Directed(), ErrLabelFileMismatch)
 	}
+	if q := db.graph.g.LogQuantum(); store.LogQuantum() != q {
+		_ = bm.Detach()
+		file.Close()
+		return nil, fmt.Errorf("graphrnn: label file distances lie on the quantum 2^%d, the graph's weights on 2^%d; rebuild the labels over this graph (BuildHubLabelIndex, SaveTo): %w",
+			store.LogQuantum(), q, ErrLabelFileMismatch)
+	}
 	h := &HubLabelIndex{store: store, reopened: true}
 	h.build.LabelBytes = store.PayloadBytes()
 	return h.index(ps, maxK, true)
@@ -249,7 +257,7 @@ func (h *HubLabelIndex) SaveTo(path string) error {
 			return err
 		}
 	}
-	f, err := createLabelFile(lab, path)
+	f, err := createLabelFile(lab, h.logQ, path)
 	if err != nil {
 		return err
 	}

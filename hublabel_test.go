@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -762,5 +764,105 @@ func TestHubLabelRepairVsRebuild(t *testing.T) {
 				t.Fatalf("q=%d k=%d: repaired %v, brute %v", qp, k, got.Points, oracle.Points)
 			}
 		}
+	}
+}
+
+// TestPersistedFilesRefuseOffGridDistances: every distance a label file or a
+// materialization holds lies on the quantum of the graph it was built over
+// (GraphBuilder). A label file is refused over a graph on another quantum,
+// naming both and the rebuild, and so is one written before the quantum
+// (version 1); a materialization written before it (magic GRNNMAT1) is
+// refused too.
+func TestPersistedFilesRefuseOffGridDistances(t *testing.T) {
+	const n = 24
+	line := func(scale float64) *graphrnn.Graph {
+		rng := rand.New(rand.NewSource(46))
+		gb := graphrnn.NewGraphBuilder(n)
+		for i := range n - 1 {
+			if err := gb.AddEdge(graphrnn.NodeID(i), graphrnn.NodeID(i+1), scale*(1+rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := gb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	// Four times the weights: four times the sum, four times the quantum.
+	g, coarse := line(1), line(4)
+	if coarse.Quantum() != 4*g.Quantum() {
+		t.Fatalf("test setup: quanta %v and %v", g.Quantum(), coarse.Quantum())
+	}
+	dir := t.TempDir()
+	db, err := graphrnn.Open(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := db.NewNodePoints()
+	for _, n := range []graphrnn.NodeID{2, 9, 17} {
+		if _, err := ps.Place(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := db.BuildHubLabelIndex(ps, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := filepath.Join(dir, "labels.hub")
+	if err := idx.SaveTo(labels); err != nil {
+		t.Fatal(err)
+	}
+	idx.Close()
+	mat, err := db.MaterializeNodePoints(ps, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := filepath.Join(dir, "lists.mat")
+	if err := mat.SaveTo(lists); err != nil {
+		t.Fatal(err)
+	}
+	mat.Close()
+
+	other, err := graphrnn.Open(coarse, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = other.OpenHubLabelIndex(other.NewNodePoints(), 2, labels, nil)
+	if want := []string{fmt.Sprintf("2^%v", math.Log2(g.Quantum())), fmt.Sprintf("2^%v", math.Log2(coarse.Quantum())), "rebuild"}; !errors.Is(err, graphrnn.ErrLabelFileMismatch) ||
+		!strings.Contains(err.Error(), want[0]) || !strings.Contains(err.Error(), want[1]) || !strings.Contains(err.Error(), want[2]) {
+		t.Errorf("labels over a graph on another quantum: err = %v, want ErrLabelFileMismatch naming %q", err, want)
+	}
+
+	// patched copies path with the bytes at off replaced by b.
+	patched := func(path string, off int, b []byte) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw[off:], b)
+		out := path + ".patched"
+		if err := os.WriteFile(out, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	reopened, err := db.OpenHubLabelIndex(ps, 2, labels, nil)
+	if err != nil {
+		t.Fatalf("labels over their own graph: %v", err)
+	}
+	reopened.Close()
+	_, err = db.OpenHubLabelIndex(ps, 2, patched(labels, 8, []byte{1, 0, 0, 0}), nil)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "rebuild") {
+		t.Errorf("a version-1 label file: err = %v, want a refusal naming the version and the rebuild", err)
+	}
+	reopenedMat, err := db.OpenMaterialization(lists, nil)
+	if err != nil {
+		t.Fatalf("lists over their own graph: %v", err)
+	}
+	reopenedMat.Close()
+	_, err = db.OpenMaterialization(patched(lists, 0, []byte("GRNNMAT1")), nil)
+	if err == nil || !strings.Contains(err.Error(), `"GRNNMAT1"`) {
+		t.Errorf("a GRNNMAT1 materialization: err = %v, want a refusal naming its magic", err)
 	}
 }

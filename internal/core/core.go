@@ -139,17 +139,3 @@ type PointDist struct {
 	P points.PointID
 	D float64
 }
-
-// relEps absorbs floating-point associativity noise in path-length sums.
-// Two computations of the same real path length may differ by a few ULPs
-// because additions associate differently; expansion upper bounds are
-// therefore inflated by upperBound (a too-large bound never changes a
-// verification decision, only its cost), while strict "closer than"
-// pruning thresholds are shrunk by strictBound (under-pruning is safe,
-// over-pruning can drop results). The relative form keeps both exact for
-// integer-weight graphs and harmless for tiny distances.
-const relEps = 1e-11
-
-func upperBound(x float64) float64 { return x * (1 + relEps) }
-
-func strictBound(x float64) float64 { return x * (1 - relEps) }

@@ -144,9 +144,9 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 			st.MatReads++
 			// The visible entries strictly closer to n than the query are
 			// exactly what range-NN(n, k, d) would discover; keep those.
-			closer, dStrict := probe[:0], strictBound(d)
+			closer := probe[:0]
 			for _, e := range probe {
-				if len(closer) >= k || e.D >= dStrict {
+				if len(closer) >= k || e.D >= d {
 					break
 				}
 				if _, visible := sites.loc(e.P); visible {
@@ -252,7 +252,7 @@ func (s *Searcher) verifyWithMat(st *Stats, buf *scratch, sites PointSet, self p
 			break
 		}
 	}
-	if upperBound(ub) <= strictBound(rk) || math.IsInf(rk, 1) {
+	if ub <= rk || math.IsInf(rk, 1) {
 		// Fewer than k points can be strictly closer to p than the query.
 		return true, nil
 	}

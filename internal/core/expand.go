@@ -17,7 +17,6 @@ func (s *Searcher) rangeNN(st *Stats, sites PointSet, from Loc, k int, e float64
 	if e <= 0 || k <= 0 {
 		return out, nil
 	}
-	e = strictBound(e)
 	// Point arrivals are bounded inclusively; the largest float below e
 	// makes that the strict range (a point at distance e exactly is
 	// outside it).
@@ -121,9 +120,6 @@ func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
 // additionally prunes lz's main walk.
 func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from Loc, tgt target, k int, ub float64, lz *lazyPrune) (bool, error) {
 	st.Verifications++
-	// ubStrict is the strict-closeness threshold of the lazy side effect;
-	// ub itself is inflated against float association noise.
-	ub, ubStrict := upperBound(ub), strictBound(ub)
 	sc := s.acquire()
 	defer s.release(st, sc)
 	if err := sc.seed(s, from); err != nil {
@@ -171,7 +167,7 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 			if p, has := sites.at(n); has && p != self {
 				sameCount++
 			}
-			if lz != nil && lz.visit(n, d, ubStrict, k) {
+			if lz != nil && lz.visit(n, d, ub, k) {
 				lz.unqueue(n)
 			}
 			if tgt.via(n) {

@@ -62,20 +62,19 @@ type lazyPrune struct {
 }
 
 // visit applies the pruning side effect of a verification expansion that
-// met node m at distance dm from a point at most e (eStrict = strictBound(e))
-// away from the query (Fig 7, lines 9-12). For a node the main walk has
-// already de-heaped the two exact distances are compared; for any other
-// node dm < e <= d(m,q) holds because the main walk pops in ascending
-// distance order. A qualifying node's counter is incremented; visit reports
+// met node m at distance dm from a point at most e away from the query
+// (Fig 7, lines 9-12). For a node the main walk has already de-heaped the
+// two exact distances are compared; for any other node dm < e <= d(m,q)
+// holds because the main walk pops in ascending distance order. A qualifying node's counter is incremented; visit reports
 // whether it thereby reached k on an expanded node, whose heap entries the
 // caller then removes with unqueue (kept apart so that visit inlines into
 // the verification loop).
-func (lz *lazyPrune) visit(m graph.NodeID, dm, eStrict float64, k int) bool {
+func (lz *lazyPrune) visit(m graph.NodeID, dm, e float64, k int) bool {
 	closed := lz.sc.isClosed(m)
 	if closed {
-		eStrict = strictBound(lz.sc.dist[m])
+		e = lz.sc.dist[m]
 	}
-	return dm < eStrict && lz.counts.add(m) == int32(k) && closed
+	return dm < e && lz.counts.add(m) == int32(k) && closed
 }
 
 // unqueue removes the heap entries expanded node m generated.

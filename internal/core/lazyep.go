@@ -209,7 +209,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 			return execResult(results, st, err)
 		}
 		lst := ep.found(n)
-		pruned := len(lst) >= k && lst[k-1].D < strictBound(d)
+		pruned := len(lst) >= k && lst[k-1].D < d
 		if p, ok := cands.at(n); ok {
 			if err := meet(p, NodeLoc(n), d, true, mono); err != nil {
 				return execResult(results, st, err)
@@ -260,16 +260,15 @@ func (s *Searcher) epClassify(st *Stats, ep *epMarks, sites PointSet, mono bool,
 	if mono {
 		self = p
 	}
-	ubStrict := strictBound(ub)
 	closer := 0
 	for i, a := range as[:n] {
 		for _, f := range ep.found(a.node) {
-			if f.P == self || f.D+a.off >= ubStrict {
+			if f.P == self || f.D+a.off >= ub {
 				continue
 			}
 			// A competitor marked at both anchors counts once.
 			if i == 1 && slices.ContainsFunc(ep.found(as[0].node), func(g PointDist) bool {
-				return g.P == f.P && g.D+as[0].off < ubStrict
+				return g.P == f.P && g.D+as[0].off < ub
 			}) {
 				continue
 			}

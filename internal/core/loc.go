@@ -22,7 +22,10 @@ import (
 // edge whose endpoints are both pruned is still on the heap).
 
 // Loc is a location on the network: a node (U == V, Pos == 0) or a position
-// on edge (U,V), U < V, at offset Pos from U.
+// on edge (U,V), U < V, at offset Pos from U. Pos is a multiple of the
+// graph's quantum (graph.Builder), as every weight is, so every distance the
+// walkers sum is exact and they compare them with no tolerance; the public
+// layer rounds every location, and every point it places, onto the quantum.
 type Loc struct {
 	U, V graph.NodeID
 	Pos  float64

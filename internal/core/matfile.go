@@ -58,8 +58,11 @@ const (
 )
 
 // MatFileHeader locates the magic and page size of a materialization file,
-// so reopening needs no recollection of the build-time options.
-var MatFileHeader = storage.FileHeader{Magic: "GRNNMAT1", PageSizeAt: 8}
+// so reopening needs no recollection of the build-time options. The magic's
+// digit is the format: "GRNNMAT1" files predate the quantum grid
+// (graph.Builder), so their list distances and point offsets lie off it and
+// they are refused as foreign.
+var MatFileHeader = storage.FileHeader{Magic: "GRNNMAT2", PageSizeAt: 8}
 
 // Journal record kinds (first payload byte).
 const (

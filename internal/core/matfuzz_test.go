@@ -123,7 +123,7 @@ func FuzzMatOpen(f *testing.F) {
 	f.Add(matBytes, []byte{})
 	f.Add(matBytes[:storage.DefaultPageSize], journalBytes)
 	f.Add(matBytes[:len(matBytes)/2], journalBytes[:len(journalBytes)/2])
-	f.Add([]byte("GRNNMAT1 not really a materialization"), []byte("junk"))
+	f.Add([]byte("GRNNMAT2 not really a materialization"), []byte("junk"))
 	f.Add([]byte{}, []byte{})
 
 	f.Fuzz(func(t *testing.T, mb, jb []byte) {

@@ -137,8 +137,12 @@ func mustMatchOracle(t testing.TB, c oracleCase) {
 			routes[i] = append(routes[i], int(n))
 		}
 	}
+	grid := 0.0
+	if c.ps.Edge != nil {
+		grid = c.g.Quantum()
+	}
 	s := NewSearcher(c.g)
-	err := oracle.New(c.g.NumNodes(), arcs, at, sites).Probes(c.ks, c.ps.Edge != nil, routes, func(pr oracle.Probe) error {
+	err := oracle.New(c.g.NumNodes(), arcs, at, sites).Probes(c.ks, grid, routes, func(pr oracle.Probe) error {
 		r := Request{Kind: kind, K: pr.K, Points: c.ps, Sites: c.sites, Target: Loc{U: graph.NodeID(pr.At.U), V: graph.NodeID(pr.At.V), Pos: pr.At.Pos}}
 		if pr.Route >= 0 {
 			r.Kind, r.Route = KindContinuous, c.routes[pr.Route]

@@ -33,7 +33,7 @@ func randEdgePoints(t testing.TB, rng *rand.Rand, g *graph.Graph, count int) *po
 	ps := points.NewEdgeSet()
 	for i := 0; i < count; i++ {
 		e := edges[rng.Intn(len(edges))]
-		if _, err := ps.Place(e.u, e.v, rng.Float64()*e.w); err != nil {
+		if _, err := ps.Place(e.u, e.v, g.Round(rng.Float64()*e.w)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func randULoc(rng *rand.Rand, g *graph.Graph, edges []edgeInfo) Loc {
 		return NodeLoc(graph.NodeID(rng.Intn(g.NumNodes())))
 	}
 	e := edges[rng.Intn(len(edges))]
-	return Loc{U: e.u, V: e.v, Pos: rng.Float64() * e.w}
+	return Loc{U: e.u, V: e.v, Pos: g.Round(rng.Float64() * e.w)}
 }
 
 func TestULocDistanceFig14Semantics(t *testing.T) {
@@ -156,7 +156,7 @@ func TestUnrestrictedDensePoints(t *testing.T) {
 		// Cluster points on up to 3 edges.
 		for range 3 + rng.Intn(10) {
 			e := edges[rng.Intn(min(3, len(edges)))]
-			if _, err := ps.Place(e.u, e.v, rng.Float64()*e.w); err != nil {
+			if _, err := ps.Place(e.u, e.v, g.Round(rng.Float64()*e.w)); err != nil {
 				t.Fatal(err)
 			}
 		}

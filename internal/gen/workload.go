@@ -34,11 +34,12 @@ func PlaceNodePoints(rng *rand.Rand, numNodes, count int) (*points.NodeSet, erro
 type EdgeList struct {
 	U, V []graph.NodeID
 	W    []float64
+	Q    float64 // the graph's quantum (graph.Graph.Quantum)
 }
 
 // Edges extracts the edge list of g.
 func Edges(g *graph.Graph) *EdgeList {
-	el := &EdgeList{}
+	el := &EdgeList{Q: g.Quantum()}
 	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
 		el.U = append(el.U, u)
 		el.V = append(el.V, v)
@@ -48,7 +49,8 @@ func Edges(g *graph.Graph) *EdgeList {
 }
 
 // PlaceEdgePoints distributes count points uniformly over random edges at
-// uniform offsets (the unrestricted workloads of Section 6.2).
+// uniform offsets (the unrestricted workloads of Section 6.2), each rounded
+// to the graph's quantum.
 func PlaceEdgePoints(rng *rand.Rand, el *EdgeList, count int) (*points.EdgeSet, error) {
 	if len(el.U) == 0 {
 		return nil, fmt.Errorf("gen: graph has no edges")
@@ -56,7 +58,7 @@ func PlaceEdgePoints(rng *rand.Rand, el *EdgeList, count int) (*points.EdgeSet, 
 	ps := points.NewEdgeSet()
 	for i := 0; i < count; i++ {
 		e := rng.Intn(len(el.U))
-		if _, err := ps.Place(el.U[e], el.V[e], rng.Float64()*el.W[e]); err != nil {
+		if _, err := ps.Place(el.U[e], el.V[e], graph.RoundTo(rng.Float64()*el.W[e], el.Q)); err != nil {
 			return nil, err
 		}
 	}

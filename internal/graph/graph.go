@@ -59,6 +59,7 @@ type Graph struct {
 	weights []float64
 	coords  []Coord // nil when the graph has no embedding
 	in      *Graph  // the reversed arcs; nil when the graph is symmetric
+	logQ    int     // every weight is a multiple of the quantum 2^logQ
 }
 
 // NumNodes implements Access.
@@ -114,6 +115,23 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	return 0, false
 }
 
+// Quantum returns Q, the grid every weight lies on: each is a whole
+// multiple of Q, a power of two (see Builder).
+func (g *Graph) Quantum() float64 { return math.Ldexp(1, g.logQ) }
+
+// LogQuantum returns log₂ Q.
+func (g *Graph) LogQuantum() int { return g.logQ }
+
+// Round returns the multiple of Q nearest x (halves away from zero): an
+// offset on an edge rounded this way keeps every distance sum through it
+// exact.
+func (g *Graph) Round(x float64) float64 { return RoundTo(x, g.Quantum()) }
+
+// RoundTo returns the multiple of q nearest x (halves away from zero). q is
+// a power of two, so the division and the product are exact: only the
+// rounding itself moves x.
+func RoundTo(x, q float64) float64 { return math.Round(x/q) * q }
+
 // Coords returns the node embedding, or nil if the graph has none.
 func (g *Graph) Coords() []Coord { return g.coords }
 
@@ -150,6 +168,17 @@ func (g *Graph) AverageDegree() float64 {
 // Builder accumulates arcs and produces an immutable Graph. An undirected
 // edge is its two arcs; parallel arcs keep the smallest weight; self loops
 // are rejected.
+//
+// Build puts every weight on one grid: with S the sum of the weights of
+// every arc added, the quantum is Q = 2^(⌈log₂ S⌉ − 52), and each weight is
+// rounded to the nearest multiple of Q before arcs are deduplicated or
+// twins matched. A simple path weighs at most S and a hub label's two
+// halves at most 2S, and a float64 holds every multiple of Q up to 2^53·Q ≥
+// 2S exactly, so every distance sum formed over the graph, in any order, is
+// exact: two routes of equal length compare equal. (Should rounding carry
+// the sum past 2^⌈log₂ S⌉, Q doubles, so that building again from a
+// graph's own weights, or from any subset of them, moves none of them.) A
+// weight moves by at most Q/2; one that rounds to 0 is refused.
 type Builder struct {
 	numNodes int
 	arcs     []arc
@@ -210,10 +239,15 @@ func (b *Builder) AddArc(u, v NodeID, w float64) error {
 // NumNodes returns the declared node count.
 func (b *Builder) NumNodes() int { return b.numNodes }
 
-// Build produces the CSR graph. Parallel arcs collapse to the minimum
-// weight; adjacency lists are sorted by neighbour id for determinism. The
-// reverse CSR is kept only when it differs from the forward one.
+// Build produces the CSR graph with every weight on its grid (see
+// Builder). Parallel arcs collapse to the minimum weight; adjacency lists
+// are sorted by neighbour id for determinism. The reverse CSR is kept only
+// when it differs from the forward one.
 func (b *Builder) Build() (*Graph, error) {
+	logQ, err := b.snap()
+	if err != nil {
+		return nil, err
+	}
 	// Arcs bucketed by source come out sorted by (u, v, w) once each
 	// node's few arcs are: no comparison sort over all of them.
 	arcs := b.bucket(b.arcs, false)
@@ -230,10 +264,52 @@ func (b *Builder) Build() (*Graph, error) {
 	b.arcs = slices.CompactFunc(arcs, func(x, y arc) bool { return x.u == y.u && x.v == y.v })
 
 	g, in := b.csr(b.arcs), b.csr(b.bucket(b.arcs, true))
+	g.logQ, in.logQ = logQ, logQ
 	if !slices.Equal(g.targets, in.targets) || !slices.Equal(g.weights, in.weights) || !slices.Equal(g.offsets, in.offsets) {
 		g.in, in.in = in, g
 	}
 	return g, nil
+}
+
+// minLogQ is the exponent of the smallest positive float64: every float64
+// is a multiple of it.
+const minLogQ = -1074
+
+// snap rounds every arc weight to the grid of the arcs added and returns
+// log₂ Q. Q starts at 2^(⌈log₂ S⌉ − 52) and doubles while the rounded
+// weights sum to more than 2^52·Q — a sum of multiples of Q below 2^53·Q,
+// so computed exactly — which keeps the grid of a graph built from rounded
+// weights no coarser than theirs.
+func (b *Builder) snap() (int, error) {
+	var s float64
+	for _, a := range b.arcs {
+		s += a.w
+	}
+	if math.IsInf(s, 1) {
+		return 0, fmt.Errorf("graph: the %d arc weights sum past the float64 range; no grid holds their sums", len(b.arcs))
+	}
+	frac, e := math.Frexp(s) // s = frac·2^e, frac in [0.5, 1)
+	if frac == 0.5 {
+		e-- // s is a power of two
+	}
+	for ; ; e++ {
+		logQ := max(e-52, minLogQ)
+		q := math.Ldexp(1, logQ)
+		var sum float64
+		for _, a := range b.arcs {
+			w := RoundTo(a.w, q)
+			if w == 0 {
+				return 0, fmt.Errorf("graph: arc (%d,%d) of weight %v rounds to 0 on the graph's quantum %v (2^%d)", a.u, a.v, a.w, q, logQ)
+			}
+			sum += w
+		}
+		if sum <= math.Ldexp(1, e) {
+			for i := range b.arcs {
+				b.arcs[i].w = RoundTo(b.arcs[i].w, q)
+			}
+			return logQ, nil
+		}
+	}
 }
 
 // bucket returns the arcs — reversed: every arc u→v as v→u — grouped by

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -269,5 +271,157 @@ func TestInReversesEveryArc(t *testing.T) {
 			t.Fatalf("iter %d: symmetric=%v but Directed()=%v, In()==g: %v, In().In()==g: %v",
 				it, symmetric, g.Directed(), g.In() == Access(g), g.In().In() == Access(g))
 		}
+	}
+}
+
+// buildArcs builds a graph over n nodes from arcs {u, v, w}.
+func buildArcs(t *testing.T, n int, arcs ...arc) (*Graph, error) {
+	t.Helper()
+	b := NewBuilder(n)
+	for _, a := range arcs {
+		if err := b.AddArc(a.u, a.v, a.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// TestQuantumFollowsSum pins Q = 2^(⌈log₂ S⌉ − 52), S the sum of every
+// arc's weight (an edge counts twice), and that every weight lands on it
+// within Q/2.
+func TestQuantumFollowsSum(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		w    []float64 // edges 0–1, 1–2, …
+		logQ int
+	}{
+		{"S=10", []float64{3, 2}, 4 - 52},
+		{"S=4, a power of two", []float64{1, 1}, 2 - 52},
+		{"S=0.6+0.4+0.2 twice", []float64{0.3, 0.2, 0.1}, 1 - 52},
+		{"S=2·1000.5", []float64{1000.5}, 11 - 52},
+		{"S=2^-20", []float64{0x1p-22, 0x1p-22}, -20 - 52},
+	} {
+		b := NewBuilder(len(c.w) + 1)
+		for i, w := range c.w {
+			if err := b.AddEdge(NodeID(i), NodeID(i+1), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := mustBuild(t, b)
+		if g.LogQuantum() != c.logQ || g.Quantum() != math.Ldexp(1, c.logQ) {
+			t.Errorf("%s: Q = %v (2^%d), want 2^%d", c.name, g.Quantum(), g.LogQuantum(), c.logQ)
+		}
+		for i, w := range c.w {
+			got, _ := g.EdgeWeight(NodeID(i), NodeID(i+1))
+			if got != g.Round(got) || math.Abs(got-w) > g.Quantum()/2 {
+				t.Errorf("%s: weight %v stored as %v, off the grid of %v or more than Q/2 away", c.name, w, got, g.Quantum())
+			}
+		}
+	}
+}
+
+// TestQuantumRefusals: a weight below Q/2 rounds to 0 and is refused with
+// the quantum named; Q/2 itself rounds up to Q; a sum past the float64
+// range has no grid and is refused.
+func TestQuantumRefusals(t *testing.T) {
+	// S = 1.5 + tiny: Q = 2^-51.
+	const q = 0x1p-51
+	_, err := buildArcs(t, 3, arc{0, 1, 1}, arc{1, 0, 0.5}, arc{1, 2, q / 4})
+	if err == nil || !strings.Contains(err.Error(), "quantum 4.440892098500626e-16 (2^-51)") {
+		t.Fatalf("a weight of Q/4 gave %v, want a refusal naming the quantum", err)
+	}
+	g, err := buildArcs(t, 3, arc{0, 1, 1}, arc{1, 0, 0.5}, arc{1, 2, q / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := g.EdgeWeight(1, 2); g.Quantum() != q || w != q {
+		t.Fatalf("a weight of Q/2 built as %v on Q = %v, want Q", w, g.Quantum())
+	}
+	if _, err := buildArcs(t, 2, arc{0, 1, math.MaxFloat64}, arc{1, 0, math.MaxFloat64}); err == nil || !strings.Contains(err.Error(), "float64 range") {
+		t.Fatalf("weights summing to +Inf gave %v, want a refusal", err)
+	}
+}
+
+// TestQuantumRebuildIsNoOp: a graph built again from its own weights — or
+// from a subset, as InducedSubgraph does behind gen.RoadNetwork's
+// ConnectedComponent — gets a grid no coarser than its own, and a finer Q
+// divides a coarser one, so every weight comes through bit for bit.
+func TestQuantumRebuildIsNoOp(t *testing.T) {
+	same := func(t *testing.T, what string, g, h *Graph, remap []NodeID) {
+		t.Helper()
+		if h.LogQuantum() > g.LogQuantum() {
+			t.Errorf("%s: Q went from 2^%d to the coarser 2^%d", what, g.LogQuantum(), h.LogQuantum())
+		}
+		g.ForEachEdge(func(u, v NodeID, w float64) {
+			if remap[u] < 0 || remap[v] < 0 {
+				return
+			}
+			if got, ok := h.EdgeWeight(remap[u], remap[v]); !ok || math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("%s: edge (%d,%d) weighs %v, built again %v", what, u, v, w, got)
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(9))
+	b := NewBuilder(60)
+	for i := 1; i < 60; i++ {
+		if err := b.AddEdge(NodeID(rng.Intn(i)), NodeID(i), 0.01+rng.Float64()*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := mustBuild(t, b)
+	all := make([]NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	for _, keep := range [][]NodeID{all, all[:30], all[10:]} {
+		sub, remap, err := InducedSubgraph(g, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, "induced subgraph", g, sub, remap)
+	}
+
+	// Rounding carries the sum past 2^⌈log₂ S⌉: S = 4 − 2^-51, so Q would
+	// be 2^-50, but w1 and w2 sit half a quantum above the grid and w3
+	// half a quantum below it, and rounded they sum to 4 + 2^-50. Q doubles
+	// to 2^-49, where the rounded weights sum below 8 and a rebuild (Q =
+	// 2^-50, finer) moves none of them. On 2^-50 a rebuild would see a sum
+	// past 4, round on 2^-49 and move w1 and w2.
+	w1, w3 := 1.5+0x1p-51, 1-1.5*0x1p-50
+	g, err := buildArcs(t, 3, arc{0, 1, w1}, arc{1, 2, w1}, arc{2, 0, w3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.LogQuantum() != -49 {
+		t.Fatalf("Q = 2^%d, want 2^-49", g.LogQuantum())
+	}
+	var again []arc
+	g.ForEachEdge(func(u, v NodeID, w float64) { again = append(again, arc{u, v, w}) })
+	h, err := buildArcs(t, 3, again...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same(t, "rebuilt", g, h, []NodeID{0, 1, 2})
+}
+
+// TestQuantumMatchesTwins: arcs whose weights round to one multiple of Q
+// are twins, so AddArc(u,v,w) + AddArc(v,u,w′) builds an undirected edge
+// when |w − w′| < Q/2 puts them on the same grid point — 0.3 and 0.1+0.2
+// (0.30000000000000004) among them.
+func TestQuantumMatchesTwins(t *testing.T) {
+	w, w2 := 0.3, 0.1
+	w2 += 0.2
+	g, err := buildArcs(t, 2, arc{0, 1, w}, arc{1, 0, w2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w == w2 || math.Abs(w-w2) >= g.Quantum()/2 {
+		t.Fatalf("test setup: %v and %v are not within Q/2 = %v", w, w2, g.Quantum()/2)
+	}
+	if g.Directed() || g.NumEdges() != 1 {
+		t.Fatalf("arcs of %v and %v built a directed graph (%d arcs)", w, w2, g.NumEdges())
+	}
+	if fwd, _ := g.EdgeWeight(0, 1); fwd != g.Round(w2) {
+		t.Fatalf("edge weighs %v, want %v", fwd, g.Round(w2))
 	}
 }

@@ -163,7 +163,10 @@ func undirectedAdjacency(out, in graph.Access) ([][]graph.NodeID, error) {
 // and 32 no family's labels move by a tenth, so it is a constant, not an
 // option. Label entries by cap (deterministic; TestLandmarkOrderLabelSizes
 // prints the row of the constant), the core ranked by landmarkOrder, against
-// that ranking alone:
+// that ranking alone. Every row but the last was measured before weights lay
+// on the graph's quantum (graph.Builder), when a covering path through an
+// earlier hub could lose its tie by the last bit and the entry was stored
+// anyway; the last row is the constant's on the quantum:
 //
 //	cap              road-20K   BRITE-10K   grid-10K deg 4       deg 6
 //	none peeled     2 551 940     481 246      1 046 459     2 755 161
@@ -174,9 +177,11 @@ func undirectedAdjacency(out, in graph.Access) ([][]graph.NodeID, error) {
 //	24              1 424 247     462 884        778 916     2 226 590
 //	32              1 463 878     462 826        769 453     2 186 763
 //	all peeled      1 818 279   6 420 271      1 636 910     3 162 364
+//	16, on Q        1 180 199     402 737        806 943     2 203 662
 //
 // Build time follows the entries (road-20K, sequential on one core: ≈ 0.82 s
-// unpeeled, ≈ 0.44 s at 16, the order itself ≈ 56 ms of that). Uncapped,
+// unpeeled, ≈ 0.44 s at 16 before the quantum, the order itself ≈ 56 ms of
+// that). Uncapped,
 // BRITE's 19 997 edges grow 528 761 fill edges (44 357 at 16): the
 // neighbourhoods of its hubs become cliques, and an order through cliques is
 // no order.

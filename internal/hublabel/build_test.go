@@ -74,9 +74,9 @@ func TestLabelingFingerprint(t *testing.T) {
 		g    *graph.Graph
 		want string
 	}{
-		{"road", graphs["road"], "ee012771aed9e247a1dcb6128dd1ac5e73f0fb35007206aaa71e3aa82727e70b"},
-		{"grid", graphs["grid"], "905922104966c209546d7ad572257c84bb230c23a6d2343efbc376993c8b48bc"},
-		{"digraph", testDigraph(t, 21), "391a5c09ea0f0e28343aba3e2a4f776bf81e160bfc0ae5acdd34bd01c50c687d"},
+		{"road", graphs["road"], "cd12b0e918723f469d9b3680cebf2f6d2a953c2bae960938c105322bc91d9113"},
+		{"grid", graphs["grid"], "62ccca6c478951e9ef95541697dc662394f78bf3ad540bacec899843988f9774"},
+		{"digraph", testDigraph(t, 21), "020685c6954640bb94751a6d4ca648f0dd7dcb31984cdcb7bad9383b46f5ac98"},
 	} {
 		l, err := buildSeq(c.g)
 		if err != nil {
@@ -86,14 +86,17 @@ func TestLabelingFingerprint(t *testing.T) {
 			t.Errorf("%s: labeling fingerprint %s, pinned %s", c.name, got, c.want)
 		}
 	}
-	// The label file is a pure function of the labeling (TestStoreRoundTrip),
-	// so road's file is pinned too: only a new labeling or a new file format
-	// may move it, on purpose.
+	// The label file is a pure function of the labeling and the graph's
+	// quantum (TestStoreRoundTrip), so road's file is pinned too: only a new
+	// labeling or a new file format may move it, on purpose.
 	l, err := buildSeq(graphs["road"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := writeFile(t, l, storage.DefaultPageSize)
+	f := storage.NewMemFile(storage.DefaultPageSize)
+	if err := Write(l, f, graphs["road"].LogQuantum()); err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
 	page := make([]byte, f.PageSize())
 	for id := storage.PageID(0); int(id) < f.NumPages(); id++ {
@@ -102,7 +105,7 @@ func TestLabelingFingerprint(t *testing.T) {
 		}
 		h.Write(page)
 	}
-	const pinned = "a8d37846b2bcb969e536f5d904232348443be3503274c4ebec516c391ef21059"
+	const pinned = "f166accb6b9b3f250ae3495e6ecca4afd7bdbff6631abb06627d2102f580cc25"
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
 		t.Errorf("road: label file (%d pages) SHA-256 %s, pinned %s", f.NumPages(), got, pinned)
 	}
@@ -352,7 +355,7 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 		entries int
 		exact   bool
 	}{
-		{"road-20K", road, 1438383, true},
+		{"road-20K", road, 1180199, true},
 		{"brite-10K", brite, 481246, false},
 		{"grid4-10K", grid4, 1046459, false},
 		{"grid6-10K", grid6, 2755161, false},
@@ -367,12 +370,12 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 		}
 		if c.g == road {
 			seq = l
-			if st.Visits != 1568907 || st.Pruned != 130524 {
-				t.Errorf("road-20K: %d visits, %d pruned; pinned 1568907 and 130524", st.Visits, st.Pruned)
+			if st.Visits != 1275703 || st.Pruned != 95504 {
+				t.Errorf("road-20K: %d visits, %d pruned; pinned 1275703 and 95504", st.Visits, st.Pruned)
 			}
 		}
 	}
-	if got, want := fingerprint(seq), "5a01ea2f86cf6218bbb132facfeacc8cc1e3570e15934de7ab715351f10f6a85"; got != want {
+	if got, want := fingerprint(seq), "1fab447476dbcc996012ba480e2d0a8e4834035b1bfe9ec5e1d26975db36d810"; got != want {
 		t.Errorf("road-20K: labeling fingerprint %s, pinned %s", got, want)
 	}
 	for _, workers := range []int{2, 4, 8} {

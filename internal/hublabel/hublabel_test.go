@@ -114,15 +114,9 @@ func labelDist(src Source, u, v graph.NodeID, outBuf, inBuf []Entry) (float64, e
 	return mergeDist(lu, lv), nil
 }
 
-// sameDist compares distances with a relative tolerance absorbing float
-// association differences between label sums and Dijkstra sums.
-func sameDist(a, b float64) bool {
-	if math.IsInf(a, 1) || math.IsInf(b, 1) {
-		return math.IsInf(a, 1) && math.IsInf(b, 1)
-	}
-	diff := math.Abs(a - b)
-	return diff <= 1e-9*(1+math.Max(math.Abs(a), math.Abs(b)))
-}
+// sameDist compares distances exactly: on the graph's quantum a label sum
+// and a Dijkstra sum of one length are the same float64 (graph.Builder).
+func sameDist(a, b float64) bool { return a == b }
 
 // testDigraph orients a generated graph with asymmetric weights.
 func testDigraph(t *testing.T, seed int64) *graph.Graph {
@@ -177,6 +171,10 @@ func TestDigraphLabelingDistances(t *testing.T) {
 	}
 }
 
+// fileLogQ is the quantum exponent the codec tests record in a label
+// file's header: the codec stores any int16 and judges none.
+const fileLogQ = -42
+
 // openStore opens f through a private buffer of bufferPages pages.
 func openStore(f storage.PagedFile, bufferPages int) (*Store, error) {
 	return OpenStoreBuffer(f, storage.NewBufferPool(bufferPages).Attach("", f, 0))
@@ -186,12 +184,15 @@ func openStore(f storage.PagedFile, bufferPages int) (*Store, error) {
 func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	t.Helper()
 	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f); err != nil {
+	if err := Write(l, f, fileLogQ); err != nil {
 		t.Fatal(err)
 	}
 	s, err := openStore(f, bufferPages)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.LogQuantum() != fileLogQ {
+		t.Fatalf("header holds quantum 2^%d, written 2^%d", s.LogQuantum(), fileLogQ)
 	}
 	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
@@ -218,7 +219,7 @@ func TestReadLabelErrorExits(t *testing.T) {
 		t.Fatal("test setup: 1-byte record does not fit")
 	}
 	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f); err != nil {
+	if err := Write(l, f, fileLogQ); err != nil {
 		t.Fatal(err)
 	}
 	shortPage, err := f.Append(short.Bytes())
@@ -272,7 +273,7 @@ func TestReadLabelErrorExits(t *testing.T) {
 func writeFile(t *testing.T, l *Labeling, pageSize int) *storage.MemFile {
 	t.Helper()
 	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f); err != nil {
+	if err := Write(l, f, fileLogQ); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -374,7 +375,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// Load must reconstruct the full labeling.
 	f := storage.NewMemFile(256)
-	if err := Write(l, f); err != nil {
+	if err := Write(l, f, fileLogQ); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Load(f)
@@ -418,13 +419,13 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(l, f); err == nil {
+	if err := Write(l, f, fileLogQ); err == nil {
 		t.Fatal("Write into non-empty file accepted")
 	}
 	// Header byte 21 = 1 marked the delta+varint chunk body. Its writer is
 	// gone, so patch a fresh file: the refusal has to name cause and remedy.
 	f = storage.NewMemFile(4096)
-	if err := Write(l, f); err != nil {
+	if err := Write(l, f, fileLogQ); err != nil {
 		t.Fatal(err)
 	}
 	hdr := make([]byte, 4096)
@@ -476,7 +477,7 @@ func TestWriteFaultLeavesRefusedFile(t *testing.T) {
 	}
 	for n := 0; ; n++ {
 		mem := storage.NewMemFile(pageSize)
-		werr := Write(l, &failingFile{PagedFile: mem, left: n})
+		werr := Write(l, &failingFile{PagedFile: mem, left: n}, fileLogQ)
 		s, err := openStore(mem, 4)
 		if werr == nil { // n writes were all of them: the sweep is complete
 			if err != nil || n < 4 {
@@ -557,7 +558,7 @@ func (tr truth) probe(t *testing.T, ks []int, routes [][]graph.NodeID, run func(
 			rs[i] = append(rs[i], int(n))
 		}
 	}
-	err := tr.o.Probes(ks, false, rs, func(pr oracle.Probe) error {
+	err := tr.o.Probes(ks, 0, rs, func(pr oracle.Probe) error {
 		q, hidden := []graph.NodeID{graph.NodeID(pr.At.U)}, points.NoPoint
 		if pr.Route >= 0 {
 			q = routes[pr.Route]

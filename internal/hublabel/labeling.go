@@ -16,8 +16,9 @@
 // cliques — the hubs of a scale-free graph, almost nothing of a road map —
 // sweeps first, ranked by sampled shortest-path-tree centrality. Against the
 // centrality ranking alone the labels of a 20K-node road map are 44 % smaller
-// (2 551 940 → 1 438 383 entries) and no family's grow; elimCap has the
-// table. The result is a 2-hop cover — for every connected pair (u, v) some
+// (2 551 940 → 1 438 383 entries, measured before weights lay on the graph's
+// quantum; 1 180 199 on it, where covers' ties are exact) and no family's
+// grow; elimCap has the table. The result is a 2-hop cover — for every connected pair (u, v) some
 // hub on a shortest u→v path appears in both labels, so
 //
 //	d(u, v) = min over common hubs h of d(u→h) + d(h→v)

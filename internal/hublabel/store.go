@@ -12,8 +12,9 @@ import (
 // pages so labelings survive process restarts:
 //
 //	page 0          header: magic "GRNHUBL1", version, page size, numNodes,
-//	                directed, a zero byte, directory start page, directory
-//	                page count, entry total, label payload bytes
+//	                directed, a zero byte, log₂ of the graph's quantum,
+//	                directory start page, directory page count, entry
+//	                total, label payload bytes
 //	pages 1..D-1    label chunk records in node order (out label, then in
 //	                label for directed graphs); one record holds
 //	                [flags u8][count u16] followed by count×[hub u32][dist
@@ -32,12 +33,18 @@ import (
 // file carrying anything else is refused at open. Write lays the header down
 // last, over a page of zeros, so every prefix of an interrupted write is
 // refused too (bad magic) rather than served.
+//
+// Version 2 records log₂ Q, the quantum of the graph the labels were built
+// over (graph.Graph.LogQuantum): every label distance is a multiple of Q.
+// Version 1 files predate the grid and carry distances off it, so they are
+// refused, and so is a file on another grid than the graph it is opened
+// for.
 
 const (
-	storeVersion = 1
+	storeVersion = 2
 
 	// Header field offsets: magic [0:8), version [8:12), pageSize [12:16),
-	// numNodes [16:20), directed [20], zero [21], pad [22:24),
+	// numNodes [16:20), directed [20], zero [21], log₂ Q [22:24) (int16),
 	// dirStart [24:28), dirPages [28:32), entries [32:40),
 	// payloadBytes [40:48).
 	headerSize   = 48
@@ -52,11 +59,12 @@ const (
 // original options.
 var FileHeader = storage.FileHeader{Magic: "GRNHUBL1", PageSizeAt: 12}
 
-// Write persists l into an empty paged file: page 0 becomes the header,
-// label and directory pages follow. The encoded byte stream is a pure
-// function of the labeling — same input, same file. On an error the file
-// holds a prefix of the write with no header, which OpenStoreBuffer refuses.
-func Write(l *Labeling, f storage.PagedFile) error {
+// Write persists l, built over a graph whose quantum is 2^logQ, into an
+// empty paged file: page 0 becomes the header, label and directory pages
+// follow. The encoded byte stream is a pure function of the labeling and
+// logQ — same input, same file. On an error the file holds a prefix of the
+// write with no header, which OpenStoreBuffer refuses.
+func Write(l *Labeling, f storage.PagedFile, logQ int) error {
 	if f.NumPages() != 0 {
 		return fmt.Errorf("hublabel: refusing to write labeling into non-empty file (%d pages)", f.NumPages())
 	}
@@ -158,6 +166,7 @@ func Write(l *Labeling, f storage.PagedFile) error {
 	if l.directed {
 		hdr[20] = 1
 	}
+	binary.LittleEndian.PutUint16(hdr[22:], uint16(int16(logQ)))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(dirStart))
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(w.Page()-dirStart))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(l.Entries()))
@@ -173,6 +182,7 @@ type Store struct {
 	buffer   *storage.Tenant
 	numNodes int
 	directed bool
+	logQ     int
 	entries  int
 	payload  int64
 	dir      []storage.RecRef
@@ -198,13 +208,14 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 		return nil, fmt.Errorf("hublabel: bad magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != storeVersion {
-		return nil, fmt.Errorf("hublabel: unsupported version %d", v)
+		return nil, fmt.Errorf("hublabel: unsupported version %d (this build reads version %d: labels on the graph's quantum); rebuild with BuildHubLabelIndex", v, storeVersion)
 	}
 	if ps := int(binary.LittleEndian.Uint32(hdr[FileHeader.PageSizeAt:])); ps != pageSize {
 		return nil, fmt.Errorf("hublabel: label file was written with %d-byte pages, opened with %d (use FileHeader.PageSize)", ps, pageSize)
 	}
 	numNodes := int(binary.LittleEndian.Uint32(hdr[16:]))
 	directed := hdr[20] == 1
+	logQ := int(int16(binary.LittleEndian.Uint16(hdr[22:])))
 	if hdr[21] != 0 {
 		return nil, fmt.Errorf("hublabel: label file uses codec %d (the delta+varint label codec, removed); rebuild with BuildHubLabelIndex", hdr[21])
 	}
@@ -240,6 +251,7 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 		buffer:   bm,
 		numNodes: numNodes,
 		directed: directed,
+		logQ:     logQ,
 		entries:  entries,
 		payload:  payload,
 		dir:      dir,
@@ -251,6 +263,10 @@ func (s *Store) NumNodes() int { return s.numNodes }
 
 // Directed implements Source.
 func (s *Store) Directed() bool { return s.directed }
+
+// LogQuantum returns log₂ of the quantum of the graph the labels were
+// built over, as Write recorded it.
+func (s *Store) LogQuantum() int { return s.logQ }
 
 // Entries returns the total number of label entries (both sides).
 func (s *Store) Entries() int { return s.entries }
@@ -362,7 +378,7 @@ func DecodeChunk(rec []byte, buf []Entry) ([]Entry, bool, error) {
 }
 
 // Load reads a persisted labeling fully into memory: the labeling Write
-// was given, so writing it again yields the same file.
+// was given, so writing it again with the same logQ yields the same file.
 func Load(f storage.PagedFile) (*Labeling, error) {
 	s, err := OpenStoreBuffer(f, storage.NewBufferPool(1).Attach("", f, 0))
 	if err != nil {

@@ -1,6 +1,9 @@
 package oracle
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Probe is one query of an exhaustive check and the oracle's answer to it.
 type Probe struct {
@@ -12,21 +15,24 @@ type Probe struct {
 }
 
 // Probes calls f for every k of ks at every node of the graph and, with
-// inside set, at one position inside every edge. Unless the competitors are
+// grid > 0, at one position inside every edge, a multiple of grid: pass the
+// graph's quantum, the grid on which the library resolves every edge offset,
+// so the position asked is the position answered. Unless the competitors are
 // sites it then calls f at every candidate's own location with that
 // candidate hidden, and along every route. A candidate at the query is never
 // strictly closer to another than the query is, so hiding it drops it from
 // the answer and changes nothing else. The first error f returns stops the
 // probes and is returned.
-func (o *Oracle) Probes(ks []int, inside bool, routes [][]int, f func(Probe) error) error {
+func (o *Oracle) Probes(ks []int, grid float64, routes [][]int, f func(Probe) error) error {
 	targets := make([]Loc, len(o.out))
 	for n := range targets {
 		targets[n] = Loc{U: n, V: n}
 	}
 	for _, arcs := range o.out {
 		for _, a := range arcs {
-			if inside && a.U < a.V {
-				targets = append(targets, Loc{U: a.U, V: a.V, Pos: a.W * float64(len(targets)%3+1) / 4})
+			if grid > 0 && a.U < a.V {
+				pos := math.Round(a.W*float64(len(targets)%3+1)/4/grid) * grid
+				targets = append(targets, Loc{U: a.U, V: a.V, Pos: pos})
 			}
 		}
 	}

@@ -91,11 +91,11 @@ func TestPagedLayoutPinned(t *testing.T) {
 		pages    int
 		sum      string
 	}{
-		{"labels/raw/4096", 4096, 276, "684e61111819fcfb78ffdbf898c85b70bdeb765d8567cbcf79f25002fea74406"},
-		{"labels/raw/512", 512, 2244, "07426f8062633e338815d570c6c0872ba5789e042e52f3d9ebe2853989e37aba"},
+		{"labels/raw/4096", 4096, 238, "629e7160aba92409686137d0daab35548540fb7b69d78ef9a99891a278f996ff"},
+		{"labels/raw/512", 512, 1942, "47620976bb31081ba79b61c64320325b30973ff815ea4c5abbd3d817257b882f"},
 	} {
 		f := storage.NewMemFile(tc.pageSize)
-		if err := hublabel.Write(lab, f); err != nil {
+		if err := hublabel.Write(lab, f, g.LogQuantum()); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := fileSum(t, f); f.NumPages() != tc.pages || got != tc.sum {
@@ -115,8 +115,8 @@ func TestPagedLayoutPinned(t *testing.T) {
 		pages     int
 		sum       string
 	}{
-		{"mat/4096", 4096, 39, 46, "d04424934f1341cf3fea63a9385d694448cfad8ec48c4305df1e02e12114ab55"},
-		{"mat/512", 512, 318, 358, "ca6efb67ba73366b28cf3f17c32419d6bf037f7eb091354fb81e00770f92e40d"},
+		{"mat/4096", 4096, 39, 46, "870692d37e43ee992fc4119ab14f508133c0a1768c564e8284934d231e98758c"},
+		{"mat/512", 512, 318, 358, "7d0d928e8be2fc1c2eac87257e7f148c24e71bc0ae992a726134e2217e44bc4d"},
 	} {
 		lists := storage.NewMemFile(tc.pageSize)
 		bm := storage.NewBufferPool(8).Attach("", lists, 0)
@@ -150,8 +150,8 @@ func TestPagedLayoutPinned(t *testing.T) {
 		pageSize, pages int
 		sum             string
 	}{
-		{4096, 2, "cd8dec2a169e08aeafac49ddf159df2a2b2bff9051e85a0dae9ac91f15f8c850"},
-		{256, 29, "982e39f26a08e4f628a8a12ddfc7e4008642030ad1dd9a14bde56faa6da36be9"},
+		{4096, 2, "23ee059d71f5f7ecb0ca34d0cc681c35f55b731e87236449eaa651645a34c79f"},
+		{256, 29, "758cbf3e657920f0a17da4b79cb05ccb2e89f80f05057df558876f771d91a071"},
 	} {
 		f := storage.NewMemFile(tc.pageSize)
 		paged, err := points.NewPagedEdgeSetBuffer(es, f, storage.NewBufferPool(4).Attach("", f, 0))

@@ -168,7 +168,7 @@ func (db *DB) plan(q Query) (planned, error) {
 			return planErr("node-resident point sets take node targets (NodeLocation); got edge location (%d,%d)@%v",
 				q.Target.U, q.Target.V, q.Target.Pos)
 		}
-		pl.loc = q.Target
+		pl.loc = db.graph.onGrid(q.Target)
 	}
 
 	if err := db.resolveAlgorithm(q, &pl); err != nil {

@@ -146,6 +146,7 @@ func (s *trackedSet) place(at Location) (*setOp, error) {
 		if at.Pos < 0 || at.Pos > w {
 			return nil, fmt.Errorf("graphrnn: offset %v outside edge (%d,%d) of weight %v", at.Pos, at.U, at.V, w)
 		}
+		at = s.db.graph.onGrid(at)
 		p, err = s.es.Place(graph.NodeID(at.U), graph.NodeID(at.V), at.Pos)
 	}
 	if err != nil {
@@ -178,7 +179,8 @@ func (s *trackedSet) undo(op *setOp) error {
 
 // Insert places a new point at location at — a node (NodeLocation) of a
 // node-resident set, a position on an existing edge (EdgeLocation) of an
-// edge-resident one — and repairs every substrate built or opened over the
+// edge-resident one, its offset rounded to the graph's quantum
+// (GraphBuilder) — and repairs every substrate built or opened over the
 // set. Insert and Remove are the one maintenance path of the library and
 // share one contract:
 //
@@ -402,7 +404,7 @@ func newEdgePoints(db *DB, s *points.EdgeSet) *EdgePoints {
 
 // Place puts a new point on edge (u,v) at offset pos from min(u,v): Insert
 // under a background context. The edge must exist and pos must lie within
-// its weight.
+// its weight; it is stored rounded to the graph's quantum (GraphBuilder).
 func (ps *EdgePoints) Place(u, v NodeID, pos float64) (PointID, error) {
 	p, _, err := ps.Insert(context.Background(), EdgeLocation(u, v, pos), nil)
 	return p, err

@@ -196,7 +196,9 @@ func (db *DB) runKNN(ec *exec.Ctx, pl *planned) (*Result, error) {
 	return &Result{Neighbors: nbrs}, err
 }
 
-// Neighbor is one k-nearest-neighbor result.
+// Neighbor is one k-nearest-neighbor result. Distance is exact over the
+// weights as the graph holds them, on its quantum (GraphBuilder): against the
+// weights as added it moves by at most Q/2 per edge on the path.
 type Neighbor struct {
 	P        PointID
 	Distance float64
