@@ -12,7 +12,6 @@ package graphrnn_test
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -602,77 +601,54 @@ func BenchmarkLayoutAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkCIMaintenance measures journaled insert+delete round trips
-// (Figs 10-11 plus the repair journal) on the in-memory default and on a
-// persisted, write-ahead-journaled materialization. One op = 64 round trips
-// over a fixed free-node cycle, so -benchtime=1x averages out scheduler
-// noise the way BenchmarkCIQueries does. list_reads/op and list_writes/op
-// are deterministic for the fixed seed: the fig22 rows of repro.golden pin
-// the list reads, TestPersistedListPageIO the persisted op exactly.
+// BenchmarkCIMaintenance measures insert+delete round trips (Figs 10-11
+// plus the lists' before-images) on the in-memory lists. One op = 64 round
+// trips over a fixed free-node cycle, so -benchtime=1x averages out
+// scheduler noise the way BenchmarkCIQueries does. list_reads/op and
+// list_writes/op are deterministic for the fixed seed: TestListPageIO pins
+// one op exactly.
 func BenchmarkCIMaintenance(b *testing.B) {
-	for _, mode := range []string{"memory", "persisted"} {
-		b.Run(mode, func(b *testing.B) {
-			e := newMicroEnv(b)
-			ps, free := maintenanceSet(b, e, mode == "persisted")
-			e.db.BufferPool().ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				roundTrips(b, ps, free)
-			}
-			b.StopTimer()
-			io := tenantIO(e.db, "mat")
-			b.ReportMetric(float64(io.Reads+io.Hits)/float64(b.N), "list_reads/op")
-			b.ReportMetric(float64(io.Writes)/float64(b.N), "list_writes/op")
-			b.ReportMetric(float64(len(free)*2), "maintenance_ops/op")
-		})
+	e := newMicroEnv(b)
+	ps, free := maintenanceSet(b, e)
+	e.db.BufferPool().ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrips(b, ps, free)
 	}
+	b.StopTimer()
+	io := tenantIO(e.db, "mat")
+	b.ReportMetric(float64(io.Reads+io.Hits)/float64(b.N), "list_reads/op")
+	b.ReportMetric(float64(io.Writes)/float64(b.N), "list_writes/op")
+	b.ReportMetric(float64(len(free)*2), "maintenance_ops/op")
 }
 
-// TestPersistedListPageIO pins one op of BenchmarkCIMaintenance/persisted
-// exactly: the list pages 64 round trips read and write through the pool.
-// The fig22 rows of repro.golden count in-memory lists; a persisted commit
-// is where the list pages are flushed, and this is the one check of them.
-func TestPersistedListPageIO(t *testing.T) {
+// TestListPageIO pins one op of BenchmarkCIMaintenance exactly: the list
+// pages 64 round trips read through the pool. The lists' 64-frame quota
+// holds every list page, so the round trips write none back; reads are the
+// one count to pin.
+func TestListPageIO(t *testing.T) {
 	e := newMicroEnv(t)
-	ps, free := maintenanceSet(t, e, true)
+	ps, free := maintenanceSet(t, e)
 	e.db.BufferPool().ResetStats()
 	roundTrips(t, ps, free)
 	io := tenantIO(e.db, "mat")
-	if reads := io.Reads + io.Hits; reads != 469619 || io.Writes != 3086 {
-		t.Fatalf("64 persisted round trips read %d list pages and wrote %d, want 469619 and 3086", reads, io.Writes)
+	if reads := io.Reads + io.Hits; reads != 469619 {
+		t.Fatalf("64 round trips read %d list pages, want 469619", reads)
 	}
 }
 
-// maintenanceSet returns the point set the maintenance workload mutates —
-// e's own, or, persisted, the one its saved lists reopen with, journal on
-// disk — and the first 64 free nodes one op cycles through.
-func maintenanceSet(tb testing.TB, e *microEnv, persisted bool) (*graphrnn.NodePoints, []graphrnn.NodeID) {
+// maintenanceSet returns the point set the maintenance workload mutates and
+// the first 64 free nodes one op cycles through.
+func maintenanceSet(tb testing.TB, e *microEnv) (*graphrnn.NodePoints, []graphrnn.NodeID) {
 	tb.Helper()
-	ps := e.ps
-	if persisted {
-		path := filepath.Join(tb.TempDir(), "lists.mat")
-		if err := e.mat.SaveTo(path); err != nil {
-			tb.Fatal(err)
-		}
-		// One "mat" row: the persisted lists alone are measured.
-		if err := e.mat.Close(); err != nil {
-			tb.Fatal(err)
-		}
-		mat, err := e.db.OpenMaterialization(path, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { mat.Close() })
-		ps = mat.NodePoints()
-	}
 	g := e.db.Graph()
 	var free []graphrnn.NodeID
 	for n := 0; n < g.NumNodes() && len(free) < 64; n++ {
-		if _, taken := ps.PointAt(graphrnn.NodeID(n)); !taken {
+		if _, taken := e.ps.PointAt(graphrnn.NodeID(n)); !taken {
 			free = append(free, graphrnn.NodeID(n))
 		}
 	}
-	return ps, free
+	return e.ps, free
 }
 
 // roundTrips places a point on every node of free and deletes it again.
@@ -685,30 +661,6 @@ func roundTrips(tb testing.TB, ps *graphrnn.NodePoints, free []graphrnn.NodeID) 
 		}
 		if err := ps.Delete(p); err != nil {
 			tb.Fatal(err)
-		}
-	}
-}
-
-// Insertion + deletion maintenance round-trip (Figs 10-11).
-func BenchmarkMaterializeUpdate(b *testing.B) {
-	e := newMicroEnv(b)
-	g := e.db.Graph()
-	// Find free nodes to cycle through.
-	var free []graphrnn.NodeID
-	for n := 0; n < g.NumNodes() && len(free) < 64; n++ {
-		if _, taken := e.ps.PointAt(graphrnn.NodeID(n)); !taken {
-			free = append(free, graphrnn.NodeID(n))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := free[i%len(free)]
-		p, err := e.ps.Place(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.ps.Delete(p); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

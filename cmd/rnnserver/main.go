@@ -65,15 +65,15 @@
 //	                  targets answer a typed 400)
 //	POST /mat/insert  {"node":N}    place a point and repair the K-NN lists
 //	POST /mat/delete  {"point":P}   remove a point and repair the lists
-//	                  [?timeout=50ms] — maintenance is journaled and atomic:
+//	                  [?timeout=50ms] — maintenance is atomic:
 //	                  an operation abandoned by the deadline (504) or a
 //	                  disconnecting client is rolled back, never left
 //	                  partially applied, so the endpoints are safe under
 //	                  per-request deadlines. Maintenance takes the write
 //	                  half of a server RW-lock; queries take the read half.
 //	                  Both endpoints are the point set's one maintenance
-//	                  path (Insert / Remove): it repairs the K-NN lists in
-//	                  their journal and then the hub-label index in place
+//	                  path (Insert / Remove): it repairs the K-NN lists and
+//	                  then the hub-label index in place
 //	                  (point-level insert/delete on its reverse lists);
 //	                  only if that repair fails does the library detach the
 //	                  index, and then it is rebuilt outside the write lock
@@ -132,8 +132,8 @@ type server struct {
 	errors  atomic.Int64
 	// mu serializes maintenance (write lock) against queries (read lock):
 	// the DB contract requires that no query runs while the point set and
-	// lists mutate. Maintenance ops are short — journaled, deadline-bounded
-	// and rolled back on abandonment — so writers never hold queries long.
+	// lists mutate. Maintenance ops are short — deadline-bounded and rolled
+	// back on abandonment — so writers never hold queries long.
 	mu sync.RWMutex
 	// maintenance counters for /stats.
 	matInserts atomic.Int64
@@ -407,8 +407,8 @@ type matResponse struct {
 // (maintenance is exclusive against queries), and runs the point set's one
 // maintenance path under the request's deadline — Insert or Remove, by the
 // request's type — answering with the repair state. An operation
-// abandoned by cancellation or deadline is rolled back by the journal
-// before the error surfaces, so a 504 here means "not applied", never
+// abandoned by cancellation or deadline is rolled back from the lists'
+// before-images before the error surfaces, so a 504 here means "not applied", never
 // "partially applied" — which is what makes this endpoint safe to expose at
 // all.
 //

@@ -236,8 +236,8 @@ func TestDirectedRejectsUndirectedOnly(t *testing.T) {
 	es := db.NewEdgePoints()
 	inEdge := graphrnn.EdgeLocation(0, 1, 0.5)
 
-	// A materialization persisted over an undirected graph of the same size
-	// is no more valid here than one built here.
+	// A materialization built over an undirected graph of the same size is
+	// no more valid here than one built here.
 	ugb := graphrnn.NewGraphBuilder(30)
 	for i := range 29 {
 		if err := ugb.AddEdge(graphrnn.NodeID(i), graphrnn.NodeID(i+1), 1); err != nil {
@@ -253,15 +253,11 @@ func TestDirectedRejectsUndirectedOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := placeOnRandomNodes(t, rng, udb, 4)
-	matPath := filepath.Join(t.TempDir(), "mat")
 	umat, err := udb.MaterializeNodePoints(ups, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer umat.Close()
-	if err := umat.SaveTo(matPath); err != nil {
-		t.Fatal(err)
-	}
 
 	run := func(q graphrnn.Query) error { _, err := db.Run(ctx, q); return err }
 	errOf := func(_ any, err error) error { return err }
@@ -273,7 +269,6 @@ func TestDirectedRejectsUndirectedOnly(t *testing.T) {
 		"foreign eager-M":         run(rnnQuery(ps, 3, 1, graphrnn.EagerM(umat))),
 		"MaterializeNodePoints":   errOf(db.MaterializeNodePoints(ps, 2, nil)),
 		"MaterializeEdgePoints":   errOf(db.MaterializeEdgePoints(es, 2, nil)),
-		"OpenMaterialization":     errOf(db.OpenMaterialization(matPath, nil)),
 		"edge-resident set":       run(edgeRNNQuery(es, graphrnn.NodeLocation(3), 1, graphrnn.Eager())),
 		"edge-resident target":    run(edgeRNNQuery(es, inEdge, 1, graphrnn.Auto())),
 		"edge-resident knn":       run(graphrnn.Query{Kind: graphrnn.KindKNN, Target: inEdge, K: 1, Points: es}),

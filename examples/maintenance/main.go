@@ -1,5 +1,4 @@
-// Maintenance example: atomic, journaled K-NN list maintenance under
-// deadlines, and a materialization that survives restarts.
+// Maintenance example: atomic K-NN list maintenance under deadlines.
 //
 // A delivery platform tracks couriers on a road network and serves
 // RkNN("which couriers would a new job at node q be nearest for") through
@@ -7,8 +6,8 @@
 // K-NN lists are maintained incrementally (Figs 10-11 of the paper): the
 // courier set is the unit of mutation, and its Insert / Remove repair every
 // substrate built over it. Because maintenance runs inside the serving
-// process, every operation carries a deadline. The repair journal makes
-// that safe: an operation that blows its deadline is rolled back to the
+// process, every operation carries a deadline. The repair's before-images
+// make that safe: an operation that blows its deadline is rolled back to the
 // pre-operation state instead of leaving the lists half-repaired, so the
 // next query (and the next attempt) proceed as if it never started.
 //
@@ -19,11 +18,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"time"
 
 	"graphrnn"
@@ -78,40 +74,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("query after the rollback: %d reverse-nearest couriers of junction 0 [%s]\n\n",
+	fmt.Printf("query after the rollback: %d reverse-nearest couriers of junction 0 [%s]\n",
 		len(res.Points), res.Plan.Algorithm)
-
-	// Persist the materialization and reopen it — the restart path: no
-	// all-NN rebuild, journal-recovered, maintenance now durable.
-	dir, err := os.MkdirTemp("", "graphrnn-maintenance")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "couriers.mat")
-	if err := mat.SaveTo(path); err != nil {
-		log.Fatal(err)
-	}
-	reopened, err := db.OpenMaterialization(path, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer reopened.Close()
-	tracked := reopened.NodePoints()
-	fmt.Printf("reopened %s: %d couriers, maxK=%d, state %v\n",
-		filepath.Base(path), tracked.Len(), reopened.MaxK(), reopened.RepairState())
-
-	// Committed maintenance on the reopened materialization updates the
-	// file in place; Recover reports nothing pending in a clean history.
-	if _, err := tracked.Remove(context.Background(), tracked.Points()[0],
-		&graphrnn.QueryOptions{Timeout: time.Second}); err != nil {
-		log.Fatal(err)
-	}
-	pending, err := reopened.Recover()
-	if err != nil && !errors.Is(err, context.Canceled) {
-		log.Fatal(err)
-	}
-	fmt.Printf("durable delete committed (couriers %d); Recover() pending=%t\n", tracked.Len(), pending)
 }
 
 func freeNode(g *graphrnn.Graph, ps *graphrnn.NodePoints) graphrnn.NodeID {

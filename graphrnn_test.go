@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"graphrnn"
-	"graphrnn/internal/core"
 	"graphrnn/internal/hublabel"
 	"graphrnn/internal/oracle"
 )
@@ -311,17 +310,29 @@ func TestPublicAPIErrors(t *testing.T) {
 	if _, err := eps.Place(0, 1, 5); err == nil {
 		t.Fatal("offset beyond weight accepted")
 	}
+	// NaN fails both halves of a range check written as "< 0 || > w".
+	nan := graphrnn.EdgeLocation(0, 1, math.NaN())
+	if _, err := eps.Place(nan.U, nan.V, nan.Pos); err == nil {
+		t.Fatal("NaN offset placed")
+	}
+	if d, err := db.Distance(graphrnn.NodeLocation(0), nan); err == nil {
+		t.Fatalf("Distance from a NaN offset answered %v", d)
+	}
+	one := db.NewEdgePoints()
+	if _, err := one.Place(1, 2, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := db.Run(context.Background(), graphrnn.Query{Kind: graphrnn.KindKNN, Target: nan, K: 1, Points: one}); err == nil {
+		t.Fatalf("KNN from a NaN offset answered %+v", res.Neighbors)
+	}
 	if _, err := graphrnn.Open(nil, nil); err == nil {
 		t.Fatal("Open(nil) accepted")
-	}
-	if math.IsNaN(0) {
-		t.Fatal("unreachable")
 	}
 }
 
 // TestPageSizeLimit: slot offsets and record lengths are 16-bit. Every file
 // the public surface writes uses the default page, so the one page size a
-// caller can still hand in is the one a file header declares: each reopen
+// caller can still hand in is the one a file header declares: the reopen
 // entry point accepts the file SaveTo wrote, and refuses a header declaring
 // a page above 65 535 bytes with an error naming the limit — and one too
 // small for a single record — before it reads a page. That the refusals
@@ -332,12 +343,9 @@ func TestPageSizeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, edges := db.NewNodePoints(), db.NewEdgePoints()
+	nodes := db.NewNodePoints()
 	for i := 0; i < 6; i++ {
 		if _, err := nodes.Place(graphrnn.NodeID(5 * i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := edges.Place(graphrnn.NodeID(5*i), graphrnn.NodeID(5*i+1), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,8 +367,6 @@ func TestPageSizeLimit(t *testing.T) {
 			return path
 		}
 	}
-	nodeMat := saveAs("nodes.mat")(db.MaterializeNodePoints(nodes, 2, nil))
-	edgeMat := saveAs("edges.mat")(db.MaterializeEdgePoints(edges, 2, nil))
 	hub := saveAs("labels.hub")(db.BuildHubLabelIndex(nodes, 2, nil))
 	closing := func(c interface{ Close() error }, err error) error {
 		if err == nil {
@@ -373,10 +379,6 @@ func TestPageSizeLimit(t *testing.T) {
 		pageSizeAt  int
 		open        func(path string) error
 	}{
-		"OpenMaterialization/nodes": {nodeMat, core.MatFileHeader.Magic, core.MatFileHeader.PageSizeAt,
-			func(p string) error { return closing(db.OpenMaterialization(p, nil)) }},
-		"OpenMaterialization/edges": {edgeMat, core.MatFileHeader.Magic, core.MatFileHeader.PageSizeAt,
-			func(p string) error { return closing(db.OpenMaterialization(p, nil)) }},
 		"OpenHubLabelIndex": {hub, hublabel.FileHeader.Magic, hublabel.FileHeader.PageSizeAt,
 			func(p string) error { return closing(db.OpenHubLabelIndex(nodes, 2, p, nil)) }},
 	} {

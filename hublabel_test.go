@@ -673,7 +673,7 @@ func TestHubLabelPagedDropsLabeling(t *testing.T) {
 
 // TestHubLabelRepairVsRebuild drives the substrate-crossing maintenance
 // path: the point set mutates with a materialization and a hub-label index
-// registered, the hub index repairs in place behind the journaled list
+// registered, the hub index repairs in place behind the K-NN list
 // repair, and afterwards it must answer exactly like an index rebuilt from
 // scratch.
 func TestHubLabelRepairVsRebuild(t *testing.T) {
@@ -767,12 +767,10 @@ func TestHubLabelRepairVsRebuild(t *testing.T) {
 	}
 }
 
-// TestPersistedFilesRefuseOffGridDistances: every distance a label file or a
-// materialization holds lies on the quantum of the graph it was built over
-// (GraphBuilder). A label file is refused over a graph on another quantum,
-// naming both and the rebuild, and so is one written before the quantum
-// (version 1); a materialization written before it (magic GRNNMAT1) is
-// refused too.
+// TestPersistedFilesRefuseOffGridDistances: every distance a label file
+// holds lies on the quantum of the graph it was built over (GraphBuilder).
+// A label file is refused over a graph on another quantum, naming both and
+// the rebuild, and so is one written before the quantum (version 1).
 func TestPersistedFilesRefuseOffGridDistances(t *testing.T) {
 	const n = 24
 	line := func(scale float64) *graphrnn.Graph {
@@ -814,15 +812,6 @@ func TestPersistedFilesRefuseOffGridDistances(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.Close()
-	mat, err := db.MaterializeNodePoints(ps, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists := filepath.Join(dir, "lists.mat")
-	if err := mat.SaveTo(lists); err != nil {
-		t.Fatal(err)
-	}
-	mat.Close()
 
 	other, err := graphrnn.Open(coarse, nil)
 	if err != nil {
@@ -855,14 +844,5 @@ func TestPersistedFilesRefuseOffGridDistances(t *testing.T) {
 	_, err = db.OpenHubLabelIndex(ps, 2, patched(labels, 8, []byte{1, 0, 0, 0}), nil)
 	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "rebuild") {
 		t.Errorf("a version-1 label file: err = %v, want a refusal naming the version and the rebuild", err)
-	}
-	reopenedMat, err := db.OpenMaterialization(lists, nil)
-	if err != nil {
-		t.Fatalf("lists over their own graph: %v", err)
-	}
-	reopenedMat.Close()
-	_, err = db.OpenMaterialization(patched(lists, 0, []byte("GRNNMAT1")), nil)
-	if err == nil || !strings.Contains(err.Error(), `"GRNNMAT1"`) {
-		t.Errorf("a GRNNMAT1 materialization: err = %v, want a refusal naming its magic", err)
 	}
 }

@@ -201,7 +201,7 @@ func (s *Searcher) checkLoc(l Loc) error {
 	if err != nil {
 		return err
 	}
-	if l.Pos < 0 || l.Pos > w {
+	if !(l.Pos >= 0 && l.Pos <= w) { // NaN fails both
 		return fmt.Errorf("core: offset %v outside edge (%d,%d) of weight %v", l.Pos, l.U, l.V, w)
 	}
 	return nil

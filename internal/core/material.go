@@ -46,42 +46,29 @@ func entryLess(d1 float64, p1 points.PointID, d2 float64, p2 points.PointID) boo
 // Materialized holds the per-node K-NN lists in a paged file read through
 // an LRU buffer, so that list accesses and maintenance writes are counted
 // as I/O exactly like adjacency accesses (the paper's Fig 18 and Fig 22
-// measure precisely this traffic).
+// measure precisely this traffic). The lists live for the process: a
+// restart builds them again.
 type Materialized struct {
 	maxK     int // queries support k <= maxK; records hold maxK+1 entries
 	cap      int // maxK + 1
 	numNodes int
 	bm       *storage.Tenant
 	refs     []storage.RecRef
-	// repair is the in-flight journaled maintenance operation, nil between
+	// repair is the in-flight maintenance operation, nil between
 	// operations (maintenance requires exclusive access, so no lock).
 	repair *matRepair
-	// pst carries the persistence state of a file-backed materialization
-	// (header, point region, journal); nil for the in-memory default.
-	pst *matPersist
 	// failWrites is a test seam: when positive it counts down on every
 	// maintained list write and injects a failure at zero, so tests can
 	// abandon a repair at an arbitrary write without a context.
 	failWrites int
 }
 
-// matRepair is one journaled maintenance operation: the before-image of
-// every list the repair has touched, in touch order. For file-backed
-// materializations each before-image is also in the write-ahead journal
-// before the list page may be overwritten; in-process rollback uses the
-// in-memory copies either way.
+// matRepair is one maintenance operation: the before-image of every list
+// the repair has touched, in touch order, from which an abandoned
+// operation is rolled back.
 type matRepair struct {
-	seq    uint64
 	before map[graph.NodeID][]MatEntry
 	order  []graph.NodeID
-	// Commit-time point-region undo state (file-backed only): the point
-	// record CommitRepair is about to overwrite and the pre-operation
-	// point count, so a commit that fails between the point write and the
-	// header flip can still roll back completely.
-	preNumPoints int
-	pointWritten bool
-	pointP       points.PointID
-	pointOld     PointRecord
 }
 
 // matRecordSize is the fixed size of a list record: a counted run of
@@ -195,156 +182,62 @@ func (m *Materialized) restoreList(n graph.NodeID, entries []MatEntry) error {
 // Flush writes dirty list pages back to the file.
 func (m *Materialized) Flush() error { return m.bm.Flush() }
 
-// --- journaled maintenance operations --------------------------------------
+// --- maintenance operations ------------------------------------------------
 //
 // Every MatInsert / MatDelete runs inside a repair operation framed by
 // BeginRepair and CommitRepair. The operation records the before-image of
 // each list the first time the repair touches it; an abandoned operation
 // (cancellation, deadline, budget, I/O error) is undone by RollbackRepair,
 // which restores the before-images and leaves the lists bit-identical to
-// the pre-operation state. File-backed materializations additionally write
-// each before-image to a write-ahead journal before the list page may be
-// overwritten, and flip a single header bit on commit — so a process crash
-// mid-repair is undone by the same rollback on the next open.
+// the pre-operation state.
 
 // RepairPending reports whether an uncommitted maintenance operation is
-// recorded: an in-flight or failed-to-roll-back in-process operation, or a
-// crashed operation found in the journal of a reopened file.
-func (m *Materialized) RepairPending() bool {
-	return m.repair != nil || (m.pst != nil && m.pst.pending)
-}
+// recorded: one in flight, or one whose rollback failed.
+func (m *Materialized) RepairPending() bool { return m.repair != nil }
 
-// BeginRepair opens a journaled maintenance operation. meta is an opaque
-// descriptor of the point-set mutation (logged for the journal's benefit;
-// rollback itself is driven by the before-images). It fails when an
-// unrecovered operation is pending.
-func (m *Materialized) BeginRepair(meta []byte) error {
+// BeginRepair opens a maintenance operation. It fails when an unrecovered
+// operation is pending.
+func (m *Materialized) BeginRepair() error {
 	if m.RepairPending() {
 		return fmt.Errorf("core: unrecovered maintenance operation pending; recover before mutating")
 	}
-	r := &matRepair{seq: 1, before: make(map[graph.NodeID][]MatEntry)}
-	if m.pst != nil {
-		r.seq = m.pst.seq + 1
-		r.preNumPoints = m.pst.numPoints
-		m.pst.journal.Begin(r.seq)
-		if err := m.pst.journal.Append(append([]byte{jrecMeta}, meta...)); err != nil {
-			return err
-		}
-		// The header flips to pending before any list page can be
-		// overwritten; a crash from here on is rolled back on reopen.
-		if err := m.pst.writeHeader(m, r.seq, true); err != nil {
-			return err
-		}
-		m.pst.seq, m.pst.pending = r.seq, true
-	}
-	m.repair = r
+	m.repair = &matRepair{before: make(map[graph.NodeID][]MatEntry)}
 	return nil
 }
 
-// journalTouch records the before-image of node n's list the first time
-// the active repair touches it. entries must be the list as read, before
-// any in-place mutation.
-func (m *Materialized) journalTouch(n graph.NodeID, entries []MatEntry) error {
+// saveBefore records the before-image of node n's list the first time the
+// active repair touches it. entries must be the list as read, before any
+// in-place mutation.
+func (m *Materialized) saveBefore(n graph.NodeID, entries []MatEntry) {
 	r := m.repair
 	if r == nil {
-		return nil
+		return
 	}
 	if _, seen := r.before[n]; seen {
-		return nil
+		return
 	}
-	img := append([]MatEntry(nil), entries...)
-	r.before[n] = img
+	r.before[n] = append([]MatEntry(nil), entries...)
 	r.order = append(r.order, n)
-	if m.pst != nil {
-		return m.pst.journal.Append(encodeBeforeImage(n, img))
-	}
-	return nil
 }
 
-// CommitRepair ends the operation: dirty list pages are flushed, the
-// point-region record of point p becomes rec (file-backed only; rec is
-// PointAbsent for a deletion), and the header flips clean in one page
-// write — the atomic commit point. The point record's before-image goes
-// to the journal first, so a crash (or failure) between the point write
-// and the header flip rolls the point region back with the lists.
-func (m *Materialized) CommitRepair(p points.PointID, rec PointRecord) error {
-	r := m.repair
-	if r == nil {
-		return fmt.Errorf("core: no maintenance operation in flight")
-	}
-	if m.pst != nil {
-		if err := m.bm.Flush(); err != nil {
-			return err
-		}
-		old, err := m.pst.readPointRecord(p)
-		if err != nil {
-			return err
-		}
-		if err := m.pst.journal.Append(encodePointImage(p, old)); err != nil {
-			return err
-		}
-		r.pointWritten, r.pointP, r.pointOld = true, p, old
-		if err := m.pst.writePointRecord(p, rec); err != nil {
-			return err
-		}
-		if err := m.pst.writeHeader(m, m.pst.seq, false); err != nil {
-			return err
-		}
-		m.pst.pending = false
-		m.pst.journal.End()
-	}
-	m.repair = nil
-	return nil
-}
+// CommitRepair ends the operation, dropping its before-images.
+func (m *Materialized) CommitRepair() { m.repair = nil }
 
 // RollbackRepair undoes the pending maintenance operation by restoring
-// every recorded before-image: the in-process operation from its in-memory
-// copies, a crashed operation (reopened file) from the journal. It is
-// idempotent — a rollback that fails midway can be retried — and a no-op
-// when nothing is pending.
+// every recorded before-image. It is idempotent — a rollback that fails
+// midway can be retried — and a no-op when nothing is pending.
 func (m *Materialized) RollbackRepair() error {
-	if r := m.repair; r != nil {
-		for _, n := range r.order {
-			if err := m.restoreList(n, r.before[n]); err != nil {
-				return err
-			}
-		}
-		if m.pst != nil {
-			if err := m.bm.Flush(); err != nil {
-				return err
-			}
-			// A commit that failed after its point-region write rolls
-			// that write back too (fresh ids need no restore — the
-			// pre-operation numPoints already excludes them).
-			if r.pointWritten && int(r.pointP) < r.preNumPoints {
-				if err := m.pst.writePointRecord(r.pointP, r.pointOld); err != nil {
-					return err
-				}
-			}
-			m.pst.numPoints = r.preNumPoints
-			if err := m.pst.writeHeader(m, m.pst.seq, false); err != nil {
-				return err
-			}
-			m.pst.pending = false
-			m.pst.journal.End()
-		}
-		m.repair = nil
+	r := m.repair
+	if r == nil {
 		return nil
 	}
-	if m.pst != nil && m.pst.pending {
-		return m.recoverFromJournal()
-	}
-	return nil
-}
-
-// AbandonRepair drops the in-process operation WITHOUT rolling it back,
-// leaving the journal pending — the simulated-crash seam used by the
-// recovery tests. Internal test hook only.
-func (m *Materialized) AbandonRepair() {
-	if m.repair != nil && m.pst != nil {
-		m.pst.journal.End()
+	for _, n := range r.order {
+		if err := m.restoreList(n, r.before[n]); err != nil {
+			return err
+		}
 	}
 	m.repair = nil
+	return nil
 }
 
 type matHeapEntry struct {
@@ -505,9 +398,7 @@ func (s *Searcher) MatInsert(m *Materialized, p points.PointID, at Loc) (Stats, 
 		st.MatReads++
 		// The before-image must be captured before matAccept mutates the
 		// decoded entries in place.
-		if err := m.journalTouch(n, lst); err != nil {
-			return st, err
-		}
+		m.saveBefore(n, lst)
 		changed, updated := matAccept(lst, p, d, m.cap)
 		if !changed {
 			continue // cannot improve: expansion stops here
@@ -592,9 +483,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (Stats, 
 			return st, err
 		}
 		st.MatReads++
-		if err := m.journalTouch(n, lst); err != nil {
-			return st, err
-		}
+		m.saveBefore(n, lst)
 		visitedStep1 = append(visitedStep1, n)
 		found := -1
 		for i, e := range lst {
@@ -685,9 +574,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (Stats, 
 			return st, err
 		}
 		st.MatReads++
-		if err := m.journalTouch(e.node, lst); err != nil {
-			return st, err
-		}
+		m.saveBefore(e.node, lst)
 		changed, updated := matAccept(lst, e.p, d, m.cap)
 		if !changed {
 			continue

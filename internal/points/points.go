@@ -80,8 +80,8 @@ func (s *NodeSet) Delete(p PointID) error {
 }
 
 // Restore re-creates the deleted point p on node n under its original id —
-// the rollback path of journaled materialization maintenance, which must
-// undo a Delete without renumbering the point.
+// the rollback path of materialization maintenance, which must undo a
+// Delete without renumbering the point.
 func (s *NodeSet) Restore(p PointID, n graph.NodeID) error {
 	if n < 0 || int(n) >= len(s.byNode) {
 		return fmt.Errorf("points: node %d out of range [0,%d)", n, len(s.byNode))
@@ -96,29 +96,6 @@ func (s *NodeSet) Restore(p PointID, n graph.NodeID) error {
 	s.byNode[n] = p
 	s.live++
 	return nil
-}
-
-// RestoreNodeSet rebuilds a node set from its dense PointID -> node table
-// (-1 marks a deleted id) — the shape the materialization file persists.
-func RestoreNodeSet(numNodes int, nodes []graph.NodeID) (*NodeSet, error) {
-	s := NewNodeSet(numNodes)
-	s.nodes = make([]graph.NodeID, len(nodes))
-	for p, n := range nodes {
-		s.nodes[p] = -1
-		if n < 0 {
-			continue
-		}
-		if int(n) >= numNodes {
-			return nil, fmt.Errorf("points: node %d out of range [0,%d)", n, numNodes)
-		}
-		if s.byNode[n] != NoPoint {
-			return nil, fmt.Errorf("points: node %d hosts points %d and %d", n, s.byNode[n], p)
-		}
-		s.nodes[p] = n
-		s.byNode[n] = PointID(p)
-		s.live++
-	}
-	return s, nil
 }
 
 // PointAt implements NodeView.
@@ -142,8 +119,7 @@ func (s *NodeSet) NodeOf(p PointID) (graph.NodeID, bool) {
 func (s *NodeSet) Len() int { return s.live }
 
 // Table returns a copy of the dense PointID -> node table, -1 for deleted
-// ids — the persisted shape (see RestoreNodeSet). Tombstones are included
-// so a reopened set keeps allocating fresh ids.
+// ids; its length is the next fresh id.
 func (s *NodeSet) Table() []graph.NodeID { return append([]graph.NodeID(nil), s.nodes...) }
 
 // Points returns the ids of all live points in ascending order.
@@ -320,7 +296,7 @@ func (s *EdgeSet) Delete(p PointID) error {
 }
 
 // Restore re-creates the deleted point p at its original location under its
-// original id — the rollback path of journaled materialization maintenance.
+// original id — the rollback path of materialization maintenance.
 func (s *EdgeSet) Restore(p PointID, u, v graph.NodeID, pos float64) error {
 	if u == v || u < 0 || v < 0 || pos < 0 {
 		return fmt.Errorf("points: bad location (%d,%d)@%v", u, v, pos)
@@ -345,26 +321,6 @@ func (s *EdgeSet) Restore(p PointID, u, v graph.NodeID, pos float64) error {
 	return nil
 }
 
-// RestoreEdgeSet rebuilds an edge set from its dense PointID -> location
-// table (U < 0 marks a deleted id) — the shape the materialization file
-// persists.
-func RestoreEdgeSet(pts []EdgePoint) (*EdgeSet, error) {
-	s := NewEdgeSet()
-	s.pts = make([]EdgePoint, len(pts))
-	for p := range s.pts {
-		s.pts[p].U = -1
-	}
-	for p, loc := range pts {
-		if loc.U < 0 {
-			continue
-		}
-		if err := s.Restore(PointID(p), loc.U, loc.V, loc.Pos); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
 // PointsOn implements EdgeView.
 func (s *EdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePointRef, error) {
 	buf = buf[:0]
@@ -383,7 +339,7 @@ func (s *EdgeSet) Loc(p PointID) (EdgePoint, bool) {
 func (s *EdgeSet) Len() int { return s.live }
 
 // Table returns a copy of the dense PointID -> location table, U < 0 for
-// deleted ids — the persisted shape (see RestoreEdgeSet).
+// deleted ids; its length is the next fresh id.
 func (s *EdgeSet) Table() []EdgePoint { return append([]EdgePoint(nil), s.pts...) }
 
 // Points returns the ids of all live points in ascending order.

@@ -300,28 +300,6 @@ func TestNodeSetRestore(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	// The dense table round-trips through RestoreNodeSet, tombstones kept.
-	if err := s.Delete(p1); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := RestoreNodeSet(6, s.Table())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 1 {
-		t.Fatalf("rebuilt Len = %d, want 1", s2.Len())
-	}
-	if n, ok := s2.NodeOf(p0); !ok || n != 2 {
-		t.Fatalf("rebuilt point on node %d (ok=%t), want 2", n, ok)
-	}
-	// Fresh ids do not reuse the tombstoned one.
-	p2, err := s2.Place(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 == p1 {
-		t.Fatalf("rebuilt set reused tombstoned id %d", p1)
-	}
 }
 
 func TestEdgeSetRestore(t *testing.T) {
@@ -347,16 +325,5 @@ func TestEdgeSetRestore(t *testing.T) {
 	}
 	if len(refs) != 2 || refs[0].ID != p1 || refs[1].ID != p0 {
 		t.Fatalf("PointsOn = %v, want sorted [p1 p0]", refs)
-	}
-	// Round trip through the dense table.
-	s2, err := RestoreEdgeSet(s.Table())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("rebuilt Len = %d, want 2", s2.Len())
-	}
-	if loc, ok := s2.Loc(p0); !ok || loc != (EdgePoint{U: 1, V: 2, Pos: 0.5}) {
-		t.Fatalf("rebuilt location = %+v (ok=%t)", loc, ok)
 	}
 }

@@ -194,24 +194,5 @@ func (f *OSFile) Append(src []byte) (PageID, error) {
 	return id, nil
 }
 
-// Sync flushes the file's written pages to stable storage.
-func (f *OSFile) Sync() error {
-	if err := f.f.Sync(); err != nil {
-		return fmt.Errorf("storage: sync: %w", err)
-	}
-	return nil
-}
-
 // Close implements PagedFile.
 func (f *OSFile) Close() error { return f.f.Close() }
-
-// SyncFile pushes f's writes to stable storage when the implementation
-// knows how (OSFile, or any wrapper exposing Sync). In-memory files have
-// nothing to sync and report success, which keeps durability opt-in
-// without forking the PagedFile interface.
-func SyncFile(f PagedFile) error {
-	if s, ok := f.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}

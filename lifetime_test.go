@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"graphrnn"
-	"graphrnn/internal/core"
 	"graphrnn/internal/hublabel"
 )
 
@@ -45,22 +44,20 @@ func openLifetimeWorld(t *testing.T, g *graphrnn.Graph) lifetimeWorld {
 type opener func(w lifetimeWorld) (io.Closer, error)
 
 // TestTenantLifetimes is the leak table: every path that attaches a tenant
-// to a DB's buffer pool — the disk-backed graph, both materializations and
-// their reopening, the paged and the reopened hub-label index, a paged edge
-// snapshot, the disk-backed shard engines with their materializations —
-// detaches it again, on Close (twice) and on every refusal a caller can
-// provoke, so that DB.Close, which fails on a tenant left in its pool,
-// returns nil after each. A refused OpenMaterialization also takes back
-// the journal it created.
+// to a DB's buffer pool — the disk-backed graph, both materializations, the
+// paged and the reopened hub-label index, a paged edge snapshot, the
+// disk-backed shard engines with their materializations — detaches it
+// again, on Close (twice) and on every refusal a caller can provoke, so
+// that DB.Close, which fails on a tenant left in its pool, returns nil
+// after each.
 func TestTenantLifetimes(t *testing.T) {
 	g, err := graphrnn.GenerateRoadNetwork(31, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	// The saved files: materializations and a labeling of g, of a graph
-	// with another node count, and edge points on a path over g's nodes,
-	// most of whose edges g lacks.
+	// The saved files: a labeling of g and one of a graph with another node
+	// count.
 	type persisted interface {
 		SaveTo(path string) error
 		io.Closer
@@ -83,23 +80,12 @@ func TestTenantLifetimes(t *testing.T) {
 		}
 		return path
 	}
-	saveMat := func(w lifetimeWorld) (persisted, error) {
-		return w.db.MaterializeNodePoints(w.nodes, 2, nil)
-	}
-	saveEdgeMat := func(w lifetimeWorld) (persisted, error) {
-		return w.db.MaterializeEdgePoints(w.edges, 2, nil)
-	}
 	saveHub := func(w lifetimeWorld) (persisted, error) {
 		return w.db.BuildHubLabelIndex(w.nodes, 2, nil)
 	}
 	other := buildLineGraph(t, 40)
-	matFile, hubFile := save(g, "g.mat", saveMat), save(g, "g.hub", saveHub)
-	otherMat, otherHub := save(other, "other.mat", saveMat), save(other, "other.hub", saveHub)
-	edgeMat, pathMat := save(g, "g-edges.mat", saveEdgeMat), save(buildLineGraph(t, g.NumNodes()), "path-edges.mat", saveEdgeMat)
+	hubFile, otherHub := save(g, "g.hub", saveHub), save(other, "other.hub", saveHub)
 
-	openMat := func(path string) opener {
-		return func(w lifetimeWorld) (io.Closer, error) { return w.db.OpenMaterialization(path, nil) }
-	}
 	openHub := func(path string) opener {
 		return func(w lifetimeWorld) (io.Closer, error) { return w.db.OpenHubLabelIndex(w.nodes, 2, path, nil) }
 	}
@@ -164,10 +150,6 @@ func TestTenantLifetimes(t *testing.T) {
 		{"MaterializeEdgePoints", func(w lifetimeWorld) (io.Closer, error) {
 			return w.db.MaterializeEdgePoints(w.edges, 2, nil)
 		}, hugeK(func(w lifetimeWorld, k int) (io.Closer, error) { return w.db.MaterializeEdgePoints(w.edges, k, nil) })},
-		{"OpenMaterialization", openMat(matFile), merge(
-			damaged("mat", matFile, core.MatFileHeader.PageSizeAt, openMat),
-			damaged("edgemat", edgeMat, core.MatFileHeader.PageSizeAt, openMat),
-			map[string]opener{"another graph": openMat(otherMat), "edges the graph lacks": openMat(pathMat)})},
 		{"BuildHubLabelIndex/DiskBacked", func(w lifetimeWorld) (io.Closer, error) {
 			return w.db.BuildHubLabelIndex(w.nodes, 2, &graphrnn.HubLabelOptions{DiskBacked: true})
 		}, nil},
@@ -218,92 +200,7 @@ func TestTenantLifetimes(t *testing.T) {
 				if err := w.db.Close(); err != nil {
 					t.Errorf("DB.Close after the %s refusal: %v", name, err)
 				}
-				// Only the successful open of matFile keeps a journal.
-				journals, _ := filepath.Glob(filepath.Join(dir, "*.journal"))
-				for _, j := range journals {
-					if j != matFile+".journal" {
-						t.Errorf("%s: the refused open left %s behind", name, filepath.Base(j))
-						os.Remove(j)
-					}
-				}
 			}
 		})
-	}
-}
-
-// TestOpenMaterializationRefusalKeepsJournal: a refused OpenMaterialization
-// removes the journal it created, and leaves one that was already there —
-// it may hold a pending operation — byte for byte as it found it. A failed
-// SaveTo leaves no file behind either.
-func TestOpenMaterializationRefusalKeepsJournal(t *testing.T) {
-	small, big := buildLineGraph(t, 40), buildLineGraph(t, 41)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "small.mat")
-	w := openLifetimeWorld(t, small)
-	mat, err := w.db.MaterializeNodePoints(w.nodes, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mat.SaveTo(path); err != nil {
-		t.Fatal(err)
-	}
-	jpath := path + ".journal"
-
-	// Created here: gone after the refusal.
-	other, err := graphrnn.Open(big, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.OpenMaterialization(path, nil); err == nil {
-		t.Fatal("a file of 40 nodes opened over a graph of 41")
-	}
-	if _, err := os.Stat(jpath); !os.IsNotExist(err) {
-		t.Fatalf("the refused open left its journal behind (stat: %v)", err)
-	}
-
-	// Already there: untouched by the refusal.
-	reopened, err := w.db.OpenMaterialization(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatalf("a successful open kept no journal: %v", err)
-	}
-	if _, err := other.OpenMaterialization(path, nil); err == nil {
-		t.Fatal("a file of 40 nodes opened over a graph of 41")
-	}
-	after, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatalf("the refused open removed a journal it did not create: %v", err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("the refused open changed a journal it did not create")
-	}
-
-	// A save that fails leaves no file at its path: a SaveTo onto a full
-	// device (through a symlink, so that what gets removed is the link).
-	if st, err := os.Stat("/dev/full"); err == nil && st.Mode()&os.ModeCharDevice != 0 {
-		full := filepath.Join(dir, "full.mat")
-		if err := os.Symlink("/dev/full", full); err != nil {
-			t.Fatal(err)
-		}
-		if err := mat.SaveTo(full); err == nil {
-			t.Fatal("SaveTo onto /dev/full succeeded")
-		}
-		if _, err := os.Lstat(full); !os.IsNotExist(err) {
-			t.Fatalf("the failed SaveTo left %s behind (Lstat: %v)", full, err)
-		}
-	}
-	if err := mat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, db := range []*graphrnn.DB{w.db, other} {
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

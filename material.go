@@ -1,11 +1,6 @@
 package graphrnn
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
-
 	"graphrnn/internal/core"
 	"graphrnn/internal/exec"
 	"graphrnn/internal/points"
@@ -18,55 +13,29 @@ import (
 // and are maintained incrementally as points appear and disappear
 // (Figs 8-11).
 //
-// A materialization is registered with the point set it was built or opened
-// over: mutate the set through its Insert / Remove (or Place / Delete) and
-// the lists are repaired with it, atomically. The repair runs inside a
-// journaled operation that records the before-image of every list it
-// touches, and an operation abandoned for any reason — cancellation,
-// deadline, budget exhaustion, an I/O error — is rolled back, leaving the
-// lists and the tracked point set bit-identical to the pre-operation state.
-// See RepairState / Recover for the rare case where the rollback itself
-// cannot complete, and SaveTo / OpenMaterialization for persistence with
-// crash recovery.
+// A materialization is a cache of the process: its lists live in a
+// memory-backed page file and are built again, not reopened, after a
+// restart (the hub-label index, whose build costs far more, is the
+// substrate that persists; see HubLabelIndex.SaveTo).
+//
+// A materialization is registered with the point set it was built over:
+// mutate the set through its Insert / Remove (or Place / Delete) and the
+// lists are repaired with it, atomically. The repair records the
+// before-image of every list it touches, and an operation abandoned for any
+// reason — cancellation, deadline, budget exhaustion, an I/O error — is
+// rolled back, leaving the lists and the tracked point set bit-identical to
+// the pre-operation state. See RepairState / Recover for the rare case
+// where the rollback itself cannot complete.
 type Materialization struct {
 	db   *DB
 	m    *core.Materialized
 	node *NodePoints
 	edge *EdgePoints
 
-	// file and jfile are the backing page files of a materialization
-	// reopened from disk (nil for the in-memory default).
-	file  storage.PagedFile
-	jfile storage.PagedFile
-
 	// pending is the point-set half of an uncommitted maintenance
 	// operation, so Recover can undo it when the inline rollback failed.
 	pending *setOp
-	// testCrash makes an abandoned operation skip its rollback, leaving
-	// the journal uncommitted — the simulated-crash seam of the recovery
-	// tests. Never set outside tests.
-	testCrash bool
 }
-
-// Durability selects how hard a file-backed materialization pushes its
-// maintenance writes toward stable storage. It only matters for
-// materializations reopened with OpenMaterialization; the in-memory
-// default has no disk to sync.
-type Durability int
-
-const (
-	// DurabilityWriteOrder (the default) relies on write ordering alone:
-	// the journal record reaches its file before the list page it covers,
-	// and the header flip is a single page write. A process crash is always
-	// recoverable; an OS crash or power loss may lose or reorder writes
-	// still in the page cache.
-	DurabilityWriteOrder Durability = iota
-	// DurabilityFsync additionally syncs the journal file on every record
-	// append and the materialization file on every commit flip, so a
-	// committed operation survives power loss. Maintenance pays one fsync
-	// per journaled record plus one per operation.
-	DurabilityFsync
-)
 
 // MatOptions configures a materialization.
 type MatOptions struct {
@@ -74,10 +43,6 @@ type MatOptions struct {
 	// buffer pool (default 64). On a DB-owned pool the capacity grows by
 	// this amount, matching the former dedicated list buffer.
 	BufferPages int
-	// Durability of the maintenance of a materialization reopened with
-	// OpenMaterialization; default DurabilityWriteOrder. A build in this
-	// process keeps its lists in a memory-backed file and ignores it.
-	Durability Durability
 }
 
 func (o *MatOptions) bufferPages() int {
@@ -120,24 +85,19 @@ func (db *DB) materialize(mat *Materialization, maxK int, opt *MatOptions) (*Mat
 	return mat, nil
 }
 
-// set returns the tracked point set, nil once detached.
+// set returns the tracked point set.
 func (m *Materialization) set() *trackedSet {
-	switch {
-	case m.node != nil:
+	if m.node != nil {
 		return &m.node.trackedSet
-	case m.edge != nil:
-		return &m.edge.trackedSet
 	}
-	return nil
+	return &m.edge.trackedSet
 }
 
 // MaxK returns the largest query k the lists support.
 func (m *Materialization) MaxK() int { return m.m.MaxK() }
 
 // NodePoints returns the tracked node-resident point set, nil when the
-// materialization tracks an edge-resident one. For a materialization
-// reopened with OpenMaterialization this is the set reconstructed from the
-// file — the set to query with.
+// materialization tracks an edge-resident one.
 func (m *Materialization) NodePoints() *NodePoints { return m.node }
 
 // EdgePoints returns the tracked edge-resident point set, nil when the
@@ -147,29 +107,13 @@ func (m *Materialization) EdgePoints() *EdgePoints { return m.edge }
 // Flush writes dirty list pages back to the file.
 func (m *Materialization) Flush() error { return m.m.Flush() }
 
-// Close unregisters the materialization from its point set, detaches its
-// list pages from the shared buffer pool (flushing dirty ones), and closes
-// the backing files of a reopened materialization. Queries through this
+// Close unregisters the materialization from its point set and detaches
+// its list pages from the shared buffer pool. Queries through this
 // materialization must not be in flight and the materialization must not be
 // used afterwards; a second Close is a no-op.
 func (m *Materialization) Close() error {
-	if set := m.set(); set != nil {
-		register(&set.mats, m, false)
-	}
-	err := m.m.Close()
-	if m.file != nil { // reopened: file and jfile come as a pair
-		err = errors.Join(err, m.file.Close(), m.jfile.Close())
-		m.file, m.jfile = nil, nil
-	}
-	return err
-}
-
-// detach cuts the materialization off a point set it can no longer follow
-// (see ErrSubstrateDetached): unregistered and tracking nothing, it is
-// never planned and an explicit hint to it reports a foreign point set.
-func (m *Materialization) detach() {
 	register(&m.set().mats, m, false)
-	m.node, m.edge, m.pending = nil, nil, nil
+	return m.m.Close()
 }
 
 // repairLists runs the list half of op under ec: the insertion algorithm of
@@ -184,28 +128,22 @@ func (m *Materialization) repairLists(ec *exec.Ctx, op *setOp) (Stats, error) {
 
 // --- operation framing -----------------------------------------------------
 
-// begin opens the journaled operation covering op. rec is the committed
-// point record (persisted materializations journal it as the operation
-// descriptor).
-func (m *Materialization) begin(op *setOp, rec core.PointRecord) error {
-	if err := m.m.BeginRepair(matOpMeta(op, rec)); err != nil {
+// begin opens the repair operation covering op.
+func (m *Materialization) begin(op *setOp) error {
+	if err := m.m.BeginRepair(); err != nil {
 		return err
 	}
 	m.pending = op
 	return nil
 }
 
-// commit flips the operation committed; on failure the operation stays
-// pending and Recover rolls it back.
-func (m *Materialization) commit(p PointID, rec core.PointRecord) error {
-	if err := m.m.CommitRepair(points.PointID(p), rec); err != nil {
-		return fmt.Errorf("graphrnn: maintenance commit failed; call Recover before further use: %w", err)
-	}
+// commit ends the operation, dropping its before-images.
+func (m *Materialization) commit() {
+	m.m.CommitRepair()
 	m.pending = nil
-	return nil
 }
 
-// rollbackPending undoes the pending operation: lists from the journal's
+// rollbackPending undoes the pending operation: lists from their
 // before-images, then the point-set mutation (a no-op once another
 // materialization of the same operation, or the inline abort, undid it).
 func (m *Materialization) rollbackPending() error {
@@ -221,20 +159,50 @@ func (m *Materialization) rollbackPending() error {
 	return nil
 }
 
-// matOpMeta encodes the operation descriptor logged as the journal's first
-// record: op kind, point id and the would-be committed point record.
-// Rollback is driven by before-images, so the descriptor is informational
-// (it makes journals self-describing for debugging).
-func matOpMeta(op *setOp, rec core.PointRecord) []byte {
-	buf := make([]byte, 1+4+16)
-	if op.insert {
-		buf[0] = 1
-	} else {
-		buf[0] = 2
+// RepairState reports whether a materialization carries an uncommitted
+// maintenance operation.
+type RepairState int
+
+const (
+	// RepairClean: no maintenance operation is pending; the lists match
+	// the tracked point set exactly.
+	RepairClean RepairState = iota
+	// RepairPendingRollback: an abandoned operation could not be rolled
+	// back (its inline rollback hit an I/O error). Call Recover — or run
+	// any maintenance operation, which recovers first — before trusting
+	// query results.
+	RepairPendingRollback
+)
+
+func (s RepairState) String() string {
+	if s == RepairClean {
+		return "clean"
 	}
-	binary.LittleEndian.PutUint32(buf[1:], uint32(op.p))
-	binary.LittleEndian.PutUint32(buf[5:], uint32(rec.U))
-	binary.LittleEndian.PutUint32(buf[9:], uint32(rec.V))
-	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(rec.Pos))
-	return buf
+	return "pending-rollback"
+}
+
+// RepairState returns the materialization's repair state. Abandoned
+// operations roll back inline, so the state is RepairClean in every
+// ordinary history; RepairPendingRollback survives only a failed rollback.
+func (m *Materialization) RepairState() RepairState {
+	if m.m.RepairPending() || m.pending != nil {
+		return RepairPendingRollback
+	}
+	return RepairClean
+}
+
+// Recover rolls back an uncommitted maintenance operation, restoring the
+// lists and the tracked point set to the state of the last committed
+// operation. It reports whether an operation was pending. Recover is
+// idempotent and safe to call at any time maintenance is quiescent; the
+// set's Insert / Remove call it implicitly when they find a pending
+// operation.
+func (m *Materialization) Recover() (bool, error) {
+	if m.RepairState() == RepairClean {
+		return false, nil
+	}
+	if err := m.rollbackPending(); err != nil {
+		return true, err
+	}
+	return true, nil
 }

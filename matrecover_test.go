@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -44,14 +43,11 @@ func assertSameLists(t *testing.T, got, want *Materialization, context string) {
 type matHarness struct {
 	name string
 	edge bool // edge-resident point set
-	disk bool // persisted (SaveTo + OpenMaterialization), journal on disk
 }
 
 var matHarnesses = []matHarness{
-	{"node-memory", false, false},
-	{"node-disk", false, true},
-	{"edge-memory", true, false},
-	{"edge-disk", true, true},
+	{"node-memory", false},
+	{"edge-memory", true},
 }
 
 // buildHarness assembles a materialization of the requested shape over a
@@ -89,19 +85,7 @@ func buildHarness(t *testing.T, rng *rand.Rand, h matHarness, db *DB, maxK int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.disk {
-		return mat
-	}
-	path := filepath.Join(t.TempDir(), "lists.mat")
-	if err := mat.SaveTo(path); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := db.OpenMaterialization(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { opened.Close() })
-	return opened
+	return mat
 }
 
 func firstEdge(g *Graph) (NodeID, NodeID, float64) {
@@ -173,7 +157,7 @@ func randomOp(t *testing.T, rng *rand.Rand, db *DB, mat *Materialization, opt *Q
 // maintenance operations abandoned at randomized poll points (tiny node
 // budgets hit mid-expansion) must leave the materialization queryable and
 // bit-identical to a from-scratch rebuild over the surviving point set —
-// across node/edge point sets and memory/persisted list files.
+// across node- and edge-resident point sets.
 func TestMaintenanceAbandonedOpsRollBack(t *testing.T) {
 	for _, h := range matHarnesses {
 		t.Run(h.name, func(t *testing.T) {
@@ -243,143 +227,6 @@ func TestMaintenanceAsyncCancelRace(t *testing.T) {
 	}
 	oracle := rebuildOracle(t, db, mat, maxK)
 	assertSameLists(t, mat, oracle, "async cancel")
-}
-
-// TestMaintenanceCrashRecovery simulates a process crash mid-repair on a
-// persisted materialization — the journal holds an uncommitted operation,
-// dirty list pages have partially reached the file — and checks
-// OpenMaterialization rolls the operation back: lists equal the state of
-// the last committed operation and the point set reopens without the
-// crashed mutation.
-func TestMaintenanceCrashRecovery(t *testing.T) {
-	for _, h := range []matHarness{{"node", false, true}, {"edge", true, true}} {
-		t.Run(h.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(74))
-			g, err := GenerateGrid(75, 196, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := Open(g, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const maxK = 2
-			built := buildHarness(t, rng, matHarness{name: h.name, edge: h.edge}, db, maxK)
-			path := filepath.Join(t.TempDir(), "crash.mat")
-			if err := built.SaveTo(path); err != nil {
-				t.Fatal(err)
-			}
-			mat, err := db.OpenMaterialization(path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// One committed operation after opening: recovery must keep it.
-			if !randomOp(t, rng, db, mat, nil, context.Background()) {
-				t.Fatal("unbounded op did not commit")
-			}
-			pointsBefore := currentPoints(mat)
-
-			// Crash: a budget abandons the repair, testCrash suppresses the
-			// inline rollback, and the dirty pages hit the file like an
-			// eviction storm would.
-			mat.testCrash = true
-			abandonedOne := false
-			for op := 0; op < 20 && !abandonedOne; op++ {
-				opt := &QueryOptions{Budget: Budget{MaxNodes: int64(1 + rng.Intn(4))}}
-				if !randomOpCrash(t, rng, db, mat, opt) {
-					abandonedOne = true
-				}
-			}
-			if !abandonedOne {
-				t.Fatal("no operation was abandoned; cannot simulate a crash")
-			}
-			if mat.RepairState() != RepairPendingRollback {
-				t.Fatalf("RepairState = %v, want pending-rollback", mat.RepairState())
-			}
-			if err := mat.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := mat.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Next process: reopen through journal recovery.
-			reopened, err := db.OpenMaterialization(path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reopened.Close()
-			if reopened.RepairState() != RepairClean {
-				t.Fatalf("reopened RepairState = %v, want clean", reopened.RepairState())
-			}
-			if got := currentPoints(reopened); !samePointMaps(got, pointsBefore) {
-				t.Fatalf("point set after recovery = %v, want %v", got, pointsBefore)
-			}
-			oracle := rebuildOracle(t, db, reopened, maxK)
-			assertSameLists(t, reopened, oracle, "crash recovery")
-		})
-	}
-}
-
-// randomOpCrash is randomOp without the clean-state assertion (testCrash
-// intentionally leaves the journal pending).
-func randomOpCrash(t *testing.T, rng *rand.Rand, db *DB, mat *Materialization, opt *QueryOptions) bool {
-	t.Helper()
-	var err error
-	deletable := func() []PointID {
-		if ps := mat.NodePoints(); ps != nil {
-			return ps.Points()
-		}
-		return mat.EdgePoints().Points()
-	}()
-	if len(deletable) > 1 && rng.Intn(2) == 0 {
-		_, err = mat.set().Remove(context.Background(), deletable[rng.Intn(len(deletable))], opt)
-	} else if ps := mat.NodePoints(); ps != nil {
-		n := NodeID(rng.Intn(db.Graph().NumNodes()))
-		if _, taken := ps.PointAt(n); taken {
-			return true
-		}
-		_, _, err = ps.Insert(context.Background(), NodeLocation(n), opt)
-	} else {
-		u, v, w := firstEdge(db.Graph())
-		_, _, err = mat.EdgePoints().Insert(context.Background(), EdgeLocation(u, v, w*rng.Float64()), opt)
-	}
-	if err != nil && !IsExecErr(err) {
-		t.Fatalf("maintenance failed with a non-exec error: %v", err)
-	}
-	return err == nil
-}
-
-// currentPoints snapshots the tracked set as id -> location for equality
-// checks across recovery.
-func currentPoints(m *Materialization) map[PointID]Location {
-	out := make(map[PointID]Location)
-	if ps := m.NodePoints(); ps != nil {
-		for _, p := range ps.Points() {
-			n, _ := ps.NodeOf(p)
-			out[p] = NodeLocation(n)
-		}
-		return out
-	}
-	ps := m.EdgePoints()
-	for _, p := range ps.Points() {
-		loc, _ := ps.LocationOf(p)
-		out[p] = loc
-	}
-	return out
-}
-
-func samePointMaps(a, b map[PointID]Location) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p, loc := range a {
-		if b[p] != loc {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPlainMaintenanceRollsBackPointSet is the satellite-2 regression: a

@@ -31,8 +31,7 @@ import (
 //
 // Substrates belong to the point set they were built or opened over
 // (BuildHubLabelIndex / OpenHubLabelIndex, MaterializeNodePoints /
-// MaterializeEdgePoints / OpenMaterialization register them there, Close
-// unregisters): the planner reads the queried set's own, the most recently
+// MaterializeEdgePoints register them there, Close unregisters): the planner reads the queried set's own, the most recently
 // built of each kind wins, and an index over one set never displaces the
 // substrates of another.
 
@@ -284,7 +283,7 @@ func (db *DB) incompatible(algo Algorithm, pl *planned) string {
 		if pl.k > m.MaxK() {
 			return fmt.Sprintf("k=%d exceeds the materialized lists (maxK %d)", pl.k, m.MaxK())
 		}
-		if set := m.set(); set == nil || set != pl.set {
+		if m.set() != pl.set {
 			return "the materialization tracks a different point set"
 		}
 	}

@@ -21,17 +21,17 @@ import (
 var ErrMissingEdge = core.ErrNoEdge
 
 // ErrSubstrateDetached accompanies a committed Insert or Remove: the point
-// set (and its leading materialization) changed, but another substrate over
-// the set could not follow — a hub-label index whose in-memory repair hit a
-// label read error, or a second materialization whose commit failed — and
-// was detached from the set: the planner never picks it again, an explicit
+// set and its materializations changed, but a hub-label index over the set
+// could not follow — its in-memory repair hit a label read error — and was
+// detached from the set: the planner never picks it again, an explicit
 // hint to it reports a foreign point set, and it never serves a stale
 // answer. Rebuild it over the set. Matched with errors.Is.
 var ErrSubstrateDetached = errors.New("substrate detached from its point set")
 
 // trackedSet is the residency-blind half of NodePoints and EdgePoints: the
 // engine the set queries through, the set itself in its one residency, and
-// the substrates built or opened over it. The set is the unit of mutation:
+// the substrates built or opened over it (materializations are built,
+// hub-label indexes built or reopened). The set is the unit of mutation:
 // Insert and Remove are the one maintenance path and repair every
 // registered substrate, so no caller can mutate behind one.
 type trackedSet struct {
@@ -115,8 +115,7 @@ func (s *trackedSet) Points() []PointID {
 }
 
 // setOp is the point-set half of one maintenance operation: what a
-// rollback must undo, and what a materialization journals as the
-// operation's descriptor.
+// rollback must undo.
 type setOp struct {
 	insert bool
 	p      PointID
@@ -143,7 +142,7 @@ func (s *trackedSet) place(at Location) (*setOp, error) {
 		if !ok {
 			return nil, fmt.Errorf("graphrnn: no edge (%d,%d): %w", at.U, at.V, ErrMissingEdge)
 		}
-		if at.Pos < 0 || at.Pos > w {
+		if !(at.Pos >= 0 && at.Pos <= w) { // NaN fails both
 			return nil, fmt.Errorf("graphrnn: offset %v outside edge (%d,%d) of weight %v", at.Pos, at.U, at.V, w)
 		}
 		at = s.db.graph.onGrid(at)
@@ -187,19 +186,19 @@ func (s *trackedSet) undo(op *setOp) error {
 //   - The operation runs under ctx and opt like a query. Abandoned for any
 //     reason — cancellation, a deadline, an exhausted Budget (the typed
 //     execution errors; match with IsExecErr) or an I/O fault — it is
-//     rolled back through the repair journals before the error returns:
+//     rolled back from the lists' before-images before the error returns:
 //     the set and every list are bit-identical to the state before the
 //     call, the returned id is -1, Stats carry the work done up to the
 //     abandonment, and every substrate stays queryable. An operation
 //     expired or canceled at its start touches nothing and reports zero
 //     Stats. Deadlines and budgets are therefore a routine control for
 //     maintenance traffic, not an emergency-only guardrail.
-//   - Materializations are repaired first, inside their journaled
-//     operations (Materialization documents RepairState and Recover for a
-//     rollback or commit that itself fails); hub-label indexes follow in
-//     memory. A substrate that cannot follow a committed operation is
-//     detached from the set, and the call returns the committed id beside
-//     an error wrapping ErrSubstrateDetached.
+//   - Materializations are repaired first, each inside its repair
+//     operation (Materialization documents RepairState and Recover for a
+//     rollback that itself fails); hub-label indexes follow in memory. An
+//     index that cannot follow a committed operation is detached from the
+//     set, and the call returns the committed id beside an error wrapping
+//     ErrSubstrateDetached.
 //   - Stats sum the work over every substrate repaired.
 //
 // Like every mutation, the call requires that no query runs against the
@@ -242,8 +241,8 @@ func (s *trackedSet) Remove(ctx context.Context, p PointID, opt *QueryOptions) (
 
 // startOp opens one maintenance operation: the execution context of ctx and
 // opt (failing upfront, typed, when already expired or canceled), with
-// every materialization recovered from an operation a failed rollback or
-// commit left pending ("replay to a consistent state on next use").
+// every materialization recovered from an operation a failed rollback left
+// pending ("replay to a consistent state on next use").
 func (s *trackedSet) startOp(ctx context.Context, opt *QueryOptions) (*exec.Ctx, func(), error) {
 	ec, cancel, err := s.db.newExec(ctx, opt)
 	if err != nil {
@@ -259,21 +258,16 @@ func (s *trackedSet) startOp(ctx context.Context, opt *QueryOptions) (*exec.Ctx,
 }
 
 // repair carries the set mutation op, already applied, through every
-// substrate. Materializations go first, each inside its journaled
-// operation and all repaired before any commits, so an abandonment or
-// failure up to that point rolls every list and the set back. The first
-// materialization's commit is the operation's commit point; whatever
-// cannot follow it — a later materialization's commit, a hub-label repair
-// — is detached instead of left stale.
+// substrate. Materializations go first, each inside its repair operation
+// and all repaired before any commits, so an abandonment or failure up to
+// that point rolls every list and the set back. The commit is the
+// operation's commit point; a hub-label index that cannot follow it is
+// detached instead of left stale.
 func (s *trackedSet) repair(ec *exec.Ctx, op *setOp) (Stats, error) {
 	var st Stats
 	mats := substrates(&s.mats)
-	rec := core.PointAbsent
-	if op.insert {
-		rec = core.PointRecord{U: graph.NodeID(op.loc.U), V: graph.NodeID(op.loc.V), Pos: op.loc.Pos}
-	}
 	for i, m := range mats {
-		if err := m.begin(op, rec); err != nil {
+		if err := m.begin(op); err != nil {
 			return st, s.abort(mats[:i], op, err)
 		}
 		mst, err := m.repairLists(ec, op)
@@ -282,16 +276,10 @@ func (s *trackedSet) repair(ec *exec.Ctx, op *setOp) (Stats, error) {
 			return st, s.abort(mats[:i+1], op, err)
 		}
 	}
-	var detached error
-	for i, m := range mats {
-		if err := m.commit(op.p, rec); err != nil {
-			if i == 0 {
-				return st, err
-			}
-			m.detach()
-			detached = fmt.Errorf("graphrnn: materialization detached, its commit failed (%v): %w", err, ErrSubstrateDetached)
-		}
+	for _, m := range mats {
+		m.commit()
 	}
+	var detached error
 	for _, h := range substrates(&s.hubs) {
 		hst, err := h.repair(op)
 		st.Add(hst)
@@ -311,10 +299,6 @@ func (s *trackedSet) repair(ec *exec.Ctx, op *setOp) (Stats, error) {
 // retries.
 func (s *trackedSet) abort(begun []*Materialization, op *setOp, opErr error) error {
 	for _, m := range begun {
-		if m.testCrash {
-			m.m.AbandonRepair()
-			return opErr
-		}
 		if rbErr := m.rollbackPending(); rbErr != nil {
 			opErr = fmt.Errorf("graphrnn: rollback failed (%v); call Recover before further use: %w", rbErr, opErr)
 		}
