@@ -81,9 +81,11 @@ type HubLabelBuildStats struct {
 	WallSeconds float64
 	// LabelBytes is the memory the labels take. Paged, it is the label
 	// payload of the page file (12 bytes an entry plus chunk headers); in
-	// memory, 12 bytes an entry — held in a read-only mapping outside the
-	// collected Go heap on Linux and macOS — plus 4 bytes a node and side of
-	// CSR offsets.
+	// memory, each side's entries packed at the width the graph needs — a
+	// hub id in the bytes of n − 1 and a distance count in the bytes of the
+	// side's largest, 8 bytes on road-20K — held in a read-only mapping
+	// outside the collected Go heap on Linux and macOS, plus 4 bytes a node
+	// and side of CSR offsets.
 	LabelBytes int64
 }
 

@@ -530,8 +530,10 @@ func TestHubLabelErrors(t *testing.T) {
 // every core and paged labels, and checks the result is indistinguishable
 // from the default build: same label entries, same RNN answers — while the
 // build stats report the parallel batched schedule, the page file's payload
-// and, for the default build, the in-memory labels' 12 bytes an entry plus
-// offsets.
+// and, for the default build, the in-memory labels' packed entries plus
+// offsets: 8 bytes an entry on all three graphs, a 2-byte hub id (fewer than
+// 65 537 nodes) and a 6-byte count of the quantum (every label distance is
+// below 2^48 of it).
 func TestHubLabelParallelPaged(t *testing.T) {
 	for name, g := range hubTopologies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -546,7 +548,8 @@ func TestHubLabelParallelPaged(t *testing.T) {
 			if bst.Workers > 1 && bst.Batches == 0 {
 				t.Fatalf("parallel build reports no batches: %+v", bst)
 			}
-			inMemory := int64(12*base.idx.LabelEntries() + 4*(g.NumNodes()+1))
+			const entryBytes = 2 + 6
+			inMemory := int64(entryBytes*base.idx.LabelEntries() + 4*(g.NumNodes()+1))
 			if bst.LabelBytes <= 0 || base.idx.BuildStats().LabelBytes != inMemory {
 				t.Fatalf("label bytes: paged %d, in memory %d (want %d)", bst.LabelBytes, base.idx.BuildStats().LabelBytes, inMemory)
 			}
@@ -587,12 +590,13 @@ func liveHeap() int64 {
 }
 
 // TestHubLabelPagedDropsLabeling: a paged index serves the label pages alone
-// — the raw labeling it was written from is not kept for SaveTo — so a
-// paged build grows what the process holds by less than 1.5 × an in-memory
-// one (a labeling still pinned beside its pages reads ≈ 2 ×), and SaveTo from
-// either kind reopens to the same answers. What the process holds is the
-// live Go heap plus the label mappings: an in-memory labeling keeps its
-// entries outside the heap, its page file keeps them on it.
+// — the raw labeling it was written from is not kept for SaveTo — so past
+// its page payload a paged build grows what the process holds by less than
+// an in-memory one does past its labels, plus half those labels (a labeling
+// still pinned beside its pages adds all of them), and SaveTo from either
+// kind reopens to the same answers. What the process holds is the live Go
+// heap plus the label mappings: an in-memory labeling keeps its packed
+// entries outside the heap, its page file keeps its 12-byte pairs on it.
 func TestHubLabelPagedDropsLabeling(t *testing.T) {
 	g, err := graphrnn.GenerateRoadNetwork(141, 5000)
 	if err != nil {
@@ -621,7 +625,7 @@ func TestHubLabelPagedDropsLabeling(t *testing.T) {
 		}
 	}
 	_, base := hublabel.MappedLabels()
-	growth := map[bool]int64{}
+	growth, labels := map[bool]int64{}, map[bool]int64{}
 	for _, paged := range []bool{false, true} {
 		heap0, mapped0 := held(base)
 		idx, err := db.BuildHubLabelIndex(ps, 2, &graphrnn.HubLabelOptions{DiskBacked: paged})
@@ -634,6 +638,7 @@ func TestHubLabelPagedDropsLabeling(t *testing.T) {
 		}
 		heap1, mapped1 := held(keep)
 		growth[paged] = heap1 - heap0 + mapped1 - mapped0
+		labels[paged] = idx.BuildStats().LabelBytes
 		path := filepath.Join(t.TempDir(), "labels.hub")
 		if err := idx.SaveTo(path); err != nil {
 			t.Fatalf("SaveTo (paged=%v): %v", paged, err)
@@ -665,8 +670,9 @@ func TestHubLabelPagedDropsLabeling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if 2*growth[true] >= 3*growth[false] {
-		t.Fatalf("paged build holds %d bytes of heap and mappings, in-memory build %d: the raw labeling is still pinned", growth[true], growth[false])
+	if 2*(growth[true]-labels[true]) >= 2*(growth[false]-labels[false])+labels[false] {
+		t.Fatalf("paged build holds %d bytes of heap and mappings for %d of pages, in-memory build %d for %d of labels: the raw labeling is still pinned",
+			growth[true], labels[true], growth[false], labels[false])
 	}
 	t.Logf("heap and mapping growth: in memory %d KiB, paged %d KiB", growth[false]>>10, growth[true]>>10)
 }

@@ -98,7 +98,10 @@ func BuildOpt(g graph.Access, opt BuildOptions) (*Labeling, BuildStats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	l := newLabeling(n, in != out, outL, inL)
+	l, err := newLabeling(n, in != out, outL, inL)
+	if err != nil {
+		return nil, st, err
+	}
 	st.Wall = time.Since(start)
 	return l, st, nil
 }

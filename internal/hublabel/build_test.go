@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -15,51 +16,73 @@ import (
 	"graphrnn/internal/storage"
 )
 
-// sameLabeling compares two labelings bit for bit: identical CSR offsets,
-// hub ids and float64 distances on both sides.
+// csr is one side of a labeling as labelSet.label reads it back: the CSR
+// offsets and every entry, node by node.
+type csr struct {
+	offsets []int32
+	entries []Entry
+}
+
+func decodeSide(l *Labeling, s *labelSet) csr {
+	c := csr{offsets: s.offsets}
+	var buf []Entry
+	for v := range graph.NodeID(l.numNodes) {
+		buf = s.label(v, buf)
+		c.entries = append(c.entries, buf...)
+	}
+	runtime.KeepAlive(l) // the entries are unmapped with their labeling
+	return c
+}
+
+// sameCSR compares two decoded sides bit for bit: identical offsets, hub
+// ids and float64 distances.
+func sameCSR(t *testing.T, side string, a, b csr) {
+	t.Helper()
+	if len(a.offsets) != len(b.offsets) || len(a.entries) != len(b.entries) {
+		t.Fatalf("%s: size mismatch: %d/%d entries", side, len(a.entries), len(b.entries))
+	}
+	for i := range a.offsets {
+		if a.offsets[i] != b.offsets[i] {
+			t.Fatalf("%s: offsets diverge at node %d: %d vs %d", side, i, a.offsets[i], b.offsets[i])
+		}
+	}
+	for i, e := range a.entries {
+		if f := b.entries[i]; e.Hub != f.Hub || math.Float64bits(e.Dist) != math.Float64bits(f.Dist) {
+			t.Fatalf("%s: entry %d diverges: (%d,%v) vs (%d,%v)", side, i, e.Hub, e.Dist, f.Hub, f.Dist)
+		}
+	}
+}
+
+// sameLabeling compares two labelings bit for bit on both sides.
 func sameLabeling(t *testing.T, want, got *Labeling) {
 	t.Helper()
 	if want.numNodes != got.numNodes || want.directed != got.directed {
 		t.Fatalf("shape mismatch: (%d,%v) vs (%d,%v)", want.numNodes, want.directed, got.numNodes, got.directed)
 	}
-	sameSet := func(side string, a, b labelSet) {
-		if len(a.offsets) != len(b.offsets) || len(a.hubs) != len(b.hubs) {
-			t.Fatalf("%s: size mismatch: %d/%d entries", side, len(a.hubs), len(b.hubs))
-		}
-		for i := range a.offsets {
-			if a.offsets[i] != b.offsets[i] {
-				t.Fatalf("%s: offsets diverge at node %d: %d vs %d", side, i, a.offsets[i], b.offsets[i])
-			}
-		}
-		for i := range a.hubs {
-			if a.hubs[i] != b.hubs[i] || a.dists[i] != b.dists[i] {
-				t.Fatalf("%s: entry %d diverges: (%d,%v) vs (%d,%v)",
-					side, i, a.hubs[i], a.dists[i], b.hubs[i], b.dists[i])
-			}
-		}
-	}
-	sameSet("out", want.out, got.out)
+	sameCSR(t, "out", decodeSide(want, &want.out), decodeSide(got, &got.out))
 	if want.directed {
-		sameSet("in", want.in, got.in)
+		sameCSR(t, "in", decodeSide(want, &want.in), decodeSide(got, &got.in))
 	}
-	runtime.KeepAlive(want) // the arrays are unmapped with their labeling
-	runtime.KeepAlive(got)
 }
 
-// fingerprint is the SHA-256 of a labeling's CSR, out side then in side (the
-// same set twice when undirected): offsets, hub ids, and every distance as
-// its math.Float64bits, little endian. Equal fingerprints mean the labels
-// are the same bits.
+// fingerprint is the SHA-256 of a labeling's CSR as label reads it back,
+// out side then in side (the same set twice when undirected): offsets, hub
+// ids as int32, and every distance as its math.Float64bits, little endian.
+// Equal fingerprints mean the labels are the same bits.
 func fingerprint(l *Labeling) string {
 	h := sha256.New()
-	for _, s := range []labelSet{l.out, l.in} {
-		for _, field := range []any{s.offsets, s.hubs, s.dists} {
+	for _, s := range []*labelSet{&l.out, &l.in} {
+		c := decodeSide(l, s)
+		hubs, dists := make([]int32, len(c.entries)), make([]uint64, len(c.entries))
+		for i, e := range c.entries {
+			hubs[i], dists[i] = int32(e.Hub), math.Float64bits(e.Dist)
+		}
+		for _, field := range []any{c.offsets, hubs, dists} {
 			if err := binary.Write(h, binary.LittleEndian, field); err != nil {
 				panic(err)
 			}
 		}
 	}
-	runtime.KeepAlive(l)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -132,23 +155,115 @@ func TestFinalize(t *testing.T) {
 		}
 		return lists
 	}
-	reference := func(lists [][]Entry) labelSet {
-		ref := labelSet{offsets: make([]int32, len(lists)+1)}
+	reference := func(lists [][]Entry) csr {
+		ref := csr{offsets: make([]int32, len(lists)+1)}
 		for v, label := range lists {
-			for _, e := range slices.SortedFunc(slices.Values(label), func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) }) {
-				ref.hubs = append(ref.hubs, e.Hub)
-				ref.dists = append(ref.dists, e.Dist)
-			}
-			ref.offsets[v+1] = int32(len(ref.hubs))
+			ref.entries = append(ref.entries, slices.SortedFunc(slices.Values(label), func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) })...)
+			ref.offsets[v+1] = int32(len(ref.entries))
 		}
 		return ref
 	}
 	for _, n := range []int{1, 2, 5, 64, 300} {
 		out, in := random(n), random(n)
-		und := &Labeling{numNodes: n, out: reference(out)}
-		und.in = und.out
-		sameLabeling(t, und, newLabeling(n, false, out, nil))
-		sameLabeling(t, &Labeling{numNodes: n, directed: true, out: reference(out), in: reference(in)}, newLabeling(n, true, out, in))
+		und, err := newLabeling(n, false, out, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCSR(t, "undirected", reference(out), decodeSide(und, &und.out))
+		dir, err := newLabeling(n, true, out, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCSR(t, "out", reference(out), decodeSide(dir, &dir.out))
+		sameCSR(t, "in", reference(in), decodeSide(dir, &dir.in))
+	}
+}
+
+// TestLabelWidths pins the packed entry layout: hub ids take the bytes of
+// n−1, distances the bytes of their largest count of the side's unit, each
+// side its own widths, and a side that cannot be packed is refused, never
+// stored as other bits.
+func TestLabelWidths(t *testing.T) {
+	for _, c := range []struct{ n, hubW int }{{1, 1}, {256, 1}, {257, 2}, {65536, 2}, {65537, 3}} {
+		lists := make([][]Entry, c.n)
+		lists[0] = []Entry{{Hub: graph.NodeID(c.n - 1), Dist: 3}}
+		l, err := newLabeling(c.n, false, lists, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.out.hubW != c.hubW || l.out.width != c.hubW+1 {
+			t.Errorf("n = %d: hub width %d, entry width %d; want %d and %d", c.n, l.out.hubW, l.out.width, c.hubW, c.hubW+1)
+		}
+		sameCSR(t, "hub width", csr{offsets: l.out.offsets, entries: lists[0]}, decodeSide(l, &l.out))
+	}
+
+	// A zero-weight cluster, as the hub-label fuzz target builds: every
+	// distance is 0 and takes no bytes.
+	inf := math.Inf(1)
+	zero, err := buildSeq(newArcGraph([][]float64{{inf, 0, 0}, {0, inf, 0}, {0, 0, inf}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.out.width != zero.out.hubW {
+		t.Errorf("zero-weight cluster: %d distance bytes, want 0", zero.out.width-zero.out.hubW)
+	}
+	for _, e := range decodeSide(zero, &zero.out).entries {
+		if math.Float64bits(e.Dist) != 0 {
+			t.Fatalf("zero-weight cluster: hub %d at distance %v", e.Hub, e.Dist)
+		}
+	}
+
+	// Two sides, two widths: out's counts of 1 fit a byte, in's counts of
+	// ½ need three; both read back bit for bit.
+	out := [][]Entry{{{Hub: 0, Dist: 0}, {Hub: 2, Dist: 3}}, {{Hub: 1, Dist: 0}}, {{Hub: 2, Dist: 0}, {Hub: 0, Dist: 255}}}
+	in := [][]Entry{{{Hub: 1, Dist: 1e6 + 0.5}, {Hub: 0, Dist: 0}}, {{Hub: 1, Dist: 0}}, {}}
+	dir, err := newLabeling(3, true, out, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir.out.width != 1+1 || dir.in.width != 1+3 || dir.out.unit != 1 || dir.in.unit != 0.5 {
+		t.Errorf("directed: widths %d / %d, units %v / %v; want 2 / 4, 1 / 0.5", dir.out.width, dir.in.width, dir.out.unit, dir.in.unit)
+	}
+	byHub := func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) }
+	sameCSR(t, "out", csr{offsets: []int32{0, 2, 3, 5}, entries: slices.Concat(out[0], out[1], slices.SortedFunc(slices.Values(out[2]), byHub))}, decodeSide(dir, &dir.out))
+	sameCSR(t, "in", csr{offsets: []int32{0, 2, 3, 3}, entries: slices.Concat(slices.SortedFunc(slices.Values(in[0]), byHub), in[1])}, decodeSide(dir, &dir.in))
+
+	// An empty side maps nothing and reads empty labels.
+	empty, err := newLabeling(3, true, out, make([][]Entry, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.in.entries) != 0 || empty.in.bytes() != 4*4 {
+		t.Errorf("empty side: %d entry bytes, size %d; want 0 and the offsets' 16", len(empty.in.entries), empty.in.bytes())
+	}
+	if got, err := empty.InLabel(2, nil); err != nil || len(got) != 0 {
+		t.Errorf("empty side: InLabel read %v, %v", got, err)
+	}
+
+	// A unit of 2^-70 under a distance of 2^10 needs 81-bit counts; BuildOpt
+	// refuses the labeling. So do distances with no count at all.
+	if _, _, err := BuildOpt(newArcGraph([][]float64{{inf, 0x1p-70, inf}, {0x1p-70, inf, 0x1p10}, {inf, 0x1p10, inf}}), BuildOptions{}); err == nil {
+		t.Error("labels with distances 2^-70 and 2^10 were built")
+	}
+	for _, d := range []float64{-1, math.Copysign(0, -1), inf, math.NaN()} {
+		if _, err := newLabeling(1, false, [][]Entry{{{Hub: 0, Dist: d}}}, nil); err == nil {
+			t.Errorf("a label distance %v was packed", d)
+		}
+	}
+
+	if testing.Short() || raceEnabled {
+		return
+	}
+	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 2006, Nodes: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := buildSeq(road)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.out.hubW != 2 || l.out.width != 2+6 || l.out.unit != road.Quantum() {
+		t.Errorf("road-20K: hub width %d, entry width %d, unit %v; want 2, 8 and the quantum %v", l.out.hubW, l.out.width, l.out.unit, road.Quantum())
 	}
 }
 
@@ -416,4 +531,37 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkLabelFetch prices the decode of a packed label: OutLabel on the
+// road-20K labeling over 4 096 seeded random nodes an op, reported as
+// ns/label beside entries/label.
+func BenchmarkLabelFetch(b *testing.B) {
+	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 2006, Nodes: 20000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := buildSeq(road)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(48))
+	nodes := make([]graph.NodeID, 4096)
+	for i := range nodes {
+		nodes[i] = graph.NodeID(rng.Intn(l.NumNodes()))
+	}
+	var buf []Entry
+	entries := 0
+	b.ResetTimer()
+	for range b.N {
+		for _, v := range nodes {
+			if buf, err = l.OutLabel(v, buf); err != nil {
+				b.Fatal(err)
+			}
+			entries += len(buf)
+		}
+	}
+	labels := float64(b.N) * float64(len(nodes))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/labels, "ns/label")
+	b.ReportMetric(float64(entries)/labels, "entries/label")
 }

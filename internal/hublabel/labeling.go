@@ -50,8 +50,10 @@ package hublabel
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -80,38 +82,72 @@ type Source interface {
 	InLabel(n graph.NodeID, buf []Entry) ([]Entry, error)
 }
 
-// labelSet is a CSR bundle of per-node labels sorted by hub id. Built by
-// finalize, hubs and dists live in a read-only mapping outside the Go heap
-// where the platform has one (newLabelArrays), owned by the enclosing
-// Labeling: they are read only through a *labelSet into that Labeling and
-// never handed out.
+// labelSet is a CSR bundle of per-node labels sorted by hub id, packed at
+// the width the side needs. Entry i of the side is the width bytes at
+// entries[i·width:]: the hub id in hubW bytes, then the distance as a count
+// of unit in width − hubW bytes, both little endian. unit is the largest
+// power of two dividing every distance of the side — at least the graph's
+// quantum on a graph.Builder graph — so float64(count)·unit is the distance
+// bit for bit. Built by finalize, entries lives in a read-only mapping
+// outside the Go heap where the platform has one (newLabelMem), owned by the
+// enclosing Labeling: it is read only through a *labelSet into that Labeling
+// and never handed out. It runs labelSlack bytes past the last entry, so
+// every field decodes with an 8-byte load.
 type labelSet struct {
-	offsets []int32
-	hubs    []graph.NodeID
-	dists   []float64
+	offsets     []int32
+	entries     []byte
+	hubW, width int
+	unit        float64
 }
 
-// labelEntryBytes is what one entry takes: a 4-byte hub id and a float64.
-const labelEntryBytes = 4 + 8
+// labelSlack is what a side's entries run past its last entry: an 8-byte
+// load at the last distance count stays inside them.
+const labelSlack = 8
 
 func (s *labelSet) label(n graph.NodeID, buf []Entry) []Entry {
-	buf = buf[:0]
-	lo, hi := s.offsets[n], s.offsets[n+1]
-	dists := s.dists[lo:hi]
-	for i, h := range s.hubs[lo:hi] {
-		buf = append(buf, Entry{Hub: h, Dist: dists[i]})
+	lo, hi := int(s.offsets[n]), int(s.offsets[n+1])
+	if lo == hi {
+		return buf[:0]
 	}
-	// s points into the Labeling whose cleanup unmaps the arrays: it must
+	buf = slices.Grow(buf[:0], hi-lo)[:hi-lo]
+	s.decode(buf, s.entries[lo*s.width:hi*s.width+labelSlack])
+	// s points into the Labeling whose cleanup unmaps the entries: it must
 	// stay reachable until the last read.
 	runtime.KeepAlive(s)
 	return buf
 }
 
-func (s *labelSet) size() int { return len(s.hubs) }
+// decode unpacks len(buf) entries from b. It is label's loop on its own:
+// with fewer values live, its locals stay in registers instead of spilling
+// to the stack on every entry.
+func (s *labelSet) decode(buf []Entry, b []byte) {
+	w, hubW, unit := s.width, s.hubW, s.unit
+	hubMask, distMask := fieldMask(hubW), fieldMask(w-hubW)
+	// hubW < 8: the &63 only spares the shift its range check.
+	distShift := uint(8*hubW) & 63
+	if w <= 8 { // one load holds the whole entry
+		for i, at := 0, 0; i < len(buf); i, at = i+1, at+w {
+			x := binary.LittleEndian.Uint64(b[at:])
+			buf[i] = Entry{Hub: graph.NodeID(x & hubMask), Dist: float64(int64(x>>distShift&distMask)) * unit}
+		}
+		return
+	}
+	for i, at := 0, 0; i < len(buf); i, at = i+1, at+w {
+		buf[i] = Entry{
+			Hub:  graph.NodeID(binary.LittleEndian.Uint64(b[at:]) & hubMask),
+			Dist: float64(int64(binary.LittleEndian.Uint64(b[at+hubW:])&distMask)) * unit,
+		}
+	}
+}
 
-// bytes is the set's size: its entries and its offsets.
+// fieldMask is the mask of a little-endian field of size bytes, size ≤ 8.
+func fieldMask(size int) uint64 { return ^uint64(0) >> uint(64-8*size) }
+
+func (s *labelSet) size() int { return int(s.offsets[len(s.offsets)-1]) }
+
+// bytes is the set's size: its packed entries and its offsets.
 func (s *labelSet) bytes() int64 {
-	return int64(len(s.hubs))*labelEntryBytes + int64(len(s.offsets))*4
+	return int64(s.size())*int64(s.width) + int64(len(s.offsets))*4
 }
 
 // Labeling is an immutable in-memory 2-hop labeling.
@@ -122,21 +158,26 @@ type Labeling struct {
 }
 
 // newLabeling packs per-node entry lists into a labeling; an undirected
-// one reads only out. Each side's arrays are sealed read-only and handed to
+// one reads only out. Each side's entries are sealed read-only and handed to
 // the labeling, which unmaps them once it is unreachable; Close on an index
 // over it does not, so a query still holding a retired index reads valid
-// labels.
-func newLabeling(n int, directed bool, out, in [][]Entry) *Labeling {
+// labels. It fails when a side's distances cannot be packed (finalize).
+func newLabeling(n int, directed bool, out, in [][]Entry) (*Labeling, error) {
 	l := &Labeling{numNodes: n, directed: directed}
-	var mem []byte
-	l.out, mem = finalize(n, out)
-	l.seal(&l.out, mem)
+	var mapped bool
+	var err error
+	if l.out, mapped, err = finalize(n, out); err != nil {
+		return nil, err
+	}
+	l.seal(&l.out, mapped)
 	l.in = l.out
 	if directed {
-		l.in, mem = finalize(n, in)
-		l.seal(&l.in, mem)
+		if l.in, mapped, err = finalize(n, in); err != nil {
+			return nil, err
+		}
+		l.seal(&l.in, mapped)
 	}
-	return l
+	return l, nil
 }
 
 // NumNodes implements Source.
@@ -169,9 +210,9 @@ func (l *Labeling) Entries() int {
 	return l.out.size()
 }
 
-// Bytes returns the memory the labels take, both sides: 12 bytes an entry —
-// held outside the Go heap where the platform maps memory — plus each
-// side's 4-byte CSR offsets.
+// Bytes returns the memory the labels take, both sides: each side's packed
+// entries at its own width — held outside the Go heap where the platform
+// maps memory — plus its 4-byte CSR offsets.
 func (l *Labeling) Bytes() int64 {
 	if l.directed {
 		return l.out.bytes() + l.in.bytes()
@@ -410,22 +451,50 @@ func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Ent
 // transpose to hub-major order and back. Reading the nodes in id order files
 // every entry under its hub, and reading the hubs in id order then hands each
 // node its entries by hub id. A node holds at most one entry per hub, so no
-// ties arise. The sorted hubs and dists are written straight into the arrays
-// of newLabelArrays; finalize returns their mapping beside the set, nil when
-// they are heap slices.
-func finalize(n int, entries [][]Entry) (labelSet, []byte) {
+// ties arise. The sorted entries are packed straight into the bytes of
+// newLabelMem at the side's widths (labelSet); finalize reports whether
+// those bytes are a mapping. A side whose distances are not finite and
+// non-negative, or whose counts of the unit would need more than 63 bits,
+// is refused: no graph.Builder graph has one, as every distance is a
+// multiple of its quantum Q below 2^53·Q.
+func finalize(n int, entries [][]Entry) (labelSet, bool, error) {
 	offsets := make([]int32, n+1) // node-major
 	byHub := make([]int32, n+1)   // hub-major
+	// Every positive distance is m·2^e with m odd: low is the least such e
+	// (the unit's exponent), high the largest e + bit length of m.
+	low, high := math.MaxInt, math.MinInt
 	for v, label := range entries {
 		offsets[v+1] = offsets[v] + int32(len(label))
 		for _, e := range label {
 			byHub[e.Hub+1]++
+			switch {
+			case math.Float64bits(e.Dist) == 0: // +0 is a count of 0 at any unit
+				continue
+			case !(e.Dist > 0) || math.IsInf(e.Dist, 1):
+				return labelSet{}, false, fmt.Errorf("hublabel: label distance %v of node %d is not finite and non-negative", e.Dist, v)
+			}
+			frac, exp := math.Frexp(e.Dist) // e.Dist = frac·2^exp, frac in [½, 1)
+			m := math.Float64bits(frac)&(1<<52-1) | 1<<52
+			tz := bits.TrailingZeros64(m)
+			low = min(low, exp-53+tz)
+			high = max(high, exp)
 		}
 	}
 	for h := range n {
 		byHub[h+1] += byHub[h]
 	}
 	total := offsets[n]
+
+	s := labelSet{offsets: offsets, hubW: max(1, byteLen(uint64(max(n-1, 0)))), unit: 1}
+	distW := 0
+	if low <= high {
+		if high-low > 63 {
+			return labelSet{}, false, fmt.Errorf("hublabel: label distances need %d-bit counts of their unit 2^%d, more than 63", high-low, low)
+		}
+		s.unit = math.Ldexp(1, low)
+		distW = (high - low + 7) / 8
+	}
+	s.width = s.hubW + distW
 
 	// Node-major → hub-major: each hub's entries, by node id.
 	owner := make([]graph.NodeID, total)
@@ -440,15 +509,31 @@ func finalize(n int, entries [][]Entry) (labelSet, []byte) {
 	}
 
 	// Hub-major → node-major: each node's entries, by hub id.
-	hubs, dists, mem := newLabelArrays(int(total))
+	var mapped bool
+	if total > 0 {
+		s.entries, mapped = newLabelMem(int(total)*s.width + labelSlack)
+	}
+	var field [16]byte
 	next = slices.Clone(offsets[:n])
 	for h := range n {
 		for i := byHub[h]; i < byHub[h+1]; i++ {
 			v := owner[i]
-			j := next[v]
+			e := s.entries[int(next[v])*s.width:]
 			next[v]++
-			hubs[j], dists[j] = graph.NodeID(h), hubDist[i]
+			count := uint64(hubDist[i] / s.unit)
+			if s.width == 8 { // one store, no byte past the entry
+				binary.LittleEndian.PutUint64(e, uint64(h)|count<<(8*s.hubW))
+				continue
+			}
+			// Entries land out of order: the bytes past this one may be
+			// written already, so only its own are copied.
+			binary.LittleEndian.PutUint64(field[:], uint64(h))
+			binary.LittleEndian.PutUint64(field[s.hubW:], count)
+			copy(e[:s.width], field[:])
 		}
 	}
-	return labelSet{offsets: offsets, hubs: hubs, dists: dists}, mem
+	return s, mapped, nil
 }
+
+// byteLen is the number of bytes x takes, 0 for 0.
+func byteLen(x uint64) int { return (bits.Len64(x) + 7) / 8 }

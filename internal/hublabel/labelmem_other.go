@@ -2,19 +2,15 @@
 
 package hublabel
 
-import "graphrnn/internal/graph"
-
-// Where the syscall package lacks mmap or mprotect the label arrays are
-// heap slices (see labelmem_mmap.go).
+// Where the syscall package lacks mmap or mprotect the label entries are
+// heap bytes (see labelmem_mmap.go).
 
 // MappedLabels returns the number of label mappings the process holds and
 // their bytes: none here.
 func MappedLabels() (mappings int, bytes int64) { return 0, 0 }
 
-// newLabelArrays returns zeroed heap arrays of total entries; mem is nil.
-func newLabelArrays(total int) (hubs []graph.NodeID, dists []float64, mem []byte) {
-	return make([]graph.NodeID, total), make([]float64, total), nil
-}
+// newLabelMem returns size zeroed heap bytes; they are not mapped.
+func newLabelMem(size int) (mem []byte, isMapped bool) { return make([]byte, size), false }
 
-// seal has nothing to seal: the arrays are on the heap.
-func (*Labeling) seal(*labelSet, []byte) {}
+// seal has nothing to seal: the entries are on the heap.
+func (*Labeling) seal(*labelSet, bool) {}

@@ -26,9 +26,9 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestLabelMappingHeap: the road-20K labeling retains under 5 % of its 12
-// bytes an entry on the Go heap — the offsets and little else; with the
-// arrays on the heap it retained all of them.
+// TestLabelMappingHeap: the road-20K labeling retains under 5 % of its
+// packed entry bytes on the Go heap — the offsets and little else; with the
+// entries on the heap it retained all of them.
 func TestLabelMappingHeap(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("builds the 20K-node road labeling to read the live heap")
@@ -42,12 +42,13 @@ func TestLabelMappingHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := liveHeap()
-	entryBytes := int64(l.Entries()) * labelEntryBytes
+	entries, width := l.Entries(), l.out.width
+	entryBytes := int64(entries) * int64(width)
 	_, mappedBytes := MappedLabels()
 	runtime.KeepAlive(l)
 	retained := held - liveHeap() // what dropping the labeling frees
-	t.Logf("road-20K: %d entries, %d entry bytes mapped (%d in all mappings), %d heap bytes retained",
-		entryBytes/labelEntryBytes, entryBytes, mappedBytes, retained)
+	t.Logf("road-20K: %d entries of %d bytes, %d entry bytes mapped (%d in all mappings), %d heap bytes retained",
+		entries, width, entryBytes, mappedBytes, retained)
 	if 20*retained >= entryBytes {
 		t.Errorf("the labeling retains %d heap bytes, %.1f %% of its %d entry bytes; want < 5 %%",
 			retained, 100*float64(retained)/float64(entryBytes), entryBytes)
@@ -57,9 +58,9 @@ func TestLabelMappingHeap(t *testing.T) {
 	}
 }
 
-// TestLabelMappingReadOnly: a write into the sealed distances faults, and
+// TestLabelMappingReadOnly: a write into the sealed entries faults, and
 // under SetPanicOnFault the fault is a runtime.Error panic that leaves the
-// label as it was.
+// byte as it was.
 func TestLabelMappingReadOnly(t *testing.T) {
 	road, err := gen.RoadNetwork(gen.RoadConfig{Seed: 11, Nodes: 500})
 	if err != nil {
@@ -69,18 +70,18 @@ func TestLabelMappingReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := l.out.dists[0]
+	want := l.out.entries[0]
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	func() {
 		defer func() {
 			if r, ok := recover().(runtime.Error); !ok {
-				t.Fatalf("a write into the label distances recovered %v, want a runtime.Error", r)
+				t.Fatalf("a write into the label entries recovered %v, want a runtime.Error", r)
 			}
 		}()
-		l.out.dists[0] = -1
+		l.out.entries[0] = ^want
 	}()
-	if got := l.out.dists[0]; got != want {
-		t.Fatalf("the faulted write changed distance 0 from %v to %v", want, got)
+	if got := l.out.entries[0]; got != want {
+		t.Fatalf("the faulted write changed entry byte 0 from %#x to %#x", want, got)
 	}
 	runtime.KeepAlive(l)
 }
@@ -138,7 +139,11 @@ func TestLabelMappingReleased(t *testing.T) {
 	}
 
 	base := settle()
-	if empty := newLabeling(1, false, [][]Entry{nil}, nil); count() != base || empty.Entries() != 0 {
+	empty, err := newLabeling(1, false, [][]Entry{nil}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count() != base || empty.Entries() != 0 {
 		t.Fatalf("an empty labeling made %d mappings", count()-base)
 	}
 	kept := []*Labeling{build(und)}

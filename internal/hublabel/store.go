@@ -403,5 +403,5 @@ func Load(f storage.PagedFile) (*Labeling, error) {
 			in[v] = append([]Entry(nil), buf...)
 		}
 	}
-	return newLabeling(n, s.directed, out, in), nil
+	return newLabeling(n, s.directed, out, in)
 }

@@ -192,7 +192,7 @@ func TestMaintenanceContract(t *testing.T) {
 			e := newMaintEnv(t, op.edge, sub.mat, sub.hub)
 			for _, b := range bounds {
 				t.Run(op.name+"/"+sub.name+"/"+b.name, func(t *testing.T) {
-					for round := 0; round < 2; round++ { // the journal is reusable after every outcome
+					for round := 0; round < 2; round++ { // an abandoned repair rolls back from its in-memory before-images, so every outcome leaves a set the next round can use
 						before := e.snapshot()
 						ctx, cancel, opt := b.bound()
 						var p PointID
