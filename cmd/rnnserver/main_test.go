@@ -635,13 +635,15 @@ func TestHugeMaxKKeepsServing(t *testing.T) {
 // counters follow its tie handling: 5 verifications while a relative 1e-11
 // slack shrank every "strictly closer" bound, 2 since distances are exact
 // on the graph's quantum and a candidate whose radius equals the query's
-// distance needs none.
+// distance needs none. The heap counters of both expansion rows include
+// the main walk's own queue traffic (31 pushes and 31 pops of it), which
+// Stats once dropped.
 func TestQueryResponseWireBytes(t *testing.T) {
 	s := newTestServer(t)
 	for body, want := range map[string]string{
-		`{"kind":"rnn","node":5,"k":2,"algo":"eager"}`:     `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":31,"nodes_scanned":726,"range_nn":31,"verifications":7,"mat_reads":0,"label_reads":0,"label_entries":0,"heap_pushes":950,"heap_pops":736},"plan":{"algorithm":"eager","fallback":false,"reason":"explicit algorithm"}}`,
+		`{"kind":"rnn","node":5,"k":2,"algo":"eager"}`:     `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":31,"nodes_scanned":726,"range_nn":31,"verifications":7,"mat_reads":0,"label_reads":0,"label_entries":0,"heap_pushes":981,"heap_pops":767},"plan":{"algorithm":"eager","fallback":false,"reason":"explicit algorithm"}}`,
 		`{"kind":"rnn","node":5,"k":2,"algo":"hub-label"}`: `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":0,"nodes_scanned":0,"range_nn":0,"verifications":0,"mat_reads":0,"label_reads":1,"label_entries":78,"heap_pushes":0,"heap_pops":0},"plan":{"algorithm":"hub-label","fallback":false,"reason":"explicit algorithm"}}`,
-		`{"kind":"rnn","node":5,"k":2,"algo":"eager-m"}`:   `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":31,"nodes_scanned":103,"range_nn":0,"verifications":2,"mat_reads":38,"label_reads":0,"label_entries":0,"heap_pushes":152,"heap_pops":105},"plan":{"algorithm":"eager-M","fallback":false,"reason":"explicit algorithm"}}`,
+		`{"kind":"rnn","node":5,"k":2,"algo":"eager-m"}`:   `{"kind":"rnn","k":2,"points":[4,9,17,33,38],"stats":{"nodes_expanded":31,"nodes_scanned":103,"range_nn":0,"verifications":2,"mat_reads":38,"label_reads":0,"label_entries":0,"heap_pushes":183,"heap_pops":136},"plan":{"algorithm":"eager-M","fallback":false,"reason":"explicit algorithm"}}`,
 	} {
 		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
 		rec := httptest.NewRecorder()

@@ -75,10 +75,10 @@ func (s *Searcher) seedSources(sc *scratch, sources []Loc, cands, sites PointSet
 // spare K+1-th entry compensates. cands must already exclude a point
 // co-located with the query, if the caller wants the usual "newly arrived
 // object" semantics (see points.ExcludeNode).
-func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, sources []Loc, tgt target, k int) (*Result, error) {
+func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, sources []Loc, tgt target, k int) (res *Result, err error) {
 	var st Stats
 	main := s.acquire()
-	defer s.release(&st, main)
+	defer s.releaseMain(&res, main)
 
 	decided := make(map[points.PointID]bool)
 	var results []points.PointID

@@ -272,7 +272,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 				if err != nil {
 					t.Fatalf("%s %s %s k=%d: %v", e.name, q.label, al.name, k, err)
 				}
-				fmt.Fprintf(b, "%s %s k=%d %s: %v %s\n", e.name, q.label, k, al.name, res.Points, goldenStats(res.Stats))
+				goldenRow(t, b, fmt.Sprintf("%s %s k=%d %s", e.name, q.label, k, al.name), res.Points, res.Stats)
 			}
 			if q.verify == nil {
 				continue
@@ -291,7 +291,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 				}
 				sum.Add(st)
 			}
-			fmt.Fprintf(b, "%s %s k=%d verify-member: %v %s\n", e.name, q.label, k, members, goldenStats(sum))
+			goldenRow(t, b, fmt.Sprintf("%s %s k=%d verify-member", e.name, q.label, k), members, sum)
 		}
 	}
 
@@ -328,7 +328,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fmt.Fprintf(b, "%s directed/rnn/q=%d k=%d %s: %v %s\n", e.name, q, k, al.name, res.Points, goldenStats(res.Stats))
+				goldenRow(t, b, fmt.Sprintf("%s directed/rnn/q=%d k=%d %s", e.name, q, k, al.name), res.Points, res.Stats)
 			}
 		}
 	}
@@ -366,10 +366,21 @@ func (e *goldenEnv) dumpDirectedKinds(t *testing.T, b *strings.Builder) {
 				if err != nil {
 					t.Fatalf("%s %s %s k=%d: %v", e.name, sh.label, al.name, k, err)
 				}
-				fmt.Fprintf(b, "%s %s k=%d %s: %v %s\n", e.name, sh.label, k, al.name, res.Points, goldenStats(res.Stats))
+				goldenRow(t, b, fmt.Sprintf("%s %s k=%d %s", e.name, sh.label, k, al.name), res.Points, res.Stats)
 			}
 		}
 	}
+}
+
+// goldenRow writes one row. Every node a walk counts as expanded or
+// scanned left a queue by a pop, so a row with fewer pops than nodes has
+// left some queue's traffic out of its Stats.
+func goldenRow(t *testing.T, b *strings.Builder, label string, members []points.PointID, st Stats) {
+	t.Helper()
+	if st.HeapPops < st.NodesExpanded+st.NodesScanned {
+		t.Errorf("%s: %d heap pops for %d expanded + %d scanned nodes", label, st.HeapPops, st.NodesExpanded, st.NodesScanned)
+	}
+	fmt.Fprintf(b, "%s: %v %s\n", label, members, goldenStats(st))
 }
 
 func goldenStats(st Stats) string {

@@ -136,10 +136,10 @@ func (sc *scratch) surfaceEdge(cands, sites PointSet, mono bool, n graph.NodeID,
 // the point's membership. Bichromatic ones run site verifications purely
 // for their pruning side effects and classify each candidate the walk
 // still reaches (classify).
-func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt target, k int) (*Result, error) {
+func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt target, k int) (res *Result, err error) {
 	var st Stats
 	main := s.acquire()
-	defer s.release(&st, main)
+	defer s.releaseMain(&res, main)
 	counts := s.acquireCounts()
 	defer s.releaseCounts(counts)
 	lz := &lazyPrune{sc: main, counts: counts, children: make(map[graph.NodeID][]pq.Handle)}

@@ -141,10 +141,10 @@ func (ep *epMarks) seed(s *Searcher, p points.PointID, loc Loc) error {
 // already show k closer competitors is rejected without one (epClassify).
 // Surviving candidates are decided by a verification (monochromatic) or
 // classified like lazy's (bichromatic).
-func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt target, k int) (*Result, error) {
+func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt target, k int) (res *Result, err error) {
 	var st Stats
 	main := s.acquire()
-	defer s.release(&st, main)
+	defer s.releaseMain(&res, main)
 	ep := s.pools.ep.Get().(*epMarks)
 	defer s.pools.ep.Put(ep)
 	ep.reset(s.g.NumNodes(), min(k, sites.len()))

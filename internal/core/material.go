@@ -372,8 +372,7 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 // MatInsert maintains the lists after new data point p appears at location
 // at: a bounded expansion seeded at at's anchors inserts the point into
 // every list it improves and stops at nodes it cannot improve (Section 4.1).
-func (s *Searcher) MatInsert(m *Materialized, p points.PointID, at Loc) (Stats, error) {
-	var st Stats
+func (s *Searcher) MatInsert(m *Materialized, p points.PointID, at Loc) (st Stats, err error) {
 	sc := s.acquire()
 	defer s.release(&st, sc)
 	if err := sc.seed(s, at); err != nil {
@@ -454,8 +453,7 @@ func matAccept(lst []MatEntry, p points.PointID, d float64, cap int) (bool, []Ma
 // Fig 10: step one expands over the affected nodes (those whose lists
 // contain p), removing p; step two refills the vacated slots by propagating
 // candidate entries inward from the border.
-func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (Stats, error) {
-	var st Stats
+func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (st Stats, err error) {
 	sc := s.acquire()
 	defer s.release(&st, sc)
 	if err := sc.seed(s, at); err != nil {

@@ -228,6 +228,19 @@ func (s *Searcher) release(st *Stats, sc *scratch) {
 	s.pools.scratch.Put(sc)
 }
 
+// releaseMain is release for the scratch of a query's main walk, deferred
+// by a function whose named result is res. Its return statement has copied
+// the query's Stats into *res before deferred calls run, so the walk's own
+// heap traffic goes there; an invalidated (nil) result drops it.
+func (s *Searcher) releaseMain(res **Result, sc *scratch) {
+	var dropped Stats
+	st := &dropped
+	if *res != nil {
+		st = &(*res).Stats
+	}
+	s.release(st, sc)
+}
+
 // acquireCounts returns lazy visit counters reset for a fresh query.
 func (s *Searcher) acquireCounts() *lazyCounts {
 	c := s.pools.counts.Get().(*lazyCounts)
