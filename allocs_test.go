@@ -12,10 +12,10 @@ import (
 // TestHotPathAllocs is the end-to-end half of the allocation gate (the
 // layers have their own: internal/pq, internal/storage, internal/core). One
 // warmed k=2 query on a disk-backed DB whose 32-page buffer is a
-// fraction of the graph pushes and pops tens of thousands of heap entries
+// fraction of the graph pushes and pops tens of thousands of queue entries
 // and faults hundreds of pages; what it may still allocate is per-query
 // bookkeeping — the exec context, plan, result and statistics, the
-// verified/answer sets — not anything per heap entry, per page or per
+// verified/answer sets — not anything per queue entry, per page or per
 // sub-expansion. Both residencies run the one walker, so both are gated;
 // so are lazy-EP, whose H' marks are pooled, lazy, eager-M over K-NN lists
 // and a hub-label query over in-memory labels.
@@ -63,16 +63,20 @@ func TestHotPathAllocs(t *testing.T) {
 		q       graphrnn.Query
 		ceiling float64
 	}{
-		{"node", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.Eager()), 32}, // measured: 11
-		// measured: 15 (4 603 while every sub-expansion built its own heap,
-		// adjacency and point buffers and a map of consumed arrivals)
+		// measured: 11–19 over ten runs, as for the next rows; the upper end
+		// is a run in which a collection emptied the scratch pool, and a
+		// fresh walk grows each radix bucket it fills from one entry
+		{"node", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.Eager()), 32},
+		// measured: 15–18 (4 603 while every sub-expansion built its own
+		// heap, adjacency and point buffers and a map of consumed arrivals)
 		{"edge", edgeRNNQuery(eps.Excluding(ep), eloc, 2, graphrnn.Eager()), 40},
 		// measured: 6 (thousands while H' kept its marks in a per-query map of
 		// per-node slices; they live in a pooled arena now)
 		{"lazy-ep", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.LazyEP()), 20},
-		// measured: 85 (the hash table of Fig 6 and the verified set are per
-		// query)
-		{"lazy", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.Lazy()), 256},
+		// measured: 15–24 (83 while Fig 6's hash table was a per-query map
+		// of heap handles; it is the generator marks of the pooled walk now,
+		// and the verified set is what stays per query)
+		{"lazy", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.Lazy()), 40},
 		// measured: 16 (1 576 heap pushes, 120 page faults; the K-NN lists
 		// spare the range-NN probes)
 		{"eager-m", rnnQuery(ps.Excluding(qp), qnode, 2, graphrnn.EagerM(mat)), 40},

@@ -6,18 +6,20 @@
 // One walker serves both network models of the paper: restricted networks
 // (Sections 3-5.1, data points on nodes) are the degenerate case of
 // unrestricted ones (Section 5.2, data points — and queries — anywhere on
-// the edges). A traversal is a scratch whose single heap holds graph nodes,
-// point arrivals and target arrivals (scratch.go); where the points are is
-// the residency of a PointSet, a node view or an edge view, and every loop
-// asks both "which point sits on node n" and "which points sit on edge
-// (u,v)" (loc.go). On top of one rangeNN, one verify, one KNN and one
+// the edges). A traversal is a scratch whose single queue — a monotone
+// radix queue, since every push is the popped distance plus a non-negative
+// weight or offset — holds graph nodes, point arrivals and target arrivals
+// (scratch.go); where the points are is the residency of a PointSet, a
+// node view or an edge view, and every loop asks both "which point sits on
+// node n" and "which points sit on edge (u,v)" (loc.go). On top of one rangeNN, one verify, one KNN and one
 // Distance (expand.go) it provides one main walk each for:
 //
 //   - eager: expansion from the query with per-node range-NN pruning (§3.2)
 //     — or, as eager-M, reading materialized K-NN lists built by all-NN,
 //     with insertion and two-step border-node deletion maintenance (§4.1)
 //   - lazy: expansion pruned by verification queries of discovered points,
-//     with per-node counters and heap-entry invalidation for k > 1 (§3.3)
+//     with per-node counters that also drop the queued entries of a node
+//     found closer to k points than to the query (§3.3, Fig 6)
 //   - lazy-EP: lazy with a second heap propagating the pruning power of
 //     discovered points in parallel with the main expansion (§4.2)
 //   - brute force: one unbounded verification per candidate (§3.1)
@@ -82,7 +84,9 @@ type Stats struct {
 	// LabelEntries counts label and hub-list entries scanned (hub-label);
 	// the entry a pruned list scan stops on is not one of them.
 	LabelEntries int64 `json:"label_entries"`
-	// HeapPushes and HeapPops count priority queue traffic across all heaps.
+	// HeapPushes and HeapPops count priority queue traffic across every
+	// queue of the operation: the main walk's, every sub-expansion's and
+	// lazy-EP's H'. An entry lazy drops unpopped is a push, not a pop.
 	HeapPushes int64 `json:"heap_pushes"`
 	HeapPops   int64 `json:"heap_pops"`
 }

@@ -191,7 +191,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 			return nil, err
 		}
 		for _, e := range main.adj {
-			main.pushNode(e.To, d+e.W)
+			main.pushNode(n, e.To, d+e.W)
 		}
 	}
 	return finishResult(results, st), nil

@@ -64,7 +64,7 @@ func (s *Searcher) rangeNN(st *Stats, sites PointSet, from Loc, k int, e float64
 		}
 		for _, edge := range sc.adj {
 			if nd := d + edge.W; nd < e {
-				sc.pushNode(edge.To, nd)
+				sc.pushNode(n, edge.To, nd)
 			}
 		}
 	}
@@ -167,8 +167,8 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 			if p, has := sites.at(n); has && p != self {
 				sameCount++
 			}
-			if lz != nil && lz.visit(n, d, ub, k) {
-				lz.unqueue(n)
+			if lz != nil {
+				lz.visit(n, d, ub)
 			}
 			if tgt.via(n) {
 				if err := tgt.arrive(s, sc, n, d, ub); err != nil {
@@ -186,7 +186,7 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 			}
 			for _, edge := range sc.adj {
 				if nd := d + edge.W; nd <= ub {
-					sc.pushNode(edge.To, nd)
+					sc.pushNode(n, edge.To, nd)
 				}
 			}
 		}
@@ -241,7 +241,7 @@ func (s *Searcher) Distance(a, b Loc) (float64, error) {
 			return 0, err
 		}
 		for _, edge := range sc.adj {
-			sc.pushNode(edge.To, d+edge.W)
+			sc.pushNode(n, edge.To, d+edge.W)
 		}
 	}
 }

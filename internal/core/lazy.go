@@ -5,18 +5,21 @@ import (
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
-	"graphrnn/internal/pq"
 )
 
 // lazyCounts is the per-node visit counter of the lazy algorithm (Fig 7),
-// epoch-stamped so queries do not pay O(|V|) initialization.
+// epoch-stamped so queries do not pay O(|V|) initialization, with the
+// query's k. A counter counts distinct competitors, so it never passes the
+// int32 range, and k is clamped to it rather than wrapped.
 type lazyCounts struct {
 	val   []int32
 	stamp []uint32
 	epoch uint32
+	k     int32
 }
 
-func (c *lazyCounts) reset(n int) {
+func (c *lazyCounts) reset(n, k int) {
+	c.k = int32(min(k, math.MaxInt32))
 	if len(c.val) != n {
 		c.val = make([]int32, n)
 		c.stamp = make([]uint32, n)
@@ -38,51 +41,48 @@ func (c *lazyCounts) get(n graph.NodeID) int32 {
 	return c.val[n]
 }
 
-func (c *lazyCounts) add(n graph.NodeID) int32 {
+func (c *lazyCounts) add(n graph.NodeID) {
 	if c.stamp[n] != c.epoch {
 		c.stamp[n] = c.epoch
 		c.val[n] = 0
 	}
 	c.val[n]++
-	return c.val[n]
 }
 
+// atK reports whether n's counter has reached k: n is closer to k
+// competitors than to the query.
+func (c *lazyCounts) atK(n graph.NodeID) bool { return c.get(n) >= c.k }
+
 // lazyPrune is the main-walk state a lazy verification expansion prunes as
-// a side effect (Section 3.3): the walk's node labels and heap, the
-// per-node counters, and the hash table of Fig 6 mapping an expanded node
-// to the heap entries it generated.
+// a side effect (Section 3.3): the walk's node labels and the per-node
+// counters. The counters also stand in for Fig 6's hash table, which maps
+// an expanded node to the heap entries it generated so that they can be
+// removed once its counter reaches k. The same fact is kept the other way
+// round: every node entry names its generator (entry.from), and the walk's
+// pop drops an entry whose generator's counter has reached k
+// (scratch.pop). The rule is the same. A counter reaching k removes
+// entries only when its node was expanded; counters only rise; and a node
+// whose counter reached k before its pop is not expanded, so it generates
+// nothing. An entry is therefore removed before it surfaces exactly when
+// its generator is at k when it surfaces.
 type lazyPrune struct {
-	sc       *scratch
-	counts   *lazyCounts
-	children map[graph.NodeID][]pq.Handle
-	// kids backs every children list: one growing array per query instead
-	// of one small slice per expanded node (a list keeps pointing into the
-	// array it was cut from when a later append moves the rest).
-	kids []pq.Handle
+	sc     *scratch
+	counts *lazyCounts
 }
 
 // visit applies the pruning side effect of a verification expansion that
 // met node m at distance dm from a point at most e away from the query
 // (Fig 7, lines 9-12). For a node the main walk has already de-heaped the
 // two exact distances are compared; for any other node dm < e <= d(m,q)
-// holds because the main walk pops in ascending distance order. A qualifying node's counter is incremented; visit reports
-// whether it thereby reached k on an expanded node, whose heap entries the
-// caller then removes with unqueue (kept apart so that visit inlines into
-// the verification loop).
-func (lz *lazyPrune) visit(m graph.NodeID, dm, e float64, k int) bool {
-	closed := lz.sc.isClosed(m)
-	if closed {
+// holds because the main walk pops in ascending distance order. A
+// qualifying node's counter is incremented.
+func (lz *lazyPrune) visit(m graph.NodeID, dm, e float64) {
+	if lz.sc.isClosed(m) {
 		e = lz.sc.dist[m]
 	}
-	return dm < e && lz.counts.add(m) == int32(k) && closed
-}
-
-// unqueue removes the heap entries expanded node m generated.
-func (lz *lazyPrune) unqueue(m graph.NodeID) {
-	for _, h := range lz.children[m] {
-		lz.sc.heap.Remove(h)
+	if dm < e {
+		lz.counts.add(m)
 	}
-	delete(lz.children, m)
 }
 
 // classify decides a bichromatic candidate met at loc, d away from the
@@ -128,7 +128,7 @@ func (sc *scratch) surfaceEdge(cands, sites PointSet, mono bool, n graph.NodeID,
 // provably closer to the point than to the query has its counter
 // incremented (lazyPrune.visit); a node whose counter reaches k is closer
 // to k competitors than to the query and, by Lemma 1, is skipped (if still
-// queued) or has the heap entries it generated removed. Edge-resident
+// queued) or has the queue entries it generated dropped. Edge-resident
 // competitors also prune during edge processing: an edge carrying k of
 // them is not crossed.
 //
@@ -140,9 +140,10 @@ func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt tar
 	var st Stats
 	main := s.acquire()
 	defer s.releaseMain(&res, main)
-	counts := s.acquireCounts()
+	counts := s.acquireCounts(k)
 	defer s.releaseCounts(counts)
-	lz := &lazyPrune{sc: main, counts: counts, children: make(map[graph.NodeID][]pq.Handle)}
+	lz := &lazyPrune{sc: main, counts: counts}
+	main.gens = counts
 
 	verified := make(map[points.PointID]bool)   // sites
 	classified := make(map[points.PointID]bool) // bichromatic candidates
@@ -199,7 +200,7 @@ func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt tar
 		if err := s.checkExec(&st); err != nil {
 			return execResult(results, st, err)
 		}
-		if counts.get(n) >= int32(k) {
+		if counts.atK(n) {
 			// Lemma 1: n is closer to k competitors than to the query;
 			// neither examined nor expanded.
 			continue
@@ -217,14 +218,13 @@ func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt tar
 		// The verification of n's own point counts n itself (distance 0),
 		// so for k=1 a point-bearing node stops the expansion here — the
 		// behaviour Section 3.3 describes for single RNN retrieval.
-		if counts.get(n) >= int32(k) {
+		if counts.atK(n) {
 			continue
 		}
 		var err error
 		if main.adj, err = s.g.Adjacency(n, main.adj); err != nil {
 			return nil, err
 		}
-		first := len(lz.kids)
 		for _, e := range main.adj {
 			siteCount, err := main.surfaceEdge(cands, sites, mono, n, d, e)
 			if err != nil {
@@ -236,12 +236,7 @@ func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt tar
 			if siteCount >= k {
 				continue
 			}
-			if h := main.pushNode(e.To, d+e.W); h != 0 {
-				lz.kids = append(lz.kids, h)
-			}
-		}
-		if len(lz.kids) > first {
-			lz.children[n] = lz.kids[first:]
+			main.pushNode(n, e.To, d+e.W)
 		}
 	}
 	return finishResult(results, st), nil

@@ -115,10 +115,15 @@ func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 	}
 }
 
-// harvest adds the heap traffic of H' to st.
-func (ep *epMarks) harvest(st *Stats) {
-	st.HeapPushes += int64(ep.hp.PushCount)
-	st.HeapPops += int64(ep.hp.PopCount)
+// releaseMarks returns ep to the pool once lazy-EP's query returns, adding
+// the heap traffic of H' to the returned result's Stats (a partial one
+// included), as releaseMain does for the main walk's.
+func (s *Searcher) releaseMarks(res **Result, ep *epMarks) {
+	if *res != nil {
+		(*res).Stats.HeapPushes += int64(ep.hp.PushCount)
+		(*res).Stats.HeapPops += int64(ep.hp.PopCount)
+	}
+	s.pools.ep.Put(ep)
 }
 
 // seed starts expanding H' around discovered competitor p at loc, from
@@ -146,7 +151,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 	main := s.acquire()
 	defer s.releaseMain(&res, main)
 	ep := s.pools.ep.Get().(*epMarks)
-	defer s.pools.ep.Put(ep)
+	defer s.releaseMarks(&res, ep)
 	ep.reset(s.g.NumNodes(), min(k, sites.len()))
 	seeded, classified := ep.seeded, ep.classified
 	var results []points.PointID
@@ -186,7 +191,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 	}
 
 	for {
-		if _, top, ok := main.heap.Peek(); ok {
+		if _, top, ok := main.queue.Peek(); ok {
 			if err := s.advance(&st, ep, top, k); err != nil {
 				return execResult(results, st, err)
 			}
@@ -235,10 +240,9 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 			if siteCount >= k {
 				continue // edge-crossing rule, as in lazy
 			}
-			main.pushNode(e.To, d+e.W)
+			main.pushNode(n, e.To, d+e.W)
 		}
 	}
-	ep.harvest(&st)
 	return finishResult(results, st), nil
 }
 

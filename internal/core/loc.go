@@ -234,7 +234,7 @@ func (sc *scratch) seed(s *Searcher, l Loc) error {
 		return err
 	}
 	for _, a := range as[:n] {
-		sc.pushNode(a.node, a.off)
+		sc.pushNode(noGen, a.node, a.off)
 	}
 	return nil
 }

@@ -410,7 +410,7 @@ func (s *Searcher) MatInsert(m *Materialized, p points.PointID, at Loc) (st Stat
 			return st, err
 		}
 		for _, e := range sc.adj {
-			sc.pushNode(e.To, d+e.W)
+			sc.pushNode(n, e.To, d+e.W)
 		}
 	}
 	return st, nil
@@ -503,7 +503,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (st Stat
 			return st, err
 		}
 		for _, e := range sc.adj {
-			sc.pushNode(e.To, sc.dist[n]+e.W)
+			sc.pushNode(n, e.To, sc.dist[n]+e.W)
 		}
 	}
 	if len(affected) == 0 {

@@ -361,6 +361,18 @@ func TestEagerLazyAgreeWithBrute(t *testing.T) {
 	}
 }
 
+// TestLazyKBeyondInt32: lazy's per-node counters are int32, and a k past
+// that range once wrapped in the comparison with them (k = 2^32 + 1 pruned
+// like k = 1, k = 2^31 + 5 pruned every node), so every point reachable
+// from the query must be a member whatever k above |P| a caller passes.
+func TestLazyKBeyondInt32(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for range 3 {
+		net := randTestNet(t, rng)
+		mustMatchOracle(t, oracleCase{g: net.g, ps: PointSet{Node: net.ps}, algos: []Algo{AlgoLazy, AlgoLazyEP}, ks: []int{1<<31 + 5, 1<<32 + 1}})
+	}
+}
+
 // TestEagerLazyQueryOnEmptyNode queries from every node of sparsely
 // populated networks, most of which hold no data point.
 func TestEagerLazyQueryOnEmptyNode(t *testing.T) {

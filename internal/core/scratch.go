@@ -9,7 +9,7 @@ import (
 	"graphrnn/internal/pq"
 )
 
-// The three kinds of entry the one walker heap carries. A node entry is
+// The three kinds of entry the one walker queue carries. A node entry is
 // labelled Dijkstra-style through the scratch arrays; a point arrival is a
 // data point of an edge-resident set reached along its edge from a popped
 // endpoint (or directly, when it shares the source's edge); a target
@@ -29,30 +29,44 @@ const (
 	setSite
 )
 
-// entry is one heap item. It packs to 8 bytes, so a pq slot stays the 24
-// bytes it is for a bare node id. (One uint64 with shifted fields measured
-// the same on expand_cold, so the plain struct stays.)
+// entry is one queue item. It packs to 12 bytes, so a radix slot (entry
+// and 8-byte key) takes 24.
 type entry struct {
-	id   int32 // node id, or point id of an arrival
+	id int32 // node id, or point id of an arrival
+	// from is the generator of a node entry: the node whose expansion
+	// pushed it, noGen for a seed. Lazy's pruning drops the entry by it.
+	from graph.NodeID
 	kind uint8
 	set  uint8
 }
+
+// noGen is the generator of a seed: no expansion pushed it.
+const noGen graph.NodeID = -1
 
 func (e entry) node() graph.NodeID    { return graph.NodeID(e.id) }
 func (e entry) point() points.PointID { return points.PointID(e.id) }
 
 // scratch holds the per-expansion state of one Dijkstra-style traversal:
 // tentative distances, seen/closed stamps (epoch-based so that no O(|V|)
-// clearing is needed between queries), the heap, and the buffers an
+// clearing is needed between queries), the queue, and the buffers an
 // expansion step reads into.
+//
+// Every walk is monotone — a push is the popped distance plus a
+// non-negative weight or edge offset, seeds come before the first pop — so
+// the queue is the radix queue, which pops in exactly a binary heap's
+// (priority, insertion) order.
 type scratch struct {
 	dist   []float64
 	seen   []uint32
 	closed []uint32
 	epoch  uint32
-	heap   pq.Heap[entry]
-	adj    []graph.Edge
-	refs   []points.EdgePointRef
+	queue  pq.Radix[entry]
+	// gens, while lazy's main walk runs on this scratch, are its per-node
+	// counters: a node entry whose generator's counter has reached k is
+	// dropped when it surfaces (lazyPrune).
+	gens *lazyCounts
+	adj  []graph.Edge
+	refs []points.EdgePointRef
 	// done holds the point arrivals a verification has already consumed;
 	// made on the first arrival, so node-resident sets never pay for it.
 	done map[points.PointID]struct{}
@@ -76,7 +90,8 @@ func (sc *scratch) begin() {
 		}
 		sc.epoch = 1
 	}
-	sc.heap.Reset()
+	sc.queue.Reset()
+	sc.gens = nil
 	clear(sc.done)
 }
 
@@ -85,27 +100,27 @@ func (sc *scratch) isClosed(n graph.NodeID) bool { return sc.closed[n] == sc.epo
 
 func (sc *scratch) close(n graph.NodeID) { sc.closed[n] = sc.epoch }
 
-// pushNode offers node n at distance d, applying the lazy-deletion Dijkstra
-// discipline: duplicates with worse labels are suppressed. It returns the
-// heap handle when an entry was pushed, the zero Handle otherwise.
-func (sc *scratch) pushNode(n graph.NodeID, d float64) pq.Handle {
+// pushNode offers node n at distance d, generated by node from (noGen for
+// a seed), applying the lazy-deletion Dijkstra discipline: duplicates with
+// worse labels are suppressed.
+func (sc *scratch) pushNode(from, n graph.NodeID, d float64) {
 	if sc.isClosed(n) {
-		return 0
+		return
 	}
 	if sc.isSeen(n) && sc.dist[n] <= d {
-		return 0
+		return
 	}
 	sc.seen[n] = sc.epoch
 	sc.dist[n] = d
-	return sc.heap.Push(entry{id: int32(n)}, d)
+	sc.queue.Push(entry{id: int32(n), from: from}, d)
 }
 
 func (sc *scratch) pushPoint(set uint8, p points.PointID, d float64) {
-	sc.heap.Push(entry{id: int32(p), kind: kindPoint, set: set}, d)
+	sc.queue.Push(entry{id: int32(p), kind: kindPoint, set: set}, d)
 }
 
 func (sc *scratch) pushTarget(d float64) {
-	sc.heap.Push(entry{kind: kindTarget}, d)
+	sc.queue.Push(entry{kind: kindTarget}, d)
 }
 
 // firstArrival records point arrival p and reports whether it is the
@@ -122,15 +137,21 @@ func (sc *scratch) firstArrival(p points.PointID) bool {
 }
 
 // pop removes the next entry in distance order; a node entry is closed on
-// the way out and stale ones (nodes already closed) are skipped. ok is
-// false when the heap is exhausted.
+// the way out and stale ones (nodes already closed) are skipped. Under
+// lazy's pruning a node entry whose generator's counter has reached k is
+// dropped first: Fig 6 removed it before it surfaced, so it is not a pop
+// and closes nothing. ok is false when the queue is exhausted.
 func (sc *scratch) pop() (e entry, d float64, ok bool) {
 	for {
-		e, d, ok = sc.heap.Pop()
+		e, d, ok = sc.queue.Pop()
 		if !ok {
 			return entry{}, 0, false
 		}
 		if e.kind == kindNode {
+			if sc.gens != nil && e.from != noGen && sc.gens.atK(e.from) {
+				sc.queue.PopCount--
+				continue
+			}
 			if sc.isClosed(e.node()) {
 				continue
 			}
@@ -219,19 +240,19 @@ func (s *Searcher) acquire() *scratch {
 	return sc
 }
 
-// release adds the heap traffic of sc to st and returns it to the pool.
+// release adds the queue traffic of sc to st and returns it to the pool.
 func (s *Searcher) release(st *Stats, sc *scratch) {
-	st.HeapPushes += int64(sc.heap.PushCount)
-	st.HeapPops += int64(sc.heap.PopCount)
-	sc.heap.PushCount = 0
-	sc.heap.PopCount = 0
+	st.HeapPushes += int64(sc.queue.PushCount)
+	st.HeapPops += int64(sc.queue.PopCount)
+	sc.queue.PushCount = 0
+	sc.queue.PopCount = 0
 	s.pools.scratch.Put(sc)
 }
 
 // releaseMain is release for the scratch of a query's main walk, deferred
 // by a function whose named result is res. Its return statement has copied
 // the query's Stats into *res before deferred calls run, so the walk's own
-// heap traffic goes there; an invalidated (nil) result drops it.
+// queue traffic goes there; an invalidated (nil) result drops it.
 func (s *Searcher) releaseMain(res **Result, sc *scratch) {
 	var dropped Stats
 	st := &dropped
@@ -242,9 +263,9 @@ func (s *Searcher) releaseMain(res **Result, sc *scratch) {
 }
 
 // acquireCounts returns lazy visit counters reset for a fresh query.
-func (s *Searcher) acquireCounts() *lazyCounts {
+func (s *Searcher) acquireCounts(k int) *lazyCounts {
 	c := s.pools.counts.Get().(*lazyCounts)
-	c.reset(s.g.NumNodes())
+	c.reset(s.g.NumNodes(), k)
 	return c
 }
 

@@ -1,15 +1,18 @@
 // Package pq implements the priority queues of the library's network
-// expansions: a binary min-heap (Heap) for the query walkers and every
-// expansion that removes entries or pushes below its last pop, and a
-// monotone radix queue (Radix) for the offline Dijkstra sweeps that do
-// neither — the all-NN build of the K-NN lists and the hub labeling's.
+// expansions. A monotone radix queue (Radix) serves every expansion whose
+// pushes never go below its last pop: every query walk of internal/core
+// (main walks, range-NN, verification, KNN, Distance and the maintenance
+// walks of the K-NN lists) and the offline Dijkstra sweeps — the all-NN
+// build of the K-NN lists and the hub labeling's. A binary min-heap (Heap)
+// serves the rest: lazy-EP's H', where a competitor found mid-walk seeds
+// below the last pop of H', the second step of a K-NN list deletion, the
+// hub-label cursor merge, and the hub elimination order, which re-keys an
+// entry by removing and pushing it again.
 //
-// The lazy RNN algorithm of Yiu et al. (TKDE'06, Section 3.3) must delete
-// arbitrary heap entries when a verification query invalidates the node that
-// inserted them, so Push hands out a Handle that supports removal. Removal
-// is lazy: Remove marks the entry in a bitset and it is dropped, uncounted,
-// when it surfaces at the root, so the sifts of every other expansion — the
-// ones that never remove — keep no position index up to date.
+// Push hands out a Handle that supports removal. Removal is lazy: Remove
+// marks the entry in a bitset and it is dropped, uncounted, when it
+// surfaces at the root, so the sifts of the expansions that never remove
+// keep no position index up to date.
 //
 // Entries are stored by value and the heap holds no pointers of its own, so
 // a warmed heap allocates nothing per operation and the garbage collector

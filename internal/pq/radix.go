@@ -11,15 +11,15 @@ import (
 // pop — Dijkstra over non-negative weights, where a push is the popped
 // distance plus an edge weight. On such input it pops in exactly Heap's
 // (priority, insertion) order, ties first-in first-out, at a cost that no
-// longer grows with the queue: an entry is compared only when its bucket is
-// the lowest non-empty one, and each time it moves it lands in a bucket
+// longer grows with the queue: an entry is placed by the highest bit its key
+// differs from the last pop in, and each time it moves it lands in a bucket
 // strictly closer to the last pop.
 //
-// The contract: a push below the last pop panics while the queue holds
-// anything; once the queue has drained (or been Reset) the next push starts
-// a new run with no floor. There is no Remove. Priorities may be any float64
-// but NaN; -0 and +0 are one priority, as they are to Heap, and -0 pops as
-// +0.
+// The contract: a push below the last pop — or below what the last Peek
+// returned — panics while the queue holds anything; once the queue has
+// drained (or been Reset) the next push starts a new run with no floor.
+// There is no Remove. Priorities may be any float64 but NaN; -0 and +0 are
+// one priority, as they are to Heap, and -0 pops as +0.
 //
 // Entries are stored by value, as in Heap. A popped entry stays in the
 // backing arrays until it is overwritten, so T should hold no pointers.
@@ -31,10 +31,19 @@ type Radix[T any] struct {
 	// insertion order: pushes append, and a bucket is refilled only from a
 	// higher one, in that bucket's order, while it is empty.
 	buckets [65][]radixEntry[T]
-	head    int    // entries of buckets[0] already popped
-	n       int    // queued entries
-	last    uint64 // key of the last pop; 0 until the run's first pop
-	full    uint64 // bit i-1 set while buckets[i] is non-empty
+	// high[i], i ≥ 1, is the complement of the smallest key in buckets[i]
+	// (0 while it is empty), kept as entries arrive so that a refill need
+	// not scan the bucket for it first.
+	high [65]uint64
+	head int    // entries of buckets[0] already popped
+	n    int    // queued entries
+	last uint64 // key of the last pop (or refilling Peek); 0 until the run's first
+	full uint64 // bit i-1 set while buckets[i] is non-empty
+
+	// PushCount and PopCount accumulate queue traffic, as Heap's do; they
+	// are never reset by the queue itself.
+	PushCount uint64
+	PopCount  uint64
 }
 
 type radixEntry[T any] struct {
@@ -66,12 +75,13 @@ func radixPriority(k uint64) float64 {
 // Len returns the number of queued items.
 func (q *Radix[T]) Len() int { return q.n }
 
-// Reset discards all queued items but keeps the backing arrays, and starts
-// a new run.
+// Reset discards all queued items but keeps the backing arrays and the
+// operation counters, and starts a new run.
 func (q *Radix[T]) Reset() {
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]
 	}
+	q.high = [65]uint64{}
 	q.head, q.n, q.last, q.full = 0, 0, 0, 0
 }
 
@@ -86,11 +96,13 @@ func (q *Radix[T]) Push(value T, priority float64) {
 	}
 	q.put(radixEntry[T]{value, k})
 	q.n++
+	q.PushCount++
 }
 
 func (q *Radix[T]) put(e radixEntry[T]) {
 	i := bits.Len64(e.key ^ q.last)
 	q.buckets[i] = append(q.buckets[i], e)
+	q.high[i] = max(q.high[i], ^e.key) // never 0: only a NaN keys to all ones
 	if i > 0 {
 		q.full |= 1 << (i - 1)
 	}
@@ -107,27 +119,40 @@ func (q *Radix[T]) Pop() (value T, priority float64, ok bool) {
 	}
 	e := q.buckets[0][q.head]
 	q.n--
+	q.PopCount++
 	if q.head++; q.head == len(q.buckets[0]) {
 		q.buckets[0], q.head = q.buckets[0][:0], 0
 	}
 	return e.value, radixPriority(e.key), true
 }
 
-// refill advances last to the smallest key queued — in the lowest non-empty
-// bucket — and redistributes that bucket by the new last. Its entries agree
-// with the new last above the bucket's bit, so every one moves lower, and
-// those equal to it fill buckets[0] in insertion order.
+// Peek returns the minimum item without removing it. It may refill the
+// lowest bucket, which advances the floor to the priority it returns: from
+// then on a push below that priority panics, as it would after the pop.
+// Every caller pops right after it peeks, with no push in between.
+func (q *Radix[T]) Peek() (value T, priority float64, ok bool) {
+	if q.n == 0 {
+		return value, 0, false
+	}
+	if len(q.buckets[0]) == 0 {
+		q.refill()
+	}
+	e := q.buckets[0][q.head]
+	return e.value, radixPriority(e.key), true
+}
+
+// refill advances last to the smallest key queued — the least of the
+// lowest non-empty bucket — and redistributes that bucket by the new last.
+// Its entries agree with the new last above the bucket's bit, so every one
+// moves lower, and those equal to it fill buckets[0] in insertion order.
 func (q *Radix[T]) refill() {
 	i := bits.TrailingZeros64(q.full) + 1
 	b := q.buckets[i]
-	least := b[0].key
-	for _, e := range b[1:] {
-		least = min(least, e.key)
-	}
-	q.last = least
+	q.last = ^q.high[i]
 	for _, e := range b {
 		q.put(e)
 	}
 	q.buckets[i] = b[:0]
+	q.high[i] = 0
 	q.full &^= 1 << (i - 1)
 }

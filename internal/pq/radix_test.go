@@ -16,8 +16,10 @@ var (
 
 // checkRadixAgainstHeap drives a Radix and a Heap with the same monotone
 // operations, two bytes each, and requires the same (value, priority) pop
-// sequence and the same Len throughout. A push offered below the last pop
-// of a non-empty run must panic and leave the queue as it was.
+// and peek sequences, and the same Len, PushCount and PopCount throughout.
+// A push offered below the last pop of a non-empty run must panic and leave
+// the queue as it was. A peek raises the run's floor to what it returns
+// (Radix.Peek's contract), so later pushes start from there.
 func checkRadixAgainstHeap(t *testing.T, ops []byte) {
 	t.Helper()
 	var q Radix[int]
@@ -26,7 +28,7 @@ func checkRadixAgainstHeap(t *testing.T, ops []byte) {
 	seq := 0
 	for i := 0; i+1 < len(ops); i += 2 {
 		arg := int(ops[i+1])
-		switch ops[i] % 8 {
+		switch ops[i] % 9 {
 		case 0, 1, 2, 3: // monotone push
 			if h.Len() == 0 {
 				popped = false // a new run
@@ -59,9 +61,21 @@ func checkRadixAgainstHeap(t *testing.T, ops []byte) {
 			q.Reset()
 			h.Reset()
 			popped = false
+		case 8: // peek
+			v, p, ok := q.Peek()
+			wv, wp, wok := h.Peek()
+			if v != wv || p != wp || ok != wok {
+				t.Fatalf("op %d: Radix.Peek = (%d,%v,%v), Heap.Peek = (%d,%v,%v)", i/2, v, p, ok, wv, wp, wok)
+			}
+			if ok {
+				floor, popped = p, true
+			}
 		}
 		if q.Len() != h.Len() {
 			t.Fatalf("op %d: Radix.Len = %d, Heap.Len = %d", i/2, q.Len(), h.Len())
+		}
+		if q.PushCount != h.PushCount || q.PopCount != h.PopCount {
+			t.Fatalf("op %d: Radix counters (%d,%d), Heap counters (%d,%d)", i/2, q.PushCount, q.PopCount, h.PushCount, h.PopCount)
 		}
 	}
 	for h.Len() > 0 { // drain what is left
@@ -73,6 +87,12 @@ func checkRadixAgainstHeap(t *testing.T, ops []byte) {
 	}
 	if _, _, ok := q.Pop(); ok || q.Len() != 0 {
 		t.Fatalf("Radix not empty after the drain: Len = %d", q.Len())
+	}
+	if _, _, ok := q.Peek(); ok {
+		t.Fatal("Radix.Peek reported an item after the drain")
+	}
+	if q.PushCount != h.PushCount || q.PopCount != h.PopCount {
+		t.Fatalf("drain: Radix counters (%d,%d), Heap counters (%d,%d)", q.PushCount, q.PopCount, h.PushCount, h.PopCount)
 	}
 }
 
@@ -142,6 +162,19 @@ func TestRadixRuns(t *testing.T) {
 	if v, _, ok := q.Pop(); !ok || v != 5 || q.Len() != 0 {
 		t.Fatal("queue unusable after Reset")
 	}
+	// A Peek that refills raises the floor to the priority it returns.
+	q.Push(6, 1)
+	q.Push(7, 3)
+	q.Pop()
+	if v, p, ok := q.Peek(); !ok || v != 7 || p != 3 {
+		t.Fatalf("Peek = (%d,%v,%v), want (7,3,true)", v, p, ok)
+	}
+	if !radixPanics(func() { q.Push(8, 2) }) {
+		t.Fatal("push below a peeked minimum accepted")
+	}
+	if v, _, ok := q.Pop(); !ok || v != 7 || q.Len() != 0 {
+		t.Fatal("Pop after Peek did not return the peeked item")
+	}
 }
 
 // FuzzRadixModel is checkRadixAgainstHeap on fuzzed operation sequences.
@@ -149,6 +182,7 @@ func FuzzRadixModel(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 0, 1, 4, 0, 0, 2, 6, 1, 4, 0, 4, 0})
 	f.Add([]byte{0, 9, 1, 0, 4, 0, 0, 9, 0, 0, 4, 0, 4, 0, 0, 5, 7, 0, 0, 1})
 	f.Add([]byte{0, 2, 0, 6, 4, 0, 1, 0, 1, 1, 1, 0, 4, 0, 4, 0, 4, 0, 6, 2})
+	f.Add([]byte{0, 3, 0, 9, 0, 4, 8, 0, 0, 0, 6, 1, 4, 0, 8, 0, 0, 2, 8, 0, 4, 0, 4, 0, 8, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkRadixAgainstHeap(t, ops)
 	})
