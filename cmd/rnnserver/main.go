@@ -113,7 +113,7 @@ import (
 // the build, write to retire the replaced index); a query, a maintenance
 // request and /stats take mu and reach the leaves through the engine.
 // Nothing is acquired while a leaf is held: no path back from the pool or
-// the counters takes mu or hubBuild, and Tenant.ReadRecord's decode
+// the counters takes mu or hubBuild, and Tenant.ReadPage's read
 // callback runs under BufferPool.mu, so it must not call back into the
 // pool. hubBuild is never taken under mu — maintenance releases mu before
 // its rebuild-after-failed-repair calls buildHub.

@@ -38,8 +38,9 @@ import (
 // other substrate.
 type HubLabelIndex struct {
 	idx *hublabel.Index
-	// The labels are served from memory (lab) or paged (store), never both:
-	// a paged index does not pin the raw labeling it was written from.
+	// lab counts the labels, and serves them when store is nil. A paged
+	// index reads them through store, and lab is the store's entry-less
+	// Labeling: it does not pin the labeling it was written from.
 	lab      *hublabel.Labeling
 	store    *hublabel.Store
 	reopened bool        // the labels came from a file, nothing was built
@@ -79,13 +80,12 @@ type HubLabelBuildStats struct {
 	Visits, Pruned, Resweeps int64
 	// WallSeconds is the labeling construction time.
 	WallSeconds float64
-	// LabelBytes is the memory the labels take. Paged, it is the label
-	// payload of the page file (12 bytes an entry plus chunk headers); in
-	// memory, each side's entries packed at the width the graph needs — a
-	// hub id in the bytes of n − 1 and a distance count in the bytes of the
-	// side's largest, 8 bytes on road-20K — held in a read-only mapping
-	// outside the collected Go heap on Linux and macOS, plus 4 bytes a node
-	// and side of CSR offsets.
+	// LabelBytes is the size of the labels: each side's entries packed at
+	// the width the graph needs — a hub id in the bytes of n − 1 and a
+	// distance count in the bytes of the side's largest, 8 bytes on
+	// road-20K — plus 4 bytes a node and side of CSR offsets. In memory they
+	// are held in a read-only mapping outside the collected Go heap on Linux
+	// and macOS; paged, they are the label pages' payload, the same bytes.
 	LabelBytes int64
 }
 
@@ -159,27 +159,25 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 			file.Close()
 			return nil, err
 		}
-		h.lab = nil // the pages serve from here on
-		h.build.LabelBytes = h.store.PayloadBytes()
+		h.lab = &h.store.Labeling // the pages serve from here on
 	}
 	return h.index(ps, maxK, track)
 }
 
-// createLabelFile writes lab, built over a graph of quantum 2^logQ, into a
-// fresh page file at path and returns it open. A failed write leaves no file
-// behind: its remains carry no header (hublabel.Write lays that down last)
-// and would only be refused at open.
-func createLabelFile(lab *hublabel.Labeling, logQ int, path string) (storage.PagedFile, error) {
+// createLabelFile runs write into a fresh page file at path and closes it.
+// A failed write leaves no file behind: its remains carry no header (the
+// label writers lay that down last) and would only be refused at open.
+func createLabelFile(path string, write func(storage.PagedFile) error) error {
 	f, err := storage.CreateOSFile(path, storage.DefaultPageSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := hublabel.Write(lab, f, logQ); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(path)
-		return nil, err
+		return err
 	}
-	return f, nil
+	return f.Close()
 }
 
 // index builds the reverse index over ps — ReHub's per-object-set half,
@@ -238,32 +236,24 @@ func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubL
 		return nil, fmt.Errorf("graphrnn: label file distances lie on the quantum 2^%d, the graph's weights on 2^%d; rebuild the labels over this graph (BuildHubLabelIndex, SaveTo): %w",
 			store.LogQuantum(), q, ErrLabelFileMismatch)
 	}
-	h := &HubLabelIndex{store: store, reopened: true}
-	h.build.LabelBytes = store.PayloadBytes()
+	h := &HubLabelIndex{lab: &store.Labeling, store: store, reopened: true}
+	h.build.LabelBytes = store.Bytes()
 	return h.index(ps, maxK, true)
 }
 
 // SaveTo persists the labeling into a fresh page file at path, so a later
 // process can OpenHubLabelIndex it. Only available on indexes built in this
 // process (an index reopened from a file is already persisted). A paged
-// index kept no raw labeling: it is read back from the label pages first.
-// A failed write leaves no file at path.
+// index's label pages already are the file: they are copied verbatim. A
+// failed write leaves no file at path.
 func (h *HubLabelIndex) SaveTo(path string) error {
 	if h.reopened {
 		return fmt.Errorf("graphrnn: index was opened from a label file; it is already persisted")
 	}
-	lab := h.lab
-	if lab == nil {
-		var err error
-		if lab, err = hublabel.Load(h.store.Buffer().File()); err != nil {
-			return err
-		}
+	if h.store != nil {
+		return createLabelFile(path, h.store.CopyTo)
 	}
-	f, err := createLabelFile(lab, h.logQ, path)
-	if err != nil {
-		return err
-	}
-	return f.Close()
+	return createLabelFile(path, func(f storage.PagedFile) error { return hublabel.Write(h.lab, f, h.logQ) })
 }
 
 // Close unregisters the index from its point set and releases the label
@@ -301,20 +291,10 @@ func (h *HubLabelIndex) repair(op *setOp) (Stats, error) {
 func (h *HubLabelIndex) MaxK() int { return h.idx.MaxK() }
 
 // LabelEntries returns the total number of hub label entries.
-func (h *HubLabelIndex) LabelEntries() int {
-	if h.store != nil {
-		return h.store.Entries()
-	}
-	return h.lab.Entries()
-}
+func (h *HubLabelIndex) LabelEntries() int { return h.lab.Entries() }
 
 // AverageLabelSize returns the mean label entries per node.
-func (h *HubLabelIndex) AverageLabelSize() float64 {
-	if h.store != nil {
-		return h.store.AverageLabelSize()
-	}
-	return h.lab.AverageLabelSize()
-}
+func (h *HubLabelIndex) AverageLabelSize() float64 { return h.lab.AverageLabelSize() }
 
 // BuildStats returns the construction counters. An index reopened from a
 // file reports only the label-byte fields (nothing was built).

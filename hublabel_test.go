@@ -8,6 +8,7 @@ package graphrnn_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -233,20 +234,20 @@ func TestHubLabelPersistence(t *testing.T) {
 	if err := mem.SaveTo(path2); err != nil {
 		t.Fatal(err)
 	}
-	// Header byte 21 = 1 marked the delta+varint codec. Its writer is gone, so
-	// patch the byte: the refusal names the remedy and holds no pool tenant,
-	// and the path can be removed and written again.
+	// Version 2 kept its labels in chunk records. Its writer is gone, so
+	// patch the version: the refusal names the remedy and holds no pool
+	// tenant, and the path can be removed and written again.
 	file, err := os.ReadFile(path2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file[21] = 1
+	binary.LittleEndian.PutUint32(file[8:], 2)
 	if err := os.WriteFile(path2, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = db.OpenHubLabelIndex(ps, 3, path2, nil)
-	if err == nil || !strings.Contains(err.Error(), "delta+varint") || !strings.Contains(err.Error(), "rebuild with BuildHubLabelIndex") {
-		t.Fatalf("header codec 1: got %v, want a refusal naming the removed codec and the rebuild", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") || !strings.Contains(err.Error(), "rebuild with BuildHubLabelIndex") {
+		t.Fatalf("version 2: got %v, want a refusal naming the version and the rebuild", err)
 	}
 	for _, tn := range db.PoolStats().Tenants {
 		if tn.Name == "hublabel" {
@@ -524,16 +525,41 @@ func TestHubLabelErrors(t *testing.T) {
 	if _, err := db.Run(context.Background(), edgeRNNQuery(eps, graphrnn.NodeLocation(0), 1, graphrnn.HubLabel(idx))); err == nil {
 		t.Fatal("edge-resident query accepted")
 	}
+	// A label file whose hub ids on page 1 all lie past the graph — a
+	// corrupt or foreign file — is an error when the reopened index reads
+	// its points' labels, not a panic. Page 1 starts the label stream: the
+	// n+1 offsets, then entries of the width header byte 25 gives, each
+	// led by a hub id of header byte 24's width.
+	path := filepath.Join(t.TempDir(), "labels.hub")
+	if err := idx.SaveTo(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const page = 4096
+	hubW, width := int(file[24]), int(file[25])
+	for at := page + 4*(g.NumNodes()+1); at+hubW <= 2*page; at += width {
+		for b := range hubW {
+			file[at+b] = 0xff
+		}
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.OpenHubLabelIndex(ps, 2, path, nil); err == nil || !strings.Contains(err.Error(), "corrupt label file") {
+		t.Fatalf("hub ids past the graph: got %v, want a refusal naming the corrupt label file", err)
+	}
 }
 
 // TestHubLabelParallelPaged builds the index through the public API with
 // every core and paged labels, and checks the result is indistinguishable
 // from the default build: same label entries, same RNN answers — while the
-// build stats report the parallel batched schedule, the page file's payload
-// and, for the default build, the in-memory labels' packed entries plus
-// offsets: 8 bytes an entry on all three graphs, a 2-byte hub id (fewer than
-// 65 537 nodes) and a 6-byte count of the quantum (every label distance is
-// below 2^48 of it).
+// build stats report the parallel batched schedule and, paged or in memory,
+// the same label bytes: the packed entries plus offsets, 8 bytes an entry on
+// all three graphs, a 2-byte hub id (fewer than 65 537 nodes) and a 6-byte
+// count of the quantum (every label distance is below 2^48 of it).
 func TestHubLabelParallelPaged(t *testing.T) {
 	for name, g := range hubTopologies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -550,7 +576,7 @@ func TestHubLabelParallelPaged(t *testing.T) {
 			}
 			const entryBytes = 2 + 6
 			inMemory := int64(entryBytes*base.idx.LabelEntries() + 4*(g.NumNodes()+1))
-			if bst.LabelBytes <= 0 || base.idx.BuildStats().LabelBytes != inMemory {
+			if bst.LabelBytes != inMemory || base.idx.BuildStats().LabelBytes != inMemory {
 				t.Fatalf("label bytes: paged %d, in memory %d (want %d)", bst.LabelBytes, base.idx.BuildStats().LabelBytes, inMemory)
 			}
 			if e.idx.LabelEntries() != base.idx.LabelEntries() {

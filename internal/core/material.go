@@ -127,7 +127,7 @@ func (m *Materialized) List(n graph.NodeID, buf []MatEntry) ([]MatEntry, error) 
 	if n < 0 || int(n) >= m.numNodes {
 		return nil, fmt.Errorf("core: materialized list of node %d out of range [0,%d)", n, m.numNodes)
 	}
-	err := m.bm.ReadRecord(m.refs[n], func(_, rec []byte) (err error) {
+	err := m.bm.ReadRecord(m.refs[n], func(rec []byte) (err error) {
 		// Length before content: a corrupt page can hold a record shorter
 		// than a list, which a maintenance write would then overrun.
 		if len(rec) < matRecordSize(m.cap) {

@@ -128,7 +128,7 @@ func TestLabelingFingerprint(t *testing.T) {
 		}
 		h.Write(page)
 	}
-	const pinned = "f166accb6b9b3f250ae3495e6ecca4afd7bdbff6631abb06627d2102f580cc25"
+	const pinned = "6f5fda37fd52dd01fed0351ccc4e66fd59fddf74f9fe3a882b4ad90ba4fd043e"
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
 		t.Errorf("road: label file (%d pages) SHA-256 %s, pinned %s", f.NumPages(), got, pinned)
 	}

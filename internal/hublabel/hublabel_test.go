@@ -2,6 +2,7 @@ package hublabel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -172,7 +173,8 @@ func TestDigraphLabelingDistances(t *testing.T) {
 }
 
 // fileLogQ is the quantum exponent the codec tests record in a label
-// file's header: the codec stores any int16 and judges none.
+// file's header: below every test graph's own, so each side's unit lies on
+// its grid.
 const fileLogQ = -42
 
 // openStore opens f through a private buffer of bufferPages pages.
@@ -202,67 +204,110 @@ func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	return s
 }
 
-// TestReadLabelErrorExits drives readLabel through each of its error exits
-// — unreadable page, slot out of range, truncated chunk, corrupt chunk — and
-// checks that each leaves the buffer usable: it invalidates down to no frame
-// (the buffer holds the whole file, so anything kept would stay), and a
-// healthy label reads afterwards.
+// patchStream overwrites the label stream of f, from byte pos on, with b.
+func patchStream(t *testing.T, f storage.PagedFile, pos int64, b []byte) {
+	t.Helper()
+	page := make([]byte, f.PageSize())
+	for i, c := range b {
+		at := pos + int64(i)
+		id := storage.PageID(1 + at/int64(len(page)))
+		if err := f.Read(id, page); err != nil {
+			t.Fatal(err)
+		}
+		page[at%int64(len(page))] = c
+		if err := f.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// hubBytes is hub as side stores it.
+func hubBytes(side *labelSet, hub uint64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, hub)[:side.hubW]
+}
+
+// entryAt is where entry i of s's out side starts in the label stream.
+func entryAt(s *Store, i int) int64 { return s.entriesAt[0] + int64(i)*int64(s.out.width) }
+
+// brokenFile fails every Read of page bad, once bad is set.
+type brokenFile struct {
+	storage.PagedFile
+	bad storage.PageID
+}
+
+var errBrokenPage = errors.New("injected read fault")
+
+func (f *brokenFile) Read(id storage.PageID, dst []byte) error {
+	if f.bad != 0 && id == f.bad {
+		return errBrokenPage
+	}
+	return f.PagedFile.Read(id, dst)
+}
+
+// TestReadLabelErrorExits drives a label read through each of its error
+// exits — node out of range, an unreadable page, a hub id past the graph,
+// hubs out of order — and checks that each leaves the buffer usable: it
+// invalidates down to no frame (the buffer holds the whole file, so anything
+// kept would stay), and the victim's label reads back healthy once its bytes
+// are.
 func TestReadLabelErrorExits(t *testing.T) {
 	const pageSize = 256
 	l, err := buildSeq(testGraphs(t)["road"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A page whose only record is too short to carry a chunk header.
-	short := storage.NewRecordPageBuilder(pageSize)
-	if _, ok := short.TryAdd([]byte{0}); !ok {
-		t.Fatal("test setup: 1-byte record does not fit")
-	}
-	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f, fileLogQ); err != nil {
+	mem := storage.NewMemFile(pageSize)
+	if err := Write(l, mem, fileLogQ); err != nil {
 		t.Fatal(err)
 	}
-	shortPage, err := f.Append(short.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A copy of the first label page claiming 65535 entries per chunk.
-	page := make([]byte, pageSize)
-	if err := f.Read(1, page); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := storage.ReadRecordSlot(page, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec[1], rec[2] = 0xff, 0xff
-	overcount, err := f.Append(page)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := &brokenFile{PagedFile: mem}
 	pool := storage.NewBufferPool(f.NumPages())
 	s, err := OpenStoreBuffer(f, pool.Attach("", f, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, at := range map[string]storage.RecRef{
-		"page out of range": {Page: storage.PageID(f.NumPages() + 7)},
-		"slot out of range": {Page: 1, Slot: 9999},
-		"truncated chunk":   {Page: shortPage},
-		"corrupt chunk":     {Page: overcount},
+	victim := graph.NodeID(0)
+	for s.out.offsets[victim+1]-s.out.offsets[victim] < 2 {
+		victim++
+	}
+	want, err := l.OutLabel(victim, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := entryAt(s, int(s.out.offsets[victim])), entryAt(s, int(s.out.offsets[victim])+1)
+	for _, c := range []struct {
+		name    string
+		corrupt func() graph.NodeID
+		heal    func()
+	}{
+		{"node out of range", func() graph.NodeID { return graph.NodeID(l.numNodes) }, func() {}},
+		{"unreadable page", func() graph.NodeID {
+			f.bad = storage.PageID(1 + first/pageSize)
+			return victim
+		}, func() { f.bad = 0 }},
+		{"hub id past the graph", func() graph.NodeID {
+			patchStream(t, mem, first, hubBytes(&s.out, uint64(l.numNodes)))
+			return victim
+		}, func() { patchStream(t, mem, first, hubBytes(&s.out, uint64(want[0].Hub))) }},
+		{"hubs out of order", func() graph.NodeID {
+			patchStream(t, mem, second, hubBytes(&s.out, uint64(want[0].Hub)))
+			return victim
+		}, func() { patchStream(t, mem, second, hubBytes(&s.out, uint64(want[1].Hub))) }},
 	} {
-		if _, err := s.readLabel(at, nil); err == nil {
-			t.Errorf("%s: readLabel succeeded", name)
+		if _, err := s.OutLabel(c.corrupt(), nil); err == nil {
+			t.Errorf("%s: the label read succeeded", c.name)
 		}
+		c.heal()
 		if err := s.Buffer().Invalidate(); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", c.name, err)
 		}
 		if frames := pool.TenantStats()[0].Frames; frames != 0 {
-			t.Errorf("%s: %d frame(s) survive Invalidate", name, frames)
+			t.Errorf("%s: %d frame(s) survive Invalidate", c.name, frames)
 		}
 	}
-	if _, err := s.OutLabel(0, nil); err != nil {
-		t.Errorf("healthy label after the faults: %v", err)
+	got, err := s.OutLabel(victim, nil)
+	if err != nil || !sameEntries(got, want) {
+		t.Errorf("healthy label after the faults: %v (err %v), want %v", got, err, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
@@ -296,95 +341,85 @@ func sameFile(t *testing.T, what string, want, got *storage.MemFile) {
 	}
 }
 
+// sameLabels reads every label of both sides from a and b and compares them
+// entry for entry.
+func sameLabels(t *testing.T, what string, a, b Source) {
+	t.Helper()
+	if a.NumNodes() != b.NumNodes() || a.Directed() != b.Directed() {
+		t.Fatalf("%s: (%d nodes, directed %v) vs (%d, %v)", what, a.NumNodes(), a.Directed(), b.NumNodes(), b.Directed())
+	}
+	var x, y []Entry
+	var errA, errB error
+	for v := graph.NodeID(0); int(v) < a.NumNodes(); v++ {
+		for _, in := range []bool{false, true} {
+			if in {
+				x, errA = a.InLabel(v, x)
+				y, errB = b.InLabel(v, y)
+			} else {
+				x, errA = a.OutLabel(v, x)
+				y, errB = b.OutLabel(v, y)
+			}
+			if err := errors.Join(errA, errB); err != nil {
+				t.Fatalf("%s: node %d: %v", what, v, err)
+			}
+			if !sameEntries(x, y) {
+				t.Fatalf("%s: node %d (in %v): %v vs %v", what, v, in, x, y)
+			}
+		}
+	}
+}
+
 // TestStoreRoundTrip checks that a persisted labeling serves identical
-// labels, across page sizes that force chunking, for both directions, and
-// that the file is a pure function of the labeling: the sequential
-// labeling written twice, the 4-worker labeling and a Load → Write round
-// trip all produce the same bytes.
+// labels, across page sizes that make labels straddle pages, for both
+// directions, and holds the labeling's bytes; that the file is a pure
+// function of the labeling — the sequential labeling written twice and the
+// 4-worker labeling produce the same bytes; and that a store's page copy is
+// the file it was opened from and serves the same labels.
 func TestStoreRoundTrip(t *testing.T) {
-	graphs := testGraphs(t)
-	for name, g := range graphs {
+	check := func(t *testing.T, l *Labeling, pageSize int) {
+		f := writeFile(t, l, pageSize)
+		sameFile(t, "second write", f, writeFile(t, l, pageSize))
+		s := roundTrip(t, l, pageSize, 16)
+		sameLabels(t, "store", l, s)
+		if s.Entries() != l.Entries() || s.Bytes() != l.Bytes() || s.AverageLabelSize() != l.AverageLabelSize() {
+			t.Fatalf("store counts %d entries in %d bytes, labeling %d in %d", s.Entries(), s.Bytes(), l.Entries(), l.Bytes())
+		}
+		if s.Buffer().Stats().Reads == 0 {
+			t.Fatal("store served labels without any physical reads")
+		}
+		cp := storage.NewMemFile(pageSize)
+		if err := s.CopyTo(cp); err != nil {
+			t.Fatal(err)
+		}
+		sameFile(t, "page copy", f, cp)
+		reopened, err := openStore(cp, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLabels(t, "copy", l, reopened)
+	}
+	for name, g := range testGraphs(t) {
 		for _, pageSize := range []int{128, 4096} {
 			t.Run(fmt.Sprintf("%s/page%d", name, pageSize), func(t *testing.T) {
 				l, err := buildSeq(g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				f := writeFile(t, l, pageSize)
-				sameFile(t, "second write", f, writeFile(t, l, pageSize))
 				par, _, err := BuildOpt(g, BuildOptions{Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameFile(t, "4-worker labeling", f, writeFile(t, par, pageSize))
-				loaded, err := Load(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameFile(t, "Load → Write", f, writeFile(t, loaded, pageSize))
-				s := roundTrip(t, l, pageSize, 16)
-				if s.NumNodes() != l.NumNodes() || s.Directed() != l.Directed() || s.Entries() != l.Entries() {
-					t.Fatalf("store header (%d,%v,%d) != labeling (%d,%v,%d)",
-						s.NumNodes(), s.Directed(), s.Entries(), l.NumNodes(), l.Directed(), l.Entries())
-				}
-				var a, b []Entry
-				for v := graph.NodeID(0); int(v) < l.NumNodes(); v++ {
-					if a, err = l.OutLabel(v, a); err != nil {
-						t.Fatal(err)
-					}
-					if b, err = s.OutLabel(v, b); err != nil {
-						t.Fatal(err)
-					}
-					if !sameEntries(a, b) {
-						t.Fatalf("node %d label mismatch: %v vs %v", v, a, b)
-					}
-				}
-				if s.Buffer().Stats().Reads == 0 {
-					t.Fatal("store served labels without any physical reads")
-				}
-				if s.PayloadBytes() < int64(s.Entries())*storage.PairSize {
-					t.Fatalf("payload of %d bytes is below %d entries of %d", s.PayloadBytes(), s.Entries(), storage.PairSize)
-				}
+				sameFile(t, "4-worker labeling", writeFile(t, l, pageSize), writeFile(t, par, pageSize))
+				check(t, l, pageSize)
 			})
 		}
 	}
-	// Directed round trip exercises the two-sided directory.
-	d := testDigraph(t, 23)
-	l, err := buildSeq(d)
+	// The directed round trip stores two sides.
+	l, err := buildSeq(testDigraph(t, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := roundTrip(t, l, 256, 8)
-	var a, b []Entry
-	for v := graph.NodeID(0); int(v) < l.NumNodes(); v++ {
-		for side := 0; side < 2; side++ {
-			if side == 0 {
-				a, _ = l.OutLabel(v, a)
-				b, err = s.OutLabel(v, b)
-			} else {
-				a, _ = l.InLabel(v, a)
-				b, err = s.InLabel(v, b)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameEntries(a, b) {
-				t.Fatalf("node %d side %d mismatch", v, side)
-			}
-		}
-	}
-	// Load must reconstruct the full labeling.
-	f := storage.NewMemFile(256)
-	if err := Write(l, f, fileLogQ); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.Entries() != l.Entries() || l2.Directed() != l.Directed() {
-		t.Fatalf("Load: %d entries directed=%v, want %d/%v", l2.Entries(), l2.Directed(), l.Entries(), l.Directed())
-	}
+	check(t, l, 256)
 }
 
 func sameEntries(a, b []Entry) bool {
@@ -399,7 +434,11 @@ func sameEntries(a, b []Entry) bool {
 	return true
 }
 
-// TestOpenStoreRejectsGarbage covers the header validation paths.
+// TestOpenStoreRejectsGarbage covers the validation of a label file: its
+// header and offsets at open, and the hub ids a label read decodes. Every
+// corrupt file is an error, never a panic: refused at open, or — a hub id
+// past the graph — at the first read of a label it spoils, which NewIndex
+// does for every point's node.
 func TestOpenStoreRejectsGarbage(t *testing.T) {
 	f := storage.NewMemFile(4096)
 	if _, err := openStore(f, 4); err == nil {
@@ -411,7 +450,7 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 	if _, err := openStore(f, 4); err == nil {
 		t.Fatal("zero page accepted as header")
 	}
-	g, err := gen.Grid(gen.GridConfig{Seed: 1, Nodes: 16, Degree: 4})
+	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 5, Nodes: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,24 +461,76 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 	if err := Write(l, f, fileLogQ); err == nil {
 		t.Fatal("Write into non-empty file accepted")
 	}
-	// Header byte 21 = 1 marked the delta+varint chunk body. Its writer is
-	// gone, so patch a fresh file: the refusal has to name cause and remedy.
-	f = storage.NewMemFile(4096)
-	if err := Write(l, f, fileLogQ); err != nil {
+	ps, err := gen.PlaceNodePoints(rand.New(rand.NewSource(6)), g.NumNodes(), 60)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := make([]byte, 4096)
-	if err := f.Read(0, hdr); err != nil {
+	healthy, err := openStore(writeFile(t, l, 4096), 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hdr[21] = 1
-	if err := f.Write(0, hdr); err != nil {
-		t.Fatal(err)
+	n := l.NumNodes()
+	offGrid := int16(fileLogQ - 1)
+	header := func(at int, b ...byte) func(*storage.MemFile) {
+		return func(f *storage.MemFile) {
+			hdr := make([]byte, f.PageSize())
+			if err := f.Read(0, hdr); err != nil {
+				t.Fatal(err)
+			}
+			copy(hdr[at:], b)
+			if err := f.Write(0, hdr); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	_, err = openStore(f, 4)
-	if err == nil || !strings.Contains(err.Error(), "delta+varint") || !strings.Contains(err.Error(), "rebuild with BuildHubLabelIndex") {
-		t.Fatalf("header codec 1: got %v, want a refusal naming the removed codec and the rebuild", err)
+	offset := func(v int, o uint32) func(*storage.MemFile) {
+		return func(f *storage.MemFile) { patchStream(t, f, 4*int64(v), binary.LittleEndian.AppendUint32(nil, o)) }
 	}
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(*storage.MemFile)
+	}{
+		{"version 2", "rebuild with BuildHubLabelIndex", header(8, 2)},
+		{"hub ids of 5 bytes", "corrupt label file", header(sideAt, 5, 9)},
+		{"distances of 9 bytes", "corrupt label file", header(sideAt+1, byte(healthy.out.hubW+9))},
+		{"unit off the quantum", "off the quantum", header(sideAt+2, binary.LittleEndian.AppendUint16(nil, uint16(offGrid))...)},
+		{"offsets past the file", "run past", header(16, 0xff, 0xff, 0xff, 0x7f)},
+		{"truncated offsets", "run past", func(f *storage.MemFile) { *f = *cut(t, writeFile(t, l, 512), 3) }},
+		{"first offset not 0", "corrupt label file", offset(0, 1)},
+		{"falling offset", "corrupt label file", offset(n/2, uint32(healthy.out.offsets[n/2-1])-1)},
+		{"entries past the file", "run past", offset(n, 1<<30)},
+		{"hub ids past the graph on page 1", "corrupt label file", func(f *storage.MemFile) {
+			for i := 0; entryAt(healthy, i) < 4096; i++ {
+				patchStream(t, f, entryAt(healthy, i), hubBytes(&healthy.out, 1<<(8*healthy.out.hubW)-1))
+			}
+		}},
+	} {
+		f := writeFile(t, l, 4096)
+		c.corrupt(f)
+		s, err := openStore(f, 4)
+		if err == nil {
+			_, err = NewIndex(s, 2, pointsOf(ps))
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// cut returns the first pages of f as a file of their own.
+func cut(t *testing.T, f *storage.MemFile, pages int) *storage.MemFile {
+	t.Helper()
+	out := storage.NewMemFile(f.PageSize())
+	page := make([]byte, f.PageSize())
+	for id := storage.PageID(0); int(id) < pages; id++ {
+		if err := f.Read(id, page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := out.Append(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // failingFile fails its n-th mutation (Append and Write counted together)

@@ -42,10 +42,12 @@
 // survivor, the visible ones strictly closer than the query; with that many
 // slots the count always decides.
 //
-// Labelings can be persisted into internal/storage paged files and served
-// back through an LRU buffer (see Store), so an expensive build survives
-// process restarts and label reads are I/O-accounted like every other
-// substrate in this repository.
+// A labeling has one encoding, in memory and on disk: each side's CSR
+// offsets and its entries packed at the width the graph needs (labelSet).
+// Write streams those bytes onto raw pages of an internal/storage paged
+// file, and a Store serves them back through an LRU buffer and the same
+// decode, so an expensive build survives process restarts and label reads
+// are I/O-accounted like every other substrate in this repository.
 package hublabel
 
 import (
@@ -150,7 +152,8 @@ func (s *labelSet) bytes() int64 {
 	return int64(s.size())*int64(s.width) + int64(len(s.offsets))*4
 }
 
-// Labeling is an immutable in-memory 2-hop labeling.
+// Labeling is an immutable in-memory 2-hop labeling. A Store embeds one
+// without entries — offsets, widths and units only — for its counts.
 type Labeling struct {
 	numNodes int
 	directed bool
@@ -210,9 +213,10 @@ func (l *Labeling) Entries() int {
 	return l.out.size()
 }
 
-// Bytes returns the memory the labels take, both sides: each side's packed
+// Bytes returns the size of the labels, both sides: each side's packed
 // entries at its own width — held outside the Go heap where the platform
-// maps memory — plus its 4-byte CSR offsets.
+// maps memory — plus its 4-byte CSR offsets. On a Store it is the label
+// stream of the file, the same bytes.
 func (l *Labeling) Bytes() int64 {
 	if l.directed {
 		return l.out.bytes() + l.in.bytes()

@@ -3,55 +3,45 @@ package hublabel
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/storage"
 )
 
-// On-disk layout (little endian), built on the repository's generic slotted
-// pages so labelings survive process restarts:
+// On-disk layout (little endian): the packed labeling itself, so a label
+// file holds the bytes finalize built and is read by the same decode.
 //
-//	page 0          header: magic "GRNHUBL1", version, page size, numNodes,
-//	                directed, a zero byte, log₂ of the graph's quantum,
-//	                directory start page, directory page count, entry
-//	                total, label payload bytes
-//	pages 1..D-1    label chunk records in node order (out label, then in
-//	                label for directed graphs); one record holds
-//	                [flags u8][count u16] followed by count×[hub u32][dist
-//	                f64] pairs, the (id, float64) codec of every paged file;
-//	                flag bit 0 = more chunks follow in the next slot
-//	pages D..       the directory: one packed 8-byte entry per label
-//	                ([page i32][slot u16][pad u16]) pointing at the first
-//	                chunk of each node's label, node-major, out before in
+//	page 0     header: magic "GRNHUBL1", version, page size, numNodes,
+//	           directed, log₂ of the graph's quantum, then per side (out,
+//	           then in for directed graphs) its hub-id width, entry width
+//	           and log₂ of its unit (labelSet)
+//	pages 1..  the label stream on raw pages, one contiguous run: each side's
+//	           n+1 CSR offsets (int32), then its packed entries
 //
-// Chunks of one label always occupy consecutive slots (continuing at slot 0
-// of the next page), so a reader only needs the first chunk's address.
+// A label is the entries between two offsets: the stream bytes at the
+// side's entry start plus offsets[v]·width, which may straddle pages. The
+// offsets are the directory, so a Store reads them once and keeps 4 bytes a
+// node and side.
 //
-// Header byte 21 once selected a second chunk body, a delta+varint hub
-// encoding; it went when the landmark order made the fixed-width labels
-// smaller than the encoded ones had been. The byte is always written 0 and a
-// file carrying anything else is refused at open. Write lays the header down
-// last, over a page of zeros, so every prefix of an interrupted write is
-// refused too (bad magic) rather than served.
-//
-// Version 2 records log₂ Q, the quantum of the graph the labels were built
-// over (graph.Graph.LogQuantum): every label distance is a multiple of Q.
-// Version 1 files predate the grid and carry distances off it, so they are
-// refused, and so is a file on another grid than the graph it is opened
-// for.
+// Write lays the header down last, over a page of zeros, so every prefix
+// of an interrupted write is refused (bad magic) rather than served. The
+// version is 3: version 2 kept (u32 hub, f64 distance) pairs in slotted
+// chunk records, and version 1 carried distances off the quantum grid
+// (graph.Graph.LogQuantum). Both are refused, and so is a file on another
+// grid than the graph it is opened for.
 
 const (
-	storeVersion = 2
+	storeVersion = 3
 
 	// Header field offsets: magic [0:8), version [8:12), pageSize [12:16),
-	// numNodes [16:20), directed [20], zero [21], log₂ Q [22:24) (int16),
-	// dirStart [24:28), dirPages [28:32), entries [32:40),
-	// payloadBytes [40:48).
-	headerSize   = 48
-	dirEntrySize = 8
-	chunkHeader  = 1 + 2
-
-	flagMore = 1
+	// numNodes [16:20), directed [20], log₂ Q [22:24) (int16), then 4
+	// bytes a side from sideAt: hubW [0], width [1], log₂ unit [2:4)
+	// (int16).
+	sideAt     = 24
+	headerSize = sideAt + 2*4
 )
 
 // FileHeader locates the magic and page size of a persisted labeling, so
@@ -59,106 +49,70 @@ const (
 // original options.
 var FileHeader = storage.FileHeader{Magic: "GRNHUBL1", PageSizeAt: 12}
 
+// sides returns the labeling's distinct sides in file order: out, then in
+// when directed.
+func (l *Labeling) sides() []*labelSet {
+	if l.directed {
+		return []*labelSet{&l.out, &l.in}
+	}
+	return []*labelSet{&l.out}
+}
+
 // Write persists l, built over a graph whose quantum is 2^logQ, into an
-// empty paged file: page 0 becomes the header, label and directory pages
-// follow. The encoded byte stream is a pure function of the labeling and
-// logQ — same input, same file. On an error the file holds a prefix of the
-// write with no header, which OpenStoreBuffer refuses.
+// empty paged file: page 0 becomes the header and the label stream follows.
+// The file is a pure function of the labeling and logQ — same input, same
+// bytes. On an error the file holds a prefix of the write with no header,
+// which OpenStoreBuffer refuses.
 func Write(l *Labeling, f storage.PagedFile, logQ int) error {
 	if f.NumPages() != 0 {
 		return fmt.Errorf("hublabel: refusing to write labeling into non-empty file (%d pages)", f.NumPages())
 	}
 	pageSize := f.PageSize()
-	if pageSize < headerSize {
-		return fmt.Errorf("hublabel: page size %d cannot hold the %d-byte header", pageSize, headerSize)
-	}
-	w, err := storage.NewRecordWriter(f, chunkHeader+storage.PairSize)
-	if err != nil {
-		return err
+	if pageSize < headerSize || pageSize > storage.MaxPageSize {
+		return fmt.Errorf("hublabel: page size %d outside [%d, %d], the header's size and the largest page a file header may declare", pageSize, headerSize, storage.MaxPageSize)
 	}
 	// Reserve page 0 for the header, written last.
 	hdr := make([]byte, pageSize)
-	if err := w.AppendPage(hdr); err != nil {
+	if _, err := f.Append(hdr); err != nil {
 		return err
 	}
-
-	sides := 1
-	if l.directed {
-		sides = 2
-	}
-	dir := make([]storage.RecRef, l.numNodes*sides)
-	var payload uint64
-	var rec []byte
-
-	// writeLabel packs a label greedily: each chunk takes as many entries
-	// as the page under construction has room for, and a fresh page (which
-	// NewRecordWriter checked holds at least one) is opened when none fits.
-	writeLabel := func(di int, label []Entry) error {
-		for first := true; ; first = false {
-			avail := w.Free() - chunkHeader
-			if avail < storage.PairSize && !w.Empty() {
-				if err := w.Flush(); err != nil {
+	page := make([]byte, 0, pageSize)
+	put := func(b []byte) error {
+		for len(b) > 0 {
+			n := copy(page[len(page):cap(page)], b)
+			page, b = page[:len(page)+n], b[n:]
+			if len(page) == cap(page) {
+				if _, err := f.Append(page); err != nil {
 					return err
 				}
-				avail = w.Free() - chunkHeader
-			}
-			count := min(avail/storage.PairSize, len(label))
-			more := count < len(label)
-			rec = append(rec[:0], 0, 0, 0)
-			if more {
-				rec[0] = flagMore
-			}
-			binary.LittleEndian.PutUint16(rec[1:], uint16(count))
-			for _, e := range label[:count] {
-				rec = storage.AppendPair(rec, int32(e.Hub), e.Dist)
-			}
-			ref, err := w.Add(rec)
-			if err != nil {
-				return err
-			}
-			payload += uint64(len(rec))
-			if first {
-				dir[di] = ref
-			}
-			if label = label[count:]; !more {
-				return nil
+				page = page[:0]
 			}
 		}
+		return nil
 	}
-
-	var buf []Entry
-	for v := graph.NodeID(0); int(v) < l.numNodes; v++ {
-		buf = l.out.label(v, buf)
-		if err := writeLabel(int(v)*sides, buf); err != nil {
+	for i, s := range l.sides() {
+		offsets := make([]byte, 0, 4*len(s.offsets))
+		for _, o := range s.offsets {
+			offsets = binary.LittleEndian.AppendUint32(offsets, uint32(o))
+		}
+		if err := put(offsets); err != nil {
 			return err
 		}
-		if l.directed {
-			buf = l.in.label(v, buf)
-			if err := writeLabel(int(v)*sides+1, buf); err != nil {
-				return err
-			}
+		if err := put(s.entries[:s.size()*s.width]); err != nil {
+			return err
 		}
+		at := hdr[sideAt+4*i:]
+		at[0], at[1] = byte(s.hubW), byte(s.width)
+		binary.LittleEndian.PutUint16(at[2:], uint16(int16(math.Ilogb(s.unit))))
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	// Directory pages.
-	dirStart := w.Page()
-	page := make([]byte, pageSize)
-	perPage := pageSize / dirEntrySize
-	for i := 0; i < len(dir); i += perPage {
-		clear(page)
-		for j, ref := range dir[i:min(i+perPage, len(dir))] {
-			binary.LittleEndian.PutUint32(page[j*dirEntrySize:], uint32(ref.Page))
-			binary.LittleEndian.PutUint16(page[j*dirEntrySize+4:], ref.Slot)
-		}
-		if err := w.AppendPage(page); err != nil {
+	runtime.KeepAlive(l) // the entries are unmapped with their labeling
+	if len(page) > 0 {
+		clear(page[len(page):cap(page)])
+		if _, err := f.Append(page[:cap(page)]); err != nil {
 			return err
 		}
 	}
 
-	// Final header.
 	copy(hdr, FileHeader.Magic)
 	binary.LittleEndian.PutUint32(hdr[8:], storeVersion)
 	binary.LittleEndian.PutUint32(hdr[FileHeader.PageSizeAt:], uint32(pageSize))
@@ -167,31 +121,31 @@ func Write(l *Labeling, f storage.PagedFile, logQ int) error {
 		hdr[20] = 1
 	}
 	binary.LittleEndian.PutUint16(hdr[22:], uint16(int16(logQ)))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(dirStart))
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(w.Page()-dirStart))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(l.Entries()))
-	binary.LittleEndian.PutUint64(hdr[40:], payload)
 	return f.Write(0, hdr)
 }
 
-// Store serves a persisted labeling through an LRU buffer. The directory is
-// held in memory (8 bytes per label); label pages fault in on demand and
-// are counted by the buffer's pool. A Store is safe for concurrent readers.
+// Store serves a persisted labeling through an LRU buffer. Its Labeling
+// holds each side's offsets, widths and unit but no entries — 4 bytes a node
+// and side in memory — and counts for it (NumNodes, Directed, Entries,
+// AverageLabelSize, Bytes); OutLabel and InLabel read a label's bytes
+// through the buffer's pool, which counts the pages, and decode them as an
+// in-memory labeling does. A Store is safe for concurrent readers.
 type Store struct {
-	file     storage.PagedFile
-	buffer   *storage.Tenant
-	numNodes int
-	directed bool
-	logQ     int
-	entries  int
-	payload  int64
-	dir      []storage.RecRef
+	Labeling
+	file   storage.PagedFile
+	buffer *storage.Tenant
+	logQ   int
+	// entriesAt is where each side's packed entries start in the label
+	// stream (out, in); an undirected store reads one side under both.
+	entriesAt [2]int64
 }
 
 // OpenStoreBuffer opens a labeling previously persisted with Write,
 // reading label pages through bm, which must wrap f — typically a tenant of
 // the process-wide buffer pool, so label pages share frames (and stats)
-// with every other substrate.
+// with every other substrate. It refuses a file whose header or offsets the
+// packed format cannot hold: side widths out of range, a unit off the
+// quantum grid, offsets that fall or run past the file.
 func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 	pageSize := f.PageSize()
 	if f.NumPages() == 0 {
@@ -208,84 +162,78 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 		return nil, fmt.Errorf("hublabel: bad magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != storeVersion {
-		return nil, fmt.Errorf("hublabel: unsupported version %d (this build reads version %d: labels on the graph's quantum); rebuild with BuildHubLabelIndex", v, storeVersion)
+		return nil, fmt.Errorf("hublabel: unsupported version %d (this build reads version %d: the packed labeling on the graph's quantum); rebuild with BuildHubLabelIndex", v, storeVersion)
 	}
 	if ps := int(binary.LittleEndian.Uint32(hdr[FileHeader.PageSizeAt:])); ps != pageSize {
 		return nil, fmt.Errorf("hublabel: label file was written with %d-byte pages, opened with %d (use FileHeader.PageSize)", ps, pageSize)
 	}
-	numNodes := int(binary.LittleEndian.Uint32(hdr[16:]))
-	directed := hdr[20] == 1
-	logQ := int(int16(binary.LittleEndian.Uint16(hdr[22:])))
-	if hdr[21] != 0 {
-		return nil, fmt.Errorf("hublabel: label file uses codec %d (the delta+varint label codec, removed); rebuild with BuildHubLabelIndex", hdr[21])
-	}
-	dirStart := storage.PageID(binary.LittleEndian.Uint32(hdr[24:]))
-	dirPages := int(binary.LittleEndian.Uint32(hdr[28:]))
-	entries := int(binary.LittleEndian.Uint64(hdr[32:]))
-	payload := int64(binary.LittleEndian.Uint64(hdr[40:]))
+	s := &Store{file: f, buffer: bm, logQ: int(int16(binary.LittleEndian.Uint16(hdr[22:])))}
+	s.numNodes = int(binary.LittleEndian.Uint32(hdr[16:]))
+	s.directed = hdr[20] == 1
 
-	sides := 1
-	if directed {
-		sides = 2
-	}
-	dir := make([]storage.RecRef, 0, numNodes*sides)
-	perPage := pageSize / dirEntrySize
-	page := make([]byte, pageSize)
-	for p := 0; p < dirPages; p++ {
-		if err := f.Read(dirStart+storage.PageID(p), page); err != nil {
+	// The offsets are read once, through a private buffer: the pool counts
+	// label reads only.
+	private := storage.NewBufferPool(1).Attach("", f, 0)
+	stream := int64(f.NumPages()-1) * int64(pageSize)
+	var pos int64
+	for i, side := range s.sides() {
+		meta := hdr[sideAt+4*i:]
+		side.hubW, side.width = int(meta[0]), int(meta[1])
+		unitExp := int(int16(binary.LittleEndian.Uint16(meta[2:])))
+		side.unit = math.Ldexp(1, unitExp)
+		if side.hubW < 1 || side.hubW > 4 || side.width < side.hubW || side.width > side.hubW+8 {
+			return nil, fmt.Errorf("hublabel: label side %d packs %d-byte entries with %d-byte hub ids, outside 1–4 hub bytes and 0–8 distance bytes: corrupt label file", i, side.width, side.hubW)
+		}
+		if side.width > side.hubW && unitExp < s.logQ {
+			return nil, fmt.Errorf("hublabel: label side %d counts distances in 2^%d, off the quantum 2^%d: corrupt label file", i, unitExp, s.logQ)
+		}
+		if 4*(int64(s.numNodes)+1) > stream-pos {
+			return nil, fmt.Errorf("hublabel: the offsets of label side %d's %d nodes run past the file's %d stream bytes: corrupt label file", i, s.numNodes, stream)
+		}
+		raw := make([]byte, 4*(s.numNodes+1))
+		if err := readStream(private, pos, raw); err != nil {
 			return nil, err
 		}
-		for j := 0; j < perPage && len(dir) < numNodes*sides; j++ {
-			off := j * dirEntrySize
-			dir = append(dir, storage.RecRef{
-				Page: storage.PageID(binary.LittleEndian.Uint32(page[off:])),
-				Slot: binary.LittleEndian.Uint16(page[off+4:]),
-			})
+		pos += int64(len(raw))
+		side.offsets = make([]int32, s.numNodes+1)
+		for v := range side.offsets {
+			side.offsets[v] = int32(binary.LittleEndian.Uint32(raw[4*v:]))
+			if v == 0 && side.offsets[v] != 0 || v > 0 && side.offsets[v] < side.offsets[v-1] {
+				return nil, fmt.Errorf("hublabel: label side %d: offset %d of node %d breaks the rising run from 0: corrupt label file", i, side.offsets[v], v)
+			}
+		}
+		s.entriesAt[i] = pos
+		pos += int64(side.size()) * int64(side.width)
+		if pos > stream {
+			return nil, fmt.Errorf("hublabel: label side %d's %d entries run past the file's %d stream bytes: corrupt label file", i, side.size(), stream)
 		}
 	}
-	if len(dir) != numNodes*sides {
-		return nil, fmt.Errorf("hublabel: directory holds %d of %d entries", len(dir), numNodes*sides)
+	if !s.directed {
+		s.in, s.entriesAt[1] = s.out, s.entriesAt[0]
 	}
-	return &Store{
-		file:     f,
-		buffer:   bm,
-		numNodes: numNodes,
-		directed: directed,
-		logQ:     logQ,
-		entries:  entries,
-		payload:  payload,
-		dir:      dir,
-	}, nil
+	return s, nil
 }
 
-// NumNodes implements Source.
-func (s *Store) NumNodes() int { return s.numNodes }
-
-// Directed implements Source.
-func (s *Store) Directed() bool { return s.directed }
+// readStream copies len(dst) bytes of the label stream, from byte pos on,
+// out of the pages t reads.
+func readStream(t *storage.Tenant, pos int64, dst []byte) error {
+	pageSize := int64(t.File().PageSize())
+	for got := 0; got < len(dst); {
+		at := pos + int64(got)
+		err := t.ReadPage(storage.PageID(1+at/pageSize), func(page []byte) error {
+			got += copy(dst[got:], page[at%pageSize:])
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // LogQuantum returns log₂ of the quantum of the graph the labels were
 // built over, as Write recorded it.
 func (s *Store) LogQuantum() int { return s.logQ }
-
-// Entries returns the total number of label entries (both sides).
-func (s *Store) Entries() int { return s.entries }
-
-// PayloadBytes returns the encoded label record bytes (chunk headers
-// included), or 0 for files written before the counter existed.
-func (s *Store) PayloadBytes() int64 { return s.payload }
-
-// AverageLabelSize returns the mean entries per node per side.
-func (s *Store) AverageLabelSize() float64 {
-	if s.numNodes == 0 {
-		return 0
-	}
-	sides := 1
-	if s.directed {
-		sides = 2
-	}
-	return float64(s.entries) / float64(s.numNodes*sides)
-}
 
 // Buffer exposes the LRU buffer (cold-start experiments).
 func (s *Store) Buffer() *storage.Tenant { return s.buffer }
@@ -312,96 +260,74 @@ func (s *Store) Close() error {
 
 // OutLabel implements Source.
 func (s *Store) OutLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
-	sides := 1
-	if s.directed {
-		sides = 2
-	}
-	if n < 0 || int(n) >= s.numNodes {
-		return nil, fmt.Errorf("hublabel: node %d out of range [0,%d)", n, s.numNodes)
-	}
-	return s.readLabel(s.dir[int(n)*sides], buf)
+	return s.read(&s.out, s.entriesAt[0], n, buf)
 }
 
 // InLabel implements Source.
 func (s *Store) InLabel(n graph.NodeID, buf []Entry) ([]Entry, error) {
+	return s.read(&s.in, s.entriesAt[1], n, buf)
+}
+
+// labelScratch is the label size, in packed bytes, that read gathers on
+// the stack; a longer label gets a heap buffer.
+const labelScratch = 1024
+
+// read decodes the label of node n on side, whose entries start at byte
+// entriesAt of the stream, into buf: its bytes are gathered out of the
+// pages they span and decoded by side.decode. A hub id past the graph or
+// out of ascending order is an error: the bytes came from a file.
+func (s *Store) read(side *labelSet, entriesAt int64, n graph.NodeID, buf []Entry) ([]Entry, error) {
 	if n < 0 || int(n) >= s.numNodes {
 		return nil, fmt.Errorf("hublabel: node %d out of range [0,%d)", n, s.numNodes)
 	}
-	if !s.directed {
-		return s.readLabel(s.dir[n], buf)
+	lo, hi := int(side.offsets[n]), int(side.offsets[n+1])
+	buf = slices.Grow(buf[:0], hi-lo)[:hi-lo]
+	if lo == hi {
+		return buf, nil
 	}
-	return s.readLabel(s.dir[int(n)*2+1], buf)
-}
-
-// readLabel decodes one label's chunk chain into buf, one page read per
-// chunk, in the order Write stored the entries.
-func (s *Store) readLabel(at storage.RecRef, buf []Entry) ([]Entry, error) {
-	buf = buf[:0]
-	var more, lastSlot bool
-	decode := func(page, rec []byte) (err error) {
-		if buf, more, err = DecodeChunk(rec, buf); err != nil {
-			return fmt.Errorf("hublabel: label chunk on page %d slot %d: %w", at.Page, at.Slot, err)
-		}
-		lastSlot = int(at.Slot)+1 >= storage.RecordSlotCount(page)
-		return nil
+	size := (hi - lo) * side.width
+	var scratch [labelScratch + labelSlack]byte
+	raw := scratch[:]
+	if size > labelScratch {
+		raw = make([]byte, size+labelSlack)
 	}
-	for {
-		if err := s.buffer.ReadRecord(at, decode); err != nil {
-			return nil, err
-		}
-		if !more {
-			return buf, nil
-		}
-		if lastSlot {
-			at = storage.RecRef{Page: at.Page + 1}
-		} else {
-			at.Slot++
-		}
-	}
-}
-
-// DecodeChunk appends the entries of one label chunk record to buf and
-// reports whether the label continues in the next chunk.
-func DecodeChunk(rec []byte, buf []Entry) ([]Entry, bool, error) {
-	if len(rec) < chunkHeader {
-		return nil, false, fmt.Errorf("truncated: %d bytes", len(rec))
-	}
-	pairs, err := storage.CountedPairs(rec[1:])
-	if err != nil {
-		return nil, false, err
-	}
-	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
-		hub, dist := storage.Pair(pairs)
-		buf = append(buf, Entry{Hub: graph.NodeID(hub), Dist: dist})
-	}
-	return buf, rec[0]&flagMore != 0, nil
-}
-
-// Load reads a persisted labeling fully into memory: the labeling Write
-// was given, so writing it again with the same logQ yields the same file.
-func Load(f storage.PagedFile) (*Labeling, error) {
-	s, err := OpenStoreBuffer(f, storage.NewBufferPool(1).Attach("", f, 0))
-	if err != nil {
+	if err := readStream(s.buffer, entriesAt+int64(lo)*int64(side.width), raw[:size]); err != nil {
 		return nil, err
 	}
-	n := s.numNodes
-	out := make([][]Entry, n)
-	var in [][]Entry
-	if s.directed {
-		in = make([][]Entry, n)
-	}
-	var buf []Entry
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		if buf, err = s.OutLabel(v, buf); err != nil {
-			return nil, err
+	side.decode(buf, raw)
+	prev := graph.NodeID(-1)
+	for _, e := range buf {
+		if e.Hub <= prev || int(e.Hub) >= s.numNodes {
+			return nil, fmt.Errorf("hublabel: label of node %d holds hub %d after %d, outside [0,%d) or out of order: corrupt label file", n, e.Hub, prev, s.numNodes)
 		}
-		out[v] = append([]Entry(nil), buf...)
-		if s.directed {
-			if buf, err = s.InLabel(v, buf); err != nil {
-				return nil, err
-			}
-			in[v] = append([]Entry(nil), buf...)
+		prev = e.Hub
+	}
+	return buf, nil
+}
+
+// CopyTo writes the store's file, page for page, into dst, an empty file of
+// the same page size — the header last, as Write lays it down, so a copy
+// that fails part way is refused at open. It reads the file directly: the
+// pool counts no page of it.
+func (s *Store) CopyTo(dst storage.PagedFile) error {
+	pageSize := s.file.PageSize()
+	if dst.NumPages() != 0 || dst.PageSize() != pageSize {
+		return fmt.Errorf("hublabel: copy of a label file with %d-byte pages needs an empty file of that page size, not %d pages of %d bytes", pageSize, dst.NumPages(), dst.PageSize())
+	}
+	page := make([]byte, pageSize)
+	if _, err := dst.Append(page); err != nil {
+		return err
+	}
+	for id := storage.PageID(1); int(id) < s.file.NumPages(); id++ {
+		if err := s.file.Read(id, page); err != nil {
+			return err
+		}
+		if _, err := dst.Append(page); err != nil {
+			return err
 		}
 	}
-	return newLabeling(n, s.directed, out, in)
+	if err := s.file.Read(0, page); err != nil {
+		return err
+	}
+	return dst.Write(0, page)
 }

@@ -77,7 +77,7 @@ func (s *PagedEdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePo
 	if !ok {
 		return buf, nil
 	}
-	err := s.bm.ReadRecord(ref, func(_, rec []byte) (err error) {
+	err := s.bm.ReadRecord(ref, func(rec []byte) (err error) {
 		buf, err = DecodeEdgeRecord(rec, buf)
 		return err
 	})

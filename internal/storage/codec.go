@@ -9,7 +9,7 @@ import (
 )
 
 // The payload codecs of recpage.go's layout: the (id, value) pair every
-// record body is made of, the count-prefixed run of pairs three of the four
+// record body is made of, the count-prefixed run of pairs two of the three
 // payloads are, and the adjacency fragment this package owns.
 
 // PairSize is the encoded size of one (id int32, value float64) pair.

@@ -121,7 +121,7 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 	buf = buf[:0]
 	var owner graph.NodeID
 	var next RecRef
-	decode := func(_, rec []byte) (err error) {
+	decode := func(rec []byte) (err error) {
 		owner, next, buf, err = ReadFragment(rec, buf)
 		return err
 	}

@@ -91,8 +91,8 @@ func TestPagedLayoutPinned(t *testing.T) {
 		pages    int
 		sum      string
 	}{
-		{"labels/raw/4096", 4096, 238, "629e7160aba92409686137d0daab35548540fb7b69d78ef9a99891a278f996ff"},
-		{"labels/raw/512", 512, 1942, "47620976bb31081ba79b61c64320325b30973ff815ea4c5abbd3d817257b882f"},
+		{"labels/raw/4096", 4096, 154, "5f6804c6c5d9eb511db9160fa85ded774a3032190438b5ad7ee8eed1d18448e3"},
+		{"labels/raw/512", 512, 1225, "19397a75cb3eebbb858ce66cf2dfbc177a9b4e7cb5fa96c9afa3df462c20c3e0"},
 	} {
 		f := storage.NewMemFile(tc.pageSize)
 		if err := hublabel.Write(lab, f, g.LogQuantum()); err != nil {

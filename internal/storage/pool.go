@@ -19,12 +19,13 @@ import (
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
-// Every access — ReadRecord, Update, Get — takes the pool mutex, gets its
-// page from loadLocked and uses the bytes before releasing the mutex, so a
-// frame needs no reference count: whoever holds the mutex is the only user
-// of every loaded frame. A cached page costs one critical section that also
-// touches the tenant's LRU and counts the hit: two atomic operations and an
-// index into the tenant's dense page table. An evicted frame and its page
+// Every access — ReadPage (and ReadRecord and Get on top of it), Update —
+// takes the pool mutex, gets its page from loadLocked and uses the bytes
+// before releasing the mutex, so a frame needs no reference count: whoever
+// holds the mutex is the only user of every loaded frame. A cached page
+// costs one critical section that also touches the tenant's LRU and counts
+// the hit: two atomic operations and an index into the tenant's dense page
+// table. An evicted frame and its page
 // buffer go to a free list the next fault reuses, so the steady-state read
 // path — hit or miss — allocates nothing.
 //
@@ -335,21 +336,36 @@ func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	return nil, false, err
 }
 
-// Get returns a private copy of page id. It is the copying convenience for
-// tests and tools; record reads use ReadRecord, which decodes in place.
-func (t *Tenant) Get(id PageID) ([]byte, error) {
+// ReadPage runs read on page id, one counted access: the page comes from
+// loadLocked, hit or miss, and read runs under the pool mutex — for a cached
+// page in the critical section that touches the LRU and counts the hit — so
+// it must not call back into the pool and must do no more than copy out what
+// it needs. The bytes are dead once read returns. read's error is returned
+// as is.
+func (t *Tenant) ReadPage(id PageID, read func(page []byte) error) error {
 	p := t.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fr, borrowed, err := t.loadLocked(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := append([]byte(nil), fr.data...)
+	err = read(fr.data)
 	if borrowed {
 		p.recycleLocked(fr)
 	}
-	return out, nil
+	return err
+}
+
+// Get returns a private copy of page id. It is the copying convenience for
+// tests and tools; readers use ReadPage or ReadRecord, which read in place.
+func (t *Tenant) Get(id PageID) ([]byte, error) {
+	var out []byte
+	err := t.ReadPage(id, func(page []byte) error {
+		out = append([]byte(nil), page...)
+		return nil
+	})
+	return out, err
 }
 
 // Update fetches page id, applies fn to its contents in place, and marks

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -241,6 +242,14 @@ func TestPoolConcurrentTenants(t *testing.T) {
 		func() error { b.ResetStats(); return nil },
 		// page[0] is what the readers check; Update leaves it alone.
 		func() error { return b.Update(3, func(page []byte) error { page[1]++; return nil }) },
+		func() error {
+			return a.ReadPage(5, func(page []byte) error {
+				if page[0] != 5 {
+					return fmt.Errorf("ReadPage: page 5 content = %d", page[0])
+				}
+				return nil
+			})
+		},
 		b.Flush,
 		b.Invalidate,
 		func() error {
@@ -534,7 +543,7 @@ func TestReadRecordConcurrentInvalidate(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				at := rng.Intn(len(refs))
 				var got uint64
-				err := tn.ReadRecord(refs[at], func(_, rec []byte) error {
+				err := tn.ReadRecord(refs[at], func(rec []byte) error {
 					got = binary.LittleEndian.Uint64(rec)
 					return nil
 				})
@@ -609,7 +618,7 @@ func TestPageBeyondFileGrowsNoTable(t *testing.T) {
 		if _, err := tn.Get(id); !errors.Is(err, ErrPageOutOfRange) {
 			t.Fatalf("Get(%d) = %v, want ErrPageOutOfRange", id, err)
 		}
-		err := tn.ReadRecord(RecRef{Page: id}, func(_, _ []byte) error { return nil })
+		err := tn.ReadRecord(RecRef{Page: id}, func([]byte) error { return nil })
 		if !errors.Is(err, ErrPageOutOfRange) {
 			t.Fatalf("ReadRecord(page %d) = %v, want ErrPageOutOfRange", id, err)
 		}

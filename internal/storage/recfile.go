@@ -7,9 +7,8 @@ import (
 	"os"
 )
 
-// RecordWriter appends slotted record pages — and the raw header or
-// directory pages a file keeps beside them — to a paged file. Every record
-// of the repository's four paged files is written through one.
+// RecordWriter appends slotted record pages to a paged file. Every record
+// of the repository's three record files is written through one.
 type RecordWriter struct {
 	file PagedFile
 	pb   *RecordPageBuilder
@@ -68,15 +67,6 @@ func (w *RecordWriter) Flush() error {
 	return nil
 }
 
-// AppendPage flushes and then appends page as is — a header or directory
-// page, which gets the id Page reported after the flush.
-func (w *RecordWriter) AppendPage(page []byte) error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return w.appendPage(page)
-}
-
 func (w *RecordWriter) appendPage(page []byte) error {
 	id, err := w.file.Append(page)
 	if err != nil {
@@ -89,28 +79,18 @@ func (w *RecordWriter) appendPage(page []byte) error {
 	return nil
 }
 
-// ReadRecord runs decode on ref's page and the payload of the record in
-// ref's slot; both alias the page and are dead once decode returns. The page
-// comes from loadLocked, hit or miss, and is decoded under the pool mutex —
-// for a cached page in the critical section that touches the LRU and counts
-// the hit — so decode must not call back into the pool and must do no more
-// than copy one record out. decode's error is returned as is.
-func (t *Tenant) ReadRecord(ref RecRef, decode func(page, rec []byte) error) error {
-	p := t.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fr, borrowed, err := t.loadLocked(ref.Page)
-	if err != nil {
-		return err
-	}
-	rec, err := ReadRecordSlot(fr.data, int(ref.Slot))
-	if err == nil {
-		err = decode(fr.data, rec)
-	}
-	if borrowed {
-		p.recycleLocked(fr)
-	}
-	return err
+// ReadRecord runs decode on the payload of the record in ref's slot, which
+// aliases the page and is dead once decode returns. It is ReadPage with the
+// slot lookup in front, so decode runs under the pool mutex and must do no
+// more than copy one record out. decode's error is returned as is.
+func (t *Tenant) ReadRecord(ref RecRef, decode func(rec []byte) error) error {
+	return t.ReadPage(ref.Page, func(page []byte) error {
+		rec, err := ReadRecordSlot(page, int(ref.Slot))
+		if err != nil {
+			return err
+		}
+		return decode(rec)
+	})
 }
 
 // FileHeader says where a persisted paged file keeps what a reader needs

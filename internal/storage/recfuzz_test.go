@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"graphrnn/internal/core"
-	"graphrnn/internal/hublabel"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
 
 // FuzzRecordPage feeds arbitrary page bytes and slot numbers to the page
-// reader and, behind it, to the decoder of each of the four payloads: every
+// reader and, behind it, to the decoder of each of the three payloads: every
 // one returns an error or data that fits the record it was given — never a
-// panic, never more items than the bytes can hold.
+// panic, never more items than the bytes can hold. (Label files are raw
+// pages of the packed labeling; FuzzLabelFile in internal/hublabel holds
+// their reader.)
 func FuzzRecordPage(f *testing.F) {
 	const pageSize = 256
 	pairs := func(b []byte, n int) []byte {
@@ -33,27 +34,26 @@ func FuzzRecordPage(f *testing.F) {
 	}
 	fragment := pairs([]byte{7, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0}, 2) // owner 7, last of its chain
 	list := pairs(storage.AppendCount(nil, 2), 3)                          // two live entries, one of padding
-	chunk := pairs(storage.AppendCount([]byte{1}, 2), 2)                   // "more chunks follow"
-	lastChunk := pairs(storage.AppendCount([]byte{0}, 1), 1)               // the end of that label
-	healthy := page(fragment, list, chunk, lastChunk)
+	edgeRec := pairs(storage.AppendCount(nil, 2), 2)                       // two (point, offset) pairs
+	short := pairs(storage.AppendCount(nil, 1), 1)                         // a one-entry list
+	healthy := page(fragment, list, edgeRec, short)
 	for slot := 0; slot < 4; slot++ {
 		f.Add(healthy, slot)
 	}
-	// The corrupt shapes of TestReadLabelErrorExits and
-	// TestFragmentCodecCorruptSlot: a slot past the directory, a record too
-	// short for any header, a count the record cannot hold, a fragment cut
-	// inside a pair, and a record count that runs the directory into the
-	// records.
+	// The corrupt shapes of TestFragmentCodecCorruptSlot and the counted
+	// payloads: a slot past the directory, a record too short for any
+	// header, a count the record cannot hold, a fragment cut inside a pair,
+	// and a record count that runs the directory into the records.
 	f.Add(healthy, 5)
 	f.Add(healthy, 9999)
 	f.Add(healthy, -1)
 	f.Add(page([]byte{0}), 0)
-	overcount := page(chunk)
+	overcount := page(edgeRec)
 	rec, err := storage.ReadRecordSlot(overcount, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec[1], rec[2] = 0xff, 0xff
+	rec[0], rec[1] = 0xff, 0xff
 	f.Add(overcount, 0)
 	f.Add(page(fragment[:len(fragment)-1]), 0)
 	crowded := page(list)
@@ -80,7 +80,5 @@ func FuzzRecordPage(f *testing.F) {
 		fits("K-NN list", len(entries), 2, storage.PairSize, err)
 		refs, err := points.DecodeEdgeRecord(rec, nil)
 		fits("edge-point record", len(refs), 2, storage.PairSize, err)
-		label, _, err := hublabel.DecodeChunk(rec, nil)
-		fits("label chunk", len(label), 3, storage.PairSize, err)
 	})
 }

@@ -8,9 +8,11 @@ import (
 
 // One paged record file. The paper's disk model — adjacency lists packed
 // into pages behind a node-id index (Section 3.1), the point file of
-// Fig 14b, the materialized K-NN lists of Section 4.1 — and the hub labels
-// added to it are one layout: records in slotted pages, found through a
-// directory of RecRefs that their owner keeps, read through an LRU buffer.
+// Fig 14b, the materialized K-NN lists of Section 4.1 — is one layout:
+// records in slotted pages, found through a directory of RecRefs that their
+// owner keeps, read through an LRU buffer. (Hub labels are immutable and
+// carry their own directory, their CSR offsets: internal/hublabel keeps
+// them on raw pages and reads them with Tenant.ReadPage.)
 //
 // A page is
 //
@@ -23,13 +25,11 @@ import (
 // MaxPageSize bytes. A payload is a short fixed prefix followed by 12-byte
 // (id int32, value float64) pairs (PairSize, AppendPair, Pair); the value
 // is a float64 so a disk-resident structure is bit-identical to its
-// in-memory twin. The four payloads:
+// in-memory twin. The three payloads:
 //
 //	adjacency fragment  [owner i32][next page i32][next slot u16] pairs (to, weight)
 //	K-NN list           [count u16] pairs (point, distance), zero-padded to K+1 pairs
 //	edge-point record   [count u16] pairs (point, offset), sorted by (offset, id)
-//	label chunk         [flags u8][count u16] pairs (hub, distance), or the
-//	                    delta+varint form of internal/hublabel
 //
 // Fragments let an arbitrarily high-degree node (the hubs of scale-free
 // BRITE-style topologies) span pages while ordinary nodes share pages with
