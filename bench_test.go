@@ -96,13 +96,15 @@ type microEnv struct {
 	queries []graphrnn.PointID
 }
 
-func newMicroEnv(tb testing.TB) *microEnv {
+// newMicroEnv opens the road-20K workload disk-backed, behind a buffer of
+// bufferPages pages (0: Options' default, which holds the whole graph).
+func newMicroEnv(tb testing.TB, bufferPages int) *microEnv {
 	tb.Helper()
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true})
+	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: bufferPages})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -117,8 +119,8 @@ func newMicroEnv(tb testing.TB) *microEnv {
 	return &microEnv{db: db, ps: ps, mat: mat, queries: ps.Points()}
 }
 
-func benchQueries(b *testing.B, algo func(*microEnv) graphrnn.Algorithm) {
-	e := newMicroEnv(b)
+func benchQueries(b *testing.B, bufferPages int, algo func(*microEnv) graphrnn.Algorithm) {
+	e := newMicroEnv(b, bufferPages)
 	a := algo(e)
 	e.db.BufferPool().ResetStats()
 	b.ResetTimer()
@@ -135,19 +137,27 @@ func benchQueries(b *testing.B, algo func(*microEnv) graphrnn.Algorithm) {
 
 // R2NN query latency per algorithm on a 20K-node road network, D=0.01.
 func BenchmarkQueryEager(b *testing.B) {
-	benchQueries(b, func(*microEnv) graphrnn.Algorithm { return graphrnn.Eager() })
+	benchQueries(b, 0, func(*microEnv) graphrnn.Algorithm { return graphrnn.Eager() })
+}
+
+// BenchmarkQueryEagerCold is BenchmarkQueryEager behind a 32-page buffer,
+// the shape of the benchmark's expand_cold server. The default buffer holds
+// the whole graph (≈ 1 page read a query); this one is 7× smaller, so the
+// range-NN probes fault their pages in through the pool.
+func BenchmarkQueryEagerCold(b *testing.B) {
+	benchQueries(b, 32, func(*microEnv) graphrnn.Algorithm { return graphrnn.Eager() })
 }
 
 func BenchmarkQueryLazy(b *testing.B) {
-	benchQueries(b, func(*microEnv) graphrnn.Algorithm { return graphrnn.Lazy() })
+	benchQueries(b, 0, func(*microEnv) graphrnn.Algorithm { return graphrnn.Lazy() })
 }
 
 func BenchmarkQueryLazyEP(b *testing.B) {
-	benchQueries(b, func(*microEnv) graphrnn.Algorithm { return graphrnn.LazyEP() })
+	benchQueries(b, 0, func(*microEnv) graphrnn.Algorithm { return graphrnn.LazyEP() })
 }
 
 func BenchmarkQueryEagerM(b *testing.B) {
-	benchQueries(b, func(e *microEnv) graphrnn.Algorithm { return graphrnn.EagerM(e.mat) })
+	benchQueries(b, 0, func(e *microEnv) graphrnn.Algorithm { return graphrnn.EagerM(e.mat) })
 }
 
 // R2NN query latency through the hub-label substrate on the identical
@@ -155,7 +165,7 @@ func BenchmarkQueryEagerM(b *testing.B) {
 // paged file and served through their own LRU buffer, so io_reads/op
 // reports label faults the way the other substrates report page faults).
 func BenchmarkQueryHubLabel(b *testing.B) {
-	e := newMicroEnv(b)
+	e := newMicroEnv(b, 0)
 	idx, err := e.db.BuildHubLabelIndex(e.ps, 4, &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 64})
 	if err != nil {
 		b.Fatal(err)
@@ -186,7 +196,7 @@ func BenchmarkQueryHubLabel(b *testing.B) {
 // the hub rows of repro.golden, allocations by TestHotPathAllocs, the
 // pruned label scan by hublabel.TestReachPrunesPhaseOne.
 func BenchmarkCIQueries(b *testing.B) {
-	e := newMicroEnv(b)
+	e := newMicroEnv(b, 0)
 	hubIdx, err := e.db.BuildHubLabelIndex(e.ps, 4, &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 64})
 	if err != nil {
 		b.Fatal(err)
@@ -317,7 +327,7 @@ func BenchmarkCIShardedQueries(b *testing.B) {
 // overhead probe: identical work to BenchmarkCIQueries/eager, plus the
 // per-step exec checks.
 func BenchmarkBudgetedQueries(b *testing.B) {
-	e := newMicroEnv(b)
+	e := newMicroEnv(b, 0)
 	for _, bench := range []struct {
 		name   string
 		budget int64
@@ -609,7 +619,7 @@ func BenchmarkLayoutAblation(b *testing.B) {
 // list_writes/op are deterministic for the fixed seed: TestListPageIO pins
 // one op exactly.
 func BenchmarkCIMaintenance(b *testing.B) {
-	e := newMicroEnv(b)
+	e := newMicroEnv(b, 0)
 	ps, free := maintenanceSet(b, e)
 	e.db.BufferPool().ResetStats()
 	b.ResetTimer()
@@ -628,7 +638,7 @@ func BenchmarkCIMaintenance(b *testing.B) {
 // holds every list page, so the round trips write none back; reads are the
 // one count to pin.
 func TestListPageIO(t *testing.T) {
-	e := newMicroEnv(t)
+	e := newMicroEnv(t, 0)
 	ps, free := maintenanceSet(t, e)
 	e.db.BufferPool().ResetStats()
 	roundTrips(t, ps, free)

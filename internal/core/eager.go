@@ -125,7 +125,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 		if !ok {
 			break
 		}
-		if ent.kind == kindPoint {
+		if ent.isPoint() {
 			if err := settle(ent.point(), d); err != nil {
 				return execResult(results, st, err)
 			}

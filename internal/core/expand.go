@@ -34,7 +34,7 @@ func (s *Searcher) rangeNN(st *Stats, sites PointSet, from Loc, k int, e float64
 		if !ok || d >= e {
 			break
 		}
-		if ent.kind == kindPoint {
+		if ent.isPoint() {
 			if hasPoint(out, ent.point()) {
 				continue // a later arrival of a point already reported
 			}
@@ -138,7 +138,7 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 		if !ok {
 			return false, nil // target unreachable within ub
 		}
-		if ent.kind == kindNode {
+		if ent.isNode() {
 			st.NodesScanned++
 			if err := s.checkExecStride(st); err != nil {
 				return false, err
@@ -152,14 +152,14 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 		if strictCount >= k {
 			return false, nil
 		}
-		switch ent.kind {
-		case kindTarget:
+		switch {
+		case ent.isTarget():
 			return true, nil
-		case kindPoint:
+		case ent.isPoint():
 			if p := ent.point(); p != self && sc.firstArrival(p) {
 				sameCount++
 			}
-		case kindNode:
+		default: // a node
 			n := ent.node()
 			if tgt.nodeHit(n) {
 				return true, nil
@@ -220,7 +220,7 @@ func (s *Searcher) Distance(a, b Loc) (float64, error) {
 		if !ok {
 			return math.Inf(1), nil
 		}
-		if ent.kind == kindTarget {
+		if ent.isTarget() {
 			return d, nil
 		}
 		n := ent.node()

@@ -58,7 +58,7 @@ func (c *lazyCounts) atK(n graph.NodeID) bool { return c.get(n) >= c.k }
 // counters. The counters also stand in for Fig 6's hash table, which maps
 // an expanded node to the heap entries it generated so that they can be
 // removed once its counter reaches k. The same fact is kept the other way
-// round: every node entry names its generator (entry.from), and the walk's
+// round: every node entry names its generator (entry.gen), and the walk's
 // pop drops an entry whose generator's counter has reached k
 // (scratch.pop). The rule is the same. A counter reaching k removes
 // entries only when its node was expanded; counters only rise; and a node
@@ -102,7 +102,7 @@ func (s *Searcher) classify(st *Stats, sites PointSet, loc Loc, tgt target, k in
 // whether it is a competitor (site; in a monochromatic walk every point is)
 // and where the point lies. ok is false for a point its set hides.
 func arrival(ent entry, cands, sites PointSet, mono bool) (loc Loc, site, ok bool) {
-	if site = mono || ent.set == setSite; site {
+	if site = mono || ent.gen == setSite; site {
 		loc, ok = sites.loc(ent.point())
 	} else {
 		loc, ok = cands.loc(ent.point())
@@ -187,7 +187,7 @@ func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt tar
 		if !ok {
 			break
 		}
-		if ent.kind == kindPoint {
+		if ent.isPoint() {
 			if loc, site, ok := arrival(ent, cands, sites, mono); ok {
 				if err := meet(ent.point(), loc, d, site); err != nil {
 					return execResult(results, st, err)

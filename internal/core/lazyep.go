@@ -200,7 +200,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 		if !ok {
 			break
 		}
-		if ent.kind == kindPoint {
+		if ent.isPoint() {
 			if loc, site, ok := arrival(ent, cands, sites, mono); ok {
 				if err := meet(ent.point(), loc, d, mono || !site, site); err != nil {
 					return execResult(results, st, err)

@@ -242,7 +242,7 @@ func (sc *scratch) seed(s *Searcher, l Loc) error {
 // pushSameEdgePoints pushes a point-arrival entry for every visible point
 // of view on l's own edge at its direct distance, bounded by limit
 // (inclusive). A node location shares no edge.
-func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set uint8, l Loc, limit float64) error {
+func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set graph.NodeID, l Loc, limit float64) error {
 	if view == nil || l.IsNode() {
 		return nil
 	}
@@ -264,7 +264,7 @@ func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set uint8, l Loc, li
 // strictly farther than 0 from the walk's source (used by the lazy
 // edge-crossing rule: a point at distance 0 sits on the source, so it is
 // not strictly closer than the source to anything past the edge).
-func (sc *scratch) pushEdgePoints(view points.EdgeView, set uint8, n graph.NodeID, d float64, e graph.Edge, limit float64) (int, error) {
+func (sc *scratch) pushEdgePoints(view points.EdgeView, set graph.NodeID, n graph.NodeID, d float64, e graph.Edge, limit float64) (int, error) {
 	if view == nil {
 		return 0, nil
 	}
@@ -291,7 +291,7 @@ func (sc *scratch) pushEdgePoints(view points.EdgeView, set uint8, n graph.NodeI
 
 // pushAdjacentPoints is pushEdgePoints over every edge of sc.adj, the
 // adjacency of node n.
-func (sc *scratch) pushAdjacentPoints(view points.EdgeView, set uint8, n graph.NodeID, d, limit float64) error {
+func (sc *scratch) pushAdjacentPoints(view points.EdgeView, set graph.NodeID, n graph.NodeID, d, limit float64) error {
 	for _, e := range sc.adj {
 		if _, err := sc.pushEdgePoints(view, set, n, d, e, limit); err != nil {
 			return err

@@ -9,40 +9,40 @@ import (
 	"graphrnn/internal/pq"
 )
 
-// The three kinds of entry the one walker queue carries. A node entry is
-// labelled Dijkstra-style through the scratch arrays; a point arrival is a
-// data point of an edge-resident set reached along its edge from a popped
-// endpoint (or directly, when it shares the source's edge); a target
-// arrival is the query location reached the same way. Arrivals are plain
-// entries: a point is pushed from both endpoints of its edge, so its first
-// pop carries the exact minimum distance (Fig 14's two bounds for d(q,p3))
-// and the consumer drops the later ones.
-const (
-	kindNode uint8 = iota
-	kindPoint
-	kindTarget
-)
-
-// Which set a point arrival belongs to (bichromatic walks surface both).
-const (
-	setCand uint8 = iota
-	setSite
-)
-
-// entry is one queue item. It packs to 12 bytes, so a radix slot (entry
-// and 8-byte key) takes 24.
+// entry is one queue item of the one walker queue, which carries three
+// kinds. A node entry is labelled Dijkstra-style through the scratch
+// arrays; a point arrival is a data point of an edge-resident set reached
+// along its edge from a popped endpoint (or directly, when it shares the
+// source's edge); a target arrival is the query location reached the same
+// way. Arrivals are plain entries: a point is pushed from both endpoints of
+// its edge, so its first pop carries the exact minimum distance (Fig 14's
+// two bounds for d(q,p3)) and the consumer drops the later ones.
+//
+// The kind lives in gen. A node entry's gen is its generator, the node
+// whose expansion pushed it, or noGen for a seed; lazy's pruning drops the
+// entry by it. The values below noGen mark the other kinds: setCand and
+// setSite a point arrival of that set (bichromatic walks surface both),
+// genTarget a target arrival. So an entry packs to 8 bytes, and a radix
+// slot (entry and 8-byte key) takes 16.
 type entry struct {
-	id int32 // node id, or point id of an arrival
-	// from is the generator of a node entry: the node whose expansion
-	// pushed it, noGen for a seed. Lazy's pruning drops the entry by it.
-	from graph.NodeID
-	kind uint8
-	set  uint8
+	id  int32        // node id, or point id of an arrival
+	gen graph.NodeID // generator of a node entry, or a kind below noGen
 }
 
-// noGen is the generator of a seed: no expansion pushed it.
-const noGen graph.NodeID = -1
+const (
+	// noGen is the generator of a seed: no expansion pushed it.
+	noGen graph.NodeID = -1
+	// setCand and setSite mark a point arrival of the candidate or the
+	// site set; they are the set argument of pushPoint.
+	setCand graph.NodeID = -2
+	setSite graph.NodeID = -3
+	// genTarget marks a target arrival.
+	genTarget graph.NodeID = -4
+)
 
+func (e entry) isNode() bool          { return e.gen >= noGen }
+func (e entry) isPoint() bool         { return e.gen == setCand || e.gen == setSite }
+func (e entry) isTarget() bool        { return e.gen == genTarget }
 func (e entry) node() graph.NodeID    { return graph.NodeID(e.id) }
 func (e entry) point() points.PointID { return points.PointID(e.id) }
 
@@ -112,15 +112,15 @@ func (sc *scratch) pushNode(from, n graph.NodeID, d float64) {
 	}
 	sc.seen[n] = sc.epoch
 	sc.dist[n] = d
-	sc.queue.Push(entry{id: int32(n), from: from}, d)
+	sc.queue.Push(entry{id: int32(n), gen: from}, d)
 }
 
-func (sc *scratch) pushPoint(set uint8, p points.PointID, d float64) {
-	sc.queue.Push(entry{id: int32(p), kind: kindPoint, set: set}, d)
+func (sc *scratch) pushPoint(set graph.NodeID, p points.PointID, d float64) {
+	sc.queue.Push(entry{id: int32(p), gen: set}, d)
 }
 
 func (sc *scratch) pushTarget(d float64) {
-	sc.queue.Push(entry{kind: kindTarget}, d)
+	sc.queue.Push(entry{gen: genTarget}, d)
 }
 
 // firstArrival records point arrival p and reports whether it is the
@@ -147,8 +147,8 @@ func (sc *scratch) pop() (e entry, d float64, ok bool) {
 		if !ok {
 			return entry{}, 0, false
 		}
-		if e.kind == kindNode {
-			if sc.gens != nil && e.from != noGen && sc.gens.atK(e.from) {
+		if e.isNode() {
+			if sc.gens != nil && e.gen != noGen && sc.gens.atK(e.gen) {
 				sc.queue.PopCount--
 				continue
 			}

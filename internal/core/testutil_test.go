@@ -151,7 +151,9 @@ func mustMatchOracle(t testing.TB, c oracleCase) {
 		if pr.Hidden >= 0 {
 			hidden = ids[pr.Hidden]
 			if r.Points = (PointSet{}); c.ps.Node != nil {
-				r.Points.Node = points.ExcludeNode(c.ps.Node, hidden)
+				// Every case holds its node points in a *NodeSet, the one
+				// set ExcludeNode hides a point of.
+				r.Points.Node = points.ExcludeNode(c.ps.Node.(*points.NodeSet), hidden)
 			} else {
 				r.Points.Edge = points.ExcludeEdge(c.ps.Edge, hidden)
 			}

@@ -142,26 +142,27 @@ type HiddenPointView interface {
 	HiddenPoint() PointID
 }
 
-// excludeNode hides one point from a NodeView.
+// excludeNode hides one point of a NodeSet. It holds the concrete set, so
+// a lookup through the view is one dynamic call, not two.
 type excludeNode struct {
-	NodeView
+	set    *NodeSet
 	hidden PointID
 }
 
 // HiddenPoint implements HiddenPointView.
 func (e excludeNode) HiddenPoint() PointID { return e.hidden }
 
-// ExcludeNode returns a view of v with point hidden removed; hiding NoPoint
-// returns v unchanged.
-func ExcludeNode(v NodeView, hidden PointID) NodeView {
+// ExcludeNode returns a view of s with point hidden removed; hiding NoPoint
+// returns s itself.
+func ExcludeNode(s *NodeSet, hidden PointID) NodeView {
 	if hidden == NoPoint {
-		return v
+		return s
 	}
-	return excludeNode{NodeView: v, hidden: hidden}
+	return excludeNode{set: s, hidden: hidden}
 }
 
 func (e excludeNode) PointAt(n graph.NodeID) (PointID, bool) {
-	p, ok := e.NodeView.PointAt(n)
+	p, ok := e.set.PointAt(n)
 	if !ok || p == e.hidden {
 		return NoPoint, false
 	}
@@ -172,19 +173,19 @@ func (e excludeNode) NodeOf(p PointID) (graph.NodeID, bool) {
 	if p == e.hidden {
 		return 0, false
 	}
-	return e.NodeView.NodeOf(p)
+	return e.set.NodeOf(p)
 }
 
 func (e excludeNode) Len() int {
-	n := e.NodeView.Len()
-	if _, ok := e.NodeView.NodeOf(e.hidden); ok {
+	n := e.set.Len()
+	if _, ok := e.set.NodeOf(e.hidden); ok {
 		n-- // only a point the set has is hidden from the count
 	}
 	return n
 }
 
 func (e excludeNode) Points() []PointID {
-	all := e.NodeView.Points()
+	all := e.set.Points()
 	out := make([]PointID, 0, len(all))
 	for _, p := range all {
 		if p != e.hidden {

@@ -3,7 +3,10 @@
 // pushes never go below its last pop: every query walk of internal/core
 // (main walks, range-NN, verification, KNN, Distance and the maintenance
 // walks of the K-NN lists) and the offline Dijkstra sweeps — the all-NN
-// build of the K-NN lists and the hub labeling's. A binary min-heap (Heap)
+// build of the K-NN lists and the hub labeling's. A slot is the value plus
+// an 8-byte key (16 bytes for the walker's 8-byte entry), and a pop that
+// finds the lowest bucket holding one entry takes it where it lies (half
+// the pops of BenchmarkRadixProbe's grid walks). A binary min-heap (Heap)
 // serves the rest: lazy-EP's H', where a competitor found mid-walk seeds
 // below the last pop of H', the second step of a K-NN list deletion, the
 // hub-label cursor merge, and the hub elimination order, which re-keys an

@@ -21,8 +21,14 @@ import (
 // There is no Remove. Priorities may be any float64 but NaN; -0 and +0 are
 // one priority, as they are to Heap, and -0 pops as +0.
 //
-// Entries are stored by value, as in Heap. A popped entry stays in the
-// backing arrays until it is overwritten, so T should hold no pointers.
+// A pop takes the next entry of buckets[0] when it holds any. Otherwise the
+// lowest non-empty bucket holds the minimum: a lone entry there is popped
+// where it lies, and a bucket of two or more is refilled — redistributed by
+// its least key, which brings the minimum and its ties into buckets[0].
+//
+// Entries are stored by value, as in Heap: a slot is T plus an 8-byte key,
+// so an 8-byte T makes 16-byte slots. A popped entry stays in the backing
+// arrays until it is overwritten, so T should hold no pointers.
 //
 // The zero value is an empty queue ready for use.
 type Radix[T any] struct {
@@ -114,12 +120,21 @@ func (q *Radix[T]) Pop() (value T, priority float64, ok bool) {
 	if q.n == 0 {
 		return value, 0, false
 	}
-	if len(q.buckets[0]) == 0 {
-		q.refill()
-	}
-	e := q.buckets[0][q.head]
 	q.n--
 	q.PopCount++
+	if len(q.buckets[0]) == 0 {
+		i := bits.TrailingZeros64(q.full) + 1
+		if b := q.buckets[i]; len(b) == 1 {
+			// A lone entry in the lowest bucket is the minimum, and no tie
+			// waits behind it: pop it where it lies instead of refilling it
+			// into buckets[0] first. b keeps it readable past the drop.
+			q.last = b[0].key
+			q.drop(i)
+			return b[0].value, radixPriority(b[0].key), true
+		}
+		q.refill(i)
+	}
+	e := q.buckets[0][q.head]
 	if q.head++; q.head == len(q.buckets[0]) {
 		q.buckets[0], q.head = q.buckets[0][:0], 0
 	}
@@ -135,24 +150,28 @@ func (q *Radix[T]) Peek() (value T, priority float64, ok bool) {
 		return value, 0, false
 	}
 	if len(q.buckets[0]) == 0 {
-		q.refill()
+		q.refill(bits.TrailingZeros64(q.full) + 1)
 	}
 	e := q.buckets[0][q.head]
 	return e.value, radixPriority(e.key), true
 }
 
-// refill advances last to the smallest key queued — the least of the
-// lowest non-empty bucket — and redistributes that bucket by the new last.
+// refill advances last to the smallest key queued — the least of bucket i,
+// the lowest non-empty one — and redistributes that bucket by the new last.
 // Its entries agree with the new last above the bucket's bit, so every one
 // moves lower, and those equal to it fill buckets[0] in insertion order.
-func (q *Radix[T]) refill() {
-	i := bits.TrailingZeros64(q.full) + 1
-	b := q.buckets[i]
+func (q *Radix[T]) refill(i int) {
 	q.last = ^q.high[i]
-	for _, e := range b {
+	for _, e := range q.buckets[i] {
 		q.put(e)
 	}
-	q.buckets[i] = b[:0]
+	q.drop(i)
+}
+
+// drop empties buckets[i], i ≥ 1, once its entries have left it: the
+// slice, its smallest key and its bit in full.
+func (q *Radix[T]) drop(i int) {
+	q.buckets[i] = q.buckets[i][:0]
 	q.high[i] = 0
 	q.full &^= 1 << (i - 1)
 }

@@ -2,7 +2,10 @@ package pq
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -175,6 +178,70 @@ func TestRadixRuns(t *testing.T) {
 	if v, _, ok := q.Pop(); !ok || v != 7 || q.Len() != 0 {
 		t.Fatal("Pop after Peek did not return the peeked item")
 	}
+
+	// Rows that reach a lone entry in the lowest bucket, which Pop takes in
+	// place: 3 sits alone in bucket 63 once 1 has gone. Each row then
+	// drains, starts a new run whose 7 and +Inf share bucket 63 again, and
+	// pops them through a refill — which finds the minimum wrong if the
+	// in-place pop left bucket 63's smallest key or full bit behind.
+	for _, row := range []struct{ name, script string }{
+		{"right after a peek", "1 3 peek pop lone pop 1 7 inf pop pop pop"},
+		{"after ties in bucket 0", "1 1 1 3 pop pop pop lone pop 1 7 inf pop pop pop"},
+		{"after a mid-run reset", "0 1e-300 1 2 pop spread reset 1 3 pop lone pop 1 7 inf pop pop pop"},
+	} {
+		t.Run(row.name, func(t *testing.T) { runRadixScript(t, row.script) })
+	}
+}
+
+// runRadixScript drives a Radix and a Heap through a script of
+// space-separated steps and requires the same pops and peeks: a number
+// pushes that priority, "pop", "peek" and "reset" do what they say, "lone"
+// asserts that the next pop finds buckets[0] empty and one entry in the
+// lowest bucket, and "spread" that entries sit in at least three buckets.
+// Whatever is left is drained and compared at the end.
+func runRadixScript(t *testing.T, script string) {
+	t.Helper()
+	var q Radix[int]
+	var h Heap[int]
+	for i, step := range strings.Fields(script) {
+		switch step {
+		case "pop", "peek":
+			pop, wpop := q.Pop, h.Pop
+			if step == "peek" {
+				pop, wpop = q.Peek, h.Peek
+			}
+			v, p, ok := pop()
+			wv, wp, wok := wpop()
+			if v != wv || p != wp || ok != wok {
+				t.Fatalf("step %d %s: Radix (%d,%v,%v), Heap (%d,%v,%v)", i, step, v, p, ok, wv, wp, wok)
+			}
+		case "reset":
+			q.Reset()
+			h.Reset()
+		case "lone":
+			if len(q.buckets[0]) != 0 || len(q.buckets[bits.TrailingZeros64(q.full)+1]) != 1 {
+				t.Fatalf("step %d: the lowest bucket does not hold a lone entry", i)
+			}
+		case "spread":
+			if n := bits.OnesCount64(q.full); n < 3 {
+				t.Fatalf("step %d: entries in %d buckets, want at least 3", i, n)
+			}
+		default:
+			p, err := strconv.ParseFloat(step, 64)
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			q.Push(i, p)
+			h.Push(i, p)
+		}
+	}
+	for h.Len() > 0 {
+		v, p, _ := q.Pop()
+		wv, wp, _ := h.Pop()
+		if v != wv || p != wp {
+			t.Fatalf("drain: Radix.Pop = (%d,%v), Heap.Pop = (%d,%v)", v, p, wv, wp)
+		}
+	}
 }
 
 // FuzzRadixModel is checkRadixAgainstHeap on fuzzed operation sequences.
@@ -186,4 +253,72 @@ func FuzzRadixModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkRadixAgainstHeap(t, ops)
 	})
+}
+
+// BenchmarkRadixProbe prices the queue the way a range-NN probe uses it:
+// Dijkstra runs of 200 pops from a fresh Reset, over a fixed 64×64 grid
+// with seeded random weights, 64 sources an op. The value is 8 bytes, the
+// size of the walker's entry, so a slot is the walker's 16. It reports
+// ns/pop, Reset included, beside pushes/pop.
+func BenchmarkRadixProbe(b *testing.B) {
+	const side, pops = 64, 200
+	type probeEntry struct{ node, from int32 }
+	rng := rand.New(rand.NewSource(51))
+	right := make([]float64, side*side) // weight of the arc to node+1
+	down := make([]float64, side*side)  // weight of the arc to node+side
+	for i := range right {
+		right[i], down[i] = 1+rng.Float64(), 1+rng.Float64()
+	}
+	sources := make([]int32, 64)
+	for i := range sources {
+		sources[i] = int32(rng.Intn(side * side))
+	}
+	dist := make([]float64, side*side)
+	seen := make([]int, side*side) // run stamp of the last label
+	closed := make([]int, side*side)
+	var q Radix[probeEntry]
+	run := 0
+	relax := func(from, to int32, d float64) {
+		if closed[to] == run || (seen[to] == run && dist[to] <= d) {
+			return
+		}
+		seen[to], dist[to] = run, d
+		q.Push(probeEntry{to, from}, d)
+	}
+	total := 0
+	b.ResetTimer()
+	for range b.N {
+		for _, src := range sources {
+			run++
+			q.Reset()
+			relax(-1, src, 0)
+			for range pops {
+				e, d, ok := q.Pop()
+				if !ok {
+					break
+				}
+				total++
+				n := e.node
+				if closed[n] == run {
+					continue
+				}
+				closed[n] = run
+				x, y := n%side, n/side
+				if x+1 < side {
+					relax(n, n+1, d+right[n])
+				}
+				if x > 0 {
+					relax(n, n-1, d+right[n-1])
+				}
+				if y+1 < side {
+					relax(n, n+side, d+down[n])
+				}
+				if y > 0 {
+					relax(n, n-side, d+down[n-side])
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/pop")
+	b.ReportMetric(float64(q.PushCount)/float64(q.PopCount), "pushes/pop")
 }

@@ -15,8 +15,10 @@ import (
 // what the paper's experiments report.
 //
 // A built DiskStore is read-only and safe for concurrent use: Adjacency
-// reads records through the mutex-guarded pool tenant, whose counters the
-// pool reports.
+// decodes each fragment of a list inside one critical section of its pool
+// tenant — the same lockPage / unlockPage pair Tenant.ReadPage is built on,
+// so one fragment is one counted page access — and the pool reports the
+// tenant's counters.
 type DiskStore struct {
 	bm       *Tenant
 	index    []RecRef
@@ -113,25 +115,33 @@ func (s *DiskStore) NumNodes() int { return s.numNodes }
 func (s *DiskStore) In() graph.Access { return s }
 
 // Adjacency implements graph.Access, following the fragment chain of node n
-// and appending its edges to buf.
+// and appending its edges to buf. Each fragment is one critical section of
+// the pool: lockPage, the slot lookup and the decode into buf, unlockPage —
+// no callback between them.
 func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, error) {
 	if n < 0 || int(n) >= s.numNodes {
 		return nil, fmt.Errorf("storage: node %d out of range [0,%d)", n, s.numNodes)
 	}
 	buf = buf[:0]
-	var owner graph.NodeID
-	var next RecRef
-	decode := func(rec []byte) (err error) {
-		owner, next, buf, err = ReadFragment(rec, buf)
-		return err
-	}
-	for ref := s.index[n]; ref.Page != InvalidPage; ref = next {
-		if err := s.bm.ReadRecord(ref, decode); err != nil {
+	for ref := s.index[n]; ref.Page != InvalidPage; {
+		fr, borrowed, err := s.bm.lockPage(ref.Page)
+		if err != nil {
+			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
+		}
+		var owner graph.NodeID
+		var next RecRef
+		rec, err := ReadRecordSlot(fr.data, int(ref.Slot))
+		if err == nil {
+			owner, next, buf, err = ReadFragment(rec, buf)
+		}
+		s.bm.unlockPage(fr, borrowed)
+		if err != nil {
 			return nil, fmt.Errorf("storage: adjacency of node %d: %w", n, err)
 		}
 		if owner != n {
 			return nil, fmt.Errorf("storage: fragment at page %d slot %d belongs to node %d, want %d", ref.Page, ref.Slot, owner, n)
 		}
+		ref = next
 	}
 	return buf, nil
 }

@@ -19,15 +19,16 @@ import (
 // eviction counters come from one set of increment sites, so there is a
 // single source of truth for I/O accounting.
 //
-// Every access — ReadPage (and ReadRecord and Get on top of it), Update —
-// takes the pool mutex, gets its page from loadLocked and uses the bytes
-// before releasing the mutex, so a frame needs no reference count: whoever
-// holds the mutex is the only user of every loaded frame. A cached page
-// costs one critical section that also touches the tenant's LRU and counts
-// the hit: two atomic operations and an index into the tenant's dense page
-// table. An evicted frame and its page
-// buffer go to a free list the next fault reuses, so the steady-state read
-// path — hit or miss — allocates nothing.
+// Every access — ReadPage (and Get on top of it), ReadRecord, Update and
+// DiskStore.Adjacency — is one critical section between the same two
+// steps: lockPage takes the pool mutex and gets the page from loadLocked,
+// the caller uses the bytes, and unlockPage recycles a borrowed frame and
+// releases the mutex. So a frame needs no reference count: whoever holds
+// the mutex is the only user of every loaded frame. A cached page costs one
+// critical section that also touches the tenant's LRU and counts the hit:
+// two atomic operations and an index into the tenant's dense page table.
+// An evicted frame and its page buffer go to a free list the next fault
+// reuses, so the steady-state read path — hit or miss — allocates nothing.
 //
 // Concurrency: one mutex guards every field below but quota, ready and
 // reads, and through the tenants their page tables, LRU lists and counters
@@ -281,13 +282,14 @@ func (t *Tenant) frameLocked(id PageID) *frame {
 }
 
 // loadLocked returns the frame holding page id, faulting the page in on a
-// miss; it is the pool's only way to get a page. It is called and returns
-// with the pool mutex held, and the frame is the caller's to use until it
-// releases the mutex. A miss is read once, with the mutex released: a
-// pending frame is admitted first, so concurrent requests for the page wait
-// on ready and share the outcome. When no frame may cache the page (see
-// uncached) the read goes into a frame borrowed from the free list, which is
-// in no table or list, and the caller recycles it when done.
+// miss; it is the pool's only way to get a page, and lockPage its only
+// caller. It is called and returns with the pool mutex held, and the frame
+// is the caller's to use until it releases the mutex. A miss is read once,
+// with the mutex released: a pending frame is admitted first, so concurrent
+// requests for the page wait on ready and share the outcome. When no frame
+// may cache the page (see uncached) the read goes into a frame borrowed
+// from the free list, which is in no table or list, and the caller recycles
+// it when done.
 func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	p := t.pool
 	for fr = t.frameLocked(id); fr != nil; fr = t.frameLocked(id) {
@@ -336,25 +338,40 @@ func (t *Tenant) loadLocked(id PageID) (fr *frame, borrowed bool, err error) {
 	return nil, false, err
 }
 
-// ReadPage runs read on page id, one counted access: the page comes from
-// loadLocked, hit or miss, and read runs under the pool mutex — for a cached
-// page in the critical section that touches the LRU and counts the hit — so
-// it must not call back into the pool and must do no more than copy out what
-// it needs. The bytes are dead once read returns. read's error is returned
-// as is.
+// lockPage takes the pool mutex and returns the frame holding page id from
+// loadLocked — the first of the two steps every access is built on. On
+// success the mutex stays held and the frame is the caller's until it hands
+// both back to unlockPage; on error the mutex is already released.
+func (t *Tenant) lockPage(id PageID) (fr *frame, borrowed bool, err error) {
+	t.pool.mu.Lock()
+	if fr, borrowed, err = t.loadLocked(id); err != nil {
+		t.pool.mu.Unlock()
+	}
+	return fr, borrowed, err
+}
+
+// unlockPage is the second step: it recycles a borrowed frame and releases
+// the pool mutex. The frame's bytes are dead from here on.
+func (t *Tenant) unlockPage(fr *frame, borrowed bool) {
+	if borrowed {
+		t.pool.recycleLocked(fr)
+	}
+	t.pool.mu.Unlock()
+}
+
+// ReadPage runs read on page id, one counted access between lockPage and
+// unlockPage: the page comes from loadLocked, hit or miss, and read runs
+// under the pool mutex — for a cached page in the critical section that
+// touches the LRU and counts the hit — so it must not call back into the
+// pool and must do no more than copy out what it needs. The bytes are dead
+// once read returns. read's error is returned as is.
 func (t *Tenant) ReadPage(id PageID, read func(page []byte) error) error {
-	p := t.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fr, borrowed, err := t.loadLocked(id)
+	fr, borrowed, err := t.lockPage(id)
 	if err != nil {
 		return err
 	}
-	err = read(fr.data)
-	if borrowed {
-		p.recycleLocked(fr)
-	}
-	return err
+	defer t.unlockPage(fr, borrowed)
+	return read(fr.data)
 }
 
 // Get returns a private copy of page id. It is the copying convenience for
@@ -375,16 +392,11 @@ func (t *Tenant) Get(id PageID) ([]byte, error) {
 // paths that use it hold their substrate exclusively — and like any access
 // it releases the mutex for the physical read of a miss.
 func (t *Tenant) Update(id PageID, fn func(page []byte) error) error {
-	p := t.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fr, borrowed, err := t.loadLocked(id)
+	fr, borrowed, err := t.lockPage(id)
 	if err != nil {
 		return err
 	}
-	if borrowed {
-		defer p.recycleLocked(fr)
-	}
+	defer t.unlockPage(fr, borrowed)
 	if err := fn(fr.data); err != nil {
 		return err
 	}

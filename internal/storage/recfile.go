@@ -80,17 +80,21 @@ func (w *RecordWriter) appendPage(page []byte) error {
 }
 
 // ReadRecord runs decode on the payload of the record in ref's slot, which
-// aliases the page and is dead once decode returns. It is ReadPage with the
-// slot lookup in front, so decode runs under the pool mutex and must do no
-// more than copy one record out. decode's error is returned as is.
+// aliases the page and is dead once decode returns. It is ReadPage's one
+// critical section with the slot lookup in it, so decode runs under the
+// pool mutex and must do no more than copy one record out. decode's error
+// is returned as is.
 func (t *Tenant) ReadRecord(ref RecRef, decode func(rec []byte) error) error {
-	return t.ReadPage(ref.Page, func(page []byte) error {
-		rec, err := ReadRecordSlot(page, int(ref.Slot))
-		if err != nil {
-			return err
-		}
-		return decode(rec)
-	})
+	fr, borrowed, err := t.lockPage(ref.Page)
+	if err != nil {
+		return err
+	}
+	defer t.unlockPage(fr, borrowed)
+	rec, err := ReadRecordSlot(fr.data, int(ref.Slot))
+	if err != nil {
+		return err
+	}
+	return decode(rec)
 }
 
 // FileHeader says where a persisted paged file keeps what a reader needs

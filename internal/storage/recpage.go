@@ -35,7 +35,8 @@ import (
 // BRITE-style topologies) span pages while ordinary nodes share pages with
 // their graph neighbours — the locality grouping of Section 3.1. This
 // package alone knows how records get into pages (RecordWriter) and out of
-// them (Tenant.ReadRecord); the record owners know only their payload.
+// them (Tenant.ReadRecord, and DiskStore.Adjacency's fragment loop on the
+// same critical section); the record owners know only their payload.
 
 const (
 	pageHeaderSize = 2
