@@ -83,10 +83,6 @@ func EdgeLocation(u, v NodeID, pos float64) Location {
 	return Location{U: u, V: v, Pos: pos}
 }
 
-func (l Location) toLoc() core.Loc {
-	return core.Loc{U: graph.NodeID(l.U), V: graph.NodeID(l.V), Pos: l.Pos}
-}
-
 // Graph is an immutable weighted network: undirected, unless it was built
 // with one-way arcs (GraphBuilder.AddArc).
 type Graph struct {
@@ -110,14 +106,15 @@ func (g *Graph) AverageDegree() float64 { return g.g.AverageDegree() }
 // EdgeWeight returns the weight of edge (u,v) — of arc u→v when the graph
 // is directed — if present.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
-	return g.g.EdgeWeight(graph.NodeID(u), graph.NodeID(v))
+	w, ok := g.g.EdgeWeight(graph.NodeID(u), graph.NodeID(v))
+	return g.g.Float(w), ok
 }
 
 // Edges calls fn for every undirected edge (u < v) — for every arc u→v when
 // the graph is directed.
 func (g *Graph) Edges(fn func(u, v NodeID, w float64)) {
-	g.g.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		fn(NodeID(u), NodeID(v), w)
+	g.g.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
+		fn(NodeID(u), NodeID(v), g.g.Float(w))
 	})
 }
 
@@ -126,19 +123,26 @@ func (g *Graph) Edges(fn func(u, v NodeID, w float64)) {
 // this power of two (see GraphBuilder).
 func (g *Graph) Quantum() float64 { return g.g.Quantum() }
 
-// onGrid rounds an edge location's offset to the graph's quantum, as every
-// location is resolved before a query, an insert or a distance uses it.
-func (g *Graph) onGrid(l Location) Location {
-	l.Pos = g.g.Round(l.Pos)
-	return l
+// loc resolves l for the engine, as every location is before a query, an
+// insert or a distance uses it: its offset becomes the nearest count of the
+// graph's quantum. An offset that is no count — NaN, negative, infinite or
+// past 2^53 quanta — becomes graph.Inf, which lies on no edge, so the engine
+// refuses it where it refuses any offset past its edge.
+func (g *Graph) loc(l Location) core.Loc {
+	pos := graph.Inf
+	if l.Pos >= 0 && l.Pos <= g.g.Float(1<<53) { // NaN fails both
+		pos = g.g.Round(l.Pos)
+	}
+	return core.Loc{U: graph.NodeID(l.U), V: graph.NodeID(l.V), Pos: pos}
 }
 
 // GraphBuilder assembles a Graph. Build puts every weight on one grid: with
 // S the sum of the weights of every arc added (an edge is two arcs), the
 // graph's quantum is Q = 2^(⌈log₂ S⌉ − 52) (Graph.Quantum), and each weight
-// is rounded to the nearest multiple of Q. Every distance the engine, its
-// indexes and its walkers sum over the graph is then exact, so two routes
-// of equal length tie exactly and every algorithm sees the same ties. The
+// becomes its nearest count of Q. The engine, its indexes and its walkers
+// add and compare those counts, so every distance is exact, two routes of
+// equal length tie exactly and every algorithm sees the same ties; an API
+// distance is its count times Q, the float64 an exact sum would give. The
 // price is at most Q/2 per edge: a Neighbor.Distance or DB.Distance moves by
 // at most Q/2 for every edge on its path (and Q/2 for each offset inside an
 // edge), about 10⁻¹⁶ of the graph's total weight each.
@@ -390,7 +394,8 @@ func (db *DB) DropCache() error { return db.pool.p.Invalidate() }
 // it moves by at most Q/2 per edge on the path and per offset (see
 // GraphBuilder).
 func (db *DB) Distance(a, b Location) (float64, error) {
-	return db.searcher.Distance(db.graph.onGrid(a).toLoc(), db.graph.onGrid(b).toLoc())
+	d, err := db.searcher.Distance(db.graph.loc(a), db.graph.loc(b))
+	return db.graph.g.Float(d), err
 }
 
 func toNodeIDs(route []NodeID) []graph.NodeID {

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math"
-
+	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
@@ -43,5 +42,5 @@ func (s *Searcher) verifyMember(st *Stats, cands, sites PointSet, mono bool, p p
 	if mono {
 		self = p
 	}
-	return s.verify(st, sites, self, loc, tgt, k, math.Inf(1), nil)
+	return s.verify(st, sites, self, loc, tgt, k, graph.Inf, nil)
 }

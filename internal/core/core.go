@@ -59,6 +59,7 @@ import (
 	"sort"
 
 	"graphrnn/internal/exec"
+	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
@@ -141,5 +142,5 @@ func (s *Searcher) confirm(results []points.PointID, p points.PointID) []points.
 // PointDist pairs a point with a network distance.
 type PointDist struct {
 	P points.PointID
-	D float64
+	D graph.Dist
 }

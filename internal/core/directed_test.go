@@ -168,11 +168,11 @@ func TestDirectedMatchesUndirectedOnSymmetricGraphs(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		net := randTestNet(t, rng)
 		db := graph.NewBuilder(net.g.NumNodes())
-		net.g.ForEachEdge(func(u, v graph.NodeID, w float64) {
-			if err := db.AddArc(u, v, w); err != nil {
+		net.g.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
+			if err := db.AddArc(u, v, net.g.Float(w)); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.AddArc(v, u, w); err != nil {
+			if err := db.AddArc(v, u, net.g.Float(w)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -209,9 +209,9 @@ func TestDirectedRejectsSymmetricOnlyPaths(t *testing.T) {
 	g := randDigraph(t, rng, 12, true)
 	s := NewSearcher(g)
 	ps := randPoints(t, rng, g, 4)
-	es := points.NewEdgeSet()
+	es := points.NewEdgeSet(g.LogQuantum())
 	node, edge := PointSet{Node: ps}, PointSet{Edge: es}
-	inEdge := Loc{U: 0, V: 1, Pos: 0.5}
+	inEdge := Loc{U: 0, V: 1, Pos: g.Round(0.5)}
 
 	_, lazyErr := s.Run(Request{Algo: AlgoLazy, K: 1, Points: node, Target: NodeLoc(0)})
 	_, edgeSetErr := s.Run(Request{K: 1, Points: edge, Target: NodeLoc(0)})

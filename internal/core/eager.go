@@ -2,9 +2,9 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
+	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
@@ -34,11 +34,11 @@ func (s *Searcher) seedSources(sc *scratch, sources []Loc, cands, sites PointSet
 		if err := sc.seed(s, src); err != nil {
 			return err
 		}
-		if err := sc.pushSameEdgePoints(cands.Edge, setCand, src, math.Inf(1)); err != nil {
+		if err := sc.pushSameEdgePoints(cands.Edge, setCand, src, graph.Inf); err != nil {
 			return err
 		}
 		if withSites {
-			if err := sc.pushSameEdgePoints(sites.Edge, setSite, src, math.Inf(1)); err != nil {
+			if err := sc.pushSameEdgePoints(sites.Edge, setSite, src, graph.Inf); err != nil {
 				return err
 			}
 		}
@@ -94,7 +94,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 	// settle decides discovered candidate p, at most ub from the query,
 	// once: with the materialized shortcut when there are lists, with a
 	// verification otherwise.
-	settle := func(p points.PointID, ub float64) error {
+	settle := func(p points.PointID, ub graph.Dist) error {
 		if decided[p] {
 			return nil
 		}
@@ -168,7 +168,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 				// closer point.
 				ub := d + pd.D
 				if oneWay && pd.D > 0 {
-					ub = math.Inf(1)
+					ub = graph.Inf
 				}
 				if err := settle(pd.P, ub); err != nil {
 					return execResult(results, st, err)
@@ -187,7 +187,7 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 		if main.adj, err = s.in.Adjacency(n, main.adj); err != nil {
 			return nil, err
 		}
-		if err := main.pushAdjacentPoints(cands.Edge, setCand, n, d, math.Inf(1)); err != nil {
+		if err := main.pushAdjacentPoints(cands.Edge, setCand, n, d, graph.Inf); err != nil {
 			return nil, err
 		}
 		for _, e := range main.adj {
@@ -206,13 +206,13 @@ func (s *Searcher) eager(cands, sites PointSet, mono bool, mat *Materialized, so
 // bound ub on the candidate-to-query distance is within that radius, the
 // candidate is a member without expansion; otherwise fall back to a
 // verification query. buf lends its adjacency and point buffers.
-func (s *Searcher) verifyWithMat(st *Stats, buf *scratch, sites PointSet, self points.PointID, mat *Materialized, from Loc, tgt target, k int, ub float64, plst, near *[]MatEntry) (bool, error) {
+func (s *Searcher) verifyWithMat(st *Stats, buf *scratch, sites PointSet, self points.PointID, mat *Materialized, from Loc, tgt target, k int, ub graph.Dist, plst, near *[]MatEntry) (bool, error) {
 	as, n, err := s.anchors(from, &buf.adj)
 	if err != nil {
 		return false, err
 	}
 	*near = slices.Grow((*near)[:0], n*mat.cap)
-	floor := math.Inf(1)
+	floor := graph.Inf
 	for _, a := range as[:n] {
 		if *plst, err = mat.List(a.node, *plst); err != nil {
 			return false, err
@@ -235,7 +235,7 @@ func (s *Searcher) verifyWithMat(st *Stats, buf *scratch, sites PointSet, self p
 		}
 		for _, ref := range buf.refs {
 			if ref.ID != self {
-				*near = append(*near, MatEntry{P: ref.ID, D: math.Abs(ref.Pos - from.Pos)})
+				*near = append(*near, MatEntry{P: ref.ID, D: max(ref.Pos, from.Pos) - min(ref.Pos, from.Pos)})
 			}
 		}
 	}
@@ -252,7 +252,7 @@ func (s *Searcher) verifyWithMat(st *Stats, buf *scratch, sites PointSet, self p
 			break
 		}
 	}
-	if ub <= rk || math.IsInf(rk, 1) {
+	if ub <= rk || rk == graph.Inf {
 		// Fewer than k points can be strictly closer to p than the query.
 		return true, nil
 	}

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math"
-
+	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
@@ -11,16 +10,15 @@ import (
 // with network distance *strictly smaller* than e from location from,
 // appended to out in ascending distance order. Fewer than k points are
 // returned when no more exist within the range.
-func (s *Searcher) rangeNN(st *Stats, sites PointSet, from Loc, k int, e float64, out []PointDist) ([]PointDist, error) {
+func (s *Searcher) rangeNN(st *Stats, sites PointSet, from Loc, k int, e graph.Dist, out []PointDist) ([]PointDist, error) {
 	st.RangeNN++
 	out = out[:0]
-	if e <= 0 || k <= 0 {
+	if e == 0 || k <= 0 {
 		return out, nil
 	}
-	// Point arrivals are bounded inclusively; the largest float below e
-	// makes that the strict range (a point at distance e exactly is
-	// outside it).
-	below := math.Nextafter(e, math.Inf(-1))
+	// Point arrivals are bounded inclusively; the count below e makes that
+	// the strict range (a point at distance e exactly is outside it).
+	below := e - 1
 	sc := s.acquire()
 	defer s.release(st, sc)
 	if err := sc.seed(s, from); err != nil {
@@ -101,7 +99,7 @@ func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
 	if err := s.checkExec(&st); err != nil {
 		return nil, err
 	}
-	return s.rangeNN(&st, ps, q, k, math.Inf(1), nil)
+	return s.rangeNN(&st, ps, q, k, graph.Inf, nil)
 }
 
 // verify implements verify(p, k, q) from Section 3.1, generalized to serve
@@ -110,7 +108,7 @@ func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
 // sites are found strictly closer. self is skipped during counting (the
 // candidate itself in monochromatic queries; points.NoPoint for bichromatic
 // ones). ub bounds the expansion; it must be an upper bound on the
-// candidate-to-target distance, or +Inf for a brute-force query.
+// candidate-to-target distance, or graph.Inf for a brute-force query.
 //
 // Counting is exact under ties: a site at exactly the candidate-to-target
 // distance does not count against membership, regardless of heap pop order.
@@ -118,7 +116,7 @@ func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
 // A non-nil lz makes this the verification of the lazy algorithm (Fig 7):
 // every visited node provably closer to the candidate than to the query
 // additionally prunes lz's main walk.
-func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from Loc, tgt target, k int, ub float64, lz *lazyPrune) (bool, error) {
+func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from Loc, tgt target, k int, ub graph.Dist, lz *lazyPrune) (bool, error) {
 	st.Verifications++
 	sc := s.acquire()
 	defer s.release(st, sc)
@@ -132,7 +130,7 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 
 	strictCount := 0 // sites strictly closer than the current pop distance
 	sameCount := 0   // sites at exactly the current pop distance
-	lastDist := 0.0
+	var lastDist graph.Dist
 	for {
 		ent, d, ok := sc.pop()
 		if !ok {
@@ -194,10 +192,10 @@ func (s *Searcher) verify(st *Stats, sites PointSet, self points.PointID, from L
 }
 
 // Distance computes the exact network distance between two locations
-// (Section 5.2's distance definition), returning +Inf when disconnected.
-// Exposed for tooling, examples and tests; the query algorithms never need
-// it.
-func (s *Searcher) Distance(a, b Loc) (float64, error) {
+// (Section 5.2's distance definition), returning graph.Inf when
+// disconnected. Exposed for tooling, examples and tests; the query
+// algorithms never need it.
+func (s *Searcher) Distance(a, b Loc) (graph.Dist, error) {
 	if err := s.checkLoc(a); err != nil {
 		return 0, err
 	}
@@ -214,11 +212,11 @@ func (s *Searcher) Distance(a, b Loc) (float64, error) {
 		return 0, err
 	}
 	tgt := locTarget(b)
-	tgt.seedDirect(sc, a, math.Inf(1))
+	tgt.seedDirect(sc, a, graph.Inf)
 	for {
 		ent, d, ok := sc.pop()
 		if !ok {
-			return math.Inf(1), nil
+			return graph.Inf, nil
 		}
 		if ent.isTarget() {
 			return d, nil
@@ -232,7 +230,7 @@ func (s *Searcher) Distance(a, b Loc) (float64, error) {
 			return d, nil
 		}
 		if tgt.via(n) {
-			if err := tgt.arrive(s, sc, n, d, math.Inf(1)); err != nil {
+			if err := tgt.arrive(s, sc, n, d, graph.Inf); err != nil {
 				return 0, err
 			}
 		}

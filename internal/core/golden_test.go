@@ -148,13 +148,21 @@ func newGoldenEnv(t *testing.T, name string, g *graph.Graph, seed int64) *golden
 	// multiples of its weight, so d(u→v) != d(v→u) almost everywhere.
 	db := graph.NewBuilder(n)
 	for i := range el.U {
-		must(db.AddArc(el.U[i], el.V[i], el.W[i]*float64(1+rng.Intn(3))))
-		must(db.AddArc(el.V[i], el.U[i], el.W[i]*float64(1+rng.Intn(3))))
+		must(db.AddArc(el.U[i], el.V[i], g.Float(el.W[i])*float64(1+rng.Intn(3))))
+		must(db.AddArc(el.V[i], el.U[i], g.Float(el.W[i])*float64(1+rng.Intn(3))))
 	}
 	dg, err := db.Build()
 	must(err)
 	e.ds = NewSearcher(dg)
 	return e
+}
+
+// locLabel names l in a golden row, its offset in the graph's units.
+func (e *goldenEnv) locLabel(l Loc) string {
+	if l.IsNode() {
+		return l.String()
+	}
+	return fmt.Sprintf("edge(%d,%d)@%.3f", l.U, l.V, e.g.Float(l.Pos))
 }
 
 // goldenQuery is one query shape; run executes it under an algorithm and
@@ -172,7 +180,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 	randNode := func() graph.NodeID { return graph.NodeID(e.rng.Intn(e.g.NumNodes())) }
 	randEdgeLoc := func() Loc {
 		ed := edges[e.rng.Intn(len(edges))]
-		return Loc{U: ed.u, V: ed.v, Pos: e.rng.Float64() * ed.w}
+		return Loc{U: ed.u, V: ed.v, Pos: e.g.Round(e.rng.Float64() * ed.w)}
 	}
 	route := func() []graph.NodeID { return gen.RandomWalkRoute(e.rng, e.g, 5) }
 	var queries []goldenQuery
@@ -228,7 +236,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 	// random position inside an edge, one on a node.
 	edgeRNN := func(view points.EdgeView, q Loc) goldenQuery {
 		return goldenQuery{
-			label: fmt.Sprintf("edge/rnn/q=%v", q),
+			label: "edge/rnn/q=" + e.locLabel(q),
 			run: func(a Algo, k int) (*Result, error) {
 				return runURNN(e.s, a, view, e.emat, q, k)
 			},
@@ -243,7 +251,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 
 	edgeBi := func(sites points.EdgeView, q Loc) goldenQuery {
 		return goldenQuery{
-			label: fmt.Sprintf("edge/bichromatic/q=%v", q),
+			label: "edge/bichromatic/q=" + e.locLabel(q),
 			run: func(a Algo, k int) (*Result, error) {
 				return runUBi(e.s, a, e.eps, sites, e.esmat, q, k)
 			},
@@ -303,7 +311,7 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 		}
 		fmt.Fprintf(b, "%s %s k=%d:", e.name, label, k)
 		for _, pd := range out {
-			fmt.Fprintf(b, " %d@%s", pd.P, strconv.FormatFloat(pd.D, 'g', -1, 64))
+			fmt.Fprintf(b, " %d@%s", pd.P, strconv.FormatFloat(e.g.Float(pd.D), 'g', -1, 64))
 		}
 		b.WriteByte('\n')
 	}
@@ -312,9 +320,9 @@ func (e *goldenEnv) dump(t *testing.T, b *strings.Builder) {
 		out, err := e.s.KNN(PointSet{Node: e.nps}, NodeLoc(kn), k)
 		knnLine(fmt.Sprintf("node/knn/q=%d", kn), k, out, err)
 		out, err = e.s.KNN(PointSet{Edge: e.eps}, kloc, k)
-		knnLine(fmt.Sprintf("edge/knn/q=%v", kloc), k, out, err)
+		knnLine("edge/knn/q="+e.locLabel(kloc), k, out, err)
 		out, err = e.s.KNN(PointSet{Edge: e.eps}, NodeLoc(kn), k)
-		knnLine(fmt.Sprintf("edge/knn/q=%v", NodeLoc(kn)), k, out, err)
+		knnLine("edge/knn/q="+e.locLabel(NodeLoc(kn)), k, out, err)
 	}
 
 	// Directed eager and brute force over the asymmetric twin.

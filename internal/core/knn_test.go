@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphrnn/internal/graph"
@@ -21,18 +21,18 @@ func TestKNNMatchesBruteDistances(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Brute: distance from n to every point, sorted.
-		var want []float64
+		var want []graph.Dist
 		for _, p := range net.ps.Points() {
 			pn, _ := net.ps.NodeOf(p)
 			d, err := s.Distance(NodeLoc(n), NodeLoc(pn))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !math.IsInf(d, 1) {
+			if d != graph.Inf {
 				want = append(want, d)
 			}
 		}
-		sortFloats(want)
+		slices.Sort(want)
 		if len(want) > k {
 			want = want[:k]
 		}
@@ -40,7 +40,7 @@ func TestKNNMatchesBruteDistances(t *testing.T) {
 			t.Fatalf("iter %d: KNN returned %d results, want %d", it, len(got), len(want))
 		}
 		for i := range got {
-			if math.Abs(got[i].D-want[i]) > 1e-9 {
+			if got[i].D != want[i] {
 				t.Fatalf("iter %d: KNN dist[%d] = %v, want %v", it, i, got[i].D, want[i])
 			}
 			if i > 0 && got[i].D < got[i-1].D {
@@ -64,18 +64,18 @@ func TestUKNNMatchesBruteDistances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []float64
+		var want []graph.Dist
 		for _, p := range ps.Points() {
 			loc, _ := ps.Loc(p)
 			d, err := s.Distance(q, PointLoc(loc))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !math.IsInf(d, 1) {
+			if d != graph.Inf {
 				want = append(want, d)
 			}
 		}
-		sortFloats(want)
+		slices.Sort(want)
 		if len(want) > k {
 			want = want[:k]
 		}
@@ -83,7 +83,7 @@ func TestUKNNMatchesBruteDistances(t *testing.T) {
 			t.Fatalf("iter %d: UKNN returned %d results, want %d (q=%v)", it, len(got), len(want), q)
 		}
 		for i := range got {
-			if math.Abs(got[i].D-want[i]) > 1e-9 {
+			if got[i].D != want[i] {
 				t.Fatalf("iter %d: UKNN dist[%d] = %v, want %v", it, i, got[i].D, want[i])
 			}
 		}
@@ -99,16 +99,8 @@ func TestKNNValidation(t *testing.T) {
 	if _, err := s.KNN(PointSet{Node: ps}, NodeLoc(-1), 1); err == nil {
 		t.Fatal("bad node accepted")
 	}
-	eps := points.NewEdgeSet()
+	eps := points.NewEdgeSet(g.LogQuantum())
 	if _, err := s.KNN(PointSet{Edge: eps}, Loc{U: 0, V: 99}, 1); err == nil {
 		t.Fatal("bad location accepted")
-	}
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

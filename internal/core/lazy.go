@@ -76,7 +76,7 @@ type lazyPrune struct {
 // two exact distances are compared; for any other node dm < e <= d(m,q)
 // holds because the main walk pops in ascending distance order. A
 // qualifying node's counter is incremented.
-func (lz *lazyPrune) visit(m graph.NodeID, dm, e float64) {
+func (lz *lazyPrune) visit(m graph.NodeID, dm, e graph.Dist) {
 	if lz.sc.isClosed(m) {
 		e = lz.sc.dist[m]
 	}
@@ -89,7 +89,7 @@ func (lz *lazyPrune) visit(m graph.NodeID, dm, e float64) {
 // query. On its node the walk's d is d(n,q), so one exact range count —
 // fewer than k sites strictly closer — settles it; an arrival along an edge
 // only bounds the distance from above and takes a verification.
-func (s *Searcher) classify(st *Stats, sites PointSet, loc Loc, tgt target, k int, d float64, probe *[]PointDist) (bool, error) {
+func (s *Searcher) classify(st *Stats, sites PointSet, loc Loc, tgt target, k int, d graph.Dist, probe *[]PointDist) (bool, error) {
 	if !loc.IsNode() {
 		return s.verify(st, sites, points.NoPoint, loc, tgt, k, d, nil)
 	}
@@ -113,12 +113,12 @@ func arrival(ent entry, cands, sites PointSet, mono bool) (loc Loc, site, ok boo
 // surfaceEdge pushes the edge-resident candidates — and, for bichromatic
 // queries, the competitors — on edge (n, e.To) as point arrivals and
 // returns the number of competitors on the edge.
-func (sc *scratch) surfaceEdge(cands, sites PointSet, mono bool, n graph.NodeID, d float64, e graph.Edge) (int, error) {
-	count, err := sc.pushEdgePoints(cands.Edge, setCand, n, d, e, math.Inf(1))
+func (sc *scratch) surfaceEdge(cands, sites PointSet, mono bool, n graph.NodeID, d graph.Dist, e graph.Edge) (int, error) {
+	count, err := sc.pushEdgePoints(cands.Edge, setCand, n, d, e, graph.Inf)
 	if err != nil || mono {
 		return count, err
 	}
-	return sc.pushEdgePoints(sites.Edge, setSite, n, d, e, math.Inf(1))
+	return sc.pushEdgePoints(sites.Edge, setSite, n, d, e, graph.Inf)
 }
 
 // lazy is the lazy algorithm of Section 3.3, over either residency
@@ -159,7 +159,7 @@ func (s *Searcher) lazy(cands, sites PointSet, mono bool, sources []Loc, tgt tar
 	// meet handles data point p reached at loc, d away from the query: a
 	// competitor is verified once, for the pruning (and, monochromatic, the
 	// verdict); a bichromatic candidate is classified once.
-	meet := func(p points.PointID, loc Loc, d float64, site bool) error {
+	meet := func(p points.PointID, loc Loc, d graph.Dist, site bool) error {
 		seen := classified
 		if site {
 			seen = verified

@@ -70,7 +70,7 @@ func (ep *epMarks) found(n graph.NodeID) []PointDist {
 
 // accept offers competitor p at distance d to node n's marks, in place in
 // n's block, and reports whether they changed.
-func (ep *epMarks) accept(n graph.NodeID, p points.PointID, d float64) bool {
+func (ep *epMarks) accept(n graph.NodeID, p points.PointID, d graph.Dist) bool {
 	m := &ep.nodes[n]
 	if m.stamp != ep.epoch {
 		*m = epNode{stamp: ep.epoch, off: uint32(len(ep.arena))}
@@ -86,13 +86,14 @@ func (ep *epMarks) accept(n graph.NodeID, p points.PointID, d float64) bool {
 // "top of H' < last de-heaped distance of H"; draining against the distance
 // of the *next* main pop is equivalent in cost order and guarantees every
 // mark below the pop distance is in place before the pop's pruning check.
-func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
+func (s *Searcher) advance(st *Stats, ep *epMarks, limit graph.Dist, k int) error {
 	for {
 		_, top, ok := ep.hp.Peek()
-		if !ok || top >= limit {
+		if !ok || top >= float64(limit) {
 			return nil
 		}
-		e, d, _ := ep.hp.Pop()
+		e, key, _ := ep.hp.Pop()
+		d := graph.Dist(key)
 		st.NodesScanned++
 		if err := s.checkExecStride(st); err != nil {
 			return err
@@ -110,7 +111,7 @@ func (s *Searcher) advance(st *Stats, ep *epMarks, limit float64, k int) error {
 			if tgt := ep.found(edge.To); len(tgt) == k && !entryLess(nd, e.p, tgt[k-1].D, tgt[k-1].P) {
 				continue // cannot improve the neighbour's list
 			}
-			ep.hp.Push(matHeapEntry{edge.To, e.p}, nd)
+			ep.hp.Push(matHeapEntry{edge.To, e.p}, float64(nd))
 		}
 	}
 }
@@ -134,7 +135,7 @@ func (ep *epMarks) seed(s *Searcher, p points.PointID, loc Loc) error {
 		return err
 	}
 	for _, a := range as[:n] {
-		ep.hp.Push(matHeapEntry{a.node, p}, a.off)
+		ep.hp.Push(matHeapEntry{a.node, p}, float64(a.off))
 	}
 	return nil
 }
@@ -172,7 +173,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 	var probe []PointDist
 	// meet handles data point p reached at loc, d away from the query, as
 	// a candidate, a competitor, or — monochromatic — both.
-	meet := func(p points.PointID, loc Loc, d float64, cand, site bool) error {
+	meet := func(p points.PointID, loc Loc, d graph.Dist, cand, site bool) error {
 		if cand && !classified[p] {
 			classified[p] = true
 			member, err := s.epClassify(&st, ep, sites, mono, p, loc, tgt, k, d, &probe)
@@ -192,7 +193,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 
 	for {
 		if _, top, ok := main.queue.Peek(); ok {
-			if err := s.advance(&st, ep, top, k); err != nil {
+			if err := s.advance(&st, ep, graph.Dist(top), k); err != nil {
 				return execResult(results, st, err)
 			}
 		}
@@ -255,7 +256,7 @@ func (s *Searcher) lazyEP(cands, sites PointSet, mono bool, sources []Loc, tgt t
 // reject non-members — this is how lazy-EP issues fewer verification
 // queries (Section 4.2). Inconclusive candidates fall back to a
 // verification (monochromatic) or to classify (bichromatic).
-func (s *Searcher) epClassify(st *Stats, ep *epMarks, sites PointSet, mono bool, p points.PointID, loc Loc, tgt target, k int, ub float64, probe *[]PointDist) (bool, error) {
+func (s *Searcher) epClassify(st *Stats, ep *epMarks, sites PointSet, mono bool, p points.PointID, loc Loc, tgt target, k int, ub graph.Dist, probe *[]PointDist) (bool, error) {
 	as, n, err := s.anchors(loc, &ep.adj)
 	if err != nil {
 		return false, err

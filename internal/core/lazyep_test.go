@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
 
@@ -16,14 +17,14 @@ func TestEPMarksPooledState(t *testing.T) {
 	ep.reset(4, 2)
 	for _, m := range []struct {
 		p    points.PointID
-		d    float64
+		d    graph.Dist
 		want bool
-	}{{7, 1.5, true}, {3, 0.5, true}, {9, 1.0, true}, {8, 2.0, false}, {9, 1.0, false}} {
+	}{{7, 3, true}, {3, 1, true}, {9, 2, true}, {8, 4, false}, {9, 2, false}} {
 		if got := ep.accept(1, m.p, m.d); got != m.want {
 			t.Fatalf("accept(1, %d, %v) = %v, want %v", m.p, m.d, got, m.want)
 		}
 	}
-	if got, want := ep.found(1), []PointDist{{P: 3, D: 0.5}, {P: 9, D: 1.0}}; !slices.Equal(got, want) {
+	if got, want := ep.found(1), []PointDist{{P: 3, D: 1}, {P: 9, D: 2}}; !slices.Equal(got, want) {
 		t.Fatalf("marks of node 1 = %v, want %v", got, want)
 	}
 	if ep.found(0) != nil || len(ep.arena) != 2 {
@@ -49,7 +50,7 @@ func TestEPMarksPooledState(t *testing.T) {
 	if len(ep.nodes) != 6 || ep.epoch != 1 || ep.found(5) != nil {
 		t.Fatalf("resized marks: %d nodes, epoch %d", len(ep.nodes), ep.epoch)
 	}
-	if !ep.accept(5, 1, 1) || ep.accept(5, 2, 2) || !ep.accept(5, 2, 0.5) {
+	if !ep.accept(5, 1, 2) || ep.accept(5, 2, 4) || !ep.accept(5, 2, 1) {
 		t.Fatal("a one-entry block keeps the nearest competitor only")
 	}
 }

@@ -22,13 +22,13 @@ import (
 // edge whose endpoints are both pruned is still on the heap).
 
 // Loc is a location on the network: a node (U == V, Pos == 0) or a position
-// on edge (U,V), U < V, at offset Pos from U. Pos is a multiple of the
-// graph's quantum (graph.Builder), as every weight is, so every distance the
-// walkers sum is exact and they compare them with no tolerance; the public
-// layer rounds every location, and every point it places, onto the quantum.
+// on edge (U,V), U < V, at offset Pos from U. Pos is a count of the graph's
+// quantum (graph.Dist), as every weight is, so every distance the walkers
+// sum is exact and they compare them with no tolerance; the public layer
+// rounds every location, and every point it places, onto the quantum.
 type Loc struct {
 	U, V graph.NodeID
-	Pos  float64
+	Pos  graph.Dist
 }
 
 // NodeLoc returns the location of node n.
@@ -49,7 +49,7 @@ func (l Loc) String() string {
 	if l.IsNode() {
 		return fmt.Sprintf("node(%d)", l.U)
 	}
-	return fmt.Sprintf("edge(%d,%d)@%.3f", l.U, l.V, l.Pos)
+	return fmt.Sprintf("edge(%d,%d)@%d", l.U, l.V, l.Pos)
 }
 
 // PointSet is a data set in one of the two residencies: exactly one view is
@@ -105,10 +105,10 @@ func (ps PointSet) ids() []points.PointID {
 type target struct {
 	loc   Loc
 	nodes map[graph.NodeID]bool // route mode when non-nil
-	edgeW float64               // negative until resolved
+	edgeW graph.Dist            // Inf until resolved
 }
 
-func locTarget(l Loc) target { return target{loc: l, edgeW: -1} }
+func locTarget(l Loc) target { return target{loc: l, edgeW: graph.Inf} }
 
 func routeTarget(route []graph.NodeID) target {
 	m := make(map[graph.NodeID]bool, len(route))
@@ -129,9 +129,9 @@ func (t target) nodeHit(n graph.NodeID) bool {
 // seedDirect pushes the target arrival for a walk starting at from on the
 // target's own edge — the direct-offset case of Section 5.2 — when within
 // limit (inclusive).
-func (t target) seedDirect(sc *scratch, from Loc, limit float64) {
+func (t target) seedDirect(sc *scratch, from Loc, limit graph.Dist) {
 	if t.nodes == nil && t.loc.sameEdge(from) {
-		if dd := math.Abs(t.loc.Pos - from.Pos); dd <= limit {
+		if dd := max(t.loc.Pos, from.Pos) - min(t.loc.Pos, from.Pos); dd <= limit {
 			sc.pushTarget(dd)
 		}
 	}
@@ -145,8 +145,8 @@ func (t target) via(n graph.NodeID) bool {
 
 // arrive pushes the target arrival through endpoint n (see via), popped at
 // distance d, when it lies within limit (inclusive).
-func (t *target) arrive(s *Searcher, sc *scratch, n graph.NodeID, d, limit float64) error {
-	if t.edgeW < 0 {
+func (t *target) arrive(s *Searcher, sc *scratch, n graph.NodeID, d, limit graph.Dist) error {
+	if t.edgeW == graph.Inf {
 		var err error
 		if t.edgeW, err = s.edgeWeight(t.loc.U, t.loc.V, &sc.adj); err != nil {
 			return err
@@ -164,7 +164,7 @@ func (t *target) arrive(s *Searcher, sc *scratch, n graph.NodeID, d, limit float
 
 // edgeWeight resolves the weight of edge (u,v) with an adjacency read
 // (counted I/O, like any edge processing).
-func (s *Searcher) edgeWeight(u, v graph.NodeID, buf *[]graph.Edge) (float64, error) {
+func (s *Searcher) edgeWeight(u, v graph.NodeID, buf *[]graph.Edge) (graph.Dist, error) {
 	var err error
 	*buf, err = s.g.Adjacency(u, *buf)
 	if err != nil {
@@ -201,8 +201,11 @@ func (s *Searcher) checkLoc(l Loc) error {
 	if err != nil {
 		return err
 	}
-	if !(l.Pos >= 0 && l.Pos <= w) { // NaN fails both
-		return fmt.Errorf("core: offset %v outside edge (%d,%d) of weight %v", l.Pos, l.U, l.V, w)
+	switch q := math.Ldexp(1, s.g.LogQuantum()); {
+	case l.Pos == graph.Inf: // what the public layer makes of an offset that is no distance
+		return fmt.Errorf("core: the offset on edge (%d,%d) is no distance on the graph", l.U, l.V)
+	case l.Pos > w:
+		return fmt.Errorf("core: offset %v outside edge (%d,%d) of weight %v", float64(l.Pos)*q, l.U, l.V, float64(w)*q)
 	}
 	return nil
 }
@@ -211,7 +214,7 @@ func (s *Searcher) checkLoc(l Loc) error {
 // network, off away from it.
 type anchor struct {
 	node graph.NodeID
-	off  float64
+	off  graph.Dist
 }
 
 // anchors returns the anchors of l in a[:n]: a node is its own at offset 0,
@@ -242,7 +245,7 @@ func (sc *scratch) seed(s *Searcher, l Loc) error {
 // pushSameEdgePoints pushes a point-arrival entry for every visible point
 // of view on l's own edge at its direct distance, bounded by limit
 // (inclusive). A node location shares no edge.
-func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set graph.NodeID, l Loc, limit float64) error {
+func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set graph.NodeID, l Loc, limit graph.Dist) error {
 	if view == nil || l.IsNode() {
 		return nil
 	}
@@ -251,7 +254,7 @@ func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set graph.NodeID, l 
 		return err
 	}
 	for _, ref := range sc.refs {
-		if dd := math.Abs(ref.Pos - l.Pos); dd <= limit {
+		if dd := max(ref.Pos, l.Pos) - min(ref.Pos, l.Pos); dd <= limit {
 			sc.pushPoint(set, ref.ID, dd)
 		}
 	}
@@ -264,7 +267,7 @@ func (sc *scratch) pushSameEdgePoints(view points.EdgeView, set graph.NodeID, l 
 // strictly farther than 0 from the walk's source (used by the lazy
 // edge-crossing rule: a point at distance 0 sits on the source, so it is
 // not strictly closer than the source to anything past the edge).
-func (sc *scratch) pushEdgePoints(view points.EdgeView, set graph.NodeID, n graph.NodeID, d float64, e graph.Edge, limit float64) (int, error) {
+func (sc *scratch) pushEdgePoints(view points.EdgeView, set graph.NodeID, n graph.NodeID, d graph.Dist, e graph.Edge, limit graph.Dist) (int, error) {
 	if view == nil {
 		return 0, nil
 	}
@@ -291,7 +294,7 @@ func (sc *scratch) pushEdgePoints(view points.EdgeView, set graph.NodeID, n grap
 
 // pushAdjacentPoints is pushEdgePoints over every edge of sc.adj, the
 // adjacency of node n.
-func (sc *scratch) pushAdjacentPoints(view points.EdgeView, set graph.NodeID, n graph.NodeID, d, limit float64) error {
+func (sc *scratch) pushAdjacentPoints(view points.EdgeView, set graph.NodeID, n graph.NodeID, d, limit graph.Dist) error {
 	for _, e := range sc.adj {
 		if _, err := sc.pushEdgePoints(view, set, n, d, e, limit); err != nil {
 			return err

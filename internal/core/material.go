@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"graphrnn/internal/graph"
@@ -36,7 +37,7 @@ import (
 // node would report, so eager reads either into the same buffer.
 type MatEntry = PointDist
 
-func entryLess(d1 float64, p1 points.PointID, d2 float64, p2 points.PointID) bool {
+func entryLess(d1 graph.Dist, p1 points.PointID, d2 graph.Dist, p2 points.PointID) bool {
 	if d1 != d2 {
 		return d1 < d2
 	}
@@ -52,6 +53,7 @@ type Materialized struct {
 	maxK     int // queries support k <= maxK; records hold maxK+1 entries
 	cap      int // maxK + 1
 	numNodes int
+	q        float64 // the graph's quantum, which the records store distances over
 	bm       *storage.Tenant
 	refs     []storage.RecRef
 	// repair is the in-flight maintenance operation, nil between
@@ -76,24 +78,25 @@ type matRepair struct {
 // rewrites it in place.
 func matRecordSize(cap int) int { return 2 + cap*storage.PairSize }
 
-// appendMatList appends entries to b as a counted run of pairs.
-func appendMatList(b []byte, entries []MatEntry) []byte {
+// appendMatList appends entries to b as a counted run of pairs over the
+// quantum q.
+func appendMatList(b []byte, entries []MatEntry, q float64) []byte {
 	b = storage.AppendCount(b, len(entries))
 	for _, e := range entries {
-		b = storage.AppendPair(b, int32(e.P), e.D)
+		b = storage.AppendPair(b, int32(e.P), e.D, q)
 	}
 	return b
 }
 
-// DecodeMatList appends the entries of the counted run at the front of rec
-// to buf.
-func DecodeMatList(rec []byte, buf []MatEntry) ([]MatEntry, error) {
+// DecodeMatList appends the entries of the counted run at the front of rec,
+// its distances stored over the quantum q, to buf.
+func DecodeMatList(rec []byte, buf []MatEntry, q float64) ([]MatEntry, error) {
 	pairs, err := storage.CountedPairs(rec)
 	if err != nil {
 		return nil, err
 	}
 	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
-		p, d := storage.Pair(pairs)
+		p, d := storage.Pair(pairs, q)
 		buf = append(buf, MatEntry{P: points.PointID(p), D: d})
 	}
 	return buf, nil
@@ -133,7 +136,7 @@ func (m *Materialized) List(n graph.NodeID, buf []MatEntry) ([]MatEntry, error) 
 		if len(rec) < matRecordSize(m.cap) {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
-		if buf, err = DecodeMatList(rec, buf); err != nil || len(buf) > m.cap {
+		if buf, err = DecodeMatList(rec, buf, m.q); err != nil || len(buf) > m.cap {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
 		return nil
@@ -174,7 +177,7 @@ func (m *Materialized) restoreList(n graph.NodeID, entries []MatEntry) error {
 		if len(rec) < matRecordSize(m.cap) {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
-		appendMatList(rec[:0], entries) // in place: rec has room for cap entries
+		appendMatList(rec[:0], entries, m.q) // in place: rec has room for cap entries
 		return nil
 	})
 }
@@ -309,12 +312,12 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 			return nil, err
 		}
 		for _, a := range as[:na] {
-			queue.Push(matHeapEntry{a.node, p}, a.off)
+			queue.Push(matHeapEntry{a.node, p}, uint64(a.off))
 		}
 	}
 
 	// worthPushing filters queue entries that cannot change list m.
-	worthPushing := func(m graph.NodeID, p points.PointID, d float64) bool {
+	worthPushing := func(m graph.NodeID, p points.PointID, d graph.Dist) bool {
 		if int(lens[m]) < width {
 			return true
 		}
@@ -323,10 +326,11 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 	}
 
 	for {
-		e, d, ok := queue.Pop()
+		e, key, ok := queue.Pop()
 		if !ok {
 			break
 		}
+		d := graph.Dist(key)
 		changed, lst := matAccept(list(e.node), e.p, d, width)
 		if !changed {
 			continue
@@ -338,7 +342,7 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 		}
 		for _, edge := range adj {
 			if nd := d + edge.W; worthPushing(edge.To, e.p, nd) {
-				queue.Push(matHeapEntry{edge.To, e.p}, nd)
+				queue.Push(matHeapEntry{edge.To, e.p}, uint64(nd))
 			}
 		}
 	}
@@ -353,10 +357,10 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 	if len(order) != n {
 		return nil, fmt.Errorf("core: order has %d nodes, graph has %d", len(order), n)
 	}
-	m := &Materialized{maxK: maxK, cap: cap, numNodes: n, refs: make([]storage.RecRef, n)}
+	m := &Materialized{maxK: maxK, cap: cap, numNodes: n, q: math.Ldexp(1, s.g.LogQuantum()), refs: make([]storage.RecRef, n)}
 	rec := make([]byte, matRecordSize(cap))
 	for _, node := range order {
-		used := appendMatList(rec[:0], list(node))
+		used := appendMatList(rec[:0], list(node), m.q)
 		clear(rec[len(used):])
 		if m.refs[node], err = w.Add(rec); err != nil {
 			return nil, err
@@ -422,7 +426,7 @@ func (s *Searcher) MatInsert(m *Materialized, p points.PointID, at Loc) (st Stat
 // better key is rejected; a present point with a worse key is replaced
 // (defensive — the Dijkstra pop orders of the callers deliver minimal
 // candidates first, so replacement should not arise in practice).
-func matAccept(lst []MatEntry, p points.PointID, d float64, cap int) (bool, []MatEntry) {
+func matAccept(lst []MatEntry, p points.PointID, d graph.Dist, cap int) (bool, []MatEntry) {
 	for i, e := range lst {
 		if e.P != p {
 			continue
@@ -549,7 +553,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (st Stat
 				continue
 			}
 			for _, ent := range entries {
-				heap.Push(matHeapEntry{e.To, ent.P}, ent.D+e.W)
+				heap.Push(matHeapEntry{e.To, ent.P}, float64(ent.D+e.W))
 			}
 		}
 	}
@@ -558,10 +562,11 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (st Stat
 	// exact (first pop of a (node,point) pair carries the minimal
 	// candidate distance) and is forwarded to the node's neighbours.
 	for {
-		e, d, ok := heap.Pop()
+		e, key, ok := heap.Pop()
 		if !ok {
 			break
 		}
+		d := graph.Dist(key)
 		st.NodesScanned++
 		if err := s.checkExecStride(&st); err != nil {
 			return st, err
@@ -585,7 +590,7 @@ func (s *Searcher) MatDelete(m *Materialized, p points.PointID, at Loc) (st Stat
 			return st, err
 		}
 		for _, edge := range sc.adj {
-			heap.Push(matHeapEntry{edge.To, e.p}, d+edge.W)
+			heap.Push(matHeapEntry{edge.To, e.p}, float64(d+edge.W))
 		}
 	}
 	st.HeapPushes += int64(heap.PushCount)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -22,14 +21,14 @@ func bruteLists(t *testing.T, g *graph.Graph, ps points.NodeView, cap int) [][]M
 	out := make([][]MatEntry, n)
 	var adj []graph.Edge
 	for src := 0; src < n; src++ {
-		dist := make([]float64, n)
+		dist := make([]graph.Dist, n)
 		done := make([]bool, n)
 		for i := range dist {
-			dist[i] = math.Inf(1)
+			dist[i] = graph.Inf
 		}
 		dist[src] = 0
 		for {
-			best, bd := -1, math.Inf(1)
+			best, bd := -1, graph.Inf
 			for i := 0; i < n; i++ {
 				if !done[i] && dist[i] < bd {
 					best, bd = i, dist[i]
@@ -52,7 +51,7 @@ func bruteLists(t *testing.T, g *graph.Graph, ps points.NodeView, cap int) [][]M
 			if !ok {
 				continue
 			}
-			if !math.IsInf(dist[pn], 1) {
+			if dist[pn] != graph.Inf {
 				lst = append(lst, MatEntry{P: p, D: dist[pn]})
 			}
 		}

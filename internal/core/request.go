@@ -117,8 +117,8 @@ func (r Request) sets() (cands, sites PointSet, mono bool) {
 // of r, with exactly the expansion brute force runs for it
 // (r.Algo is ignored). A coordinator that merges shard-local candidate
 // sets confirms each candidate this way, so a verified merge is
-// bit-identical to an unsharded answer — same distances, same epsilon
-// bounds, same tie handling. A deleted p is not a member.
+// identical to an unsharded answer — same distance counts, same tie
+// handling. A deleted p is not a member.
 func (s *Searcher) VerifyMember(r Request, p points.PointID) (bool, Stats, error) {
 	var st Stats
 	tgt, err := s.locate(r)

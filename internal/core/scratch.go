@@ -56,7 +56,7 @@ func (e entry) point() points.PointID { return points.PointID(e.id) }
 // the queue is the radix queue, which pops in exactly a binary heap's
 // (priority, insertion) order.
 type scratch struct {
-	dist   []float64
+	dist   []graph.Dist
 	seen   []uint32
 	closed []uint32
 	epoch  uint32
@@ -74,7 +74,7 @@ type scratch struct {
 
 func newScratch(n int) *scratch {
 	return &scratch{
-		dist:   make([]float64, n),
+		dist:   make([]graph.Dist, n),
 		seen:   make([]uint32, n),
 		closed: make([]uint32, n),
 	}
@@ -103,7 +103,7 @@ func (sc *scratch) close(n graph.NodeID) { sc.closed[n] = sc.epoch }
 // pushNode offers node n at distance d, generated by node from (noGen for
 // a seed), applying the lazy-deletion Dijkstra discipline: duplicates with
 // worse labels are suppressed.
-func (sc *scratch) pushNode(from, n graph.NodeID, d float64) {
+func (sc *scratch) pushNode(from, n graph.NodeID, d graph.Dist) {
 	if sc.isClosed(n) {
 		return
 	}
@@ -112,15 +112,15 @@ func (sc *scratch) pushNode(from, n graph.NodeID, d float64) {
 	}
 	sc.seen[n] = sc.epoch
 	sc.dist[n] = d
-	sc.queue.Push(entry{id: int32(n), gen: from}, d)
+	sc.queue.Push(entry{id: int32(n), gen: from}, uint64(d))
 }
 
-func (sc *scratch) pushPoint(set graph.NodeID, p points.PointID, d float64) {
-	sc.queue.Push(entry{id: int32(p), gen: set}, d)
+func (sc *scratch) pushPoint(set graph.NodeID, p points.PointID, d graph.Dist) {
+	sc.queue.Push(entry{id: int32(p), gen: set}, uint64(d))
 }
 
-func (sc *scratch) pushTarget(d float64) {
-	sc.queue.Push(entry{gen: genTarget}, d)
+func (sc *scratch) pushTarget(d graph.Dist) {
+	sc.queue.Push(entry{gen: genTarget}, uint64(d))
 }
 
 // firstArrival records point arrival p and reports whether it is the
@@ -141,10 +141,10 @@ func (sc *scratch) firstArrival(p points.PointID) bool {
 // lazy's pruning a node entry whose generator's counter has reached k is
 // dropped first: Fig 6 removed it before it surfaced, so it is not a pop
 // and closes nothing. ok is false when the queue is exhausted.
-func (sc *scratch) pop() (e entry, d float64, ok bool) {
+func (sc *scratch) pop() (e entry, d graph.Dist, ok bool) {
 	for {
-		e, d, ok = sc.queue.Pop()
-		if !ok {
+		var k uint64
+		if e, k, ok = sc.queue.Pop(); !ok {
 			return entry{}, 0, false
 		}
 		if e.isNode() {
@@ -157,7 +157,7 @@ func (sc *scratch) pop() (e entry, d float64, ok bool) {
 			}
 			sc.close(e.node())
 		}
-		return e, d, true
+		return e, graph.Dist(k), true
 	}
 }
 

@@ -112,7 +112,7 @@ func mustMatchOracle(t testing.TB, c oracleCase) {
 	for u := range c.g.NumNodes() {
 		adj, _ = c.g.Adjacency(graph.NodeID(u), adj)
 		for _, e := range adj {
-			arcs = append(arcs, oracle.Arc{U: u, V: int(e.To), W: e.W})
+			arcs = append(arcs, oracle.Arc{U: u, V: int(e.To), W: c.g.Float(e.W)})
 		}
 	}
 	locs := func(ps PointSet) ([]points.PointID, []oracle.Loc) {
@@ -120,7 +120,7 @@ func mustMatchOracle(t testing.TB, c oracleCase) {
 		at := make([]oracle.Loc, len(ids))
 		for i, p := range ids {
 			l, _ := ps.loc(p)
-			at[i] = oracle.Loc{U: int(l.U), V: int(l.V), Pos: l.Pos}
+			at[i] = oracle.Loc{U: int(l.U), V: int(l.V), Pos: c.g.Float(l.Pos)}
 		}
 		return ids, at
 	}
@@ -143,7 +143,7 @@ func mustMatchOracle(t testing.TB, c oracleCase) {
 	}
 	s := NewSearcher(c.g)
 	err := oracle.New(c.g.NumNodes(), arcs, at, sites).Probes(c.ks, grid, routes, func(pr oracle.Probe) error {
-		r := Request{Kind: kind, K: pr.K, Points: c.ps, Sites: c.sites, Target: Loc{U: graph.NodeID(pr.At.U), V: graph.NodeID(pr.At.V), Pos: pr.At.Pos}}
+		r := Request{Kind: kind, K: pr.K, Points: c.ps, Sites: c.sites, Target: Loc{U: graph.NodeID(pr.At.U), V: graph.NodeID(pr.At.V), Pos: c.g.Round(pr.At.Pos)}}
 		if pr.Route >= 0 {
 			r.Kind, r.Route = KindContinuous, c.routes[pr.Route]
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,13 +14,13 @@ import (
 
 type edgeInfo struct {
 	u, v graph.NodeID
-	w    float64
+	w    float64 // the weight as the API reports it
 }
 
 func graphEdges(g *graph.Graph) []edgeInfo {
 	var out []edgeInfo
-	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		out = append(out, edgeInfo{u, v, w})
+	g.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
+		out = append(out, edgeInfo{u, v, g.Float(w)})
 	})
 	return out
 }
@@ -30,7 +29,7 @@ func graphEdges(g *graph.Graph) []edgeInfo {
 func randEdgePoints(t testing.TB, rng *rand.Rand, g *graph.Graph, count int) *points.EdgeSet {
 	t.Helper()
 	edges := graphEdges(g)
-	ps := points.NewEdgeSet()
+	ps := points.NewEdgeSet(g.LogQuantum())
 	for i := 0; i < count; i++ {
 		e := edges[rng.Intn(len(edges))]
 		if _, err := ps.Place(e.u, e.v, g.Round(rng.Float64()*e.w)); err != nil {
@@ -70,19 +69,19 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSearcher(g)
-	d, err := s.Distance(NodeLoc(0), Loc{U: 1, V: 2, Pos: 4})
+	d, err := s.Distance(NodeLoc(0), Loc{U: 1, V: 2, Pos: g.Round(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 9 {
+	if d != g.Round(9) {
 		t.Fatalf("d(q,p) = %v, want 9 (min of 11 and 9)", d)
 	}
 	// Same-edge direct distance vs the long way around.
-	d, err = s.Distance(Loc{U: 1, V: 2, Pos: 1}, Loc{U: 1, V: 2, Pos: 9})
+	d, err = s.Distance(Loc{U: 1, V: 2, Pos: g.Round(1)}, Loc{U: 1, V: 2, Pos: g.Round(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 8 {
+	if d != g.Round(8) {
 		t.Fatalf("same-edge distance = %v, want 8 (direct)", d)
 	}
 	// Direct segment longer than the route through the endpoints: points
@@ -93,11 +92,11 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 	b2.AddEdge(1, 2, 1)
 	g2, _ := b2.Build()
 	s2 := NewSearcher(g2)
-	d, err = s2.Distance(Loc{U: 0, V: 1, Pos: 1}, Loc{U: 0, V: 1, Pos: 99})
+	d, err = s2.Distance(Loc{U: 0, V: 1, Pos: g2.Round(1)}, Loc{U: 0, V: 1, Pos: g2.Round(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 4 { // 1 back to node0, node0->2->1 = 2, then 1 into the edge
+	if d != g2.Round(4) { // 1 back to node0, node0->2->1 = 2, then 1 into the edge
 		t.Fatalf("heavy-edge distance = %v, want 4 (through the network)", d)
 	}
 }
@@ -105,17 +104,17 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 func TestULocValidation(t *testing.T) {
 	g, _, _ := paperGraph(t)
 	s := NewSearcher(g)
-	ps := points.NewEdgeSet()
+	ps := points.NewEdgeSet(g.LogQuantum())
 	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 99}, 1); err == nil {
 		t.Fatal("out-of-range location accepted")
 	}
-	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 1, V: 0, Pos: 1}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 1, V: 0, Pos: g.Round(1)}, 1); err == nil {
 		t.Fatal("non-canonical edge location accepted")
 	}
-	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 1, Pos: 999}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 1, Pos: g.Round(999)}, 1); err == nil {
 		t.Fatal("offset beyond edge weight accepted")
 	}
-	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 6, Pos: 1}, 1); err == nil {
+	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 6, Pos: g.Round(1)}, 1); err == nil {
 		t.Fatal("location on a missing edge accepted")
 	}
 	if _, err := runURNN(s, AlgoEager, ps, nil, NodeLoc(0), 0); err == nil {
@@ -152,7 +151,7 @@ func TestUnrestrictedDensePoints(t *testing.T) {
 		n := 6 + rng.Intn(10)
 		g := randNet(t, rng, n, rng.Intn(n), 0)
 		edges := graphEdges(g)
-		ps := points.NewEdgeSet()
+		ps := points.NewEdgeSet(g.LogQuantum())
 		// Cluster points on up to 3 edges.
 		for range 3 + rng.Intn(10) {
 			e := edges[rng.Intn(min(3, len(edges)))]
@@ -179,10 +178,10 @@ func TestUnrestrictedFarFromEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := points.NewEdgeSet()
-	p, _ := ps.Place(0, 1, 10) // d(p,q) = 19
-	x, _ := ps.Place(1, 2, 85) // x at node-2 end: d(x,b)=85 < d(p,b)=90
-	_ = x                      // d(x,p)=175, d(x,q)=194: x's NN is p, not q
+	ps := points.NewEdgeSet(g.LogQuantum())
+	p, _ := ps.Place(0, 1, g.Round(10)) // d(p,q) = 19
+	x, _ := ps.Place(1, 2, g.Round(85)) // x at node-2 end: d(x,b)=85 < d(p,b)=90
+	_ = x                               // d(x,p)=175, d(x,q)=194: x's NN is p, not q
 	s := NewSearcher(g)
 	for name, run := range map[string]func() (*Result, error){
 		"brute":   func() (*Result, error) { return runURNN(s, AlgoBrute, ps, nil, NodeLoc(3), 1) },
@@ -295,7 +294,7 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !math.IsInf(d, 1) {
+				if d != graph.Inf {
 					want = append(want, MatEntry{P: p, D: d})
 				}
 			}
@@ -313,7 +312,7 @@ func TestUMatBuildMatchesEndpointMerge(t *testing.T) {
 				t.Fatalf("node %d list = %v, want %v", node, lst, want)
 			}
 			for i := range lst {
-				if lst[i].P != want[i].P || math.Abs(lst[i].D-want[i].D) > 1e-9 {
+				if lst[i] != want[i] {
 					t.Fatalf("node %d list = %v, want %v", node, lst, want)
 				}
 			}

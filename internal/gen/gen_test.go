@@ -30,8 +30,8 @@ func TestCoauthorshipPaperScale(t *testing.T) {
 		t.Fatalf("component size %d != |V| %d", got, v)
 	}
 	// Unit weights.
-	c.G.ForEachEdge(func(u, vv graph.NodeID, w float64) {
-		if w != 1 {
+	c.G.ForEachEdge(func(u, vv graph.NodeID, w graph.Dist) {
+		if c.G.Float(w) != 1 {
 			t.Fatalf("edge (%d,%d) has weight %v, want 1", u, vv, w)
 		}
 	})
@@ -159,9 +159,9 @@ func TestRoadNetworkShape(t *testing.T) {
 	// Weights are the Euclidean distances of the embedded endpoints.
 	coords := g.Coords()
 	bad := 0
-	g.ForEachEdge(func(u, vv graph.NodeID, w float64) {
+	g.ForEachEdge(func(u, vv graph.NodeID, w graph.Dist) {
 		d := math.Hypot(coords[u].X-coords[vv].X, coords[u].Y-coords[vv].Y)
-		if math.Abs(d-w) > 1e-9 {
+		if math.Abs(d-g.Float(w)) > 1e-9 {
 			bad++
 		}
 	})
@@ -250,7 +250,7 @@ func TestWorkloadHelpers(t *testing.T) {
 		if !ok {
 			t.Fatalf("point %d has no location", p)
 		}
-		if w, exists := g.EdgeWeight(loc.U, loc.V); !exists || loc.Pos < 0 || loc.Pos > w {
+		if w, exists := g.EdgeWeight(loc.U, loc.V); !exists || loc.Pos > w {
 			t.Fatalf("point %d at invalid location %+v (w=%v, exists=%v)", p, loc, w, exists)
 		}
 	}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"graphrnn/internal/graph"
@@ -33,14 +34,14 @@ func PlaceNodePoints(rng *rand.Rand, numNodes, count int) (*points.NodeSet, erro
 // EdgeList captures the undirected edges of a graph for sampling.
 type EdgeList struct {
 	U, V []graph.NodeID
-	W    []float64
-	Q    float64 // the graph's quantum (graph.Graph.Quantum)
+	W    []graph.Dist
+	LogQ int // log₂ of the graph's quantum (graph.Graph.LogQuantum)
 }
 
 // Edges extracts the edge list of g.
 func Edges(g *graph.Graph) *EdgeList {
-	el := &EdgeList{Q: g.Quantum()}
-	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
+	el := &EdgeList{LogQ: g.LogQuantum()}
+	g.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
 		el.U = append(el.U, u)
 		el.V = append(el.V, v)
 		el.W = append(el.W, w)
@@ -50,15 +51,15 @@ func Edges(g *graph.Graph) *EdgeList {
 
 // PlaceEdgePoints distributes count points uniformly over random edges at
 // uniform offsets (the unrestricted workloads of Section 6.2), each rounded
-// to the graph's quantum.
+// to a count of the graph's quantum.
 func PlaceEdgePoints(rng *rand.Rand, el *EdgeList, count int) (*points.EdgeSet, error) {
 	if len(el.U) == 0 {
 		return nil, fmt.Errorf("gen: graph has no edges")
 	}
-	ps := points.NewEdgeSet()
+	ps := points.NewEdgeSet(el.LogQ)
 	for i := 0; i < count; i++ {
 		e := rng.Intn(len(el.U))
-		if _, err := ps.Place(el.U[e], el.V[e], graph.RoundTo(rng.Float64()*el.W[e], el.Q)); err != nil {
+		if _, err := ps.Place(el.U[e], el.V[e], graph.Dist(math.Round(rng.Float64()*float64(el.W[e])))); err != nil {
 			return nil, err
 		}
 	}

@@ -20,10 +20,30 @@ import (
 // NodeID identifies a graph node. Nodes are dense integers 0..NumNodes-1.
 type NodeID int32
 
+// Dist is a network distance as a count of the graph's quantum Q (see
+// Builder): the distance is Dist·Q. Every weight is a positive count, so the
+// engine adds and compares counts — exactly, with no tolerance — and a float64
+// appears only where a distance leaves the engine (Graph.Float). A sum of
+// weights along a simple path stays below 2^53, where float64(count)·Q is the
+// very float64 sum of the weights.
+type Dist uint64
+
+// Inf is the distance of no path: it compares above every count, and Add
+// saturates at it.
+const Inf = Dist(math.MaxUint64)
+
+// Add returns d+e, saturating at Inf.
+func (d Dist) Add(e Dist) Dist {
+	if s := d + e; s >= d {
+		return s
+	}
+	return Inf
+}
+
 // Edge is one adjacency entry: the neighbour and the (positive) edge weight.
 type Edge struct {
 	To NodeID
-	W  float64
+	W  Dist
 }
 
 // Access is the read interface used by all query algorithms. Adjacency
@@ -32,6 +52,8 @@ type Edge struct {
 // Access. Implementations are not safe for concurrent use.
 type Access interface {
 	NumNodes() int
+	// LogQuantum returns log₂ Q: every weight is a count of 2^LogQuantum().
+	LogQuantum() int
 	Adjacency(n NodeID, buf []Edge) ([]Edge, error)
 	// In returns the same network with every arc reversed: its Adjacency(n)
 	// lists the arcs that enter n, so an expansion over it from q computes
@@ -56,10 +78,11 @@ type Coord struct {
 type Graph struct {
 	offsets []int32
 	targets []NodeID
-	weights []float64
+	weights []Dist
 	coords  []Coord // nil when the graph has no embedding
 	in      *Graph  // the reversed arcs; nil when the graph is symmetric
-	logQ    int     // every weight is a multiple of the quantum 2^logQ
+	logQ    int     // every weight is a count of the quantum q = 2^logQ
+	q       float64
 }
 
 // NumNodes implements Access.
@@ -106,7 +129,7 @@ func (g *Graph) Adjacency(n NodeID, buf []Edge) ([]Edge, error) {
 
 // EdgeWeight returns the weight of edge (u,v) — of arc u→v, when the graph
 // has one-way arcs — and whether it exists.
-func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
+func (g *Graph) EdgeWeight(u, v NodeID) (Dist, bool) {
 	for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
 		if g.targets[i] == v {
 			return g.weights[i], true
@@ -117,20 +140,25 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 
 // Quantum returns Q, the grid every weight lies on: each is a whole
 // multiple of Q, a power of two (see Builder).
-func (g *Graph) Quantum() float64 { return math.Ldexp(1, g.logQ) }
+func (g *Graph) Quantum() float64 { return g.q }
 
-// LogQuantum returns log₂ Q.
+// LogQuantum implements Access.
 func (g *Graph) LogQuantum() int { return g.logQ }
 
-// Round returns the multiple of Q nearest x (halves away from zero): an
-// offset on an edge rounded this way keeps every distance sum through it
-// exact.
-func (g *Graph) Round(x float64) float64 { return RoundTo(x, g.Quantum()) }
+// Round returns the count of Q nearest x (halves away from zero): an offset
+// on an edge rounded this way keeps every distance sum through it exact. x
+// must be finite, non-negative and below 2^64 quanta. Q is a power of two,
+// so the division is exact: only the rounding moves x.
+func (g *Graph) Round(x float64) Dist { return Dist(math.Round(x / g.q)) }
 
-// RoundTo returns the multiple of q nearest x (halves away from zero). q is
-// a power of two, so the division and the product are exact: only the
-// rounding itself moves x.
-func RoundTo(x, q float64) float64 { return math.Round(x/q) * q }
+// Float returns d as the float64 distance it counts, d·Q — exact for every
+// count below 2^53 — and +Inf for Inf.
+func (g *Graph) Float(d Dist) float64 {
+	if d == Inf {
+		return math.Inf(1)
+	}
+	return float64(d) * g.q
+}
 
 // Coords returns the node embedding, or nil if the graph has none.
 func (g *Graph) Coords() []Coord { return g.coords }
@@ -146,7 +174,7 @@ func (g *Graph) Coord(n NodeID) (Coord, bool) {
 
 // ForEachEdge calls fn once per undirected edge (u < v) — once per arc
 // u→v, when the graph has one-way arcs.
-func (g *Graph) ForEachEdge(fn func(u, v NodeID, w float64)) {
+func (g *Graph) ForEachEdge(fn func(u, v NodeID, w Dist)) {
 	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
 		for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
 			if v := g.targets[i]; u < v || g.in != nil {
@@ -170,15 +198,16 @@ func (g *Graph) AverageDegree() float64 {
 // are rejected.
 //
 // Build puts every weight on one grid: with S the sum of the weights of
-// every arc added, the quantum is Q = 2^(⌈log₂ S⌉ − 52), and each weight is
-// rounded to the nearest multiple of Q before arcs are deduplicated or
-// twins matched. A simple path weighs at most S and a hub label's two
-// halves at most 2S, and a float64 holds every multiple of Q up to 2^53·Q ≥
-// 2S exactly, so every distance sum formed over the graph, in any order, is
-// exact: two routes of equal length compare equal. (Should rounding carry
-// the sum past 2^⌈log₂ S⌉, Q doubles, so that building again from a
-// graph's own weights, or from any subset of them, moves none of them.) A
-// weight moves by at most Q/2; one that rounds to 0 is refused.
+// every arc added, the quantum is Q = 2^(⌈log₂ S⌉ − 52), and each weight
+// becomes its nearest count of Q (a Dist) before arcs are deduplicated or
+// twins matched. The counts sum to at most 2^52, so a simple path is at most
+// 2^52 quanta and a hub label's two halves at most 2^53: every distance the
+// engine forms is an exact integer sum, two routes of equal length compare
+// equal, and float64(count)·Q gives the API the same float64 an exact sum of
+// the weights would. (Should rounding carry the sum past 2^⌈log₂ S⌉, Q
+// doubles, so that building again from a graph's own weights, or from any
+// subset of them, moves none of them.) A weight moves by at most Q/2; one
+// that rounds to 0 is refused.
 type Builder struct {
 	numNodes int
 	arcs     []arc
@@ -187,7 +216,9 @@ type Builder struct {
 
 type arc struct {
 	u, v NodeID
-	w    float64
+	// w is the weight as added until snap replaces it with its count of Q:
+	// a whole number below 2^53, which a float64 holds exactly.
+	w float64
 }
 
 // NewBuilder creates a builder for a graph with numNodes nodes.
@@ -265,6 +296,7 @@ func (b *Builder) Build() (*Graph, error) {
 
 	g, in := b.csr(b.arcs), b.csr(b.bucket(b.arcs, true))
 	g.logQ, in.logQ = logQ, logQ
+	g.q, in.q = math.Ldexp(1, logQ), math.Ldexp(1, logQ)
 	if !slices.Equal(g.targets, in.targets) || !slices.Equal(g.weights, in.weights) || !slices.Equal(g.offsets, in.offsets) {
 		g.in, in.in = in, g
 	}
@@ -275,10 +307,9 @@ func (b *Builder) Build() (*Graph, error) {
 // is a multiple of it.
 const minLogQ = -1074
 
-// snap rounds every arc weight to the grid of the arcs added and returns
-// log₂ Q. Q starts at 2^(⌈log₂ S⌉ − 52) and doubles while the rounded
-// weights sum to more than 2^52·Q — a sum of multiples of Q below 2^53·Q,
-// so computed exactly — which keeps the grid of a graph built from rounded
+// snap rounds every arc weight to a count of the grid of the arcs added and
+// returns log₂ Q. Q starts at 2^(⌈log₂ S⌉ − 52) and doubles while the counts
+// sum to more than 2^52, which keeps the grid of a graph built from rounded
 // weights no coarser than theirs.
 func (b *Builder) snap() (int, error) {
 	var s float64
@@ -297,15 +328,15 @@ func (b *Builder) snap() (int, error) {
 		q := math.Ldexp(1, logQ)
 		var sum float64
 		for _, a := range b.arcs {
-			w := RoundTo(a.w, q)
-			if w == 0 {
+			c := math.Round(a.w / q)
+			if c == 0 {
 				return 0, fmt.Errorf("graph: arc (%d,%d) of weight %v rounds to 0 on the graph's quantum %v (2^%d)", a.u, a.v, a.w, q, logQ)
 			}
-			sum += w
+			sum += c
 		}
-		if sum <= math.Ldexp(1, e) {
+		if sum <= math.Ldexp(1, e-logQ) {
 			for i := range b.arcs {
-				b.arcs[i].w = RoundTo(b.arcs[i].w, q)
+				b.arcs[i].w = math.Round(b.arcs[i].w / q)
 			}
 			return logQ, nil
 		}
@@ -342,12 +373,12 @@ func (b *Builder) csr(arcs []arc) *Graph {
 	g := &Graph{
 		offsets: make([]int32, b.numNodes+1),
 		targets: make([]NodeID, len(arcs)),
-		weights: make([]float64, len(arcs)),
+		weights: make([]Dist, len(arcs)),
 		coords:  b.coords,
 	}
 	for i, a := range arcs {
 		g.offsets[a.u+1]++
-		g.targets[i], g.weights[i] = a.v, a.w
+		g.targets[i], g.weights[i] = a.v, Dist(a.w)
 	}
 	for i := 0; i < b.numNodes; i++ {
 		g.offsets[i+1] += g.offsets[i]
@@ -426,12 +457,12 @@ func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, []NodeID, error) {
 		}
 	}
 	var errOut error
-	g.ForEachEdge(func(u, v NodeID, w float64) {
+	g.ForEachEdge(func(u, v NodeID, w Dist) {
 		nu, nv := remap[u], remap[v]
 		if nu < 0 || nv < 0 || errOut != nil {
 			return
 		}
-		if err := b.AddEdge(nu, nv, w); err != nil {
+		if err := b.AddEdge(nu, nv, g.Float(w)); err != nil {
 			errOut = err
 		}
 	})

@@ -42,7 +42,7 @@ func TestBuilderBasic(t *testing.T) {
 	if len(adj) != 2 || adj[0].To != 1 || adj[1].To != 3 {
 		t.Fatalf("adjacency(2) = %+v", adj)
 	}
-	if w, ok := g.EdgeWeight(2, 3); !ok || w != 1.5 {
+	if w, ok := g.EdgeWeight(2, 3); !ok || g.Float(w) != 1.5 {
 		t.Fatalf("EdgeWeight(2,3) = %v,%v", w, ok)
 	}
 	if _, ok := g.EdgeWeight(0, 3); ok {
@@ -77,7 +77,7 @@ func TestBuilderDeduplicatesKeepingMinWeight(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
-	if w, _ := g.EdgeWeight(0, 1); w != 2 {
+	if w, _ := g.EdgeWeight(0, 1); g.Float(w) != 2 {
 		t.Fatalf("weight = %v, want min 2", w)
 	}
 }
@@ -129,7 +129,7 @@ func TestForEachEdgeCountsEachOnce(t *testing.T) {
 	}
 	g := mustBuild(t, b)
 	count := 0
-	g.ForEachEdge(func(u, v NodeID, w float64) {
+	g.ForEachEdge(func(u, v NodeID, w Dist) {
 		if u >= v {
 			t.Fatalf("ForEachEdge yielded (%d,%d) with u >= v", u, v)
 		}
@@ -203,7 +203,7 @@ func TestInducedSubgraph(t *testing.T) {
 	if remap[0] != -1 || remap[1] != 0 || remap[3] != 2 {
 		t.Fatalf("remap = %v", remap)
 	}
-	if w, ok := sub.EdgeWeight(0, 1); !ok || w != 3 {
+	if w, ok := sub.EdgeWeight(0, 1); !ok || sub.Float(w) != 3 {
 		t.Fatalf("sub edge (0,1) weight = %v,%v, want 3", w, ok)
 	}
 	if c, ok := sub.Coord(2); !ok || c != (Coord{3, 0}) {
@@ -227,8 +227,8 @@ func TestAdjacencyOutOfRange(t *testing.T) {
 // an equal-weight twin.
 func TestInReversesEveryArc(t *testing.T) {
 	type key struct{ u, v NodeID }
-	arcsOf := func(a Access) map[key]float64 {
-		m := make(map[key]float64)
+	arcsOf := func(a Access) map[key]Dist {
+		m := make(map[key]Dist)
 		var adj []Edge
 		for u := NodeID(0); int(u) < a.NumNodes(); u++ {
 			adj, _ = a.Adjacency(u, adj)
@@ -274,8 +274,14 @@ func TestInReversesEveryArc(t *testing.T) {
 	}
 }
 
+// warc is an arc as added: {u, v, w}.
+type warc struct {
+	u, v NodeID
+	w    float64
+}
+
 // buildArcs builds a graph over n nodes from arcs {u, v, w}.
-func buildArcs(t *testing.T, n int, arcs ...arc) (*Graph, error) {
+func buildArcs(t *testing.T, n int, arcs ...warc) (*Graph, error) {
 	t.Helper()
 	b := NewBuilder(n)
 	for _, a := range arcs {
@@ -312,9 +318,9 @@ func TestQuantumFollowsSum(t *testing.T) {
 			t.Errorf("%s: Q = %v (2^%d), want 2^%d", c.name, g.Quantum(), g.LogQuantum(), c.logQ)
 		}
 		for i, w := range c.w {
-			got, _ := g.EdgeWeight(NodeID(i), NodeID(i+1))
-			if got != g.Round(got) || math.Abs(got-w) > g.Quantum()/2 {
-				t.Errorf("%s: weight %v stored as %v, off the grid of %v or more than Q/2 away", c.name, w, got, g.Quantum())
+			stored, _ := g.EdgeWeight(NodeID(i), NodeID(i+1))
+			if got := g.Float(stored); math.Abs(got-w) > g.Quantum()/2 {
+				t.Errorf("%s: weight %v stored as %v, more than Q/2 = %v away", c.name, w, got, g.Quantum()/2)
 			}
 		}
 	}
@@ -326,18 +332,18 @@ func TestQuantumFollowsSum(t *testing.T) {
 func TestQuantumRefusals(t *testing.T) {
 	// S = 1.5 + tiny: Q = 2^-51.
 	const q = 0x1p-51
-	_, err := buildArcs(t, 3, arc{0, 1, 1}, arc{1, 0, 0.5}, arc{1, 2, q / 4})
+	_, err := buildArcs(t, 3, warc{0, 1, 1}, warc{1, 0, 0.5}, warc{1, 2, q / 4})
 	if err == nil || !strings.Contains(err.Error(), "quantum 4.440892098500626e-16 (2^-51)") {
 		t.Fatalf("a weight of Q/4 gave %v, want a refusal naming the quantum", err)
 	}
-	g, err := buildArcs(t, 3, arc{0, 1, 1}, arc{1, 0, 0.5}, arc{1, 2, q / 2})
+	g, err := buildArcs(t, 3, warc{0, 1, 1}, warc{1, 0, 0.5}, warc{1, 2, q / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := g.EdgeWeight(1, 2); g.Quantum() != q || w != q {
+	if w, _ := g.EdgeWeight(1, 2); g.Quantum() != q || w != 1 {
 		t.Fatalf("a weight of Q/2 built as %v on Q = %v, want Q", w, g.Quantum())
 	}
-	if _, err := buildArcs(t, 2, arc{0, 1, math.MaxFloat64}, arc{1, 0, math.MaxFloat64}); err == nil || !strings.Contains(err.Error(), "float64 range") {
+	if _, err := buildArcs(t, 2, warc{0, 1, math.MaxFloat64}, warc{1, 0, math.MaxFloat64}); err == nil || !strings.Contains(err.Error(), "float64 range") {
 		t.Fatalf("weights summing to +Inf gave %v, want a refusal", err)
 	}
 }
@@ -352,11 +358,11 @@ func TestQuantumRebuildIsNoOp(t *testing.T) {
 		if h.LogQuantum() > g.LogQuantum() {
 			t.Errorf("%s: Q went from 2^%d to the coarser 2^%d", what, g.LogQuantum(), h.LogQuantum())
 		}
-		g.ForEachEdge(func(u, v NodeID, w float64) {
+		g.ForEachEdge(func(u, v NodeID, w Dist) {
 			if remap[u] < 0 || remap[v] < 0 {
 				return
 			}
-			if got, ok := h.EdgeWeight(remap[u], remap[v]); !ok || math.Float64bits(got) != math.Float64bits(w) {
+			if got, ok := h.EdgeWeight(remap[u], remap[v]); !ok || math.Float64bits(h.Float(got)) != math.Float64bits(g.Float(w)) {
 				t.Errorf("%s: edge (%d,%d) weighs %v, built again %v", what, u, v, w, got)
 			}
 		})
@@ -388,15 +394,15 @@ func TestQuantumRebuildIsNoOp(t *testing.T) {
 	// 2^-50, finer) moves none of them. On 2^-50 a rebuild would see a sum
 	// past 4, round on 2^-49 and move w1 and w2.
 	w1, w3 := 1.5+0x1p-51, 1-1.5*0x1p-50
-	g, err := buildArcs(t, 3, arc{0, 1, w1}, arc{1, 2, w1}, arc{2, 0, w3})
+	g, err := buildArcs(t, 3, warc{0, 1, w1}, warc{1, 2, w1}, warc{2, 0, w3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.LogQuantum() != -49 {
 		t.Fatalf("Q = 2^%d, want 2^-49", g.LogQuantum())
 	}
-	var again []arc
-	g.ForEachEdge(func(u, v NodeID, w float64) { again = append(again, arc{u, v, w}) })
+	var again []warc
+	g.ForEachEdge(func(u, v NodeID, w Dist) { again = append(again, warc{u, v, g.Float(w)}) })
 	h, err := buildArcs(t, 3, again...)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +417,7 @@ func TestQuantumRebuildIsNoOp(t *testing.T) {
 func TestQuantumMatchesTwins(t *testing.T) {
 	w, w2 := 0.3, 0.1
 	w2 += 0.2
-	g, err := buildArcs(t, 2, arc{0, 1, w}, arc{1, 0, w2})
+	g, err := buildArcs(t, 2, warc{0, 1, w}, warc{1, 0, w2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,10 +98,7 @@ func BuildOpt(g graph.Access, opt BuildOptions) (*Labeling, BuildStats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	l, err := newLabeling(n, in != out, outL, inL)
-	if err != nil {
-		return nil, st, err
-	}
+	l := newLabeling(n, in != out, outL, inL)
 	st.Wall = time.Since(start)
 	return l, st, nil
 }
@@ -210,15 +207,26 @@ func eliminate(nbr [][]graph.NodeID) (core, peeled []graph.NodeID) {
 		d := len(nbr[v])
 		return float64(d*(d-1)/2-d+level[v])*float64(n) + float64(v)
 	}
-	var heap pq.Heap[graph.NodeID]
-	handle := make([]pq.Handle, n)
+	// A re-keyed node is pushed again under a new version; an entry whose
+	// version is not its node's current one is stale and skipped. The live
+	// entries keep their (key, push) order, as if the old one were removed.
+	type versioned struct {
+		v       graph.NodeID
+		version int32
+	}
+	var heap pq.Heap[versioned]
+	version := make([]int32, n)
 	for v := range nbr {
-		handle[v] = heap.Push(graph.NodeID(v), key(graph.NodeID(v)))
+		heap.Push(versioned{graph.NodeID(v), 0}, key(graph.NodeID(v)))
 	}
 	for {
-		v, _, ok := heap.Pop()
+		e, _, ok := heap.Pop()
 		if !ok {
 			return core, peeled
+		}
+		v := e.v
+		if e.version != version[v] {
+			continue
 		}
 		if len(nbr[v]) > elimCap || len(core) > 0 {
 			core = append(core, v) // the peel is over: the rest of the heap is the core
@@ -236,8 +244,8 @@ func eliminate(nbr [][]graph.NodeID) (core, peeled []graph.NodeID) {
 			}
 			nbr[u] = a
 			level[u] = max(level[u], level[v]+1)
-			heap.Remove(handle[u])
-			handle[u] = heap.Push(u, key(u))
+			version[u]++
+			heap.Push(versioned{u, version[u]}, key(u))
 		}
 		nbr[v] = nil
 	}
@@ -291,7 +299,7 @@ type buildScratch struct {
 // are re-checked at merge time.
 type buildCand struct {
 	node graph.NodeID
-	dist float64
+	dist graph.Dist
 }
 
 // sweepResult is the output of one batched sweep, indexed by the
@@ -385,13 +393,13 @@ func runBatch(jobs int, workers int, failed *atomic.Bool, scratch *sync.Pool, sw
 // (committed batches plus in-batch predecessors already merged). If no
 // candidate is covered by that label state, the speculative sweep made
 // exactly the pop decisions the sequential sweep would have — before the
-// first divergent decision distances are bit-equal, and the first
-// divergence is always a keep-vs-prune flip that shows up here as a covered
-// candidate — so the candidates commit as-is. Otherwise the exploration may
-// have relaxed edges the sequential build pruned, which can perturb later
-// distances in the last float bit; the whole sweep is redone sequentially
-// against the now-current labels. Either way the result is bit-identical to
-// the sequential build.
+// first divergent decision distances are equal, and the first divergence is
+// always a keep-vs-prune flip that shows up here as a covered candidate — so
+// the candidates commit as-is. Otherwise the exploration may have relaxed
+// edges the sequential build pruned, which can change the distances later
+// pops carry; the whole sweep is redone sequentially against the
+// now-current labels. Either way the result is bit-identical to the
+// sequential build.
 func mergeSweep(g graph.Access, h graph.NodeID, r *sweepResult, hub []Entry, into [][]Entry, mergeLP *landmarkProbe, mergeDS *dijkstraState, st *BuildStats) error {
 	if r.err != nil {
 		return r.err

@@ -34,8 +34,8 @@ func decodeSide(l *Labeling, s *labelSet) csr {
 	return c
 }
 
-// sameCSR compares two decoded sides bit for bit: identical offsets, hub
-// ids and float64 distances.
+// sameCSR compares two decoded sides exactly: identical offsets, hub ids
+// and distances.
 func sameCSR(t *testing.T, side string, a, b csr) {
 	t.Helper()
 	if len(a.offsets) != len(b.offsets) || len(a.entries) != len(b.entries) {
@@ -47,7 +47,7 @@ func sameCSR(t *testing.T, side string, a, b csr) {
 		}
 	}
 	for i, e := range a.entries {
-		if f := b.entries[i]; e.Hub != f.Hub || math.Float64bits(e.Dist) != math.Float64bits(f.Dist) {
+		if f := b.entries[i]; e != f {
 			t.Fatalf("%s: entry %d diverges: (%d,%v) vs (%d,%v)", side, i, e.Hub, e.Dist, f.Hub, f.Dist)
 		}
 	}
@@ -67,15 +67,16 @@ func sameLabeling(t *testing.T, want, got *Labeling) {
 
 // fingerprint is the SHA-256 of a labeling's CSR as label reads it back,
 // out side then in side (the same set twice when undirected): offsets, hub
-// ids as int32, and every distance as its math.Float64bits, little endian.
-// Equal fingerprints mean the labels are the same bits.
-func fingerprint(l *Labeling) string {
+// ids as int32, and every distance as the math.Float64bits of the float64 it
+// counts on the quantum 2^logQ, little endian. Equal fingerprints mean the
+// labels are the same.
+func fingerprint(l *Labeling, logQ int) string {
 	h := sha256.New()
 	for _, s := range []*labelSet{&l.out, &l.in} {
 		c := decodeSide(l, s)
 		hubs, dists := make([]int32, len(c.entries)), make([]uint64, len(c.entries))
 		for i, e := range c.entries {
-			hubs[i], dists[i] = int32(e.Hub), math.Float64bits(e.Dist)
+			hubs[i], dists[i] = int32(e.Hub), math.Float64bits(math.Ldexp(float64(e.Dist), logQ))
 		}
 		for _, field := range []any{c.offsets, hubs, dists} {
 			if err := binary.Write(h, binary.LittleEndian, field); err != nil {
@@ -105,7 +106,7 @@ func TestLabelingFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprint(l); got != c.want {
+		if got := fingerprint(l, c.g.LogQuantum()); got != c.want {
 			t.Errorf("%s: labeling fingerprint %s, pinned %s", c.name, got, c.want)
 		}
 	}
@@ -150,7 +151,7 @@ func TestFinalize(t *testing.T) {
 				hubs = hubs[:rng.Intn(n)+1]
 			}
 			for _, h := range hubs {
-				lists[v] = append(lists[v], Entry{Hub: graph.NodeID(h), Dist: rng.Float64()})
+				lists[v] = append(lists[v], Entry{Hub: graph.NodeID(h), Dist: graph.Dist(rng.Int63n(1 << 53))})
 			}
 		}
 		return lists
@@ -165,15 +166,9 @@ func TestFinalize(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 5, 64, 300} {
 		out, in := random(n), random(n)
-		und, err := newLabeling(n, false, out, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		und := newLabeling(n, false, out, nil)
 		sameCSR(t, "undirected", reference(out), decodeSide(und, &und.out))
-		dir, err := newLabeling(n, true, out, in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dir := newLabeling(n, true, out, in)
 		sameCSR(t, "out", reference(out), decodeSide(dir, &dir.out))
 		sameCSR(t, "in", reference(in), decodeSide(dir, &dir.in))
 	}
@@ -181,16 +176,12 @@ func TestFinalize(t *testing.T) {
 
 // TestLabelWidths pins the packed entry layout: hub ids take the bytes of
 // n−1, distances the bytes of their largest count of the side's unit, each
-// side its own widths, and a side that cannot be packed is refused, never
-// stored as other bits.
+// side its own widths and unit.
 func TestLabelWidths(t *testing.T) {
 	for _, c := range []struct{ n, hubW int }{{1, 1}, {256, 1}, {257, 2}, {65536, 2}, {65537, 3}} {
 		lists := make([][]Entry, c.n)
 		lists[0] = []Entry{{Hub: graph.NodeID(c.n - 1), Dist: 3}}
-		l, err := newLabeling(c.n, false, lists, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := newLabeling(c.n, false, lists, nil)
 		if l.out.hubW != c.hubW || l.out.width != c.hubW+1 {
 			t.Errorf("n = %d: hub width %d, entry width %d; want %d and %d", c.n, l.out.hubW, l.out.width, c.hubW, c.hubW+1)
 		}
@@ -208,47 +199,30 @@ func TestLabelWidths(t *testing.T) {
 		t.Errorf("zero-weight cluster: %d distance bytes, want 0", zero.out.width-zero.out.hubW)
 	}
 	for _, e := range decodeSide(zero, &zero.out).entries {
-		if math.Float64bits(e.Dist) != 0 {
+		if e.Dist != 0 {
 			t.Fatalf("zero-weight cluster: hub %d at distance %v", e.Hub, e.Dist)
 		}
 	}
 
-	// Two sides, two widths: out's counts of 1 fit a byte, in's counts of
-	// ½ need three; both read back bit for bit.
-	out := [][]Entry{{{Hub: 0, Dist: 0}, {Hub: 2, Dist: 3}}, {{Hub: 1, Dist: 0}}, {{Hub: 2, Dist: 0}, {Hub: 0, Dist: 255}}}
-	in := [][]Entry{{{Hub: 1, Dist: 1e6 + 0.5}, {Hub: 0, Dist: 0}}, {{Hub: 1, Dist: 0}}, {}}
-	dir, err := newLabeling(3, true, out, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir.out.width != 1+1 || dir.in.width != 1+3 || dir.out.unit != 1 || dir.in.unit != 0.5 {
-		t.Errorf("directed: widths %d / %d, units %v / %v; want 2 / 4, 1 / 0.5", dir.out.width, dir.in.width, dir.out.unit, dir.in.unit)
+	// Two sides, two widths: out's counts of 2 fit a byte, in's counts of
+	// 1 need three; both read back exactly.
+	out := [][]Entry{{{Hub: 0, Dist: 0}, {Hub: 2, Dist: 6}}, {{Hub: 1, Dist: 0}}, {{Hub: 2, Dist: 0}, {Hub: 0, Dist: 510}}}
+	in := [][]Entry{{{Hub: 1, Dist: 2000001}, {Hub: 0, Dist: 0}}, {{Hub: 1, Dist: 0}}, {}}
+	dir := newLabeling(3, true, out, in)
+	if dir.out.width != 1+1 || dir.in.width != 1+3 || dir.out.shift != 1 || dir.in.shift != 0 {
+		t.Errorf("directed: widths %d / %d, shifts %d / %d; want 2 / 4, 1 / 0", dir.out.width, dir.in.width, dir.out.shift, dir.in.shift)
 	}
 	byHub := func(a, b Entry) int { return cmp.Compare(a.Hub, b.Hub) }
 	sameCSR(t, "out", csr{offsets: []int32{0, 2, 3, 5}, entries: slices.Concat(out[0], out[1], slices.SortedFunc(slices.Values(out[2]), byHub))}, decodeSide(dir, &dir.out))
 	sameCSR(t, "in", csr{offsets: []int32{0, 2, 3, 3}, entries: slices.Concat(slices.SortedFunc(slices.Values(in[0]), byHub), in[1])}, decodeSide(dir, &dir.in))
 
 	// An empty side maps nothing and reads empty labels.
-	empty, err := newLabeling(3, true, out, make([][]Entry, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := newLabeling(3, true, out, make([][]Entry, 3))
 	if len(empty.in.entries) != 0 || empty.in.bytes() != 4*4 {
 		t.Errorf("empty side: %d entry bytes, size %d; want 0 and the offsets' 16", len(empty.in.entries), empty.in.bytes())
 	}
 	if got, err := empty.InLabel(2, nil); err != nil || len(got) != 0 {
 		t.Errorf("empty side: InLabel read %v, %v", got, err)
-	}
-
-	// A unit of 2^-70 under a distance of 2^10 needs 81-bit counts; BuildOpt
-	// refuses the labeling. So do distances with no count at all.
-	if _, _, err := BuildOpt(newArcGraph([][]float64{{inf, 0x1p-70, inf}, {0x1p-70, inf, 0x1p10}, {inf, 0x1p10, inf}}), BuildOptions{}); err == nil {
-		t.Error("labels with distances 2^-70 and 2^10 were built")
-	}
-	for _, d := range []float64{-1, math.Copysign(0, -1), inf, math.NaN()} {
-		if _, err := newLabeling(1, false, [][]Entry{{{Hub: 0, Dist: d}}}, nil); err == nil {
-			t.Errorf("a label distance %v was packed", d)
-		}
 	}
 
 	if testing.Short() || raceEnabled {
@@ -262,8 +236,8 @@ func TestLabelWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.out.hubW != 2 || l.out.width != 2+6 || l.out.unit != road.Quantum() {
-		t.Errorf("road-20K: hub width %d, entry width %d, unit %v; want 2, 8 and the quantum %v", l.out.hubW, l.out.width, l.out.unit, road.Quantum())
+	if l.out.hubW != 2 || l.out.width != 2+6 || l.out.shift != 0 {
+		t.Errorf("road-20K: hub width %d, entry width %d, shift %d; want 2, 8 and 0 (the unit is the quantum)", l.out.hubW, l.out.width, l.out.shift)
 	}
 }
 
@@ -490,7 +464,7 @@ func TestLandmarkOrderLabelSizes(t *testing.T) {
 			}
 		}
 	}
-	if got, want := fingerprint(seq), "1fab447476dbcc996012ba480e2d0a8e4834035b1bfe9ec5e1d26975db36d810"; got != want {
+	if got, want := fingerprint(seq, road.LogQuantum()), "1fab447476dbcc996012ba480e2d0a8e4834035b1bfe9ec5e1d26975db36d810"; got != want {
 		t.Errorf("road-20K: labeling fingerprint %s, pinned %s", got, want)
 	}
 	for _, workers := range []int{2, 4, 8} {

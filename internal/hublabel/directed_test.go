@@ -119,7 +119,7 @@ func TestOneWayLabelingAllPairs(t *testing.T) {
 	for u := graph.NodeID(0); int(u) < side*side; u++ {
 		adj, _ = grid.Adjacency(u, adj)
 		for _, e := range adj {
-			if err := b.AddArc(u, e.To, e.W); err != nil {
+			if err := b.AddArc(u, e.To, grid.Float(e.W)); err != nil {
 				t.Fatal(err)
 			}
 		}

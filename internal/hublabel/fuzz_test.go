@@ -1,6 +1,7 @@
 package hublabel
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -20,6 +21,9 @@ type arcGraph struct {
 
 func (g *arcGraph) NumNodes() int { return len(g.adj) }
 
+// LogQuantum is 0: the weights are whole counts of 1.
+func (g *arcGraph) LogQuantum() int { return 0 }
+
 func (g *arcGraph) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, error) {
 	return append(buf[:0], g.adj[n]...), nil
 }
@@ -31,7 +35,8 @@ func (g *arcGraph) In() graph.Access {
 	return g.rev
 }
 
-// newArcGraph builds the graph of a weight matrix, +Inf meaning no arc.
+// newArcGraph builds the graph of a matrix of whole weights, +Inf meaning
+// no arc.
 func newArcGraph(w [][]float64) *arcGraph {
 	n := len(w)
 	g, rev := &arcGraph{adj: make([][]graph.Edge, n)}, &arcGraph{adj: make([][]graph.Edge, n)}
@@ -39,8 +44,8 @@ func newArcGraph(w [][]float64) *arcGraph {
 	for u := range w {
 		for v, d := range w[u] {
 			if !math.IsInf(d, 1) {
-				g.adj[u] = append(g.adj[u], graph.Edge{To: graph.NodeID(v), W: d})
-				rev.adj[v] = append(rev.adj[v], graph.Edge{To: graph.NodeID(u), W: d})
+				g.adj[u] = append(g.adj[u], graph.Edge{To: graph.NodeID(v), W: graph.Dist(d)})
+				rev.adj[v] = append(rev.adj[v], graph.Edge{To: graph.NodeID(u), W: graph.Dist(d)})
 			}
 			symmetric = symmetric && d == w[v][u]
 		}
@@ -172,10 +177,11 @@ func FuzzHubLabelAgreement(f *testing.F) {
 
 // FuzzLabelFile feeds arbitrary bytes, cut into 64-byte pages, to
 // OpenStoreBuffer and then to every label read and the page copy: each
-// returns an error or labels whose hubs are below n and ascending — never a
-// panic, never an allocation the file's size does not bound. The seeds are a
-// healthy two-sided file, the same file with every hub id past the graph,
-// and its offsets cut short.
+// returns an error or labels whose hubs are below n and ascending and whose
+// distances are counts below graph.Inf — never a panic, never an allocation
+// the file's size does not bound. The seeds are a healthy two-sided file,
+// the same file with every hub id past the graph, its offsets cut short, and
+// its out side's unit set to 2^1000.
 func FuzzLabelFile(f *testing.F) {
 	const pageSize = 64
 	w := [][]float64{ // a one-way ring with two chords and a zero-weight arc
@@ -213,9 +219,12 @@ func FuzzLabelFile(f *testing.F) {
 			copy(badHubs[at:], hubBytes(set, 1<<(8*set.hubW)-1))
 		}
 	}
+	coarse := slices.Clone(healthy)
+	binary.LittleEndian.PutUint16(coarse[sideAt+2:], 1000)
 	f.Add(healthy)
 	f.Add(badHubs)
 	f.Add(healthy[:pageSize+4*l.NumNodes()/2])
+	f.Add(coarse)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := storage.NewMemFile(pageSize)
@@ -239,6 +248,9 @@ func FuzzLabelFile(f *testing.F) {
 				for i, e := range buf {
 					if e.Hub < 0 || int(e.Hub) >= s.NumNodes() || i > 0 && e.Hub <= buf[i-1].Hub {
 						t.Fatalf("node %d: hub %d at entry %d of %v, %d nodes", v, e.Hub, i, buf, s.NumNodes())
+					}
+					if e.Dist >= graph.Inf {
+						t.Fatalf("node %d: entry %d of %v is no count below graph.Inf", v, i, buf)
 					}
 				}
 			}

@@ -18,11 +18,11 @@ import (
 )
 
 // dijkstra computes single-source distances over an Access.
-func dijkstra(g graph.Access, src graph.NodeID) []float64 {
+func dijkstra(g graph.Access, src graph.NodeID) []graph.Dist {
 	n := g.NumNodes()
-	dist := make([]float64, n)
+	dist := make([]graph.Dist, n)
 	for i := range dist {
-		dist[i] = math.Inf(1)
+		dist[i] = graph.Inf
 	}
 	st := newDijkstraState(n)
 	st.begin()
@@ -103,7 +103,7 @@ func buildSeq(g graph.Access) (*Labeling, error) {
 
 // labelDist computes d(u→v) from the labels: the minimum of d(u→h) + d(h→v)
 // over common hubs, +Inf when the pair shares no hub (disconnected).
-func labelDist(src Source, u, v graph.NodeID, outBuf, inBuf []Entry) (float64, error) {
+func labelDist(src Source, u, v graph.NodeID, outBuf, inBuf []Entry) (graph.Dist, error) {
 	lu, err := src.OutLabel(u, outBuf)
 	if err != nil {
 		return 0, err
@@ -115,9 +115,9 @@ func labelDist(src Source, u, v graph.NodeID, outBuf, inBuf []Entry) (float64, e
 	return mergeDist(lu, lv), nil
 }
 
-// sameDist compares distances exactly: on the graph's quantum a label sum
-// and a Dijkstra sum of one length are the same float64 (graph.Builder).
-func sameDist(a, b float64) bool { return a == b }
+// sameDist compares distances exactly: a label sum and a Dijkstra sum of one
+// length are the same count of the graph's quantum (graph.Builder).
+func sameDist(a, b graph.Dist) bool { return a == b }
 
 // testDigraph orients a generated graph with asymmetric weights.
 func testDigraph(t *testing.T, seed int64) *graph.Graph {
@@ -128,11 +128,11 @@ func testDigraph(t *testing.T, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	b := graph.NewBuilder(g.NumNodes())
-	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		if err := b.AddArc(u, v, w*(0.5+rng.Float64())); err != nil {
+	g.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
+		if err := b.AddArc(u, v, g.Float(w)*(0.5+rng.Float64())); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddArc(v, u, w*(0.5+rng.Float64())); err != nil {
+		if err := b.AddArc(v, u, g.Float(w)*(0.5+rng.Float64())); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -494,6 +494,7 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 		{"hub ids of 5 bytes", "corrupt label file", header(sideAt, 5, 9)},
 		{"distances of 9 bytes", "corrupt label file", header(sideAt+1, byte(healthy.out.hubW+9))},
 		{"unit off the quantum", "off the quantum", header(sideAt+2, binary.LittleEndian.AppendUint16(nil, uint16(offGrid))...)},
+		{"unit 2^1000", "past 2^63", header(sideAt+2, binary.LittleEndian.AppendUint16(nil, 1000)...)},
 		{"offsets past the file", "run past", header(16, 0xff, 0xff, 0xff, 0x7f)},
 		{"truncated offsets", "run past", func(f *storage.MemFile) { *f = *cut(t, writeFile(t, l, 512), 3) }},
 		{"first offset not 0", "corrupt label file", offset(0, 1)},
@@ -603,7 +604,7 @@ func newTruth(g graph.Access, ps *points.NodeSet, hidden points.PointID, sites *
 	for u := range g.NumNodes() {
 		adj, _ = g.Adjacency(graph.NodeID(u), adj) // every graph here is in memory
 		for _, e := range adj {
-			arcs = append(arcs, oracle.Arc{U: u, V: int(e.To), W: e.W})
+			arcs = append(arcs, oracle.Arc{U: u, V: int(e.To), W: math.Ldexp(float64(e.W), g.LogQuantum())})
 		}
 	}
 	locs := func(s *points.NodeSet, hidden points.PointID) ([]points.PointID, []oracle.Loc) {

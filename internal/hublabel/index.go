@@ -32,8 +32,8 @@ import (
 // the sum d(p→h) + d(h→q) only rises while M only falls: the scan of a list
 // ends at the first entry whose sum exceeds its bound, and before that skips
 // every entry whose sum exceeds its own point's reach. Both tests compare
-// the very float64 sum that becomes the query distance, so pruning is
-// epsilon-free and the answer bit-identical to an unpruned scan.
+// the very count sum that becomes the query distance, so pruning is
+// epsilon-free and the answer identical to an unpruned scan.
 //
 // The invariant is M[i] >= max reach(list[i:]) for every list at every
 // moment a query can run. A bound that errs upwards only scans further; one
@@ -70,21 +70,22 @@ type Index struct {
 
 	// thr[p] holds the up-to-maxK+1 nearest other points of p by outgoing
 	// distance, ascending (distance, id) — the materialized k-NN
-	// thresholds. reach[p] is the distance of slot maxK+1, +Inf while the
-	// list is shorter (nothing may be pruned on it) and for dead ids.
+	// thresholds. reach[p] is the distance of slot maxK+1, graph.Inf while
+	// the list is shorter (nothing may be pruned on it) and for dead ids.
 	thr   [][]pointEnt
-	reach []float64
+	reach []graph.Dist
 
 	scratch sync.Pool // *qscratch
 }
 
 // pointEnt pairs a point with a distance. On a forward hub list M bounds the
-// reach of the entry's point and of every point after it from above; it
-// lives in what would be padding, and is zero everywhere else.
+// reach of the entry's point and of every point after it from above, a
+// count rounded up to a float32; it lives in what would be padding, and is
+// zero everywhere else.
 type pointEnt struct {
 	P points.PointID
 	M float32
-	D float64
+	D graph.Dist
 }
 
 // PointOnNode seeds an Index with one point.
@@ -161,9 +162,9 @@ func NewIndex(src Source, maxK int, pts []PointOnNode) (*Index, error) {
 	// Materialize thresholds once the lists are complete, then the bounds
 	// once every reach is known.
 	idx.thr = make([][]pointEnt, len(idx.nodes))
-	idx.reach = make([]float64, len(idx.nodes))
+	idx.reach = make([]graph.Dist, len(idx.nodes))
 	for p, n := range idx.nodes {
-		idx.reach[p] = math.Inf(1)
+		idx.reach[p] = graph.Inf
 		if n < 0 {
 			continue
 		}
@@ -237,10 +238,10 @@ func (idx *Index) Points() []points.PointID {
 // --- Reach bounds ----------------------------------------------------------
 
 // reachOf returns the reach a threshold list certifies: the distance of slot
-// maxK+1, +Inf while the list is shorter.
-func (idx *Index) reachOf(t []pointEnt) float64 {
+// maxK+1, graph.Inf while the list is shorter.
+func (idx *Index) reachOf(t []pointEnt) graph.Dist {
 	if len(t) <= idx.maxK {
-		return math.Inf(1)
+		return graph.Inf
 	}
 	return t[idx.maxK].D
 }
@@ -249,11 +250,14 @@ func (idx *Index) reachOf(t []pointEnt) float64 {
 // where a huge maxK would wrap around.
 func (idx *Index) slots() int { return max(idx.maxK, idx.maxK+1) }
 
-// up32 rounds x up to a float32: a bound may exceed the reach it covers,
-// never fall below it.
-func up32(x float64) float32 {
+// up32 rounds x up to a float32, graph.Inf to +Inf: a bound may exceed the
+// reach it covers, never fall below it.
+func up32(x graph.Dist) float32 {
+	if x == graph.Inf {
+		return float32(math.Inf(1))
+	}
 	f := float32(x)
-	if float64(f) < x {
+	if float64(f) < float64(x) {
 		f = math.Nextafter32(f, float32(math.Inf(1)))
 	}
 	return f
@@ -297,7 +301,7 @@ func (idx *Index) reboundPoint(p points.PointID, label []Entry) {
 type cursor struct{ list, pos int32 }
 
 type qscratch struct {
-	pdist   []float64 // per point: tentative d(p→q)
+	pdist   []graph.Dist // per point: tentative d(p→q)
 	stamp   []uint32
 	ep      uint32
 	touched []points.PointID
@@ -307,13 +311,13 @@ type qscratch struct {
 
 	lab1, lab2 []Entry
 	lists      [][]pointEnt
-	labelDist  []float64 // hub distance of each merge list
+	labelDist  []graph.Dist // hub distance of each merge list
 	heap       pq.Heap[cursor]
 }
 
 func (sc *qscratch) grow(n int) {
 	if len(sc.pdist) < n {
-		sc.pdist = make([]float64, n)
+		sc.pdist = make([]graph.Dist, n)
 		sc.stamp = make([]uint32, n)
 		sc.mark = make([]uint32, n)
 		sc.ep, sc.mep = 0, 0
@@ -367,7 +371,7 @@ func (idx *Index) relax(sc *qscratch, st *core.Stats, label []Entry) {
 		scanned := len(list)
 		for i, pe := range list {
 			d := pe.D + e.Dist
-			if d > float64(pe.M) {
+			if float64(d) > float64(pe.M) {
 				scanned = i
 				break // d rises and M falls from here on
 			}
@@ -392,7 +396,7 @@ func (idx *Index) relax(sc *qscratch, st *core.Stats, label []Entry) {
 // label's hubs in ascending distance order, calling visit once per distinct
 // point with its exact distance. visit returns false to stop. bound, when
 // finite, stops the merge at the first candidate >= bound.
-func (idx *Index) mergeRun(sc *qscratch, st *core.Stats, label []Entry, bound float64, visit func(p points.PointID, d float64) bool) {
+func (idx *Index) mergeRun(sc *qscratch, st *core.Stats, label []Entry, bound graph.Dist, visit func(p points.PointID, d graph.Dist) bool) {
 	sc.beginMerge()
 	sc.lists = sc.lists[:0]
 	sc.labelDist = sc.labelDist[:0]
@@ -409,10 +413,11 @@ func (idx *Index) mergeRun(sc *qscratch, st *core.Stats, label []Entry, bound fl
 		li := int32(len(sc.lists))
 		sc.lists = append(sc.lists, list)
 		sc.labelDist = append(sc.labelDist, e.Dist)
-		sc.heap.Push(cursor{list: li, pos: 0}, key)
+		sc.heap.Push(cursor{list: li, pos: 0}, float64(key))
 	}
 	for {
-		cur, key, ok := sc.heap.Pop()
+		cur, k, ok := sc.heap.Pop()
+		key := graph.Dist(k)
 		if !ok || key >= bound {
 			return
 		}
@@ -421,7 +426,7 @@ func (idx *Index) mergeRun(sc *qscratch, st *core.Stats, label []Entry, bound fl
 		pe := list[cur.pos]
 		if next := cur.pos + 1; int(next) < len(list) {
 			if nk := sc.labelDist[cur.list] + list[next].D; nk < bound {
-				sc.heap.Push(cursor{list: cur.list, pos: next}, nk)
+				sc.heap.Push(cursor{list: cur.list, pos: next}, float64(nk))
 			}
 		}
 		if sc.mark[pe.P] == sc.mep {
@@ -441,7 +446,7 @@ func (idx *Index) mergeRun(sc *qscratch, st *core.Stats, label []Entry, bound fl
 // never holds more than the live points, so they size it, not k.
 func (idx *Index) topK(sc *qscratch, st *core.Stats, label []Entry, k int, skip points.PointID) []pointEnt {
 	out := make([]pointEnt, 0, min(k, idx.live))
-	idx.mergeRun(sc, st, label, math.Inf(1), func(p points.PointID, d float64) bool {
+	idx.mergeRun(sc, st, label, graph.Inf, func(p points.PointID, d graph.Dist) bool {
 		if p == skip {
 			return true
 		}
@@ -458,9 +463,9 @@ func (idx *Index) topK(sc *qscratch, st *core.Stats, label []Entry, k int, skip 
 // countCloser counts points strictly closer to node n than bound (by
 // outgoing distance), excluding skip, stopping at k — the bichromatic
 // verifier. The label is L_out(n), already fetched by the caller.
-func (idx *Index) countCloser(sc *qscratch, st *core.Stats, label []Entry, bound float64, k int, skip points.PointID) int {
+func (idx *Index) countCloser(sc *qscratch, st *core.Stats, label []Entry, bound graph.Dist, k int, skip points.PointID) int {
 	count := 0
-	idx.mergeRun(sc, st, label, bound, func(p points.PointID, d float64) bool {
+	idx.mergeRun(sc, st, label, bound, func(p points.PointID, d graph.Dist) bool {
 		if p == skip {
 			return true
 		}
@@ -562,7 +567,7 @@ func (idx *Index) decide(ec *exec.Ctx, sc *qscratch, st *core.Stats, k int, hidd
 // by counting the visible stored neighbors strictly closer than dq. The
 // count is conclusive in every case (see Index): it is exact unless dq lies
 // beyond a full list, and there it is at least maxK.
-func (idx *Index) thresholdTest(st *core.Stats, p points.PointID, dq float64, k int, hidden points.PointID) bool {
+func (idx *Index) thresholdTest(st *core.Stats, p points.PointID, dq graph.Dist, k int, hidden points.PointID) bool {
 	t := idx.thr[p]
 	st.LabelEntries += int64(len(t))
 	strict := 0
@@ -610,7 +615,7 @@ func (idx *Index) BichromaticRkNNExec(ec *exec.Ctx, cands points.NodeView, q gra
 		st.LabelReads++
 		st.LabelEntries += int64(len(sc.lab2))
 		dcq := mergeDist(sc.lab2, sc.lab1)
-		if math.IsInf(dcq, 1) {
+		if dcq == graph.Inf {
 			continue // cannot reach the query: never a member
 		}
 		if idx.countCloser(sc, &st, sc.lab2, dcq, k, hiddenSite) < k {
@@ -675,7 +680,7 @@ func (idx *Index) Insert(p points.PointID, n graph.NodeID) (core.Stats, error) {
 	for len(idx.nodes) <= int(p) {
 		idx.nodes = append(idx.nodes, -1)
 		idx.thr = append(idx.thr, nil)
-		idx.reach = append(idx.reach, math.Inf(1))
+		idx.reach = append(idx.reach, graph.Inf)
 	}
 	sc.grow(len(idx.nodes))
 	// The new point joins the lists with its thresholds known and its reach
@@ -778,7 +783,7 @@ func (idx *Index) Delete(p points.PointID) (core.Stats, error) {
 	idx.nodes[p] = -1
 	idx.live--
 	idx.thr[p] = nil
-	idx.reach[p] = math.Inf(1)
+	idx.reach[p] = graph.Inf
 
 	// The holders refill from the repaired lists; a reach that grew raises
 	// the bounds of its point's lists with the label the refill just used.

@@ -54,7 +54,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -64,10 +63,11 @@ import (
 )
 
 // Entry is one hub label entry: a hub node and the distance between the
-// labeled node and the hub (direction depends on the label side).
+// labeled node and the hub (direction depends on the label side), a count of
+// the graph's quantum.
 type Entry struct {
 	Hub  graph.NodeID
-	Dist float64
+	Dist graph.Dist
 }
 
 // Source serves per-node labels to the query side, either from memory
@@ -86,11 +86,11 @@ type Source interface {
 
 // labelSet is a CSR bundle of per-node labels sorted by hub id, packed at
 // the width the side needs. Entry i of the side is the width bytes at
-// entries[i·width:]: the hub id in hubW bytes, then the distance as a count
-// of unit in width − hubW bytes, both little endian. unit is the largest
-// power of two dividing every distance of the side — at least the graph's
-// quantum on a graph.Builder graph — so float64(count)·unit is the distance
-// bit for bit. Built by finalize, entries lives in a read-only mapping
+// entries[i·width:]: the hub id in hubW bytes, then the distance shifted
+// right by shift in width − hubW bytes, both little endian. 2^shift is the
+// side's unit, the largest power of two dividing every distance of the side
+// (a count of the graph's quantum), so a distance is its field shifted back
+// left. Built by finalize, entries lives in a read-only mapping
 // outside the Go heap where the platform has one (newLabelMem), owned by the
 // enclosing Labeling: it is read only through a *labelSet into that Labeling
 // and never handed out. It runs labelSlack bytes past the last entry, so
@@ -99,7 +99,7 @@ type labelSet struct {
 	offsets     []int32
 	entries     []byte
 	hubW, width int
-	unit        float64
+	shift       uint
 }
 
 // labelSlack is what a side's entries run past its last entry: an 8-byte
@@ -123,21 +123,21 @@ func (s *labelSet) label(n graph.NodeID, buf []Entry) []Entry {
 // with fewer values live, its locals stay in registers instead of spilling
 // to the stack on every entry.
 func (s *labelSet) decode(buf []Entry, b []byte) {
-	w, hubW, unit := s.width, s.hubW, s.unit
+	w, hubW, shift := s.width, s.hubW, s.shift&63
 	hubMask, distMask := fieldMask(hubW), fieldMask(w-hubW)
 	// hubW < 8: the &63 only spares the shift its range check.
 	distShift := uint(8*hubW) & 63
 	if w <= 8 { // one load holds the whole entry
 		for i, at := 0, 0; i < len(buf); i, at = i+1, at+w {
 			x := binary.LittleEndian.Uint64(b[at:])
-			buf[i] = Entry{Hub: graph.NodeID(x & hubMask), Dist: float64(int64(x>>distShift&distMask)) * unit}
+			buf[i] = Entry{Hub: graph.NodeID(x & hubMask), Dist: graph.Dist(x>>distShift&distMask) << shift}
 		}
 		return
 	}
 	for i, at := 0, 0; i < len(buf); i, at = i+1, at+w {
 		buf[i] = Entry{
 			Hub:  graph.NodeID(binary.LittleEndian.Uint64(b[at:]) & hubMask),
-			Dist: float64(int64(binary.LittleEndian.Uint64(b[at+hubW:])&distMask)) * unit,
+			Dist: graph.Dist(binary.LittleEndian.Uint64(b[at+hubW:])&distMask) << shift,
 		}
 	}
 }
@@ -153,7 +153,7 @@ func (s *labelSet) bytes() int64 {
 }
 
 // Labeling is an immutable in-memory 2-hop labeling. A Store embeds one
-// without entries — offsets, widths and units only — for its counts.
+// without entries — offsets, widths and shifts only — for its counts.
 type Labeling struct {
 	numNodes int
 	directed bool
@@ -164,23 +164,18 @@ type Labeling struct {
 // one reads only out. Each side's entries are sealed read-only and handed to
 // the labeling, which unmaps them once it is unreachable; Close on an index
 // over it does not, so a query still holding a retired index reads valid
-// labels. It fails when a side's distances cannot be packed (finalize).
-func newLabeling(n int, directed bool, out, in [][]Entry) (*Labeling, error) {
+// labels.
+func newLabeling(n int, directed bool, out, in [][]Entry) *Labeling {
 	l := &Labeling{numNodes: n, directed: directed}
 	var mapped bool
-	var err error
-	if l.out, mapped, err = finalize(n, out); err != nil {
-		return nil, err
-	}
+	l.out, mapped = finalize(n, out)
 	l.seal(&l.out, mapped)
 	l.in = l.out
 	if directed {
-		if l.in, mapped, err = finalize(n, in); err != nil {
-			return nil, err
-		}
+		l.in, mapped = finalize(n, in)
 		l.seal(&l.in, mapped)
 	}
-	return l, nil
+	return l
 }
 
 // NumNodes implements Source.
@@ -236,9 +231,10 @@ func (l *Labeling) AverageLabelSize() float64 {
 	return float64(l.Entries()) / float64(l.numNodes*sides)
 }
 
-// mergeDist intersects two labels sorted by hub id.
-func mergeDist(a, b []Entry) float64 {
-	best := math.Inf(1)
+// mergeDist intersects two labels sorted by hub id; graph.Inf when they
+// share no hub.
+func mergeDist(a, b []Entry) graph.Dist {
+	best := graph.Inf
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -264,14 +260,14 @@ func mergeDist(a, b []Entry) float64 {
 // a dense hub-indexed array once per sweep, so no merge runs at pop time, and
 // the cover test stops at the first covering hub.
 type landmarkProbe struct {
-	hd     []float64      // d(landmark, hub); +Inf where the loaded label has no entry
+	hd     []graph.Dist   // d(landmark, hub); graph.Inf where the loaded label has no entry
 	loaded []graph.NodeID // hubs of the loaded label, to clear hd on the next load
 }
 
 func newLandmarkProbe(n int) *landmarkProbe {
-	lp := &landmarkProbe{hd: make([]float64, n)}
+	lp := &landmarkProbe{hd: make([]graph.Dist, n)}
 	for i := range lp.hd {
-		lp.hd[i] = math.Inf(1)
+		lp.hd[i] = graph.Inf
 	}
 	return lp
 }
@@ -279,7 +275,7 @@ func newLandmarkProbe(n int) *landmarkProbe {
 // load installs the landmark-side label for the coming sweep.
 func (lp *landmarkProbe) load(label []Entry) {
 	for _, h := range lp.loaded {
-		lp.hd[h] = math.Inf(1)
+		lp.hd[h] = graph.Inf
 	}
 	lp.loaded = lp.loaded[:0]
 	for _, e := range label {
@@ -294,9 +290,9 @@ func (lp *landmarkProbe) load(label []Entry) {
 // labeled distance is at most dist", decided at the first covering hub —
 // labels grow in rank order, so a covered node usually meets its covering
 // high-rank hub among its first entries.
-func (lp *landmarkProbe) covers(label []Entry, dist float64) bool {
+func (lp *landmarkProbe) covers(label []Entry, dist graph.Dist) bool {
 	for _, e := range label {
-		if lp.hd[e.Hub]+e.Dist <= dist {
+		if lp.hd[e.Hub].Add(e.Dist) <= dist {
 			return true
 		}
 	}
@@ -307,7 +303,7 @@ func (lp *landmarkProbe) covers(label []Entry, dist float64) bool {
 // popped distance plus a non-negative weight, so the queue is monotone and
 // pops in the (distance, push) order a pq.Heap would.
 type dijkstraState struct {
-	dist  []float64
+	dist  []graph.Dist
 	seen  []uint32
 	done  []uint32
 	ep    uint32
@@ -316,7 +312,7 @@ type dijkstraState struct {
 }
 
 func newDijkstraState(n int) *dijkstraState {
-	return &dijkstraState{dist: make([]float64, n), seen: make([]uint32, n), done: make([]uint32, n)}
+	return &dijkstraState{dist: make([]graph.Dist, n), seen: make([]uint32, n), done: make([]uint32, n)}
 }
 
 func (d *dijkstraState) begin() {
@@ -332,7 +328,7 @@ func (d *dijkstraState) begin() {
 
 // push offers n at dist; it reports whether the label improved (used by the
 // centrality ordering to maintain shortest-path-tree parents).
-func (d *dijkstraState) push(n graph.NodeID, dist float64) bool {
+func (d *dijkstraState) push(n graph.NodeID, dist graph.Dist) bool {
 	if d.done[n] == d.ep {
 		return false
 	}
@@ -341,11 +337,11 @@ func (d *dijkstraState) push(n graph.NodeID, dist float64) bool {
 	}
 	d.seen[n] = d.ep
 	d.dist[n] = dist
-	d.queue.Push(n, dist)
+	d.queue.Push(n, uint64(dist))
 	return true
 }
 
-func (d *dijkstraState) pop() (graph.NodeID, float64, bool) {
+func (d *dijkstraState) pop() (graph.NodeID, graph.Dist, bool) {
 	for {
 		n, dist, ok := d.queue.Pop()
 		if !ok {
@@ -355,7 +351,7 @@ func (d *dijkstraState) pop() (graph.NodeID, float64, bool) {
 			continue
 		}
 		d.done[n] = d.ep
-		return n, dist, true
+		return n, graph.Dist(dist), true
 	}
 }
 
@@ -456,32 +452,18 @@ func prunedSweep(g graph.Access, h graph.NodeID, lp *landmarkProbe, into [][]Ent
 // every entry under its hub, and reading the hubs in id order then hands each
 // node its entries by hub id. A node holds at most one entry per hub, so no
 // ties arise. The sorted entries are packed straight into the bytes of
-// newLabelMem at the side's widths (labelSet); finalize reports whether
-// those bytes are a mapping. A side whose distances are not finite and
-// non-negative, or whose counts of the unit would need more than 63 bits,
-// is refused: no graph.Builder graph has one, as every distance is a
-// multiple of its quantum Q below 2^53·Q.
-func finalize(n int, entries [][]Entry) (labelSet, bool, error) {
+// newLabelMem at the side's widths (labelSet): the unit is the lowest bit set
+// in any distance of the side, the distance bytes those of the widest count
+// of it. finalize reports whether those bytes are a mapping.
+func finalize(n int, entries [][]Entry) (labelSet, bool) {
 	offsets := make([]int32, n+1) // node-major
 	byHub := make([]int32, n+1)   // hub-major
-	// Every positive distance is m·2^e with m odd: low is the least such e
-	// (the unit's exponent), high the largest e + bit length of m.
-	low, high := math.MaxInt, math.MinInt
+	var all graph.Dist            // every distance's bits
 	for v, label := range entries {
 		offsets[v+1] = offsets[v] + int32(len(label))
 		for _, e := range label {
 			byHub[e.Hub+1]++
-			switch {
-			case math.Float64bits(e.Dist) == 0: // +0 is a count of 0 at any unit
-				continue
-			case !(e.Dist > 0) || math.IsInf(e.Dist, 1):
-				return labelSet{}, false, fmt.Errorf("hublabel: label distance %v of node %d is not finite and non-negative", e.Dist, v)
-			}
-			frac, exp := math.Frexp(e.Dist) // e.Dist = frac·2^exp, frac in [½, 1)
-			m := math.Float64bits(frac)&(1<<52-1) | 1<<52
-			tz := bits.TrailingZeros64(m)
-			low = min(low, exp-53+tz)
-			high = max(high, exp)
+			all |= e.Dist
 		}
 	}
 	for h := range n {
@@ -489,20 +471,15 @@ func finalize(n int, entries [][]Entry) (labelSet, bool, error) {
 	}
 	total := offsets[n]
 
-	s := labelSet{offsets: offsets, hubW: max(1, byteLen(uint64(max(n-1, 0)))), unit: 1}
-	distW := 0
-	if low <= high {
-		if high-low > 63 {
-			return labelSet{}, false, fmt.Errorf("hublabel: label distances need %d-bit counts of their unit 2^%d, more than 63", high-low, low)
-		}
-		s.unit = math.Ldexp(1, low)
-		distW = (high - low + 7) / 8
+	s := labelSet{offsets: offsets, hubW: max(1, byteLen(uint64(max(n-1, 0))))}
+	if all != 0 {
+		s.shift = uint(bits.TrailingZeros64(uint64(all)))
 	}
-	s.width = s.hubW + distW
+	s.width = s.hubW + byteLen(uint64(all>>s.shift))
 
 	// Node-major → hub-major: each hub's entries, by node id.
 	owner := make([]graph.NodeID, total)
-	hubDist := make([]float64, total)
+	hubDist := make([]graph.Dist, total)
 	next := slices.Clone(byHub[:n])
 	for v, label := range entries {
 		for _, e := range label {
@@ -524,7 +501,7 @@ func finalize(n int, entries [][]Entry) (labelSet, bool, error) {
 			v := owner[i]
 			e := s.entries[int(next[v])*s.width:]
 			next[v]++
-			count := uint64(hubDist[i] / s.unit)
+			count := uint64(hubDist[i] >> s.shift)
 			if s.width == 8 { // one store, no byte past the entry
 				binary.LittleEndian.PutUint64(e, uint64(h)|count<<(8*s.hubW))
 				continue
@@ -536,7 +513,7 @@ func finalize(n int, entries [][]Entry) (labelSet, bool, error) {
 			copy(e[:s.width], field[:])
 		}
 	}
-	return s, mapped, nil
+	return s, mapped
 }
 
 // byteLen is the number of bytes x takes, 0 for 0.

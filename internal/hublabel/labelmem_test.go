@@ -96,11 +96,11 @@ func TestLabelMappingReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := graph.NewBuilder(und.NumNodes())
-	und.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		if err := b.AddArc(u, v, w); err != nil {
+	und.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
+		if err := b.AddArc(u, v, und.Float(w)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddArc(v, u, 2*w); err != nil {
+		if err := b.AddArc(v, u, 2*und.Float(w)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -139,10 +139,7 @@ func TestLabelMappingReleased(t *testing.T) {
 	}
 
 	base := settle()
-	empty, err := newLabeling(1, false, [][]Entry{nil}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := newLabeling(1, false, [][]Entry{nil}, nil)
 	if count() != base || empty.Entries() != 0 {
 		t.Fatalf("an empty labeling made %d mappings", count()-base)
 	}

@@ -24,7 +24,7 @@ func checkInvariants(idx *Index) error {
 	for p, n := range idx.nodes {
 		t := idx.thr[p]
 		if n < 0 {
-			if len(t) != 0 || !math.IsInf(idx.reach[p], 1) {
+			if len(t) != 0 || idx.reach[p] != graph.Inf {
 				return fmt.Errorf("dead point %d keeps thresholds %v, reach %v", p, t, idx.reach[p])
 			}
 			continue
@@ -32,7 +32,7 @@ func checkInvariants(idx *Index) error {
 		if len(t) > idx.maxK+1 || !slices.IsSortedFunc(t, cmpEnt) {
 			return fmt.Errorf("point %d: thresholds %v are not the (D, P)-ascending first %d", p, t, idx.maxK+1)
 		}
-		want := math.Inf(1)
+		want := graph.Inf
 		if len(t) == idx.maxK+1 {
 			want = t[idx.maxK].D
 		}
@@ -57,10 +57,10 @@ func checkInvariants(idx *Index) error {
 		}
 	}
 	for h, l := range idx.fwd {
-		farthest := 0.0
+		var farthest graph.Dist
 		for i := len(l) - 1; i >= 0; i-- {
 			farthest = max(farthest, idx.reach[l[i].P])
-			if float64(l[i].M) < farthest {
+			if l[i].M < up32(farthest) {
 				return fmt.Errorf("fwd[%d]: bound %v of entry %d is below the reach %v it must cover: %v", h, l[i].M, i, farthest, l)
 			}
 		}
@@ -82,7 +82,7 @@ func sameIndex(got, fresh *Index) error {
 		}
 	}
 	for p := range got.nodes {
-		node, thr, reach := graph.NodeID(-1), []pointEnt(nil), math.Inf(1)
+		node, thr, reach := graph.NodeID(-1), []pointEnt(nil), graph.Inf
 		if p < len(fresh.nodes) {
 			node, thr, reach = fresh.nodes[p], fresh.thr[p], fresh.reach[p]
 		}

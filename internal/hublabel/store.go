@@ -3,7 +3,6 @@ package hublabel
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 
@@ -17,7 +16,8 @@ import (
 //	page 0     header: magic "GRNHUBL1", version, page size, numNodes,
 //	           directed, log₂ of the graph's quantum, then per side (out,
 //	           then in for directed graphs) its hub-id width, entry width
-//	           and log₂ of its unit (labelSet)
+//	           and log₂ of its unit: log₂ Q plus its shift (labelSet), 0
+//	           for a side whose distances are all 0
 //	pages 1..  the label stream on raw pages, one contiguous run: each side's
 //	           n+1 CSR offsets (int32), then its packed entries
 //
@@ -103,7 +103,9 @@ func Write(l *Labeling, f storage.PagedFile, logQ int) error {
 		}
 		at := hdr[sideAt+4*i:]
 		at[0], at[1] = byte(s.hubW), byte(s.width)
-		binary.LittleEndian.PutUint16(at[2:], uint16(int16(math.Ilogb(s.unit))))
+		if s.width > s.hubW {
+			binary.LittleEndian.PutUint16(at[2:], uint16(int16(logQ+int(s.shift))))
+		}
 	}
 	runtime.KeepAlive(l) // the entries are unmapped with their labeling
 	if len(page) > 0 {
@@ -125,7 +127,7 @@ func Write(l *Labeling, f storage.PagedFile, logQ int) error {
 }
 
 // Store serves a persisted labeling through an LRU buffer. Its Labeling
-// holds each side's offsets, widths and unit but no entries — 4 bytes a node
+// holds each side's offsets, widths and shift but no entries — 4 bytes a node
 // and side in memory — and counts for it (NumNodes, Directed, Entries,
 // AverageLabelSize, Bytes); OutLabel and InLabel read a label's bytes
 // through the buffer's pool, which counts the pages, and decode them as an
@@ -145,7 +147,8 @@ type Store struct {
 // the process-wide buffer pool, so label pages share frames (and stats)
 // with every other substrate. It refuses a file whose header or offsets the
 // packed format cannot hold: side widths out of range, a unit off the
-// quantum grid, offsets that fall or run past the file.
+// quantum grid or so coarse that its widest count passes 2^63, offsets
+// that fall or run past the file.
 func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 	pageSize := f.PageSize()
 	if f.NumPages() == 0 {
@@ -180,12 +183,19 @@ func OpenStoreBuffer(f storage.PagedFile, bm *storage.Tenant) (*Store, error) {
 		meta := hdr[sideAt+4*i:]
 		side.hubW, side.width = int(meta[0]), int(meta[1])
 		unitExp := int(int16(binary.LittleEndian.Uint16(meta[2:])))
-		side.unit = math.Ldexp(1, unitExp)
 		if side.hubW < 1 || side.hubW > 4 || side.width < side.hubW || side.width > side.hubW+8 {
 			return nil, fmt.Errorf("hublabel: label side %d packs %d-byte entries with %d-byte hub ids, outside 1–4 hub bytes and 0–8 distance bytes: corrupt label file", i, side.width, side.hubW)
 		}
-		if side.width > side.hubW && unitExp < s.logQ {
-			return nil, fmt.Errorf("hublabel: label side %d counts distances in 2^%d, off the quantum 2^%d: corrupt label file", i, unitExp, s.logQ)
+		if distW := side.width - side.hubW; distW > 0 {
+			if unitExp < s.logQ {
+				return nil, fmt.Errorf("hublabel: label side %d counts distances in 2^%d, off the quantum 2^%d: corrupt label file", i, unitExp, s.logQ)
+			}
+			// Every decoded distance is a count below 2^63: below
+			// graph.Inf, and two of them sum without wrapping.
+			if unitExp-s.logQ+8*distW > 63 {
+				return nil, fmt.Errorf("hublabel: label side %d counts distances in 2^%d with %d bytes, past 2^63 quanta of 2^%d: corrupt label file", i, unitExp, distW, s.logQ)
+			}
+			side.shift = uint(unitExp - s.logQ)
 		}
 		if 4*(int64(s.numNodes)+1) > stream-pos {
 			return nil, fmt.Errorf("hublabel: the offsets of label side %d's %d nodes run past the file's %d stream bytes: corrupt label file", i, s.numNodes, stream)

@@ -87,6 +87,9 @@ func (o *Oracle) Members(k int, qs ...Loc) []int {
 	return out
 }
 
+// Dist returns d(p → q), p the i-th candidate: +Inf when p cannot reach q.
+func (o *Oracle) Dist(i int, q Loc) float64 { return o.reach(o.dist[i], o.cands[i], q) }
+
 // anchor is a node a location leaves through, off away from it.
 type anchor struct {
 	node int

@@ -196,17 +196,18 @@ func (e excludeNode) Points() []PointID {
 }
 
 // EdgePoint is the location of an edge-resident point: the canonical edge
-// (U < V) and the offset Pos from U along the edge (0 <= Pos <= weight).
+// (U < V) and the offset Pos from U along the edge (Pos <= weight), a count
+// of the graph's quantum like the weight.
 type EdgePoint struct {
 	U, V graph.NodeID
-	Pos  float64
+	Pos  graph.Dist
 }
 
 // EdgePointRef pairs a point id with its offset from the canonical endpoint
 // U; PointsOn returns these sorted by Pos.
 type EdgePointRef struct {
 	ID  PointID
-	Pos float64
+	Pos graph.Dist
 }
 
 // EdgeView is the read interface for edge-resident (unrestricted) point
@@ -235,26 +236,26 @@ func canonKey(u, v graph.NodeID) edgeKey {
 	return edgeKey{u, v}
 }
 
-// EdgeSet is a mutable in-memory edge-resident point set.
+// EdgeSet is a mutable in-memory edge-resident point set over a graph whose
+// quantum is 2^logQ: a PagedEdgeSet writes its offsets over that quantum.
 type EdgeSet struct {
 	pts    []EdgePoint // PointID -> location; U == -1 when deleted
 	byEdge map[edgeKey][]EdgePointRef
 	live   int
+	logQ   int
 }
 
-// NewEdgeSet creates an empty edge point set.
-func NewEdgeSet() *EdgeSet {
-	return &EdgeSet{byEdge: make(map[edgeKey][]EdgePointRef)}
+// NewEdgeSet creates an empty edge point set over a graph whose quantum is
+// 2^logQ (graph.Access.LogQuantum).
+func NewEdgeSet(logQ int) *EdgeSet {
+	return &EdgeSet{byEdge: make(map[edgeKey][]EdgePointRef), logQ: logQ}
 }
 
 // Place puts a new point on edge (u,v) at offset pos from min(u,v). The
 // caller is responsible for pos <= weight(u,v).
-func (s *EdgeSet) Place(u, v graph.NodeID, pos float64) (PointID, error) {
+func (s *EdgeSet) Place(u, v graph.NodeID, pos graph.Dist) (PointID, error) {
 	if u == v {
 		return NoPoint, fmt.Errorf("points: degenerate edge (%d,%d)", u, v)
-	}
-	if pos < 0 {
-		return NoPoint, fmt.Errorf("points: negative offset %v", pos)
 	}
 	if u > v {
 		u, v = v, u
@@ -298,8 +299,8 @@ func (s *EdgeSet) Delete(p PointID) error {
 
 // Restore re-creates the deleted point p at its original location under its
 // original id — the rollback path of materialization maintenance.
-func (s *EdgeSet) Restore(p PointID, u, v graph.NodeID, pos float64) error {
-	if u == v || u < 0 || v < 0 || pos < 0 {
+func (s *EdgeSet) Restore(p PointID, u, v graph.NodeID, pos graph.Dist) error {
+	if u == v || u < 0 || v < 0 {
 		return fmt.Errorf("points: bad location (%d,%d)@%v", u, v, pos)
 	}
 	if p < 0 || int(p) >= len(s.pts) || s.pts[p].U >= 0 {

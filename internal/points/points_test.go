@@ -110,7 +110,7 @@ func TestExcludeNodeView(t *testing.T) {
 }
 
 func TestEdgeSetPlaceSortsAndDeletes(t *testing.T) {
-	s := NewEdgeSet()
+	s := NewEdgeSet(0)
 	// Place out of order, with a reversed edge orientation.
 	b, err := s.Place(5, 2, 7.0)
 	if err != nil {
@@ -143,12 +143,9 @@ func TestEdgeSetPlaceSortsAndDeletes(t *testing.T) {
 }
 
 func TestEdgeSetErrors(t *testing.T) {
-	s := NewEdgeSet()
+	s := NewEdgeSet(0)
 	if _, err := s.Place(1, 1, 0); err == nil {
 		t.Fatal("degenerate edge accepted")
-	}
-	if _, err := s.Place(1, 2, -1); err == nil {
-		t.Fatal("negative offset accepted")
 	}
 	if err := s.Delete(0); err == nil {
 		t.Fatal("deleting unknown point succeeded")
@@ -156,7 +153,7 @@ func TestEdgeSetErrors(t *testing.T) {
 }
 
 func TestExcludeEdgeView(t *testing.T) {
-	s := NewEdgeSet()
+	s := NewEdgeSet(0)
 	a, _ := s.Place(0, 1, 1)
 	bid, _ := s.Place(0, 1, 2)
 	v := ExcludeEdge(s, a)
@@ -180,11 +177,11 @@ func TestExcludeEdgeView(t *testing.T) {
 
 func buildRandomEdgeSet(t *testing.T, rng *rand.Rand, numEdges, numPoints int) *EdgeSet {
 	t.Helper()
-	s := NewEdgeSet()
+	s := NewEdgeSet(0)
 	for i := 0; i < numPoints; i++ {
 		u := graph.NodeID(rng.Intn(numEdges))
 		v := u + 1
-		if _, err := s.Place(u, v, rng.Float64()*10); err != nil {
+		if _, err := s.Place(u, v, graph.Dist(rng.Int63n(10<<40))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +265,7 @@ func TestPagedEdgeSetRejectsNonEmptyFile(t *testing.T) {
 	if _, err := f.Append(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(), f, storage.NewBufferPool(2).Attach("", f, 0)); err == nil {
+	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(0), f, storage.NewBufferPool(2).Attach("", f, 0)); err == nil {
 		t.Fatal("non-empty file accepted")
 	}
 }
@@ -303,20 +300,20 @@ func TestNodeSetRestore(t *testing.T) {
 }
 
 func TestEdgeSetRestore(t *testing.T) {
-	s := NewEdgeSet()
-	p0, _ := s.Place(1, 2, 0.5)
-	p1, _ := s.Place(1, 2, 0.25)
+	s := NewEdgeSet(0)
+	p0, _ := s.Place(1, 2, 2)
+	p1, _ := s.Place(1, 2, 1)
 	if err := s.Delete(p0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(p1, 1, 2, 0.25); err == nil {
+	if err := s.Restore(p1, 1, 2, 1); err == nil {
 		t.Fatal("restore of a live point accepted")
 	}
-	if err := s.Restore(p0, 2, 1, 0.5); err != nil { // non-canonical order allowed
+	if err := s.Restore(p0, 2, 1, 2); err != nil { // non-canonical order allowed
 		t.Fatal(err)
 	}
 	loc, ok := s.Loc(p0)
-	if !ok || loc.U != 1 || loc.V != 2 || loc.Pos != 0.5 {
+	if !ok || loc.U != 1 || loc.V != 2 || loc.Pos != 2 {
 		t.Fatalf("restored location = %+v (ok=%t)", loc, ok)
 	}
 	refs, err := s.PointsOn(1, 2, nil)

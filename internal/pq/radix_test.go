@@ -4,88 +4,126 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// radixBases are the priorities a run may start from — negative, both
-// zeros, integers, fractions and +Inf — and radixSteps what a push may add
-// to the last pop: zero and integers for ties, fractions, +Inf.
+// radixBases are the keys a run may start from — 0, small counts, both
+// sides of 2^53 (where float64 stops holding every integer), 2^63 and the
+// top of the range — and radixSteps what a push may add to the last pop
+// (saturating at MaxUint64): zero and small counts for ties, large jumps.
 var (
-	radixBases = []float64{0, math.Copysign(0, -1), 1, 2, 3, -2.5, 0.25, 7, 1e-300, math.Inf(1)}
-	radixSteps = []float64{0, 0, 1, 1, 2, 3, 0.5, 0.125, 1e-9, math.Inf(1)}
+	radixBases = []uint64{0, 1, 2, 3, 7, 1 << 53, 1<<53 + 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	radixSteps = []uint64{0, 0, 1, 1, 2, 3, 1 << 20, 1 << 53, 1 << 63, math.MaxUint64}
 )
 
-// checkRadixAgainstHeap drives a Radix and a Heap with the same monotone
-// operations, two bytes each, and requires the same (value, priority) pop
-// and peek sequences, and the same Len, PushCount and PopCount throughout.
-// A push offered below the last pop of a non-empty run must panic and leave
-// the queue as it was. A peek raises the run's floor to what it returns
-// (Radix.Peek's contract), so later pushes start from there.
-func checkRadixAgainstHeap(t *testing.T, ops []byte) {
+// radixModel is the reference queue: entries kept sorted by (key,
+// insertion number), with the counters a Radix keeps.
+type radixModel struct {
+	ents                []radixModelEnt
+	pushCount, popCount uint64
+}
+
+type radixModelEnt struct {
+	key uint64
+	v   int
+}
+
+func (m *radixModel) push(v int, key uint64) {
+	at := sort.Search(len(m.ents), func(j int) bool { return m.ents[j].key > key })
+	m.ents = slices.Insert(m.ents, at, radixModelEnt{key, v})
+	m.pushCount++
+}
+
+func (m *radixModel) peek() (int, uint64, bool) {
+	if len(m.ents) == 0 {
+		return 0, 0, false
+	}
+	return m.ents[0].v, m.ents[0].key, true
+}
+
+func (m *radixModel) pop() (int, uint64, bool) {
+	v, key, ok := m.peek()
+	if ok {
+		m.ents = m.ents[1:]
+		m.popCount++
+	}
+	return v, key, ok
+}
+
+// checkRadixAgainstModel drives a Radix and the model with the same
+// monotone operations, two bytes each, and requires the same (value, key)
+// pop and peek sequences, and the same Len, PushCount and PopCount
+// throughout. A push offered below the last pop of a non-empty run must
+// panic and leave the queue as it was. A peek raises the run's floor to what
+// it returns (Radix.Peek's contract), so later pushes start from there.
+func checkRadixAgainstModel(t *testing.T, ops []byte) {
 	t.Helper()
 	var q Radix[int]
-	var h Heap[int]
-	floor, popped := 0.0, false // the run's last pop, once there is one
+	var m radixModel
+	var floor uint64
+	popped := false // the run has a last pop, floor
 	seq := 0
 	for i := 0; i+1 < len(ops); i += 2 {
 		arg := int(ops[i+1])
 		switch ops[i] % 9 {
 		case 0, 1, 2, 3: // monotone push
-			if h.Len() == 0 {
+			if len(m.ents) == 0 {
 				popped = false // a new run
 			}
-			p := radixBases[arg%len(radixBases)]
+			k := radixBases[arg%len(radixBases)]
 			if popped {
-				p = floor + radixSteps[arg%len(radixSteps)]
+				k = floor + min(radixSteps[arg%len(radixSteps)], math.MaxUint64-floor)
 			}
-			q.Push(seq, p)
-			h.Push(seq, p)
+			q.Push(seq, k)
+			m.push(seq, k)
 			seq++
 		case 4, 5: // pop
-			v, p, ok := q.Pop()
-			wv, wp, wok := h.Pop()
-			if v != wv || p != wp || ok != wok {
-				t.Fatalf("op %d: Radix.Pop = (%d,%v,%v), Heap.Pop = (%d,%v,%v)", i/2, v, p, ok, wv, wp, wok)
+			v, k, ok := q.Pop()
+			wv, wk, wok := m.pop()
+			if v != wv || k != wk || ok != wok {
+				t.Fatalf("op %d: Radix.Pop = (%d,%d,%v), model (%d,%d,%v)", i/2, v, k, ok, wv, wk, wok)
 			}
 			if ok {
-				floor, popped = p, true
+				floor, popped = k, true
 			}
 		case 6: // push below the last pop
-			if !popped || h.Len() == 0 || math.IsInf(floor, -1) {
+			below := uint64(1 + arg%3)
+			if !popped || len(m.ents) == 0 || floor < below {
 				continue
 			}
-			below := math.Nextafter(floor, math.Inf(-1)) - float64(arg%3)
-			if !radixPanics(func() { q.Push(-1, below) }) {
-				t.Fatalf("op %d: push of %v below the last pop %v did not panic", i/2, below, floor)
+			if !radixPanics(func() { q.Push(-1, floor-below) }) {
+				t.Fatalf("op %d: push of %d below the last pop %d did not panic", i/2, floor-below, floor)
 			}
 		case 7:
 			q.Reset()
-			h.Reset()
+			m.ents = m.ents[:0]
 			popped = false
 		case 8: // peek
-			v, p, ok := q.Peek()
-			wv, wp, wok := h.Peek()
-			if v != wv || p != wp || ok != wok {
-				t.Fatalf("op %d: Radix.Peek = (%d,%v,%v), Heap.Peek = (%d,%v,%v)", i/2, v, p, ok, wv, wp, wok)
+			v, k, ok := q.Peek()
+			wv, wk, wok := m.peek()
+			if v != wv || k != wk || ok != wok {
+				t.Fatalf("op %d: Radix.Peek = (%d,%d,%v), model (%d,%d,%v)", i/2, v, k, ok, wv, wk, wok)
 			}
 			if ok {
-				floor, popped = p, true
+				floor, popped = k, true
 			}
 		}
-		if q.Len() != h.Len() {
-			t.Fatalf("op %d: Radix.Len = %d, Heap.Len = %d", i/2, q.Len(), h.Len())
+		if q.Len() != len(m.ents) {
+			t.Fatalf("op %d: Radix.Len = %d, model holds %d", i/2, q.Len(), len(m.ents))
 		}
-		if q.PushCount != h.PushCount || q.PopCount != h.PopCount {
-			t.Fatalf("op %d: Radix counters (%d,%d), Heap counters (%d,%d)", i/2, q.PushCount, q.PopCount, h.PushCount, h.PopCount)
+		if q.PushCount != m.pushCount || q.PopCount != m.popCount {
+			t.Fatalf("op %d: Radix counters (%d,%d), model (%d,%d)", i/2, q.PushCount, q.PopCount, m.pushCount, m.popCount)
 		}
 	}
-	for h.Len() > 0 { // drain what is left
-		v, p, _ := q.Pop()
-		wv, wp, _ := h.Pop()
-		if v != wv || p != wp {
-			t.Fatalf("drain: Radix.Pop = (%d,%v), Heap.Pop = (%d,%v)", v, p, wv, wp)
+	for len(m.ents) > 0 { // drain what is left
+		v, k, _ := q.Pop()
+		wv, wk, _ := m.pop()
+		if v != wv || k != wk {
+			t.Fatalf("drain: Radix.Pop = (%d,%d), model (%d,%d)", v, k, wv, wk)
 		}
 	}
 	if _, _, ok := q.Pop(); ok || q.Len() != 0 {
@@ -94,8 +132,8 @@ func checkRadixAgainstHeap(t *testing.T, ops []byte) {
 	if _, _, ok := q.Peek(); ok {
 		t.Fatal("Radix.Peek reported an item after the drain")
 	}
-	if q.PushCount != h.PushCount || q.PopCount != h.PopCount {
-		t.Fatalf("drain: Radix counters (%d,%d), Heap counters (%d,%d)", q.PushCount, q.PopCount, h.PushCount, h.PopCount)
+	if q.PushCount != m.pushCount || q.PopCount != m.popCount {
+		t.Fatalf("drain: Radix counters (%d,%d), model (%d,%d)", q.PushCount, q.PopCount, m.pushCount, m.popCount)
 	}
 }
 
@@ -112,25 +150,25 @@ func TestRadixMatchesHeap(t *testing.T) {
 	for range 300 {
 		ops := make([]byte, 2*(1+rng.Intn(400)))
 		rng.Read(ops)
-		checkRadixAgainstHeap(t, ops)
+		checkRadixAgainstModel(t, ops)
 	}
 }
 
 func TestRadixFIFOTies(t *testing.T) {
 	var q Radix[int]
 	for i := range 10 {
-		q.Push(i, float64(3-i%2)) // 2 and 3, alternating
+		q.Push(i, uint64(3-i%2)) // 2 and 3, alternating
 	}
 	q.Push(10, 0)
-	q.Push(11, math.Copysign(0, -1))
-	q.Push(12, math.Inf(1))
+	q.Push(11, 0)
+	q.Push(12, math.MaxUint64)
 	for _, want := range []int{10, 11, 1, 3} {
 		if v, _, _ := q.Pop(); v != want {
 			t.Fatalf("pop = %d, want %d", v, want)
 		}
 	}
 	q.Push(13, 2) // equal to the last pop: behind the queued 2s
-	q.Push(14, math.Inf(1))
+	q.Push(14, math.MaxUint64)
 	for _, want := range []int{5, 7, 9, 13, 0, 2, 4, 6, 8, 12, 14} {
 		if v, _, ok := q.Pop(); !ok || v != want {
 			t.Fatalf("pop = %d (ok=%v), want %d", v, ok, want)
@@ -155,22 +193,22 @@ func TestRadixRuns(t *testing.T) {
 		t.Fatalf("Len = %d after a refused push, want 1", q.Len())
 	}
 	q.Pop()
-	q.Push(3, 1) // drained: a new run
-	q.Push(4, 0.5)
-	if v, p, _ := q.Pop(); v != 4 || p != 0.5 {
-		t.Fatalf("new run pops (%d,%v), want (4,0.5)", v, p)
+	q.Push(3, 2) // drained: a new run
+	q.Push(4, 1)
+	if v, k, _ := q.Pop(); v != 4 || k != 1 {
+		t.Fatalf("new run pops (%d,%d), want (4,1)", v, k)
 	}
 	q.Reset()
-	q.Push(5, -1)
+	q.Push(5, 0)
 	if v, _, ok := q.Pop(); !ok || v != 5 || q.Len() != 0 {
 		t.Fatal("queue unusable after Reset")
 	}
-	// A Peek that refills raises the floor to the priority it returns.
+	// A Peek that refills raises the floor to the key it returns.
 	q.Push(6, 1)
 	q.Push(7, 3)
 	q.Pop()
-	if v, p, ok := q.Peek(); !ok || v != 7 || p != 3 {
-		t.Fatalf("Peek = (%d,%v,%v), want (7,3,true)", v, p, ok)
+	if v, k, ok := q.Peek(); !ok || v != 7 || k != 3 {
+		t.Fatalf("Peek = (%d,%d,%v), want (7,3,true)", v, k, ok)
 	}
 	if !radixPanics(func() { q.Push(8, 2) }) {
 		t.Fatal("push below a peeked minimum accepted")
@@ -180,44 +218,46 @@ func TestRadixRuns(t *testing.T) {
 	}
 
 	// Rows that reach a lone entry in the lowest bucket, which Pop takes in
-	// place: 3 sits alone in bucket 63 once 1 has gone. Each row then
-	// drains, starts a new run whose 7 and +Inf share bucket 63 again, and
-	// pops them through a refill — which finds the minimum wrong if the
-	// in-place pop left bucket 63's smallest key or full bit behind.
+	// place: 6 sits alone in bucket 3 once 1 has gone (6 ^ 1 is 7). Each row
+	// then drains and starts a new run whose two 7s share bucket 3 again,
+	// behind a 1 whose pop leaves them there, and pops them through a
+	// refill — which finds the minimum wrong if the in-place pop left bucket
+	// 3's smallest key (6) or full bit behind.
 	for _, row := range []struct{ name, script string }{
-		{"right after a peek", "1 3 peek pop lone pop 1 7 inf pop pop pop"},
-		{"after ties in bucket 0", "1 1 1 3 pop pop pop lone pop 1 7 inf pop pop pop"},
-		{"after a mid-run reset", "0 1e-300 1 2 pop spread reset 1 3 pop lone pop 1 7 inf pop pop pop"},
+		{"right after a peek", "1 6 peek pop lone pop 1 7 7 max pop pop pop pop"},
+		{"after ties in bucket 0", "1 1 1 6 pop pop pop lone pop 1 7 7 max pop pop pop pop"},
+		{"after a mid-run reset", "0 1 2 9007199254740993 pop spread reset 1 6 pop lone pop 1 7 7 max pop pop pop pop"},
 	} {
 		t.Run(row.name, func(t *testing.T) { runRadixScript(t, row.script) })
 	}
 }
 
-// runRadixScript drives a Radix and a Heap through a script of
+// runRadixScript drives a Radix and the model through a script of
 // space-separated steps and requires the same pops and peeks: a number
-// pushes that priority, "pop", "peek" and "reset" do what they say, "lone"
+// pushes that key ("max" is MaxUint64), "pop", "peek" and "reset" do what
+// they say, "lone"
 // asserts that the next pop finds buckets[0] empty and one entry in the
 // lowest bucket, and "spread" that entries sit in at least three buckets.
 // Whatever is left is drained and compared at the end.
 func runRadixScript(t *testing.T, script string) {
 	t.Helper()
 	var q Radix[int]
-	var h Heap[int]
+	var m radixModel
 	for i, step := range strings.Fields(script) {
 		switch step {
 		case "pop", "peek":
-			pop, wpop := q.Pop, h.Pop
+			pop, wpop := q.Pop, m.pop
 			if step == "peek" {
-				pop, wpop = q.Peek, h.Peek
+				pop, wpop = q.Peek, m.peek
 			}
-			v, p, ok := pop()
-			wv, wp, wok := wpop()
-			if v != wv || p != wp || ok != wok {
-				t.Fatalf("step %d %s: Radix (%d,%v,%v), Heap (%d,%v,%v)", i, step, v, p, ok, wv, wp, wok)
+			v, k, ok := pop()
+			wv, wk, wok := wpop()
+			if v != wv || k != wk || ok != wok {
+				t.Fatalf("step %d %s: Radix (%d,%d,%v), model (%d,%d,%v)", i, step, v, k, ok, wv, wk, wok)
 			}
 		case "reset":
 			q.Reset()
-			h.Reset()
+			m.ents = m.ents[:0]
 		case "lone":
 			if len(q.buckets[0]) != 0 || len(q.buckets[bits.TrailingZeros64(q.full)+1]) != 1 {
 				t.Fatalf("step %d: the lowest bucket does not hold a lone entry", i)
@@ -227,31 +267,37 @@ func runRadixScript(t *testing.T, script string) {
 				t.Fatalf("step %d: entries in %d buckets, want at least 3", i, n)
 			}
 		default:
-			p, err := strconv.ParseFloat(step, 64)
+			k, err := strconv.ParseUint(step, 10, 64)
+			if step == "max" {
+				k, err = math.MaxUint64, nil
+			}
 			if err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
-			q.Push(i, p)
-			h.Push(i, p)
+			q.Push(i, k)
+			m.push(i, k)
 		}
 	}
-	for h.Len() > 0 {
-		v, p, _ := q.Pop()
-		wv, wp, _ := h.Pop()
-		if v != wv || p != wp {
-			t.Fatalf("drain: Radix.Pop = (%d,%v), Heap.Pop = (%d,%v)", v, p, wv, wp)
+	for len(m.ents) > 0 {
+		v, k, _ := q.Pop()
+		wv, wk, _ := m.pop()
+		if v != wv || k != wk {
+			t.Fatalf("drain: Radix.Pop = (%d,%d), model (%d,%d)", v, k, wv, wk)
 		}
 	}
 }
 
-// FuzzRadixModel is checkRadixAgainstHeap on fuzzed operation sequences.
+// FuzzRadixModel is checkRadixAgainstModel on fuzzed operation sequences.
+// The seeds start runs at 0, 2^53, 2^63 and MaxUint64 (radixBases 0, 5, 7
+// and 9).
 func FuzzRadixModel(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 0, 1, 4, 0, 0, 2, 6, 1, 4, 0, 4, 0})
 	f.Add([]byte{0, 9, 1, 0, 4, 0, 0, 9, 0, 0, 4, 0, 4, 0, 0, 5, 7, 0, 0, 1})
 	f.Add([]byte{0, 2, 0, 6, 4, 0, 1, 0, 1, 1, 1, 0, 4, 0, 4, 0, 4, 0, 6, 2})
 	f.Add([]byte{0, 3, 0, 9, 0, 4, 8, 0, 0, 0, 6, 1, 4, 0, 8, 0, 0, 2, 8, 0, 4, 0, 4, 0, 8, 0})
+	f.Add([]byte{0, 0, 0, 5, 0, 7, 0, 9, 4, 0, 0, 7, 0, 8, 4, 0, 8, 0, 4, 0, 4, 0, 6, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		checkRadixAgainstHeap(t, ops)
+		checkRadixAgainstModel(t, ops)
 	})
 }
 
@@ -264,21 +310,21 @@ func BenchmarkRadixProbe(b *testing.B) {
 	const side, pops = 64, 200
 	type probeEntry struct{ node, from int32 }
 	rng := rand.New(rand.NewSource(51))
-	right := make([]float64, side*side) // weight of the arc to node+1
-	down := make([]float64, side*side)  // weight of the arc to node+side
+	right := make([]uint64, side*side) // weight of the arc to node+1
+	down := make([]uint64, side*side)  // weight of the arc to node+side
 	for i := range right {
-		right[i], down[i] = 1+rng.Float64(), 1+rng.Float64()
+		right[i], down[i] = 1<<40+uint64(rng.Int63n(1<<40)), 1<<40+uint64(rng.Int63n(1<<40))
 	}
 	sources := make([]int32, 64)
 	for i := range sources {
 		sources[i] = int32(rng.Intn(side * side))
 	}
-	dist := make([]float64, side*side)
+	dist := make([]uint64, side*side)
 	seen := make([]int, side*side) // run stamp of the last label
 	closed := make([]int, side*side)
 	var q Radix[probeEntry]
 	run := 0
-	relax := func(from, to int32, d float64) {
+	relax := func(from, to int32, d uint64) {
 		if closed[to] == run || (seen[to] == run && dist[to] <= d) {
 			return
 		}

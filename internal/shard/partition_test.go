@@ -80,7 +80,7 @@ func checkPartition(t *testing.T, g *graph.Graph, p *Partition) {
 	}
 	// Cut edges recount.
 	cut := 0
-	g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
+	g.ForEachEdge(func(u, v graph.NodeID, _ graph.Dist) {
 		if p.Owner[u] != p.Owner[v] {
 			cut++
 		}

@@ -23,6 +23,8 @@ type DiskStore struct {
 	bm       *Tenant
 	index    []RecRef
 	numNodes int
+	logQ     int
+	q        float64 // 2^logQ, the quantum the weights are stored over
 }
 
 // BuildDiskStore packs g into file following the given node order and
@@ -86,7 +88,7 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, order []gr
 				// The remainder continues at slot 0 of the next page.
 				take, next = capEdges, RecRef{Page: w.Page() + 1}
 			}
-			rec = appendFragment(rec[:0], n, next, remaining[:take])
+			rec = appendFragment(rec[:0], n, next, remaining[:take], g.Quantum())
 			ref, err := w.Add(rec)
 			if err != nil {
 				return nil, err
@@ -105,11 +107,14 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, order []gr
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	return &DiskStore{bm: bm, index: index, numNodes: g.NumNodes()}, nil
+	return &DiskStore{bm: bm, index: index, numNodes: g.NumNodes(), logQ: g.LogQuantum(), q: g.Quantum()}, nil
 }
 
 // NumNodes implements graph.Access.
 func (s *DiskStore) NumNodes() int { return s.numNodes }
+
+// LogQuantum implements graph.Access.
+func (s *DiskStore) LogQuantum() int { return s.logQ }
 
 // In implements graph.Access: a store only ever packs a symmetric graph.
 func (s *DiskStore) In() graph.Access { return s }
@@ -132,7 +137,7 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 		var next RecRef
 		rec, err := ReadRecordSlot(fr.data, int(ref.Slot))
 		if err == nil {
-			owner, next, buf, err = ReadFragment(rec, buf)
+			owner, next, buf, err = ReadFragment(rec, buf, s.q)
 		}
 		s.bm.unlockPage(fr, borrowed)
 		if err != nil {

@@ -276,7 +276,7 @@ func buildStore(t *testing.T, g *graph.Graph, file PagedFile, bufferPages int) *
 
 func TestFragmentCodecCorruptSlot(t *testing.T) {
 	pb := NewRecordPageBuilder(256)
-	rec := appendFragment(nil, 1, InvalidRecRef, []graph.Edge{{To: 2, W: 3}})
+	rec := appendFragment(nil, 1, InvalidRecRef, []graph.Edge{{To: 2, W: 3}}, 1)
 	if _, ok := pb.TryAdd(rec); !ok {
 		t.Fatal("test setup: fragment does not fit")
 	}
@@ -285,7 +285,7 @@ func TestFragmentCodecCorruptSlot(t *testing.T) {
 	}
 	// A fragment cut inside its header, and one cut inside an edge.
 	for _, n := range []int{fragHeaderSize - 1, len(rec) - 1} {
-		if _, _, _, err := ReadFragment(rec[:n], nil); err == nil {
+		if _, _, _, err := ReadFragment(rec[:n], nil, 1); err == nil {
 			t.Fatalf("%d-byte fragment accepted", n)
 		}
 	}
@@ -332,16 +332,16 @@ func TestPageBuilderCapacity(t *testing.T) {
 	}
 	edges := make([]graph.Edge, capEdges)
 	for i := range edges {
-		edges[i] = graph.Edge{To: graph.NodeID(i), W: float64(i)}
+		edges[i] = graph.Edge{To: graph.NodeID(i), W: graph.Dist(i)}
 	}
-	full, err := w.Add(appendFragment(nil, 9, InvalidRecRef, edges))
+	full, err := w.Add(appendFragment(nil, 9, InvalidRecRef, edges, 1))
 	if err != nil || full != (RecRef{Page: 0, Slot: 0}) {
 		t.Fatalf("full-capacity fragment: ref %+v, err %v", full, err)
 	}
 	if fragmentRoom(w.Free()) >= 1 {
 		t.Fatal("a full page still offers room for an edge")
 	}
-	spilled, err := w.Add(appendFragment(nil, 10, InvalidRecRef, []graph.Edge{{To: 1, W: 1}}))
+	spilled, err := w.Add(appendFragment(nil, 10, InvalidRecRef, []graph.Edge{{To: 1, W: 1}}, 1))
 	if err != nil || spilled != (RecRef{Page: 1, Slot: 0}) {
 		t.Fatalf("fragment behind a full page: ref %+v, err %v", spilled, err)
 	}
@@ -360,7 +360,7 @@ func TestPageBuilderCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, next, got, err := ReadFragment(rec, nil)
+	node, next, got, err := ReadFragment(rec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

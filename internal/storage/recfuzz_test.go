@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphrnn/internal/core"
+	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 	"graphrnn/internal/storage"
 )
@@ -19,7 +20,7 @@ func FuzzRecordPage(f *testing.F) {
 	const pageSize = 256
 	pairs := func(b []byte, n int) []byte {
 		for i := 0; i < n; i++ {
-			b = storage.AppendPair(b, int32(i+1), float64(i)/2)
+			b = storage.AppendPair(b, int32(i+1), graph.Dist(i), 0.5)
 		}
 		return b
 	}
@@ -74,11 +75,11 @@ func FuzzRecordPage(f *testing.F) {
 				t.Fatalf("%s: %d items decoded out of a %d-byte record", payload, items, len(rec))
 			}
 		}
-		_, _, edges, err := storage.ReadFragment(rec, nil)
+		_, _, edges, err := storage.ReadFragment(rec, nil, 1)
 		fits("adjacency fragment", len(edges), 10, storage.PairSize, err)
-		entries, err := core.DecodeMatList(rec, nil)
+		entries, err := core.DecodeMatList(rec, nil, 1)
 		fits("K-NN list", len(entries), 2, storage.PairSize, err)
-		refs, err := points.DecodeEdgeRecord(rec, nil)
+		refs, err := points.DecodeEdgeRecord(rec, nil, 1)
 		fits("edge-point record", len(refs), 2, storage.PairSize, err)
 	})
 }

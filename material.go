@@ -121,9 +121,9 @@ func (m *Materialization) Close() error {
 func (m *Materialization) repairLists(ec *exec.Ctx, op *setOp) (Stats, error) {
 	s := m.db.searcher.Bound(ec)
 	if op.insert {
-		return s.MatInsert(m.m, points.PointID(op.p), op.loc.toLoc())
+		return s.MatInsert(m.m, points.PointID(op.p), op.loc)
 	}
-	return s.MatDelete(m.m, points.PointID(op.p), op.loc.toLoc())
+	return s.MatDelete(m.m, points.PointID(op.p), op.loc)
 }
 
 // --- operation framing -----------------------------------------------------

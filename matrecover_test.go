@@ -342,7 +342,7 @@ func TestDeletePointMissingEdge(t *testing.T) {
 	}
 	// A point on an edge db2 does not know cannot arrive through the one
 	// path any more; reach behind it, as only a bug could.
-	raw, err := ps.es.Place(1, 2, 0.25)
+	raw, err := ps.es.Place(1, 2, db1.graph.g.Round(0.25))
 	if err != nil {
 		t.Fatal(err)
 	}

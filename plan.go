@@ -81,7 +81,7 @@ func (db *DB) Plan(q Query) (Plan, error) {
 type planned struct {
 	plan  Plan
 	k     int
-	loc   Location
+	loc   core.Loc
 	route []NodeID
 	// The data set and, for bichromatic kinds, the competitors; both in
 	// the residency plan.Edge names.
@@ -167,7 +167,7 @@ func (db *DB) plan(q Query) (planned, error) {
 			return planErr("node-resident point sets take node targets (NodeLocation); got edge location (%d,%d)@%v",
 				q.Target.U, q.Target.V, q.Target.Pos)
 		}
-		pl.loc = db.graph.onGrid(q.Target)
+		pl.loc = db.graph.loc(q.Target)
 	}
 
 	if err := db.resolveAlgorithm(q, &pl); err != nil {

@@ -88,14 +88,20 @@ func (s *trackedSet) view() core.PointSet {
 	return core.PointSet{Edge: s.es}
 }
 
-// locationOf returns where point p resides.
-func (s *trackedSet) locationOf(p PointID) (Location, bool) {
+// loc returns where point p resides.
+func (s *trackedSet) loc(p PointID) (core.Loc, bool) {
 	if s.ns != nil {
 		n, ok := s.ns.NodeOf(points.PointID(p))
-		return NodeLocation(NodeID(n)), ok
+		return core.NodeLoc(n), ok
 	}
-	loc, ok := s.es.Loc(points.PointID(p))
-	return Location{U: NodeID(loc.U), V: NodeID(loc.V), Pos: loc.Pos}, ok
+	ep, ok := s.es.Loc(points.PointID(p))
+	return core.PointLoc(ep), ok
+}
+
+// locationOf returns where point p resides, as the API reports it.
+func (s *trackedSet) locationOf(p PointID) (Location, bool) {
+	l, ok := s.loc(p)
+	return Location{U: NodeID(l.U), V: NodeID(l.V), Pos: s.db.graph.g.Float(l.Pos)}, ok
 }
 
 // Len returns the number of points.
@@ -119,7 +125,7 @@ func (s *trackedSet) Points() []PointID {
 type setOp struct {
 	insert bool
 	p      PointID
-	loc    Location // where p resides (insert) or resided (delete)
+	loc    core.Loc // where p resides (insert) or resided (delete)
 }
 
 // place performs the set half of an insert at the validated location at,
@@ -127,12 +133,14 @@ type setOp struct {
 func (s *trackedSet) place(at Location) (*setOp, error) {
 	var p points.PointID
 	var err error
+	var loc core.Loc
 	if s.ns != nil {
 		if at.U != at.V || at.Pos != 0 {
 			return nil, fmt.Errorf("graphrnn: node-resident point sets take node locations (NodeLocation); got edge location (%d,%d)@%v",
 				at.U, at.V, at.Pos)
 		}
-		p, err = s.ns.Place(graph.NodeID(at.U))
+		loc = core.NodeLoc(graph.NodeID(at.U))
+		p, err = s.ns.Place(loc.U)
 	} else {
 		if err := s.db.undirectedOnly("edge-resident point sets"); err != nil {
 			return nil, err
@@ -145,13 +153,13 @@ func (s *trackedSet) place(at Location) (*setOp, error) {
 		if !(at.Pos >= 0 && at.Pos <= w) { // NaN fails both
 			return nil, fmt.Errorf("graphrnn: offset %v outside edge (%d,%d) of weight %v", at.Pos, at.U, at.V, w)
 		}
-		at = s.db.graph.onGrid(at)
-		p, err = s.es.Place(graph.NodeID(at.U), graph.NodeID(at.V), at.Pos)
+		loc = s.db.graph.loc(at)
+		p, err = s.es.Place(loc.U, loc.V, loc.Pos)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &setOp{insert: true, p: PointID(p), loc: at}, nil
+	return &setOp{insert: true, p: PointID(p), loc: loc}, nil
 }
 
 // drop performs the set half of a delete.
@@ -165,7 +173,7 @@ func (s *trackedSet) drop(p PointID) error {
 // undo reverses the set half of op. It is idempotent: a Recover that runs
 // after an inline rollback already restored the set changes nothing.
 func (s *trackedSet) undo(op *setOp) error {
-	switch _, present := s.locationOf(op.p); {
+	switch _, present := s.loc(op.p); {
 	case op.insert && present:
 		return s.drop(op.p)
 	case !op.insert && !present && s.ns != nil:
@@ -229,7 +237,7 @@ func (s *trackedSet) Remove(ctx context.Context, p PointID, opt *QueryOptions) (
 		return Stats{}, err
 	}
 	defer cancel()
-	loc, ok := s.locationOf(p)
+	loc, ok := s.loc(p)
 	if !ok {
 		return Stats{}, fmt.Errorf("graphrnn: point %d does not exist", p)
 	}
@@ -380,7 +388,9 @@ type EdgePointsView struct {
 type EdgePoints struct{ trackedSet }
 
 // NewEdgePoints creates an empty edge-resident point set.
-func (db *DB) NewEdgePoints() *EdgePoints { return newEdgePoints(db, points.NewEdgeSet()) }
+func (db *DB) NewEdgePoints() *EdgePoints {
+	return newEdgePoints(db, points.NewEdgeSet(db.graph.g.LogQuantum()))
+}
 
 func newEdgePoints(db *DB, s *points.EdgeSet) *EdgePoints {
 	return &EdgePoints{trackedSet{db: db, es: s}}

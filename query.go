@@ -154,7 +154,7 @@ func (db *DB) runPlanned(ec *exec.Ctx, pl *planned) (*Result, error) {
 	req := core.Request{
 		Kind: core.Kind(pl.plan.Kind), Algo: algo.kind.core(), K: pl.k,
 		Points: pl.points, Sites: pl.sites,
-		Target: pl.loc.toLoc(), Route: toNodeIDs(pl.route),
+		Target: pl.loc, Route: toNodeIDs(pl.route),
 	}
 	if algo.kind == algoEagerM {
 		if algo.mat == nil || algo.mat.m == nil {
@@ -185,13 +185,13 @@ func (k algoKind) core() core.Algo {
 // runKNN executes the forward search; on a typed execution error the
 // neighbors found so far ride along with it, like every other kind.
 func (db *DB) runKNN(ec *exec.Ctx, pl *planned) (*Result, error) {
-	out, err := db.searcher.Bound(ec).KNN(pl.points, pl.loc.toLoc(), pl.k)
+	out, err := db.searcher.Bound(ec).KNN(pl.points, pl.loc, pl.k)
 	if err != nil && !exec.IsExecErr(err) {
 		return nil, err
 	}
 	nbrs := make([]Neighbor, len(out))
 	for i, pd := range out {
-		nbrs[i] = Neighbor{P: PointID(pd.P), Distance: pd.D}
+		nbrs[i] = Neighbor{P: PointID(pd.P), Distance: db.graph.g.Float(pd.D)}
 	}
 	return &Result{Neighbors: nbrs}, err
 }

@@ -72,7 +72,7 @@ func shardOracleEnv(t testing.TB, family string, nodes int, shards int, seed int
 			}
 		}
 	}
-	g.g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
+	g.g.ForEachEdge(func(u, v graph.NodeID, _ graph.Dist) {
 		if part.Owner[u] != part.Owner[v] {
 			place(NodeID(u))
 			place(NodeID(v))
