@@ -161,9 +161,9 @@ func BenchmarkQueryEagerM(b *testing.B) {
 }
 
 // R2NN query latency through the hub-label substrate on the identical
-// workload as the expansion benchmarks above (labels persisted into a
-// paged file and served through their own LRU buffer, so io_reads/op
-// reports label faults the way the other substrates report page faults).
+// workload as the expansion benchmarks above (labels paged and served
+// through their own LRU buffer, so io_reads/op reports label faults the way
+// the other substrates report page faults).
 func BenchmarkQueryHubLabel(b *testing.B) {
 	e := newMicroEnv(b, 0)
 	idx, err := e.db.BuildHubLabelIndex(e.ps, 4, &graphrnn.HubLabelOptions{DiskBacked: true, BufferPages: 64})

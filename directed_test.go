@@ -4,8 +4,7 @@ package graphrnn_test
 // Open → Run / BuildHubLabelIndex. The forward kinds on random asymmetric
 // graphs, the typed rejection of everything that needs symmetric distances
 // and the auto plan, the AddArc twin of an undirected graph against the
-// AddEdge original, and label files that remember their direction. Every
-// RkNN kind under every substrate that serves one-way arcs is held to the
+// AddEdge original. Every RkNN kind under every substrate that serves one-way arcs is held to the
 // oracle at every node.
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -394,66 +392,6 @@ func TestArcTwinsAreTheUndirectedGraph(t *testing.T) {
 					t.Fatalf("%s node %d k=%d: arcs %v %+v %q, edges %v %+v %q",
 						name, n, k, got.Points, got.Stats, got.Plan.Explain(), want.Points, want.Stats, want.Plan.Explain())
 				}
-			}
-		}
-	}
-}
-
-// TestOpenHubLabelIndexChecksDirection: a label file remembers whether it
-// holds forward/backward labels; reopening it over a graph of the same |V|
-// but the other kind is ErrLabelFileMismatch, in both directions, and over
-// its own graph it answers like the oracle.
-func TestOpenHubLabelIndexChecksDirection(t *testing.T) {
-	const n = 24
-	rng := rand.New(rand.NewSource(1806))
-	line := graphrnn.NewGraphBuilder(n)
-	for i := range n - 1 {
-		if err := line.AddEdge(graphrnn.NodeID(i), graphrnn.NodeID(i+1), 1+rng.Float64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	undirected, err := line.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := map[string]*graphrnn.Graph{"directed": randArcGraph(t, rng, n, true, false), "undirected": undirected}
-	dir := t.TempDir()
-	for name, g := range graphs {
-		db, err := graphrnn.Open(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := db.BuildHubLabelIndex(placeOnRandomNodes(t, rng, db, 6), 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.SaveTo(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, g := range graphs {
-		db, err := graphrnn.Open(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps := placeOnRandomNodes(t, rng, db, 6)
-		for file := range graphs {
-			idx, err := db.OpenHubLabelIndex(ps, 2, filepath.Join(dir, file), nil)
-			if file != name {
-				if !errors.Is(err, graphrnn.ErrLabelFileMismatch) {
-					t.Fatalf("%s labels over the %s graph: err = %v, want ErrLabelFileMismatch", file, name, err)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s labels over their own graph: %v", file, err)
-			}
-			graphrnn.CheckAgreement(t, graphrnn.Agreement{Points: ps, Algos: map[string]graphrnn.Algorithm{"hub-label": graphrnn.HubLabel(idx)}, Ks: oracle.Depths(2)})
-			if err := idx.Close(); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}

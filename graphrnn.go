@@ -303,7 +303,6 @@ func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error
 		ds, err := storage.BuildDiskStoreBuffer(g.g, file, bm, order)
 		if err != nil {
 			_ = bm.Detach()
-			file.Close()
 			return nil, err
 		}
 		db.store = ds

@@ -2,16 +2,11 @@ package graphrnn_test
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"graphrnn"
-	"graphrnn/internal/hublabel"
 	"graphrnn/internal/oracle"
 )
 
@@ -327,88 +322,6 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 	if _, err := graphrnn.Open(nil, nil); err == nil {
 		t.Fatal("Open(nil) accepted")
-	}
-}
-
-// TestPageSizeLimit: slot offsets and record lengths are 16-bit. Every file
-// the public surface writes uses the default page, so the one page size a
-// caller can still hand in is the one a file header declares: the reopen
-// entry point accepts the file SaveTo wrote, and refuses a header declaring
-// a page above 65 535 bytes with an error naming the limit — and one too
-// small for a single record — before it reads a page. That the refusals
-// leave no tenant behind is TestTenantLifetimes' to check.
-func TestPageSizeLimit(t *testing.T) {
-	g := buildLineGraph(t, 40)
-	db, err := graphrnn.Open(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := db.NewNodePoints()
-	for i := 0; i < 6; i++ {
-		if _, err := nodes.Place(graphrnn.NodeID(5 * i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dir := t.TempDir()
-	type persistable interface {
-		SaveTo(string) error
-		Close() error
-	}
-	saveAs := func(name string) func(persistable, error) string {
-		return func(s persistable, err error) string {
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			path := filepath.Join(dir, name)
-			if err := s.SaveTo(path); err != nil {
-				t.Fatal(err)
-			}
-			return path
-		}
-	}
-	hub := saveAs("labels.hub")(db.BuildHubLabelIndex(nodes, 2, nil))
-	closing := func(c interface{ Close() error }, err error) error {
-		if err == nil {
-			c.Close()
-		}
-		return err
-	}
-	for name, e := range map[string]struct {
-		path, magic string
-		pageSizeAt  int
-		open        func(path string) error
-	}{
-		"OpenHubLabelIndex": {hub, hublabel.FileHeader.Magic, hublabel.FileHeader.PageSizeAt,
-			func(p string) error { return closing(db.OpenHubLabelIndex(nodes, 2, p, nil)) }},
-	} {
-		if err := e.open(e.path); err != nil {
-			t.Errorf("%s: the file SaveTo wrote refused: %v", name, err)
-		}
-		raw, err := os.ReadFile(e.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(raw[:len(e.magic)]) != e.magic {
-			t.Fatalf("%s: file starts %q, want magic %q", name, raw[:len(e.magic)], e.magic)
-		}
-		declaring := func(ps uint32) string {
-			b := append([]byte(nil), raw...)
-			binary.LittleEndian.PutUint32(b[e.pageSizeAt:], ps)
-			path := filepath.Join(dir, fmt.Sprintf("%s-%d", strings.ReplaceAll(name, "/", "-"), ps))
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return path
-		}
-		for _, ps := range []uint32{65536, 1 << 17} {
-			if err := e.open(declaring(ps)); err == nil || !strings.Contains(err.Error(), "65535") {
-				t.Errorf("%s: header declaring %d-byte pages: got %v, want an error naming the 65535-byte limit", name, ps, err)
-			}
-		}
-		if err := e.open(declaring(8)); err == nil {
-			t.Errorf("%s: a header declaring 8-byte pages accepted", name)
-		}
 	}
 }
 

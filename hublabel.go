@@ -1,9 +1,7 @@
 package graphrnn
 
 import (
-	"errors"
 	"fmt"
-	"os"
 
 	"graphrnn/internal/core"
 	"graphrnn/internal/exec"
@@ -23,38 +21,30 @@ import (
 // orders of magnitude faster than eager/lazy on large networks, at the
 // price of a one-off labeling build.
 //
-// The index is registered with the point set it was built or opened over:
-// mutate the set through its Insert / Remove (or Place / Delete) and the
-// hub lists and K-NN thresholds are repaired incrementally, in memory,
-// after the set's materializations (ReHub's split: the labels stay static,
-// only the point-annotated hub lists change). An index whose repair fails
-// is detached from the set (ErrSubstrateDetached). The labeling itself is
+// The index is registered with the point set it was built over: mutate the
+// set through its Insert / Remove (or Place / Delete) and the hub lists and
+// K-NN thresholds are repaired incrementally, in memory, after the set's
+// materializations (ReHub's split: the labels stay static, only the
+// point-annotated hub lists change). An index whose repair fails is
+// detached from the set (ErrSubstrateDetached). The labeling itself is
 // per graph; a changed graph requires a rebuild (BuildHubLabelIndex again)
-// — there is no incremental edge maintenance, by design.
+// — there is no incremental edge maintenance, by design. Like every
+// substrate, the index lives as long as its process: a restart builds the
+// labeling again (ReHub, too, treats it as a per-graph build).
 //
-// The labeling can be persisted into a paged file (SaveTo) and served back
-// through the shared buffer pool (OpenHubLabelIndex), so the expensive
-// build survives process restarts and label reads count I/O like every
-// other substrate.
+// With HubLabelOptions.DiskBacked the labels are served from pages read
+// through the shared buffer pool, so label reads count I/O like every other
+// substrate.
 type HubLabelIndex struct {
 	idx *hublabel.Index
 	// lab counts the labels, and serves them when store is nil. A paged
 	// index reads them through store, and lab is the store's entry-less
-	// Labeling: it does not pin the labeling it was written from.
-	lab      *hublabel.Labeling
-	store    *hublabel.Store
-	reopened bool        // the labels came from a file, nothing was built
-	logQ     int         // log₂ of the quantum of the graph the labels are over
-	node     *NodePoints // the set the index is over, nil once detached
-	build    HubLabelBuildStats
+	// Labeling: it does not pin the labeling it was paged from.
+	lab   *hublabel.Labeling
+	store *hublabel.Store
+	node  *NodePoints // the set the index is over, nil once detached
+	build HubLabelBuildStats
 }
-
-// ErrLabelFileMismatch reports a label file written for a different graph
-// than the one OpenHubLabelIndex is asked to serve: another node count,
-// forward/backward labels for an undirected graph (or the reverse), or
-// distances on another quantum (GraphBuilder), which would otherwise answer
-// with silently wrong distances or ties. Matched with errors.Is.
-var ErrLabelFileMismatch = errors.New("label file does not match the graph")
 
 // BuildOptions tunes the labeling construction.
 type BuildOptions struct {
@@ -93,9 +83,9 @@ type HubLabelBuildStats struct {
 type HubLabelOptions struct {
 	// DiskBacked packs the labels into 4 KB pages read through the shared
 	// buffer pool (tenant "hublabel") with counted I/O, instead of serving
-	// them from memory. SaveTo writes either kind to a file.
+	// them from memory; the experiments count label I/O this way.
 	DiskBacked bool
-	// BufferPages is the label file's frame quota in the pool (default 64).
+	// BufferPages is the label pages' frame quota in the pool (default 64).
 	BufferPages int
 	// Build controls the labeling construction (worker count).
 	Build BuildOptions
@@ -136,7 +126,7 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	if err != nil {
 		return nil, err
 	}
-	h := &HubLabelIndex{lab: lab, logQ: db.graph.g.LogQuantum()}
+	h := &HubLabelIndex{lab: lab}
 	h.build = HubLabelBuildStats{
 		Workers:     bst.Workers,
 		Batches:     bst.Batches,
@@ -149,35 +139,14 @@ func (db *DB) buildHubLabelIndex(ps *NodePoints, maxK int, opt *HubLabelOptions,
 	}
 	if paged {
 		file := storage.NewMemFile(storage.DefaultPageSize)
-		if err := hublabel.Write(lab, file, db.graph.g.LogQuantum()); err != nil {
-			return nil, err
-		}
 		bm := db.pool.attach("hublabel", file, buffer)
-		h.store, err = hublabel.OpenStoreBuffer(file, bm)
-		if err != nil {
+		if h.store, err = hublabel.NewStore(lab, file, bm); err != nil {
 			_ = bm.Detach()
-			file.Close()
 			return nil, err
 		}
 		h.lab = &h.store.Labeling // the pages serve from here on
 	}
 	return h.index(ps, maxK, track)
-}
-
-// createLabelFile runs write into a fresh page file at path and closes it.
-// A failed write leaves no file behind: its remains carry no header (the
-// label writers lay that down last) and would only be refused at open.
-func createLabelFile(path string, write func(storage.PagedFile) error) error {
-	f, err := storage.CreateOSFile(path, storage.DefaultPageSize)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
 }
 
 // index builds the reverse index over ps — ReHub's per-object-set half,
@@ -200,65 +169,9 @@ func (h *HubLabelIndex) index(ps *NodePoints, maxK int, track bool) (*HubLabelIn
 	return h, nil
 }
 
-// OpenHubLabelIndex reopens a labeling previously persisted at path by
-// SaveTo and rebuilds the reverse index over ps — the restart path: no
-// pruned-landmark build runs, labels fault in through the shared buffer
-// pool on demand. Like BuildHubLabelIndex, the reopened index is registered
-// with ps.
-func (db *DB) OpenHubLabelIndex(ps *NodePoints, maxK int, path string, opt *HubLabelOptions) (*HubLabelIndex, error) {
-	buffer, _, _ := opt.defaults()
-	// The page size lives in the file header, so reopening needs no
-	// recollection of the build-time options.
-	pageSize, err := hublabel.FileHeader.PageSize(path)
-	if err != nil {
-		return nil, err
-	}
-	file, err := storage.OpenOSFile(path, pageSize)
-	if err != nil {
-		return nil, err
-	}
-	bm := db.pool.attach("hublabel", file, buffer)
-	store, err := hublabel.OpenStoreBuffer(file, bm)
-	if err != nil {
-		_ = bm.Detach()
-		file.Close()
-		return nil, err
-	}
-	if store.NumNodes() != db.store.NumNodes() || store.Directed() != db.graph.Directed() {
-		_ = bm.Detach()
-		file.Close()
-		return nil, fmt.Errorf("graphrnn: label file covers %d nodes (directed: %v), graph has %d (directed: %v): %w",
-			store.NumNodes(), store.Directed(), db.store.NumNodes(), db.graph.Directed(), ErrLabelFileMismatch)
-	}
-	if q := db.graph.g.LogQuantum(); store.LogQuantum() != q {
-		_ = bm.Detach()
-		file.Close()
-		return nil, fmt.Errorf("graphrnn: label file distances lie on the quantum 2^%d, the graph's weights on 2^%d; rebuild the labels over this graph (BuildHubLabelIndex, SaveTo): %w",
-			store.LogQuantum(), q, ErrLabelFileMismatch)
-	}
-	h := &HubLabelIndex{lab: &store.Labeling, store: store, reopened: true}
-	h.build.LabelBytes = store.Bytes()
-	return h.index(ps, maxK, true)
-}
-
-// SaveTo persists the labeling into a fresh page file at path, so a later
-// process can OpenHubLabelIndex it. Only available on indexes built in this
-// process (an index reopened from a file is already persisted). A paged
-// index's label pages already are the file: they are copied verbatim. A
-// failed write leaves no file at path.
-func (h *HubLabelIndex) SaveTo(path string) error {
-	if h.reopened {
-		return fmt.Errorf("graphrnn: index was opened from a label file; it is already persisted")
-	}
-	if h.store != nil {
-		return createLabelFile(path, h.store.CopyTo)
-	}
-	return createLabelFile(path, func(f storage.PagedFile) error { return hublabel.Write(h.lab, f, h.logQ) })
-}
-
 // Close unregisters the index from its point set and releases the label
-// pages from the shared buffer pool and the label file, if any. Queries
-// must not be in flight.
+// pages, if any, from the shared buffer pool. Queries must not be in
+// flight.
 func (h *HubLabelIndex) Close() error {
 	h.detach()
 	if h.store != nil {
@@ -296,8 +209,7 @@ func (h *HubLabelIndex) LabelEntries() int { return h.lab.Entries() }
 // AverageLabelSize returns the mean label entries per node.
 func (h *HubLabelIndex) AverageLabelSize() float64 { return h.lab.AverageLabelSize() }
 
-// BuildStats returns the construction counters. An index reopened from a
-// file reports only the label-byte fields (nothing was built).
+// BuildStats returns the construction counters.
 func (h *HubLabelIndex) BuildStats() HubLabelBuildStats { return h.build }
 
 func hubPointsOf(ps *NodePoints) []hublabel.PointOnNode {

@@ -209,7 +209,7 @@ func TestDirectedRejectsSymmetricOnlyPaths(t *testing.T) {
 	g := randDigraph(t, rng, 12, true)
 	s := NewSearcher(g)
 	ps := randPoints(t, rng, g, 4)
-	es := points.NewEdgeSet(g.LogQuantum())
+	es := points.NewEdgeSet()
 	node, edge := PointSet{Node: ps}, PointSet{Edge: es}
 	inEdge := Loc{U: 0, V: 1, Pos: g.Round(0.5)}
 

@@ -99,7 +99,7 @@ func TestKNNValidation(t *testing.T) {
 	if _, err := s.KNN(PointSet{Node: ps}, NodeLoc(-1), 1); err == nil {
 		t.Fatal("bad node accepted")
 	}
-	eps := points.NewEdgeSet(g.LogQuantum())
+	eps := points.NewEdgeSet()
 	if _, err := s.KNN(PointSet{Edge: eps}, Loc{U: 0, V: 99}, 1); err == nil {
 		t.Fatal("bad location accepted")
 	}

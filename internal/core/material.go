@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"graphrnn/internal/graph"
@@ -53,7 +52,6 @@ type Materialized struct {
 	maxK     int // queries support k <= maxK; records hold maxK+1 entries
 	cap      int // maxK + 1
 	numNodes int
-	q        float64 // the graph's quantum, which the records store distances over
 	bm       *storage.Tenant
 	refs     []storage.RecRef
 	// repair is the in-flight maintenance operation, nil between
@@ -78,25 +76,24 @@ type matRepair struct {
 // rewrites it in place.
 func matRecordSize(cap int) int { return 2 + cap*storage.PairSize }
 
-// appendMatList appends entries to b as a counted run of pairs over the
-// quantum q.
-func appendMatList(b []byte, entries []MatEntry, q float64) []byte {
+// appendMatList appends entries to b as a counted run of pairs.
+func appendMatList(b []byte, entries []MatEntry) []byte {
 	b = storage.AppendCount(b, len(entries))
 	for _, e := range entries {
-		b = storage.AppendPair(b, int32(e.P), e.D, q)
+		b = storage.AppendPair(b, int32(e.P), e.D)
 	}
 	return b
 }
 
-// DecodeMatList appends the entries of the counted run at the front of rec,
-// its distances stored over the quantum q, to buf.
-func DecodeMatList(rec []byte, buf []MatEntry, q float64) ([]MatEntry, error) {
+// DecodeMatList appends the entries of the counted run at the front of rec
+// to buf.
+func DecodeMatList(rec []byte, buf []MatEntry) ([]MatEntry, error) {
 	pairs, err := storage.CountedPairs(rec)
 	if err != nil {
 		return nil, err
 	}
 	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
-		p, d := storage.Pair(pairs, q)
+		p, d := storage.Pair(pairs)
 		buf = append(buf, MatEntry{P: points.PointID(p), D: d})
 	}
 	return buf, nil
@@ -136,7 +133,7 @@ func (m *Materialized) List(n graph.NodeID, buf []MatEntry) ([]MatEntry, error) 
 		if len(rec) < matRecordSize(m.cap) {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
-		if buf, err = DecodeMatList(rec, buf, m.q); err != nil || len(buf) > m.cap {
+		if buf, err = DecodeMatList(rec, buf); err != nil || len(buf) > m.cap {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
 		return nil
@@ -177,7 +174,7 @@ func (m *Materialized) restoreList(n graph.NodeID, entries []MatEntry) error {
 		if len(rec) < matRecordSize(m.cap) {
 			return fmt.Errorf("core: corrupt materialized record for node %d", n)
 		}
-		appendMatList(rec[:0], entries, m.q) // in place: rec has room for cap entries
+		appendMatList(rec[:0], entries) // in place: rec has room for cap entries
 		return nil
 	})
 }
@@ -357,10 +354,10 @@ func (s *Searcher) MatBuildBuffer(ps PointSet, maxK int, file storage.PagedFile,
 	if len(order) != n {
 		return nil, fmt.Errorf("core: order has %d nodes, graph has %d", len(order), n)
 	}
-	m := &Materialized{maxK: maxK, cap: cap, numNodes: n, q: math.Ldexp(1, s.g.LogQuantum()), refs: make([]storage.RecRef, n)}
+	m := &Materialized{maxK: maxK, cap: cap, numNodes: n, refs: make([]storage.RecRef, n)}
 	rec := make([]byte, matRecordSize(cap))
 	for _, node := range order {
-		used := appendMatList(rec[:0], list(node), m.q)
+		used := appendMatList(rec[:0], list(node))
 		clear(rec[len(used):])
 		if m.refs[node], err = w.Add(rec); err != nil {
 			return nil, err

@@ -29,7 +29,7 @@ func graphEdges(g *graph.Graph) []edgeInfo {
 func randEdgePoints(t testing.TB, rng *rand.Rand, g *graph.Graph, count int) *points.EdgeSet {
 	t.Helper()
 	edges := graphEdges(g)
-	ps := points.NewEdgeSet(g.LogQuantum())
+	ps := points.NewEdgeSet()
 	for i := 0; i < count; i++ {
 		e := edges[rng.Intn(len(edges))]
 		if _, err := ps.Place(e.u, e.v, g.Round(rng.Float64()*e.w)); err != nil {
@@ -104,7 +104,7 @@ func TestULocDistanceFig14Semantics(t *testing.T) {
 func TestULocValidation(t *testing.T) {
 	g, _, _ := paperGraph(t)
 	s := NewSearcher(g)
-	ps := points.NewEdgeSet(g.LogQuantum())
+	ps := points.NewEdgeSet()
 	if _, err := runURNN(s, AlgoEager, ps, nil, Loc{U: 0, V: 99}, 1); err == nil {
 		t.Fatal("out-of-range location accepted")
 	}
@@ -151,7 +151,7 @@ func TestUnrestrictedDensePoints(t *testing.T) {
 		n := 6 + rng.Intn(10)
 		g := randNet(t, rng, n, rng.Intn(n), 0)
 		edges := graphEdges(g)
-		ps := points.NewEdgeSet(g.LogQuantum())
+		ps := points.NewEdgeSet()
 		// Cluster points on up to 3 edges.
 		for range 3 + rng.Intn(10) {
 			e := edges[rng.Intn(min(3, len(edges)))]
@@ -178,7 +178,7 @@ func TestUnrestrictedFarFromEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := points.NewEdgeSet(g.LogQuantum())
+	ps := points.NewEdgeSet()
 	p, _ := ps.Place(0, 1, g.Round(10)) // d(p,q) = 19
 	x, _ := ps.Place(1, 2, g.Round(85)) // x at node-2 end: d(x,b)=85 < d(p,b)=90
 	_ = x                               // d(x,p)=175, d(x,q)=194: x's NN is p, not q

@@ -35,12 +35,11 @@ func PlaceNodePoints(rng *rand.Rand, numNodes, count int) (*points.NodeSet, erro
 type EdgeList struct {
 	U, V []graph.NodeID
 	W    []graph.Dist
-	LogQ int // log₂ of the graph's quantum (graph.Graph.LogQuantum)
 }
 
 // Edges extracts the edge list of g.
 func Edges(g *graph.Graph) *EdgeList {
-	el := &EdgeList{LogQ: g.LogQuantum()}
+	el := &EdgeList{}
 	g.ForEachEdge(func(u, v graph.NodeID, w graph.Dist) {
 		el.U = append(el.U, u)
 		el.V = append(el.V, v)
@@ -56,7 +55,7 @@ func PlaceEdgePoints(rng *rand.Rand, el *EdgeList, count int) (*points.EdgeSet, 
 	if len(el.U) == 0 {
 		return nil, fmt.Errorf("gen: graph has no edges")
 	}
-	ps := points.NewEdgeSet(el.LogQ)
+	ps := points.NewEdgeSet()
 	for i := 0; i < count; i++ {
 		e := rng.Intn(len(el.U))
 		if _, err := ps.Place(el.U[e], el.V[e], graph.Dist(math.Round(rng.Float64()*float64(el.W[e])))); err != nil {

@@ -65,7 +65,7 @@ func (o BuildOptions) workers() int {
 
 // BuildOpt constructs the 2-hop labeling of g with pruned landmark
 // labeling. The graph is read directly (no counted I/O); builds are
-// CPU-bound and meant to run once per graph, then persist via Write.
+// CPU-bound and meant to run once per graph and process.
 //
 // Every landmark runs a forward sweep (over out-arcs, computing d(h→v) and
 // filling L_in(v)) and a backward sweep (over in-arcs, computing d(v→h) and

@@ -110,15 +110,15 @@ func TestLabelingFingerprint(t *testing.T) {
 			t.Errorf("%s: labeling fingerprint %s, pinned %s", c.name, got, c.want)
 		}
 	}
-	// The label file is a pure function of the labeling and the graph's
-	// quantum (TestStoreRoundTrip), so road's file is pinned too: only a new
-	// labeling or a new file format may move it, on purpose.
+	// The label pages are a pure function of the labeling
+	// (TestStoreRoundTrip), so road's are pinned too: only a new labeling or
+	// a new page layout may move them, on purpose.
 	l, err := buildSeq(graphs["road"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := storage.NewMemFile(storage.DefaultPageSize)
-	if err := Write(l, f, graphs["road"].LogQuantum()); err != nil {
+	if _, err := NewStore(l, f, storage.NewBufferPool(1).Attach("", f, 0)); err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
@@ -129,9 +129,9 @@ func TestLabelingFingerprint(t *testing.T) {
 		}
 		h.Write(page)
 	}
-	const pinned = "6f5fda37fd52dd01fed0351ccc4e66fd59fddf74f9fe3a882b4ad90ba4fd043e"
+	const pinned = "7c985b5af7c8b50dc45a66807627c385f4b5546512dc59a326e56cdabf36fb2c"
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
-		t.Errorf("road: label file (%d pages) SHA-256 %s, pinned %s", f.NumPages(), got, pinned)
+		t.Errorf("road: label pages (%d) SHA-256 %s, pinned %s", f.NumPages(), got, pinned)
 	}
 }
 

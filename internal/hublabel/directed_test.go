@@ -20,7 +20,7 @@ func TestDirectedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]Source{"memory": l, "store": roundTrip(t, l, 256, 8)} {
+	for name, src := range map[string]Source{"memory": l, "store": pageStore(t, l, 256, 8)} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(32))
 			ps, err := gen.PlaceNodePoints(rng, d.NumNodes(), 25)

@@ -1,14 +1,11 @@
 package hublabel
 
 import (
-	"encoding/binary"
 	"math"
-	"slices"
 	"testing"
 
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
-	"graphrnn/internal/storage"
 )
 
 // arcGraph is a graph.Access over plain adjacency lists that, unlike
@@ -171,92 +168,6 @@ func FuzzHubLabelAgreement(f *testing.F) {
 			if bad != nil {
 				t.Fatalf("step %d (%+v), maxK %d, points %v: %v", i, op, maxK, ps.Table(), bad)
 			}
-		}
-	})
-}
-
-// FuzzLabelFile feeds arbitrary bytes, cut into 64-byte pages, to
-// OpenStoreBuffer and then to every label read and the page copy: each
-// returns an error or labels whose hubs are below n and ascending and whose
-// distances are counts below graph.Inf — never a panic, never an allocation
-// the file's size does not bound. The seeds are a healthy two-sided file,
-// the same file with every hub id past the graph, its offsets cut short, and
-// its out side's unit set to 2^1000.
-func FuzzLabelFile(f *testing.F) {
-	const pageSize = 64
-	w := [][]float64{ // a one-way ring with two chords and a zero-weight arc
-		{math.Inf(1), 1, math.Inf(1), math.Inf(1), 3},
-		{math.Inf(1), math.Inf(1), 2, math.Inf(1), math.Inf(1)},
-		{0, math.Inf(1), math.Inf(1), 1, math.Inf(1)},
-		{math.Inf(1), 2, math.Inf(1), math.Inf(1), 1},
-		{1, math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)},
-	}
-	l, err := buildSeq(newArcGraph(w))
-	if err != nil {
-		f.Fatal(err)
-	}
-	mem := storage.NewMemFile(pageSize)
-	if err := Write(l, mem, 0); err != nil {
-		f.Fatal(err)
-	}
-	var healthy []byte
-	page := make([]byte, pageSize)
-	for id := storage.PageID(0); int(id) < mem.NumPages(); id++ {
-		if err := mem.Read(id, page); err != nil {
-			f.Fatal(err)
-		}
-		healthy = append(healthy, page...)
-	}
-	s, err := openStore(mem, 2)
-	if err != nil || !s.Directed() {
-		f.Fatalf("seed file: directed %v, %v", s != nil && s.Directed(), err)
-	}
-	badHubs := slices.Clone(healthy)
-	for _, side := range []int{0, 1} {
-		set := s.sides()[side]
-		for i := range set.size() {
-			at := pageSize + int(s.entriesAt[side]) + i*set.width
-			copy(badHubs[at:], hubBytes(set, 1<<(8*set.hubW)-1))
-		}
-	}
-	coarse := slices.Clone(healthy)
-	binary.LittleEndian.PutUint16(coarse[sideAt+2:], 1000)
-	f.Add(healthy)
-	f.Add(badHubs)
-	f.Add(healthy[:pageSize+4*l.NumNodes()/2])
-	f.Add(coarse)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		mem := storage.NewMemFile(pageSize)
-		for len(data) > 0 {
-			page := make([]byte, pageSize)
-			data = data[copy(page, data):]
-			if _, err := mem.Append(page); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, err := openStore(mem, 2)
-		if err != nil {
-			return
-		}
-		var buf []Entry
-		for v := graph.NodeID(0); int(v) < s.NumNodes(); v++ {
-			for _, read := range []func(graph.NodeID, []Entry) ([]Entry, error){s.OutLabel, s.InLabel} {
-				if buf, err = read(v, buf); err != nil {
-					continue
-				}
-				for i, e := range buf {
-					if e.Hub < 0 || int(e.Hub) >= s.NumNodes() || i > 0 && e.Hub <= buf[i-1].Hub {
-						t.Fatalf("node %d: hub %d at entry %d of %v, %d nodes", v, e.Hub, i, buf, s.NumNodes())
-					}
-					if e.Dist >= graph.Inf {
-						t.Fatalf("node %d: entry %d of %v is no count below graph.Inf", v, i, buf)
-					}
-				}
-			}
-		}
-		if err := s.CopyTo(storage.NewMemFile(pageSize)); err != nil {
-			t.Fatalf("page copy: %v", err)
 		}
 	})
 }

@@ -2,12 +2,10 @@ package hublabel
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"graphrnn/internal/gen"
@@ -172,29 +170,15 @@ func TestDigraphLabelingDistances(t *testing.T) {
 	}
 }
 
-// fileLogQ is the quantum exponent the codec tests record in a label
-// file's header: below every test graph's own, so each side's unit lies on
-// its grid.
-const fileLogQ = -42
-
-// openStore opens f through a private buffer of bufferPages pages.
-func openStore(f storage.PagedFile, bufferPages int) (*Store, error) {
-	return OpenStoreBuffer(f, storage.NewBufferPool(bufferPages).Attach("", f, 0))
-}
-
-// roundTrip persists l into a fresh memory page file and reopens it.
-func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
+// pageStore pages l into a fresh memory file of pageSize pages, served
+// through a private buffer of bufferPages pages, and closes the store when
+// the test ends.
+func pageStore(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	t.Helper()
 	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f, fileLogQ); err != nil {
-		t.Fatal(err)
-	}
-	s, err := openStore(f, bufferPages)
+	s, err := NewStore(l, f, storage.NewBufferPool(bufferPages).Attach("", f, 0))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.LogQuantum() != fileLogQ {
-		t.Fatalf("header holds quantum 2^%d, written 2^%d", s.LogQuantum(), fileLogQ)
 	}
 	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
@@ -204,32 +188,7 @@ func roundTrip(t *testing.T, l *Labeling, pageSize, bufferPages int) *Store {
 	return s
 }
 
-// patchStream overwrites the label stream of f, from byte pos on, with b.
-func patchStream(t *testing.T, f storage.PagedFile, pos int64, b []byte) {
-	t.Helper()
-	page := make([]byte, f.PageSize())
-	for i, c := range b {
-		at := pos + int64(i)
-		id := storage.PageID(1 + at/int64(len(page)))
-		if err := f.Read(id, page); err != nil {
-			t.Fatal(err)
-		}
-		page[at%int64(len(page))] = c
-		if err := f.Write(id, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// hubBytes is hub as side stores it.
-func hubBytes(side *labelSet, hub uint64) []byte {
-	return binary.LittleEndian.AppendUint64(nil, hub)[:side.hubW]
-}
-
-// entryAt is where entry i of s's out side starts in the label stream.
-func entryAt(s *Store, i int) int64 { return s.entriesAt[0] + int64(i)*int64(s.out.width) }
-
-// brokenFile fails every Read of page bad, once bad is set.
+// brokenFile fails every Read of page bad.
 type brokenFile struct {
 	storage.PagedFile
 	bad storage.PageID
@@ -238,31 +197,26 @@ type brokenFile struct {
 var errBrokenPage = errors.New("injected read fault")
 
 func (f *brokenFile) Read(id storage.PageID, dst []byte) error {
-	if f.bad != 0 && id == f.bad {
+	if id == f.bad {
 		return errBrokenPage
 	}
 	return f.PagedFile.Read(id, dst)
 }
 
 // TestReadLabelErrorExits drives a label read through each of its error
-// exits — node out of range, an unreadable page, a hub id past the graph,
-// hubs out of order — and checks that each leaves the buffer usable: it
-// invalidates down to no frame (the buffer holds the whole file, so anything
-// kept would stay), and the victim's label reads back healthy once its bytes
-// are.
+// exits — node out of range, an unreadable page — and checks that each
+// leaves the buffer usable: it invalidates down to no frame (the buffer
+// holds the whole file, so anything kept would stay), and the victim's label
+// reads back healthy once its page is.
 func TestReadLabelErrorExits(t *testing.T) {
 	const pageSize = 256
 	l, err := buildSeq(testGraphs(t)["road"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := storage.NewMemFile(pageSize)
-	if err := Write(l, mem, fileLogQ); err != nil {
-		t.Fatal(err)
-	}
-	f := &brokenFile{PagedFile: mem}
-	pool := storage.NewBufferPool(f.NumPages())
-	s, err := OpenStoreBuffer(f, pool.Attach("", f, 0))
+	f := &brokenFile{PagedFile: storage.NewMemFile(pageSize), bad: storage.InvalidPage}
+	pool := storage.NewBufferPool(1 << 10)
+	s, err := NewStore(l, f, pool.Attach("", f, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +228,7 @@ func TestReadLabelErrorExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, second := entryAt(s, int(s.out.offsets[victim])), entryAt(s, int(s.out.offsets[victim])+1)
+	first := s.entriesAt[0] + int64(s.out.offsets[victim])*int64(s.out.width)
 	for _, c := range []struct {
 		name    string
 		corrupt func() graph.NodeID
@@ -282,17 +236,9 @@ func TestReadLabelErrorExits(t *testing.T) {
 	}{
 		{"node out of range", func() graph.NodeID { return graph.NodeID(l.numNodes) }, func() {}},
 		{"unreadable page", func() graph.NodeID {
-			f.bad = storage.PageID(1 + first/pageSize)
+			f.bad = storage.PageID(first / pageSize)
 			return victim
-		}, func() { f.bad = 0 }},
-		{"hub id past the graph", func() graph.NodeID {
-			patchStream(t, mem, first, hubBytes(&s.out, uint64(l.numNodes)))
-			return victim
-		}, func() { patchStream(t, mem, first, hubBytes(&s.out, uint64(want[0].Hub))) }},
-		{"hubs out of order", func() graph.NodeID {
-			patchStream(t, mem, second, hubBytes(&s.out, uint64(want[0].Hub)))
-			return victim
-		}, func() { patchStream(t, mem, second, hubBytes(&s.out, uint64(want[1].Hub))) }},
+		}, func() { f.bad = storage.InvalidPage }},
 	} {
 		if _, err := s.OutLabel(c.corrupt(), nil); err == nil {
 			t.Errorf("%s: the label read succeeded", c.name)
@@ -314,11 +260,12 @@ func TestReadLabelErrorExits(t *testing.T) {
 	}
 }
 
-// writeFile persists l into a fresh in-memory file of pageSize pages.
-func writeFile(t *testing.T, l *Labeling, pageSize int) *storage.MemFile {
+// pages pages l into a fresh in-memory file of pageSize pages and returns
+// the file.
+func pages(t *testing.T, l *Labeling, pageSize int) *storage.MemFile {
 	t.Helper()
 	f := storage.NewMemFile(pageSize)
-	if err := Write(l, f, fileLogQ); err != nil {
+	if _, err := NewStore(l, f, storage.NewBufferPool(1).Attach("", f, 0)); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -369,17 +316,17 @@ func sameLabels(t *testing.T, what string, a, b Source) {
 	}
 }
 
-// TestStoreRoundTrip checks that a persisted labeling serves identical
-// labels, across page sizes that make labels straddle pages, for both
-// directions, and holds the labeling's bytes; that the file is a pure
-// function of the labeling — the sequential labeling written twice and the
-// 4-worker labeling produce the same bytes; and that a store's page copy is
-// the file it was opened from and serves the same labels.
+// TestStoreRoundTrip checks that a paged labeling serves identical labels,
+// across page sizes that make labels straddle pages, for both directions,
+// and holds the labeling's bytes; that the pages are a pure function of the
+// labeling — the sequential labeling paged twice and the 4-worker labeling
+// produce the same bytes; and that a store refuses a file that is not
+// empty.
 func TestStoreRoundTrip(t *testing.T) {
 	check := func(t *testing.T, l *Labeling, pageSize int) {
-		f := writeFile(t, l, pageSize)
-		sameFile(t, "second write", f, writeFile(t, l, pageSize))
-		s := roundTrip(t, l, pageSize, 16)
+		f := pages(t, l, pageSize)
+		sameFile(t, "second paging", f, pages(t, l, pageSize))
+		s := pageStore(t, l, pageSize, 16)
 		sameLabels(t, "store", l, s)
 		if s.Entries() != l.Entries() || s.Bytes() != l.Bytes() || s.AverageLabelSize() != l.AverageLabelSize() {
 			t.Fatalf("store counts %d entries in %d bytes, labeling %d in %d", s.Entries(), s.Bytes(), l.Entries(), l.Bytes())
@@ -387,16 +334,9 @@ func TestStoreRoundTrip(t *testing.T) {
 		if s.Buffer().Stats().Reads == 0 {
 			t.Fatal("store served labels without any physical reads")
 		}
-		cp := storage.NewMemFile(pageSize)
-		if err := s.CopyTo(cp); err != nil {
-			t.Fatal(err)
+		if _, err := NewStore(l, f, storage.NewBufferPool(1).Attach("", f, 0)); err == nil {
+			t.Fatal("a store over a non-empty file accepted")
 		}
-		sameFile(t, "page copy", f, cp)
-		reopened, err := openStore(cp, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameLabels(t, "copy", l, reopened)
 	}
 	for name, g := range testGraphs(t) {
 		for _, pageSize := range []int{128, 4096} {
@@ -409,7 +349,7 @@ func TestStoreRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameFile(t, "4-worker labeling", writeFile(t, l, pageSize), writeFile(t, par, pageSize))
+				sameFile(t, "4-worker labeling", pages(t, l, pageSize), pages(t, par, pageSize))
 				check(t, l, pageSize)
 			})
 		}
@@ -434,108 +374,8 @@ func sameEntries(a, b []Entry) bool {
 	return true
 }
 
-// TestOpenStoreRejectsGarbage covers the validation of a label file: its
-// header and offsets at open, and the hub ids a label read decodes. Every
-// corrupt file is an error, never a panic: refused at open, or — a hub id
-// past the graph — at the first read of a label it spoils, which NewIndex
-// does for every point's node.
-func TestOpenStoreRejectsGarbage(t *testing.T) {
-	f := storage.NewMemFile(4096)
-	if _, err := openStore(f, 4); err == nil {
-		t.Fatal("empty file accepted")
-	}
-	if _, err := f.Append(make([]byte, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openStore(f, 4); err == nil {
-		t.Fatal("zero page accepted as header")
-	}
-	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 5, Nodes: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := buildSeq(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(l, f, fileLogQ); err == nil {
-		t.Fatal("Write into non-empty file accepted")
-	}
-	ps, err := gen.PlaceNodePoints(rand.New(rand.NewSource(6)), g.NumNodes(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healthy, err := openStore(writeFile(t, l, 4096), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := l.NumNodes()
-	offGrid := int16(fileLogQ - 1)
-	header := func(at int, b ...byte) func(*storage.MemFile) {
-		return func(f *storage.MemFile) {
-			hdr := make([]byte, f.PageSize())
-			if err := f.Read(0, hdr); err != nil {
-				t.Fatal(err)
-			}
-			copy(hdr[at:], b)
-			if err := f.Write(0, hdr); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	offset := func(v int, o uint32) func(*storage.MemFile) {
-		return func(f *storage.MemFile) { patchStream(t, f, 4*int64(v), binary.LittleEndian.AppendUint32(nil, o)) }
-	}
-	for _, c := range []struct {
-		name, want string
-		corrupt    func(*storage.MemFile)
-	}{
-		{"version 2", "rebuild with BuildHubLabelIndex", header(8, 2)},
-		{"hub ids of 5 bytes", "corrupt label file", header(sideAt, 5, 9)},
-		{"distances of 9 bytes", "corrupt label file", header(sideAt+1, byte(healthy.out.hubW+9))},
-		{"unit off the quantum", "off the quantum", header(sideAt+2, binary.LittleEndian.AppendUint16(nil, uint16(offGrid))...)},
-		{"unit 2^1000", "past 2^63", header(sideAt+2, binary.LittleEndian.AppendUint16(nil, 1000)...)},
-		{"offsets past the file", "run past", header(16, 0xff, 0xff, 0xff, 0x7f)},
-		{"truncated offsets", "run past", func(f *storage.MemFile) { *f = *cut(t, writeFile(t, l, 512), 3) }},
-		{"first offset not 0", "corrupt label file", offset(0, 1)},
-		{"falling offset", "corrupt label file", offset(n/2, uint32(healthy.out.offsets[n/2-1])-1)},
-		{"entries past the file", "run past", offset(n, 1<<30)},
-		{"hub ids past the graph on page 1", "corrupt label file", func(f *storage.MemFile) {
-			for i := 0; entryAt(healthy, i) < 4096; i++ {
-				patchStream(t, f, entryAt(healthy, i), hubBytes(&healthy.out, 1<<(8*healthy.out.hubW)-1))
-			}
-		}},
-	} {
-		f := writeFile(t, l, 4096)
-		c.corrupt(f)
-		s, err := openStore(f, 4)
-		if err == nil {
-			_, err = NewIndex(s, 2, pointsOf(ps))
-		}
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
-		}
-	}
-}
-
-// cut returns the first pages of f as a file of their own.
-func cut(t *testing.T, f *storage.MemFile, pages int) *storage.MemFile {
-	t.Helper()
-	out := storage.NewMemFile(f.PageSize())
-	page := make([]byte, f.PageSize())
-	for id := storage.PageID(0); int(id) < pages; id++ {
-		if err := f.Read(id, page); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := out.Append(page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
-// failingFile fails its n-th mutation (Append and Write counted together)
-// and every later one, like a disk that filled up mid-write.
+// failingFile fails its n-th Append and every later one, like a device that
+// filled up mid-write.
 type failingFile struct {
 	storage.PagedFile
 	left int
@@ -550,41 +390,30 @@ func (f *failingFile) Append(src []byte) (storage.PageID, error) {
 	return f.PagedFile.Append(src)
 }
 
-func (f *failingFile) Write(id storage.PageID, src []byte) error {
-	if f.left--; f.left < 0 {
-		return errInjected
-	}
-	return f.PagedFile.Write(id, src)
-}
-
-// TestWriteFaultLeavesRefusedFile pins what an interrupted Write leaves
-// behind: label files have no journal, so the header goes down last and
-// every prefix of the write — swept here over every write index of a small
-// two-sided labeling — is refused at open, never served.
-func TestWriteFaultLeavesRefusedFile(t *testing.T) {
+// TestNewStoreWriteFault: a store over a file whose n-th append fails —
+// swept here over every append of a small two-sided labeling — returns the
+// injected error, and no store.
+func TestNewStoreWriteFault(t *testing.T) {
 	const pageSize = 128
 	l, err := buildSeq(testDigraph(t, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; ; n++ {
-		mem := storage.NewMemFile(pageSize)
-		werr := Write(l, &failingFile{PagedFile: mem, left: n}, fileLogQ)
-		s, err := openStore(mem, 4)
-		if werr == nil { // n writes were all of them: the sweep is complete
-			if err != nil || n < 4 {
-				t.Fatalf("the unfaulted file (%d writes) opened with %v", n, err)
+		f := &failingFile{PagedFile: storage.NewMemFile(pageSize), left: n}
+		s, err := NewStore(l, f, storage.NewBufferPool(4).Attach("", f, 0))
+		if err == nil { // n appends were all of them: the sweep is complete
+			if n < 4 {
+				t.Fatalf("the unfaulted store took only %d appends", n)
 			}
+			sameLabels(t, "unfaulted store", l, s)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 			return
 		}
-		if !errors.Is(werr, errInjected) {
-			t.Fatalf("fault at write %d: Write returned %v", n, werr)
-		}
-		if err == nil {
-			t.Fatalf("fault at write %d: the remains (%d pages) opened", n, mem.NumPages())
+		if !errors.Is(err, errInjected) || s != nil {
+			t.Fatalf("fault at append %d: NewStore returned (%v, %v)", n, s, err)
 		}
 	}
 }
@@ -906,7 +735,7 @@ func TestIndexOverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := roundTrip(t, l, 512, 8)
+	s := pageStore(t, l, 512, 8)
 	rng := rand.New(rand.NewSource(92))
 	ps, err := gen.PlaceNodePoints(rng, g.NumNodes(), 30)
 	if err != nil {

@@ -42,11 +42,10 @@
 // survivor, the visible ones strictly closer than the query; with that many
 // slots the count always decides.
 //
-// A labeling has one encoding, in memory and on disk: each side's CSR
-// offsets and its entries packed at the width the graph needs (labelSet).
-// Write streams those bytes onto raw pages of an internal/storage paged
-// file, and a Store serves them back through an LRU buffer and the same
-// decode, so an expensive build survives process restarts and label reads
+// A labeling has one encoding, in memory and paged: each side's CSR offsets
+// and its entries packed at the width the graph needs (labelSet). NewStore
+// streams those bytes onto raw pages of an internal/storage paged file and
+// serves them back through an LRU buffer and the same decode, so label reads
 // are I/O-accounted like every other substrate in this repository.
 package hublabel
 

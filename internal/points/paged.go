@@ -2,7 +2,6 @@ package points
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"graphrnn/internal/graph"
@@ -23,7 +22,6 @@ type PagedEdgeSet struct {
 	dir  map[edgeKey]storage.RecRef
 	pts  []EdgePoint
 	live int
-	q    float64 // the quantum the offsets are stored over
 }
 
 // NewPagedEdgeSetBuffer packs src into file (which must be empty) and reads
@@ -54,14 +52,13 @@ func NewPagedEdgeSetBuffer(src *EdgeSet, file storage.PagedFile, bm *storage.Ten
 		dir:  make(map[edgeKey]storage.RecRef, len(keys)),
 		pts:  append([]EdgePoint(nil), src.pts...),
 		live: src.live,
-		q:    math.Ldexp(1, src.logQ),
 	}
 	var rec []byte
 	for _, k := range keys {
 		refs := src.byEdge[k]
 		rec = storage.AppendCount(rec[:0], len(refs))
 		for _, r := range refs {
-			rec = storage.AppendPair(rec, int32(r.ID), r.Pos, s.q)
+			rec = storage.AppendPair(rec, int32(r.ID), r.Pos)
 		}
 		if s.dir[k], err = w.Add(rec); err != nil {
 			return nil, fmt.Errorf("points: %d points on edge (%d,%d): %w", len(refs), k.u, k.v, err)
@@ -81,7 +78,7 @@ func (s *PagedEdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePo
 		return buf, nil
 	}
 	err := s.bm.ReadRecord(ref, func(rec []byte) (err error) {
-		buf, err = DecodeEdgeRecord(rec, buf, s.q)
+		buf, err = DecodeEdgeRecord(rec, buf)
 		return err
 	})
 	if err != nil {
@@ -90,15 +87,14 @@ func (s *PagedEdgeSet) PointsOn(u, v graph.NodeID, buf []EdgePointRef) ([]EdgePo
 	return buf, nil
 }
 
-// DecodeEdgeRecord appends the points of one edge's record, its offsets
-// stored over the quantum q, to buf.
-func DecodeEdgeRecord(rec []byte, buf []EdgePointRef, q float64) ([]EdgePointRef, error) {
+// DecodeEdgeRecord appends the points of one edge's record to buf.
+func DecodeEdgeRecord(rec []byte, buf []EdgePointRef) ([]EdgePointRef, error) {
 	pairs, err := storage.CountedPairs(rec)
 	if err != nil {
 		return nil, err
 	}
 	for ; len(pairs) > 0; pairs = pairs[storage.PairSize:] {
-		id, pos := storage.Pair(pairs, q)
+		id, pos := storage.Pair(pairs)
 		buf = append(buf, EdgePointRef{ID: PointID(id), Pos: pos})
 	}
 	return buf, nil

@@ -236,19 +236,16 @@ func canonKey(u, v graph.NodeID) edgeKey {
 	return edgeKey{u, v}
 }
 
-// EdgeSet is a mutable in-memory edge-resident point set over a graph whose
-// quantum is 2^logQ: a PagedEdgeSet writes its offsets over that quantum.
+// EdgeSet is a mutable in-memory edge-resident point set.
 type EdgeSet struct {
 	pts    []EdgePoint // PointID -> location; U == -1 when deleted
 	byEdge map[edgeKey][]EdgePointRef
 	live   int
-	logQ   int
 }
 
-// NewEdgeSet creates an empty edge point set over a graph whose quantum is
-// 2^logQ (graph.Access.LogQuantum).
-func NewEdgeSet(logQ int) *EdgeSet {
-	return &EdgeSet{byEdge: make(map[edgeKey][]EdgePointRef), logQ: logQ}
+// NewEdgeSet creates an empty edge point set.
+func NewEdgeSet() *EdgeSet {
+	return &EdgeSet{byEdge: make(map[edgeKey][]EdgePointRef)}
 }
 
 // Place puts a new point on edge (u,v) at offset pos from min(u,v). The

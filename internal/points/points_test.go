@@ -110,7 +110,7 @@ func TestExcludeNodeView(t *testing.T) {
 }
 
 func TestEdgeSetPlaceSortsAndDeletes(t *testing.T) {
-	s := NewEdgeSet(0)
+	s := NewEdgeSet()
 	// Place out of order, with a reversed edge orientation.
 	b, err := s.Place(5, 2, 7.0)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestEdgeSetPlaceSortsAndDeletes(t *testing.T) {
 }
 
 func TestEdgeSetErrors(t *testing.T) {
-	s := NewEdgeSet(0)
+	s := NewEdgeSet()
 	if _, err := s.Place(1, 1, 0); err == nil {
 		t.Fatal("degenerate edge accepted")
 	}
@@ -153,7 +153,7 @@ func TestEdgeSetErrors(t *testing.T) {
 }
 
 func TestExcludeEdgeView(t *testing.T) {
-	s := NewEdgeSet(0)
+	s := NewEdgeSet()
 	a, _ := s.Place(0, 1, 1)
 	bid, _ := s.Place(0, 1, 2)
 	v := ExcludeEdge(s, a)
@@ -177,7 +177,7 @@ func TestExcludeEdgeView(t *testing.T) {
 
 func buildRandomEdgeSet(t *testing.T, rng *rand.Rand, numEdges, numPoints int) *EdgeSet {
 	t.Helper()
-	s := NewEdgeSet(0)
+	s := NewEdgeSet()
 	for i := 0; i < numPoints; i++ {
 		u := graph.NodeID(rng.Intn(numEdges))
 		v := u + 1
@@ -265,7 +265,7 @@ func TestPagedEdgeSetRejectsNonEmptyFile(t *testing.T) {
 	if _, err := f.Append(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(0), f, storage.NewBufferPool(2).Attach("", f, 0)); err == nil {
+	if _, err := NewPagedEdgeSetBuffer(NewEdgeSet(), f, storage.NewBufferPool(2).Attach("", f, 0)); err == nil {
 		t.Fatal("non-empty file accepted")
 	}
 }
@@ -300,7 +300,7 @@ func TestNodeSetRestore(t *testing.T) {
 }
 
 func TestEdgeSetRestore(t *testing.T) {
-	s := NewEdgeSet(0)
+	s := NewEdgeSet()
 	p0, _ := s.Place(1, 2, 2)
 	p1, _ := s.Place(1, 2, 1)
 	if err := s.Delete(p0); err != nil {

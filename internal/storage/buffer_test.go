@@ -61,48 +61,6 @@ func TestMemFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOSFileRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/pages.db"
-	f, err := CreateOSFile(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, 128)
-	for i := 0; i < 3; i++ {
-		page[5] = byte(i * 7)
-		if _, err := f.Append(page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := OpenOSFile(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if f2.NumPages() != 3 {
-		t.Fatalf("NumPages = %d, want 3", f2.NumPages())
-	}
-	dst := make([]byte, 128)
-	for i := 0; i < 3; i++ {
-		if err := f2.Read(PageID(i), dst); err != nil {
-			t.Fatal(err)
-		}
-		if dst[5] != byte(i*7) {
-			t.Fatalf("page %d byte = %d, want %d", i, dst[5], i*7)
-		}
-	}
-	page[5] = 99
-	if err := f2.Write(1, page); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Read(1, dst); err != nil || dst[5] != 99 {
-		t.Fatalf("after rewrite: dst[5]=%d err=%v", dst[5], err)
-	}
-}
-
 func TestBufferHitAndFault(t *testing.T) {
 	f := newTestFile(t, 64, 8)
 	bm := newTenant(t, f, 4)

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"graphrnn/internal/graph"
 )
@@ -15,20 +14,17 @@ import (
 // PairSize is the encoded size of one (id int32, distance) pair.
 const PairSize = 4 + 8
 
-// AppendPair appends the encoding of (id, d) to b. The distance d, a count
-// of the graph's quantum q, is stored as the float64 d·q — exact below 2^53
-// counts — so the persisted bytes are the distance's value, not the engine's
-// representation of it.
-func AppendPair(b []byte, id int32, d graph.Dist, q float64) []byte {
+// AppendPair appends the encoding of (id, d) to b: the distance is the
+// engine's own count of the graph's quantum, a uint64.
+func AppendPair(b []byte, id int32, d graph.Dist) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(id))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(d)*q))
+	return binary.LittleEndian.AppendUint64(b, uint64(d))
 }
 
-// Pair decodes the pair at the front of b, which must hold PairSize bytes,
-// with the distance counted in the quantum q the pair was written with.
-func Pair(b []byte, q float64) (id int32, d graph.Dist) {
+// Pair decodes the pair at the front of b, which must hold PairSize bytes.
+func Pair(b []byte) (id int32, d graph.Dist) {
 	_ = b[PairSize-1]
-	return int32(binary.LittleEndian.Uint32(b)), graph.Dist(math.Float64frombits(binary.LittleEndian.Uint64(b[4:])) / q)
+	return int32(binary.LittleEndian.Uint32(b)), graph.Dist(binary.LittleEndian.Uint64(b[4:]))
 }
 
 // AppendCount opens a counted run of n pairs: [count u16] then n × pair.
@@ -65,23 +61,21 @@ func fragmentRoom(free int) int {
 	return (free - fragHeaderSize) / PairSize
 }
 
-// appendFragment appends the fragment payload of owner to b, its weights
-// counts of the quantum q.
-func appendFragment(b []byte, owner graph.NodeID, next RecRef, edges []graph.Edge, q float64) []byte {
+// appendFragment appends the fragment payload of owner to b.
+func appendFragment(b []byte, owner graph.NodeID, next RecRef, edges []graph.Edge) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(owner))
 	b = binary.LittleEndian.AppendUint32(b, uint32(next.Page))
 	b = binary.LittleEndian.AppendUint16(b, next.Slot)
 	for _, e := range edges {
-		b = AppendPair(b, int32(e.To), e.W, q)
+		b = AppendPair(b, int32(e.To), e.W)
 	}
 	return b
 }
 
-// ReadFragment decodes a fragment payload written over the quantum q,
-// appending its edges to buf. It returns the owner node, the location of
+// ReadFragment decodes a fragment payload, appending its edges to buf. It returns the owner node, the location of
 // the next fragment (InvalidRecRef when the chain ends), and the extended
 // edge slice.
-func ReadFragment(rec []byte, buf []graph.Edge, q float64) (owner graph.NodeID, next RecRef, edges []graph.Edge, err error) {
+func ReadFragment(rec []byte, buf []graph.Edge) (owner graph.NodeID, next RecRef, edges []graph.Edge, err error) {
 	if len(rec) < fragHeaderSize || (len(rec)-fragHeaderSize)%PairSize != 0 {
 		return 0, InvalidRecRef, buf, fmt.Errorf("storage: corrupt adjacency fragment of %d bytes", len(rec))
 	}
@@ -91,7 +85,7 @@ func ReadFragment(rec []byte, buf []graph.Edge, q float64) (owner graph.NodeID, 
 		Slot: binary.LittleEndian.Uint16(rec[8:]),
 	}
 	for b := rec[fragHeaderSize:]; len(b) > 0; b = b[PairSize:] {
-		to, w := Pair(b, q)
+		to, w := Pair(b)
 		buf = append(buf, graph.Edge{To: graph.NodeID(to), W: w})
 	}
 	return owner, next, buf, nil

@@ -24,7 +24,6 @@ type DiskStore struct {
 	index    []RecRef
 	numNodes int
 	logQ     int
-	q        float64 // 2^logQ, the quantum the weights are stored over
 }
 
 // BuildDiskStore packs g into file following the given node order and
@@ -88,7 +87,7 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, order []gr
 				// The remainder continues at slot 0 of the next page.
 				take, next = capEdges, RecRef{Page: w.Page() + 1}
 			}
-			rec = appendFragment(rec[:0], n, next, remaining[:take], g.Quantum())
+			rec = appendFragment(rec[:0], n, next, remaining[:take])
 			ref, err := w.Add(rec)
 			if err != nil {
 				return nil, err
@@ -107,7 +106,7 @@ func BuildDiskStoreBuffer(g *graph.Graph, file PagedFile, bm *Tenant, order []gr
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	return &DiskStore{bm: bm, index: index, numNodes: g.NumNodes(), logQ: g.LogQuantum(), q: g.Quantum()}, nil
+	return &DiskStore{bm: bm, index: index, numNodes: g.NumNodes(), logQ: g.LogQuantum()}, nil
 }
 
 // NumNodes implements graph.Access.
@@ -137,7 +136,7 @@ func (s *DiskStore) Adjacency(n graph.NodeID, buf []graph.Edge) ([]graph.Edge, e
 		var next RecRef
 		rec, err := ReadRecordSlot(fr.data, int(ref.Slot))
 		if err == nil {
-			owner, next, buf, err = ReadFragment(rec, buf, s.q)
+			owner, next, buf, err = ReadFragment(rec, buf)
 		}
 		s.bm.unlockPage(fr, borrowed)
 		if err != nil {

@@ -1,12 +1,9 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -95,18 +92,6 @@ func TestDiskStoreHighDegreeOverflow(t *testing.T) {
 		t.Fatal("test setup: page too large to force fragmentation")
 	}
 	s := buildStore(t, g, file, 8)
-	assertSameAdjacency(t, g, s)
-}
-
-func TestDiskStoreOSFileBacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := randomGraph(t, rng, 120, 240)
-	file, err := CreateOSFile(t.TempDir()+"/g.pages", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	s := buildStore(t, g, file, 4)
 	assertSameAdjacency(t, g, s)
 }
 
@@ -276,7 +261,7 @@ func buildStore(t *testing.T, g *graph.Graph, file PagedFile, bufferPages int) *
 
 func TestFragmentCodecCorruptSlot(t *testing.T) {
 	pb := NewRecordPageBuilder(256)
-	rec := appendFragment(nil, 1, InvalidRecRef, []graph.Edge{{To: 2, W: 3}}, 1)
+	rec := appendFragment(nil, 1, InvalidRecRef, []graph.Edge{{To: 2, W: 3}})
 	if _, ok := pb.TryAdd(rec); !ok {
 		t.Fatal("test setup: fragment does not fit")
 	}
@@ -285,7 +270,7 @@ func TestFragmentCodecCorruptSlot(t *testing.T) {
 	}
 	// A fragment cut inside its header, and one cut inside an edge.
 	for _, n := range []int{fragHeaderSize - 1, len(rec) - 1} {
-		if _, _, _, err := ReadFragment(rec[:n], nil, 1); err == nil {
+		if _, _, _, err := ReadFragment(rec[:n], nil); err == nil {
 			t.Fatalf("%d-byte fragment accepted", n)
 		}
 	}
@@ -298,8 +283,7 @@ func TestFragmentCodecCorruptSlot(t *testing.T) {
 // is accepted and decodes back, and the next record opens a fresh page. The
 // page size itself is bounded: slot offsets and record lengths are 16-bit,
 // so NewRecordWriter takes a page of up to 65 535 bytes, refuses a larger
-// one or one too small for a single record with an error naming the limit,
-// and a file header declaring a larger one is refused at open.
+// one or one too small for a single record with an error naming the limit.
 func TestPageBuilderCapacity(t *testing.T) {
 	if _, err := NewRecordWriter(NewMemFile(MaxPageSize), fragHeaderSize+PairSize); err != nil {
 		t.Errorf("the largest addressable page refused: %v", err)
@@ -311,14 +295,6 @@ func TestPageBuilderCapacity(t *testing.T) {
 	}
 	if _, err := NewRecordWriter(NewMemFile(8), fragHeaderSize+PairSize); err == nil {
 		t.Error("an 8-byte page accepted")
-	}
-	hdr := FileHeader{Magic: "TESTHDR1", PageSizeAt: 8}
-	path := filepath.Join(t.TempDir(), "big.pages")
-	if err := os.WriteFile(path, binary.LittleEndian.AppendUint32([]byte(hdr.Magic), MaxPageSize+1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hdr.PageSize(path); err == nil || !strings.Contains(err.Error(), "65535") {
-		t.Errorf("a header declaring %d-byte pages: got %v, want an error naming the limit", MaxPageSize+1, err)
 	}
 
 	file := NewMemFile(256)
@@ -334,14 +310,14 @@ func TestPageBuilderCapacity(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{To: graph.NodeID(i), W: graph.Dist(i)}
 	}
-	full, err := w.Add(appendFragment(nil, 9, InvalidRecRef, edges, 1))
+	full, err := w.Add(appendFragment(nil, 9, InvalidRecRef, edges))
 	if err != nil || full != (RecRef{Page: 0, Slot: 0}) {
 		t.Fatalf("full-capacity fragment: ref %+v, err %v", full, err)
 	}
 	if fragmentRoom(w.Free()) >= 1 {
 		t.Fatal("a full page still offers room for an edge")
 	}
-	spilled, err := w.Add(appendFragment(nil, 10, InvalidRecRef, []graph.Edge{{To: 1, W: 1}}, 1))
+	spilled, err := w.Add(appendFragment(nil, 10, InvalidRecRef, []graph.Edge{{To: 1, W: 1}}))
 	if err != nil || spilled != (RecRef{Page: 1, Slot: 0}) {
 		t.Fatalf("fragment behind a full page: ref %+v, err %v", spilled, err)
 	}
@@ -360,7 +336,7 @@ func TestPageBuilderCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, next, got, err := ReadFragment(rec, nil, 1)
+	node, next, got, err := ReadFragment(rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

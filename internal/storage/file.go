@@ -3,8 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 )
 
 // DefaultPageSize is the page size used throughout the experiments; the
@@ -21,8 +19,12 @@ const InvalidPage PageID = -1
 // ErrPageOutOfRange is returned when a page id does not exist in the file.
 var ErrPageOutOfRange = errors.New("storage: page id out of range")
 
-// PagedFile is random access storage in fixed-size pages. Implementations
-// are not safe for concurrent use; each query engine owns its files.
+// PagedFile is random access storage in fixed-size pages, a cache that
+// lives as long as its process. Concurrent Reads must be safe: a pool tenant
+// reads a missed page with the pool mutex released (Tenant.loadLocked), so
+// the queries a DB runs at once read its files at once. Write and Append
+// need exclusive access — no other call in flight — which the file's owner
+// provides (a DB runs no mutating operation while queries are in flight).
 type PagedFile interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
@@ -34,8 +36,6 @@ type PagedFile interface {
 	Write(id PageID, src []byte) error
 	// Append allocates a new page holding src and returns its id.
 	Append(src []byte) (PageID, error)
-	// Close releases underlying resources.
-	Close() error
 }
 
 // MemFile is a PagedFile backed by main memory. It is the default substrate
@@ -101,98 +101,3 @@ func (f *MemFile) Append(src []byte) (PageID, error) {
 	f.pages = append(f.pages, page)
 	return PageID(len(f.pages) - 1), nil
 }
-
-// Close implements PagedFile.
-func (f *MemFile) Close() error { return nil }
-
-// OSFile is a PagedFile backed by a file on disk, for users who want the
-// graph to live outside process memory.
-type OSFile struct {
-	f        *os.File
-	pageSize int
-	numPages int
-}
-
-// CreateOSFile creates (truncating) a page file at path.
-func CreateOSFile(path string, pageSize int) (*OSFile, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create %s: %w", path, err)
-	}
-	return &OSFile{f: f, pageSize: pageSize}, nil
-}
-
-// OpenOSFile opens an existing page file at path.
-func OpenOSFile(path string, pageSize int) (*OSFile, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat %s: %w", path, err)
-	}
-	if st.Size()%int64(pageSize) != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d is not a multiple of page size %d", path, st.Size(), pageSize)
-	}
-	return &OSFile{f: f, pageSize: pageSize, numPages: int(st.Size() / int64(pageSize))}, nil
-}
-
-// PageSize implements PagedFile.
-func (f *OSFile) PageSize() int { return f.pageSize }
-
-// NumPages implements PagedFile.
-func (f *OSFile) NumPages() int { return f.numPages }
-
-// Read implements PagedFile.
-func (f *OSFile) Read(id PageID, dst []byte) error {
-	if id < 0 || int(id) >= f.numPages {
-		return fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, f.numPages)
-	}
-	if len(dst) < f.pageSize {
-		return fmt.Errorf("storage: read buffer %d smaller than page size %d", len(dst), f.pageSize)
-	}
-	_, err := f.f.ReadAt(dst[:f.pageSize], int64(id)*int64(f.pageSize))
-	if err != nil && err != io.EOF {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// Write implements PagedFile.
-func (f *OSFile) Write(id PageID, src []byte) error {
-	if id < 0 || int(id) >= f.numPages {
-		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, id, f.numPages)
-	}
-	if len(src) != f.pageSize {
-		return fmt.Errorf("storage: write of %d bytes, want page size %d", len(src), f.pageSize)
-	}
-	if _, err := f.f.WriteAt(src, int64(id)*int64(f.pageSize)); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
-	}
-	return nil
-}
-
-// Append implements PagedFile.
-func (f *OSFile) Append(src []byte) (PageID, error) {
-	if len(src) != f.pageSize {
-		return InvalidPage, fmt.Errorf("storage: append of %d bytes, want page size %d", len(src), f.pageSize)
-	}
-	id := PageID(f.numPages)
-	if _, err := f.f.WriteAt(src, int64(id)*int64(f.pageSize)); err != nil {
-		return InvalidPage, fmt.Errorf("storage: append page %d: %w", id, err)
-	}
-	f.numPages++
-	return id, nil
-}
-
-// Close implements PagedFile.
-func (f *OSFile) Close() error { return f.f.Close() }

@@ -1,11 +1,6 @@
 package storage
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
-)
+import "fmt"
 
 // RecordWriter appends slotted record pages to a paged file. Every record
 // of the repository's three record files is written through one.
@@ -95,35 +90,4 @@ func (t *Tenant) ReadRecord(ref RecRef, decode func(rec []byte) error) error {
 		return err
 	}
 	return decode(rec)
-}
-
-// FileHeader says where a persisted paged file keeps what a reader needs
-// before it can read a page: its magic at byte 0 and its page size, a
-// little-endian uint32, at byte PageSizeAt.
-type FileHeader struct {
-	Magic      string
-	PageSizeAt int
-}
-
-// PageSize reads the page size out of the file at path, so reopening needs
-// no recollection of the build-time options. A size above MaxPageSize is
-// refused: no RecordWriter wrote that file.
-func (h FileHeader) PageSize(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, h.PageSizeAt+4)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("storage: read header of %s: %w", path, err)
-	}
-	if string(hdr[:len(h.Magic)]) != h.Magic {
-		return 0, fmt.Errorf("storage: %s: bad magic %q, want %q", path, hdr[:len(h.Magic)], h.Magic)
-	}
-	ps := int(binary.LittleEndian.Uint32(hdr[h.PageSizeAt:]))
-	if ps > MaxPageSize {
-		return 0, fmt.Errorf("storage: %s: header declares %d-byte pages, above the limit of %d bytes", path, ps, MaxPageSize)
-	}
-	return ps, nil
 }

@@ -13,14 +13,14 @@ import (
 // FuzzRecordPage feeds arbitrary page bytes and slot numbers to the page
 // reader and, behind it, to the decoder of each of the three payloads: every
 // one returns an error or data that fits the record it was given — never a
-// panic, never more items than the bytes can hold. (Label files are raw
-// pages of the packed labeling; FuzzLabelFile in internal/hublabel holds
-// their reader.)
+// panic, never more items than the bytes can hold. (Label pages are raw
+// pages of the packed labeling, written and read by internal/hublabel's
+// Store alone.)
 func FuzzRecordPage(f *testing.F) {
 	const pageSize = 256
 	pairs := func(b []byte, n int) []byte {
 		for i := 0; i < n; i++ {
-			b = storage.AppendPair(b, int32(i+1), graph.Dist(i), 0.5)
+			b = storage.AppendPair(b, int32(i+1), graph.Dist(i))
 		}
 		return b
 	}
@@ -75,11 +75,11 @@ func FuzzRecordPage(f *testing.F) {
 				t.Fatalf("%s: %d items decoded out of a %d-byte record", payload, items, len(rec))
 			}
 		}
-		_, _, edges, err := storage.ReadFragment(rec, nil, 1)
+		_, _, edges, err := storage.ReadFragment(rec, nil)
 		fits("adjacency fragment", len(edges), 10, storage.PairSize, err)
-		entries, err := core.DecodeMatList(rec, nil, 1)
+		entries, err := core.DecodeMatList(rec, nil)
 		fits("K-NN list", len(entries), 2, storage.PairSize, err)
-		refs, err := points.DecodeEdgeRecord(rec, nil, 1)
+		refs, err := points.DecodeEdgeRecord(rec, nil)
 		fits("edge-point record", len(refs), 2, storage.PairSize, err)
 	})
 }

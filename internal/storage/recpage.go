@@ -23,9 +23,9 @@ import (
 //
 // so offsets, lengths and slot numbers are 16-bit and a page holds at most
 // MaxPageSize bytes. A payload is a short fixed prefix followed by 12-byte
-// (id int32, distance) pairs (PairSize, AppendPair, Pair); the distance is a
-// count of the graph's quantum, stored as the float64 it counts, and decodes
-// to the very count the in-memory twin holds. The three payloads:
+// (id int32, distance uint64) pairs (PairSize, AppendPair, Pair); the
+// distance is the engine's count of the graph's quantum, the very count the
+// in-memory twin holds. The three payloads:
 //
 //	adjacency fragment  [owner i32][next page i32][next slot u16] pairs (to, weight)
 //	K-NN list           [count u16] pairs (point, distance), zero-padded to K+1 pairs

@@ -1,17 +1,12 @@
 package graphrnn_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"graphrnn"
-	"graphrnn/internal/hublabel"
 )
 
 // lifetimeWorld is one fresh memory-served DB with a node- and an
@@ -45,88 +40,14 @@ type opener func(w lifetimeWorld) (io.Closer, error)
 
 // TestTenantLifetimes is the leak table: every path that attaches a tenant
 // to a DB's buffer pool — the disk-backed graph, both materializations, the
-// paged and the reopened hub-label index, a paged edge snapshot, the
-// disk-backed shard engines with their materializations — detaches it
-// again, on Close (twice) and on every refusal a caller can provoke, so
-// that DB.Close, which fails on a tenant left in its pool, returns nil
-// after each.
+// paged hub-label index, a paged edge snapshot, the disk-backed shard
+// engines with their materializations — detaches it again, on Close (twice)
+// and on every refusal a caller can provoke, so that DB.Close, which fails
+// on a tenant left in its pool, returns nil after each.
 func TestTenantLifetimes(t *testing.T) {
 	g, err := graphrnn.GenerateRoadNetwork(31, 200)
 	if err != nil {
 		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	// The saved files: a labeling of g and one of a graph with another node
-	// count.
-	type persisted interface {
-		SaveTo(path string) error
-		io.Closer
-	}
-	save := func(g *graphrnn.Graph, name string, build func(w lifetimeWorld) (persisted, error)) string {
-		w := openLifetimeWorld(t, g)
-		s, err := build(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := s.SaveTo(path); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.db.Close(); err != nil {
-			t.Errorf("saving %s: %v", name, err)
-		}
-		return path
-	}
-	saveHub := func(w lifetimeWorld) (persisted, error) {
-		return w.db.BuildHubLabelIndex(w.nodes, 2, nil)
-	}
-	other := buildLineGraph(t, 40)
-	hubFile, otherHub := save(g, "g.hub", saveHub), save(other, "other.hub", saveHub)
-
-	openHub := func(path string) opener {
-		return func(w lifetimeWorld) (io.Closer, error) { return w.db.OpenHubLabelIndex(w.nodes, 2, path, nil) }
-	}
-	// damaged returns the refusals a damaged copy of a saved file provokes:
-	// the file truncated at every page boundary, and headers declaring a
-	// page above the 65 535-byte limit and one too small for a record.
-	damaged := func(name, path string, pageSizeAt int, open func(string) opener) map[string]opener {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pageSize := int(binary.LittleEndian.Uint32(raw[pageSizeAt:]))
-		out := map[string]opener{}
-		add := func(tag string, b []byte) {
-			p := filepath.Join(dir, name+"-"+tag)
-			if err := os.WriteFile(p, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			out[name+" "+tag] = open(p)
-		}
-		for end := 0; end < len(raw); end += pageSize {
-			add(fmt.Sprintf("truncated@%d", end), raw[:end])
-		}
-		for _, ps := range []uint32{65536, 8} {
-			b := bytes.Clone(raw)
-			binary.LittleEndian.PutUint32(b[pageSizeAt:], ps)
-			add(fmt.Sprintf("pagesize%d", ps), b)
-		}
-		if len(out) < 4 {
-			t.Fatalf("%s: only %d damaged copies; the file has too few pages to exercise", name, len(out))
-		}
-		return out
-	}
-	merge := func(ms ...map[string]opener) map[string]opener {
-		out := map[string]opener{}
-		for _, m := range ms {
-			for k, v := range m {
-				out[k] = v
-			}
-		}
-		return out
 	}
 	hugeK := func(build func(w lifetimeWorld, maxK int) (io.Closer, error)) map[string]opener {
 		out := map[string]opener{}
@@ -153,9 +74,6 @@ func TestTenantLifetimes(t *testing.T) {
 		{"BuildHubLabelIndex/DiskBacked", func(w lifetimeWorld) (io.Closer, error) {
 			return w.db.BuildHubLabelIndex(w.nodes, 2, &graphrnn.HubLabelOptions{DiskBacked: true})
 		}, nil},
-		{"OpenHubLabelIndex", openHub(hubFile), merge(
-			damaged("hub", hubFile, hublabel.FileHeader.PageSizeAt, openHub),
-			map[string]opener{"another graph": openHub(otherHub)})},
 		{"EdgePoints.Paged", func(w lifetimeWorld) (io.Closer, error) {
 			return w.edges.Paged(4)
 		}, map[string]opener{"an edge crowded past a page": func(w lifetimeWorld) (io.Closer, error) {

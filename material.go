@@ -13,10 +13,9 @@ import (
 // and are maintained incrementally as points appear and disappear
 // (Figs 8-11).
 //
-// A materialization is a cache of the process: its lists live in a
-// memory-backed page file and are built again, not reopened, after a
-// restart (the hub-label index, whose build costs far more, is the
-// substrate that persists; see HubLabelIndex.SaveTo).
+// A materialization is a cache of the process, like every substrate: its
+// lists live in a memory-backed page file and are built again after a
+// restart.
 //
 // A materialization is registered with the point set it was built over:
 // mutate the set through its Insert / Remove (or Place / Delete) and the

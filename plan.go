@@ -29,11 +29,11 @@ import (
 //     incompatible hints there (ErrUndirectedOnly under Strict) and auto
 //     never picks them.
 //
-// Substrates belong to the point set they were built or opened over
-// (BuildHubLabelIndex / OpenHubLabelIndex, MaterializeNodePoints /
-// MaterializeEdgePoints register them there, Close unregisters): the planner reads the queried set's own, the most recently
-// built of each kind wins, and an index over one set never displaces the
-// substrates of another.
+// Substrates belong to the point set they were built over
+// (BuildHubLabelIndex, MaterializeNodePoints and MaterializeEdgePoints
+// register them there, Close unregisters): the planner reads the queried
+// set's own, the most recently built of each kind wins, and an index over
+// one set never displaces the substrates of another.
 
 // lazyMaxAvgDegree is the planner's diameter proxy: at average degree <= 3
 // (road networks sit near 2.5) expansion frontiers grow slowly enough that

@@ -30,10 +30,10 @@ var ErrSubstrateDetached = errors.New("substrate detached from its point set")
 
 // trackedSet is the residency-blind half of NodePoints and EdgePoints: the
 // engine the set queries through, the set itself in its one residency, and
-// the substrates built or opened over it (materializations are built,
-// hub-label indexes built or reopened). The set is the unit of mutation:
-// Insert and Remove are the one maintenance path and repair every
-// registered substrate, so no caller can mutate behind one.
+// the substrates built over it (materializations and hub-label indexes).
+// The set is the unit of mutation: Insert and Remove are the one maintenance
+// path and repair every registered substrate, so no caller can mutate
+// behind one.
 type trackedSet struct {
 	db *DB
 	ns *points.NodeSet // exactly one of ns and es is set
@@ -187,9 +187,9 @@ func (s *trackedSet) undo(op *setOp) error {
 // Insert places a new point at location at — a node (NodeLocation) of a
 // node-resident set, a position on an existing edge (EdgeLocation) of an
 // edge-resident one, its offset rounded to the graph's quantum
-// (GraphBuilder) — and repairs every substrate built or opened over the
-// set. Insert and Remove are the one maintenance path of the library and
-// share one contract:
+// (GraphBuilder) — and repairs every substrate built over the set. Insert
+// and Remove are the one maintenance path of the library and share one
+// contract:
 //
 //   - The operation runs under ctx and opt like a query. Abandoned for any
 //     reason — cancellation, a deadline, an exhausted Budget (the typed
@@ -228,8 +228,8 @@ func (s *trackedSet) Insert(ctx context.Context, at Location, opt *QueryOptions)
 	return op.p, st, err
 }
 
-// Remove deletes point p and repairs every substrate built or opened over
-// the set; Insert documents the shared contract (an abandoned Remove leaves
+// Remove deletes point p and repairs every substrate built over the set;
+// Insert documents the shared contract (an abandoned Remove leaves
 // the point in place). Delete is Remove under a background context.
 func (s *trackedSet) Remove(ctx context.Context, p PointID, opt *QueryOptions) (Stats, error) {
 	ec, cancel, err := s.startOp(ctx, opt)
@@ -389,7 +389,7 @@ type EdgePoints struct{ trackedSet }
 
 // NewEdgePoints creates an empty edge-resident point set.
 func (db *DB) NewEdgePoints() *EdgePoints {
-	return newEdgePoints(db, points.NewEdgeSet(db.graph.g.LogQuantum()))
+	return newEdgePoints(db, points.NewEdgeSet())
 }
 
 func newEdgePoints(db *DB, s *points.EdgeSet) *EdgePoints {
