@@ -99,12 +99,17 @@ type microEnv struct {
 // newMicroEnv opens the road-20K workload disk-backed, behind a buffer of
 // bufferPages pages (0: Options' default, which holds the whole graph).
 func newMicroEnv(tb testing.TB, bufferPages int) *microEnv {
+	return newMicroEnvLayout(tb, bufferPages, graphrnn.BFSLayout())
+}
+
+// newMicroEnvLayout is newMicroEnv packing the graph's pages in layout.
+func newMicroEnvLayout(tb testing.TB, bufferPages int, layout graphrnn.Layout) *microEnv {
 	tb.Helper()
 	g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: bufferPages})
+	db, err := graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, BufferPages: bufferPages}, layout)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -120,7 +125,10 @@ func newMicroEnv(tb testing.TB, bufferPages int) *microEnv {
 }
 
 func benchQueries(b *testing.B, bufferPages int, algo func(*microEnv) graphrnn.Algorithm) {
-	e := newMicroEnv(b, bufferPages)
+	benchQueriesOn(b, newMicroEnv(b, bufferPages), algo)
+}
+
+func benchQueriesOn(b *testing.B, e *microEnv, algo func(*microEnv) graphrnn.Algorithm) {
 	a := algo(e)
 	e.db.BufferPool().ResetStats()
 	b.ResetTimer()
@@ -141,11 +149,19 @@ func BenchmarkQueryEager(b *testing.B) {
 }
 
 // BenchmarkQueryEagerCold is BenchmarkQueryEager behind a 32-page buffer,
-// the shape of the benchmark's expand_cold server. The default buffer holds
-// the whole graph (≈ 1 page read a query); this one is 7× smaller, so the
+// the shape of the benchmark's expand_cold server, over the BFS pages and
+// over the clustered ones that server packs. The default buffer holds the
+// whole graph (≈ 1 page read a query); this one is 7× smaller, so the
 // range-NN probes fault their pages in through the pool.
 func BenchmarkQueryEagerCold(b *testing.B) {
-	benchQueries(b, 32, func(*microEnv) graphrnn.Algorithm { return graphrnn.Eager() })
+	for _, l := range []struct {
+		name   string
+		layout graphrnn.Layout
+	}{{"bfs", graphrnn.BFSLayout()}, {"clustered", graphrnn.ClusteredLayout()}} {
+		b.Run(l.name, func(b *testing.B) {
+			benchQueriesOn(b, newMicroEnvLayout(b, 32, l.layout), func(*microEnv) graphrnn.Algorithm { return graphrnn.Eager() })
+		})
+	}
 }
 
 func BenchmarkQueryLazy(b *testing.B) {
@@ -572,24 +588,24 @@ func BenchmarkMaterializeBuild(b *testing.B) {
 	}
 }
 
-// Ablation: the connectivity-clustering page layout (BFS order, the
-// paper's Chan & Zhang-style grouping) against a random layout, measured
-// as buffer faults of an identical eager workload. An expansion reads a
-// node's neighbours next, and the BFS order packs neighbours into the same
-// pages, so the BFS layout should fault substantially less.
+// Ablation: the connectivity-clustering page layouts (BFS order, and the
+// connected balls of ClusteredLayout, both approximating the paper's Chan
+// & Zhang-style grouping) against a random layout, measured as buffer
+// faults of an identical eager workload. An expansion reads a node's
+// neighbours next, and both orders pack neighbours into the same pages, so
+// they should fault substantially less than random; a ball keeps a probe's
+// neighbourhood on fewer pages than a BFS strip does.
 func BenchmarkLayoutAblation(b *testing.B) {
-	for _, layout := range []string{"bfs", "random"} {
-		b.Run(layout, func(b *testing.B) {
+	for _, l := range []struct {
+		name   string
+		layout graphrnn.Layout
+	}{{"bfs", graphrnn.BFSLayout()}, {"clustered", graphrnn.ClusteredLayout()}, {"random", graphrnn.RandomLayout(7)}} {
+		b.Run(l.name, func(b *testing.B) {
 			g, err := graphrnn.GenerateRoadNetwork(2006, 20000)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var db *graphrnn.DB
-			if layout == "bfs" {
-				db, err = graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: 16})
-			} else {
-				db, err = graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, BufferPages: 16}, graphrnn.RandomLayout(7))
-			}
+			db, err := graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, BufferPages: 16}, l.layout)
 			if err != nil {
 				b.Fatal(err)
 			}

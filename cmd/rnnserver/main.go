@@ -655,7 +655,7 @@ func main() {
 	if *disk {
 		opt = &graphrnn.Options{DiskBacked: true, BufferPages: *buffer}
 	}
-	db, err := graphrnn.Open(g, opt)
+	db, err := graphrnn.OpenWithLayout(g, opt, graphrnn.ClusteredLayout())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -255,33 +255,80 @@ func TestPublicAPILayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true, BufferPages: 4})
-	if err != nil {
-		t.Fatal(err)
+	open := func(layout graphrnn.Layout) (*graphrnn.DB, *graphrnn.NodePoints) {
+		db, err := graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, BufferPages: 4}, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := db.PlaceRandomNodePoints(6, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, ps
 	}
-	random, err := graphrnn.OpenWithLayout(g, &graphrnn.Options{DiskBacked: true, BufferPages: 4}, graphrnn.RandomLayout(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	psB, _ := bfs.PlaceRandomNodePoints(6, 25)
-	psR, _ := random.PlaceRandomNodePoints(6, 25)
+	bfs, psB := open(graphrnn.BFSLayout())
 	qp := psB.Points()[0]
 	qnode, _ := psB.NodeOf(qp)
 	rb, err := bfs.Run(context.Background(), rnnQuery(psB.Excluding(qp), qnode, 1, graphrnn.Eager()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := random.Run(context.Background(), rnnQuery(psR.Excluding(qp), qnode, 1, graphrnn.Eager()))
+	if len(rb.Points) == 0 {
+		t.Fatal("test setup: the query has no members to compare")
+	}
+	for _, tc := range []struct {
+		name   string
+		layout graphrnn.Layout
+		// moreReads: the layout faults at least as much as BFS on a tiny
+		// buffer (random); otherwise at most as much (clustered).
+		moreReads bool
+	}{
+		{"random", graphrnn.RandomLayout(5), true},
+		{"clustered", graphrnn.ClusteredLayout(), false},
+	} {
+		db, ps := open(tc.layout)
+		res, err := db.Run(context.Background(), rnnQuery(ps.Excluding(qp), qnode, 1, graphrnn.Eager()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same answers regardless of layout...
+		if !samePoints(res.Points, rb.Points) {
+			t.Fatalf("%s layout answers %v, BFS %v", tc.name, res.Points, rb.Points)
+		}
+		// ...but not the same page traffic.
+		r, b := tenantIO(db, "graph").Reads, tenantIO(bfs, "graph").Reads
+		if tc.moreReads && r < b || !tc.moreReads && r > b {
+			t.Fatalf("%s layout faulted %d pages, BFS %d", tc.name, r, b)
+		}
+	}
+}
+
+// TestQueryOnClosedDiskDB: a disk-backed DB answers a query after Close
+// with an error, not a nil-pointer panic on the detached page tenant.
+func TestQueryOnClosedDiskDB(t *testing.T) {
+	g, err := graphrnn.GenerateGrid(21, 400, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same answers regardless of layout...
-	if len(rb.Points) != len(rr.Points) {
-		t.Fatalf("layouts disagree: %v vs %v", rb.Points, rr.Points)
+	db, err := graphrnn.Open(g, &graphrnn.Options{DiskBacked: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ...but the random layout faults at least as much on a tiny buffer.
-	if r, b := tenantIO(random, "graph").Reads, tenantIO(bfs, "graph").Reads; r < b {
-		t.Fatalf("random layout faulted less (%d) than BFS (%d)", r, b)
+	ps, err := db.PlaceRandomNodePoints(6, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []graphrnn.Query{
+		rnnQuery(ps, 7, 1, graphrnn.Eager()),
+		rnnQuery(ps, 7, 1, graphrnn.Lazy()),
+		{Kind: graphrnn.KindKNN, Target: graphrnn.NodeLocation(7), K: 2, Points: ps},
+	} {
+		if res, err := db.Run(context.Background(), q); err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("%v query on a closed DB: %+v, %v; want an error saying the store is closed", q.Kind, res, err)
+		}
 	}
 }
 

@@ -84,6 +84,15 @@ func hasPoint(lst []PointDist, p points.PointID) bool {
 // Fewer than k results are returned when the reachable component holds
 // fewer points.
 func (s *Searcher) KNN(ps PointSet, q Loc, k int) ([]PointDist, error) {
+	if s.disk == nil {
+		return s.knn(ps, q, k)
+	}
+	view := s.session()
+	out, err := view.knn(ps, q, k)
+	return out, view.endSession(err)
+}
+
+func (s *Searcher) knn(ps PointSet, q Loc, k int) ([]PointDist, error) {
 	if k < 1 {
 		return nil, errKTooSmall(k)
 	}

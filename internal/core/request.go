@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"graphrnn/internal/exec"
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 )
@@ -69,6 +70,18 @@ type Request struct {
 // Run answers r. It is the single entry to every algorithm × kind ×
 // residency combination; all of them return identical answers.
 func (s *Searcher) Run(r Request) (*Result, error) {
+	if s.disk == nil {
+		return s.run(r)
+	}
+	view := s.session()
+	res, err := view.run(r)
+	if err = view.endSession(err); err != nil && !exec.IsExecErr(err) {
+		res = nil
+	}
+	return res, err
+}
+
+func (s *Searcher) run(r Request) (*Result, error) {
 	mat := r.Mat
 	if r.Algo != AlgoEagerM {
 		mat = nil

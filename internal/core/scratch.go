@@ -7,6 +7,7 @@ import (
 	"graphrnn/internal/graph"
 	"graphrnn/internal/points"
 	"graphrnn/internal/pq"
+	"graphrnn/internal/storage"
 )
 
 // entry is one queue item of the one walker queue, which carries three
@@ -47,20 +48,22 @@ func (e entry) node() graph.NodeID    { return graph.NodeID(e.id) }
 func (e entry) point() points.PointID { return points.PointID(e.id) }
 
 // scratch holds the per-expansion state of one Dijkstra-style traversal:
-// tentative distances, seen/closed stamps (epoch-based so that no O(|V|)
-// clearing is needed between queries), the queue, and the buffers an
-// expansion step reads into.
+// tentative distances, one seen/closed stamp per node (epoch-based so that
+// no O(|V|) clearing is needed between queries), the queue, and the buffers
+// an expansion step reads into.
 //
 // Every walk is monotone — a push is the popped distance plus a
 // non-negative weight or edge offset, seeds come before the first pop — so
 // the queue is the radix queue, which pops in exactly a binary heap's
 // (priority, insertion) order.
 type scratch struct {
-	dist   []graph.Dist
-	seen   []uint32
-	closed []uint32
-	epoch  uint32
-	queue  pq.Radix[entry]
+	dist []graph.Dist
+	// stamp[n] is epoch when n was seen by this expansion, epoch|1 when it
+	// is closed too (a closed node was seen first); epoch is even and
+	// anything else is an older expansion's.
+	stamp []uint32
+	epoch uint32
+	queue pq.Radix[entry]
 	// gens, while lazy's main walk runs on this scratch, are its per-node
 	// counters: a node entry whose generator's counter has reached k is
 	// dropped when it surfaces (lazyPrune).
@@ -74,31 +77,27 @@ type scratch struct {
 
 func newScratch(n int) *scratch {
 	return &scratch{
-		dist:   make([]graph.Dist, n),
-		seen:   make([]uint32, n),
-		closed: make([]uint32, n),
+		dist:  make([]graph.Dist, n),
+		stamp: make([]uint32, n),
 	}
 }
 
 // begin starts a fresh expansion.
 func (sc *scratch) begin() {
-	sc.epoch++
+	sc.epoch += 2
 	if sc.epoch == 0 { // epoch wrapped: wipe stamps and restart
-		for i := range sc.seen {
-			sc.seen[i] = 0
-			sc.closed[i] = 0
-		}
-		sc.epoch = 1
+		clear(sc.stamp)
+		sc.epoch = 2
 	}
 	sc.queue.Reset()
 	sc.gens = nil
 	clear(sc.done)
 }
 
-func (sc *scratch) isSeen(n graph.NodeID) bool   { return sc.seen[n] == sc.epoch }
-func (sc *scratch) isClosed(n graph.NodeID) bool { return sc.closed[n] == sc.epoch }
+func (sc *scratch) isSeen(n graph.NodeID) bool   { return sc.stamp[n]&^1 == sc.epoch }
+func (sc *scratch) isClosed(n graph.NodeID) bool { return sc.stamp[n] == sc.epoch|1 }
 
-func (sc *scratch) close(n graph.NodeID) { sc.closed[n] = sc.epoch }
+func (sc *scratch) close(n graph.NodeID) { sc.stamp[n] = sc.epoch | 1 }
 
 // pushNode offers node n at distance d, generated by node from (noGen for
 // a seed), applying the lazy-deletion Dijkstra discipline: duplicates with
@@ -110,7 +109,7 @@ func (sc *scratch) pushNode(from, n graph.NodeID, d graph.Dist) {
 	if sc.isSeen(n) && sc.dist[n] <= d {
 		return
 	}
-	sc.seen[n] = sc.epoch
+	sc.stamp[n] = sc.epoch
 	sc.dist[n] = d
 	sc.queue.Push(entry{id: int32(n), gen: from}, uint64(d))
 }
@@ -187,8 +186,19 @@ type searchPools struct {
 // verification, KNN, Distance); in lists in-arcs and serves the walks that
 // measure distances *to* one (the main expansions, lazy-EP's H'). On a
 // symmetric network they are the same access.
+//
+// Over a storage.DiskStore, Run and KNN read the network through a
+// storage.Session of their own, which decodes each adjacency list once a
+// query and owes the pool the page accesses of repeated reads. The query's
+// end settles that debt, and so does every poll of a query under an I/O
+// budget (checkExec, checkExecStride), so the pool's counters are exact at
+// the end and the budget reads them exactly.
 type Searcher struct {
 	g, in graph.Access
+	// disk is g when the network is paged; sess is the query's session on
+	// the view Run and KNN read through.
+	disk  *storage.DiskStore
+	sess  *storage.Session
 	pools *searchPools
 	ec    *exec.Ctx // nil = unbounded
 }
@@ -196,6 +206,7 @@ type Searcher struct {
 // NewSearcher creates a Searcher over g.
 func NewSearcher(g graph.Access) *Searcher {
 	s := &Searcher{g: g, in: g.In(), pools: &searchPools{}}
+	s.disk, _ = g.(*storage.DiskStore)
 	s.pools.scratch.New = func() any { return newScratch(g.NumNodes()) }
 	s.pools.counts.New = func() any { return &lazyCounts{} }
 	s.pools.ep.New = func() any { return &epMarks{} }
@@ -211,14 +222,40 @@ func (s *Searcher) Bound(ec *exec.Ctx) *Searcher {
 	if ec == nil {
 		return s
 	}
-	return &Searcher{g: s.g, in: s.in, pools: s.pools, ec: ec}
+	return &Searcher{g: s.g, in: s.in, disk: s.disk, pools: s.pools, ec: ec}
+}
+
+// session returns the view of s a query over a paged network reads
+// through: s with a fresh session for its accesses. endSession releases it.
+func (s *Searcher) session() Searcher {
+	view := *s
+	view.sess = s.disk.Session()
+	view.g, view.in = view.sess, view.sess
+	return view
+}
+
+// endSession flushes and releases the view's session at the end of its
+// query, whose error was err. A failed replay invalidates the result, as
+// the read it stands for would have.
+func (s *Searcher) endSession(err error) error {
+	if cerr := s.sess.Close(); cerr != nil && (err == nil || exec.IsExecErr(err)) {
+		return cerr
+	}
+	return err
 }
 
 // checkExec polls the query's execution context, charging the nodes popped
-// so far. It is a nil check for unbounded queries.
+// so far. It is a nil check for unbounded queries. Under an I/O budget it
+// first flushes the query's session, so the budget reads the count the
+// reads so far would have left.
 func (s *Searcher) checkExec(st *Stats) error {
 	if s.ec == nil {
 		return nil
+	}
+	if s.sess != nil && s.ec.ReadsIO() {
+		if err := s.sess.Flush(); err != nil {
+			return err
+		}
 	}
 	return s.ec.Check(st.NodesExpanded + st.NodesScanned)
 }
@@ -230,7 +267,7 @@ func (s *Searcher) checkExecStride(st *Stats) error {
 	if s.ec == nil || st.NodesScanned&(exec.CheckStride-1) != 0 {
 		return nil
 	}
-	return s.ec.Check(st.NodesExpanded + st.NodesScanned)
+	return s.checkExec(st)
 }
 
 // acquire returns a scratch begun for a fresh expansion.

@@ -47,7 +47,11 @@ type Budget struct {
 	// MaxIOReads bounds the physical page reads performed while the query
 	// runs. The reads are observed on the shared buffer pool, so under
 	// concurrent traffic the charge is approximate (reads by overlapping
-	// queries count toward the busiest query's budget). 0 means unlimited.
+	// queries count toward the busiest query's budget). A disk-backed
+	// query under this budget replays the page accesses its adjacency
+	// session deferred before every poll, so the count a poll sees is the
+	// one reading every list through the pool would have left. 0 means
+	// unlimited.
 	MaxIOReads int64
 }
 
@@ -131,6 +135,10 @@ func (e *Ctx) Check(work int64) error {
 	}
 	return nil
 }
+
+// ReadsIO reports whether Check reads the buffer pool's physical-read
+// counter: the query runs under an I/O budget. A nil receiver reads none.
+func (e *Ctx) ReadsIO() bool { return e != nil && e.io != nil }
 
 // ctxErr maps the context's error to the package's typed errors.
 func (e *Ctx) ctxErr() error {

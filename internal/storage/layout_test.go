@@ -29,6 +29,30 @@ func fileSum(t *testing.T, f storage.PagedFile) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// pinAdjacency packs g in order (nil: BFS) into pages of pageSize bytes
+// and holds the store's page count and the sha256 over every node's
+// (page i32, slot u16), node order, to the pinned ones.
+func pinAdjacency(t *testing.T, name string, g *graph.Graph, pageSize int, order []graph.NodeID, pages int, refs string) {
+	t.Helper()
+	ds, err := storage.BuildDiskStore(g, storage.NewMemFile(pageSize), 4, order)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	h := sha256.New()
+	var b [6]byte
+	for _, ref := range ds.Index() {
+		binary.LittleEndian.PutUint32(b[0:], uint32(ref.Page))
+		binary.LittleEndian.PutUint16(b[4:], ref.Slot)
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); ds.NumPages() != pages || got != refs {
+		t.Errorf("%s: %d pages, refs %s; pinned %d pages, refs %s", name, ds.NumPages(), got, pages, refs)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPagedLayoutPinned pins where every record of the four paged files
 // lands: the (page, slot) of each node's adjacency list, and the bytes of
 // the label pages, of a materialization's list pages and of an edge-point
@@ -60,23 +84,21 @@ func TestPagedLayoutPinned(t *testing.T) {
 		{"brite-20K/1024", brite, 1024, 1248, "13369194b1b436bb812bdb6d990759ae68e57eafc9fe41b3f3cbac8372b5e9b9"},
 		{"brite-20K/4096", brite, 4096, 306, "306d69434040d70526fae155f51fe8df4d6b402c5f2adeaa0d52778d3ce19501"},
 	} {
-		ds, err := storage.BuildDiskStore(tc.g, storage.NewMemFile(tc.pageSize), 4, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		h := sha256.New()
-		var b [6]byte
-		for _, ref := range ds.Index() {
-			binary.LittleEndian.PutUint32(b[0:], uint32(ref.Page))
-			binary.LittleEndian.PutUint16(b[4:], ref.Slot)
-			h.Write(b[:])
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); ds.NumPages() != tc.pages || got != tc.refs {
-			t.Errorf("%s: %d pages, refs %s; pinned %d pages, refs %s", tc.name, ds.NumPages(), got, tc.pages, tc.refs)
-		}
-		if err := ds.Close(); err != nil {
-			t.Fatal(err)
-		}
+		pinAdjacency(t, tc.name, tc.g, tc.pageSize, nil, tc.pages, tc.refs)
+	}
+	// The clustered pages rnnserver serves: road-20K's connected balls, and
+	// BRITE-20K, whose hubs (lists past a quarter page) keep it in BFS
+	// order — the refs of the brite-20K/4096 row above.
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		pages int
+		refs  string
+	}{
+		{"road-20K/4096/clustered", road, 214, "b0faa5e948e912cb012d4d4fb129cd8a0ae8e44aece72749b59ac738e238695f"},
+		{"brite-20K/4096/clustered", brite, 306, "306d69434040d70526fae155f51fe8df4d6b402c5f2adeaa0d52778d3ce19501"},
+	} {
+		pinAdjacency(t, tc.name, tc.g, 4096, storage.ClusteredOrder(tc.g, 4096), tc.pages, tc.refs)
 	}
 
 	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 7, Nodes: 3000})

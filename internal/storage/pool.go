@@ -27,6 +27,12 @@ import (
 // the mutex is the only user of every loaded frame. A cached page costs one
 // critical section that also touches the tenant's LRU and counts the hit:
 // two atomic operations and an index into the tenant's dense page table.
+// The one exception is a query's Session over a DiskStore: its repeated
+// reads of a list it has already decoded are logged, and replayed later,
+// in order and batched into one critical section, each exactly as the
+// access it stands for (Session.replayLocked). The counters are exact at
+// the query's end and at every poll of its I/O budget, and may lag by one
+// log in between.
 // An evicted frame and its page buffer go to a free list the next fault
 // reuses, so the steady-state read path — hit or miss — allocates nothing.
 //
@@ -53,6 +59,9 @@ type BufferPool struct {
 	// ready is broadcast (on mu) whenever a pending frame becomes loaded.
 	ready   sync.Cond
 	tenants []*Tenant
+	// replays numbers the Session replays, which stamp the frames they
+	// have moved (frame.replay).
+	replays uint64
 	// reads is the pool-wide physical-read counter — the only aggregate
 	// maintained inline (it backs per-query I/O budgets and only moves on
 	// misses, which pay a physical read anyway). Everything else is
@@ -98,6 +107,8 @@ type frame struct {
 	dirty  bool
 	loaded bool
 	err    error
+	// replay is the number of the last Session replay that moved the frame.
+	replay uint64
 	// prev and next link the frame into its owner's LRU list.
 	prev, next *frame
 }
@@ -282,7 +293,8 @@ func (t *Tenant) frameLocked(id PageID) *frame {
 }
 
 // loadLocked returns the frame holding page id, faulting the page in on a
-// miss; it is the pool's only way to get a page, and lockPage its only
+// miss; it is the pool's only way to get a page, and lockPage (with its
+// Session twin, and a Session's replay of the accesses it owes) its only
 // caller. It is called and returns with the pool mutex held, and the frame
 // is the caller's to use until it releases the mutex. A miss is read once,
 // with the mutex released: a pending frame is admitted first, so concurrent

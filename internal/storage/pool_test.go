@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"graphrnn/internal/graph"
 )
 
 // TestPoolTenantQuota pins the per-tenant quota: a tenant with quota q
@@ -231,9 +233,29 @@ func TestPoolConcurrentTenants(t *testing.T) {
 	p := NewBufferPool(8)
 	a := attach(t, p, "a", fa, 4)
 	b := attach(t, p, "b", fb, 0)
+	g := randomGraph(t, rand.New(rand.NewSource(3)), 60, 120)
+	fd := NewMemFile(256)
+	ds, err := BuildDiskStoreBuffer(g, fd, attach(t, p, "d", fd, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	for _, op := range []func() error{
+		// A session's reads, its replays at the flush, at a full log and
+		// ahead of a real read, and its Close.
+		func() error {
+			q := ds.Session()
+			for n := range logLen + 2 { // lists on two pages: a log entry a read
+				if _, err := q.Adjacency(graph.NodeID(n%2*59), nil); err != nil {
+					return err
+				}
+			}
+			if _, err := q.Adjacency(graph.NodeID(30), nil); err != nil {
+				return err
+			}
+			return errors.Join(q.Flush(), q.Close())
+		},
 		func() error { _ = p.Stats(); return nil },
 		func() error { p.ResetStats(); return nil },
 		func() error { _ = p.TenantStats(); return nil },
@@ -292,7 +314,7 @@ func TestPoolConcurrentTenants(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	sum := a.Stats().Add(b.Stats())
+	sum := a.Stats().Add(b.Stats()).Add(ds.Buffer().Stats())
 	if got := p.Stats(); got != sum {
 		t.Fatalf("pool stats %+v != tenant sum %+v", got, sum)
 	}
