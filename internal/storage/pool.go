@@ -30,9 +30,13 @@ import (
 // The one exception is a query's Session over a DiskStore: its repeated
 // reads of a list it has already decoded are logged, and replayed later,
 // in order and batched into one critical section, each exactly as the
-// access it stands for (Session.replayLocked). The counters are exact at
-// the query's end and at every poll of its I/O budget, and may lag by one
-// log in between.
+// access it stands for (Session.replayLocked). When the query is its
+// tenant's only reader the counters are exact at the query's end and at
+// every poll of its I/O budget, and may lag by one log in between. Under
+// concurrent queries a deferred hit no longer keeps its page recent, so
+// another query's fault may evict it and the replay reads it again: Reads
+// plus Hits still count every access, but Reads, Evictions and the LRU
+// order may differ from plain reads.
 // An evicted frame and its page buffer go to a free list the next fault
 // reuses, so the steady-state read path — hit or miss — allocates nothing.
 //
@@ -59,9 +63,6 @@ type BufferPool struct {
 	// ready is broadcast (on mu) whenever a pending frame becomes loaded.
 	ready   sync.Cond
 	tenants []*Tenant
-	// replays numbers the Session replays, which stamp the frames they
-	// have moved (frame.replay).
-	replays uint64
 	// reads is the pool-wide physical-read counter — the only aggregate
 	// maintained inline (it backs per-query I/O budgets and only moves on
 	// misses, which pay a physical read anyway). Everything else is
@@ -107,8 +108,6 @@ type frame struct {
 	dirty  bool
 	loaded bool
 	err    error
-	// replay is the number of the last Session replay that moved the frame.
-	replay uint64
 	// prev and next link the frame into its owner's LRU list.
 	prev, next *frame
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math/bits"
 
 	"graphrnn/internal/graph"
 )
@@ -25,35 +24,39 @@ import (
 // been: a hit moves its page to the front of the LRU, a miss faults the
 // page in, evicting and counting as any fault does. A fault evicts only
 // its own tenant's frames, so deferring the graph tenant's accesses past
-// other tenants' reads changes no tenant's sequence, and every counter,
-// eviction and LRU order matches a query that read every list through
-// DiskStore.Adjacency. The query flushes its session at the end, and at
-// every poll when an I/O budget reads the pool's counter
-// (core.Searcher.checkExec); a concurrent Stats or Snapshot may see a
-// running query's accesses up to one full log late.
+// other tenants' reads changes no tenant's sequence. When the session is
+// its store's only reader, every counter, eviction and LRU order matches a
+// query that read every list through DiskStore.Adjacency. Sessions reading
+// one store at once keep Reads plus Hits equal to their accesses, but not
+// the interleaving: a deferred hit does not keep its page recent until the
+// replay, so another session's fault may evict the page and the replay
+// read it again, and Reads, Evictions and the LRU order may differ from
+// plain reads. The query flushes its session at the end, and at every poll
+// when an I/O budget reads the pool's counter (core.Searcher.checkExec); a
+// concurrent Stats or Snapshot may see a running query's accesses up to one
+// full log late.
 //
-// A session's memory is bounded by the query, not by the graph: an
-// open-addressed table of at most memoMaxSlots 16-byte slots (128 KB) and
-// an arena of at most memoMaxEdges edges (256 KB), plus a log of logLen
-// runs. Both grow with the lists the query reads. Lists beyond the caps,
-// and lists chained over several pages, are read through the pool every
-// time. Sessions are pooled by their store and reused by later queries.
+// A session's memory is a constant, not a function of the graph: an
+// open-addressed table of memoSlots 16-byte slots (64 KB) and an arena of
+// memoMaxEdges edges (128 KB), made when the first list is kept, plus a
+// log of logLen runs. When either is full the session forgets every kept
+// list and starts over, so a long query keeps the lists around where its
+// walks are now. Lists longer than the arena, and lists chained over
+// several pages, are read through the pool every time. Sessions are pooled
+// by their store and reused by later queries.
 //
 // A session serves one query at a time, on one goroutine.
 type Session struct {
 	ds *DiskStore
-	// slots is the memo's hash table, a power of two long (or empty), at
-	// most three quarters full; shift maps a hash onto it.
+	// slots is the memo's hash table, memoSlots long once the first list
+	// is kept, at most three quarters full.
 	slots []memoSlot
 	used  int
-	shift uint32
 	// arena holds the kept lists back to back.
 	arena []graph.Edge
 	// log holds the page accesses owed to the pool, in order; a run of
 	// accesses to one page is one entry.
 	log []touch
-	// last lends applyLocked its distinct frames, latest access first.
-	last []*frame
 }
 
 // memoSlot is one kept list: node+1 (0 marks a free slot), the page
@@ -71,9 +74,9 @@ type touch struct {
 }
 
 const (
-	memoMinSlots = 1 << 10
-	memoMaxSlots = 1 << 13
-	memoMaxEdges = 1 << 14
+	memoSlotBits = 12
+	memoSlots    = 1 << memoSlotBits
+	memoMaxEdges = 1 << 13
 	logLen       = 128
 )
 
@@ -134,11 +137,7 @@ func (q *Session) Flush() error {
 // session must not be used afterwards.
 func (q *Session) Close() error {
 	err := q.Flush()
-	if q.used > 0 {
-		clear(q.slots)
-		q.used = 0
-	}
-	q.arena = q.arena[:0]
+	q.forget()
 	q.ds.sessions.Put(q)
 	return err
 }
@@ -158,53 +157,19 @@ func (q *Session) lockPage(id PageID) (fr *frame, borrowed bool, err error) {
 	return fr, borrowed, err
 }
 
-// replayLocked applies the logged accesses in order and empties the log,
-// also when one of them fails. It is called with the pool mutex held, and
-// like loadLocked releases it for the physical read of a miss.
-func (q *Session) replayLocked() error {
-	err := q.applyLocked()
-	q.log = q.log[:0]
-	return err
-}
-
-// applyLocked is replayLocked's work. When every logged page is resident
-// each access is a hit, so the log comes to one move to the LRU front for
-// each distinct page, in order of its last access — found walking the log
-// backwards, each frame stamped with this replay's number the first time —
-// and one sum of hits.
-func (q *Session) applyLocked() error {
+// replayLocked applies the logged accesses in order, one run at a time,
+// each the access it stands for, and empties the log, also when one of
+// them fails. It is called with the pool mutex held, and like loadLocked
+// releases it for the physical read of a miss.
+func (q *Session) replayLocked() (err error) {
 	t := q.ds.bm
-	t.pool.replays++
-	stamp := t.pool.replays
-	var hits int64
-	q.last = q.last[:0]
-	for i := len(q.log) - 1; i >= 0; i-- {
-		fr := t.frameLocked(q.log[i].page)
-		if fr == nil || !fr.loaded {
-			return q.applyInOrderLocked()
-		}
-		hits += int64(q.log[i].count)
-		if fr.replay != stamp {
-			fr.replay = stamp
-			q.last = append(q.last, fr)
-		}
-	}
-	for i := len(q.last) - 1; i >= 0; i-- {
-		t.lru.moveToFront(q.last[i])
-	}
-	t.stats.Hits += hits
-	return nil
-}
-
-// applyInOrderLocked applies the logged accesses one run at a time, each
-// the access it stands for.
-func (q *Session) applyInOrderLocked() error {
-	t := q.ds.bm
+runs:
 	for _, tc := range q.log {
 		for c := tc.count; c > 0; c-- {
-			fr, borrowed, err := t.loadLocked(tc.page)
-			if err != nil {
-				return fmt.Errorf("storage: adjacency page %d: %w", tc.page, err)
+			fr, borrowed, lerr := t.loadLocked(tc.page)
+			if lerr != nil {
+				err = fmt.Errorf("storage: adjacency page %d: %w", tc.page, lerr)
+				break runs
 			}
 			if borrowed {
 				t.pool.recycleLocked(fr) // uncached: every access is a read
@@ -214,7 +179,8 @@ func (q *Session) applyInOrderLocked() error {
 			break
 		}
 	}
-	return nil
+	q.log = q.log[:0]
+	return err
 }
 
 // touch logs one access to page p as a new run (Adjacency extends the
@@ -230,7 +196,9 @@ func (q *Session) touch(p PageID) error {
 }
 
 // hash is Fibonacci hashing of n onto the table's bits.
-func (q *Session) hash(n graph.NodeID) uint32 { return (uint32(n) * 0x9E3779B1) >> q.shift }
+func (q *Session) hash(n graph.NodeID) uint32 {
+	return (uint32(n) * 0x9E3779B1) >> (32 - memoSlotBits)
+}
 
 // lookup returns n's kept list, or nil.
 func (q *Session) lookup(n graph.NodeID) *memoSlot {
@@ -249,39 +217,31 @@ func (q *Session) lookup(n graph.NodeID) *memoSlot {
 	}
 }
 
-// remember keeps node n's single-page list adj while the caps allow.
+// remember keeps node n's single-page list adj. A full table or arena
+// forgets every kept list first, so a long query keeps the lists around
+// where its walks are now.
 func (q *Session) remember(n graph.NodeID, adj []graph.Edge) {
-	need := len(q.arena) + len(adj)
-	if need > memoMaxEdges {
+	if len(adj) > memoMaxEdges {
 		return
 	}
-	if 4*(q.used+1) > 3*len(q.slots) {
-		if len(q.slots) >= memoMaxSlots {
-			return
-		}
-		q.grow()
+	if q.slots == nil {
+		q.slots = make([]memoSlot, memoSlots)
+		q.arena = make([]graph.Edge, 0, memoMaxEdges)
 	}
-	if need > cap(q.arena) {
-		arena := make([]graph.Edge, len(q.arena), min(max(2*cap(q.arena), need, 1024), memoMaxEdges))
-		copy(arena, q.arena)
-		q.arena = arena
+	if 4*(q.used+1) > 3*memoSlots || len(q.arena)+len(adj) > memoMaxEdges {
+		q.forget()
 	}
 	q.insert(memoSlot{key: int32(n) + 1, page: q.ds.index[n].Page, off: int32(len(q.arena)), n: int32(len(adj))})
 	q.arena = append(q.arena, adj...)
 }
 
-// grow doubles the table (or makes the first one) and rehashes it.
-func (q *Session) grow() {
-	old := q.slots
-	size := max(2*len(old), memoMinSlots)
-	q.slots = make([]memoSlot, size)
-	q.shift = uint32(32 - bits.TrailingZeros(uint(size)))
-	q.used = 0
-	for _, sl := range old {
-		if sl.key != 0 {
-			q.insert(sl)
-		}
+// forget drops every kept list.
+func (q *Session) forget() {
+	if q.used > 0 {
+		clear(q.slots)
+		q.used = 0
 	}
+	q.arena = q.arena[:0]
 }
 
 func (q *Session) insert(sl memoSlot) {

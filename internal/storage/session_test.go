@@ -144,6 +144,10 @@ func TestConcurrentSessionsReplayExactly(t *testing.T) {
 		})
 	}
 
+	// Sessions reading one store at once: only Reads + Hits is exact, since a
+	// deferred hit does not keep its page recent against another session's
+	// faults, so Reads, Evictions and the LRU order may differ from plain
+	// reads.
 	t.Run("shared", func(t *testing.T) {
 		t.Parallel()
 		c := cases[6] // road-2K, clustered, 4 pages
@@ -187,6 +191,42 @@ func TestConcurrentSessionsReplayExactly(t *testing.T) {
 			t.Fatalf("pool counted %d reads + %d hits for %d accesses", s.Reads, s.Hits, accesses.Load())
 		}
 	})
+}
+
+// TestSessionForgetsWhenFull: a query that reads more lists than a
+// session keeps (road-6K, every node twice, nearby nodes read in turn)
+// fills the memo and starts it over several times; every list and the
+// buffer state at the end are still those of plain reads.
+func TestSessionForgetsWhenFull(t *testing.T) {
+	g, err := gen.RoadNetwork(gen.RoadConfig{Seed: 3, Nodes: 6000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sessionCase{g: g, buffer: 4}
+	plain := c.build(t, storage.NewMemFile(sessionPageSize))
+	memo := c.build(t, storage.NewMemFile(sessionPageSize))
+	q := memo.Session()
+	order := storage.BFSOrder(g)
+	var a, b []graph.Edge
+	for pass := range 2 {
+		for i, n := range order {
+			for _, m := range order[max(i-3, 0) : i+1] {
+				if a, err = plain.Adjacency(m, a); err != nil {
+					t.Fatal(err)
+				}
+				if b, err = q.Adjacency(m, b); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(a, b) {
+					t.Fatalf("pass %d, node %d: %v through the session, %v plain", pass, n, b, a)
+				}
+			}
+		}
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameBuffer(t, "close", plain.Buffer(), memo.Buffer())
 }
 
 // failingFile fails its fail-th Read (counting from 1) with errInjected.
