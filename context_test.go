@@ -9,6 +9,7 @@ package graphrnn_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -102,7 +103,8 @@ func (e *ctxEnv) slowQueries(t *testing.T, k int) map[string]graphrnn.Query {
 // TestDeadlineMidExpansion: a deadline far shorter than the query lands
 // mid-flight on each of the five algorithms; the query must return a typed
 // ErrDeadlineExceeded promptly, with partial stats proving it both started
-// and stopped early.
+// and stopped early. A timer may miss the expansion on a loaded box, and the
+// test then skips; TestCancelAtMember holds the contract without a clock.
 func TestDeadlineMidExpansion(t *testing.T) {
 	e := newCtxEnv(t, false)
 	for name, q := range e.slowQueries(t, 4) {
@@ -164,7 +166,8 @@ func TestDeadlineMidExpansion(t *testing.T) {
 // TestCancelMidExpansion cancels the context from another goroutine while
 // each algorithm runs, asserting prompt return with ErrCanceled and no
 // goroutine leak. Run with -race, this also exercises the pooled scratch
-// under early returns.
+// under early returns. It is the smoke test of the timer path, and skips
+// when no cancel lands mid-flight; TestCancelAtMember holds the contract.
 func TestCancelMidExpansion(t *testing.T) {
 	e := newCtxEnv(t, false)
 	before := runtime.NumGoroutine()
@@ -217,6 +220,155 @@ func TestCancelMidExpansion(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before+2 {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
+}
+
+// triggerCtx is a context that ends when the test says so, not when a
+// clock does: fire closes Done and sets Err. Its AfterFunc lets
+// context.WithCancel (which DB.Stream wraps every context in) end the
+// derived context inside fire, on the caller's goroutine, instead of from
+// a watcher goroutine of its own.
+type triggerCtx struct {
+	context.Context // Background: no deadline, no values
+	done            chan struct{}
+	err             error
+	stops           []func()
+}
+
+func newTriggerCtx() *triggerCtx {
+	return &triggerCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *triggerCtx) Done() <-chan struct{} { return c.done }
+
+func (c *triggerCtx) Err() error {
+	select {
+	case <-c.done:
+		return c.err
+	default:
+		return nil
+	}
+}
+
+// AfterFunc registers f to run inside fire. Only the consumer's goroutine
+// calls fire, and WithCancel registers before Stream starts its producer.
+func (c *triggerCtx) AfterFunc(f func()) func() bool {
+	c.stops = append(c.stops, f)
+	return func() bool { return false }
+}
+
+// fire ends the context with err: context.Canceled, or
+// context.DeadlineExceeded standing in for a deadline that passed.
+func (c *triggerCtx) fire(err error) {
+	c.err = err
+	close(c.done)
+	for _, f := range c.stops {
+		f()
+	}
+}
+
+// TestCancelAtMember proves the cancellation and deadline contract without a
+// clock: the consumer of DB.Stream ends the query's context itself at the
+// m-th member it receives, on every substrate, in memory and disk-backed,
+// for several m. The query is bichromatic with few sites, so its answer
+// holds far more members than m plus Stream's 64-member buffer: when the
+// context ends, the producer cannot have finished, and its next poll must
+// stop it. Every run must then end with the typed error, having yielded a
+// partial answer (at least m distinct members, all in the full answer, not
+// all of it); the same query then answers in full again (the pooled
+// scratch is intact); and no goroutine is left behind.
+// TestCancelMidExpansion and TestDeadlineMidExpansion stay as the smoke
+// test of the real timer path.
+func TestCancelAtMember(t *testing.T) {
+	g, err := graphrnn.GenerateRoadNetwork(41, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	const k, streamBuffer = 2, 64
+	ms := []int{1, 8, 32}
+	for _, res := range []struct {
+		name string
+		opt  *graphrnn.Options
+	}{{"memory", nil}, {"disk", &graphrnn.Options{DiskBacked: true, BufferPages: 16}}} {
+		db, err := graphrnn.OpenWithLayout(g, res.opt, graphrnn.ClusteredLayout())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := db.PlaceRandomNodePoints(42, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites, err := db.PlaceRandomNodePoints(43, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := db.MaterializeNodePoints(sites, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub, err := db.BuildHubLabelIndex(sites, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qnode, _ := ps.NodeOf(ps.Points()[0])
+		for _, algo := range []graphrnn.Algorithm{graphrnn.Eager(), graphrnn.Lazy(), graphrnn.LazyEP(),
+			graphrnn.EagerM(mat), graphrnn.BruteForce(), graphrnn.HubLabel(hub)} {
+			q := biQuery(ps, sites, qnode, k, algo)
+			full, err := db.Run(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(full.Points) <= ms[len(ms)-1]+streamBuffer+1 {
+				t.Fatalf("%s/%s: %d members cannot outlast the stream's buffer", res.name, algo, len(full.Points))
+			}
+			member := map[graphrnn.PointID]bool{}
+			for _, p := range full.Points {
+				member[p] = true
+			}
+			for _, trigger := range []struct {
+				err, want error
+			}{{context.Canceled, graphrnn.ErrCanceled}, {context.DeadlineExceeded, graphrnn.ErrDeadlineExceeded}} {
+				for _, m := range ms {
+					name := fmt.Sprintf("%s/%s/%v/m=%d", res.name, algo, trigger.want, m)
+					ctx := newTriggerCtx()
+					var got []graphrnn.PointID
+					var serr error
+					for h, err := range db.Stream(ctx, q) {
+						if err != nil {
+							serr = err
+							break
+						}
+						if !member[h.P] || slices.Contains(got, h.P) {
+							t.Fatalf("%s: streamed %d, a duplicate or not in the answer %v", name, h.P, full.Points)
+						}
+						if got = append(got, h.P); len(got) == m {
+							ctx.fire(trigger.err)
+						}
+					}
+					if !errors.Is(serr, trigger.want) || !graphrnn.IsExecErr(serr) {
+						t.Fatalf("%s: stream ended with %v after %d of %d members, want %v", name, serr, len(got), len(full.Points), trigger.want)
+					}
+					if len(got) < m || len(got) >= len(full.Points) {
+						t.Fatalf("%s: partial answer of %d members, want %d to %d", name, len(got), m, len(full.Points)-1)
+					}
+					again, err := db.Run(context.Background(), q)
+					if err != nil || !samePoints(again.Points, full.Points) {
+						t.Fatalf("%s: the next run answered %v, %v; want %v", name, again.Points, err, full.Points)
+					}
+				}
+			}
+		}
+		if err := errors.Join(hub.Close(), mat.Close(), db.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every producer has returned; wait for their goroutines to exit.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
 	}
 }
 

@@ -239,7 +239,8 @@ type DB struct {
 // buffer faults (the connectivity grouping of Section 3.1). Answers never
 // depend on it.
 type Layout struct {
-	order func(*graph.Graph) []graph.NodeID
+	order     func(*graph.Graph) []graph.NodeID
+	clustered bool // ClusteredLayout, whose queries read through a session
 }
 
 // BFSLayout packs adjacency lists in breadth-first order (the default).
@@ -259,7 +260,7 @@ func BFSLayout() Layout {
 // quarter page keeps the BFS order, where balls around its hubs would read
 // more. rnnserver serves -disk graphs with it.
 func ClusteredLayout() Layout {
-	return Layout{order: func(g *graph.Graph) []graph.NodeID {
+	return Layout{clustered: true, order: func(g *graph.Graph) []graph.NodeID {
 		return storage.ClusteredOrder(g, storage.DefaultPageSize)
 	}}
 }
@@ -322,6 +323,7 @@ func openDB(g *Graph, opt *Options, layout Layout, pool *BufferPool) (*DB, error
 			_ = bm.Detach()
 			return nil, err
 		}
+		ds.Clustered = layout.clustered && order != nil
 		db.store = ds
 		db.disk = ds
 	} else {

@@ -187,16 +187,17 @@ type searchPools struct {
 // measure distances *to* one (the main expansions, lazy-EP's H'). On a
 // symmetric network they are the same access.
 //
-// Over a storage.DiskStore, Run and KNN read the network through a
-// storage.Session of their own, which decodes each adjacency list once a
-// query and owes the pool the page accesses of repeated reads. The query's
+// Over a storage.DiskStore packed as connected balls (Clustered), Run and
+// KNN read the network through a storage.Session of their own, which
+// decodes each adjacency list once a query and owes the pool the page
+// accesses of repeated reads. The query's
 // end settles that debt, and so does every poll of a query under an I/O
 // budget (checkExec, checkExecStride), so the pool's counters are exact at
 // the end and the budget reads them exactly.
 type Searcher struct {
 	g, in graph.Access
-	// disk is g when the network is paged; sess is the query's session on
-	// the view Run and KNN read through.
+	// disk is g when the network is paged as balls; sess is the query's
+	// session on the view Run and KNN read through.
 	disk  *storage.DiskStore
 	sess  *storage.Session
 	pools *searchPools
@@ -206,7 +207,9 @@ type Searcher struct {
 // NewSearcher creates a Searcher over g.
 func NewSearcher(g graph.Access) *Searcher {
 	s := &Searcher{g: g, in: g.In(), pools: &searchPools{}}
-	s.disk, _ = g.(*storage.DiskStore)
+	if ds, ok := g.(*storage.DiskStore); ok && ds.Clustered {
+		s.disk = ds
+	}
 	s.pools.scratch.New = func() any { return newScratch(g.NumNodes()) }
 	s.pools.counts.New = func() any { return &lazyCounts{} }
 	s.pools.ep.New = func() any { return &epMarks{} }

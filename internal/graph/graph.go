@@ -114,8 +114,9 @@ func (g *Graph) Degree(n NodeID) int {
 	return int(g.offsets[n+1] - g.offsets[n])
 }
 
-// Adjacency implements Access. The CSR store ignores buf and returns an
-// internal slice; callers must not modify it.
+// Adjacency implements Access: it copies n's out-arcs from the CSR arrays
+// into buf[:0], growing it as append does, and returns the result. It never
+// hands out the graph's own arrays, so the caller may modify the result.
 func (g *Graph) Adjacency(n NodeID, buf []Edge) ([]Edge, error) {
 	if n < 0 || int(n) >= g.NumNodes() {
 		return nil, fmt.Errorf("graph: node %d out of range [0,%d)", n, g.NumNodes())

@@ -20,8 +20,8 @@ import (
 // decodes each fragment of a list inside one critical section of its pool
 // tenant — the same lockPage / unlockPage pair Tenant.ReadPage is built on,
 // so one fragment is one counted page access — and the pool reports the
-// tenant's counters. A query reads it through a Session, which decodes each
-// list once and replays the page accesses of repeated reads.
+// tenant's counters. A query of a Clustered store reads through a Session:
+// it decodes each list once and replays the page accesses of repeated reads.
 //
 // Which lists share a page is the node order's: BFSOrder (the default)
 // only approximates the connectivity clustering the paper adopts, and
@@ -32,6 +32,11 @@ type DiskStore struct {
 	numNodes int
 	numPages int
 	logQ     int
+	// Clustered records, before the store serves a query, that
+	// ClusteredOrder packed it. Only then does a query read it through a
+	// Session (core.NewSearcher): over BFS strips its repeated reads
+	// straddle pages, and the session cost 3 % more than plain reads.
+	Clustered bool
 	// sessions pools the per-query readers Session hands out.
 	sessions sync.Pool
 }
@@ -221,21 +226,21 @@ func BFSOrder(g *graph.Graph) []graph.NodeID {
 // the writer's own rule (listWriter), run on the lists as they are placed,
 // so the pages BuildDiskStore then writes are exactly the planned ones.
 //
-// A graph with any list longer than a quarter page keeps BFSOrder: a ball
-// around such a hub crowds out its neighbourhood (on BRITE-10K, eager and
-// lazy-EP queries at k = 2 read 28 % more pages over balls than over BFS).
-// The build is O(V + E).
+// A graph with any list longer than a quarter page gets nil, which
+// BuildDiskStore reads as BFSOrder: a ball around such a hub crowds out its
+// neighbourhood (on BRITE-10K, eager and lazy-EP queries at k = 2 read 28 %
+// more pages over balls than over BFS). The build is O(V + E).
 func ClusteredOrder(g *graph.Graph, pageSize int) []graph.NodeID {
-	bfs := BFSOrder(g)
-	lw, err := newListWriter(&countingFile{pageSize: pageSize})
-	if err != nil {
-		return bfs
-	}
 	n := g.NumNodes()
 	for u := graph.NodeID(0); int(u) < n; u++ {
 		if fragHeaderSize+PairSize*g.Degree(u) > pageSize/4 {
-			return bfs
+			return nil
 		}
+	}
+	bfs := BFSOrder(g)
+	lw, err := newListWriter(&countingFile{pageSize: pageSize})
+	if err != nil {
+		return nil
 	}
 	order := make([]graph.NodeID, 0, n)
 	placed := make([]bool, n)
@@ -257,12 +262,12 @@ func ClusteredOrder(g *graph.Graph, pageSize int) []graph.NodeID {
 		// The seed opens a fresh page unless the current one holds it.
 		ball = ball[:0]
 		if !place(bfs[next]) {
-			return bfs
+			return nil
 		}
 	fill:
 		for head := 0; head < len(ball); head++ {
 			if nbrs, err = g.Adjacency(ball[head], nbrs[:0]); err != nil {
-				return bfs
+				return nil
 			}
 			for _, e := range nbrs {
 				if placed[e.To] {
@@ -272,7 +277,7 @@ func ClusteredOrder(g *graph.Graph, pageSize int) []graph.NodeID {
 					break fill
 				}
 				if !place(e.To) {
-					return bfs
+					return nil
 				}
 			}
 		}
